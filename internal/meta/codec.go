@@ -120,14 +120,15 @@ func Decode(data []byte, wantRows int) (*Store, error) {
 	if ver := d.u32(); ver != blobVersion {
 		return nil, fmt.Errorf("meta: unsupported version %d", ver)
 	}
-	rows := int(d.u32())
+	nrows := d.u32()
 	ncols := int(d.u32())
 	if d.err != nil {
 		return nil, d.err
 	}
-	if rows < 0 || rows >= maxRows {
-		return nil, fmt.Errorf("meta: invalid row count %d", rows)
+	if nrows >= maxRows { // compared as uint32: maxRows does not fit a 32-bit int
+		return nil, fmt.Errorf("meta: invalid row count %d", nrows)
 	}
+	rows := int(nrows)
 	if wantRows >= 0 && rows != wantRows {
 		return nil, fmt.Errorf("meta: blob has %d rows, index has %d", rows, wantRows)
 	}

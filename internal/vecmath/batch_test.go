@@ -128,22 +128,6 @@ func TestL2ToRowsShortOutputPanics(t *testing.T) {
 	L2ToRows(m, make([]float32, 2), []int32{0, 1, 2}, make([]float32, 2))
 }
 
-func BenchmarkL2ToRows(b *testing.B) {
-	m := randomMatrix(4096, 128, 8)
-	q := make([]float32, 128)
-	ids := make([]int32, 64)
-	rng := rand.New(rand.NewSource(9))
-	for i := range ids {
-		ids[i] = int32(rng.Intn(4096))
-	}
-	out := make([]float32, len(ids))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		L2ToRows(m, q, ids, out)
-	}
-}
-
 func BenchmarkBatchL2Direct(b *testing.B) {
 	m := randomMatrix(1000, 128, 4)
 	q := make([]float32, 128)

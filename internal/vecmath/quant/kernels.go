@@ -1,6 +1,9 @@
 package quant
 
-import "repro/internal/vecmath"
+import (
+	"repro/internal/cpu"
+	"repro/internal/vecmath"
+)
 
 // Asymmetric distance kernels: a prepared query (int16 grid levels, see
 // Quantizer.PrepareInto) against uint8 code rows, accumulating in int32.
@@ -19,7 +22,7 @@ func L2Levels(levels []int16, code []uint8) int32 {
 	if len(levels) != len(code) {
 		panic("quant: level/code length mismatch")
 	}
-	if useAVX2 && len(levels) >= 16 {
+	if cpu.AVX2 && len(levels) >= 16 {
 		n := len(levels) &^ 15
 		s := l2Levels16AVX2(&levels[0], &code[0], n)
 		for i := n; i < len(levels); i++ {

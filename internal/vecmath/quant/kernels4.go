@@ -1,6 +1,9 @@
 package quant
 
-import "repro/internal/vecmath"
+import (
+	"repro/internal/cpu"
+	"repro/internal/vecmath"
+)
 
 // Int4 asymmetric distance kernels: a prepared query (int16 grid levels,
 // one per dimension, see Quantizer4.PrepareInto) against packed nibble
@@ -20,7 +23,7 @@ func L2Levels4(levels []int16, code []uint8) int32 {
 	if len(code) < Stride4(len(levels)) {
 		panic("quant: packed code row shorter than levels require")
 	}
-	if useAVX2 && len(levels) >= 32 {
+	if cpu.AVX2 && len(levels) >= 32 {
 		n := len(levels) &^ 31
 		s := l2Levels4AVX2(&levels[0], &code[0], n)
 		return s + l2Levels4Tail(levels, code, n)

@@ -2,18 +2,10 @@
 
 package quant
 
-import "os"
-
-// AVX2 dispatch for the SQ8 kernel. The toolchain assembles the .s file
-// directly, so this costs no dependency; support is probed once at init
-// through CPUID/XGETBV (AVX2 in the CPU *and* YMM state enabled by the OS).
-// useAVX2 can be flipped off in tests to exercise the generic path, and
-// the NSG_NO_AVX2 environment variable (any non-empty value) forces the
-// scalar fallback at startup — the hook CI's kernel-matrix lane uses to
-// gate the portable path on hardware where the vector path would
-// otherwise always win the dispatch.
-
-var useAVX2 = hasAVX2() && os.Getenv("NSG_NO_AVX2") == ""
+// AVX2 kernels for the SQ8 and int4 code distances. The toolchain assembles
+// the .s file directly, so this costs no dependency; kernels.go and
+// kernels4.go dispatch to them on cpu.AVX2, the probe (and the NSG_NO_AVX2
+// kill-switch) they share with vecmath's float32 kernels.
 
 // l2Levels16AVX2 sums (levels[i]-code[i])² over i < n, n a multiple of 16.
 // Implemented in kernels_amd64.s.
@@ -26,29 +18,3 @@ func l2Levels16AVX2(levels *int16, code *uint8, n int) int32
 //
 //go:noescape
 func l2Levels4AVX2(levels *int16, code *uint8, n int) int32
-
-// cpuid executes CPUID with the given leaf/subleaf.
-func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv reads extended control register 0.
-func xgetbv() (eax, edx uint32)
-
-func hasAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c, _ := cpuid(1, 0)
-	const osxsaveBit = 1 << 27
-	const avxBit = 1 << 28
-	if c&osxsaveBit == 0 || c&avxBit == 0 {
-		return false
-	}
-	// The OS must have enabled XMM and YMM state saving.
-	if eax, _ := xgetbv(); eax&0x6 != 0x6 {
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	const avx2Bit = 1 << 5
-	return b&avx2Bit != 0
-}

@@ -4,15 +4,13 @@ package quant
 
 // Non-amd64 architectures run the portable scalar kernel.
 
-const useAVX2 = false
-
-// l2Levels16AVX2 is never called when useAVX2 is false; this stub keeps the
+// l2Levels16AVX2 is never called when cpu.AVX2 is false; this stub keeps the
 // dispatch in kernels.go architecture-independent.
 func l2Levels16AVX2(levels *int16, code *uint8, n int) int32 {
 	panic("quant: AVX2 kernel called on non-amd64 build")
 }
 
-// l2Levels4AVX2 is never called when useAVX2 is false; same role as the
+// l2Levels4AVX2 is never called when cpu.AVX2 is false; same role as the
 // l2Levels16AVX2 stub for the packed int4 dispatch in kernels4.go.
 func l2Levels4AVX2(levels *int16, code *uint8, n int) int32 {
 	panic("quant: AVX2 kernel called on non-amd64 build")

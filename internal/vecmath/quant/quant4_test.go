@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/vecmath"
 )
 
@@ -129,7 +130,7 @@ func TestEncode4ExtremeValues(t *testing.T) {
 // — every 32-wide body count, every tail length, odd dimensions included —
 // with query levels drawn from the full prepared range.
 func TestKernel4Parity(t *testing.T) {
-	t.Logf("useAVX2=%v", useAVX2)
+	t.Logf("cpu.AVX2=%v", cpu.AVX2)
 	rng := rand.New(rand.NewSource(7))
 	for dim := 1; dim <= 200; dim++ {
 		levels := make([]int16, dim)
@@ -166,7 +167,7 @@ func TestKernel4WorstCase(t *testing.T) {
 	if got := L2Levels4(levels, code); int64(got) != want {
 		t.Fatalf("worst case sum %d != %d", got, want)
 	}
-	if useAVX2 {
+	if cpu.AVX2 {
 		if got := l2Levels4Generic(levels, code); int64(got) != want {
 			t.Fatalf("generic worst case sum %d != %d", got, want)
 		}

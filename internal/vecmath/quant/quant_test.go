@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/vecmath"
 )
 
@@ -124,7 +125,7 @@ func TestEncodeExtremeValues(t *testing.T) {
 // bit-identical to the portable scalar loop across dimensions, including
 // every tail length and out-of-range query levels.
 func TestKernelParity(t *testing.T) {
-	t.Logf("useAVX2=%v", useAVX2)
+	t.Logf("cpu.AVX2=%v", cpu.AVX2)
 	rng := rand.New(rand.NewSource(7))
 	for dim := 1; dim <= 200; dim++ {
 		levels := make([]int16, dim)
@@ -157,7 +158,7 @@ func TestKernelWorstCase(t *testing.T) {
 	if got := L2Levels(levels, code); int64(got) != want {
 		t.Fatalf("worst case sum %d != %d", got, want)
 	}
-	if useAVX2 {
+	if cpu.AVX2 {
 		if got := l2LevelsGeneric(levels, code); int64(got) != want {
 			t.Fatalf("generic worst case sum %d != %d", got, want)
 		}

@@ -2,15 +2,30 @@
 // every index in this repository: squared Euclidean distance, batch
 // distances, centroids, norms and small top-k helpers.
 //
-// The paper's reference implementation uses SIMD intrinsics; Go has no stable
-// stdlib SIMD story, so the kernels here are 8-way manually unrolled scalar
-// loops. They produce identical results with a constant-factor slowdown,
-// which preserves every relative comparison the paper reports.
+// The paper's reference implementation uses SIMD intrinsics, and so do the
+// two entry points everything hot goes through here: on amd64 with AVX2
+// (internal/cpu probes it; NSG_NO_AVX2 turns it off) L2 and L2ToRows run
+// hand-written assembly, the latter prefetching the rows of its id list
+// ahead of the one it is scoring. Everywhere else they run l2Generic, an
+// 8-accumulator scalar loop.
+//
+// The two give the same bits, not merely close values, so search results,
+// persisted distances and every byte-identity suite are independent of the
+// dispatch. That is by construction on both sides: the assembly keeps one
+// 8-lane accumulator (lane j is the scalar loop's s_j), uses no fused
+// multiply-add and sums its lanes in the scalar expression's order; the
+// scalar loop writes float32(d*d), the explicit conversion that the Go spec
+// says forbids fusing the product into the add, so arm64 and GOAMD64=v3
+// builds, which fuse wherever they may, round twice as the assembly does.
+// The one thing left unspecified is which payload survives when several
+// NaNs meet.
 package vecmath
 
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/cpu"
 )
 
 // L2 returns the squared Euclidean distance between a and b.
@@ -22,6 +37,25 @@ func L2(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: dimension mismatch %d != %d", len(a), len(b)))
 	}
+	if cpu.AVX2 && len(a) >= 8 {
+		n := len(a) &^ 7
+		s := l2AVX2(&a[0], &b[0], n)
+		for i := n; i < len(a); i++ {
+			d := a[i] - b[i]
+			s += float32(d * d)
+		}
+		return s
+	}
+	return l2Generic(a, b)
+}
+
+// l2Generic is the portable scalar kernel and the definition of L2's bits:
+// eight accumulators, lane j taking elements j, j+8, j+16, ..., summed left
+// to right, then the tail in index order. The float32(d * d) conversions
+// are not noise: the Go spec lets a compiler fuse x*y + z into one rounding
+// unless the product is explicitly converted, and arm64 and GOAMD64=v3
+// builds do fuse.
+func l2Generic(a, b []float32) float32 {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
@@ -33,19 +67,19 @@ func L2(a, b []float32) float32 {
 		d5 := a[i+5] - b[i+5]
 		d6 := a[i+6] - b[i+6]
 		d7 := a[i+7] - b[i+7]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		s4 += d4 * d4
-		s5 += d5 * d5
-		s6 += d6 * d6
-		s7 += d7 * d7
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
+		s4 += float32(d4 * d4)
+		s5 += float32(d5 * d5)
+		s6 += float32(d6 * d6)
+		s7 += float32(d7 * d7)
 	}
 	s := (s0 + s1) + (s2 + s3) + (s4 + s5) + (s6 + s7)
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float32(d * d)
 	}
 	return s
 }
