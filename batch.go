@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/vecmath"
 )
 
 // BatchResult holds one query's answer within a batch.
@@ -17,165 +16,47 @@ type BatchResult struct {
 }
 
 // SearchBatch answers many queries concurrently on workers goroutines
-// (GOMAXPROCS when workers <= 0). By default each worker fuses
-// Options.BatchCohort queries into one lockstep traversal: the cohort's
-// frontier expansions are deduplicated per step, so a graph row gathered
-// from memory is scored against every query in the cohort that wants it
-// instead of being re-fetched per query. Results are byte-identical to
-// running each query alone — fusion only changes how many times the same
-// bytes cross the memory bus; set Options.BatchCohort to 1 for the
-// one-query-per-traversal behaviour. The index is read-only during search,
-// so concurrent queries are safe. Panics if any query's dimension does not
-// match the index.
+// (GOMAXPROCS when workers <= 0), each worker running the same Algorithm 1
+// as SearchWithPool with one search context for its whole share of the
+// batch. Every query's answer is byte-identical to its serial
+// SearchWithPool call. The index is read-only during search, so concurrent
+// queries are safe. Panics if any query's dimension does not match the
+// index.
 func (x *Index) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
-	// Validate dimensions before fanning out: a panic on a worker goroutine
-	// would be unrecoverable for the caller.
-	dim := x.Dim()
+	return searchBatch(queries, x.Dim(), workers, x.getCtx, x.putCtx, func(ctx *core.SearchContext, q []float32) ([]int32, []float32) {
+		return x.searchIntoFresh(ctx, q, k, l)
+	})
+}
+
+// SearchBatch answers many queries concurrently, like Index.SearchBatch but
+// reporting scores in the index's metric (see MetricIndex.Search for the
+// score conventions).
+func (x *MetricIndex) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
+	return searchBatch(queries, x.dim, workers, x.idx.getCtx, x.idx.putCtx, func(ctx *core.SearchContext, q []float32) ([]int32, []float32) {
+		return x.searchWithPoolCtx(ctx, q, k, l)
+	})
+}
+
+// searchBatch is the worker pool behind every SearchBatch*: it answers
+// queries[i] into out[i] with search, on workers goroutines (GOMAXPROCS when
+// workers <= 0, never more than len(queries); a single worker runs inline),
+// handing each worker one scratch value from get for its whole share of the
+// batch and returning it through put. Work is claimed in small chunks
+// through an atomic counter rather than one channel send per query, which
+// keeps early chunks hot while still load-balancing ragged work.
+//
+// Dimensions are validated before fanning out: a panic on a worker
+// goroutine would be unrecoverable for the caller, unlike the serial path's.
+func searchBatch[C any](queries [][]float32, dim, workers int, get func() C, put func(C), search func(c C, query []float32) ([]int32, []float32)) []BatchResult {
 	for i, q := range queries {
 		if len(q) != dim {
 			panic(fmt.Sprintf("nsg: query %d dim %d != index dim %d", i, len(q), dim))
 		}
 	}
-	out := make([]BatchResult, len(queries))
-	if b := x.opts.BatchCohort; b > 1 {
-		forEachCohort(len(queries), b, workers, x.getCohortCtx, x.putCohortCtx, func(cc *core.CohortContext, lo, hi int) {
-			for qi, res := range x.searchCohort(cc, queries[lo:hi], k, l) {
-				ids, dists := extractResults(res.Neighbors)
-				out[lo+qi] = BatchResult{IDs: ids, Dists: dists}
-			}
-		})
+	n := len(queries)
+	out := make([]BatchResult, n)
+	if n == 0 {
 		return out
-	}
-	forEachQuery(len(queries), workers, x.getCtx, x.putCtx, func(ctx *core.SearchContext, i int) {
-		ids, dists := x.searchIntoFresh(ctx, queries[i], k, l)
-		out[i] = BatchResult{IDs: ids, Dists: dists}
-	})
-	return out
-}
-
-// searchCohort runs one fused cohort through the index's serving state:
-// the live snapshot + delta path when live updates are enabled, the
-// tombstone-aware direct path otherwise. Results alias cc and are valid
-// until its next search.
-func (x *Index) searchCohort(cc *core.CohortContext, queries [][]float32, k, l int) []core.SearchResult {
-	if h := x.live.Load(); h != nil {
-		return h.SearchCohortCtx(cc, queries, k, l, nil)
-	}
-	return x.inner.SearchCohortCtx(cc, queries, k, l, x.dead, nil)
-}
-
-// SearchBatch answers many queries concurrently, like Index.SearchBatch but
-// reporting scores in the index's metric (see MetricIndex.Search for the
-// score conventions). Queries are fused into cohorts the same way (see
-// Options.BatchCohort); scores are recomputed per result in the caller's
-// metric either way, so both paths return identical output.
-func (x *MetricIndex) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
-	// Validate dimensions before fanning out: a panic on a worker goroutine
-	// would be unrecoverable for the caller, unlike the serial path's.
-	for i, q := range queries {
-		if len(q) != x.dim {
-			panic(fmt.Sprintf("nsg: query %d dim %d != index dim %d", i, len(q), x.dim))
-		}
-	}
-	out := make([]BatchResult, len(queries))
-	if b := x.idx.opts.BatchCohort; b > 1 {
-		// Transform every query up front (identity for L2), so cohorts slice
-		// one uniform list in the underlying index's coordinate space.
-		tq := queries
-		if x.metric != L2 {
-			tq = make([][]float32, len(queries))
-			for i, q := range queries {
-				tq[i] = x.transformQuery(q)
-			}
-		}
-		forEachCohort(len(queries), b, workers, x.idx.getCohortCtx, x.idx.putCohortCtx, func(cc *core.CohortContext, lo, hi int) {
-			for qi, res := range x.idx.searchCohort(cc, tq[lo:hi], k, l) {
-				ids, scores := x.rescore(queries[lo+qi], res.Neighbors)
-				out[lo+qi] = BatchResult{IDs: ids, Dists: scores}
-			}
-		})
-		return out
-	}
-	forEachQuery(len(queries), workers, x.idx.getCtx, x.idx.putCtx, func(ctx *core.SearchContext, i int) {
-		ids, scores := x.searchWithPoolCtx(ctx, queries[i], k, l)
-		out[i] = BatchResult{IDs: ids, Dists: scores}
-	})
-	return out
-}
-
-// rescore copies a context-owned neighbor list into fresh slices, replacing
-// each L2 distance with the score in the caller's metric.
-func (x *MetricIndex) rescore(query []float32, res []vecmath.Neighbor) ([]int32, []float32) {
-	ids := make([]int32, len(res))
-	scores := make([]float32, len(res))
-	for i, n := range res {
-		ids[i] = n.ID
-		scores[i] = x.score(query, n.ID)
-	}
-	return ids, scores
-}
-
-// claimChunks distributes chunks of [0,n) across workers goroutines via an
-// atomic claim counter: each worker repeatedly claims the next unclaimed
-// chunk of grain items until none remain. One atomic add per chunk replaces
-// the one channel send per item the previous dispatcher paid, and the
-// claiming order keeps early chunks hot while still load-balancing ragged
-// work. body runs with the worker's id and the chunk bounds; workers is
-// capped at the chunk count, and a single worker runs the loop inline.
-func claimChunks(n, grain, workers int, body func(w, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		for lo := 0; lo < n; lo += grain {
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			body(0, lo, hi)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo := c * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				body(w, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// forEachQuery runs fn(ctx, i) for i in [0,n) on the requested number of
-// worker goroutines, handing each worker one search context for its whole
-// share of the work. Work is claimed in small chunks through an atomic
-// counter rather than one channel send per query.
-func forEachQuery(n, workers int, getCtx func() *core.SearchContext, putCtx func(*core.SearchContext), fn func(ctx *core.SearchContext, i int)) {
-	if n <= 0 {
-		return
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -185,51 +66,33 @@ func forEachQuery(n, workers int, getCtx func() *core.SearchContext, putCtx func
 	}
 	// Chunks of ~4 claims per worker amortize the atomic without leaving
 	// stragglers; cap at 8 so one slow chunk cannot dominate the tail.
-	grain := n / (workers * 4)
-	if grain < 1 {
-		grain = 1
-	}
-	if grain > 8 {
-		grain = 8
-	}
-	ctxs := make([]*core.SearchContext, workers)
-	for w := range ctxs {
-		ctxs[w] = getCtx()
-	}
-	claimChunks(n, grain, workers, func(w, lo, hi int) {
-		ctx := ctxs[w]
-		for i := lo; i < hi; i++ {
-			fn(ctx, i)
+	grain := min(max(n/(workers*4), 1), 8)
+	var next atomic.Int64
+	work := func() {
+		c := get()
+		for {
+			lo := int(next.Add(int64(grain))) - grain
+			if lo >= n {
+				break
+			}
+			for i, hi := lo, min(lo+grain, n); i < hi; i++ {
+				out[i].IDs, out[i].Dists = search(c, queries[i])
+			}
 		}
-	})
-	for _, ctx := range ctxs {
-		putCtx(ctx)
+		put(c)
 	}
-}
-
-// forEachCohort splits [0,n) into cohorts of the given size and runs
-// body(cc, lo, hi) for each, one warm CohortContext per worker. The last
-// cohort may be ragged; cohort boundaries are fixed by the size, not by
-// which worker claims them, so output never depends on scheduling.
-func forEachCohort(n, size, workers int, getCC func() *core.CohortContext, putCC func(*core.CohortContext), body func(cc *core.CohortContext, lo, hi int)) {
-	if n <= 0 {
-		return
+	if workers == 1 {
+		work()
+		return out
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-	chunks := (n + size - 1) / size
-	if workers > chunks {
-		workers = chunks
-	}
-	ccs := make([]*core.CohortContext, workers)
-	for w := range ccs {
-		ccs[w] = getCC()
-	}
-	claimChunks(n, size, workers, func(w, lo, hi int) {
-		body(ccs[w], lo, hi)
-	})
-	for _, cc := range ccs {
-		putCC(cc)
-	}
+	wg.Wait()
+	return out
 }

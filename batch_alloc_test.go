@@ -6,16 +6,12 @@
 
 package nsg
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/core"
-)
-
-// TestBatchSearchZeroAlloc is the acceptance gate for the fused cohort
-// path: with a reused CohortContext, a steady-state cohort search — float
-// or quantized — performs zero heap allocations; the public SearchBatch
-// adds only the returned result slices.
+// TestBatchSearchZeroAlloc bounds what the batch worker pool adds to the
+// solo search: per query exactly the two returned slices (each worker keeps
+// one pooled context for its whole share), per call the result table plus a
+// constant per worker (goroutine, closure, wait group).
 func TestBatchSearchZeroAlloc(t *testing.T) {
 	ds := shardedTestData(t, 1500, 32)
 	for _, quantize := range []QuantMode{QuantNone, QuantSQ8, QuantInt4} {
@@ -33,36 +29,32 @@ func TestBatchSearchZeroAlloc(t *testing.T) {
 		for qi := range queries {
 			queries[qi] = ds.Queries.Row(qi)
 		}
-
-		cc := core.NewCohortContext()
-		for i := 0; i < 8; i++ { // warm every cohort buffer
-			idx.searchCohort(cc, queries[:8], 10, 60)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			res := idx.searchCohort(cc, queries[:8], 10, 60)
-			if len(res) != 8 || len(res[0].Neighbors) != 10 {
-				t.Fatal("short result")
+		batchAllocs := func(n, workers int) float64 {
+			for i := 0; i < 4; i++ { // warm the context pool
+				idx.SearchBatch(queries[:n], 10, 60, workers)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("quantize=%v: ctx-reuse cohort search allocated %.2f times per cohort, want 0", quantize, allocs)
+			return testing.AllocsPerRun(100, func() {
+				if res := idx.SearchBatch(queries[:n], 10, 60, workers); len(res) != n {
+					t.Fatal("short result")
+				}
+			})
 		}
 
-		for i := 0; i < 4; i++ { // warm the public cohort-context pool
-			idx.SearchBatch(queries[:8], 10, 60, 1)
+		// One inline worker is deterministic: growing the batch by 24
+		// queries must cost exactly their 48 result slices.
+		small, large := batchAllocs(8, 1), batchAllocs(32, 1)
+		if large-small != 2*24 {
+			t.Fatalf("quantize=%v: 24 more queries allocated %.2f more times, want %d (two result slices each)", quantize, large-small, 2*24)
 		}
-		allocs = testing.AllocsPerRun(100, func() {
-			res := idx.SearchBatch(queries[:8], 10, 60, 1)
-			if len(res) != 8 {
-				t.Fatal("short result")
+		if small > 2*8+6 {
+			t.Fatalf("quantize=%v: SearchBatch(8 queries, 1 worker) allocated %.2f times, want <= %d", quantize, small, 2*8+6)
+		}
+		// Several workers add a constant each, never a per-query or per-hop
+		// cost (which would show up as hundreds of allocations per batch).
+		for _, workers := range []int{2, 4} {
+			if got, limit := batchAllocs(32, workers), float64(2*32+6+4*workers); got > limit {
+				t.Fatalf("quantize=%v: SearchBatch(32 queries, %d workers) allocated %.2f times, want <= %.0f", quantize, workers, got, limit)
 			}
-		})
-		// Per batch: two result slices per query plus a constant handful for
-		// the fan-out itself (out slice, worker context table, closures). The
-		// gate catches any per-query or per-hop regression, which would show
-		// up as tens to hundreds of allocations per batch.
-		if allocs > 2*8+6.5 {
-			t.Fatalf("quantize=%v: public SearchBatch allocated %.2f times per batch, want <= %.0f (result slices + constant fan-out)", quantize, allocs, 2*8+6.5)
 		}
 	}
 }

@@ -1,31 +1,168 @@
 package nsg
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 )
 
+// TestSearchBatchMatchesSerial is the batch contract: every SearchBatch*
+// entry point is a worker pool over the serial search, so for every serving
+// shape and every worker count each answer equals the serial call's — ids
+// and distances bit for bit.
 func TestSearchBatchMatchesSerial(t *testing.T) {
-	vecs := randomVectors(900, 12, 12)
+	const n, dim, k, l = 900, 12, 5, 40
+	vecs := randomVectors(n, dim, 12)
+	queries := randomVectors(41, dim, 13)
 	opts := DefaultOptions()
 	opts.ExactKNN = true
-	idx, err := Build(vecs, opts)
+
+	build := func(t *testing.T, quantize QuantMode) *Index {
+		t.Helper()
+		o := opts
+		o.Quantize = quantize
+		idx, err := Build(vecs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	type surface struct {
+		serial func(q []float32) ([]int32, []float32)
+		batch  func(workers int) []BatchResult
+	}
+	plain := func(idx interface {
+		SearchWithPool(q []float32, k, l int) ([]int32, []float32)
+		SearchBatch(queries [][]float32, k, l, workers int) []BatchResult
+	}) surface {
+		return surface{
+			serial: func(q []float32) ([]int32, []float32) { return idx.SearchWithPool(q, k, l) },
+			batch:  func(w int) []BatchResult { return idx.SearchBatch(queries, k, l, w) },
+		}
+	}
+	cases := []struct {
+		name string
+		open func(t *testing.T) surface
+	}{
+		{"float32", func(t *testing.T) surface { return plain(build(t, QuantNone)) }},
+		{"sq8", func(t *testing.T) surface { return plain(build(t, QuantSQ8)) }},
+		{"int4", func(t *testing.T) surface { return plain(build(t, QuantInt4)) }},
+		{"tombstoned", func(t *testing.T) surface {
+			idx := build(t, QuantNone)
+			for _, q := range queries[:6] {
+				ids, _ := idx.SearchWithPool(q, 1, l)
+				if err := idx.Delete(ids[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return plain(idx)
+		}},
+		{"live-delta-tombstones", func(t *testing.T) surface {
+			idx, err := Build(vecs[:n-40], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A huge publish interval and pending cap keep the appended rows
+			// in the delta buffer, so every search sees one stable snapshot
+			// + delta.
+			if err := idx.EnableLiveUpdates(LiveOptions{PublishInterval: time.Hour, MaxPending: 1 << 20}); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(idx.Close)
+			for _, v := range vecs[n-40:] {
+				if _, err := idx.Add(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range []int32{7, int32(n - 3)} { // one snapshot row, one delta row
+				if err := idx.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return plain(idx)
+		}},
+		{"mapped", func(t *testing.T) surface {
+			path := filepath.Join(t.TempDir(), "idx.nsgm")
+			if err := build(t, QuantSQ8).SaveMapped(path); err != nil {
+				t.Fatal(err)
+			}
+			idx, err := OpenMapped(path, MapOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(idx.Close)
+			return plain(idx)
+		}},
+		{"metric-cosine", func(t *testing.T) surface {
+			idx, err := BuildMetric(vecs, Cosine, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plain(idx)
+		}},
+		{"index-filter", func(t *testing.T) surface {
+			idx := build(t, QuantNone)
+			attachTestMetadata(t, idx.SetMetadata, n)
+			f, err := idx.CompileFilter(HasTag("tags", "even"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return surface{
+				serial: func(q []float32) ([]int32, []float32) { return idx.SearchFilteredWithPool(q, k, l, f) },
+				batch:  func(w int) []BatchResult { return idx.SearchBatchFiltered(queries, k, l, w, f) },
+			}
+		}},
+		{"sharded", func(t *testing.T) surface { return plain(buildShardedVectors(t, vecs, opts)) }},
+		{"sharded-filter", func(t *testing.T) surface {
+			idx := buildShardedVectors(t, vecs, opts)
+			attachTestMetadata(t, idx.SetMetadata, n)
+			f, err := idx.CompileFilter(Eq("category", "cat2"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return surface{
+				serial: func(q []float32) ([]int32, []float32) { return idx.SearchFilteredWithPool(q, k, l, f) },
+				batch:  func(w int) []BatchResult { return idx.SearchBatchFiltered(queries, k, l, w, f) },
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.open(t)
+			want := make([]string, len(queries))
+			for i, q := range queries {
+				ids, dists := s.serial(q)
+				if len(ids) != k {
+					t.Fatalf("serial query %d: %d results, want %d", i, len(ids), k)
+				}
+				want[i] = searchSig(ids, dists)
+			}
+			// The GOMAXPROCS default, the inline single worker, a count that
+			// leaves ragged chunks, and more workers than queries.
+			for _, workers := range []int{0, 1, 3, len(queries) + 5} {
+				got := s.batch(workers)
+				if len(got) != len(queries) {
+					t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(queries))
+				}
+				for i := range got {
+					if sig := searchSig(got[i].IDs, got[i].Dists); sig != want[i] {
+						t.Fatalf("workers=%d query %d: batch %s != serial %s", workers, i, sig, want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// buildShardedVectors builds a 4-shard index that the test closes on exit.
+func buildShardedVectors(t *testing.T, vecs [][]float32, shard Options) *ShardedIndex {
+	t.Helper()
+	idx, err := BuildSharded(vecs, ShardedOptions{Shards: 4, Shard: shard})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := randomVectors(40, 12, 13)
-	batch := idx.SearchBatch(queries, 5, 40, 4)
-	if len(batch) != 40 {
-		t.Fatalf("batch results = %d, want 40", len(batch))
-	}
-	for i, q := range queries {
-		ids, dists := idx.SearchWithPool(q, 5, 40)
-		for j := range ids {
-			if batch[i].IDs[j] != ids[j] || batch[i].Dists[j] != dists[j] {
-				t.Fatalf("query %d: batch %v/%v vs serial %v/%v", i, batch[i].IDs, batch[i].Dists, ids, dists)
-			}
-		}
-	}
+	t.Cleanup(idx.Close)
+	return idx
 }
 
 func TestSearchBatchWorkerEdgeCases(t *testing.T) {
@@ -76,92 +213,19 @@ func TestMetricSearchBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSearchBatchFusedMatchesLegacy: the fused cohort path must return
-// exactly what the legacy per-query path returns — float and quantized,
-// across cohort sizes (including ragged tails) and worker counts.
-func TestSearchBatchFusedMatchesLegacy(t *testing.T) {
-	for _, quantize := range []QuantMode{QuantNone, QuantSQ8, QuantInt4} {
-		vecs := randomVectors(900, 12, 18)
-		opts := DefaultOptions()
-		opts.ExactKNN = true
-		opts.Quantize = quantize
-		opts.BatchCohort = 1 // legacy reference
-		idx, err := Build(vecs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries := randomVectors(41, 12, 19)
-		want := idx.SearchBatch(queries, 5, 40, 2)
-		for _, cohort := range []int{2, 5, 8, 17} {
-			for _, workers := range []int{1, 3} {
-				idx.opts.BatchCohort = cohort
-				got := idx.SearchBatch(queries, 5, 40, workers)
-				idx.opts.BatchCohort = 1
-				for i := range want {
-					if len(got[i].IDs) != len(want[i].IDs) {
-						t.Fatalf("quantize=%v cohort=%d workers=%d query %d: %d results vs %d",
-							quantize, cohort, workers, i, len(got[i].IDs), len(want[i].IDs))
-					}
-					for j := range want[i].IDs {
-						if got[i].IDs[j] != want[i].IDs[j] || got[i].Dists[j] != want[i].Dists[j] {
-							t.Fatalf("quantize=%v cohort=%d workers=%d query %d result %d: (%d,%v) != (%d,%v)",
-								quantize, cohort, workers, i, j, got[i].IDs[j], got[i].Dists[j], want[i].IDs[j], want[i].Dists[j])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSearchBatchFusedLive: on a live index with pending inserts and a
-// tombstone, the fused batch must match per-query SearchWithPool against
-// the same frozen view.
-func TestSearchBatchFusedLive(t *testing.T) {
-	vecs := randomVectors(500, 12, 20)
-	opts := DefaultOptions()
-	opts.ExactKNN = true
-	idx, err := Build(vecs[:460], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A huge publish interval and pending cap keep the appended rows in the
-	// delta buffer, so every search below sees one stable snapshot + delta.
-	if err := idx.EnableLiveUpdates(LiveOptions{PublishInterval: time.Hour, MaxPending: 1 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	for _, v := range vecs[460:] {
-		if _, err := idx.Add(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := idx.Delete(7); err != nil {
-		t.Fatal(err)
-	}
-	queries := randomVectors(30, 12, 21)
-	batch := idx.SearchBatch(queries, 5, 40, 3)
-	for i, q := range queries {
-		ids, dists := idx.SearchWithPool(q, 5, 40)
-		if len(batch[i].IDs) != len(ids) {
-			t.Fatalf("query %d: %d results vs %d", i, len(batch[i].IDs), len(ids))
-		}
-		for j := range ids {
-			if batch[i].IDs[j] != ids[j] || batch[i].Dists[j] != dists[j] {
-				t.Fatalf("query %d result %d: (%d,%v) != (%d,%v)", i, j,
-					batch[i].IDs[j], batch[i].Dists[j], ids[j], dists[j])
-			}
-		}
-	}
-}
-
-// TestSearchBatchDimMismatchPanics: both batch entry points must reject a
-// malformed query up front, before any goroutine fan-out.
+// TestSearchBatchDimMismatchPanics: every batch entry point must reject a
+// malformed query up front, on the caller's goroutine, before any fan-out.
 func TestSearchBatchDimMismatchPanics(t *testing.T) {
-	vecs := randomVectors(200, 8, 22)
+	const n = 200
+	vecs := randomVectors(n, 8, 22)
 	opts := DefaultOptions()
 	opts.ExactKNN = true
 	idx, err := Build(vecs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attachTestMetadata(t, idx.SetMetadata, n)
+	f, err := idx.CompileFilter(HasTag("tags", "even"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,25 +233,29 @@ func TestSearchBatchDimMismatchPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sidx := buildShardedVectors(t, vecs, opts)
+	attachTestMetadata(t, sidx.SetMetadata, n)
+	sf, err := sidx.CompileFilter(HasTag("tags", "even"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := [][]float32{make([]float32, 8), make([]float32, 3)}
-	for _, cohort := range []int{1, 8} { // legacy and fused paths both check
-		idx.opts.BatchCohort = cohort
-		midx.idx.opts.BatchCohort = cohort
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("cohort=%d: Index.SearchBatch accepted a bad dim", cohort)
-				}
+	for name, call := range map[string]func(workers int){
+		"Index.SearchBatch":                func(w int) { idx.SearchBatch(bad, 2, 10, w) },
+		"Index.SearchBatchFiltered":        func(w int) { idx.SearchBatchFiltered(bad, 2, 10, w, f) },
+		"MetricIndex.SearchBatch":          func(w int) { midx.SearchBatch(bad, 2, 10, w) },
+		"ShardedIndex.SearchBatch":         func(w int) { sidx.SearchBatch(bad, 2, 10, w) },
+		"ShardedIndex.SearchBatchFiltered": func(w int) { sidx.SearchBatchFiltered(bad, 2, 10, w, sf) },
+	} {
+		for _, workers := range []int{1, 2} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s(workers=%d) accepted a bad dim", name, workers)
+					}
+				}()
+				call(workers)
 			}()
-			idx.SearchBatch(bad, 2, 10, 1)
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("cohort=%d: MetricIndex.SearchBatch accepted a bad dim", cohort)
-				}
-			}()
-			midx.SearchBatch(bad, 2, 10, 1)
-		}()
+		}
 	}
 }

@@ -689,35 +689,3 @@ func BenchmarkAblationLayout(b *testing.B) {
 		benchSearch(b, func(q []float32) []vecmath.Neighbor { return flat.Search(q, 10, 60, nil) })
 	})
 }
-
-// BenchmarkMqbatchSearch compares the fused cohort batch against the
-// legacy one-query-per-traversal batch on the float and SQ8 indexes; the
-// CI smoke runs it one iteration so an alloc or dispatch regression on the
-// cohort path surfaces in -benchmem on every PR.
-func BenchmarkMqbatchSearch(b *testing.B) {
-	ds, fl, qt := loadQuantBenchData(b)
-	queries := make([][]float32, ds.Queries.Rows)
-	for i := range queries {
-		queries[i] = ds.Queries.Row(i)
-	}
-	for _, v := range []struct {
-		name string
-		idx  *Index
-	}{{"float32", fl}, {"sq8", qt}} {
-		for _, cohort := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%s/cohort-%d", v.name, cohort), func(b *testing.B) {
-				old := v.idx.opts.BatchCohort
-				v.idx.opts.BatchCohort = cohort
-				defer func() { v.idx.opts.BatchCohort = old }()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					out := v.idx.SearchBatch(queries, 10, 60, 0)
-					if len(out) != len(queries) {
-						b.Fatal("short batch result")
-					}
-				}
-			})
-		}
-	}
-}

@@ -1,7 +1,7 @@
 // Command benchcheck compares a freshly generated BENCH_*.json against a
 // committed baseline and fails when quality or throughput regressed beyond
 // a tolerance band. It is the gate the bench-regression CI job runs after
-// regenerating the quant/sharded/live/mqbatch experiment records, so a PR
+// regenerating the quant/sharded/live experiment records, so a PR
 // that silently costs recall or QPS turns the build red instead of
 // landing.
 //
@@ -15,8 +15,8 @@
 // checked in one invocation; with -normalize the median group ratio is
 // computed across every group of every pair, so a record whose points all
 // go through one code path (and would regress in lockstep, self-
-// normalizing) is anchored by the other files' groups. CI checks all
-// four experiment records in one call for exactly this reason.
+// normalizing) is anchored by the other files' groups. CI checks every
+// experiment record in one call for exactly this reason.
 //
 // The tool understands any experiment record with a top-level "points"
 // array (the shared shape of BENCH_quant/sharded/live): each point is
@@ -165,7 +165,7 @@ func run(args []string, stdout io.Writer) error {
 // name the search-effort axis, which is dropped when grouping points into
 // QPS sweeps.
 var (
-	identityKeys = []string{"variant", "shards", "cohort", "effort", "l", "k", "write_frac", "selectivity", "tenants", "dataset"}
+	identityKeys = []string{"variant", "shards", "effort", "l", "k", "write_frac", "selectivity", "tenants", "dataset"}
 	effortKeys   = map[string]bool{"effort": true, "l": true}
 )
 

@@ -47,7 +47,21 @@ func main() {
 	queries := flag.Int("smoke-queries", 10, "-queries override for executed bench commands")
 	flag.Parse()
 
-	files := append([]string{}, flag.Args()...)
+	// The usage above puts -exec after the plain files, where the flag
+	// package stops parsing: take file names up to the next flag, then
+	// resume.
+	var files []string
+	for args := flag.Args(); len(args) > 0; args = flag.Args() {
+		i := 0
+		for i < len(args) && !strings.HasPrefix(args[i], "-") {
+			i++
+		}
+		files = append(files, args[:i]...)
+		if i == len(args) {
+			break
+		}
+		flag.CommandLine.Parse(args[i:]) // ExitOnError: a bad flag exits here
+	}
 	files = append(files, execFiles...)
 	if len(files) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: doccheck [-exec FILE.md]... FILE.md...")

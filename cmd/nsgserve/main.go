@@ -448,11 +448,10 @@ type batchSearchResponse struct {
 // all its results in memory at once.
 const maxBatchQueries = 1024
 
-// handleSearchBatch answers many queries in one request through the fused
-// cohort path: SearchBatch groups the queries into cohorts and each shard
-// worker advances a whole cohort in lockstep over its graph, sharing
-// gathered rows across the cohort's queries. Results are byte-identical to
-// issuing the queries one at a time against /search.
+// handleSearchBatch answers many queries in one request: one body decode,
+// one filter compile, then SearchBatchFiltered's worker pool runs the same
+// per-query search /search runs, GOMAXPROCS queries at a time. Results are
+// byte-identical to issuing the queries one at a time against /search.
 func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchSearchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {

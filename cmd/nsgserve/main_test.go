@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -469,10 +470,37 @@ func TestSearchesNotBlockedBySlowInsertBatch(t *testing.T) {
 	}
 }
 
-// TestBatchSearchEndpoint: /search/batch must return one result row per
-// query, matching /search answers, and reject malformed batches.
+// statsQueries reads the served-query counter from /stats.
+func statsQueries(t *testing.T, base string) uint64 {
+	t.Helper()
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st statsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Queries
+}
+
+// TestBatchSearchEndpoint: a /search/batch of N queries, plain or under a
+// filter, must return exactly what N /search calls return, count as N
+// queries in /stats, and reject malformed batches.
 func TestBatchSearchEndpoint(t *testing.T) {
 	idx := testIndex(t)
+	cats := make([]string, idx.Len())
+	for i := range cats {
+		cats[i] = []string{"a", "b"}[i%2]
+	}
+	m := nsg.NewMetadata(len(cats))
+	if err := m.AddEnum("category", cats); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.SetMetadata(m); err != nil {
+		t.Fatal(err)
+	}
 	srv := newServer(idx, 10, 60, 4096)
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
@@ -481,36 +509,36 @@ func TestBatchSearchEndpoint(t *testing.T) {
 	for i := range queries {
 		queries[i] = append([]float32(nil), idx.Vector(i*7)...)
 	}
-	resp, body := postJSON(t, ts.URL+"/search/batch", batchSearchRequest{Queries: queries, K: 5})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
-	}
-	var br batchSearchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != len(queries) {
-		t.Fatalf("got %d results, want %d", len(br.Results), len(queries))
-	}
-	for i, r := range br.Results {
-		if len(r.IDs) != 5 || len(r.Dists) != 5 {
-			t.Fatalf("query %d: %d ids, %d dists", i, len(r.IDs), len(r.Dists))
+	for _, filter := range []json.RawMessage{nil, json.RawMessage(`{"col":"category","eq":"a"}`)} {
+		before := statsQueries(t, ts.URL)
+		resp, body := postJSON(t, ts.URL+"/search/batch", batchSearchRequest{Queries: queries, K: 5, Filter: filter})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("filter %s: batch status %d: %s", filter, resp.StatusCode, body)
 		}
-		_, solo := postJSON(t, ts.URL+"/search", searchRequest{Query: queries[i], K: 5})
-		var sr searchResponse
-		if err := json.Unmarshal(solo, &sr); err != nil {
+		if got := statsQueries(t, ts.URL) - before; got != uint64(len(queries)) {
+			t.Fatalf("filter %s: batch of %d bumped /stats queries by %d", filter, len(queries), got)
+		}
+		var br batchSearchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
 			t.Fatal(err)
 		}
-		for j := range r.IDs {
-			if r.IDs[j] != sr.IDs[j] || r.Dists[j] != sr.Dists[j] {
-				t.Fatalf("query %d result %d: batch (%d,%v) != solo (%d,%v)",
-					i, j, r.IDs[j], r.Dists[j], sr.IDs[j], sr.Dists[j])
+		if len(br.Results) != len(queries) {
+			t.Fatalf("filter %s: got %d results, want %d", filter, len(br.Results), len(queries))
+		}
+		for i, r := range br.Results {
+			_, solo := postJSON(t, ts.URL+"/search", searchRequest{Query: queries[i], K: 5, Filter: filter})
+			var sr searchResponse
+			if err := json.Unmarshal(solo, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if len(sr.IDs) != 5 || !slices.Equal(r.IDs, sr.IDs) || !slices.Equal(r.Dists, sr.Dists) {
+				t.Fatalf("filter %s query %d: batch %v/%v != /search %v/%v", filter, i, r.IDs, r.Dists, sr.IDs, sr.Dists)
 			}
 		}
 	}
 
 	// Malformed batches: empty, oversized, bad dimension, oversized l.
-	resp, _ = postJSON(t, ts.URL+"/search/batch", batchSearchRequest{K: 5})
+	resp, _ := postJSON(t, ts.URL+"/search/batch", batchSearchRequest{K: 5})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch status %d, want 400", resp.StatusCode)
 	}
@@ -528,20 +556,6 @@ func TestBatchSearchEndpoint(t *testing.T) {
 		Queries: queries, K: 5, L: 1 << 30})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized-l batch status %d, want 400", resp.StatusCode)
-	}
-
-	// The query counter reflects every query in the batch.
-	resp2, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var st map[string]any
-	if err := json.NewDecoder(resp2.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if q, _ := st["queries"].(float64); int(q) < 2*len(queries) {
-		t.Fatalf("stats queries = %v, want >= %d", st["queries"], 2*len(queries))
 	}
 }
 

@@ -141,60 +141,33 @@ func (x *Index) SearchFilteredWithPool(query []float32, k, l int, f *Filter) ([]
 		return x.SearchWithPool(query, k, l)
 	}
 	ctx := x.getCtx()
+	ids, dists := x.searchFilteredIntoFresh(ctx, query, k, l, f)
+	x.putCtx(ctx)
+	return ids, dists
+}
+
+// searchFilteredIntoFresh is searchIntoFresh under a non-nil filter.
+func (x *Index) searchFilteredIntoFresh(ctx *core.SearchContext, query []float32, k, l int, f *Filter) ([]int32, []float32) {
 	var res []vecmath.Neighbor
 	if h := x.live.Load(); h != nil {
 		res = h.SearchFilteredCtx(ctx, query, k, l, nil, &f.inner).Neighbors
 	} else {
 		res = x.inner.SearchFilteredWithHopsCtx(ctx, query, k, l, x.dead, &f.inner, nil).Neighbors
 	}
-	ids, dists := extractResults(res)
-	x.putCtx(ctx)
-	return ids, dists
+	return extractResults(res)
 }
 
-// SearchBatchFiltered answers many queries under one shared filter, fusing
-// them into lockstep cohorts exactly like SearchBatch (every query's answer
-// is byte-identical to its solo SearchFilteredWithPool). A nil filter is an
-// unfiltered SearchBatch.
+// SearchBatchFiltered answers many queries under one shared filter on
+// workers goroutines, exactly like SearchBatch: every query's answer is
+// byte-identical to its serial SearchFilteredWithPool call. A nil filter is
+// an unfiltered SearchBatch.
 func (x *Index) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *Filter) []BatchResult {
 	if f == nil {
 		return x.SearchBatch(queries, k, l, workers)
 	}
-	dim := x.Dim()
-	for i, q := range queries {
-		if len(q) != dim {
-			panic(fmt.Sprintf("nsg: query %d dim %d != index dim %d", i, len(q), dim))
-		}
-	}
-	out := make([]BatchResult, len(queries))
-	if b := x.opts.BatchCohort; b > 1 {
-		forEachCohort(len(queries), b, workers, x.getCohortCtx, x.putCohortCtx, func(cc *core.CohortContext, lo, hi int) {
-			for qi, res := range x.searchCohortFiltered(cc, queries[lo:hi], k, l, f) {
-				ids, dists := extractResults(res.Neighbors)
-				out[lo+qi] = BatchResult{IDs: ids, Dists: dists}
-			}
-		})
-		return out
-	}
-	forEachQuery(len(queries), workers, x.getCtx, x.putCtx, func(ctx *core.SearchContext, i int) {
-		var res []vecmath.Neighbor
-		if h := x.live.Load(); h != nil {
-			res = h.SearchFilteredCtx(ctx, queries[i], k, l, nil, &f.inner).Neighbors
-		} else {
-			res = x.inner.SearchFilteredWithHopsCtx(ctx, queries[i], k, l, x.dead, &f.inner, nil).Neighbors
-		}
-		ids, dists := extractResults(res)
-		out[i] = BatchResult{IDs: ids, Dists: dists}
+	return searchBatch(queries, x.Dim(), workers, x.getCtx, x.putCtx, func(ctx *core.SearchContext, q []float32) ([]int32, []float32) {
+		return x.searchFilteredIntoFresh(ctx, q, k, l, f)
 	})
-	return out
-}
-
-// searchCohortFiltered is searchCohort's filtered twin.
-func (x *Index) searchCohortFiltered(cc *core.CohortContext, queries [][]float32, k, l int, f *Filter) []core.SearchResult {
-	if h := x.live.Load(); h != nil {
-		return h.SearchCohortFilteredCtx(cc, queries, k, l, nil, &f.inner)
-	}
-	return x.inner.SearchCohortFilteredCtx(cc, queries, k, l, x.dead, &f.inner, nil)
 }
 
 // ShardedFilter is one compiled predicate prepared for sharded fan-out:
@@ -263,36 +236,18 @@ func (x *ShardedIndex) SearchFilteredWithStats(query []float32, k, l int, f *Sha
 	return ids, dists, SearchStats{Hops: st.Hops, DistanceComputations: st.DistComps}
 }
 
-// SearchBatchFiltered answers many queries under one shared filter with one
-// fused filtered traversal per shard per cohort; per query the answer is
-// byte-identical to a solo SearchFilteredWithPool. A nil filter is an
-// unfiltered SearchBatch.
+// SearchBatchFiltered answers many queries under one shared filter on
+// workers concurrent callers, exactly like SearchBatch: every query's
+// answer is byte-identical to its serial SearchFilteredWithPool call. A nil
+// filter is an unfiltered SearchBatch.
 func (x *ShardedIndex) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *ShardedFilter) []BatchResult {
 	if f == nil {
 		return x.SearchBatch(queries, k, l, workers)
 	}
-	dim := x.Dim()
-	for i, q := range queries {
-		if len(q) != dim {
-			panic(fmt.Sprintf("nsg: query %d dim %d != index dim %d", i, len(q), dim))
-		}
-	}
-	out := make([]BatchResult, len(queries))
-	cohort := x.opts.Shard.BatchCohort
-	if cohort <= 0 {
-		cohort = DefaultOptions().BatchCohort
-	}
-	for lo := 0; lo < len(queries); lo += cohort {
-		hi := lo + cohort
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		x.s.SearchCohortFiltered(queries[lo:hi], k, l, f.inner, func(qi int, ns []vecmath.Neighbor) {
-			ids, dists := extractResults(ns)
-			out[lo+qi] = BatchResult{IDs: ids, Dists: dists}
-		})
-	}
-	return out
+	return searchBatch(queries, x.Dim(), workers, x.getBuf, x.putBuf, func(b *neighborBuf, q []float32) ([]int32, []float32) {
+		b.ns = x.s.SearchFilteredAppend(b.ns[:0], q, k, l, f.inner)
+		return extractResults(b.ns)
+	})
 }
 
 // predClause is the JSON wire form of one predicate node. Exactly one

@@ -697,7 +697,6 @@ func Experiments() map[string]func(io.Writer, ExpConfig) error {
 		"sharded":  ShardedServing,
 		"quant":    Quantized,
 		"filter":   FilteredSearch,
-		"mqbatch":  MQBatch,
 		"cluster":  ClusterServing,
 		"live":     LiveServing,
 		"disk":     DiskServing,

@@ -288,8 +288,7 @@ func searchCtx[A adjacencySource, D distSource](ctx *SearchContext, a A, n int, 
 // mergeDelta offers every pending delta row to the candidate pool under id
 // n+offset, scored by the batched deltaRows kernel in the same distance
 // space the graph expansion used. Delta elements are born checked: they have
-// no out-edges to expand. Shared by the solo search tail and the per-slot
-// cohort tail, so both merge identically.
+// no out-edges to expand.
 func mergeDelta[D distSource](ctx *SearchContext, n int, dist D, delta *Delta, counter *vecmath.Counter) {
 	p := &ctx.pool
 	for ci := range delta.Chunks {
@@ -309,8 +308,7 @@ func mergeDelta[D distSource](ctx *SearchContext, n int, dist D, delta *Delta, c
 }
 
 // emit copies the pool's nearest k candidates into ctx.out and returns the
-// slice — the final step of the solo search and of every per-slot cohort
-// tail.
+// slice — the final step of every search.
 func emit(ctx *SearchContext, k int) []vecmath.Neighbor {
 	p := &ctx.pool
 	if k > len(p.elems) {

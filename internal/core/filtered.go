@@ -151,8 +151,7 @@ func useBruteForce(l int, flt *Filter) bool {
 // nearest unchecked candidate, except that a navigation candidate is only
 // worth expanding while it could still lead to a main-pool insertion (main
 // pool not full, or the candidate nearer than the worst retained passing
-// candidate). Shared by the solo loop and the cohort engine so the two
-// expansion sequences are identical by construction.
+// candidate).
 func (c *SearchContext) pickFiltered(nextP, nextN *int) (*pool, int) {
 	p, nv := &c.pool, &c.nav
 	for *nextP < len(p.elems) && p.elems[*nextP].checked {

@@ -150,49 +150,6 @@ func TestFilteredQuantParity(t *testing.T) {
 	}
 }
 
-// TestFilteredCohortMatchesSolo: the fused filtered cohort must be
-// byte-identical to per-query solo filtered searches — ids, distances and
-// hop counts — on the float and quantized paths, in both regimes.
-func TestFilteredCohortMatchesSolo(t *testing.T) {
-	base := testBase(t, 1200, 24, 7)
-	queries := testBase(t, 16, 24, 8)
-	qs := make([][]float32, queries.Rows)
-	for i := range qs {
-		qs[i] = queries.Row(i)
-	}
-	filters := []*Filter{
-		makeBits(1200, func(id int32) bool { return id%2 == 0 }),  // traversal
-		makeBits(1200, func(id int32) bool { return id%16 == 0 }), // fallback
-	}
-	for _, mode := range []string{"float", "sq8"} {
-		idx := buildQuantTestNSG(t, base.Clone())
-		if mode == "sq8" {
-			if err := idx.EnableQuantization(nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctx := NewSearchContext()
-		cc := NewCohortContext()
-		for fi, flt := range filters {
-			batch := idx.SearchCohortFilteredCtx(cc, qs, 10, 48, nil, flt, nil)
-			for s, q := range qs {
-				solo := idx.SearchFilteredWithHopsCtx(ctx, q, 10, 48, nil, flt, nil)
-				if batch[s].Hops != solo.Hops {
-					t.Fatalf("%s filter %d slot %d: hops %d != solo %d", mode, fi, s, batch[s].Hops, solo.Hops)
-				}
-				if len(batch[s].Neighbors) != len(solo.Neighbors) {
-					t.Fatalf("%s filter %d slot %d: %d results != solo %d", mode, fi, s, len(batch[s].Neighbors), len(solo.Neighbors))
-				}
-				for i := range solo.Neighbors {
-					if batch[s].Neighbors[i] != solo.Neighbors[i] {
-						t.Fatalf("%s filter %d slot %d result %d: %v != solo %v", mode, fi, s, i, batch[s].Neighbors[i], solo.Neighbors[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestFilteredTombstones: dead ids are treated as non-passing — never
 // emitted, no over-fetch needed, and the pool refills from live points.
 func TestFilteredTombstones(t *testing.T) {
@@ -253,12 +210,6 @@ func TestFilteredEmptyAndZero(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("nil filter result %d: %v != %v", i, got[i], want[i])
 		}
-	}
-
-	// Empty cohort.
-	cc := NewCohortContext()
-	if res := idx.SearchCohortFilteredCtx(cc, nil, 10, 32, nil, empty, nil); len(res) != 0 {
-		t.Fatal("empty cohort returned results")
 	}
 }
 

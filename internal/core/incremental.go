@@ -218,6 +218,21 @@ func (x *NSG) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, t *To
 	return filterDead(x.SearchCtx(ctx, query, fetch, l, counter), t, k)
 }
 
+// filterDead drops tombstoned ids in place and caps the result at k.
+func filterDead(ns []vecmath.Neighbor, dead *Tombstones, k int) []vecmath.Neighbor {
+	out := ns[:0]
+	for _, nb := range ns {
+		if dead.Deleted(nb.ID) {
+			continue
+		}
+		out = append(out, nb)
+		if len(out) == k {
+			break
+		}
+	}
+	return out
+}
+
 // Compact rebuilds the index without the tombstoned points, returning the
 // new index and a mapping from old ids to new ids (-1 for deleted). It
 // re-runs the insertion path point by point, which preserves the

@@ -208,7 +208,7 @@ func (s *Snapshot) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, 
 // ids (remap, then the caller's Translate table), resolve delta ids from
 // their chunks, drop tombstones, cap at k. The filter rewrites the result
 // slice in place (entry i is read before slot w<=i is rewritten), so no
-// scratch is needed. Shared by the solo and cohort live paths.
+// scratch is needed.
 func (s *Snapshot) finishLive(src []vecmath.Neighbor, k int, lq LiveQuery, d *Delta) []vecmath.Neighbor {
 	n := int32(s.base.Rows)
 	out := src[:0]
@@ -270,8 +270,8 @@ func (s *Snapshot) searchQuantDelta(ctx *SearchContext, query []float32, fetch, 
 // base ids through one batched gather, delta ids from their chunk's float
 // rows — then re-sorts and truncates to fetch. in must alias ctx.out (an
 // emit result): the output is rebuilt in place, entry i read before slot i
-// is rewritten. Shared by every quantized tail, solo and cohort, live and
-// not (d == nil when no delta is pending).
+// is rewritten. Shared by every quantized tail, live and not (d == nil when
+// no delta is pending).
 func rerankPool(ctx *SearchContext, base vecmath.Matrix, query []float32, fetch int, counter *vecmath.Counter, d *Delta, in []vecmath.Neighbor) []vecmath.Neighbor {
 	n := int32(base.Rows)
 	ids := ctx.idBuf[:0]

@@ -56,7 +56,6 @@ type Sharded struct {
 	tasks     chan shardTask
 	closeOnce sync.Once
 	scratch   sync.Pool // *fanScratch
-	cohorts   sync.Pool // *cohortFan
 
 	// Live-update state (see live.go): one handle per shard plus frozen
 	// routing vectors once EnableLive ran, published through an atomic
@@ -296,12 +295,10 @@ func (s *Sharded) ShardSizes() []int {
 }
 
 // shardTask asks a worker to search one shard on behalf of one query's fan
-// state (f) or one fused cohort's fan state (cf — exactly one of the two is
-// set). Tasks are plain values sent over a buffered channel, so enqueueing
+// state. Tasks are plain values sent over a buffered channel, so enqueueing
 // does not allocate.
 type shardTask struct {
 	f     *fanScratch
-	cf    *cohortFan
 	shard int
 }
 
@@ -397,121 +394,14 @@ func (s *Sharded) liveHandle(sh int) *live.Handle {
 
 func (s *Sharded) worker() {
 	ctx := core.NewSearchContext()
-	// Cohort scratch is created on first use, so indexes that never issue
-	// fused batches pay nothing for it.
-	var cc *core.CohortContext
 	var counter vecmath.Counter
 	for t := range s.tasks {
-		if t.cf != nil {
-			if cc == nil {
-				cc = core.NewCohortContext()
-			}
-			if t.cf.flt != nil {
-				t.cf.runFiltered(cc, t.shard)
-			} else {
-				t.cf.run(cc, t.shard)
-			}
-			continue
-		}
 		if t.f.flt != nil {
 			t.f.runFiltered(ctx, &counter, t.shard)
 		} else {
 			t.f.run(ctx, &counter, t.shard)
 		}
 	}
-}
-
-// cohortFan is one fused cohort's fan-out state: the cohort's queries fan
-// to every shard as a unit (each shard worker runs one lockstep cohort
-// traversal over its graph), and per-(shard, query) result buffers feed the
-// same concatenate-sort-truncate merge the single-query fan uses. Instances
-// are pooled on the Sharded index.
-type cohortFan struct {
-	owner   *Sharded
-	queries [][]float32
-	k, l    int
-	nq      int
-	wg      sync.WaitGroup
-	bufs    [][]vecmath.Neighbor // bufs[sh*nq+qi], global ids
-	merged  []vecmath.Neighbor
-	flt     *ShardedFilter // non-nil: filtered cohort, see runFiltered
-}
-
-func (s *Sharded) getCohortFan() *cohortFan {
-	if cf, _ := s.cohorts.Get().(*cohortFan); cf != nil {
-		return cf
-	}
-	return &cohortFan{owner: s}
-}
-
-// run executes one shard's share of a cohort with the worker's cohort
-// context: one fused traversal over the shard answers every query in the
-// cohort, then local ids are translated to global ids into the fan state's
-// per-(shard, query) buffers. The copy is what makes it safe for the worker
-// to move on (and reuse cc) immediately.
-func (cf *cohortFan) run(cc *core.CohortContext, sh int) {
-	s := cf.owner
-	nq := cf.nq
-	if h := s.liveHandle(sh); h != nil {
-		// Live path: the handle merges the shard's pending delta and its
-		// translate table already emits global ids.
-		res := h.SearchCohortCtx(cc, cf.queries, cf.k, cf.l, nil)
-		for qi := range res {
-			cf.bufs[sh*nq+qi] = append(cf.bufs[sh*nq+qi][:0], res[qi].Neighbors...)
-		}
-		cf.wg.Done()
-		return
-	}
-	res := s.shards[sh].SearchCohortCtx(cc, cf.queries, cf.k, cf.l, nil, nil)
-	ids := s.localID[sh]
-	for qi := range res {
-		buf := cf.bufs[sh*nq+qi][:0]
-		for _, n := range res[qi].Neighbors {
-			buf = append(buf, vecmath.Neighbor{ID: ids[n.ID], Dist: n.Dist})
-		}
-		cf.bufs[sh*nq+qi] = buf
-	}
-	cf.wg.Done()
-}
-
-// SearchCohort answers a cohort of queries with one fused traversal per
-// shard: the cohort fans out to every shard in parallel, each shard worker
-// advances all queries in lockstep over its graph (sharing gathered rows
-// across the cohort), and per-query results are merged across shards
-// exactly as Search merges them — so every query's answer is byte-identical
-// to its solo Search. emit is called once per query, in order, with the
-// merged k nearest; the slice is reused across calls, so emit must copy
-// what it keeps.
-func (s *Sharded) SearchCohort(queries [][]float32, k, l int, emit func(qi int, ns []vecmath.Neighbor)) {
-	nq := len(queries)
-	if nq == 0 {
-		return
-	}
-	cf := s.getCohortFan()
-	cf.queries, cf.k, cf.l, cf.nq = queries, k, l, nq
-	need := len(s.shards) * nq
-	for len(cf.bufs) < need {
-		cf.bufs = append(cf.bufs, nil)
-	}
-	cf.wg.Add(len(s.shards))
-	for sh := range s.shards {
-		s.tasks <- shardTask{cf: cf, shard: sh}
-	}
-	cf.wg.Wait()
-	for qi := 0; qi < nq; qi++ {
-		m := cf.merged[:0]
-		for sh := range s.shards {
-			m = append(m, cf.bufs[sh*nq+qi]...)
-		}
-		slices.SortFunc(m, vecmath.CompareNeighbors)
-		if len(m) > k {
-			m = m[:k]
-		}
-		emit(qi, m)
-		cf.merged = m[:0]
-	}
-	cf.queries = nil
-	s.cohorts.Put(cf)
 }
 
 // MergeInto combines per-shard candidate lists (already carrying global

@@ -1,8 +1,6 @@
 package distsearch
 
 import (
-	"slices"
-
 	"repro/internal/core"
 	"repro/internal/meta"
 	"repro/internal/vecmath"
@@ -175,90 +173,4 @@ func (s *Sharded) SearchFilteredStatsAppend(dst []vecmath.Neighbor, q []float32,
 		return dst, SearchStats{}
 	}
 	return s.searchFanFiltered(dst, q, k, l, flt, true)
-}
-
-// runFiltered is cohortFan.run's filtered twin: one fused filtered
-// traversal answers the whole cohort on this shard.
-func (cf *cohortFan) runFiltered(cc *core.CohortContext, sh int) {
-	s := cf.owner
-	nq := cf.nq
-	flt := &cf.flt.per[sh]
-	if h := s.liveHandle(sh); h != nil {
-		res := h.SearchCohortFilteredCtx(cc, cf.queries, cf.k, cf.l, nil, flt)
-		for qi := range res {
-			cf.bufs[sh*nq+qi] = append(cf.bufs[sh*nq+qi][:0], res[qi].Neighbors...)
-		}
-		cf.wg.Done()
-		return
-	}
-	res := s.shards[sh].SearchCohortFilteredCtx(cc, cf.queries, cf.k, cf.l, nil, flt, nil)
-	ids := s.localID[sh]
-	for qi := range res {
-		buf := cf.bufs[sh*nq+qi][:0]
-		for _, n := range res[qi].Neighbors {
-			buf = append(buf, vecmath.Neighbor{ID: ids[n.ID], Dist: n.Dist})
-		}
-		cf.bufs[sh*nq+qi] = buf
-	}
-	cf.wg.Done()
-}
-
-// SearchCohortFiltered answers a cohort of queries under one shared filter
-// with one fused filtered traversal per shard; per query the merged answer
-// is byte-identical to a solo SearchFilteredAppend. emit is called once per
-// query, in order; the slice is reused across calls, so emit must copy what
-// it keeps. A nil flt degrades to the unfiltered cohort fan-out.
-func (s *Sharded) SearchCohortFiltered(queries [][]float32, k, l int, flt *ShardedFilter, emit func(qi int, ns []vecmath.Neighbor)) {
-	if flt == nil {
-		s.SearchCohort(queries, k, l, emit)
-		return
-	}
-	nq := len(queries)
-	if nq == 0 {
-		return
-	}
-	var empty []vecmath.Neighbor
-	if flt.Count == 0 {
-		for qi := 0; qi < nq; qi++ {
-			emit(qi, empty)
-		}
-		return
-	}
-	cf := s.getCohortFan()
-	cf.queries, cf.k, cf.l, cf.nq, cf.flt = queries, k, l, nq, flt
-	need := len(s.shards) * nq
-	for len(cf.bufs) < need {
-		cf.bufs = append(cf.bufs, nil)
-	}
-	active := 0
-	for sh := range s.shards {
-		if flt.per[sh].Count == 0 {
-			for qi := 0; qi < nq; qi++ {
-				cf.bufs[sh*nq+qi] = cf.bufs[sh*nq+qi][:0]
-			}
-			continue
-		}
-		active++
-	}
-	cf.wg.Add(active)
-	for sh := range s.shards {
-		if flt.per[sh].Count != 0 {
-			s.tasks <- shardTask{cf: cf, shard: sh}
-		}
-	}
-	cf.wg.Wait()
-	for qi := 0; qi < nq; qi++ {
-		m := cf.merged[:0]
-		for sh := range s.shards {
-			m = append(m, cf.bufs[sh*nq+qi]...)
-		}
-		slices.SortFunc(m, vecmath.CompareNeighbors)
-		if len(m) > k {
-			m = m[:k]
-		}
-		emit(qi, m)
-		cf.merged = m[:0]
-	}
-	cf.queries, cf.flt = nil, nil
-	s.cohorts.Put(cf)
 }

@@ -462,28 +462,6 @@ func (h *Handle) SearchCtx(ctx *core.SearchContext, query []float32, k, l int, c
 	return res
 }
 
-// SearchCohortCtx answers a cohort of queries with the fused lockstep
-// traversal over the current view. The view and the delta cut are loaded
-// once for the whole cohort, so every member sees the same epoch; per query
-// the result is byte-identical to a solo SearchCtx against that view. The
-// returned results alias cc; with a reused per-goroutine cohort context the
-// steady state allocates nothing.
-func (h *Handle) SearchCohortCtx(cc *core.CohortContext, queries [][]float32, k, l int, counter *vecmath.Counter) []core.SearchResult {
-	v := h.view.Load()
-	sc, _ := h.scratch.Get().(*queryScratch)
-	if sc == nil {
-		sc = &queryScratch{}
-	}
-	d := sc.fill(v, h.seq)
-	res := v.snap.SearchLiveCohortCtx(cc, queries, k, l, counter, core.LiveQuery{
-		Delta:     d,
-		Dead:      v.dead,
-		Translate: v.translate,
-	})
-	h.scratch.Put(sc)
-	return res
-}
-
 // SearchFilteredCtx is the predicate-aware twin of SearchCtx: the same
 // one-epoch view load and delta merge, but only rows passing flt occupy
 // result slots. The filter is keyed by final id — exactly the id space this
@@ -498,26 +476,6 @@ func (h *Handle) SearchFilteredCtx(ctx *core.SearchContext, query []float32, k, 
 	}
 	d := sc.fill(v, h.seq)
 	res := v.snap.SearchLiveFilteredCtx(ctx, query, k, l, counter, core.LiveQuery{
-		Delta:     d,
-		Dead:      v.dead,
-		Translate: v.translate,
-	}, flt)
-	h.scratch.Put(sc)
-	return res
-}
-
-// SearchCohortFilteredCtx answers a cohort of queries under one shared
-// filter against one epoch of the view; per query the result is
-// byte-identical to a solo SearchFilteredCtx call. A nil flt behaves
-// exactly like SearchCohortCtx.
-func (h *Handle) SearchCohortFilteredCtx(cc *core.CohortContext, queries [][]float32, k, l int, counter *vecmath.Counter, flt *core.Filter) []core.SearchResult {
-	v := h.view.Load()
-	sc, _ := h.scratch.Get().(*queryScratch)
-	if sc == nil {
-		sc = &queryScratch{}
-	}
-	d := sc.fill(v, h.seq)
-	res := v.snap.SearchLiveCohortFilteredCtx(cc, queries, k, l, counter, core.LiveQuery{
 		Delta:     d,
 		Dead:      v.dead,
 		Translate: v.translate,

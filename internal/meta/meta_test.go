@@ -265,8 +265,9 @@ func TestAppendConcurrentWithCompile(t *testing.T) {
 			defer wg.Done()
 			p := And(Range("price", 0, 400), Or(Eq("category", "catX"), HasTag("tags", "new")))
 			for {
-				rows := s.Rows()
-				bits := make([]uint64, BitsLen(rows+64))
+				// Sized for the final row count: the appender can add any
+				// number of rows between a Rows() read and Compile.
+				bits := make([]uint64, BitsLen(600))
 				count, err := s.Compile(p, bits)
 				if err != nil {
 					t.Error(err)

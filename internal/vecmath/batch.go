@@ -110,40 +110,3 @@ func (c *Counter) L2ToRows(base Matrix, query []float32, ids []int32, out []floa
 	}
 	L2ToRows(base, query, ids, out)
 }
-
-// L2RowsToQueries is the multi-query gather kernel fused (cohort) search
-// uses: out[q*len(ids)+i] = L2(queries.Row(q), base.Row(ids[i])). The loop
-// runs ids-outer / queries-inner, so each gathered base row is loaded once
-// and reused by every query while it is hot in cache — the traversal-side
-// analogue of the bytes-per-hop saving quantization buys. Each distance is
-// bit-identical to an individual L2 call. out must be at least
-// queries.Rows*len(ids) long; queries.Dim must equal base.Dim.
-func L2RowsToQueries(base, queries Matrix, ids []int32, out []float32) {
-	nq := queries.Rows
-	if len(out) < nq*len(ids) {
-		panic("vecmath: L2RowsToQueries output shorter than queries x ids")
-	}
-	if queries.Dim != base.Dim {
-		panic(fmt.Sprintf("vecmath: dimension mismatch %d != %d", queries.Dim, base.Dim))
-	}
-	dim := base.Dim
-	data := base.Data
-	for i, id := range ids {
-		off := int(id) * dim
-		row := data[off : off+dim : off+dim]
-		for q := 0; q < nq; q++ {
-			out[q*len(ids)+i] = L2(queries.Row(q), row)
-		}
-	}
-}
-
-// L2RowsToQueries is the Counter-aware twin of the package-level kernel: it
-// computes the same distance block and records queries.Rows*len(ids)
-// distance evaluations in one counter update. A nil receiver is valid and
-// counts nothing.
-func (c *Counter) L2RowsToQueries(base, queries Matrix, ids []int32, out []float32) {
-	if c != nil {
-		c.n += uint64(queries.Rows) * uint64(len(ids))
-	}
-	L2RowsToQueries(base, queries, ids, out)
-}

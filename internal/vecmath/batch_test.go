@@ -148,58 +148,3 @@ func BenchmarkBatchL2Decomp(b *testing.B) {
 		BatchL2Decomp(q, m, norms, out)
 	}
 }
-
-func TestL2RowsToQueriesMatchesScalar(t *testing.T) {
-	// Every (query, row) pair of the multi-query block must be bit-identical
-	// to the single-pair kernel, across dimensions including every tail.
-	for dim := 1; dim <= 200; dim++ {
-		m := randomMatrix(16, dim, int64(dim))
-		qs := randomMatrix(5, dim, int64(dim)+1000)
-		ids := []int32{3, 0, 15, 7, 7}
-		out := make([]float32, qs.Rows*len(ids))
-		L2RowsToQueries(m, qs, ids, out)
-		for q := 0; q < qs.Rows; q++ {
-			for i, id := range ids {
-				if got, want := out[q*len(ids)+i], L2(qs.Row(q), m.Row(int(id))); got != want {
-					t.Fatalf("dim %d query %d id %d: block %v != scalar %v", dim, q, id, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestL2RowsToQueriesCounter(t *testing.T) {
-	m := randomMatrix(10, 8, 21)
-	qs := randomMatrix(3, 8, 22)
-	ids := []int32{1, 4, 7, 2}
-	out := make([]float32, 12)
-	var c Counter
-	c.L2RowsToQueries(m, qs, ids, out)
-	if c.Count() != 12 {
-		t.Fatalf("counter = %d, want 12", c.Count())
-	}
-	var nilC *Counter
-	nilC.L2RowsToQueries(m, qs, ids, out) // must not panic
-}
-
-func TestL2RowsToQueriesShortOutputPanics(t *testing.T) {
-	m := randomMatrix(4, 2, 23)
-	qs := randomMatrix(2, 2, 24)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	L2RowsToQueries(m, qs, []int32{0, 1, 2}, make([]float32, 5))
-}
-
-func TestL2RowsToQueriesDimMismatchPanics(t *testing.T) {
-	m := randomMatrix(4, 3, 25)
-	qs := randomMatrix(2, 2, 26)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	L2RowsToQueries(m, qs, []int32{0, 1}, make([]float32, 4))
-}

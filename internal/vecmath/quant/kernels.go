@@ -92,41 +92,3 @@ func (q *Quantizer) L2ToRowsCount(counter *vecmath.Counter, c CodeMatrix, levels
 	counter.AddN(uint64(len(ids)))
 	q.L2ToRows(c, levels, ids, out)
 }
-
-// L2RowsToQueries is the multi-query gather kernel for fused (cohort)
-// search — the SQ8 twin of vecmath.L2RowsToQueries. levels holds nq
-// prepared queries back to back (nq*q.Dim() int16 values, each block from
-// Quantizer.PrepareInto); out[qi*len(ids)+i] receives the approximate
-// squared distance from query qi to code row ids[i]. The loop runs
-// ids-outer / queries-inner so each gathered code row is loaded once and
-// reused by every query, and each distance goes through L2Levels — so the
-// AVX2 dispatch and the bit-identity between the vector and scalar paths
-// are inherited per pair. out must be at least nq*len(ids) long.
-func (q *Quantizer) L2RowsToQueries(c CodeMatrix, levels []int16, nq int, ids []int32, out []float32) {
-	if len(out) < nq*len(ids) {
-		panic("quant: L2RowsToQueries output shorter than queries x ids")
-	}
-	dim := c.Dim
-	if len(levels) < nq*dim {
-		panic("quant: L2RowsToQueries levels shorter than queries x dim")
-	}
-	data := c.Codes
-	mul := q.distMul
-	for i, id := range ids {
-		off := int(id) * dim
-		row := data[off : off+dim : off+dim]
-		for qi := 0; qi < nq; qi++ {
-			lv := levels[qi*dim : (qi+1)*dim : (qi+1)*dim]
-			out[qi*len(ids)+i] = float32(L2Levels(lv, row)) * mul
-		}
-	}
-}
-
-// L2RowsToQueriesCount is the Counter-aware twin of L2RowsToQueries: same
-// distance block, one counter update of nq*len(ids) evaluations (each
-// scanned code row counts once per query, matching the solo convention).
-// A nil counter is valid and counts nothing.
-func (q *Quantizer) L2RowsToQueriesCount(counter *vecmath.Counter, c CodeMatrix, levels []int16, nq int, ids []int32, out []float32) {
-	counter.AddN(uint64(nq) * uint64(len(ids)))
-	q.L2RowsToQueries(c, levels, nq, ids, out)
-}

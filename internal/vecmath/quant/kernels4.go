@@ -99,40 +99,3 @@ func (q *Quantizer4) L2ToRowsCount(counter *vecmath.Counter, c Code4Matrix, leve
 	counter.AddN(uint64(len(ids)))
 	q.L2ToRows(c, levels, ids, out)
 }
-
-// L2RowsToQueries is the multi-query gather kernel for fused (cohort)
-// search — the int4 twin of Quantizer.L2RowsToQueries. levels holds nq
-// prepared queries back to back (nq*q.Dim() int16 values);
-// out[qi*len(ids)+i] receives the approximate squared distance from query
-// qi to packed row ids[i]. ids-outer / queries-inner, so each gathered code
-// row is loaded once and reused by every query, and every pair goes through
-// L2Levels4 — the AVX2 dispatch and scalar bit-identity are inherited per
-// pair. out must be at least nq*len(ids) long.
-func (q *Quantizer4) L2RowsToQueries(c Code4Matrix, levels []int16, nq int, ids []int32, out []float32) {
-	if len(out) < nq*len(ids) {
-		panic("quant: L2RowsToQueries output shorter than queries x ids")
-	}
-	dim := c.Dim
-	if len(levels) < nq*dim {
-		panic("quant: L2RowsToQueries levels shorter than queries x dim")
-	}
-	stride := c.Stride
-	data := c.Codes
-	mul := q.distMul
-	for i, id := range ids {
-		off := int(id) * stride
-		row := data[off : off+stride : off+stride]
-		for qi := 0; qi < nq; qi++ {
-			lv := levels[qi*dim : (qi+1)*dim : (qi+1)*dim]
-			out[qi*len(ids)+i] = float32(L2Levels4(lv, row)) * mul
-		}
-	}
-}
-
-// L2RowsToQueriesCount is the Counter-aware twin of L2RowsToQueries: same
-// distance block, one counter update of nq*len(ids) evaluations. A nil
-// counter is valid and counts nothing.
-func (q *Quantizer4) L2RowsToQueriesCount(counter *vecmath.Counter, c Code4Matrix, levels []int16, nq int, ids []int32, out []float32) {
-	counter.AddN(uint64(nq) * uint64(len(ids)))
-	q.L2RowsToQueries(c, levels, nq, ids, out)
-}

@@ -268,49 +268,3 @@ func TestPersistRejectsGarbage(t *testing.T) {
 		t.Fatal("ReadCodes accepted zero bytes")
 	}
 }
-
-// TestL2RowsToQueries: the multi-query block must be bit-identical to the
-// single-query gather for every (query, row) pair, across dimensions — so
-// both the AVX2 and the generic L2Levels dispatch are covered (the CI
-// NSG_NO_AVX2 lane reruns this on the scalar path).
-func TestL2RowsToQueries(t *testing.T) {
-	for dim := 1; dim <= 200; dim += 7 {
-		m := randMatrix(24, dim, int64(dim))
-		q := Train(m)
-		c := q.Encode(m)
-		queries := randMatrix(4, dim, int64(dim)+500)
-		var levels []int16
-		for r := 0; r < queries.Rows; r++ {
-			levels = q.PrepareInto(levels, queries.Row(r))
-		}
-		ids := []int32{3, 0, 23, 9, 9}
-		out := make([]float32, queries.Rows*len(ids))
-		var counter vecmath.Counter
-		q.L2RowsToQueriesCount(&counter, c, levels, queries.Rows, ids, out)
-		for r := 0; r < queries.Rows; r++ {
-			lv := levels[r*dim : (r+1)*dim]
-			for i, id := range ids {
-				if got, want := out[r*len(ids)+i], q.L2(lv, c, id); got != want {
-					t.Fatalf("dim %d query %d row %d: block %g != direct %g", dim, r, id, got, want)
-				}
-			}
-		}
-		if want := uint64(queries.Rows * len(ids)); counter.Count() != want {
-			t.Fatalf("dim %d: counter recorded %d evaluations, want %d", dim, counter.Count(), want)
-		}
-	}
-	// The uncounted entry point and a nil counter must both work.
-	m := randMatrix(8, 16, 99)
-	q := Train(m)
-	c := q.Encode(m)
-	levels := q.PrepareInto(nil, randMatrix(1, 16, 100).Row(0))
-	out := make([]float32, 2)
-	q.L2RowsToQueries(c, levels, 1, []int32{1, 5}, out)
-	var nilCounter *vecmath.Counter
-	q.L2RowsToQueriesCount(nilCounter, c, levels, 1, []int32{1, 5}, out)
-	for i, id := range []int32{1, 5} {
-		if want := q.L2(levels, c, id); out[i] != want {
-			t.Fatalf("row %d: %g != %g", id, out[i], want)
-		}
-	}
-}

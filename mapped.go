@@ -156,9 +156,8 @@ func (x *ShardedIndex) SaveMapped(path string) error {
 // OpenMappedSharded opens a container written by ShardedIndex.SaveMapped
 // and serves every shard from one mapping, restoring the options the index
 // was built with. The returned index is read-only (Add and
-// EnableLiveUpdates return ErrReadOnly); searches, including the fan-out
-// and cohort paths, behave exactly as on the saved index. Close releases
-// the mapping.
+// EnableLiveUpdates return ErrReadOnly); searches behave exactly as on the
+// saved index. Close releases the mapping.
 func OpenMappedSharded(path string, opts MapOptions) (*ShardedIndex, error) {
 	s, meta, err := distsearch.OpenMappedSharded(path, opts.internal())
 	if err != nil {

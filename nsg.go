@@ -157,14 +157,6 @@ type Options struct {
 	// are always exact; the approximation costs a small amount of recall
 	// at equal SearchL (see the README's "Quantized search" section).
 	Quantize QuantMode
-	// BatchCohort is the number of queries SearchBatch fuses into one
-	// lockstep traversal per worker (see the README's "Batched search"
-	// section): each graph row gathered during the cohort's expansion is
-	// shared by every query that wants it, cutting memory traffic without
-	// changing results — every query's answer is byte-identical to its solo
-	// run. 1 disables fusion (one query per traversal, the pre-cohort
-	// behaviour); 0 or negative selects the default of 8.
-	BatchCohort int
 	// Seed makes randomized steps reproducible.
 	Seed int64
 }
@@ -172,7 +164,7 @@ type Options struct {
 // DefaultOptions returns settings that work well from a few thousand up to
 // a few hundred thousand points.
 func DefaultOptions() Options {
-	return Options{GraphK: 20, BuildL: 50, MaxDegree: 30, SearchL: 60, BatchCohort: 8, Seed: 1}
+	return Options{GraphK: 20, BuildL: 50, MaxDegree: 30, SearchL: 60, Seed: 1}
 }
 
 func (o *Options) fillDefaults() {
@@ -188,9 +180,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.SearchL <= 0 {
 		o.SearchL = d.SearchL
-	}
-	if o.BatchCohort <= 0 {
-		o.BatchCohort = d.BatchCohort
 	}
 }
 
@@ -212,9 +201,6 @@ type Index struct {
 	// allocation-free on the steady state while staying safe to call from
 	// any number of goroutines.
 	ctxPool sync.Pool
-	// cohortPool recycles the fused-traversal scratch SearchBatch's cohort
-	// path hands each worker (see Options.BatchCohort).
-	cohortPool sync.Pool
 }
 
 // BuildStats reports where construction time went, phase by phase: the
@@ -246,15 +232,6 @@ func (x *Index) getCtx() *core.SearchContext {
 }
 
 func (x *Index) putCtx(c *core.SearchContext) { x.ctxPool.Put(c) }
-
-func (x *Index) getCohortCtx() *core.CohortContext {
-	if c, _ := x.cohortPool.Get().(*core.CohortContext); c != nil {
-		return c
-	}
-	return core.NewCohortContext()
-}
-
-func (x *Index) putCohortCtx(c *core.CohortContext) { x.cohortPool.Put(c) }
 
 // Build indexes the given vectors. All vectors must share one dimension and
 // there must be at least two of them.

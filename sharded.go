@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/distsearch"
-	"repro/internal/graphutil"
 	"repro/internal/mstore"
 	"repro/internal/vecmath"
 )
@@ -171,6 +169,8 @@ func (x *ShardedIndex) getBuf() *neighborBuf {
 	return &neighborBuf{}
 }
 
+func (x *ShardedIndex) putBuf(b *neighborBuf) { x.bufs.Put(b) }
+
 // Search returns the ids and squared L2 distances of the k approximate
 // nearest neighbors of query, fanning out to every shard in parallel using
 // the index's default search pool size.
@@ -181,14 +181,9 @@ func (x *ShardedIndex) Search(query []float32, k int) ([]int32, []float32) {
 // extract copies a pooled fan-out result into the two fresh caller-owned
 // slices every public search returns, recycling the merge buffer.
 func (x *ShardedIndex) extract(b *neighborBuf, res []vecmath.Neighbor) ([]int32, []float32) {
-	ids := make([]int32, len(res))
-	dists := make([]float32, len(res))
-	for i, n := range res {
-		ids[i] = n.ID
-		dists[i] = n.Dist
-	}
+	ids, dists := extractResults(res)
 	b.ns = res[:0]
-	x.bufs.Put(b)
+	x.putBuf(b)
 	return ids, dists
 }
 
@@ -217,51 +212,15 @@ func (x *ShardedIndex) SearchWithStats(query []float32, k, l int) ([]int32, []fl
 }
 
 // SearchBatch answers many queries on workers concurrent callers
-// (GOMAXPROCS when workers <= 0). By default queries are grouped into
-// cohorts of Options.BatchCohort and each cohort fans out across the
-// shard-worker pool as a unit: a shard worker advances the whole cohort in
-// one fused lockstep traversal of its graph, sharing gathered rows across
-// the cohort's queries. Results are byte-identical to per-query fan-out;
-// set Shard.BatchCohort to 1 for the one-query-per-fan behaviour. workers
-// bounds how many cohorts (or queries) are in flight at once. Panics if
-// any query's dimension does not match the index.
+// (GOMAXPROCS when workers <= 0), each issuing the same shard fan-out as
+// SearchWithPool with one merge buffer for its whole share of the batch.
+// Every query's answer is byte-identical to its serial SearchWithPool call.
+// Panics if any query's dimension does not match the index.
 func (x *ShardedIndex) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
-	dim := x.s.Base.Dim
-	for i, q := range queries {
-		if len(q) != dim {
-			panic(fmt.Sprintf("nsg: query %d dim %d != index dim %d", i, len(q), dim))
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]BatchResult, len(queries))
-	if b := x.opts.Shard.BatchCohort; b > 1 && len(queries) > 0 {
-		cohorts := (len(queries) + b - 1) / b
-		if workers > cohorts {
-			workers = cohorts
-		}
-		graphutil.ParallelForWorkers(workers, cohorts, func(_, c int) {
-			lo := c * b
-			hi := lo + b
-			if hi > len(queries) {
-				hi = len(queries)
-			}
-			x.s.SearchCohort(queries[lo:hi], k, l, func(qi int, ns []vecmath.Neighbor) {
-				ids, dists := extractResults(ns)
-				out[lo+qi] = BatchResult{IDs: ids, Dists: dists}
-			})
-		})
-		return out
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	graphutil.ParallelForWorkers(workers, len(queries), func(_, i int) {
-		ids, dists := x.SearchWithPool(queries[i], k, l)
-		out[i] = BatchResult{IDs: ids, Dists: dists}
+	return searchBatch(queries, x.Dim(), workers, x.getBuf, x.putBuf, func(b *neighborBuf, q []float32) ([]int32, []float32) {
+		b.ns = x.s.SearchAppend(b.ns[:0], q, k, l)
+		return extractResults(b.ns)
 	})
-	return out
 }
 
 // Add inserts a vector and returns its new global id. The vector is routed

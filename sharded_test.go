@@ -211,33 +211,3 @@ func TestShardedStatsAndBatch(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedSearchBatchFusedMatchesLegacy: the cohort fan (one fused
-// traversal per shard per cohort) must merge to exactly the per-query
-// fan-out's results.
-func TestShardedSearchBatchFusedMatchesLegacy(t *testing.T) {
-	ds := shardedTestData(t, 2000, 40)
-	idx := buildShardedIndex(t, ds, 4)
-	defer idx.Close()
-	queries := make([][]float32, ds.Queries.Rows)
-	for qi := range queries {
-		queries[qi] = ds.Queries.Row(qi)
-	}
-	idx.opts.Shard.BatchCohort = 1
-	want := idx.SearchBatch(queries, 10, 60, 2)
-	for _, cohort := range []int{3, 8, 64} {
-		idx.opts.Shard.BatchCohort = cohort
-		got := idx.SearchBatch(queries, 10, 60, 2)
-		for i := range want {
-			if len(got[i].IDs) != len(want[i].IDs) {
-				t.Fatalf("cohort=%d query %d: %d results vs %d", cohort, i, len(got[i].IDs), len(want[i].IDs))
-			}
-			for j := range want[i].IDs {
-				if got[i].IDs[j] != want[i].IDs[j] || got[i].Dists[j] != want[i].Dists[j] {
-					t.Fatalf("cohort=%d query %d result %d: (%d,%v) != (%d,%v)", cohort, i, j,
-						got[i].IDs[j], got[i].Dists[j], want[i].IDs[j], want[i].Dists[j])
-				}
-			}
-		}
-	}
-}
