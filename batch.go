@@ -23,9 +23,7 @@ type BatchResult struct {
 // queries are safe. Panics if any query's dimension does not match the
 // index.
 func (x *Index) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
-	return searchBatch(queries, x.Dim(), workers, x.getCtx, x.putCtx, func(ctx *core.SearchContext, q []float32) ([]int32, []float32) {
-		return x.searchIntoFresh(ctx, q, k, l)
-	})
+	return x.SearchBatchFiltered(queries, k, l, workers, nil)
 }
 
 // SearchBatch answers many queries concurrently, like Index.SearchBatch but

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/distsearch"
 	"repro/internal/meta"
-	"repro/internal/vecmath"
 )
 
 // Predicate-aware ("filtered") search: attach a metadata column store to an
@@ -137,24 +136,10 @@ func (x *Index) SearchFiltered(query []float32, k int, f *Filter) ([]int32, []fl
 // ids never appear in results; fewer than k results mean fewer than k
 // passing points exist.
 func (x *Index) SearchFilteredWithPool(query []float32, k, l int, f *Filter) ([]int32, []float32) {
-	if f == nil {
-		return x.SearchWithPool(query, k, l)
-	}
 	ctx := x.getCtx()
-	ids, dists := x.searchFilteredIntoFresh(ctx, query, k, l, f)
+	ids, dists := x.searchIntoFresh(ctx, query, k, l, f)
 	x.putCtx(ctx)
 	return ids, dists
-}
-
-// searchFilteredIntoFresh is searchIntoFresh under a non-nil filter.
-func (x *Index) searchFilteredIntoFresh(ctx *core.SearchContext, query []float32, k, l int, f *Filter) ([]int32, []float32) {
-	var res []vecmath.Neighbor
-	if h := x.live.Load(); h != nil {
-		res = h.SearchFilteredCtx(ctx, query, k, l, nil, &f.inner).Neighbors
-	} else {
-		res = x.inner.SearchFilteredWithHopsCtx(ctx, query, k, l, x.dead, &f.inner, nil).Neighbors
-	}
-	return extractResults(res)
 }
 
 // SearchBatchFiltered answers many queries under one shared filter on
@@ -162,11 +147,8 @@ func (x *Index) searchFilteredIntoFresh(ctx *core.SearchContext, query []float32
 // byte-identical to its serial SearchFilteredWithPool call. A nil filter is
 // an unfiltered SearchBatch.
 func (x *Index) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *Filter) []BatchResult {
-	if f == nil {
-		return x.SearchBatch(queries, k, l, workers)
-	}
 	return searchBatch(queries, x.Dim(), workers, x.getCtx, x.putCtx, func(ctx *core.SearchContext, q []float32) ([]int32, []float32) {
-		return x.searchFilteredIntoFresh(ctx, q, k, l, f)
+		return x.searchIntoFresh(ctx, q, k, l, f)
 	})
 }
 

@@ -32,8 +32,9 @@ func (x *Index) Add(vec []float32) (int32, error) {
 }
 
 // Delete tombstones an id: it stops appearing in results immediately but
-// keeps routing searches until Compact. Deleting an already-deleted or
-// out-of-range id is an error.
+// keeps routing searches until Compact — it costs one bit and no pool slot,
+// so searches over a tombstoned index do the work of a search over a clean
+// one. Deleting an already-deleted or out-of-range id is an error.
 func (x *Index) Delete(id int32) error {
 	if h := x.live.Load(); h != nil {
 		// Range and duplicate checks happen inside the handle, under its
@@ -59,16 +60,13 @@ func (x *Index) Deleted(id int32) bool {
 	if h := x.live.Load(); h != nil {
 		return h.Deleted(id)
 	}
-	return x.dead != nil && x.dead.Deleted(id)
+	return x.dead.Deleted(id)
 }
 
 // DeletedCount returns the number of tombstoned ids awaiting Compact.
 func (x *Index) DeletedCount() int {
 	if h := x.live.Load(); h != nil {
 		return h.DeadCount()
-	}
-	if x.dead == nil {
-		return 0
 	}
 	return x.dead.Len()
 }
@@ -80,7 +78,7 @@ func (x *Index) Compact() ([]int32, error) {
 	if x.live.Load() != nil {
 		return nil, fmt.Errorf("nsg: Compact is not available while live updates are enabled")
 	}
-	if x.dead == nil || x.dead.Len() == 0 {
+	if x.dead.Len() == 0 {
 		remap := make([]int32, x.inner.Base.Rows)
 		for i := range remap {
 			remap[i] = int32(i)

@@ -203,53 +203,128 @@ func (d code4Dist) deltaRows(counter *vecmath.Counter, ch *DeltaChunk, out []flo
 	d.q.L2ToRowsCount(counter, ch.Codes4, d.levels, ch.Seq, out)
 }
 
-// searchCtx is Algorithm 1: greedy best-first search from starts, keeping
-// the best l candidates and returning the nearest k. All scratch state lives
-// in ctx, so the steady state allocates nothing; the returned Neighbors
-// slice aliases ctx.out and is valid until ctx's next search.
+// passTest is the one thing that varies between the searches sharing
+// Algorithm 1's body: which scored candidates may hold a result slot. A
+// candidate that fails still routes — it goes to the navigation pool (see
+// filtered.go) — so the walk never loses a monotonic path to a predicate or
+// a tombstone. The body is instantiated per concrete test, like
+// adjacencySource and distSource.
+type passTest interface {
+	// node is asked once for every graph node whose distance d to the query
+	// was just computed, in evaluation order.
+	node(internal int32, d float32) bool
+	// deltaRow is the same question for a pending insert, by its final id.
+	deltaRow(id int32) bool
+}
+
+// passAll admits everything: the plain search, whose navigation pool stays
+// empty and whose walk is the paper's single-pool Algorithm 1 exactly.
+type passAll struct{}
+
+func (passAll) node(int32, float32) bool { return true }
+func (passAll) deltaRow(int32) bool      { return true }
+
+// collectAll is passAll that also records every evaluated node — the
+// search-and-collect hook Algorithm 2 gathers its pruning candidates with.
+type collectAll struct{ out *[]vecmath.Neighbor }
+
+func (c collectAll) node(id int32, d float32) bool {
+	*c.out = append(*c.out, vecmath.Neighbor{ID: id, Dist: d})
+	return true
+}
+func (collectAll) deltaRow(int32) bool { return true }
+
+// searchOnGraph is the exact-float plain search the exported SearchOnGraph*
+// wrappers share: visited, when non-nil, receives every evaluated node.
+func searchOnGraph[A adjacencySource](ctx *SearchContext, a A, n int, base vecmath.Matrix, query []float32, starts []int32, k, l int, counter *vecmath.Counter, visited *[]vecmath.Neighbor) SearchResult {
+	dist := floatDist{base: base, query: query}
+	if visited != nil {
+		return walk(ctx, a, n, dist, starts, k, l, 0, counter, nil, collectAll{out: visited})
+	}
+	return walk(ctx, a, n, dist, starts, k, l, 0, counter, nil, passAll{})
+}
+
+// pickFiltered advances both cursors past checked elements and returns the
+// pool holding the next candidate the two-pool rule expands, with its index
+// — or (nil, -1) when the search is done. The rule: expand the globally
+// nearest unchecked candidate, except that a navigation candidate is only
+// worth expanding while it could still lead to a main-pool insertion (main
+// pool not full, or the candidate nearer than the worst retained passing
+// candidate). With an empty navigation pool this is Algorithm 1 line 4.
+func (c *SearchContext) pickFiltered(nextP, nextN *int) (*pool, int) {
+	p, nv := &c.pool, &c.nav
+	for *nextP < len(p.elems) && p.elems[*nextP].checked {
+		*nextP++
+	}
+	for *nextN < len(nv.elems) && nv.elems[*nextN].checked {
+		*nextN++
+	}
+	var sel *pool
+	idx := -1
+	if *nextP < len(p.elems) {
+		sel, idx = p, *nextP
+	}
+	if *nextN < len(nv.elems) {
+		cand := nv.elems[*nextN]
+		useful := len(p.elems) < p.cap || cand.dist < p.elems[len(p.elems)-1].dist
+		// Ties go to the main pool: a passing candidate at equal distance
+		// both navigates and scores.
+		if useful && (idx < 0 || cand.dist < p.elems[idx].dist) {
+			sel, idx = nv, *nextN
+		}
+	}
+	return sel, idx
+}
+
+// walk is Algorithm 1, the only traversal body in this package: greedy
+// best-first search from starts, routing every scored node into the main
+// pool (admitted by pf, capacity l) or the navigation pool (not admitted,
+// capacity lnav), expanding across both per pickFiltered and returning the
+// nearest k of the main pool. Under passAll the navigation pool stays empty
+// and this is the paper's single-pool loop. All scratch lives in ctx, so the
+// steady state allocates nothing; the returned Neighbors slice aliases
+// ctx.out and is valid until ctx's next search.
 //
 // delta, when non-nil, is a set of rows that exist outside the graph (a
 // live-update buffer not yet merged into the serving snapshot): after the
-// graph expansion finishes, every delta row is scored with the batched
-// deltaRows kernel — in the same distance space the expansion used — and
-// offered to the candidate pool under id n+offset, so delta points compete
-// with graph points for the final top k (and, on the quantized path, are
-// reranked with everything else). Delta elements are born checked: they
-// have no out-edges to expand.
-func searchCtx[A adjacencySource, D distSource](ctx *SearchContext, a A, n int, dist D, starts []int32, k, l int, counter *vecmath.Counter, visited *[]vecmath.Neighbor, delta *Delta) SearchResult {
+// graph expansion finishes they are offered to the main pool by offerDelta,
+// so a pending insert competes with graph points for the final top k (and,
+// on the quantized path, is reranked with everything else).
+func walk[A adjacencySource, D distSource, P passTest](ctx *SearchContext, a A, n int, dist D, starts []int32, k, l, lnav int, counter *vecmath.Counter, delta *Delta, pf P) SearchResult {
 	if l < k {
 		l = k
 	}
 	ctx.begin(n, l)
-	p := &ctx.pool
+	ctx.nav.reset(lnav)
+	p, nv := &ctx.pool, &ctx.nav
 	for _, s := range starts {
 		if !ctx.visited.Visit(s) {
 			continue
 		}
 		d := dist.one(counter, s)
-		if visited != nil {
-			*visited = append(*visited, vecmath.Neighbor{ID: s, Dist: d})
+		if pf.node(s, d) {
+			p.insert(s, d)
+		} else {
+			nv.insert(s, d)
 		}
-		p.insert(s, d)
 	}
 
 	hops := 0
-	// Index of the first possibly-unchecked element; everything before it
-	// is known checked.
-	next := 0
-	for next < len(p.elems) {
-		if p.elems[next].checked {
-			next++
-			continue
+	// Index of the first possibly-unchecked element of each pool; everything
+	// before it is known checked.
+	nextP, nextN := 0, 0
+	for {
+		pl, idx := ctx.pickFiltered(&nextP, &nextN)
+		if idx < 0 {
+			break
 		}
-		cur := &p.elems[next]
-		cur.checked = true
-		curID := cur.id
+		pl.elems[idx].checked = true
+		curID := pl.elems[idx].id
 		hops++
-		lowest := len(p.elems) // lowest insertion position this expansion
 		// Stage the unvisited neighbors, then compute their distances in one
-		// batched gather: the kernel call replaces one L2 call (and one
-		// counter update) per neighbor.
+		// batched gather: the kernel call replaces one distance call (and one
+		// counter update) per neighbor. The pass test runs on the insert
+		// side, so the gather kernels never see it.
 		fresh := ctx.idBuf[:0]
 		for _, nb := range a.neighbors(curID) {
 			if ctx.visited.Visit(nb) {
@@ -259,37 +334,35 @@ func searchCtx[A adjacencySource, D distSource](ctx *SearchContext, a A, n int, 
 		ctx.idBuf = fresh
 		dists := ctx.distScratch(len(fresh))
 		dist.toRows(counter, fresh, dists)
+		// Resume each pool's scan from its shallowest new candidate:
+		// anything before it is unchanged and already checked.
 		for i, nb := range fresh {
-			d := dists[i]
-			if visited != nil {
-				*visited = append(*visited, vecmath.Neighbor{ID: nb, Dist: d})
+			if pf.node(nb, dists[i]) {
+				if pos := p.insert(nb, dists[i]); pos >= 0 && pos < nextP {
+					nextP = pos
+				}
+			} else {
+				if pos := nv.insert(nb, dists[i]); pos >= 0 && pos < nextN {
+					nextN = pos
+				}
 			}
-			if pos := p.insert(nb, d); pos >= 0 && pos < lowest {
-				lowest = pos
-			}
-		}
-		// Resume scanning from the shallowest new candidate: anything
-		// before it is unchanged and already checked up to `next`.
-		if lowest < next {
-			next = lowest
 		}
 	}
 
-	// Merge the delta buffer into the pool: the final pool is the best l of
-	// (graph candidates ∪ delta rows), so a pending insert can displace a
-	// graph point from the top k exactly as it would after being drained.
 	if delta != nil {
-		mergeDelta(ctx, n, dist, delta, counter)
+		offerDelta(ctx, n, dist, delta, counter, pf)
 	}
 
 	return SearchResult{Neighbors: emit(ctx, k), Hops: hops}
 }
 
-// mergeDelta offers every pending delta row to the candidate pool under id
-// n+offset, scored by the batched deltaRows kernel in the same distance
-// space the graph expansion used. Delta elements are born checked: they have
-// no out-edges to expand.
-func mergeDelta[D distSource](ctx *SearchContext, n int, dist D, delta *Delta, counter *vecmath.Counter) {
+// offerDelta offers every admitted pending delta row to the main pool under
+// id n+offset, so the final pool is the best l of (graph candidates ∪ delta
+// rows). Every row is scored — one batched deltaRows scan per chunk, in the
+// same distance space the graph expansion used — and the pass test runs on
+// the insert side. Delta elements are born checked: they have no out-edges
+// to expand.
+func offerDelta[D distSource, P passTest](ctx *SearchContext, n int, dist D, delta *Delta, counter *vecmath.Counter, pf P) {
 	p := &ctx.pool
 	for ci := range delta.Chunks {
 		ch := &delta.Chunks[ci]
@@ -300,6 +373,9 @@ func mergeDelta[D distSource](ctx *SearchContext, n int, dist D, delta *Delta, c
 		dists := ctx.distScratch(rows)
 		dist.deltaRows(counter, ch, dists)
 		for j := 0; j < rows; j++ {
+			if !pf.deltaRow(ch.IDs[j]) {
+				continue
+			}
 			if pos := p.insert(int32(n+ch.Off+j), dists[j]); pos >= 0 {
 				p.elems[pos].checked = true
 			}
@@ -329,7 +405,7 @@ func emit(ctx *SearchContext, k int) []vecmath.Neighbor {
 // next search — copy it to retain. visited, when non-nil, receives every
 // node whose distance to the query was computed. counter may be nil.
 func SearchOnGraphCtx(ctx *SearchContext, g *graphutil.FlatGraph, base vecmath.Matrix, query []float32, starts []int32, k, l int, counter *vecmath.Counter, visited *[]vecmath.Neighbor) SearchResult {
-	return searchCtx(ctx, flatAdj{g: g}, g.Nodes, floatDist{base: base, query: query}, starts, k, l, counter, visited, nil)
+	return searchOnGraph(ctx, flatAdj{g: g}, g.Nodes, base, query, starts, k, l, counter, visited)
 }
 
 // SearchOnGraphListCtx is SearchOnGraphCtx over ragged adjacency lists; it
@@ -337,7 +413,7 @@ func SearchOnGraphCtx(ctx *SearchContext, g *graphutil.FlatGraph, base vecmath.M
 // repair, incremental inserts), where maintaining a flat copy per mutation
 // would cost more than the layout saves.
 func SearchOnGraphListCtx(ctx *SearchContext, adj [][]int32, base vecmath.Matrix, query []float32, starts []int32, k, l int, counter *vecmath.Counter, visited *[]vecmath.Neighbor) SearchResult {
-	return searchCtx(ctx, listAdj{adj: adj}, len(adj), floatDist{base: base, query: query}, starts, k, l, counter, visited, nil)
+	return searchOnGraph(ctx, listAdj{adj: adj}, len(adj), base, query, starts, k, l, counter, visited)
 }
 
 // SearchOnGraph is Algorithm 1: greedy best-first search over adjacency
@@ -353,7 +429,7 @@ func SearchOnGraphListCtx(ctx *SearchContext, adj [][]int32, base vecmath.Matrix
 // result out.
 func SearchOnGraph(adj [][]int32, base vecmath.Matrix, query []float32, starts []int32, k, l int, counter *vecmath.Counter, visited *[]vecmath.Neighbor) SearchResult {
 	ctx := getCtx()
-	res := searchCtx(ctx, listAdj{adj: adj}, len(adj), floatDist{base: base, query: query}, starts, k, l, counter, visited, nil)
+	res := SearchOnGraphListCtx(ctx, adj, base, query, starts, k, l, counter, visited)
 	out := copyNeighbors(res.Neighbors)
 	putCtx(ctx)
 	return SearchResult{Neighbors: out, Hops: res.Hops}

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/vecmath"
-	"repro/internal/vecmath/quant"
 )
 
 // ErrNoMetadata is returned when a predicate is compiled against an index
@@ -40,9 +39,13 @@ var ErrNoMetadata = errors.New("core: index has no metadata store")
 // the reference the recall gates compare against, so in that regime filtered
 // search is exact by construction.
 //
-// Tombstones fold into the pass test itself (a dead point is just another
-// non-passing point that still routes), so filtered searches never
-// over-fetch by the tombstone count the way the unfiltered live path does.
+// Tombstones are one more term of the same pass test: a deleted point is a
+// non-passing point that still routes, so a delete costs one bit and no pool
+// slot, with or without a predicate. With no predicate the navigation pool
+// can only ever hold deleted rows, so it is sized by their count (see
+// Snapshot.search) instead of by selectivity. The loop itself is walk, in
+// core.go: the plain search is the same body with a pass test that admits
+// everything.
 
 // Filter is a compiled predicate the filtered search paths consume: one bit
 // per id, set when the point passes. Callers build one with the public
@@ -79,28 +82,40 @@ func bitTest(bits []uint64, id int32) bool {
 	return bits[w]&(1<<uint(id&63)) != 0
 }
 
-// passFilter is the per-search pass test: internal id → public id (pubIDs)
-// → liveness (dead) → final id (remap) → bitmap. Built once per search and
-// passed by value, so the hot path costs one or two array reads per node.
+// passFilter is the pass test of predicate and/or tombstone searches:
+// internal id → public id (pubIDs) → liveness (dead) → final id (remap) →
+// bitmap. Built once per search and passed by value, so the hot path costs
+// one or two array reads per node.
 type passFilter struct {
-	bits   []uint64
-	pubIDs []int32 // internal → public; nil = identity
-	remap  []int32 // public → final bitmap id; nil = identity
-	dead   *Tombstones
+	all       bool     // no predicate: every live row passes, bitmaps unused
+	bits      []uint64 // graph rows, indexed through remap
+	deltaBits []uint64 // pending rows, indexed by final id
+	pubIDs    []int32  // internal → public; nil = identity
+	remap     []int32  // public → final bitmap id; nil = identity
+	dead      *Tombstones
 }
 
-func (f passFilter) pass(internal int32) bool {
+func (f passFilter) node(internal int32, _ float32) bool {
 	id := internal
 	if f.pubIDs != nil {
 		id = f.pubIDs[internal]
 	}
-	if f.dead != nil && f.dead.Deleted(id) {
+	if f.dead.Deleted(id) {
 		return false
+	}
+	if f.all {
+		return true
 	}
 	if f.remap != nil {
 		id = f.remap[id]
 	}
 	return bitTest(f.bits, id)
+}
+
+// deltaRow tests a pending row: delta ids are final ids, so the tombstone
+// set and the delta bitmap index directly — no remap.
+func (f passFilter) deltaRow(id int32) bool {
+	return !f.dead.Deleted(id) && (f.all || bitTest(f.deltaBits, id))
 }
 
 const (
@@ -145,149 +160,17 @@ func useBruteForce(l int, flt *Filter) bool {
 	return flt.Count <= cutoff
 }
 
-// pickFiltered advances both cursors past checked elements and returns the
-// pool holding the next candidate the two-pool rule expands, with its index
-// — or (nil, -1) when the search is done. The rule: expand the globally
-// nearest unchecked candidate, except that a navigation candidate is only
-// worth expanding while it could still lead to a main-pool insertion (main
-// pool not full, or the candidate nearer than the worst retained passing
-// candidate).
-func (c *SearchContext) pickFiltered(nextP, nextN *int) (*pool, int) {
-	p, nv := &c.pool, &c.nav
-	for *nextP < len(p.elems) && p.elems[*nextP].checked {
-		*nextP++
-	}
-	for *nextN < len(nv.elems) && nv.elems[*nextN].checked {
-		*nextN++
-	}
-	var sel *pool
-	idx := -1
-	if *nextP < len(p.elems) {
-		sel, idx = p, *nextP
-	}
-	if *nextN < len(nv.elems) {
-		cand := nv.elems[*nextN]
-		useful := len(p.elems) < p.cap || cand.dist < p.elems[len(p.elems)-1].dist
-		// Ties go to the main pool: a passing candidate at equal distance
-		// both navigates and scores.
-		if useful && (idx < 0 || cand.dist < p.elems[idx].dist) {
-			sel, idx = nv, *nextN
-		}
-	}
-	return sel, idx
-}
-
-// searchFilteredCtx is the two-pool filtered Algorithm 1: greedy best-first
-// from starts over the graph, routing every scored node into the main pool
-// (passing, capacity l) or the navigation pool (non-passing, capacity lnav),
-// expanding across both per pickFiltered. Results are emitted from the main
-// pool only. Delta rows, when present, are offered after the walk, gated by
-// the delta bitmap (and tombstones) before taking a slot. All scratch lives
-// in ctx; the steady state allocates nothing.
-func searchFilteredCtx[A adjacencySource, D distSource](ctx *SearchContext, a A, n int, dist D, starts []int32, k, l int, counter *vecmath.Counter, delta *Delta, flt *Filter, pf passFilter) SearchResult {
-	if l < k {
-		l = k
-	}
-	ctx.begin(n, l)
-	ctx.nav.reset(navPoolSize(n, l, flt))
-	p, nv := &ctx.pool, &ctx.nav
-	for _, s := range starts {
-		if !ctx.visited.Visit(s) {
-			continue
-		}
-		d := dist.one(counter, s)
-		if pf.pass(s) {
-			p.insert(s, d)
-		} else {
-			nv.insert(s, d)
-		}
-	}
-
-	hops := 0
-	nextP, nextN := 0, 0
-	for {
-		pl, idx := ctx.pickFiltered(&nextP, &nextN)
-		if idx < 0 {
-			break
-		}
-		pl.elems[idx].checked = true
-		curID := pl.elems[idx].id
-		hops++
-		// Stage the unvisited neighbors, then one batched gather — same
-		// shape as the unfiltered loop; the pass test runs on the insert
-		// side so the gather kernels stay untouched.
-		fresh := ctx.idBuf[:0]
-		for _, nb := range a.neighbors(curID) {
-			if ctx.visited.Visit(nb) {
-				fresh = append(fresh, nb)
-			}
-		}
-		ctx.idBuf = fresh
-		dists := ctx.distScratch(len(fresh))
-		dist.toRows(counter, fresh, dists)
-		for i, nb := range fresh {
-			if pf.pass(nb) {
-				if pos := p.insert(nb, dists[i]); pos >= 0 && pos < nextP {
-					nextP = pos
-				}
-			} else {
-				if pos := nv.insert(nb, dists[i]); pos >= 0 && pos < nextN {
-					nextN = pos
-				}
-			}
-		}
-	}
-
-	if delta != nil {
-		mergeDeltaFiltered(ctx, n, dist, delta, counter, flt, pf.dead)
-	}
-
-	return SearchResult{Neighbors: emit(ctx, k), Hops: hops}
-}
-
-// mergeDeltaFiltered is mergeDelta gated by the delta bitmap: every pending
-// row is scored (batched, same distance space as the walk) but only passing,
-// live rows are offered to the main pool. Delta ids are final ids, so the
-// bitmap indexes directly — no remap.
-func mergeDeltaFiltered[D distSource](ctx *SearchContext, n int, dist D, delta *Delta, counter *vecmath.Counter, flt *Filter, dead *Tombstones) {
-	bits := flt.DeltaBits
-	if bits == nil {
-		bits = flt.Bits
-	}
-	p := &ctx.pool
-	for ci := range delta.Chunks {
-		ch := &delta.Chunks[ci]
-		rows := ch.Rows()
-		if rows == 0 {
-			continue
-		}
-		dists := ctx.distScratch(rows)
-		dist.deltaRows(counter, ch, dists)
-		for j := 0; j < rows; j++ {
-			id := ch.IDs[j]
-			if dead != nil && dead.Deleted(id) {
-				continue
-			}
-			if !bitTest(bits, id) {
-				continue
-			}
-			if pos := p.insert(int32(n+ch.Off+j), dists[j]); pos >= 0 {
-				p.elems[pos].checked = true
-			}
-		}
-	}
-}
-
 // bruteForceFiltered is the low-selectivity exact path: score every passing
 // point (one batched float gather over the passing ids) plus every passing
 // delta row, keep the best k. Always exact float32 distances regardless of
 // quantization — at a few hundred candidates the code matrix saves nothing.
 // Results are internal/delta ids, hops 0.
-func bruteForceFiltered(ctx *SearchContext, base vecmath.Matrix, query []float32, n, k int, counter *vecmath.Counter, delta *Delta, flt *Filter, pf passFilter) SearchResult {
+func bruteForceFiltered(ctx *SearchContext, base vecmath.Matrix, query []float32, k int, counter *vecmath.Counter, delta *Delta, pf passFilter) SearchResult {
+	n := base.Rows
 	ctx.begin(n, k)
 	ids := ctx.idBuf[:0]
 	for i := 0; i < n; i++ {
-		if pf.pass(int32(i)) {
+		if pf.node(int32(i), 0) {
 			ids = append(ids, int32(i))
 		}
 	}
@@ -299,7 +182,7 @@ func bruteForceFiltered(ctx *SearchContext, base vecmath.Matrix, query []float32
 		p.insert(id, dists[i])
 	}
 	if delta != nil {
-		mergeDeltaFiltered(ctx, n, floatDist{base: base, query: query}, delta, counter, flt, pf.dead)
+		offerDelta(ctx, n, floatDist{base: base, query: query}, delta, counter, pf)
 	}
 	return SearchResult{Neighbors: emit(ctx, k)}
 }
@@ -321,133 +204,13 @@ func (x *NSG) SearchFilteredCtx(ctx *SearchContext, query []float32, k, l int, d
 	return x.SearchFilteredWithHopsCtx(ctx, query, k, l, dead, flt, counter).Neighbors
 }
 
-// SearchFilteredWithHopsCtx is the filtered root of the non-live NSG query
-// paths: the two-pool walk (quantized indexes expand in code space and
-// rerank the main pool exactly), or the exact brute-force scan when few
-// points pass. Emitted ids are public, distances exact float32 either way. A
-// nil flt degrades to the unfiltered live search with the same dead set.
+// SearchFilteredWithHopsCtx is the root of the non-live NSG query paths:
+// Snapshot.search over the index's current state, with dead (tombstones,
+// by public id) and flt (a compiled predicate) both optional — nil, nil is
+// the plain search. Emitted ids are public, distances exact float32.
 func (x *NSG) SearchFilteredWithHopsCtx(ctx *SearchContext, query []float32, k, l int, dead *Tombstones, flt *Filter, counter *vecmath.Counter) SearchResult {
-	if flt == nil {
-		res := x.SearchWithHopsCtx(ctx, query, withDead(k, dead), withDead(l, dead), counter)
-		if dead != nil && dead.Len() > 0 {
-			res.Neighbors = filterDead(res.Neighbors, dead, k)
-		}
-		return res
-	}
-	if flt.Count == 0 {
-		return emptyResult(ctx)
-	}
-	if l < k {
-		l = k
-	}
-	if dead != nil && dead.Len() == 0 {
-		dead = nil
-	}
-	pf := passFilter{bits: flt.Bits, pubIDs: x.PubIDs, remap: flt.Remap, dead: dead}
-	var res SearchResult
-	switch {
-	case useBruteForce(l, flt):
-		res = bruteForceFiltered(ctx, x.Base, query, x.Base.Rows, k, counter, nil, flt, pf)
-	case x.Quant != nil:
-		res = x.searchQuantFiltered(ctx, query, k, l, counter, nil, flt, pf)
-	default:
-		f := x.FlatView()
-		ctx.startBuf[0] = x.Navigating
-		res = searchFilteredCtx(ctx, flatAdj{g: f}, f.Nodes, floatDist{base: x.Base, query: query}, ctx.startBuf[:], k, l, counter, nil, flt, pf)
-	}
+	v := x.view()
+	res := v.search(ctx, query, k, l, counter, nil, dead, flt, nil)
 	x.toPublic(res.Neighbors)
-	return res
-}
-
-// searchQuantFiltered runs the filtered walk in code space (SQ8 or int4 per
-// the index's mode) keeping the whole main pool, then reranks it exactly —
-// the same approximation-prices-pool-membership contract as the unfiltered
-// quantized path. Results are internal ids.
-func (x *NSG) searchQuantFiltered(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, d *Delta, flt *Filter, pf passFilter) SearchResult {
-	qz := x.Quant
-	f := x.FlatView()
-	ctx.startBuf[0] = x.Navigating
-	var res SearchResult
-	if qz.Mode == quant.ModeInt4 {
-		ctx.qlevels = qz.Q4.PrepareInto(ctx.qlevels[:0], query)
-		dist := code4Dist{q: &qz.Q4, codes: qz.Codes4, levels: ctx.qlevels}
-		res = searchFilteredCtx(ctx, flatAdj{g: f}, f.Nodes, dist, ctx.startBuf[:], l, l, counter, d, flt, pf)
-	} else {
-		ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], query)
-		dist := codeDist{q: &qz.Q, codes: qz.Codes, levels: ctx.qlevels}
-		res = searchFilteredCtx(ctx, flatAdj{g: f}, f.Nodes, dist, ctx.startBuf[:], l, l, counter, d, flt, pf)
-	}
-	res.Neighbors = rerankPool(ctx, x.Base, query, k, counter, d, res.Neighbors)
-	return res
-}
-
-// withDead over-fetches a bound by the tombstone count (the unfiltered
-// degradation path of SearchFilteredWithHopsCtx).
-func withDead(v int, dead *Tombstones) int {
-	if dead != nil {
-		v += dead.Len()
-	}
-	return v
-}
-
-// SearchLiveFilteredCtx is the filtered twin of SearchLiveCtx: the two-pool
-// walk over the frozen snapshot with the pending-insert delta merged through
-// the delta bitmap, tombstones folded into the pass test (so no over-fetch),
-// and the same exact-rerank and id-translation tail as the unfiltered path.
-// The effective remap into Bits' id space is lq.Translate (a sharded live
-// handle's local→global table); flt.Remap is used when lq.Translate is nil.
-func (s *Snapshot) SearchLiveFilteredCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, lq LiveQuery, flt *Filter) SearchResult {
-	if flt == nil {
-		return s.SearchLiveCtx(ctx, query, k, l, counter, lq)
-	}
-	if flt.Count == 0 {
-		return emptyResult(ctx)
-	}
-	if l < k {
-		l = k
-	}
-	d := lq.Delta
-	if d != nil && d.Total == 0 {
-		d = nil
-	}
-	dead := lq.Dead
-	if dead != nil && dead.Len() == 0 {
-		dead = nil
-	}
-	remap := lq.Translate
-	if remap == nil {
-		remap = flt.Remap
-	}
-	pf := passFilter{bits: flt.Bits, pubIDs: s.pubIDs, remap: remap, dead: dead}
-	var res SearchResult
-	switch {
-	case useBruteForce(l, flt):
-		res = bruteForceFiltered(ctx, s.base, query, s.base.Rows, k, counter, d, flt, pf)
-	case s.quant != nil:
-		res = s.searchQuantDeltaFiltered(ctx, query, k, l, counter, d, flt, pf)
-	default:
-		ctx.startBuf[0] = s.nav
-		res = searchFilteredCtx(ctx, flatAdj{g: s.flat}, s.base.Rows, floatDist{base: s.base, query: query}, ctx.startBuf[:], k, l, counter, d, flt, pf)
-	}
-	res.Neighbors = s.finishLive(res.Neighbors, k, lq, d)
-	return res
-}
-
-// searchQuantDeltaFiltered is searchQuantDelta with the two-pool walk and
-// the filtered delta merge; the full main pool survives to the exact rerank.
-func (s *Snapshot) searchQuantDeltaFiltered(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, d *Delta, flt *Filter, pf passFilter) SearchResult {
-	qz := s.quant
-	ctx.startBuf[0] = s.nav
-	var res SearchResult
-	if qz.Mode == quant.ModeInt4 {
-		ctx.qlevels = qz.Q4.PrepareInto(ctx.qlevels[:0], query)
-		dist := code4Dist{q: &qz.Q4, codes: qz.Codes4, levels: ctx.qlevels}
-		res = searchFilteredCtx(ctx, flatAdj{g: s.flat}, s.base.Rows, dist, ctx.startBuf[:], l, l, counter, d, flt, pf)
-	} else {
-		ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], query)
-		dist := codeDist{q: &qz.Q, codes: qz.Codes, levels: ctx.qlevels}
-		res = searchFilteredCtx(ctx, flatAdj{g: s.flat}, s.base.Rows, dist, ctx.startBuf[:], l, l, counter, d, flt, pf)
-	}
-	res.Neighbors = rerankPool(ctx, s.base, query, k, counter, d, res.Neighbors)
 	return res
 }

@@ -151,7 +151,7 @@ func TestFilteredQuantParity(t *testing.T) {
 }
 
 // TestFilteredTombstones: dead ids are treated as non-passing — never
-// emitted, no over-fetch needed, and the pool refills from live points.
+// emitted, holding no pool slot, and the pool refills from live points.
 func TestFilteredTombstones(t *testing.T) {
 	base := testBase(t, 1200, 24, 9)
 	idx := buildQuantTestNSG(t, base)
@@ -234,7 +234,7 @@ func TestLiveFilteredSnapshotDelta(t *testing.T) {
 
 	q := testBase(t, 1, 16, 15).Row(0)
 	ctx := NewSearchContext()
-	got := idx.Snapshot().SearchLiveFilteredCtx(ctx, q, 10, 64, nil, LiveQuery{Delta: delta, Dead: dead}, flt)
+	got := idx.Snapshot().SearchLiveCtx(ctx, q, 10, 64, nil, LiveQuery{Delta: delta, Dead: dead}, flt)
 
 	// Reference: exact over passing snapshot ids plus passing live delta ids.
 	var all []vecmath.Neighbor

@@ -156,81 +156,56 @@ func (x *NSG) offerReverse(from, to int32, m int) bool {
 
 // Tombstones tracks deleted ids for an NSG. Deleted nodes keep routing
 // traffic (removing them would sever monotonic paths) but never appear in
-// results.
+// results: the set is a term of the search's pass test (see passFilter). It
+// is a flat bitmap in Filter.Bits' layout — bit id&63 of word id>>6 — plus
+// a count, so the test is one word read and a copy is n/8 bytes. A nil set
+// is empty.
 type Tombstones struct {
-	dead map[int32]struct{}
+	bits []uint64
+	n    int
 }
 
 // NewTombstones returns an empty deletion set.
-func NewTombstones() *Tombstones {
-	return &Tombstones{dead: make(map[int32]struct{})}
+func NewTombstones() *Tombstones { return &Tombstones{} }
+
+// Delete marks id as removed, growing the bitmap to cover it. Callers
+// range-check id against their index first: a negative id panics and a
+// stray large one sizes the allocation.
+func (t *Tombstones) Delete(id int32) {
+	w := int(id) >> 6
+	if w >= len(t.bits) {
+		t.bits = append(t.bits, make([]uint64, w+1-len(t.bits))...)
+	}
+	if m := uint64(1) << uint(id&63); t.bits[w]&m == 0 {
+		t.bits[w] |= m
+		t.n++
+	}
 }
 
-// Delete marks id as removed.
-func (t *Tombstones) Delete(id int32) { t.dead[id] = struct{}{} }
-
-// Deleted reports whether id is tombstoned.
+// Deleted reports whether id is tombstoned; ids the bitmap does not cover
+// (negative, or past the last deleted id) are not.
 func (t *Tombstones) Deleted(id int32) bool {
-	_, ok := t.dead[id]
-	return ok
+	return t != nil && bitTest(t.bits, id)
 }
 
 // Len returns the number of tombstoned ids.
-func (t *Tombstones) Len() int { return len(t.dead) }
+func (t *Tombstones) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.n
+}
 
 // Clone returns an independent copy of the deletion set. The live-update
 // path publishes tombstones copy-on-write: searches read a frozen set from
 // the current view while deletes build and publish a fresh copy, so the
-// read path never takes a lock. A nil receiver clones to an empty set.
+// read path never takes a lock and a published set is never mutated. A nil
+// receiver clones to an empty set.
 func (t *Tombstones) Clone() *Tombstones {
-	out := NewTombstones()
 	if t == nil {
-		return out
+		return NewTombstones()
 	}
-	for id := range t.dead {
-		out.dead[id] = struct{}{}
-	}
-	return out
-}
-
-// SearchLive runs Search and filters tombstoned ids, over-fetching so k
-// live results come back whenever enough live points exist in the pool.
-// The result is caller-owned; hot loops should prefer SearchLiveCtx.
-func (x *NSG) SearchLive(query []float32, k, l int, t *Tombstones, counter *vecmath.Counter) []vecmath.Neighbor {
-	ctx := getCtx()
-	out := copyNeighbors(x.SearchLiveCtx(ctx, query, k, l, t, counter))
-	putCtx(ctx)
-	return out
-}
-
-// SearchLiveCtx is SearchLive with caller-owned scratch; the tombstone
-// filter runs in place on the context's result buffer, so the steady state
-// allocates nothing. The returned slice aliases ctx and is valid until
-// ctx's next search.
-func (x *NSG) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, t *Tombstones, counter *vecmath.Counter) []vecmath.Neighbor {
-	if t == nil || t.Len() == 0 {
-		return x.SearchCtx(ctx, query, k, l, counter)
-	}
-	fetch := k + t.Len()
-	if l < fetch {
-		l = fetch
-	}
-	return filterDead(x.SearchCtx(ctx, query, fetch, l, counter), t, k)
-}
-
-// filterDead drops tombstoned ids in place and caps the result at k.
-func filterDead(ns []vecmath.Neighbor, dead *Tombstones, k int) []vecmath.Neighbor {
-	out := ns[:0]
-	for _, nb := range ns {
-		if dead.Deleted(nb.ID) {
-			continue
-		}
-		out = append(out, nb)
-		if len(out) == k {
-			break
-		}
-	}
-	return out
+	return &Tombstones{bits: append([]uint64(nil), t.bits...), n: t.n}
 }
 
 // Compact rebuilds the index without the tombstoned points, returning the
@@ -254,7 +229,7 @@ func (x *NSG) Compact(t *Tombstones, p InsertParams) (*NSG, []int32, error) {
 	remap := make([]int32, x.Base.Rows)
 	live := make([]int32, 0, x.Base.Rows)
 	for pub := int32(0); pub < int32(x.Base.Rows); pub++ {
-		if t != nil && t.Deleted(pub) {
+		if t.Deleted(pub) {
 			remap[pub] = -1
 			continue
 		}

@@ -111,7 +111,8 @@ func TestTombstones(t *testing.T) {
 	ts := NewTombstones()
 	ts.Delete(before[0].ID)
 	ts.Delete(before[1].ID)
-	after := idx.SearchLive(q, 5, 60, ts, nil)
+	ctx := NewSearchContext()
+	after := idx.SearchFilteredCtx(ctx, q, 5, 60, ts, nil, nil)
 	if len(after) != 5 {
 		t.Fatalf("got %d live results, want 5", len(after))
 	}
@@ -124,10 +125,63 @@ func TestTombstones(t *testing.T) {
 	if after[0].ID != before[2].ID {
 		t.Errorf("first live result %d, want %d", after[0].ID, before[2].ID)
 	}
-	// Nil/empty tombstones short-circuit.
-	plain := idx.SearchLive(q, 5, 60, nil, nil)
-	if plain[0].ID != before[0].ID {
-		t.Error("nil tombstones changed results")
+	// Nil and empty tombstones are the plain search, bit for bit.
+	for _, dead := range []*Tombstones{nil, NewTombstones()} {
+		plain := idx.SearchFilteredCtx(ctx, q, 5, 60, dead, nil, nil)
+		for i := range plain {
+			if plain[i] != before[i] {
+				t.Fatalf("empty tombstones changed result %d: %v != %v", i, plain[i], before[i])
+			}
+		}
+	}
+}
+
+// TestTombstonesBitmap pins the set's own contract: it grows to whatever id
+// is deleted, reads ids it does not cover as live, counts each id once, and
+// a clone shares nothing with its source.
+func TestTombstonesBitmap(t *testing.T) {
+	var null *Tombstones
+	if null.Deleted(3) || null.Len() != 0 || null.Clone().Len() != 0 {
+		t.Fatal("a nil set must read as empty")
+	}
+	ts := NewTombstones()
+	ts.Delete(5)
+	ts.Delete(5)
+	ts.Delete(64) // second word
+	ts.Delete(10_000)
+	if ts.Len() != 3 {
+		t.Fatalf("Len = %d after three distinct deletes (one repeated), want 3", ts.Len())
+	}
+	for _, c := range []struct {
+		id   int32
+		want bool
+	}{{5, true}, {64, true}, {10_000, true}, {4, false}, {6, false}, {63, false}, {9_999, false}, {-1, false}, {-64, false}, {10_048, false}, {1 << 30, false}} {
+		if got := ts.Deleted(c.id); got != c.want {
+			t.Errorf("Deleted(%d) = %v, want %v", c.id, got, c.want)
+		}
+	}
+
+	// Copy-on-write publication: a reader keeps testing the published set
+	// while the writer deletes into its clone (run under -race in CI).
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			if ts.Deleted(7) || ts.Deleted(20_000) || ts.Len() != 3 {
+				t.Error("a published set changed under its reader")
+				return
+			}
+		}
+	}()
+	cl := ts.Clone()
+	cl.Delete(7)      // inside the cloned words
+	cl.Delete(20_000) // grows the clone only
+	<-done
+	if cl.Len() != 5 || !cl.Deleted(7) || !cl.Deleted(20_000) || !cl.Deleted(64) {
+		t.Fatalf("clone lost or missed a delete: len %d", cl.Len())
+	}
+	if ts.Len() != 3 || ts.Deleted(7) || ts.Deleted(20_000) {
+		t.Fatal("deleting into a clone changed its source")
 	}
 }
 

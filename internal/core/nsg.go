@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -418,22 +417,13 @@ func (x *NSG) SearchWithHops(query []float32, k, l int, counter *vecmath.Counter
 	return res
 }
 
-// SearchWithHopsCtx is the context-taking root of every NSG query path: it
-// traverses the cached flat layout from the navigating node. On a quantized
-// index it runs the two-phase SQ8 search (code-space expansion, exact
-// rerank), so results carry exact float32 distances either way. Emitted ids
-// are public ids (relayout permutations are translated back).
+// SearchWithHopsCtx is the plain search: it traverses the cached flat layout
+// from the navigating node. On a quantized index it runs the two-phase
+// search (code-space expansion, exact rerank), so results carry exact
+// float32 distances either way. Emitted ids are public ids (relayout
+// permutations are translated back).
 func (x *NSG) SearchWithHopsCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter) SearchResult {
-	var res SearchResult
-	if x.Quant != nil {
-		res = x.searchQuantCtx(ctx, query, k, l, counter, true)
-	} else {
-		f := x.FlatView()
-		ctx.startBuf[0] = x.Navigating
-		res = SearchOnGraphCtx(ctx, f, x.Base, query, ctx.startBuf[:], k, l, counter, nil)
-	}
-	x.toPublic(res.Neighbors)
-	return res
+	return x.SearchFilteredWithHopsCtx(ctx, query, k, l, nil, nil, counter)
 }
 
 // SearchFloatWithHopsCtx forces the exact float32 path regardless of
@@ -816,16 +806,6 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 // valid one used to be.
 func (x *NSG) SaveFile(path string) error {
 	return mstore.WriteFileAtomic(path, x.Write)
-}
-
-// LoadFile reads an index from path and attaches base.
-func LoadFile(path string, base vecmath.Matrix) (*NSG, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	defer f.Close()
-	return ReadNSG(f, base)
 }
 
 // dedupeSortedCtx sorts candidates ascending by (dist,id) in place and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"repro/internal/dataset"
@@ -188,7 +189,12 @@ func TestNSGFileRoundTrip(t *testing.T) {
 	if err := idx.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path, ds.Base)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := ReadNSG(f, ds.Base)
 	if err != nil {
 		t.Fatal(err)
 	}

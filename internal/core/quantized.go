@@ -109,46 +109,16 @@ func (x *NSG) QuantMode() quant.Mode {
 // the rerank phase: rerank=true is what every public path uses (exact
 // distances, approximation confined to pool ordering), rerank=false emits
 // the raw code-space distances — the ablation cmd/bench -exp quant measures
-// to price the rerank. Panics if the index is not quantized. Results are in
-// public ids; with a reused ctx the steady state allocates nothing.
+// to price the rerank. On an unquantized index both are the float search.
+// Results are in public ids; with a reused ctx the steady state allocates
+// nothing.
 func (x *NSG) SearchQuantizedCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, rerank bool) SearchResult {
-	res := x.searchQuantCtx(ctx, query, k, l, counter, rerank)
-	x.toPublic(res.Neighbors)
-	return res
-}
-
-// searchQuantCtx runs the two-phase search, returning internal ids.
-func (x *NSG) searchQuantCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, rerank bool) SearchResult {
 	if l < k {
 		l = k
 	}
-	qz := x.Quant
-	f := x.FlatView()
-	ctx.startBuf[0] = x.Navigating
-	fetch := k
-	if rerank {
-		// Keep the whole pool: rerank reorders all l survivors so a true
-		// neighbor misranked by quantization still reaches the top k.
-		fetch = l
-	}
-	var res SearchResult
-	if qz.Mode == quant.ModeInt4 {
-		ctx.qlevels = qz.Q4.PrepareInto(ctx.qlevels[:0], query)
-		dist := code4Dist{q: &qz.Q4, codes: qz.Codes4, levels: ctx.qlevels}
-		res = searchCtx(ctx, flatAdj{g: f}, f.Nodes, dist, ctx.startBuf[:], fetch, l, counter, nil, nil)
-	} else {
-		ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], query)
-		dist := codeDist{q: &qz.Q, codes: qz.Codes, levels: ctx.qlevels}
-		res = searchCtx(ctx, flatAdj{g: f}, f.Nodes, dist, ctx.startBuf[:], fetch, l, counter, nil, nil)
-	}
-	if !rerank {
-		return res
-	}
-
-	// Phase two: exact distances for the survivors in one batched gather,
-	// then re-sort and truncate to k — the shared rerank tail (no delta on
-	// this path). All scratch is context-owned.
-	res.Neighbors = rerankPool(ctx, x.Base, query, k, counter, nil, res.Neighbors)
+	v := x.view()
+	res := searchView(ctx, &v, query, k, l, 0, counter, nil, passAll{}, rerank)
+	x.toPublic(res.Neighbors)
 	return res
 }
 

@@ -40,10 +40,10 @@ type SearchContext struct {
 	// qlevels holds the prepared query (int16 grid levels) for the SQ8
 	// search path, recomputed per query and sized once to the dimension.
 	qlevels []int16
-	// nav is the second candidate pool of filtered search: the best
-	// non-passing nodes seen so far, kept for navigation only — they route
-	// the traversal through filtered-out regions but never reach results.
-	// Unfiltered searches never touch it.
+	// nav is the walk's second candidate pool: the best nodes the pass test
+	// rejected (filtered out or deleted), kept for navigation only — they
+	// route the traversal through non-passing regions but never reach
+	// results. It stays empty when nothing is rejected.
 	nav pool
 	// fbits is per-query filter-bitmap scratch (see FilterScratch): request
 	// paths compile a predicate into it on every query without allocating.

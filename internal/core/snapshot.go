@@ -39,23 +39,31 @@ type Snapshot struct {
 	toInt  []int32    // public -> internal; nil = identity
 }
 
+// view is the index's current state as a transient Snapshot value: what
+// every heap and mapped search reads, sharing the quantizer instead of
+// copying it. Valid only until the next mutation.
+func (x *NSG) view() Snapshot {
+	return Snapshot{
+		flat:   x.FlatView(),
+		nav:    x.Navigating,
+		base:   x.Base,
+		quant:  x.Quant,
+		pubIDs: x.PubIDs,
+		toInt:  x.toInternal,
+	}
+}
+
 // Snapshot freezes the index's current state into an immutable serving
 // view. Must not be called concurrently with mutations (the live maintainer
 // is the only caller while a handle is running); the returned snapshot
 // itself is then safe to search concurrently with further mutations.
 func (x *NSG) Snapshot() *Snapshot {
-	s := &Snapshot{
-		flat:   x.FlatView(),
-		nav:    x.Navigating,
-		base:   x.Base,
-		pubIDs: x.PubIDs,
-		toInt:  x.toInternal,
-	}
-	if x.Quant != nil {
-		q := *x.Quant
+	s := x.view()
+	if s.quant != nil {
+		q := *s.quant
 		s.quant = &q
 	}
-	return s
+	return &s
 }
 
 // Rows returns the number of points the snapshot serves.
@@ -154,115 +162,128 @@ func (d *Delta) id(off int) int32 {
 }
 
 // LiveQuery bundles the per-query live-update state a snapshot search
-// consults: the pending-insert scan, the tombstone filter, and an optional
+// consults: the pending-insert scan, the tombstone set, and an optional
 // final id translation.
 type LiveQuery struct {
 	// Delta holds the inserts not yet in the snapshot; nil or empty means
 	// the query serves from the snapshot alone.
 	Delta *Delta
-	// Dead filters tombstoned points from results. It applies to snapshot
-	// ids after the remap translation but before Translate, and to delta
-	// ids as stored in the chunks; the search over-fetches by Dead.Len() so
-	// k live results come back whenever the pool holds enough.
+	// Dead is the tombstone set, a term of the pass test: a deleted row
+	// still routes but never holds a result slot. It is keyed by the
+	// snapshot's public ids (after the relayout remap, before Translate)
+	// for snapshot rows and by final id for delta rows. The two spaces
+	// coincide only when Translate is nil, so a translating caller must
+	// leave Dead nil (live.Handle.Delete enforces it).
 	Dead *Tombstones
 	// Translate maps snapshot-local result ids into the caller's id space
 	// (a sharded index's global ids); nil is identity. Delta chunk ids are
-	// already final and pass through untranslated.
+	// already final and pass through untranslated. Under a filter it is
+	// also the remap into Filter.Bits' id space.
 	Translate []int32
 }
 
-// SearchLiveCtx runs Algorithm 1 over the frozen snapshot, merges the
-// pending-insert delta into the candidate pool, filters tombstones and
-// returns the k nearest with exact float32 distances (the quantized path
-// reranks graph and delta survivors together before emitting). All scratch
-// lives in ctx, so a warm context performs zero heap allocations; the
-// returned Neighbors slice aliases ctx and is valid until its next search.
-func (s *Snapshot) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, lq LiveQuery) SearchResult {
-	if l < k {
-		l = k
-	}
-	fetch := k
-	if lq.Dead != nil {
-		fetch += lq.Dead.Len()
-		if l < fetch {
-			l = fetch
+// SearchLiveCtx answers one query over the frozen snapshot: Snapshot.search
+// with the pending-insert delta offered to the pool and tombstones in the
+// pass test, under flt when it is non-nil, returning the k nearest passing
+// live rows in final ids with exact float32 distances. All scratch lives in
+// ctx, so a warm context performs zero heap allocations; the returned
+// Neighbors slice aliases ctx and is valid until its next search.
+func (s *Snapshot) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, lq LiveQuery, flt *Filter) SearchResult {
+	res := s.search(ctx, query, k, l, counter, lq.Delta, lq.Dead, flt, lq.Translate)
+	// Internal ids to final ids, in place: snapshot rows through the remap
+	// and then the caller's table, delta rows from their chunks.
+	n := int32(s.base.Rows)
+	for i := range res.Neighbors {
+		nb := &res.Neighbors[i]
+		if nb.ID >= n {
+			nb.ID = lq.Delta.id(int(nb.ID - n))
+			continue
+		}
+		if s.pubIDs != nil {
+			nb.ID = s.pubIDs[nb.ID]
+		}
+		if lq.Translate != nil {
+			nb.ID = lq.Translate[nb.ID]
 		}
 	}
-	d := lq.Delta
-	if d != nil && d.Total == 0 {
-		d = nil
-	}
-	var res SearchResult
-	if s.quant != nil {
-		res = s.searchQuantDelta(ctx, query, fetch, l, counter, d)
-	} else {
-		ctx.startBuf[0] = s.nav
-		res = searchCtx(ctx, flatAdj{g: s.flat}, s.base.Rows, floatDist{base: s.base, query: query}, ctx.startBuf[:], fetch, l, counter, nil, d)
-	}
-
-	res.Neighbors = s.finishLive(res.Neighbors, k, lq, d)
 	return res
 }
 
-// finishLive emits a live search's results: translate snapshot ids to final
-// ids (remap, then the caller's Translate table), resolve delta ids from
-// their chunks, drop tombstones, cap at k. The filter rewrites the result
-// slice in place (entry i is read before slot w<=i is rewritten), so no
-// scratch is needed.
-func (s *Snapshot) finishLive(src []vecmath.Neighbor, k int, lq LiveQuery, d *Delta) []vecmath.Neighbor {
-	n := int32(s.base.Rows)
-	out := src[:0]
-	for i := range src {
-		nb := src[i]
-		if nb.ID < n {
-			id := nb.ID
-			if s.pubIDs != nil {
-				id = s.pubIDs[id]
-			}
-			if lq.Dead != nil && lq.Dead.Deleted(id) {
-				continue
-			}
-			if lq.Translate != nil {
-				id = lq.Translate[id]
-			}
-			nb.ID = id
-		} else {
-			id := d.id(int(nb.ID - n))
-			if lq.Dead != nil && lq.Dead.Deleted(id) {
-				continue
-			}
-			nb.ID = id
-		}
-		out = append(out, nb)
-		if len(out) == k {
-			break
-		}
+// search is the root of every query path, heap, mapped and live: it picks
+// the pass test and the plan, then runs the one walk. d (pending inserts),
+// dead (tombstones) and flt (a compiled predicate) are each optional;
+// translate, when non-nil, replaces flt.Remap as the public → bitmap id
+// table. Results are internal snapshot/delta ids with exact distances.
+//
+//   - Nothing deleted, no predicate: passAll, no navigation pool — the
+//     paper's Algorithm 1.
+//   - Tombstones only: the navigation pool is sized by the tombstone count.
+//     It can only ever hold deleted rows, and one is expanded only while it
+//     could still improve the main pool, so the capacity costs nothing until
+//     it is needed and a wholly deleted neighbourhood cannot wall the walk
+//     off from the live points behind it.
+//   - A predicate: the pool is sized by selectivity (navPoolSize), or the
+//     walk is skipped for an exact scan when few rows pass.
+func (s *Snapshot) search(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, d *Delta, dead *Tombstones, flt *Filter, translate []int32) SearchResult {
+	if l < k {
+		l = k
 	}
-	return out
+	if d != nil && d.Total == 0 {
+		d = nil
+	}
+	if flt == nil && dead.Len() == 0 {
+		return searchView(ctx, s, query, k, l, 0, counter, d, passAll{}, true)
+	}
+	pf := passFilter{all: flt == nil, pubIDs: s.pubIDs, dead: dead}
+	lnav := dead.Len()
+	if flt != nil {
+		if flt.Count == 0 {
+			return emptyResult(ctx)
+		}
+		pf.bits, pf.deltaBits, pf.remap = flt.Bits, flt.DeltaBits, translate
+		if pf.deltaBits == nil {
+			pf.deltaBits = flt.Bits
+		}
+		if pf.remap == nil {
+			pf.remap = flt.Remap
+		}
+		if useBruteForce(l, flt) {
+			return bruteForceFiltered(ctx, s.base, query, k, counter, d, pf)
+		}
+		lnav = navPoolSize(s.base.Rows, l, flt)
+	}
+	return searchView(ctx, s, query, k, l, lnav, counter, d, pf, true)
 }
 
-// searchQuantDelta is the two-phase quantized search over a snapshot:
-// code-space expansion (SQ8 or packed int4, per the snapshot's mode) with
-// the delta merged into the pool, then one exact rerank of every survivor
-// — base ids through a batched float gather, delta ids from their chunk's
-// float rows — so emitted distances are exact either way. Results are in
-// internal snapshot/delta id space.
-func (s *Snapshot) searchQuantDelta(ctx *SearchContext, query []float32, fetch, l int, counter *vecmath.Counter, d *Delta) SearchResult {
-	qz := s.quant
+// searchView runs the walk in the view's distance space. On a quantized
+// view that is code space (SQ8 or packed int4, per its mode) keeping the
+// whole main pool, followed — unless rerank is false, the ablation hook —
+// by one exact rerank of every survivor, so emitted distances are exact
+// and a true neighbor misranked by quantization still reaches the top k.
+func searchView[P passTest](ctx *SearchContext, s *Snapshot, query []float32, k, l, lnav int, counter *vecmath.Counter, d *Delta, pf P, rerank bool) SearchResult {
+	a, n := flatAdj{g: s.flat}, s.base.Rows
 	ctx.startBuf[0] = s.nav
-	// Keep the whole pool (k = l): the rerank reorders all l survivors so a
-	// true neighbor misranked by quantization still reaches the top.
+	qz := s.quant
+	if qz == nil {
+		return walk(ctx, a, n, floatDist{base: s.base, query: query}, ctx.startBuf[:], k, l, lnav, counter, d, pf)
+	}
+	fetch := k
+	if rerank {
+		fetch = l
+	}
 	var res SearchResult
 	if qz.Mode == quant.ModeInt4 {
 		ctx.qlevels = qz.Q4.PrepareInto(ctx.qlevels[:0], query)
 		dist := code4Dist{q: &qz.Q4, codes: qz.Codes4, levels: ctx.qlevels}
-		res = searchCtx(ctx, flatAdj{g: s.flat}, s.base.Rows, dist, ctx.startBuf[:], l, l, counter, nil, d)
+		res = walk(ctx, a, n, dist, ctx.startBuf[:], fetch, l, lnav, counter, d, pf)
 	} else {
 		ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], query)
 		dist := codeDist{q: &qz.Q, codes: qz.Codes, levels: ctx.qlevels}
-		res = searchCtx(ctx, flatAdj{g: s.flat}, s.base.Rows, dist, ctx.startBuf[:], l, l, counter, nil, d)
+		res = walk(ctx, a, n, dist, ctx.startBuf[:], fetch, l, lnav, counter, d, pf)
 	}
-	res.Neighbors = rerankPool(ctx, s.base, query, fetch, counter, d, res.Neighbors)
+	if rerank {
+		res.Neighbors = rerankPool(ctx, s.base, query, k, counter, d, res.Neighbors)
+	}
 	return res
 }
 
@@ -270,8 +291,7 @@ func (s *Snapshot) searchQuantDelta(ctx *SearchContext, query []float32, fetch, 
 // base ids through one batched gather, delta ids from their chunk's float
 // rows — then re-sorts and truncates to fetch. in must alias ctx.out (an
 // emit result): the output is rebuilt in place, entry i read before slot i
-// is rewritten. Shared by every quantized tail, live and not (d == nil when
-// no delta is pending).
+// is rewritten (d == nil when no delta is pending).
 func rerankPool(ctx *SearchContext, base vecmath.Matrix, query []float32, fetch int, counter *vecmath.Counter, d *Delta, in []vecmath.Neighbor) []vecmath.Neighbor {
 	n := int32(base.Rows)
 	ids := ctx.idBuf[:0]

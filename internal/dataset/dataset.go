@@ -305,44 +305,6 @@ func Gaussian(cfg Config) (Dataset, error) {
 	return ds, nil
 }
 
-// Line generates points uniformly on a 1-d line embedded in Dim dimensions.
-// Theorem 2 calls this out as the pathological distribution where monotonic
-// path length grows linearly; tests use it to exercise that edge case.
-func Line(cfg Config) (Dataset, error) {
-	if cfg.Dim == 0 {
-		cfg.Dim = 8
-	}
-	if err := cfg.validate(); err != nil {
-		return Dataset{}, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	dir := make([]float64, cfg.Dim)
-	for j := range dir {
-		dir[j] = rng.NormFloat64()
-	}
-	var norm float64
-	for _, v := range dir {
-		norm += v * v
-	}
-	norm = math.Sqrt(norm)
-	fill := func(m vecmath.Matrix) {
-		for i := 0; i < m.Rows; i++ {
-			t := rng.Float64() * float64(m.Rows)
-			row := m.Row(i)
-			for j := range row {
-				row[j] = float32(t * dir[j] / norm)
-			}
-		}
-	}
-	base := vecmath.NewMatrix(cfg.N, cfg.Dim)
-	fill(base)
-	queries := vecmath.NewMatrix(cfg.Queries, cfg.Dim)
-	fill(queries)
-	ds := Dataset{Name: "Line", Base: base, Queries: queries, GTK: cfg.GTK}
-	ds.GT = GroundTruth(base, queries, cfg.GTK)
-	return ds, nil
-}
-
 // GroundTruth computes, for each query, the ids of its k exact nearest base
 // vectors (ascending by distance) by parallel brute force.
 func GroundTruth(base, queries vecmath.Matrix, k int) [][]int32 {

@@ -22,7 +22,6 @@ func TestGeneratorsBasicShape(t *testing.T) {
 		{"ECommerceLike", ECommerceLike, 128},
 		{"Uniform", Uniform, 128},
 		{"Gaussian", Gaussian, 128},
-		{"Line", Line, 8},
 	}
 	for _, g := range gens {
 		t.Run(g.name, func(t *testing.T) {

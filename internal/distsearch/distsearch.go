@@ -319,8 +319,8 @@ type fanScratch struct {
 	// per-shard lists; seq is the context SearchSequential reuses.
 	merged []vecmath.Neighbor
 	seq    *core.SearchContext
-	// flt non-nil marks this fan as filtered; workers dispatch to
-	// runFiltered and each shard searches under flt.per[shard].
+	// flt non-nil marks this fan as filtered: each shard searches under
+	// flt.per[shard].
 	flt *ShardedFilter
 }
 
@@ -342,41 +342,42 @@ func (s *Sharded) putScratch(f *fanScratch) {
 }
 
 // run executes one shard search with the worker's context: search the
-// shard, translate local ids to global ids into the fan state's per-shard
+// shard — under its per-shard filter view when the fan is filtered (never
+// called for zero-count shards; searchFanFiltered skips them at enqueue
+// time) — translate local ids to global ids into the fan state's per-shard
 // buffer, and record the shard's work tallies when stats were requested.
 // The translation copy is what makes it safe for the worker to move on to
 // another task (and reuse ctx) immediately.
 func (f *fanScratch) run(ctx *core.SearchContext, counter *vecmath.Counter, sh int) {
 	s := f.owner
+	var flt *core.Filter
+	if f.flt != nil {
+		flt = &f.flt.per[sh]
+	}
+	if f.stats {
+		counter.Reset()
+	} else {
+		counter = nil
+	}
+	buf := f.bufs[sh][:0]
 	var res core.SearchResult
 	if h := s.liveHandle(sh); h != nil {
 		// Live path: the handle searches its published snapshot plus the
 		// shard's pending delta and already emits global ids (its translate
-		// table is the frozen id map), so no per-result translation here.
-		if f.stats {
-			counter.Reset()
-			res = h.SearchCtx(ctx, f.query, f.k, f.l, counter)
-			f.hops[sh] = res.Hops
-			f.comps[sh] = counter.Count()
-		} else {
-			res = h.SearchCtx(ctx, f.query, f.k, f.l, nil)
+		// table is the frozen id map and supersedes the filter's remap), so
+		// no per-result translation here.
+		res = h.SearchCtx(ctx, f.query, f.k, f.l, counter, flt)
+		buf = append(buf, res.Neighbors...)
+	} else {
+		res = s.shards[sh].SearchFilteredWithHopsCtx(ctx, f.query, f.k, f.l, nil, flt, counter)
+		ids := s.localID[sh]
+		for _, n := range res.Neighbors {
+			buf = append(buf, vecmath.Neighbor{ID: ids[n.ID], Dist: n.Dist})
 		}
-		f.bufs[sh] = append(f.bufs[sh][:0], res.Neighbors...)
-		f.wg.Done()
-		return
 	}
 	if f.stats {
-		counter.Reset()
-		res = s.shards[sh].SearchWithHopsCtx(ctx, f.query, f.k, f.l, counter)
 		f.hops[sh] = res.Hops
 		f.comps[sh] = counter.Count()
-	} else {
-		res = s.shards[sh].SearchWithHopsCtx(ctx, f.query, f.k, f.l, nil)
-	}
-	ids := s.localID[sh]
-	buf := f.bufs[sh][:0]
-	for _, n := range res.Neighbors {
-		buf = append(buf, vecmath.Neighbor{ID: ids[n.ID], Dist: n.Dist})
 	}
 	f.bufs[sh] = buf
 	f.wg.Done()
@@ -396,11 +397,7 @@ func (s *Sharded) worker() {
 	ctx := core.NewSearchContext()
 	var counter vecmath.Counter
 	for t := range s.tasks {
-		if t.f.flt != nil {
-			t.f.runFiltered(ctx, &counter, t.shard)
-		} else {
-			t.f.run(ctx, &counter, t.shard)
-		}
+		t.f.run(ctx, &counter, t.shard)
 	}
 }
 
@@ -491,7 +488,7 @@ func (s *Sharded) SearchSequential(q []float32, k, l int) []vecmath.Neighbor {
 	}
 	for sh := range s.shards {
 		if h := s.liveHandle(sh); h != nil {
-			res := h.SearchCtx(f.seq, q, k, l, nil)
+			res := h.SearchCtx(f.seq, q, k, l, nil, nil)
 			f.bufs[sh] = append(f.bufs[sh][:0], res.Neighbors...)
 			continue
 		}

@@ -74,45 +74,6 @@ func (s *Sharded) CompileFilter(p meta.Predicate) (*ShardedFilter, error) {
 	return s.NewFilter(bits, count), nil
 }
 
-// runFiltered is fanScratch.run's filtered twin: search one shard under its
-// per-shard filter view and translate to global ids. Never called for
-// zero-count shards — searchFanFiltered skips them at enqueue time.
-func (f *fanScratch) runFiltered(ctx *core.SearchContext, counter *vecmath.Counter, sh int) {
-	s := f.owner
-	flt := &f.flt.per[sh]
-	var res core.SearchResult
-	if h := s.liveHandle(sh); h != nil {
-		// Live path: the handle's translate table supersedes the filter's
-		// remap and its results are already global ids.
-		if f.stats {
-			counter.Reset()
-			res = h.SearchFilteredCtx(ctx, f.query, f.k, f.l, counter, flt)
-			f.hops[sh] = res.Hops
-			f.comps[sh] = counter.Count()
-		} else {
-			res = h.SearchFilteredCtx(ctx, f.query, f.k, f.l, nil, flt)
-		}
-		f.bufs[sh] = append(f.bufs[sh][:0], res.Neighbors...)
-		f.wg.Done()
-		return
-	}
-	if f.stats {
-		counter.Reset()
-		res = s.shards[sh].SearchFilteredWithHopsCtx(ctx, f.query, f.k, f.l, nil, flt, counter)
-		f.hops[sh] = res.Hops
-		f.comps[sh] = counter.Count()
-	} else {
-		res = s.shards[sh].SearchFilteredWithHopsCtx(ctx, f.query, f.k, f.l, nil, flt, nil)
-	}
-	ids := s.localID[sh]
-	buf := f.bufs[sh][:0]
-	for _, n := range res.Neighbors {
-		buf = append(buf, vecmath.Neighbor{ID: ids[n.ID], Dist: n.Dist})
-	}
-	f.bufs[sh] = buf
-	f.wg.Done()
-}
-
 // searchFanFiltered fans one filtered query across the shards, skipping
 // shards with no passing rows.
 func (s *Sharded) searchFanFiltered(dst []vecmath.Neighbor, q []float32, k, l int, flt *ShardedFilter, withStats bool) ([]vecmath.Neighbor, SearchStats) {

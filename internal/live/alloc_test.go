@@ -11,8 +11,8 @@ import (
 
 // TestSearchCtxZeroAlloc gates the lock-free read path's allocation
 // contract: with a warm per-goroutine context, a live search — snapshot
-// traversal, delta scan, merge, tombstone filter — performs zero heap
-// allocations, pending delta or not. (Tagged !race: the race detector's
+// traversal with tombstones in the pass test, delta scan, merge — performs
+// zero heap allocations. (Tagged !race: the race detector's
 // instrumentation allocates.)
 func TestSearchCtxZeroAlloc(t *testing.T) {
 	const n0, dim = 400, 16
@@ -39,13 +39,18 @@ func TestSearchCtxZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			for _, id := range []int32{7, 8, 250, n0 + 3} {
+				if err := h.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
 			ctx := core.NewSearchContext()
 			q := all.Row(7)
 			for i := 0; i < 8; i++ { // warm every scratch buffer
-				h.SearchCtx(ctx, q, 10, 60, nil)
+				h.SearchCtx(ctx, q, 10, 60, nil, nil)
 			}
 			allocs := testing.AllocsPerRun(200, func() {
-				h.SearchCtx(ctx, q, 10, 60, nil)
+				h.SearchCtx(ctx, q, 10, 60, nil, nil)
 			})
 			if allocs != 0 {
 				t.Fatalf("live search allocates %.2f/op with a warm context, want 0", allocs)

@@ -34,6 +34,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -177,8 +178,9 @@ type queryScratch struct {
 // translate, when non-nil, maps the index's local public ids to the ids
 // results should carry (a sharded index's global ids); the handle takes
 // ownership and extends it as inserts drain. dead seeds the tombstone set
-// (it is cloned). The handle assumes exclusive mutation rights over idx
-// from this call until Close.
+// (it is cloned) and, like Delete, belongs to identity mode only: pass nil
+// with a translate table. The handle assumes exclusive mutation rights over
+// idx from this call until Close.
 func Start(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options) *Handle {
 	opts.fillDefaults()
 	h := &Handle{
@@ -202,7 +204,7 @@ func Start(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options
 			h.q = &idx.Quant.Q
 		}
 	}
-	if dead != nil && dead.Len() > 0 {
+	if dead.Len() > 0 {
 		h.dead = dead.Clone()
 	}
 	h.cond = sync.NewCond(&h.mu)
@@ -329,24 +331,33 @@ func (h *Handle) appendLocked(vec []float32, id int32) error {
 	return nil
 }
 
-// Delete tombstones a final id: it stops appearing in results immediately.
-// The tombstone set is published copy-on-write, so in-flight searches keep
+// errTranslatedDelete is what Delete returns on a translate-mode handle.
+var errTranslatedDelete = errors.New("live: Delete is not supported on a handle with caller-assigned ids")
+
+// Delete tombstones an id: it stops appearing in results immediately. The
+// tombstone set is published copy-on-write, so in-flight searches keep
 // their frozen set and never synchronize with deletes. Range and duplicate
 // checks run under the writer mutex, so concurrent Deletes of one id
 // cannot both report success.
+//
+// Only identity-mode handles delete. With a translate table a snapshot row
+// is tested by its shard-local id and a pending row by its final id, so one
+// tombstone would change meaning the moment its row drains — and the final
+// id space has no bound here to range-check against.
 func (h *Handle) Delete(id int32) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return fmt.Errorf("live: handle is closed")
 	}
-	if h.trans == nil {
-		// Identity mode: ids are dense, so the range is known exactly.
-		if rows := h.view.Load().snap.Rows() + int(h.pending.Load()); id < 0 || int(id) >= rows {
-			return fmt.Errorf("live: id %d out of range [0,%d)", id, rows)
-		}
+	if h.trans != nil {
+		return errTranslatedDelete
 	}
-	if h.dead != nil && h.dead.Deleted(id) {
+	// Identity mode: ids are dense, so the range is known exactly.
+	if rows := h.view.Load().snap.Rows() + int(h.pending.Load()); id < 0 || int(id) >= rows {
+		return fmt.Errorf("live: id %d out of range [0,%d)", id, rows)
+	}
+	if h.dead.Deleted(id) {
 		return fmt.Errorf("live: id %d already deleted", id)
 	}
 	nd := h.dead.Clone()
@@ -357,10 +368,7 @@ func (h *Handle) Delete(id int32) error {
 }
 
 // Deleted reports whether id is tombstoned in the current view.
-func (h *Handle) Deleted(id int32) bool {
-	v := h.view.Load()
-	return v.dead != nil && v.dead.Deleted(id)
-}
+func (h *Handle) Deleted(id int32) bool { return h.view.Load().dead.Deleted(id) }
 
 // Dead returns the current tombstone set (nil when nothing was deleted).
 // The set is immutable; callers that outlive the handle may keep it.
@@ -369,13 +377,7 @@ func (h *Handle) Dead() *core.Tombstones {
 }
 
 // DeadCount returns the number of tombstoned ids in the current view.
-func (h *Handle) DeadCount() int {
-	v := h.view.Load()
-	if v.dead == nil {
-		return 0
-	}
-	return v.dead.Len()
-}
+func (h *Handle) DeadCount() int { return h.view.Load().dead.Len() }
 
 // Len returns the number of ids the handle serves: published snapshot rows
 // plus pending delta rows.
@@ -440,13 +442,16 @@ func (h *Handle) Translate() []int32 {
 }
 
 // SearchCtx answers one query from the current view: Algorithm 1 over the
-// published snapshot, the pending delta merged into the candidate pool,
-// tombstones filtered, ids in final (translated) space and distances exact.
-// The view is loaded once, so the query sees one epoch in full — a publish
-// landing mid-query affects only later queries. The returned slice aliases
-// ctx; with a reused per-goroutine context the steady state allocates
-// nothing.
-func (h *Handle) SearchCtx(ctx *core.SearchContext, query []float32, k, l int, counter *vecmath.Counter) core.SearchResult {
+// published snapshot, the pending delta offered to the candidate pool,
+// tombstones in the pass test, ids in final (translated) space and distances
+// exact. Under a non-nil flt only rows passing it occupy result slots; the
+// filter is keyed by final id — exactly the id space this handle returns —
+// so delta rows and snapshot rows test against the same bitmap, and the
+// view's translate table doubles as the filter remap. The view is loaded
+// once, so the query sees one epoch in full — a publish landing mid-query
+// affects only later queries. The returned slice aliases ctx; with a reused
+// per-goroutine context the steady state allocates nothing.
+func (h *Handle) SearchCtx(ctx *core.SearchContext, query []float32, k, l int, counter *vecmath.Counter, flt *core.Filter) core.SearchResult {
 	v := h.view.Load()
 	sc, _ := h.scratch.Get().(*queryScratch)
 	if sc == nil {
@@ -454,28 +459,6 @@ func (h *Handle) SearchCtx(ctx *core.SearchContext, query []float32, k, l int, c
 	}
 	d := sc.fill(v, h.seq)
 	res := v.snap.SearchLiveCtx(ctx, query, k, l, counter, core.LiveQuery{
-		Delta:     d,
-		Dead:      v.dead,
-		Translate: v.translate,
-	})
-	h.scratch.Put(sc)
-	return res
-}
-
-// SearchFilteredCtx is the predicate-aware twin of SearchCtx: the same
-// one-epoch view load and delta merge, but only rows passing flt occupy
-// result slots. The filter is keyed by final id — exactly the id space this
-// handle returns — so delta rows and snapshot rows test against the same
-// bitmap, and the view's translate table doubles as the filter remap. A nil
-// flt behaves exactly like SearchCtx.
-func (h *Handle) SearchFilteredCtx(ctx *core.SearchContext, query []float32, k, l int, counter *vecmath.Counter, flt *core.Filter) core.SearchResult {
-	v := h.view.Load()
-	sc, _ := h.scratch.Get().(*queryScratch)
-	if sc == nil {
-		sc = &queryScratch{}
-	}
-	d := sc.fill(v, h.seq)
-	res := v.snap.SearchLiveFilteredCtx(ctx, query, k, l, counter, core.LiveQuery{
 		Delta:     d,
 		Dead:      v.dead,
 		Translate: v.translate,

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -86,7 +87,7 @@ func TestAppendSearchableImmediately(t *testing.T) {
 		if id != int32(i) {
 			t.Fatalf("append id %d, want %d", id, i)
 		}
-		res := h.SearchCtx(ctx, all.Row(i), 3, 20, nil)
+		res := h.SearchCtx(ctx, all.Row(i), 3, 20, nil, nil)
 		if len(res.Neighbors) == 0 || res.Neighbors[0].ID != id || res.Neighbors[0].Dist != 0 {
 			t.Fatalf("appended point %d not nearest to itself: %+v", id, res.Neighbors)
 		}
@@ -131,7 +132,7 @@ func TestFlushDrainsAndMatchesSynchronousInserts(t *testing.T) {
 	queries := testVectors(40, dim, 3)
 	for qi := 0; qi < queries.Rows; qi++ {
 		q := queries.Row(qi)
-		got := h.SearchCtx(ctx, q, 10, 30, nil)
+		got := h.SearchCtx(ctx, q, 10, 30, nil, nil)
 		want := ref.SearchWithHopsCtx(refCtx, q, 10, 30, nil)
 		if len(got.Neighbors) != len(want.Neighbors) {
 			t.Fatalf("query %d: %d results vs %d", qi, len(got.Neighbors), len(want.Neighbors))
@@ -160,7 +161,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	before := make([]answer, queries.Rows)
 	for qi := range before {
-		res := snap.SearchLiveCtx(ctx, queries.Row(qi), 10, 30, nil, core.LiveQuery{})
+		res := snap.SearchLiveCtx(ctx, queries.Row(qi), 10, 30, nil, core.LiveQuery{}, nil)
 		for _, nb := range res.Neighbors {
 			before[qi].ids = append(before[qi].ids, nb.ID)
 			before[qi].dists = append(before[qi].dists, nb.Dist)
@@ -179,7 +180,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	h.Close()
 
 	for qi := range before {
-		res := snap.SearchLiveCtx(ctx, queries.Row(qi), 10, 30, nil, core.LiveQuery{})
+		res := snap.SearchLiveCtx(ctx, queries.Row(qi), 10, 30, nil, core.LiveQuery{}, nil)
 		if len(res.Neighbors) != len(before[qi].ids) {
 			t.Fatalf("query %d: snapshot result count changed", qi)
 		}
@@ -202,14 +203,14 @@ func TestDeleteLive(t *testing.T) {
 	ctx := core.NewSearchContext()
 	// Delete a snapshot point: the exact-match query must stop returning it.
 	q := all.Row(42)
-	res := h.SearchCtx(ctx, q, 1, 20, nil)
+	res := h.SearchCtx(ctx, q, 1, 20, nil, nil)
 	if res.Neighbors[0].ID != 42 {
 		t.Fatalf("self query returned %d", res.Neighbors[0].ID)
 	}
 	if err := h.Delete(42); err != nil {
 		t.Fatal(err)
 	}
-	res = h.SearchCtx(ctx, q, 1, 20, nil)
+	res = h.SearchCtx(ctx, q, 1, 20, nil, nil)
 	if len(res.Neighbors) == 0 || res.Neighbors[0].ID == 42 {
 		t.Fatalf("deleted id still returned: %+v", res.Neighbors)
 	}
@@ -225,9 +226,50 @@ func TestDeleteLive(t *testing.T) {
 	if err := h.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	res = h.SearchCtx(ctx, all.Row(n0), 1, 20, nil)
+	res = h.SearchCtx(ctx, all.Row(n0), 1, 20, nil, nil)
 	if len(res.Neighbors) > 0 && res.Neighbors[0].ID == id {
 		t.Fatalf("deleted delta id still returned")
+	}
+
+	// Identity mode range- and duplicate-checks under the writer mutex.
+	for _, bad := range []int32{-1, id + 1, 42, id} {
+		if err := h.Delete(bad); err == nil {
+			t.Errorf("Delete(%d) succeeded on a handle serving ids [0,%d] with 42 and %d already deleted", bad, id, id)
+		}
+	}
+	if h.DeadCount() != 2 {
+		t.Fatalf("DeadCount = %d after two successful deletes", h.DeadCount())
+	}
+}
+
+// TestDeleteTranslatedHandle: a translate-mode handle (the sharded path)
+// tests snapshot rows by shard-local id and pending rows by final id, so it
+// refuses tombstones with a typed error instead of storing one whose
+// meaning would change when its row drains.
+func TestDeleteTranslatedHandle(t *testing.T) {
+	const n0, dim = 200, 12
+	all := testVectors(n0+1, dim, 8)
+	idx := buildNSG(t, all.Slice(0, n0).Clone())
+	translate := make([]int32, n0)
+	for i := range translate {
+		translate[i] = int32(1000 + i)
+	}
+	h := Start(idx, translate, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	defer h.Close()
+	if err := h.AppendWithID(all.Row(n0), 5000); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int32{7, 1007, 5000, -1, 1 << 30} {
+		if err := h.Delete(id); !errors.Is(err, errTranslatedDelete) {
+			t.Errorf("Delete(%d) on a translate-mode handle = %v, want errTranslatedDelete", id, err)
+		}
+	}
+	if h.DeadCount() != 0 || h.Dead() != nil {
+		t.Fatal("a refused Delete left a tombstone behind")
+	}
+	res := h.SearchCtx(core.NewSearchContext(), all.Row(7), 1, 20, nil, nil)
+	if len(res.Neighbors) != 1 || res.Neighbors[0].ID != 1007 {
+		t.Fatalf("self query after refused deletes = %+v, want id 1007", res.Neighbors)
 	}
 }
 
@@ -250,7 +292,7 @@ func TestQuantizedRelaidLive(t *testing.T) {
 		}
 		// The quantized path expands over codes but reranks exactly; delta
 		// or not, every emitted distance must be the exact float32 L2.
-		res := h.SearchCtx(ctx, all.Row(i), 5, 30, nil)
+		res := h.SearchCtx(ctx, all.Row(i), 5, 30, nil, nil)
 		if res.Neighbors[0].ID != id || res.Neighbors[0].Dist != 0 {
 			t.Fatalf("appended point %d not exact-nearest: %+v", id, res.Neighbors[0])
 		}
@@ -260,7 +302,7 @@ func TestQuantizedRelaidLive(t *testing.T) {
 	queries := testVectors(30, dim, 8)
 	for qi := 0; qi < queries.Rows; qi++ {
 		q := queries.Row(qi)
-		res := h.SearchCtx(ctx, q, 10, 40, nil)
+		res := h.SearchCtx(ctx, q, 10, 40, nil, nil)
 		checkExact(t, q, res.Neighbors, &all, func() int { return all.Rows })
 	}
 }
@@ -307,7 +349,7 @@ func TestStraddlePublishConsistency(t *testing.T) {
 				// search can see has an id below what was published at that
 				// moment... plus whatever landed mid-search, so re-load the
 				// ceiling afterwards for the range check.
-				res := h.SearchCtx(ctx, q, 10, 30, nil)
+				res := h.SearchCtx(ctx, q, 10, 30, nil, nil)
 				ceil := visible.Load()
 				seen := make(map[int32]bool, len(res.Neighbors))
 				for i, nb := range res.Neighbors {

@@ -6,53 +6,6 @@ import (
 	"repro/internal/cpu"
 )
 
-// Batch distance kernels. The direct kernel recomputes (a_i − b_i)² per
-// pair; the decomposed kernel uses ‖q−x‖² = ‖q‖² + ‖x‖² − 2⟨q,x⟩ with
-// precomputed row norms, trading one pass of preprocessing for a cheaper
-// inner loop — the same trick SIMD implementations and BLAS-backed scans
-// use. Both are exposed so the kernel choice can be ablated (the repro_why
-// note for this paper calls out distance kernels as the awkward part of a
-// Go port).
-
-// RowNorms returns ‖row‖² for every row of m, for use with BatchL2Decomp.
-func RowNorms(m Matrix) []float32 {
-	out := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		out[i] = Dot(row, row)
-	}
-	return out
-}
-
-// BatchL2 writes the squared distance from q to every row of m into out.
-// out must have length m.Rows.
-func BatchL2(q []float32, m Matrix, out []float32) {
-	if len(out) != m.Rows {
-		panic("vecmath: BatchL2 output length mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		out[i] = L2(q, m.Row(i))
-	}
-}
-
-// BatchL2Decomp writes the squared distance from q to every row of m into
-// out using precomputed row norms (from RowNorms). Results can differ from
-// BatchL2 in the last float32 bits (different summation order); ordering of
-// neighbors is preserved to that tolerance.
-func BatchL2Decomp(q []float32, m Matrix, norms, out []float32) {
-	if len(out) != m.Rows || len(norms) != m.Rows {
-		panic("vecmath: BatchL2Decomp length mismatch")
-	}
-	qq := Dot(q, q)
-	for i := 0; i < m.Rows; i++ {
-		d := qq + norms[i] - 2*Dot(q, m.Row(i))
-		if d < 0 {
-			d = 0 // float cancellation can dip below zero for near-duplicates
-		}
-		out[i] = d
-	}
-}
-
 // L2ToRows is the batched gather kernel the construction and search loops
 // use: it writes the squared distance from query to base row ids[i] into
 // out[i] for every i. With AVX2 the whole id list is one assembly call that

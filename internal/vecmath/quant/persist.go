@@ -80,13 +80,11 @@ func WriteCodes(w io.Writer, c CodeMatrix) error {
 	return nil
 }
 
-// ReadCodes deserializes a code matrix written by WriteCodes.
-func ReadCodes(r io.Reader) (CodeMatrix, error) { return ReadCodesShape(r, -1, -1) }
-
-// ReadCodesShape deserializes a code matrix, rejecting any shape other
-// than wantRows×wantDim before allocating — callers that know the expected
-// shape from surrounding context must pass it so a corrupt header cannot
-// turn into a giant allocation. Negative bounds accept any plausible value.
+// ReadCodesShape deserializes a code matrix written by WriteCodes,
+// rejecting any shape other than wantRows×wantDim before allocating —
+// callers that know the expected shape from surrounding context must pass
+// it so a corrupt header cannot turn into a giant allocation. Negative
+// bounds accept any plausible value.
 func ReadCodesShape(r io.Reader, wantRows, wantDim int) (CodeMatrix, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -308,7 +308,7 @@ func TestPersist4RejectsGarbage(t *testing.T) {
 	if err := WriteCodes4(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCodes(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := ReadCodesShape(bytes.NewReader(buf.Bytes()), -1, -1); err == nil {
 		t.Fatal("SQ8 reader accepted an int4 codes record")
 	}
 	if _, err := ReadCodes4Shape(bytes.NewReader(buf.Bytes()), c.Rows+1, c.Dim); err == nil {

@@ -239,7 +239,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := ReadCodes(&buf)
+	c2, err := ReadCodesShape(&buf, c.Rows, c.Dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestPersistRejectsGarbage(t *testing.T) {
 	if _, err := ReadQuantizer(bytes.NewReader(make([]byte, 64))); err == nil {
 		t.Fatal("ReadQuantizer accepted zero bytes")
 	}
-	if _, err := ReadCodes(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("ReadCodes accepted zero bytes")
+	if _, err := ReadCodesShape(bytes.NewReader(make([]byte, 64)), -1, -1); err == nil {
+		t.Fatal("ReadCodesShape accepted zero bytes")
 	}
 }

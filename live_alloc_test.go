@@ -12,9 +12,10 @@ import (
 )
 
 // TestLiveSearchZeroAlloc is the acceptance gate for the live read path: a
-// steady-state SearchWithPool on a live index — snapshot traversal, delta
-// scan, merge, tombstone-free emit — must allocate nothing beyond the two
-// returned result slices, exactly like the non-live path.
+// steady-state SearchWithPool on a live index — snapshot traversal with
+// tombstones in the pass test (so the navigation pool is in use), delta
+// scan, merge — must allocate nothing beyond the two returned result
+// slices, exactly like the non-live path.
 func TestLiveSearchZeroAlloc(t *testing.T) {
 	const n0, dim = 800, 12
 	all := liveTestVectors(n0+64, dim, 31)
@@ -32,6 +33,13 @@ func TestLiveSearchZeroAlloc(t *testing.T) {
 	// not just the snapshot.
 	for i := n0; i < len(all); i++ {
 		if _, err := idx.Add(all[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Tombstones in the snapshot, in the delta, and on the first queries'
+	// own rows.
+	for _, id := range []int32{0, 1, 2, 3, 77, 400, n0 + 5, n0 + 40} {
+		if err := idx.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -140,7 +140,7 @@ func (x *MetricIndex) searchWithPoolCtx(ctx *core.SearchContext, query []float32
 	if len(query) != x.dim {
 		panic(fmt.Sprintf("nsg: query dim %d != index dim %d", len(query), x.dim))
 	}
-	ids, _ := x.idx.searchIntoFresh(ctx, x.transformQuery(query), k, l)
+	ids, _ := x.idx.searchIntoFresh(ctx, x.transformQuery(query), k, l, nil)
 	scores := make([]float32, len(ids))
 	for i, id := range ids {
 		scores[i] = x.score(query, id)

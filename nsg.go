@@ -352,23 +352,28 @@ func (x *Index) Search(query []float32, k int) ([]int32, []float32) {
 // The only allocations on the steady state are the two returned slices;
 // all traversal scratch is drawn from the index's context pool.
 func (x *Index) SearchWithPool(query []float32, k, l int) ([]int32, []float32) {
-	ctx := x.getCtx()
-	ids, dists := x.searchIntoFresh(ctx, query, k, l)
-	x.putCtx(ctx)
-	return ids, dists
+	return x.SearchFilteredWithPool(query, k, l, nil)
 }
 
-// searchIntoFresh runs the tombstone-aware ctx search and copies the
-// context-owned result into fresh caller-owned slices. On a live index the
-// query goes through the published snapshot + delta scan instead.
-func (x *Index) searchIntoFresh(ctx *core.SearchContext, query []float32, k, l int) ([]int32, []float32) {
-	var res []vecmath.Neighbor
-	if h := x.live.Load(); h != nil {
-		res = h.SearchCtx(ctx, query, k, l, nil).Neighbors
-	} else {
-		res = x.inner.SearchLiveCtx(ctx, query, k, l, x.dead, nil)
+// searchCtx is the one search every public entry point runs: under f when
+// it is non-nil, tombstones in the pass test either way. On a live index
+// the query goes through the published snapshot + delta scan instead. The
+// result aliases ctx.
+func (x *Index) searchCtx(ctx *core.SearchContext, query []float32, k, l int, f *Filter, counter *vecmath.Counter) core.SearchResult {
+	var flt *core.Filter
+	if f != nil {
+		flt = &f.inner
 	}
-	return extractResults(res)
+	if h := x.live.Load(); h != nil {
+		return h.SearchCtx(ctx, query, k, l, counter, flt)
+	}
+	return x.inner.SearchFilteredWithHopsCtx(ctx, query, k, l, x.dead, flt, counter)
+}
+
+// searchIntoFresh runs searchCtx and copies the context-owned result into
+// fresh caller-owned slices.
+func (x *Index) searchIntoFresh(ctx *core.SearchContext, query []float32, k, l int, f *Filter) ([]int32, []float32) {
+	return extractResults(x.searchCtx(ctx, query, k, l, f, nil).Neighbors)
 }
 
 // extractResults copies a context-owned neighbor list into the two fresh

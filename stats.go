@@ -11,26 +11,13 @@ type SearchStats struct {
 	DistanceComputations uint64
 }
 
-// SearchWithStats is SearchWithPool plus per-query work accounting.
+// SearchWithStats is SearchWithPool plus per-query work accounting: the
+// stats describe the one traversal that produced the returned ids.
 func (x *Index) SearchWithStats(query []float32, k, l int) ([]int32, []float32, SearchStats) {
 	var counter vecmath.Counter
 	ctx := x.getCtx()
-	if h := x.live.Load(); h != nil {
-		res := h.SearchCtx(ctx, query, k, l, &counter)
-		ids, dists := extractResults(res.Neighbors)
-		x.putCtx(ctx)
-		return ids, dists, SearchStats{Hops: res.Hops, DistanceComputations: counter.Count()}
-	}
-	res := x.inner.SearchWithHopsCtx(ctx, query, k, l, &counter)
-	hops := res.Hops
-	neighbors := res.Neighbors
-	if x.dead != nil && x.dead.Len() > 0 {
-		// Re-run through the tombstone-aware path for the filtered result;
-		// stats reflect the unfiltered traversal, which is the work done.
-		// (This second search reuses the same context, invalidating res.)
-		neighbors = x.inner.SearchLiveCtx(ctx, query, k, l, x.dead, nil)
-	}
-	ids, dists := extractResults(neighbors)
+	res := x.searchCtx(ctx, query, k, l, nil, &counter)
+	ids, dists := extractResults(res.Neighbors)
 	x.putCtx(ctx)
-	return ids, dists, SearchStats{Hops: hops, DistanceComputations: counter.Count()}
+	return ids, dists, SearchStats{Hops: res.Hops, DistanceComputations: counter.Count()}
 }

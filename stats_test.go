@@ -1,6 +1,9 @@
 package nsg
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestSearchWithStats(t *testing.T) {
 	vecs := randomVectors(800, 8, 50)
@@ -33,24 +36,56 @@ func TestSearchWithStats(t *testing.T) {
 	}
 }
 
+// TestSearchWithStatsRespectsTombstones: with tombstones present the stats
+// must describe the traversal that produced the returned ids — same ids and
+// distance bits as SearchWithPool, the hop and evaluation counts of that one
+// search — and 1% deleted rows must not make a query measurably dearer than
+// it was before them.
 func TestSearchWithStatsRespectsTombstones(t *testing.T) {
-	vecs := randomVectors(400, 8, 52)
-	opts := DefaultOptions()
-	opts.ExactKNN = true
-	idx, err := Build(vecs, opts)
-	if err != nil {
-		t.Fatal(err)
+	const n, k, l = 2000, 10, 60
+	ds := shardedTestData(t, n, 30)
+	idx := buildMappedPublicIndex(t, ds, QuantNone)
+	before := make([]SearchStats, ds.Queries.Rows)
+	for qi := range before {
+		_, _, before[qi] = idx.SearchWithStats(ds.Queries.Row(qi), k, l)
 	}
-	q := vecs[9]
-	ids, _, _ := idx.SearchWithStats(q, 1, 40)
-	if ids[0] != 9 {
+
+	self := ds.Base.Row(9)
+	if ids, _, _ := idx.SearchWithStats(self, 1, l); ids[0] != 9 {
 		t.Fatalf("self-query = %d", ids[0])
 	}
 	if err := idx.Delete(9); err != nil {
 		t.Fatal(err)
 	}
-	ids, _, _ = idx.SearchWithStats(q, 1, 40)
-	if ids[0] == 9 {
+	if ids, _, _ := idx.SearchWithStats(self, 1, l); ids[0] == 9 {
 		t.Error("tombstoned id returned by SearchWithStats")
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for idx.DeletedCount() < n/100 {
+		if id := int32(rng.Intn(n)); !idx.Deleted(id) {
+			if err := idx.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for qi := range before {
+		q := ds.Queries.Row(qi)
+		ids, dists, st := idx.SearchWithStats(q, k, l)
+		wantIDs, wantDists := idx.SearchWithPool(q, k, l)
+		if searchSig(ids, dists) != searchSig(wantIDs, wantDists) {
+			t.Fatalf("query %d: SearchWithStats and SearchWithPool disagree:\n%s\n%s", qi, searchSig(ids, dists), searchSig(wantIDs, wantDists))
+		}
+		for _, id := range ids {
+			if idx.Deleted(id) {
+				t.Fatalf("query %d returned tombstoned id %d", qi, id)
+			}
+		}
+		if _, _, hops, evals := countedSearch(idx, q, k, l, nil); st.Hops != hops || st.DistanceComputations != evals {
+			t.Fatalf("query %d: stats %+v, the search itself made %d hops and %d evaluations", qi, st, hops, evals)
+		}
+		if b := before[qi]; 2*st.Hops > 3*b.Hops || 2*st.DistanceComputations > 3*b.DistanceComputations {
+			t.Errorf("query %d: %+v with 1%% of the rows deleted, %+v before: more than 1.5x", qi, st, b)
+		}
 	}
 }
