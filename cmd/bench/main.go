@@ -26,11 +26,11 @@
 //	                             # (±CRC verify, ±block-cache fallback),
 //	                             # recorded to BENCH_disk.json
 //	bench -exp filter            # predicate-aware filtered search: recall
-//	                             # vs brute-force-with-filter and QPS at
-//	                             # 50%/10%/1% selectivity across float32/
-//	                             # sq8/int4, plus a multi-tenant disjoint-
-//	                             # id-range sweep, recorded to
-//	                             # BENCH_filter.json
+//	                             # vs brute-force-with-filter, QPS and the
+//	                             # chosen plan (scan | walk) at 50%..1%
+//	                             # selectivity across float32/sq8/int4,
+//	                             # plus a multi-tenant disjoint-id-range
+//	                             # sweep, recorded to BENCH_filter.json
 //	bench -list                  # show valid experiment ids
 //
 // Every experiment, its parameters and its output schema are documented in

@@ -12,9 +12,11 @@ import (
 
 // Predicate-aware ("filtered") search: attach a metadata column store to an
 // index, compile a predicate into a Filter once, and search under it —
-// results contain only passing points, and the traversal stays graph-guided
-// instead of post-filtering (see the README's "Filtered search" section and
-// ARCHITECTURE.md for the two-pool mechanism).
+// results contain only passing points, found by whichever is cheaper for the
+// query: an exact scan of the passing rows, or a graph-guided two-pool
+// traversal that never post-filters (see the README's "Filtered search"
+// section and ARCHITECTURE.md, "Filtered plan", for the cost model and its
+// crossover).
 
 // Predicate is a metadata predicate tree: Eq / Range / In / HasTag leaves
 // combined with And / Or. The zero value matches every row.
@@ -128,13 +130,14 @@ func (x *Index) SearchFiltered(query []float32, k int, f *Filter) ([]int32, []fl
 }
 
 // SearchFilteredWithPool is SearchFiltered with an explicit pool size l.
-// The traversal navigates through non-passing points but only passing
-// points occupy pool slots, so recall at equal l tracks the unfiltered
-// search even under selective filters; very selective filters fall back to
-// an exact scan of the passing set (see the README's "Filtered search"
-// section for the l and selectivity guidance). Tombstoned and filtered-out
-// ids never appear in results; fewer than k results mean fewer than k
-// passing points exist.
+// While the filter passes no more than about sqrt(l · n · MaxDegree/2)
+// points the answer is an exact scan of them: recall 1 by construction, at
+// a cost that follows the passing set. Past that crossover the traversal
+// navigates through non-passing points but only passing points occupy pool
+// slots, so recall at equal l tracks the unfiltered search (see the
+// README's "Filtered search" section for the l and selectivity guidance).
+// Tombstoned and filtered-out ids never appear in results; fewer than k
+// results mean fewer than k passing points exist.
 func (x *Index) SearchFilteredWithPool(query []float32, k, l int, f *Filter) ([]int32, []float32) {
 	ctx := x.getCtx()
 	ids, dists := x.searchIntoFresh(ctx, query, k, l, f)
@@ -153,8 +156,8 @@ func (x *Index) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *F
 }
 
 // ShardedFilter is one compiled predicate prepared for sharded fan-out:
-// one global bitmap shared by every shard, plus per-shard id translation
-// and passing counts (shards with no passing rows are skipped entirely).
+// the global bitmap cut into one bitmap and passing count per shard (shards
+// with no passing rows are skipped entirely).
 type ShardedFilter struct {
 	inner *distsearch.ShardedFilter
 }
@@ -194,9 +197,9 @@ func (x *ShardedIndex) SearchFiltered(query []float32, k int, f *ShardedFilter) 
 }
 
 // SearchFilteredWithPool is SearchFiltered with an explicit per-shard pool
-// size l. Each shard runs the filtered traversal under the shared bitmap
-// with its own selectivity adaptation; per-shard answers merge by distance
-// exactly like the unfiltered fan-out.
+// size l. Each shard searches under its own rows' bits and picks its own
+// plan (exact scan or traversal) from its own passing count; per-shard
+// answers merge by distance exactly like the unfiltered fan-out.
 func (x *ShardedIndex) SearchFilteredWithPool(query []float32, k, l int, f *ShardedFilter) ([]int32, []float32) {
 	if f == nil {
 		return x.SearchWithPool(query, k, l)

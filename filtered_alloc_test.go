@@ -13,41 +13,49 @@ import (
 )
 
 // TestFilteredSearchZeroAlloc: a warm filtered search with a reused context
-// must allocate nothing — the filter bitmap is compiled once up front, the
-// nav pool lives in the context scratch, and through the public pool only
+// must allocate nothing on either plan — the filter bitmap is compiled once
+// up front, the walk's navigation pool and the scan's id and distance
+// buffers live in the context scratch — and through the public pool only
 // the two result slices remain.
 func TestFilteredSearchZeroAlloc(t *testing.T) {
 	ds := shardedTestData(t, 1500, 20)
 	idx := buildMappedPublicIndex(t, ds, QuantNone)
 	attachTestMetadata(t, idx.SetMetadata, idx.Len())
 
-	// ~50% selectivity: 750 passing > max(256, 4l), so this gates the
-	// two-pool traversal, not the exact fallback.
+	// Half the rows pass. At l = 60 the planner scans them; at l = k the
+	// walk's ball is small enough to win. Hops tell the two apart.
 	f, err := idx.CompileFilter(HasTag("tags", "even"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	ctx := core.NewSearchContext()
-	for i := 0; i < 8; i++ { // warm every context buffer
-		idx.inner.SearchFilteredWithHopsCtx(ctx, ds.Queries.Row(i%ds.Queries.Rows), 10, 60, nil, &f.inner, nil)
-	}
 	qi := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		res := idx.inner.SearchFilteredWithHopsCtx(ctx, ds.Queries.Row(qi%ds.Queries.Rows), 10, 60, nil, &f.inner, nil)
-		if len(res.Neighbors) != 10 {
-			t.Fatal("short result")
+	for _, plan := range []struct {
+		name string
+		l    int
+		scan bool
+	}{{"scan", 60, true}, {"walk", 10, false}} {
+		search := func() core.SearchResult {
+			qi++
+			return idx.inner.SearchFilteredWithHopsCtx(ctx, ds.Queries.Row(qi%ds.Queries.Rows), 10, plan.l, nil, &f.inner, nil)
 		}
-		qi++
-	})
-	if allocs != 0 {
-		t.Fatalf("warm filtered ctx-reuse search allocated %.2f times per query, want 0", allocs)
+		for i := 0; i < 8; i++ { // warm every context buffer
+			search()
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if res := search(); len(res.Neighbors) != 10 || (res.Hops == 0) != plan.scan {
+				t.Fatalf("%s: %d results after %d hops", plan.name, len(res.Neighbors), res.Hops)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warm filtered ctx-reuse search (%s) allocated %.2f times per query, want 0", plan.name, allocs)
+		}
 	}
 
 	for i := 0; i < 8; i++ { // warm the public context pool
 		idx.SearchFilteredWithPool(ds.Queries.Row(i%ds.Queries.Rows), 10, 60, f)
 	}
-	allocs = testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(200, func() {
 		ids, dists := idx.SearchFilteredWithPool(ds.Queries.Row(qi%ds.Queries.Rows), 10, 60, f)
 		if len(ids) != 10 || len(dists) != 10 {
 			t.Fatal("short result")

@@ -17,12 +17,14 @@ import (
 
 // This file measures predicate-aware filtered search: recall against
 // brute-force-with-filter (the exact answer over the passing subset) and
-// QPS at selectivities 50%, 10% and 1%, across the float32, SQ8 and int4
-// serving paths, plus a multi-tenant sweep where disjoint id ranges emulate
-// per-tenant indexes sharing one graph. The acceptance gate requires the
-// filtered traversal to stay within 0.01 of the exact filtered answer at
-// every selectivity. cmd/bench -exp filter prints the sweep and records it
-// to BENCH_filter.json.
+// QPS at selectivities from 50% down to 1% — points on both sides of the
+// planner's scan/walk crossover at every effort — across the float32, SQ8
+// and int4 serving paths, plus a multi-tenant sweep where disjoint id
+// ranges emulate per-tenant indexes sharing one graph. Each cell names the
+// plan that answered it. The acceptance gate requires filtered search to
+// stay within 0.01 of the exact filtered answer at every selectivity.
+// cmd/bench -exp filter prints the sweep and records it to
+// BENCH_filter.json.
 
 // FilterPoint is one (variant, selectivity, effort) measurement.
 type FilterPoint struct {
@@ -33,7 +35,8 @@ type FilterPoint struct {
 	Recall      float64 `json:"recall"`       // mean recall@k vs brute-force-with-filter
 	QPS         float64 `json:"qps"`          // single-client queries/second
 	MsPerQ      float64 `json:"ms_per_query"` // mean single-query response time
-	Hops        float64 `json:"hops"`         // mean expansions (0 in the exact-fallback regime)
+	Hops        float64 `json:"hops"`         // mean expansions (0 where the exact scan answered)
+	Plan        string  `json:"plan"`         // scan | walk: what core.planFiltered chose for the cell
 	AllocsPerQ  float64 `json:"allocs_per_q"` // heap allocations per steady-state query
 }
 
@@ -47,8 +50,12 @@ type FilterResult struct {
 	Points  []FilterPoint `json:"points"`
 }
 
-// filterEfforts is the L sweep per (variant, selectivity) cell.
-var filterEfforts = []int{20, 40, 60, 100}
+// filterEfforts is the L sweep per (variant, selectivity) cell, and
+// filterSelectivities the percentages of the base set passing.
+var (
+	filterEfforts       = []int{20, 40, 60, 100}
+	filterSelectivities = []int{50, 25, 10, 5, 2, 1}
+)
 
 // filteredGT computes the exact filtered top-k per query: brute force over
 // the rows whose pass bit is set — the reference every filtered traversal
@@ -160,12 +167,13 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 	}
 
 	fmt.Fprintf(w, "filtered search vs brute-force-with-filter on SIFT-like subset (n=%d, dim=%d, k=%d)\n", ds.Base.Rows, ds.Base.Dim, k)
-	fmt.Fprintf(w, "%-10s %12s %8s %9s %9s %12s %8s %10s\n",
-		"variant", "selectivity", "effort", "recall", "QPS", "ms/query", "hops", "allocs/q")
+	fmt.Fprintf(w, "%-10s %12s %8s %6s %9s %9s %12s %8s %10s\n",
+		"variant", "selectivity", "effort", "plan", "recall", "QPS", "ms/query", "hops", "allocs/q")
 
-	// Selectivity sweep: 50%, 10%, 1% of the base set passing.
+	// Selectivity sweep, dense enough to put cells on both sides of the
+	// planner's crossover at every effort.
 	gateOK := true
-	for _, selPct := range []int{50, 10, 1} {
+	for _, selPct := range filterSelectivities {
 		bits := make([]uint64, meta.BitsLen(st.Rows()))
 		count, err := st.Compile(meta.Range("bucket", 0, int64(selPct-1)), bits)
 		if err != nil {
@@ -183,8 +191,8 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 				if pt.Recall > bestRecall {
 					bestRecall = pt.Recall
 				}
-				fmt.Fprintf(w, "%-10s %12.2f %8d %9.4f %9.0f %12.4f %8.1f %10.2f\n",
-					v.name, sel, effort, pt.Recall, pt.QPS, pt.MsPerQ, pt.Hops, pt.AllocsPerQ)
+				fmt.Fprintf(w, "%-10s %12.2f %8d %6s %9.4f %9.0f %12.4f %8.1f %10.2f\n",
+					v.name, sel, effort, pt.Plan, pt.Recall, pt.QPS, pt.MsPerQ, pt.Hops, pt.AllocsPerQ)
 			}
 			if bestRecall < 0.99 {
 				gateOK = false
@@ -193,13 +201,12 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 		}
 	}
 	if gateOK {
-		fmt.Fprintln(w, "gate: every variant within 0.01 of brute-force-with-filter at 50%/10%/1% selectivity")
+		fmt.Fprintln(w, "gate: every variant within 0.01 of brute-force-with-filter at every selectivity")
 	}
 
 	// Multi-tenant sweep: T disjoint contiguous id ranges over one shared
 	// graph; query qi searches tenant qi%T. Per-tenant selectivity is 1/T,
-	// so rising T walks the traversal from the graph-guided regime into the
-	// exact fallback.
+	// so rising T moves the plan from the walk to the exact scan.
 	fmt.Fprintf(w, "multi-tenant sweep (disjoint id ranges, float32, L=%d):\n", 60)
 	fmt.Fprintf(w, "%8s %12s %9s %9s %10s\n", "tenants", "selectivity", "recall", "QPS", "allocs/q")
 	idx := indexes["float32"]
@@ -290,7 +297,10 @@ func measureFilterPoint(idx *core.NSG, ds dataset.Dataset, gt [][]int32, flt *co
 	}
 	elapsed := time.Since(start)
 	allocs := heapAllocs() - allocStart
-	if el := bestOf(2, func() {
+	// A scanned cell's pass lasts a fraction of a millisecond, too short to
+	// time twice and trust: keep the best of about 20 ms of passes.
+	reps := min(64, 2+int(20*time.Millisecond/max(elapsed, time.Microsecond)))
+	if el := bestOf(reps, func() {
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
 			idx.SearchFilteredWithHopsCtx(ctx, ds.Queries.Row(qi), k, effort, nil, flt, nil)
 		}
@@ -302,6 +312,10 @@ func measureFilterPoint(idx *core.NSG, ds dataset.Dataset, gt [][]int32, flt *co
 	pt.QPS = q / elapsed.Seconds()
 	pt.MsPerQ = elapsed.Seconds() * 1000 / q
 	pt.Hops = hops / q
+	pt.Plan = "walk"
+	if hops == 0 {
+		pt.Plan = "scan"
+	}
 	pt.AllocsPerQ = float64(allocs) / q
 	return pt
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/bits"
 
 	"repro/internal/vecmath"
 )
@@ -23,21 +24,20 @@ var ErrNoMetadata = errors.New("core: index has no metadata store")
 // navigation-only pool: their out-edges are still expanded — removing them
 // would sever the monotonic paths the NSG's edge selection guarantees
 // (Theorem 2's walk argument assumes the full graph) — but they never occupy
-// a result slot. The navigation pool is over-expanded adaptively: its
-// capacity scales with 1/selectivity (clamped), because at low selectivity
-// the walk must traverse proportionally more non-passing territory between
-// one passing point and the next. A navigation candidate is expanded only
-// while it could still improve the main pool (nearer than the worst retained
-// passing candidate, or the main pool not yet full) — the same termination
-// bound Algorithm 1 applies to a single pool, so the filtered walk stops as
-// soon as the passing frontier is settled.
+// a result slot. A navigation candidate is expanded only while it could
+// still improve the main pool (nearer than the worst retained passing
+// candidate, or the main pool not yet full) — the same termination bound
+// Algorithm 1 applies to a single pool, so the filtered walk stops as soon
+// as the passing frontier is settled.
 //
-// At very low selectivity graph traversal loses to exhaustion: when few
-// points pass, scoring exactly the passing set is cheaper than walking the
-// graph past thousands of non-passing nodes. Below a small cutoff the search
-// switches to a brute-force exact scan over the passing ids — which is also
-// the reference the recall gates compare against, so in that regime filtered
-// search is exact by construction.
+// That walk is one of two plans. To settle the L nearest passing rows it
+// settles everything between them, about L·n/pass rows however few pass,
+// while scoring the passing set outright costs pass evaluations — so below
+// a crossover that grows with sqrt(n·L) the scan is both cheaper and exact.
+// planFiltered picks per query, and sizes the walk's navigation pool, from
+// numbers the snapshot already holds. The scan is also the reference the
+// recall gates compare against, so wherever it is chosen filtered search is
+// exact by construction.
 //
 // Tombstones are one more term of the same pass test: a deleted point is a
 // non-passing point that still routes, so a delete costs one bit and no pool
@@ -52,25 +52,16 @@ var ErrNoMetadata = errors.New("core: index has no metadata store")
 // CompileFilter (backed by meta.Store.Compile) and may reuse it across
 // queries and goroutines — a Filter is immutable once built.
 type Filter struct {
-	// Bits is the pass bitmap, indexed by final (public) id — bit id&63 of
-	// word id>>6. Ids at or past the bitmap's range fail closed.
+	// Bits is the pass bitmap — bit id&63 of word id>>6 — indexed by the
+	// id the search emits: the index's public id, or under a
+	// LiveQuery.Translate table the translated (final) one, which is also
+	// the space pending delta rows live in. Ids at or past the bitmap's
+	// range fail closed.
 	Bits []uint64
 	// Count is the number of set bits over the id range this index serves;
-	// it drives the adaptive navigation-pool sizing and the brute-force
-	// cutoff. Count == 0 short-circuits to an empty result.
+	// planFiltered reads it as the passing-set size. Count == 0
+	// short-circuits to an empty result.
 	Count int
-	// DeltaBits, when non-nil, is the pass bitmap for delta (pending-insert)
-	// ids, which live in final id space already; nil means Bits covers them.
-	// A sharded live index sets it to the global bitmap while Bits stays
-	// whatever the snapshot's translate table maps into.
-	DeltaBits []uint64
-	// Remap, when non-nil, translates a point's public id into the id space
-	// Bits is indexed by — a shard's local→global table. The live path
-	// ignores it and uses LiveQuery.Translate instead (same role).
-	Remap []int32
-	// MaxNav caps the navigation pool size; 0 applies the default clamp
-	// (maxNavFactor x l).
-	MaxNav int
 }
 
 // test reports whether final id passes the bitmap (fail closed out of range).
@@ -87,12 +78,11 @@ func bitTest(bits []uint64, id int32) bool {
 // bitmap. Built once per search and passed by value, so the hot path costs
 // one or two array reads per node.
 type passFilter struct {
-	all       bool     // no predicate: every live row passes, bitmaps unused
-	bits      []uint64 // graph rows, indexed through remap
-	deltaBits []uint64 // pending rows, indexed by final id
-	pubIDs    []int32  // internal → public; nil = identity
-	remap     []int32  // public → final bitmap id; nil = identity
-	dead      *Tombstones
+	all    bool     // no predicate: every live row passes, bits unused
+	bits   []uint64 // indexed by final id
+	pubIDs []int32  // internal → public; nil = identity
+	remap  []int32  // public → final (LiveQuery.Translate); nil = identity
+	dead   *Tombstones
 }
 
 func (f passFilter) node(internal int32, _ float32) bool {
@@ -113,76 +103,92 @@ func (f passFilter) node(internal int32, _ float32) bool {
 }
 
 // deltaRow tests a pending row: delta ids are final ids, so the tombstone
-// set and the delta bitmap index directly — no remap.
+// set and the bitmap index directly — no remap.
 func (f passFilter) deltaRow(id int32) bool {
-	return !f.dead.Deleted(id) && (f.all || bitTest(f.deltaBits, id))
+	return !f.dead.Deleted(id) && (f.all || bitTest(f.bits, id))
 }
 
-const (
-	// maxNavFactor clamps the navigation pool's selectivity scaling: below
-	// 1/maxNavFactor selectivity the brute-force cutoff usually takes over
-	// anyway, and an unbounded factor would make adversarial bitmaps walk
-	// the whole graph.
-	maxNavFactor = 32
-	// bruteForceMin is the passing-set size below which exhaustive scoring
-	// always wins (the cutoff also scales with l; see useBruteForce).
-	bruteForceMin = 256
-)
-
-// navPoolSize returns the navigation pool capacity for a search with pool
-// size l over n nodes and count passing points: l scaled by 1/selectivity,
-// clamped to [l, maxNavFactor*l], then by flt.MaxNav if set.
-func navPoolSize(n, l int, flt *Filter) int {
-	factor := 1
-	if flt.Count > 0 && n > flt.Count {
-		factor = n / flt.Count
+// planFiltered picks the plan of one predicate search by predicted cost,
+// from what the snapshot holds: n rows of which count pass the bitmap and
+// dead are tombstoned, pool size l, and the flat graph's row stride deg (its
+// maximum out-degree, read in O(1) where the mean would cost a pass over the
+// graph). Costs are in scanned rows of the streamed float32 gather:
+//
+//   - The scan scores every live passing row once: pass = count·(n-dead)/n.
+//   - The walk settles the l nearest live passing rows and every row lying
+//     between them, ball = l·n/pass rows (at most all n), at about deg/2
+//     each: a settled row has some deg/6 neighbors nobody scored before, and
+//     scoring one costs about three scanned rows (a random gather, a visited
+//     stamp, a sorted-pool insert). ARCHITECTURE.md, "Filtered plan", has
+//     the sweep that measured both.
+//
+// It returns scan when the scan is no dearer, else the walk's navigation
+// pool capacity: the ball's non-passing rows, never under l.
+func planFiltered(n, l, deg, count, dead int) (scan bool, lnav int) {
+	rows := int64(max(n, 1)) // 64-bit throughout: l·n overflows a 32-bit int
+	pass := max(1, int64(count)*int64(n-dead)/rows)
+	ball := min(int64(l)*rows/pass, rows)
+	if pass <= ball*int64(deg)/2 {
+		return true, 0
 	}
-	if factor > maxNavFactor {
-		factor = maxNavFactor
-	}
-	lnav := l * factor
-	if flt.MaxNav > 0 && lnav > flt.MaxNav {
-		lnav = flt.MaxNav
-	}
-	if lnav < l {
-		lnav = l
-	}
-	return lnav
+	return false, max(l, int(ball)-l)
 }
 
-// useBruteForce reports whether the passing set is small enough that exact
-// exhaustive scoring beats graph traversal.
-func useBruteForce(l int, flt *Filter) bool {
-	cutoff := bruteForceMin
-	if 4*l > cutoff {
-		cutoff = 4 * l
+// rows appends the internal id of every graph row f admits among the first
+// n, in public-id order. The bitmap is walked by word — tombstones masked
+// off a word at a time, set bits pulled out with TrailingZeros64 and mapped
+// through toInt (public → internal; nil = identity) — so the cost follows
+// the passing set, not n. Only under a remap, where the bitmap lives in an
+// id space the rows must be translated into one by one, does it fall back
+// to asking node about every row.
+func (f passFilter) rows(dst []int32, n int, toInt []int32) []int32 {
+	if f.remap != nil {
+		for i := int32(0); int(i) < n; i++ {
+			if f.node(i, 0) {
+				dst = append(dst, i)
+			}
+		}
+		return dst
 	}
-	return flt.Count <= cutoff
-}
-
-// bruteForceFiltered is the low-selectivity exact path: score every passing
-// point (one batched float gather over the passing ids) plus every passing
-// delta row, keep the best k. Always exact float32 distances regardless of
-// quantization — at a few hundred candidates the code matrix saves nothing.
-// Results are internal/delta ids, hops 0.
-func bruteForceFiltered(ctx *SearchContext, base vecmath.Matrix, query []float32, k int, counter *vecmath.Counter, delta *Delta, pf passFilter) SearchResult {
-	n := base.Rows
-	ctx.begin(n, k)
-	ids := ctx.idBuf[:0]
-	for i := 0; i < n; i++ {
-		if pf.node(int32(i), 0) {
-			ids = append(ids, int32(i))
+	var dead []uint64
+	if f.dead != nil {
+		dead = f.dead.bits
+	}
+	for wi, w := range f.bits[:min(len(f.bits), (n+63)>>6)] {
+		if wi < len(dead) {
+			w &^= dead[wi]
+		}
+		if rest := n - wi<<6; rest < 64 {
+			w &= 1<<uint(rest) - 1 // bits past the last row are not ids
+		}
+		for ; w != 0; w &= w - 1 {
+			id := int32(wi<<6 + bits.TrailingZeros64(w))
+			if toInt != nil {
+				id = toInt[id]
+			}
+			dst = append(dst, id)
 		}
 	}
-	ctx.idBuf = ids
+	return dst
+}
+
+// scanFiltered is the exact plan: score every passing live row (one batched
+// float gather over their ids) plus every passing delta row, keep the best
+// k. Always exact float32 distances regardless of quantization, so nothing
+// is reranked. Results are internal/delta ids, hops 0.
+func scanFiltered(ctx *SearchContext, s *Snapshot, query []float32, k int, counter *vecmath.Counter, delta *Delta, pf passFilter) SearchResult {
+	n := s.base.Rows
+	ctx.begin(n, k)
+	ctx.idBuf = pf.rows(ctx.idBuf[:0], n, s.toInt)
+	ids := ctx.idBuf
 	dists := ctx.distScratch(len(ids))
-	counter.L2ToRows(base, query, ids, dists)
+	counter.L2ToRows(s.base, query, ids, dists)
 	p := &ctx.pool
 	for i, id := range ids {
 		p.insert(id, dists[i])
 	}
 	if delta != nil {
-		offerDelta(ctx, n, floatDist{base: base, query: query}, delta, counter, pf)
+		offerDelta(ctx, n, floatDist{base: s.base, query: query}, delta, counter, pf)
 	}
 	return SearchResult{Neighbors: emit(ctx, k)}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/vecmath"
@@ -59,9 +61,10 @@ func recallOf(got, want []vecmath.Neighbor) float64 {
 }
 
 // TestFilteredParity gates the filtered search against the exact
-// brute-force-with-filter reference at selectivities spanning the traversal
-// regime (50%) and the brute-force fallback regime (10% of 1200 points),
-// on both a plain and a relaid index.
+// brute-force-with-filter reference at 50% and 10% of 1200 points, on both a
+// plain and a relaid index. At this size the planner scans both (the 50%
+// floor is slack); TestPlanCrossover and the root package's
+// TestFilteredPlanParity cover the walk.
 func TestFilteredParity(t *testing.T) {
 	base := testBase(t, 1200, 24, 3)
 	plain := buildQuantTestNSG(t, base.Clone())
@@ -73,7 +76,7 @@ func TestFilteredParity(t *testing.T) {
 	filters := []struct {
 		name      string
 		flt       *Filter
-		wantExact bool // fallback regime: must equal the reference exactly
+		wantExact bool // must equal the reference exactly
 		minRecall float64
 	}{
 		{"sel50", makeBits(1200, func(id int32) bool { return id%2 == 0 }), false, 0.95},
@@ -273,5 +276,222 @@ func TestLiveFilteredSnapshotDelta(t *testing.T) {
 	}
 	if float64(hit)/float64(len(want)) < 0.9 {
 		t.Errorf("live filtered recall %.2f < 0.9 (%d/%d)", float64(hit)/float64(len(want)), hit, len(want))
+	}
+}
+
+// TestPlanFiltered pins the planner's shape: the scan below the crossover
+// and the walk above it, a crossover that grows with l and n and shrinks
+// the live passing set by the tombstoned fraction, and a navigation pool
+// that holds the ball's non-passing rows and never fewer than l.
+func TestPlanFiltered(t *testing.T) {
+	const n, l, deg = 8000, 60, 30
+	cross := 0 // the largest passing count still scanned
+	for count := 1; count <= n; count++ {
+		scan, lnav := planFiltered(n, l, deg, count, 0)
+		if scan {
+			if cross != count-1 {
+				t.Fatalf("count %d scans but %d walks: the plan must flip once", count, count-1)
+			}
+			cross = count
+			continue
+		}
+		if want := max(l, l*n/count-l); lnav != want {
+			t.Fatalf("count %d: navigation pool %d, want %d", count, lnav, want)
+		}
+	}
+	if cross < n/8 || cross >= n/2 {
+		t.Fatalf("crossover at %d of %d rows: expected between 1/8 and 1/2 (ARCHITECTURE.md, Filtered plan)", cross, n)
+	}
+	if scan, _ := planFiltered(n, 2*l, deg, cross+1, 0); !scan {
+		t.Error("a larger pool must move the crossover up")
+	}
+	if scan, _ := planFiltered(4*n, l, deg, cross+1, 0); !scan {
+		t.Error("a larger index must move the crossover up")
+	}
+	if scan, _ := planFiltered(n, l, deg, cross+1, n/2); !scan {
+		t.Error("tombstones shrink the live passing set, so the same count must scan")
+	}
+	for _, tc := range [][5]int{{0, l, deg, 1, 0}, {1, l, deg, 1, 0}, {n, l, deg, n, n}, {n, l, deg, 2 * n, 0}, {n, l, 0, 1, 0}} {
+		if _, lnav := planFiltered(tc[0], tc[1], tc[2], tc[3], tc[4]); lnav < 0 {
+			t.Errorf("planFiltered%v: navigation pool %d", tc, lnav)
+		}
+	}
+}
+
+// TestPlanCrossover searches one bitmap with the passing count it has and
+// with counts just either side of the planner's crossover, so the same
+// query is answered once by the scan and once by the walk: the two must
+// return the same top k, on a plain and a relaid index, with and without
+// tombstones.
+func TestPlanCrossover(t *testing.T) {
+	const n, k, l = 3000, 10, 100
+	// Eight dimensions: low enough that the walk at l = 100 is exact on
+	// every query, so "the same top k" is a fair demand of it.
+	base := testBase(t, n, 8, 21)
+	queries := testBase(t, 20, 8, 22)
+	plain := buildQuantTestNSG(t, base.Clone())
+	relay := buildQuantTestNSG(t, base.Clone())
+	relay.Relayout()
+	dead := NewTombstones()
+	for id := int32(5); id < n; id += 9 {
+		dead.Delete(id)
+	}
+	for _, idx := range []*NSG{plain, relay} {
+		for _, dd := range []*Tombstones{nil, dead} {
+			deg := idx.FlatView().Stride - 1
+			cross := 0
+			for count := 1; count <= n; count++ {
+				if scan, _ := planFiltered(n, l, deg, count, dd.Len()); !scan {
+					break
+				}
+				cross = count
+			}
+			// A bitmap with about cross passing rows, spread over the ids.
+			flt := makeBits(n, func(id int32) bool { return int(id)*7919%n < cross })
+			ctx := NewSearchContext()
+			for qi := 0; qi < queries.Rows; qi++ {
+				q := queries.Row(qi)
+				below, above := *flt, *flt
+				below.Count, above.Count = cross, cross+1
+				scanned := idx.SearchFilteredWithHopsCtx(ctx, q, k, l, dd, &below, nil)
+				if scanned.Hops != 0 {
+					t.Fatalf("count %d should scan", cross)
+				}
+				want := append([]vecmath.Neighbor(nil), scanned.Neighbors...)
+				if ref := bruteRef(idx, q, k, flt, dd); !slices.Equal(want, ref) {
+					t.Fatalf("q%d: scan %v, brute force %v", qi, want, ref)
+				}
+				walked := idx.SearchFilteredWithHopsCtx(ctx, q, k, l, dd, &above, nil)
+				if walked.Hops == 0 {
+					t.Fatalf("count %d should walk", cross+1)
+				}
+				if !slices.Equal(walked.Neighbors, want) {
+					t.Fatalf("q%d: either side of the crossover (%d rows) the top %d differ:\nscan %v\nwalk %v", qi, cross, k, want, walked.Neighbors)
+				}
+			}
+		}
+	}
+}
+
+// TestPassingRows holds the word-at-a-time set-bit walk to the per-row loop
+// it replaced — ask node about every row — on ragged tails, bitmaps longer
+// and shorter than the rows, bits set past the last row, a relaid id space,
+// tombstones, and every row dead.
+func TestPassingRows(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 8000} {
+		// A permutation and its inverse stand in for a relayout.
+		pubIDs, toInt := make([]int32, n), make([]int32, n)
+		for i := range pubIDs {
+			pubIDs[i] = int32((i*7919 + 3) % n)
+		}
+		if n%7919 == 0 {
+			t.Fatal("7919 must be coprime to n")
+		}
+		for internal, pub := range pubIDs {
+			toInt[pub] = int32(internal)
+		}
+		someDead, allDead := NewTombstones(), NewTombstones()
+		for id := 0; id < n; id++ {
+			if id%5 == 1 {
+				someDead.Delete(int32(id))
+			}
+			allDead.Delete(int32(id))
+		}
+		words := (n + 63) / 64
+		ones := func(w int) []uint64 {
+			b := make([]uint64, w)
+			for i := range b {
+				b[i] = ^uint64(0)
+			}
+			return b
+		}
+		bitmaps := map[string][]uint64{
+			"every third":     makeBits(n, func(id int32) bool { return id%3 == 0 }).Bits,
+			"all, and beyond": ones(words + 2), // bits set past the last row
+			"short":           ones(words - 1), // ids past it fail closed
+			"empty":           make([]uint64, words),
+		}
+		for name, bits := range bitmaps {
+			for _, dead := range []*Tombstones{nil, someDead, allDead} {
+				for _, relaid := range []bool{false, true} {
+					pf := passFilter{bits: bits, dead: dead}
+					var ti []int32
+					if relaid {
+						pf.pubIDs, ti = pubIDs, toInt
+					}
+					got := pf.rows(nil, n, ti)
+					var want []int32
+					for pub := int32(0); int(pub) < n; pub++ { // public-id order
+						internal := pub
+						if relaid {
+							internal = toInt[pub]
+						}
+						if pf.node(internal, 0) {
+							want = append(want, internal)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("n=%d %s dead=%d relaid=%v: %d rows, the per-row loop finds %d", n, name, dead.Len(), relaid, len(got), len(want))
+					}
+					if dead == allDead && len(got) != 0 {
+						t.Fatalf("n=%d %s: %d rows survive every row being dead", n, name, len(got))
+					}
+				}
+			}
+		}
+		// Under a remap the bitmap is in another id space and rows falls back
+		// to the per-row loop itself; it must agree with node there too.
+		remap := make([]int32, n)
+		for i := range remap {
+			remap[i] = int32(2 * i)
+		}
+		pf := passFilter{bits: makeBits(2*n, func(id int32) bool { return id%4 == 0 }).Bits, remap: remap, dead: someDead}
+		var want []int32
+		for i := int32(0); int(i) < n; i++ {
+			if i%2 == 0 && i%5 != 1 {
+				want = append(want, i)
+			}
+		}
+		if got := pf.rows(nil, n, nil); !slices.Equal(got, want) {
+			t.Fatalf("n=%d remap: %d rows, want %d", n, len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkFilteredScan times both plans on the same 8 000-row index at the
+// repository benchmark's three passing-set sizes (0.5%, 10%, 50%), plain
+// and relaid: the scan's cost should follow the passing set, the walk's the
+// ball around it. It is the re-runnable form of the sweep the planner's
+// constants were read from (ARCHITECTURE.md, Filtered plan).
+func BenchmarkFilteredScan(b *testing.B) {
+	const n, k, l = 8000, 10, 60
+	base := testBase(b, n, 32, 31)
+	queries := testBase(b, 64, 32, 32)
+	plain := buildQuantTestNSG(b, base.Clone())
+	relay := buildQuantTestNSG(b, base.Clone())
+	relay.Relayout()
+	for _, pass := range []int{40, 800, 4000} {
+		flt := makeBits(n, func(id int32) bool { return int(id)*7919%n < pass })
+		for _, layout := range []struct {
+			name string
+			idx  *NSG
+		}{{"plain", plain}, {"relaid", relay}} {
+			v := layout.idx.view()
+			pf := passFilter{bits: flt.Bits, pubIDs: v.pubIDs}
+			ctx := NewSearchContext()
+			b.Run(fmt.Sprintf("scan/pass=%d/%s", pass, layout.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					scanFiltered(ctx, &v, queries.Row(i%queries.Rows), k, nil, nil, pf)
+				}
+			})
+			b.Run(fmt.Sprintf("walk/pass=%d/%s", pass, layout.name), func(b *testing.B) {
+				b.ReportAllocs()
+				lnav := max(l, l*n/pass-l)
+				for i := 0; i < b.N; i++ {
+					searchView(ctx, &v, queries.Row(i%queries.Rows), k, l, lnav, nil, nil, pf, true)
+				}
+			})
+		}
 	}
 }

@@ -212,8 +212,8 @@ func (s *Snapshot) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, 
 // search is the root of every query path, heap, mapped and live: it picks
 // the pass test and the plan, then runs the one walk. d (pending inserts),
 // dead (tombstones) and flt (a compiled predicate) are each optional;
-// translate, when non-nil, replaces flt.Remap as the public → bitmap id
-// table. Results are internal snapshot/delta ids with exact distances.
+// translate, when non-nil, is the public → bitmap id table. Results are
+// internal snapshot/delta ids with exact distances.
 //
 //   - Nothing deleted, no predicate: passAll, no navigation pool — the
 //     paper's Algorithm 1.
@@ -222,8 +222,8 @@ func (s *Snapshot) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, 
 //     could still improve the main pool, so the capacity costs nothing until
 //     it is needed and a wholly deleted neighbourhood cannot wall the walk
 //     off from the live points behind it.
-//   - A predicate: the pool is sized by selectivity (navPoolSize), or the
-//     walk is skipped for an exact scan when few rows pass.
+//   - A predicate: planFiltered takes the cheaper, by predicted cost, of an
+//     exact scan of the passing rows and the walk, whose pool it also sizes.
 func (s *Snapshot) search(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, d *Delta, dead *Tombstones, flt *Filter, translate []int32) SearchResult {
 	if l < k {
 		l = k
@@ -240,17 +240,11 @@ func (s *Snapshot) search(ctx *SearchContext, query []float32, k, l int, counter
 		if flt.Count == 0 {
 			return emptyResult(ctx)
 		}
-		pf.bits, pf.deltaBits, pf.remap = flt.Bits, flt.DeltaBits, translate
-		if pf.deltaBits == nil {
-			pf.deltaBits = flt.Bits
+		pf.bits, pf.remap = flt.Bits, translate
+		var scan bool
+		if scan, lnav = planFiltered(s.base.Rows, l, s.flat.Stride-1, flt.Count, dead.Len()); scan {
+			return scanFiltered(ctx, s, query, k, counter, d, pf)
 		}
-		if pf.remap == nil {
-			pf.remap = flt.Remap
-		}
-		if useBruteForce(l, flt) {
-			return bruteForceFiltered(ctx, s.base, query, k, counter, d, pf)
-		}
-		lnav = navPoolSize(s.base.Rows, l, flt)
 	}
 	return searchView(ctx, s, query, k, l, lnav, counter, d, pf, true)
 }

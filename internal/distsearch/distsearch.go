@@ -363,9 +363,13 @@ func (f *fanScratch) run(ctx *core.SearchContext, counter *vecmath.Counter, sh i
 	var res core.SearchResult
 	if h := s.liveHandle(sh); h != nil {
 		// Live path: the handle searches its published snapshot plus the
-		// shard's pending delta and already emits global ids (its translate
-		// table is the frozen id map and supersedes the filter's remap), so
-		// no per-result translation here.
+		// shard's pending delta and already emits global ids, so no
+		// per-result translation here. Its translate table — which grows
+		// with every drain, past any local bitmap — is also how it reads a
+		// filter, so a live shard searches under the global bitmap.
+		if flt != nil {
+			flt = &core.Filter{Bits: f.flt.Bits, Count: flt.Count}
+		}
 		res = h.SearchCtx(ctx, f.query, f.k, f.l, counter, flt)
 		buf = append(buf, res.Neighbors...)
 	} else {

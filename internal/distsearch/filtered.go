@@ -7,19 +7,19 @@ import (
 )
 
 // Filtered fan-out: one predicate compiles into one GLOBAL-id-keyed bitmap,
-// and every shard searches under it by translating its local rows through
-// its localID table (core.Filter.Remap). The per-shard filtered traversal
-// is the exact two-pool Algorithm 1 the single-index path runs, so the
-// sharded filtered answer is the merge of per-shard filtered answers — the
-// same contract the unfiltered fan-out has. Shards with zero passing rows
-// are skipped entirely; their workers are never scheduled.
+// which NewFilter cuts into one shard-local bitmap per shard, so every shard
+// searches under its own rows' bits exactly as an unsharded index does — the
+// same plan choice, the same word-at-a-time scan. The per-shard filtered
+// search is the single-index one, so the sharded filtered answer is the
+// merge of per-shard filtered answers — the same contract the unfiltered
+// fan-out has. Shards with zero passing rows are skipped entirely; their
+// workers are never scheduled.
 
 // ShardedFilter is one compiled predicate prepared for fan-out: the global
-// bitmap plus a per-shard core.Filter view with that shard's id translation
-// and passing count (which drives each shard's selectivity adaptation —
-// navigation-pool sizing and the brute-force cutoff — independently).
-// Compile once per predicate and reuse across queries; the struct is
-// read-only after NewFilter.
+// bitmap plus a per-shard core.Filter holding that shard's rows' bits and
+// passing count (which drives each shard's plan independently). Compile
+// once per predicate and reuse across queries; the struct is read-only
+// after NewFilter.
 type ShardedFilter struct {
 	Bits  []uint64 // global-id-keyed passing bitmap (fail-closed past its end)
 	Count int      // total passing rows across all shards
@@ -40,20 +40,25 @@ func globalBit(bits []uint64, id int32) bool {
 }
 
 // NewFilter prepares a compiled bitmap (global-id keyed, with its total
-// passing count) for fan-out serving. Per-shard counts are taken against
-// the current id maps; on a live index rows appended after NewFilter test
-// against the bitmap individually (fail-closed past its end), the counts
-// only tune per-shard traversal adaptivity.
+// passing count) for fan-out serving: one walk over every shard's id map
+// tests each local row's global bit once, writing the shard-local bitmap
+// and taking the shard's count as it goes. Rows a shard gains afterwards
+// lie past its local bitmap and fail closed, as they do on an unsharded
+// index. A live shard does not read its local bitmap (see fanScratch.run):
+// its handle tests rows against the global one, so there the counts only
+// tune the per-shard plan.
 func (s *Sharded) NewFilter(bits []uint64, count int) *ShardedFilter {
 	sf := &ShardedFilter{Bits: bits, Count: count, per: make([]core.Filter, len(s.shards))}
-	for sh := range s.shards {
+	for sh, ids := range s.localID {
+		local := make([]uint64, meta.BitsLen(len(ids)))
 		n := 0
-		for _, gid := range s.localID[sh] {
+		for i, gid := range ids {
 			if globalBit(bits, gid) {
+				local[i>>6] |= 1 << uint(i&63)
 				n++
 			}
 		}
-		sf.per[sh] = core.Filter{Bits: bits, Count: n, Remap: s.localID[sh]}
+		sf.per[sh] = core.Filter{Bits: local, Count: n}
 	}
 	return sf
 }

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -40,17 +41,29 @@ func testStore(t *testing.T, rows int, seed int64) *Store {
 }
 
 // TestCompileMatchesParity gates the bitmap compiler against the per-row
-// reference evaluator on every predicate form.
+// reference evaluator on every predicate form, at row counts that put the
+// word kernels' block boundary everywhere (a lone row, one short of a word,
+// exactly one, one over, many with a ragged tail). The last row of every
+// store is appended without values, so each column also holds its missing
+// value (0 / no enum value / empty set) in the final, partial word.
 func TestCompileMatchesParity(t *testing.T) {
-	const rows = 700
-	s := testStore(t, rows, 7)
 	preds := []Predicate{
 		Eq("price", int64(250)),
+		Eq("price", int64(0)),
 		Eq("category", "cat3"),
+		Eq("category", "nosuch"),
 		Range("price", 100, 399),
 		Range("price", 990, 5000),
+		Range("price", 400, 100), // lo > hi: empty
+		Range("price", math.MinInt64, math.MaxInt64),
+		Range("price", math.MinInt64, -1),
+		Range("price", 1, math.MaxInt64),
 		In("price", int64(1), int64(2), int64(3)),
+		In("price", int64(999), int64(-5), int64(999), int64(0)), // unsorted, duplicate, absent
+		In("price"),
 		In("category", "cat0", "cat7", "nosuch"),
+		In("category", "nosuch", "neither"),
+		In("category", "cat0", "cat1", "cat2", "cat3", "cat4", "cat5", "cat6", "cat7"),
 		HasTag("tags", "sale"),
 		HasTag("tags", "nosuch"),
 		And(Range("price", 0, 500), Eq("category", "cat1")),
@@ -60,26 +73,70 @@ func TestCompileMatchesParity(t *testing.T) {
 		Or(),  // matches nothing
 		{},    // zero predicate matches nothing
 	}
+	for _, rows := range []int{1, 63, 64, 65, 700, 8000} {
+		s := testStore(t, rows-1, 7)
+		if err := s.AppendRow(nil); err != nil {
+			t.Fatal(err)
+		}
+		// Stale set bits everywhere, including past the row count: Compile
+		// must overwrite the lot.
+		bits := make([]uint64, BitsLen(rows)+1)
+		for pi, p := range preds {
+			for i := range bits {
+				bits[i] = ^uint64(0)
+			}
+			count, err := s.Compile(p, bits)
+			if err != nil {
+				t.Fatalf("rows %d pred %d: %v", rows, pi, err)
+			}
+			got := 0
+			for row := 0; row < len(bits)*64; row++ {
+				want := s.Matches(p, row) // false past the last row
+				have := bits[row>>6]&(1<<uint(row&63)) != 0
+				if want != have {
+					t.Fatalf("rows %d pred %d row %d: compile=%v matches=%v", rows, pi, row, have, want)
+				}
+				if have {
+					got++
+				}
+			}
+			if got != count {
+				t.Fatalf("rows %d pred %d: Compile count %d, bitmap has %d", rows, pi, count, got)
+			}
+		}
+	}
+}
+
+// TestCompileLargeDictionary covers the enum In kernel's heap-backed code
+// set: a dictionary past the 255 entries its stack array holds.
+func TestCompileLargeDictionary(t *testing.T) {
+	const rows = 1000
+	vals := make([]string, rows)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("v%d", i%600)
+	}
+	s := New(rows)
+	if err := s.AddEnum("c", vals); err != nil {
+		t.Fatal(err)
+	}
+	p := In("c", "v0", "v63", "v64", "v255", "v256", "v599", "nosuch")
 	bits := make([]uint64, BitsLen(rows))
-	for pi, p := range preds {
-		count, err := s.Compile(p, bits)
-		if err != nil {
-			t.Fatalf("pred %d: %v", pi, err)
+	count, err := s.Compile(p, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for row := 0; row < rows; row++ {
+		have := bits[row>>6]&(1<<uint(row&63)) != 0
+		if have != s.Matches(p, row) {
+			t.Fatalf("row %d: compile=%v matches=%v", row, have, !have)
 		}
-		got := 0
-		for row := 0; row < rows; row++ {
-			want := s.Matches(p, row)
-			have := bits[row>>6]&(1<<uint(row&63)) != 0
-			if want != have {
-				t.Fatalf("pred %d row %d: compile=%v matches=%v", pi, row, have, want)
-			}
-			if have {
-				got++
-			}
+		if have {
+			got++
 		}
-		if got != count {
-			t.Fatalf("pred %d: Compile count %d, bitmap has %d", pi, count, got)
-		}
+	}
+	if got != count || count != 11 {
+		t.Fatalf("count %d, bitmap has %d, want 11", count, got)
 	}
 }
 

@@ -2,6 +2,8 @@ package meta
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -78,6 +80,7 @@ func In(col string, values ...any) Predicate {
 		return Predicate{op: opIn, col: col, str: "mixed string/integer operands", badOp: true}
 	}
 	p.isStr = len(p.strs) > 0
+	slices.Sort(p.nums) // the compiler binary-searches them
 	return p
 }
 
@@ -101,7 +104,8 @@ func (p Predicate) bad() bool { return p.badOp }
 // bits: bit i set means row i passes. bits must be at least
 // BitsLen(s.Rows()) long; it is fully overwritten (and zero-padded past
 // the row count). The set-bit count over [0, Rows) is returned. Compile
-// allocates only for nested AND/OR scratch and may run concurrently with
+// allocates only for nested AND/OR scratch (and the code set of an enum In
+// over a dictionary past 255 entries) and may run concurrently with
 // AppendRow; it evaluates one consistent published view.
 func (s *Store) Compile(p Predicate, bits []uint64) (int, error) {
 	return compileBits(s.v.Load(), p, bits)
@@ -193,11 +197,7 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 			if p.isStr {
 				return fmt.Errorf("meta: column %q is int64, Eq got a string", p.col)
 			}
-			for i, val := range c.ints[:v.rows] {
-				if val == p.num {
-					dst[i>>6] |= 1 << uint(i&63)
-				}
-			}
+			eqBits(dst, c.ints[:v.rows], p.num)
 		case TypeEnum:
 			if !p.isStr {
 				return fmt.Errorf("meta: column %q is enum, Eq got an integer", p.col)
@@ -206,11 +206,7 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 			if code == missingCode {
 				return nil // value absent from the dictionary: empty result
 			}
-			for i, rc := range c.codes[:v.rows] {
-				if rc == code {
-					dst[i>>6] |= 1 << uint(i&63)
-				}
-			}
+			eqBits(dst, c.codes[:v.rows], code)
 		default:
 			return fmt.Errorf("meta: Eq on %s column %q (use HasTag)", c.typ, p.col)
 		}
@@ -218,44 +214,19 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 		if c.typ != TypeInt64 {
 			return fmt.Errorf("meta: Range on %s column %q", c.typ, p.col)
 		}
-		for i, val := range c.ints[:v.rows] {
-			if val >= p.lo && val <= p.hi {
-				dst[i>>6] |= 1 << uint(i&63)
-			}
-		}
+		rangeBits(dst, c.ints[:v.rows], p.lo, p.hi)
 	case opIn:
 		switch c.typ {
 		case TypeInt64:
 			if p.isStr {
 				return fmt.Errorf("meta: column %q is int64, In got strings", p.col)
 			}
-			set := make(map[int64]struct{}, len(p.nums))
-			for _, n := range p.nums {
-				set[n] = struct{}{}
-			}
-			for i, val := range c.ints[:v.rows] {
-				if _, ok := set[val]; ok {
-					dst[i>>6] |= 1 << uint(i&63)
-				}
-			}
+			inSortedBits(dst, c.ints[:v.rows], p.nums)
 		case TypeEnum:
 			if !p.isStr && len(p.nums) > 0 {
 				return fmt.Errorf("meta: column %q is enum, In got integers", p.col)
 			}
-			want := make(map[int32]struct{}, len(p.strs))
-			for _, s := range p.strs {
-				if code := c.code(s); code != missingCode {
-					want[code] = struct{}{}
-				}
-			}
-			if len(want) == 0 {
-				return nil
-			}
-			for i, rc := range c.codes[:v.rows] {
-				if _, ok := want[rc]; ok {
-					dst[i>>6] |= 1 << uint(i&63)
-				}
-			}
+			inCodeBits(dst, c, p.strs, v.rows)
 		default:
 			return fmt.Errorf("meta: In on %s column %q (use HasTag)", c.typ, p.col)
 		}
@@ -278,6 +249,129 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 		return fmt.Errorf("meta: invalid predicate op %d", p.op)
 	}
 	return nil
+}
+
+// The leaf kernels below build each 64-row result word in a register and
+// store it once: no read-modify-write of dst per row and no branch on a
+// row's value, so a pass costs the same whatever fraction of rows it admits
+// and however the admitted rows are ordered. A row's bit is shifted in at the
+// top of the word, so after a full block bit j is row j and a short last
+// block is shifted down the rest of the way. Each kernel overwrites all of
+// dst, whose length is BitsLen(len(vals)).
+
+// eqBits sets bit i for every row with vals[i] == x: the kernel of the
+// commonest predicate, over int64 values and enum codes alike. Four rows a
+// step — the shift-or chain is the loop's only serial dependency.
+func eqBits[T int32 | int64](dst []uint64, vals []T, x T) {
+	for w := range dst {
+		blk := vals[w<<6 : min(len(vals), w<<6+64)]
+		shift := uint(64 - len(blk))
+		var word uint64
+		for ; len(blk) >= 4; blk = blk[4:] {
+			var b0, b1, b2, b3 uint64
+			if blk[0] == x {
+				b0 = 1 << 60
+			}
+			if blk[1] == x {
+				b1 = 1 << 61
+			}
+			if blk[2] == x {
+				b2 = 1 << 62
+			}
+			if blk[3] == x {
+				b3 = 1 << 63
+			}
+			word = word>>4 | b0 | b1 | b2 | b3
+		}
+		for _, val := range blk {
+			var b uint64
+			if val == x {
+				b = 1 << 63
+			}
+			word = word>>1 | b
+		}
+		dst[w] = word >> shift
+	}
+}
+
+// rangeBits sets bit i for every row with lo <= vals[i] <= hi. The test is
+// the one unsigned compare (v - lo) <= (hi - lo), which holds exactly for v
+// in [lo, hi] whenever lo <= hi.
+func rangeBits(dst []uint64, vals []int64, lo, hi int64) {
+	if lo > hi {
+		return
+	}
+	span := uint64(hi) - uint64(lo)
+	for w := range dst {
+		blk := vals[w<<6 : min(len(vals), w<<6+64)]
+		var word uint64
+		for _, val := range blk {
+			var b uint64
+			if uint64(val)-uint64(lo) <= span {
+				b = 1 << 63
+			}
+			word = word>>1 | b
+		}
+		dst[w] = word >> uint(64-len(blk))
+	}
+}
+
+// inSortedBits sets bit i for every row whose value is in sorted
+// (ascending). A 512-bit hash sieve of the wanted values answers
+// each row with a load and a shift; only the rows it lets through — the
+// matches plus a few false positives — pay for the exact binary search.
+func inSortedBits(dst []uint64, vals, sorted []int64) {
+	hash := func(v int64) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 >> 55 }
+	var sieve [8]uint64
+	for _, n := range sorted {
+		h := hash(n)
+		sieve[h>>6] |= 1 << (h & 63)
+	}
+	for w := range dst {
+		blk := vals[w<<6 : min(len(vals), w<<6+64)]
+		var word uint64
+		for _, val := range blk {
+			h := hash(val)
+			word = word>>1 | sieve[h>>6]>>(h&63)<<63
+		}
+		word >>= uint(64 - len(blk))
+		for m := word; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			if _, ok := slices.BinarySearch(sorted, blk[j]); !ok {
+				word &^= 1 << uint(j)
+			}
+		}
+		dst[w] = word
+	}
+}
+
+// inCodeBits sets bit i for every row of enum column c whose value is one
+// of strs. The wanted dictionary codes become a bitset shifted up by one,
+// so the missing code (-1) reads bit 0, which is never set, and a row's
+// test is one word load and a shift; values absent from the dictionary
+// contribute nothing. Dictionaries up to 255 entries keep the set on the
+// stack.
+func inCodeBits(dst []uint64, c *column, strs []string, rows int) {
+	var small [4]uint64
+	want := small[:]
+	if words := len(c.dict)/64 + 1; words > len(want) {
+		want = make([]uint64, words)
+	}
+	for _, s := range strs {
+		if code := c.code(s); code != missingCode {
+			want[(code+1)>>6] |= 1 << uint((code+1)&63)
+		}
+	}
+	codes := c.codes[:rows]
+	for w := range dst {
+		blk := codes[w<<6 : min(len(codes), w<<6+64)]
+		var word uint64
+		for _, rc := range blk {
+			u := uint32(rc + 1)
+			word = word>>1 | want[u>>6]>>(u&63)<<63
+		}
+		dst[w] = word >> uint(64-len(blk))
+	}
 }
 
 func setAll(dst []uint64, rows int) {
