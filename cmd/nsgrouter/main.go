@@ -25,7 +25,9 @@
 //	              under -partial=serve) adds "degraded": true and
 //	              "missing_shards": [...]. The optional "filter" clause is
 //	              forwarded verbatim to every shard server, which compiles
-//	              it against its own metadata store.
+//	              it against its own metadata store; a request the shard
+//	              servers refuse (unknown column, wrong dimension) is
+//	              answered with their 400 and message.
 //	GET  /stats   → topology, partial policy, router counters, replica health
 //	GET  /healthz → liveness (always 200 while the process runs)
 //	GET  /readyz  → readiness under the configured policy: -partial=fail
@@ -247,6 +249,13 @@ func (s *routerServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 				"error":          err.Error(),
 				"missing_shards": sde.Shards,
 			})
+			return
+		}
+		// A backend's 4xx is the client's mistake (unknown filter column,
+		// wrong dimension): hand it back as the backend worded it.
+		var re *cluster.ReplicaError
+		if errors.As(err, &re) {
+			httpError(w, re.Status, "%s", re.Msg)
 			return
 		}
 		httpError(w, http.StatusServiceUnavailable, "search: %v", err)

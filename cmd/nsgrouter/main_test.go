@@ -13,42 +13,17 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/cluster/clustertest"
 )
-
-// fakeShard emulates nsgserve's /search and /readyz for one shard: it
-// answers every query with the shard's canned neighbor list (shard-local
-// ids), exactly like a replica that always finds the same neighbors.
-func fakeShard(t *testing.T, ids []int32, dists []float32) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /search", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Query []float32 `json:"query"`
-			K     int       `json:"k"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		n := min(req.K, len(ids))
-		json.NewEncoder(w).Encode(map[string]any{"ids": ids[:n], "dists": dists[:n]})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]string{"status": "ready"})
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts
-}
 
 const nShards = 3
 
 // testCluster boots 3 fake shards x 2 replicas with interleaved distances
 // (shard si's j-th neighbor has dist j*3+si) and IDOffset si*100.
-func testCluster(t *testing.T) (cluster.Topology, [][]*httptest.Server) {
+func testCluster(t *testing.T) (cluster.Topology, [][]*clustertest.Backend) {
 	t.Helper()
 	var topo cluster.Topology
-	backends := make([][]*httptest.Server, nShards)
+	backends := make([][]*clustertest.Backend, nShards)
 	for si := 0; si < nShards; si++ {
 		var ids []int32
 		var dists []float32
@@ -56,8 +31,9 @@ func testCluster(t *testing.T) (cluster.Topology, [][]*httptest.Server) {
 			ids = append(ids, int32(j))
 			dists = append(dists, float32(j*nShards+si))
 		}
-		a, b := fakeShard(t, ids, dists), fakeShard(t, ids, dists)
-		backends[si] = []*httptest.Server{a, b}
+		h := clustertest.Canned(ids, dists)
+		a, b := clustertest.Start(t, "", h), clustertest.Start(t, "", h)
+		backends[si] = []*clustertest.Backend{a, b}
 		topo.Shards = append(topo.Shards, cluster.Shard{
 			Replicas: []string{a.URL, b.URL},
 			IDOffset: int32(si * 100),
@@ -98,7 +74,9 @@ func wantIDs(k int, missing ...int) []int32 {
 
 func newTestRouterServer(t *testing.T, topo cluster.Topology, policy cluster.PartialPolicy) (*routerServer, *httptest.Server) {
 	t.Helper()
-	rt, err := cluster.New(topo, cluster.NewHTTPTransport(), cluster.Options{
+	tr := cluster.NewHTTPTransport()
+	t.Cleanup(tr.CloseIdleConnections)
+	rt, err := cluster.New(topo, tr, cluster.Options{
 		AttemptTimeout: 2 * time.Second,
 		MaxAttempts:    4,
 		RetryBackoff:   time.Millisecond,
@@ -317,39 +295,25 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 // TestRouterForwardsFilter: the "filter" clause reaches every shard backend
-// verbatim, and a backend's 400 (bad clause) surfaces as a router error
-// instead of a silent unfiltered answer.
+// verbatim, and a clause the backends refuse is the client's 400 — answered
+// with the backend's message, retried nowhere, charged to no replica — not a
+// cluster outage.
 func TestRouterForwardsFilter(t *testing.T) {
 	var topo cluster.Topology
 	seen := make([]chan string, nShards)
 	for si := 0; si < nShards; si++ {
 		ch := make(chan string, 8)
 		seen[si] = ch
-		mux := http.NewServeMux()
-		mux.HandleFunc("POST /search", func(w http.ResponseWriter, r *http.Request) {
-			var req struct {
-				K      int             `json:"k"`
-				Filter json.RawMessage `json:"filter"`
-			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
+		fs := clustertest.Start(t, "", func(req *cluster.SearchRequest) ([]int32, []float32, error) {
 			if bytes.Contains(req.Filter, []byte("bad-column")) {
-				http.Error(w, `{"error":"filter: unknown column"}`, http.StatusBadRequest)
-				return
+				return nil, nil, cluster.BadRequest("filter: unknown column %q", "bad-column")
 			}
 			ch <- string(req.Filter)
-			json.NewEncoder(w).Encode(map[string]any{"ids": []int32{0}, "dists": []float32{1}})
+			return []int32{0}, []float32{1}, nil
 		})
-		mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-			json.NewEncoder(w).Encode(map[string]string{"status": "ready"})
-		})
-		ts := httptest.NewServer(mux)
-		t.Cleanup(ts.Close)
-		topo.Shards = append(topo.Shards, cluster.Shard{Replicas: []string{ts.URL}, IDOffset: int32(si * 100)})
+		topo.Shards = append(topo.Shards, cluster.Shard{Replicas: []string{fs.URL}, IDOffset: int32(si * 100)})
 	}
-	_, ts := newTestRouterServer(t, topo, cluster.PartialFail)
+	srv, ts := newTestRouterServer(t, topo, cluster.PartialFail)
 
 	clause := `{"col":"category","eq":"shoes"}`
 	resp, sr, raw := postSearch(t, ts.URL, map[string]any{
@@ -372,15 +336,42 @@ func TestRouterForwardsFilter(t *testing.T) {
 		}
 	}
 
-	// A clause every backend rejects: the shards are "down" for this query,
-	// so under PartialFail the router answers 503 with the shard's error.
-	resp, _, raw = postSearch(t, ts.URL, map[string]any{
-		"query": []float32{1, 2}, "k": 3, "filter": json.RawMessage(`{"col":"bad-column","eq":1}`),
-	})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("bad clause: status %d (%s), want 503", resp.StatusCode, raw)
+	// A clause every backend rejects, more times than EjectAfter (2) — with
+	// one replica per shard, counting any of them would eject the fleet.
+	before := srv.rt.Metrics()
+	for i := 0; i < 3; i++ {
+		resp, _, raw = postSearch(t, ts.URL, map[string]any{
+			"query": []float32{1, 2}, "k": 3, "filter": json.RawMessage(`{"col":"bad-column","eq":1}`),
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad clause: status %d (%s), want 400", resp.StatusCode, raw)
+		}
+		if !bytes.Contains(raw, []byte("unknown column")) {
+			t.Fatalf("bad clause error lacks the backend's message: %s", raw)
+		}
 	}
-	if !bytes.Contains(raw, []byte("missing_shards")) {
-		t.Fatalf("bad clause error lacks shard detail: %s", raw)
+	if m := srv.rt.Metrics(); m.Retries != before.Retries || m.Ejections != 0 || m.Attempts != before.Attempts+3*nShards {
+		t.Fatalf("bad clauses were retried or ejected a replica: before %+v, after %+v", before, m)
+	}
+	statsResp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer statsResp.Body.Close()
+	var st statsResponse
+	if err := json.NewDecoder(statsResp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	for si, sh := range st.Health {
+		for _, rh := range sh {
+			if !rh.Healthy || rh.Fails != 0 {
+				t.Fatalf("shard %d replica %s charged for a client's bad filter: %+v", si, rh.Addr, rh)
+			}
+		}
+	}
+	if readyz, err := http.Get(ts.URL + "/readyz"); err != nil || readyz.StatusCode != http.StatusOK {
+		t.Fatalf("router /readyz after bad clauses: %v, %v", readyz, err)
+	} else {
+		readyz.Body.Close()
 	}
 }

@@ -44,9 +44,14 @@
 //	               delta backlog is below -ready-max-pending, and the
 //	               server is not draining — the signal routers and
 //	               orchestrators use to steer traffic away
+//	GET  /wire    → with "Upgrade: nsg-frame/1": 101, after which the
+//	               connection carries nsgrouter's binary search frames
+//	               (internal/cluster/frame.go) — the same validation and
+//	               search as POST /search, without HTTP or JSON per query
 //
 // On SIGINT/SIGTERM the server drains gracefully: /readyz flips to 503,
-// in-flight requests get up to -drain to finish, pending live inserts are
+// in-flight requests and frames get up to -drain to finish, idle router
+// streams are closed, pending live inserts are
 // flushed into the shard graphs, and — when -save or -index names a bundle
 // path — the bundle is re-saved so acknowledged inserts survive the restart.
 //
@@ -72,11 +77,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro"
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/mstore"
 )
@@ -196,8 +203,9 @@ func run(args []string, stdout io.Writer) error {
 
 // serve runs hs on ln until ctx is canceled (SIGINT/SIGTERM), then shuts
 // down gracefully: /readyz flips to 503 so load balancers stop sending
-// traffic, in-flight requests get up to drain to finish, the live handle is
-// flushed so every acknowledged insert is folded into the shard graphs, and
+// traffic, in-flight requests and router frames get up to drain to finish
+// (idle router streams close at once), the live handle is flushed so every
+// acknowledged insert is folded into the shard graphs, and
 // when persistPath is set and inserts happened the bundle is re-saved so
 // those inserts survive the restart.
 func serve(ctx context.Context, hs *http.Server, ln net.Listener, srv *server, drain time.Duration, persistPath string, stdout io.Writer) error {
@@ -212,8 +220,13 @@ func serve(ctx context.Context, hs *http.Server, ln net.Listener, srv *server, d
 	srv.draining.Store(true)
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
+	// Shutdown neither closes nor waits for hijacked connections: the router
+	// streams are stopped first, so no new frame starts while it runs, and
+	// waited for after it.
+	srv.streams.stop()
 	shutdownErr := hs.Shutdown(sctx)
 	<-errCh // hs.Serve has returned http.ErrServerClosed
+	srv.streams.wait(sctx)
 
 	// Fold every acknowledged insert into the shard graphs before exit; a
 	// point acknowledged over /insert must not live only in a delta buffer.
@@ -322,6 +335,10 @@ type server struct {
 	// searchMicros accumulates in-handler search latency for the /stats
 	// mean; a production deployment would export a histogram instead.
 	searchMicros atomic.Uint64
+
+	// streams are the router connections upgraded on /wire, which the HTTP
+	// server no longer tracks once hijacked.
+	streams streamSet
 }
 
 // newServer wraps idx, enabling live updates if the caller has not
@@ -345,6 +362,7 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("GET "+cluster.WirePath, s.handleWire)
 	return mux
 }
 
@@ -397,37 +415,145 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	resp, err := s.search(&req)
+	if err != nil {
+		httpError(w, err.Status, "%s", err.Msg)
+		return
+	}
+	writeJSON(w, resp)
+}
+
+// search validates and answers one query. It is the whole of a search
+// request behind its decoding, shared by POST /search and the /wire frame
+// loop, so both edges check, count and time a query identically. Zero k or l
+// take the server's defaults.
+func (s *server) search(req *searchRequest) (searchResponse, *cluster.ReplicaError) {
 	if len(req.Query) != s.idx.Dim() {
-		httpError(w, http.StatusBadRequest, "query dim %d != index dim %d", len(req.Query), s.idx.Dim())
-		return
+		return searchResponse{}, cluster.BadRequest("query dim %d != index dim %d", len(req.Query), s.idx.Dim())
 	}
-	if req.K <= 0 {
-		req.K = s.defaultK
+	k, l := req.K, req.L
+	if k <= 0 {
+		k = s.defaultK
 	}
-	if req.L <= 0 {
-		req.L = s.defaultL
+	if l <= 0 {
+		l = s.defaultL
 	}
-	if req.K > s.maxL || req.L > s.maxL {
-		httpError(w, http.StatusBadRequest, "k %d / l %d exceed the server limit %d", req.K, req.L, s.maxL)
-		return
+	if k > s.maxL || l > s.maxL {
+		return searchResponse{}, cluster.BadRequest("k %d / l %d exceed the server limit %d", k, l, s.maxL)
 	}
 	flt, err := s.compileFilter(req.Filter)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return searchResponse{}, cluster.BadRequest("%v", err)
 	}
 	start := time.Now()
 	var resp searchResponse
 	if req.Stats {
-		ids, dists, st := s.idx.SearchFilteredWithStats(req.Query, req.K, req.L, flt)
+		ids, dists, st := s.idx.SearchFilteredWithStats(req.Query, k, l, flt)
 		resp = searchResponse{IDs: ids, Dists: dists, Hops: st.Hops, DistComps: st.DistanceComputations}
 	} else {
-		ids, dists := s.idx.SearchFilteredWithPool(req.Query, req.K, req.L, flt)
+		ids, dists := s.idx.SearchFilteredWithPool(req.Query, k, l, flt)
 		resp = searchResponse{IDs: ids, Dists: dists}
 	}
 	s.queries.Add(1)
 	s.searchMicros.Add(uint64(time.Since(start).Microseconds()))
-	writeJSON(w, resp)
+	return resp, nil
+}
+
+// handleWire upgrades a router's connection to the frame protocol and
+// answers its frames until the router hangs up or the server drains.
+func (s *server) handleWire(w http.ResponseWriter, r *http.Request) {
+	s.serveWire(w, r, s.frameSearch)
+}
+
+// frameSearch answers one request frame with the search POST /search runs.
+func (s *server) frameSearch(req *cluster.SearchRequest) ([]int32, []float32, error) {
+	resp, err := s.search(&searchRequest{Query: req.Query, K: req.K, L: req.L, Filter: req.Filter})
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp.IDs, resp.Dists, nil
+}
+
+// serveWire is handleWire over any frame handler (the drain test's blocks
+// mid-search): upgrade, register the stream for shutdown, serve.
+func (s *server) serveWire(w http.ResponseWriter, r *http.Request, h cluster.FrameHandler) {
+	if s.draining.Load() {
+		httpError(w, http.StatusServiceUnavailable, "draining")
+		return
+	}
+	conn, err := cluster.AcceptWire(w, r)
+	if err != nil {
+		return // AcceptWire has answered the peer
+	}
+	defer conn.Close()
+	if !s.streams.add(conn) {
+		return // drain began between the check above and the upgrade
+	}
+	defer s.streams.remove(conn)
+	// A stream ends by the router closing it, a broken connection or drain's
+	// read deadline; none of them is worth a log line.
+	_ = cluster.ServeFrames(conn, h)
+}
+
+// streamSet tracks the upgraded router connections so graceful shutdown can
+// end them: the HTTP server forgets a connection once it is hijacked.
+type streamSet struct {
+	mu      sync.Mutex
+	stopped bool
+	conns   map[net.Conn]struct{}
+	wg      sync.WaitGroup
+}
+
+// add registers a stream, or reports false when the set has been stopped.
+func (ss *streamSet) add(c net.Conn) bool {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.stopped {
+		return false
+	}
+	if ss.conns == nil {
+		ss.conns = make(map[net.Conn]struct{})
+	}
+	ss.conns[c] = struct{}{}
+	ss.wg.Add(1)
+	return true
+}
+
+func (ss *streamSet) remove(c net.Conn) {
+	ss.mu.Lock()
+	delete(ss.conns, c)
+	ss.mu.Unlock()
+	ss.wg.Done()
+}
+
+// stop refuses new streams and ends every stream's reading: an idle stream's
+// blocked read fails at once and its loop exits, while a stream inside a
+// search is not reading — it writes its reply and exits on the read after.
+func (ss *streamSet) stop() {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.stopped = true
+	for c := range ss.conns {
+		c.SetReadDeadline(time.Unix(1, 0))
+	}
+}
+
+// wait returns once every stream has exited, closing the stragglers when ctx
+// ends first.
+func (ss *streamSet) wait(ctx context.Context) {
+	done := make(chan struct{})
+	go func() { ss.wg.Wait(); close(done) }()
+	select {
+	case <-done:
+		return
+	case <-ctx.Done():
+	}
+	ss.mu.Lock()
+	for c := range ss.conns {
+		c.Close()
+	}
+	ss.mu.Unlock()
+	<-done
 }
 
 type batchSearchRequest struct {

@@ -349,11 +349,14 @@ func (r *Router) SearchAppend(ctx context.Context, dst []vecmath.Neighbor, q []f
 // forwarded to every shard server (nil means unfiltered). The router merges
 // filtered per-shard answers exactly like unfiltered ones — each backend
 // guarantees its results pass the predicate, and merging preserves that.
-func (r *Router) SearchFilteredAppend(ctx context.Context, dst []vecmath.Neighbor, q []float32, k, l int, filter json.RawMessage) ([]vecmath.Neighbor, Result, error) {
+//
+// A clause (or query) the backends refuse with a 4xx is the caller's error,
+// not the cluster's: it comes back as a *ReplicaError under either policy,
+// unretried and with no replica's health touched.
+func (r *Router) SearchFilteredAppend(ctx context.Context, dst []vecmath.Neighbor, q []float32, k, l int, filter []byte) ([]vecmath.Neighbor, Result, error) {
 	r.met.queries.Add(1)
 	f := r.getFan()
-	// One request serves every shard (and every retry/hedge within it): the
-	// transport caches its marshaled body, so the query is encoded once.
+	// One request serves every shard (and every retry/hedge within it).
 	req := &SearchRequest{Query: q, K: k, L: l, Filter: filter}
 	var wg sync.WaitGroup
 	wg.Add(len(r.shards))
@@ -368,6 +371,12 @@ func (r *Router) SearchFilteredAppend(ctx context.Context, dst []vecmath.Neighbo
 	var res Result
 	lists := f.lists[:0]
 	for si := range f.errs {
+		if clientFault(f.errs[si]) {
+			r.met.failedQueries.Add(1)
+			err := f.errs[si]
+			r.scratch.Put(f)
+			return dst, Result{}, err
+		}
 		if f.errs[si] != nil {
 			res.Missing = append(res.Missing, si)
 		} else {
@@ -438,6 +447,11 @@ func (r *Router) searchShard(ctx context.Context, si int, buf []vecmath.Neighbor
 			}
 			f.order[si] = order[:0]
 			return buf, nil
+		}
+		if clientFault(err) {
+			// The replica is fine and would say the same again.
+			f.order[si] = order[:0]
+			return buf, fmt.Errorf("cluster: shard %d: %w", si, err)
 		}
 		lastErr = err
 	}
@@ -514,7 +528,8 @@ func (r *Router) attempt(ctx context.Context, si, primary, hedge int, req *Searc
 // feeding the health tracker: a success readmits, a genuine failure
 // (including an attempt timeout) advances the ejection streak. A
 // cancellation from above — the query finished elsewhere or a hedge winner
-// canceled this loser — is not the replica's fault and is not recorded.
+// canceled this loser — is not the replica's fault and is not recorded, and
+// neither is a 4xx the replica answered a bad request with.
 func (r *Router) callReplica(ctx context.Context, si, ri int, req *SearchRequest) (*SearchResponse, error) {
 	st := r.shards[si]
 	addr := r.topo.Shards[si].Replicas[ri]
@@ -530,7 +545,7 @@ func (r *Router) callReplica(ctx context.Context, si, ri int, req *SearchRequest
 	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
 		return nil, err
 	}
-	if st.recordFailure(ri, r.opts.EjectAfter) {
+	if !clientFault(err) && st.recordFailure(ri, r.opts.EjectAfter) {
 		r.met.ejections.Add(1)
 	}
 	return nil, fmt.Errorf("replica %s: %w", addr, err)

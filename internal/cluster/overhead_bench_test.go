@@ -2,57 +2,36 @@ package cluster_test
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/cluster/clustertest"
 	"repro/internal/distsearch"
 	"repro/internal/vecmath"
 )
 
-// httpTopo boots nShards trivial HTTP shard servers answering canned
-// responses, isolating the router's own per-query cost from search work.
-func httpTopo(b *testing.B, nShards int) (cluster.Topology, func()) {
+// httpTopo boots nShards fake shard servers answering canned responses
+// over the framed wire, isolating the router's own per-query cost from
+// search work.
+func httpTopo(b *testing.B, nShards int) cluster.Topology {
 	b.Helper()
-	resp := cluster.SearchResponse{
-		IDs:   []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
-		Dists: []float32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
-	}
-	blob, err := json.Marshal(resp)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ids := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	dists := []float32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	topo := cluster.Topology{}
-	var servers []*httptest.Server
 	for si := 0; si < nShards; si++ {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/readyz" {
-				w.WriteHeader(http.StatusOK)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(blob)
-		}))
-		servers = append(servers, ts)
 		topo.Shards = append(topo.Shards, cluster.Shard{
-			Replicas: []string{ts.URL},
+			Replicas: []string{clustertest.Start(b, "", clustertest.Canned(ids, dists)).Addr()},
 			IDOffset: int32(si * 100),
 		})
 	}
-	return topo, func() {
-		for _, ts := range servers {
-			ts.Close()
-		}
-	}
+	return topo
 }
 
 // BenchmarkRouterHTTP prices a routed query against trivial shard servers:
 // the machinery (fan-out, retry loop, hedge watchdog, health, merge) plus
-// three real HTTP round trips. Compare against BenchmarkDirectFanoutHTTP —
+// three real round trips over upgraded connections. Compare against BenchmarkDirectFanoutHTTP —
 // the difference is what the robustness tier costs per query.
 func BenchmarkRouterHTTP(b *testing.B) {
 	for _, hedge := range []time.Duration{0, 25 * time.Millisecond} {
@@ -61,9 +40,8 @@ func BenchmarkRouterHTTP(b *testing.B) {
 			name = "hedge=on"
 		}
 		b.Run(name, func(b *testing.B) {
-			topo, closeAll := httpTopo(b, 3)
-			defer closeAll()
-			rt, err := cluster.New(topo, cluster.NewHTTPTransport(), cluster.Options{
+			topo := httpTopo(b, 3)
+			rt, err := cluster.New(topo, newTransport(b), cluster.Options{
 				AttemptTimeout: 2 * time.Second,
 				HedgeAfter:     hedge,
 				ProbeInterval:  time.Hour,
@@ -93,9 +71,8 @@ func BenchmarkRouterHTTP(b *testing.B) {
 // same parallel per-shard calls (with the same per-call deadline) and the
 // same k-way merge, with no retry/hedge/health machinery.
 func BenchmarkDirectFanoutHTTP(b *testing.B) {
-	topo, closeAll := httpTopo(b, 3)
-	defer closeAll()
-	tr := cluster.NewHTTPTransport()
+	topo := httpTopo(b, 3)
+	tr := newTransport(b)
 	q := make([]float32, 32)
 	lists := make([][]vecmath.Neighbor, len(topo.Shards))
 	errs := make([]error, len(topo.Shards))
