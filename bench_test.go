@@ -261,7 +261,7 @@ func BenchmarkFig7ShardedNSG16(b *testing.B) {
 	}
 	defer sh.Close()
 	benchSearch(b, func(q []float32) []vecmath.Neighbor {
-		return sh.Search(q, 10, 40)
+		return sh.Search(nil, q, 10, 40, nil, nil)
 	})
 }
 
@@ -334,7 +334,7 @@ func BenchmarkTable5ECommerceSharded(b *testing.B) {
 	defer sh.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.Search(ds.Queries.Row(i%ds.Queries.Rows), 10, 40)
+		sh.Search(nil, ds.Queries.Row(i%ds.Queries.Rows), 10, 40, nil, nil)
 	}
 }
 
@@ -472,11 +472,11 @@ func BenchmarkSearchAllocs(b *testing.B) {
 	ds, _, idx := loadBenchData(b)
 	b.Run("ContextReuse", func(b *testing.B) {
 		ctx := core.NewSearchContext()
-		idx.SearchCtx(ctx, ds.Queries.Row(0), 10, 60, nil) // warm buffers
+		idx.Query(ctx, ds.Queries.Row(0), core.Query{K: 10, L: 60}) // warm buffers
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res := idx.SearchCtx(ctx, ds.Queries.Row(i%ds.Queries.Rows), 10, 60, nil); len(res) == 0 {
+			if res := idx.Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors; len(res) == 0 {
 				b.Fatal("empty result")
 			}
 		}
@@ -657,16 +657,16 @@ func BenchmarkQuantizedSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantizedSearchCtx pins the zero-allocation claim on the
-// quantized ctx-reuse path the way BenchmarkSearchAllocs does for float.
-func BenchmarkQuantizedSearchCtx(b *testing.B) {
+// BenchmarkQuantizedQuery pins the zero-allocation claim on the quantized
+// ctx-reuse path the way BenchmarkSearchAllocs does for float.
+func BenchmarkQuantizedQuery(b *testing.B) {
 	ds, _, qt := loadQuantBenchData(b)
 	ctx := core.NewSearchContext()
-	qt.inner.SearchCtx(ctx, ds.Queries.Row(0), 10, 60, nil) // warm buffers
+	qt.inner.Query(ctx, ds.Queries.Row(0), core.Query{K: 10, L: 60}) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := qt.inner.SearchCtx(ctx, ds.Queries.Row(i%ds.Queries.Rows), 10, 60, nil); len(res) == 0 {
+		if res := qt.inner.Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors; len(res) == 0 {
 			b.Fatal("empty result")
 		}
 	}
@@ -677,15 +677,14 @@ func BenchmarkQuantizedSearchCtx(b *testing.B) {
 // continuous memory access).
 func BenchmarkAblationLayout(b *testing.B) {
 	ds, _, idx := loadBenchData(b)
-	flat := idx.Freeze()
-	// NSG.Search itself now serves from the flat layout, so the ragged
-	// baseline has to invoke the adjacency-list engine explicitly.
+	// NSG.Search serves from the flat layout, so the ragged baseline has to
+	// invoke the adjacency-list engine explicitly.
 	b.Run("AdjacencyList", func(b *testing.B) {
 		benchSearch(b, func(q []float32) []vecmath.Neighbor {
 			return core.SearchOnGraph(idx.Graph.Adj, ds.Base, q, []int32{idx.Navigating}, 10, 60, nil, nil).Neighbors
 		})
 	})
 	b.Run("FlatFixedStride", func(b *testing.B) {
-		benchSearch(b, func(q []float32) []vecmath.Neighbor { return flat.Search(q, 10, 60, nil) })
+		benchSearch(b, func(q []float32) []vecmath.Neighbor { return idx.Search(q, 10, 60, nil) })
 	})
 }

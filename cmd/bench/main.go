@@ -23,7 +23,7 @@
 //	bench -exp disk              # disk-resident serving: restart-to-
 //	                             # first-query, warm QPS and recall for
 //	                             # heap decode vs the mmap'd NSGM layout
-//	                             # (±CRC verify, ±block-cache fallback),
+//	                             # (±CRC verify),
 //	                             # recorded to BENCH_disk.json
 //	bench -exp filter            # predicate-aware filtered search: recall
 //	                             # vs brute-force-with-filter, QPS and the

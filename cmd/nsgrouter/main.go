@@ -237,7 +237,7 @@ func (s *routerServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 		buf = new([]vecmath.Neighbor)
 	}
 	start := time.Now()
-	ns, res, err := s.rt.SearchFilteredAppend(r.Context(), (*buf)[:0], req.Query, req.K, req.L, req.Filter)
+	ns, res, err := s.rt.SearchAppend(r.Context(), (*buf)[:0], req.Query, req.K, req.L, req.Filter)
 	*buf = ns
 	if err != nil {
 		s.bufs.Put(buf)

@@ -52,7 +52,7 @@ func main() {
 		got := make([][]int32, ds.Queries.Rows)
 		start := time.Now()
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			res := index.Search(ds.Queries.Row(qi), k, poolL)
+			res := index.Search(nil, ds.Queries.Row(qi), k, poolL, nil, nil)
 			ids := make([]int32, len(res))
 			for i, n := range res {
 				ids[i] = n.ID

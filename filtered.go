@@ -201,24 +201,14 @@ func (x *ShardedIndex) SearchFiltered(query []float32, k int, f *ShardedFilter) 
 // plan (exact scan or traversal) from its own passing count; per-shard
 // answers merge by distance exactly like the unfiltered fan-out.
 func (x *ShardedIndex) SearchFilteredWithPool(query []float32, k, l int, f *ShardedFilter) ([]int32, []float32) {
-	if f == nil {
-		return x.SearchWithPool(query, k, l)
-	}
-	b := x.getBuf()
-	res := x.s.SearchFilteredAppend(b.ns[:0], query, k, l, f.inner)
-	return x.extract(b, res)
+	return x.searchOne(query, k, l, f, nil)
 }
 
 // SearchFilteredWithStats is SearchFilteredWithPool plus aggregate
 // traversal counters across the shard fan-out.
-func (x *ShardedIndex) SearchFilteredWithStats(query []float32, k, l int, f *ShardedFilter) ([]int32, []float32, SearchStats) {
-	if f == nil {
-		return x.SearchWithStats(query, k, l)
-	}
-	b := x.getBuf()
-	res, st := x.s.SearchFilteredStatsAppend(b.ns[:0], query, k, l, f.inner)
-	ids, dists := x.extract(b, res)
-	return ids, dists, SearchStats{Hops: st.Hops, DistanceComputations: st.DistComps}
+func (x *ShardedIndex) SearchFilteredWithStats(query []float32, k, l int, f *ShardedFilter) (ids []int32, dists []float32, st SearchStats) {
+	ids, dists = x.searchOne(query, k, l, f, &st)
+	return ids, dists, st
 }
 
 // SearchBatchFiltered answers many queries under one shared filter on
@@ -226,12 +216,8 @@ func (x *ShardedIndex) SearchFilteredWithStats(query []float32, k, l int, f *Sha
 // answer is byte-identical to its serial SearchFilteredWithPool call. A nil
 // filter is an unfiltered SearchBatch.
 func (x *ShardedIndex) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *ShardedFilter) []BatchResult {
-	if f == nil {
-		return x.SearchBatch(queries, k, l, workers)
-	}
 	return searchBatch(queries, x.Dim(), workers, x.getBuf, x.putBuf, func(b *neighborBuf, q []float32) ([]int32, []float32) {
-		b.ns = x.s.SearchFilteredAppend(b.ns[:0], q, k, l, f.inner)
-		return extractResults(b.ns)
+		return x.search(b, q, k, l, f, nil)
 	})
 }
 

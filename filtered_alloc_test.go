@@ -37,7 +37,7 @@ func TestFilteredSearchZeroAlloc(t *testing.T) {
 	}{{"scan", 60, true}, {"walk", 10, false}} {
 		search := func() core.SearchResult {
 			qi++
-			return idx.inner.SearchFilteredWithHopsCtx(ctx, ds.Queries.Row(qi%ds.Queries.Rows), 10, plan.l, nil, &f.inner, nil)
+			return idx.inner.Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: plan.l, Filter: &f.inner})
 		}
 		for i := 0; i < 8; i++ { // warm every context buffer
 			search()

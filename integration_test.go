@@ -127,7 +127,7 @@ func TestIntegrationShardedMatchesMonolithicQuality(t *testing.T) {
 	recallOf := func(s *distsearch.Sharded) float64 {
 		got := make([][]int32, ds.Queries.Rows)
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			res := s.Search(ds.Queries.Row(qi), 10, 60)
+			res := s.Search(nil, ds.Queries.Row(qi), 10, 60, nil, nil)
 			ids := make([]int32, len(res))
 			for i, n := range res {
 				ids[i] = n.ID

@@ -59,7 +59,7 @@ func Ablation(w io.Writer, c ExpConfig) error {
 	// 1. Full NSG (reference): flat fixed-stride layout, reused context.
 	ctx := core.NewSearchContext()
 	score("NSG (full Algorithm 2)", idx.Graph, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
-		return idx.SearchCtx(ctx, q, 10, 60, cnt)
+		return idx.Query(ctx, q, core.Query{K: 10, L: 60, Counter: cnt}).Neighbors
 	})
 
 	// 1b. Layout/allocation ablation: same graph and entry point through

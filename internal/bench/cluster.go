@@ -287,7 +287,7 @@ func routerPass(rt *cluster.Router, ds dataset.Dataset, k, l int, got [][]int32)
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		var res cluster.Result
 		var err error
-		buf, res, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi), k, l)
+		buf, res, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi), k, l, nil)
 		if err != nil {
 			return fmt.Errorf("bench: steady-state query %d: %w", qi, err)
 		}
@@ -506,7 +506,7 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
 			start := time.Now()
 			var perr error
-			buf, _, perr = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi), k, opEffort)
+			buf, _, perr = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi), k, opEffort, nil)
 			routedLat = append(routedLat, time.Since(start))
 			if perr != nil && err == nil {
 				err = perr
@@ -558,7 +558,7 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 		}
 		start := time.Now()
 		var r cluster.Result
-		buf, r, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi%ds.Queries.Rows), k, opEffort)
+		buf, r, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi%ds.Queries.Rows), k, opEffort, nil)
 		lat = append(lat, time.Since(start))
 		if err != nil {
 			chaos.Errors++
@@ -594,7 +594,7 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 	gt := make([][]int32, 0, dp.Queries)
 	for qi := 0; qi < dp.Queries; qi++ {
 		var r cluster.Result
-		buf, r, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi%ds.Queries.Rows), k, opEffort)
+		buf, r, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi%ds.Queries.Rows), k, opEffort, nil)
 		if err != nil {
 			dp.Errors++
 			err = nil
@@ -627,7 +627,7 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 	}
 	defer failRt.Close()
 	var sde *cluster.ShardsDownError
-	_, _, ferr := failRt.Search(context.Background(), ds.Queries.Row(0), k, opEffort)
+	_, _, ferr := failRt.SearchAppend(context.Background(), nil, ds.Queries.Row(0), k, opEffort, nil)
 	dp.FailPolicyErr = errors.As(ferr, &sde)
 	res.DegradedPhase = dp
 	fmt.Fprintf(w, "degraded phase: %d/%d answered degraded (missing shard %d), recall %.4f over survivors; fail policy errored: %v\n",

@@ -65,7 +65,7 @@ func TestClusterKillOneReplica(t *testing.T) {
 	query := func(qi int) (cluster.Result, error) {
 		var res cluster.Result
 		var qerr error
-		buf, res, qerr = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi%ds.Queries.Rows), k, 40)
+		buf, res, qerr = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi%ds.Queries.Rows), k, 40, nil)
 		return res, qerr
 	}
 

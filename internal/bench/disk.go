@@ -17,13 +17,13 @@ import (
 // the mapped read path costs at steady state. The stream format must be
 // fully decoded before the first search (O(index size)); the NSGM mapped
 // layout only parses a fixed-size header and serves every slab in place,
-// so its restart cost is O(file open). cmd/bench -exp disk prices the four
+// so its restart cost is O(file open). cmd/bench -exp disk prices the three
 // open strategies against each other and against a bare os.Open floor,
 // and records the table to BENCH_disk.json for the CI regression gate.
 
 // DiskPoint is one open-strategy measurement.
 type DiskPoint struct {
-	Variant      string  `json:"variant"`        // heap-load | mmap | mmap-noverify | cache
+	Variant      string  `json:"variant"`        // heap-load | mmap | mmap-noverify
 	OpenMs       float64 `json:"open_ms"`        // restart-to-ready: open returns a servable index
 	FirstQueryMs float64 `json:"first_query_ms"` // restart-to-first-query: open + one cold search
 	QPS          float64 `json:"qps"`            // warm single-client queries/second
@@ -59,7 +59,6 @@ func diskVariants() []diskVariant {
 		{name: "heap-load"},
 		{name: "mmap", mapped: true},
 		{name: "mmap-noverify", mapped: true, opts: nsg.MapOptions{NoVerify: true}},
-		{name: "cache", mapped: true, opts: nsg.MapOptions{DisableMmap: true, CacheBlockBytes: 1 << 16, CacheBlocks: 256}},
 	}
 }
 

@@ -301,7 +301,7 @@ func Fig7(w io.Writer, c ExpConfig) error {
 		return shardedOne.SearchSequential(q, k, e)
 	})
 	report("NSG-16core", graphEfforts, func(q []float32, e int) []vecmath.Neighbor {
-		return sharded16.Search(q, k, e)
+		return sharded16.Search(nil, q, k, e, nil, nil)
 	})
 	pqEfforts := []int{1, 2, 4, 8, 16, 32, 64}
 	report("Faiss-1core", pqEfforts, func(q []float32, e int) []vecmath.Neighbor {
@@ -572,12 +572,11 @@ func Table5(w io.Writer, c ExpConfig) error {
 		if err != nil {
 			return err
 		}
-		search := sh.SearchSequential
-		if row.shards > 1 {
-			search = sh.Search
-		}
 		if ms, ok := searchTimeAtPrecision(func(q []float32, kk, effort int) []vecmath.Neighbor {
-			return search(q, kk, effort)
+			if row.shards > 1 {
+				return sh.Search(nil, q, kk, effort, nil, nil)
+			}
+			return sh.SearchSequential(q, kk, effort)
 		}, ds, k, 0.98); ok {
 			fmt.Fprintf(w, "%-8s %-10s %4d %12.3f\n", row.name, "NSG", row.shards, ms)
 		} else {

@@ -277,7 +277,7 @@ func measureFilterPoint(idx *core.NSG, ds dataset.Dataset, gt [][]int32, flt *co
 	pt := FilterPoint{Variant: variant, Selectivity: sel, Effort: effort}
 	ctx := core.NewSearchContext()
 	for i := 0; i < 4 && i < ds.Queries.Rows; i++ { // warm the context
-		idx.SearchFilteredWithHopsCtx(ctx, ds.Queries.Row(i), k, effort, nil, flt, nil)
+		idx.Query(ctx, ds.Queries.Row(i), core.Query{K: k, L: effort, Filter: flt})
 	}
 	got := make([][]int32, ds.Queries.Rows)
 	for qi := range got {
@@ -287,7 +287,7 @@ func measureFilterPoint(idx *core.NSG, ds dataset.Dataset, gt [][]int32, flt *co
 	allocStart := heapAllocs()
 	start := time.Now()
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		r := idx.SearchFilteredWithHopsCtx(ctx, ds.Queries.Row(qi), k, effort, nil, flt, nil)
+		r := idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: k, L: effort, Filter: flt})
 		ids := got[qi][:0]
 		for _, nb := range r.Neighbors {
 			ids = append(ids, nb.ID)
@@ -302,7 +302,7 @@ func measureFilterPoint(idx *core.NSG, ds dataset.Dataset, gt [][]int32, flt *co
 	reps := min(64, 2+int(20*time.Millisecond/max(elapsed, time.Microsecond)))
 	if el := bestOf(reps, func() {
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			idx.SearchFilteredWithHopsCtx(ctx, ds.Queries.Row(qi), k, effort, nil, flt, nil)
+			idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: k, L: effort, Filter: flt})
 		}
 	}); el < elapsed {
 		elapsed = el
@@ -328,7 +328,7 @@ func measureTenantPoint(idx *core.NSG, ds dataset.Dataset, gts [][][]int32, flts
 	tenants := len(flts)
 	ctx := core.NewSearchContext()
 	for i := 0; i < 4 && i < ds.Queries.Rows; i++ {
-		idx.SearchFilteredWithHopsCtx(ctx, ds.Queries.Row(i), k, effort, nil, flts[i%tenants], nil)
+		idx.Query(ctx, ds.Queries.Row(i), core.Query{K: k, L: effort, Filter: flts[i%tenants]})
 	}
 	got := make([][]int32, ds.Queries.Rows)
 	for qi := range got {
@@ -337,7 +337,7 @@ func measureTenantPoint(idx *core.NSG, ds dataset.Dataset, gts [][][]int32, flts
 	allocStart := heapAllocs()
 	start := time.Now()
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		r := idx.SearchFilteredWithHopsCtx(ctx, ds.Queries.Row(qi), k, effort, nil, flts[qi%tenants], nil)
+		r := idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: k, L: effort, Filter: flts[qi%tenants]})
 		ids := got[qi][:0]
 		for _, nb := range r.Neighbors {
 			ids = append(ids, nb.ID)

@@ -65,7 +65,7 @@ type quantVariant struct {
 	name   string
 	relaid bool       // serve the relayouted twin
 	mode   quant.Mode // code representation the expansion gathers
-	rerank bool       // exact rerank of the final pool
+	rerank bool       // exact rerank of the final pool (quantized modes)
 }
 
 func quantVariants() []quantVariant {
@@ -94,69 +94,60 @@ func Quantized(w io.Writer, c ExpConfig) error {
 	k := 10
 	res := QuantResult{Dataset: "SIFT-like", N: ds.Base.Rows, Dim: ds.Base.Dim, Queries: ds.Queries.Rows, K: k}
 
-	// Deterministic builds of the same graph (identical seeds): one per
-	// {build order, relayout} x {SQ8, int4} cell, since an index carries
-	// exactly one code representation. The float32 variants search the SQ8
-	// twins' float rows, which are identical across all four.
-	buildOne := func(relayout bool, mode quant.Mode) (*core.NSG, error) {
+	fmt.Fprintf(w, "quantized search (SQ8, packed int4) vs float32 on SIFT-like subset (n=%d, dim=%d, k=%d)\n", ds.Base.Rows, ds.Base.Dim, k)
+	fmt.Fprintf(w, "%-20s %8s %9s %9s %12s %8s %12s %11s %10s\n",
+		"variant", "effort", "recall", "QPS", "ms/query", "hops", "dist/query", "bytes/hop", "allocs/q")
+
+	// One build per relayout cell. Its float32 rows are measured before any
+	// code matrix exists; the same graph is then quantized for the SQ8 rows
+	// and re-quantized for the int4 rows (an index carries exactly one code
+	// representation), so every variant in a cell searches one graph.
+	points := map[string][]QuantPoint{}
+	for _, relaid := range []bool{false, true} {
 		base := ds.Base.Clone()
 		kp := knngraph.DefaultParams(20)
 		kp.Seed = c.Seed
 		knn, err := knngraph.BuildNNDescent(base, kp)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		idx, _, err := core.NSGBuild(knn, base, core.BuildParams{L: 50, M: 30, Seed: c.Seed})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if relayout {
+		if relaid {
 			idx.Relayout()
 		}
-		if mode == quant.ModeInt4 {
-			err = idx.EnableQuantization4(nil)
-		} else {
-			err = idx.EnableQuantization(nil)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return idx, nil
-	}
-	type cell struct {
-		relaid bool
-		mode   quant.Mode
-	}
-	indexes := map[cell]*core.NSG{}
-	for _, relaid := range []bool{false, true} {
-		for _, mode := range []quant.Mode{quant.ModeSQ8, quant.ModeInt4} {
-			idx, err := buildOne(relaid, mode)
+		for _, mode := range []quant.Mode{quant.ModeNone, quant.ModeSQ8, quant.ModeInt4} {
+			switch mode {
+			case quant.ModeSQ8:
+				err = idx.EnableQuantization(nil)
+			case quant.ModeInt4:
+				err = idx.EnableQuantization4(nil)
+			}
 			if err != nil {
 				return err
 			}
-			indexes[cell{relaid, mode}] = idx
+			for _, v := range quantVariants() {
+				if v.relaid != relaid || v.mode != mode {
+					continue
+				}
+				for _, effort := range quantEfforts {
+					points[v.name] = append(points[v.name], measureQuantPoint(idx, ds, v, k, effort))
+				}
+			}
 		}
 	}
 
-	fmt.Fprintf(w, "quantized search (SQ8, packed int4) vs float32 on SIFT-like subset (n=%d, dim=%d, k=%d)\n", ds.Base.Rows, ds.Base.Dim, k)
-	fmt.Fprintf(w, "%-20s %8s %9s %9s %12s %8s %12s %11s %10s\n",
-		"variant", "effort", "recall", "QPS", "ms/query", "hops", "dist/query", "bytes/hop", "allocs/q")
-
 	for _, v := range quantVariants() {
-		mode := v.mode
-		if mode == quant.ModeNone {
-			mode = quant.ModeSQ8 // float32 search ignores the codes
-		}
-		idx := indexes[cell{v.relaid, mode}]
 		target := QuantTarget{Variant: v.name, Target: 0.99}
-		for _, effort := range quantEfforts {
-			pt := measureQuantPoint(idx, ds, v, k, effort)
+		for _, pt := range points[v.name] {
 			res.Points = append(res.Points, pt)
 			fmt.Fprintf(w, "%-20s %8d %9.4f %9.0f %12.4f %8.1f %12.0f %11.0f %10.2f\n",
-				v.name, effort, pt.Recall, pt.QPS, pt.MsPerQ, pt.Hops, pt.DistComps, pt.BytesPerHop, pt.AllocsPerQ)
+				v.name, pt.Effort, pt.Recall, pt.QPS, pt.MsPerQ, pt.Hops, pt.DistComps, pt.BytesPerHop, pt.AllocsPerQ)
 			if !target.Reached && pt.Recall >= target.Target {
 				target.Reached = true
-				target.Effort = effort
+				target.Effort = pt.Effort
 				target.QPS = pt.QPS
 			}
 		}
@@ -197,12 +188,8 @@ func measureQuantPoint(idx *core.NSG, ds dataset.Dataset, v quantVariant, k, eff
 	pt := QuantPoint{Variant: v.name, Effort: effort}
 	ctx := core.NewSearchContext()
 	var counter vecmath.Counter
-	search := func(q []float32) core.SearchResult {
-		if v.mode == quant.ModeNone {
-			return idx.SearchFloatWithHopsCtx(ctx, q, k, effort, &counter)
-		}
-		return idx.SearchQuantizedCtx(ctx, q, k, effort, &counter, v.rerank)
-	}
+	plan := core.Query{K: k, L: effort, Counter: &counter, NoRerank: !v.rerank}
+	search := func(q []float32) core.SearchResult { return idx.Query(ctx, q, plan) }
 	for i := 0; i < 4 && i < ds.Queries.Rows; i++ { // warm the context
 		search(ds.Queries.Row(i))
 	}

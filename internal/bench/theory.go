@@ -80,8 +80,8 @@ func DeltaR(w io.Writer, c ExpConfig) error {
 
 // HopScaling prints the average greedy path length (Algorithm 1 pool
 // expansions) against n at fixed precision — Theorem 2's near-logarithmic
-// path-length prediction, observable directly because SearchWithHops
-// reports the expansion count.
+// path-length prediction, observable directly because every search result
+// reports its expansion count.
 func HopScaling(w io.Writer, c ExpConfig) error {
 	fmt.Fprintln(w, "Greedy path length vs N (Theorem 2): hops at fixed pool size")
 	fmt.Fprintf(w, "%10s %12s %14s\n", "N", "avg hops", "hops/log2(N)")
@@ -96,8 +96,9 @@ func HopScaling(w io.Writer, c ExpConfig) error {
 			return err
 		}
 		totalHops := 0
+		ctx := core.NewSearchContext()
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			res := idx.SearchWithHops(ds.Queries.Row(qi), 10, 40, nil)
+			res := idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: 10, L: 40})
 			totalHops += res.Hops
 		}
 		avg := float64(totalHops) / float64(ds.Queries.Rows)

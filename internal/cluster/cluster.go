@@ -328,36 +328,25 @@ func (r *Router) getFan() *fanState {
 	}
 }
 
-// Search fans the query out to every shard and returns the k nearest
-// overall in a fresh slice, with the result's completeness annotation.
+// SearchAppend fans the query out to every shard, merges the per-shard
+// answers by distance and appends the k nearest overall to dst (pass a
+// reused slice truncated to [:0]), with the result's completeness
+// annotation; the merge side reuses pooled buffers via the same distsearch
+// merge hook as the in-process fan-out. filter is an opaque predicate
+// clause forwarded to every shard server (nil means unfiltered): each
+// backend guarantees its results pass it, and merging preserves that.
+//
 // Under PartialFail a down shard yields a *ShardsDownError; under
 // PartialServe it yields a degraded result — unless no shard at all is
-// reachable, which is an error under either policy.
-func (r *Router) Search(ctx context.Context, q []float32, k, l int) ([]vecmath.Neighbor, Result, error) {
-	ns, res, err := r.SearchAppend(ctx, nil, q, k, l)
-	return ns, res, err
-}
-
-// SearchAppend is Search appending into a caller-owned buffer (pass a
-// reused slice truncated to [:0]); the merge side reuses pooled buffers via
-// the same distsearch merge hook as the in-process fan-out.
-func (r *Router) SearchAppend(ctx context.Context, dst []vecmath.Neighbor, q []float32, k, l int) ([]vecmath.Neighbor, Result, error) {
-	return r.SearchFilteredAppend(ctx, dst, q, k, l, nil)
-}
-
-// SearchFilteredAppend is SearchAppend with an opaque predicate clause
-// forwarded to every shard server (nil means unfiltered). The router merges
-// filtered per-shard answers exactly like unfiltered ones — each backend
-// guarantees its results pass the predicate, and merging preserves that.
-//
-// A clause (or query) the backends refuse with a 4xx is the caller's error,
-// not the cluster's: it comes back as a *ReplicaError under either policy,
-// unretried and with no replica's health touched.
-func (r *Router) SearchFilteredAppend(ctx context.Context, dst []vecmath.Neighbor, q []float32, k, l int, filter []byte) ([]vecmath.Neighbor, Result, error) {
+// reachable, which is an error under either policy. A clause (or query)
+// the backends refuse with a 4xx is the caller's error, not the cluster's:
+// it comes back as a *ReplicaError under either policy, unretried and with
+// no replica's health touched.
+func (r *Router) SearchAppend(ctx context.Context, dst []vecmath.Neighbor, vec []float32, k, l int, filter []byte) ([]vecmath.Neighbor, Result, error) {
 	r.met.queries.Add(1)
 	f := r.getFan()
 	// One request serves every shard (and every retry/hedge within it).
-	req := &SearchRequest{Query: q, K: k, L: l, Filter: filter}
+	req := &SearchRequest{Query: vec, K: k, L: l, Filter: filter}
 	var wg sync.WaitGroup
 	wg.Add(len(r.shards))
 	for si := range r.shards {

@@ -130,7 +130,7 @@ func newRouter(t *testing.T, ft *cluster.FaultTransport, opts cluster.Options) *
 func TestRouterMergesAllShards(t *testing.T) {
 	ft := cluster.NewFaultTransport(testMem(), 1)
 	rt := newRouter(t, ft, fastOpts())
-	ns, res, err := rt.Search(context.Background(), nil, 6, 32)
+	ns, res, err := rt.SearchAppend(context.Background(), nil, nil, 6, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestRetryAfterFault(t *testing.T) {
 			ft := cluster.NewFaultTransport(testMem(), 1)
 			ft.SetFault(addr(0, 'a'), tc.fault)
 			rt := newRouter(t, ft, fastOpts())
-			ns, res, err := rt.Search(context.Background(), nil, 6, 32)
+			ns, res, err := rt.SearchAppend(context.Background(), nil, nil, 6, 32, nil)
 			if err != nil {
 				t.Fatalf("query did not survive fault: %v", err)
 			}
@@ -198,7 +198,7 @@ func TestAllReplicasDownPolicy(t *testing.T) {
 		opts := fastOpts()
 		opts.Partial = cluster.PartialFail
 		rt := newRouter(t, ft, opts)
-		_, _, err := rt.Search(context.Background(), nil, 6, 32)
+		_, _, err := rt.SearchAppend(context.Background(), nil, nil, 6, 32, nil)
 		var sde *cluster.ShardsDownError
 		if !errors.As(err, &sde) {
 			t.Fatalf("want *ShardsDownError, got %v", err)
@@ -217,7 +217,7 @@ func TestAllReplicasDownPolicy(t *testing.T) {
 		opts := fastOpts()
 		opts.Partial = cluster.PartialServe
 		rt := newRouter(t, ft, opts)
-		ns, res, err := rt.Search(context.Background(), nil, 6, 32)
+		ns, res, err := rt.SearchAppend(context.Background(), nil, nil, 6, 32, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestAllReplicasDownPolicy(t *testing.T) {
 		opts := fastOpts()
 		opts.Partial = cluster.PartialServe // even serve cannot answer from nothing
 		rt := newRouter(t, ft, opts)
-		_, _, err := rt.Search(context.Background(), nil, 6, 32)
+		_, _, err := rt.SearchAppend(context.Background(), nil, nil, 6, 32, nil)
 		var sde *cluster.ShardsDownError
 		if !errors.As(err, &sde) {
 			t.Fatalf("want *ShardsDownError, got %v", err)
@@ -261,7 +261,7 @@ func TestHedgeWinAndLoserCanceled(t *testing.T) {
 	rt := newRouter(t, ft, opts)
 
 	start := time.Now()
-	ns, res, err := rt.Search(context.Background(), nil, 6, 32)
+	ns, res, err := rt.SearchAppend(context.Background(), nil, nil, 6, 32, nil)
 	if err != nil || res.Degraded {
 		t.Fatalf("err=%v res=%+v", err, res)
 	}
@@ -301,7 +301,7 @@ func TestEjectionAndReadmission(t *testing.T) {
 	// Primaries rotate, so within a few queries s0a accumulates 2
 	// consecutive failures and is ejected.
 	for i := 0; i < 4; i++ {
-		if _, res, err := rt.Search(context.Background(), nil, 6, 32); err != nil || res.Degraded {
+		if _, res, err := rt.SearchAppend(context.Background(), nil, nil, 6, 32, nil); err != nil || res.Degraded {
 			t.Fatalf("query %d: err=%v res=%+v", i, err, res)
 		}
 	}
@@ -326,7 +326,7 @@ func TestEjectionAndReadmission(t *testing.T) {
 	// sibling without touching s0a.
 	before := ft.Stats(addr(0, 'a')).Calls
 	for i := 0; i < 4; i++ {
-		if _, _, err := rt.Search(context.Background(), nil, 6, 32); err != nil {
+		if _, _, err := rt.SearchAppend(context.Background(), nil, nil, 6, 32, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -468,7 +468,7 @@ func TestConcurrentKillRestartStress(t *testing.T) {
 			for time.Now().Before(deadline) {
 				var res cluster.Result
 				var err error
-				buf, res, err = rt.SearchAppend(context.Background(), buf[:0], nil, 6, 32)
+				buf, res, err = rt.SearchAppend(context.Background(), buf[:0], nil, 6, 32, nil)
 				if err != nil {
 					var sde *cluster.ShardsDownError
 					if !errors.As(err, &sde) || len(sde.Shards) == 0 {

@@ -53,12 +53,12 @@ func BenchmarkRouterHTTP(b *testing.B) {
 			q := make([]float32, 32)
 			var buf []vecmath.Neighbor
 			ctx := context.Background()
-			if buf, _, err = rt.SearchAppend(ctx, buf[:0], q, 10, 40); err != nil {
+			if buf, _, err = rt.SearchAppend(ctx, buf[:0], q, 10, 40, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf, _, err = rt.SearchAppend(ctx, buf[:0], q, 10, 40)
+				buf, _, err = rt.SearchAppend(ctx, buf[:0], q, 10, 40, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

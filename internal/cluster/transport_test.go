@@ -121,7 +121,7 @@ func TestWireRedialsAfterBackendRestart(t *testing.T) {
 	}
 	defer rt.Close()
 	query := func() error {
-		ns, _, err := rt.Search(context.Background(), []float32{1}, 3, 10)
+		ns, _, err := rt.SearchAppend(context.Background(), nil, []float32{1}, 3, 10, nil)
 		if err == nil && len(ns) != 3 {
 			t.Fatalf("got %d neighbors, want 3", len(ns))
 		}
@@ -257,7 +257,7 @@ func TestClientFaultIsNotTheReplicasFault(t *testing.T) {
 		}
 		defer rt.Close()
 		for i := 0; i < 3; i++ { // EjectAfter is 2: three would eject if they counted
-			_, _, err = rt.SearchFilteredAppend(context.Background(), nil, []float32{1}, 1, 10, []byte("bad-column"))
+			_, _, err = rt.SearchAppend(context.Background(), nil, []float32{1}, 1, 10, []byte("bad-column"))
 			var re *cluster.ReplicaError
 			if !errors.As(err, &re) || re.Status != http.StatusBadRequest || !strings.Contains(re.Msg, "unknown column") {
 				t.Fatalf("policy %v: bad filter returned %v, want the backend's 400", policy, err)
@@ -276,7 +276,7 @@ func TestClientFaultIsNotTheReplicasFault(t *testing.T) {
 			t.Fatalf("policy %v: router not ready after bad filters", policy)
 		}
 
-		if _, _, err = rt.SearchFilteredAppend(context.Background(), nil, []float32{1}, 1, 10, []byte("broken")); err == nil {
+		if _, _, err = rt.SearchAppend(context.Background(), nil, []float32{1}, 1, 10, []byte("broken")); err == nil {
 			t.Fatalf("policy %v: 5xx from every shard answered", policy)
 		}
 		var sde *cluster.ShardsDownError

@@ -43,7 +43,7 @@ var ErrNoMetadata = errors.New("core: index has no metadata store")
 // non-passing point that still routes, so a delete costs one bit and no pool
 // slot, with or without a predicate. With no predicate the navigation pool
 // can only ever hold deleted rows, so it is sized by their count (see
-// Snapshot.search) instead of by selectivity. The loop itself is walk, in
+// Snapshot.Query) instead of by selectivity. The loop itself is walk, in
 // core.go: the plain search is the same body with a pass test that admits
 // everything.
 
@@ -54,7 +54,7 @@ var ErrNoMetadata = errors.New("core: index has no metadata store")
 type Filter struct {
 	// Bits is the pass bitmap — bit id&63 of word id>>6 — indexed by the
 	// id the search emits: the index's public id, or under a
-	// LiveQuery.Translate table the translated (final) one, which is also
+	// Query.Translate table the translated (final) one, which is also
 	// the space pending delta rows live in. Ids at or past the bitmap's
 	// range fail closed.
 	Bits []uint64
@@ -81,7 +81,7 @@ type passFilter struct {
 	all    bool     // no predicate: every live row passes, bits unused
 	bits   []uint64 // indexed by final id
 	pubIDs []int32  // internal → public; nil = identity
-	remap  []int32  // public → final (LiveQuery.Translate); nil = identity
+	remap  []int32  // public → final (Query.Translate); nil = identity
 	dead   *Tombstones
 }
 
@@ -193,30 +193,13 @@ func scanFiltered(ctx *SearchContext, s *Snapshot, query []float32, k int, count
 	return SearchResult{Neighbors: emit(ctx, k)}
 }
 
-// emptyResult resets ctx.out and returns an empty result — the Count == 0
-// short-circuit, so a predicate matching nothing costs no distance work.
+// emptyResult resets ctx.out and returns an empty result — the K <= 0 and
+// Count == 0 short-circuits, so a query that can match nothing costs no
+// distance work.
 func emptyResult(ctx *SearchContext) SearchResult {
 	if ctx.out == nil {
 		ctx.out = make([]vecmath.Neighbor, 0, 1)
 	}
 	ctx.out = ctx.out[:0]
 	return SearchResult{Neighbors: ctx.out}
-}
-
-// SearchFilteredCtx is SearchFilteredWithHopsCtx returning just the
-// neighbors; reuse ctx across queries and the steady state allocates
-// nothing. The slice aliases ctx and is valid until its next search.
-func (x *NSG) SearchFilteredCtx(ctx *SearchContext, query []float32, k, l int, dead *Tombstones, flt *Filter, counter *vecmath.Counter) []vecmath.Neighbor {
-	return x.SearchFilteredWithHopsCtx(ctx, query, k, l, dead, flt, counter).Neighbors
-}
-
-// SearchFilteredWithHopsCtx is the root of the non-live NSG query paths:
-// Snapshot.search over the index's current state, with dead (tombstones,
-// by public id) and flt (a compiled predicate) both optional — nil, nil is
-// the plain search. Emitted ids are public, distances exact float32.
-func (x *NSG) SearchFilteredWithHopsCtx(ctx *SearchContext, query []float32, k, l int, dead *Tombstones, flt *Filter, counter *vecmath.Counter) SearchResult {
-	v := x.view()
-	res := v.search(ctx, query, k, l, counter, nil, dead, flt, nil)
-	x.toPublic(res.Neighbors)
-	return res
 }

@@ -88,7 +88,7 @@ func TestFilteredParity(t *testing.T) {
 			sum := 0.0
 			for qi := 0; qi < queries.Rows; qi++ {
 				q := queries.Row(qi)
-				got := idx.SearchFilteredCtx(ctx, q, k, l, nil, tc.flt, nil)
+				got := idx.Query(ctx, q, Query{K: k, L: l, Filter: tc.flt}).Neighbors
 				want := bruteRef(idx, q, k, tc.flt, nil)
 				for _, nb := range got {
 					if !bitTest(tc.flt.Bits, nb.ID) {
@@ -136,7 +136,7 @@ func TestFilteredQuantParity(t *testing.T) {
 		sum := 0.0
 		for qi := 0; qi < queries.Rows; qi++ {
 			q := queries.Row(qi)
-			got := idx.SearchFilteredCtx(ctx, q, 10, 64, nil, flt, nil)
+			got := idx.Query(ctx, q, Query{K: 10, L: 64, Filter: flt}).Neighbors
 			for _, nb := range got {
 				if !bitTest(flt.Bits, nb.ID) {
 					t.Fatalf("%s: result id %d does not pass the filter", mode, nb.ID)
@@ -162,12 +162,12 @@ func TestFilteredTombstones(t *testing.T) {
 	ctx := NewSearchContext()
 	q := testBase(t, 1, 24, 10).Row(0)
 
-	before := idx.SearchFilteredCtx(ctx, q, 10, 64, nil, flt, nil)
+	before := idx.Query(ctx, q, Query{K: 10, L: 64, Filter: flt}).Neighbors
 	dead := NewTombstones()
 	for _, nb := range before[:5] {
 		dead.Delete(nb.ID)
 	}
-	after := idx.SearchFilteredCtx(ctx, q, 10, 64, dead, flt, nil)
+	after := idx.Query(ctx, q, Query{K: 10, L: 64, Dead: dead, Filter: flt}).Neighbors
 	if len(after) != 10 {
 		t.Fatalf("got %d results, want 10 (pool should refill past tombstones)", len(after))
 	}
@@ -191,20 +191,20 @@ func TestFilteredEmptyAndZero(t *testing.T) {
 	q := testBase(t, 1, 16, 12).Row(0)
 
 	empty := &Filter{Bits: make([]uint64, (600+63)/64)}
-	if got := idx.SearchFilteredCtx(ctx, q, 10, 32, nil, empty, nil); len(got) != 0 {
+	if got := idx.Query(ctx, q, Query{K: 10, L: 32, Filter: empty}).Neighbors; len(got) != 0 {
 		t.Fatalf("zero-count filter returned %d results", len(got))
 	}
 
 	// Short bitmap: only ids < 64 can pass.
 	short := &Filter{Bits: []uint64{^uint64(0)}, Count: 64}
-	for _, nb := range idx.SearchFilteredCtx(ctx, q, 10, 32, nil, short, nil) {
+	for _, nb := range idx.Query(ctx, q, Query{K: 10, L: 32, Filter: short}).Neighbors {
 		if nb.ID >= 64 {
 			t.Fatalf("id %d passed a bitmap covering only [0,64)", nb.ID)
 		}
 	}
 
 	// Nil filter degrades to the unfiltered search.
-	got := idx.SearchFilteredCtx(ctx, q, 10, 32, nil, nil, nil)
+	got := idx.Query(ctx, q, Query{K: 10, L: 32}).Neighbors
 	want := idx.Search(q, 10, 32, nil)
 	if len(got) != len(want) {
 		t.Fatalf("nil filter: %d results, unfiltered %d", len(got), len(want))
@@ -237,7 +237,7 @@ func TestLiveFilteredSnapshotDelta(t *testing.T) {
 
 	q := testBase(t, 1, 16, 15).Row(0)
 	ctx := NewSearchContext()
-	got := idx.Snapshot().SearchLiveCtx(ctx, q, 10, 64, nil, LiveQuery{Delta: delta, Dead: dead}, flt)
+	got := idx.Snapshot().Query(ctx, q, Query{K: 10, L: 64, Dead: dead, Filter: flt, Delta: delta})
 
 	// Reference: exact over passing snapshot ids plus passing live delta ids.
 	var all []vecmath.Neighbor
@@ -353,7 +353,7 @@ func TestPlanCrossover(t *testing.T) {
 				q := queries.Row(qi)
 				below, above := *flt, *flt
 				below.Count, above.Count = cross, cross+1
-				scanned := idx.SearchFilteredWithHopsCtx(ctx, q, k, l, dd, &below, nil)
+				scanned := idx.Query(ctx, q, Query{K: k, L: l, Dead: dd, Filter: &below})
 				if scanned.Hops != 0 {
 					t.Fatalf("count %d should scan", cross)
 				}
@@ -361,7 +361,7 @@ func TestPlanCrossover(t *testing.T) {
 				if ref := bruteRef(idx, q, k, flt, dd); !slices.Equal(want, ref) {
 					t.Fatalf("q%d: scan %v, brute force %v", qi, want, ref)
 				}
-				walked := idx.SearchFilteredWithHopsCtx(ctx, q, k, l, dd, &above, nil)
+				walked := idx.Query(ctx, q, Query{K: k, L: l, Dead: dd, Filter: &above})
 				if walked.Hops == 0 {
 					t.Fatalf("count %d should walk", cross+1)
 				}
@@ -489,7 +489,7 @@ func BenchmarkFilteredScan(b *testing.B) {
 				b.ReportAllocs()
 				lnav := max(l, l*n/pass-l)
 				for i := 0; i < b.N; i++ {
-					searchView(ctx, &v, queries.Row(i%queries.Rows), k, l, lnav, nil, nil, pf, true)
+					searchView(ctx, &v, queries.Row(i%queries.Rows), Query{K: k, L: l}, lnav, pf)
 				}
 			})
 		}

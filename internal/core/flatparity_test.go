@@ -163,8 +163,8 @@ func TestNSGSearchMatchesLegacyLayout(t *testing.T) {
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		q := ds.Queries.Row(qi)
 		want := referenceSearch(idx.Graph.Adj, ds.Base, q, []int32{idx.Navigating}, 10, 40, nil, nil)
-		got := idx.SearchWithHopsCtx(ctx, q, 10, 40, nil)
-		sameResult(t, qi, "NSG.SearchWithHopsCtx", got, want)
+		got := idx.Query(ctx, q, Query{K: 10, L: 40})
+		sameResult(t, qi, "NSG.Query", got, want)
 		plain := idx.Search(q, 10, 40, nil)
 		for i := range want.Neighbors {
 			if plain[i] != want.Neighbors[i] {
@@ -192,16 +192,16 @@ func TestSearchCtxZeroAlloc(t *testing.T) {
 	}
 	ctx := NewSearchContext()
 	// Warm the context (buffers size themselves on first use).
-	idx.SearchCtx(ctx, ds.Queries.Row(0), 10, 40, nil)
+	idx.Query(ctx, ds.Queries.Row(0), Query{K: 10, L: 40})
 	qi := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		res := idx.SearchCtx(ctx, ds.Queries.Row(qi%ds.Queries.Rows), 10, 40, nil)
+		res := idx.Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), Query{K: 10, L: 40}).Neighbors
 		if len(res) == 0 {
 			t.Fatal("empty result")
 		}
 		qi++
 	})
 	if allocs != 0 {
-		t.Fatalf("SearchCtx allocated %.1f times per query, want 0", allocs)
+		t.Fatalf("Query allocated %.1f times per query, want 0", allocs)
 	}
 }

@@ -112,7 +112,7 @@ func TestTombstones(t *testing.T) {
 	ts.Delete(before[0].ID)
 	ts.Delete(before[1].ID)
 	ctx := NewSearchContext()
-	after := idx.SearchFilteredCtx(ctx, q, 5, 60, ts, nil, nil)
+	after := idx.Query(ctx, q, Query{K: 5, L: 60, Dead: ts}).Neighbors
 	if len(after) != 5 {
 		t.Fatalf("got %d live results, want 5", len(after))
 	}
@@ -127,7 +127,7 @@ func TestTombstones(t *testing.T) {
 	}
 	// Nil and empty tombstones are the plain search, bit for bit.
 	for _, dead := range []*Tombstones{nil, NewTombstones()} {
-		plain := idx.SearchFilteredCtx(ctx, q, 5, 60, dead, nil, nil)
+		plain := idx.Query(ctx, q, Query{K: 5, L: 60, Dead: dead}).Neighbors
 		for i := range plain {
 			if plain[i] != before[i] {
 				t.Fatalf("empty tombstones changed result %d: %v != %v", i, plain[i], before[i])

@@ -132,7 +132,7 @@ func TestSearchWithHopsReportsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := idx.SearchWithHops(ds.Queries.Row(0), 5, 30, nil)
+	res := idx.Query(NewSearchContext(), ds.Queries.Row(0), Query{K: 5, L: 30})
 	if res.Hops <= 0 {
 		t.Error("hops not recorded")
 	}
@@ -165,6 +165,9 @@ func TestBuildStatsReported(t *testing.T) {
 	}
 }
 
+// TestFreezeSearchMatchesGraphSearch: a search over the frozen flat layout
+// (NSG.Query) matches Algorithm 1 over the ragged adjacency lists it was
+// flattened from, result for result and distance evaluation for evaluation.
 func TestFreezeSearchMatchesGraphSearch(t *testing.T) {
 	ds, err := dataset.SIFTLike(dataset.Config{N: 600, Queries: 30, GTK: 10, Dim: 32, Seed: 27})
 	if err != nil {
@@ -178,11 +181,12 @@ func TestFreezeSearchMatchesGraphSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := idx.Freeze()
+	ctx := NewSearchContext()
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		q := ds.Queries.Row(qi)
-		a := idx.Search(q, 10, 50, nil)
-		b := flat.Search(q, 10, 50, nil)
+		var ca, cb vecmath.Counter
+		a := SearchOnGraph(idx.Graph.Adj, ds.Base, q, []int32{idx.Navigating}, 10, 50, &ca, nil).Neighbors
+		b := idx.Query(ctx, q, Query{K: 10, L: 50, Counter: &cb}).Neighbors
 		if len(a) != len(b) {
 			t.Fatalf("query %d: lengths differ", qi)
 		}
@@ -191,12 +195,9 @@ func TestFreezeSearchMatchesGraphSearch(t *testing.T) {
 				t.Fatalf("query %d pos %d: graph %+v vs flat %+v", qi, i, a[i], b[i])
 			}
 		}
-	}
-	// Counters must agree too (identical traversal).
-	var ca, cb vecmath.Counter
-	idx.Search(ds.Queries.Row(0), 10, 50, &ca)
-	flat.Search(ds.Queries.Row(0), 10, 50, &cb)
-	if ca.Count() != cb.Count() {
-		t.Errorf("distance computations differ: %d vs %d", ca.Count(), cb.Count())
+		// Counters must agree too (identical traversal).
+		if ca.Count() != cb.Count() {
+			t.Fatalf("query %d: distance computations differ: %d vs %d", qi, ca.Count(), cb.Count())
+		}
 	}
 }

@@ -103,8 +103,6 @@ type MapOptions struct {
 	// always checked; but with NoVerify a file whose adjacency slab was
 	// corrupted in place can make searches panic or return garbage.
 	NoVerify bool
-	// Store configures the backing storage (mmap vs pread + block cache).
-	Store mstore.Options
 }
 
 // align64 rounds n up to the next multiple of the slab alignment.
@@ -306,11 +304,11 @@ func (x *NSG) SaveMapped(path string) error {
 
 // OpenMapped opens an NSGM file written by SaveMapped and serves it in
 // place: the adjacency, vector, remap and code slabs are zero-copy views
-// of the mapping (or cache-backed copies on the fallback path). The
+// of the mapping (or heap copies where mmap is unavailable). The
 // returned index is read-only — see ErrReadOnly and PromoteToHeap — and
 // holds the mapping until Close.
 func OpenMapped(path string, opts MapOptions) (*NSG, error) {
-	f, err := mstore.Open(path, opts.Store)
+	f, err := mstore.Open(path)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/meta"
-	"repro/internal/mstore"
 	"repro/internal/vecmath"
 	"repro/internal/vecmath/quant"
 )
@@ -76,8 +75,8 @@ func saveMappedTemp(t testing.TB, x *NSG) string {
 
 // TestMappedHeapParity: a mapped index must return byte-identical results
 // to the heap index it was saved from — same public ids, same float
-// distance bits, same hop counts — across every index shape and both
-// storage modes, with and without deep verification.
+// distance bits, same hop counts — across every index shape, with and
+// without deep verification.
 func TestMappedHeapParity(t *testing.T) {
 	base := testBase(t, 600, 24, 7)
 	queries := testBase(t, 40, 24, 8)
@@ -102,7 +101,6 @@ func TestMappedHeapParity(t *testing.T) {
 			}{
 				{"mmap", MapOptions{}},
 				{"mmap-noverify", MapOptions{NoVerify: true}},
-				{"cache", MapOptions{Store: mstore.Options{DisableMmap: true, BlockBytes: 4096, CacheBlocks: 512}}},
 			} {
 				t.Run(mode.name, func(t *testing.T) {
 					mapped, err := OpenMapped(path, mode.opts)
@@ -116,8 +114,8 @@ func TestMappedHeapParity(t *testing.T) {
 					hctx, mctx := NewSearchContext(), NewSearchContext()
 					for qi := 0; qi < queries.Rows; qi++ {
 						q := queries.Row(qi)
-						hr := heap.SearchWithHopsCtx(hctx, q, 10, 40, nil)
-						mr := mapped.SearchWithHopsCtx(mctx, q, 10, 40, nil)
+						hr := heap.Query(hctx, q, Query{K: 10, L: 40})
+						mr := mapped.Query(mctx, q, Query{K: 10, L: 40})
 						if hr.Hops != mr.Hops {
 							t.Fatalf("query %d: hops %d vs %d", qi, hr.Hops, mr.Hops)
 						}
@@ -183,14 +181,14 @@ func TestPromoteToHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := base.Row(7)
-	before := mapped.SearchWithHops(q, 10, 40, nil)
+	before := mapped.Query(NewSearchContext(), q, Query{K: 10, L: 40})
 	if err := mapped.PromoteToHeap(); err != nil {
 		t.Fatal(err)
 	}
 	if mapped.ReadOnly() {
 		t.Fatal("still read-only after promotion")
 	}
-	after := mapped.SearchWithHops(q, 10, 40, nil)
+	after := mapped.Query(NewSearchContext(), q, Query{K: 10, L: 40})
 	if fmt.Sprint(before) != fmt.Sprint(after) {
 		t.Fatalf("results changed across promotion: %v vs %v", before, after)
 	}

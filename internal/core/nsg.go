@@ -58,7 +58,7 @@ type NSG struct {
 	// expansion, exact rerank). See EnableQuantization.
 	Quant *Quantized
 	// PubIDs translates internal node ids to the caller-visible ids when a
-	// cache-aware Relayout permuted the graph; nil means identity. toPublic
+	// cache-aware Relayout permuted the graph; nil means identity. Query
 	// applies it to every emitted result, and toInternal is its inverse.
 	PubIDs     []int32
 	toInternal []int32
@@ -391,51 +391,24 @@ func repairConnectivity(g *graphutil.Graph, base vecmath.Matrix, nav int32, p Bu
 }
 
 // Search runs Algorithm 1 on the NSG from the navigating node, returning the
-// k nearest candidates using a pool of size l. counter may be nil. The
-// result is caller-owned; hot loops should prefer SearchCtx.
+// k nearest candidates using a pool of size l in a caller-owned slice — the
+// Search(q, k, l, counter) shape every index in internal/ shares for the
+// experiment harness. counter may be nil. Serving loops use Query.
 func (x *NSG) Search(query []float32, k, l int, counter *vecmath.Counter) []vecmath.Neighbor {
 	ctx := getCtx()
-	out := copyNeighbors(x.SearchCtx(ctx, query, k, l, counter))
+	out := copyNeighbors(x.Query(ctx, query, Query{K: k, L: l, Counter: counter}).Neighbors)
 	putCtx(ctx)
 	return out
 }
 
-// SearchCtx is Search with caller-owned scratch: reuse ctx across queries
-// from one goroutine and the steady state performs zero allocations. The
-// returned slice aliases ctx and is valid until ctx's next search.
-func (x *NSG) SearchCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter) []vecmath.Neighbor {
-	return x.SearchWithHopsCtx(ctx, query, k, l, counter).Neighbors
-}
-
-// SearchWithHops is Search but also reports the greedy path length, used by
-// the complexity-scaling experiments (Figures 9-11).
-func (x *NSG) SearchWithHops(query []float32, k, l int, counter *vecmath.Counter) SearchResult {
-	ctx := getCtx()
-	res := x.SearchWithHopsCtx(ctx, query, k, l, counter)
-	res.Neighbors = copyNeighbors(res.Neighbors)
-	putCtx(ctx)
-	return res
-}
-
-// SearchWithHopsCtx is the plain search: it traverses the cached flat layout
-// from the navigating node. On a quantized index it runs the two-phase
-// search (code-space expansion, exact rerank), so results carry exact
-// float32 distances either way. Emitted ids are public ids (relayout
-// permutations are translated back).
-func (x *NSG) SearchWithHopsCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter) SearchResult {
-	return x.SearchFilteredWithHopsCtx(ctx, query, k, l, nil, nil, counter)
-}
-
-// SearchFloatWithHopsCtx forces the exact float32 path regardless of
-// quantization state — the ablation hook cmd/bench -exp quant uses to
-// measure the same graph with and without the code matrix. Results are in
-// public ids, identical to SearchWithHopsCtx on an unquantized index.
-func (x *NSG) SearchFloatWithHopsCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter) SearchResult {
-	f := x.FlatView()
-	ctx.startBuf[0] = x.Navigating
-	res := SearchOnGraphCtx(ctx, f, x.Base, query, ctx.startBuf[:], k, l, counter, nil)
-	x.toPublic(res.Neighbors)
-	return res
+// Query is Snapshot.Query over the index's current state: it traverses the
+// cached flat layout from the navigating node (on a quantized index, in code
+// space with an exact rerank) and emits public ids. The result aliases ctx;
+// reuse ctx across queries from one goroutine and the steady state performs
+// zero allocations.
+func (x *NSG) Query(ctx *SearchContext, vec []float32, q Query) SearchResult {
+	v := x.view()
+	return v.Query(ctx, vec, q)
 }
 
 // Stats summarizes the index the way Table 2 reports it.

@@ -105,34 +105,6 @@ func (x *NSG) QuantMode() quant.Mode {
 	return x.Quant.Mode
 }
 
-// SearchQuantizedCtx is the quantized Algorithm 1 with explicit control of
-// the rerank phase: rerank=true is what every public path uses (exact
-// distances, approximation confined to pool ordering), rerank=false emits
-// the raw code-space distances — the ablation cmd/bench -exp quant measures
-// to price the rerank. On an unquantized index both are the float search.
-// Results are in public ids; with a reused ctx the steady state allocates
-// nothing.
-func (x *NSG) SearchQuantizedCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, rerank bool) SearchResult {
-	if l < k {
-		l = k
-	}
-	v := x.view()
-	res := searchView(ctx, &v, query, k, l, 0, counter, nil, passAll{}, rerank)
-	x.toPublic(res.Neighbors)
-	return res
-}
-
-// toPublic rewrites internal ids to public ids in place; identity (and
-// free) when no relayout happened.
-func (x *NSG) toPublic(ns []vecmath.Neighbor) {
-	if x.PubIDs == nil {
-		return
-	}
-	for i := range ns {
-		ns[i].ID = x.PubIDs[ns[i].ID]
-	}
-}
-
 // Relaid reports whether a Relayout permuted the index (i.e. internal and
 // public ids differ).
 func (x *NSG) Relaid() bool { return x.PubIDs != nil }

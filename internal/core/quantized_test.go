@@ -52,8 +52,8 @@ func TestRelayoutPreservesResults(t *testing.T) {
 	queries := testBase(t, 50, 24, 2)
 	for qi := 0; qi < queries.Rows; qi++ {
 		q := queries.Row(qi)
-		a := plain.SearchWithHopsCtx(ctxA, q, 10, 40, nil)
-		b := relay.SearchWithHopsCtx(ctxB, q, 10, 40, nil)
+		a := plain.Query(ctxA, q, Query{K: 10, L: 40})
+		b := relay.Query(ctxB, q, Query{K: 10, L: 40})
 		if len(a.Neighbors) != len(b.Neighbors) {
 			t.Fatalf("query %d: result lengths %d vs %d", qi, len(a.Neighbors), len(b.Neighbors))
 		}
@@ -125,8 +125,8 @@ func TestQuantizedSearchMatchesFloat(t *testing.T) {
 	total := 0
 	for qi := 0; qi < queries.Rows; qi++ {
 		q := queries.Row(qi)
-		a := idx.SearchWithHopsCtx(ctxA, q, 10, 40, nil).Neighbors
-		b := qidx.SearchWithHopsCtx(ctxB, q, 10, 40, nil).Neighbors
+		a := idx.Query(ctxA, q, Query{K: 10, L: 40}).Neighbors
+		b := qidx.Query(ctxB, q, Query{K: 10, L: 40}).Neighbors
 		ina := make(map[int32]bool, len(a))
 		for _, n := range a {
 			ina[n.ID] = true
@@ -156,7 +156,7 @@ func TestQuantizedNoRerankReportsApprox(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewSearchContext()
-	res := idx.SearchQuantizedCtx(ctx, base.Row(3), 5, 20, nil, false)
+	res := idx.Query(ctx, base.Row(3), Query{K: 5, L: 20, NoRerank: true})
 	if len(res.Neighbors) == 0 {
 		t.Fatal("empty result")
 	}
@@ -216,8 +216,8 @@ func TestQuantizedPersistByteIdentical(t *testing.T) {
 	queries := testBase(t, 30, 24, 8)
 	for qi := 0; qi < queries.Rows; qi++ {
 		q := queries.Row(qi)
-		a := idx.SearchWithHopsCtx(ctxA, q, 10, 40, nil)
-		b := loaded.SearchWithHopsCtx(ctxB, q, 10, 40, nil)
+		a := idx.Query(ctxA, q, Query{K: 10, L: 40})
+		b := loaded.Query(ctxB, q, Query{K: 10, L: 40})
 		if a.Hops != b.Hops || len(a.Neighbors) != len(b.Neighbors) {
 			t.Fatalf("query %d: shape mismatch after reload", qi)
 		}
@@ -251,7 +251,7 @@ func TestVersionGateOldFilesLoad(t *testing.T) {
 		t.Fatal("legacy record loaded with quant/remap state")
 	}
 	ctx := NewSearchContext()
-	if res := loaded.SearchWithHopsCtx(ctx, base.Row(5), 5, 20, nil); res.Neighbors[0].ID != 5 {
+	if res := loaded.Query(ctx, base.Row(5), Query{K: 5, L: 20}); res.Neighbors[0].ID != 5 {
 		t.Fatalf("legacy reload broken: self search returned %d", res.Neighbors[0].ID)
 	}
 }
@@ -315,7 +315,7 @@ func TestQuantizedInsert(t *testing.T) {
 		t.Fatalf("codes/remap not extended: %d rows, %d remap entries", idx.Quant.Codes.Rows, len(idx.PubIDs))
 	}
 	ctx := NewSearchContext()
-	res := idx.SearchWithHopsCtx(ctx, vec, 1, 40, nil)
+	res := idx.Query(ctx, vec, Query{K: 1, L: 40})
 	if res.Neighbors[0].ID != id || res.Neighbors[0].Dist != 0 {
 		t.Fatalf("inserted vector not found: got id %d dist %g", res.Neighbors[0].ID, res.Neighbors[0].Dist)
 	}

@@ -1,34 +1,6 @@
 package core
 
-import (
-	"repro/internal/graphutil"
-	"repro/internal/vecmath"
-	"repro/internal/vecmath/quant"
-)
-
-// FlatNSG is an immutable, search-optimized view of a built NSG using the
-// fixed-stride adjacency layout (graphutil.FlatGraph) the paper's
-// implementations serve from. Freeze a built index once and serve queries
-// from the flat view; the layout removes one pointer chase per expanded
-// node and keeps each adjacency list contiguous.
-type FlatNSG struct {
-	Flat       *graphutil.FlatGraph
-	Navigating int32
-	Base       vecmath.Matrix
-	// PubIDs translates emitted ids when the source index was relayouted;
-	// nil means identity.
-	PubIDs []int32
-}
-
-// Freeze converts the index into its serving layout.
-func (x *NSG) Freeze() *FlatNSG {
-	return &FlatNSG{
-		Flat:       x.FlatView(),
-		Navigating: x.Navigating,
-		Base:       x.Base,
-		PubIDs:     x.PubIDs,
-	}
-}
+import "repro/internal/vecmath/quant"
 
 // permuteRows rearranges fixed-stride rows in place so that row i ends up
 // holding what was row p[i] — a gather by the permutation p, executed by
@@ -150,28 +122,4 @@ func (x *NSG) Relayout() {
 	x.Navigating = toNew[x.Navigating]
 	x.invalidateDerived()
 	x.FlatView() // refreeze the serving layout in the new order
-}
-
-// Search runs Algorithm 1 over the flat layout, identical in results to
-// NSG.Search on the graph it was frozen from. The result is caller-owned;
-// hot loops should prefer SearchCtx.
-func (x *FlatNSG) Search(query []float32, k, l int, counter *vecmath.Counter) []vecmath.Neighbor {
-	ctx := getCtx()
-	out := copyNeighbors(x.SearchCtx(ctx, query, k, l, counter))
-	putCtx(ctx)
-	return out
-}
-
-// SearchCtx is Search with caller-owned scratch; zero allocations on the
-// steady state. The returned slice aliases ctx and is valid until ctx's
-// next search.
-func (x *FlatNSG) SearchCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter) []vecmath.Neighbor {
-	ctx.startBuf[0] = x.Navigating
-	out := SearchOnGraphCtx(ctx, x.Flat, x.Base, query, ctx.startBuf[:], k, l, counter, nil).Neighbors
-	if x.PubIDs != nil {
-		for i := range out {
-			out[i].ID = x.PubIDs[out[i].ID]
-		}
-	}
-	return out
 }

@@ -161,13 +161,14 @@ func (d *Delta) id(off int) int32 {
 	return ch.IDs[j]
 }
 
-// LiveQuery bundles the per-query live-update state a snapshot search
-// consults: the pending-insert scan, the tombstone set, and an optional
-// final id translation.
-type LiveQuery struct {
-	// Delta holds the inserts not yet in the snapshot; nil or empty means
-	// the query serves from the snapshot alone.
-	Delta *Delta
+// Query is one search's plan: everything that varies between the heap,
+// mapped, live, filtered, sharded and quantized paths, passed by value to
+// the one entry point, Snapshot.Query. Only K and L are required; every
+// other field's zero value means "not in play".
+type Query struct {
+	// K is the number of results and L the candidate pool size (the
+	// paper's l). K <= 0 answers nothing; L < K is raised to K.
+	K, L int
 	// Dead is the tombstone set, a term of the pass test: a deleted row
 	// still routes but never holds a result slot. It is keyed by the
 	// snapshot's public ids (after the relayout remap, before Translate)
@@ -175,45 +176,30 @@ type LiveQuery struct {
 	// coincide only when Translate is nil, so a translating caller must
 	// leave Dead nil (live.Handle.Delete enforces it).
 	Dead *Tombstones
+	// Filter, when non-nil, admits only rows whose bit is set; see Filter
+	// for the id space its bitmap is keyed by.
+	Filter *Filter
+	// Delta holds the inserts not yet in the snapshot; nil or empty means
+	// the query serves from the snapshot alone.
+	Delta *Delta
 	// Translate maps snapshot-local result ids into the caller's id space
 	// (a sharded index's global ids); nil is identity. Delta chunk ids are
 	// already final and pass through untranslated. Under a filter it is
 	// also the remap into Filter.Bits' id space.
 	Translate []int32
+	// Counter, when non-nil, counts every distance evaluation.
+	Counter *vecmath.Counter
+	// NoRerank emits a quantized walk's code-space distances instead of
+	// reranking its pool exactly — the ablation cmd/bench -exp quant uses to
+	// price the rerank. Every serving path leaves it false.
+	NoRerank bool
 }
 
-// SearchLiveCtx answers one query over the frozen snapshot: Snapshot.search
-// with the pending-insert delta offered to the pool and tombstones in the
-// pass test, under flt when it is non-nil, returning the k nearest passing
-// live rows in final ids with exact float32 distances. All scratch lives in
-// ctx, so a warm context performs zero heap allocations; the returned
-// Neighbors slice aliases ctx and is valid until its next search.
-func (s *Snapshot) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, lq LiveQuery, flt *Filter) SearchResult {
-	res := s.search(ctx, query, k, l, counter, lq.Delta, lq.Dead, flt, lq.Translate)
-	// Internal ids to final ids, in place: snapshot rows through the remap
-	// and then the caller's table, delta rows from their chunks.
-	n := int32(s.base.Rows)
-	for i := range res.Neighbors {
-		nb := &res.Neighbors[i]
-		if nb.ID >= n {
-			nb.ID = lq.Delta.id(int(nb.ID - n))
-			continue
-		}
-		if s.pubIDs != nil {
-			nb.ID = s.pubIDs[nb.ID]
-		}
-		if lq.Translate != nil {
-			nb.ID = lq.Translate[nb.ID]
-		}
-	}
-	return res
-}
-
-// search is the root of every query path, heap, mapped and live: it picks
-// the pass test and the plan, then runs the one walk. d (pending inserts),
-// dead (tombstones) and flt (a compiled predicate) are each optional;
-// translate, when non-nil, is the public → bitmap id table. Results are
-// internal snapshot/delta ids with exact distances.
+// Query answers one query over the snapshot: the root of every query path,
+// heap, mapped and live. It picks the pass test and the plan, runs the one
+// walk, and returns the nearest q.K passing live rows in final ids —
+// snapshot rows through the relayout remap and then q.Translate, delta rows
+// from their chunks — with exact float32 distances (unless q.NoRerank).
 //
 //   - Nothing deleted, no predicate: passAll, no navigation pool — the
 //     paper's Algorithm 1.
@@ -224,59 +210,82 @@ func (s *Snapshot) SearchLiveCtx(ctx *SearchContext, query []float32, k, l int, 
 //     off from the live points behind it.
 //   - A predicate: planFiltered takes the cheaper, by predicted cost, of an
 //     exact scan of the passing rows and the walk, whose pool it also sizes.
-func (s *Snapshot) search(ctx *SearchContext, query []float32, k, l int, counter *vecmath.Counter, d *Delta, dead *Tombstones, flt *Filter, translate []int32) SearchResult {
-	if l < k {
-		l = k
+//
+// All scratch lives in ctx, so a warm context performs zero heap
+// allocations; the returned Neighbors slice aliases ctx and is valid until
+// its next search.
+func (s *Snapshot) Query(ctx *SearchContext, vec []float32, q Query) SearchResult {
+	if q.K <= 0 {
+		return emptyResult(ctx)
 	}
-	if d != nil && d.Total == 0 {
-		d = nil
+	q.L = max(q.L, q.K)
+	if q.Delta != nil && q.Delta.Total == 0 {
+		q.Delta = nil
 	}
-	if flt == nil && dead.Len() == 0 {
-		return searchView(ctx, s, query, k, l, 0, counter, d, passAll{}, true)
-	}
-	pf := passFilter{all: flt == nil, pubIDs: s.pubIDs, dead: dead}
-	lnav := dead.Len()
-	if flt != nil {
-		if flt.Count == 0 {
-			return emptyResult(ctx)
+	pf := passFilter{all: q.Filter == nil, pubIDs: s.pubIDs, dead: q.Dead}
+	var res SearchResult
+	switch {
+	case q.Filter == nil && q.Dead.Len() == 0:
+		res = searchView(ctx, s, vec, q, 0, passAll{})
+	case q.Filter == nil:
+		res = searchView(ctx, s, vec, q, q.Dead.Len(), pf)
+	case q.Filter.Count == 0:
+		return emptyResult(ctx)
+	default:
+		pf.bits, pf.remap = q.Filter.Bits, q.Translate
+		scan, lnav := planFiltered(s.base.Rows, q.L, s.flat.Stride-1, q.Filter.Count, q.Dead.Len())
+		if scan {
+			res = scanFiltered(ctx, s, vec, q.K, q.Counter, q.Delta, pf)
+		} else {
+			res = searchView(ctx, s, vec, q, lnav, pf)
 		}
-		pf.bits, pf.remap = flt.Bits, translate
-		var scan bool
-		if scan, lnav = planFiltered(s.base.Rows, l, s.flat.Stride-1, flt.Count, dead.Len()); scan {
-			return scanFiltered(ctx, s, query, k, counter, d, pf)
+	}
+	// Internal ids to final ids, in place.
+	n := int32(s.base.Rows)
+	for i := range res.Neighbors {
+		nb := &res.Neighbors[i]
+		if nb.ID >= n {
+			nb.ID = q.Delta.id(int(nb.ID - n))
+			continue
+		}
+		if s.pubIDs != nil {
+			nb.ID = s.pubIDs[nb.ID]
+		}
+		if q.Translate != nil {
+			nb.ID = q.Translate[nb.ID]
 		}
 	}
-	return searchView(ctx, s, query, k, l, lnav, counter, d, pf, true)
+	return res
 }
 
 // searchView runs the walk in the view's distance space. On a quantized
 // view that is code space (SQ8 or packed int4, per its mode) keeping the
-// whole main pool, followed — unless rerank is false, the ablation hook —
-// by one exact rerank of every survivor, so emitted distances are exact
-// and a true neighbor misranked by quantization still reaches the top k.
-func searchView[P passTest](ctx *SearchContext, s *Snapshot, query []float32, k, l, lnav int, counter *vecmath.Counter, d *Delta, pf P, rerank bool) SearchResult {
+// whole main pool, followed — unless q.NoRerank, the ablation hook — by one
+// exact rerank of every survivor, so emitted distances are exact and a true
+// neighbor misranked by quantization still reaches the top k.
+func searchView[P passTest](ctx *SearchContext, s *Snapshot, vec []float32, q Query, lnav int, pf P) SearchResult {
 	a, n := flatAdj{g: s.flat}, s.base.Rows
 	ctx.startBuf[0] = s.nav
 	qz := s.quant
 	if qz == nil {
-		return walk(ctx, a, n, floatDist{base: s.base, query: query}, ctx.startBuf[:], k, l, lnav, counter, d, pf)
+		return walk(ctx, a, n, floatDist{base: s.base, query: vec}, ctx.startBuf[:], q.K, q.L, lnav, q.Counter, q.Delta, pf)
 	}
-	fetch := k
-	if rerank {
-		fetch = l
+	fetch := q.L
+	if q.NoRerank {
+		fetch = q.K
 	}
 	var res SearchResult
 	if qz.Mode == quant.ModeInt4 {
-		ctx.qlevels = qz.Q4.PrepareInto(ctx.qlevels[:0], query)
+		ctx.qlevels = qz.Q4.PrepareInto(ctx.qlevels[:0], vec)
 		dist := code4Dist{q: &qz.Q4, codes: qz.Codes4, levels: ctx.qlevels}
-		res = walk(ctx, a, n, dist, ctx.startBuf[:], fetch, l, lnav, counter, d, pf)
+		res = walk(ctx, a, n, dist, ctx.startBuf[:], fetch, q.L, lnav, q.Counter, q.Delta, pf)
 	} else {
-		ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], query)
+		ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], vec)
 		dist := codeDist{q: &qz.Q, codes: qz.Codes, levels: ctx.qlevels}
-		res = walk(ctx, a, n, dist, ctx.startBuf[:], fetch, l, lnav, counter, d, pf)
+		res = walk(ctx, a, n, dist, ctx.startBuf[:], fetch, q.L, lnav, q.Counter, q.Delta, pf)
 	}
-	if rerank {
-		res.Neighbors = rerankPool(ctx, s.base, query, k, counter, d, res.Neighbors)
+	if !q.NoRerank {
+		res.Neighbors = rerankPool(ctx, s.base, vec, q.K, q.Counter, q.Delta, res.Neighbors)
 	}
 	return res
 }

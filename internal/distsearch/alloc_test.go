@@ -17,10 +17,10 @@ func TestSearchAppendReusesBuffer(t *testing.T) {
 	buf := make([]vecmath.Neighbor, 0, 16)
 	// Warm every pooled scratch path.
 	for i := 0; i < 8; i++ {
-		buf = s.SearchAppend(buf[:0], ds.Queries.Row(i%ds.Queries.Rows), 10, 40)
+		buf = s.Search(buf[:0], ds.Queries.Row(i%ds.Queries.Rows), 10, 40, nil, nil)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = s.SearchAppend(buf[:0], ds.Queries.Row(0), 10, 40)
+		buf = s.Search(buf[:0], ds.Queries.Row(0), 10, 40, nil, nil)
 		if len(buf) != 10 {
 			t.Fatal("short result")
 		}
@@ -28,6 +28,6 @@ func TestSearchAppendReusesBuffer(t *testing.T) {
 	// The fan-out itself must be allocation-free; a fractional budget covers
 	// rare sync.Pool refills after GC.
 	if allocs > 0.5 {
-		t.Fatalf("SearchAppend allocated %.2f times per query, want ~0", allocs)
+		t.Fatalf("Search allocated %.2f times per query, want ~0", allocs)
 	}
 }

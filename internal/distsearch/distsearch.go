@@ -13,9 +13,9 @@
 // each holding one core.SearchContext for its lifetime, and per-query fan
 // state (per-shard result buffers, merge buffer, per-shard hop/distance
 // tallies) is drawn from a sync.Pool of fanScratch values. On the steady
-// state a fan-out search allocates nothing; SearchAppend exposes that path
-// with a caller-owned destination buffer, and nsg.ShardedIndex builds the
-// public API on top of it.
+// state a fan-out search allocates nothing; Search exposes that path with a
+// caller-owned destination buffer, and nsg.ShardedIndex builds the public
+// API on top of it.
 package distsearch
 
 import (
@@ -337,27 +337,25 @@ func (s *Sharded) getScratch() *fanScratch {
 }
 
 func (s *Sharded) putScratch(f *fanScratch) {
-	f.query = nil
+	f.query, f.flt = nil, nil
 	s.scratch.Put(f)
 }
 
-// run executes one shard search with the worker's context: search the
-// shard — under its per-shard filter view when the fan is filtered (never
-// called for zero-count shards; searchFanFiltered skips them at enqueue
-// time) — translate local ids to global ids into the fan state's per-shard
-// buffer, and record the shard's work tallies when stats were requested.
-// The translation copy is what makes it safe for the worker to move on to
-// another task (and reuse ctx) immediately.
+// run executes one shard search with ctx: search the shard — under its
+// per-shard filter view when the fan is filtered (never called for
+// zero-count shards; fan skips them) — translate local ids to global ids
+// into the fan state's per-shard buffer, and record the shard's work
+// tallies when stats were requested. The translation copy is what makes it
+// safe for a worker to move on to another task (and reuse ctx) immediately.
 func (f *fanScratch) run(ctx *core.SearchContext, counter *vecmath.Counter, sh int) {
 	s := f.owner
-	var flt *core.Filter
-	if f.flt != nil {
-		flt = &f.flt.per[sh]
-	}
+	q := core.Query{K: f.k, L: f.l}
 	if f.stats {
 		counter.Reset()
-	} else {
-		counter = nil
+		q.Counter = counter
+	}
+	if f.flt != nil {
+		q.Filter = &f.flt.per[sh]
 	}
 	buf := f.bufs[sh][:0]
 	var res core.SearchResult
@@ -367,13 +365,13 @@ func (f *fanScratch) run(ctx *core.SearchContext, counter *vecmath.Counter, sh i
 		// per-result translation here. Its translate table — which grows
 		// with every drain, past any local bitmap — is also how it reads a
 		// filter, so a live shard searches under the global bitmap.
-		if flt != nil {
-			flt = &core.Filter{Bits: f.flt.Bits, Count: flt.Count}
+		if q.Filter != nil {
+			q.Filter = &core.Filter{Bits: f.flt.Bits, Count: q.Filter.Count}
 		}
-		res = h.SearchCtx(ctx, f.query, f.k, f.l, counter, flt)
+		res = h.Query(ctx, f.query, q)
 		buf = append(buf, res.Neighbors...)
 	} else {
-		res = s.shards[sh].SearchFilteredWithHopsCtx(ctx, f.query, f.k, f.l, nil, flt, counter)
+		res = s.shards[sh].Query(ctx, f.query, q)
 		ids := s.localID[sh]
 		for _, n := range res.Neighbors {
 			buf = append(buf, vecmath.Neighbor{ID: ids[n.ID], Dist: n.Dist})
@@ -384,7 +382,6 @@ func (f *fanScratch) run(ctx *core.SearchContext, counter *vecmath.Counter, sh i
 		f.comps[sh] = counter.Count()
 	}
 	f.bufs[sh] = buf
-	f.wg.Done()
 }
 
 // liveHandle returns shard sh's live handle, or nil when live updates are
@@ -402,6 +399,7 @@ func (s *Sharded) worker() {
 	var counter vecmath.Counter
 	for t := range s.tasks {
 		t.f.run(ctx, &counter, t.shard)
+		t.f.wg.Done()
 	}
 }
 
@@ -430,83 +428,71 @@ func MergeInto(dst, scratch []vecmath.Neighbor, k int, lists [][]vecmath.Neighbo
 	return dst, m[:0]
 }
 
-// mergeAppend merges this fan state's per-shard buffers through MergeInto,
-// recycling the fan's merge buffer.
-func (f *fanScratch) mergeAppend(dst []vecmath.Neighbor, k int) []vecmath.Neighbor {
-	dst, f.merged = MergeInto(dst, f.merged, k, f.bufs)
-	return dst
+// Search fans the query out to every shard in parallel, translates local
+// ids to global ids, merges by distance and appends the k nearest to dst
+// (pass a reused buffer truncated to [:0]). Under a non-nil flt each shard
+// searches under its own rows' bits, and shards with no passing rows are
+// never scheduled; a non-nil st receives the hops and distance
+// computations summed across the shard searches. With a warm destination
+// buffer the steady state performs zero heap allocations; this is the
+// serving entry point nsg.ShardedIndex wraps.
+//
+// A query whose dimension does not match the index panics here, on the
+// caller's goroutine: past this point a mismatch would panic on a shard
+// worker, where no caller could recover it. k <= 0 answers nothing.
+func (s *Sharded) Search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *ShardedFilter, st *SearchStats) []vecmath.Neighbor {
+	return s.fan(dst, vec, k, l, flt, st, false)
 }
 
-// searchFan is the shared fan-out engine behind Search, SearchAppend and
-// SearchStatsAppend.
-func (s *Sharded) searchFan(dst []vecmath.Neighbor, q []float32, k, l int, withStats bool) ([]vecmath.Neighbor, SearchStats) {
+// SearchSequential runs the same fan-out on the calling goroutine — the
+// 1-core protocol, so experiments can separate partitioning effects from
+// parallel speedup. Each shard runs the workers' per-shard search in turn
+// and the merge is shared, so both return identical results.
+func (s *Sharded) SearchSequential(vec []float32, k, l int) []vecmath.Neighbor {
+	return s.fan(nil, vec, k, l, nil, nil, true)
+}
+
+// fan is the one fan-out body behind Search and SearchSequential: inline
+// runs every shard search on the caller's goroutine, otherwise each is
+// handed to a pool worker.
+func (s *Sharded) fan(dst []vecmath.Neighbor, vec []float32, k, l int, flt *ShardedFilter, st *SearchStats, inline bool) []vecmath.Neighbor {
+	if len(vec) != s.Base.Dim {
+		panic(fmt.Sprintf("distsearch: query dim %d != index dim %d", len(vec), s.Base.Dim))
+	}
+	if st != nil {
+		*st = SearchStats{}
+	}
+	if k <= 0 || (flt != nil && flt.Count == 0) {
+		return dst
+	}
 	f := s.getScratch()
-	f.query, f.k, f.l, f.stats = q, k, l, withStats
-	f.wg.Add(len(s.shards))
+	f.query, f.k, f.l, f.stats, f.flt = vec, k, l, st != nil, flt
 	for sh := range s.shards {
-		s.tasks <- shardTask{f: f, shard: sh}
+		// Pooled scratch: drop a skipped shard's stale results and tallies.
+		f.bufs[sh], f.hops[sh], f.comps[sh] = f.bufs[sh][:0], 0, 0
+		switch {
+		case flt != nil && flt.per[sh].Count == 0:
+			// No passing rows: the shard is never searched.
+		case inline:
+			if f.seq == nil {
+				f.seq = core.NewSearchContext()
+			}
+			f.run(f.seq, nil, sh)
+		default:
+			f.wg.Add(1)
+			s.tasks <- shardTask{f: f, shard: sh}
+		}
 	}
 	f.wg.Wait()
-	dst = f.mergeAppend(dst, k)
-	var st SearchStats
-	if withStats {
+	dst, f.merged = MergeInto(dst, f.merged, k, f.bufs)
+	if st != nil {
 		for sh := range s.shards {
 			st.Hops += f.hops[sh]
 			st.DistComps += f.comps[sh]
 		}
 	}
 	s.putScratch(f)
-	return dst, st
-}
-
-// SearchAppend fans the query out to every shard in parallel, translates
-// local ids to global ids, merges by distance and appends the k nearest to
-// dst (pass a reused buffer truncated to [:0]). With a warm destination
-// buffer the steady state performs zero heap allocations; this is the
-// serving entry point nsg.ShardedIndex wraps.
-func (s *Sharded) SearchAppend(dst []vecmath.Neighbor, q []float32, k, l int) []vecmath.Neighbor {
-	res, _ := s.searchFan(dst, q, k, l, false)
-	return res
-}
-
-// SearchStatsAppend is SearchAppend plus the merged per-shard work
-// accounting (hops and distance computations summed across shards).
-func (s *Sharded) SearchStatsAppend(dst []vecmath.Neighbor, q []float32, k, l int) ([]vecmath.Neighbor, SearchStats) {
-	return s.searchFan(dst, q, k, l, true)
-}
-
-// Search fans the query out to every shard in parallel and returns the k
-// nearest in a caller-owned slice. Hot loops should prefer SearchAppend.
-func (s *Sharded) Search(q []float32, k, l int) []vecmath.Neighbor {
-	return s.SearchAppend(nil, q, k, l)
-}
-
-// SearchSequential runs the same fan-out on a single goroutine — the
-// 1-core protocol, so experiments can separate partitioning effects from
-// parallel speedup. It shares the pooled fan state and merge path with
-// Search, so both return identical results.
-func (s *Sharded) SearchSequential(q []float32, k, l int) []vecmath.Neighbor {
-	f := s.getScratch()
-	if f.seq == nil {
-		f.seq = core.NewSearchContext()
-	}
-	for sh := range s.shards {
-		if h := s.liveHandle(sh); h != nil {
-			res := h.SearchCtx(f.seq, q, k, l, nil, nil)
-			f.bufs[sh] = append(f.bufs[sh][:0], res.Neighbors...)
-			continue
-		}
-		res := s.shards[sh].SearchCtx(f.seq, q, k, l, nil)
-		ids := s.localID[sh]
-		buf := f.bufs[sh][:0]
-		for _, n := range res {
-			buf = append(buf, vecmath.Neighbor{ID: ids[n.ID], Dist: n.Dist})
-		}
-		f.bufs[sh] = buf
-	}
-	out := f.mergeAppend(nil, k)
-	s.putScratch(f)
-	return out
+	return dst
 }
 
 // Route returns the shard that would receive an inserted copy of vec: the

@@ -34,7 +34,7 @@ func TestShardedRecall(t *testing.T) {
 	}
 	got := make([][]int32, ds.Queries.Rows)
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		res := s.Search(ds.Queries.Row(qi), 10, 60)
+		res := s.Search(nil, ds.Queries.Row(qi), 10, 60, nil, nil)
 		ids := make([]int32, len(res))
 		for i, n := range res {
 			ids[i] = n.ID
@@ -50,7 +50,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	s, ds := buildSharded(t, 1200, 3)
 	for qi := 0; qi < 10; qi++ {
 		q := ds.Queries.Row(qi)
-		a := s.Search(q, 5, 40)
+		a := s.Search(nil, q, 5, 40, nil, nil)
 		b := s.SearchSequential(q, 5, 40)
 		if len(a) != len(b) {
 			t.Fatalf("length mismatch %d vs %d", len(a), len(b))
@@ -65,7 +65,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestGlobalIDsValid(t *testing.T) {
 	s, ds := buildSharded(t, 1000, 4)
-	res := s.Search(ds.Queries.Row(0), 10, 40)
+	res := s.Search(nil, ds.Queries.Row(0), 10, 40, nil, nil)
 	q := ds.Queries.Row(0)
 	for _, n := range res {
 		if n.ID < 0 || int(n.ID) >= ds.Base.Rows {
@@ -166,7 +166,7 @@ func TestRoutedInsert(t *testing.T) {
 	}
 	// The new point must be discoverable through the fan-out path, and only
 	// the receiving shard's layout should have been rebuilt.
-	res := s.Search(vec, 2, 40)
+	res := s.Search(nil, vec, 2, 40, nil, nil)
 	found := false
 	for _, nb := range res {
 		if nb.ID == gid || nb.ID == 7 {
@@ -202,7 +202,8 @@ func TestInsertDimMismatch(t *testing.T) {
 
 func TestSearchStatsMerged(t *testing.T) {
 	s, ds := buildSharded(t, 1200, 3)
-	res, st := s.SearchStatsAppend(nil, ds.Queries.Row(0), 10, 40)
+	var st SearchStats
+	res := s.Search(nil, ds.Queries.Row(0), 10, 40, nil, &st)
 	if len(res) != 10 {
 		t.Fatalf("got %d results, want 10", len(res))
 	}
@@ -215,7 +216,7 @@ func TestSearchStatsMerged(t *testing.T) {
 		t.Fatalf("hops %d < shard count %d", st.Hops, s.Shards())
 	}
 	// Stats path and plain path must agree on the results.
-	plain := s.Search(ds.Queries.Row(0), 10, 40)
+	plain := s.Search(nil, ds.Queries.Row(0), 10, 40, nil, nil)
 	for i := range res {
 		if res[i] != plain[i] {
 			t.Fatalf("stats path diverged at %d: %+v vs %+v", i, res[i], plain[i])
@@ -257,7 +258,7 @@ func TestVersionedFormatRejectsV1(t *testing.T) {
 
 func TestCloseIdempotent(t *testing.T) {
 	s, ds := buildSharded(t, 1000, 2)
-	if got := s.Search(ds.Queries.Row(0), 5, 40); len(got) != 5 {
+	if got := s.Search(nil, ds.Queries.Row(0), 5, 40, nil, nil); len(got) != 5 {
 		t.Fatalf("got %d results", len(got))
 	}
 	s.Close()
@@ -297,7 +298,7 @@ func TestQuantizedSharding(t *testing.T) {
 
 	got := make([][]int32, ds.Queries.Rows)
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		res := s.Search(ds.Queries.Row(qi), 10, 60)
+		res := s.Search(nil, ds.Queries.Row(qi), 10, 60, nil, nil)
 		ids := make([]int32, len(res))
 		for i, n := range res {
 			ids[i] = n.ID
@@ -321,8 +322,8 @@ func TestQuantizedSharding(t *testing.T) {
 		t.Fatal("reloaded index lost quantization")
 	}
 	for qi := 0; qi < 10; qi++ {
-		a := s.Search(ds.Queries.Row(qi), 10, 60)
-		b := loaded.Search(ds.Queries.Row(qi), 10, 60)
+		a := s.Search(nil, ds.Queries.Row(qi), 10, 60, nil, nil)
+		b := loaded.Search(nil, ds.Queries.Row(qi), 10, 60, nil, nil)
 		if len(a) != len(b) {
 			t.Fatalf("query %d: result length changed across persist", qi)
 		}
@@ -343,7 +344,7 @@ func TestQuantizedSharding(t *testing.T) {
 	if sh < 0 || sh >= s.Shards() {
 		t.Fatalf("insert routed to invalid shard %d", sh)
 	}
-	res := s.Search(vec, 2, 60)
+	res := s.Search(nil, vec, 2, 60, nil, nil)
 	found := false
 	for _, n := range res {
 		if n.ID == gid && n.Dist == 0 {

@@ -3,7 +3,6 @@ package distsearch
 import (
 	"repro/internal/core"
 	"repro/internal/meta"
-	"repro/internal/vecmath"
 )
 
 // Filtered fan-out: one predicate compiles into one GLOBAL-id-keyed bitmap,
@@ -12,8 +11,8 @@ import (
 // same plan choice, the same word-at-a-time scan. The per-shard filtered
 // search is the single-index one, so the sharded filtered answer is the
 // merge of per-shard filtered answers — the same contract the unfiltered
-// fan-out has. Shards with zero passing rows are skipped entirely; their
-// workers are never scheduled.
+// fan-out has, through the same Search. Shards with zero passing rows are
+// skipped entirely; their workers are never scheduled.
 
 // ShardedFilter is one compiled predicate prepared for fan-out: the global
 // bitmap plus a per-shard core.Filter holding that shard's rows' bits and
@@ -77,66 +76,4 @@ func (s *Sharded) CompileFilter(p meta.Predicate) (*ShardedFilter, error) {
 		return nil, err
 	}
 	return s.NewFilter(bits, count), nil
-}
-
-// searchFanFiltered fans one filtered query across the shards, skipping
-// shards with no passing rows.
-func (s *Sharded) searchFanFiltered(dst []vecmath.Neighbor, q []float32, k, l int, flt *ShardedFilter, withStats bool) ([]vecmath.Neighbor, SearchStats) {
-	f := s.getScratch()
-	f.query, f.k, f.l, f.stats, f.flt = q, k, l, withStats, flt
-	active := 0
-	for sh := range s.shards {
-		f.hops[sh], f.comps[sh] = 0, 0
-		if flt.per[sh].Count == 0 {
-			f.bufs[sh] = f.bufs[sh][:0] // pooled scratch: drop stale results
-			continue
-		}
-		active++
-	}
-	f.wg.Add(active)
-	for sh := range s.shards {
-		if flt.per[sh].Count != 0 {
-			s.tasks <- shardTask{f: f, shard: sh}
-		}
-	}
-	f.wg.Wait()
-	dst = f.mergeAppend(dst, k)
-	var st SearchStats
-	if withStats {
-		for sh := range s.shards {
-			st.Hops += f.hops[sh]
-			st.DistComps += f.comps[sh]
-		}
-	}
-	f.flt = nil
-	s.putScratch(f)
-	return dst, st
-}
-
-// SearchFilteredAppend is SearchAppend under a compiled filter: fan out to
-// every shard with passing rows, search each under the shared bitmap, merge
-// by distance and append the k nearest passing neighbors to dst. With a
-// warm destination buffer and a reused filter the steady state performs
-// zero heap allocations.
-func (s *Sharded) SearchFilteredAppend(dst []vecmath.Neighbor, q []float32, k, l int, flt *ShardedFilter) []vecmath.Neighbor {
-	if flt == nil {
-		return s.SearchAppend(dst, q, k, l)
-	}
-	if flt.Count == 0 {
-		return dst
-	}
-	res, _ := s.searchFanFiltered(dst, q, k, l, flt, false)
-	return res
-}
-
-// SearchFilteredStatsAppend is SearchFilteredAppend plus the summed
-// per-shard work accounting.
-func (s *Sharded) SearchFilteredStatsAppend(dst []vecmath.Neighbor, q []float32, k, l int, flt *ShardedFilter) ([]vecmath.Neighbor, SearchStats) {
-	if flt == nil {
-		return s.searchFan(dst, q, k, l, true)
-	}
-	if flt.Count == 0 {
-		return dst, SearchStats{}
-	}
-	return s.searchFanFiltered(dst, q, k, l, flt, true)
 }

@@ -60,10 +60,10 @@ func TestLiveShardedStress(t *testing.T) {
 				}
 				var res []vecmath.Neighbor
 				if r%2 == 0 {
-					res = s.SearchAppend(buf[:0], q, 10, 30)
+					res = s.Search(buf[:0], q, 10, 30, nil, nil)
 				} else {
 					var st SearchStats
-					res, st = s.SearchStatsAppend(buf[:0], q, 10, 30)
+					res = s.Search(buf[:0], q, 10, 30, nil, &st)
 					if st.Hops == 0 {
 						t.Error("stats search reported zero hops")
 						return
@@ -160,7 +160,7 @@ func TestLiveShardedStress(t *testing.T) {
 	// at exact distance 0 (its gid depends on the writers' interleaving,
 	// so only the distance is asserted).
 	for i := n0; i < ledger.Rows; i += 17 {
-		res := s.Search(ledger.Row(i), 1, 30)
+		res := s.Search(nil, ledger.Row(i), 1, 30, nil, nil)
 		if len(res) != 1 || res[0].Dist != 0 {
 			t.Fatalf("drained point %d not findable: %+v", i, res)
 		}

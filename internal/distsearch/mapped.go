@@ -166,7 +166,7 @@ func smCorrupt(format string, args ...any) error {
 // worker pool behave exactly as on a loaded index. Close releases the
 // mapping; meta is the blob passed to SaveMapped.
 func OpenMappedSharded(path string, opts core.MapOptions) (*Sharded, []byte, error) {
-	f, err := mstore.Open(path, opts.Store)
+	f, err := mstore.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}

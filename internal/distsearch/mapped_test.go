@@ -60,8 +60,8 @@ func TestShardedMappedParity(t *testing.T) {
 			}
 			for qi := 0; qi < ds.Queries.Rows; qi++ {
 				q := ds.Queries.Row(qi)
-				hr := heap.Search(q, 10, 50)
-				mr := mapped.Search(q, 10, 50)
+				hr := heap.Search(nil, q, 10, 50, nil, nil)
+				mr := mapped.Search(nil, q, 10, 50, nil, nil)
 				if len(hr) != len(mr) {
 					t.Fatalf("query %d: %d vs %d results", qi, len(hr), len(mr))
 				}
@@ -115,7 +115,7 @@ func TestShardedMappedReadOnlyGuards(t *testing.T) {
 	if err := mapped.Write(&bytes.Buffer{}); !errors.Is(err, core.ErrReadOnly) {
 		t.Fatalf("stream Write: %v", err)
 	}
-	if res := mapped.Search(ds.Queries.Row(0), 5, 30); len(res) != 5 {
+	if res := mapped.Search(nil, ds.Queries.Row(0), 5, 30, nil, nil); len(res) != 5 {
 		t.Fatalf("search after rejected mutations: %d results", len(res))
 	}
 }

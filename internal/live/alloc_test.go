@@ -47,10 +47,10 @@ func TestSearchCtxZeroAlloc(t *testing.T) {
 			ctx := core.NewSearchContext()
 			q := all.Row(7)
 			for i := 0; i < 8; i++ { // warm every scratch buffer
-				h.SearchCtx(ctx, q, 10, 60, nil, nil)
+				h.Query(ctx, q, core.Query{K: 10, L: 60})
 			}
 			allocs := testing.AllocsPerRun(200, func() {
-				h.SearchCtx(ctx, q, 10, 60, nil, nil)
+				h.Query(ctx, q, core.Query{K: 10, L: 60})
 			})
 			if allocs != 0 {
 				t.Fatalf("live search allocates %.2f/op with a warm context, want 0", allocs)

@@ -135,7 +135,7 @@ type view struct {
 
 // Handle is a live-update session over one core.NSG. After Start, the
 // handle owns all mutation of the index: Append and Delete are safe from
-// any goroutine, SearchCtx is safe from any goroutine with per-goroutine
+// any goroutine, Query is safe from any goroutine with per-goroutine
 // contexts, and nothing else may touch the wrapped NSG until Close.
 type Handle struct {
 	opts Options
@@ -441,28 +441,25 @@ func (h *Handle) Translate() []int32 {
 	return h.trans
 }
 
-// SearchCtx answers one query from the current view: Algorithm 1 over the
-// published snapshot, the pending delta offered to the candidate pool,
-// tombstones in the pass test, ids in final (translated) space and distances
-// exact. Under a non-nil flt only rows passing it occupy result slots; the
-// filter is keyed by final id — exactly the id space this handle returns —
-// so delta rows and snapshot rows test against the same bitmap, and the
-// view's translate table doubles as the filter remap. The view is loaded
-// once, so the query sees one epoch in full — a publish landing mid-query
-// affects only later queries. The returned slice aliases ctx; with a reused
-// per-goroutine context the steady state allocates nothing.
-func (h *Handle) SearchCtx(ctx *core.SearchContext, query []float32, k, l int, counter *vecmath.Counter, flt *core.Filter) core.SearchResult {
+// Query answers one query from the current view: Snapshot.Query over the
+// published snapshot with q's Delta, Dead and Translate filled from the
+// view — the pending delta offered to the candidate pool, tombstones in the
+// pass test, ids in final (translated) space — and distances exact. Under a
+// q.Filter only rows passing it occupy result slots; the filter is keyed by
+// final id — exactly the id space this handle returns — so delta rows and
+// snapshot rows test against the same bitmap, and the view's translate
+// table doubles as the filter remap. The view is loaded once, so the query
+// sees one epoch in full — a publish landing mid-query affects only later
+// queries. The returned slice aliases ctx; with a reused per-goroutine
+// context the steady state allocates nothing.
+func (h *Handle) Query(ctx *core.SearchContext, vec []float32, q core.Query) core.SearchResult {
 	v := h.view.Load()
 	sc, _ := h.scratch.Get().(*queryScratch)
 	if sc == nil {
 		sc = &queryScratch{}
 	}
-	d := sc.fill(v, h.seq)
-	res := v.snap.SearchLiveCtx(ctx, query, k, l, counter, core.LiveQuery{
-		Delta:     d,
-		Dead:      v.dead,
-		Translate: v.translate,
-	}, flt)
+	q.Delta, q.Dead, q.Translate = sc.fill(v, h.seq), v.dead, v.translate
+	res := v.snap.Query(ctx, vec, q)
 	h.scratch.Put(sc)
 	return res
 }

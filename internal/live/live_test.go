@@ -87,7 +87,7 @@ func TestAppendSearchableImmediately(t *testing.T) {
 		if id != int32(i) {
 			t.Fatalf("append id %d, want %d", id, i)
 		}
-		res := h.SearchCtx(ctx, all.Row(i), 3, 20, nil, nil)
+		res := h.Query(ctx, all.Row(i), core.Query{K: 3, L: 20})
 		if len(res.Neighbors) == 0 || res.Neighbors[0].ID != id || res.Neighbors[0].Dist != 0 {
 			t.Fatalf("appended point %d not nearest to itself: %+v", id, res.Neighbors)
 		}
@@ -132,8 +132,8 @@ func TestFlushDrainsAndMatchesSynchronousInserts(t *testing.T) {
 	queries := testVectors(40, dim, 3)
 	for qi := 0; qi < queries.Rows; qi++ {
 		q := queries.Row(qi)
-		got := h.SearchCtx(ctx, q, 10, 30, nil, nil)
-		want := ref.SearchWithHopsCtx(refCtx, q, 10, 30, nil)
+		got := h.Query(ctx, q, core.Query{K: 10, L: 30})
+		want := ref.Query(refCtx, q, core.Query{K: 10, L: 30})
 		if len(got.Neighbors) != len(want.Neighbors) {
 			t.Fatalf("query %d: %d results vs %d", qi, len(got.Neighbors), len(want.Neighbors))
 		}
@@ -161,7 +161,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	before := make([]answer, queries.Rows)
 	for qi := range before {
-		res := snap.SearchLiveCtx(ctx, queries.Row(qi), 10, 30, nil, core.LiveQuery{}, nil)
+		res := snap.Query(ctx, queries.Row(qi), core.Query{K: 10, L: 30})
 		for _, nb := range res.Neighbors {
 			before[qi].ids = append(before[qi].ids, nb.ID)
 			before[qi].dists = append(before[qi].dists, nb.Dist)
@@ -180,7 +180,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	h.Close()
 
 	for qi := range before {
-		res := snap.SearchLiveCtx(ctx, queries.Row(qi), 10, 30, nil, core.LiveQuery{}, nil)
+		res := snap.Query(ctx, queries.Row(qi), core.Query{K: 10, L: 30})
 		if len(res.Neighbors) != len(before[qi].ids) {
 			t.Fatalf("query %d: snapshot result count changed", qi)
 		}
@@ -203,14 +203,14 @@ func TestDeleteLive(t *testing.T) {
 	ctx := core.NewSearchContext()
 	// Delete a snapshot point: the exact-match query must stop returning it.
 	q := all.Row(42)
-	res := h.SearchCtx(ctx, q, 1, 20, nil, nil)
+	res := h.Query(ctx, q, core.Query{K: 1, L: 20})
 	if res.Neighbors[0].ID != 42 {
 		t.Fatalf("self query returned %d", res.Neighbors[0].ID)
 	}
 	if err := h.Delete(42); err != nil {
 		t.Fatal(err)
 	}
-	res = h.SearchCtx(ctx, q, 1, 20, nil, nil)
+	res = h.Query(ctx, q, core.Query{K: 1, L: 20})
 	if len(res.Neighbors) == 0 || res.Neighbors[0].ID == 42 {
 		t.Fatalf("deleted id still returned: %+v", res.Neighbors)
 	}
@@ -226,7 +226,7 @@ func TestDeleteLive(t *testing.T) {
 	if err := h.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	res = h.SearchCtx(ctx, all.Row(n0), 1, 20, nil, nil)
+	res = h.Query(ctx, all.Row(n0), core.Query{K: 1, L: 20})
 	if len(res.Neighbors) > 0 && res.Neighbors[0].ID == id {
 		t.Fatalf("deleted delta id still returned")
 	}
@@ -267,7 +267,7 @@ func TestDeleteTranslatedHandle(t *testing.T) {
 	if h.DeadCount() != 0 || h.Dead() != nil {
 		t.Fatal("a refused Delete left a tombstone behind")
 	}
-	res := h.SearchCtx(core.NewSearchContext(), all.Row(7), 1, 20, nil, nil)
+	res := h.Query(core.NewSearchContext(), all.Row(7), core.Query{K: 1, L: 20})
 	if len(res.Neighbors) != 1 || res.Neighbors[0].ID != 1007 {
 		t.Fatalf("self query after refused deletes = %+v, want id 1007", res.Neighbors)
 	}
@@ -292,7 +292,7 @@ func TestQuantizedRelaidLive(t *testing.T) {
 		}
 		// The quantized path expands over codes but reranks exactly; delta
 		// or not, every emitted distance must be the exact float32 L2.
-		res := h.SearchCtx(ctx, all.Row(i), 5, 30, nil, nil)
+		res := h.Query(ctx, all.Row(i), core.Query{K: 5, L: 30})
 		if res.Neighbors[0].ID != id || res.Neighbors[0].Dist != 0 {
 			t.Fatalf("appended point %d not exact-nearest: %+v", id, res.Neighbors[0])
 		}
@@ -302,7 +302,7 @@ func TestQuantizedRelaidLive(t *testing.T) {
 	queries := testVectors(30, dim, 8)
 	for qi := 0; qi < queries.Rows; qi++ {
 		q := queries.Row(qi)
-		res := h.SearchCtx(ctx, q, 10, 40, nil, nil)
+		res := h.Query(ctx, q, core.Query{K: 10, L: 40})
 		checkExact(t, q, res.Neighbors, &all, func() int { return all.Rows })
 	}
 }
@@ -349,7 +349,7 @@ func TestStraddlePublishConsistency(t *testing.T) {
 				// search can see has an id below what was published at that
 				// moment... plus whatever landed mid-search, so re-load the
 				// ceiling afterwards for the range check.
-				res := h.SearchCtx(ctx, q, 10, 30, nil, nil)
+				res := h.Query(ctx, q, core.Query{K: 10, L: 30})
 				ceil := visible.Load()
 				seen := make(map[int32]bool, len(res.Neighbors))
 				for i, nb := range res.Neighbors {

@@ -9,7 +9,7 @@ import (
 
 var errNoMmap = errors.New("mstore: mmap unavailable on this platform")
 
-// mmapFile always fails here; Open falls back to the block-cache path.
+// mmapFile always fails here; Open falls back to pread.
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return nil, errNoMmap
 }

@@ -1,9 +1,11 @@
 // Package mstore owns file-backed index storage: it memory-maps index
 // files so fixed-stride slabs (adjacency rows, vector matrices, SQ8 code
 // matrices, remap tables) are served zero-copy straight from the page
-// cache, and falls back to a pread + LRU block cache on platforms (or
-// deployments) where mmap is unavailable or unwanted — cold storage,
-// wasm, constrained containers.
+// cache. Where mmap is unavailable (platforms without it, or a mapping the
+// kernel refuses) each requested range is read with one pread into an
+// 8-byte-aligned heap buffer instead. The mapped readers ask for every
+// section once, at open, so the fallback has nothing to cache: one copy of
+// each slab is exactly what it must hold.
 //
 // The package deliberately knows nothing about index formats. It hands
 // out byte ranges ([File.Bytes]) and typed little-endian views of them
@@ -17,46 +19,26 @@ package mstore
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"unsafe"
 )
 
-// Options configures Open.
-type Options struct {
-	// DisableMmap forces the pread + block-cache path even where mmap is
-	// available. The cache path copies requested ranges into heap memory,
-	// so opens cost O(bytes read) instead of O(1) — it is the cold-storage
-	// and portability fallback, not the serving default.
-	DisableMmap bool
-	// BlockBytes is the cache block size for the fallback path.
-	// 0 selects the default (1 MiB).
-	BlockBytes int
-	// CacheBlocks caps how many blocks the fallback path keeps resident.
-	// 0 selects the default (64).
-	CacheBlocks int
-}
-
-const (
-	defaultBlockBytes  = 1 << 20
-	defaultCacheBlocks = 64
-)
+// forcePread makes Open skip mmap, so this package's tests can drive the
+// fallback path on a platform that has mmap. Nothing else sets it.
+var forcePread bool
 
 // File is a read-only view of an index file: either one contiguous mmap
-// or a pread-backed block cache over the same bytes. Safe for concurrent
+// or a descriptor that Bytes reads ranges from. Safe for concurrent
 // readers after Open.
 type File struct {
-	path string
 	size int64
-	data []byte      // mmap mode; nil in fallback mode
-	f    *os.File    // fallback mode; nil once mapped
-	bc   *blockCache // fallback mode
+	data []byte   // mmap mode; nil in fallback mode
+	f    *os.File // fallback mode; nil once mapped
 }
 
 // Open opens path read-only. It memory-maps the whole file unless the
-// platform lacks mmap or opts.DisableMmap is set, in which case reads go
-// through a pread + LRU block cache.
-func Open(path string, opts Options) (*File, error) {
+// platform lacks mmap, in which case Bytes reads ranges with pread.
+func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("mstore: %w", err)
@@ -67,43 +49,28 @@ func Open(path string, opts Options) (*File, error) {
 		return nil, fmt.Errorf("mstore: %w", err)
 	}
 	size := st.Size()
-	out := &File{path: path, size: size}
-	if !opts.DisableMmap && size > 0 {
+	out := &File{size: size}
+	if !forcePread && size > 0 {
 		if data, err := mmapFile(f, size); err == nil {
 			out.data = data
 			f.Close() // the mapping outlives the descriptor
 			return out, nil
 		}
-		// Fall through to the cache path on any mmap failure (including
-		// platforms whose stub always errors).
-	}
-	bb := opts.BlockBytes
-	if bb <= 0 {
-		bb = defaultBlockBytes
-	}
-	nb := opts.CacheBlocks
-	if nb <= 0 {
-		nb = defaultCacheBlocks
+		// Fall through to pread on any mmap failure (including platforms
+		// whose stub always errors).
 	}
 	out.f = f
-	out.bc = newBlockCache(f, bb, nb)
 	return out, nil
 }
 
 // Size returns the file size in bytes.
 func (m *File) Size() int64 { return m.size }
 
-// Path returns the path the file was opened from.
-func (m *File) Path() string { return m.path }
-
-// Mapped reports whether the file is served by mmap (true) or the block
-// cache fallback (false).
-func (m *File) Mapped() bool { return m.data != nil }
-
 // Bytes returns the n bytes at offset off. In mmap mode this is a
 // zero-copy subslice of the mapping, valid until Close; in fallback mode
-// the range is copied into fresh heap memory through the block cache.
-// The returned bytes must not be modified.
+// the range is read into fresh 8-byte-aligned heap memory, so the typed
+// views below hold on the copy as well. The returned bytes must not be
+// modified.
 func (m *File) Bytes(off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > m.size || off+n < off {
 		return nil, fmt.Errorf("mstore: range [%d,%d) outside file of %d bytes", off, off+n, m.size)
@@ -111,44 +78,11 @@ func (m *File) Bytes(off, n int64) ([]byte, error) {
 	if m.data != nil {
 		return m.data[off : off+n : off+n], nil
 	}
-	// Fallback: materialize the range. Allocate with 8-byte alignment so
-	// the typed views below hold on the copy as well.
 	buf := alignedBytes(int(n))
-	if _, err := m.ReadAt(buf, off); err != nil {
-		return nil, err
+	if _, err := m.f.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("mstore: pread [%d,%d): %w", off, off+n, err)
 	}
 	return buf, nil
-}
-
-// ReadAt implements io.ReaderAt over the file. In fallback mode reads are
-// served block-by-block through the LRU cache; in mmap mode they copy out
-// of the mapping.
-func (m *File) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off > m.size {
-		return 0, fmt.Errorf("mstore: read at %d outside file of %d bytes", off, m.size)
-	}
-	n := len(p)
-	if int64(n) > m.size-off {
-		n = int(m.size - off)
-	}
-	if m.data != nil {
-		copy(p[:n], m.data[off:])
-	} else if err := m.bc.readAt(p[:n], off); err != nil {
-		return 0, err
-	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// CacheStats reports the fallback block cache's hit/miss counters; zeros
-// in mmap mode (the kernel page cache plays that role there).
-func (m *File) CacheStats() CacheStats {
-	if m.bc == nil {
-		return CacheStats{}
-	}
-	return m.bc.stats()
 }
 
 // Close releases the mapping or the descriptor. Byte ranges returned by

@@ -9,8 +9,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
+	"unsafe"
 )
 
 func writeTemp(t *testing.T, data []byte) string {
@@ -29,17 +29,21 @@ func randomBytes(n int, seed int64) []byte {
 	return b
 }
 
-// Both modes must serve identical bytes for identical ranges.
+// Both paths must serve identical bytes for identical ranges: aligned,
+// unaligned and whole-file. The pread path is what platforms without mmap
+// run; forcePread drives it here.
 func TestBytesParityAcrossModes(t *testing.T) {
 	data := randomBytes(3<<20+123, 1)
 	path := writeTemp(t, data)
-	for _, disable := range []bool{false, true} {
+	for _, pread := range []bool{false, true} {
 		name := "mmap"
-		if disable {
-			name = "cache"
+		if pread {
+			name = "pread"
 		}
 		t.Run(name, func(t *testing.T) {
-			f, err := Open(path, Options{DisableMmap: disable, BlockBytes: 64 << 10, CacheBlocks: 8})
+			forcePread = pread
+			defer func() { forcePread = false }()
+			f, err := Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,16 +51,19 @@ func TestBytesParityAcrossModes(t *testing.T) {
 			if f.Size() != int64(len(data)) {
 				t.Fatalf("size %d, want %d", f.Size(), len(data))
 			}
-			if f.Mapped() == disable {
-				t.Fatalf("Mapped()=%v with DisableMmap=%v", f.Mapped(), disable)
+			if mapped := f.data != nil; mapped == pread {
+				t.Fatalf("mapped=%v with forcePread=%v", mapped, pread)
 			}
-			for _, r := range [][2]int64{{0, 100}, {1 << 20, 2 << 20}, {int64(len(data)) - 7, 7}, {0, int64(len(data))}, {500, 0}} {
+			for _, r := range [][2]int64{{0, 100}, {1 << 20, 2 << 20}, {64, 4096}, {3, 1001}, {int64(len(data)) - 7, 7}, {0, int64(len(data))}, {500, 0}} {
 				got, err := f.Bytes(r[0], r[1])
 				if err != nil {
 					t.Fatalf("Bytes(%d,%d): %v", r[0], r[1], err)
 				}
 				if !bytes.Equal(got, data[r[0]:r[0]+r[1]]) {
 					t.Fatalf("Bytes(%d,%d) mismatch", r[0], r[1])
+				}
+				if pread && len(got) > 0 && uintptr(unsafe.Pointer(&got[0]))%8 != 0 {
+					t.Fatalf("Bytes(%d,%d): pread copy is not 8-byte aligned", r[0], r[1])
 				}
 			}
 			// Out-of-range requests must error, not panic or truncate.
@@ -67,96 +74,6 @@ func TestBytesParityAcrossModes(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestReadAtAcrossBlocks(t *testing.T) {
-	data := randomBytes(1<<18, 2)
-	path := writeTemp(t, data)
-	f, err := Open(path, Options{DisableMmap: true, BlockBytes: 4096, CacheBlocks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	buf := make([]byte, 10_000)
-	for _, off := range []int64{0, 1, 4095, 4096, 100_000, int64(len(data)) - 10_000} {
-		if _, err := f.ReadAt(buf, off); err != nil {
-			t.Fatalf("ReadAt(%d): %v", off, err)
-		}
-		if !bytes.Equal(buf, data[off:off+10_000]) {
-			t.Fatalf("ReadAt(%d) mismatch", off)
-		}
-	}
-	// Short read at EOF returns io.EOF with the available prefix.
-	n, err := f.ReadAt(buf, int64(len(data))-100)
-	if n != 100 || err != io.EOF {
-		t.Fatalf("ReadAt near EOF: n=%d err=%v, want 100, io.EOF", n, err)
-	}
-	st := f.CacheStats()
-	if st.Misses == 0 || st.Resident == 0 || st.Resident > 4 {
-		t.Fatalf("implausible cache stats %+v", st)
-	}
-}
-
-// Eviction must never invalidate bytes a reader already holds (GC keeps
-// dropped blocks alive), and the resident count must respect the cap.
-func TestCacheEvictionKeepsOldSlicesValid(t *testing.T) {
-	data := randomBytes(64*1024, 3)
-	path := writeTemp(t, data)
-	f, err := Open(path, Options{DisableMmap: true, BlockBytes: 1024, CacheBlocks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	first, err := f.Bytes(0, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := int64(0); off < int64(len(data)); off += 1024 {
-		if _, err := f.Bytes(off, 1024); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := f.CacheStats()
-	if st.Resident > 2 {
-		t.Fatalf("resident %d exceeds cap 2", st.Resident)
-	}
-	if st.Evicted == 0 {
-		t.Fatal("expected evictions")
-	}
-	if !bytes.Equal(first, data[:1024]) {
-		t.Fatal("early range corrupted by eviction")
-	}
-}
-
-func TestConcurrentCacheReads(t *testing.T) {
-	data := randomBytes(1<<20, 4)
-	path := writeTemp(t, data)
-	f, err := Open(path, Options{DisableMmap: true, BlockBytes: 8192, CacheBlocks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			buf := make([]byte, 1000)
-			for i := 0; i < 200; i++ {
-				off := rng.Int63n(int64(len(data)) - 1000)
-				if _, err := f.ReadAt(buf, off); err != nil {
-					t.Errorf("ReadAt(%d): %v", off, err)
-					return
-				}
-				if !bytes.Equal(buf, data[off:off+1000]) {
-					t.Errorf("ReadAt(%d) mismatch", off)
-					return
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
 }
 
 func TestTypedViews(t *testing.T) {

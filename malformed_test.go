@@ -1,0 +1,156 @@
+package nsg
+
+import (
+	"path/filepath"
+	"testing"
+	"time"
+)
+
+// TestMalformedSearch: every public search entry, on every index shape,
+// answers a malformed (k, l) with an empty result, and a query of the wrong
+// dimension panics on the caller's goroutine, where recover catches it. On a
+// ShardedIndex either one used to panic on a shard worker instead, which no
+// caller can recover: it killed the process.
+func TestMalformedSearch(t *testing.T) {
+	const n, extra = 600, 20
+	ds := shardedTestData(t, n+extra, 2)
+	vecs := make([][]float32, n+extra)
+	for i := range vecs {
+		vecs[i] = ds.Base.Row(i)
+	}
+	half := Range("sel", 0, 499)
+
+	// searcher is one index shape's four methods; a nil method is one the
+	// type does not have (Index has no SearchFilteredWithStats).
+	type searcher struct {
+		name    string
+		methods map[string]func(q []float32, k, l int) []int32
+	}
+	ids := func(ids []int32, _ []float32) []int32 { return ids }
+	idsStats := func(ids []int32, _ []float32, _ SearchStats) []int32 { return ids }
+	index := func(name string, idx *Index) searcher {
+		f, err := idx.CompileFilter(half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return searcher{name, map[string]func([]float32, int, int) []int32{
+			"SearchWithPool":          func(q []float32, k, l int) []int32 { return ids(idx.SearchWithPool(q, k, l)) },
+			"SearchFilteredWithPool":  func(q []float32, k, l int) []int32 { return ids(idx.SearchFilteredWithPool(q, k, l, f)) },
+			"SearchWithStats":         func(q []float32, k, l int) []int32 { return idsStats(idx.SearchWithStats(q, k, l)) },
+			"SearchFilteredWithStats": nil,
+		}}
+	}
+	sharded := func(name string, idx *ShardedIndex) searcher {
+		f, err := idx.CompileFilter(half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return searcher{name, map[string]func([]float32, int, int) []int32{
+			"SearchWithPool":          func(q []float32, k, l int) []int32 { return ids(idx.SearchWithPool(q, k, l)) },
+			"SearchFilteredWithPool":  func(q []float32, k, l int) []int32 { return ids(idx.SearchFilteredWithPool(q, k, l, f)) },
+			"SearchWithStats":         func(q []float32, k, l int) []int32 { return idsStats(idx.SearchWithStats(q, k, l)) },
+			"SearchFilteredWithStats": func(q []float32, k, l int) []int32 { return idsStats(idx.SearchFilteredWithStats(q, k, l, f)) },
+		}}
+	}
+	build := func(mode QuantMode) *Index {
+		opts := DefaultOptions()
+		opts.Quantize = mode
+		idx, err := Build(vecs[:n], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.SetMetadata(planMetadata(n)); err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	pending := LiveOptions{PublishInterval: time.Hour, MaxPending: 1 << 20}
+
+	var shapes []searcher
+	shapes = append(shapes, index("heap", build(QuantNone)))
+	sq8 := build(QuantSQ8)
+	shapes = append(shapes, index("SQ8", sq8))
+	path := filepath.Join(t.TempDir(), "malformed.nsgm")
+	if err := sq8.SaveMapped(path); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMapped(path, MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	shapes = append(shapes, index("OpenMapped", mapped))
+	liveIdx := build(QuantNone)
+	if err := liveIdx.EnableLiveUpdates(pending); err != nil {
+		t.Fatal(err)
+	}
+	defer liveIdx.Close()
+	for i := n; i < n+extra; i++ {
+		if _, err := liveIdx.AddWithMetadata(vecs[i], map[string]any{"sel": planSel(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shapes = append(shapes, index("live with a pending delta", liveIdx))
+	dead := build(QuantNone)
+	for id := int32(0); id < n; id += 5 {
+		if err := dead.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shapes = append(shapes, index("tombstoned", dead))
+
+	for _, live := range []bool{false, true} {
+		sh, err := BuildSharded(vecs[:n], DefaultShardedOptions(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sh.Close()
+		if err := sh.SetMetadata(planMetadata(n)); err != nil {
+			t.Fatal(err)
+		}
+		name := "sharded heap"
+		if live {
+			name = "sharded live"
+			if err := sh.EnableLiveUpdates(pending); err != nil {
+				t.Fatal(err)
+			}
+			for i := n; i < n+extra; i++ {
+				if _, err := sh.Add(vecs[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := sh.Metadata().AppendRow(map[string]any{"sel": planSel(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		shapes = append(shapes, sharded(name, sh))
+	}
+
+	// call runs one search and reports what it panicked with, if anything.
+	call := func(search func([]float32, int, int) []int32, q []float32, k, l int) (got []int32, panicked any) {
+		defer func() { panicked = recover() }()
+		return search(q, k, l), nil
+	}
+	q := ds.Queries.Row(0)
+	for _, s := range shapes {
+		for _, method := range []string{"SearchWithPool", "SearchFilteredWithPool", "SearchWithStats", "SearchFilteredWithStats"} {
+			search := s.methods[method]
+			if search == nil {
+				continue
+			}
+			t.Run(s.name+"/"+method, func(t *testing.T) {
+				if got, p := call(search, q, 10, 40); p != nil || len(got) != 10 {
+					t.Fatalf("well-formed query: %d results, panic %v", len(got), p)
+				}
+				for _, kl := range [][2]int{{0, 0}, {-1, 5}, {0, -1}} {
+					if got, p := call(search, q, kl[0], kl[1]); p != nil || len(got) != 0 {
+						t.Errorf("k=%d l=%d: %d results, panic %v; want none and no panic", kl[0], kl[1], len(got), p)
+					}
+				}
+				if _, p := call(search, q[:len(q)/2], 10, 40); p == nil {
+					t.Error("a wrong-dimension query did not panic on the caller's goroutine")
+				}
+			})
+		}
+	}
+}

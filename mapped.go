@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distsearch"
-	"repro/internal/mstore"
 )
 
 // This file is the public face of disk-resident serving: SaveMapped writes
@@ -46,26 +45,10 @@ type MapOptions struct {
 	// with NoVerify, in-place corruption of a slab can crash searches or
 	// silently return wrong results.
 	NoVerify bool
-	// DisableMmap forces the pread + block-cache fallback even where mmap
-	// is available. Mainly for tests and for pathological address-space
-	// constraints; mapped serving is otherwise strictly better.
-	DisableMmap bool
-	// CacheBlockBytes and CacheBlocks size the fallback block cache
-	// (defaults: 1 MiB blocks, 64 resident). Ignored while mmap serves the
-	// file.
-	CacheBlockBytes int
-	CacheBlocks     int
 }
 
 func (o MapOptions) internal() core.MapOptions {
-	return core.MapOptions{
-		NoVerify: o.NoVerify,
-		Store: mstore.Options{
-			DisableMmap: o.DisableMmap,
-			BlockBytes:  o.CacheBlockBytes,
-			CacheBlocks: o.CacheBlocks,
-		},
-	}
+	return core.MapOptions{NoVerify: o.NoVerify}
 }
 
 // SaveMapped writes the index in the disk-resident serving layout —
@@ -79,10 +62,10 @@ func (x *Index) SaveMapped(path string) error {
 }
 
 // OpenMapped opens a file written by SaveMapped and serves it in place
-// through a memory mapping (or a pread block cache where mmap is
-// unavailable). The returned index is read-only — see ErrReadOnly — and
-// holds the file open until Close. Searches are byte-identical to the
-// heap-resident index that was saved.
+// through a memory mapping (or, where mmap is unavailable, one heap copy of
+// each slab read at open). The returned index is read-only — see
+// ErrReadOnly — and holds the file open until Close. Searches are
+// byte-identical to the heap-resident index that was saved.
 //
 // By default the whole file is verified against its checksums before
 // serving (open reads the file once); MapOptions.NoVerify skips that pass

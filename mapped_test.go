@@ -20,16 +20,6 @@ import (
 	"repro/internal/mstore"
 )
 
-// mapModes are the two serving backends every parity test runs under: the
-// mmap fast path and the pread + block-cache fallback.
-var mapModes = []struct {
-	name string
-	opts MapOptions
-}{
-	{"mmap", MapOptions{}},
-	{"cache", MapOptions{DisableMmap: true, CacheBlockBytes: 1 << 12, CacheBlocks: 8}},
-}
-
 func buildMappedPublicIndex(t *testing.T, ds dataset.Dataset, quantize QuantMode) *Index {
 	t.Helper()
 	opts := DefaultOptions()
@@ -57,8 +47,7 @@ func searchSig(ids []int32, dists []float32) string {
 
 // TestMappedParityPublic: OpenMapped must serve byte-identical results to
 // the heap index it was saved from — ids, distance bits, and traversal hop
-// counts — for the float32, SQ8+rerank and int4+rerank shapes, under mmap
-// and under the block-cache fallback.
+// counts — for the float32, SQ8+rerank and int4+rerank shapes.
 func TestMappedParityPublic(t *testing.T) {
 	ds := shardedTestData(t, 2000, 30)
 	for _, quantize := range []QuantMode{QuantNone, QuantSQ8, QuantInt4} {
@@ -68,43 +57,41 @@ func TestMappedParityPublic(t *testing.T) {
 			if err := heap.SaveMapped(path); err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range mapModes {
-				t.Run(mode.name, func(t *testing.T) {
-					mapped, err := OpenMapped(path, mode.opts)
-					if err != nil {
-						t.Fatal(err)
+			t.Run("mmap", func(t *testing.T) {
+				mapped, err := OpenMapped(path, MapOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mapped.Close()
+				if !mapped.ReadOnly() {
+					t.Fatal("mapped index not read-only")
+				}
+				if mapped.Len() != heap.Len() || mapped.Dim() != heap.Dim() || mapped.QuantMode() != heap.QuantMode() {
+					t.Fatalf("shape mismatch: len %d/%d dim %d/%d quant %v/%v",
+						mapped.Len(), heap.Len(), mapped.Dim(), heap.Dim(), mapped.QuantMode(), heap.QuantMode())
+				}
+				for qi := 0; qi < ds.Queries.Rows; qi++ {
+					q := ds.Queries.Row(qi)
+					hi, hd, hs := heap.SearchWithStats(q, 10, 60)
+					mi, md, ms := mapped.SearchWithStats(q, 10, 60)
+					if searchSig(hi, hd) != searchSig(mi, md) {
+						t.Fatalf("query %d: results diverge\nheap   %s\nmapped %s",
+							qi, searchSig(hi, hd), searchSig(mi, md))
 					}
-					defer mapped.Close()
-					if !mapped.ReadOnly() {
-						t.Fatal("mapped index not read-only")
+					if hs.Hops != ms.Hops || hs.DistanceComputations != ms.DistanceComputations {
+						t.Fatalf("query %d: stats diverge: heap %+v mapped %+v", qi, hs, ms)
 					}
-					if mapped.Len() != heap.Len() || mapped.Dim() != heap.Dim() || mapped.QuantMode() != heap.QuantMode() {
-						t.Fatalf("shape mismatch: len %d/%d dim %d/%d quant %v/%v",
-							mapped.Len(), heap.Len(), mapped.Dim(), heap.Dim(), mapped.QuantMode(), heap.QuantMode())
-					}
-					for qi := 0; qi < ds.Queries.Rows; qi++ {
-						q := ds.Queries.Row(qi)
-						hi, hd, hs := heap.SearchWithStats(q, 10, 60)
-						mi, md, ms := mapped.SearchWithStats(q, 10, 60)
-						if searchSig(hi, hd) != searchSig(mi, md) {
-							t.Fatalf("query %d: results diverge\nheap   %s\nmapped %s",
-								qi, searchSig(hi, hd), searchSig(mi, md))
-						}
-						if hs.Hops != ms.Hops || hs.DistanceComputations != ms.DistanceComputations {
-							t.Fatalf("query %d: stats diverge: heap %+v mapped %+v", qi, hs, ms)
-						}
-					}
-					// Vector access must read the mapped slab.
-					for _, id := range []int{0, 7, heap.Len() - 1} {
-						hv, mv := heap.Vector(id), mapped.Vector(id)
-						for j := range hv {
-							if math.Float32bits(hv[j]) != math.Float32bits(mv[j]) {
-								t.Fatalf("vector %d diverges at dim %d", id, j)
-							}
+				}
+				// Vector access must read the mapped slab.
+				for _, id := range []int{0, 7, heap.Len() - 1} {
+					hv, mv := heap.Vector(id), mapped.Vector(id)
+					for j := range hv {
+						if math.Float32bits(hv[j]) != math.Float32bits(mv[j]) {
+							t.Fatalf("vector %d diverges at dim %d", id, j)
 						}
 					}
-				})
-			}
+				}
+			})
 		})
 	}
 }
@@ -239,7 +226,7 @@ func TestMappedPromoteToHeapPublic(t *testing.T) {
 
 // TestShardedMappedRoundTrip: the sharded container must round-trip the
 // build options and serve byte-identical fan-out searches, for plain and
-// quantized shards, under both backends.
+// quantized shards.
 func TestShardedMappedRoundTrip(t *testing.T) {
 	ds := shardedTestData(t, 2000, 25)
 	for _, quantize := range []QuantMode{QuantNone, QuantSQ8, QuantInt4} {
@@ -259,52 +246,50 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 			if err := heap.SaveMapped(path); err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range mapModes {
-				t.Run(mode.name, func(t *testing.T) {
-					mapped, err := OpenMappedSharded(path, mode.opts)
-					if err != nil {
-						t.Fatal(err)
+			t.Run("mmap", func(t *testing.T) {
+				mapped, err := OpenMappedSharded(path, MapOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mapped.Close()
+				if !mapped.ReadOnly() {
+					t.Fatal("mapped sharded index not read-only")
+				}
+				if mapped.Shards() != heap.Shards() || mapped.Len() != heap.Len() ||
+					mapped.Dim() != heap.Dim() || mapped.QuantMode() != heap.QuantMode() {
+					t.Fatal("shape or options did not round-trip")
+				}
+				if mapped.opts.Shard.GraphK != heap.opts.Shard.GraphK ||
+					mapped.opts.Shard.MaxDegree != heap.opts.Shard.MaxDegree ||
+					mapped.opts.Shard.SearchL != heap.opts.Shard.SearchL {
+					t.Fatalf("build options did not round-trip: %+v vs %+v", mapped.opts.Shard, heap.opts.Shard)
+				}
+				for qi := 0; qi < ds.Queries.Rows; qi++ {
+					q := ds.Queries.Row(qi)
+					hi, hd := heap.SearchWithPool(q, 10, 60)
+					mi, md := mapped.SearchWithPool(q, 10, 60)
+					if searchSig(hi, hd) != searchSig(mi, md) {
+						t.Fatalf("query %d: sharded results diverge", qi)
 					}
-					defer mapped.Close()
-					if !mapped.ReadOnly() {
-						t.Fatal("mapped sharded index not read-only")
+				}
+				for _, id := range []int{0, 42, heap.Len() - 1} {
+					hv, mv := heap.Vector(id), mapped.Vector(id)
+					if len(mv) != len(hv) {
+						t.Fatalf("vector %d length mismatch", id)
 					}
-					if mapped.Shards() != heap.Shards() || mapped.Len() != heap.Len() ||
-						mapped.Dim() != heap.Dim() || mapped.QuantMode() != heap.QuantMode() {
-						t.Fatal("shape or options did not round-trip")
-					}
-					if mapped.opts.Shard.GraphK != heap.opts.Shard.GraphK ||
-						mapped.opts.Shard.MaxDegree != heap.opts.Shard.MaxDegree ||
-						mapped.opts.Shard.SearchL != heap.opts.Shard.SearchL {
-						t.Fatalf("build options did not round-trip: %+v vs %+v", mapped.opts.Shard, heap.opts.Shard)
-					}
-					for qi := 0; qi < ds.Queries.Rows; qi++ {
-						q := ds.Queries.Row(qi)
-						hi, hd := heap.SearchWithPool(q, 10, 60)
-						mi, md := mapped.SearchWithPool(q, 10, 60)
-						if searchSig(hi, hd) != searchSig(mi, md) {
-							t.Fatalf("query %d: sharded results diverge", qi)
+					for j := range hv {
+						if math.Float32bits(hv[j]) != math.Float32bits(mv[j]) {
+							t.Fatalf("vector %d diverges at dim %d", id, j)
 						}
 					}
-					for _, id := range []int{0, 42, heap.Len() - 1} {
-						hv, mv := heap.Vector(id), mapped.Vector(id)
-						if len(mv) != len(hv) {
-							t.Fatalf("vector %d length mismatch", id)
-						}
-						for j := range hv {
-							if math.Float32bits(hv[j]) != math.Float32bits(mv[j]) {
-								t.Fatalf("vector %d diverges at dim %d", id, j)
-							}
-						}
-					}
-					if _, err := mapped.Add(make([]float32, mapped.Dim())); !errors.Is(err, ErrReadOnly) {
-						t.Fatalf("sharded Add: got %v, want ErrReadOnly", err)
-					}
-					if err := mapped.EnableLiveUpdates(LiveOptions{}); !errors.Is(err, ErrReadOnly) {
-						t.Fatalf("sharded EnableLiveUpdates: got %v, want ErrReadOnly", err)
-					}
-				})
-			}
+				}
+				if _, err := mapped.Add(make([]float32, mapped.Dim())); !errors.Is(err, ErrReadOnly) {
+					t.Fatalf("sharded Add: got %v, want ErrReadOnly", err)
+				}
+				if err := mapped.EnableLiveUpdates(LiveOptions{}); !errors.Is(err, ErrReadOnly) {
+					t.Fatalf("sharded EnableLiveUpdates: got %v, want ErrReadOnly", err)
+				}
+			})
 		})
 	}
 }

@@ -360,14 +360,15 @@ func (x *Index) SearchWithPool(query []float32, k, l int) ([]int32, []float32) {
 // the query goes through the published snapshot + delta scan instead. The
 // result aliases ctx.
 func (x *Index) searchCtx(ctx *core.SearchContext, query []float32, k, l int, f *Filter, counter *vecmath.Counter) core.SearchResult {
-	var flt *core.Filter
+	q := core.Query{K: k, L: l, Counter: counter}
 	if f != nil {
-		flt = &f.inner
+		q.Filter = &f.inner
 	}
 	if h := x.live.Load(); h != nil {
-		return h.SearchCtx(ctx, query, k, l, counter, flt)
+		return h.Query(ctx, query, q)
 	}
-	return x.inner.SearchFilteredWithHopsCtx(ctx, query, k, l, x.dead, flt, counter)
+	q.Dead = x.dead
+	return x.inner.Query(ctx, query, q)
 }
 
 // searchIntoFresh runs searchCtx and copies the context-owned result into

@@ -32,11 +32,11 @@ func testQuantSearchZeroAlloc(t *testing.T, mode QuantMode) {
 
 	ctx := core.NewSearchContext()
 	for i := 0; i < 8; i++ { // warm every context buffer
-		idx.inner.SearchCtx(ctx, ds.Queries.Row(i%ds.Queries.Rows), 10, 60, nil)
+		idx.inner.Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60})
 	}
 	qi := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		res := idx.inner.SearchCtx(ctx, ds.Queries.Row(qi%ds.Queries.Rows), 10, 60, nil)
+		res := idx.inner.Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors
 		if len(res) != 10 {
 			t.Fatal("short result")
 		}

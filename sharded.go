@@ -178,15 +178,6 @@ func (x *ShardedIndex) Search(query []float32, k int) ([]int32, []float32) {
 	return x.SearchWithPool(query, k, x.opts.Shard.SearchL)
 }
 
-// extract copies a pooled fan-out result into the two fresh caller-owned
-// slices every public search returns, recycling the merge buffer.
-func (x *ShardedIndex) extract(b *neighborBuf, res []vecmath.Neighbor) ([]int32, []float32) {
-	ids, dists := extractResults(res)
-	b.ns = res[:0]
-	x.putBuf(b)
-	return ids, dists
-}
-
 // SearchWithPool is Search with an explicit per-shard pool size l (the
 // paper's search parameter). Every shard is searched with the same l, so
 // compared to a single NSG at equal l the merged candidate set is r times
@@ -196,19 +187,15 @@ func (x *ShardedIndex) extract(b *neighborBuf, res []vecmath.Neighbor) ([]int32,
 // The only steady-state allocations are the two returned slices; fan-out
 // scratch is drawn from the index's worker and buffer pools.
 func (x *ShardedIndex) SearchWithPool(query []float32, k, l int) ([]int32, []float32) {
-	b := x.getBuf()
-	res := x.s.SearchAppend(b.ns[:0], query, k, l)
-	return x.extract(b, res)
+	return x.searchOne(query, k, l, nil, nil)
 }
 
 // SearchWithStats is SearchWithPool plus the merged per-shard work
 // accounting: hops and distance computations are summed across all shard
 // searches, i.e. the total work the shard group performed for this query.
-func (x *ShardedIndex) SearchWithStats(query []float32, k, l int) ([]int32, []float32, SearchStats) {
-	b := x.getBuf()
-	res, st := x.s.SearchStatsAppend(b.ns[:0], query, k, l)
-	ids, dists := x.extract(b, res)
-	return ids, dists, SearchStats{Hops: st.Hops, DistanceComputations: st.DistComps}
+func (x *ShardedIndex) SearchWithStats(query []float32, k, l int) (ids []int32, dists []float32, st SearchStats) {
+	ids, dists = x.searchOne(query, k, l, nil, &st)
+	return ids, dists, st
 }
 
 // SearchBatch answers many queries on workers concurrent callers
@@ -217,10 +204,36 @@ func (x *ShardedIndex) SearchWithStats(query []float32, k, l int) ([]int32, []fl
 // Every query's answer is byte-identical to its serial SearchWithPool call.
 // Panics if any query's dimension does not match the index.
 func (x *ShardedIndex) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
-	return searchBatch(queries, x.Dim(), workers, x.getBuf, x.putBuf, func(b *neighborBuf, q []float32) ([]int32, []float32) {
-		b.ns = x.s.SearchAppend(b.ns[:0], q, k, l)
-		return extractResults(b.ns)
-	})
+	return x.SearchBatchFiltered(queries, k, l, workers, nil)
+}
+
+// searchOne is search with a merge buffer drawn from the index's pool.
+func (x *ShardedIndex) searchOne(query []float32, k, l int, f *ShardedFilter, st *SearchStats) ([]int32, []float32) {
+	b := x.getBuf()
+	ids, dists := x.search(b, query, k, l, f, st)
+	x.putBuf(b)
+	return ids, dists
+}
+
+// search is the one fan-out every public ShardedIndex search runs: under f
+// when it is non-nil, summing the shards' work into st when it is non-nil,
+// merging into b's reused buffer and copying the answer into the two fresh
+// caller-owned slices. A wrong-dimension query panics on the caller's
+// goroutine (see distsearch.Sharded.Search).
+func (x *ShardedIndex) search(b *neighborBuf, query []float32, k, l int, f *ShardedFilter, st *SearchStats) ([]int32, []float32) {
+	var flt *distsearch.ShardedFilter
+	if f != nil {
+		flt = f.inner
+	}
+	var tally *distsearch.SearchStats
+	if st != nil {
+		tally = new(distsearch.SearchStats)
+	}
+	b.ns = x.s.Search(b.ns[:0], query, k, l, flt, tally)
+	if st != nil {
+		*st = SearchStats{Hops: tally.Hops, DistanceComputations: tally.DistComps}
+	}
+	return extractResults(b.ns)
 }
 
 // Add inserts a vector and returns its new global id. The vector is routed
