@@ -1,5 +1,7 @@
 // Command bench regenerates the paper's tables and figures on the synthetic
-// stand-in datasets.
+// stand-in datasets, plus a few repository-specific tables and the cluster
+// chaos gate. Serving speed is measured by the benchmark under benchmark/,
+// not here.
 //
 // Usage:
 //
@@ -9,28 +11,22 @@
 //	bench -exp build             # construction pipeline: per-phase wall
 //	                             # clock, allocs and kNN recall, recorded
 //	                             # to BENCH_build.json in the working dir
-//	bench -exp sharded           # sharded serving: latency/QPS/recall vs
-//	                             # shard count r ∈ {1,2,4,8}, recorded to
-//	                             # BENCH_sharded.json in the working dir
-//	bench -exp quant             # SQ8 quantized search vs float32, with
-//	                             # and without rerank/relayout, recorded
-//	                             # to BENCH_quant.json in the working dir
-//	bench -exp cluster           # chaos bench: boots a real 3-shard x
-//	                             # 2-replica nsgserve cluster, SIGKILLs a
-//	                             # replica mid-run, records availability /
-//	                             # failover latency / recall parity to
-//	                             # BENCH_cluster.json in the working dir
-//	bench -exp disk              # disk-resident serving: restart-to-
-//	                             # first-query, warm QPS and recall for
-//	                             # heap decode vs the mmap'd NSGM layout
-//	                             # (±CRC verify),
-//	                             # recorded to BENCH_disk.json
+//	bench -exp quant             # SQ8 / int4 quantized search vs float32
+//	                             # at matched recall, with and without
+//	                             # rerank/relayout, recorded to
+//	                             # BENCH_quant.json in the working dir
 //	bench -exp filter            # predicate-aware filtered search: recall
 //	                             # vs brute-force-with-filter, QPS and the
 //	                             # chosen plan (scan | walk) at 50%..1%
 //	                             # selectivity across float32/sq8/int4,
 //	                             # plus a multi-tenant disjoint-id-range
 //	                             # sweep, recorded to BENCH_filter.json
+//	bench -exp cluster           # chaos gate: boots a real 3-shard x
+//	                             # 2-replica nsgserve cluster, SIGKILLs a
+//	                             # replica, then the whole shard, and fails
+//	                             # unless availability stays 1.0 and the
+//	                             # degraded/503 contract holds; recorded to
+//	                             # BENCH_cluster.json
 //	bench -list                  # show valid experiment ids
 //
 // Every experiment, its parameters and its output schema are documented in

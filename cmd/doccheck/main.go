@@ -14,10 +14,7 @@
 //     `go run ./cmd/bench ...` lines are *executed* in smoke mode —
 //     the documented flags plus `-scale`/`-queries` overrides small
 //     enough for CI — so a documented experiment id or flag that rots
-//     fails the build. `go run ./cmd/benchcheck ...` lines have their
-//     package built and every `-baseline` file existence-checked (the
-//     comparison itself needs full-scale fresh records, so it is not
-//     run at smoke scale). Any other `go run ./cmd/X` line (servers,
+//     fails the build. Any other `go run ./cmd/X` line (servers,
 //     generators with side effects) is checked by building its
 //     package.
 //
@@ -182,33 +179,12 @@ func runCommands(file string, scale float64, queries int) int {
 				fmt.Fprintf(os.Stderr, "doccheck: %s: command %q failed: %v\n", file, cmd, err)
 				failures++
 			}
-		case pkg == "./cmd/benchcheck":
-			failures += checkBuilds(file, pkg, built)
-			for _, f := range flagValues(args, "-baseline") {
-				if _, err := os.Stat(f); err != nil {
-					fmt.Fprintf(os.Stderr, "doccheck: %s: baseline %q named by %q does not exist\n", file, f, cmd)
-					failures++
-				}
-			}
-			fmt.Printf("doccheck: checked %s (builds; baselines exist; not executed — needs full-scale fresh records)\n", cmd)
 		default:
 			failures += checkBuilds(file, pkg, built)
 			fmt.Printf("doccheck: checked %s (package builds; not executed)\n", cmd)
 		}
 	}
 	return failures
-}
-
-// flagValues collects the comma-separated values of every occurrence
-// of flag name in args.
-func flagValues(args []string, name string) []string {
-	var out []string
-	for i, a := range args {
-		if a == name && i+1 < len(args) {
-			out = append(out, strings.Split(args[i+1], ",")...)
-		}
-	}
-	return out
 }
 
 func checkBuilds(file, pkg string, built map[string]bool) int {

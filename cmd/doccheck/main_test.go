@@ -46,9 +46,9 @@ func TestExtractCommands(t *testing.T) {
 		"go run ./cmd/bench -exp quant",
 		"go run ./cmd/bench -exp quant",
 		"curl -s localhost:8080/healthz",
-		"go run ./cmd/benchcheck -normalize \\",
-		"  -baseline a.json,b.json \\",
-		"  -fresh c.json,d.json",
+		"go run ./cmd/bench -exp fig9 \\",
+		"  -scale 2 \\",
+		"  -queries 50",
 		"```",
 		"```go",
 		"go run ./cmd/bench -exp never // not a sh block",
@@ -58,18 +58,9 @@ func TestExtractCommands(t *testing.T) {
 	want := []string{
 		"go run ./cmd/bench -list",
 		"go run ./cmd/bench -exp quant",
-		"go run ./cmd/benchcheck -normalize -baseline a.json,b.json -fresh c.json,d.json",
+		"go run ./cmd/bench -exp fig9 -scale 2 -queries 50",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("extractCommands:\n got %q\nwant %q", got, want)
-	}
-}
-
-func TestFlagValues(t *testing.T) {
-	args := strings.Fields("-normalize -baseline a.json,b.json -fresh c.json -baseline e.json")
-	got := flagValues(args, "-baseline")
-	want := []string{"a.json", "b.json", "e.json"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("flagValues = %q, want %q", got, want)
 	}
 }

@@ -12,49 +12,13 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/distsearch"
 	"repro/internal/vecmath"
 )
-
-// ClusterPoint is one steady-state (variant, effort) cell: the router over
-// real nsgserve processes vs the single-process in-memory fan-out over the
-// same data and shard count.
-type ClusterPoint struct {
-	Variant string  `json:"variant"` // "router" (network) or "single" (in-process)
-	Shards  int     `json:"shards"`
-	Effort  int     `json:"effort"`
-	Recall  float64 `json:"recall"`
-	QPS     float64 `json:"qps"`
-	MsPerQ  float64 `json:"ms_per_query"`
-}
-
-// ClusterOverhead prices the router tier at the paper's operating point
-// (the smallest effort reaching recall 0.95). A routed query pays for the
-// slowest of its parallel per-shard calls no matter who issues them, so the
-// router's own cost is measured against a direct client-side fan-out — the
-// same parallel calls and merge with none of the retry/hedge/health
-// machinery — and expressed as a fraction of single-shard call latency.
-type ClusterOverhead struct {
-	Effort int `json:"effort"`
-	// RouterMs is the median routed per-query latency (medians, not pass
-	// means, so scheduler/GC tail outliers cancel out of the comparison).
-	RouterMs float64 `json:"router_ms_per_query"`
-	// FanoutMs is the floor: parallel direct calls (same per-call deadline)
-	// to one replica of every shard plus the same k-way merge, with no
-	// robustness machinery.
-	FanoutMs float64 `json:"direct_fanout_ms_per_query"`
-	// ShardMs is one direct HTTP call to a single shard replica.
-	ShardMs float64 `json:"single_shard_ms_per_query"`
-	// OverheadFrac = (RouterMs - FanoutMs) / ShardMs: the latency the
-	// router machinery adds, as a fraction of single-shard latency.
-	OverheadFrac float64 `json:"overhead_frac"`
-}
 
 // ClusterChaos records the SIGKILL phase: one replica of shard 0 is killed
 // mid-run and every query must still be answered completely by the sibling.
@@ -85,22 +49,20 @@ type ClusterDegradedPhase struct {
 
 // ClusterResult is the serialized record of one -exp cluster run.
 type ClusterResult struct {
-	Dataset        string               `json:"dataset"`
-	N              int                  `json:"n"`
-	Dim            int                  `json:"dim"`
-	Queries        int                  `json:"queries"`
-	K              int                  `json:"k"`
-	Shards         int                  `json:"shards"`
-	Replicas       int                  `json:"replicas"`
-	Points         []ClusterPoint       `json:"points"`
-	RecallDeltaMax float64              `json:"recall_delta_max"` // |router - single| over the sweep
-	Overhead       ClusterOverhead      `json:"router_overhead"`
-	Chaos          ClusterChaos         `json:"chaos"`
-	DegradedPhase  ClusterDegradedPhase `json:"degraded_phase"`
+	Dataset       string               `json:"dataset"`
+	N             int                  `json:"n"`
+	Dim           int                  `json:"dim"`
+	Queries       int                  `json:"queries"`
+	K             int                  `json:"k"`
+	L             int                  `json:"l"`
+	Shards        int                  `json:"shards"`
+	Replicas      int                  `json:"replicas"`
+	Chaos         ClusterChaos         `json:"chaos"`
+	DegradedPhase ClusterDegradedPhase `json:"degraded_phase"`
 }
 
-// clusterEfforts is the steady-state L sweep.
-var clusterEfforts = []int{10, 20, 40, 80, 160}
+// clusterL is the search pool both chaos phases query at.
+const clusterL = 40
 
 // localCluster is a real cluster on localhost: per-shard bundles on disk
 // and shards x replicas nsgserve processes, each listening on an ephemeral
@@ -279,39 +241,12 @@ func (lc *localCluster) stop() {
 	os.RemoveAll(lc.dir)
 }
 
-// routerPass runs the query set once through the router, filling got (when
-// non-nil) with the returned global ids per query. Any error or degraded
-// answer during a steady-state pass fails the pass.
-func routerPass(rt *cluster.Router, ds dataset.Dataset, k, l int, got [][]int32) error {
-	var buf []vecmath.Neighbor
-	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		var res cluster.Result
-		var err error
-		buf, res, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi), k, l, nil)
-		if err != nil {
-			return fmt.Errorf("bench: steady-state query %d: %w", qi, err)
-		}
-		if res.Degraded {
-			return fmt.Errorf("bench: steady-state query %d answered degraded (missing %v)", qi, res.Missing)
-		}
-		if got != nil {
-			ids := make([]int32, len(buf))
-			for i, nb := range buf {
-				ids[i] = nb.ID
-			}
-			got[qi] = ids
-		}
-	}
-	return nil
-}
-
-// ClusterServing is the -exp cluster chaos benchmark: boot a real 3-shard x
-// 2-replica nsgserve cluster, sweep the router against the single-process
-// fan-out for recall parity and routing overhead, then SIGKILL one replica
-// mid-run (every query must survive via the sibling) and finally the whole
-// shard (the serve policy must answer degraded, the fail policy 503).
-// Results go to BENCH_cluster.json; only the steady-state sweep feeds the
-// CI regression baseline.
+// ClusterServing is the -exp cluster chaos gate: boot a real 3-shard x
+// 2-replica nsgserve cluster behind a router, SIGKILL one replica mid-run
+// (every query must survive via the sibling), then the whole shard (the
+// serve policy must answer degraded, the fail policy 503). The record goes
+// to BENCH_cluster.json, and a broken contract fails the run. Steady-state
+// routed latency is the benchmark's cluster_mix workload, not measured here.
 func ClusterServing(w io.Writer, c ExpConfig) error {
 	if _, err := exec.LookPath("go"); err != nil {
 		return fmt.Errorf("bench: -exp cluster needs the go tool to build nsgserve: %w", err)
@@ -325,10 +260,10 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 	const shards, replicas = 3, 2
 	res := ClusterResult{
 		Dataset: ds.Name, N: ds.Base.Rows, Dim: ds.Base.Dim,
-		Queries: ds.Queries.Rows, K: k, Shards: shards, Replicas: replicas,
+		Queries: ds.Queries.Rows, K: k, L: clusterL, Shards: shards, Replicas: replicas,
 	}
-	fmt.Fprintf(w, "Cluster serving (%d shards x %d replicas of nsgserve) on %s (n=%d, dim=%d, k=%d)\n",
-		shards, replicas, ds.Name, n, ds.Base.Dim, k)
+	fmt.Fprintf(w, "Cluster chaos (%d shards x %d replicas of nsgserve) on %s (n=%d, dim=%d, k=%d, L=%d)\n",
+		shards, replicas, ds.Name, n, ds.Base.Dim, k, clusterL)
 
 	lc, err := startLocalCluster(w, ds, shards, replicas, c.Seed)
 	if err != nil {
@@ -353,196 +288,6 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 	}
 	defer rt.Close()
 
-	// Single-process reference: the same corpus, shard count and build
-	// parameters served by the in-process fan-out.
-	refOpts := nsg.DefaultShardedOptions(shards)
-	refOpts.Shard.GraphK = 20
-	refOpts.Shard.Seed = c.Seed
-	ref, err := nsg.BuildShardedFromFlat(append([]float32(nil), ds.Base.Data...), ds.Base.Dim, refOpts)
-	if err != nil {
-		return err
-	}
-	defer ref.Close()
-
-	// Steady-state sweep: recall parity and QPS, router vs single-process.
-	fmt.Fprintf(w, "%8s %8s %9s %9s %12s\n", "variant", "effort", "recall", "QPS", "ms/query")
-	q := float64(ds.Queries.Rows)
-	routerMsByEffort := map[int]float64{}
-	routerRecallByEffort := map[int]float64{}
-	for _, effort := range clusterEfforts {
-		got := make([][]int32, ds.Queries.Rows)
-		for i := 0; i < 4 && i < ds.Queries.Rows; i++ { // warm pools and conns
-			ref.SearchWithPool(ds.Queries.Row(i), k, effort)
-		}
-		elapsed := bestOf(3, func() {
-			for qi := 0; qi < ds.Queries.Rows; qi++ {
-				ids, _ := ref.SearchWithPool(ds.Queries.Row(qi), k, effort)
-				got[qi] = ids
-			}
-		})
-		single := ClusterPoint{
-			Variant: "single", Shards: shards, Effort: effort,
-			Recall: dataset.MeanRecall(got, ds.GT, k),
-			QPS:    q / elapsed.Seconds(), MsPerQ: elapsed.Seconds() * 1000 / q,
-		}
-		res.Points = append(res.Points, single)
-		fmt.Fprintf(w, "%8s %8d %9.4f %9.0f %12.4f\n", single.Variant, effort, single.Recall, single.QPS, single.MsPerQ)
-
-		if err := routerPass(rt, ds, k, effort, got); err != nil { // warm + correctness
-			return err
-		}
-		elapsed = bestOf(3, func() {
-			if perr := routerPass(rt, ds, k, effort, nil); perr != nil && err == nil {
-				err = perr
-			}
-		})
-		if err != nil {
-			return err
-		}
-		router := ClusterPoint{
-			Variant: "router", Shards: shards, Effort: effort,
-			Recall: dataset.MeanRecall(got, ds.GT, k),
-			QPS:    q / elapsed.Seconds(), MsPerQ: elapsed.Seconds() * 1000 / q,
-		}
-		res.Points = append(res.Points, router)
-		routerMsByEffort[effort] = router.MsPerQ
-		routerRecallByEffort[effort] = router.Recall
-		fmt.Fprintf(w, "%8s %8d %9.4f %9.0f %12.4f\n", router.Variant, effort, router.Recall, router.QPS, router.MsPerQ)
-		if d := router.Recall - single.Recall; d > res.RecallDeltaMax || -d > res.RecallDeltaMax {
-			if d < 0 {
-				d = -d
-			}
-			res.RecallDeltaMax = d
-		}
-	}
-	fmt.Fprintf(w, "max |router - single| recall over the sweep: %.4f\n", res.RecallDeltaMax)
-
-	// Router overhead at the 95%-recall operating point. All three sides
-	// (routed, direct fan-out, single shard) are timed back to back here —
-	// reusing the sweep's router number would compare measurements taken
-	// minutes apart, and between-phase machine variance swamps the router's
-	// own cost at these latencies.
-	opEffort := clusterEfforts[len(clusterEfforts)-1]
-	for _, e := range clusterEfforts {
-		if routerRecallByEffort[e] >= 0.95 {
-			opEffort = e
-			break
-		}
-	}
-	shardAddr := lc.topo.Shards[0].Replicas[0]
-	var directLat, fanoutLat, routedLat []time.Duration
-	direct := func() {
-		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			start := time.Now()
-			_, derr := tr.Search(context.Background(), shardAddr, &cluster.SearchRequest{
-				Query: ds.Queries.Row(qi), K: k, L: opEffort,
-			})
-			directLat = append(directLat, time.Since(start))
-			if derr != nil && err == nil {
-				err = derr
-			}
-		}
-	}
-	direct() // warm
-	directLat = directLat[:0]
-	if err != nil {
-		return err
-	}
-
-	// The floor a routed query cannot beat: the same parallel per-shard
-	// calls — carrying the same per-call deadline and rotating replicas
-	// per query, as any load-balancing client would — and the same k-way
-	// merge, with no retry/hedge/health machinery in the path. (Rotation
-	// matters: on an otherwise idle host, waking the sibling process costs
-	// real latency, and a floor pinned to one warm replica would charge
-	// that to the router.)
-	nShards := len(lc.topo.Shards)
-	fanLists := make([][]vecmath.Neighbor, nShards)
-	fanErrs := make([]error, nShards)
-	var fanOut, fanMerged []vecmath.Neighbor
-	fanout := func() {
-		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			start := time.Now()
-			req := &cluster.SearchRequest{Query: ds.Queries.Row(qi), K: k, L: opEffort}
-			var wg sync.WaitGroup
-			wg.Add(nShards)
-			for si := 0; si < nShards; si++ {
-				go func(si int) {
-					defer wg.Done()
-					cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-					defer cancel()
-					reps := lc.topo.Shards[si].Replicas
-					resp, derr := tr.Search(cctx, reps[qi%len(reps)], req)
-					if derr != nil {
-						fanErrs[si] = derr
-						fanLists[si] = fanLists[si][:0]
-						return
-					}
-					list := fanLists[si][:0]
-					off := lc.topo.Shards[si].IDOffset
-					for i := range resp.IDs {
-						list = append(list, vecmath.Neighbor{ID: resp.IDs[i] + off, Dist: resp.Dists[i]})
-					}
-					fanLists[si] = list
-				}(si)
-			}
-			wg.Wait()
-			for si := 0; si < nShards; si++ {
-				if fanErrs[si] != nil && err == nil {
-					err = fanErrs[si]
-				}
-			}
-			fanOut, fanMerged = distsearch.MergeInto(fanOut[:0], fanMerged, k, fanLists)
-			fanoutLat = append(fanoutLat, time.Since(start))
-		}
-	}
-	fanout() // warm
-	fanoutLat = fanoutLat[:0]
-	if err != nil {
-		return err
-	}
-	routed := func() {
-		var buf []vecmath.Neighbor
-		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			start := time.Now()
-			var perr error
-			buf, _, perr = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi), k, opEffort, nil)
-			routedLat = append(routedLat, time.Since(start))
-			if perr != nil && err == nil {
-				err = perr
-			}
-		}
-	}
-	// Interleave the three sides round-robin so slow stretches of the host
-	// machine penalize all of them equally, and compare per-query medians:
-	// a pass total is a mean, and at these latencies scheduler and GC tail
-	// outliers swamp the router's own cost.
-	for round := 0; round < 5; round++ {
-		routed()
-		fanout()
-		direct()
-		if err != nil {
-			return err
-		}
-	}
-	medianMs := func(lat []time.Duration) float64 {
-		slices.Sort(lat)
-		return lat[len(lat)/2].Seconds() * 1000
-	}
-	routedMs := medianMs(routedLat)
-	fanoutMs := medianMs(fanoutLat)
-	directMs := medianMs(directLat)
-	res.Overhead = ClusterOverhead{
-		Effort:       opEffort,
-		RouterMs:     routedMs,
-		FanoutMs:     fanoutMs,
-		ShardMs:      directMs,
-		OverheadFrac: (routedMs - fanoutMs) / directMs,
-	}
-	fmt.Fprintf(w, "router overhead at L=%d: %.4f ms routed vs %.4f ms direct fan-out (%+.4f ms = %.1f%% of the %.4f ms single-shard call)\n",
-		opEffort, res.Overhead.RouterMs, res.Overhead.FanoutMs,
-		routedMs-fanoutMs, 100*res.Overhead.OverheadFrac, res.Overhead.ShardMs)
-
 	// Chaos phase A: SIGKILL one replica of shard 0 mid-run. The sibling
 	// must absorb every query: zero errors, zero degraded answers.
 	m0 := rt.Metrics()
@@ -558,7 +303,7 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 		}
 		start := time.Now()
 		var r cluster.Result
-		buf, r, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi%ds.Queries.Rows), k, opEffort, nil)
+		buf, r, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi%ds.Queries.Rows), k, clusterL, nil)
 		lat = append(lat, time.Since(start))
 		if err != nil {
 			chaos.Errors++
@@ -594,7 +339,7 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 	gt := make([][]int32, 0, dp.Queries)
 	for qi := 0; qi < dp.Queries; qi++ {
 		var r cluster.Result
-		buf, r, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi%ds.Queries.Rows), k, opEffort, nil)
+		buf, r, err = rt.SearchAppend(context.Background(), buf[:0], ds.Queries.Row(qi%ds.Queries.Rows), k, clusterL, nil)
 		if err != nil {
 			dp.Errors++
 			err = nil
@@ -627,7 +372,7 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 	}
 	defer failRt.Close()
 	var sde *cluster.ShardsDownError
-	_, _, ferr := failRt.SearchAppend(context.Background(), nil, ds.Queries.Row(0), k, opEffort, nil)
+	_, _, ferr := failRt.SearchAppend(context.Background(), nil, ds.Queries.Row(0), k, clusterL, nil)
 	dp.FailPolicyErr = errors.As(ferr, &sde)
 	res.DegradedPhase = dp
 	fmt.Fprintf(w, "degraded phase: %d/%d answered degraded (missing shard %d), recall %.4f over survivors; fail policy errored: %v\n",
@@ -641,5 +386,11 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 		return fmt.Errorf("bench: write BENCH_cluster.json: %w", err)
 	}
 	fmt.Fprintln(w, "wrote BENCH_cluster.json")
+	if chaos.Errors > 0 || chaos.Degraded > 0 {
+		return fmt.Errorf("bench: replica SIGKILL cost %d failed and %d degraded queries, want 0 and 0", chaos.Errors, chaos.Degraded)
+	}
+	if dp.Errors > 0 || dp.Degraded != dp.Queries || dp.MissingShard != 0 || !dp.FailPolicyErr {
+		return fmt.Errorf("bench: shard 0 down broke the degraded contract: %+v", dp)
+	}
 	return nil
 }

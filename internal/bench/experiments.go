@@ -254,13 +254,10 @@ func Fig7(w io.Writer, c ExpConfig) error {
 	fmt.Fprintf(w, "Figure 7: NSG vs Faiss(IVFPQ) on DEEP-like subset (n=%d)\n", n)
 
 	// One NSG over the whole set.
-	shardedOne, err := distsearch.BuildSharded(ds.Base, distsearch.Params{
-		Shards: 1, KNNK: 20, Build: distsearch.DefaultParams(1).Build, UseNNDescent: true, Seed: c.Seed,
-	})
+	one, _, err := buildPlainNSG(ds.Base, c.Seed)
 	if err != nil {
 		return err
 	}
-	defer shardedOne.Close()
 	// Sixteen shard NSGs searched in parallel.
 	sharded16, err := distsearch.BuildSharded(ds.Base, distsearch.Params{
 		Shards: 16, KNNK: 20, Build: distsearch.DefaultParams(16).Build, UseNNDescent: true, Seed: c.Seed,
@@ -297,8 +294,9 @@ func Fig7(w io.Writer, c ExpConfig) error {
 	}
 
 	graphEfforts := []int{10, 20, 40, 80, 160}
+	oneSearch := nsgSearch(one)
 	report("NSG-1core", graphEfforts, func(q []float32, e int) []vecmath.Neighbor {
-		return shardedOne.SearchSequential(q, k, e)
+		return oneSearch(q, k, e)
 	})
 	report("NSG-16core", graphEfforts, func(q []float32, e int) []vecmath.Neighbor {
 		return sharded16.Search(nil, q, k, e, nil, nil)
@@ -398,20 +396,6 @@ func scalingSubsets(c ExpConfig) []int {
 	return out
 }
 
-// buildNSGOn builds an NSG over a fresh SIFT-like dataset of size n,
-// returning the index, the dataset and the Algorithm-2 time.
-func buildNSGOn(n int, c ExpConfig) (*distsearch.Sharded, dataset.Dataset, time.Duration, error) {
-	ds, err := dataset.SIFTLike(dataset.Config{N: n, Queries: c.Queries, GTK: c.GTK, Seed: c.Seed})
-	if err != nil {
-		return nil, ds, 0, err
-	}
-	start := time.Now()
-	sh, err := distsearch.BuildSharded(ds.Base, distsearch.Params{
-		Shards: 1, KNNK: 20, Build: distsearch.DefaultParams(1).Build, UseNNDescent: n > 6000, Seed: c.Seed,
-	})
-	return sh, ds, time.Since(start), err
-}
-
 // searchTimeAtPrecision finds the smallest effort reaching the target
 // recall and returns the per-query time there (ms), or ok=false.
 func searchTimeAtPrecision(search func(q []float32, k, effort int) []vecmath.Neighbor,
@@ -445,14 +429,11 @@ func figScaling(w io.Writer, c ExpConfig, k int, target float64, title string) e
 	fmt.Fprintf(w, "%10s %14s\n", "N", "ms/query")
 	var xs, ys []float64
 	for _, n := range scalingSubsets(c) {
-		sh, ds, _, err := buildNSGOn(n, c)
+		idx, ds, _, err := siftNSG(n, c)
 		if err != nil {
 			return err
 		}
-		ms, ok := searchTimeAtPrecision(func(q []float32, kk, effort int) []vecmath.Neighbor {
-			return sh.SearchSequential(q, kk, effort)
-		}, ds, k, target)
-		sh.Close()
+		ms, ok := searchTimeAtPrecision(nsgSearch(idx), ds, k, target)
 		if !ok {
 			fmt.Fprintf(w, "%10d       (target precision unreachable)\n", n)
 			continue
@@ -488,11 +469,11 @@ func Fig10(w io.Writer, c ExpConfig) error {
 // requested neighbors at fixed N and precision.
 func Fig11(w io.Writer, c ExpConfig) error {
 	n := c.n(8000)
-	sh, ds, _, err := buildNSGOn(n, c)
+	idx, ds, _, err := siftNSG(n, c)
 	if err != nil {
 		return err
 	}
-	defer sh.Close()
+	search := nsgSearch(idx)
 	fmt.Fprintf(w, "Figure 11: K-NN search time vs K at 99%% precision (SIFT-like, n=%d)\n", n)
 	fmt.Fprintf(w, "%6s %14s\n", "K", "ms/query")
 	var xs, ys []float64
@@ -501,9 +482,7 @@ func Fig11(w io.Writer, c ExpConfig) error {
 		if k > c.GTK {
 			break
 		}
-		ms, ok := searchTimeAtPrecision(func(q []float32, kk, effort int) []vecmath.Neighbor {
-			return sh.SearchSequential(q, kk, effort)
-		}, ds, k, 0.99)
+		ms, ok := searchTimeAtPrecision(search, ds, k, 0.99)
 		if !ok {
 			fmt.Fprintf(w, "%6d       (target precision unreachable)\n", k)
 			continue
@@ -521,19 +500,21 @@ func Fig11(w io.Writer, c ExpConfig) error {
 
 // Fig12 reproduces the indexing-time scaling experiment: Algorithm-2 time
 // (search-collect-select + tree spanning, excluding the kNN graph) vs N.
+// Every N gets the same NN-Descent kNN graph builder, and the time is
+// core.NSGBuild's own phase total.
 func Fig12(w io.Writer, c ExpConfig) error {
 	fmt.Fprintln(w, "Figure 12: NSG Algorithm-2 indexing time vs N (SIFT-like)")
 	fmt.Fprintf(w, "%10s %14s\n", "N", "seconds")
 	var xs, ys []float64
 	for _, n := range scalingSubsets(c) {
-		sh, _, t2, err := buildNSGOn(n, c)
+		_, _, st, err := siftNSG(n, c)
 		if err != nil {
 			return err
 		}
-		sh.Close()
-		fmt.Fprintf(w, "%10d %14.3f\n", n, t2.Seconds())
+		t2 := st.Phases.Total().Seconds()
+		fmt.Fprintf(w, "%10d %14.3f\n", n, t2)
 		xs = append(xs, float64(n))
-		ys = append(ys, t2.Seconds())
+		ys = append(ys, t2)
 	}
 	if len(xs) >= 2 {
 		exp, r2 := FitPowerLaw(xs, ys)
@@ -565,24 +546,16 @@ func Table5(w io.Writer, c ExpConfig) error {
 		if err != nil {
 			return err
 		}
-		sh, err := distsearch.BuildSharded(ds.Base, distsearch.Params{
-			Shards: row.shards, KNNK: 20, Build: distsearch.DefaultParams(row.shards).Build,
-			UseNNDescent: row.n > 6000, Seed: c.Seed,
-		})
+		search, done, err := table5NSG(ds, row.shards, c.Seed)
 		if err != nil {
 			return err
 		}
-		if ms, ok := searchTimeAtPrecision(func(q []float32, kk, effort int) []vecmath.Neighbor {
-			if row.shards > 1 {
-				return sh.Search(nil, q, kk, effort, nil, nil)
-			}
-			return sh.SearchSequential(q, kk, effort)
-		}, ds, k, 0.98); ok {
+		if ms, ok := searchTimeAtPrecision(search, ds, k, 0.98); ok {
 			fmt.Fprintf(w, "%-8s %-10s %4d %12.3f\n", row.name, "NSG", row.shards, ms)
 		} else {
 			fmt.Fprintf(w, "%-8s %-10s %4d     (98%% unreachable)\n", row.name, "NSG", row.shards)
 		}
-		sh.Close()
+		done()
 		if row.withPQ {
 			pqp := ivfpq.DefaultParams()
 			pqp.NList = 128
@@ -598,6 +571,27 @@ func Table5(w io.Writer, c ExpConfig) error {
 		}
 	}
 	return nil
+}
+
+// table5NSG builds one Table 5 row's NSG: a single core.NSG for the 1-shard
+// row, otherwise that many shards searched in parallel. The returned func
+// releases the index.
+func table5NSG(ds dataset.Dataset, shards int, seed int64) (func(q []float32, k, l int) []vecmath.Neighbor, func(), error) {
+	if shards == 1 {
+		idx, _, err := buildPlainNSG(ds.Base, seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nsgSearch(idx), func() {}, nil
+	}
+	sh, err := distsearch.BuildSharded(ds.Base, distsearch.Params{
+		Shards: shards, KNNK: 20, Build: distsearch.DefaultParams(shards).Build,
+		UseNNDescent: ds.Base.Rows > 6000, Seed: seed,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return func(q []float32, k, l int) []vecmath.Neighbor { return sh.Search(nil, q, k, l, nil, nil) }, sh.Close, nil
 }
 
 func searchTimeAtPrecisionPQ(pq *ivfpq.Index, ds dataset.Dataset, k int, target float64) (float64, bool) {
@@ -693,12 +687,9 @@ func Experiments() map[string]func(io.Writer, ExpConfig) error {
 		"hops":     HopScaling,
 		"ablation": Ablation,
 		"build":    BuildPerf,
-		"sharded":  ShardedServing,
 		"quant":    Quantized,
 		"filter":   FilteredSearch,
 		"cluster":  ClusterServing,
-		"live":     LiveServing,
-		"disk":     DiskServing,
 		"all":      RunAll,
 	}
 }

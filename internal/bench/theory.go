@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/graphutil"
 	"repro/internal/knngraph"
 	"repro/internal/vecmath"
 )
@@ -87,11 +86,7 @@ func HopScaling(w io.Writer, c ExpConfig) error {
 	fmt.Fprintf(w, "%10s %12s %14s\n", "N", "avg hops", "hops/log2(N)")
 	var xs, ys []float64
 	for _, n := range scalingSubsets(c) {
-		ds, err := dataset.SIFTLike(dataset.Config{N: n, Queries: c.Queries, GTK: c.GTK, Seed: c.Seed})
-		if err != nil {
-			return err
-		}
-		idx, err := buildPlainNSG(ds.Base, n > 6000, c.Seed)
+		idx, ds, _, err := siftNSG(n, c)
 		if err != nil {
 			return err
 		}
@@ -113,27 +108,35 @@ func HopScaling(w io.Writer, c ExpConfig) error {
 	return nil
 }
 
-// buildPlainNSG builds one NSG over base with the default parameters,
-// using NN-Descent above the exact-builder cutoff.
-func buildPlainNSG(base vecmath.Matrix, approx bool, seed int64) (*core.NSG, error) {
-	k := 40
-	if k >= base.Rows {
-		k = base.Rows - 1
-	}
-	var (
-		knn *graphutil.Graph
-		err error
-	)
-	if approx {
-		p := knngraph.DefaultParams(k)
-		p.Seed = seed
-		knn, err = knngraph.BuildNNDescent(base, p)
-	} else {
-		knn, err = knngraph.BuildExact(base, k)
-	}
+// buildPlainNSG builds one NSG over base with the default parameters: an
+// NN-Descent kNN graph at every size, so a scaling fit compares one
+// pipeline, then Algorithm 2. The returned stats' Phases time
+// core.NSGBuild alone, excluding the kNN graph.
+func buildPlainNSG(base vecmath.Matrix, seed int64) (*core.NSG, core.BuildStats, error) {
+	p := knngraph.DefaultParams(min(40, base.Rows-1))
+	p.Seed = seed
+	knn, err := knngraph.BuildNNDescent(base, p)
 	if err != nil {
-		return nil, err
+		return nil, core.BuildStats{}, err
 	}
-	idx, _, err := core.NSGBuild(knn, base, core.BuildParams{L: 60, M: 30, Seed: seed})
-	return idx, err
+	return core.NSGBuild(knn, base, core.BuildParams{L: 60, M: 30, Seed: seed})
+}
+
+// siftNSG builds one NSG over a fresh SIFT-like dataset of n points.
+func siftNSG(n int, c ExpConfig) (*core.NSG, dataset.Dataset, core.BuildStats, error) {
+	ds, err := dataset.SIFTLike(dataset.Config{N: n, Queries: c.Queries, GTK: c.GTK, Seed: c.Seed})
+	if err != nil {
+		return nil, ds, core.BuildStats{}, err
+	}
+	idx, st, err := buildPlainNSG(ds.Base, c.Seed)
+	return idx, ds, st, err
+}
+
+// nsgSearch adapts idx to the sweeps' search signature: Algorithm 1 through
+// core.Query on the calling goroutine, one context reused across queries.
+func nsgSearch(idx *core.NSG) func(q []float32, k, l int) []vecmath.Neighbor {
+	ctx := core.NewSearchContext()
+	return func(q []float32, k, l int) []vecmath.Neighbor {
+		return idx.Query(ctx, q, core.Query{K: k, L: l}).Neighbors
+	}
 }

@@ -1,11 +1,13 @@
 package bench
 
-import "time"
+import (
+	"runtime"
+	"time"
+)
 
 // bestOf runs f reps times and returns the fastest wall-clock elapsed time.
 // The experiments keep the fastest of several timed passes so a single
-// scheduler hiccup cannot misprice a sweep cell — and trip the CI
-// benchmark-regression gate whose baselines these records become.
+// scheduler hiccup cannot misprice a sweep cell.
 func bestOf(reps int, f func()) time.Duration {
 	best := time.Duration(1<<63 - 1)
 	for i := 0; i < reps; i++ {
@@ -16,4 +18,11 @@ func bestOf(reps int, f func()) time.Duration {
 		}
 	}
 	return best
+}
+
+// heapAllocs reads the process-wide cumulative malloc count.
+func heapAllocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }

@@ -316,9 +316,8 @@ type fanScratch struct {
 	hops  []int
 	comps []uint64
 	// merged is the concatenate-sort-truncate buffer for combining the
-	// per-shard lists; seq is the context SearchSequential reuses.
+	// per-shard lists.
 	merged []vecmath.Neighbor
-	seq    *core.SearchContext
 	// flt non-nil marks this fan as filtered: each shard searches under
 	// flt.per[shard].
 	flt *ShardedFilter
@@ -343,7 +342,7 @@ func (s *Sharded) putScratch(f *fanScratch) {
 
 // run executes one shard search with ctx: search the shard — under its
 // per-shard filter view when the fan is filtered (never called for
-// zero-count shards; fan skips them) — translate local ids to global ids
+// zero-count shards; Search skips them) — translate local ids to global ids
 // into the fan state's per-shard buffer, and record the shard's work
 // tallies when stats were requested. The translation copy is what makes it
 // safe for a worker to move on to another task (and reuse ctx) immediately.
@@ -406,8 +405,8 @@ func (s *Sharded) worker() {
 // MergeInto combines per-shard candidate lists (already carrying global
 // ids) into the k nearest overall and appends them to dst. Shards partition
 // the id space, so ids are unique and a sort suffices — no dedupe
-// structure. The (dist, id) order matches vecmath.MergeNeighborLists,
-// keeping parallel and sequential paths byte-identical.
+// structure. The (dist, id) order matches vecmath.MergeNeighborLists, so
+// both merges answer byte-identically.
 //
 // scratch is a reusable concatenation buffer (nil is fine); the possibly
 // grown buffer is returned alongside the result so callers can pool it.
@@ -441,21 +440,6 @@ func MergeInto(dst, scratch []vecmath.Neighbor, k int, lists [][]vecmath.Neighbo
 // caller's goroutine: past this point a mismatch would panic on a shard
 // worker, where no caller could recover it. k <= 0 answers nothing.
 func (s *Sharded) Search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *ShardedFilter, st *SearchStats) []vecmath.Neighbor {
-	return s.fan(dst, vec, k, l, flt, st, false)
-}
-
-// SearchSequential runs the same fan-out on the calling goroutine — the
-// 1-core protocol, so experiments can separate partitioning effects from
-// parallel speedup. Each shard runs the workers' per-shard search in turn
-// and the merge is shared, so both return identical results.
-func (s *Sharded) SearchSequential(vec []float32, k, l int) []vecmath.Neighbor {
-	return s.fan(nil, vec, k, l, nil, nil, true)
-}
-
-// fan is the one fan-out body behind Search and SearchSequential: inline
-// runs every shard search on the caller's goroutine, otherwise each is
-// handed to a pool worker.
-func (s *Sharded) fan(dst []vecmath.Neighbor, vec []float32, k, l int, flt *ShardedFilter, st *SearchStats, inline bool) []vecmath.Neighbor {
 	if len(vec) != s.Base.Dim {
 		panic(fmt.Sprintf("distsearch: query dim %d != index dim %d", len(vec), s.Base.Dim))
 	}
@@ -470,18 +454,11 @@ func (s *Sharded) fan(dst []vecmath.Neighbor, vec []float32, k, l int, flt *Shar
 	for sh := range s.shards {
 		// Pooled scratch: drop a skipped shard's stale results and tallies.
 		f.bufs[sh], f.hops[sh], f.comps[sh] = f.bufs[sh][:0], 0, 0
-		switch {
-		case flt != nil && flt.per[sh].Count == 0:
-			// No passing rows: the shard is never searched.
-		case inline:
-			if f.seq == nil {
-				f.seq = core.NewSearchContext()
-			}
-			f.run(f.seq, nil, sh)
-		default:
-			f.wg.Add(1)
-			s.tasks <- shardTask{f: f, shard: sh}
+		if flt != nil && flt.per[sh].Count == 0 {
+			continue // no passing rows: the shard is never searched
 		}
+		f.wg.Add(1)
+		s.tasks <- shardTask{f: f, shard: sh}
 	}
 	f.wg.Wait()
 	dst, f.merged = MergeInto(dst, f.merged, k, f.bufs)

@@ -46,23 +46,6 @@ func TestShardedRecall(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	s, ds := buildSharded(t, 1200, 3)
-	for qi := 0; qi < 10; qi++ {
-		q := ds.Queries.Row(qi)
-		a := s.Search(nil, q, 5, 40, nil, nil)
-		b := s.SearchSequential(q, 5, 40)
-		if len(a) != len(b) {
-			t.Fatalf("length mismatch %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID {
-				t.Fatalf("query %d pos %d: parallel %d vs sequential %d", qi, i, a[i].ID, b[i].ID)
-			}
-		}
-	}
-}
-
 func TestGlobalIDsValid(t *testing.T) {
 	s, ds := buildSharded(t, 1000, 4)
 	res := s.Search(nil, ds.Queries.Row(0), 10, 40, nil, nil)
@@ -119,8 +102,11 @@ func TestShardedSaveLoad(t *testing.T) {
 		t.Fatalf("shards = %d, want %d", got.Shards(), s.Shards())
 	}
 	q := ds.Queries.Row(0)
-	a := s.SearchSequential(q, 5, 40)
-	b := got.SearchSequential(q, 5, 40)
+	a := s.Search(nil, q, 5, 40, nil, nil)
+	b := got.Search(nil, q, 5, 40, nil, nil)
+	if len(a) != 5 || len(b) != len(a) {
+		t.Fatalf("got %d and %d results, want 5 each", len(a), len(b))
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("search differs after reload: %+v vs %+v", a, b)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/vecmath"
 )
 
@@ -206,6 +207,52 @@ func TestLiveIndexSaveLoad(t *testing.T) {
 		if len(ids) != 1 || ids[0] != int32(probe) || dists[0] != 0 {
 			t.Fatalf("probe %d after reload: %v %v", probe, ids, dists)
 		}
+	}
+}
+
+// TestLiveDrainedRecallMatchesBatch is the live path's quality bar: rows
+// streamed through Add and drained into the graph must leave an index whose
+// recall@10 is within 0.01 of a batch build over the same rows. The pool is
+// kept small so neither recall saturates at 1 and the bound can bite.
+func TestLiveDrainedRecallMatchesBatch(t *testing.T) {
+	const n0, extra, k, l = 600, 400, 10, 12
+	ds, err := dataset.SIFTLike(dataset.Config{N: n0 + extra, Queries: 30, GTK: k, Seed: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Seed = 25
+	idx, err := BuildFromFlat(ds.Base.Slice(0, n0).Clone().Data, ds.Base.Dim, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 64, PublishInterval: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	for i := n0; i < ds.Base.Rows; i++ {
+		if _, err := idx.Add(ds.Base.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx.Flush()
+	if st := idx.MaintenanceStats(); st.Pending != 0 || st.SnapshotRows != ds.Base.Rows {
+		t.Fatalf("live index did not drain: %+v", st)
+	}
+	batch, err := BuildFromFlat(ds.Base.Clone().Data, ds.Base.Dim, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recall := func(x *Index) float64 {
+		got := make([][]int32, ds.Queries.Rows)
+		for qi := range got {
+			got[qi], _ = x.SearchWithPool(ds.Queries.Row(qi), k, l)
+		}
+		return dataset.MeanRecall(got, ds.GT, k)
+	}
+	live, ref := recall(idx), recall(batch)
+	if ref < 0.9 || live < ref-0.01 {
+		t.Fatalf("drained live recall@%d %.4f, batch build %.4f: want batch >= 0.9 and live within 0.01 of it", k, live, ref)
 	}
 }
 
