@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/vecmath"
 )
 
 // This file exposes incremental maintenance — the paper's Section 5 future
@@ -21,6 +22,9 @@ import (
 func (x *Index) Add(vec []float32) (int32, error) {
 	if len(vec) != x.inner.Base.Dim {
 		return -1, fmt.Errorf("nsg: vector dim %d != index dim %d", len(vec), x.inner.Base.Dim)
+	}
+	if !vecmath.Finite(vec) {
+		return -1, ErrNonFinite
 	}
 	if h := x.live.Load(); h != nil {
 		// The delta buffer copies vec into its chunk; no caller-side copy.

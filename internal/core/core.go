@@ -21,76 +21,93 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/graphutil"
 	"repro/internal/vecmath"
 	"repro/internal/vecmath/quant"
 )
 
-// element is a pool entry for Algorithm 1: a candidate node, its distance
-// to the query, and whether its out-edges have been expanded ("checked").
-type element struct {
-	id      int32
-	dist    float32
-	checked bool
-}
-
 // pool is the fixed-capacity ordered candidate pool of Algorithm 1. It keeps
-// the best l candidates seen so far, ascending by distance, and tracks the
-// first unchecked index so the scan in Algorithm 1 line 4 is O(1) amortized.
+// the best l candidates seen so far, ascending by (distance, id), each packed
+// into one word: the distance's float32 bits, the id, and whether its
+// out-edges have been expanded ("checked"):
+//
+//	dist bits << 32 | id << 1 | checked
+//
+// Distances are non-negative and never NaN (L2 and the quantized code
+// distances are sums of squares; the library refuses non-finite input), and
+// for such floats the bit order is the value order, so comparing keys as
+// integers orders entries exactly as vecmath.CompareNeighbors does. Ids are
+// non-negative int32s, so id << 1 fits in the low word. An insert is a
+// binary search and a shift over 8-byte words.
 type pool struct {
-	elems []element
-	cap   int
+	keys []uint64
+	cap  int
 }
 
 func newPool(l int) *pool {
-	return &pool{elems: make([]element, 0, l+1), cap: l}
+	return &pool{keys: make([]uint64, 0, l+1), cap: l}
 }
+
+// packKey packs an unchecked pool entry.
+func packKey(id int32, dist float32) uint64 {
+	return uint64(math.Float32bits(dist))<<32 | uint64(uint32(id))<<1
+}
+
+// unpackKey is packKey's inverse; it ignores the checked bit.
+func unpackKey(k uint64) vecmath.Neighbor {
+	return vecmath.Neighbor{ID: int32(uint32(k) >> 1), Dist: math.Float32frombits(uint32(k >> 32))}
+}
+
+func (p *pool) len() int                        { return len(p.keys) }
+func (p *pool) id(i int) int32                  { return int32(uint32(p.keys[i]) >> 1) }
+func (p *pool) dist(i int) float32              { return math.Float32frombits(uint32(p.keys[i] >> 32)) }
+func (p *pool) checked(i int) bool              { return p.keys[i]&1 != 0 }
+func (p *pool) check(i int)                     { p.keys[i] |= 1 }
+func (p *pool) neighbor(i int) vecmath.Neighbor { return unpackKey(p.keys[i]) }
 
 // reset empties the pool and retargets it to capacity l, reusing the backing
 // array whenever it is large enough.
 func (p *pool) reset(l int) {
 	p.cap = l
-	if cap(p.elems) < l+1 {
-		p.elems = make([]element, 0, l+1)
+	if cap(p.keys) < l+1 {
+		p.keys = make([]uint64, 0, l+1)
 	} else {
-		p.elems = p.elems[:0]
+		p.keys = p.keys[:0]
 	}
 }
 
 // insert offers a candidate. Returns the insertion position, or -1 if the
-// candidate was rejected (full pool and too far) or already present.
+// candidate was rejected (full pool and not strictly nearer than the worst
+// retained distance — an equal distance is rejected whatever its id) or
+// already present.
 func (p *pool) insert(id int32, dist float32) int {
-	n := len(p.elems)
-	if n == p.cap && dist >= p.elems[n-1].dist {
+	key := packKey(id, dist)
+	n := len(p.keys)
+	if n == p.cap && key>>32 >= p.keys[n-1]>>32 {
 		return -1
 	}
-	// Binary search for the insertion point (first element with larger
-	// distance; ties keep ascending id order for determinism).
+	// First entry ordered at or after key. The unchecked key sorts just
+	// below its checked twin, so an entry already holding (dist, id) lands
+	// exactly here, checked or not.
 	lo, hi := 0, n
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.elems[mid].dist < dist || (p.elems[mid].dist == dist && p.elems[mid].id < id) {
+		mid := int(uint(lo+hi) >> 1)
+		if p.keys[mid] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	// Duplicate check in the equal-distance neighborhood.
-	for i := lo; i < n && p.elems[i].dist == dist; i++ {
-		if p.elems[i].id == id {
-			return -1
-		}
+	if lo < n && p.keys[lo]&^1 == key {
+		return -1
 	}
-	for i := lo - 1; i >= 0 && p.elems[i].dist == dist; i-- {
-		if p.elems[i].id == id {
-			return -1
-		}
-	}
-	p.elems = append(p.elems, element{})
-	copy(p.elems[lo+1:], p.elems[lo:])
-	p.elems[lo] = element{id: id, dist: dist}
-	if len(p.elems) > p.cap {
-		p.elems = p.elems[:p.cap]
+	p.keys = append(p.keys, 0)
+	copy(p.keys[lo+1:], p.keys[lo:])
+	p.keys[lo] = key
+	if len(p.keys) > p.cap {
+		p.keys = p.keys[:p.cap]
 	}
 	return lo
 }
@@ -253,23 +270,23 @@ func searchOnGraph[A adjacencySource](ctx *SearchContext, a A, n int, base vecma
 // candidate). With an empty navigation pool this is Algorithm 1 line 4.
 func (c *SearchContext) pickFiltered(nextP, nextN *int) (*pool, int) {
 	p, nv := &c.pool, &c.nav
-	for *nextP < len(p.elems) && p.elems[*nextP].checked {
+	for *nextP < p.len() && p.checked(*nextP) {
 		*nextP++
 	}
-	for *nextN < len(nv.elems) && nv.elems[*nextN].checked {
+	for *nextN < nv.len() && nv.checked(*nextN) {
 		*nextN++
 	}
 	var sel *pool
 	idx := -1
-	if *nextP < len(p.elems) {
+	if *nextP < p.len() {
 		sel, idx = p, *nextP
 	}
-	if *nextN < len(nv.elems) {
-		cand := nv.elems[*nextN]
-		useful := len(p.elems) < p.cap || cand.dist < p.elems[len(p.elems)-1].dist
+	if *nextN < nv.len() {
+		d := nv.dist(*nextN)
+		useful := p.len() < p.cap || d < p.dist(p.len()-1)
 		// Ties go to the main pool: a passing candidate at equal distance
 		// both navigates and scores.
-		if useful && (idx < 0 || cand.dist < p.elems[idx].dist) {
+		if useful && (idx < 0 || d < p.dist(idx)) {
 			sel, idx = nv, *nextN
 		}
 	}
@@ -318,8 +335,8 @@ func walk[A adjacencySource, D distSource, P passTest](ctx *SearchContext, a A, 
 		if idx < 0 {
 			break
 		}
-		pl.elems[idx].checked = true
-		curID := pl.elems[idx].id
+		pl.check(idx)
+		curID := pl.id(idx)
 		hops++
 		// Stage the unvisited neighbors, then compute their distances in one
 		// batched gather: the kernel call replaces one distance call (and one
@@ -377,7 +394,7 @@ func offerDelta[D distSource, P passTest](ctx *SearchContext, n int, dist D, del
 				continue
 			}
 			if pos := p.insert(int32(n+ch.Off+j), dists[j]); pos >= 0 {
-				p.elems[pos].checked = true
+				p.check(pos)
 			}
 		}
 	}
@@ -387,12 +404,10 @@ func offerDelta[D distSource, P passTest](ctx *SearchContext, n int, dist D, del
 // slice — the final step of every search.
 func emit(ctx *SearchContext, k int) []vecmath.Neighbor {
 	p := &ctx.pool
-	if k > len(p.elems) {
-		k = len(p.elems)
-	}
+	k = min(k, p.len())
 	out := ctx.out[:0]
 	for i := 0; i < k; i++ {
-		out = append(out, vecmath.Neighbor{ID: p.elems[i].id, Dist: p.elems[i].dist})
+		out = append(out, p.neighbor(i))
 	}
 	ctx.out = out
 	return out

@@ -12,15 +12,15 @@ func TestPoolInsertOrdering(t *testing.T) {
 	p.insert(1, 1)
 	p.insert(2, 3)
 	want := []int32{1, 2, 0}
-	for i, e := range p.elems {
-		if e.id != want[i] {
-			t.Fatalf("pool order %v at %d, want %v", e.id, i, want[i])
+	for i := 0; i < p.len(); i++ {
+		if p.id(i) != want[i] {
+			t.Fatalf("pool order %v at %d, want %v", p.id(i), i, want[i])
 		}
 	}
 	// Full pool: better candidate evicts the worst.
 	p.insert(3, 2)
-	if len(p.elems) != 3 || p.elems[2].id != 2 || p.elems[1].id != 3 {
-		t.Errorf("pool after eviction: %+v", p.elems)
+	if p.len() != 3 || p.id(2) != 2 || p.id(1) != 3 {
+		t.Errorf("pool after eviction: %x", p.keys)
 	}
 	// Worse candidate is rejected.
 	if pos := p.insert(4, 99); pos != -1 {
@@ -36,8 +36,8 @@ func TestPoolRejectsDuplicates(t *testing.T) {
 	if pos := p.insert(7, 2); pos != -1 {
 		t.Errorf("duplicate insert accepted at %d", pos)
 	}
-	if len(p.elems) != 1 {
-		t.Errorf("pool len = %d, want 1", len(p.elems))
+	if p.len() != 1 {
+		t.Errorf("pool len = %d, want 1", p.len())
 	}
 }
 
@@ -46,7 +46,7 @@ func TestPoolTieBreakDeterministic(t *testing.T) {
 	a.insert(9, 1)
 	a.insert(3, 1)
 	a.insert(5, 1)
-	ids := []int32{a.elems[0].id, a.elems[1].id, a.elems[2].id}
+	ids := []int32{a.id(0), a.id(1), a.id(2)}
 	if ids[0] != 3 || ids[1] != 5 || ids[2] != 9 {
 		t.Errorf("tie order = %v, want ascending ids [3 5 9]", ids)
 	}

@@ -29,19 +29,11 @@ func bruteRef(x *NSG, q []float32, k int, flt *Filter, dead *Tombstones) []vecma
 		}
 		all = append(all, vecmath.Neighbor{ID: pub, Dist: vecmath.L2(q, x.Base.Row(int(x.InternalID(pub))))})
 	}
-	sortNeighbors(all)
+	vecmath.SortNeighbors(all)
 	if len(all) > k {
 		all = all[:k]
 	}
 	return all
-}
-
-func sortNeighbors(ns []vecmath.Neighbor) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && vecmath.CompareNeighbors(ns[j], ns[j-1]) < 0; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
 }
 
 func recallOf(got, want []vecmath.Neighbor) float64 {
@@ -251,7 +243,7 @@ func TestLiveFilteredSnapshotDelta(t *testing.T) {
 			all = append(all, vecmath.Neighbor{ID: id, Dist: vecmath.L2(q, dvecs.Row(j))})
 		}
 	}
-	sortNeighbors(all)
+	vecmath.SortNeighbors(all)
 	want := all[:10]
 
 	hit := 0

@@ -32,16 +32,15 @@ func referenceSearch(adj [][]int32, base vecmath.Matrix, query []float32, starts
 	}
 	hops := 0
 	next := 0
-	for next < len(p.elems) {
-		if p.elems[next].checked {
+	for next < p.len() {
+		if p.checked(next) {
 			next++
 			continue
 		}
-		cur := &p.elems[next]
-		cur.checked = true
-		curID := cur.id
+		p.check(next)
+		curID := p.id(next)
 		hops++
-		lowest := len(p.elems)
+		lowest := p.len()
 		for _, nb := range adj[curID] {
 			if _, dup := seen[nb]; dup {
 				continue
@@ -59,12 +58,10 @@ func referenceSearch(adj [][]int32, base vecmath.Matrix, query []float32, starts
 			next = lowest
 		}
 	}
-	if k > len(p.elems) {
-		k = len(p.elems)
-	}
+	k = min(k, p.len())
 	out := make([]vecmath.Neighbor, k)
 	for i := 0; i < k; i++ {
-		out[i] = vecmath.Neighbor{ID: p.elems[i].id, Dist: p.elems[i].dist}
+		out[i] = p.neighbor(i)
 	}
 	return SearchResult{Neighbors: out, Hops: hops}
 }

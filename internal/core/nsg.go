@@ -332,7 +332,7 @@ func interInsert(adj [][]int32, base vecmath.Matrix, m int, ctxs []*SearchContex
 		for j, x := range ids {
 			cands = append(cands, vecmath.Neighbor{ID: x, Dist: dists[j]})
 		}
-		slices.SortFunc(cands, vecmath.CompareNeighbors)
+		sortNeighbors(ctx, cands)
 		sel := SelectMRNGInto(base, v, cands, m, ctx, ctx.idBuf[:0])
 		ctx.idBuf = sel[:0]
 		adj[r] = append(adj[r][:0], sel...)
@@ -788,16 +788,39 @@ func (x *NSG) SaveFile(path string) error {
 // implementation allocated; with a per-worker context the whole operation
 // is allocation-free.
 func dedupeSortedCtx(ctx *SearchContext, n int, cands []vecmath.Neighbor, self int32) []vecmath.Neighbor {
-	slices.SortFunc(cands, vecmath.CompareNeighbors)
+	keys := sortedKeys(ctx, cands)
 	ctx.dedupe.Reset(n)
 	out := cands[:0]
-	for _, c := range cands {
+	for _, k := range keys {
+		c := unpackKey(k)
 		if c.ID == self || !ctx.dedupe.Visit(c.ID) {
 			continue
 		}
 		out = append(out, c)
 	}
 	return out
+}
+
+// sortNeighbors sorts cands ascending by (dist,id), the order of
+// vecmath.CompareNeighbors, through the context's key scratch.
+func sortNeighbors(ctx *SearchContext, cands []vecmath.Neighbor) {
+	for i, k := range sortedKeys(ctx, cands) {
+		cands[i] = unpackKey(k)
+	}
+}
+
+// sortedKeys packs cands into the context's key scratch as pool keys and
+// sorts the words: for distances that are non-negative and not NaN the key
+// order is the (dist,id) order (see pool), and an integer sort is several
+// times cheaper than a comparator sort over 8-byte structs.
+func sortedKeys(ctx *SearchContext, cands []vecmath.Neighbor) []uint64 {
+	keys := ctx.keys[:0]
+	for _, c := range cands {
+		keys = append(keys, packKey(c.ID, c.Dist))
+	}
+	slices.Sort(keys)
+	ctx.keys = keys
+	return keys
 }
 
 // NearPowerOfTwo reports 2^ceil(log2(v)) — helper for pool sizing in tools.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -57,7 +59,8 @@ func TestSelectMRNGPostcondition(t *testing.T) {
 }
 
 // TestPoolMatchesReferenceOrdering drives the candidate pool with random
-// insert sequences and compares against a sort-based reference.
+// insert sequences and compares it against a sort-based reference, then
+// against a slice model of its exact contract under adversarial offers.
 func TestPoolMatchesReferenceOrdering(t *testing.T) {
 	f := func(dists []float32, capRaw uint8) bool {
 		if len(dists) == 0 {
@@ -77,11 +80,11 @@ func TestPoolMatchesReferenceOrdering(t *testing.T) {
 		if len(ref) > capN {
 			ref = ref[:capN]
 		}
-		if len(p.elems) != len(ref) {
+		if p.len() != len(ref) {
 			return false
 		}
 		for i := range ref {
-			if p.elems[i].id != ref[i].ID || p.elems[i].dist != ref[i].Dist {
+			if p.neighbor(i) != ref[i] {
 				return false
 			}
 		}
@@ -89,6 +92,57 @@ func TestPoolMatchesReferenceOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+
+	// The model: entries sorted by (dist, id) with a checked flag. An offer
+	// is rejected when the pool is full and its distance is not strictly
+	// below the worst retained one (an equal distance loses whatever its
+	// id), or when the same (dist, id) is present, checked or not; otherwise
+	// it lands unchecked at its sorted position and the tail is cut to cap.
+	// Ids repeat and distances tie on purpose, capacity 1 is common, and
+	// both +0 and +Inf are offered.
+	type entry struct {
+		n       vecmath.Neighbor
+		checked bool
+	}
+	dists := []float32{0, 1, 1, 2, 3, float32(math.Inf(1))}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		capN := 1 + rng.Intn(5)
+		p := newPool(capN)
+		var model []entry
+		for ops := rng.Intn(30); ops > 0; ops-- {
+			if len(model) > 0 && rng.Intn(4) == 0 {
+				i := rng.Intn(len(model))
+				p.check(i)
+				model[i].checked = true
+				continue
+			}
+			nb := vecmath.Neighbor{ID: int32(rng.Intn(6)), Dist: dists[rng.Intn(len(dists))]}
+			want, _ := slices.BinarySearchFunc(model, nb, func(e entry, nb vecmath.Neighbor) int {
+				return vecmath.CompareNeighbors(e.n, nb)
+			})
+			switch {
+			case len(model) == capN && nb.Dist >= model[capN-1].n.Dist:
+				want = -1
+			case want < len(model) && model[want].n == nb:
+				want = -1
+			default:
+				model = slices.Insert(model, want, entry{n: nb})
+				model = model[:min(len(model), capN)]
+			}
+			if got := p.insert(nb.ID, nb.Dist); got != want {
+				t.Fatalf("trial %d: insert(%d, %v) = %d, want %d", trial, nb.ID, nb.Dist, got, want)
+			}
+		}
+		if p.len() != len(model) {
+			t.Fatalf("trial %d: pool holds %d, model %d", trial, p.len(), len(model))
+		}
+		for i, e := range model {
+			if p.neighbor(i) != e.n || math.Float32bits(p.dist(i)) != math.Float32bits(e.n.Dist) || p.checked(i) != e.checked {
+				t.Fatalf("trial %d slot %d: (%v, checked=%v), want (%v, checked=%v)", trial, i, p.neighbor(i), p.checked(i), e.n, e.checked)
+			}
+		}
 	}
 }
 

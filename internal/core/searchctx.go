@@ -34,6 +34,8 @@ type SearchContext struct {
 	// dedupe stamps candidate ids during build-time dedupe and reverse-edge
 	// merging, replacing the per-node maps the seed implementation allocated.
 	dedupe graphutil.EpochVisited
+	// keys is packed-key scratch for sorting candidate lists (sortedKeys).
+	keys []uint64
 	// sel holds MRNG-selected neighbors during SelectMRNGInto; reused across
 	// nodes by Algorithm 2 workers and the incremental insert path.
 	sel []vecmath.Neighbor

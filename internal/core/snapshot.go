@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/graphutil"
 	"repro/internal/vecmath"
 	"repro/internal/vecmath/quant"
@@ -167,7 +165,8 @@ func (d *Delta) id(off int) int32 {
 // other field's zero value means "not in play".
 type Query struct {
 	// K is the number of results and L the candidate pool size (the
-	// paper's l). K <= 0 answers nothing; L < K is raised to K.
+	// paper's l). K <= 0 answers nothing, and so does a query with a NaN or
+	// infinite coordinate; L < K is raised to K.
 	K, L int
 	// Dead is the tombstone set, a term of the pass test: a deleted row
 	// still routes but never holds a result slot. It is keyed by the
@@ -215,7 +214,7 @@ type Query struct {
 // allocations; the returned Neighbors slice aliases ctx and is valid until
 // its next search.
 func (s *Snapshot) Query(ctx *SearchContext, vec []float32, q Query) SearchResult {
-	if q.K <= 0 {
+	if q.K <= 0 || !vecmath.Finite(vec) {
 		return emptyResult(ctx)
 	}
 	q.L = max(q.L, q.K)
@@ -318,7 +317,7 @@ func rerankPool(ctx *SearchContext, base vecmath.Matrix, query []float32, fetch 
 		}
 		out = append(out, nb)
 	}
-	slices.SortFunc(out, vecmath.CompareNeighbors)
+	sortNeighbors(ctx, out)
 	if len(out) > fetch {
 		out = out[:fetch]
 	}

@@ -438,7 +438,8 @@ func MergeInto(dst, scratch []vecmath.Neighbor, k int, lists [][]vecmath.Neighbo
 //
 // A query whose dimension does not match the index panics here, on the
 // caller's goroutine: past this point a mismatch would panic on a shard
-// worker, where no caller could recover it. k <= 0 answers nothing.
+// worker, where no caller could recover it. k <= 0 answers nothing, and
+// so does a query with a NaN or infinite coordinate.
 func (s *Sharded) Search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *ShardedFilter, st *SearchStats) []vecmath.Neighbor {
 	if len(vec) != s.Base.Dim {
 		panic(fmt.Sprintf("distsearch: query dim %d != index dim %d", len(vec), s.Base.Dim))
@@ -446,7 +447,7 @@ func (s *Sharded) Search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *S
 	if st != nil {
 		*st = SearchStats{}
 	}
-	if k <= 0 || (flt != nil && flt.Count == 0) {
+	if k <= 0 || !vecmath.Finite(vec) || (flt != nil && flt.Count == 0) {
 		return dst
 	}
 	f := s.getScratch()

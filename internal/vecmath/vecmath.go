@@ -28,6 +28,16 @@ import (
 	"repro/internal/cpu"
 )
 
+// Finite reports whether every coordinate of v is finite: no NaN, no ±Inf.
+func Finite(v []float32) bool {
+	for _, x := range v {
+		if math.Float32bits(x)&0x7f800000 == 0x7f800000 {
+			return false
+		}
+	}
+	return true
+}
+
 // L2 returns the squared Euclidean distance between a and b.
 //
 // The squared distance is used everywhere in this repository: it is monotone

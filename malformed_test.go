@@ -1,13 +1,16 @@
 package nsg
 
 import (
+	"errors"
+	"math"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
 // TestMalformedSearch: every public search entry, on every index shape,
-// answers a malformed (k, l) with an empty result, and a query of the wrong
+// answers a malformed (k, l) or a query with a NaN or infinite coordinate
+// with an empty result, and a query of the wrong
 // dimension panics on the caller's goroutine, where recover catches it. On a
 // ShardedIndex either one used to panic on a shard worker instead, which no
 // caller can recover: it killed the process.
@@ -147,10 +150,86 @@ func TestMalformedSearch(t *testing.T) {
 						t.Errorf("k=%d l=%d: %d results, panic %v; want none and no panic", kl[0], kl[1], len(got), p)
 					}
 				}
+				for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+					nq := append([]float32(nil), q...)
+					nq[len(nq)/2] = bad
+					if got, p := call(search, nq, 10, 40); p != nil || len(got) != 0 {
+						t.Errorf("query with a %v coordinate: %d results, panic %v; want none and no panic", bad, len(got), p)
+					}
+				}
 				if _, p := call(search, q[:len(q)/2], 10, 40); p == nil {
 					t.Error("a wrong-dimension query did not panic on the caller's goroutine")
 				}
 			})
 		}
+	}
+}
+
+// TestNonFiniteVectorsRejected: a NaN or infinite coordinate is refused with
+// ErrNonFinite at every door a vector comes in by, before it changes
+// anything: the builders, Add and AddWithMetadata, heap and live, single
+// and sharded.
+func TestNonFiniteVectorsRejected(t *testing.T) {
+	const n = 300
+	ds := shardedTestData(t, n+1, 2)
+	vecs := make([][]float32, n)
+	for i := range vecs {
+		vecs[i] = ds.Base.Row(i)
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		poisoned := append([]float32(nil), ds.Base.Row(n)...)
+		poisoned[3] = bad
+		withBad := append(append([][]float32(nil), vecs...), poisoned)
+		flat := append([]float32(nil), ds.Base.Data[:(n+1)*ds.Base.Dim]...)
+		flat[n*ds.Base.Dim+3] = bad
+
+		if _, err := Build(withBad, DefaultOptions()); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Build with a %v coordinate: err %v, want ErrNonFinite", bad, err)
+		}
+		if _, err := BuildFromFlat(flat, ds.Base.Dim, DefaultOptions()); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("BuildFromFlat with a %v coordinate: err %v, want ErrNonFinite", bad, err)
+		}
+		if _, err := BuildSharded(withBad, DefaultShardedOptions(2)); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("BuildSharded with a %v coordinate: err %v, want ErrNonFinite", bad, err)
+		}
+	}
+
+	poisoned := append([]float32(nil), ds.Base.Row(n)...)
+	poisoned[0] = float32(math.NaN())
+	for _, live := range []bool{false, true} {
+		idx, err := Build(vecs, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.SetMetadata(planMetadata(n)); err != nil {
+			t.Fatal(err)
+		}
+		sh, err := BuildSharded(vecs, DefaultShardedOptions(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live {
+			if err := idx.EnableLiveUpdates(LiveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sh.EnableLiveUpdates(LiveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := idx.Add(poisoned); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("live=%v Index.Add: err %v, want ErrNonFinite", live, err)
+		}
+		if _, err := idx.AddWithMetadata(poisoned, map[string]any{"sel": int64(1)}); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("live=%v AddWithMetadata: err %v, want ErrNonFinite", live, err)
+		}
+		if _, err := sh.Add(poisoned); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("live=%v ShardedIndex.Add: err %v, want ErrNonFinite", live, err)
+		}
+		if idx.Len() != n || idx.Metadata().Rows() != n || sh.Len() != n {
+			t.Errorf("live=%v: a refused Add changed the index: Len %d, metadata rows %d, sharded Len %d, want %d",
+				live, idx.Len(), idx.Metadata().Rows(), sh.Len(), n)
+		}
+		idx.Close()
+		sh.Close()
 	}
 }

@@ -57,6 +57,7 @@ package nsg
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -233,6 +234,12 @@ func (x *Index) getCtx() *core.SearchContext {
 
 func (x *Index) putCtx(c *core.SearchContext) { x.ctxPool.Put(c) }
 
+// ErrNonFinite is returned by Build, BuildFromFlat, the sharded builders
+// and every Add when a vector has a NaN or infinite coordinate: distances to
+// it would be NaN or +Inf, which no nearest-neighbor order can hold. A
+// search for such a query answers empty, like one with k <= 0.
+var ErrNonFinite = errors.New("nsg: vector has a NaN or infinite coordinate")
+
 // Build indexes the given vectors. All vectors must share one dimension and
 // there must be at least two of them.
 func Build(vectors [][]float32, opts Options) (*Index, error) {
@@ -259,6 +266,9 @@ func BuildFromFlat(data []float32, dim int, opts Options) (*Index, error) {
 }
 
 func buildFromMatrix(base vecmath.Matrix, opts Options) (*Index, error) {
+	if !vecmath.Finite(base.Data) {
+		return nil, ErrNonFinite
+	}
 	start := time.Now()
 	k := opts.GraphK
 	if k >= base.Rows {

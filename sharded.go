@@ -84,6 +84,9 @@ func BuildShardedFromFlat(data []float32, dim int, opts ShardedOptions) (*Sharde
 }
 
 func buildShardedFromMatrix(base vecmath.Matrix, opts ShardedOptions) (*ShardedIndex, error) {
+	if !vecmath.Finite(base.Data) {
+		return nil, ErrNonFinite
+	}
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
@@ -247,6 +250,9 @@ func (x *ShardedIndex) search(b *neighborBuf, query []float32, k, l int, f *Shar
 func (x *ShardedIndex) Add(vec []float32) (int32, error) {
 	if len(vec) != x.s.Base.Dim {
 		return -1, fmt.Errorf("nsg: vector dim %d != index dim %d", len(vec), x.s.Base.Dim)
+	}
+	if !vecmath.Finite(vec) {
+		return -1, ErrNonFinite
 	}
 	if x.s.Live() {
 		// InsertLive copies vec into the global base and the routed
