@@ -3,10 +3,9 @@ package nsg
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/graphutil"
 )
 
 // BatchResult holds one query's answer within a batch.
@@ -36,12 +35,11 @@ func (x *MetricIndex) SearchBatch(queries [][]float32, k, l, workers int) []Batc
 }
 
 // searchBatch is the worker pool behind every SearchBatch*: it answers
-// queries[i] into out[i] with search, on workers goroutines (GOMAXPROCS when
-// workers <= 0, never more than len(queries); a single worker runs inline),
-// handing each worker one scratch value from get for its whole share of the
-// batch and returning it through put. Work is claimed in small chunks
-// through an atomic counter rather than one channel send per query, which
-// keeps early chunks hot while still load-balancing ragged work.
+// queries[i] into out[i] with search on graphutil.ParallelForWorkers
+// (workers goroutines, GOMAXPROCS when workers <= 0, never more than
+// len(queries); a single worker runs inline), handing each worker one
+// scratch value from get for its whole share of the batch and returning it
+// through put.
 //
 // Dimensions are validated before fanning out: a panic on a worker
 // goroutine would be unrecoverable for the caller, unlike the serial path's.
@@ -53,44 +51,19 @@ func searchBatch[C any](queries [][]float32, dim, workers int, get func() C, put
 	}
 	n := len(queries)
 	out := make([]BatchResult, n)
-	if n == 0 {
-		return out
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	workers = min(workers, n)
+	scratch := make([]C, workers)
+	for w := range scratch {
+		scratch[w] = get()
 	}
-	// Chunks of ~4 claims per worker amortize the atomic without leaving
-	// stragglers; cap at 8 so one slow chunk cannot dominate the tail.
-	grain := min(max(n/(workers*4), 1), 8)
-	var next atomic.Int64
-	work := func() {
-		c := get()
-		for {
-			lo := int(next.Add(int64(grain))) - grain
-			if lo >= n {
-				break
-			}
-			for i, hi := lo, min(lo+grain, n); i < hi; i++ {
-				out[i].IDs, out[i].Dists = search(c, queries[i])
-			}
-		}
+	graphutil.ParallelForWorkers(workers, n, func(w, i int) {
+		out[i].IDs, out[i].Dists = search(scratch[w], queries[i])
+	})
+	for _, c := range scratch {
 		put(c)
 	}
-	if workers == 1 {
-		work()
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	wg.Wait()
 	return out
 }

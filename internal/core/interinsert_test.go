@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/graphutil"
 	"repro/internal/knngraph"
 	"repro/internal/vecmath"
 )
@@ -36,7 +37,7 @@ func buildOneSided(t *testing.T, base vecmath.Matrix, knnK, l, m int) [][]int32 
 // interInsertTest runs interInsert with freshly allocated per-worker
 // contexts, as NSGBuild does.
 func interInsertTest(adj [][]int32, base vecmath.Matrix, m int) {
-	ctxs := make([]*SearchContext, parallelWorkers(len(adj)))
+	ctxs := make([]*SearchContext, graphutil.ParallelWorkers(len(adj)))
 	for w := range ctxs {
 		ctxs[w] = NewSearchContext()
 	}

@@ -30,12 +30,12 @@ func NSGNaiveBuild(knn *graphutil.Graph, base vecmath.Matrix, m int, seed int64)
 	}
 	n := base.Rows
 	adj := make([][]int32, n)
-	workers := parallelWorkers(n)
+	workers := graphutil.ParallelWorkers(n)
 	ctxs := make([]*SearchContext, workers)
 	for w := range ctxs {
 		ctxs[w] = NewSearchContext()
 	}
-	parallelForWorkers(workers, n, func(w, i int) {
+	graphutil.ParallelForWorkers(workers, n, func(w, i int) {
 		ctx := ctxs[w]
 		v := base.Row(i)
 		nbs := knn.Adj[i]

@@ -168,12 +168,12 @@ func NSGBuild(knn *graphutil.Graph, base vecmath.Matrix, p BuildParams) (*NSG, B
 	// list itself.
 	phase = time.Now()
 	adj := make([][]int32, n)
-	workers := parallelWorkers(n)
+	workers := graphutil.ParallelWorkers(n)
 	ctxs := make([]*SearchContext, workers)
 	for w := range ctxs {
 		ctxs[w] = NewSearchContext()
 	}
-	parallelForWorkers(workers, n, func(w, i int) {
+	graphutil.ParallelForWorkers(workers, n, func(w, i int) {
 		ctx := ctxs[w]
 		v := base.Row(i)
 		visited := ctx.collect[:0]
@@ -298,7 +298,7 @@ func interInsert(adj [][]int32, base vecmath.Matrix, m int, ctxs []*SearchContex
 			cursor[r]++
 		}
 	}
-	parallelForWorkers(len(ctxs), n, func(w, r int) {
+	graphutil.ParallelForWorkers(len(ctxs), n, func(w, r int) {
 		offers := flat[off[r]:off[r+1]]
 		if len(offers) == 0 {
 			return
@@ -818,9 +818,61 @@ func sortedKeys(ctx *SearchContext, cands []vecmath.Neighbor) []uint64 {
 	for _, c := range cands {
 		keys = append(keys, packKey(c.ID, c.Dist))
 	}
-	slices.Sort(keys)
-	ctx.keys = keys
-	return keys
+	if cap(ctx.keys2) < len(keys) {
+		ctx.keys2 = make([]uint64, cap(keys))
+	}
+	ctx.keys, ctx.keys2 = radixSortKeys(keys, ctx.keys2[:len(keys)])
+	return ctx.keys
+}
+
+// radixMinKeys is the length below which radixSortKeys defers to
+// slices.Sort: the L-sized rerank and reverse-edge lists stay on pdqsort,
+// Algorithm 2's ~600-key candidate lists take the radix passes.
+const radixMinKeys = 64
+
+// radixSortKeys sorts keys ascending with an LSD radix sort over 8-bit
+// digits, ping-ponging between keys and tmp (len(tmp) == len(keys)). It
+// returns the slice now holding the sorted words and the other one as spare
+// scratch. One read fills all eight digit histograms; a digit on which
+// every key agrees (one bucket holds them all) costs no pass, so a
+// candidate list over a few thousand ids with integer-valued distances
+// takes four. Being an integer sort, its order equals slices.Sort's.
+func radixSortKeys(keys, tmp []uint64) (sorted, spare []uint64) {
+	n := len(keys)
+	if n < radixMinKeys {
+		slices.Sort(keys)
+		return keys, tmp
+	}
+	var count [8][256]uint32
+	for _, k := range keys { // unrolled: the loop form costs the sort most of its gain
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
+	}
+	src, dst := keys, tmp[:n]
+	for d := range count {
+		shift, c := 8*d, &count[d]
+		if c[byte(src[0]>>shift)] == uint32(n) {
+			continue
+		}
+		var pos uint32
+		for b, x := range c {
+			c[b] = pos
+			pos += x
+		}
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src, dst
 }
 
 // NearPowerOfTwo reports 2^ceil(log2(v)) — helper for pool sizing in tools.
@@ -829,12 +881,4 @@ func NearPowerOfTwo(v int) int {
 		return 1
 	}
 	return 1 << int(math.Ceil(math.Log2(float64(v))))
-}
-
-// parallelWorkers and parallelForWorkers are the shared worker-pool
-// helpers, hosted in graphutil so knngraph and core run one implementation.
-func parallelWorkers(n int) int { return graphutil.ParallelWorkers(n) }
-
-func parallelForWorkers(workers, n int, body func(worker, i int)) {
-	graphutil.ParallelForWorkers(workers, n, body)
 }

@@ -34,8 +34,9 @@ type SearchContext struct {
 	// dedupe stamps candidate ids during build-time dedupe and reverse-edge
 	// merging, replacing the per-node maps the seed implementation allocated.
 	dedupe graphutil.EpochVisited
-	// keys is packed-key scratch for sorting candidate lists (sortedKeys).
-	keys []uint64
+	// keys is packed-key scratch for sorting candidate lists (sortedKeys);
+	// keys2 is the radix sort's second buffer, swapped with keys per sort.
+	keys, keys2 []uint64
 	// sel holds MRNG-selected neighbors during SelectMRNGInto; reused across
 	// nodes by Algorithm 2 workers and the incremental insert path.
 	sel []vecmath.Neighbor

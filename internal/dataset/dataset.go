@@ -16,9 +16,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
+	"repro/internal/graphutil"
 	"repro/internal/vecmath"
 )
 
@@ -309,7 +308,7 @@ func Gaussian(cfg Config) (Dataset, error) {
 // vectors (ascending by distance) by parallel brute force.
 func GroundTruth(base, queries vecmath.Matrix, k int) [][]int32 {
 	out := make([][]int32, queries.Rows)
-	parallelFor(queries.Rows, func(qi int) {
+	graphutil.ParallelFor(queries.Rows, func(qi int) {
 		q := queries.Row(qi)
 		top := vecmath.NewTopK(k)
 		for i := 0; i < base.Rows; i++ {
@@ -360,34 +359,4 @@ func MeanRecall(got [][]int32, gt [][]int32, k int) float64 {
 		s += Recall(got[i], gt[i], k)
 	}
 	return s / float64(len(got))
-}
-
-// parallelFor runs body(i) for i in [0,n) on GOMAXPROCS workers.
-func parallelFor(n int, body func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				body(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/graphutil"
 	"repro/internal/vecmath"
 )
 
@@ -28,7 +29,7 @@ func EstimateLID(base vecmath.Matrix, k, sample int, seed int64) float64 {
 	perm := rng.Perm(base.Rows)[:sample]
 
 	estimates := make([]float64, sample)
-	parallelFor(sample, func(si int) {
+	graphutil.ParallelFor(sample, func(si int) {
 		i := perm[si]
 		x := base.Row(i)
 		top := vecmath.NewTopK(k + 1) // +1: the point itself at distance 0
