@@ -159,9 +159,8 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Live-update serving: lock-free searches, non-blocking inserts. The
-	// request path never takes a lock after this. A mapped index is
-	// read-only — no delta buffer, no maintainer; snapshot reads only.
+	// The maintainers' cadence. A mapped index is read-only — no delta
+	// buffer, no maintainer; snapshot reads only.
 	if !idx.ReadOnly() {
 		if err := idx.EnableLiveUpdates(nsg.LiveOptions{MaxPending: *maxPending, PublishInterval: *publishEvery}); err != nil {
 			return err
@@ -341,16 +340,10 @@ type server struct {
 	streams streamSet
 }
 
-// newServer wraps idx, enabling live updates if the caller has not
-// already: the handlers rely on the lock-free serving contract. A mapped
-// read-only index serves without live updates — its snapshots are immutable
-// by construction, so the request path is lock-free either way.
+// newServer wraps idx. Every index serves lock-free searches beside
+// non-blocking inserts, and a mapped one refuses inserts, so the handlers
+// need nothing enabled.
 func newServer(idx *nsg.ShardedIndex, defaultK, defaultL, maxL int) *server {
-	if !idx.Live() && !idx.ReadOnly() {
-		if err := idx.EnableLiveUpdates(nsg.LiveOptions{}); err != nil {
-			panic(err) // only fails on double-enable, excluded above
-		}
-	}
 	return &server{idx: idx, defaultK: defaultK, defaultL: defaultL, maxL: maxL, readyMaxPending: 4 * 512}
 }
 
@@ -723,7 +716,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Publishes:  ms.Publishes,
 		Drained:    ms.Drained,
 	}
-	if !ms.LastPublish.IsZero() { // zero on a read-only index: no maintainer
+	if !resp.ReadOnly { // zero on a read-only index: nothing is ever published
 		resp.LastPublishAgeMs = float64(time.Since(ms.LastPublish).Microseconds()) / 1000
 	}
 	if q > 0 {

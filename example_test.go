@@ -131,10 +131,11 @@ func ExampleBuildSharded() {
 	// searched 3 shards; merged hops > 0: true
 }
 
-// ExampleIndex_EnableLiveUpdates switches an index to non-blocking live
-// serving: Add is safe concurrently with Search, the added point is
-// searchable immediately (served by the delta scan), and Flush waits for
-// the background maintainer to fold it into the published graph snapshot.
+// ExampleIndex_EnableLiveUpdates sets the maintainer's cadence on an index
+// that, like every mutable index, serves Add concurrently with Search: the
+// added point is searchable immediately (served by the delta scan), and
+// Flush waits for the background maintainer to fold it into the published
+// graph snapshot.
 func ExampleIndex_EnableLiveUpdates() {
 	vectors := exampleVectors(400, 16)
 	opts := nsg.DefaultOptions()

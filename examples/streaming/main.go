@@ -1,7 +1,7 @@
 // Streaming: incremental index maintenance — the paper's Section 5 future
-// work ("It's also possible for NSG to enable incremental indexing"). A
-// live index absorbs inserts while serving queries concurrently (the
-// snapshot + delta-buffer path behind EnableLiveUpdates), tombstones
+// work ("It's also possible for NSG to enable incremental indexing"). An
+// index absorbs inserts while serving queries concurrently (the snapshot +
+// delta-buffer path every mutable index writes through), tombstones
 // deletions, and compacts once the tombstone fraction grows.
 package main
 
@@ -38,16 +38,17 @@ func main() {
 	}
 	fmt.Printf("bootstrapped with %d vectors\n", index.Len())
 
-	// Stream with live updates: Add is non-blocking and safe to run
-	// concurrently with searches — readers keep hitting the published
-	// snapshot (plus a brute-force-scanned delta of the newest points)
-	// while a background maintainer folds inserts into the graph.
+	// Stream: Add is non-blocking and safe to run concurrently with
+	// searches — readers keep hitting the published snapshot (plus a
+	// brute-force-scanned delta of the newest points) while a background
+	// maintainer folds inserts into the graph. EnableLiveUpdates only tunes
+	// how often it publishes.
 	if err := index.EnableLiveUpdates(nsg.LiveOptions{PublishInterval: 10 * time.Millisecond}); err != nil {
 		log.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // a concurrent reader, legal only in live mode
+	go func() { // a concurrent reader
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			if ids, _ := index.Search(newVecFrom(rand.New(rand.NewSource(int64(i)))), 3); len(ids) == 0 {
@@ -71,8 +72,7 @@ func main() {
 	st := index.MaintenanceStats()
 	fmt.Printf("maintainer published %d snapshots, drained %d inserts, %d pending\n",
 		st.Publishes, st.Drained, st.Pending)
-	// Close ends live serving and returns the index to the classic
-	// single-writer contract, which Compact below needs.
+	// Close stops the maintainer; the Deletes and Compact below need none.
 	index.Close()
 
 	// Deletions: retire a slice of old vectors.

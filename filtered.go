@@ -25,7 +25,8 @@ type Predicate = meta.Predicate
 // Metadata is a typed metadata column store keyed by vector id: int64
 // columns (prices, timestamps, tenant ids), dictionary-encoded string enum
 // columns (categories), and tag-set columns (labels). Reads — including
-// filter compilation — are lock-free and safe concurrently with AppendRow.
+// filter compilation — are lock-free and safe concurrently with AppendRow
+// and SetRow.
 type Metadata = meta.Store
 
 // NewMetadata returns an empty metadata store expecting rows rows in every
@@ -60,7 +61,7 @@ var ErrNoMetadata = core.ErrNoMetadata
 // exactly one row per indexed vector (row i describes the vector with id
 // i); it is persisted inside Save bundles and restored by Load. Points
 // added after attachment without a metadata row (plain Add) fail every
-// filter until one is appended — AddWithMetadata keeps the two in step.
+// filter; AddWithMetadata writes each row under its vector's id.
 func (x *Index) SetMetadata(m *Metadata) error {
 	if m != nil && m.Rows() != x.Len() {
 		return fmt.Errorf("nsg: metadata has %d rows, index has %d vectors", m.Rows(), x.Len())
@@ -75,19 +76,27 @@ func (x *Index) Metadata() *Metadata { return x.inner.Meta }
 // AddWithMetadata is Add plus one metadata row: the vector and its
 // attributes land under the same id. row maps column name → value (integer
 // kinds for int64 columns, string for enum, []string for tags); absent
-// columns get the missing value. Requires an attached metadata store.
+// columns get the missing value. Requires an attached metadata store. A row
+// the store would reject is an error before the vector is added, and rows
+// of ids added without one (plain Add) are filled with missing values.
+// Safe from any goroutine, like Add.
 func (x *Index) AddWithMetadata(vec []float32, row map[string]any) (int32, error) {
 	m := x.inner.Meta
 	if m == nil {
 		return -1, ErrNoMetadata
 	}
+	if err := m.CheckRow(row); err != nil {
+		return -1, fmt.Errorf("nsg: metadata row rejected: %w", err)
+	}
+	// One writer at a time from id to row: ids are handed out in order, so
+	// every row lands past the store's end.
+	x.metaMu.Lock()
+	defer x.metaMu.Unlock()
 	id, err := x.Add(vec)
 	if err != nil {
 		return id, err
 	}
-	if err := m.AppendRow(row); err != nil {
-		// The vector is in; its missing metadata row means it fails every
-		// filter, which is the documented contract for plain Add too.
+	if err := m.SetRow(int(id), row); err != nil {
 		return id, fmt.Errorf("nsg: vector %d added but metadata row rejected: %w", id, err)
 	}
 	return id, nil
@@ -156,8 +165,8 @@ func (x *Index) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *F
 }
 
 // ShardedFilter is one compiled predicate prepared for sharded fan-out:
-// the global bitmap cut into one bitmap and passing count per shard (shards
-// with no passing rows are skipped entirely).
+// the global bitmap plus a passing count per shard (shards with no passing
+// rows are skipped entirely).
 type ShardedFilter struct {
 	inner *distsearch.ShardedFilter
 }
@@ -169,8 +178,8 @@ func (f *ShardedFilter) Count() int { return f.inner.Count }
 // global id (row g describes the vector Search returns as id g). Persisted
 // inside Save bundles and restored by LoadSharded.
 func (x *ShardedIndex) SetMetadata(m *Metadata) error {
-	if m != nil && m.Rows() != x.s.Base.Rows {
-		return fmt.Errorf("nsg: metadata has %d rows, index has %d vectors", m.Rows(), x.s.Base.Rows)
+	if m != nil && m.Rows() != x.Len() {
+		return fmt.Errorf("nsg: metadata has %d rows, index has %d vectors", m.Rows(), x.Len())
 	}
 	x.s.Meta = m
 	return nil
@@ -197,8 +206,8 @@ func (x *ShardedIndex) SearchFiltered(query []float32, k int, f *ShardedFilter) 
 }
 
 // SearchFilteredWithPool is SearchFiltered with an explicit per-shard pool
-// size l. Each shard searches under its own rows' bits and picks its own
-// plan (exact scan or traversal) from its own passing count; per-shard
+// size l. Each shard tests its rows against the global bitmap and picks its
+// own plan (exact scan or traversal) from its own passing count; per-shard
 // answers merge by distance exactly like the unfiltered fan-out.
 func (x *ShardedIndex) SearchFilteredWithPool(query []float32, k, l int, f *ShardedFilter) ([]int32, []float32) {
 	return x.searchOne(query, k, l, f, nil)

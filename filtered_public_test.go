@@ -2,9 +2,11 @@ package nsg
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -572,5 +574,88 @@ func TestUnmarshalPredicateLimits(t *testing.T) {
 	}
 	if _, err := UnmarshalPredicate([]byte(nest(MaxPredicateDepth))); err == nil {
 		t.Fatal("filter over the depth cap accepted")
+	}
+}
+
+// TestAddWithMetadataRowLandsAtID: a metadata row always describes the
+// vector AddWithMetadata returned the id of — after a rejected row (which
+// adds nothing), after a plain Add (whose row is missing), and with two
+// writers adding concurrently.
+func TestAddWithMetadataRowLandsAtID(t *testing.T) {
+	const n0 = 100
+	vecs := liveTestVectors(n0+64, 8, 31)
+	idx, err := Build(vecs[:n0], DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	m := NewMetadata(n0)
+	if err := m.AddEnum("c", make([]string, n0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.SetMetadata(m); err != nil {
+		t.Fatal(err)
+	}
+	// findsOnly checks that the label's filter admits exactly id, and that a
+	// search from id's vector answers it.
+	findsOnly := func(label string, id int32) {
+		t.Helper()
+		f, err := idx.CompileFilter(Eq("c", label))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, _ := idx.SearchFilteredWithPool(idx.Vector(int(id)), 1, 40, f)
+		if f.Count() != 1 || len(ids) != 1 || ids[0] != id {
+			t.Fatalf("filter c=%q passes %d rows and answers %v, want only id %d", label, f.Count(), ids, id)
+		}
+	}
+
+	if _, err := idx.AddWithMetadata(vecs[n0], map[string]any{"c": 5}); err == nil {
+		t.Fatal("an integer for an enum column must be rejected")
+	}
+	if idx.Len() != n0 {
+		t.Fatalf("a rejected row added its vector: Len %d, want %d", idx.Len(), n0)
+	}
+	id, err := idx.AddWithMetadata(vecs[n0+1], map[string]any{"c": "after-reject"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	findsOnly("after-reject", id)
+
+	plain, err := idx.Add(vecs[n0+2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err = idx.AddWithMetadata(vecs[n0+3], map[string]any{"c": "after-plain"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != plain+1 {
+		t.Fatalf("id %d after plain Add %d", id, plain)
+	}
+	findsOnly("after-plain", id)
+
+	const writers, each = 2, 25
+	got := make([][]int32, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id, err := idx.AddWithMetadata(vecs[n0+4+w*each+i], map[string]any{"c": fmt.Sprintf("w%d-%d", w, i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = append(got[w], id)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for i, id := range got[w] {
+			findsOnly(fmt.Sprintf("w%d-%d", w, i), id)
+		}
 	}
 }

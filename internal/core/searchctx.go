@@ -51,6 +51,15 @@ type SearchContext struct {
 	// fbits is per-query filter-bitmap scratch (see FilterScratch): request
 	// paths compile a predicate into it on every query without allocating.
 	fbits []uint64
+	// delta describes a live index's pending rows for one query (see Delta).
+	delta Delta
+}
+
+// Delta returns the context's reset Delta, which a live index fills with
+// its pending rows before each query; its chunk slice is reused.
+func (c *SearchContext) Delta() *Delta {
+	c.delta.Reset()
+	return &c.delta
 }
 
 // FilterScratch returns a zeroed bitmap of at least words words, reusing the

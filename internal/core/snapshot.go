@@ -99,7 +99,7 @@ func (s *Snapshot) Stats() IndexStats {
 		N:          f.Nodes,
 		AvgDegree:  avg,
 		MaxDegree:  maxd,
-		IndexBytes: f.Bytes(),
+		IndexBytes: int64(f.Nodes) * int64(f.Stride-1) * 4,
 		Reachable:  f.Nodes,
 	}
 }

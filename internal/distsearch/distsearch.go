@@ -20,7 +20,6 @@ package distsearch
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -42,12 +41,23 @@ import (
 type Sharded struct {
 	Base    vecmath.Matrix
 	shards  []*core.NSG
-	localID [][]int32 // localID[s][j] = global id of shard s's row j
+	localID [][]int32 // localID[s][j] = global id of shard s's row j; refreshed by Flush
+
+	// Every shard is served and grown through its live handle (see live.go):
+	// searches read its published snapshot plus pending delta, and Insert
+	// routes a vector to one shard's delta by the frozen navigating-node
+	// vectors. mu serializes global id allocation and base growth; n is the
+	// global row count, readable without it.
+	handles []*live.Handle
+	navVec  [][]float32
+	mu      sync.Mutex
+	n       atomic.Int64
 
 	// Meta is the optional metadata column store, keyed by GLOBAL id (row g
 	// describes base vector g). It is deliberately not sharded: predicates
 	// compile once into one global bitmap, and each shard tests its rows
-	// through its localID table, so all shards share one filter compilation.
+	// through its handle's translate table, so all shards share one filter
+	// compilation.
 	Meta *meta.Store
 
 	// tasks feeds the persistent shard workers; each worker owns one
@@ -57,14 +67,6 @@ type Sharded struct {
 	closeOnce sync.Once
 	scratch   sync.Pool // *fanScratch
 
-	// Live-update state (see live.go): one handle per shard plus frozen
-	// routing vectors once EnableLive ran, published through an atomic
-	// pointer so enabling is safe while searches are in flight; liveMu
-	// serializes global id allocation and base growth between writers.
-	live   atomic.Pointer[liveState]
-	liveMu sync.Mutex
-	liveN  atomic.Int64
-
 	// Mapped-mode state (see mapped.go): a read-only index opened from an
 	// aligned container. Base.Data is nil — each shard's vectors live in
 	// its embedded record — and vector lookups go through the lazily built
@@ -73,13 +75,6 @@ type Sharded struct {
 	mapped  *mstore.File
 	locOnce sync.Once
 	loc     *shardLocator
-}
-
-// liveState bundles what a live search or routed insert needs, immutable
-// once published.
-type liveState struct {
-	handles []*live.Handle
-	navVec  [][]float32 // per-shard navigating-node vectors (write-once rows)
 }
 
 // Params configures BuildSharded.
@@ -219,29 +214,36 @@ func BuildSharded(base vecmath.Matrix, p Params) (*Sharded, error) {
 		}
 	}
 	s := &Sharded{Base: base, shards: shards, localID: localID}
-	s.startWorkers()
+	s.start()
 	return s, nil
 }
 
-// startWorkers spawns the persistent fan-out pool, each worker owning one
+// start attaches one live handle per shard, freezes the routing vectors
+// and spawns the persistent fan-out pool, each worker owning one
 // SearchContext. The pool holds at least one worker per shard (the paper's
 // one-machine-per-partition deployment, so a single query always fans out
 // fully) and at least GOMAXPROCS workers, so concurrent queries on an
 // index with few shards still use every core instead of being capped at
 // r in-flight shard searches. Workers live until Close.
-func (s *Sharded) startWorkers() {
-	workers := len(s.shards)
-	if p := runtime.GOMAXPROCS(0); p > workers {
-		workers = p
+func (s *Sharded) start() {
+	s.handles = make([]*live.Handle, len(s.shards))
+	s.navVec = make([][]float32, len(s.shards))
+	for sh, idx := range s.shards {
+		// Navigating nodes never change under inserts, and rows are
+		// write-once, so these slices stay valid while the shards grow.
+		s.navVec[sh] = idx.Base.Row(int(idx.Navigating))
+		s.handles[sh] = live.New(idx, s.localID[sh], nil, live.Options{})
 	}
+	s.n.Store(int64(s.Base.Rows))
+	workers := max(len(s.shards), runtime.GOMAXPROCS(0))
 	s.tasks = make(chan shardTask, 2*workers)
 	for w := 0; w < workers; w++ {
 		go s.worker()
 	}
 }
 
-// Close terminates the worker pool and, on a live index, flushes and stops
-// the per-shard maintainers — flushing first so every acknowledged insert
+// Close terminates the worker pool and flushes and stops the per-shard
+// maintainers — flushing first so every acknowledged insert
 // reaches its shard graph and id map (a Save after Close stays
 // consistent). The index must not be searched after Close; build/serving
 // code that discards a Sharded should call it so the goroutines do not
@@ -250,10 +252,8 @@ func (s *Sharded) Close() {
 	s.closeOnce.Do(func() {
 		s.Flush()
 		close(s.tasks)
-		if ls := s.live.Load(); ls != nil {
-			for _, h := range ls.handles {
-				h.Close()
-			}
+		for _, h := range s.handles {
+			h.Close()
 		}
 		if s.mapped != nil {
 			s.mapped.Close()
@@ -280,16 +280,12 @@ func (s *Sharded) QuantMode() quant.Mode {
 	return s.shards[0].QuantMode()
 }
 
-// ShardSizes returns the number of vectors in each shard. On a live index
-// a shard's size counts its published snapshot plus its pending delta.
+// ShardSizes returns the number of vectors in each shard: its published
+// snapshot plus its pending delta.
 func (s *Sharded) ShardSizes() []int {
-	sizes := make([]int, len(s.shards))
-	for i := range s.shards {
-		if h := s.liveHandle(i); h != nil {
-			sizes[i] = h.Len()
-		} else {
-			sizes[i] = s.shards[i].Base.Rows
-		}
+	sizes := make([]int, len(s.handles))
+	for i, h := range s.handles {
+		sizes[i] = h.Len()
 	}
 	return sizes
 }
@@ -318,9 +314,10 @@ type fanScratch struct {
 	// merged is the concatenate-sort-truncate buffer for combining the
 	// per-shard lists.
 	merged []vecmath.Neighbor
-	// flt non-nil marks this fan as filtered: each shard searches under
-	// flt.per[shard].
-	flt *ShardedFilter
+	// flt non-nil marks this fan as filtered: shard sh searches under
+	// filters[sh], the global bitmap with that shard's passing count.
+	flt     *ShardedFilter
+	filters []core.Filter
 }
 
 func (s *Sharded) getScratch() *fanScratch {
@@ -328,10 +325,11 @@ func (s *Sharded) getScratch() *fanScratch {
 		return f
 	}
 	return &fanScratch{
-		owner: s,
-		bufs:  make([][]vecmath.Neighbor, len(s.shards)),
-		hops:  make([]int, len(s.shards)),
-		comps: make([]uint64, len(s.shards)),
+		owner:   s,
+		bufs:    make([][]vecmath.Neighbor, len(s.shards)),
+		hops:    make([]int, len(s.shards)),
+		comps:   make([]uint64, len(s.shards)),
+		filters: make([]core.Filter, len(s.shards)),
 	}
 }
 
@@ -340,57 +338,30 @@ func (s *Sharded) putScratch(f *fanScratch) {
 	s.scratch.Put(f)
 }
 
-// run executes one shard search with ctx: search the shard — under its
-// per-shard filter view when the fan is filtered (never called for
-// zero-count shards; Search skips them) — translate local ids to global ids
-// into the fan state's per-shard buffer, and record the shard's work
-// tallies when stats were requested. The translation copy is what makes it
-// safe for a worker to move on to another task (and reuse ctx) immediately.
+// run executes one shard search with ctx through the shard's handle —
+// under the global bitmap when the fan is filtered (never called for
+// zero-count shards; Search skips them) — into the fan state's per-shard
+// buffer, and records the shard's work tallies when stats were requested.
+// The handle emits global ids and tests the bitmap through its translate
+// table, so rows the shard gained after the filter was compiled fail
+// closed. The copy out of ctx is what makes it safe for a worker to move on
+// to another task (and reuse ctx) immediately.
 func (f *fanScratch) run(ctx *core.SearchContext, counter *vecmath.Counter, sh int) {
-	s := f.owner
 	q := core.Query{K: f.k, L: f.l}
 	if f.stats {
 		counter.Reset()
 		q.Counter = counter
 	}
 	if f.flt != nil {
-		q.Filter = &f.flt.per[sh]
+		f.filters[sh] = core.Filter{Bits: f.flt.Bits, Count: f.flt.counts[sh]}
+		q.Filter = &f.filters[sh]
 	}
-	buf := f.bufs[sh][:0]
-	var res core.SearchResult
-	if h := s.liveHandle(sh); h != nil {
-		// Live path: the handle searches its published snapshot plus the
-		// shard's pending delta and already emits global ids, so no
-		// per-result translation here. Its translate table — which grows
-		// with every drain, past any local bitmap — is also how it reads a
-		// filter, so a live shard searches under the global bitmap.
-		if q.Filter != nil {
-			q.Filter = &core.Filter{Bits: f.flt.Bits, Count: q.Filter.Count}
-		}
-		res = h.Query(ctx, f.query, q)
-		buf = append(buf, res.Neighbors...)
-	} else {
-		res = s.shards[sh].Query(ctx, f.query, q)
-		ids := s.localID[sh]
-		for _, n := range res.Neighbors {
-			buf = append(buf, vecmath.Neighbor{ID: ids[n.ID], Dist: n.Dist})
-		}
-	}
+	res := f.owner.handles[sh].Query(ctx, f.query, q)
+	f.bufs[sh] = append(f.bufs[sh][:0], res.Neighbors...)
 	if f.stats {
 		f.hops[sh] = res.Hops
 		f.comps[sh] = counter.Count()
 	}
-	f.bufs[sh] = buf
-}
-
-// liveHandle returns shard sh's live handle, or nil when live updates are
-// not enabled.
-func (s *Sharded) liveHandle(sh int) *live.Handle {
-	ls := s.live.Load()
-	if ls == nil {
-		return nil
-	}
-	return ls.handles[sh]
 }
 
 func (s *Sharded) worker() {
@@ -430,8 +401,8 @@ func MergeInto(dst, scratch []vecmath.Neighbor, k int, lists [][]vecmath.Neighbo
 // Search fans the query out to every shard in parallel, translates local
 // ids to global ids, merges by distance and appends the k nearest to dst
 // (pass a reused buffer truncated to [:0]). Under a non-nil flt each shard
-// searches under its own rows' bits, and shards with no passing rows are
-// never scheduled; a non-nil st receives the hops and distance
+// tests its rows against the global bitmap, and shards with no passing rows
+// are never scheduled; a non-nil st receives the hops and distance
 // computations summed across the shard searches. With a warm destination
 // buffer the steady state performs zero heap allocations; this is the
 // serving entry point nsg.ShardedIndex wraps.
@@ -455,7 +426,7 @@ func (s *Sharded) Search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *S
 	for sh := range s.shards {
 		// Pooled scratch: drop a skipped shard's stale results and tallies.
 		f.bufs[sh], f.hops[sh], f.comps[sh] = f.bufs[sh][:0], 0, 0
-		if flt != nil && flt.per[sh].Count == 0 {
+		if flt != nil && flt.counts[sh] == 0 {
 			continue // no passing rows: the shard is never searched
 		}
 		f.wg.Add(1)
@@ -473,55 +444,12 @@ func (s *Sharded) Search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *S
 	return dst
 }
 
-// Route returns the shard that would receive an inserted copy of vec: the
-// one whose navigating node (the shard's approximate medoid) is nearest.
-// Random partitions give near-identical medoids, so routing by medoid
-// approximates routing by load while keeping locality for clustered data.
-func (s *Sharded) Route(vec []float32) int {
-	best, bestD := 0, float32(math.Inf(1))
-	for sh, idx := range s.shards {
-		d := vecmath.L2(vec, idx.Base.Row(int(idx.Navigating)))
-		if d < bestD {
-			best, bestD = sh, d
-		}
-	}
-	return best
-}
-
-// Insert adds vec under a new global id, routing it to the shard returned
-// by Route and running that shard's incremental insertion (search-collect,
-// MRNG selection, reverse offers). Only the receiving shard's flat serving
-// layout is invalidated — the other shards keep serving their frozen
-// layouts untouched. Returns the new global id and the shard it landed in.
-// Not safe for concurrent use with Search.
-func (s *Sharded) Insert(vec []float32, p core.InsertParams) (int32, int, error) {
-	if s.ro {
-		return -1, -1, core.ErrReadOnly
-	}
-	if len(vec) != s.Base.Dim {
-		return -1, -1, fmt.Errorf("distsearch: insert dim %d != index dim %d", len(vec), s.Base.Dim)
-	}
-	sh := s.Route(vec)
-	if _, err := s.shards[sh].Insert(vec, p); err != nil {
-		return -1, -1, err
-	}
-	gid := int32(s.Base.Rows)
-	s.Base.Data = append(s.Base.Data, vec...)
-	s.Base.Rows++
-	s.localID[sh] = append(s.localID[sh], gid)
-	return gid, sh, nil
-}
-
-// IndexBytes sums the per-shard index footprints. On a live index the
-// figures come from the published snapshots' frozen flat layouts.
+// IndexBytes sums the per-shard index footprints of the published
+// snapshots.
 func (s *Sharded) IndexBytes() int64 {
 	var total int64
-	for i, sh := range s.shards {
-		if h := s.liveHandle(i); h != nil {
-			total += h.IndexStats().IndexBytes
-		} else {
-			total += sh.IndexBytes()
-		}
+	for _, h := range s.handles {
+		total += h.IndexStats().IndexBytes
 	}
 	return total
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/vecmath"
 	"repro/internal/vecmath/quant"
@@ -137,7 +136,7 @@ func TestRoutedInsert(t *testing.T) {
 	n0 := ds.Base.Rows
 	vec := make([]float32, ds.Base.Dim)
 	copy(vec, ds.Base.Row(7)) // a duplicate of an existing point: trivially findable
-	gid, sh, err := s.Insert(vec, core.InsertParams{})
+	gid, sh, err := s.Insert(vec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +149,7 @@ func TestRoutedInsert(t *testing.T) {
 	if s.Base.Rows != n0+1 {
 		t.Fatalf("base rows = %d, want %d", s.Base.Rows, n0+1)
 	}
-	// The new point must be discoverable through the fan-out path, and only
-	// the receiving shard's layout should have been rebuilt.
+	// The new point must be discoverable through the fan-out path.
 	res := s.Search(nil, vec, 2, 40, nil, nil)
 	found := false
 	for _, nb := range res {
@@ -162,7 +160,8 @@ func TestRoutedInsert(t *testing.T) {
 	if !found {
 		t.Fatalf("inserted point (gid %d) not found near its own vector: %+v", gid, res)
 	}
-	// Global ids must stay unique across shards after the routed insert.
+	// Global ids must stay unique across shards once the insert drained.
+	s.Flush()
 	seen := make(map[int32]struct{})
 	total := 0
 	for _, ids := range s.localID {
@@ -181,7 +180,7 @@ func TestRoutedInsert(t *testing.T) {
 
 func TestInsertDimMismatch(t *testing.T) {
 	s, _ := buildSharded(t, 1000, 2)
-	if _, _, err := s.Insert(make([]float32, 3), core.InsertParams{}); err == nil {
+	if _, _, err := s.Insert(make([]float32, 3)); err == nil {
 		t.Fatal("expected dim-mismatch error")
 	}
 }
@@ -323,7 +322,7 @@ func TestQuantizedSharding(t *testing.T) {
 	// Routed insert on the quantized index: codes and remap extend.
 	vec := make([]float32, ds.Base.Dim)
 	copy(vec, ds.Base.Row(7))
-	gid, sh, err := s.Insert(vec, core.InsertParams{M: 30, L: 60})
+	gid, sh, err := s.Insert(vec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,23 +6,22 @@ import (
 )
 
 // Filtered fan-out: one predicate compiles into one GLOBAL-id-keyed bitmap,
-// which NewFilter cuts into one shard-local bitmap per shard, so every shard
-// searches under its own rows' bits exactly as an unsharded index does — the
-// same plan choice, the same word-at-a-time scan. The per-shard filtered
-// search is the single-index one, so the sharded filtered answer is the
-// merge of per-shard filtered answers — the same contract the unfiltered
-// fan-out has, through the same Search. Shards with zero passing rows are
-// skipped entirely; their workers are never scheduled.
+// and every shard tests its rows against it through its handle's translate
+// table — the same plan choice and the same word-at-a-time scan as an
+// unsharded index. The per-shard filtered search is the single-index one,
+// so the sharded filtered answer is the merge of per-shard filtered answers
+// — the same contract the unfiltered fan-out has, through the same Search.
+// Shards with zero passing rows are skipped entirely; their workers are
+// never scheduled.
 
 // ShardedFilter is one compiled predicate prepared for fan-out: the global
-// bitmap plus a per-shard core.Filter holding that shard's rows' bits and
-// passing count (which drives each shard's plan independently). Compile
-// once per predicate and reuse across queries; the struct is read-only
-// after NewFilter.
+// bitmap plus each shard's passing count, which drives that shard's plan
+// independently. Compile once per predicate and reuse across queries; the
+// struct is read-only after NewFilter.
 type ShardedFilter struct {
-	Bits  []uint64 // global-id-keyed passing bitmap (fail-closed past its end)
-	Count int      // total passing rows across all shards
-	per   []core.Filter
+	Bits   []uint64 // global-id-keyed passing bitmap (fail-closed past its end)
+	Count  int      // total passing rows across all shards
+	counts []int
 }
 
 // globalBit tests a global id against the bitmap, failing closed out of
@@ -40,24 +39,15 @@ func globalBit(bits []uint64, id int32) bool {
 
 // NewFilter prepares a compiled bitmap (global-id keyed, with its total
 // passing count) for fan-out serving: one walk over every shard's id map
-// tests each local row's global bit once, writing the shard-local bitmap
-// and taking the shard's count as it goes. Rows a shard gains afterwards
-// lie past its local bitmap and fail closed, as they do on an unsharded
-// index. A live shard does not read its local bitmap (see fanScratch.run):
-// its handle tests rows against the global one, so there the counts only
-// tune the per-shard plan.
+// counts the shard's passing rows.
 func (s *Sharded) NewFilter(bits []uint64, count int) *ShardedFilter {
-	sf := &ShardedFilter{Bits: bits, Count: count, per: make([]core.Filter, len(s.shards))}
-	for sh, ids := range s.localID {
-		local := make([]uint64, meta.BitsLen(len(ids)))
-		n := 0
-		for i, gid := range ids {
+	sf := &ShardedFilter{Bits: bits, Count: count, counts: make([]int, len(s.handles))}
+	for sh, h := range s.handles {
+		for _, gid := range h.Translate() {
 			if globalBit(bits, gid) {
-				local[i>>6] |= 1 << uint(i&63)
-				n++
+				sf.counts[sh]++
 			}
 		}
-		sf.per[sh] = core.Filter{Bits: local, Count: n}
 	}
 	return sf
 }

@@ -9,120 +9,78 @@ import (
 	"repro/internal/vecmath"
 )
 
-// This file is the sharded side of live updates: one live.Handle per
-// shard, global ids allocated above them, and inserts routed (by nearest
-// navigating node, like the blocking Insert) to exactly one shard's delta
-// buffer — so a streaming write touches one shard's append path while all
-// other shards keep serving their published snapshots untouched, and even
-// the receiving shard's readers never wait.
+// This file is the write side of a sharded index: one live.Handle per
+// shard, global ids allocated above them, and inserts routed by nearest
+// navigating node to exactly one shard's delta buffer — so a streaming
+// write touches one shard's append path while all other shards keep
+// serving their published snapshots untouched, and even the receiving
+// shard's readers never wait.
 
-// EnableLive switches the index to non-blocking live serving: searches read
-// per-shard published snapshots (plus each shard's pending delta), and
-// InsertLive appends without blocking any reader. The index's id maps are
-// handed to the per-shard handles; from this call until Close, all
-// mutation must go through InsertLive.
-func (s *Sharded) EnableLive(opts live.Options) error {
-	if s.ro {
-		return core.ErrReadOnly
+// SetLiveOptions sets every shard handle's insert parameters and cadence.
+func (s *Sharded) SetLiveOptions(opts live.Options) {
+	for _, h := range s.handles {
+		h.SetOptions(opts)
 	}
-	if s.live.Load() != nil {
-		return fmt.Errorf("distsearch: live updates already enabled")
-	}
-	// Freeze the routing vectors now: navigating nodes never change during
-	// live serving, and the row contents are write-once, so these slices
-	// stay valid while the maintainers grow the shard bases.
-	ls := &liveState{
-		handles: make([]*live.Handle, len(s.shards)),
-		navVec:  make([][]float32, len(s.shards)),
-	}
-	for sh, idx := range s.shards {
-		ls.navVec[sh] = idx.Base.Row(int(idx.Navigating))
-	}
-	s.liveN.Store(int64(s.Base.Rows))
-	for sh := range s.shards {
-		ls.handles[sh] = live.Start(s.shards[sh], s.localID[sh], nil, opts)
-	}
-	// Publish last: a search that races the switch either sees nil (and
-	// serves the identical pre-live state) or the fully built handles.
-	if !s.live.CompareAndSwap(nil, ls) {
-		for _, h := range ls.handles {
-			h.Close()
-		}
-		return fmt.Errorf("distsearch: live updates already enabled")
-	}
-	return nil
 }
 
-// Live reports whether live updates are enabled.
-func (s *Sharded) Live() bool { return s.live.Load() != nil }
-
-// InsertLive adds vec under a new global id without blocking searches: the
-// vector is routed to the shard with the nearest navigating node and
-// appended to that shard's delta buffer. It is searchable the moment the
-// call returns; the shard's maintainer folds it into the graph off the
-// query path. Safe to call concurrently with searches and with other
-// InsertLive calls.
-func (s *Sharded) InsertLive(vec []float32) (int32, int, error) {
-	ls := s.live.Load()
-	if ls == nil {
-		return -1, -1, fmt.Errorf("distsearch: live updates not enabled")
-	}
-	if len(vec) != s.Base.Dim {
-		return -1, -1, fmt.Errorf("distsearch: insert dim %d != index dim %d", len(vec), s.Base.Dim)
-	}
-	sh := routeLive(ls.navVec, vec)
-	// Global id allocation and the global base append serialize on one
-	// mutex; rows below the published count are write-once, so concurrent
-	// readers of earlier rows are unaffected.
-	s.liveMu.Lock()
-	gid := int32(s.liveN.Load())
-	s.Base.Data = append(s.Base.Data, vec...)
-	s.Base.Rows++
-	s.liveN.Add(1)
-	s.liveMu.Unlock()
-	if err := ls.handles[sh].AppendWithID(vec, gid); err != nil {
-		return -1, -1, err
-	}
-	return gid, sh, nil
-}
-
-// routeLive is Route over the frozen navigating vectors, safe while the
-// maintainers mutate the shard bases.
-func routeLive(navVec [][]float32, vec []float32) int {
+// Route returns the shard that would receive an inserted copy of vec: the
+// one whose navigating node (the shard's approximate medoid) is nearest.
+// Random partitions give near-identical medoids, so routing by medoid
+// approximates routing by load while keeping locality for clustered data.
+func (s *Sharded) Route(vec []float32) int {
 	best, bestD := 0, float32(math.Inf(1))
-	for sh, nav := range navVec {
-		d := vecmath.L2(vec, nav)
-		if d < bestD {
+	for sh, nav := range s.navVec {
+		if d := vecmath.L2(vec, nav); d < bestD {
 			best, bestD = sh, d
 		}
 	}
 	return best
 }
 
-// Len returns the number of indexed vectors; safe concurrently with
-// InsertLive on a live index.
-func (s *Sharded) Len() int {
-	if s.live.Load() != nil {
-		return int(s.liveN.Load())
+// Insert adds vec under a new global id without blocking searches: the
+// vector is routed to the shard returned by Route and appended to that
+// shard's delta buffer. It is searchable the moment the call returns; the
+// shard's maintainer folds it into the graph off the query path. Safe to
+// call concurrently with searches and with other Inserts. Returns the new
+// global id and the shard it landed in.
+func (s *Sharded) Insert(vec []float32) (int32, int, error) {
+	if s.ro {
+		return -1, -1, core.ErrReadOnly
 	}
-	return s.Base.Rows
+	if len(vec) != s.Base.Dim {
+		return -1, -1, fmt.Errorf("distsearch: insert dim %d != index dim %d", len(vec), s.Base.Dim)
+	}
+	sh := s.Route(vec)
+	// Global id allocation and the global base append serialize on one
+	// mutex; rows below the published count are write-once, so concurrent
+	// readers of earlier rows are unaffected.
+	s.mu.Lock()
+	gid := int32(s.n.Load())
+	s.Base.Data = append(s.Base.Data, vec...)
+	s.Base.Rows++
+	s.n.Add(1)
+	s.mu.Unlock()
+	if err := s.handles[sh].AppendWithID(vec, gid); err != nil {
+		return -1, -1, err
+	}
+	return gid, sh, nil
 }
 
-// VectorByID returns the stored vector with the given global id. On a live
-// index the read takes the writer mutex so it cannot observe the base
-// matrix header mid-append; the returned row is write-once and stays valid
-// after the lock drops. Panics on an out-of-range id, matching Matrix.Row.
+// Len returns the number of indexed vectors; safe concurrently with Insert.
+func (s *Sharded) Len() int { return int(s.n.Load()) }
+
+// VectorByID returns the stored vector with the given global id. The read
+// takes the writer mutex so it cannot observe the base matrix header
+// mid-append; the returned row is write-once and stays valid after the
+// lock drops. Panics on an out-of-range id, matching Matrix.Row.
 func (s *Sharded) VectorByID(id int) []float32 {
 	if s.ro {
 		// Mapped container: the global base matrix has no storage; resolve
 		// through the owning shard's record.
 		return s.mappedVector(id)
 	}
-	if s.live.Load() == nil {
-		return s.Base.Row(id)
-	}
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.Base.Row(id)
 }
 
@@ -131,11 +89,7 @@ func (s *Sharded) VectorByID(id int) []float32 {
 // staleness bound a monitoring page wants).
 func (s *Sharded) LiveStats() live.Stats {
 	var out live.Stats
-	ls := s.live.Load()
-	if ls == nil {
-		return out
-	}
-	for i, h := range ls.handles {
+	for i, h := range s.handles {
 		st := h.Stats()
 		out.Pending += st.Pending
 		out.SnapshotRows += st.SnapshotRows
@@ -153,16 +107,12 @@ func (s *Sharded) LiveStats() live.Stats {
 // handles (their translate tables grew during drains) so persistence sees
 // the complete mapping.
 func (s *Sharded) Flush() {
-	ls := s.live.Load()
-	if ls == nil {
-		return
-	}
-	for _, h := range ls.handles {
+	for _, h := range s.handles {
 		h.Flush()
 	}
-	s.liveMu.Lock()
-	for sh, h := range ls.handles {
+	s.mu.Lock()
+	for sh, h := range s.handles {
 		s.localID[sh] = h.Translate()
 	}
-	s.liveMu.Unlock()
+	s.mu.Unlock()
 }

@@ -33,12 +33,7 @@ func TestLiveShardedStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.EnableLive(live.Options{MaxPending: 8, Interval: time.Millisecond, ChunkRows: 16}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EnableLive(live.Options{}); err == nil {
-		t.Fatal("double EnableLive must fail")
-	}
+	s.SetLiveOptions(live.Options{MaxPending: 8, Interval: time.Millisecond, ChunkRows: 16})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -78,7 +73,7 @@ func TestLiveShardedStress(t *testing.T) {
 					seen[nb.ID] = true
 					// Validate against the index's own global base through
 					// the live-safe accessor: concurrent writers hand out
-					// gids in liveMu order, so gid->vector is defined by
+					// gids in mu order, so gid->vector is defined by
 					// the index, and VectorByID is exercised concurrently
 					// with appends here (it must not race).
 					if want := vecmath.L2(q, s.VectorByID(int(nb.ID))); nb.Dist != want {
@@ -94,10 +89,10 @@ func TestLiveShardedStress(t *testing.T) {
 		}(r)
 	}
 
-	// Two concurrent writers racing through InsertLive itself (no outer
+	// Two concurrent writers racing through Insert itself (no outer
 	// serialization): each claims rows by atomic counter and records the
 	// gid it was handed; afterwards the gid set must be exactly the dense
-	// range [n0, rows) — the global allocator under liveMu cannot skip,
+	// range [n0, rows) — the global allocator under mu cannot skip,
 	// duplicate, or misalign ids even with appends arriving at one shard
 	// out of gid order. The ledger row a gid maps to is validated too: the
 	// readers' exact-distance checks would catch a vector filed under the
@@ -115,7 +110,7 @@ func TestLiveShardedStress(t *testing.T) {
 				if i >= ledger.Rows {
 					return
 				}
-				gid, sh, err := s.InsertLive(ledger.Row(i))
+				gid, sh, err := s.Insert(ledger.Row(i))
 				if err != nil {
 					t.Errorf("insert %d: %v", i, err)
 					return

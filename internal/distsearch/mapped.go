@@ -161,8 +161,8 @@ func smCorrupt(format string, args ...any) error {
 }
 
 // OpenMappedSharded opens a container written by SaveMapped and serves all
-// shards from the mapping. The returned index is read-only: Insert,
-// EnableLive and Save-by-stream report the condition, searches and the
+// shards from the mapping. The returned index is read-only: Insert and
+// Save-by-stream report the condition, searches and the
 // worker pool behave exactly as on a loaded index. Close releases the
 // mapping; meta is the blob passed to SaveMapped.
 func OpenMappedSharded(path string, opts core.MapOptions) (*Sharded, []byte, error) {
@@ -283,7 +283,7 @@ func openMappedSharded(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, 
 		}
 	}
 	s.mapped = f
-	s.startWorkers()
+	s.start()
 	return s, meta, nil
 }
 

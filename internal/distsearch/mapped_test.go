@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/live"
 	"repro/internal/vecmath/quant"
 )
 
@@ -103,14 +102,8 @@ func TestShardedMappedReadOnlyGuards(t *testing.T) {
 	}
 	t.Cleanup(mapped.Close)
 	vec := make([]float32, ds.Base.Dim)
-	if _, _, err := mapped.Insert(vec, core.InsertParams{}); !errors.Is(err, core.ErrReadOnly) {
+	if _, _, err := mapped.Insert(vec); !errors.Is(err, core.ErrReadOnly) {
 		t.Fatalf("Insert: %v", err)
-	}
-	if err := mapped.EnableLive(live.Options{}); !errors.Is(err, core.ErrReadOnly) {
-		t.Fatalf("EnableLive: %v", err)
-	}
-	if _, _, err := mapped.InsertLive(vec); err == nil {
-		t.Fatal("InsertLive succeeded on a read-only index")
 	}
 	if err := mapped.Write(&bytes.Buffer{}); !errors.Is(err, core.ErrReadOnly) {
 		t.Fatalf("stream Write: %v", err)

@@ -174,7 +174,7 @@ func Read(r io.Reader, base vecmath.Matrix) (*Sharded, error) {
 	if covered != base.Rows {
 		return nil, fmt.Errorf("distsearch: shards cover %d of %d base vectors", covered, base.Rows)
 	}
-	s.startWorkers()
+	s.start()
 	return s, nil
 }
 

@@ -256,53 +256,6 @@ func ExactNearest(base vecmath.Matrix) []int32 {
 	return nn
 }
 
-// IsMonotonicPath reports whether path is monotonic about the point q: every
-// hop strictly decreases the distance to q (Definition 3).
-func IsMonotonicPath(base vecmath.Matrix, path []int32, q []float32) bool {
-	for i := 0; i+1 < len(path); i++ {
-		if vecmath.L2(base.Row(int(path[i])), q) <= vecmath.L2(base.Row(int(path[i+1])), q) {
-			return false
-		}
-	}
-	return true
-}
-
-// HasMonotonicPath reports whether a monotonic path exists from p to q in g,
-// searching over all monotonic-progress moves (not just greedy ones). It is
-// the reference oracle for MSNET property tests: by Definition 4, g is an
-// MSNET iff this holds for every ordered pair.
-func HasMonotonicPath(g *Graph, base vecmath.Matrix, p, q int32) bool {
-	if p == q {
-		return true
-	}
-	target := base.Row(int(q))
-	distP := vecmath.L2(base.Row(int(p)), target)
-	visited := map[int32]struct{}{p: {}}
-	stack := []int32{p}
-	dist := map[int32]float32{p: distP}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.Adj[v] {
-			if w == q {
-				if vecmath.L2(base.Row(int(v)), target) > 0 {
-					return true
-				}
-			}
-			if _, ok := visited[w]; ok {
-				continue
-			}
-			dw := vecmath.L2(base.Row(int(w)), target)
-			if dw < dist[v] {
-				visited[w] = struct{}{}
-				dist[w] = dw
-				stack = append(stack, w)
-			}
-		}
-	}
-	return false
-}
-
 // WriteTo serializes the graph: a header (magic, node count) followed by
 // per-node edge lists, all little-endian int32/uint32.
 func (g *Graph) WriteTo(w io.Writer) (int64, error) {

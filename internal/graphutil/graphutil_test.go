@@ -176,49 +176,6 @@ func TestExactNearest(t *testing.T) {
 	}
 }
 
-func TestIsMonotonicPath(t *testing.T) {
-	base := vecmath.MatrixFromSlices([][]float32{{0}, {5}, {3}, {1}})
-	q := []float32{0}
-	if !IsMonotonicPath(base, []int32{1, 2, 3, 0}, q) {
-		t.Error("5→3→1→0 toward 0 should be monotonic")
-	}
-	if IsMonotonicPath(base, []int32{3, 2, 0}, q) {
-		t.Error("1→3→0 toward 0 is not monotonic")
-	}
-}
-
-func TestHasMonotonicPath(t *testing.T) {
-	// Points on a line: 0,1,2,3 at x=0,1,2,3. Edges 0→1→2→3 give monotonic
-	// paths toward 3 but none from 3 back to 0.
-	base := vecmath.MatrixFromSlices([][]float32{{0}, {1}, {2}, {3}})
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	if !HasMonotonicPath(g, base, 0, 3) {
-		t.Error("expected monotonic path 0→3")
-	}
-	if HasMonotonicPath(g, base, 3, 0) {
-		t.Error("no path 3→0 should exist")
-	}
-	if !HasMonotonicPath(g, base, 2, 2) {
-		t.Error("trivial path p==q should hold")
-	}
-}
-
-func TestHasMonotonicPathRequiresMonotonicity(t *testing.T) {
-	// 0 at x=0, 1 at x=10, 2 at x=4. Edges 0→1, 1→2. Reaching 2 from 0 is
-	// possible but the hop 0→1 moves away from 2 (|0-4|=4 < |10-4|=6), so no
-	// monotonic path exists.
-	base := vecmath.MatrixFromSlices([][]float32{{0}, {10}, {4}})
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	if HasMonotonicPath(g, base, 0, 2) {
-		t.Error("path exists but is not monotonic; oracle must reject it")
-	}
-}
-
 func TestGraphSerializationRoundTrip(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)

@@ -30,7 +30,7 @@ func TestSearchCtxZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			h := Start(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20, ChunkRows: 16})
+			h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20, ChunkRows: 16})
 			defer h.Close()
 			// Leave a multi-chunk delta pending so the scan-and-merge path is
 			// exercised, not just the snapshot traversal.

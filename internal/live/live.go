@@ -18,7 +18,9 @@
 //     Algorithm 2 incremental-insert path (core.NSG.Insert) into the
 //     maintainer-private ragged graph, re-freezes the flat layout once per
 //     batch, and atomically publishes a fresh snapshot that includes the
-//     drained points — at which point they leave the scan path.
+//     drained points — at which point they leave the scan path. It runs
+//     only while rows wait to drain, so a handle that is never written runs
+//     no goroutine and costs its queries one atomic load.
 //
 // Epochs and retirement: every publish installs a new immutable view;
 // in-flight queries keep whatever view they loaded, and a retired view
@@ -82,7 +84,7 @@ func (o *Options) fillDefaults() {
 type Stats struct {
 	Pending      int       // delta rows not yet drained into the snapshot
 	SnapshotRows int       // rows served by the published snapshot
-	Publishes    uint64    // snapshots published since Start
+	Publishes    uint64    // snapshots published since New
 	Drained      uint64    // rows drained through the insert path
 	LastPublish  time.Time // when the current snapshot was published
 }
@@ -98,15 +100,17 @@ type chunk struct {
 	codes4 []uint8
 	stride int // packed bytes per codes4 row
 	ids    []int32
+	seq    []int32 // identity sequence 0..cap, for the batched gather kernels
 	dim    int
 	cap    int
 	n      atomic.Int32
 }
 
-func newChunk(rows, dim int, mode quant.Mode) *chunk {
+func newChunk(rows, dim int, mode quant.Mode, seq []int32) *chunk {
 	ch := &chunk{
 		vecs: make([]float32, rows*dim),
 		ids:  make([]int32, rows),
+		seq:  seq,
 		dim:  dim,
 		cap:  rows,
 	}
@@ -133,26 +137,35 @@ type view struct {
 	gen       uint64
 }
 
-// Handle is a live-update session over one core.NSG. After Start, the
-// handle owns all mutation of the index: Append and Delete are safe from
-// any goroutine, Query is safe from any goroutine with per-goroutine
-// contexts, and nothing else may touch the wrapped NSG until Close.
+// Handle is the one writer and the one reader entry of a core.NSG: Append
+// and Delete are safe from any goroutine, Query is safe from any goroutine
+// with per-goroutine contexts, and nothing else may mutate the wrapped NSG
+// while the handle serves it. The maintainer goroutine runs only while
+// appended rows wait to drain: New starts none, an Append starts it, it
+// exits once the delta is drained (or Close stops it), and the next Append
+// starts another.
 type Handle struct {
-	opts Options
-	idx  *core.NSG
-	q    *quant.Quantizer  // non-nil iff SQ8-quantized
-	q4   *quant.Quantizer4 // non-nil iff int4-quantized
-	dim  int
-	seq  []int32 // shared identity sequence for batched chunk scans
+	idx *core.NSG
+	ro  bool              // the NSG is a read-only mapping: Append is refused
+	q   *quant.Quantizer  // non-nil iff SQ8-quantized
+	q4  *quant.Quantizer4 // non-nil iff int4-quantized
+	dim int
 
 	mu     sync.Mutex
-	cond   *sync.Cond // broadcast after every publish, for Flush
+	opts   Options    // cadence, replaced by SetOptions; read under mu
+	cond   *sync.Cond // broadcast after every publish and maintainer exit, for Flush
 	chunks []*chunk   // undrained chunks, oldest first; only the last has spare capacity
 	skip   int        // rows of chunks[0] already drained
+	seq    []int32    // identity sequence shared by chunk scans, grown to the largest chunk
 	nextID int32      // next self-assigned id (identity mode)
 	trans  []int32    // local -> final id table; nil = identity (single index)
 	dead   *core.Tombstones
-	closed bool
+	stop   chan struct{} // non-nil while a maintainer runs
+	done   chan struct{} // closed when that maintainer exits
+
+	// drainMu keeps drains one at a time: a maintainer that Close stopped
+	// may still finish its last drain while an Append starts the next.
+	drainMu sync.Mutex
 
 	view      atomic.Pointer[view]
 	pending   atomic.Int64
@@ -161,41 +174,26 @@ type Handle struct {
 	lastPub   atomic.Int64 // unix nanos of the current snapshot's publish
 
 	wake chan struct{}
-	stop chan struct{}
-	done chan struct{}
-
-	scratch sync.Pool // *queryScratch
 }
 
-// queryScratch is the per-query fan state the scan path reuses: the Delta
-// description handed to core, rebuilt from the current view on every query.
-type queryScratch struct {
-	delta core.Delta
-}
-
-// Start wraps idx in a live-update handle and launches its maintainer.
+// New wraps idx in a handle. No goroutine starts until the first Append.
 //
 // translate, when non-nil, maps the index's local public ids to the ids
 // results should carry (a sharded index's global ids); the handle takes
 // ownership and extends it as inserts drain. dead seeds the tombstone set
 // (it is cloned) and, like Delete, belongs to identity mode only: pass nil
 // with a translate table. The handle assumes exclusive mutation rights over
-// idx from this call until Close.
-func Start(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options) *Handle {
+// idx from this call on.
+func New(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options) *Handle {
 	opts.fillDefaults()
 	h := &Handle{
 		opts:   opts,
 		idx:    idx,
+		ro:     idx.ReadOnly(),
 		dim:    idx.Base.Dim,
-		seq:    make([]int32, opts.ChunkRows),
 		nextID: int32(idx.Base.Rows),
 		trans:  translate,
 		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	for i := range h.seq {
-		h.seq[i] = int32(i)
 	}
 	if idx.Quant != nil {
 		if idx.Quant.Mode == quant.ModeInt4 {
@@ -208,11 +206,35 @@ func Start(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options
 		h.dead = dead.Clone()
 	}
 	h.cond = sync.NewCond(&h.mu)
-	idx.FlatView() // ensure the serving layout exists before the first freeze
 	h.view.Store(&view{snap: idx.Snapshot(), translate: translate, dead: h.dead})
 	h.lastPub.Store(time.Now().UnixNano())
-	go h.run()
 	return h
+}
+
+// SetOptions replaces the handle's cadence. Chunks already allocated keep
+// their capacity; the maintainer picks up the rest on its next cycle.
+func (h *Handle) SetOptions(opts Options) {
+	opts.fillDefaults()
+	h.mu.Lock()
+	h.opts = opts
+	h.mu.Unlock()
+}
+
+// Options returns the handle's current cadence, for a handle that replaces
+// this one over the same index.
+func (h *Handle) Options() Options {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.opts
+}
+
+// startLocked launches the maintainer unless one runs. Callers hold h.mu.
+func (h *Handle) startLocked() {
+	if h.stop != nil {
+		return
+	}
+	h.stop, h.done = make(chan struct{}), make(chan struct{})
+	go h.run(h.stop, h.done)
 }
 
 // publishLocked installs a fresh view built from the handle's current
@@ -247,51 +269,33 @@ func (h *Handle) signal() {
 // graph. Append never waits for graph work and never blocks searches.
 func (h *Handle) Append(vec []float32) (int32, error) {
 	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return -1, fmt.Errorf("live: handle is closed")
-	}
+	defer h.mu.Unlock()
 	if h.trans != nil {
 		// Translate-mode handles get their ids from the embedder
 		// (AppendWithID); self-assigned ids would collide with them.
-		h.mu.Unlock()
 		return -1, fmt.Errorf("live: handle uses caller-assigned ids; use AppendWithID")
 	}
-	id := h.nextID
-	if err := h.appendLocked(vec, id); err != nil {
-		h.mu.Unlock()
+	if err := h.appendLocked(vec, h.nextID); err != nil {
 		return -1, err
 	}
 	h.nextID++
-	pend := h.pending.Add(1)
-	h.mu.Unlock()
-	if pend >= int64(h.opts.MaxPending) {
-		h.signal()
-	}
-	return id, nil
+	return h.nextID - 1, nil
 }
 
 // AppendWithID is Append with a caller-assigned final id — the sharded
 // path, where global ids are allocated above the per-shard handles.
 func (h *Handle) AppendWithID(vec []float32, id int32) error {
 	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return fmt.Errorf("live: handle is closed")
-	}
-	if err := h.appendLocked(vec, id); err != nil {
-		h.mu.Unlock()
-		return err
-	}
-	pend := h.pending.Add(1)
-	h.mu.Unlock()
-	if pend >= int64(h.opts.MaxPending) {
-		h.signal()
-	}
-	return nil
+	defer h.mu.Unlock()
+	return h.appendLocked(vec, id)
 }
 
+// appendLocked writes one row into the delta, starts the maintainer if none
+// runs, and nudges it once MaxPending rows wait. Callers hold h.mu.
 func (h *Handle) appendLocked(vec []float32, id int32) error {
+	if h.ro {
+		return core.ErrReadOnly
+	}
 	if len(vec) != h.dim {
 		return fmt.Errorf("live: vector dim %d != index dim %d", len(vec), h.dim)
 	}
@@ -310,7 +314,11 @@ func (h *Handle) appendLocked(vec []float32, id int32) error {
 		case h.q != nil:
 			mode = quant.ModeSQ8
 		}
-		ch = newChunk(h.opts.ChunkRows, h.dim, mode)
+		rows := h.opts.ChunkRows
+		for len(h.seq) < rows {
+			h.seq = append(h.seq, int32(len(h.seq)))
+		}
+		ch = newChunk(rows, h.dim, mode, h.seq[:rows])
 		h.chunks = append(h.chunks, ch)
 	}
 	i := int(ch.n.Load())
@@ -327,6 +335,10 @@ func (h *Handle) appendLocked(vec []float32, id int32) error {
 	ch.n.Store(int32(i + 1))
 	if fresh {
 		h.publishLocked(nil)
+	}
+	h.startLocked()
+	if h.pending.Add(1) >= int64(h.opts.MaxPending) {
+		h.signal()
 	}
 	return nil
 }
@@ -347,9 +359,6 @@ var errTranslatedDelete = errors.New("live: Delete is not supported on a handle 
 func (h *Handle) Delete(id int32) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return fmt.Errorf("live: handle is closed")
-	}
 	if h.trans != nil {
 		return errTranslatedDelete
 	}
@@ -432,9 +441,10 @@ func (h *Handle) Vector(id int32) (vec []float32, ok bool) {
 	return nil, false
 }
 
-// Translate returns the current local→final id table (nil for identity).
-// Only meaningful when the handle is quiescent (after Flush, with no
-// concurrent appends) — the persistence path's hook.
+// Translate returns the local→final id table of the published snapshot's
+// rows (nil for identity). Later drains only append past its end, so the
+// returned entries never change. After Flush, with no concurrent appends,
+// it covers every row — the persistence path's hook.
 func (h *Handle) Translate() []int32 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -454,22 +464,14 @@ func (h *Handle) Translate() []int32 {
 // context the steady state allocates nothing.
 func (h *Handle) Query(ctx *core.SearchContext, vec []float32, q core.Query) core.SearchResult {
 	v := h.view.Load()
-	sc, _ := h.scratch.Get().(*queryScratch)
-	if sc == nil {
-		sc = &queryScratch{}
-	}
-	q.Delta, q.Dead, q.Translate = sc.fill(v, h.seq), v.dead, v.translate
-	res := v.snap.Query(ctx, vec, q)
-	h.scratch.Put(sc)
-	return res
+	q.Delta, q.Dead, q.Translate = v.fill(ctx.Delta()), v.dead, v.translate
+	return v.snap.Query(ctx, vec, q)
 }
 
-// fill rebuilds the core.Delta for one query from the loaded view. Each
-// chunk's row count is loaded once, so the scanned prefix is frozen for
-// the whole query.
-func (sc *queryScratch) fill(v *view, seq []int32) *core.Delta {
-	d := &sc.delta
-	d.Reset()
+// fill describes the view's pending rows in d, the query's reset Delta.
+// Each chunk's row count is loaded once, so the scanned prefix is frozen
+// for the whole query.
+func (v *view) fill(d *core.Delta) *core.Delta {
 	for i, ch := range v.chunks {
 		lo := 0
 		if i == 0 {
@@ -483,7 +485,7 @@ func (sc *queryScratch) fill(v *view, seq []int32) *core.Delta {
 		dc := core.DeltaChunk{
 			Vecs: vecmath.Matrix{Data: ch.vecs[lo*ch.dim : cnt*ch.dim], Rows: rows, Dim: ch.dim},
 			IDs:  ch.ids[lo:cnt],
-			Seq:  seq[:rows],
+			Seq:  ch.seq[:rows],
 			Off:  d.Total,
 		}
 		if ch.codes != nil {
@@ -499,44 +501,47 @@ func (sc *queryScratch) fill(v *view, seq []int32) *core.Delta {
 }
 
 // Flush blocks until every row appended before the call has been drained
-// into a published snapshot. Tests and persistence use it; serving never
-// needs to.
+// into a published snapshot, starting the maintainer if none runs. Tests
+// and persistence use it; serving never needs to.
 func (h *Handle) Flush() {
-	h.signal()
 	h.mu.Lock()
-	for h.pending.Load() > 0 && !h.closed {
+	for h.pending.Load() > 0 {
+		h.startLocked()
 		h.signal()
 		h.cond.Wait()
 	}
 	h.mu.Unlock()
 }
 
-// Close stops the maintainer and waits for it to exit. Pending delta rows
-// remain searchable through views already loaded but are not drained;
-// call Flush first to quiesce. Idempotent.
+// Close flushes the delta, so no appended row is lost, and waits until the
+// maintainer has stopped. The handle stays usable: a later Append starts a
+// new one.
 func (h *Handle) Close() {
+	h.Flush()
 	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		<-h.done
-		return
-	}
-	h.closed = true
+	stop, done := h.stop, h.done
+	h.stop, h.done = nil, nil
 	h.mu.Unlock()
-	close(h.stop)
-	<-h.done
-	h.cond.Broadcast() // release Flush waiters
+	if stop != nil {
+		close(stop)
+		<-done
+	}
 }
 
 // run is the maintainer goroutine: wait for work (a depth signal or the
-// cadence timer), drain everything pending, publish, repeat.
-func (h *Handle) run() {
-	defer close(h.done)
-	t := time.NewTimer(h.opts.Interval)
+// cadence timer), drain everything pending and publish, until nothing is
+// pending or stop closes. An idle maintainer exits, so a handle whose
+// writes have drained holds no goroutine; the next Append starts one.
+func (h *Handle) run(stop, done chan struct{}) {
+	defer func() {
+		close(done)
+		h.cond.Broadcast() // a Flush waiting on this maintainer starts the next
+	}()
+	t := time.NewTimer(h.Options().Interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-h.stop:
+		case <-stop:
 			return
 		case <-h.wake:
 			if !t.Stop() {
@@ -550,12 +555,21 @@ func (h *Handle) run() {
 		for h.pending.Load() > 0 {
 			h.drainOnce()
 			select {
-			case <-h.stop:
+			case <-stop:
 				return
 			default:
 			}
 		}
-		t.Reset(h.opts.Interval)
+		h.mu.Lock()
+		if h.pending.Load() == 0 {
+			if h.stop == stop {
+				h.stop, h.done = nil, nil
+			}
+			h.mu.Unlock()
+			return
+		}
+		h.mu.Unlock()
+		t.Reset(h.Options().Interval)
 	}
 }
 
@@ -564,6 +578,8 @@ func (h *Handle) run() {
 // a snapshot that covers them. Appends landing during the drain stay in
 // the delta for the next cycle.
 func (h *Handle) drainOnce() {
+	h.drainMu.Lock()
+	defer h.drainMu.Unlock()
 	// The cut: chunk list and per-chunk row counts as of now. Rows below
 	// the cut are frozen; the chunk list only grows at its tail, so the cut
 	// chunks stay a prefix of h.chunks.
@@ -571,6 +587,7 @@ func (h *Handle) drainOnce() {
 	cut := append([]*chunk(nil), h.chunks...)
 	skip := h.skip
 	trans := h.trans
+	insert := h.opts.Insert
 	h.mu.Unlock()
 	if len(cut) == 0 {
 		return
@@ -595,7 +612,7 @@ func (h *Handle) drainOnce() {
 		}
 		for j := lo; j < counts[i]; j++ {
 			vec := ch.vecs[j*ch.dim : (j+1)*ch.dim]
-			id, err := h.idx.Insert(vec, h.opts.Insert)
+			id, err := h.idx.Insert(vec, insert)
 			if err != nil {
 				// Unreachable: dimensions are validated at append time and
 				// Insert has no other failure mode. Losing a row silently

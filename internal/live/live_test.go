@@ -75,7 +75,7 @@ func TestAppendSearchableImmediately(t *testing.T) {
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
 	// A huge interval and threshold so nothing drains during the test: the
 	// appended points are served purely by the delta scan.
-	h := Start(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 
 	ctx := core.NewSearchContext()
@@ -106,7 +106,7 @@ func TestFlushDrainsAndMatchesSynchronousInserts(t *testing.T) {
 	all := testVectors(n0+extra, dim, 2)
 
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
-	h := Start(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20, ChunkRows: 32})
+	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20, ChunkRows: 32})
 	defer h.Close()
 	for i := n0; i < all.Rows; i++ {
 		if _, err := h.Append(all.Row(i)); err != nil {
@@ -170,7 +170,7 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	// Mutate heavily through the live path (forcing drains), then re-ask
 	// the frozen snapshot: byte-identical answers, or isolation is broken.
-	h := Start(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 16})
+	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 16})
 	for i := n0; i < all.Rows; i++ {
 		if _, err := h.Append(all.Row(i)); err != nil {
 			t.Fatal(err)
@@ -197,7 +197,7 @@ func TestDeleteLive(t *testing.T) {
 	const n0, dim = 300, 12
 	all := testVectors(n0+20, dim, 6)
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
-	h := Start(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 
 	ctx := core.NewSearchContext()
@@ -254,7 +254,7 @@ func TestDeleteTranslatedHandle(t *testing.T) {
 	for i := range translate {
 		translate[i] = int32(1000 + i)
 	}
-	h := Start(idx, translate, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	h := New(idx, translate, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 	if err := h.AppendWithID(all.Row(n0), 5000); err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestQuantizedRelaidLive(t *testing.T) {
 	if err := idx.EnableQuantization(nil); err != nil {
 		t.Fatal(err)
 	}
-	h := Start(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20, ChunkRows: 32})
+	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20, ChunkRows: 32})
 	defer h.Close()
 
 	ctx := core.NewSearchContext()
@@ -320,7 +320,7 @@ func TestStraddlePublishConsistency(t *testing.T) {
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
 	// Tiny thresholds force constant drains and chunk rollovers while the
 	// readers run.
-	h := Start(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 8, ChunkRows: 16})
+	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 8, ChunkRows: 16})
 	defer h.Close()
 
 	var visible atomic.Int64 // ids < visible are safe to validate against
@@ -399,3 +399,73 @@ func TestStraddlePublishConsistency(t *testing.T) {
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
+
+// TestMaintainerRestarts drives the maintainer's lifecycle from several
+// goroutines at once: writers append while the delta keeps draining to
+// empty (so the maintainer exits and the next Append starts another), and
+// a third goroutine interleaves Flush and Close. No row may be lost or
+// drained twice, and afterwards no maintainer may be left running.
+func TestMaintainerRestarts(t *testing.T) {
+	const n0, per, writers, dim = 200, 150, 2, 8
+	all := testVectors(n0+writers*per, dim, 13)
+	idx := buildNSG(t, all.Slice(0, n0).Clone())
+	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 4, ChunkRows: 8})
+
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	next.Store(n0)
+	got := make([]int32, all.Rows) // ledger row -> id Append returned
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= all.Rows {
+					return
+				}
+				id, err := h.Append(all.Row(i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = id
+				if i%16 == 0 {
+					time.Sleep(2 * time.Millisecond) // let the delta drain and the maintainer exit
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; next.Load() < int64(all.Rows); i++ {
+			if i%2 == 0 {
+				h.Flush()
+			} else {
+				h.Close()
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	h.Close()
+
+	st := h.Stats()
+	if st.Pending != 0 || st.SnapshotRows != all.Rows || st.Drained != writers*per {
+		t.Fatalf("after Close: %+v, want every one of %d rows drained once", st, writers*per)
+	}
+	h.mu.Lock()
+	running := h.stop != nil
+	h.mu.Unlock()
+	if running {
+		t.Fatal("a maintainer is still registered after Close")
+	}
+	ctx := core.NewSearchContext()
+	for i := n0; i < all.Rows; i += 7 {
+		res := h.Query(ctx, all.Row(i), core.Query{K: 1, L: 30})
+		if len(res.Neighbors) != 1 || res.Neighbors[0].ID != got[i] || res.Neighbors[0].Dist != 0 {
+			t.Fatalf("row %d (id %d) not served from the graph: %+v", i, got[i], res.Neighbors)
+		}
+	}
+}

@@ -234,14 +234,31 @@ func (s *Store) AddTags(name string, values [][]string) error {
 func (s *Store) AppendRow(values map[string]any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.v.Load()
-	// Validate every value before mutating any writer state. Interning
-	// commits codes into s.dictIdx (and the shared dict backing arrays), so
-	// an error discovered after a column has interned would leave codes
-	// behind that the published view never learns about — later appends of
-	// the same value would reuse a code past the published dictionary and
-	// silently fail every predicate (and break encoding). Checking types up
-	// front makes the build loop below infallible.
+	return s.setRowLocked(s.v.Load().rows, values)
+}
+
+// SetRow writes values as row row, which must not exist yet: rows between
+// the current count and row are first appended with the missing value in
+// every column, so a row always lands under the id it describes. Errors
+// and concurrency are as for AppendRow.
+func (s *Store) SetRow(row int, values map[string]any) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.setRowLocked(row, values)
+}
+
+// CheckRow returns the error AppendRow or SetRow would reject values with,
+// so a caller can validate a row before committing anything it describes.
+func (s *Store) CheckRow(values map[string]any) error { return checkRow(s.v.Load(), values) }
+
+// checkRow validates every value against v's columns. Interning commits
+// codes into s.dictIdx (and the shared dict backing arrays), so an error
+// discovered after a column has interned would leave codes behind that the
+// published view never learns about — later appends of the same value
+// would reuse a code past the published dictionary and silently fail every
+// predicate (and break encoding). Checking types up front makes the append
+// loop infallible.
+func checkRow(v *view, values map[string]any) error {
 	for name, val := range values {
 		c := v.col(name)
 		if c == nil {
@@ -262,38 +279,58 @@ func (s *Store) AppendRow(values map[string]any) error {
 			}
 		}
 	}
-	nv := &view{rows: v.rows + 1, cols: append([]column(nil), v.cols...)}
+	return nil
+}
+
+func (s *Store) setRowLocked(row int, values map[string]any) error {
+	v := s.v.Load()
+	if row < v.rows {
+		return fmt.Errorf("meta: row %d already written (store has %d rows)", row, v.rows)
+	}
+	if err := checkRow(v, values); err != nil {
+		return err
+	}
+	nv := &view{rows: row + 1, cols: append([]column(nil), v.cols...)}
 	for i := range nv.cols {
 		c := &nv.cols[i]
-		val, ok := values[c.name]
-		switch c.typ {
-		case TypeInt64:
-			n := int64(0)
-			if ok {
-				n, _ = asInt64(val)
-			}
-			c.ints = append(c.ints, n)
-		case TypeEnum:
-			code := missingCode
-			if ok {
-				code = s.internLocked(c, val.(string))
-			}
-			c.codes = append(c.codes, code)
-		case TypeTags:
-			if ok {
-				set, _ := asStrings(val)
-				row := make([]int32, 0, len(set))
-				for _, tag := range set {
-					row = append(row, s.internLocked(c, tag))
-				}
-				sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-				c.tags = append(c.tags, row...)
-			}
-			c.offs = append(c.offs, int32(len(c.tags)))
+		for r := v.rows; r < row; r++ {
+			s.appendLocked(c, nil, false)
 		}
+		val, ok := values[c.name]
+		s.appendLocked(c, val, ok)
 	}
 	s.v.Store(nv)
 	return nil
+}
+
+// appendLocked extends c by one row holding val, or the missing value when
+// !ok. val has passed checkRow. Caller holds s.mu; c is the writer's copy.
+func (s *Store) appendLocked(c *column, val any, ok bool) {
+	switch c.typ {
+	case TypeInt64:
+		n := int64(0)
+		if ok {
+			n, _ = asInt64(val)
+		}
+		c.ints = append(c.ints, n)
+	case TypeEnum:
+		code := missingCode
+		if ok {
+			code = s.internLocked(c, val.(string))
+		}
+		c.codes = append(c.codes, code)
+	case TypeTags:
+		if ok {
+			set, _ := asStrings(val)
+			row := make([]int32, 0, len(set))
+			for _, tag := range set {
+				row = append(row, s.internLocked(c, tag))
+			}
+			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+			c.tags = append(c.tags, row...)
+		}
+		c.offs = append(c.offs, int32(len(c.tags)))
+	}
 }
 
 // internLocked returns the dictionary code for val in c, adding it if new.

@@ -1,21 +1,19 @@
 package nsg
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/live"
 )
 
-// This file is the public face of live updates: EnableLiveUpdates switches
-// an index from the classic mutation contract ("Add must not run
-// concurrently with Search") to non-blocking serving — queries read an
-// immutable published snapshot through one atomic pointer, Add appends to
-// a delta buffer that queries scan and merge, and a background maintainer
-// drains the delta through the incremental-insert path before atomically
-// publishing a fresh snapshot. See internal/live for the architecture and
-// the README's "Live updates" section for the contract.
+// This file is the public face of live updates, the one write path every
+// mutable index has: queries read an immutable published snapshot through
+// one atomic pointer, Add appends to a delta buffer that queries scan and
+// merge, and a background maintainer drains the delta through the
+// incremental-insert path before atomically publishing a fresh snapshot.
+// See internal/live for the architecture and the README's "Live updates"
+// section for the contract.
 
 // LiveOptions tunes live-update serving. Zero values pick defaults
 // (chunk 256, drain threshold 512, publish interval 100ms).
@@ -65,71 +63,34 @@ func maintenanceStats(s live.Stats) MaintenanceStats {
 	}
 }
 
-// EnableLiveUpdates switches the index to non-blocking live serving: Add
-// becomes safe to call concurrently with Search (and with other Adds), new
-// points are searchable the moment Add returns, and a background
-// maintainer folds them into the graph off the query path. Search results
-// and distances are unchanged — a point is served with exact distances
-// from the delta buffer until the maintainer drains it.
-//
-// Enabling is safe while searches are already in flight (the fully
-// initialized handle is published atomically; searches that raced the
-// switch served from the identical pre-live state), but must not run
-// concurrently with classic-contract mutations (Add/Delete/Compact).
-//
-// After enabling, Compact is unavailable (it would rebuild state out from
-// under concurrent readers) and Close must be called when discarding the
-// index so the maintainer goroutine is released.
+// EnableLiveUpdates sets the maintainer's cadence. Every mutable index
+// already accepts Add and Delete concurrently with Search (and with each
+// other): new points are searchable the moment Add returns, served with
+// exact distances from the delta buffer until the background maintainer
+// folds them into the graph. It may be called any number of times, also
+// while searches and Adds are in flight; it returns ErrReadOnly on a
+// mapped index.
 func (x *Index) EnableLiveUpdates(opts LiveOptions) error {
 	if x.inner.ReadOnly() {
 		return ErrReadOnly
 	}
-	h := live.Start(x.inner, nil, x.dead, opts.internal(core.InsertParams{M: x.opts.MaxDegree, L: x.opts.BuildL}))
-	if !x.live.CompareAndSwap(nil, h) {
-		h.Close()
-		return fmt.Errorf("nsg: live updates already enabled")
-	}
-	x.dead = nil // the handle owns the tombstone set now
+	x.h.SetOptions(opts.internal(x.insertParams()))
 	return nil
 }
 
-// Live reports whether live updates are enabled.
-func (x *Index) Live() bool { return x.live.Load() != nil }
-
-// MaintenanceStats reports live-update maintenance state; the zero value
-// when live updates are not enabled.
-func (x *Index) MaintenanceStats() MaintenanceStats {
-	h := x.live.Load()
-	if h == nil {
-		return MaintenanceStats{}
-	}
-	return maintenanceStats(h.Stats())
-}
+// MaintenanceStats reports live-update maintenance state.
+func (x *Index) MaintenanceStats() MaintenanceStats { return maintenanceStats(x.h.Stats()) }
 
 // Flush blocks until every point added before the call is folded into the
-// published snapshot. Useful in tests and before Save; serving never needs
-// it.
-func (x *Index) Flush() {
-	if h := x.live.Load(); h != nil {
-		h.Flush()
-	}
-}
+// published snapshot. Useful in tests; Save flushes by itself, and serving
+// never needs it.
+func (x *Index) Flush() { x.h.Flush() }
 
-// Close ends live serving: it flushes the delta (so no point is lost),
-// stops the maintainer goroutine, and returns the index to the classic
-// mutation contract (Add/Delete/Compact single-writer, not concurrent with
-// Search). On a mapped index (OpenMapped) it instead releases the file
-// mapping; the index must not be searched afterwards. A no-op otherwise.
-// Do not call while other goroutines are still using the index.
+// Close flushes the delta (so no point is lost) and stops the maintainer
+// goroutine; a later Add starts it again. On a mapped index (OpenMapped) it
+// also releases the file mapping, and the index must not be searched
+// afterwards. Do not call while other goroutines are still using the index.
 func (x *Index) Close() {
-	h := x.live.Load()
-	if h != nil {
-		h.Flush()
-		h.Close()
-		if d := h.Dead(); d.Len() > 0 {
-			x.dead = d
-		}
-		x.live.Store(nil)
-	}
+	x.h.Close()
 	x.inner.Close()
 }

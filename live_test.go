@@ -3,6 +3,7 @@ package nsg
 import (
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -42,11 +43,9 @@ func TestLiveIndexConcurrentAddSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	if !idx.Live() {
-		t.Fatal("Live() false after enable")
-	}
-	if err := idx.EnableLiveUpdates(LiveOptions{}); err == nil {
-		t.Fatal("double enable must fail")
+	// Enabling again only replaces the cadence.
+	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 32, PublishInterval: time.Millisecond, ChunkRows: 16}); err != nil {
+		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
@@ -111,11 +110,13 @@ func TestLiveIndexConcurrentAddSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ref.Close()
 	for i := n0; i < len(all); i++ {
 		if _, err := ref.Add(all[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ref.Flush()
 	for qi := 0; qi < 30; qi++ {
 		q := all[(qi*13)%len(all)]
 		gi, gd := idx.SearchWithPool(q, 10, 40)
@@ -137,39 +138,75 @@ func TestLiveIndexConcurrentAddSearch(t *testing.T) {
 	}
 }
 
-func TestLiveIndexDeleteAndCompactGuard(t *testing.T) {
-	all := liveTestVectors(400, 10, 22)
+// TestLiveIndexDeleteThenCompact: Compact after Adds and Deletes that went
+// through the handle — some still pending in the delta — returns the remap,
+// answers the brute force over the survivors, and leaves an index whose
+// next Add is searchable.
+func TestLiveIndexDeleteThenCompact(t *testing.T) {
+	const n0, extra, k = 300, 60, 10
+	all := liveTestVectors(n0+extra+1, 10, 22)
 	opts := DefaultOptions()
 	opts.ExactKNN = true
-	idx, err := Build(all[:300], opts)
+	idx, err := Build(all[:n0], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A pre-live tombstone must carry over into live mode.
-	if err := idx.Delete(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.EnableLiveUpdates(LiveOptions{PublishInterval: time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
 	defer idx.Close()
-	if !idx.Deleted(7) || idx.DeletedCount() != 1 {
-		t.Fatalf("pre-live tombstone lost: %v %d", idx.Deleted(7), idx.DeletedCount())
+	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 1 << 20, PublishInterval: time.Hour}); err != nil {
+		t.Fatal(err)
 	}
-	ids, _ := idx.SearchWithPool(all[7], 3, 40)
-	for _, id := range ids {
-		if id == 7 {
-			t.Fatal("deleted id 7 returned")
+	for i := n0; i < n0+extra; i++ {
+		if _, err := idx.Add(all[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := idx.Delete(11); err != nil {
-		t.Fatal(err)
+	dead := map[int32]bool{}
+	for _, id := range []int32{7, 11, 150, n0 + 3, n0 + extra - 1} {
+		if err := idx.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		dead[id] = true
 	}
 	if err := idx.Delete(11); err == nil {
 		t.Fatal("double delete must fail")
 	}
-	if _, err := idx.Compact(); err == nil {
-		t.Fatal("Compact must fail on a live index")
+	remap, err := idx.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(remap) != n0+extra || idx.Len() != n0+extra-len(dead) || idx.DeletedCount() != 0 {
+		t.Fatalf("after Compact: remap %d entries, Len %d, %d deleted", len(remap), idx.Len(), idx.DeletedCount())
+	}
+	survivors := make([][]float32, idx.Len())
+	for old, nw := range remap {
+		if dead[int32(old)] != (nw < 0) {
+			t.Fatalf("remap[%d] = %d with deleted = %v", old, nw, dead[int32(old)])
+		}
+		if nw >= 0 {
+			survivors[nw] = all[old]
+		}
+	}
+	everyRow := func(int32) bool { return true }
+	var hits, wanted int
+	for qi := 0; qi < 40; qi++ {
+		q := all[(qi*37)%len(all)]
+		ids, _ := idx.SearchWithPool(q, k, 60)
+		want := oracleTopK(survivors, q, k, everyRow)
+		hits += int(recallAgainst(ids, want)*float64(len(want)) + 0.5)
+		wanted += len(want)
+	}
+	if recall := float64(hits) / float64(wanted); recall < 0.97 {
+		t.Fatalf("recall@%d after Compact = %.4f, want >= 0.97", k, recall)
+	}
+	id, err := idx.Add(all[n0+extra])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(id) != len(survivors) {
+		t.Fatalf("Add after Compact returned id %d, want %d", id, len(survivors))
+	}
+	if ids, dists := idx.SearchWithPool(all[n0+extra], 1, 40); len(ids) != 1 || ids[0] != id || dists[0] != 0 {
+		t.Fatalf("row added after Compact not found: %v %v", ids, dists)
 	}
 }
 
@@ -272,9 +309,6 @@ func TestLiveShardedConcurrentAddSearch(t *testing.T) {
 	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 32, PublishInterval: time.Millisecond, ChunkRows: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if !idx.Live() {
-		t.Fatal("Live() false after enable")
-	}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -352,5 +386,49 @@ func TestLiveShardedConcurrentAddSearch(t *testing.T) {
 	_, _, stats := idx.SearchWithStats(all[5], 5, 40)
 	if stats.Hops == 0 || stats.DistanceComputations == 0 {
 		t.Fatalf("live sharded stats: %+v", stats)
+	}
+}
+
+// TestMaintainerStartsWithFirstAdd: an index that is built and searched but
+// never written runs no goroutine of its own; the first Add starts the
+// maintainer, and Close stops it again.
+func TestMaintainerStartsWithFirstAdd(t *testing.T) {
+	all := liveTestVectors(301, 8, 26)
+	idx, err := Build(all[:300], DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// settles reports whether the count reaches want once exiting
+	// goroutines (the build's workers, a stopped maintainer) are gone.
+	settles := func(want func(n int) bool) bool {
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+			if want(runtime.NumGoroutine()) {
+				return true
+			}
+		}
+		return false
+	}
+	base := runtime.NumGoroutine()
+	settles(func(n int) bool { ok := n == base; base = n; return ok })
+	for i := 0; i < 20; i++ {
+		idx.Search(all[i], 5)
+	}
+	idx.SearchBatch(all[:20], 5, 40, 1)
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after searches, %d before: a never-written index started one", n, base)
+	}
+	if _, err := idx.Add(all[300]); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != base+1 {
+		t.Fatalf("%d goroutines after the first Add, want %d", n, base+1)
+	}
+	idx.Close()
+	if !settles(func(n int) bool { return n == base }) {
+		t.Fatalf("%d goroutines after Close, want %d", runtime.NumGoroutine(), base)
+	}
+	if ids, _ := idx.SearchWithPool(all[300], 1, 40); len(ids) != 1 || ids[0] != 300 {
+		t.Fatalf("row added before Close not served: %v", ids)
 	}
 }

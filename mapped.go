@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distsearch"
+	"repro/internal/live"
 )
 
 // This file is the public face of disk-resident serving: SaveMapped writes
@@ -19,9 +20,10 @@ import (
 //
 // A mapped index is read-only. Searches, batch searches, Delete (a
 // heap-side tombstone set) and Stats work exactly as on a built index,
-// with byte-identical results; Add, Compact and EnableLiveUpdates return
-// ErrReadOnly. Call PromoteToHeap to copy the index out of the mapping and
-// regain the full mutation API, or rebuild from vectors.
+// with byte-identical results; Add, Compact (once anything is deleted) and
+// EnableLiveUpdates return ErrReadOnly. Call PromoteToHeap to copy the
+// index out of the mapping and regain the full mutation API, or rebuild
+// from vectors.
 
 // ErrReadOnly is returned by mutating operations on an index opened with
 // OpenMapped or OpenMappedSharded. Use errors.Is to detect it.
@@ -54,8 +56,8 @@ func (o MapOptions) internal() core.MapOptions {
 // SaveMapped writes the index in the disk-resident serving layout —
 // alignment-padded slabs behind a checksummed header — crash-safely (temp
 // file + fsync + rename). The file is self-contained (vectors included)
-// and is the format OpenMapped serves without decoding. On a live index,
-// stop issuing Adds and call Flush first, as with Save.
+// and is the format OpenMapped serves without decoding. Stop issuing Adds
+// first; like Save, it flushes the delta.
 func (x *Index) SaveMapped(path string) error {
 	x.Flush()
 	return x.inner.SaveMapped(path)
@@ -79,7 +81,7 @@ func OpenMapped(path string, opts MapOptions) (*Index, error) {
 	}
 	o := DefaultOptions()
 	o.Quantize = quantModeFromInternal(inner.QuantMode())
-	return &Index{inner: inner, opts: o}, nil
+	return newIndex(inner, o, BuildStats{}), nil
 }
 
 // ReadOnly reports whether the index is a mapped, read-only view (opened
@@ -90,10 +92,19 @@ func (x *Index) ReadOnly() bool { return x.inner.ReadOnly() }
 // PromoteToHeap converts a mapped index into an ordinary mutable index:
 // every slab is copied to the heap, the file mapping is released, and the
 // full mutation API (Add, Compact, EnableLiveUpdates, quantization)
-// becomes available. Search results are unchanged. A no-op on an index
-// that is already heap-resident.
+// becomes available. Tombstones carry over and search results are
+// unchanged. A no-op on an index that is already heap-resident. Must not
+// run concurrently with other calls on the index.
 func (x *Index) PromoteToHeap() error {
-	return x.inner.PromoteToHeap()
+	if !x.inner.ReadOnly() {
+		return nil
+	}
+	if err := x.inner.PromoteToHeap(); err != nil {
+		return err
+	}
+	// The old handle's snapshot points into the released mapping.
+	x.h = live.New(x.inner, nil, x.h.Dead(), x.h.Options())
+	return nil
 }
 
 // shardedMetaSize must fit distsearch.MappedMetaSize; the blob persists
@@ -128,9 +139,8 @@ func decodeMappedMeta(meta []byte, shards int) ShardedOptions {
 // SaveMapped writes the sharded index as one disk-resident container: per
 // shard, an id map plus a complete aligned record (adjacency, vectors,
 // codes), all behind checksummed tables, written crash-safely. The build
-// options ride along, as with Save. On a live index, stop issuing Adds
-// first; SaveMapped flushes the maintainers so the file captures every
-// point.
+// options ride along, as with Save. Stop issuing Adds first; SaveMapped
+// flushes the maintainers so the file captures every point.
 func (x *ShardedIndex) SaveMapped(path string) error {
 	x.Flush()
 	return x.s.SaveMapped(path, x.encodeMappedMeta())
@@ -146,7 +156,7 @@ func OpenMappedSharded(path string, opts MapOptions) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
-	return &ShardedIndex{s: s, opts: decodeMappedMeta(meta, s.Shards())}, nil
+	return newShardedIndex(s, decodeMappedMeta(meta, s.Shards())), nil
 }
 
 // ReadOnly reports whether the sharded index is a mapped read-only view.

@@ -185,7 +185,8 @@ func TestMappedReadOnlyContract(t *testing.T) {
 }
 
 // TestMappedPromoteToHeapPublic: PromoteToHeap must hand back a fully
-// mutable index with unchanged search results.
+// mutable index with unchanged search results and tombstones, whose Adds
+// drain into the heap graph.
 func TestMappedPromoteToHeapPublic(t *testing.T) {
 	ds := shardedTestData(t, 800, 10)
 	heap := buildMappedPublicIndex(t, ds, QuantSQ8)
@@ -198,6 +199,9 @@ func TestMappedPromoteToHeapPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
+	if err := mapped.Delete(5); err != nil {
+		t.Fatal(err)
+	}
 
 	before := make([]string, ds.Queries.Rows)
 	for qi := range before {
@@ -210,17 +214,30 @@ func TestMappedPromoteToHeapPublic(t *testing.T) {
 	if mapped.ReadOnly() {
 		t.Fatal("still read-only after PromoteToHeap")
 	}
+	if !mapped.Deleted(5) {
+		t.Fatal("tombstone lost across PromoteToHeap")
+	}
 	for qi := range before {
 		ids, dists := mapped.SearchWithPool(ds.Queries.Row(qi), 10, 60)
 		if searchSig(ids, dists) != before[qi] {
 			t.Fatalf("query %d: results changed across PromoteToHeap", qi)
 		}
 	}
-	if _, err := mapped.Add(ds.Base.Row(0)); err != nil {
+	vec := append([]float32(nil), ds.Base.Row(0)...)
+	vec[0] += 0.5
+	id, err := mapped.Add(vec)
+	if err != nil {
 		t.Fatalf("Add after PromoteToHeap: %v", err)
 	}
 	if mapped.Len() != heap.Len()+1 {
 		t.Fatalf("Len after Add = %d, want %d", mapped.Len(), heap.Len()+1)
+	}
+	mapped.Flush()
+	if st := mapped.MaintenanceStats(); st.Pending != 0 || st.SnapshotRows != mapped.Len() {
+		t.Fatalf("Add did not drain into the heap graph: %+v", st)
+	}
+	if ids, dists := mapped.SearchWithPool(vec, 1, 60); len(ids) != 1 || ids[0] != id || dists[0] != 0 {
+		t.Fatalf("added row %d not found after Flush: %v %v", id, ids, dists)
 	}
 }
 

@@ -29,15 +29,18 @@
 // through an internal sync.Pool, so on the steady state a query allocates
 // nothing beyond the returned id/distance slices.
 //
-// The concurrency contract is: the index is read-only during search and may
-// be queried from any number of goroutines concurrently; each context is
-// owned by one goroutine at a time (the pool enforces this for the simple
-// API, and SearchBatch keeps one context per worker). Add/Delete/Compact
-// mutate the index and must not run concurrently with searches — unless
-// live updates are enabled (EnableLiveUpdates), which makes Add and Delete
-// non-blocking and safe from any goroutine: queries then read an immutable
+// The concurrency contract is: the index may be queried from any number of
+// goroutines concurrently; each context is owned by one goroutine at a time
+// (the pool enforces this for the simple API, and SearchBatch keeps one
+// context per worker). Every mutable index accepts Add and Delete from any
+// goroutine, concurrently with searches: queries read an immutable
 // published snapshot plus a scanned delta buffer, and a background
-// maintainer folds pending inserts into the graph off the query path.
+// maintainer folds pending inserts into the graph off the query path. It
+// runs only while added points wait to drain, so an index that is only
+// searched runs no goroutine. EnableLiveUpdates only tunes its cadence.
+// Close flushes the delta and stops the maintainer (a later Add starts it
+// again). Compact, PromoteToHeap and Close replace or release
+// serving state and must not run concurrently with other calls.
 //
 // For throughput-bound workloads prefer SearchBatch, which fans queries out
 // across worker goroutines, each reusing one context for its whole share of
@@ -62,7 +65,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -189,19 +191,29 @@ type Index struct {
 	inner *core.NSG
 	opts  Options
 	build BuildStats
-	// live, when non-nil, owns all mutation and serving state: queries read
-	// its published snapshot and delta, Add appends to its buffer. Held
-	// through an atomic pointer so EnableLiveUpdates may be called while
-	// searches are already in flight (the switch-over publishes the fully
-	// initialized handle). See EnableLiveUpdates.
-	live atomic.Pointer[live.Handle]
-	// dead tracks tombstoned ids between Delete and Compact; nil until the
-	// first Delete. Owned by live once live updates are enabled.
-	dead *core.Tombstones
+	// h owns all mutation and serving state: queries read its published
+	// snapshot and delta, Add appends to its buffer, Delete publishes its
+	// tombstones. Replaced only by Compact and PromoteToHeap.
+	h *live.Handle
+	// metaMu serializes AddWithMetadata's id assignment with its row write.
+	metaMu sync.Mutex
 	// ctxPool recycles per-goroutine search scratch so the simple API is
 	// allocation-free on the steady state while staying safe to call from
 	// any number of goroutines.
 	ctxPool sync.Pool
+}
+
+// newIndex wraps a built, loaded, mapped or compacted NSG with its handle.
+func newIndex(inner *core.NSG, opts Options, build BuildStats) *Index {
+	x := &Index{inner: inner, opts: opts, build: build}
+	x.h = live.New(inner, nil, nil, LiveOptions{}.internal(x.insertParams()))
+	return x
+}
+
+// insertParams is what the maintainer inserts with: the build's degree cap
+// and pool.
+func (x *Index) insertParams() core.InsertParams {
+	return core.InsertParams{M: x.opts.MaxDegree, L: x.opts.BuildL}
 }
 
 // BuildStats reports where construction time went, phase by phase: the
@@ -306,7 +318,7 @@ func buildFromMatrix(base vecmath.Matrix, opts Options) (*Index, error) {
 			return nil, fmt.Errorf("nsg: quantize: %w", err)
 		}
 	}
-	return &Index{inner: g, opts: opts, build: BuildStats{
+	return newIndex(g, opts, BuildStats{
 		KNNGraph:        knnTime,
 		Navigate:        cs.Phases.Navigate,
 		Collect:         cs.Phases.Collect,
@@ -316,17 +328,12 @@ func buildFromMatrix(base vecmath.Matrix, opts Options) (*Index, error) {
 		Total:           time.Since(start),
 		TreeRepairEdges: cs.TreeRepairEdges,
 		TreePasses:      cs.TreePasses,
-	}}, nil
+	}), nil
 }
 
-// Len returns the number of indexed vectors. Safe to call concurrently
-// with Add on a live index.
-func (x *Index) Len() int {
-	if h := x.live.Load(); h != nil {
-		return h.Len()
-	}
-	return x.inner.Base.Rows
-}
+// Len returns the number of indexed vectors, pending ones included. Safe
+// to call concurrently with Add.
+func (x *Index) Len() int { return x.h.Len() }
 
 // Dim returns the vector dimension.
 func (x *Index) Dim() int { return x.inner.Base.Dim }
@@ -334,11 +341,8 @@ func (x *Index) Dim() int { return x.inner.Base.Dim }
 // Vector returns the stored vector with the given id. The returned slice
 // aliases the index's storage; do not modify it.
 func (x *Index) Vector(id int) []float32 {
-	if h := x.live.Load(); h != nil {
-		vec, _ := h.Vector(int32(id))
-		return vec
-	}
-	return x.inner.VectorByID(int32(id))
+	vec, _ := x.h.Vector(int32(id))
+	return vec
 }
 
 // Quantized reports whether the index serves through a quantized search
@@ -365,20 +369,15 @@ func (x *Index) SearchWithPool(query []float32, k, l int) ([]int32, []float32) {
 	return x.SearchFilteredWithPool(query, k, l, nil)
 }
 
-// searchCtx is the one search every public entry point runs: under f when
-// it is non-nil, tombstones in the pass test either way. On a live index
-// the query goes through the published snapshot + delta scan instead. The
-// result aliases ctx.
+// searchCtx is the one search every public entry point runs: through the
+// handle's published snapshot and delta scan, under f when it is non-nil,
+// tombstones in the pass test either way. The result aliases ctx.
 func (x *Index) searchCtx(ctx *core.SearchContext, query []float32, k, l int, f *Filter, counter *vecmath.Counter) core.SearchResult {
 	q := core.Query{K: k, L: l, Counter: counter}
 	if f != nil {
 		q.Filter = &f.inner
 	}
-	if h := x.live.Load(); h != nil {
-		return h.Query(ctx, query, q)
-	}
-	q.Dead = x.dead
-	return x.inner.Query(ctx, query, q)
+	return x.h.Query(ctx, query, q)
 }
 
 // searchIntoFresh runs searchCtx and copies the context-owned result into
@@ -407,16 +406,11 @@ type Stats struct {
 	IndexBytes int64   // graph footprint with fixed-stride rows
 }
 
-// Stats reports graph statistics. On a live index they describe the
-// published snapshot (pending delta points join once drained) and are safe
-// to read concurrently with serving.
+// Stats reports graph statistics. They describe the published snapshot
+// (pending delta points join once drained) and are safe to read
+// concurrently with serving.
 func (x *Index) Stats() Stats {
-	var s core.IndexStats
-	if h := x.live.Load(); h != nil {
-		s = h.IndexStats()
-	} else {
-		s = x.inner.Stats()
-	}
+	s := x.h.IndexStats()
 	return Stats{N: s.N, AvgDegree: s.AvgDegree, MaxDegree: s.MaxDegree, IndexBytes: s.IndexBytes}
 }
 
@@ -425,9 +419,9 @@ const fileMagic = 0x4e534742 // "NSGB" — bundled index+vectors format
 // Save writes the index, including its vectors, to path — crash-safely:
 // the bundle streams into a temp file that is fsynced and renamed into
 // place, so an interrupted save leaves the previous file intact rather
-// than a truncated bundle. On a live index, stop issuing Adds and Deletes
-// and call Flush first so the maintainer is quiescent and the file
-// captures every point; concurrent searches are fine.
+// than a truncated bundle. Stop issuing Adds and Deletes first: Save
+// flushes the delta so the file captures every point; concurrent searches
+// are fine.
 func (x *Index) Save(path string) error {
 	x.Flush()
 	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
@@ -497,5 +491,5 @@ func Load(path string) (*Index, error) {
 	// serves through its quantized path immediately — no retraining — and
 	// keeps Quantize set so a later Compact rebuilds the quantized state.
 	opts.Quantize = quantModeFromInternal(inner.QuantMode())
-	return &Index{inner: inner, opts: opts}, nil
+	return newIndex(inner, opts, BuildStats{}), nil
 }

@@ -28,13 +28,13 @@ import (
 // searches overlap on separate cores), and operational ceiling (shards are
 // the unit you would distribute across processes or hosts).
 //
-// The concurrency contract matches Index: the index is read-only during
-// search and may be queried from any number of goroutines concurrently;
-// Add mutates it and must not run concurrently with searches. Internally
-// each index owns a pool of persistent shard-worker goroutines, one warm
-// SearchContext per worker, so a steady-state Search allocates nothing
-// beyond the two returned result slices. Call Close when discarding an
-// index before process exit so those workers are released.
+// The concurrency contract matches Index: the index may be queried from
+// any number of goroutines concurrently, and Add is safe concurrently with
+// searches and other Adds. Internally each index owns a pool of persistent
+// shard-worker goroutines, one warm SearchContext per worker, so a
+// steady-state Search allocates nothing beyond the two returned result
+// slices. Call Close when discarding an index before process exit so those
+// workers and the shard maintainers are released.
 type ShardedIndex struct {
 	s    *distsearch.Sharded
 	opts ShardedOptions
@@ -102,29 +102,38 @@ func buildShardedFromMatrix(base vecmath.Matrix, opts ShardedOptions) (*ShardedI
 	if err != nil {
 		return nil, fmt.Errorf("nsg: sharded build: %w", err)
 	}
-	return &ShardedIndex{s: s, opts: opts}, nil
+	return newShardedIndex(s, opts), nil
 }
 
-// EnableLiveUpdates switches the sharded index to non-blocking live
-// serving: Add becomes safe to call concurrently with Search (and with
+// newShardedIndex wraps a built, loaded or mapped sharded index, handing
+// its shard maintainers the per-shard insert parameters.
+func newShardedIndex(s *distsearch.Sharded, opts ShardedOptions) *ShardedIndex {
+	x := &ShardedIndex{s: s, opts: opts}
+	s.SetLiveOptions(LiveOptions{}.internal(x.insertParams()))
+	return x
+}
+
+func (x *ShardedIndex) insertParams() core.InsertParams {
+	return core.InsertParams{M: x.opts.Shard.MaxDegree, L: x.opts.Shard.BuildL}
+}
+
+// EnableLiveUpdates sets the shard maintainers' cadence. Every mutable
+// sharded index already accepts Add concurrently with Search (and with
 // other Adds), routing each vector to one shard's delta buffer while every
-// shard keeps serving its published snapshot without locks. The per-shard
-// maintainers fold pending points into their graphs off the query path.
-// See Index.EnableLiveUpdates and the README's "Live updates" section.
+// shard keeps serving its published snapshot without locks. See
+// Index.EnableLiveUpdates and the README's "Live updates" section. Returns
+// ErrReadOnly on a mapped index.
 func (x *ShardedIndex) EnableLiveUpdates(opts LiveOptions) error {
-	if err := x.s.EnableLive(opts.internal(core.InsertParams{M: x.opts.Shard.MaxDegree, L: x.opts.Shard.BuildL})); err != nil {
-		return fmt.Errorf("nsg: %w", err)
+	if x.s.ReadOnly() {
+		return ErrReadOnly
 	}
+	x.s.SetLiveOptions(opts.internal(x.insertParams()))
 	return nil
 }
 
-// Live reports whether live updates are enabled.
-func (x *ShardedIndex) Live() bool { return x.s.Live() }
-
 // MaintenanceStats aggregates the per-shard live maintenance state:
 // pending depths and drain counters are summed, LastPublish is the oldest
-// shard's publish time (the staleness bound). Zero value when live updates
-// are not enabled.
+// shard's publish time (the staleness bound).
 func (x *ShardedIndex) MaintenanceStats() MaintenanceStats {
 	return maintenanceStats(x.s.LiveStats())
 }
@@ -135,7 +144,7 @@ func (x *ShardedIndex) MaintenanceStats() MaintenanceStats {
 func (x *ShardedIndex) Flush() { x.s.Flush() }
 
 // Len returns the number of indexed vectors across all shards. Safe to
-// call concurrently with Add on a live index.
+// call concurrently with Add.
 func (x *ShardedIndex) Len() int { return x.s.Len() }
 
 // Dim returns the vector dimension.
@@ -155,11 +164,11 @@ func (x *ShardedIndex) QuantMode() QuantMode { return quantModeFromInternal(x.s.
 
 // Vector returns the stored vector with the given global id. The returned
 // slice aliases the index's storage; do not modify it. Safe to call
-// concurrently with Add on a live index.
+// concurrently with Add.
 func (x *ShardedIndex) Vector(id int) []float32 { return x.s.VectorByID(id) }
 
-// Close releases the index's shard-worker goroutines. The index must not
-// be searched after Close. Long-lived serving processes never need it;
+// Close flushes pending Adds and releases the index's shard-worker and
+// maintainer goroutines. The index must not be used after Close. Long-lived serving processes never need it;
 // call it when building and discarding many indexes in one process.
 func (x *ShardedIndex) Close() { x.s.Close() }
 
@@ -241,28 +250,17 @@ func (x *ShardedIndex) search(b *neighborBuf, query []float32, k, l int, f *Shar
 
 // Add inserts a vector and returns its new global id. The vector is routed
 // to the shard whose navigating node (its approximate medoid) is nearest.
-//
-// Without live updates the insert mutates that shard's graph in place and
-// must not run concurrently with Search. After EnableLiveUpdates, Add is
-// non-blocking and safe from any goroutine: the point lands in the routed
-// shard's delta buffer, is searchable the moment Add returns, and is
+// Add is non-blocking and safe from any goroutine: the point lands in the
+// routed shard's delta buffer, is searchable the moment Add returns, and is
 // folded into the graph by that shard's maintainer off the query path.
 func (x *ShardedIndex) Add(vec []float32) (int32, error) {
-	if len(vec) != x.s.Base.Dim {
-		return -1, fmt.Errorf("nsg: vector dim %d != index dim %d", len(vec), x.s.Base.Dim)
+	if len(vec) != x.Dim() {
+		return -1, fmt.Errorf("nsg: vector dim %d != index dim %d", len(vec), x.Dim())
 	}
 	if !vecmath.Finite(vec) {
 		return -1, ErrNonFinite
 	}
-	if x.s.Live() {
-		// InsertLive copies vec into the global base and the routed
-		// shard's delta chunk; no caller-side copy needed.
-		id, _, err := x.s.InsertLive(vec)
-		return id, err
-	}
-	own := make([]float32, len(vec))
-	copy(own, vec)
-	id, _, err := x.s.Insert(own, core.InsertParams{M: x.opts.Shard.MaxDegree, L: x.opts.Shard.BuildL})
+	id, _, err := x.s.Insert(vec)
 	return id, err
 }
 
@@ -275,8 +273,8 @@ type ShardedStats struct {
 }
 
 // Stats reports per-shard and aggregate statistics. Safe to call
-// concurrently with serving on a live index (graph figures describe the
-// published snapshots).
+// concurrently with serving (graph figures describe the published
+// snapshots).
 func (x *ShardedIndex) Stats() ShardedStats {
 	return ShardedStats{
 		N:          x.s.Len(),
@@ -333,9 +331,9 @@ func decodeQuantFlags(optFlags uint32) QuantMode {
 // to path. The format shares the chunked vector codec with Index.Save: a
 // versioned header (shape + the per-shard Options, so a reloaded index
 // keeps its Add/Search parameters), the base matrix in 64 KiB chunks, then
-// the shard id maps and per-shard graphs. On a live index, stop issuing
-// Adds first; Save flushes the maintainers so the file captures every
-// point (concurrent searches are fine).
+// the shard id maps and per-shard graphs. Stop issuing Adds first; Save
+// flushes the maintainers so the file captures every point (concurrent
+// searches are fine).
 func (x *ShardedIndex) Save(path string) error {
 	x.Flush()
 	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
@@ -420,5 +418,5 @@ func LoadSharded(path string) (*ShardedIndex, error) {
 		Quantize:  decodeQuantFlags(optFlags),
 	}}
 	opts.Shard.fillDefaults() // guard against zeroed fields in hand-built files
-	return &ShardedIndex{s: s, opts: opts}, nil
+	return newShardedIndex(s, opts), nil
 }
