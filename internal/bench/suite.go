@@ -167,7 +167,7 @@ func BuildSuite(ds dataset.Dataset, p SuiteParams) (*Suite, error) {
 		return nil, fmt.Errorf("bench: HNSW: %w", err)
 	}
 	hnswTime := time.Since(start)
-	bottom := hnswIdx.BottomLayer()
+	bottom := hnswIdx.Layer(0)
 	s.Graph = append(s.Graph, GraphIndexInfo{
 		Name:       "HNSW",
 		BuildTime:  hnswTime,

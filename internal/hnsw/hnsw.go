@@ -212,9 +212,9 @@ func (x *Index) greedyClosestCounted(l int, q []float32, ep int32, counter *vecm
 	}
 }
 
-// BottomLayer exposes layer 0, whose statistics the paper reports as HNSW0
-// in Table 2.
-func (x *Index) BottomLayer() *graphutil.Graph { return x.layers[0] }
+// Layer exposes layer l; layer 0's statistics are what the paper reports as
+// HNSW0 in Table 2.
+func (x *Index) Layer(l int) *graphutil.Graph { return x.layers[l] }
 
 // Entry returns the fixed entry point (top-layer node), used by the
 // connectivity accounting of Table 4.

@@ -25,7 +25,7 @@ func TestBuildBasic(t *testing.T) {
 	if idx.Layers() < 1 {
 		t.Fatal("no layers built")
 	}
-	bottom := idx.BottomLayer()
+	bottom := idx.Layer(0)
 	if bottom.N() != 500 {
 		t.Fatalf("bottom layer has %d nodes", bottom.N())
 	}
@@ -96,7 +96,7 @@ func TestBottomLayerReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.BottomLayer().ReachableFrom(idx.Entry()); got != 600 {
+	if got := idx.Layer(0).ReachableFrom(idx.Entry()); got != 600 {
 		t.Errorf("reachable from entry = %d, want 600", got)
 	}
 }
@@ -125,7 +125,7 @@ func TestIndexBytesLargerThanBottomLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bottomOnly := int64(idx.BottomLayer().N()) * int64(idx.BottomLayer().Degrees().Max) * 4
+	bottomOnly := int64(idx.Layer(0).N()) * int64(idx.Layer(0).Degrees().Max) * 4
 	if idx.IndexBytes() < bottomOnly {
 		t.Errorf("total index %d < bottom layer %d", idx.IndexBytes(), bottomOnly)
 	}
