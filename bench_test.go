@@ -10,6 +10,7 @@ package nsg
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/graphutil"
 	"repro/internal/hnsw"
 	"repro/internal/ivfpq"
-	"repro/internal/kgraph"
 	"repro/internal/knngraph"
 	"repro/internal/lsh"
 	"repro/internal/scan"
@@ -198,10 +198,7 @@ func BenchmarkFig6SearchHNSW(b *testing.B) {
 
 func BenchmarkFig6SearchKGraph(b *testing.B) {
 	ds, knn, _ := loadBenchData(b)
-	idx, err := kgraph.New(knn, ds.Base, 3, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	idx := &core.RandomStart{Graph: knn, Base: ds.Base, Starts: 3, Rng: rand.New(rand.NewSource(1))}
 	benchSearch(b, func(q []float32) []vecmath.Neighbor {
 		return idx.Search(q, 10, 60, nil)
 	})
@@ -355,10 +352,7 @@ func BenchmarkAblationEdgeSelect(b *testing.B) {
 		}
 		trunc.Adj[i] = knn.Adj[i][:lim]
 	}
-	truncIdx, err := kgraph.New(trunc, ds.Base, 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	truncIdx := &core.RandomStart{Graph: trunc, Base: ds.Base, Starts: 1, Rng: rand.New(rand.NewSource(1))}
 	_, _, nsgIdx := loadBenchData(b)
 
 	recallOf := func(search func(q []float32) []vecmath.Neighbor) float64 {
@@ -422,10 +416,11 @@ func BenchmarkAblationDegreeCap(b *testing.B) {
 // Algorithm 2) against kNN-only candidates (NSG-Naive) at equal degree cap.
 func BenchmarkAblationCandidates(b *testing.B) {
 	ds, knn, idx := loadBenchData(b)
-	naive, err := core.NSGNaiveBuild(knn, ds.Base, 30, 1)
+	g, err := core.PruneKNN(knn, ds.Base, 40, 30)
 	if err != nil {
 		b.Fatal(err)
 	}
+	naive := &core.RandomStart{Graph: g, Base: ds.Base, Starts: 1, Rng: rand.New(rand.NewSource(1))}
 	b.Run("SearchCollected", func(b *testing.B) {
 		benchSearch(b, func(q []float32) []vecmath.Neighbor { return idx.Search(q, 10, 60, nil) })
 	})

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"time"
 
 	"repro/internal/core"
@@ -80,12 +81,13 @@ func Ablation(w io.Writer, c ExpConfig) error {
 	})
 
 	// 3. Candidates: kNN-only (NSG-Naive), same edge rule and cap.
-	naive, err := core.NSGNaiveBuild(knn, ds.Base, 30, c.Seed)
+	naive, err := core.PruneKNN(knn, ds.Base, k, 30)
 	if err != nil {
 		return err
 	}
-	score("kNN-only candidates (NSG-Naive)", naive.Graph, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
-		return naive.Search(q, 10, 60, cnt)
+	naiveSearch := &core.RandomStart{Graph: naive, Base: ds.Base, Starts: 1, Rng: rand.New(rand.NewSource(c.Seed))}
+	score("kNN-only candidates (NSG-Naive)", naive, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
+		return naiveSearch.Search(q, 10, 60, cnt)
 	})
 
 	// 4. Edge rule: plain truncation of the kNN lists at the same cap.

@@ -129,77 +129,59 @@ func buildAllSuites(c ExpConfig, withExtra bool) (map[string]*Suite, error) {
 	return out, nil
 }
 
+// tableRows calls row for each row of Tables 2-4: the six main methods of
+// each built suite, in StandardDatasets order. NSG-Naive, the Section 4.1.2
+// ablation, appears only in Figure 6.
+func tableRows(suites map[string]*Suite, row func(dataset string, g GraphIndexInfo)) {
+	for _, spec := range StandardDatasets() {
+		s, ok := suites[spec.Name]
+		if !ok {
+			continue
+		}
+		for _, g := range s.Graph {
+			if g.Name != "NSG-Naive" {
+				row(spec.Name, g)
+			}
+		}
+	}
+}
+
 // Table2 reproduces the graph-index statistics table: memory, AOD, MOD and
 // NN% per method per dataset.
 func Table2(w io.Writer, suites map[string]*Suite) {
 	fmt.Fprintln(w, "Table 2: graph-based index information")
 	fmt.Fprintf(w, "%-10s %-10s %12s %8s %6s %7s\n", "dataset", "algorithm", "memory", "AOD", "MOD", "NN(%)")
-	for _, spec := range StandardDatasets() {
-		s, ok := suites[spec.Name]
-		if !ok {
-			continue
+	tableRows(suites, func(ds string, g GraphIndexInfo) {
+		name := g.Name
+		if name == "HNSW" {
+			name = "HNSW0"
 		}
-		for _, g := range s.Graph {
-			if g.Name == "NSG-Naive" {
-				continue // the paper's Table 2 lists the six main methods
-			}
-			fmt.Fprintf(w, "%-10s %-10s %12s %8.1f %6d %7.1f\n",
-				spec.Name, displayName(g.Name), FormatBytes(g.IndexBytes), g.AOD, g.MOD, g.NNPct)
-		}
-	}
+		fmt.Fprintf(w, "%-10s %-10s %12s %8.1f %6d %7.1f\n", ds, name, FormatBytes(g.IndexBytes), g.AOD, g.MOD, g.NNPct)
+	})
 }
 
-func displayName(name string) string {
-	if name == "HNSW" {
-		return "HNSW0"
-	}
-	return name
-}
-
-// Table3 reproduces the indexing-time table. NSG is reported t1+t2 (kNN
-// graph time + Algorithm 2 time), matching the paper's convention.
+// Table3 reproduces the indexing-time table. A method built from the shared
+// kNN graph is reported t1+t2 (kNN graph time + its own build time), the
+// paper's convention for NSG.
 func Table3(w io.Writer, suites map[string]*Suite) {
 	fmt.Fprintln(w, "Table 3: graph indexing time")
 	fmt.Fprintf(w, "%-10s %-10s %16s\n", "dataset", "algorithm", "time")
-	for _, spec := range StandardDatasets() {
-		s, ok := suites[spec.Name]
-		if !ok {
-			continue
+	tableRows(suites, func(ds string, g GraphIndexInfo) {
+		cell := fmt.Sprintf("%.1fs", g.BuildTime.Seconds())
+		if g.KNNTime > 0 {
+			cell = fmt.Sprintf("%.1fs+%s", g.KNNTime.Seconds(), cell)
 		}
-		for _, g := range s.Graph {
-			if g.Name == "NSG-Naive" {
-				continue
-			}
-			var cell string
-			switch g.Name {
-			case "NSG":
-				cell = fmt.Sprintf("%.1fs+%.1fs", g.KNNTime.Seconds(), g.BuildTime.Seconds())
-			case "KGraph":
-				cell = fmt.Sprintf("%.1fs", g.KNNTime.Seconds())
-			default:
-				cell = fmt.Sprintf("%.1fs", g.BuildTime.Seconds())
-			}
-			fmt.Fprintf(w, "%-10s %-10s %16s\n", spec.Name, g.Name, cell)
-		}
-	}
+		fmt.Fprintf(w, "%-10s %-10s %16s\n", ds, g.Name, cell)
+	})
 }
 
 // Table4 reproduces the strongly-connected-components table (appendix G).
 func Table4(w io.Writer, suites map[string]*Suite) {
 	fmt.Fprintln(w, "Table 4: strongly connected components per graph method")
 	fmt.Fprintf(w, "%-10s %-10s %6s\n", "dataset", "algorithm", "SCC")
-	for _, spec := range StandardDatasets() {
-		s, ok := suites[spec.Name]
-		if !ok {
-			continue
-		}
-		for _, g := range s.Graph {
-			if g.Name == "NSG-Naive" {
-				continue
-			}
-			fmt.Fprintf(w, "%-10s %-10s %6d\n", spec.Name, g.Name, g.SCC)
-		}
-	}
+	tableRows(suites, func(ds string, g GraphIndexInfo) {
+		fmt.Fprintf(w, "%-10s %-10s %6d\n", ds, g.Name, g.SCC)
+	})
 }
 
 // Fig6 reproduces the headline search-performance figure: recall vs QPS

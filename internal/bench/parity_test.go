@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/efanna"
 	"repro/internal/fanng"
 	"repro/internal/hnsw"
-	"repro/internal/kgraph"
 	"repro/internal/knngraph"
 	"repro/internal/vecmath"
 )
@@ -80,17 +80,15 @@ func TestBaselineGraphsUnchanged(t *testing.T) {
 	}
 	got := map[string]uint64{"knn": hashAdj(knn.Adj)}
 
-	naive, err := core.NSGNaiveBuild(knn, ds.Base, 15, 1)
+	naive, err := core.PruneKNN(knn, ds.Base, 30, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["naive"] = hashAdj(naive.Graph.Adj)
-	got["naive.search"] = hashSearches(ds.Queries, naive.Search)
+	got["naive"] = hashAdj(naive.Adj)
+	naiveSearch := &core.RandomStart{Graph: naive, Base: ds.Base, Starts: 1, Rng: rand.New(rand.NewSource(1))}
+	got["naive.search"] = hashSearches(ds.Queries, naiveSearch.Search)
 
-	kg, err := kgraph.New(knn, ds.Base, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kg := &core.RandomStart{Graph: knn, Base: ds.Base, Starts: 3, Rng: rand.New(rand.NewSource(1))}
 	got["kgraph.search"] = hashSearches(ds.Queries, kg.Search)
 
 	fg, err := fanng.Build(knn, ds.Base, fanng.Params{CandidateK: 30, MaxDegree: 25, TraversePasses: 2, Seed: 1})

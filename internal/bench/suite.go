@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/core"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/graphutil"
 	"repro/internal/hnsw"
 	"repro/internal/ivfpq"
-	"repro/internal/kgraph"
 	"repro/internal/knngraph"
 	"repro/internal/lsh"
 	"repro/internal/scan"
@@ -23,8 +23,8 @@ import (
 // statistics and a sweepable search adapter.
 type GraphIndexInfo struct {
 	Name       string
-	BuildTime  time.Duration // excludes shared kNN-graph construction
-	KNNTime    time.Duration // kNN-graph construction (NSG reports t1+t2)
+	BuildTime  time.Duration // the method's own construction (Table 3's t2); KGraph's is its kNN graph
+	KNNTime    time.Duration // the shared kNN graph it starts from (t1); zero for HNSW and KGraph
 	IndexBytes int64
 	AOD        float64
 	MOD        int
@@ -78,11 +78,7 @@ func DefaultSuiteParams() SuiteParams {
 func sliceKNN(g *graphutil.Graph, k int) *graphutil.Graph {
 	out := graphutil.New(g.N())
 	for i := range g.Adj {
-		lim := k
-		if lim > len(g.Adj[i]) {
-			lim = len(g.Adj[i])
-		}
-		out.Adj[i] = g.Adj[i][:lim]
+		out.Adj[i] = g.Adj[i][:min(k, len(g.Adj[i]))]
 	}
 	return out
 }
@@ -92,10 +88,7 @@ func sliceKNN(g *graphutil.Graph, k int) *graphutil.Graph {
 func BuildSuite(ds dataset.Dataset, p SuiteParams) (*Suite, error) {
 	s := &Suite{Data: ds}
 	n := ds.Base.Rows
-	k := p.KNNK
-	if k >= n {
-		k = n - 1
-	}
+	k := min(p.KNNK, n-1)
 
 	start := time.Now()
 	var err error
@@ -112,178 +105,74 @@ func BuildSuite(ds dataset.Dataset, p SuiteParams) (*Suite, error) {
 	s.KNNTime = time.Since(start)
 
 	nn := graphutil.ExactNearest(ds.Base)
+	// add appends one row. g is the graph the tables describe and entry its
+	// fixed entry point, or -1 for a method that starts at random nodes.
+	add := func(name string, g *graphutil.Graph, entry int32, bytes int64, knnTime, buildTime time.Duration, search SearchFunc) {
+		scc := g.SCCCount()
+		if entry >= 0 {
+			scc = sccFixedEntry(g, entry)
+		}
+		deg := g.Degrees()
+		s.Graph = append(s.Graph, GraphIndexInfo{
+			Name: name, BuildTime: buildTime, KNNTime: knnTime, IndexBytes: bytes,
+			AOD: deg.Avg, MOD: deg.Max, NNPct: g.NNPercent(nn), SCC: scc, FixedEntry: entry >= 0,
+			Method: Method{Name: name, Efforts: p.Efforts, Search: search},
+		})
+	}
+	randomStart := func(g *graphutil.Graph, starts int) *core.RandomStart {
+		return &core.RandomStart{Graph: g, Base: ds.Base, Starts: starts, Rng: rand.New(rand.NewSource(p.Seed))}
+	}
 
-	// NSG.
 	start = time.Now()
 	nsgIdx, _, err := core.NSGBuild(s.KNN, ds.Base, core.BuildParams{L: p.NSGL, M: p.NSGM, Seed: p.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("bench: NSG: %w", err)
 	}
-	nsgTime := time.Since(start)
-	s.Graph = append(s.Graph, GraphIndexInfo{
-		Name:       "NSG",
-		BuildTime:  nsgTime,
-		KNNTime:    s.KNNTime,
-		IndexBytes: nsgIdx.Graph.IndexBytes(),
-		AOD:        nsgIdx.Graph.Degrees().Avg,
-		MOD:        nsgIdx.Graph.Degrees().Max,
-		NNPct:      nsgIdx.Graph.NNPercent(nn),
-		SCC:        sccFixedEntry(nsgIdx.Graph, nsgIdx.Navigating),
-		FixedEntry: true,
-		Method: Method{
-			Name:    "NSG",
-			Efforts: p.Efforts,
-			Search: func(q []float32, kk, effort int, c *vecmath.Counter) []vecmath.Neighbor {
-				return nsgIdx.Search(q, kk, effort, c)
-			},
-		},
-	})
+	add("NSG", nsgIdx.Graph, nsgIdx.Navigating, nsgIdx.Graph.IndexBytes(), s.KNNTime, time.Since(start), nsgIdx.Search)
 
-	// NSG-Naive (the ablation baseline of Section 4.1.2).
-	naive, err := core.NSGNaiveBuild(s.KNN, ds.Base, p.NSGM, p.Seed)
+	// NSG-Naive, the ablation baseline of Section 4.1.2.
+	start = time.Now()
+	naive, err := core.PruneKNN(s.KNN, ds.Base, k, p.NSGM)
 	if err != nil {
 		return nil, fmt.Errorf("bench: NSG-Naive: %w", err)
 	}
-	s.Graph = append(s.Graph, GraphIndexInfo{
-		Name:       "NSG-Naive",
-		IndexBytes: naive.Graph.IndexBytes(),
-		AOD:        naive.Graph.Degrees().Avg,
-		MOD:        naive.Graph.Degrees().Max,
-		NNPct:      naive.Graph.NNPercent(nn),
-		SCC:        naive.Graph.SCCCount(),
-		Method: Method{
-			Name:    "NSG-Naive",
-			Efforts: p.Efforts,
-			Search: func(q []float32, kk, effort int, c *vecmath.Counter) []vecmath.Neighbor {
-				return naive.Search(q, kk, effort, c)
-			},
-		},
-	})
+	add("NSG-Naive", naive, -1, naive.IndexBytes(), s.KNNTime, time.Since(start), randomStart(naive, 1).Search)
 
-	// HNSW.
 	start = time.Now()
 	hnswIdx, err := hnsw.Build(ds.Base, hnsw.Params{M: p.HNSWM, EfConstruction: 100, Seed: p.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("bench: HNSW: %w", err)
 	}
-	hnswTime := time.Since(start)
-	bottom := hnswIdx.Layer(0)
-	s.Graph = append(s.Graph, GraphIndexInfo{
-		Name:       "HNSW",
-		BuildTime:  hnswTime,
-		IndexBytes: hnswIdx.IndexBytes(),
-		AOD:        bottom.Degrees().Avg,
-		MOD:        bottom.Degrees().Max,
-		NNPct:      bottom.NNPercent(nn),
-		SCC:        sccFixedEntry(bottom, hnswIdx.Entry()),
-		FixedEntry: true,
-		Method: Method{
-			Name:    "HNSW",
-			Efforts: p.Efforts,
-			Search: func(q []float32, kk, effort int, c *vecmath.Counter) []vecmath.Neighbor {
-				return hnswIdx.Search(q, kk, effort, c)
-			},
-		},
-	})
+	add("HNSW", hnswIdx.Layer(0), hnswIdx.Entry(), hnswIdx.IndexBytes(), 0, time.Since(start), hnswIdx.Search)
 
-	// FANNG.
 	start = time.Now()
 	fanngIdx, err := fanng.Build(s.KNN, ds.Base, fanng.Params{CandidateK: k, MaxDegree: p.NSGM + 10, TraversePasses: 2, Seed: p.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("bench: FANNG: %w", err)
 	}
-	fanngTime := time.Since(start)
-	s.Graph = append(s.Graph, GraphIndexInfo{
-		Name:       "FANNG",
-		BuildTime:  fanngTime,
-		IndexBytes: fanngIdx.Graph.IndexBytes(),
-		AOD:        fanngIdx.Graph.Degrees().Avg,
-		MOD:        fanngIdx.Graph.Degrees().Max,
-		NNPct:      fanngIdx.Graph.NNPercent(nn),
-		SCC:        fanngIdx.Graph.SCCCount(),
-		Method: Method{
-			Name:    "FANNG",
-			Efforts: p.Efforts,
-			Search: func(q []float32, kk, effort int, c *vecmath.Counter) []vecmath.Neighbor {
-				return fanngIdx.Search(q, kk, effort, c)
-			},
-		},
-	})
+	add("FANNG", fanngIdx.Graph, -1, fanngIdx.Graph.IndexBytes(), s.KNNTime, time.Since(start), fanngIdx.Search)
 
-	// Efanna (KD-forest + kNN graph).
+	// Efanna: the kNN graph entered through a KD-forest.
 	start = time.Now()
-	forest, err := efanna.BuildForest(ds.Base, efanna.DefaultForestParams())
+	s.Forest, err = efanna.BuildForest(ds.Base, efanna.DefaultForestParams())
 	if err != nil {
 		return nil, fmt.Errorf("bench: forest: %w", err)
 	}
-	efannaIdx, err := efanna.New(forest, s.KNN, ds.Base, 64)
+	efannaIdx, err := efanna.New(s.Forest, s.KNN, ds.Base, 64)
 	if err != nil {
 		return nil, fmt.Errorf("bench: Efanna: %w", err)
 	}
-	efannaTime := time.Since(start)
-	s.Forest = forest
-	s.Graph = append(s.Graph, GraphIndexInfo{
-		Name:       "Efanna",
-		BuildTime:  efannaTime,
-		IndexBytes: efannaIdx.IndexBytes(),
-		AOD:        s.KNN.Degrees().Avg,
-		MOD:        s.KNN.Degrees().Max,
-		NNPct:      s.KNN.NNPercent(nn),
-		SCC:        s.KNN.SCCCount(),
-		Method: Method{
-			Name:    "Efanna",
-			Efforts: p.Efforts,
-			Search: func(q []float32, kk, effort int, c *vecmath.Counter) []vecmath.Neighbor {
-				return efannaIdx.Search(q, kk, effort, c)
-			},
-		},
-	})
+	add("Efanna", s.KNN, -1, efannaIdx.IndexBytes(), s.KNNTime, time.Since(start), efannaIdx.Search)
 
-	// KGraph (raw kNN graph, random starts).
-	kgraphIdx, err := kgraph.New(s.KNN, ds.Base, 3, p.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("bench: KGraph: %w", err)
-	}
-	s.Graph = append(s.Graph, GraphIndexInfo{
-		Name:       "KGraph",
-		KNNTime:    s.KNNTime,
-		IndexBytes: s.KNN.IndexBytes(),
-		AOD:        s.KNN.Degrees().Avg,
-		MOD:        s.KNN.Degrees().Max,
-		NNPct:      s.KNN.NNPercent(nn),
-		SCC:        s.KNN.SCCCount(),
-		Method: Method{
-			Name:    "KGraph",
-			Efforts: p.Efforts,
-			Search: func(q []float32, kk, effort int, c *vecmath.Counter) []vecmath.Neighbor {
-				return kgraphIdx.Search(q, kk, effort, c)
-			},
-		},
-	})
+	// KGraph: the kNN graph itself, searched from three random starts.
+	add("KGraph", s.KNN, -1, s.KNN.IndexBytes(), 0, s.KNNTime, randomStart(s.KNN, 3).Search)
 
-	// DPG.
 	start = time.Now()
 	dpgIdx, err := dpg.Build(sliceKNN(s.KNN, 2*p.DPGKeep), ds.Base, dpg.Params{Keep: p.DPGKeep, Seed: p.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("bench: DPG: %w", err)
 	}
-	dpgTime := time.Since(start)
-	s.Graph = append(s.Graph, GraphIndexInfo{
-		Name:       "DPG",
-		BuildTime:  dpgTime,
-		IndexBytes: dpgIdx.IndexBytes(),
-		AOD:        dpgIdx.Graph.Degrees().Avg,
-		MOD:        dpgIdx.Graph.Degrees().Max,
-		NNPct:      dpgIdx.Graph.NNPercent(nn),
-		SCC:        dpgIdx.Graph.SCCCount(),
-		Method: Method{
-			Name:    "DPG",
-			Efforts: p.Efforts,
-			Search: func(q []float32, kk, effort int, c *vecmath.Counter) []vecmath.Neighbor {
-				return dpgIdx.Search(q, kk, effort, c)
-			},
-		},
-	})
+	add("DPG", dpgIdx.Graph, -1, dpgIdx.Graph.IndexBytesRagged(), s.KNNTime, time.Since(start), dpgIdx.Search)
 
 	if p.WithExtra {
 		s.LSH, err = lsh.Build(ds.Base, lsh.Params{Tables: 10, Bits: 12, Seed: p.Seed})

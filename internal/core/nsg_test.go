@@ -279,39 +279,6 @@ func TestNSGNNGPreservation(t *testing.T) {
 	}
 }
 
-func TestNSGNaive(t *testing.T) {
-	ds, err := dataset.SIFTLike(dataset.Config{N: 600, Queries: 30, GTK: 10, Dim: 32, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	knn, err := knngraph.BuildExact(ds.Base, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := NSGNaiveBuild(knn, ds.Base, 15, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if naive.Graph.N() != 600 {
-		t.Fatalf("N = %d", naive.Graph.N())
-	}
-	if st := naive.Graph.Degrees(); st.Max > 15 {
-		t.Errorf("naive max degree %d exceeds cap 15", st.Max)
-	}
-	// It still answers queries, just worse than full NSG at equal l.
-	res := naive.Search(ds.Queries.Row(0), 10, 50, nil)
-	if len(res) != 10 {
-		t.Fatalf("naive search returned %d results", len(res))
-	}
-
-	if _, err := NSGNaiveBuild(knn, vecmath.NewMatrix(5, 32), 15, 1); err == nil {
-		t.Error("expected error on size mismatch")
-	}
-	if _, err := NSGNaiveBuild(knn, ds.Base, 0, 1); err == nil {
-		t.Error("expected error on m=0")
-	}
-}
-
 func TestNSGBuildWithNNDescentInput(t *testing.T) {
 	// End-to-end with the approximate builder, as the paper does at scale.
 	ds, err := dataset.SIFTLike(dataset.Config{N: 900, Queries: 40, GTK: 10, Dim: 32, Seed: 13})

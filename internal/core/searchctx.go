@@ -48,9 +48,6 @@ type SearchContext struct {
 	// route the traversal through non-passing regions but never reach
 	// results. It stays empty when nothing is rejected.
 	nav pool
-	// fbits is per-query filter-bitmap scratch (see FilterScratch): request
-	// paths compile a predicate into it on every query without allocating.
-	fbits []uint64
 	// delta describes a live index's pending rows for one query (see Delta).
 	delta Delta
 }
@@ -60,20 +57,6 @@ type SearchContext struct {
 func (c *SearchContext) Delta() *Delta {
 	c.delta.Reset()
 	return &c.delta
-}
-
-// FilterScratch returns a zeroed bitmap of at least words words, reusing the
-// context's buffer. Request paths (servers, benches) compile each query's
-// predicate into it, so per-query filtering allocates nothing once warm.
-func (c *SearchContext) FilterScratch(words int) []uint64 {
-	if cap(c.fbits) < words {
-		c.fbits = make([]uint64, words+words/2+8)
-	}
-	b := c.fbits[:words]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
 }
 
 // distScratch returns a distance buffer of at least n entries, growing the

@@ -9,7 +9,9 @@ package dpg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graphutil"
@@ -24,126 +26,112 @@ type Params struct {
 	Seed int64
 }
 
-// Index is a built DPG.
-type Index struct {
-	Graph *graphutil.Graph
-	Base  vecmath.Matrix
-	rng   *rand.Rand
-}
-
 // Build diversifies a kNN graph: greedily keep the edges that maximize the
 // minimum pairwise angle at each node, then add every kept edge's reverse.
-func Build(knn *graphutil.Graph, base vecmath.Matrix, p Params) (*Index, error) {
+// The graph is searched from random starts; its Table 2 memory is ragged
+// (IndexBytesRagged), since compensation makes its max degree too large
+// for the fixed-stride rows the other methods use.
+func Build(knn *graphutil.Graph, base vecmath.Matrix, p Params) (*core.RandomStart, error) {
 	n := base.Rows
 	if knn.N() != n {
 		return nil, fmt.Errorf("dpg: kNN graph has %d nodes, base has %d", knn.N(), n)
 	}
-	if p.Keep <= 0 {
-		p.Keep = maxInt(1, avgDegree(knn)/2)
+	if p.Keep <= 0 && n > 0 {
+		p.Keep = max(1, knn.Edges()/n/2)
 	}
-
+	workers := graphutil.ParallelWorkers(n)
+	scratch := make([]worker, workers)
 	kept := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		kept[i] = diversify(base, int32(i), knn.Adj[i], p.Keep)
-	}
+	graphutil.ParallelForWorkers(workers, n, func(w, i int) {
+		kept[i] = scratch[w].diversify(base, int32(i), knn.Adj[i], p.Keep)
+	})
 
-	// Reverse-edge compensation: make the graph undirected.
-	g := graphutil.New(n)
-	edgeSet := make([]map[int32]struct{}, n)
-	for i := range edgeSet {
-		edgeSet[i] = make(map[int32]struct{}, p.Keep*2)
-	}
-	addOnce := func(from, to int32) {
-		if from == to {
-			return
-		}
-		if _, dup := edgeSet[from][to]; dup {
-			return
-		}
-		edgeSet[from][to] = struct{}{}
-		g.AddEdge(from, to)
-	}
-	for i := 0; i < n; i++ {
-		for _, v := range kept[i] {
-			addOnce(int32(i), v)
-			addOnce(v, int32(i))
+	// Reverse-edge compensation makes the graph undirected. Node u's list is
+	// what adding i→v and v→i for each kept edge, in node order, appends to
+	// it: the nodes i < u that kept u, then u's own kept edges, then the
+	// nodes i > u that kept u — each once, and never u itself.
+	keptBy := make([][]int32, n)
+	for i, row := range kept {
+		for _, v := range row {
+			keptBy[v] = append(keptBy[v], int32(i))
 		}
 	}
-	return &Index{Graph: g, Base: base, rng: rand.New(rand.NewSource(p.Seed))}, nil
+	adj := make([][]int32, n)
+	graphutil.ParallelForWorkers(workers, n, func(w, u int) {
+		seen := &scratch[w].seen
+		seen.Reset(n)
+		seen.Visit(int32(u))
+		var row []int32
+		add := func(ids []int32) {
+			for _, v := range ids {
+				if seen.Visit(v) {
+					row = append(row, v)
+				}
+			}
+		}
+		by := keptBy[u] // ascending
+		lo, _ := slices.BinarySearch(by, int32(u))
+		add(by[:lo])
+		add(kept[u])
+		add(by[lo:])
+		adj[u] = row
+	})
+	g := &graphutil.Graph{Adj: adj}
+	return &core.RandomStart{Graph: g, Base: base, Starts: 1, Rng: rand.New(rand.NewSource(p.Seed))}, nil
+}
+
+// worker is one build goroutine's scratch.
+type worker struct {
+	dirs   []float32 // unit direction from the node to each candidate, row-major
+	maxCos []float32 // each candidate's largest cosine to a kept direction
+	seen   graphutil.EpochVisited
 }
 
 // diversify greedily selects up to keep neighbors maximizing angular spread:
-// start from the nearest, then repeatedly add the candidate whose minimum
-// angle to the already kept edges is largest.
-func diversify(base vecmath.Matrix, node int32, cands []int32, keep int) []int32 {
+// start from the nearest (kNN lists are ascending), then repeatedly add the
+// candidate whose largest cosine to the kept directions is smallest.
+func (s *worker) diversify(base vecmath.Matrix, node int32, cands []int32, keep int) []int32 {
 	if len(cands) <= keep {
 		return append([]int32{}, cands...)
 	}
 	v := base.Row(int(node))
-	dirs := make([][]float32, len(cands))
+	dim := len(v)
+	s.dirs = append(s.dirs[:0], make([]float32, len(cands)*dim)...)
+	dirs := vecmath.Matrix{Data: s.dirs, Rows: len(cands), Dim: dim}
+	s.maxCos = s.maxCos[:0]
 	for i, c := range cands {
-		row := base.Row(int(c))
-		d := make([]float32, len(v))
+		d, row := dirs.Row(i), base.Row(int(c))
 		for j := range v {
 			d[j] = row[j] - v[j]
 		}
 		vecmath.Normalize(d)
-		dirs[i] = d
+		s.maxCos = append(s.maxCos, -2)
 	}
-	selected := []int{0} // nearest first (kNN lists are ascending)
-	used := map[int]struct{}{0: {}}
-	for len(selected) < keep {
-		bestIdx, bestScore := -1, float32(2) // minimize max cosine = maximize min angle
+	// A kept candidate's max cosine is set to +Inf, which marks it used.
+	used := float32(math.Inf(1))
+	out := append(make([]int32, 0, keep), cands[0])
+	last := 0
+	s.maxCos[last] = used
+	for len(out) < keep {
+		lastDir := dirs.Row(last)
+		best, bestScore := -1, float32(2)
 		for i := range cands {
-			if _, dup := used[i]; dup {
+			if s.maxCos[i] == used {
 				continue
 			}
-			// max cosine similarity to the selected set
-			var maxCos float32 = -2
-			for _, s := range selected {
-				c := vecmath.Dot(dirs[i], dirs[s])
-				if c > maxCos {
-					maxCos = c
-				}
+			if c := vecmath.Dot(dirs.Row(i), lastDir); c > s.maxCos[i] {
+				s.maxCos[i] = c
 			}
-			if maxCos < bestScore {
-				bestScore, bestIdx = maxCos, i
+			if s.maxCos[i] < bestScore {
+				best, bestScore = i, s.maxCos[i]
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			break
 		}
-		used[bestIdx] = struct{}{}
-		selected = append(selected, bestIdx)
-	}
-	out := make([]int32, len(selected))
-	for i, s := range selected {
-		out[i] = cands[s]
+		s.maxCos[best] = used
+		out = append(out, cands[best])
+		last = best
 	}
 	return out
-}
-
-// Search runs Algorithm 1 from a random start node. Not safe for concurrent
-// use (shared RNG).
-func (x *Index) Search(q []float32, k, l int, counter *vecmath.Counter) []vecmath.Neighbor {
-	start := int32(x.rng.Intn(x.Graph.N()))
-	return core.SearchOnGraph(x.Graph.Adj, x.Base, q, []int32{start}, k, l, counter, nil).Neighbors
-}
-
-// IndexBytes uses ragged accounting: DPG's max degree is too large for the
-// fixed-stride layout the other methods use (Table 2 note).
-func (x *Index) IndexBytes() int64 { return x.Graph.IndexBytesRagged() }
-
-func avgDegree(g *graphutil.Graph) int {
-	if g.N() == 0 {
-		return 0
-	}
-	return g.Edges() / g.N()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -84,7 +84,7 @@ func TestDiversifyKeepsNearest(t *testing.T) {
 	base := vecmath.MatrixFromSlices([][]float32{
 		{0, 0}, {1, 0}, {2, 0}, {0, 1},
 	})
-	kept := diversify(base, 0, []int32{1, 3, 2}, 2)
+	kept := new(worker).diversify(base, 0, []int32{1, 3, 2}, 2)
 	if len(kept) != 2 || kept[0] != 1 {
 		t.Errorf("diversify = %v, nearest (1) must be kept first", kept)
 	}

@@ -34,44 +34,24 @@ func DefaultParams() Params {
 	return Params{CandidateK: 50, MaxDegree: 30, TraversePasses: 2, Seed: 1}
 }
 
-// Index is a built FANNG graph.
-type Index struct {
-	Graph *graphutil.Graph
-	Base  vecmath.Matrix
-	rng   *rand.Rand
-}
-
-// Build constructs the FANNG from a dense kNN candidate graph. knn must
-// carry at least CandidateK neighbors per node (ascending by distance).
-func Build(knn *graphutil.Graph, base vecmath.Matrix, p Params) (*Index, error) {
-	n := base.Rows
-	if knn.N() != n {
-		return nil, fmt.Errorf("fanng: kNN graph has %d nodes, base has %d", knn.N(), n)
-	}
+// Build prunes each node's first CandidateK kNN neighbors with the
+// occlusion rule (core.PruneKNN), then refines the graph with the
+// traverse-and-add passes. knn lists must be ascending by distance. The
+// returned searcher draws its random starts from the rng the passes used,
+// continuing the build's stream.
+func Build(knn *graphutil.Graph, base vecmath.Matrix, p Params) (*core.RandomStart, error) {
 	if p.CandidateK <= 0 {
 		p.CandidateK = 50
 	}
 	if p.MaxDegree <= 0 {
 		p.MaxDegree = 30
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
-
-	adj := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		v := base.Row(i)
-		lim := len(knn.Adj[i])
-		if lim > p.CandidateK {
-			lim = p.CandidateK
-		}
-		cands := make([]vecmath.Neighbor, 0, lim)
-		for _, nb := range knn.Adj[i][:lim] {
-			cands = append(cands, vecmath.Neighbor{ID: nb, Dist: vecmath.L2(v, base.Row(int(nb)))})
-		}
-		vecmath.SortNeighbors(cands)
-		adj[i] = occludePrune(base, v, cands, p.MaxDegree)
+	g, err := core.PruneKNN(knn, base, p.CandidateK, p.MaxDegree)
+	if err != nil {
+		return nil, fmt.Errorf("fanng: %w", err)
 	}
-	g := &graphutil.Graph{Adj: adj}
-	idx := &Index{Graph: g, Base: base, rng: rng}
+	n := base.Rows
+	rng := rand.New(rand.NewSource(p.Seed))
 
 	// Traverse-and-add: for random (start, target) pairs, walk greedily
 	// toward target; if stuck at a local optimum that is not the target,
@@ -84,22 +64,12 @@ func Build(knn *graphutil.Graph, base vecmath.Matrix, p Params) (*Index, error) 
 				continue
 			}
 			stuck, reached := greedyWalk(g, base, s, t)
-			if !reached && len(g.Adj[stuck]) < p.MaxDegree {
-				if !g.HasEdge(stuck, t) {
-					g.AddEdge(stuck, t)
-				}
+			if !reached && len(g.Adj[stuck]) < p.MaxDegree && !g.HasEdge(stuck, t) {
+				g.AddEdge(stuck, t)
 			}
 		}
 	}
-	return idx, nil
-}
-
-// occludePrune is the plain RNG occlusion rule on a sorted candidate list:
-// keep q unless a kept r is closer to q than v is. Identical geometry to
-// core.SelectMRNG; FANNG applies it to kNN candidates only, which is what
-// distinguishes its graph from the NSG.
-func occludePrune(base vecmath.Matrix, v []float32, cands []vecmath.Neighbor, maxDeg int) []int32 {
-	return core.SelectMRNG(base, v, cands, maxDeg)
+	return &core.RandomStart{Graph: g, Base: base, Starts: 1, Rng: rng}, nil
 }
 
 // greedyWalk walks from s toward t choosing the neighbor closest to t.
@@ -125,11 +95,4 @@ func greedyWalk(g *graphutil.Graph, base vecmath.Matrix, s, t int32) (int32, boo
 		cur, curDist = best, bestDist
 	}
 	return cur, cur == t
-}
-
-// Search runs Algorithm 1 from a random start (FANNG has no fixed entry
-// point). Not safe for concurrent use (shared RNG).
-func (x *Index) Search(q []float32, k, l int, counter *vecmath.Counter) []vecmath.Neighbor {
-	start := int32(x.rng.Intn(x.Graph.N()))
-	return core.SearchOnGraph(x.Graph.Adj, x.Base, q, []int32{start}, k, l, counter, nil).Neighbors
 }

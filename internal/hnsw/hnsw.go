@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graphutil"
@@ -44,16 +45,17 @@ type Index struct {
 	efConstruc int
 }
 
-// Build inserts every base vector. Insertion order is sequential (matching
-// the reference implementation's logic); neighbor lists are protected per
-// node so future parallel insertion would be safe.
+// Build inserts every base vector in order, one at a time, following the
+// reference implementation's logic.
 func Build(base vecmath.Matrix, p Params) (*Index, error) {
 	n := base.Rows
 	if n == 0 {
 		return nil, fmt.Errorf("hnsw: empty base set")
 	}
-	if p.M <= 0 {
-		p.M = 16
+	if p.M < 2 {
+		// At M = 1 the level multiplier 1/ln(M) is infinite, every drawn
+		// level overflows, and the build would return a graph with no edges.
+		return nil, fmt.Errorf("hnsw: M must be at least 2, got %d", p.M)
 	}
 	if p.EfConstruction <= 0 {
 		p.EfConstruction = 100
@@ -76,13 +78,7 @@ func Build(base vecmath.Matrix, p Params) (*Index, error) {
 	for i := 0; i < n; i++ {
 		idx.levels[i] = int(-math.Log(rng.Float64()+1e-12) * p.LevelMult)
 	}
-	top := 0
-	for _, l := range idx.levels {
-		if l > top {
-			top = l
-		}
-	}
-	idx.layers = make([]*graphutil.Graph, top+1)
+	idx.layers = make([]*graphutil.Graph, slices.Max(idx.levels)+1)
 	for l := range idx.layers {
 		idx.layers[l] = graphutil.New(n)
 	}
@@ -105,15 +101,11 @@ func (x *Index) insert(id int32) {
 	ep := x.entry
 	// Greedy descent through layers above the new node's level.
 	for l := x.maxLevel; l > level; l-- {
-		ep = x.greedyClosest(l, q, ep)
+		ep = x.greedyClosest(l, q, ep, nil)
 	}
 	// Beam search + heuristic selection at each layer from min(level,
 	// maxLevel) down to 0.
-	startLayer := level
-	if startLayer > x.maxLevel {
-		startLayer = x.maxLevel
-	}
-	for l := startLayer; l >= 0; l-- {
+	for l := min(level, x.maxLevel); l >= 0; l-- {
 		cands := x.searchLayer(l, q, []int32{ep}, x.efConstruc, nil)
 		maxDeg := x.m
 		if l == 0 {
@@ -150,51 +142,8 @@ func (x *Index) shrink(layer int, node int32, maxDeg int) {
 }
 
 // greedyClosest walks layer l greedily from ep toward q and returns the
-// local minimum.
-func (x *Index) greedyClosest(l int, q []float32, ep int32) int32 {
-	cur := ep
-	curDist := vecmath.L2(q, x.Base.Row(int(cur)))
-	for {
-		improved := false
-		for _, nb := range x.layers[l].Adj[cur] {
-			d := vecmath.L2(q, x.Base.Row(int(nb)))
-			if d < curDist {
-				cur, curDist = nb, d
-				improved = true
-			}
-		}
-		if !improved {
-			return cur
-		}
-	}
-}
-
-// searchLayer is the ef-bounded beam search within one layer, returning up
-// to ef candidates ascending by distance.
-func (x *Index) searchLayer(l int, q []float32, starts []int32, ef int, counter *vecmath.Counter) []vecmath.Neighbor {
-	res := core.SearchOnGraph(x.layers[l].Adj, x.Base, q, starts, ef, ef, counter, nil)
-	return res.Neighbors
-}
-
-// Search answers a query: greedy descent through the upper layers, then an
-// ef-wide beam search at layer 0, returning the k nearest. counter may be
-// nil.
-func (x *Index) Search(q []float32, k, ef int, counter *vecmath.Counter) []vecmath.Neighbor {
-	if ef < k {
-		ef = k
-	}
-	ep := x.entry
-	for l := x.maxLevel; l > 0; l-- {
-		ep = x.greedyClosestCounted(l, q, ep, counter)
-	}
-	cands := x.searchLayer(0, q, []int32{ep}, ef, counter)
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
-}
-
-func (x *Index) greedyClosestCounted(l int, q []float32, ep int32, counter *vecmath.Counter) int32 {
+// local minimum. counter may be nil.
+func (x *Index) greedyClosest(l int, q []float32, ep int32, counter *vecmath.Counter) int32 {
 	cur := ep
 	curDist := counter.L2(q, x.Base.Row(int(cur)))
 	for {
@@ -210,6 +159,30 @@ func (x *Index) greedyClosestCounted(l int, q []float32, ep int32, counter *vecm
 			return cur
 		}
 	}
+}
+
+// searchLayer is the ef-bounded beam search within one layer, returning up
+// to ef candidates ascending by distance.
+func (x *Index) searchLayer(l int, q []float32, starts []int32, ef int, counter *vecmath.Counter) []vecmath.Neighbor {
+	return core.SearchOnGraph(x.layers[l].Adj, x.Base, q, starts, ef, ef, counter, nil).Neighbors
+}
+
+// Search answers a query: greedy descent through the upper layers, then an
+// ef-wide beam search at layer 0, returning the k nearest. counter may be
+// nil.
+func (x *Index) Search(q []float32, k, ef int, counter *vecmath.Counter) []vecmath.Neighbor {
+	if ef < k {
+		ef = k
+	}
+	ep := x.entry
+	for l := x.maxLevel; l > 0; l-- {
+		ep = x.greedyClosest(l, q, ep, counter)
+	}
+	cands := x.searchLayer(0, q, []int32{ep}, ef, counter)
+	if len(cands) > k {
+		cands = cands[:k]
+	}
+	return cands
 }
 
 // Layer exposes layer l; layer 0's statistics are what the paper reports as

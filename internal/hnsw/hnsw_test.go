@@ -42,6 +42,14 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(vecmath.Matrix{Dim: 4}, DefaultParams()); err == nil {
 		t.Error("expected error on empty base")
 	}
+	// M = 1 makes the level multiplier 1/ln(M) infinite; it must be
+	// rejected, not built into a graph with no edges.
+	ds := testDataset(t, 50)
+	for _, m := range []int{1, 0} {
+		if _, err := Build(ds.Base, Params{M: m, EfConstruction: 20, Seed: 1}); err == nil {
+			t.Errorf("expected error on M = %d", m)
+		}
+	}
 }
 
 func TestSearchRecall(t *testing.T) {

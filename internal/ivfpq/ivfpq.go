@@ -13,7 +13,6 @@ package ivfpq
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/vecmath"
 )
@@ -228,14 +227,6 @@ func (x *Index) Search(q []float32, k, nprobe, rerank int, counter *vecmath.Coun
 		exact.Push(c.ID, counter.L2(q, x.Base.Row(int(c.ID))))
 	}
 	return exact.Result()
-}
-
-// SearchNoRerank scores with ADC only (no exact pass), the configuration
-// the paper's Faiss baseline uses in the recall/QPS sweeps of Figure 7.
-func (x *Index) SearchNoRerank(q []float32, k, nprobe int, counter *vecmath.Counter) []vecmath.Neighbor {
-	res := x.Search(q, k, nprobe, k, counter)
-	sort.SliceStable(res, func(i, j int) bool { return res[i].Dist < res[j].Dist })
-	return res
 }
 
 // IndexBytes reports the compressed footprint: m bytes per vector of codes,

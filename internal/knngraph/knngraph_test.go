@@ -303,3 +303,21 @@ func TestAccuracyBounds(t *testing.T) {
 		t.Errorf("mismatched-size accuracy = %v, want 0", a)
 	}
 }
+
+func TestClusteredKNNGraphDisconnects(t *testing.T) {
+	// The paper's Table 4 finding that motivates NSG's connectivity repair:
+	// on clustered data a raw kNN graph fragments into multiple strongly
+	// connected components, so random-start greedy search on it (KGraph)
+	// strands whole queries. This is expected kNN-graph behavior, not a bug.
+	ds, err := dataset.SIFTLike(dataset.Config{N: 800, Queries: 1, GTK: 1, Dim: 32, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	knn, err := BuildExact(ds.Base, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scc := knn.SCCCount(); scc < 2 {
+		t.Skipf("kNN graph happened to be connected (SCC=%d)", scc)
+	}
+}

@@ -95,9 +95,6 @@ func And(ps ...Predicate) Predicate { return Predicate{op: opAnd, kids: ps} }
 // Or matches rows passing any child predicate. Or() matches no rows.
 func Or(ps ...Predicate) Predicate { return Predicate{op: opOr, kids: ps} }
 
-// Zero reports whether p is the zero Predicate (no expression).
-func (p Predicate) Zero() bool { return p.op == opNone }
-
 func (p Predicate) bad() bool { return p.badOp }
 
 // Compile evaluates p over every row of s and writes the result into
