@@ -22,6 +22,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/graphutil"
 	"repro/internal/vecmath"
@@ -90,15 +91,22 @@ func (p *pool) insert(id int32, dist float32) int {
 	}
 	// First entry ordered at or after key. The unchecked key sorts just
 	// below its checked twin, so an entry already holding (dist, id) lands
-	// exactly here, checked or not.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if p.keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
+	// exactly here, checked or not. The search is branch-free: where a
+	// fresh candidate lands is as unpredictable as its distance, so each
+	// step moves base by half or by nothing with the borrow of
+	// keys[base+half] - key (set when that entry sorts before key) instead
+	// of a jump. [base, base+span] always holds the answer.
+	lo := 0
+	if n > 0 {
+		base := 0
+		for span := n; span > 1; {
+			half := span >> 1
+			_, before := bits.Sub64(p.keys[base+half], key, 0)
+			base += half & -int(before)
+			span -= half
 		}
+		_, before := bits.Sub64(p.keys[base], key, 0)
+		lo = base + int(before)
 	}
 	if lo < n && p.keys[lo]&^1 == key {
 		return -1

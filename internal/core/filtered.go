@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/vecmath"
+	"repro/internal/vecmath/quant"
 )
 
 // ErrNoMetadata is returned when a predicate is compiled against an index
@@ -175,12 +178,19 @@ func (f passFilter) rows(dst []int32, n int, toInt []int32) []int32 {
 // scanFiltered is the exact plan: score every passing live row (one batched
 // float gather over their ids) plus every passing delta row, keep the best
 // k. Always exact float32 distances regardless of quantization, so nothing
-// is reranked. Results are internal/delta ids, hops 0.
+// is reranked. On a quantized snapshot the codes decide first: one code
+// gather over the passing rows, and only the rows under the error bound's
+// threshold (see codeBound) are scored in float32 — the rows it drops cannot
+// reach the top k, so the answer is the full float scan's. Results are
+// internal/delta ids, hops 0.
 func scanFiltered(ctx *SearchContext, s *Snapshot, query []float32, k int, counter *vecmath.Counter, delta *Delta, pf passFilter) SearchResult {
 	n := s.base.Rows
 	ctx.begin(n, k)
 	ctx.idBuf = pf.rows(ctx.idBuf[:0], n, s.toInt)
 	ids := ctx.idBuf
+	if s.quant != nil && len(ids) > max(k, minCodeScan) {
+		ids = codeScan(ctx, s.quant, query, ids, k, counter)
+	}
 	dists := ctx.distScratch(len(ids))
 	counter.L2ToRows(s.base, query, ids, dists)
 	p := &ctx.pool
@@ -191,6 +201,70 @@ func scanFiltered(ctx *SearchContext, s *Snapshot, query []float32, k int, count
 		offerDelta(ctx, n, floatDist{base: s.base, query: query}, delta, counter, pf)
 	}
 	return SearchResult{Neighbors: emit(ctx, k)}
+}
+
+// minCodeScan is the passing-row count above which the scan reads codes
+// first (codeScan). The code pass costs about half a microsecond before its
+// first row (preparing the query and its bound) and saves some 20 ns per
+// row it keeps out of the float scan, so below ~40 rows the float scan
+// alone is no dearer. On an 8 000 x 128 SQ8 base (2-vCPU host), float scan
+// against code pass: 40 passing rows 3.4-4.0 us either way, 80 rows 5.5 ->
+// 4.5 us, 160 rows 8.6 -> 5.1 us.
+const minCodeScan = 48
+
+// codeScan scores ids (more than k of them) in code space and keeps, in
+// order, those whose code distance is within the error bound's threshold at
+// the k-th smallest — all of them when the bound is unavailable. Order
+// matters: the float scan then offers the kept rows to the pool in the
+// full scan's order, and a dropped row is strictly farther than the k-th
+// nearest, so neither the pool's tie rule nor its evictions see a
+// difference.
+func codeScan(ctx *SearchContext, qz *Quantized, query []float32, ids []int32, k int, counter *vecmath.Counter) []int32 {
+	dists := ctx.distScratch(len(ids))
+	if qz.Mode == quant.ModeInt4 {
+		ctx.qlevels = qz.Q4.PrepareInto(ctx.qlevels[:0], query)
+		qz.Q4.L2ToRowsCount(counter, qz.Codes4, ctx.qlevels, ids, dists)
+	} else {
+		ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], query)
+		qz.Q.L2ToRowsCount(counter, qz.Codes, ctx.qlevels, ids, dists)
+	}
+	b, ok := qz.bound(query, ctx.qlevels)
+	if !ok {
+		return ids
+	}
+	thr := b.threshold(kthSmallest(ctx, dists, k))
+	kept := ids[:0]
+	for i, id := range ids {
+		if float64(dists[i]) <= thr {
+			kept = append(kept, id)
+		}
+	}
+	return kept
+}
+
+// kthSmallest returns the k-th smallest of dists (more than k of them). It
+// keeps the k smallest sorted, as float32 bits (for non-negative floats the
+// bit order is the value order, as in pool), in ctx.keys: most of a long
+// list is rejected by one compare against the k-th.
+func kthSmallest(ctx *SearchContext, dists []float32, k int) float32 {
+	top := ctx.keys[:0]
+	for _, d := range dists[:k] {
+		top = append(top, uint64(math.Float32bits(d)))
+	}
+	slices.Sort(top)
+	for _, d := range dists[k:] {
+		v := uint64(math.Float32bits(d))
+		if v >= top[k-1] {
+			continue
+		}
+		j := k - 1
+		for ; j > 0 && top[j-1] > v; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = v
+	}
+	ctx.keys = top
+	return math.Float32frombits(uint32(top[k-1]))
 }
 
 // emptyResult resets ctx.out and returns an empty result — the K <= 0 and

@@ -70,6 +70,7 @@ func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 		} else {
 			x.Quant.Q.AppendEncoded(&x.Quant.Codes, vec)
 		}
+		x.Quant.raiseRho(nil, vec, int(id))
 	}
 
 	// Step 1: search-collect from the navigating node, on the list layout

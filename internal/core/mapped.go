@@ -559,6 +559,11 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 				Codes: quant.CodeMatrix{Codes: codeBytes, Rows: int(rows), Dim: int(dim)},
 			}
 		}
+		// ρ rides on the verification pass, which has just read every row;
+		// without it ρ stays unknown and the rerank reads every float row.
+		if !opts.NoVerify {
+			x.Quant.measureRho(x.Base)
+		}
 	}
 	return x, recordSize, nil
 }
@@ -603,28 +608,10 @@ func (x *NSG) PromoteToHeap() error {
 		x.PubIDs = append([]int32(nil), x.PubIDs...)
 	}
 	if x.Quant != nil {
-		if x.Quant.Mode == quant.ModeInt4 {
-			x.Quant = &Quantized{
-				Mode: quant.ModeInt4,
-				Q4:   x.Quant.Q4,
-				Codes4: quant.Code4Matrix{
-					Codes:  append([]uint8(nil), x.Quant.Codes4.Codes...),
-					Rows:   x.Quant.Codes4.Rows,
-					Dim:    x.Quant.Codes4.Dim,
-					Stride: x.Quant.Codes4.Stride,
-				},
-			}
-		} else {
-			x.Quant = &Quantized{
-				Mode: quant.ModeSQ8,
-				Q:    x.Quant.Q,
-				Codes: quant.CodeMatrix{
-					Codes: append([]uint8(nil), x.Quant.Codes.Codes...),
-					Rows:  x.Quant.Codes.Rows,
-					Dim:   x.Quant.Codes.Dim,
-				},
-			}
-		}
+		qz := *x.Quant
+		qz.Codes.Codes = append([]uint8(nil), qz.Codes.Codes...)
+		qz.Codes4.Codes = append([]uint8(nil), qz.Codes4.Codes...)
+		x.Quant = &qz
 	}
 	x.flat.Store(heapFlat)
 	x.ro = false

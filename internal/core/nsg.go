@@ -745,6 +745,7 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 				codes.Rows, codes.Dim, qz.Dim(), base.Rows, base.Dim)
 		}
 		x.Quant = &Quantized{Mode: quant.ModeSQ8, Q: qz, Codes: codes}
+		x.Quant.measureRho(base)
 	}
 	if flags&nsgFlagQuant4 != 0 {
 		qz, err := quant.ReadQuantizer4(br)
@@ -761,6 +762,7 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 				codes.Rows, codes.Dim, qz.Dim(), base.Rows, base.Dim)
 		}
 		x.Quant = &Quantized{Mode: quant.ModeInt4, Q4: qz, Codes4: codes}
+		x.Quant.measureRho(base)
 	}
 	if flags&nsgFlagMeta != 0 {
 		m, err := readMetaBlob(br, base.Rows)

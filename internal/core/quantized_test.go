@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/knngraph"
@@ -341,5 +343,205 @@ func TestSharedQuantizerAcrossIndexes(t *testing.T) {
 	wrong := quant.Train(testBase(t, 10, 8, 12))
 	if err := a.EnableQuantization(&wrong); err == nil {
 		t.Fatal("EnableQuantization accepted a mismatched quantizer")
+	}
+}
+
+// TestQuantBoundNearTies builds the case the bound's slack exists for:
+// integer rows on an exact SQ8 grid (ρ and ‖q − q̂‖ are 0), every squared
+// distance near 4.7e7 where float32 steps by 4, and all of them within 2 of
+// each other. The code distance rounds the exact sum once; the float32
+// kernel rounds its partial sums several times, in an order that depends on
+// where each value sits in the row. So rows whose code distance is a step
+// above the k-th can still hold a top-k exact distance — only the slack
+// keeps them in the rescored set. The rerank and the filtered scan must
+// answer as with the bound off, and some query must need the slack.
+func TestQuantBoundNearTies(t *testing.T) {
+	const dim, n, k = 1024, 300, 10
+	t.Cleanup(func() { quantBoundOff = false })
+	lo, hi := make([]float32, dim), make([]float32, dim)
+	for d := range hi {
+		hi[d] = 255 // grid step exactly 1: integer rows encode without error
+	}
+	qz := quant.FromBounds(lo, hi)
+	needed := 0
+	for trial := int64(0); trial < 8; trial++ {
+		rng := rand.New(rand.NewSource(72 + trial))
+		seed := make([]float32, dim)
+		var s0 int64
+		for d := range seed {
+			seed[d] = float32(180 + rng.Intn(70))
+			s0 += int64(seed[d]) * int64(seed[d])
+		}
+		// Make the seed's squared norm 1 mod 4: it then rounds down and
+		// the same sum + 2 rounds up, a float32 step apart.
+		for s0%4 != 1 {
+			s0 += 2*int64(seed[0]) + 1
+			seed[0]++
+		}
+		base := vecmath.NewMatrix(n, dim)
+		for i := 0; i < n; i++ {
+			row := base.Row(i)
+			for d, p := range rng.Perm(dim) {
+				row[d] = seed[p]
+			}
+			// Shift one value up by 1 and one down by 1: the squared norm
+			// moves by 2(a-b)+2 for values a, b, so b = a+2 gives -2 and
+			// b = a gives +2. 5 rows go below the seed, half the rest above.
+			var want float32 // b - a
+			switch {
+			case i < 5:
+				want = 2
+			case i%2 == 0:
+				continue
+			}
+			for a := 0; a < dim; a++ {
+				if b := (a + 1 + rng.Intn(dim-1)) % dim; row[b]-row[a] == want {
+					row[a]++
+					row[b]--
+					break
+				}
+			}
+		}
+		s := &Snapshot{base: base, quant: &Quantized{Mode: quant.ModeSQ8, Q: qz, Codes: qz.Encode(base)}}
+		s.quant.measureRho(base)
+		query := make([]float32, dim)
+		ctx := NewSearchContext()
+		ctx.qlevels = qz.PrepareInto(ctx.qlevels[:0], query)
+		b, ok := s.quant.bound(query, ctx.qlevels)
+		if !ok {
+			t.Fatal("bound unavailable on an exact grid")
+		}
+
+		// The rerank over a pool holding every row, by code distance.
+		pool := make([]vecmath.Neighbor, n)
+		for i := range pool {
+			pool[i] = vecmath.Neighbor{ID: int32(i), Dist: qz.L2(ctx.qlevels, s.quant.Codes, int32(i))}
+		}
+		sortNeighbors(ctx, pool)
+		rerank := func(thr float64) []vecmath.Neighbor {
+			ctx.out = append(ctx.out[:0], pool...)
+			return append([]vecmath.Neighbor(nil), rerankPool(ctx, base, query, k, nil, nil, ctx.out, thr)...)
+		}
+		thr := rerankThreshold(b, pool, n, k)
+		got, want := rerank(thr), rerank(math.Inf(1))
+		dck := float64(pool[k-1].Dist)
+		noSlack := math.Pow(math.Sqrt(dck)+2*b.eps, 2)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d rank %d: bounded rerank %v, full rerank %v", trial, i, got[i], want[i])
+			}
+			if dc := float64(qz.L2(ctx.qlevels, s.quant.Codes, want[i].ID)); dc > noSlack {
+				needed++
+			}
+		}
+
+		// The filtered scan over every row.
+		all := make([]uint64, (n+63)/64)
+		for i := 0; i < n; i++ {
+			all[i>>6] |= 1 << (i & 63)
+		}
+		pf := passFilter{bits: all}
+		scan := func(off bool) []vecmath.Neighbor {
+			quantBoundOff = off
+			defer func() { quantBoundOff = false }()
+			return append([]vecmath.Neighbor(nil), scanFiltered(ctx, s, query, k, nil, nil, pf).Neighbors...)
+		}
+		got, want = scan(false), scan(true)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d rank %d: bounded scan %v, full scan %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+	if needed == 0 {
+		t.Fatal("no top-k row needed the slack: the construction no longer makes near-ties")
+	}
+	t.Logf("%d top-k rows lay above (sqrt(dc_k) + 2 eps)^2 and were kept by the slack", needed)
+}
+
+// TestRhoMeasuredEverywhere: ρ is the same whichever way the rows reached
+// memory — encode, a stream Load, a verified OpenMapped, a PromoteToHeap of
+// it — and matches an independent float64 measurement from above within
+// 1e-9; a NoVerify open leaves it unknown, and an Insert far outside the
+// trained range raises it.
+func TestRhoMeasuredEverywhere(t *testing.T) {
+	for _, mode := range []quant.Mode{quant.ModeSQ8, quant.ModeInt4} {
+		t.Run(mode.String(), func(t *testing.T) {
+			base := testBase(t, 600, 37, 81)
+			x := buildQuantTestNSG(t, base.Clone())
+			x.Relayout()
+			var err error
+			if mode == quant.ModeInt4 {
+				err = x.EnableQuantization4(nil)
+			} else {
+				err = x.EnableQuantization(nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Independently: the largest distance from a row to its
+			// reconstruction.
+			var want float64
+			for i := 0; i < x.Base.Rows; i++ {
+				levels := x.Quant.rowLevels(nil, i)
+				min, scale := x.Quant.grid()
+				var s float64
+				for d, v := range x.Base.Row(i) {
+					e := float64(v) - (float64(min[d]) + scale*float64(levels[d]))
+					s += e * e
+				}
+				want = max(want, math.Sqrt(s))
+			}
+			if !x.Quant.hasRho || x.Quant.rho < want || x.Quant.rho > want*(1+1e-9) {
+				t.Fatalf("encode: rho %g (known %v), measured %g", x.Quant.rho, x.Quant.hasRho, want)
+			}
+			rho := x.Quant.rho
+
+			var buf bytes.Buffer
+			if err := x.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ReadNSG(&buf, x.PublicBase())
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "rho.nsgm")
+			if err := x.SaveMapped(path); err != nil {
+				t.Fatal(err)
+			}
+			mapped, err := OpenMapped(path, MapOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mapped.Close()
+			trusted, err := OpenMapped(path, MapOptions{NoVerify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer trusted.Close()
+			for name, q := range map[string]*Quantized{"Load": loaded.Quant, "OpenMapped": mapped.Quant} {
+				if !q.hasRho || q.rho != rho {
+					t.Fatalf("%s: rho %g (known %v), encode measured %g", name, q.rho, q.hasRho, rho)
+				}
+			}
+			if trusted.Quant.hasRho {
+				t.Fatal("NoVerify open claims a known rho")
+			}
+			if err := mapped.PromoteToHeap(); err != nil {
+				t.Fatal(err)
+			}
+			if !mapped.Quant.hasRho || mapped.Quant.rho != rho {
+				t.Fatalf("PromoteToHeap: rho %g (known %v), want %g", mapped.Quant.rho, mapped.Quant.hasRho, rho)
+			}
+
+			far := append([]float32(nil), base.Row(0)...)
+			far[3] = 1000
+			if _, err := x.Insert(far, InsertParams{}); err != nil {
+				t.Fatal(err)
+			}
+			if x.Quant.rho < 900 {
+				t.Fatalf("Insert of a row ~995 outside the grid left rho at %g", x.Quant.rho)
+			}
+		})
 	}
 }

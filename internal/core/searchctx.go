@@ -34,7 +34,8 @@ type SearchContext struct {
 	// dedupe stamps candidate ids during build-time dedupe and reverse-edge
 	// merging, replacing the per-node maps the seed implementation allocated.
 	dedupe graphutil.EpochVisited
-	// keys is packed-key scratch for sorting candidate lists (sortedKeys);
+	// keys is packed-key scratch for sorting candidate lists (sortedKeys)
+	// and the filtered scan's k smallest code distances (kthSmallest);
 	// keys2 is the radix sort's second buffer, swapped with keys per sort.
 	keys, keys2 []uint64
 	// sel holds MRNG-selected neighbors during SelectMRNGInto; reused across

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/graphutil"
 	"repro/internal/vecmath"
 	"repro/internal/vecmath/quant"
@@ -260,8 +262,9 @@ func (s *Snapshot) Query(ctx *SearchContext, vec []float32, q Query) SearchResul
 // searchView runs the walk in the view's distance space. On a quantized
 // view that is code space (SQ8 or packed int4, per its mode) keeping the
 // whole main pool, followed — unless q.NoRerank, the ablation hook — by one
-// exact rerank of every survivor, so emitted distances are exact and a true
-// neighbor misranked by quantization still reaches the top k.
+// exact rerank of every survivor the error bound cannot rule out of the top
+// k, so emitted distances are exact and a true neighbor misranked by
+// quantization still reaches the top k.
 func searchView[P passTest](ctx *SearchContext, s *Snapshot, vec []float32, q Query, lnav int, pf P) SearchResult {
 	a, n := flatAdj{g: s.flat}, s.base.Rows
 	ctx.startBuf[0] = s.nav
@@ -284,21 +287,42 @@ func searchView[P passTest](ctx *SearchContext, s *Snapshot, vec []float32, q Qu
 		res = walk(ctx, a, n, dist, ctx.startBuf[:], fetch, q.L, lnav, q.Counter, q.Delta, pf)
 	}
 	if !q.NoRerank {
-		res.Neighbors = rerankPool(ctx, s.base, vec, q.K, q.Counter, q.Delta, res.Neighbors)
+		thr := math.Inf(1)
+		if b, ok := qz.bound(vec, ctx.qlevels); ok {
+			thr = rerankThreshold(b, res.Neighbors, int32(n), q.K)
+		}
+		res.Neighbors = rerankPool(ctx, s.base, vec, q.K, q.Counter, q.Delta, res.Neighbors, thr)
 	}
 	return res
 }
 
+// rerankThreshold is the code distance above which no snapshot row of pool
+// (ascending by code distance) can reach the top k: b's threshold at the
+// k-th snapshot row. Delta rows (ids >= n) do not count, as ρ does not
+// cover their codes; with fewer than k snapshot rows it is +Inf.
+func rerankThreshold(b codeBound, pool []vecmath.Neighbor, n int32, k int) float64 {
+	for _, nb := range pool {
+		if nb.ID < n {
+			if k--; k == 0 {
+				return b.threshold(nb.Dist)
+			}
+		}
+	}
+	return math.Inf(1)
+}
+
 // rerankPool rescores the pool's survivors with exact float32 distances —
-// base ids through one batched gather, delta ids from their chunk's float
-// rows — then re-sorts and truncates to fetch. in must alias ctx.out (an
-// emit result): the output is rebuilt in place, entry i read before slot i
-// is rewritten (d == nil when no delta is pending).
-func rerankPool(ctx *SearchContext, base vecmath.Matrix, query []float32, fetch int, counter *vecmath.Counter, d *Delta, in []vecmath.Neighbor) []vecmath.Neighbor {
+// snapshot rows whose code distance is at most thr through one batched
+// gather, every delta row from its chunk's float rows — then re-sorts and
+// truncates to fetch. The rows thr drops cannot reach the top fetch (see
+// codeBound), so the result is that of rescoring the whole pool. in must
+// alias ctx.out (an emit result): the output is rebuilt in place, entry i
+// read before slot i is rewritten (d == nil when no delta is pending).
+func rerankPool(ctx *SearchContext, base vecmath.Matrix, query []float32, fetch int, counter *vecmath.Counter, d *Delta, in []vecmath.Neighbor, thr float64) []vecmath.Neighbor {
 	n := int32(base.Rows)
 	ids := ctx.idBuf[:0]
 	for _, nb := range in {
-		if nb.ID < n {
+		if nb.ID < n && float64(nb.Dist) <= thr {
 			ids = append(ids, nb.ID)
 		}
 	}
@@ -309,11 +333,14 @@ func rerankPool(ctx *SearchContext, base vecmath.Matrix, query []float32, fetch 
 	bi := 0
 	for i := range in {
 		nb := in[i]
-		if nb.ID < n {
+		switch {
+		case nb.ID >= n:
+			nb.Dist = counter.L2(query, d.vec(int(nb.ID-n)))
+		case float64(nb.Dist) <= thr:
 			nb.Dist = dists[bi]
 			bi++
-		} else {
-			nb.Dist = counter.L2(query, d.vec(int(nb.ID-n)))
+		default:
+			continue
 		}
 		out = append(out, nb)
 	}

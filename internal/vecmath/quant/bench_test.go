@@ -62,45 +62,71 @@ func BenchmarkQuantKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantGather measures the batched L2ToRows gather the search
-// expansion loop calls, at a typical out-degree.
-func BenchmarkQuantGather(b *testing.B) {
-	const dim, rows, fan = 128, 8192, 30
-	rng := rand.New(rand.NewSource(1))
+// BenchmarkQuantL2ToRows: one gather per id list over random rows of a
+// 30 000 x 128 code matrix, at the length a hop of Algorithm 1 stages (16)
+// and the length a filter's exact scan passes (800, far beyond the prefetch
+// window) — the SQ8 and int4 twins of vecmath's BenchmarkL2ToRows. ns/op is
+// per row. "dispatch" is what callers get (the prefetching AVX2 gather
+// unless NSG_NO_AVX2 or the CPU says otherwise); "scalar" is the per-row
+// scalar kernel whatever the CPU.
+func BenchmarkQuantL2ToRows(b *testing.B) {
+	const dim, rows = 128, 30000
+	rng := rand.New(rand.NewSource(45))
 	m := vecmath.NewMatrix(rows, dim)
 	for i := range m.Data {
-		m.Data[i] = rng.Float32() * 100
+		m.Data[i] = rng.Float32()*2 - 1
 	}
-	q := Train(m)
-	c := q.Encode(m)
-	levels := q.PrepareInto(nil, m.Row(0))
-	ids := make([]int32, fan)
+	query := m.Row(0)
+	ids := make([]int32, 1<<16)
 	for i := range ids {
 		ids[i] = int32(rng.Intn(rows))
 	}
-	q4 := Train4(m)
-	c4 := q4.Encode(m)
-	levels4 := q4.PrepareInto(nil, m.Row(0))
-	out := make([]float32, fan)
-	b.Run("sq8", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q.L2ToRows(c, levels, ids, out)
+	q, q4 := Train(m), Train4(m)
+	c, c4 := q.Encode(m), q4.Encode(m)
+	levels, levels4 := q.PrepareInto(nil, query), q4.PrepareInto(nil, query)
+	type toRows func(ids []int32, out []float32)
+	schemes := []struct {
+		name             string
+		dispatch, scalar toRows
+	}{
+		{"sq8",
+			func(ids []int32, out []float32) { q.L2ToRows(c, levels, ids, out) },
+			func(ids []int32, out []float32) {
+				for i, id := range ids {
+					out[i] = float32(l2LevelsGeneric(levels, c.Row(int(id)))) * q.distMul
+				}
+			}},
+		{"int4",
+			func(ids []int32, out []float32) { q4.L2ToRows(c4, levels4, ids, out) },
+			func(ids []int32, out []float32) {
+				for i, id := range ids {
+					out[i] = float32(l2Levels4Generic(levels4, c4.Row(int(id)))) * q4.distMul
+				}
+			}},
+	}
+	for _, sc := range schemes {
+		for _, n := range []int{16, 800} {
+			for _, k := range []struct {
+				name string
+				fn   toRows
+			}{{"dispatch", sc.dispatch}, {"scalar", sc.scalar}} {
+				b.Run(fmt.Sprintf("%s/ids=%d/%s", sc.name, n, k.name), func(b *testing.B) {
+					out := make([]float32, n)
+					b.ReportAllocs()
+					lists := b.N/n + 1
+					b.ResetTimer()
+					for i := 0; i < lists; i++ {
+						off := (i * n) % (len(ids) - n)
+						k.fn(ids[off:off+n], out)
+					}
+					benchSink = out[0]
+				})
+			}
 		}
-	})
-	b.Run("int4", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q4.L2ToRows(c4, levels4, ids, out)
-		}
-	})
-	b.Run("float32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			vecmath.L2ToRows(m, m.Row(0), ids, out)
-		}
-	})
+	}
 }
+
+var benchSink float32
 
 // BenchmarkQuantEncode prices training and encoding, the one-time build
 // cost the serving win pays for.

@@ -1,6 +1,8 @@
 package quant
 
 import (
+	"fmt"
+
 	"repro/internal/cpu"
 	"repro/internal/vecmath"
 )
@@ -69,19 +71,62 @@ func (q *Quantizer) L2(levels []int16, c CodeMatrix, i int32) float32 {
 // L2ToRows is the batched gather kernel the quantized search loop uses: it
 // writes the approximate squared distance from the prepared query to code
 // row ids[i] into out[i] for every i — the SQ8 twin of vecmath.L2ToRows.
-// out must be at least len(ids) long.
+// With AVX2 the whole id list is one assembly call that prefetches the rows
+// ahead while it scores the current one; otherwise it is a loop over the
+// scalar kernel. Either way out[i] is bit-identical to q.L2(levels, c,
+// ids[i]). out must be at least len(ids) long; levels of another dimension
+// or an id outside [0, c.Rows) panics.
 func (q *Quantizer) L2ToRows(c CodeMatrix, levels []int16, ids []int32, out []float32) {
 	if len(out) < len(ids) {
 		panic("quant: L2ToRows output shorter than ids")
 	}
+	if len(ids) == 0 {
+		return
+	}
+	// The assembly takes raw pointers, so nothing reaches it that a slice
+	// expression would have refused.
 	dim := c.Dim
-	data := c.Codes
-	mul := q.distMul
+	if len(levels) != dim {
+		panic("quant: level/code length mismatch")
+	}
+	checkRows(ids, c.Rows, dim, len(c.Codes))
+	if cpu.AVX2 {
+		l2CodeRowsAVX2(&c.Codes[0], dim, &levels[0], &ids[0], len(ids), &out[0], q.distMul, prefetchBytes)
+		return
+	}
 	for i, id := range ids {
-		off := int(id) * dim
-		out[i] = float32(L2Levels(levels, data[off:off+dim:off+dim])) * mul
+		out[i] = float32(l2LevelsGeneric(levels, c.Row(int(id)))) * q.distMul
 	}
 }
+
+// checkRows panics unless rows rows of stride bytes fit in a slab of size
+// bytes and every id names one of them — the contract of the assembly
+// gathers, which read exactly the rows ids names.
+func checkRows(ids []int32, rows, stride, size int) {
+	if stride <= 0 || uint(rows) > uint(size/stride) {
+		panic(fmt.Sprintf("quant: code matrix of %d rows x %d bytes does not fit its %d bytes", rows, stride, size))
+	}
+	// One branch-free pass finds the largest id (a negative one wraps to
+	// above any row count), and only a failing list is searched again.
+	var hi uint32
+	for _, id := range ids {
+		hi = max(hi, uint32(id))
+	}
+	if uint(hi) < uint(rows) {
+		return
+	}
+	for _, id := range ids {
+		if uint(id) >= uint(rows) {
+			panic(fmt.Sprintf("quant: row id %d out of range [0,%d)", id, rows))
+		}
+	}
+}
+
+// prefetchBytes bounds how far the assembly gathers prefetch ahead of the
+// row they are scoring, as bytes of rows in flight: the value
+// vecmath.L2ToRows uses, so a hop's 10-50 ids are all in flight at once and
+// a filter scan's hundreds are fetched a window ahead.
+const prefetchBytes = 8 << 10
 
 // L2ToRowsCount is the Counter-aware twin of L2ToRows: it computes the same
 // distances and records len(ids) distance evaluations in one counter

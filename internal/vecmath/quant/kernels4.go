@@ -77,18 +77,28 @@ func (q *Quantizer4) L2(levels []int16, c Code4Matrix, i int32) float32 {
 
 // L2ToRows is the batched gather kernel the quantized search loop uses: it
 // writes the approximate squared distance from the prepared query to packed
-// row ids[i] into out[i] for every i — the int4 twin of Quantizer.L2ToRows.
-// out must be at least len(ids) long.
+// row ids[i] into out[i] for every i — the int4 twin of Quantizer.L2ToRows,
+// one prefetching assembly call per list under AVX2 and a loop over the
+// scalar kernel otherwise, bit-identical to q.L2(levels, c, ids[i]) either
+// way. out must be at least len(ids) long; levels of another dimension or
+// an id outside [0, c.Rows) panics.
 func (q *Quantizer4) L2ToRows(c Code4Matrix, levels []int16, ids []int32, out []float32) {
 	if len(out) < len(ids) {
 		panic("quant: L2ToRows output shorter than ids")
 	}
-	stride := c.Stride
-	data := c.Codes
-	mul := q.distMul
+	if len(ids) == 0 {
+		return
+	}
+	if len(levels) != c.Dim || c.Stride != Stride4(c.Dim) {
+		panic("quant: level/code length mismatch")
+	}
+	checkRows(ids, c.Rows, c.Stride, len(c.Codes))
+	if cpu.AVX2 {
+		l2Code4RowsAVX2(&c.Codes[0], c.Stride, &levels[0], &ids[0], len(ids), &out[0], q.distMul, prefetchBytes, c.Dim)
+		return
+	}
 	for i, id := range ids {
-		off := int(id) * stride
-		out[i] = float32(L2Levels4(levels, data[off:off+stride:off+stride])) * mul
+		out[i] = float32(l2Levels4Generic(levels, c.Row(int(id)))) * q.distMul
 	}
 }
 

@@ -18,3 +18,21 @@ func l2Levels16AVX2(levels *int16, code *uint8, n int) int32
 //
 //go:noescape
 func l2Levels4AVX2(levels *int16, code *uint8, n int) int32
+
+// l2CodeRowsAVX2 writes float32(L2Levels(levels, row ids[i]))*mul into
+// out[i] for i < n, where row r is the dim code bytes at codes+r*dim, and
+// keeps about window bytes of the rows further down ids prefetched while it
+// scores the current one. It reads exactly the rows ids names: the caller
+// must have checked every id against the matrix. Implemented in
+// kernels_amd64.s.
+//
+//go:noescape
+func l2CodeRowsAVX2(codes *uint8, dim int, levels *int16, ids *int32, n int, out *float32, mul float32, window int)
+
+// l2Code4RowsAVX2 is the packed int4 twin of l2CodeRowsAVX2: row r is the
+// stride bytes at codes+r*stride holding dim nibbles, and out[i] is
+// float32(L2Levels4(levels, row ids[i]))*mul. Implemented in
+// kernels_amd64.s.
+//
+//go:noescape
+func l2Code4RowsAVX2(codes *uint8, stride int, levels *int16, ids *int32, n int, out *float32, mul float32, window int, dim int)

@@ -15,3 +15,11 @@ func l2Levels16AVX2(levels *int16, code *uint8, n int) int32 {
 func l2Levels4AVX2(levels *int16, code *uint8, n int) int32 {
 	panic("quant: AVX2 kernel called on non-amd64 build")
 }
+
+func l2CodeRowsAVX2(codes *uint8, dim int, levels *int16, ids *int32, n int, out *float32, mul float32, window int) {
+	panic("quant: AVX2 kernel called on non-amd64 build")
+}
+
+func l2Code4RowsAVX2(codes *uint8, stride int, levels *int16, ids *int32, n int, out *float32, mul float32, window int, dim int) {
+	panic("quant: AVX2 kernel called on non-amd64 build")
+}
