@@ -154,8 +154,6 @@ func (a flatAdj) neighbors(id int32) []int32 { return a.g.Neighbors(id) }
 // both compile to direct calls and the float path stays byte-identical to
 // what it was before quantization existed.
 type distSource interface {
-	// one computes the distance to a single node and records it in counter.
-	one(counter *vecmath.Counter, id int32) float32
 	// toRows is the batched gather: distance to every id, one counter update.
 	toRows(counter *vecmath.Counter, ids []int32, out []float32)
 	// deltaRows is the batched scan over one delta chunk's rows, in the same
@@ -168,10 +166,6 @@ type distSource interface {
 type floatDist struct {
 	base  vecmath.Matrix
 	query []float32
-}
-
-func (d floatDist) one(counter *vecmath.Counter, id int32) float32 {
-	return counter.L2(d.query, d.base.Row(int(id)))
 }
 
 func (d floatDist) toRows(counter *vecmath.Counter, ids []int32, out []float32) {
@@ -192,11 +186,6 @@ type codeDist struct {
 	levels []int16 // the prepared query (Quantizer.PrepareInto)
 }
 
-func (d codeDist) one(counter *vecmath.Counter, id int32) float32 {
-	counter.AddN(1)
-	return d.q.L2(d.levels, d.codes, id)
-}
-
 func (d codeDist) toRows(counter *vecmath.Counter, ids []int32, out []float32) {
 	d.q.L2ToRowsCount(counter, d.codes, d.levels, ids, out)
 }
@@ -213,11 +202,6 @@ type code4Dist struct {
 	q      *quant.Quantizer4
 	codes  quant.Code4Matrix
 	levels []int16 // the prepared query (Quantizer4.PrepareInto)
-}
-
-func (d code4Dist) one(counter *vecmath.Counter, id int32) float32 {
-	counter.AddN(1)
-	return d.q.L2(d.levels, d.codes, id)
 }
 
 func (d code4Dist) toRows(counter *vecmath.Counter, ids []int32, out []float32) {
@@ -322,56 +306,51 @@ func walk[A adjacencySource, D distSource, P passTest](ctx *SearchContext, a A, 
 	ctx.begin(n, l)
 	ctx.nav.reset(lnav)
 	p, nv := &ctx.pool, &ctx.nav
-	for _, s := range starts {
-		if !ctx.visited.Visit(s) {
-			continue
-		}
-		d := dist.one(counter, s)
-		if pf.node(s, d) {
-			p.insert(s, d)
-		} else {
-			nv.insert(s, d)
-		}
-	}
-
 	hops := 0
 	// Index of the first possibly-unchecked element of each pool; everything
 	// before it is known checked.
 	nextP, nextN := 0, 0
-	for {
+	// Each round scores the starts or an expanded node's out-edges.
+	for nbs := starts; ; hops++ {
+		// Stage the unvisited ids, then compute their distances in one
+		// batched gather: the kernel call replaces one distance call (and one
+		// counter update) per id. The pass test runs on the insert side, so
+		// the gather kernels never see it.
+		fresh := ctx.visited.Stage(ctx.idBuf, nbs)
+		ctx.idBuf = fresh
+		dists := ctx.distScratch(len(fresh))
+		dist.toRows(counter, fresh, dists)
+		// The pass test sees every scored node in order. Passing ones are
+		// compacted in place without a branch (their fate is a coin flip),
+		// keeping, once the pool is full, those nearer than its worst entry
+		// as the round began: that only falls, so no insert is lost.
+		thr := uint64(1) << 32
+		if size := p.len(); size > 0 && size == p.cap {
+			thr = p.keys[size-1] >> 32
+		}
+		m := 0
+		for i, nb := range fresh {
+			d := dists[i]
+			if pf.node(nb, d) {
+				fresh[m], dists[m] = nb, d
+				m += int((uint64(math.Float32bits(d)) - thr) >> 63)
+			} else if pos := nv.insert(nb, d); pos >= 0 && pos < nextN {
+				nextN = pos
+			}
+		}
+		// Resume each pool's scan from its shallowest new candidate:
+		// anything before it is unchanged and already checked.
+		for i, nb := range fresh[:m] {
+			if pos := p.insert(nb, dists[i]); pos >= 0 && pos < nextP {
+				nextP = pos
+			}
+		}
 		pl, idx := ctx.pickFiltered(&nextP, &nextN)
 		if idx < 0 {
 			break
 		}
 		pl.check(idx)
-		curID := pl.id(idx)
-		hops++
-		// Stage the unvisited neighbors, then compute their distances in one
-		// batched gather: the kernel call replaces one distance call (and one
-		// counter update) per neighbor. The pass test runs on the insert
-		// side, so the gather kernels never see it.
-		fresh := ctx.idBuf[:0]
-		for _, nb := range a.neighbors(curID) {
-			if ctx.visited.Visit(nb) {
-				fresh = append(fresh, nb)
-			}
-		}
-		ctx.idBuf = fresh
-		dists := ctx.distScratch(len(fresh))
-		dist.toRows(counter, fresh, dists)
-		// Resume each pool's scan from its shallowest new candidate:
-		// anything before it is unchanged and already checked.
-		for i, nb := range fresh {
-			if pf.node(nb, dists[i]) {
-				if pos := p.insert(nb, dists[i]); pos >= 0 && pos < nextP {
-					nextP = pos
-				}
-			} else {
-				if pos := nv.insert(nb, dists[i]); pos >= 0 && pos < nextN {
-					nextN = pos
-				}
-			}
-		}
+		nbs = a.neighbors(pl.id(idx))
 	}
 
 	if delta != nil {

@@ -1,5 +1,7 @@
 package graphutil
 
+import "slices"
+
 // EpochVisited is a reusable visited set over nodes 0..n-1. Instead of
 // allocating a fresh map or bool slice per traversal, each membership stamp
 // is an epoch number: bumping the epoch (Reset) invalidates every stamp in
@@ -47,6 +49,23 @@ func (v *EpochVisited) Visit(id int32) bool {
 	}
 	v.stamp[id] = v.epoch
 	return true
+}
+
+// Stage is Visit over a whole adjacency row: it writes the unvisited ids,
+// in order, over dst's backing array (grown when short) and returns them.
+// Each id's fate is a coin flip, so there is no branch: every id is written
+// at dst[m], m advances by stamp != epoch, and only then is the id stamped.
+func (v *EpochVisited) Stage(dst, ids []int32) []int32 {
+	dst = slices.Grow(dst[:0], len(ids))[:len(ids)]
+	stamp, epoch := v.stamp, v.epoch
+	m := 0
+	for _, id := range ids {
+		dst[m] = id
+		d := stamp[id] ^ epoch
+		m += int((d | -d) >> 31)
+		stamp[id] = epoch
+	}
+	return dst[:m]
 }
 
 // Visited reports whether id has been visited since the last Reset.

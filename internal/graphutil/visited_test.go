@@ -58,3 +58,36 @@ func TestEpochVisitedWraparound(t *testing.T) {
 		}
 	}
 }
+
+// TestEpochVisitedStage: Stage keeps what a Visit loop over the same ids
+// would keep, in the same order, and leaves the same stamps.
+func TestEpochVisitedStage(t *testing.T) {
+	var a, b EpochVisited
+	a.Reset(8)
+	b.Reset(8)
+	for _, id := range []int32{1, 6} {
+		a.Visit(id)
+		b.Visit(id)
+	}
+	ids := []int32{0, 1, 5, 5, 6, 7, 0, 3}
+	got := a.Stage(nil, ids)
+	var want []int32
+	for _, id := range ids {
+		if b.Visit(id) {
+			want = append(want, id)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Stage kept %v, Visit loop %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("Stage kept %v, Visit loop %v", got, want)
+		}
+	}
+	for id := int32(0); id < 8; id++ {
+		if a.Visited(id) != b.Visited(id) {
+			t.Fatalf("node %d: Stage visited %v, Visit loop %v", id, a.Visited(id), b.Visited(id))
+		}
+	}
+}

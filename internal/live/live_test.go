@@ -376,10 +376,12 @@ func TestStraddlePublishConsistency(t *testing.T) {
 	}
 
 	for i := n0; i < all.Rows; i++ {
+		// Append publishes row i before it returns, so the ceiling admits
+		// it first; ids past i still fail the check.
+		visible.Store(int64(i + 1))
 		if _, err := h.Append(all.Row(i)); err != nil {
 			t.Fatal(err)
 		}
-		visible.Store(int64(i + 1))
 		if i%50 == 0 {
 			time.Sleep(time.Millisecond) // let drains interleave
 		}

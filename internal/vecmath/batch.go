@@ -9,10 +9,10 @@ import (
 // L2ToRows is the batched gather kernel the construction and search loops
 // use: it writes the squared distance from query to base row ids[i] into
 // out[i] for every i. With AVX2 the whole id list is one assembly call that
-// prefetches the rows ahead while it scores the current one (a gather's
-// rows are scattered, so without it every row is a cache miss taken
-// serially); otherwise it is a loop over l2Generic. Either way the results are
-// bit-identical to calling L2 per row. out must be at least len(ids) long;
+// scores four rows at a time and prefetches the rows ahead while it does (a
+// gather's rows are scattered, so without it every row is a cache miss
+// taken serially); otherwise it is a loop over l2Generic. Either way the
+// results are bit-identical to calling L2 per row. out must be at least len(ids) long;
 // a query of another dimension or an id outside [0, base.Rows) panics.
 func L2ToRows(base Matrix, query []float32, ids []int32, out []float32) {
 	if len(out) < len(ids) {

@@ -11,8 +11,8 @@ package vecmath
 func l2AVX2(a, b *float32, n int) float32
 
 // l2RowsAVX2 writes L2(query, row ids[i]) into out[i] for i < n, where row r
-// is the dim floats at data+r*dim, and keeps about window bytes of the rows
-// further down ids prefetched while it scores the current one. It reads
+// is the dim floats at data+r*dim, scoring four rows at a time and keeping
+// about window bytes of the rows further down ids prefetched while it does. It reads
 // exactly the rows ids names: the caller must have checked every id against
 // the matrix. Implemented in kernels_amd64.s.
 //

@@ -284,27 +284,39 @@ func BenchmarkL2Gather(b *testing.B) {
 
 // BenchmarkL2ToRows: one gather per id list, at the length a hop of
 // Algorithm 1 stages (16) and the length a filter's exact scan passes (800,
-// far beyond the prefetch window). ns/op is per row.
+// far beyond the prefetch window), over random rows of the whole matrix;
+// and "hot", 16 ids drawn from its first 64 rows (32 KiB, which stay in
+// L1), so the kernel's arithmetic shows apart from its misses. ns/op is per
+// row.
 func BenchmarkL2ToRows(b *testing.B) {
 	base, query, ids := gatherBenchInputs()
+	hot := make([]int32, len(ids))
+	for i, id := range ids {
+		hot[i] = id % 64
+	}
 	scalar := func(base Matrix, query []float32, ids []int32, out []float32) {
 		for i, id := range ids {
 			out[i] = l2Generic(query, base.Row(int(id)))
 		}
 	}
-	for _, n := range []int{16, 800} {
+	for _, shape := range []struct {
+		name string
+		n    int
+		ids  []int32
+	}{{"ids=16", 16, ids}, {"ids=800", 800, ids}, {"hot/ids=16", 16, hot}} {
 		for _, k := range []struct {
 			name   string
 			toRows func(Matrix, []float32, []int32, []float32)
 		}{{"dispatch", L2ToRows}, {"scalar", scalar}} {
-			b.Run(fmt.Sprintf("ids=%d/%s", n, k.name), func(b *testing.B) {
+			b.Run(shape.name+"/"+k.name, func(b *testing.B) {
+				n := shape.n
 				out := make([]float32, n)
 				b.ReportAllocs()
 				lists := b.N/n + 1
 				b.ResetTimer()
 				for i := 0; i < lists; i++ {
-					off := (i * n) % (len(ids) - n)
-					k.toRows(base, query, ids[off:off+n], out)
+					off := (i * n) % (len(shape.ids) - n)
+					k.toRows(base, query, shape.ids[off:off+n], out)
 				}
 				benchSink = out[0]
 			})

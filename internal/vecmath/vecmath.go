@@ -5,20 +5,22 @@
 // The paper's reference implementation uses SIMD intrinsics, and so do the
 // two entry points everything hot goes through here: on amd64 with AVX2
 // (internal/cpu probes it; NSG_NO_AVX2 turns it off) L2 and L2ToRows run
-// hand-written assembly, the latter prefetching the rows of its id list
-// ahead of the one it is scoring. Everywhere else they run l2Generic, an
-// 8-accumulator scalar loop.
+// hand-written assembly, the latter scoring its id list four rows at a
+// time while it prefetches the rows further down the list. Everywhere else
+// they run l2Generic, an 8-accumulator scalar loop.
 //
 // The two give the same bits, not merely close values, so search results,
 // persisted distances and every byte-identity suite are independent of the
 // dispatch. That is by construction on both sides: the assembly keeps one
-// 8-lane accumulator (lane j is the scalar loop's s_j), uses no fused
-// multiply-add and sums its lanes in the scalar expression's order; the
-// scalar loop writes float32(d*d), the explicit conversion that the Go spec
-// says forbids fusing the product into the add, so arm64 and GOAMD64=v3
-// builds, which fuse wherever they may, round twice as the assembly does.
-// The one thing left unspecified is which payload survives when several
-// NaNs meet.
+// 8-lane accumulator per row (lane j is the scalar loop's s_j), uses no
+// fused multiply-add and sums each row's lanes in the scalar expression's
+// order, (((s0+s1)+(s2+s3))+(s4+s5))+(s6+s7) — for four rows at once a
+// transpose of their pair sums followed by the same three adds lane-wise;
+// the scalar loop writes float32(d*d), the explicit conversion that the Go
+// spec says forbids fusing the product into the add, so arm64 and
+// GOAMD64=v3 builds, which fuse wherever they may, round twice as the
+// assembly does. The one thing left unspecified is which payload survives
+// when several NaNs meet.
 package vecmath
 
 import (
