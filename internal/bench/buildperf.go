@@ -61,9 +61,10 @@ func measureAllocs(f func() error) (time.Duration, uint64, uint64, error) {
 }
 
 // BuildPerf measures the construction pipeline on a SIFT-like stand-in:
-// NN-Descent (wall clock, allocations, recall vs the exact kNN graph) and
-// Algorithm 2 with its per-phase timings. The result table goes to w and
-// the JSON record to BENCH_build.json in the working directory.
+// NN-Descent as nsg.Build runs it (knngraph.BuildForNSG; wall clock,
+// allocations, recall vs the exact kNN graph) and Algorithm 2 with its
+// per-phase timings. The result table goes to w and the JSON record to
+// BENCH_build.json in the working directory.
 func BuildPerf(w io.Writer, c ExpConfig) error {
 	n := c.n(6000)
 	ds, err := dataset.SIFTLike(dataset.Config{N: n, Queries: 1, GTK: 1, Dim: 128, Seed: c.Seed})
@@ -80,11 +81,9 @@ func BuildPerf(w io.Writer, c ExpConfig) error {
 		NSGM:    p.NSGM,
 	}
 
-	params := knngraph.DefaultParams(p.KNNK)
-	params.Seed = c.Seed
 	var knnGraph *graphutil.Graph
 	elapsed, allocs, bytes, err := measureAllocs(func() error {
-		g, err := knngraph.BuildNNDescent(ds.Base, params)
+		g, err := knngraph.BuildForNSG(ds.Base, p.KNNK, false, c.Seed)
 		knnGraph = g
 		return err
 	})

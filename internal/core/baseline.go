@@ -31,13 +31,7 @@ func PruneKNN(knn *graphutil.Graph, base vecmath.Matrix, width, m int) (*graphut
 	graphutil.ParallelForWorkers(workers, n, func(w, i int) {
 		ctx := ctxs[w]
 		v := base.Row(i)
-		nbs := knn.Adj[i][:min(width, len(knn.Adj[i]))]
-		dists := ctx.distScratch(len(nbs))
-		vecmath.L2ToRows(base, v, nbs, dists)
-		cands := ctx.collect[:0]
-		for j, nb := range nbs {
-			cands = append(cands, vecmath.Neighbor{ID: nb, Dist: dists[j]})
-		}
+		cands := ctx.appendScored(base, v, knn.Adj[i][:min(width, len(knn.Adj[i]))], ctx.collect[:0])
 		cands = dedupeSortedCtx(ctx, n, cands, int32(i))
 		sel := SelectMRNGInto(base, v, cands, m, ctx, ctx.idBuf[:0])
 		ctx.idBuf = sel[:0]

@@ -296,6 +296,10 @@ func TestQuantBoundSharded(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			// Hold the delta until Flush, as TestQuantBoundLive does: a
+			// maintainer draining the far rows between the bound-on and
+			// bound-off searches would hand the two a different graph.
+			s.SetLiveOptions(live.Options{MaxPending: 1 << 20, Interval: 1 << 40})
 			far, edge := farRows(rng, base, adds)
 			queries := vecmath.NewMatrix(0, boundDim)
 			queries.Data = append(append(queries.Data, edge.Data...), gaussian(rng, 20).Data...)

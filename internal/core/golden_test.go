@@ -17,6 +17,8 @@ import (
 // count and the Counter's evaluations, query after query. A change to the
 // float kernel's summation order, the visited staging or the pool's insert
 // and reject rules that moves one bit, one entry or one hop moves a digest.
+// The graph and insert digests pin the MRNG prune: Algorithm 2's selection
+// and reverse-edge re-prunes, then Insert's own prune and re-prunes.
 // The SIFT-like corpus holds integers whose partial sums are exact in any
 // order; the DEEP-like one is real-valued, so only it pins the order the
 // kernel adds in. Both dimensions leave a tail below the 8-float block.
@@ -27,12 +29,14 @@ var searchGolden = map[string]uint64{
 	"sift/filtered": 0x478aae2f711cbdf7,
 	"sift/sq8":      0x486947266fc65fdd,
 	"sift/delta":    0x08cd80c26018c7cd,
+	"sift/insert":   0xdbd2526e4334b5e1,
 	"deep/graph":    0x6b3d387147c4ac1c,
 	"deep/plain":    0x25688901e74bdcc4,
 	"deep/collect":  0x42aeb0f107fc4f09,
 	"deep/filtered": 0xc698598cadb427e6,
 	"deep/sq8":      0xb9250453a9476ef5,
 	"deep/delta":    0xa592577f4f639ba5,
+	"deep/insert":   0x87738ebe9c440b46,
 }
 
 type streamHash struct{ h hash.Hash64 }
@@ -48,6 +52,16 @@ func (s streamHash) neighbors(nbs []vecmath.Neighbor) {
 	for _, nb := range nbs {
 		s.u32(uint32(nb.ID))
 		s.u32(math.Float32bits(nb.Dist))
+	}
+}
+
+// adjacency hashes a graph's out-lists in node order.
+func (s streamHash) adjacency(adj [][]int32) {
+	for _, row := range adj {
+		s.u32(uint32(len(row)))
+		for _, id := range row {
+			s.u32(uint32(id))
+		}
 	}
 }
 
@@ -118,15 +132,10 @@ func searchStreams(t *testing.T, all, queries vecmath.Matrix, n, k, l int) map[s
 	}
 
 	sums := map[string]streamHash{}
-	for _, p := range []string{"graph", "plain", "collect", "filtered", "sq8", "delta"} {
+	for _, p := range []string{"graph", "plain", "collect", "filtered", "sq8", "delta", "insert"} {
 		sums[p] = streamHash{fnv.New64a()}
 	}
-	for _, row := range idx.Graph.Adj {
-		sums["graph"].u32(uint32(len(row)))
-		for _, id := range row {
-			sums["graph"].u32(uint32(id))
-		}
-	}
+	sums["graph"].adjacency(idx.Graph.Adj)
 
 	// Two pending chunks, so the second is offered at a non-zero Off.
 	rest := all.Slice(n, all.Rows).Clone()
@@ -172,6 +181,14 @@ func searchStreams(t *testing.T, all, queries vecmath.Matrix, n, k, l int) map[s
 		c.Reset()
 		sums["delta"].result(idx.Query(ctx, q, Query{K: k, L: l, Delta: delta, Counter: &c}), &c)
 	}
+	// The pending rows through Insert one by one: its own prune and the
+	// reverse-edge re-prunes the live maintainer runs.
+	for j := 0; j < rest.Rows; j++ {
+		if _, err := idx.Insert(rest.Row(j), InsertParams{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sums["insert"].adjacency(idx.Graph.Adj)
 	out := map[string]uint64{}
 	for p, s := range sums {
 		out[p] = s.h.Sum64()

@@ -138,13 +138,7 @@ func (x *NSG) offerReverse(from, to int32, m int) bool {
 	}
 	ctx := getCtx()
 	v := x.Base.Row(int(from))
-	ids := x.Graph.Adj[from]
-	dists := ctx.distScratch(len(ids))
-	vecmath.L2ToRows(x.Base, v, ids, dists)
-	cands := ctx.collect[:0]
-	for j, nb := range ids {
-		cands = append(cands, vecmath.Neighbor{ID: nb, Dist: dists[j]})
-	}
+	cands := ctx.appendScored(x.Base, v, x.Graph.Adj[from], ctx.collect[:0])
 	cands = dedupeSortedCtx(ctx, x.Base.Rows, cands, from)
 	sel := SelectMRNGInto(x.Base, v, cands, m, ctx, ctx.idBuf[:0])
 	ctx.idBuf = sel[:0]

@@ -156,3 +156,66 @@ func TestExactMRNGGreedyNeedsNoBacktracking(t *testing.T) {
 		}
 	}
 }
+
+// selectMRNGRef is the MRNG rule in the forward per-pair form
+// SelectMRNGInto batches: each candidate in order is kept unless some kept
+// r has δ(q,r) < δ(v,q), scored one pair at a time, until m are kept.
+func selectMRNGRef(base vecmath.Matrix, cands []vecmath.Neighbor, m int) []int32 {
+	var kept []int32
+	for _, q := range cands {
+		if len(kept) >= m {
+			break
+		}
+		occluded := false
+		for _, r := range kept {
+			if vecmath.L2(base.Row(int(q.ID)), base.Row(int(r))) < q.Dist {
+				occluded = true
+				break
+			}
+		}
+		if !occluded {
+			kept = append(kept, q.ID)
+		}
+	}
+	return kept
+}
+
+// TestSelectMRNGMatchesReference: the batched rule keeps exactly the ids,
+// in the order, the per-pair reference keeps, on random candidate lists
+// over integer rows (distance ties everywhere) and real-valued ones, with p
+// itself sometimes among the candidates at distance 0 and m at the edges.
+// One context serves every trial, so stale scratch would show.
+func TestSelectMRNGMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	ctx := NewSearchContext()
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(120)
+		dim := []int{1, 3, 8, 13, 37}[rng.Intn(5)]
+		integer := trial%2 == 0
+		base := vecmath.NewMatrix(n, dim)
+		for i := range base.Data {
+			if integer {
+				base.Data[i] = float32(rng.Intn(4))
+			} else {
+				base.Data[i] = rng.Float32()
+			}
+		}
+		p := rng.Intn(n)
+		v := base.Row(p)
+		var cands []vecmath.Neighbor
+		for q := 0; q < n; q++ {
+			if (q != p || rng.Intn(2) == 0) && rng.Intn(4) != 0 {
+				cands = append(cands, vecmath.Neighbor{ID: int32(q), Dist: vecmath.L2(v, base.Row(q))})
+			}
+		}
+		slices.SortFunc(cands, vecmath.CompareNeighbors)
+		for _, m := range []int{0, 1, len(cands) - 1, len(cands), len(cands) + 3} {
+			want := selectMRNGRef(base, cands, m)
+			got := SelectMRNGInto(base, v, cands, m, ctx, []int32{-1})
+			if got[0] != -1 || !slices.Equal(got[1:], want) {
+				t.Fatalf("trial %d (n=%d dim=%d integer=%v p=%d) m=%d: got %v, want [-1] + %v",
+					trial, n, dim, integer, p, m, got, want)
+			}
+		}
+	}
+}

@@ -26,7 +26,7 @@ import (
 // out-degree of every node.
 type BuildParams struct {
 	L int // candidate pool size for search-collect (paper's l); default 40
-	M int // maximum out-degree (paper's m); default 50 on SIFT-scale data
+	M int // maximum out-degree (paper's m); default 30
 	// C caps how many collected candidates are considered during edge
 	// selection; 0 means no cap beyond what the search visited.
 	C    int
@@ -180,14 +180,8 @@ func NSGBuild(knn *graphutil.Graph, base vecmath.Matrix, p BuildParams) (*NSG, B
 		ctx.startBuf[0] = nav
 		SearchOnGraphCtx(ctx, knnFlat, base, v, ctx.startBuf[:], 1, p.L, nil, &visited)
 		// Merge in v's kNN-graph neighbors: the approximate NNG edges are
-		// essential for monotonicity (Section 3.3, Figure 4). Their
-		// distances come from one batched gather.
-		nbs := knn.Adj[i]
-		dists := ctx.distScratch(len(nbs))
-		vecmath.L2ToRows(base, v, nbs, dists)
-		for j, nb := range nbs {
-			visited = append(visited, vecmath.Neighbor{ID: nb, Dist: dists[j]})
-		}
+		// essential for monotonicity (Section 3.3, Figure 4).
+		visited = ctx.appendScored(base, v, knn.Adj[i], visited)
 		cands := dedupeSortedCtx(ctx, n, visited, int32(i))
 		if p.C > 0 && len(cands) > p.C {
 			cands = cands[:p.C]
@@ -238,33 +232,52 @@ func SelectMRNG(base vecmath.Matrix, v []float32, cands []vecmath.Neighbor, m in
 	return sel
 }
 
-// SelectMRNGInto is SelectMRNG with caller-owned scratch: the
-// selected-neighbor working set lives in ctx and the chosen ids are
-// appended to out (pass a reused buffer truncated to [:0]). With a
-// per-worker context, edge selection allocates nothing beyond what out
-// itself needs.
+// SelectMRNGInto is SelectMRNG with caller-owned scratch: the working set
+// lives in ctx and the chosen ids are appended to out (pass a reused
+// buffer truncated to [:0]). With a per-worker context, edge selection
+// allocates nothing beyond what out itself needs.
+//
+// Each kept neighbour costs one batched gather: the first candidate no
+// kept one occludes is kept, scored against every later live candidate by
+// vecmath.L2ToRows, and those it occludes are compacted away without a
+// branch. A candidate meets the kept neighbours in the order the per-pair
+// loop tries them and δ(r,q) has the bits of δ(q,r), so the decisions are
+// that loop's; the only extra pairs lie past its stop at the m-th keep.
 func SelectMRNGInto(base vecmath.Matrix, v []float32, cands []vecmath.Neighbor, m int, ctx *SearchContext, out []int32) []int32 {
-	selected := ctx.sel[:0]
-	for _, q := range cands {
-		if len(selected) >= m {
+	if m <= 0 {
+		return out
+	}
+	// alive and dv: the candidates no kept neighbour occludes yet, in list
+	// order, and their distances to v; gath holds one gather's distances.
+	n := len(cands)
+	alive := slices.Grow(ctx.alive[:0], n)[:n]
+	ctx.alive = alive
+	scratch := ctx.distScratch(2 * n)
+	dv, gath := scratch[:n], scratch[n:]
+	for i, c := range cands {
+		alive[i], dv[i] = c.ID, c.Dist
+	}
+	for kept := 1; len(alive) > 0; kept++ {
+		r := alive[0]
+		out = append(out, r)
+		if kept == m {
 			break
 		}
-		qv := base.Row(int(q.ID))
-		conflict := false
-		for _, r := range selected {
-			// selected is in ascending distance order, so r.Dist <= q.Dist
-			// always holds; the lune test reduces to δ(q,r) < δ(v,q).
-			if vecmath.L2(qv, base.Row(int(r.ID))) < q.Dist {
-				conflict = true
-				break
+		rest, g := alive[1:], gath[:len(alive)-1]
+		vecmath.L2ToRows(base, base.Row(int(r)), rest, g)
+		// rest[j] is alive[j+1]: each write lands before the next read.
+		w := 0
+		for j, q := range rest {
+			d := dv[j+1]
+			alive[w], dv[w] = q, d
+			keep := 0
+			if !(g[j] < d) {
+				keep = 1
 			}
+			w += keep
 		}
-		if !conflict {
-			selected = append(selected, q)
-			out = append(out, q.ID)
-		}
+		alive, dv = alive[:w], dv[:w]
 	}
-	ctx.sel = selected[:0]
 	return out
 }
 
@@ -325,13 +338,7 @@ func interInsert(adj [][]int32, base vecmath.Matrix, m int, ctxs []*SearchContex
 		// Overflow: batch-gather distances to the merged list, order it,
 		// and re-prune with the MRNG rule. The merged ids are unique by
 		// construction, so sorting suffices — no dedupe map needed.
-		ids := adj[r]
-		dists := ctx.distScratch(len(ids))
-		vecmath.L2ToRows(base, v, ids, dists)
-		cands := ctx.collect[:0]
-		for j, x := range ids {
-			cands = append(cands, vecmath.Neighbor{ID: x, Dist: dists[j]})
-		}
+		cands := ctx.appendScored(base, v, adj[r], ctx.collect[:0])
 		sortNeighbors(ctx, cands)
 		sel := SelectMRNGInto(base, v, cands, m, ctx, ctx.idBuf[:0])
 		ctx.idBuf = sel[:0]

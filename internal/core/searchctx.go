@@ -38,9 +38,9 @@ type SearchContext struct {
 	// and the filtered scan's k smallest code distances (kthSmallest);
 	// keys2 is the radix sort's second buffer, swapped with keys per sort.
 	keys, keys2 []uint64
-	// sel holds MRNG-selected neighbors during SelectMRNGInto; reused across
-	// nodes by Algorithm 2 workers and the incremental insert path.
-	sel []vecmath.Neighbor
+	// alive holds the candidates SelectMRNGInto has not yet seen occluded;
+	// reused across nodes by Algorithm 2 workers and the insert path.
+	alive []int32
 	// qlevels holds the prepared query (int16 grid levels) for the SQ8
 	// search path, recomputed per query and sized once to the dimension.
 	qlevels []int16
@@ -67,6 +67,17 @@ func (c *SearchContext) distScratch(n int) []float32 {
 		c.distBuf = make([]float32, n+n/2+8)
 	}
 	return c.distBuf[:n]
+}
+
+// appendScored appends ids to dst with their distances to v, computed by
+// one batched gather into the context's distance buffer.
+func (c *SearchContext) appendScored(base vecmath.Matrix, v []float32, ids []int32, dst []vecmath.Neighbor) []vecmath.Neighbor {
+	dists := c.distScratch(len(ids))
+	vecmath.L2ToRows(base, v, ids, dists)
+	for j, id := range ids {
+		dst = append(dst, vecmath.Neighbor{ID: id, Dist: dists[j]})
+	}
+	return dst
 }
 
 // NewSearchContext returns an empty context; buffers are sized on first use.

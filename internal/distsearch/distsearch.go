@@ -121,19 +121,7 @@ func buildShard(base vecmath.Matrix, perm []int, lo, hi int, p Params, sh int, q
 		ids[j] = int32(pi)
 		copy(sub.Row(j), base.Row(pi))
 	}
-	var knn *graphutil.Graph
-	var err error
-	k := p.KNNK
-	if k >= sub.Rows {
-		k = sub.Rows - 1
-	}
-	if p.UseNNDescent {
-		kp := knngraph.DefaultParams(k)
-		kp.Seed = p.Seed + int64(sh)
-		knn, err = knngraph.BuildNNDescent(sub, kp)
-	} else {
-		knn, err = knngraph.BuildExact(sub, k)
-	}
+	knn, err := knngraph.BuildForNSG(sub, p.KNNK, !p.UseNNDescent, p.Seed+int64(sh))
 	if err != nil {
 		return nil, nil, fmt.Errorf("distsearch: shard %d kNN graph: %w", sh, err)
 	}

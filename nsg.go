@@ -68,7 +68,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graphutil"
 	"repro/internal/knngraph"
 	"repro/internal/live"
 	"repro/internal/mstore"
@@ -282,21 +281,7 @@ func buildFromMatrix(base vecmath.Matrix, opts Options) (*Index, error) {
 		return nil, ErrNonFinite
 	}
 	start := time.Now()
-	k := opts.GraphK
-	if k >= base.Rows {
-		k = base.Rows - 1
-	}
-	var (
-		kg  *graphutil.Graph
-		err error
-	)
-	if opts.ExactKNN {
-		kg, err = knngraph.BuildExact(base, k)
-	} else {
-		params := knngraph.DefaultParams(k)
-		params.Seed = opts.Seed
-		kg, err = knngraph.BuildNNDescent(base, params)
-	}
+	kg, err := knngraph.BuildForNSG(base, opts.GraphK, opts.ExactKNN, opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("nsg: kNN graph: %w", err)
 	}
