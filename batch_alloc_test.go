@@ -14,7 +14,7 @@ import "testing"
 // constant per worker (goroutine, closure, wait group).
 func TestBatchSearchZeroAlloc(t *testing.T) {
 	ds := shardedTestData(t, 1500, 32)
-	for _, quantize := range []QuantMode{QuantNone, QuantSQ8, QuantInt4} {
+	for _, quantize := range []QuantMode{QuantNone, QuantSQ8} {
 		opts := DefaultOptions()
 		opts.ExactKNN = true
 		opts.Seed = 7

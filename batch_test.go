@@ -46,7 +46,6 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 	}{
 		{"float32", func(t *testing.T) surface { return plain(build(t, QuantNone)) }},
 		{"sq8", func(t *testing.T) surface { return plain(build(t, QuantSQ8)) }},
-		{"int4", func(t *testing.T) surface { return plain(build(t, QuantInt4)) }},
 		{"tombstoned", func(t *testing.T) surface {
 			idx := build(t, QuantNone)
 			for _, q := range queries[:6] {

@@ -556,25 +556,19 @@ func BenchmarkSearchBatch(b *testing.B) {
 	}
 }
 
-// --- quantized serving paths (SQ8 and packed int4) ---
+// --- quantized serving path (SQ8) ---
 
-// quantBenchData caches the 8k-point acceptance suite plus one float, one
-// SQ8 and one int4 index over it.
+// quantBenchData caches the 8k-point acceptance suite plus one float and
+// one SQ8 index over it.
 var quantBenchData struct {
 	once  sync.Once
 	ds    dataset.Dataset
 	float *Index
 	quant *Index
-	int4  *Index
 	err   error
 }
 
 func loadQuantBenchData(b *testing.B) (dataset.Dataset, *Index, *Index) {
-	ds, fl, qt, _ := loadQuantBenchData4(b)
-	return ds, fl, qt
-}
-
-func loadQuantBenchData4(b *testing.B) (dataset.Dataset, *Index, *Index, *Index) {
 	b.Helper()
 	quantBenchData.once.Do(func() {
 		ds, err := dataset.SIFTLike(dataset.Config{N: 8000, Queries: 200, GTK: 100, Dim: 128, Seed: 1})
@@ -597,27 +591,22 @@ func loadQuantBenchData4(b *testing.B) (dataset.Dataset, *Index, *Index, *Index)
 			quantBenchData.err = err
 			return
 		}
-		q4, err := build(QuantInt4)
-		if err != nil {
-			quantBenchData.err = err
-			return
-		}
-		quantBenchData.ds, quantBenchData.float, quantBenchData.quant, quantBenchData.int4 = ds, fl, qt, q4
+		quantBenchData.ds, quantBenchData.float, quantBenchData.quant = ds, fl, qt
 	})
 	if quantBenchData.err != nil {
 		b.Fatal(quantBenchData.err)
 	}
-	return quantBenchData.ds, quantBenchData.float, quantBenchData.quant, quantBenchData.int4
+	return quantBenchData.ds, quantBenchData.float, quantBenchData.quant
 }
 
-// BenchmarkQuantizedSearch is the acceptance benchmark: the SQ8 and
-// packed-int4 paths (code-space expansion + exact rerank) against the
-// float32 path on the 8k-point suite at matched recall@10 >= 0.99 (all run
-// L=30, where all measure ~0.998 — see the reported recall metric). With
-// AVX2 float32 kernels the three are within ~1.3x of each other; what the
-// code widths buy is the 4x / 8x smaller vector payload.
+// BenchmarkQuantizedSearch is the acceptance benchmark: the SQ8 path
+// (code-space expansion + exact rerank) against the float32 path on the
+// 8k-point suite at matched recall@10 >= 0.99 (both run L=30, where both
+// measure ~0.998 — see the reported recall metric). With AVX2 float32
+// kernels the two are within ~1.3x of each other; what the code width buys
+// is the 4x smaller vector payload.
 func BenchmarkQuantizedSearch(b *testing.B) {
-	ds, fl, qt, q4 := loadQuantBenchData4(b)
+	ds, fl, qt := loadQuantBenchData(b)
 	recallOf := func(idx *Index, l int) float64 {
 		got := make([][]int32, ds.Queries.Rows)
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
@@ -632,7 +621,6 @@ func BenchmarkQuantizedSearch(b *testing.B) {
 	}{
 		{"Float32", fl},
 		{"SQ8", qt},
-		{"Int4", q4},
 	} {
 		for _, l := range []int{30, 60} {
 			b.Run(fmt.Sprintf("%s/L%d", cfg.name, l), func(b *testing.B) {

@@ -11,14 +11,14 @@
 //	bench -exp build             # construction pipeline: per-phase wall
 //	                             # clock, allocs and kNN recall, recorded
 //	                             # to BENCH_build.json in the working dir
-//	bench -exp quant             # SQ8 / int4 quantized search vs float32
+//	bench -exp quant             # SQ8 quantized search vs float32
 //	                             # at matched recall, with and without
 //	                             # rerank/relayout, recorded to
 //	                             # BENCH_quant.json in the working dir
 //	bench -exp filter            # predicate-aware filtered search: recall
 //	                             # vs brute-force-with-filter, QPS and the
 //	                             # chosen plan (scan | walk) at 50%..1%
-//	                             # selectivity across float32/sq8/int4,
+//	                             # selectivity across float32/sq8,
 //	                             # plus a multi-tenant disjoint-id-range
 //	                             # sweep, recorded to BENCH_filter.json
 //	bench -exp cluster           # chaos gate: boots a real 3-shard x

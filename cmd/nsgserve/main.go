@@ -103,10 +103,8 @@ func parseQuantMode(s string) (nsg.QuantMode, error) {
 		return nsg.QuantNone, nil
 	case "sq8", "true":
 		return nsg.QuantSQ8, nil
-	case "int4":
-		return nsg.QuantInt4, nil
 	default:
-		return nsg.QuantNone, fmt.Errorf("unknown -quantize mode %q (want none, sq8 or int4)", s)
+		return nsg.QuantNone, fmt.Errorf("unknown -quantize mode %q (want none or sq8)", s)
 	}
 }
 
@@ -127,7 +125,7 @@ func run(args []string, stdout io.Writer) error {
 	defaultK := fs.Int("k", 10, "default number of neighbors")
 	maxL := fs.Int("maxl", 4096, "largest per-request pool size (and k) accepted")
 	exact := fs.Bool("exact", false, "use the exact kNN graph builder")
-	quantize := fs.String("quantize", "none", "compressed serving path: none, sq8 (4x fewer bytes per hop) or int4 (8x; both with exact rerank)")
+	quantize := fs.String("quantize", "none", "compressed serving path: none or sq8 (4x fewer bytes per hop, with exact rerank)")
 	maxPending := fs.Int("maxpending", 512, "delta depth that forces an immediate maintenance drain")
 	publishEvery := fs.Duration("publish-interval", 100*time.Millisecond, "max delay before pending inserts are folded into a published snapshot")
 	seed := fs.Int64("seed", 1, "RNG seed")
@@ -659,8 +657,8 @@ type statsResponse struct {
 	N      int `json:"n"`
 	Dim    int `json:"dim"`
 	Shards int `json:"shards"`
-	// Quantization names the serving representation: "float32", "sq8" or
-	// "int4" (the compressed modes rerank with exact float32 distances).
+	// Quantization names the serving representation: "float32" or "sq8"
+	// (the compressed mode reranks with exact float32 distances).
 	Quantization string `json:"quantization"`
 	ReadOnly     bool   `json:"read_only"`
 	// MetaCols lists the metadata columns available to "filter" clauses

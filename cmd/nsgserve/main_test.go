@@ -292,63 +292,69 @@ func TestOpenIndexModes(t *testing.T) {
 // TestQuantizedServing: a server over a quantized index (the -quantize
 // flag's configuration) must report the quantization mode by name in
 // /stats, answer searches with exact distances, and accept inserts
-// (encoded with the trained grid) — for both SQ8 and packed int4.
+// (encoded with the trained grid). The int4 mode was removed: -quantize
+// int4 must fail naming the modes that remain.
 func TestQuantizedServing(t *testing.T) {
 	ds, err := dataset.SIFTLike(dataset.Config{N: 600, Queries: 4, GTK: 10, Dim: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []nsg.QuantMode{nsg.QuantSQ8, nsg.QuantInt4} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := nsg.DefaultShardedOptions(2)
-			opts.Shard.ExactKNN = true
-			opts.Shard.Seed = 3
-			opts.Shard.Quantize = mode
-			data := make([]float32, len(ds.Base.Data))
-			copy(data, ds.Base.Data)
-			idx, err := nsg.BuildShardedFromFlat(data, ds.Base.Dim, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(idx.Close)
+	t.Run("sq8", func(t *testing.T) {
+		opts := nsg.DefaultShardedOptions(2)
+		opts.Shard.ExactKNN = true
+		opts.Shard.Seed = 3
+		opts.Shard.Quantize = nsg.QuantSQ8
+		data := make([]float32, len(ds.Base.Data))
+		copy(data, ds.Base.Data)
+		idx, err := nsg.BuildShardedFromFlat(data, ds.Base.Dim, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(idx.Close)
 
-			srv := httptest.NewServer(newServer(idx, 10, 60, 4096).mux())
-			defer srv.Close()
+		srv := httptest.NewServer(newServer(idx, 10, 60, 4096).mux())
+		defer srv.Close()
 
-			var stats statsResponse
-			resp, err := http.Get(srv.URL + "/stats")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if stats.Quantization != mode.String() {
-				t.Fatalf("/stats quantization = %q, want %q", stats.Quantization, mode.String())
-			}
+		var stats statsResponse
+		resp, err := http.Get(srv.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if stats.Quantization != "sq8" {
+			t.Fatalf("/stats quantization = %q, want %q", stats.Quantization, "sq8")
+		}
 
-			q := make([]float32, ds.Base.Dim)
-			copy(q, ds.Base.Row(5))
-			_, body := postJSON(t, srv.URL+"/search", searchRequest{Query: q, K: 3})
-			var sr searchResponse
-			if err := json.Unmarshal(body, &sr); err != nil {
-				t.Fatal(err)
-			}
-			if len(sr.IDs) != 3 || sr.IDs[0] != 5 || sr.Dists[0] != 0 {
-				t.Fatalf("quantized self-search wrong: ids=%v dists=%v", sr.IDs, sr.Dists)
-			}
+		q := make([]float32, ds.Base.Dim)
+		copy(q, ds.Base.Row(5))
+		_, body := postJSON(t, srv.URL+"/search", searchRequest{Query: q, K: 3})
+		var sr searchResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if len(sr.IDs) != 3 || sr.IDs[0] != 5 || sr.Dists[0] != 0 {
+			t.Fatalf("quantized self-search wrong: ids=%v dists=%v", sr.IDs, sr.Dists)
+		}
 
-			_, body = postJSON(t, srv.URL+"/insert", insertRequest{Vector: q})
-			var ir insertResponse
-			if err := json.Unmarshal(body, &ir); err != nil {
-				t.Fatal(err)
-			}
-			if ir.N != 601 {
-				t.Fatalf("insert did not grow the quantized index: n=%d", ir.N)
-			}
-		})
-	}
+		_, body = postJSON(t, srv.URL+"/insert", insertRequest{Vector: q})
+		var ir insertResponse
+		if err := json.Unmarshal(body, &ir); err != nil {
+			t.Fatal(err)
+		}
+		if ir.N != 601 {
+			t.Fatalf("insert did not grow the quantized index: n=%d", ir.N)
+		}
+	})
+	t.Run("int4", func(t *testing.T) {
+		var out bytes.Buffer
+		err := run([]string{"-quantize", "int4"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "want none or sq8") {
+			t.Fatalf("-quantize int4: got %v, want an error naming none or sq8", err)
+		}
+	})
 }
 
 // TestSearchesNotBlockedBySlowInsertBatch is the regression gate for the

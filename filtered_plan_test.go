@@ -177,7 +177,6 @@ func TestFilteredPlanParity(t *testing.T) {
 	}
 	defer mapped.Close()
 	run(indexShape("OpenMapped", mapped, vecs[:n]))
-	run(indexShape("int4", build(QuantInt4), vecs[:n]))
 
 	sharded, err := BuildSharded(vecs[:n], DefaultShardedOptions(2))
 	if err != nil {

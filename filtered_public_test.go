@@ -94,7 +94,7 @@ func recallAgainst(got []int32, want []int32) float64 {
 func TestFilteredSearchParity(t *testing.T) {
 	const n, dim, k = 1200, 24, 10
 	vecs := randomVectors(n, dim, 3)
-	for _, mode := range []QuantMode{QuantNone, QuantSQ8, QuantInt4} {
+	for _, mode := range []QuantMode{QuantNone, QuantSQ8} {
 		t.Run(mode.String(), func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Quantize = mode

@@ -66,16 +66,11 @@ func (x *Index) Compact() ([]int32, error) {
 		}
 		inner.Meta = m.Select(clipped, inner.Base.Rows)
 	}
-	if x.opts.Quantize != QuantNone {
+	if x.opts.Quantize == QuantSQ8 {
 		// The compacted graph is fresh: re-relayout and retrain the grid on
 		// the surviving vectors so the quantized serving state matches.
 		inner.Relayout()
-		if x.opts.Quantize == QuantInt4 {
-			err = inner.EnableQuantization4(nil)
-		} else {
-			err = inner.EnableQuantization(nil)
-		}
-		if err != nil {
+		if err := inner.EnableQuantization(nil); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,11 @@
 package nsg
 
-import "testing"
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func buildSmallIndex(t *testing.T, n, dim int, seed int64) (*Index, [][]float32) {
 	t.Helper()
@@ -157,5 +162,50 @@ func TestAddManyKeepsRecall(t *testing.T) {
 	}
 	if recall := float64(hits) / float64(total); recall < 0.85 {
 		t.Errorf("recall after growth = %.3f, want >= 0.85", recall)
+	}
+}
+
+// TestSaveRejectsUncompactedDeletes: no file format stores tombstones, so
+// Save and SaveMapped refuse an index with deletes, and write nothing,
+// rather than a file whose load brings the deleted points back. After
+// Compact both save, and the reloaded index has no trace of the point.
+func TestSaveRejectsUncompactedDeletes(t *testing.T) {
+	idx, vecs := buildSmallIndex(t, 500, 8, 36)
+	if err := idx.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		save func(string) error
+	}{{"Save", idx.Save}, {"SaveMapped", idx.SaveMapped}} {
+		path := filepath.Join(dir, c.name)
+		if err := c.save(path); !errors.Is(err, ErrUncompactedDeletes) {
+			t.Fatalf("%s with a delete: got %v, want ErrUncompactedDeletes", c.name, err)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("refused %s left a file behind: %v", c.name, err)
+		}
+	}
+
+	if _, err := idx.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "compacted.nsg")
+	if err := idx.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.SaveMapped(filepath.Join(dir, "compacted.nsgm")); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Len() != 499 {
+		t.Fatalf("reloaded %d points, want 499", loaded.Len())
+	}
+	if _, dists := loaded.SearchWithPool(vecs[7], 1, 60); dists[0] == 0 {
+		t.Fatal("the deleted point came back after Compact, Save and Load")
 	}
 }

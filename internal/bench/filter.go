@@ -12,15 +12,14 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/knngraph"
 	"repro/internal/meta"
-	"repro/internal/vecmath/quant"
 )
 
 // This file measures predicate-aware filtered search: recall against
 // brute-force-with-filter (the exact answer over the passing subset) and
 // QPS at selectivities from 50% down to 1% — points on both sides of the
-// planner's scan/walk crossover at every effort — across the float32, SQ8
-// and int4 serving paths, plus a multi-tenant sweep where disjoint id
-// ranges emulate per-tenant indexes sharing one graph. Each cell names the
+// planner's scan/walk crossover at every effort — across the float32 and
+// SQ8 serving paths, plus a multi-tenant sweep where disjoint id ranges
+// emulate per-tenant indexes sharing one graph. Each cell names the
 // plan that answered it. The acceptance gate requires filtered search to
 // stay within 0.01 of the exact filtered answer at every selectivity.
 // cmd/bench -exp filter prints the sweep and records it to
@@ -28,7 +27,7 @@ import (
 
 // FilterPoint is one (variant, selectivity, effort) measurement.
 type FilterPoint struct {
-	Variant     string  `json:"variant"`     // float32 | sq8 | int4 | tenant
+	Variant     string  `json:"variant"`     // float32 | sq8 | tenant
 	Selectivity float64 `json:"selectivity"` // fraction of the base set passing
 	Tenants     int     `json:"tenants,omitempty"`
 	Effort      int     `json:"effort"`       // search pool L
@@ -125,7 +124,7 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 	}
 
 	// One graph per serving representation, all from identical seeds.
-	buildOne := func(mode quant.Mode) (*core.NSG, error) {
+	buildOne := func(sq8 bool) (*core.NSG, error) {
 		base := ds.Base.Clone()
 		kp := knngraph.DefaultParams(20)
 		kp.Seed = c.Seed
@@ -137,29 +136,24 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 		if err != nil {
 			return nil, err
 		}
-		switch mode {
-		case quant.ModeSQ8:
-			err = idx.EnableQuantization(nil)
-		case quant.ModeInt4:
-			err = idx.EnableQuantization4(nil)
-		}
-		if err != nil {
-			return nil, err
+		if sq8 {
+			if err := idx.EnableQuantization(nil); err != nil {
+				return nil, err
+			}
 		}
 		idx.Meta = st
 		return idx, nil
 	}
 	variants := []struct {
 		name string
-		mode quant.Mode
+		sq8  bool
 	}{
-		{"float32", quant.ModeNone},
-		{"sq8", quant.ModeSQ8},
-		{"int4", quant.ModeInt4},
+		{"float32", false},
+		{"sq8", true},
 	}
 	indexes := make(map[string]*core.NSG, len(variants))
 	for _, v := range variants {
-		idx, err := buildOne(v.mode)
+		idx, err := buildOne(v.sq8)
 		if err != nil {
 			return err
 		}

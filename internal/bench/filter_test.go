@@ -37,8 +37,8 @@ func TestFilteredSearchWritesJSON(t *testing.T) {
 	if err := json.Unmarshal(blob, &res); err != nil {
 		t.Fatalf("BENCH_filter.json not valid JSON: %v", err)
 	}
-	// 3 variants x len(filterSelectivities) x len(filterEfforts) + 3 tenant points.
-	if want := 3*len(filterSelectivities)*len(filterEfforts) + 3; len(res.Points) != want {
+	// 2 variants x len(filterSelectivities) x len(filterEfforts) + 3 tenant points.
+	if want := 2*len(filterSelectivities)*len(filterEfforts) + 3; len(res.Points) != want {
 		t.Errorf("got %d points, want %d", len(res.Points), want)
 	}
 	selSeen := map[float64]bool{}

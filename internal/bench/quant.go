@@ -11,21 +11,20 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/knngraph"
 	"repro/internal/vecmath"
-	"repro/internal/vecmath/quant"
 )
 
-// This file measures the quantized serving paths against the float32 path
+// This file measures the quantized serving path against the float32 path
 // on one graph: recall, QPS and bytes touched per hop for every combination
-// of {float32, SQ8, int4} x {with, without rerank} x {with, without the BFS
-// cache relayout}. The comparison prices the independent levers — the 4x
-// (SQ8) and 8x (packed int4) code shrinks and the locality permutation —
-// and the rerank's recall repair, the measured counterpart of the paper's
+// of {float32, SQ8} x {with, without rerank} x {with, without the BFS cache
+// relayout}. The comparison prices the independent levers — the 4x SQ8
+// code shrink and the locality permutation — and the rerank's recall
+// repair, the measured counterpart of the paper's
 // memory-bandwidth serving argument (Section 6). cmd/bench -exp quant
 // prints the sweep and records it to BENCH_quant.json.
 
 // QuantPoint is one (variant, effort) measurement.
 type QuantPoint struct {
-	Variant     string  `json:"variant"`       // float32 | sq8 | sq8+rerank | int4 | int4+rerank, each ±relayout
+	Variant     string  `json:"variant"`       // float32 | sq8 | sq8+rerank, each ±relayout
 	Effort      int     `json:"effort"`        // search pool L
 	Recall      float64 `json:"recall"`        // mean recall@k vs exact ground truth
 	QPS         float64 `json:"qps"`           // single-client queries/second
@@ -63,23 +62,19 @@ var quantEfforts = []int{10, 20, 30, 40, 60, 100, 160}
 // quantVariant names one search configuration over a prepared index.
 type quantVariant struct {
 	name   string
-	relaid bool       // serve the relayouted twin
-	mode   quant.Mode // code representation the expansion gathers
-	rerank bool       // exact rerank of the final pool (quantized modes)
+	relaid bool // serve the relayouted twin
+	sq8    bool // the expansion gathers SQ8 codes instead of float rows
+	rerank bool // exact rerank of the final pool (quantized variants)
 }
 
 func quantVariants() []quantVariant {
 	return []quantVariant{
 		{name: "float32", relaid: false},
 		{name: "float32+relayout", relaid: true},
-		{name: "sq8", mode: quant.ModeSQ8},
-		{name: "sq8+relayout", mode: quant.ModeSQ8, relaid: true},
-		{name: "sq8+rerank", mode: quant.ModeSQ8, rerank: true},
-		{name: "sq8+rerank+relayout", mode: quant.ModeSQ8, rerank: true, relaid: true},
-		{name: "int4", mode: quant.ModeInt4},
-		{name: "int4+relayout", mode: quant.ModeInt4, relaid: true},
-		{name: "int4+rerank", mode: quant.ModeInt4, rerank: true},
-		{name: "int4+rerank+relayout", mode: quant.ModeInt4, rerank: true, relaid: true},
+		{name: "sq8", sq8: true},
+		{name: "sq8+relayout", sq8: true, relaid: true},
+		{name: "sq8+rerank", sq8: true, rerank: true},
+		{name: "sq8+rerank+relayout", sq8: true, rerank: true, relaid: true},
 	}
 }
 
@@ -94,14 +89,13 @@ func Quantized(w io.Writer, c ExpConfig) error {
 	k := 10
 	res := QuantResult{Dataset: "SIFT-like", N: ds.Base.Rows, Dim: ds.Base.Dim, Queries: ds.Queries.Rows, K: k}
 
-	fmt.Fprintf(w, "quantized search (SQ8, packed int4) vs float32 on SIFT-like subset (n=%d, dim=%d, k=%d)\n", ds.Base.Rows, ds.Base.Dim, k)
+	fmt.Fprintf(w, "quantized search (SQ8) vs float32 on SIFT-like subset (n=%d, dim=%d, k=%d)\n", ds.Base.Rows, ds.Base.Dim, k)
 	fmt.Fprintf(w, "%-20s %8s %9s %9s %12s %8s %12s %11s %10s\n",
 		"variant", "effort", "recall", "QPS", "ms/query", "hops", "dist/query", "bytes/hop", "allocs/q")
 
 	// One build per relayout cell. Its float32 rows are measured before any
-	// code matrix exists; the same graph is then quantized for the SQ8 rows
-	// and re-quantized for the int4 rows (an index carries exactly one code
-	// representation), so every variant in a cell searches one graph.
+	// code matrix exists; the same graph is then quantized for the SQ8 rows,
+	// so every variant in a cell searches one graph.
 	points := map[string][]QuantPoint{}
 	for _, relaid := range []bool{false, true} {
 		base := ds.Base.Clone()
@@ -118,18 +112,14 @@ func Quantized(w io.Writer, c ExpConfig) error {
 		if relaid {
 			idx.Relayout()
 		}
-		for _, mode := range []quant.Mode{quant.ModeNone, quant.ModeSQ8, quant.ModeInt4} {
-			switch mode {
-			case quant.ModeSQ8:
-				err = idx.EnableQuantization(nil)
-			case quant.ModeInt4:
-				err = idx.EnableQuantization4(nil)
-			}
-			if err != nil {
-				return err
+		for _, sq8 := range []bool{false, true} {
+			if sq8 {
+				if err := idx.EnableQuantization(nil); err != nil {
+					return err
+				}
 			}
 			for _, v := range quantVariants() {
-				if v.relaid != relaid || v.mode != mode {
+				if v.relaid != relaid || v.sq8 != sq8 {
 					continue
 				}
 				for _, effort := range quantEfforts {
@@ -236,19 +226,16 @@ func measureQuantPoint(idx *core.NSG, ds dataset.Dataset, v quantVariant, k, eff
 	pt.AllocsPerQ = float64(allocs) / q
 
 	// Bytes gathered per expansion: every counted evaluation touches one
-	// vector row (1 byte/dim for SQ8 codes, half that for packed int4
-	// nibbles, 4 bytes/dim for floats; a rerank re-touches its pool in
-	// float), plus the expanded node's fixed-stride adjacency row. This is
-	// the quantity the code shrinks and the relayout both attack.
+	// vector row (1 byte/dim for SQ8 codes, 4 bytes/dim for floats; a
+	// rerank re-touches its pool in float), plus the expanded node's
+	// fixed-stride adjacency row. This is the quantity the code shrink and
+	// the relayout both attack.
 	dim := float64(ds.Base.Dim)
 	codeBytes := dim // SQ8: one byte per dimension
-	if v.mode == quant.ModeInt4 {
-		codeBytes = float64(quant.Stride4(ds.Base.Dim)) // two dims per byte
-	}
 	adjBytes := float64(idx.FlatView().Stride) * 4
 	perQuery := adjBytes * (hops / q)
 	switch {
-	case v.mode == quant.ModeNone:
+	case !v.sq8:
 		perQuery += dists * dim * 4
 	case v.rerank:
 		exact := float64(min(effort, ds.Base.Rows)) // the reranked pool

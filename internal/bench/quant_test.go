@@ -21,7 +21,7 @@ func TestQuantizedWritesJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"quantized search (SQ8, packed int4)", "variant", "bytes/hop", "recall>=0.99", "wrote BENCH_quant.json"} {
+	for _, want := range []string{"quantized search (SQ8)", "variant", "bytes/hop", "recall>=0.99", "wrote BENCH_quant.json"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("quant table missing %q:\n%s", want, out)
 		}
@@ -57,24 +57,14 @@ func TestQuantizedWritesJSON(t *testing.T) {
 		}
 	}
 	// The point of the code matrix: SQ8 expansion must touch far fewer
-	// bytes per hop than float32 (4x on the vector share), and packed int4
-	// must halve the code share again.
+	// bytes per hop than float32 (4x on the vector share).
 	if sq8, fl := perHop["sq8"], perHop["float32"]; sq8 >= fl/2 {
 		t.Errorf("sq8 bytes/hop %.0f not well below float32's %.0f", sq8, fl)
 	}
-	if i4, sq8 := perHop["int4"], perHop["sq8"]; i4 >= sq8 {
-		t.Errorf("int4 bytes/hop %.0f not below sq8's %.0f", i4, sq8)
-	}
-	// On the floor dataset every reranked variant reaches high recall at
-	// L=160; the raw int4 orderings get a lower floor — pricing that gap is
-	// what the ablation is for.
+	// On the floor dataset every variant reaches high recall at L=160.
 	for _, pt := range res.Points {
-		floor := 0.9
-		if pt.Variant == "int4" || pt.Variant == "int4+relayout" {
-			floor = 0.75
-		}
-		if pt.Effort == 160 && pt.Recall < floor {
-			t.Errorf("%s at L=160: recall %.3f < %.2f", pt.Variant, pt.Recall, floor)
+		if pt.Effort == 160 && pt.Recall < 0.9 {
+			t.Errorf("%s at L=160: recall %.3f < 0.90", pt.Variant, pt.Recall)
 		}
 	}
 }

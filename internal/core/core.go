@@ -194,24 +194,6 @@ func (d codeDist) deltaRows(counter *vecmath.Counter, ch *DeltaChunk, out []floa
 	d.q.L2ToRowsCount(counter, ch.Codes, d.levels, ch.Seq, out)
 }
 
-// code4Dist scores candidates with the asymmetric int4 kernel over the
-// packed nibble matrix: half a byte per dimension gathered per candidate,
-// 2x less traffic than SQ8 and 8x less than float. Same counting
-// convention as codeDist — each scanned code row is one evaluation.
-type code4Dist struct {
-	q      *quant.Quantizer4
-	codes  quant.Code4Matrix
-	levels []int16 // the prepared query (Quantizer4.PrepareInto)
-}
-
-func (d code4Dist) toRows(counter *vecmath.Counter, ids []int32, out []float32) {
-	d.q.L2ToRowsCount(counter, d.codes, d.levels, ids, out)
-}
-
-func (d code4Dist) deltaRows(counter *vecmath.Counter, ch *DeltaChunk, out []float32) {
-	d.q.L2ToRowsCount(counter, ch.Codes4, d.levels, ch.Seq, out)
-}
-
 // passTest is the one thing that varies between the searches sharing
 // Algorithm 1's body: which scored candidates may hold a result slot. A
 // candidate that fails still routes — it goes to the navigation pool (see

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/vecmath"
-	"repro/internal/vecmath/quant"
 )
 
 // ErrNoMetadata is returned when a predicate is compiled against an index
@@ -221,13 +220,8 @@ const minCodeScan = 48
 // difference.
 func codeScan(ctx *SearchContext, qz *Quantized, query []float32, ids []int32, k int, counter *vecmath.Counter) []int32 {
 	dists := ctx.distScratch(len(ids))
-	if qz.Mode == quant.ModeInt4 {
-		ctx.qlevels = qz.Q4.PrepareInto(ctx.qlevels[:0], query)
-		qz.Q4.L2ToRowsCount(counter, qz.Codes4, ctx.qlevels, ids, dists)
-	} else {
-		ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], query)
-		qz.Q.L2ToRowsCount(counter, qz.Codes, ctx.qlevels, ids, dists)
-	}
+	ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], query)
+	qz.Q.L2ToRowsCount(counter, qz.Codes, ctx.qlevels, ids, dists)
 	b, ok := qz.bound(query, ctx.qlevels)
 	if !ok {
 		return ids

@@ -106,42 +106,34 @@ func TestFilteredParity(t *testing.T) {
 	}
 }
 
-// TestFilteredQuantParity runs the same gate through the SQ8 and int4
-// two-phase paths: results pass the filter, distances are exact float32,
-// recall stays near the reference.
+// TestFilteredQuantParity runs the same gate through the SQ8 two-phase
+// path: results pass the filter, distances are exact float32, recall stays
+// near the reference.
 func TestFilteredQuantParity(t *testing.T) {
 	base := testBase(t, 1200, 24, 5)
-	for _, mode := range []string{"sq8", "int4"} {
-		idx := buildQuantTestNSG(t, base.Clone())
-		var err error
-		if mode == "sq8" {
-			err = idx.EnableQuantization(nil)
-		} else {
-			err = idx.EnableQuantization4(nil)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		flt := makeBits(1200, func(id int32) bool { return id%2 == 0 })
-		queries := testBase(t, 30, 24, 6)
-		ctx := NewSearchContext()
-		sum := 0.0
-		for qi := 0; qi < queries.Rows; qi++ {
-			q := queries.Row(qi)
-			got := idx.Query(ctx, q, Query{K: 10, L: 64, Filter: flt}).Neighbors
-			for _, nb := range got {
-				if !bitTest(flt.Bits, nb.ID) {
-					t.Fatalf("%s: result id %d does not pass the filter", mode, nb.ID)
-				}
-				if exact := vecmath.L2(q, idx.VectorByID(nb.ID)); nb.Dist != exact {
-					t.Fatalf("%s: id %d dist %v != exact %v (rerank missing?)", mode, nb.ID, nb.Dist, exact)
-				}
+	idx := buildQuantTestNSG(t, base.Clone())
+	if err := idx.EnableQuantization(nil); err != nil {
+		t.Fatal(err)
+	}
+	flt := makeBits(1200, func(id int32) bool { return id%2 == 0 })
+	queries := testBase(t, 30, 24, 6)
+	ctx := NewSearchContext()
+	sum := 0.0
+	for qi := 0; qi < queries.Rows; qi++ {
+		q := queries.Row(qi)
+		got := idx.Query(ctx, q, Query{K: 10, L: 64, Filter: flt}).Neighbors
+		for _, nb := range got {
+			if !bitTest(flt.Bits, nb.ID) {
+				t.Fatalf("result id %d does not pass the filter", nb.ID)
 			}
-			sum += recallOf(got, bruteRef(idx, q, 10, flt, nil))
+			if exact := vecmath.L2(q, idx.VectorByID(nb.ID)); nb.Dist != exact {
+				t.Fatalf("id %d dist %v != exact %v (rerank missing?)", nb.ID, nb.Dist, exact)
+			}
 		}
-		if avg := sum / 30; avg < 0.9 {
-			t.Errorf("%s: avg recall %.3f < 0.9", mode, avg)
-		}
+		sum += recallOf(got, bruteRef(idx, q, 10, flt, nil))
+	}
+	if avg := sum / 30; avg < 0.9 {
+		t.Errorf("avg recall %.3f < 0.9", avg)
 	}
 }
 

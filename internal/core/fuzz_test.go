@@ -28,8 +28,10 @@ func FuzzReadNSG(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add([]byte{})
 	f.Add(valid.Bytes()[:8])
-	// Quantized records (SQ8 and packed int4) seed the flagged stream
-	// layouts, so mutations of the code sections are explored too.
+	// A quantized record seeds the flagged stream layout, so mutations of
+	// the code sections are explored too; the same record with its SQ8 flag
+	// swapped for the retired int4 marker seeds the rejection of old int4
+	// files.
 	if err := g.EnableQuantization(nil); err != nil {
 		f.Fatal(err)
 	}
@@ -38,15 +40,9 @@ func FuzzReadNSG(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(validSQ8.Bytes())
-	g4 := &NSG{Graph: gr, Navigating: 0, Base: base, M: 2}
-	if err := g4.EnableQuantization4(nil); err != nil {
-		f.Fatal(err)
-	}
-	var validInt4 bytes.Buffer
-	if err := g4.Write(&validInt4); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(validInt4.Bytes())
+	int4Flag := bytes.Clone(validSQ8.Bytes())
+	int4Flag[12] = int4Flag[12]&^nsgFlagQuant | nsgFlagQuant4
+	f.Add(int4Flag)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := ReadNSG(bytes.NewReader(data), base)
 		if err != nil {

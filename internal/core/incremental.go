@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graphutil"
 	"repro/internal/vecmath"
-	"repro/internal/vecmath/quant"
 )
 
 // This file implements incremental insertion — the future work the paper's
@@ -65,11 +64,7 @@ func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 		x.toInternal = append(x.toInternal, id)
 	}
 	if x.Quant != nil {
-		if x.Quant.Mode == quant.ModeInt4 {
-			x.Quant.Q4.AppendEncoded(&x.Quant.Codes4, vec)
-		} else {
-			x.Quant.Q.AppendEncoded(&x.Quant.Codes, vec)
-		}
+		x.Quant.Q.AppendEncoded(&x.Quant.Codes, vec)
 		x.Quant.raiseRho(nil, vec, int(id))
 	}
 

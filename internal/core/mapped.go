@@ -136,34 +136,19 @@ func (x *NSG) mappedLayout() ([mappedSections]mappedSection, int64) {
 		secs[2].encode = func(w io.Writer) error { return chunkio.WriteInt32s(w, x.PubIDs) }
 	}
 	if x.Quant != nil {
-		// The bounds section is two dim-sized float vectors in either scheme;
-		// the code slab is rows*dim bytes for SQ8 and rows*ceil(dim/2) for
-		// packed int4 — which scheme applies is carried by the header flag.
+		// The bounds section is two dim-sized float vectors; the code slab
+		// is rows*dim bytes.
 		secs[3].size = 2 * dim * 4
-		if x.Quant.Mode == quant.ModeInt4 {
-			secs[3].encode = func(w io.Writer) error {
-				if err := chunkio.WriteFloat32s(w, x.Quant.Q4.Min); err != nil {
-					return err
-				}
-				return chunkio.WriteFloat32s(w, x.Quant.Q4.Max)
-			}
-			secs[4].size = rows * int64(x.Quant.Codes4.Stride)
-			secs[4].encode = func(w io.Writer) error {
-				_, err := w.Write(x.Quant.Codes4.Codes)
+		secs[3].encode = func(w io.Writer) error {
+			if err := chunkio.WriteFloat32s(w, x.Quant.Q.Min); err != nil {
 				return err
 			}
-		} else {
-			secs[3].encode = func(w io.Writer) error {
-				if err := chunkio.WriteFloat32s(w, x.Quant.Q.Min); err != nil {
-					return err
-				}
-				return chunkio.WriteFloat32s(w, x.Quant.Q.Max)
-			}
-			secs[4].size = rows * dim
-			secs[4].encode = func(w io.Writer) error {
-				_, err := w.Write(x.Quant.Codes.Codes)
-				return err
-			}
+			return chunkio.WriteFloat32s(w, x.Quant.Q.Max)
+		}
+		secs[4].size = rows * dim
+		secs[4].encode = func(w io.Writer) error {
+			_, err := w.Write(x.Quant.Codes.Codes)
+			return err
 		}
 	}
 	if x.Meta != nil {
@@ -223,11 +208,7 @@ func (x *NSG) WriteMapped(w io.Writer) error {
 		flags |= nsgFlagRemap
 	}
 	if x.Quant != nil {
-		if x.Quant.Mode == quant.ModeInt4 {
-			flags |= nsgFlagQuant4
-		} else {
-			flags |= nsgFlagQuant
-		}
+		flags |= nsgFlagQuant
 	}
 	if x.Meta != nil {
 		flags |= nsgFlagMeta
@@ -351,11 +332,9 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 		return nil, 0, corruptf(SectionHeader, "header checksum %#08x != %#08x", got, want)
 	}
 	flags := getU32(hdr, 8)
-	if flags&^uint32(nsgFlagRemap|nsgFlagQuant|nsgFlagQuant4|nsgFlagMeta) != 0 {
+	// Unknown bits, the reserved nsgFlagQuant4 among them, are rejected.
+	if flags&^uint32(nsgFlagRemap|nsgFlagQuant|nsgFlagMeta) != 0 {
 		return nil, 0, corruptf(SectionHeader, "unsupported flags %#x", flags)
-	}
-	if flags&nsgFlagQuant != 0 && flags&nsgFlagQuant4 != 0 {
-		return nil, 0, corruptf(SectionHeader, "record claims both SQ8 and int4 quantization")
 	}
 	rows := int64(getU32(hdr, 12))
 	dim := int64(getU32(hdr, 16))
@@ -396,10 +375,6 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 	if flags&nsgFlagQuant != 0 {
 		want[3] = 2 * dim * 4
 		want[4] = rows * dim
-	}
-	if flags&nsgFlagQuant4 != 0 {
-		want[3] = 2 * dim * 4
-		want[4] = rows * int64(quant.Stride4(int(dim)))
 	}
 	var offs, lens [mappedSections]int64
 	var crcs [mappedSections]uint32
@@ -519,13 +494,9 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 		}
 		x.Meta = st
 	}
-	if flags&(nsgFlagQuant|nsgFlagQuant4) != 0 {
-		maxDim := int64(quant.MaxDim)
-		if flags&nsgFlagQuant4 != 0 {
-			maxDim = int64(quant.MaxDim4)
-		}
-		if dim > maxDim {
-			return nil, 0, corruptf(SectionQuantBounds, "dimension %d exceeds the quantizer limit %d", dim, maxDim)
+	if flags&nsgFlagQuant != 0 {
+		if dim > quant.MaxDim {
+			return nil, 0, corruptf(SectionQuantBounds, "dimension %d exceeds the quantizer limit %d", dim, quant.MaxDim)
 		}
 		boundsBytes, err := view(3)
 		if err != nil {
@@ -541,23 +512,9 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 		bounds := mstore.Float32s(boundsBytes)
 		min := append([]float32(nil), bounds[:dim]...)
 		max := append([]float32(nil), bounds[dim:]...)
-		if flags&nsgFlagQuant4 != 0 {
-			x.Quant = &Quantized{
-				Mode: quant.ModeInt4,
-				Q4:   quant.FromBounds4(min, max),
-				Codes4: quant.Code4Matrix{
-					Codes:  codeBytes,
-					Rows:   int(rows),
-					Dim:    int(dim),
-					Stride: quant.Stride4(int(dim)),
-				},
-			}
-		} else {
-			x.Quant = &Quantized{
-				Mode:  quant.ModeSQ8,
-				Q:     quant.FromBounds(min, max),
-				Codes: quant.CodeMatrix{Codes: codeBytes, Rows: int(rows), Dim: int(dim)},
-			}
+		x.Quant = &Quantized{
+			Q:     quant.FromBounds(min, max),
+			Codes: quant.CodeMatrix{Codes: codeBytes, Rows: int(rows), Dim: int(dim)},
 		}
 		// ρ rides on the verification pass, which has just read every row;
 		// without it ρ stays unknown and the rerank reads every float row.
@@ -610,7 +567,6 @@ func (x *NSG) PromoteToHeap() error {
 	if x.Quant != nil {
 		qz := *x.Quant
 		qz.Codes.Codes = append([]uint8(nil), qz.Codes.Codes...)
-		qz.Codes4.Codes = append([]uint8(nil), qz.Codes4.Codes...)
 		x.Quant = &qz
 	}
 	x.flat.Store(heapFlat)

@@ -12,26 +12,20 @@ import (
 
 	"repro/internal/meta"
 	"repro/internal/vecmath"
-	"repro/internal/vecmath/quant"
 )
 
 // buildMappedTestNSG builds one of the persistence-relevant index shapes:
-// plain float32, relaid, and SQ8 or int4 quantized (usually relaid too).
-func buildMappedTestNSG(t testing.TB, base vecmath.Matrix, relayout bool, quantize quant.Mode) *NSG {
+// plain float32, relaid, and SQ8 quantized (usually relaid too).
+func buildMappedTestNSG(t testing.TB, base vecmath.Matrix, relayout, quantize bool) *NSG {
 	t.Helper()
 	idx := buildQuantTestNSG(t, base)
 	if relayout {
 		idx.Relayout()
 	}
-	var err error
-	switch quantize {
-	case quant.ModeSQ8:
-		err = idx.EnableQuantization(nil)
-	case quant.ModeInt4:
-		err = idx.EnableQuantization4(nil)
-	}
-	if err != nil {
-		t.Fatal(err)
+	if quantize {
+		if err := idx.EnableQuantization(nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	idx.Meta = testMetaStore(t, base.Rows)
 	return idx
@@ -83,14 +77,12 @@ func TestMappedHeapParity(t *testing.T) {
 	for _, shape := range []struct {
 		name     string
 		relayout bool
-		quantize quant.Mode
+		quantize bool
 	}{
-		{"plain", false, quant.ModeNone},
-		{"relaid", true, quant.ModeNone},
-		{"quant", false, quant.ModeSQ8},
-		{"relaid-quant", true, quant.ModeSQ8},
-		{"quant4", false, quant.ModeInt4},
-		{"relaid-quant4", true, quant.ModeInt4},
+		{"plain", false, false},
+		{"relaid", true, false},
+		{"quant", false, true},
+		{"relaid-quant", true, true},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			heap := buildMappedTestNSG(t, base.Clone(), shape.relayout, shape.quantize)
@@ -145,7 +137,7 @@ func TestMappedHeapParity(t *testing.T) {
 // ErrReadOnly, and none may corrupt it for subsequent searches.
 func TestMappedReadOnlyGuards(t *testing.T) {
 	base := testBase(t, 300, 16, 9)
-	heap := buildMappedTestNSG(t, base, true, quant.ModeNone)
+	heap := buildMappedTestNSG(t, base, true, false)
 	mapped, err := OpenMapped(saveMappedTemp(t, heap), MapOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +167,7 @@ func TestMappedReadOnlyGuards(t *testing.T) {
 // longer alias the mapping, with results identical to before.
 func TestPromoteToHeap(t *testing.T) {
 	base := testBase(t, 300, 16, 10)
-	heap := buildMappedTestNSG(t, base.Clone(), true, quant.ModeSQ8)
+	heap := buildMappedTestNSG(t, base.Clone(), true, true)
 	mapped, err := OpenMapped(saveMappedTemp(t, heap), MapOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -213,26 +205,44 @@ func rewriteHeaderCRC(b []byte) {
 }
 
 // TestMappedCorruptionTable flips every header field, truncates at every
-// section boundary, misaligns slab offsets and rots section bytes — for
-// both the SQ8 and the packed int4 record shapes; every mutation must yield
-// a FormatError naming the right section, and OpenMapped must never serve a
-// partially valid index.
+// section boundary, misaligns slab offsets and rots section bytes of an SQ8
+// record; every mutation must yield a FormatError naming the right section,
+// and OpenMapped must never serve a partially valid index. The int4 case is
+// a record from before int4 was removed: its header carries the retired
+// int4 marker in place of the SQ8 flag, and it must be refused at the
+// header, not misread as SQ8 or float32.
 func TestMappedCorruptionTable(t *testing.T) {
-	for _, mode := range []quant.Mode{quant.ModeSQ8, quant.ModeInt4} {
-		t.Run(mode.String(), func(t *testing.T) {
-			testMappedCorruptionTable(t, mode)
-		})
-	}
-}
-
-func testMappedCorruptionTable(t *testing.T, mode quant.Mode) {
 	base := testBase(t, 200, 12, 11)
-	heap := buildMappedTestNSG(t, base, true, mode)
+	heap := buildMappedTestNSG(t, base, true, true)
 	var buf bytes.Buffer
 	if err := heap.WriteMapped(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
+	t.Run("sq8", func(t *testing.T) { testMappedCorruptionTable(t, valid) })
+	t.Run("int4", func(t *testing.T) {
+		b := bytes.Clone(valid)
+		putU32(b, 8, getU32(b, 8)&^nsgFlagQuant|nsgFlagQuant4)
+		rewriteHeaderCRC(b)
+		path := filepath.Join(t.TempDir(), "int4.nsgm")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []MapOptions{{}, {NoVerify: true}} {
+			idx, err := OpenMapped(path, opts)
+			if err == nil {
+				idx.Close()
+				t.Fatalf("%+v: int4 record opened without error", opts)
+			}
+			var fe *FormatError
+			if !errors.As(err, &fe) || fe.Section != SectionHeader {
+				t.Fatalf("%+v: got %v, want a header FormatError", opts, err)
+			}
+		}
+	})
+}
+
+func testMappedCorruptionTable(t *testing.T, valid []byte) {
 
 	// Section table as written, for boundary-aware corruption.
 	type sec struct {
@@ -351,7 +361,7 @@ func testMappedCorruptionTable(t *testing.T, mode quant.Mode) {
 // access on the first translated result.
 func TestMappedRemapValidatedUnderNoVerify(t *testing.T) {
 	base := testBase(t, 200, 12, 12)
-	heap := buildMappedTestNSG(t, base, true, quant.ModeNone)
+	heap := buildMappedTestNSG(t, base, true, false)
 	var buf bytes.Buffer
 	if err := heap.WriteMapped(&buf); err != nil {
 		t.Fatal(err)
@@ -378,8 +388,8 @@ func TestMappedRemapValidatedUnderNoVerify(t *testing.T) {
 // and the record must be alignment-padded throughout.
 func TestWriteMappedRecordSize(t *testing.T) {
 	base := testBase(t, 150, 10, 13)
-	for _, quantize := range []quant.Mode{quant.ModeNone, quant.ModeSQ8, quant.ModeInt4} {
-		heap := buildMappedTestNSG(t, base.Clone(), quantize != quant.ModeNone, quantize)
+	for _, quantize := range []bool{false, true} {
+		heap := buildMappedTestNSG(t, base.Clone(), quantize, quantize)
 		var buf bytes.Buffer
 		if err := heap.WriteMapped(&buf); err != nil {
 			t.Fatal(err)
@@ -399,20 +409,25 @@ func TestWriteMappedRecordSize(t *testing.T) {
 func FuzzOpenMapped(f *testing.F) {
 	base := testBase(f, 64, 8, 14)
 	for _, shape := range []struct {
-		relayout bool
-		quantize quant.Mode
+		relayout, quantize bool
+		int4Flag           bool // the SQ8 flag swapped for the retired int4 marker
 	}{
-		{false, quant.ModeNone},
-		{true, quant.ModeSQ8},
-		{true, quant.ModeInt4},
+		{false, false, false},
+		{true, true, false},
+		{true, true, true},
 	} {
 		idx := buildMappedTestNSG(f, base.Clone(), shape.relayout, shape.quantize)
 		var buf bytes.Buffer
 		if err := idx.WriteMapped(&buf); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:mappedHeaderSize])
+		b := buf.Bytes()
+		if shape.int4Flag {
+			putU32(b, 8, getU32(b, 8)&^nsgFlagQuant|nsgFlagQuant4)
+			rewriteHeaderCRC(b)
+		}
+		f.Add(b)
+		f.Add(b[:mappedHeaderSize])
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0}, mappedHeaderSize))

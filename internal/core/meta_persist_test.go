@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/meta"
-	"repro/internal/vecmath/quant"
 )
 
 // metaFingerprint compiles a fixed mixed predicate against a store and
@@ -31,9 +30,12 @@ func metaFingerprint(t *testing.T, s *meta.Store) []uint64 {
 // stream format byte-exactly, for plain and quantized shapes.
 func TestMetaRoundtripStream(t *testing.T) {
 	base := testBase(t, 250, 12, 3)
-	for _, mode := range []quant.Mode{quant.ModeNone, quant.ModeSQ8, quant.ModeInt4} {
-		t.Run(mode.String(), func(t *testing.T) {
-			idx := buildMappedTestNSG(t, base.Clone(), true, mode)
+	for _, tc := range []struct {
+		name     string
+		quantize bool
+	}{{"float32", false}, {"sq8", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx := buildMappedTestNSG(t, base.Clone(), true, tc.quantize)
 			var buf bytes.Buffer
 			if err := idx.Write(&buf); err != nil {
 				t.Fatal(err)
@@ -63,7 +65,7 @@ func TestMetaRoundtripStream(t *testing.T) {
 // verification modes, and PromoteToHeap keeps the store.
 func TestMetaRoundtripMapped(t *testing.T) {
 	base := testBase(t, 250, 12, 4)
-	idx := buildMappedTestNSG(t, base.Clone(), true, quant.ModeSQ8)
+	idx := buildMappedTestNSG(t, base.Clone(), true, true)
 	path := saveMappedTemp(t, idx)
 	for _, opts := range []MapOptions{{}, {NoVerify: true}} {
 		mapped, err := OpenMapped(path, opts)
@@ -94,7 +96,7 @@ func TestMetaRoundtripMapped(t *testing.T) {
 // (section CRC) and the NoVerify mapped open (the blob's own checksum).
 func TestMetaBlobCorruption(t *testing.T) {
 	base := testBase(t, 200, 12, 5)
-	idx := buildMappedTestNSG(t, base.Clone(), true, quant.ModeNone)
+	idx := buildMappedTestNSG(t, base.Clone(), true, false)
 
 	t.Run("stream", func(t *testing.T) {
 		var buf bytes.Buffer

@@ -499,9 +499,12 @@ const (
 	// readers reject new files at the first check instead of misparsing.
 	nsgQuantMagic = 0x4e534751 // "NSGQ"
 
-	nsgFlagRemap  = 1 << 0 // id-remap table follows the graph
-	nsgFlagQuant  = 1 << 1 // SQ8 quantizer + code matrix follow
-	nsgFlagQuant4 = 1 << 2 // int4 quantizer + packed code matrix follow
+	nsgFlagRemap = 1 << 0 // id-remap table follows the graph
+	nsgFlagQuant = 1 << 1 // SQ8 quantizer + code matrix follow
+	// nsgFlagQuant4 is reserved. It marked the int4 quantizer and packed
+	// codes, a scheme that was removed; readers reject it as an unknown bit,
+	// and it must not be reused, so an old int4 file is never misread.
+	nsgFlagQuant4 = 1 << 2
 	nsgFlagMeta   = 1 << 3 // metadata column-store blob follows (after quant)
 
 	// maxMetaBlob bounds the metadata section a reader will allocate for —
@@ -526,11 +529,7 @@ func (x *NSG) Write(w io.Writer) error {
 		flags |= nsgFlagRemap
 	}
 	if x.Quant != nil {
-		if x.Quant.Mode == quant.ModeInt4 {
-			flags |= nsgFlagQuant4
-		} else {
-			flags |= nsgFlagQuant
-		}
+		flags |= nsgFlagQuant
 	}
 	if x.Meta != nil {
 		flags |= nsgFlagMeta
@@ -571,20 +570,11 @@ func (x *NSG) Write(w io.Writer) error {
 		}
 	}
 	if x.Quant != nil {
-		if x.Quant.Mode == quant.ModeInt4 {
-			if err := quant.WriteQuantizer4(bw, &x.Quant.Q4); err != nil {
-				return err
-			}
-			if err := quant.WriteCodes4(bw, x.Quant.Codes4); err != nil {
-				return err
-			}
-		} else {
-			if err := quant.WriteQuantizer(bw, &x.Quant.Q); err != nil {
-				return err
-			}
-			if err := quant.WriteCodes(bw, x.Quant.Codes); err != nil {
-				return err
-			}
+		if err := quant.WriteQuantizer(bw, &x.Quant.Q); err != nil {
+			return err
+		}
+		if err := quant.WriteCodes(bw, x.Quant.Codes); err != nil {
+			return err
 		}
 	}
 	if x.Meta != nil {
@@ -696,11 +686,9 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 		// up front (the reject-don't-misparse discipline the distinct
 		// magic exists for) instead of leaving orphaned bytes that would
 		// corrupt the next record of an embedding stream.
-		if flags&^uint32(nsgFlagRemap|nsgFlagQuant|nsgFlagQuant4|nsgFlagMeta) != 0 {
+		// The reserved nsgFlagQuant4 bit is one of them.
+		if flags&^uint32(nsgFlagRemap|nsgFlagQuant|nsgFlagMeta) != 0 {
 			return nil, fmt.Errorf("core: unsupported NSG record flags %#x", flags)
-		}
-		if flags&nsgFlagQuant != 0 && flags&nsgFlagQuant4 != 0 {
-			return nil, fmt.Errorf("core: NSG record claims both SQ8 and int4 sections")
 		}
 	default:
 		return nil, fmt.Errorf("core: bad NSG file magic")
@@ -751,24 +739,7 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 			return nil, fmt.Errorf("core: quant section shape %dx%d (dim %d) does not match base %dx%d",
 				codes.Rows, codes.Dim, qz.Dim(), base.Rows, base.Dim)
 		}
-		x.Quant = &Quantized{Mode: quant.ModeSQ8, Q: qz, Codes: codes}
-		x.Quant.measureRho(base)
-	}
-	if flags&nsgFlagQuant4 != 0 {
-		qz, err := quant.ReadQuantizer4(br)
-		if err != nil {
-			return nil, err
-		}
-		// Shape-checked before allocation, same contract as the SQ8 section.
-		codes, err := quant.ReadCodes4Shape(br, base.Rows, base.Dim)
-		if err != nil {
-			return nil, err
-		}
-		if qz.Dim() != base.Dim || codes.Dim != base.Dim || codes.Rows != base.Rows {
-			return nil, fmt.Errorf("core: int4 quant section shape %dx%d (dim %d) does not match base %dx%d",
-				codes.Rows, codes.Dim, qz.Dim(), base.Rows, base.Dim)
-		}
-		x.Quant = &Quantized{Mode: quant.ModeInt4, Q4: qz, Codes4: codes}
+		x.Quant = &Quantized{Q: qz, Codes: codes}
 		x.Quant.measureRho(base)
 	}
 	if flags&nsgFlagMeta != 0 {

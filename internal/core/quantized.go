@@ -10,30 +10,21 @@ import (
 
 // This file is the two-phase quantized serving path. Phase one runs
 // Algorithm 1 over a code matrix: the greedy expansion gathers
-// 1-byte-per-dimension SQ8 rows (4x fewer bytes than float) or packed
-// half-byte int4 rows (8x fewer) — the factor that matters once the loop
-// itself is allocation-free, because graph traversal at scale is
+// 1-byte-per-dimension SQ8 rows (4x fewer bytes than float) — the factor
+// that matters once the loop itself is allocation-free, because graph traversal at scale is
 // memory-bandwidth bound (Section 6's commodity-hardware serving
 // argument). Phase two reranks: every candidate of the final pool (up to l
 // nodes) that the error bound below cannot rule out of the top k gets its
 // exact float32 distance in one batched gather, and they are re-sorted
 // before the k results are emitted, so quantization error never reaches
 // the caller's distances and only costs recall when a true neighbor fell
-// out of the pool entirely — which the pool slack (l >= k) absorbs. The
-// coarser int4 grid loses pool members a little earlier than SQ8, so it
-// typically wants a slightly deeper L for the same recall; the halved
-// bytes/hop is what pays for that depth and more.
+// out of the pool entirely — which the pool slack (l >= k) absorbs.
 
-// Quantized bundles a trained grid with the codes of the index's base
-// vectors, tagged by the scheme in use: Mode selects which (Q, Codes) or
-// (Q4, Codes4) pair is live — the other pair stays zero. Rows are in
-// internal (post-relayout) id order, matching Base.
+// Quantized bundles a trained SQ8 grid with the codes of the index's base
+// vectors. Rows are in internal (post-relayout) id order, matching Base.
 type Quantized struct {
-	Mode   quant.Mode
-	Q      quant.Quantizer
-	Codes  quant.CodeMatrix
-	Q4     quant.Quantizer4
-	Codes4 quant.Code4Matrix
+	Q     quant.Quantizer
+	Codes quant.CodeMatrix
 
 	// rho bounds ρ, the largest ‖x − x̂‖ over the rows the code matrix
 	// holds (x̂ a row's grid reconstruction), from above; see codeBound. It
@@ -74,50 +65,13 @@ func (x *NSG) EnableQuantization(q *quant.Quantizer) error {
 		}
 		qz = *q
 	}
-	x.Quant = &Quantized{Mode: quant.ModeSQ8, Q: qz, Codes: qz.Encode(x.Base)}
-	x.Quant.measureRho(x.Base)
-	return nil
-}
-
-// EnableQuantization4 is the int4 twin of EnableQuantization: it attaches a
-// packed nibble matrix (two dimensions per byte) and switches every search
-// path to the two-phase quantized search over it. Same sharing and
-// ordering contract as the SQ8 variant.
-func (x *NSG) EnableQuantization4(q *quant.Quantizer4) error {
-	if x.ro {
-		return ErrReadOnly
-	}
-	if x.Base.Dim > quant.MaxDim4 {
-		return fmt.Errorf("core: dimension %d exceeds the int4 accumulation limit %d", x.Base.Dim, quant.MaxDim4)
-	}
-	if x.Base.Rows == 0 {
-		return fmt.Errorf("core: cannot quantize an empty index")
-	}
-	var qz quant.Quantizer4
-	if q == nil {
-		qz = quant.Train4(x.Base)
-	} else {
-		if q.Dim() != x.Base.Dim {
-			return fmt.Errorf("core: quantizer dim %d != index dim %d", q.Dim(), x.Base.Dim)
-		}
-		qz = *q
-	}
-	x.Quant = &Quantized{Mode: quant.ModeInt4, Q4: qz, Codes4: qz.Encode(x.Base)}
+	x.Quant = &Quantized{Q: qz, Codes: qz.Encode(x.Base)}
 	x.Quant.measureRho(x.Base)
 	return nil
 }
 
 // IsQuantized reports whether the index serves through a quantized path.
 func (x *NSG) IsQuantized() bool { return x.Quant != nil }
-
-// QuantMode returns the quantization scheme the index serves through
-// (quant.ModeNone when unquantized).
-func (x *NSG) QuantMode() quant.Mode {
-	if x.Quant == nil {
-		return quant.ModeNone
-	}
-	return x.Quant.Mode
-}
 
 // Relaid reports whether a Relayout permuted the index (i.e. internal and
 // public ids differ).
@@ -202,23 +156,13 @@ func gridDist(v, min []float32, scale float64, levels []int16) float64 {
 	return (math.Sqrt(e0+e1)*(1+0x1p-52) + math.Sqrt(a0+a1)*0x1p-52) * (1 + 0x1p-38)
 }
 
-// grid returns the trained offsets and step of the live scheme.
+// grid returns the trained offsets and step.
 func (qz *Quantized) grid() (min []float32, scale float64) {
-	if qz.Mode == quant.ModeInt4 {
-		return qz.Q4.Min, float64(qz.Q4.Scale())
-	}
 	return qz.Q.Min, float64(qz.Q.Scale())
 }
 
-// rowLevels appends row i's codes to dst as levels, unpacking int4 nibbles.
+// rowLevels appends row i's codes to dst as levels.
 func (qz *Quantized) rowLevels(dst []int16, i int) []int16 {
-	if qz.Mode == quant.ModeInt4 {
-		row := qz.Codes4.Row(i)
-		for d := 0; d < qz.Codes4.Dim; d++ {
-			dst = append(dst, int16(row[d>>1]>>(4*(d&1))&0x0f))
-		}
-		return dst
-	}
 	for _, c := range qz.Codes.Row(i) {
 		dst = append(dst, int16(c))
 	}

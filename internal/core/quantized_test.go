@@ -260,7 +260,9 @@ func TestVersionGateOldFilesLoad(t *testing.T) {
 
 // TestReadNSGRejectsUnknownFlags: a record carrying flag bits this reader
 // does not know (i.e. sections it cannot consume) must be rejected at the
-// header, not silently half-parsed.
+// header, not silently half-parsed. The retired int4 marker is one of them,
+// beside the SQ8 flag or in its place (an int4 record from before int4 was
+// removed).
 func TestReadNSGRejectsUnknownFlags(t *testing.T) {
 	base := testBase(t, 200, 8, 13)
 	idx := buildQuantTestNSG(t, base)
@@ -271,10 +273,19 @@ func TestReadNSGRejectsUnknownFlags(t *testing.T) {
 	if err := idx.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	blob := buf.Bytes()
-	blob[12] |= 1 << 2 // an undefined flag bit
-	if _, err := ReadNSG(bytes.NewReader(blob), base); err == nil {
-		t.Fatal("ReadNSG accepted a record with unknown flags")
+	for _, tc := range []struct {
+		name string
+		flag func(uint8) uint8
+	}{
+		{"undefined bit", func(f uint8) uint8 { return f | 1<<7 }},
+		{"int4 beside sq8", func(f uint8) uint8 { return f | nsgFlagQuant4 }},
+		{"int4 in place of sq8", func(f uint8) uint8 { return f&^nsgFlagQuant | nsgFlagQuant4 }},
+	} {
+		blob := bytes.Clone(buf.Bytes())
+		blob[12] = tc.flag(blob[12])
+		if _, err := ReadNSG(bytes.NewReader(blob), base); err == nil {
+			t.Fatalf("%s: ReadNSG accepted a record with unknown flags", tc.name)
+		}
 	}
 }
 
@@ -402,7 +413,7 @@ func TestQuantBoundNearTies(t *testing.T) {
 				}
 			}
 		}
-		s := &Snapshot{base: base, quant: &Quantized{Mode: quant.ModeSQ8, Q: qz, Codes: qz.Encode(base)}}
+		s := &Snapshot{base: base, quant: &Quantized{Q: qz, Codes: qz.Encode(base)}}
 		s.quant.measureRho(base)
 		query := make([]float32, dim)
 		ctx := NewSearchContext()
@@ -465,83 +476,75 @@ func TestQuantBoundNearTies(t *testing.T) {
 // 1e-9; a NoVerify open leaves it unknown, and an Insert far outside the
 // trained range raises it.
 func TestRhoMeasuredEverywhere(t *testing.T) {
-	for _, mode := range []quant.Mode{quant.ModeSQ8, quant.ModeInt4} {
-		t.Run(mode.String(), func(t *testing.T) {
-			base := testBase(t, 600, 37, 81)
-			x := buildQuantTestNSG(t, base.Clone())
-			x.Relayout()
-			var err error
-			if mode == quant.ModeInt4 {
-				err = x.EnableQuantization4(nil)
-			} else {
-				err = x.EnableQuantization(nil)
+	t.Run("sq8", func(t *testing.T) {
+		base := testBase(t, 600, 37, 81)
+		x := buildQuantTestNSG(t, base.Clone())
+		x.Relayout()
+		if err := x.EnableQuantization(nil); err != nil {
+			t.Fatal(err)
+		}
+		// Independently: the largest distance from a row to its
+		// reconstruction.
+		var want float64
+		for i := 0; i < x.Base.Rows; i++ {
+			levels := x.Quant.rowLevels(nil, i)
+			min, scale := x.Quant.grid()
+			var s float64
+			for d, v := range x.Base.Row(i) {
+				e := float64(v) - (float64(min[d]) + scale*float64(levels[d]))
+				s += e * e
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Independently: the largest distance from a row to its
-			// reconstruction.
-			var want float64
-			for i := 0; i < x.Base.Rows; i++ {
-				levels := x.Quant.rowLevels(nil, i)
-				min, scale := x.Quant.grid()
-				var s float64
-				for d, v := range x.Base.Row(i) {
-					e := float64(v) - (float64(min[d]) + scale*float64(levels[d]))
-					s += e * e
-				}
-				want = max(want, math.Sqrt(s))
-			}
-			if !x.Quant.hasRho || x.Quant.rho < want || x.Quant.rho > want*(1+1e-9) {
-				t.Fatalf("encode: rho %g (known %v), measured %g", x.Quant.rho, x.Quant.hasRho, want)
-			}
-			rho := x.Quant.rho
+			want = max(want, math.Sqrt(s))
+		}
+		if !x.Quant.hasRho || x.Quant.rho < want || x.Quant.rho > want*(1+1e-9) {
+			t.Fatalf("encode: rho %g (known %v), measured %g", x.Quant.rho, x.Quant.hasRho, want)
+		}
+		rho := x.Quant.rho
 
-			var buf bytes.Buffer
-			if err := x.Write(&buf); err != nil {
-				t.Fatal(err)
+		var buf bytes.Buffer
+		if err := x.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadNSG(&buf, x.PublicBase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "rho.nsgm")
+		if err := x.SaveMapped(path); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := OpenMapped(path, MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		trusted, err := OpenMapped(path, MapOptions{NoVerify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer trusted.Close()
+		for name, q := range map[string]*Quantized{"Load": loaded.Quant, "OpenMapped": mapped.Quant} {
+			if !q.hasRho || q.rho != rho {
+				t.Fatalf("%s: rho %g (known %v), encode measured %g", name, q.rho, q.hasRho, rho)
 			}
-			loaded, err := ReadNSG(&buf, x.PublicBase())
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "rho.nsgm")
-			if err := x.SaveMapped(path); err != nil {
-				t.Fatal(err)
-			}
-			mapped, err := OpenMapped(path, MapOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mapped.Close()
-			trusted, err := OpenMapped(path, MapOptions{NoVerify: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer trusted.Close()
-			for name, q := range map[string]*Quantized{"Load": loaded.Quant, "OpenMapped": mapped.Quant} {
-				if !q.hasRho || q.rho != rho {
-					t.Fatalf("%s: rho %g (known %v), encode measured %g", name, q.rho, q.hasRho, rho)
-				}
-			}
-			if trusted.Quant.hasRho {
-				t.Fatal("NoVerify open claims a known rho")
-			}
-			if err := mapped.PromoteToHeap(); err != nil {
-				t.Fatal(err)
-			}
-			if !mapped.Quant.hasRho || mapped.Quant.rho != rho {
-				t.Fatalf("PromoteToHeap: rho %g (known %v), want %g", mapped.Quant.rho, mapped.Quant.hasRho, rho)
-			}
+		}
+		if trusted.Quant.hasRho {
+			t.Fatal("NoVerify open claims a known rho")
+		}
+		if err := mapped.PromoteToHeap(); err != nil {
+			t.Fatal(err)
+		}
+		if !mapped.Quant.hasRho || mapped.Quant.rho != rho {
+			t.Fatalf("PromoteToHeap: rho %g (known %v), want %g", mapped.Quant.rho, mapped.Quant.hasRho, rho)
+		}
 
-			far := append([]float32(nil), base.Row(0)...)
-			far[3] = 1000
-			if _, err := x.Insert(far, InsertParams{}); err != nil {
-				t.Fatal(err)
-			}
-			if x.Quant.rho < 900 {
-				t.Fatalf("Insert of a row ~995 outside the grid left rho at %g", x.Quant.rho)
-			}
-		})
-	}
+		far := append([]float32(nil), base.Row(0)...)
+		far[3] = 1000
+		if _, err := x.Insert(far, InsertParams{}); err != nil {
+			t.Fatal(err)
+		}
+		if x.Quant.rho < 900 {
+			t.Fatalf("Insert of a row ~995 outside the grid left rho at %g", x.Quant.rho)
+		}
+	})
 }

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/vecmath/quant"
-
 // permuteRows rearranges fixed-stride rows in place so that row i ends up
 // holding what was row p[i] — a gather by the permutation p, executed by
 // cycle following with one row-sized temporary. Used wherever a relayout
@@ -83,13 +81,7 @@ func (x *NSG) Relayout() {
 	// the vectors.
 	permuteRows(x.Base.Data, x.Base.Dim, order)
 	if x.Quant != nil {
-		if x.Quant.Mode == quant.ModeInt4 {
-			// Packed rows permute as Stride-byte units; nibble layout within
-			// a row is position-independent.
-			permuteRows(x.Quant.Codes4.Codes, x.Quant.Codes4.Stride, order)
-		} else {
-			permuteRows(x.Quant.Codes.Codes, x.Quant.Codes.Dim, order)
-		}
+		permuteRows(x.Quant.Codes.Codes, x.Quant.Codes.Dim, order)
 	}
 
 	// Relabel and reorder the adjacency lists, reusing the per-node slices.

@@ -107,18 +107,17 @@ func (s *Snapshot) Stats() IndexStats {
 }
 
 // DeltaChunk is one contiguous run of not-yet-drained inserts: float rows
-// (always), code rows in the index's quantization scheme (Codes for SQ8,
-// Codes4 for int4; the other stays zero), the final id of every row, and
-// the identity sequence 0..Rows() the batched gather kernels scan with.
+// (always), SQ8 code rows (on a quantized index; zero otherwise), the final
+// id of every row, and the identity sequence 0..Rows() the batched gather
+// kernels scan with.
 // Off is the chunk's starting offset in the query's delta id space: row j
 // is offered to the pool as candidate n + Off + j.
 type DeltaChunk struct {
-	Vecs   vecmath.Matrix
-	Codes  quant.CodeMatrix
-	Codes4 quant.Code4Matrix
-	IDs    []int32
-	Seq    []int32
-	Off    int
+	Vecs  vecmath.Matrix
+	Codes quant.CodeMatrix
+	IDs   []int32
+	Seq   []int32
+	Off   int
 }
 
 // Rows returns the number of pending rows in the chunk.
@@ -260,10 +259,10 @@ func (s *Snapshot) Query(ctx *SearchContext, vec []float32, q Query) SearchResul
 }
 
 // searchView runs the walk in the view's distance space. On a quantized
-// view that is code space (SQ8 or packed int4, per its mode) keeping the
-// whole main pool, followed — unless q.NoRerank, the ablation hook — by one
-// exact rerank of every survivor the error bound cannot rule out of the top
-// k, so emitted distances are exact and a true neighbor misranked by
+// view that is SQ8 code space keeping the whole main pool, followed —
+// unless q.NoRerank, the ablation hook — by one exact rerank of every
+// survivor the error bound cannot rule out of the top k, so emitted
+// distances are exact and a true neighbor misranked by
 // quantization still reaches the top k.
 func searchView[P passTest](ctx *SearchContext, s *Snapshot, vec []float32, q Query, lnav int, pf P) SearchResult {
 	a, n := flatAdj{g: s.flat}, s.base.Rows
@@ -276,16 +275,9 @@ func searchView[P passTest](ctx *SearchContext, s *Snapshot, vec []float32, q Qu
 	if q.NoRerank {
 		fetch = q.K
 	}
-	var res SearchResult
-	if qz.Mode == quant.ModeInt4 {
-		ctx.qlevels = qz.Q4.PrepareInto(ctx.qlevels[:0], vec)
-		dist := code4Dist{q: &qz.Q4, codes: qz.Codes4, levels: ctx.qlevels}
-		res = walk(ctx, a, n, dist, ctx.startBuf[:], fetch, q.L, lnav, q.Counter, q.Delta, pf)
-	} else {
-		ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], vec)
-		dist := codeDist{q: &qz.Q, codes: qz.Codes, levels: ctx.qlevels}
-		res = walk(ctx, a, n, dist, ctx.startBuf[:], fetch, q.L, lnav, q.Counter, q.Delta, pf)
-	}
+	ctx.qlevels = qz.Q.PrepareInto(ctx.qlevels[:0], vec)
+	dist := codeDist{q: &qz.Q, codes: qz.Codes, levels: ctx.qlevels}
+	res := walk(ctx, a, n, dist, ctx.startBuf[:], fetch, q.L, lnav, q.Counter, q.Delta, pf)
 	if !q.NoRerank {
 		thr := math.Inf(1)
 		if b, ok := qz.bound(vec, ctx.qlevels); ok {

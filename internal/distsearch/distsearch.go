@@ -85,12 +85,11 @@ type Params struct {
 	// UseNNDescent selects the approximate kNN builder (the at-scale path);
 	// false uses the exact builder.
 	UseNNDescent bool
-	// Quantize selects the compressed serving path on every shard (SQ8 or
-	// packed int4): one quantizer is trained on the full base matrix (not
-	// per shard, so all shards share identical scales and their merged
-	// distances are comparable), then each shard is relayouted into BFS
-	// cache order and encoded.
-	Quantize quant.Mode
+	// Quantize selects the SQ8 serving path on every shard: one quantizer
+	// is trained on the full base matrix (not per shard, so all shards
+	// share identical scales and their merged distances are comparable),
+	// then each shard is relayouted into BFS cache order and encoded.
+	Quantize bool
 	Seed     int64
 }
 
@@ -109,12 +108,11 @@ type SearchStats struct {
 }
 
 // buildShard partitions out one shard's rows and builds its NSG. perm is
-// the global random permutation; the shard owns rows perm[lo:hi]. qz or
-// qz4 (at most one non-nil, matching p.Quantize) is the quantizer trained
-// once on the full base matrix: the shard is relayouted into BFS cache
-// order and encoded with those shared scales instead of retraining per
-// shard.
-func buildShard(base vecmath.Matrix, perm []int, lo, hi int, p Params, sh int, qz *quant.Quantizer, qz4 *quant.Quantizer4) (*core.NSG, []int32, error) {
+// the global random permutation; the shard owns rows perm[lo:hi]. qz,
+// non-nil iff p.Quantize, is the quantizer trained once on the full base
+// matrix: the shard is relayouted into BFS cache order and encoded with
+// those shared scales instead of retraining per shard.
+func buildShard(base vecmath.Matrix, perm []int, lo, hi int, p Params, sh int, qz *quant.Quantizer) (*core.NSG, []int32, error) {
 	ids := make([]int32, hi-lo)
 	sub := vecmath.NewMatrix(hi-lo, base.Dim)
 	for j, pi := range perm[lo:hi] {
@@ -131,13 +129,7 @@ func buildShard(base vecmath.Matrix, perm []int, lo, hi int, p Params, sh int, q
 	if err != nil {
 		return nil, nil, fmt.Errorf("distsearch: shard %d NSG: %w", sh, err)
 	}
-	switch {
-	case qz4 != nil:
-		idx.Relayout()
-		if err := idx.EnableQuantization4(qz4); err != nil {
-			return nil, nil, fmt.Errorf("distsearch: shard %d quantize: %w", sh, err)
-		}
-	case qz != nil:
+	if qz != nil {
 		idx.Relayout()
 		if err := idx.EnableQuantization(qz); err != nil {
 			return nil, nil, fmt.Errorf("distsearch: shard %d quantize: %w", sh, err)
@@ -180,21 +172,16 @@ func BuildSharded(base vecmath.Matrix, p Params) (*Sharded, error) {
 	// One quantizer training pass for the whole build: trained on the full
 	// matrix before the fan-out, shared read-only by every shard's encode.
 	var qz *quant.Quantizer
-	var qz4 *quant.Quantizer4
-	switch p.Quantize {
-	case quant.ModeSQ8:
+	if p.Quantize {
 		q := quant.Train(base)
 		qz = &q
-	case quant.ModeInt4:
-		q := quant.Train4(base)
-		qz4 = &q
 	}
 
 	shards := make([]*core.NSG, len(spans))
 	localID := make([][]int32, len(spans))
 	errs := make([]error, len(spans))
 	graphutil.ParallelFor(len(spans), func(sh int) {
-		shards[sh], localID[sh], errs[sh] = buildShard(base, perm, spans[sh].lo, spans[sh].hi, p, sh, qz, qz4)
+		shards[sh], localID[sh], errs[sh] = buildShard(base, perm, spans[sh].lo, spans[sh].hi, p, sh, qz)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -257,15 +244,6 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // shards share one quantization state, so the first speaks for all).
 func (s *Sharded) Quantized() bool {
 	return len(s.shards) > 0 && s.shards[0].IsQuantized()
-}
-
-// QuantMode returns the shards' quantization scheme (ModeNone when they
-// serve full float32 vectors).
-func (s *Sharded) QuantMode() quant.Mode {
-	if len(s.shards) == 0 {
-		return quant.ModeNone
-	}
-	return s.shards[0].QuantMode()
 }
 
 // ShardSizes returns the number of vectors in each shard: its published

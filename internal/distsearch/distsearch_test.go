@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/vecmath"
-	"repro/internal/vecmath/quant"
 )
 
 func buildSharded(t *testing.T, n, shards int) (*Sharded, dataset.Dataset) {
@@ -262,7 +261,7 @@ func TestQuantizedSharding(t *testing.T) {
 	}
 	p := DefaultParams(4)
 	p.UseNNDescent = false
-	p.Quantize = quant.ModeSQ8
+	p.Quantize = true
 	s, err := BuildSharded(ds.Base, p)
 	if err != nil {
 		t.Fatal(err)

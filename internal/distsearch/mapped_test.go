@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/vecmath/quant"
 )
 
 func saveShardedMapped(t *testing.T, s *Sharded, meta []byte) string {
@@ -24,10 +23,14 @@ func saveShardedMapped(t *testing.T, s *Sharded, meta []byte) string {
 
 // TestShardedMappedParity: a mapped container must serve byte-identical
 // fan-out results to the heap index it was written from, for the plain
-// build and both quantized builds.
+// build and the SQ8 build.
 func TestShardedMappedParity(t *testing.T) {
-	for _, quantize := range []quant.Mode{quant.ModeNone, quant.ModeSQ8, quant.ModeInt4} {
-		t.Run(quantize.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		quantize bool
+	}{{"float32", false}, {"sq8", true}} {
+		quantize := tc.quantize
+		t.Run(tc.name, func(t *testing.T) {
 			ds, err := dataset.ECommerceLike(dataset.Config{N: 1500, Queries: 25, GTK: 10, Dim: 32, Seed: 31})
 			if err != nil {
 				t.Fatal(err)
@@ -54,8 +57,8 @@ func TestShardedMappedParity(t *testing.T) {
 			if !mapped.ReadOnly() || mapped.Shards() != heap.Shards() || mapped.Len() != heap.Len() {
 				t.Fatalf("mapped shape: ro=%v shards=%d len=%d", mapped.ReadOnly(), mapped.Shards(), mapped.Len())
 			}
-			if mapped.QuantMode() != quantize {
-				t.Fatalf("QuantMode() = %v, want %v", mapped.QuantMode(), quantize)
+			if mapped.Quantized() != quantize {
+				t.Fatalf("Quantized() = %v, want %v", mapped.Quantized(), quantize)
 			}
 			for qi := 0; qi < ds.Queries.Rows; qi++ {
 				q := ds.Queries.Row(qi)

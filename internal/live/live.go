@@ -92,21 +92,18 @@ type Stats struct {
 // chunk is one fixed-capacity run of the append-only delta buffer. Rows
 // [0, n) are frozen — written before n was advanced, never touched again —
 // so readers that load n once may scan them without a lock. codes is
-// non-nil iff the index is SQ8-quantized; codes4 (with its packed row
-// stride) iff it is int4-quantized.
+// non-nil iff the index is SQ8-quantized.
 type chunk struct {
-	vecs   []float32
-	codes  []uint8
-	codes4 []uint8
-	stride int // packed bytes per codes4 row
-	ids    []int32
-	seq    []int32 // identity sequence 0..cap, for the batched gather kernels
-	dim    int
-	cap    int
-	n      atomic.Int32
+	vecs  []float32
+	codes []uint8
+	ids   []int32
+	seq   []int32 // identity sequence 0..cap, for the batched gather kernels
+	dim   int
+	cap   int
+	n     atomic.Int32
 }
 
-func newChunk(rows, dim int, mode quant.Mode, seq []int32) *chunk {
+func newChunk(rows, dim int, quantized bool, seq []int32) *chunk {
 	ch := &chunk{
 		vecs: make([]float32, rows*dim),
 		ids:  make([]int32, rows),
@@ -114,12 +111,8 @@ func newChunk(rows, dim int, mode quant.Mode, seq []int32) *chunk {
 		dim:  dim,
 		cap:  rows,
 	}
-	switch mode {
-	case quant.ModeSQ8:
+	if quantized {
 		ch.codes = make([]uint8, rows*dim)
-	case quant.ModeInt4:
-		ch.stride = quant.Stride4(dim)
-		ch.codes4 = make([]uint8, rows*ch.stride)
 	}
 	return ch
 }
@@ -146,9 +139,8 @@ type view struct {
 // starts another.
 type Handle struct {
 	idx *core.NSG
-	ro  bool              // the NSG is a read-only mapping: Append is refused
-	q   *quant.Quantizer  // non-nil iff SQ8-quantized
-	q4  *quant.Quantizer4 // non-nil iff int4-quantized
+	ro  bool             // the NSG is a read-only mapping: Append is refused
+	q   *quant.Quantizer // non-nil iff SQ8-quantized
 	dim int
 
 	mu     sync.Mutex
@@ -196,11 +188,7 @@ func New(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options) 
 		wake:   make(chan struct{}, 1),
 	}
 	if idx.Quant != nil {
-		if idx.Quant.Mode == quant.ModeInt4 {
-			h.q4 = &idx.Quant.Q4
-		} else {
-			h.q = &idx.Quant.Q
-		}
+		h.q = &idx.Quant.Q
 	}
 	if dead.Len() > 0 {
 		h.dead = dead.Clone()
@@ -307,26 +295,16 @@ func (h *Handle) appendLocked(vec []float32, id int32) error {
 	}
 	fresh := ch == nil
 	if fresh {
-		mode := quant.ModeNone
-		switch {
-		case h.q4 != nil:
-			mode = quant.ModeInt4
-		case h.q != nil:
-			mode = quant.ModeSQ8
-		}
 		rows := h.opts.ChunkRows
 		for len(h.seq) < rows {
 			h.seq = append(h.seq, int32(len(h.seq)))
 		}
-		ch = newChunk(rows, h.dim, mode, h.seq[:rows])
+		ch = newChunk(rows, h.dim, h.q != nil, h.seq[:rows])
 		h.chunks = append(h.chunks, ch)
 	}
 	i := int(ch.n.Load())
 	copy(ch.vecs[i*h.dim:(i+1)*h.dim], vec)
-	switch {
-	case h.q4 != nil:
-		h.q4.EncodeInto(ch.codes4[i*ch.stride:(i+1)*ch.stride], vec)
-	case h.q != nil:
+	if h.q != nil {
 		h.q.EncodeInto(ch.codes[i*h.dim:(i+1)*h.dim], vec)
 	}
 	ch.ids[i] = id
@@ -490,9 +468,6 @@ func (v *view) fill(d *core.Delta) *core.Delta {
 		}
 		if ch.codes != nil {
 			dc.Codes = quant.CodeMatrix{Codes: ch.codes[lo*ch.dim : cnt*ch.dim], Rows: rows, Dim: ch.dim}
-		}
-		if ch.codes4 != nil {
-			dc.Codes4 = quant.Code4Matrix{Codes: ch.codes4[lo*ch.stride : cnt*ch.stride], Rows: rows, Dim: ch.dim, Stride: ch.stride}
 		}
 		d.Chunks = append(d.Chunks, dc)
 		d.Total += rows

@@ -8,9 +8,9 @@ import (
 	"repro/internal/vecmath"
 )
 
-// BenchmarkQuantKernel compares one SQ8 and one packed int4 code distance
-// against one float32 distance at serving dimensions, plus the portable
-// scalar fallbacks — the per-distance view of the 4x and 8x byte shrinks.
+// BenchmarkQuantKernel compares one SQ8 code distance against one float32
+// distance at serving dimensions, plus the portable scalar fallback — the
+// per-distance view of the 4x byte shrink.
 func BenchmarkQuantKernel(b *testing.B) {
 	for _, dim := range []int{32, 128, 960} {
 		rng := rand.New(rand.NewSource(1))
@@ -21,9 +21,6 @@ func BenchmarkQuantKernel(b *testing.B) {
 		q := Train(m)
 		c := q.Encode(m)
 		levels := q.PrepareInto(nil, m.Row(0))
-		q4 := Train4(m)
-		c4 := q4.Encode(m)
-		levels4 := q4.PrepareInto(nil, m.Row(0))
 		b.Run(fmt.Sprintf("dim=%d/float32", dim), func(b *testing.B) {
 			var s float32
 			for i := 0; i < b.N; i++ {
@@ -45,27 +42,13 @@ func BenchmarkQuantKernel(b *testing.B) {
 			}
 			_ = s
 		})
-		b.Run(fmt.Sprintf("dim=%d/int4", dim), func(b *testing.B) {
-			var s int32
-			for i := 0; i < b.N; i++ {
-				s += L2Levels4(levels4, c4.Row(i&1023))
-			}
-			_ = s
-		})
-		b.Run(fmt.Sprintf("dim=%d/int4-generic", dim), func(b *testing.B) {
-			var s int32
-			for i := 0; i < b.N; i++ {
-				s += l2Levels4Generic(levels4, c4.Row(i&1023))
-			}
-			_ = s
-		})
 	}
 }
 
 // BenchmarkQuantL2ToRows: one gather per id list over random rows of a
 // 30 000 x 128 code matrix, at the length a hop of Algorithm 1 stages (16)
 // and the length a filter's exact scan passes (800, far beyond the prefetch
-// window) — the SQ8 and int4 twins of vecmath's BenchmarkL2ToRows. ns/op is
+// window) — the SQ8 twin of vecmath's BenchmarkL2ToRows. ns/op is
 // per row. "dispatch" is what callers get (the prefetching AVX2 gather
 // unless NSG_NO_AVX2 or the CPU says otherwise); "scalar" is the per-row
 // scalar kernel whatever the CPU.
@@ -81,47 +64,32 @@ func BenchmarkQuantL2ToRows(b *testing.B) {
 	for i := range ids {
 		ids[i] = int32(rng.Intn(rows))
 	}
-	q, q4 := Train(m), Train4(m)
-	c, c4 := q.Encode(m), q4.Encode(m)
-	levels, levels4 := q.PrepareInto(nil, query), q4.PrepareInto(nil, query)
+	q := Train(m)
+	c := q.Encode(m)
+	levels := q.PrepareInto(nil, query)
 	type toRows func(ids []int32, out []float32)
-	schemes := []struct {
-		name             string
-		dispatch, scalar toRows
-	}{
-		{"sq8",
-			func(ids []int32, out []float32) { q.L2ToRows(c, levels, ids, out) },
-			func(ids []int32, out []float32) {
-				for i, id := range ids {
-					out[i] = float32(l2LevelsGeneric(levels, c.Row(int(id)))) * q.distMul
-				}
-			}},
-		{"int4",
-			func(ids []int32, out []float32) { q4.L2ToRows(c4, levels4, ids, out) },
-			func(ids []int32, out []float32) {
-				for i, id := range ids {
-					out[i] = float32(l2Levels4Generic(levels4, c4.Row(int(id)))) * q4.distMul
-				}
-			}},
+	dispatch := func(ids []int32, out []float32) { q.L2ToRows(c, levels, ids, out) }
+	scalar := func(ids []int32, out []float32) {
+		for i, id := range ids {
+			out[i] = float32(l2LevelsGeneric(levels, c.Row(int(id)))) * q.distMul
+		}
 	}
-	for _, sc := range schemes {
-		for _, n := range []int{16, 800} {
-			for _, k := range []struct {
-				name string
-				fn   toRows
-			}{{"dispatch", sc.dispatch}, {"scalar", sc.scalar}} {
-				b.Run(fmt.Sprintf("%s/ids=%d/%s", sc.name, n, k.name), func(b *testing.B) {
-					out := make([]float32, n)
-					b.ReportAllocs()
-					lists := b.N/n + 1
-					b.ResetTimer()
-					for i := 0; i < lists; i++ {
-						off := (i * n) % (len(ids) - n)
-						k.fn(ids[off:off+n], out)
-					}
-					benchSink = out[0]
-				})
-			}
+	for _, n := range []int{16, 800} {
+		for _, k := range []struct {
+			name string
+			fn   toRows
+		}{{"dispatch", dispatch}, {"scalar", scalar}} {
+			b.Run(fmt.Sprintf("sq8/ids=%d/%s", n, k.name), func(b *testing.B) {
+				out := make([]float32, n)
+				b.ReportAllocs()
+				lists := b.N/n + 1
+				b.ResetTimer()
+				for i := 0; i < lists; i++ {
+					off := (i * n) % (len(ids) - n)
+					k.fn(ids[off:off+n], out)
+				}
+				benchSink = out[0]
+			})
 		}
 	}
 }

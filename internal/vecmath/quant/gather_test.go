@@ -10,51 +10,33 @@ import (
 	"repro/internal/cpu"
 )
 
-// The whole-list gathers (one assembly call per id list on amd64 with AVX2)
-// against the per-row kernels L2Levels and L2Levels4, which define the
-// bits. Under NSG_NO_AVX2 (and off amd64) both sides run the scalar loops;
-// the kernel-matrix CI lane runs both dispatches.
+// The whole-list gather (one assembly call per id list on amd64 with AVX2)
+// against the per-row kernel L2Levels, which defines the bits. Under
+// NSG_NO_AVX2 (and off amd64) both sides run the scalar loops; the
+// kernel-matrix CI lane runs both dispatches.
 
-// gatherCase is one code matrix of either scheme with a prepared query.
+// gatherCase is one code matrix with its gather and per-row reference.
 type gatherCase struct {
-	name   string
-	stride int
 	gather func(levels []int16, ids []int32, out []float32)
 	row    func(levels []int16, id int32) float32 // the per-row reference
 }
 
-// gatherCases builds an SQ8 and an int4 matrix of rows rows at dimension
-// dim over codes drawn at random. Each matrix starts one byte into its
-// allocation and ends where the allocation does, so a kernel that read past
-// the last row would leave the slice.
-func gatherCases(rng *rand.Rand, rows, dim int) (sq8, int4 gatherCase) {
+// newGatherCase builds an SQ8 matrix of rows rows at dimension dim over
+// codes drawn at random. The matrix starts one byte into its allocation and
+// ends where the allocation does, so a kernel that read past the last row
+// would leave the slice.
+func newGatherCase(rng *rand.Rand, rows, dim int) gatherCase {
 	q := Quantizer{distMul: 0.37}
 	c := CodeMatrix{Codes: randomBytes(rng, rows*dim), Rows: rows, Dim: dim}
-	sq8 = gatherCase{
-		name:   "sq8",
-		stride: dim,
+	return gatherCase{
 		gather: func(levels []int16, ids []int32, out []float32) { q.L2ToRows(c, levels, ids, out) },
 		row: func(levels []int16, id int32) float32 {
 			return float32(L2Levels(levels, c.Row(int(id)))) * q.distMul
 		},
 	}
-	q4 := Quantizer4{distMul: 1.9}
-	stride := Stride4(dim)
-	c4 := Code4Matrix{Codes: randomBytes(rng, rows*stride), Rows: rows, Dim: dim, Stride: stride}
-	int4 = gatherCase{
-		name:   "int4",
-		stride: stride,
-		gather: func(levels []int16, ids []int32, out []float32) { q4.L2ToRows(c4, levels, ids, out) },
-		row: func(levels []int16, id int32) float32 {
-			return float32(L2Levels4(levels, c4.Row(int(id)))) * q4.distMul
-		},
-	}
-	return sq8, int4
 }
 
 // randomBytes returns n random bytes as the tail of an n+1 byte allocation.
-// For int4 the bytes include odd-dimension pad nibbles, which every kernel
-// must ignore.
 func randomBytes(rng *rand.Rand, n int) []uint8 {
 	b := make([]uint8, n+1)[1:]
 	rng.Read(b)
@@ -62,11 +44,11 @@ func randomBytes(rng *rand.Rand, n int) []uint8 {
 }
 
 // randomLevels returns a prepared query over the full clamped level range
-// of the scheme: [-pad, top+pad].
-func randomLevels(rng *rand.Rand, dim, top, pad int) []int16 {
+// [-queryPad, 255+queryPad].
+func randomLevels(rng *rand.Rand, dim int) []int16 {
 	levels := make([]int16, dim+1)[1:]
 	for i := range levels {
-		levels[i] = int16(rng.Intn(top+2*pad+1) - pad)
+		levels[i] = int16(rng.Intn(255+2*queryPad+1) - queryPad)
 	}
 	return levels
 }
@@ -81,17 +63,17 @@ func checkGather(t *testing.T, g gatherCase, levels []int16, ids []int32, what s
 	g.gather(levels, ids, out)
 	for i, id := range ids {
 		if want := g.row(levels, id); math.Float32bits(out[i]) != math.Float32bits(want) {
-			t.Fatalf("%s %s: ids[%d] = %d: gather = %g (%#08x), per row = %g (%#08x)", g.name, what, i, id,
+			t.Fatalf("%s: ids[%d] = %d: gather = %g (%#08x), per row = %g (%#08x)", what, i, id,
 				out[i], math.Float32bits(out[i]), want, math.Float32bits(want))
 		}
 	}
 	if out[len(ids)] != sentinel {
-		t.Fatalf("%s %s: L2ToRows wrote past out[:len(ids)]", g.name, what)
+		t.Fatalf("%s: L2ToRows wrote past out[:len(ids)]", what)
 	}
 }
 
 // TestQuantL2ToRowsBitIdentical: every dimension 1..200 (so every tail
-// length of the 16- and 32-dimension blocks), lists of 0, 1, 17 and 800
+// length of the 16- and 64-dimension blocks), lists of 0, 1, 17 and 800
 // ids (800 is far beyond the prefetch window), repeated ids and the first
 // and last row.
 func TestQuantL2ToRowsBitIdentical(t *testing.T) {
@@ -99,33 +81,28 @@ func TestQuantL2ToRowsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	const rows = 61
 	for dim := 1; dim <= 200; dim++ {
-		sq8, int4 := gatherCases(rng, rows, dim)
-		for _, g := range []struct {
-			c        gatherCase
-			top, pad int
-		}{{sq8, 255, queryPad}, {int4, 15, queryPad4}} {
-			levels := randomLevels(rng, dim, g.top, g.pad)
-			for _, n := range []int{0, 1, 17, 800} {
-				ids := make([]int32, n)
-				for i := range ids {
-					switch rng.Intn(8) {
-					case 0:
-						ids[i] = 0
-					case 1:
-						ids[i] = rows - 1
-					case 2:
-						if i > 0 {
-							ids[i] = ids[i-1] // repeated id
-						}
-					default:
-						ids[i] = int32(rng.Intn(rows))
+		g := newGatherCase(rng, rows, dim)
+		levels := randomLevels(rng, dim)
+		for _, n := range []int{0, 1, 17, 800} {
+			ids := make([]int32, n)
+			for i := range ids {
+				switch rng.Intn(8) {
+				case 0:
+					ids[i] = 0
+				case 1:
+					ids[i] = rows - 1
+				case 2:
+					if i > 0 {
+						ids[i] = ids[i-1] // repeated id
 					}
+				default:
+					ids[i] = int32(rng.Intn(rows))
 				}
-				if n > 1 {
-					ids[0], ids[n-1] = rows-1, 0
-				}
-				checkGather(t, g.c, levels, ids, fmt.Sprintf("dim %d n %d", dim, n))
 			}
+			if n > 1 {
+				ids[0], ids[n-1] = rows-1, 0
+			}
+			checkGather(t, g, levels, ids, fmt.Sprintf("dim %d n %d", dim, n))
 		}
 	}
 }
@@ -136,19 +113,14 @@ func TestQuantL2ToRowsBitIdentical(t *testing.T) {
 func TestQuantL2ToRowsExtremeLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for _, dim := range []int{15, 16, 31, 32, 33, 128, 200} {
-		sq8, int4 := gatherCases(rng, 8, dim)
+		g := newGatherCase(rng, 8, dim)
 		ids := []int32{0, 1, 2, 3, 4, 5, 6, 7}
-		for _, g := range []struct {
-			c      gatherCase
-			lo, hi int16
-		}{{sq8, -queryPad, 255 + queryPad}, {int4, -queryPad4, 15 + queryPad4}} {
-			for _, lv := range []int16{g.lo, g.hi} {
-				levels := make([]int16, dim)
-				for i := range levels {
-					levels[i] = lv
-				}
-				checkGather(t, g.c, levels, ids, fmt.Sprintf("dim %d level %d", dim, lv))
+		for _, lv := range []int16{-queryPad, 255 + queryPad} {
+			levels := make([]int16, dim)
+			for i := range levels {
+				levels[i] = lv
 			}
+			checkGather(t, g, levels, ids, fmt.Sprintf("dim %d level %d", dim, lv))
 		}
 	}
 }
@@ -162,26 +134,14 @@ func TestQuantL2ToRowsRejectsForeignRows(t *testing.T) {
 	const rows, dim = 10, 33
 	rng := rand.New(rand.NewSource(53))
 	q := Quantizer{distMul: 1}
-	q4 := Quantizer4{distMul: 1}
 	codes := randomBytes(rng, rows*dim)
-	codes4 := randomBytes(rng, rows*Stride4(dim))
-	levels := randomLevels(rng, dim, 255, queryPad)
-	type call func(rows int, short bool, levels []int16, ids []int32, out []float32)
-	schemes := map[string]call{
-		"sq8": func(r int, short bool, levels []int16, ids []int32, out []float32) {
-			c := CodeMatrix{Codes: codes, Rows: r, Dim: dim}
-			if short {
-				c.Codes = codes[:(rows-1)*dim]
-			}
-			q.L2ToRows(c, levels, ids, out)
-		},
-		"int4": func(r int, short bool, levels []int16, ids []int32, out []float32) {
-			c := Code4Matrix{Codes: codes4, Rows: r, Dim: dim, Stride: Stride4(dim)}
-			if short {
-				c.Codes = codes4[:(rows-1)*c.Stride]
-			}
-			q4.L2ToRows(c, levels, ids, out)
-		},
+	levels := randomLevels(rng, dim)
+	gather := func(r int, short bool, levels []int16, ids []int32, out []float32) {
+		c := CodeMatrix{Codes: codes, Rows: r, Dim: dim}
+		if short {
+			c.Codes = codes[:(rows-1)*dim]
+		}
+		q.L2ToRows(c, levels, ids, out)
 	}
 	cases := []struct {
 		name   string
@@ -199,29 +159,27 @@ func TestQuantL2ToRowsRejectsForeignRows(t *testing.T) {
 		{"short levels", rows, false, levels[:dim-1], []int32{0}},
 		{"long levels", rows, false, make([]int16, dim+1), []int32{0}},
 	}
-	for name, gather := range schemes {
-		for _, c := range cases {
-			out := []float32{-1, -1, -1}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s %s: expected a panic", name, c.name)
-					}
-				}()
-				gather(c.rows, c.short, c.levels, c.ids, out)
-			}()
-			for i, v := range out {
-				if v != -1 {
-					t.Errorf("%s %s: out[%d] written (%g) before the ids were checked", name, c.name, i, v)
+	for _, c := range cases {
+		out := []float32{-1, -1, -1}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic", c.name)
 				}
+			}()
+			gather(c.rows, c.short, c.levels, c.ids, out)
+		}()
+		for i, v := range out {
+			if v != -1 {
+				t.Errorf("%s: out[%d] written (%g) before the ids were checked", c.name, i, v)
 			}
 		}
 	}
 }
 
-// FuzzQuantGather feeds the gathers arbitrary code bytes (pad nibbles
-// included), dimensions, query levels across each scheme's clamped range
-// and id lists, and requires the per-row kernels' bits.
+// FuzzQuantGather feeds the gather arbitrary code bytes, dimensions, query
+// levels across the clamped range and id lists, and requires the per-row
+// kernel's bits.
 func FuzzQuantGather(f *testing.F) {
 	seed := make([]byte, 8*40)
 	rand.New(rand.NewSource(54)).Read(seed)
@@ -234,31 +192,23 @@ func FuzzQuantGather(f *testing.F) {
 		if len(raw) < 3*dim {
 			return
 		}
-		levels8, levels4 := make([]int16, dim), make([]int16, dim)
-		for i := range levels8 {
+		levels := make([]int16, dim)
+		for i := range levels {
 			v := int(binary.LittleEndian.Uint16(raw[2*i:]))
-			levels8[i] = int16(v%(256+2*queryPad) - queryPad)
-			levels4[i] = int16(v%(16+2*queryPad4) - queryPad4)
+			levels[i] = int16(v%(256+2*queryPad) - queryPad)
 		}
 		codes := raw[2*dim:]
 		c := CodeMatrix{Codes: codes, Rows: len(codes) / dim, Dim: dim}
-		c4 := Code4Matrix{Codes: codes, Rows: len(codes) / Stride4(dim), Dim: dim, Stride: Stride4(dim)}
-		q, q4 := Quantizer{distMul: 0.5}, Quantizer4{distMul: 3}
-		ids, ids4 := make([]int32, len(picks)), make([]int32, len(picks))
+		q := Quantizer{distMul: 0.5}
+		ids := make([]int32, len(picks))
 		for i, p := range picks {
-			ids[i], ids4[i] = int32(int(p)%c.Rows), int32(int(p)%c4.Rows)
+			ids[i] = int32(int(p) % c.Rows)
 		}
 		out := make([]float32, len(picks))
-		q.L2ToRows(c, levels8, ids, out)
+		q.L2ToRows(c, levels, ids, out)
 		for i, id := range ids {
-			if want := float32(l2LevelsGeneric(levels8, c.Row(int(id)))) * q.distMul; math.Float32bits(out[i]) != math.Float32bits(want) {
-				t.Fatalf("sq8 dim %d id %d: gather = %#08x, scalar = %#08x", dim, id, math.Float32bits(out[i]), math.Float32bits(want))
-			}
-		}
-		q4.L2ToRows(c4, levels4, ids4, out)
-		for i, id := range ids4 {
-			if want := float32(l2Levels4Generic(levels4, c4.Row(int(id)))) * q4.distMul; math.Float32bits(out[i]) != math.Float32bits(want) {
-				t.Fatalf("int4 dim %d id %d: gather = %#08x, scalar = %#08x", dim, id, math.Float32bits(out[i]), math.Float32bits(want))
+			if want := float32(l2LevelsGeneric(levels, c.Row(int(id)))) * q.distMul; math.Float32bits(out[i]) != math.Float32bits(want) {
+				t.Fatalf("dim %d id %d: gather = %#08x, scalar = %#08x", dim, id, math.Float32bits(out[i]), math.Float32bits(want))
 			}
 		}
 	})

@@ -101,7 +101,7 @@ func (q *Quantizer) L2ToRows(c CodeMatrix, levels []int16, ids []int32, out []fl
 
 // checkRows panics unless rows rows of stride bytes fit in a slab of size
 // bytes and every id names one of them — the contract of the assembly
-// gathers, which read exactly the rows ids names.
+// gather, which reads exactly the rows ids names.
 func checkRows(ids []int32, rows, stride, size int) {
 	if stride <= 0 || uint(rows) > uint(size/stride) {
 		panic(fmt.Sprintf("quant: code matrix of %d rows x %d bytes does not fit its %d bytes", rows, stride, size))
@@ -122,8 +122,8 @@ func checkRows(ids []int32, rows, stride, size int) {
 	}
 }
 
-// prefetchBytes bounds how far the assembly gathers prefetch ahead of the
-// row they are scoring, as bytes of rows in flight: the value
+// prefetchBytes bounds how far the assembly gather prefetches ahead of the
+// row it is scoring, as bytes of rows in flight: the value
 // vecmath.L2ToRows uses, so a hop's 10-50 ids are all in flight at once and
 // a filter scan's hundreds are fetched a window ahead.
 const prefetchBytes = 8 << 10

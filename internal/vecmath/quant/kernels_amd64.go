@@ -2,10 +2,10 @@
 
 package quant
 
-// AVX2 kernels for the SQ8 and int4 code distances. The toolchain assembles
-// the .s file directly, so this costs no dependency; kernels.go and
-// kernels4.go dispatch to them on cpu.AVX2, the probe (and the NSG_NO_AVX2
-// kill-switch) they share with vecmath's float32 kernels.
+// AVX2 kernels for the SQ8 code distances. The toolchain assembles the .s
+// file directly, so this costs no dependency; kernels.go dispatches to them
+// on cpu.AVX2, the probe (and the NSG_NO_AVX2 kill-switch) it shares with
+// vecmath's float32 kernels.
 
 // l2Levels16AVX2 sums (levels[i]-code[i])² over i < n, n a multiple of 16.
 // Implemented in kernels_amd64.s.
@@ -14,7 +14,8 @@ package quant
 func l2Levels16AVX2(levels *int16, code *uint8, n int) int32
 
 // l2Levels4AVX2 sums (levels[i]-nibble(code,i))² over i < n, n a multiple
-// of 32 dimensions (16 packed code bytes). Implemented in kernels_amd64.s.
+// of 32 dimensions (16 packed code bytes). Benchmark-only and pinned, like
+// its one caller L2Levels4 (levels4.go). Implemented in kernels_amd64.s.
 //
 //go:noescape
 func l2Levels4AVX2(levels *int16, code *uint8, n int) int32
@@ -28,11 +29,3 @@ func l2Levels4AVX2(levels *int16, code *uint8, n int) int32
 //
 //go:noescape
 func l2CodeRowsAVX2(codes *uint8, dim int, levels *int16, ids *int32, n int, out *float32, mul float32, window int)
-
-// l2Code4RowsAVX2 is the packed int4 twin of l2CodeRowsAVX2: row r is the
-// stride bytes at codes+r*stride holding dim nibbles, and out[i] is
-// float32(L2Levels4(levels, row ids[i]))*mul. Implemented in
-// kernels_amd64.s.
-//
-//go:noescape
-func l2Code4RowsAVX2(codes *uint8, stride int, levels *int16, ids *int32, n int, out *float32, mul float32, window int, dim int)

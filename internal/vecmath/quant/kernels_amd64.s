@@ -65,17 +65,16 @@ done:
 
 // func l2Levels4AVX2(levels *int16, code *uint8, n int) int32
 //
+// Benchmark-only and pinned, like L2Levels4 in levels4.go, its one caller.
 // Packed-nibble twin of l2Levels16AVX2: sums (levels[i] - nibble(code,i))^2
 // for i in [0, n), n a multiple of 32 dimensions = 16 code bytes. Each code
-// byte packs dimension 2j in its low nibble and 2j+1 in its high nibble
-// (Code4Matrix layout), so one 16-byte load covers 32 dimensions:
-// VPAND/VPSRLW split the even/odd nibbles into two byte vectors,
-// VPUNPCK[LH]BW re-interleaves them into dimension order, VPMOVZXBW widens
-// to words, and from there the body is the SQ8 kernel — packed word
-// subtract, VPMADDWD pair-squares into int32 lanes, two accumulator
-// chains. Diffs are bounded by +/-(15+queryPad4), so every intermediate
-// stays far below int32 overflow up to MaxDim4; all-integer arithmetic
-// keeps the result bit-identical to the scalar kernel.
+// byte packs dimension 2j in its low nibble and 2j+1 in its high nibble, so
+// one 16-byte load covers 32 dimensions: VPAND/VPSRLW split the even/odd
+// nibbles into two byte vectors, VPUNPCK[LH]BW re-interleaves them into
+// dimension order, VPMOVZXBW widens to words, and from there the body is
+// the SQ8 kernel — packed word subtract, VPMADDWD pair-squares into int32
+// lanes, two accumulator chains. All-integer arithmetic keeps the result
+// bit-identical to the scalar kernel.
 TEXT ·l2Levels4AVX2(SB), NOSPLIT, $0-28
 	MOVQ levels+0(FP), SI
 	MOVQ code+8(FP), DI
@@ -124,16 +123,16 @@ done4:
 	MOVL AX, ret+24(FP)
 	RET
 
-// Whole-list gathers. Each scores every row ids names against one prepared
-// query and writes float32(sum)*mul, the bits (*Quantizer).L2 and
-// (*Quantizer4).L2 produce, so the result is bit-identical to the per-row
-// calls: the sums are integer, and the conversion and the multiply are the
-// single roundings Go's float32(int32)*float32 performs. Like
-// vecmath.l2RowsAVX2 they walk ids with one cursor (R10, scoring) while a
-// second (BX) runs ahead issuing prefetches: BX first leads by as many rows
-// as fill `window` bytes (at least one), then fetches one row per row
-// scored. Registers shared by both: R8 the code slab, R9 the row stride in
-// bytes, SI the levels, R11 the end of ids, R12 the out cursor, X8 mul.
+// The whole-list gather. It scores every row ids names against one prepared
+// query and writes float32(sum)*mul, the bits (*Quantizer).L2 produces, so
+// the result is bit-identical to the per-row calls: the sums are integer,
+// and the conversion and the multiply are the single roundings Go's
+// float32(int32)*float32 performs. Like vecmath.l2RowsAVX2 it walks ids
+// with one cursor (R10, scoring) while a second (BX) runs ahead issuing
+// prefetches: BX first leads by as many rows as fill `window` bytes (at
+// least one), then fetches one row per row scored. Registers the macros
+// below share: R8 the code slab, R9 the row stride in bytes, SI the levels,
+// R11 the end of ids, R12 the out cursor, X8 mul.
 
 // PREFETCHCODES prefetches every cache line of the code row ids[BX]: one
 // PREFETCHT0 per 64 bytes from its first byte, then its last byte, which
@@ -387,98 +386,5 @@ store8:
 	JMP row8
 
 done8:
-	VZEROUPPER
-	RET
-
-// func l2Code4RowsAVX2(codes *uint8, stride int, levels *int16, ids *int32, n int, out *float32, mul float32, window int, dim int)
-//
-// Packed int4: rows are stride = (dim+1)/2 bytes. Per row, l2Levels4AVX2's
-// blocks of 32 dimensions (16 code bytes), then the < 32 tail dimensions a
-// byte (two nibbles) at a time, and for an odd dim the last low nibble.
-TEXT ·l2Code4RowsAVX2(SB), NOSPLIT, $0-72
-	MOVQ stride+8(FP), R9
-	MOVQ $0x0f0f0f0f0f0f0f0f, AX
-	MOVQ AX, X9
-	VPBROADCASTQ X9, X9           // per-byte nibble mask
-	MOVQ codes+0(FP), R8
-	MOVQ levels+16(FP), SI
-	MOVQ ids+24(FP), R10
-	MOVQ n+32(FP), R11
-	LEAQ (R10)(R11*4), R11        // end of ids
-	MOVQ out+40(FP), R12
-	VMOVSS mul+48(FP), X8
-	MOVQ window+56(FP), R13
-	LEADCODES(lead4, leadline4, row4)
-
-row4:
-	CMPQ R10, R11
-	JAE  done4rows
-	NEXTROW(rowline4, nofetch4)
-	MOVQ dim+64(FP), CX
-	VPXOR Y0, Y0, Y0
-	VPXOR Y4, Y4, Y4
-
-block4:
-	CMPQ CX, $32
-	JL   sum4
-	VMOVDQU (AX), X1              // 16 packed bytes = 32 dims
-	VPSRLW  $4, X1, X2
-	VPAND   X9, X1, X1            // even-dim nibbles, one per byte
-	VPAND   X9, X2, X2            // odd-dim nibbles, one per byte
-	VPUNPCKLBW X2, X1, X3         // dims 0..15 in order
-	VPUNPCKHBW X2, X1, X5         // dims 16..31
-	VPMOVZXBW X3, Y3
-	VMOVDQU (DI), Y6
-	VPSUBW   Y3, Y6, Y6
-	VPMADDWD Y6, Y6, Y6
-	VPADDD   Y6, Y0, Y0
-	VPMOVZXBW X5, Y5
-	VMOVDQU 32(DI), Y7
-	VPSUBW   Y5, Y7, Y7
-	VPMADDWD Y7, Y7, Y7
-	VPADDD   Y7, Y4, Y4
-	ADDQ $16, AX
-	ADDQ $64, DI
-	SUBQ $32, CX
-	JMP  block4
-
-sum4:
-	HSUMD
-
-pair4:
-	CMPQ CX, $2
-	JL   odd4
-	MOVBLZX (AX), R13
-	ANDL    $15, R13
-	MOVWLSX (DI), R14
-	SUBL    R13, R14
-	IMULL   R14, R14
-	ADDL    R14, DX
-	MOVBLZX (AX), R13
-	SHRL    $4, R13
-	MOVWLSX 2(DI), R14
-	SUBL    R13, R14
-	IMULL   R14, R14
-	ADDL    R14, DX
-	INCQ AX
-	ADDQ $4, DI
-	SUBQ $2, CX
-	JMP  pair4
-
-odd4:
-	TESTQ CX, CX
-	JZ    store4
-	MOVBLZX (AX), R13
-	ANDL    $15, R13
-	MOVWLSX (DI), R14
-	SUBL    R13, R14
-	IMULL   R14, R14
-	ADDL    R14, DX
-
-store4:
-	STORESUM
-	JMP row4
-
-done4rows:
 	VZEROUPPER
 	RET

@@ -18,10 +18,8 @@ import (
 // buffering.
 
 const (
-	quantizerMagic  = 0x53513851 // "SQ8Q"
-	codesMagic      = 0x53513843 // "SQ8C"
-	quantizer4Magic = 0x53513451 // "SQ4Q"
-	codes4Magic     = 0x53513443 // "SQ4C"
+	quantizerMagic = 0x53513851 // "SQ8Q"
+	codesMagic     = 0x53513843 // "SQ8C"
 )
 
 // WriteQuantizer serializes the trained grid bounds.
@@ -104,89 +102,6 @@ func ReadCodesShape(r io.Reader, wantRows, wantDim int) (CodeMatrix, error) {
 	c := NewCodeMatrix(rows, dim)
 	if _, err := io.ReadFull(r, c.Codes); err != nil {
 		return CodeMatrix{}, fmt.Errorf("quant: truncated codes: %w", err)
-	}
-	return c, nil
-}
-
-// WriteQuantizer4 serializes a trained int4 grid's bounds — the int4 twin
-// of WriteQuantizer, under its own magic so the two families cannot alias.
-func WriteQuantizer4(w io.Writer, q *Quantizer4) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], quantizer4Magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(q.Dim()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("quant: write quantizer header: %w", err)
-	}
-	if err := writeFloats(w, q.Min); err != nil {
-		return err
-	}
-	return writeFloats(w, q.Max)
-}
-
-// ReadQuantizer4 deserializes a grid written by WriteQuantizer4 and
-// re-derives its shared step, bit-identically to the trained original.
-func ReadQuantizer4(r io.Reader) (Quantizer4, error) {
-	var q Quantizer4
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return q, fmt.Errorf("quant: read quantizer header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != quantizer4Magic {
-		return q, fmt.Errorf("quant: bad int4 quantizer magic")
-	}
-	dim := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if dim <= 0 || dim > MaxDim4 {
-		return q, fmt.Errorf("quant: implausible quantizer dimension %d", dim)
-	}
-	var err error
-	if q.Min, err = readFloats(r, dim); err != nil {
-		return q, err
-	}
-	if q.Max, err = readFloats(r, dim); err != nil {
-		return q, err
-	}
-	q.deriveScale()
-	return q, nil
-}
-
-// WriteCodes4 serializes a packed code matrix; the payload is the raw
-// nibble slab (Rows*Stride bytes), one pass over memory.
-func WriteCodes4(w io.Writer, c Code4Matrix) error {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], codes4Magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(c.Rows))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(c.Dim))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("quant: write codes header: %w", err)
-	}
-	if _, err := w.Write(c.Codes); err != nil {
-		return fmt.Errorf("quant: write codes: %w", err)
-	}
-	return nil
-}
-
-// ReadCodes4Shape deserializes a packed code matrix written by WriteCodes4,
-// rejecting any shape other than wantRows×wantDim before allocating — same
-// contract as ReadCodesShape. Negative bounds accept any plausible value.
-func ReadCodes4Shape(r io.Reader, wantRows, wantDim int) (Code4Matrix, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Code4Matrix{}, fmt.Errorf("quant: read codes header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != codes4Magic {
-		return Code4Matrix{}, fmt.Errorf("quant: bad int4 codes magic")
-	}
-	rows := int(binary.LittleEndian.Uint32(hdr[4:]))
-	dim := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if rows <= 0 || dim <= 0 || rows > 1<<30 || dim > MaxDim4 {
-		return Code4Matrix{}, fmt.Errorf("quant: implausible code matrix shape %dx%d", rows, dim)
-	}
-	if (wantRows >= 0 && rows != wantRows) || (wantDim >= 0 && dim != wantDim) {
-		return Code4Matrix{}, fmt.Errorf("quant: code matrix shape %dx%d, want %dx%d", rows, dim, wantRows, wantDim)
-	}
-	c := NewCode4Matrix(rows, dim)
-	if _, err := io.ReadFull(r, c.Codes); err != nil {
-		return Code4Matrix{}, fmt.Errorf("quant: truncated codes: %w", err)
 	}
 	return c, nil
 }

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -266,5 +267,39 @@ func TestPersistRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadCodesShape(bytes.NewReader(make([]byte, 64)), -1, -1); err == nil {
 		t.Fatal("ReadCodesShape accepted zero bytes")
+	}
+}
+
+// TestPersist4RejectsGarbage: the records the removed int4 grid was
+// persisted as — "SQ4Q" bounds and "SQ4C" packed codes, laid out like their
+// SQ8 twins under their own magics — must be refused by the SQ8 readers,
+// not misread as SQ8, whatever shape the caller expects.
+func TestPersist4RejectsGarbage(t *testing.T) {
+	const rows, dim = 6, 8
+	q := Train(randMatrix(rows, dim, 12))
+	var hdr [12]byte
+	var qrec bytes.Buffer
+	binary.LittleEndian.PutUint32(hdr[0:], 0x53513451) // "SQ4Q"
+	binary.LittleEndian.PutUint32(hdr[4:], dim)
+	qrec.Write(hdr[:8])
+	if err := writeFloats(&qrec, q.Min); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFloats(&qrec, q.Max); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadQuantizer(bytes.NewReader(qrec.Bytes())); err == nil {
+		t.Fatal("SQ8 reader accepted an int4 quantizer record")
+	}
+	var crec bytes.Buffer
+	binary.LittleEndian.PutUint32(hdr[0:], 0x53513443) // "SQ4C"
+	binary.LittleEndian.PutUint32(hdr[4:], rows)
+	binary.LittleEndian.PutUint32(hdr[8:], dim)
+	crec.Write(hdr[:])
+	crec.Write(make([]byte, rows*Stride4(dim)))
+	for _, want := range [][2]int{{-1, -1}, {rows, dim}} {
+		if _, err := ReadCodesShape(bytes.NewReader(crec.Bytes()), want[0], want[1]); err == nil {
+			t.Fatalf("SQ8 reader accepted an int4 codes record (want shape %v)", want)
+		}
 	}
 }

@@ -57,8 +57,12 @@ func (o MapOptions) internal() core.MapOptions {
 // alignment-padded slabs behind a checksummed header — crash-safely (temp
 // file + fsync + rename). The file is self-contained (vectors included)
 // and is the format OpenMapped serves without decoding. Stop issuing Adds
-// first; like Save, it flushes the delta.
+// first; like Save, it flushes the delta. An index with deleted points
+// returns ErrUncompactedDeletes and writes nothing: Compact first.
 func (x *Index) SaveMapped(path string) error {
+	if x.DeletedCount() > 0 {
+		return ErrUncompactedDeletes
+	}
 	x.Flush()
 	return x.inner.SaveMapped(path)
 }
@@ -80,7 +84,7 @@ func OpenMapped(path string, opts MapOptions) (*Index, error) {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
 	o := DefaultOptions()
-	o.Quantize = quantModeFromInternal(inner.QuantMode())
+	o.Quantize = quantModeOf(inner.IsQuantized())
 	return newIndex(inner, o, BuildStats{}), nil
 }
 
@@ -121,19 +125,25 @@ func (x *ShardedIndex) encodeMappedMeta() []byte {
 	return meta
 }
 
-func decodeMappedMeta(meta []byte, shards int) ShardedOptions {
+// decodeMappedMeta is the inverse of encodeMappedMeta. An option word with
+// unknown bits makes the container corrupt (see IsCorrupt).
+func decodeMappedMeta(meta []byte, shards int) (ShardedOptions, error) {
 	opts := ShardedOptions{Shards: shards}
 	if len(meta) >= shardedMetaLen {
+		quantize, err := decodeQuantFlags(binary.LittleEndian.Uint32(meta[16:]))
+		if err != nil {
+			return opts, &core.FormatError{Section: core.SectionHeader, Reason: err.Error()}
+		}
 		opts.Shard = Options{
 			GraphK:    int(binary.LittleEndian.Uint32(meta[0:])),
 			BuildL:    int(binary.LittleEndian.Uint32(meta[4:])),
 			MaxDegree: int(binary.LittleEndian.Uint32(meta[8:])),
 			SearchL:   int(binary.LittleEndian.Uint32(meta[12:])),
-			Quantize:  decodeQuantFlags(binary.LittleEndian.Uint32(meta[16:])),
+			Quantize:  quantize,
 		}
 	}
 	opts.Shard.fillDefaults()
-	return opts
+	return opts, nil
 }
 
 // SaveMapped writes the sharded index as one disk-resident container: per
@@ -156,7 +166,12 @@ func OpenMappedSharded(path string, opts MapOptions) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
-	return newShardedIndex(s, decodeMappedMeta(meta, s.Shards())), nil
+	shardOpts, err := decodeMappedMeta(meta, s.Shards())
+	if err != nil {
+		s.Close()
+		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
+	}
+	return newShardedIndex(s, shardOpts), nil
 }
 
 // ReadOnly reports whether the sharded index is a mapped read-only view.

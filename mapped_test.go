@@ -7,8 +7,10 @@ package nsg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -47,10 +49,12 @@ func searchSig(ids []int32, dists []float32) string {
 
 // TestMappedParityPublic: OpenMapped must serve byte-identical results to
 // the heap index it was saved from — ids, distance bits, and traversal hop
-// counts — for the float32, SQ8+rerank and int4+rerank shapes.
+// counts — for the float32 and SQ8+rerank shapes. A file from before int4
+// was removed carries the retired int4 marker in place of the SQ8 flag; it
+// must be refused as corrupt, not misread.
 func TestMappedParityPublic(t *testing.T) {
 	ds := shardedTestData(t, 2000, 30)
-	for _, quantize := range []QuantMode{QuantNone, QuantSQ8, QuantInt4} {
+	for _, quantize := range []QuantMode{QuantNone, QuantSQ8} {
 		t.Run(quantize.String(), func(t *testing.T) {
 			heap := buildMappedPublicIndex(t, ds, quantize)
 			path := filepath.Join(t.TempDir(), "idx.nsgm")
@@ -94,6 +98,30 @@ func TestMappedParityPublic(t *testing.T) {
 			})
 		})
 	}
+	t.Run("int4", func(t *testing.T) {
+		heap := buildMappedPublicIndex(t, ds, QuantSQ8)
+		path := filepath.Join(t.TempDir(), "idx.nsgm")
+		if err := heap.SaveMapped(path); err != nil {
+			t.Fatal(err)
+		}
+		// The flags word is header bytes 8..11; the header checksum over the
+		// first 188 bytes is recomputed so the flags check itself is reached.
+		blob := mutateWord(t, path, 8, swapSQ8ForInt4(t))
+		binary.LittleEndian.PutUint32(blob[188:], crc32.ChecksumIEEE(blob[:188]))
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Run("mmap", func(t *testing.T) {
+			mapped, err := OpenMapped(path, MapOptions{})
+			if err == nil {
+				mapped.Close()
+				t.Fatal("OpenMapped accepted an int4 file")
+			}
+			if !IsCorrupt(err) {
+				t.Fatalf("OpenMapped of an int4 file: got %v, want a corruption error", err)
+			}
+		})
+	})
 }
 
 // TestMappedTombstoneParity: Delete is a heap-side tombstone set, so it
@@ -243,10 +271,11 @@ func TestMappedPromoteToHeapPublic(t *testing.T) {
 
 // TestShardedMappedRoundTrip: the sharded container must round-trip the
 // build options and serve byte-identical fan-out searches, for plain and
-// quantized shards.
+// quantized shards. A container from before int4 was removed sets the
+// reserved int4 option bit; it must be refused as corrupt, not misread.
 func TestShardedMappedRoundTrip(t *testing.T) {
 	ds := shardedTestData(t, 2000, 25)
-	for _, quantize := range []QuantMode{QuantNone, QuantSQ8, QuantInt4} {
+	for _, quantize := range []QuantMode{QuantNone, QuantSQ8} {
 		t.Run(quantize.String(), func(t *testing.T) {
 			opts := DefaultShardedOptions(3)
 			opts.Shard.ExactKNN = true
@@ -309,6 +338,42 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 			})
 		})
 	}
+	t.Run("int4", func(t *testing.T) {
+		opts := DefaultShardedOptions(3)
+		opts.Shard.ExactKNN = true
+		opts.Shard.Seed = 7
+		opts.Shard.Quantize = QuantSQ8
+		data := make([]float32, len(ds.Base.Data))
+		copy(data, ds.Base.Data)
+		heap, err := BuildShardedFromFlat(data, ds.Base.Dim, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer heap.Close()
+		path := filepath.Join(t.TempDir(), "idx.nsms")
+		if err := heap.SaveMapped(path); err != nil {
+			t.Fatal(err)
+		}
+		// The options word is bytes 16..19 of the meta blob at header offset
+		// 32. The checksum after the 64-byte header and the 40-byte shard
+		// entries covers it, so it is recomputed to reach the options check.
+		blob := mutateWord(t, path, 32+16, addInt4Option(t))
+		crcAt := 64 + heap.Shards()*40
+		binary.LittleEndian.PutUint32(blob[crcAt:], crc32.ChecksumIEEE(blob[:crcAt]))
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Run("mmap", func(t *testing.T) {
+			mapped, err := OpenMappedSharded(path, MapOptions{})
+			if err == nil {
+				mapped.Close()
+				t.Fatal("OpenMappedSharded accepted the int4 bit")
+			}
+			if !IsCorrupt(err) || !strings.Contains(err.Error(), "option flags") {
+				t.Fatalf("OpenMappedSharded with the int4 bit: got %v, want a corrupt option flags error", err)
+			}
+		})
+	})
 }
 
 // TestMappedCorruptionIsCorrupt: a damaged mapped file must be rejected

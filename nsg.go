@@ -72,7 +72,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/mstore"
 	"repro/internal/vecmath"
-	"repro/internal/vecmath/quant"
 )
 
 // QuantMode selects the compressed serving path an index traverses with.
@@ -89,46 +88,35 @@ const (
 	// QuantSQ8 compresses to one code byte per dimension (~4x fewer bytes
 	// gathered per search hop).
 	QuantSQ8
-	// QuantInt4 packs two dimensions per code byte (~8x fewer bytes per
-	// hop — half of SQ8), at a slightly higher recall cost at equal
-	// SearchL than SQ8.
-	QuantInt4
 )
 
-// String returns the mode's wire name: "float32", "sq8" or "int4".
+// String returns the mode's wire name: "float32" or "sq8".
 func (m QuantMode) String() string {
 	switch m {
+	case QuantNone:
+		return "float32"
 	case QuantSQ8:
 		return "sq8"
-	case QuantInt4:
-		return "int4"
-	default:
-		return "float32"
 	}
+	return fmt.Sprintf("QuantMode(%d)", int(m))
 }
 
-// internal translates the public mode to the kernel package's tag.
-func (m QuantMode) internal() quant.Mode {
-	switch m {
-	case QuantSQ8:
-		return quant.ModeSQ8
-	case QuantInt4:
-		return quant.ModeInt4
-	default:
-		return quant.ModeNone
+// check rejects a mode other than QuantNone and QuantSQ8. Every builder
+// calls it first, so an unknown value is an error rather than a silent
+// choice of one path.
+func (m QuantMode) check() error {
+	if m != QuantNone && m != QuantSQ8 {
+		return fmt.Errorf("nsg: unknown Quantize mode %d (want QuantNone or QuantSQ8)", int(m))
 	}
+	return nil
 }
 
-// quantModeFromInternal is the inverse of QuantMode.internal.
-func quantModeFromInternal(m quant.Mode) QuantMode {
-	switch m {
-	case quant.ModeSQ8:
+// quantModeOf is the mode of an index that is, or is not, quantized.
+func quantModeOf(quantized bool) QuantMode {
+	if quantized {
 		return QuantSQ8
-	case quant.ModeInt4:
-		return QuantInt4
-	default:
-		return QuantNone
 	}
+	return QuantNone
 }
 
 // Options controls index construction and default search behaviour.
@@ -150,10 +138,10 @@ type Options struct {
 	// builder. Slower but deterministic; useful below ~5k points.
 	ExactKNN bool
 	// Quantize selects the compressed serving path: QuantNone (the zero
-	// value) serves full float32 vectors; QuantSQ8 and QuantInt4 relayout
-	// the graph into BFS cache order after construction and compress the
-	// vectors to one code byte per dimension (SQ8) or per two dimensions
-	// (int4), cutting the bytes gathered per search hop ~4x and ~8x.
+	// value) serves full float32 vectors; QuantSQ8 relayouts the graph into
+	// BFS cache order after construction and compresses the vectors to one
+	// code byte per dimension, cutting the bytes gathered per search hop
+	// ~4x. Any other value makes the builders return an error.
 	// Quantized searches expand over the codes and rerank the final
 	// candidate pool with exact float32 distances, so returned distances
 	// are always exact; the approximation costs a small amount of recall
@@ -277,6 +265,9 @@ func BuildFromFlat(data []float32, dim int, opts Options) (*Index, error) {
 }
 
 func buildFromMatrix(base vecmath.Matrix, opts Options) (*Index, error) {
+	if err := opts.Quantize.check(); err != nil {
+		return nil, err
+	}
 	if !vecmath.Finite(base.Data) {
 		return nil, ErrNonFinite
 	}
@@ -290,16 +281,11 @@ func buildFromMatrix(base vecmath.Matrix, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nsg: build: %w", err)
 	}
-	if opts.Quantize != QuantNone {
+	if opts.Quantize == QuantSQ8 {
 		// Relayout first so codes are encoded directly in the serving
 		// order; a nil quantizer trains the grid on the index's own base.
 		g.Relayout()
-		if opts.Quantize == QuantInt4 {
-			err = g.EnableQuantization4(nil)
-		} else {
-			err = g.EnableQuantization(nil)
-		}
-		if err != nil {
+		if err := g.EnableQuantization(nil); err != nil {
 			return nil, fmt.Errorf("nsg: quantize: %w", err)
 		}
 	}
@@ -336,7 +322,7 @@ func (x *Index) Quantized() bool { return x.inner.IsQuantized() }
 
 // QuantMode returns the index's compressed serving mode (QuantNone when it
 // serves full float32 vectors).
-func (x *Index) QuantMode() QuantMode { return quantModeFromInternal(x.inner.QuantMode()) }
+func (x *Index) QuantMode() QuantMode { return quantModeOf(x.inner.IsQuantized()) }
 
 // Search returns the ids and squared L2 distances of the k approximate
 // nearest neighbors of query, using the index's default search pool size.
@@ -401,13 +387,25 @@ func (x *Index) Stats() Stats {
 
 const fileMagic = 0x4e534742 // "NSGB" — bundled index+vectors format
 
+// ErrUncompactedDeletes is returned by Save and SaveMapped on an index with
+// deleted points. No file format stores tombstones, so the saved file would
+// bring the deleted points back; call Compact first. No file is written.
+var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file can keep; Compact before saving")
+
 // Save writes the index, including its vectors, to path — crash-safely:
 // the bundle streams into a temp file that is fsynced and renamed into
 // place, so an interrupted save leaves the previous file intact rather
 // than a truncated bundle. Stop issuing Adds and Deletes first: Save
 // flushes the delta so the file captures every point; concurrent searches
-// are fine.
+// are fine. A mapped index returns ErrReadOnly (use SaveMapped), and an
+// index with deleted points ErrUncompactedDeletes (Compact first).
 func (x *Index) Save(path string) error {
+	if x.inner.ReadOnly() {
+		return fmt.Errorf("nsg: stream-saving a mapped index (use SaveMapped): %w", ErrReadOnly)
+	}
+	if x.DeletedCount() > 0 {
+		return ErrUncompactedDeletes
+	}
 	x.Flush()
 	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
 		bw := bufio.NewWriter(w)
@@ -475,6 +473,6 @@ func Load(path string) (*Index, error) {
 	// A quantized bundle carries its codes and scales, so the loaded index
 	// serves through its quantized path immediately — no retraining — and
 	// keeps Quantize set so a later Compact rebuilds the quantized state.
-	opts.Quantize = quantModeFromInternal(inner.QuantMode())
+	opts.Quantize = quantModeOf(inner.IsQuantized())
 	return newIndex(inner, opts, BuildStats{}), nil
 }

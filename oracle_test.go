@@ -85,7 +85,6 @@ func TestTombstoneOracle(t *testing.T) {
 	}{
 		{"heap-float32", func(t *testing.T) *Index { return build(t, QuantNone) }, true, nil},
 		{"heap-sq8-relaid", func(t *testing.T) *Index { return build(t, QuantSQ8) }, true, nil},
-		{"heap-int4", func(t *testing.T) *Index { return build(t, QuantInt4) }, true, nil},
 		{"live-pending-delta", func(t *testing.T) *Index {
 			idx := build(t, QuantNone)
 			// Nothing drains on its own: every Add stays in the scanned delta

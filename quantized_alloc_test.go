@@ -12,17 +12,17 @@ import (
 	"repro/internal/core"
 )
 
-// testQuantSearchZeroAlloc is the shared body of the quantized allocation
-// gates: with a reused SearchContext, a steady-state quantized search — the
+// TestQuantizedSearchZeroAlloc is the acceptance gate for the SQ8 serving
+// path: with a reused SearchContext, a steady-state quantized search — the
 // prepared query levels, the code-space expansion, and the exact rerank —
 // must perform zero heap allocations; the public SearchWithPool adds only
 // the two returned result slices.
-func testQuantSearchZeroAlloc(t *testing.T, mode QuantMode) {
+func TestQuantizedSearchZeroAlloc(t *testing.T) {
 	ds := shardedTestData(t, 1500, 20)
 	opts := DefaultOptions()
 	opts.ExactKNN = true
 	opts.Seed = 7
-	opts.Quantize = mode
+	opts.Quantize = QuantSQ8
 	data := make([]float32, len(ds.Base.Data))
 	copy(data, ds.Base.Data)
 	idx, err := BuildFromFlat(data, ds.Base.Dim, opts)
@@ -43,7 +43,7 @@ func testQuantSearchZeroAlloc(t *testing.T, mode QuantMode) {
 		qi++
 	})
 	if allocs != 0 {
-		t.Fatalf("%v ctx-reuse search allocated %.2f times per query, want 0", mode, allocs)
+		t.Fatalf("ctx-reuse search allocated %.2f times per query, want 0", allocs)
 	}
 
 	for i := 0; i < 8; i++ { // warm the public context pool
@@ -57,19 +57,6 @@ func testQuantSearchZeroAlloc(t *testing.T, mode QuantMode) {
 		qi++
 	})
 	if allocs > 2.5 {
-		t.Fatalf("public %v SearchWithPool allocated %.2f times per query, want 2 (result slices only)", mode, allocs)
+		t.Fatalf("public SearchWithPool allocated %.2f times per query, want 2 (result slices only)", allocs)
 	}
-}
-
-// TestQuantizedSearchZeroAlloc is the acceptance gate for the SQ8 serving
-// path.
-func TestQuantizedSearchZeroAlloc(t *testing.T) {
-	testQuantSearchZeroAlloc(t, QuantSQ8)
-}
-
-// TestInt4SearchZeroAlloc is the acceptance gate for the packed int4
-// serving path: the nibble unpack and widened query levels live in the
-// reused SearchContext, so steady state allocates nothing.
-func TestInt4SearchZeroAlloc(t *testing.T) {
-	testQuantSearchZeroAlloc(t, QuantInt4)
 }

@@ -84,6 +84,9 @@ func BuildShardedFromFlat(data []float32, dim int, opts ShardedOptions) (*Sharde
 }
 
 func buildShardedFromMatrix(base vecmath.Matrix, opts ShardedOptions) (*ShardedIndex, error) {
+	if err := opts.Shard.Quantize.check(); err != nil {
+		return nil, err
+	}
 	if !vecmath.Finite(base.Data) {
 		return nil, ErrNonFinite
 	}
@@ -96,7 +99,7 @@ func buildShardedFromMatrix(base vecmath.Matrix, opts ShardedOptions) (*ShardedI
 		KNNK:         opts.Shard.GraphK,
 		Build:        core.BuildParams{L: opts.Shard.BuildL, M: opts.Shard.MaxDegree, Seed: opts.Shard.Seed},
 		UseNNDescent: !opts.Shard.ExactKNN,
-		Quantize:     opts.Shard.Quantize.internal(),
+		Quantize:     opts.Shard.Quantize == QuantSQ8,
 		Seed:         opts.Shard.Seed,
 	})
 	if err != nil {
@@ -160,7 +163,7 @@ func (x *ShardedIndex) Quantized() bool { return x.s.Quantized() }
 // QuantMode returns the shards' compressed serving mode (QuantNone when
 // they serve full float32 vectors; all shards share one quantization
 // state).
-func (x *ShardedIndex) QuantMode() QuantMode { return quantModeFromInternal(x.s.QuantMode()) }
+func (x *ShardedIndex) QuantMode() QuantMode { return quantModeOf(x.s.Quantized()) }
 
 // Vector returns the stored vector with the given global id. The returned
 // slice aliases the index's storage; do not modify it. Safe to call
@@ -295,36 +298,28 @@ const (
 	shardedFileVersionV1 = 1
 
 	shardedOptQuantize = 1 << 0
-	// shardedOptInt4 qualifies shardedOptQuantize: set together they mean
-	// the int4 packed path. Never set alone, so pre-int4 readers that only
-	// know the quantize bit see a plausible (if imprecise) option word,
-	// while the per-shard records themselves still carry the authoritative
-	// quantization sections.
+	// shardedOptInt4 is reserved. Set beside shardedOptQuantize it marked
+	// the int4 path, which was removed; decodeQuantFlags rejects it as an
+	// unknown bit, and it must not be reused, so an old int4 bundle is
+	// never misread.
 	shardedOptInt4 = 1 << 1
 )
 
 // encodeQuantFlags maps the Quantize mode to the bundle's option bits.
 func encodeQuantFlags(m QuantMode) uint32 {
-	switch m {
-	case QuantSQ8:
+	if m == QuantSQ8 {
 		return shardedOptQuantize
-	case QuantInt4:
-		return shardedOptQuantize | shardedOptInt4
-	default:
-		return 0
 	}
+	return 0
 }
 
-// decodeQuantFlags is the inverse of encodeQuantFlags.
-func decodeQuantFlags(optFlags uint32) QuantMode {
-	switch {
-	case optFlags&shardedOptQuantize == 0:
-		return QuantNone
-	case optFlags&shardedOptInt4 != 0:
-		return QuantInt4
-	default:
-		return QuantSQ8
+// decodeQuantFlags is the inverse of encodeQuantFlags. Any bit it does not
+// know, the reserved shardedOptInt4 among them, is an error.
+func decodeQuantFlags(optFlags uint32) (QuantMode, error) {
+	if optFlags&^shardedOptQuantize != 0 {
+		return QuantNone, fmt.Errorf("nsg: unsupported sharded option flags %#x", optFlags)
 	}
+	return quantModeOf(optFlags&shardedOptQuantize != 0), nil
 }
 
 // Save writes the sharded index, including its vectors and build options,
@@ -392,6 +387,10 @@ func LoadSharded(path string) (*ShardedIndex, error) {
 	default:
 		return nil, fmt.Errorf("nsg: unsupported sharded bundle version %d (want <= %d)", v, shardedFileVersion)
 	}
+	quantize, err := decodeQuantFlags(optFlags)
+	if err != nil {
+		return nil, err
+	}
 	rows := int(binary.LittleEndian.Uint32(hdr[8:]))
 	dim := int(binary.LittleEndian.Uint32(hdr[12:]))
 	if rows <= 0 || dim <= 0 || rows > 1<<30 || dim > 1<<20 {
@@ -415,7 +414,7 @@ func LoadSharded(path string) (*ShardedIndex, error) {
 		BuildL:    int(binary.LittleEndian.Uint32(hdr[20:])),
 		MaxDegree: int(binary.LittleEndian.Uint32(hdr[24:])),
 		SearchL:   int(binary.LittleEndian.Uint32(hdr[28:])),
-		Quantize:  decodeQuantFlags(optFlags),
+		Quantize:  quantize,
 	}}
 	opts.Shard.fillDefaults() // guard against zeroed fields in hand-built files
 	return newShardedIndex(s, opts), nil
