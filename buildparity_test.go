@@ -40,7 +40,7 @@ func TestBuildPipelineRecallParity(t *testing.T) {
 
 // TestBuildStatsExposed checks the public per-phase timing breakdown: a
 // fresh build must report a positive total and phase timings consistent
-// with it, and a compacted index must drop the stale record.
+// with it, and a compacted index reports its rebuild's.
 func TestBuildStatsExposed(t *testing.T) {
 	vecs := randomVectors(600, 16, 3)
 	idx, err := Build(vecs, DefaultOptions())
@@ -62,15 +62,15 @@ func TestBuildStatsExposed(t *testing.T) {
 		t.Error("tree repair must record at least one pass")
 	}
 
-	// Compact rebuilds through the incremental path; the batch-phase
-	// timings no longer describe the graph and must be cleared.
+	// Compact rebuilds the survivors through the build pipeline, so the
+	// recorded timings become that rebuild's.
 	if err := idx.Delete(5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := idx.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if idx.BuildStats() != (BuildStats{}) {
-		t.Error("BuildStats must reset after Compact")
+	if c := idx.BuildStats(); c.Total <= 0 || c.Collect <= 0 || c == st {
+		t.Errorf("BuildStats after Compact = %+v, want the rebuild's", c)
 	}
 }

@@ -12,21 +12,13 @@ import (
 )
 
 // This file is the vector codec shared by the Index and ShardedIndex bundle
-// formats: row-major float32 data encoded through the shared chunked codec
-// (internal/chunkio), so persisting a million-vector matrix costs a handful
-// of buffer-boundary crossings instead of one Write per float.
-
-// writeMatrix encodes m's flat data in 64 KiB chunks.
-func writeMatrix(bw *bufio.Writer, m vecmath.Matrix) error {
-	if err := chunkio.WriteFloat32s(bw, m.Data); err != nil {
-		return fmt.Errorf("nsg: write vectors: %w", err)
-	}
-	return nil
-}
+// formats: row-major float32 data, written one row per buffered Write and
+// read back through the shared chunked codec (internal/chunkio), so
+// persisting a million-vector matrix never pays one Write per float.
 
 // writeMatrixRows encodes m's rows in the order rowOf dictates (output row
 // r holds matrix row rowOf(r)), streaming through one reused row buffer so
-// saving a relayouted index never materializes a de-permuted copy of the
+// saving a relaid index never materializes a de-permuted copy of the
 // matrix.
 func writeMatrixRows(bw *bufio.Writer, m vecmath.Matrix, rowOf func(int) int32) error {
 	buf := make([]byte, m.Dim*4)
@@ -41,7 +33,7 @@ func writeMatrixRows(bw *bufio.Writer, m vecmath.Matrix, rowOf func(int) int32) 
 	return nil
 }
 
-// readMatrix decodes a rows×dim matrix written by writeMatrix.
+// readMatrix decodes a rows×dim matrix written by writeMatrixRows.
 func readMatrix(br io.Reader, rows, dim int) (vecmath.Matrix, error) {
 	base := vecmath.NewMatrix(rows, dim)
 	if err := chunkio.ReadFloat32s(br, base.Data); err != nil {

@@ -3,7 +3,6 @@ package nsg
 import (
 	"fmt"
 
-	"repro/internal/live"
 	"repro/internal/vecmath"
 )
 
@@ -40,20 +39,38 @@ func (x *Index) Deleted(id int32) bool { return x.h.Deleted(id) }
 func (x *Index) DeletedCount() int { return x.h.DeadCount() }
 
 // Compact rebuilds the index without its tombstoned points. It returns the
-// mapping from old ids to new ids (-1 for deleted); the receiving index is
-// replaced in place. It flushes pending Adds first and must not run
-// concurrently with other calls on the index.
+// mapping from old ids to new ids (-1 for deleted); survivors keep their
+// order, and the receiving index is replaced in place. The rebuild is a
+// Build over the survivors with this index's options, so BuildStats then
+// describe it. Compact flushes pending Adds first and must not run
+// concurrently with other calls on the index. With nothing deleted it
+// returns the identity and keeps the index; a mapped index with deleted
+// points returns ErrReadOnly.
 func (x *Index) Compact() ([]int32, error) {
 	x.h.Close()
 	dead := x.h.Dead()
+	rows := x.inner.Base.Rows
+	remap := make([]int32, rows)
 	if dead.Len() == 0 {
-		remap := make([]int32, x.inner.Base.Rows)
 		for i := range remap {
 			remap[i] = int32(i)
 		}
 		return remap, nil
 	}
-	inner, remap, err := x.inner.Compact(dead, x.insertParams())
+	if x.inner.ReadOnly() {
+		return nil, ErrReadOnly
+	}
+	dim := x.inner.Base.Dim
+	data := make([]float32, 0, (rows-dead.Len())*dim)
+	for id := int32(0); id < int32(rows); id++ {
+		if dead.Deleted(id) {
+			remap[id] = -1
+			continue
+		}
+		remap[id] = int32(len(data) / dim)
+		data = append(data, x.inner.VectorByID(id)...)
+	}
+	fresh, err := BuildFromFlat(data, dim, x.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -64,20 +81,9 @@ func (x *Index) Compact() ([]int32, error) {
 		if len(clipped) > m.Rows() {
 			clipped = clipped[:m.Rows()]
 		}
-		inner.Meta = m.Select(clipped, inner.Base.Rows)
+		fresh.inner.Meta = m.Select(clipped, fresh.inner.Base.Rows)
 	}
-	if x.opts.Quantize == QuantSQ8 {
-		// The compacted graph is fresh: re-relayout and retrain the grid on
-		// the surviving vectors so the quantized serving state matches.
-		inner.Relayout()
-		if err := inner.EnableQuantization(nil); err != nil {
-			return nil, err
-		}
-	}
-	x.inner = inner
-	x.h = live.New(inner, nil, nil, x.h.Options())
-	// The compacted graph was produced by the incremental path, not the
-	// batch pipeline; the recorded phase timings no longer describe it.
-	x.build = BuildStats{}
+	fresh.h.SetOptions(x.h.Options())
+	x.inner, x.h, x.build = fresh.inner, fresh.h, fresh.build
 	return remap, nil
 }

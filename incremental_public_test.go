@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -84,6 +85,9 @@ func TestDeleteFiltersResults(t *testing.T) {
 	}
 }
 
+// TestCompactPublic: Compact drops the deleted rows, numbers the survivors
+// in their old order, keeps every surviving vector bit for bit under its
+// new id, and leaves every survivor findable by its own vector.
 func TestCompactPublic(t *testing.T) {
 	idx, vecs := buildSmallIndex(t, 400, 8, 33)
 	for id := int32(0); id < 50; id++ {
@@ -101,16 +105,50 @@ func TestCompactPublic(t *testing.T) {
 	if idx.DeletedCount() != 0 {
 		t.Error("tombstones survive compaction")
 	}
-	for id := 0; id < 50; id++ {
-		if remap[id] != -1 {
-			t.Fatalf("deleted id %d remapped to %d", id, remap[id])
+	if got := idx.inner.Graph.ReachableFrom(idx.inner.Navigating); got != 350 {
+		t.Errorf("compacted graph reaches %d nodes, want 350", got)
+	}
+	for old, nw := range remap {
+		want := int32(old - 50)
+		if old < 50 {
+			want = -1
+		}
+		if nw != want {
+			t.Fatalf("remap[%d] = %d, want %d", old, nw, want)
+		}
+		if nw < 0 {
+			continue
+		}
+		if !slices.Equal(idx.Vector(int(nw)), vecs[old]) {
+			t.Fatalf("Vector(remap[%d]) differs from the row it had before Compact", old)
+		}
+		if ids, _ := idx.SearchWithPool(vecs[old], 1, 60); len(ids) == 0 || ids[0] != nw {
+			t.Fatalf("survivor %d (now %d): self-query found %v", old, nw, ids)
 		}
 	}
-	// A surviving vector is still findable under its new id.
-	q := vecs[200]
-	ids, _ := idx.SearchWithPool(q, 1, 60)
-	if ids[0] != remap[200] {
-		t.Errorf("post-compact self-query = %d, want %d", ids[0], remap[200])
+}
+
+// TestCompactPublicRejectsFewerThanTwo: a graph needs two points, so a
+// Compact that would keep fewer fails and leaves the index as it was.
+func TestCompactPublicRejectsFewerThanTwo(t *testing.T) {
+	for _, keep := range []int{0, 1} {
+		idx, vecs := buildSmallIndex(t, 50, 8, 26)
+		for id := int32(keep); id < 50; id++ {
+			if err := idx.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := idx.Compact(); err == nil {
+			t.Fatalf("keeping %d points: Compact succeeded, want an error", keep)
+		}
+		if idx.Len() != 50 || idx.DeletedCount() != 50-keep {
+			t.Fatalf("keeping %d points: failed Compact changed the index (len %d, deleted %d)", keep, idx.Len(), idx.DeletedCount())
+		}
+		if keep == 1 {
+			if ids, _ := idx.SearchWithPool(vecs[0], 1, 60); len(ids) != 1 || ids[0] != 0 {
+				t.Fatalf("after the failed Compact the survivor is not found: %v", ids)
+			}
+		}
 	}
 }
 

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-
-	"repro/internal/graphutil"
-	"repro/internal/vecmath"
 )
 
 // This file implements incremental insertion — the future work the paper's
@@ -25,7 +22,7 @@ import (
 // fits under the cap or survives its re-prune only if occluded — in that
 // rare case we force a link from the nearest selected neighbor. Deletion is
 // handled by tombstoning: removed ids stay in the graph as waypoints but are
-// filtered from results; Compact rebuilds cleanly once tombstones accumulate.
+// filtered from results until the public Index.Compact rebuilds without them.
 
 // InsertParams controls incremental insertion. Zero values fall back to the
 // index's build-time M and a pool of 3*M.
@@ -196,68 +193,4 @@ func (t *Tombstones) Clone() *Tombstones {
 		return NewTombstones()
 	}
 	return &Tombstones{bits: append([]uint64(nil), t.bits...), n: t.n}
-}
-
-// Compact rebuilds the index without the tombstoned points, returning the
-// new index and a mapping from old ids to new ids (-1 for deleted). It
-// re-runs the insertion path point by point, which preserves the
-// incremental code path's invariants; for large rebuilds prefer a fresh
-// batch NSGBuild.
-func (x *NSG) Compact(t *Tombstones, p InsertParams) (*NSG, []int32, error) {
-	if x.ro {
-		return nil, nil, ErrReadOnly
-	}
-	if p.M <= 0 {
-		p.M = x.M
-	}
-	if p.L <= 0 {
-		p.L = 3 * p.M
-	}
-	// Tombstones and the returned remap are in public ids; live collects the
-	// matching internal rows (identical unless a Relayout permuted them), in
-	// public order so the compacted ids stay monotone for the caller.
-	remap := make([]int32, x.Base.Rows)
-	live := make([]int32, 0, x.Base.Rows)
-	for pub := int32(0); pub < int32(x.Base.Rows); pub++ {
-		if t.Deleted(pub) {
-			remap[pub] = -1
-			continue
-		}
-		remap[pub] = int32(len(live))
-		live = append(live, x.InternalID(pub))
-	}
-	if len(live) < 2 {
-		return nil, nil, fmt.Errorf("core: cannot compact to %d live points", len(live))
-	}
-
-	// Seed the new index with the two nearest live points to the old
-	// navigating node, then insert the rest incrementally.
-	newBase := vecmath.NewMatrix(0, x.Base.Dim)
-	newBase.Data = make([]float32, 0, len(live)*x.Base.Dim)
-	out := &NSG{
-		Graph:      graphutil.New(0),
-		Navigating: 0,
-		Base:       newBase,
-		M:          p.M,
-	}
-	// First live point becomes the provisional navigating node.
-	first := live[0]
-	out.Base.Data = append(out.Base.Data, x.Base.Row(int(first))...)
-	out.Base.Rows = 1
-	out.Graph.Adj = append(out.Graph.Adj, nil)
-	for _, old := range live[1:] {
-		if _, err := out.Insert(x.Base.Row(int(old)), p); err != nil {
-			return nil, nil, err
-		}
-	}
-	// Recenter the navigating node on the compacted data.
-	centroid := vecmath.Centroid(out.Base)
-	out.Navigating = SearchOnGraph(out.Graph.Adj, out.Base, centroid, []int32{0}, 1, p.L, nil, nil).Neighbors[0].ID
-	// One repair pass in case pruning stranded anything.
-	repairConnectivity(out.Graph, out.Base, out.Navigating, BuildParams{L: p.L, M: p.M})
-	// Drop caches populated during the incremental inserts and freeze the
-	// final serving layout.
-	out.invalidateDerived()
-	out.FlatView()
-	return out, remap, nil
 }

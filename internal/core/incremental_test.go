@@ -185,59 +185,6 @@ func TestTombstonesBitmap(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	idx, ds := incrementalFixture(t, 400, 25)
-	ts := NewTombstones()
-	for i := int32(0); i < 100; i++ {
-		ts.Delete(i)
-	}
-	compacted, remap, err := idx.Compact(ts, InsertParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compacted.Base.Rows != 300 {
-		t.Fatalf("compacted rows = %d, want 300", compacted.Base.Rows)
-	}
-	if got := compacted.Graph.ReachableFrom(compacted.Navigating); got != 300 {
-		t.Errorf("compacted reachable = %d, want 300", got)
-	}
-	for i := int32(0); i < 100; i++ {
-		if remap[i] != -1 {
-			t.Fatalf("deleted id %d remapped to %d", i, remap[i])
-		}
-	}
-	// Remapped vectors must be identical.
-	for old := 100; old < 400; old += 50 {
-		newID := remap[old]
-		if newID < 0 {
-			t.Fatalf("live id %d marked deleted", old)
-		}
-		oldRow := ds.Base.Row(old)
-		newRow := compacted.Base.Row(int(newID))
-		for j := range oldRow {
-			if oldRow[j] != newRow[j] {
-				t.Fatalf("vector %d corrupted by compaction", old)
-			}
-		}
-	}
-	// The compacted index still answers queries about live points.
-	res := compacted.Search(ds.Base.Row(200), 1, 60, nil)
-	if res[0].ID != remap[200] {
-		t.Errorf("self-search after compact: got %d, want %d", res[0].ID, remap[200])
-	}
-}
-
-func TestCompactRejectsTotalDeletion(t *testing.T) {
-	idx, _ := incrementalFixture(t, 50, 26)
-	ts := NewTombstones()
-	for i := int32(0); i < 50; i++ {
-		ts.Delete(i)
-	}
-	if _, _, err := idx.Compact(ts, InsertParams{}); err == nil {
-		t.Error("expected error when compacting away everything")
-	}
-}
-
 func TestInsertIntoTinyIndex(t *testing.T) {
 	// Start from a 2-point index and grow it; exercises the degenerate
 	// search pools of the earliest insertions.

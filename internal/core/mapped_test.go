@@ -147,9 +147,6 @@ func TestMappedReadOnlyGuards(t *testing.T) {
 	if _, err := mapped.Insert(make([]float32, 16), InsertParams{}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Insert: %v, want ErrReadOnly", err)
 	}
-	if _, _, err := mapped.Compact(NewTombstones(), InsertParams{}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Compact: %v, want ErrReadOnly", err)
-	}
 	if err := mapped.EnableQuantization(nil); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("EnableQuantization: %v, want ErrReadOnly", err)
 	}

@@ -57,9 +57,11 @@ type NSG struct {
 	// every query path then runs the two-phase quantized search (code-space
 	// expansion, exact rerank). See EnableQuantization.
 	Quant *Quantized
-	// PubIDs translates internal node ids to the caller-visible ids when a
-	// cache-aware Relayout permuted the graph; nil means identity. Query
-	// applies it to every emitted result, and toInternal is its inverse.
+	// PubIDs translates internal node ids to the caller-visible ids after
+	// the cache-aware Relayout every public build ends with. nil means
+	// identity: a graph that was never relaid (core-level tests, files
+	// written before every build relaid). Query applies it to every emitted
+	// result, and toInternal is its inverse.
 	PubIDs     []int32
 	toInternal []int32
 
@@ -752,13 +754,6 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 	// Freeze the serving layout once at load.
 	x.flat.Store(graphutil.Flatten(g))
 	return x, nil
-}
-
-// SaveFile writes the index to path, crash-safely (temp file + fsync +
-// rename), so an interrupted save never leaves a truncated index where a
-// valid one used to be.
-func (x *NSG) SaveFile(path string) error {
-	return mstore.WriteFileAtomic(path, x.Write)
 }
 
 // dedupeSortedCtx sorts candidates ascending by (dist,id) in place and

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graphutil"
 	"repro/internal/knngraph"
+	"repro/internal/mstore"
 	"repro/internal/vecmath"
 )
 
@@ -186,7 +187,7 @@ func TestNSGSerializationErrors(t *testing.T) {
 func TestNSGFileRoundTrip(t *testing.T) {
 	idx, ds := buildTestNSG(t, 150, 8, 8)
 	path := t.TempDir() + "/test.nsg"
-	if err := idx.SaveFile(path); err != nil {
+	if err := mstore.WriteFileAtomic(path, idx.Write); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)

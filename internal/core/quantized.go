@@ -41,9 +41,9 @@ type Quantized struct {
 // every search path to the two-phase quantized search. A nil q trains the
 // grid on the index's own base vectors; passing a quantizer trained
 // elsewhere (e.g. once on the full dataset of a sharded index) shares its
-// scales without retraining. Call after Relayout, if both are wanted, so
-// codes are encoded directly in the serving order. Not safe for concurrent
-// use with Search.
+// scales without retraining. The builders call it after Relayout, so codes
+// are encoded directly in the serving order. Not safe for concurrent use
+// with Search.
 func (x *NSG) EnableQuantization(q *quant.Quantizer) error {
 	if x.ro {
 		return ErrReadOnly
@@ -73,10 +73,6 @@ func (x *NSG) EnableQuantization(q *quant.Quantizer) error {
 // IsQuantized reports whether the index serves through a quantized path.
 func (x *NSG) IsQuantized() bool { return x.Quant != nil }
 
-// Relaid reports whether a Relayout permuted the index (i.e. internal and
-// public ids differ).
-func (x *NSG) Relaid() bool { return x.PubIDs != nil }
-
 // InternalID maps a public id to the internal (post-relayout) node id.
 func (x *NSG) InternalID(id int32) int32 {
 	if x.toInternal == nil {
@@ -85,31 +81,9 @@ func (x *NSG) InternalID(id int32) int32 {
 	return x.toInternal[id]
 }
 
-// PublicID maps an internal node id to the caller-visible id.
-func (x *NSG) PublicID(id int32) int32 {
-	if x.PubIDs == nil {
-		return id
-	}
-	return x.PubIDs[id]
-}
-
 // VectorByID returns the stored vector with the given public id.
 func (x *NSG) VectorByID(id int32) []float32 {
 	return x.Base.Row(int(x.InternalID(id)))
-}
-
-// PublicBase returns the base vectors in public id order: the matrix itself
-// when no relayout happened, otherwise a de-permuted copy. Persistence
-// containers store this order so the file's row r is always public id r.
-func (x *NSG) PublicBase() vecmath.Matrix {
-	if x.PubIDs == nil {
-		return x.Base
-	}
-	out := vecmath.NewMatrix(x.Base.Rows, x.Base.Dim)
-	for i := 0; i < x.Base.Rows; i++ {
-		copy(out.Row(int(x.PubIDs[i])), x.Base.Row(i))
-	}
-	return out
 }
 
 // The error bound. Let x̂ be a row's grid reconstruction (x̂_d = Min_d +

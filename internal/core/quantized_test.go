@@ -70,7 +70,7 @@ func TestRelayoutPreservesResults(t *testing.T) {
 	// must hold every public vector at its internal row.
 	for pub := int32(0); int(pub) < base.Rows; pub++ {
 		internal := relay.InternalID(pub)
-		if relay.PublicID(internal) != pub {
+		if relay.PubIDs[internal] != pub {
 			t.Fatalf("remap not involutive at public id %d", pub)
 		}
 		got := relay.VectorByID(pub)
@@ -183,7 +183,7 @@ func TestQuantizedPersistByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ReadNSG expects rows in public order.
-	loaded, err := ReadNSG(bytes.NewReader(buf.Bytes()), idx.PublicBase())
+	loaded, err := ReadNSG(bytes.NewReader(buf.Bytes()), base.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestRhoMeasuredEverywhere(t *testing.T) {
 		if err := x.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadNSG(&buf, x.PublicBase())
+		loaded, err := ReadNSG(&buf, base.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,11 +41,6 @@ func permuteRows[T any](data []T, dim int, p []int32) {
 // is invisible except through memory behavior. Repeated calls compose.
 // Not safe for concurrent use with Search.
 func (x *NSG) Relayout() {
-	if x.ro {
-		// The public mutators catch ErrReadOnly before reaching here; an
-		// internal caller relaying out a mapped index is a contract bug.
-		panic("core: Relayout on a mapped read-only index")
-	}
 	n := x.Graph.N()
 	if n == 0 {
 		return

@@ -88,7 +88,8 @@ type Params struct {
 	// Quantize selects the SQ8 serving path on every shard: one quantizer
 	// is trained on the full base matrix (not per shard, so all shards
 	// share identical scales and their merged distances are comparable),
-	// then each shard is relayouted into BFS cache order and encoded.
+	// and each shard is encoded with it after the BFS relayout every shard
+	// build ends with.
 	Quantize bool
 	Seed     int64
 }
@@ -107,11 +108,12 @@ type SearchStats struct {
 	DistComps uint64 // exact distance evaluations, summed over shards
 }
 
-// buildShard partitions out one shard's rows and builds its NSG. perm is
-// the global random permutation; the shard owns rows perm[lo:hi]. qz,
-// non-nil iff p.Quantize, is the quantizer trained once on the full base
-// matrix: the shard is relayouted into BFS cache order and encoded with
-// those shared scales instead of retraining per shard.
+// buildShard partitions out one shard's rows and builds its NSG through
+// the single index's pipeline: kNN graph, Algorithm 2, BFS relayout into
+// cache order. perm is the global random permutation; the shard owns rows
+// perm[lo:hi]. qz, non-nil iff p.Quantize, is the quantizer trained once on
+// the full base matrix: the relaid shard is encoded with those shared
+// scales instead of retraining per shard.
 func buildShard(base vecmath.Matrix, perm []int, lo, hi int, p Params, sh int, qz *quant.Quantizer) (*core.NSG, []int32, error) {
 	ids := make([]int32, hi-lo)
 	sub := vecmath.NewMatrix(hi-lo, base.Dim)
@@ -129,8 +131,8 @@ func buildShard(base vecmath.Matrix, perm []int, lo, hi int, p Params, sh int, q
 	if err != nil {
 		return nil, nil, fmt.Errorf("distsearch: shard %d NSG: %w", sh, err)
 	}
+	idx.Relayout()
 	if qz != nil {
-		idx.Relayout()
 		if err := idx.EnableQuantization(qz); err != nil {
 			return nil, nil, fmt.Errorf("distsearch: shard %d quantize: %w", sh, err)
 		}

@@ -3,6 +3,7 @@ package distsearch
 import (
 	"encoding/binary"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -337,5 +338,37 @@ func TestQuantizedSharding(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("inserted vector %d not found at distance 0: %v", gid, res)
+	}
+}
+
+// TestEveryShardIsRelaid: every shard, float or SQ8, leaves buildShard in
+// BFS order with an id remap, and the shard's public row j is still global
+// row localID[s][j] of the base.
+func TestEveryShardIsRelaid(t *testing.T) {
+	ds, err := dataset.ECommerceLike(dataset.Config{N: 1200, Queries: 1, GTK: 1, Dim: 16, Seed: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, quantize := range []bool{false, true} {
+		p := DefaultParams(3)
+		p.Quantize = quantize
+		s, err := BuildSharded(ds.Base, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sh, shard := range s.shards {
+			if shard.PubIDs == nil {
+				t.Fatalf("quantize=%v shard %d carries no id remap: it was not relaid", quantize, sh)
+			}
+			if shard.IsQuantized() != quantize {
+				t.Fatalf("quantize=%v shard %d: IsQuantized %v", quantize, sh, shard.IsQuantized())
+			}
+			for j, g := range s.localID[sh] {
+				if !slices.Equal(shard.VectorByID(int32(j)), ds.Base.Row(int(g))) {
+					t.Fatalf("quantize=%v shard %d row %d is not global row %d", quantize, sh, j, g)
+				}
+			}
+		}
+		s.Close()
 	}
 }

@@ -320,12 +320,3 @@ func (s *Sharded) mappedVector(id int) []float32 {
 	loc := s.locator()
 	return s.shards[loc.gShard[id]].VectorByID(loc.gLocal[id])
 }
-
-// ShardOf returns the shard owning global id id, resolving through the id
-// maps. Used by tests and diagnostics; O(1) after the first call.
-func (s *Sharded) ShardOf(id int) int {
-	if id < 0 || id >= s.Base.Rows {
-		return -1
-	}
-	return int(s.locator().gShard[id])
-}

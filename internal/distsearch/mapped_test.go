@@ -84,8 +84,9 @@ func TestShardedMappedParity(t *testing.T) {
 						t.Fatalf("VectorByID(%d)[%d]: %v vs %v", id, d, got[d], want[d])
 					}
 				}
-				if sh := mapped.ShardOf(id); sh < 0 || sh >= mapped.Shards() {
-					t.Fatalf("ShardOf(%d) = %d", id, sh)
+				loc := mapped.locator()
+				if sh, j := loc.gShard[id], loc.gLocal[id]; mapped.localID[sh][j] != int32(id) {
+					t.Fatalf("locator sends %d to shard %d row %d, which holds %d", id, sh, j, mapped.localID[sh][j])
 				}
 			}
 			if hb, mb := heap.IndexBytes(), mapped.IndexBytes(); hb != mb {

@@ -83,9 +83,7 @@ func OpenMapped(path string, opts MapOptions) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
-	o := DefaultOptions()
-	o.Quantize = quantModeOf(inner.IsQuantized())
-	return newIndex(inner, o, BuildStats{}), nil
+	return newIndex(inner, loadedOptions(inner), BuildStats{}), nil
 }
 
 // ReadOnly reports whether the index is a mapped, read-only view (opened

@@ -138,10 +138,10 @@ type Options struct {
 	// builder. Slower but deterministic; useful below ~5k points.
 	ExactKNN bool
 	// Quantize selects the compressed serving path: QuantNone (the zero
-	// value) serves full float32 vectors; QuantSQ8 relayouts the graph into
-	// BFS cache order after construction and compresses the vectors to one
-	// code byte per dimension, cutting the bytes gathered per search hop
-	// ~4x. Any other value makes the builders return an error.
+	// value) serves full float32 vectors; QuantSQ8 compresses the vectors,
+	// after the BFS relayout every build ends with, to one code byte per
+	// dimension, cutting the bytes gathered per search hop ~4x. Any other
+	// value makes the builders return an error.
 	// Quantized searches expand over the codes and rerank the final
 	// candidate pool with exact float32 distances, so returned distances
 	// are always exact; the approximation costs a small amount of recall
@@ -221,7 +221,8 @@ type BuildStats struct {
 }
 
 // BuildStats returns the timing breakdown recorded when the index was
-// built. Loaded indexes report a zero value.
+// built, or, after a Compact that dropped points, of that Compact's
+// rebuild. Loaded and mapped indexes report a zero value.
 func (x *Index) BuildStats() BuildStats { return x.build }
 
 func (x *Index) getCtx() *core.SearchContext {
@@ -245,13 +246,14 @@ func Build(vectors [][]float32, opts Options) (*Index, error) {
 	if len(vectors) < 2 {
 		return nil, fmt.Errorf("nsg: need at least 2 vectors, have %d", len(vectors))
 	}
-	opts.fillDefaults()
 	base := vecmath.MatrixFromSlices(vectors)
-	return buildFromMatrix(base, opts)
+	return BuildFromFlat(base.Data, base.Dim, opts)
 }
 
 // BuildFromFlat indexes row-major flat data without copying per-row slices:
-// data holds n*dim values. The matrix takes ownership of data.
+// data holds n*dim values. The index takes ownership of data and reorders
+// its rows in place (see buildFromMatrix); ids stay the caller's row
+// numbers, and Vector(id) returns row id.
 func BuildFromFlat(data []float32, dim int, opts Options) (*Index, error) {
 	if dim <= 0 || len(data)%dim != 0 {
 		return nil, fmt.Errorf("nsg: data length %d not a multiple of dim %d", len(data), dim)
@@ -264,6 +266,11 @@ func BuildFromFlat(data []float32, dim int, opts Options) (*Index, error) {
 	return buildFromMatrix(vecmath.Matrix{Data: data, Rows: n, Dim: dim}, opts)
 }
 
+// buildFromMatrix is the one build pipeline of a single index (Build,
+// BuildFromFlat and Compact): the kNN graph, Algorithm 2, a BFS relayout
+// into cache order, then the SQ8 encode when opts asks for it. The
+// relayout permutes base's rows in place and records the id remap, so
+// callers keep seeing their own row numbers as ids.
 func buildFromMatrix(base vecmath.Matrix, opts Options) (*Index, error) {
 	if err := opts.Quantize.check(); err != nil {
 		return nil, err
@@ -281,10 +288,10 @@ func buildFromMatrix(base vecmath.Matrix, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nsg: build: %w", err)
 	}
+	// Relayout before the encode, so codes are written directly in the
+	// serving order; a nil quantizer trains the grid on the index's own base.
+	g.Relayout()
 	if opts.Quantize == QuantSQ8 {
-		// Relayout first so codes are encoded directly in the serving
-		// order; a nil quantizer trains the grid on the index's own base.
-		g.Relayout()
 		if err := g.EnableQuantization(nil); err != nil {
 			return nil, fmt.Errorf("nsg: quantize: %w", err)
 		}
@@ -416,15 +423,10 @@ func (x *Index) Save(path string) error {
 		if _, err := bw.Write(hdr); err != nil {
 			return fmt.Errorf("nsg: write header: %w", err)
 		}
-		// Vectors are stored in public id order: the fast 64 KiB-chunked path
-		// when ids are untouched, or row-streamed through the remap (without
-		// copying the matrix) on a relayouted index — the core section carries
-		// the remap table and restores the internal order on load.
-		if !x.inner.Relaid() {
-			if err := writeMatrix(bw, x.inner.Base); err != nil {
-				return err
-			}
-		} else if err := writeMatrixRows(bw, x.inner.Base, func(r int) int32 {
+		// Vectors are stored in public id order, row-streamed through the
+		// remap without copying the matrix; the core section carries the
+		// remap table and restores the internal order on load.
+		if err := writeMatrixRows(bw, x.inner.Base, func(r int) int32 {
 			return x.inner.InternalID(int32(r))
 		}); err != nil {
 			return err
@@ -436,7 +438,10 @@ func (x *Index) Save(path string) error {
 	})
 }
 
-// Load reopens an index written by Save.
+// Load reopens an index written by Save. The file keeps the degree cap
+// (Options.MaxDegree), which later Adds and Compact build with, and the
+// quantization mode; it does not keep GraphK, BuildL or SearchL, which take
+// DefaultOptions' values.
 func Load(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -469,10 +474,19 @@ func Load(path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newIndex(inner, loadedOptions(inner), BuildStats{}), nil
+}
+
+// loadedOptions are the options of an index read from a file: the stored
+// degree cap and quantization mode over DefaultOptions. A quantized file
+// carries its codes and scales, so the index serves through its quantized
+// path immediately — no retraining — and keeps Quantize set so a later
+// Compact rebuilds the quantized state.
+func loadedOptions(inner *core.NSG) Options {
 	opts := DefaultOptions()
-	// A quantized bundle carries its codes and scales, so the loaded index
-	// serves through its quantized path immediately — no retraining — and
-	// keeps Quantize set so a later Compact rebuilds the quantized state.
+	if inner.M > 0 {
+		opts.MaxDegree = inner.M
+	}
 	opts.Quantize = quantModeOf(inner.IsQuantized())
-	return newIndex(inner, opts, BuildStats{}), nil
+	return opts
 }

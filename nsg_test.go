@@ -3,6 +3,7 @@ package nsg
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -184,6 +185,57 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReopenedIndexKeepsDegreeCap: the file stores the degree cap, so an
+// index reopened by Load, or by OpenMapped and PromoteToHeap, inserts under
+// the cap it was built with, exactly as the index that was saved does.
+func TestReopenedIndexKeepsDegreeCap(t *testing.T) {
+	vecs := randomVectors(2300, 32, 41)
+	opts := DefaultOptions()
+	opts.MaxDegree = 10
+	orig, err := Build(vecs[:2000], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path, mpath := filepath.Join(dir, "cap.nsg"), filepath.Join(dir, "cap.nsgm")
+	if err := orig.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.SaveMapped(mpath); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMapped(mpath, MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if err := mapped.PromoteToHeap(); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*Index{orig, loaded, mapped} {
+		for _, v := range vecs[2000:] {
+			if _, err := x.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x.Flush()
+	}
+	want := orig.Stats()
+	// Insert may force one edge past the cap to keep a new row reachable.
+	if want.MaxDegree > opts.MaxDegree+1 {
+		t.Fatalf("built index grew to degree %d under cap %d", want.MaxDegree, opts.MaxDegree)
+	}
+	for name, x := range map[string]*Index{"Load": loaded, "OpenMapped": mapped} {
+		if got := x.Stats(); got != want {
+			t.Errorf("%s: after the same Adds, stats %+v, want the saved index's %+v", name, got, want)
+		}
+	}
+}
+
 func TestLoadErrors(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.nsg")); err == nil {
 		t.Error("expected error for missing file")
@@ -220,5 +272,84 @@ func TestOptionsDefaultsFilled(t *testing.T) {
 	ids, _ := idx.Search(vecs[0], 3)
 	if len(ids) != 3 {
 		t.Errorf("search with default options returned %d results", len(ids))
+	}
+}
+
+// TestEveryIndexIsRelaid: every build path ends in the BFS relayout —
+// Build and BuildFromFlat, float and SQ8, and the output of Compact — so
+// each index carries an id remap, and Vector(id) still returns the caller's
+// row id. For BuildSharded this checks Vector(id); distsearch's
+// TestEveryShardIsRelaid checks each shard's remap.
+func TestEveryIndexIsRelaid(t *testing.T) {
+	const n, dim = 600, 12
+	vecs := randomVectors(n, dim, 40)
+	checkRows := func(t *testing.T, vector func(int) []float32, want [][]float32) {
+		t.Helper()
+		for id, row := range want {
+			if !slices.Equal(vector(id), row) {
+				t.Fatalf("Vector(%d) is not the caller's row %d", id, id)
+			}
+		}
+	}
+	for _, quant := range []QuantMode{QuantNone, QuantSQ8} {
+		opts := DefaultOptions()
+		opts.Quantize = quant
+		cases := []struct {
+			name  string
+			build func() (*Index, [][]float32, error)
+		}{
+			{"Build", func() (*Index, [][]float32, error) {
+				idx, err := Build(vecs, opts)
+				return idx, vecs, err
+			}},
+			{"BuildFromFlat", func() (*Index, [][]float32, error) {
+				idx, err := BuildFromFlat(slices.Concat(vecs...), dim, opts)
+				return idx, vecs, err
+			}},
+			{"Compact", func() (*Index, [][]float32, error) {
+				idx, err := Build(vecs, opts)
+				if err != nil {
+					return nil, nil, err
+				}
+				for id := int32(0); id < n; id += 3 {
+					if err := idx.Delete(id); err != nil {
+						return nil, nil, err
+					}
+				}
+				remap, err := idx.Compact()
+				var want [][]float32
+				for old, nw := range remap {
+					if nw >= 0 {
+						want = append(want, vecs[old])
+					}
+				}
+				return idx, want, err
+			}},
+		}
+		for _, c := range cases {
+			t.Run(quant.String()+"/"+c.name, func(t *testing.T) {
+				idx, want, err := c.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if idx.inner.PubIDs == nil {
+					t.Fatal("index carries no id remap: it was not relaid")
+				}
+				if idx.QuantMode() != quant {
+					t.Fatalf("QuantMode %v, want %v", idx.QuantMode(), quant)
+				}
+				checkRows(t, idx.Vector, want)
+			})
+		}
+		t.Run(quant.String()+"/BuildSharded", func(t *testing.T) {
+			so := DefaultShardedOptions(3)
+			so.Shard = opts
+			idx, err := BuildSharded(vecs, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			checkRows(t, idx.Vector, vecs)
+		})
 	}
 }

@@ -325,8 +325,8 @@ func decodeQuantFlags(optFlags uint32) (QuantMode, error) {
 // Save writes the sharded index, including its vectors and build options,
 // to path. The format shares the chunked vector codec with Index.Save: a
 // versioned header (shape + the per-shard Options, so a reloaded index
-// keeps its Add/Search parameters), the base matrix in 64 KiB chunks, then
-// the shard id maps and per-shard graphs. Stop issuing Adds first; Save
+// keeps its Add/Search parameters), the base matrix, then the shard id
+// maps and per-shard graphs. Stop issuing Adds first; Save
 // flushes the maintainers so the file captures every point (concurrent
 // searches are fine).
 func (x *ShardedIndex) Save(path string) error {
@@ -346,7 +346,7 @@ func (x *ShardedIndex) Save(path string) error {
 		if _, err := bw.Write(hdr); err != nil {
 			return fmt.Errorf("nsg: write header: %w", err)
 		}
-		if err := writeMatrix(bw, x.s.Base); err != nil {
+		if err := writeMatrixRows(bw, x.s.Base, func(r int) int32 { return int32(r) }); err != nil {
 			return err
 		}
 		if err := bw.Flush(); err != nil {
