@@ -387,13 +387,14 @@ func BenchmarkAblationEntry(b *testing.B) {
 	})
 	b.Run("RandomEntry", func(b *testing.B) {
 		i := 0
+		adj := idx.FlatView().ToGraph().Adj
 		benchSearch(b, func(q []float32) []vecmath.Neighbor {
 			i++
 			start := int32(uint32(i)*2654435761) % int32(ds.Base.Rows)
 			if start < 0 {
 				start = -start
 			}
-			return core.SearchOnGraph(idx.Graph.Adj, ds.Base, q, []int32{start}, 10, 60, nil, nil).Neighbors
+			return core.SearchOnGraph(adj, ds.Base, q, []int32{start}, 10, 60, nil, nil).Neighbors
 		})
 	})
 }
@@ -663,8 +664,9 @@ func BenchmarkAblationLayout(b *testing.B) {
 	// NSG.Search serves from the flat layout, so the ragged baseline has to
 	// invoke the adjacency-list engine explicitly.
 	b.Run("AdjacencyList", func(b *testing.B) {
+		adj := idx.FlatView().ToGraph().Adj
 		benchSearch(b, func(q []float32) []vecmath.Neighbor {
-			return core.SearchOnGraph(idx.Graph.Adj, ds.Base, q, []int32{idx.Navigating}, 10, 60, nil, nil).Neighbors
+			return core.SearchOnGraph(adj, ds.Base, q, []int32{idx.Navigating}, 10, 60, nil, nil).Neighbors
 		})
 	})
 	b.Run("FlatFixedStride", func(b *testing.B) {

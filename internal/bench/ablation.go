@@ -59,7 +59,8 @@ func Ablation(w io.Writer, c ExpConfig) error {
 
 	// 1. Full NSG (reference): flat fixed-stride layout, reused context.
 	ctx := core.NewSearchContext()
-	score("NSG (full Algorithm 2)", idx.Graph, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
+	g := idx.FlatView().ToGraph()
+	score("NSG (full Algorithm 2)", g, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
 		return idx.Query(ctx, q, core.Query{K: 10, L: 60, Counter: cnt}).Neighbors
 	})
 
@@ -67,17 +68,17 @@ func Ablation(w io.Writer, c ExpConfig) error {
 	// the ragged adjacency lists with a freshly allocated context per query
 	// (the seed's allocation behavior). Recall and distance counts are
 	// identical by construction; only QPS moves.
-	score("NSG + ragged lists, fresh scratch", idx.Graph, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
+	score("NSG + ragged lists, fresh scratch", g, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
 		fresh := core.NewSearchContext()
-		return core.SearchOnGraphListCtx(fresh, idx.Graph.Adj, ds.Base, q, []int32{idx.Navigating}, 10, 60, cnt, nil).Neighbors
+		return core.SearchOnGraphListCtx(fresh, g.Adj, ds.Base, q, []int32{idx.Navigating}, 10, 60, cnt, nil).Neighbors
 	})
 
 	// 2. Entry point: random instead of the navigating node, same graph.
 	rngState := int64(12345)
-	score("NSG + random entry", idx.Graph, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
+	score("NSG + random entry", g, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
 		rngState = rngState*6364136223846793005 + 1442695040888963407
 		start := int32(uint64(rngState) % uint64(n))
-		return core.SearchOnGraph(idx.Graph.Adj, ds.Base, q, []int32{start}, 10, 60, cnt, nil).Neighbors
+		return core.SearchOnGraph(g.Adj, ds.Base, q, []int32{start}, 10, 60, cnt, nil).Neighbors
 	})
 
 	// 3. Candidates: kNN-only (NSG-Naive), same edge rule and cap.
@@ -109,7 +110,7 @@ func Ablation(w io.Writer, c ExpConfig) error {
 		if err != nil {
 			return err
 		}
-		score(fmt.Sprintf("NSG with degree cap m=%d", m), v.Graph, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
+		score(fmt.Sprintf("NSG with degree cap m=%d", m), v.FlatView().ToGraph(), func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
 			return v.Search(q, 10, 60, cnt)
 		})
 	}

@@ -128,7 +128,8 @@ func BuildSuite(ds dataset.Dataset, p SuiteParams) (*Suite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: NSG: %w", err)
 	}
-	add("NSG", nsgIdx.Graph, nsgIdx.Navigating, nsgIdx.Graph.IndexBytes(), s.KNNTime, time.Since(start), nsgIdx.Search)
+	nsgGraph := nsgIdx.FlatView().ToGraph()
+	add("NSG", nsgGraph, nsgIdx.Navigating, nsgGraph.IndexBytes(), s.KNNTime, time.Since(start), nsgIdx.Search)
 
 	// NSG-Naive, the ablation baseline of Section 4.1.2.
 	start = time.Now()

@@ -393,9 +393,9 @@ func SearchOnGraphCtx(ctx *SearchContext, g *graphutil.FlatGraph, base vecmath.M
 }
 
 // SearchOnGraphListCtx is SearchOnGraphCtx over ragged adjacency lists; it
-// exists for graphs that are still mutating (Algorithm 2's connectivity
-// repair, incremental inserts), where maintaining a flat copy per mutation
-// would cost more than the layout saves.
+// exists for graphs that are still lists (Algorithm 2's connectivity
+// repair, before the build lays the graph out flat, and the list-based
+// baselines).
 func SearchOnGraphListCtx(ctx *SearchContext, adj [][]int32, base vecmath.Matrix, query []float32, starts []int32, k, l int, counter *vecmath.Counter, visited *[]vecmath.Neighbor) SearchResult {
 	return searchOnGraph(ctx, listAdj{adj: adj}, len(adj), base, query, starts, k, l, counter, visited)
 }

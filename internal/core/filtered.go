@@ -82,16 +82,13 @@ func bitTest(bits []uint64, id int32) bool {
 type passFilter struct {
 	all    bool     // no predicate: every live row passes, bits unused
 	bits   []uint64 // indexed by final id
-	pubIDs []int32  // internal → public; nil = identity
+	pubIDs []int32  // internal → public
 	remap  []int32  // public → final (Query.Translate); nil = identity
 	dead   *Tombstones
 }
 
 func (f passFilter) node(internal int32, _ float32) bool {
-	id := internal
-	if f.pubIDs != nil {
-		id = f.pubIDs[internal]
-	}
+	id := f.pubIDs[internal]
 	if f.dead.Deleted(id) {
 		return false
 	}
@@ -139,10 +136,10 @@ func planFiltered(n, l, deg, count, dead int) (scan bool, lnav int) {
 // rows appends the internal id of every graph row f admits among the first
 // n, in public-id order. The bitmap is walked by word — tombstones masked
 // off a word at a time, set bits pulled out with TrailingZeros64 and mapped
-// through toInt (public → internal; nil = identity) — so the cost follows
-// the passing set, not n. Only under a remap, where the bitmap lives in an
-// id space the rows must be translated into one by one, does it fall back
-// to asking node about every row.
+// through toInt (public → internal) — so the cost follows the passing set,
+// not n. Only under a remap, where the bitmap lives in an id space the rows
+// must be translated into one by one, does it fall back to asking node
+// about every row.
 func (f passFilter) rows(dst []int32, n int, toInt []int32) []int32 {
 	if f.remap != nil {
 		for i := int32(0); int(i) < n; i++ {
@@ -164,11 +161,7 @@ func (f passFilter) rows(dst []int32, n int, toInt []int32) []int32 {
 			w &= 1<<uint(rest) - 1 // bits past the last row are not ids
 		}
 		for ; w != 0; w &= w - 1 {
-			id := int32(wi<<6 + bits.TrailingZeros64(w))
-			if toInt != nil {
-				id = toInt[id]
-			}
-			dst = append(dst, id)
+			dst = append(dst, toInt[wi<<6+bits.TrailingZeros64(w)])
 		}
 	}
 	return dst

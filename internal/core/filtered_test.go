@@ -398,8 +398,8 @@ func TestPassingRows(t *testing.T) {
 		for name, bits := range bitmaps {
 			for _, dead := range []*Tombstones{nil, someDead, allDead} {
 				for _, relaid := range []bool{false, true} {
-					pf := passFilter{bits: bits, dead: dead}
-					var ti []int32
+					pf := passFilter{bits: bits, dead: dead, pubIDs: identity(n)}
+					ti := identity(n)
 					if relaid {
 						pf.pubIDs, ti = pubIDs, toInt
 					}
@@ -429,14 +429,14 @@ func TestPassingRows(t *testing.T) {
 		for i := range remap {
 			remap[i] = int32(2 * i)
 		}
-		pf := passFilter{bits: makeBits(2*n, func(id int32) bool { return id%4 == 0 }).Bits, remap: remap, dead: someDead}
+		pf := passFilter{bits: makeBits(2*n, func(id int32) bool { return id%4 == 0 }).Bits, pubIDs: identity(n), remap: remap, dead: someDead}
 		var want []int32
 		for i := int32(0); int(i) < n; i++ {
 			if i%2 == 0 && i%5 != 1 {
 				want = append(want, i)
 			}
 		}
-		if got := pf.rows(nil, n, nil); !slices.Equal(got, want) {
+		if got := pf.rows(nil, n, identity(n)); !slices.Equal(got, want) {
 			t.Fatalf("n=%d remap: %d rows, want %d", n, len(got), len(want))
 		}
 	}

@@ -157,9 +157,10 @@ func TestNSGSearchMatchesLegacyLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewSearchContext()
+	adj := idx.flat.ToGraph().Adj
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		q := ds.Queries.Row(qi)
-		want := referenceSearch(idx.Graph.Adj, ds.Base, q, []int32{idx.Navigating}, 10, 40, nil, nil)
+		want := referenceSearch(adj, ds.Base, q, []int32{idx.Navigating}, 10, 40, nil, nil)
 		got := idx.Query(ctx, q, Query{K: 10, L: 40})
 		sameResult(t, qi, "NSG.Query", got, want)
 		plain := idx.Search(q, 10, 40, nil)

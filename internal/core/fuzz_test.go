@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/graphutil"
@@ -20,7 +21,7 @@ func FuzzReadNSG(f *testing.F) {
 		gr.AddEdge(i, i+1)
 		gr.AddEdge(i+1, i)
 	}
-	g := &NSG{Graph: gr, Navigating: 0, Base: base, M: 2}
+	g := newNSG(graphutil.Flatten(gr), 0, base, 2)
 	var valid bytes.Buffer
 	if err := g.Write(&valid); err != nil {
 		f.Fatal(err)
@@ -28,6 +29,14 @@ func FuzzReadNSG(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add([]byte{})
 	f.Add(valid.Bytes()[:8])
+	// The graph-only NSGF layout, which nothing writes any more but
+	// ReadNSG still reads.
+	le := binary.LittleEndian
+	legacy := bytes.NewBuffer(le.AppendUint32(le.AppendUint32(le.AppendUint32(nil, nsgFileMagic), 0), 2))
+	if _, err := g.flat.WriteTo(legacy); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy.Bytes())
 	// A quantized record seeds the flagged stream layout, so mutations of
 	// the code sections are explored too; the same record with its SQ8 flag
 	// swapped for the retired int4 marker seeds the rejection of old int4
@@ -43,13 +52,20 @@ func FuzzReadNSG(f *testing.F) {
 	int4Flag := bytes.Clone(validSQ8.Bytes())
 	int4Flag[12] = int4Flag[12]&^nsgFlagQuant | nsgFlagQuant4
 	f.Add(int4Flag)
+	// A degree cap far past any real one (OpenMappedAt's bound applies).
+	hugeM := bytes.Clone(valid.Bytes())
+	le.PutUint32(hugeM[8:], 0xFFFFFFF0)
+	f.Add(hugeM)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := ReadNSG(bytes.NewReader(data), base)
 		if err != nil {
 			return
 		}
-		if idx.Graph.N() != base.Rows {
+		if idx.flat.Nodes != base.Rows {
 			t.Fatal("parsed index with wrong node count and no error")
+		}
+		if idx.M < 0 || idx.M > maxDegreeCap {
+			t.Fatalf("parsed index with degree cap %d and no error", idx.M)
 		}
 		if int(idx.Navigating) >= base.Rows || idx.Navigating < 0 {
 			t.Fatal("parsed index with out-of-range navigating node")

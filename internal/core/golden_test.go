@@ -135,7 +135,7 @@ func searchStreams(t *testing.T, all, queries vecmath.Matrix, n, k, l int) map[s
 	for _, p := range []string{"graph", "plain", "collect", "filtered", "sq8", "delta", "insert"} {
 		sums[p] = streamHash{fnv.New64a()}
 	}
-	sums["graph"].adjacency(idx.Graph.Adj)
+	sums["graph"].adjacency(idx.flat.ToGraph().Adj)
 
 	// Two pending chunks, so the second is offered at a non-zero Off.
 	rest := all.Slice(n, all.Rows).Clone()
@@ -188,7 +188,7 @@ func searchStreams(t *testing.T, all, queries vecmath.Matrix, n, k, l int) map[s
 			t.Fatal(err)
 		}
 	}
-	sums["insert"].adjacency(idx.Graph.Adj)
+	sums["insert"].adjacency(idx.flat.ToGraph().Adj)
 	out := map[string]uint64{}
 	for p, s := range sums {
 		out[p] = s.h.Sum64()

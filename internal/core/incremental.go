@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 )
 
 // This file implements incremental insertion — the future work the paper's
@@ -32,8 +33,9 @@ type InsertParams struct {
 }
 
 // Insert adds vec to the index and returns its id. The base matrix is
-// grown; the caller's slice is copied. Not safe for concurrent use with
-// Search.
+// grown; the caller's slice is copied. The flat rows are edited in place
+// (after a copy, if a published Snapshot shares them), the way HNSW
+// rewrites capped neighbor lists. Not safe for concurrent use with Search.
 func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 	if x.ro {
 		return -1, ErrReadOnly
@@ -49,28 +51,25 @@ func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 	}
 
 	// Grow the base matrix. The new node is appended at the tail of both
-	// the internal and public id spaces, so on a relayouted index the remap
-	// tables extend with an identity entry; on a quantized index the vector
-	// is encoded with the trained grid (scales are never retrained here).
+	// the internal and public id spaces, so the remap tables extend with an
+	// identity entry; on a quantized index the vector is encoded with the
+	// trained grid (scales are never retrained here).
 	id := int32(x.Base.Rows)
 	x.Base.Data = append(x.Base.Data, vec...)
 	x.Base.Rows++
-	x.Graph.Adj = append(x.Graph.Adj, nil)
-	if x.PubIDs != nil {
-		x.PubIDs = append(x.PubIDs, id)
-		x.toInternal = append(x.toInternal, id)
-	}
+	x.PubIDs = append(x.PubIDs, id)
+	x.toInternal = append(x.toInternal, id)
 	if x.Quant != nil {
 		x.Quant.Q.AppendEncoded(&x.Quant.Codes, vec)
 		x.Quant.raiseRho(nil, vec, int(id))
 	}
 
-	// Step 1: search-collect from the navigating node, on the list layout
-	// (the graph is mutating) with pooled scratch.
+	// Step 1: search-collect from the navigating node over the id nodes
+	// already in the graph, with pooled scratch.
 	ctx := getCtx()
 	visited := ctx.collect[:0]
 	ctx.startBuf[0] = x.Navigating
-	SearchOnGraphListCtx(ctx, x.Graph.Adj[:id], x.Base, vec, ctx.startBuf[:], 1, p.L, nil, &visited)
+	SearchOnGraphCtx(ctx, x.flat, x.Base, vec, ctx.startBuf[:], 1, p.L, nil, &visited)
 	cands := dedupeSortedCtx(ctx, int(id)+1, visited, id)
 
 	// Step 2: MRNG-select the new node's out-edges.
@@ -90,7 +89,9 @@ func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 	// can go back to the pool.
 	ctx.collect = visited[:0]
 	putCtx(ctx)
-	x.Graph.Adj[id] = selected
+	x.own()
+	x.flat.AppendNode()
+	x.flat.SetNeighbors(id, selected)
 
 	// Step 3: reverse offers with overflow re-prune, keeping the new node
 	// reachable.
@@ -106,36 +107,36 @@ func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 		// node may exceed the cap by one edge, matching the slack the DFS
 		// repair pass is allowed in batch builds.
 		nb := selected[0]
-		if !x.Graph.HasEdge(nb, id) {
-			x.Graph.AddEdge(nb, id)
+		if !slices.Contains(x.flat.Neighbors(nb), id) {
+			x.flat.AddEdge(nb, id)
 		}
 	}
-	// The graph and base changed shape: drop the flat-layout and
-	// reachability caches so the next search/Stats rebuilds them.
-	x.invalidateDerived()
 	return id, nil
 }
 
-// offerReverse adds the edge from→to if absent, re-pruning from's list with
-// the MRNG rule when it overflows m. Reports whether from→to survived. All
-// scratch (distance buffer, candidate list, dedupe stamps, selection
-// buffers) is drawn from a pooled context.
+// offerReverse adds the edge from→to if absent: appended while from's row
+// is under the cap m, else from's row plus the new edge is scored in
+// scratch, re-pruned with the MRNG rule and the survivors written back.
+// Reports whether from→to survived. All scratch (distance buffer, candidate
+// list, dedupe stamps, selection buffers) is drawn from a pooled context.
 func (x *NSG) offerReverse(from, to int32, m int) bool {
-	if x.Graph.HasEdge(from, to) {
+	row := x.flat.Neighbors(from)
+	if slices.Contains(row, to) {
 		return true
 	}
-	x.Graph.AddEdge(from, to)
-	if len(x.Graph.Adj[from]) <= m {
+	if len(row) < m {
+		x.flat.AddEdge(from, to)
 		return true
 	}
 	ctx := getCtx()
 	v := x.Base.Row(int(from))
-	cands := ctx.appendScored(x.Base, v, x.Graph.Adj[from], ctx.collect[:0])
+	ctx.idBuf = append(append(ctx.idBuf[:0], row...), to)
+	cands := ctx.appendScored(x.Base, v, ctx.idBuf, ctx.collect[:0])
 	cands = dedupeSortedCtx(ctx, x.Base.Rows, cands, from)
 	sel := SelectMRNGInto(x.Base, v, cands, m, ctx, ctx.idBuf[:0])
 	ctx.idBuf = sel[:0]
-	x.Graph.Adj[from] = append(x.Graph.Adj[from][:0], sel...)
-	survived := x.Graph.HasEdge(from, to)
+	x.flat.SetNeighbors(from, sel)
+	survived := slices.Contains(sel, to)
 	ctx.collect = cands[:0]
 	putCtx(ctx)
 	return survived

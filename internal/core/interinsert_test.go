@@ -183,10 +183,11 @@ func TestFreezeSearchMatchesGraphSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewSearchContext()
+	adj := idx.flat.ToGraph().Adj
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		q := ds.Queries.Row(qi)
 		var ca, cb vecmath.Counter
-		a := SearchOnGraph(idx.Graph.Adj, ds.Base, q, []int32{idx.Navigating}, 10, 50, &ca, nil).Neighbors
+		a := SearchOnGraph(adj, ds.Base, q, []int32{idx.Navigating}, 10, 50, &ca, nil).Neighbors
 		b := idx.Query(ctx, q, Query{K: 10, L: 50, Counter: &cb}).Neighbors
 		if len(a) != len(b) {
 			t.Fatalf("query %d: lengths differ", qi)

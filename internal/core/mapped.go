@@ -123,7 +123,8 @@ type mappedSection struct {
 // table length is authoritative (the blob self-describes and carries its
 // own checksum).
 func (x *NSG) mappedLayout() ([mappedSections]mappedSection, int64) {
-	f := x.FlatView()
+	x.flat.Fit()
+	f := x.flat
 	rows := int64(x.Base.Rows)
 	dim := int64(x.Base.Dim)
 	var secs [mappedSections]mappedSection
@@ -131,10 +132,8 @@ func (x *NSG) mappedLayout() ([mappedSections]mappedSection, int64) {
 	secs[0].encode = func(w io.Writer) error { return chunkio.WriteInt32s(w, f.Data) }
 	secs[1].size = rows * dim * 4
 	secs[1].encode = func(w io.Writer) error { return chunkio.WriteFloat32s(w, x.Base.Data) }
-	if x.PubIDs != nil {
-		secs[2].size = rows * 4
-		secs[2].encode = func(w io.Writer) error { return chunkio.WriteInt32s(w, x.PubIDs) }
-	}
+	secs[2].size = rows * 4
+	secs[2].encode = func(w io.Writer) error { return chunkio.WriteInt32s(w, x.PubIDs) }
 	if x.Quant != nil {
 		// The bounds section is two dim-sized float vectors; the code slab
 		// is rows*dim bytes.
@@ -203,10 +202,7 @@ func (x *NSG) WriteMapped(w io.Writer) error {
 		secs[i].crc = h.Sum32()
 	}
 
-	flags := uint32(0)
-	if x.PubIDs != nil {
-		flags |= nsgFlagRemap
-	}
+	flags := uint32(nsgFlagRemap)
 	if x.Quant != nil {
 		flags |= nsgFlagQuant
 	}
@@ -220,7 +216,7 @@ func (x *NSG) WriteMapped(w io.Writer) error {
 	le(8, flags)
 	le(12, uint32(x.Base.Rows))
 	le(16, uint32(x.Base.Dim))
-	le(20, uint32(x.FlatView().Stride))
+	le(20, uint32(x.flat.Stride))
 	le(24, uint32(x.Navigating))
 	le(28, uint32(x.M))
 	putU64(hdr, 32, uint64(recordSize))
@@ -354,7 +350,7 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 	if nav < 0 || int64(nav) >= rows {
 		return nil, 0, corruptf(SectionHeader, "navigating node %d outside [0,%d)", nav, rows)
 	}
-	if m < 0 || m > 1<<20 {
+	if m < 0 || m > maxDegreeCap {
 		return nil, 0, corruptf(SectionHeader, "implausible degree cap %d", m)
 	}
 	if recordSize < mappedHeaderSize || recordSize%mappedAlign != 0 || recordSize > avail {
@@ -448,13 +444,9 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 			return nil, 0, corruptf(SectionAdjacency, "%v", err)
 		}
 	}
-	x := &NSG{
-		Navigating: nav,
-		Base:       vecmath.Matrix{Data: mstore.Float32s(vecBytes), Rows: int(rows), Dim: int(dim)},
-		M:          int(m),
-		ro:         true,
-	}
-	x.flat.Store(flat)
+	// A record without a remap section was never relaid: identity ids.
+	x := newNSG(flat, nav, vecmath.Matrix{Data: mstore.Float32s(vecBytes), Rows: int(rows), Dim: int(dim)}, int(m))
+	x.ro = true
 	if flags&nsgFlagRemap != 0 {
 		remapBytes, err := view(2)
 		if err != nil {
@@ -465,7 +457,7 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 		// the remap is validated even under NoVerify — a hostile entry
 		// would otherwise index out of bounds on the first translated
 		// search result.
-		inv := make([]int32, rows)
+		inv := x.toInternal
 		for i := range inv {
 			inv[i] = -1
 		}
@@ -476,7 +468,6 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 			inv[p] = int32(internal)
 		}
 		x.PubIDs = pub
-		x.toInternal = inv
 	}
 	if flags&nsgFlagMeta != 0 {
 		metaBytes, err := view(5)
@@ -542,34 +533,29 @@ func (x *NSG) Close() error {
 }
 
 // PromoteToHeap converts a mapped index into an ordinary mutable
-// heap-resident index: every slab is copied out of the mapping, the
-// adjacency lists are rematerialized, and the mapping (when owned) is
-// released. A no-op on an index that is already heap-resident.
+// heap-resident index: every slab is copied out of the mapping, and the
+// mapping (when owned) is released. The copy reads every row, so an
+// unknown ρ (an open with NoVerify) is measured on the way. A no-op on an
+// index that is already heap-resident.
 func (x *NSG) PromoteToHeap() error {
 	if !x.ro {
 		return nil
 	}
-	f := x.FlatView()
-	heapFlat := &graphutil.FlatGraph{
-		Data:   append([]int32(nil), f.Data...),
-		Stride: f.Stride,
-		Nodes:  f.Nodes,
-	}
-	x.Graph = heapFlat.ToGraph()
+	x.flat, x.shared = x.flat.Restride(x.flat.Stride), false
 	x.Base = vecmath.Matrix{
 		Data: append([]float32(nil), x.Base.Data...),
 		Rows: x.Base.Rows,
 		Dim:  x.Base.Dim,
 	}
-	if x.PubIDs != nil {
-		x.PubIDs = append([]int32(nil), x.PubIDs...)
-	}
+	x.PubIDs = append([]int32(nil), x.PubIDs...)
 	if x.Quant != nil {
 		qz := *x.Quant
 		qz.Codes.Codes = append([]uint8(nil), qz.Codes.Codes...)
+		if !qz.hasRho {
+			qz.measureRho(x.Base)
+		}
 		x.Quant = &qz
 	}
-	x.flat.Store(heapFlat)
 	x.ro = false
 	return x.Close()
 }

@@ -134,7 +134,9 @@ func TestMappedHeapParity(t *testing.T) {
 }
 
 // TestMappedReadOnlyGuards: every mutator on a mapped index must fail with
-// ErrReadOnly, and none may corrupt it for subsequent searches.
+// ErrReadOnly, and none may corrupt it for subsequent searches. Write is
+// not a mutator: it streams the bytes the heap index it was mapped from
+// writes.
 func TestMappedReadOnlyGuards(t *testing.T) {
 	base := testBase(t, 300, 16, 9)
 	heap := buildMappedTestNSG(t, base, true, false)
@@ -150,8 +152,15 @@ func TestMappedReadOnlyGuards(t *testing.T) {
 	if err := mapped.EnableQuantization(nil); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("EnableQuantization: %v, want ErrReadOnly", err)
 	}
-	if err := mapped.Write(&bytes.Buffer{}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Write: %v, want ErrReadOnly", err)
+	var hb, mb bytes.Buffer
+	if err := heap.Write(&hb); err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.Write(&mb); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if !bytes.Equal(hb.Bytes(), mb.Bytes()) {
+		t.Fatalf("mapped Write: %d bytes differ from the heap index's %d", mb.Len(), hb.Len())
 	}
 	// Still searchable after every rejected mutation.
 	res := mapped.Search(base.Row(0), 5, 20, nil)
@@ -454,4 +463,26 @@ func FuzzOpenMapped(f *testing.F) {
 			idx.Close()
 		}
 	})
+}
+
+// TestPromoteMeasuresRho: an open under NoVerify leaves ρ unknown, so the
+// rerank would read every float row; the promote reads every row anyway and
+// must come back with the built index's ρ.
+func TestPromoteMeasuresRho(t *testing.T) {
+	base := testBase(t, 300, 16, 11)
+	heap := buildMappedTestNSG(t, base, true, true)
+	mapped, err := OpenMapped(saveMappedTemp(t, heap), MapOptions{NoVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if mapped.Quant.hasRho {
+		t.Fatal("a NoVerify open measured ρ")
+	}
+	if err := mapped.PromoteToHeap(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mapped.Quant, heap.Quant; !got.hasRho || got.rho != want.rho {
+		t.Fatalf("promoted ρ %v (known %v), built index's %v", got.rho, got.hasRho, want.rho)
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,13 +41,12 @@ func DefaultBuildParams() BuildParams {
 // NSG is the built index: the pruned graph, its fixed entry point, and the
 // base vectors it indexes.
 //
-// Alongside the mutable adjacency lists, the index caches a fixed-stride
-// flat copy of the graph (graphutil.FlatGraph) — the serving layout the
-// paper's Table 2 describes — plus the reachable-node count Stats reports.
-// Both caches are built at construction/load, invalidated by mutations
-// (Insert), and rebuilt lazily, so searches always traverse the flat layout.
+// The graph has one form, heap or mapped: the fixed-stride flat adjacency
+// (graphutil.FlatGraph) the paper's Table 2 describes, which searches
+// traverse and Insert edits in place. A heap index owns its slabs; a mapped
+// one points them into a file and sets ro. Snapshot shares the flat graph
+// with the views it publishes, and the next in-place write copies it first.
 type NSG struct {
-	Graph      *graphutil.Graph
 	Navigating int32 // the navigating node: search always starts here
 	Base       vecmath.Matrix
 	M          int // degree cap the index was built with
@@ -58,10 +56,9 @@ type NSG struct {
 	// expansion, exact rerank). See EnableQuantization.
 	Quant *Quantized
 	// PubIDs translates internal node ids to the caller-visible ids after
-	// the cache-aware Relayout every public build ends with. nil means
-	// identity: a graph that was never relaid (core-level tests, files
-	// written before every build relaid). Query applies it to every emitted
-	// result, and toInternal is its inverse.
+	// the cache-aware Relayout every public build ends with; a graph that
+	// was never relaid carries the identity. Query applies it to every
+	// emitted result, and toInternal is its inverse.
 	PubIDs     []int32
 	toInternal []int32
 
@@ -71,40 +68,42 @@ type NSG struct {
 	// optional section in the NSGQ stream and NSGM mapped layouts.
 	Meta *meta.Store
 
-	flatMu sync.Mutex
-	flat   atomic.Pointer[graphutil.FlatGraph]
+	flat   *graphutil.FlatGraph
+	shared bool         // a published Snapshot holds flat: copy before writing
 	reach  atomic.Int64 // cached ReachableFrom(Navigating)+1; 0 = unknown
 
-	// Mapped-mode state (see mapped.go). A mapped index has Graph == nil
-	// — the flat cache is the only adjacency, pointing into the file — and
-	// ro set; mutators check ro and return ErrReadOnly. mapped holds the
-	// backing file when this index owns it (nil for records opened inside
-	// a container, whose mapping the container owns).
+	// Mapped-mode state (see mapped.go): ro makes mutators return
+	// ErrReadOnly; mapped holds the backing file when this index owns it
+	// (nil for records opened inside a container, whose mapping the
+	// container owns).
 	ro     bool
 	mapped *mstore.File
 }
 
-// FlatView returns the fixed-stride adjacency the searcher traverses,
-// flattening the graph on first use and caching the result until the next
-// mutation. Safe for concurrent use; the returned graph is immutable.
-func (x *NSG) FlatView() *graphutil.FlatGraph {
-	if f := x.flat.Load(); f != nil {
-		return f
-	}
-	x.flatMu.Lock()
-	defer x.flatMu.Unlock()
-	if f := x.flat.Load(); f != nil {
-		return f
-	}
-	f := graphutil.Flatten(x.Graph)
-	x.flat.Store(f)
-	return f
+// newNSG wraps a graph with identity id tables.
+func newNSG(flat *graphutil.FlatGraph, nav int32, base vecmath.Matrix, m int) *NSG {
+	return &NSG{flat: flat, Navigating: nav, Base: base, M: m, PubIDs: identity(flat.Nodes), toInternal: identity(flat.Nodes)}
 }
 
-// invalidateDerived drops the flat-layout and reachability caches after a
-// graph mutation; they rebuild lazily on next use.
-func (x *NSG) invalidateDerived() {
-	x.flat.Store(nil)
+// identity returns the ids 0..n-1.
+func identity(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
+// FlatView returns the fixed-stride adjacency the searcher traverses. It
+// is valid until the next mutation; do not modify it.
+func (x *NSG) FlatView() *graphutil.FlatGraph { return x.flat }
+
+// own makes the flat graph safe to write in place: a copy, if a published
+// Snapshot shares it.
+func (x *NSG) own() {
+	if x.shared {
+		x.flat, x.shared = x.flat.Restride(x.flat.Stride), false
+	}
 	x.reach.Store(0)
 }
 
@@ -116,7 +115,7 @@ type PhaseTimings struct {
 	Collect     time.Duration // per-node search-collect-select (step iii)
 	InterInsert time.Duration // reverse-edge insertion and overflow re-prunes
 	Repair      time.Duration // DFS spanning repair (step iv)
-	Flatten     time.Duration // freezing the fixed-stride serving layout
+	Flatten     time.Duration // laying the graph out in fixed-stride rows
 }
 
 // Total sums the phase timings.
@@ -213,10 +212,8 @@ func NSGBuild(knn *graphutil.Graph, base vecmath.Matrix, p BuildParams) (*NSG, B
 	stats.TreeRepairEdges, stats.TreePasses = repairConnectivity(g, base, nav, p)
 	stats.Phases.Repair = time.Since(phase)
 
-	idx := &NSG{Graph: g, Navigating: nav, Base: base, M: p.M}
-	// Freeze the serving layout once at construction.
 	phase = time.Now()
-	idx.flat.Store(graphutil.Flatten(g))
+	idx := newNSG(graphutil.Flatten(g), nav, base, p.M)
 	stats.Phases.Flatten = time.Since(phase)
 	return idx, stats, nil
 }
@@ -411,8 +408,8 @@ func (x *NSG) Search(query []float32, k, l int, counter *vecmath.Counter) []vecm
 }
 
 // Query is Snapshot.Query over the index's current state: it traverses the
-// cached flat layout from the navigating node (on a quantized index, in code
-// space with an exact rerank) and emits public ids. The result aliases ctx;
+// flat rows from the navigating node (on a quantized index, in code space
+// with an exact rerank) and emits public ids. The result aliases ctx;
 // reuse ctx across queries from one goroutine and the steady state performs
 // zero allocations.
 func (x *NSG) Query(ctx *SearchContext, vec []float32, q Query) SearchResult {
@@ -433,62 +430,19 @@ type IndexStats struct {
 // full graph traversal — is computed once and cached until the graph
 // mutates, so Stats is cheap enough to call from serving loops.
 func (x *NSG) Stats() IndexStats {
-	if x.Graph == nil {
-		// Mapped index: derive everything from the flat serving layout.
-		f := x.FlatView()
-		var sum, max int
-		for i := 0; i < f.Nodes; i++ {
-			d := f.Degree(int32(i))
-			sum += d
-			if d > max {
-				max = d
-			}
-		}
-		avg := 0.0
-		if f.Nodes > 0 {
-			avg = float64(sum) / float64(f.Nodes)
-		}
-		return IndexStats{
-			N:          f.Nodes,
-			AvgDegree:  avg,
-			MaxDegree:  max,
-			IndexBytes: int64(f.Nodes) * int64(f.Stride-1) * 4,
-			Reachable:  x.reachableCount(),
-		}
+	st := flatStats(x.flat)
+	if st.Reachable = int(x.reach.Load() - 1); st.Reachable < 0 {
+		st.Reachable = x.flat.ReachableFrom(x.Navigating)
+		x.reach.Store(int64(st.Reachable) + 1)
 	}
-	d := x.Graph.Degrees()
-	return IndexStats{
-		N:          x.Graph.N(),
-		AvgDegree:  d.Avg,
-		MaxDegree:  d.Max,
-		IndexBytes: x.Graph.IndexBytes(),
-		Reachable:  x.reachableCount(),
-	}
+	return st
 }
 
-// IndexBytes returns the index footprint under the paper's Table 2
-// accounting (N * maxDegree * 4), valid for both heap and mapped indexes
-// (the latter have no adjacency-list Graph at all; stride-1 is maxDegree).
-func (x *NSG) IndexBytes() int64 {
-	if x.Graph == nil {
-		f := x.FlatView()
-		return int64(f.Nodes) * int64(f.Stride-1) * 4
-	}
-	return x.Graph.IndexBytes()
-}
-
-func (x *NSG) reachableCount() int {
-	if v := x.reach.Load(); v > 0 {
-		return int(v - 1)
-	}
-	var r int
-	if x.Graph == nil {
-		r = x.FlatView().ReachableFrom(x.Navigating)
-	} else {
-		r = x.Graph.ReachableFrom(x.Navigating)
-	}
-	x.reach.Store(int64(r) + 1)
-	return r
+// flatStats is Stats without the reachability count, under the paper's
+// Table 2 accounting (N * maxDegree * 4 bytes).
+func flatStats(f *graphutil.FlatGraph) IndexStats {
+	d := f.Degrees()
+	return IndexStats{N: f.Nodes, AvgDegree: d.Avg, MaxDegree: d.Max, IndexBytes: int64(f.Nodes) * int64(d.Max) * 4}
 }
 
 const (
@@ -512,45 +466,24 @@ const (
 	// maxMetaBlob bounds the metadata section a reader will allocate for —
 	// far above any real column store, far below a corrupt length's reach.
 	maxMetaBlob = 1 << 30
+	// maxDegreeCap bounds the degree cap M a record may claim.
+	maxDegreeCap = 1 << 20
 )
 
-// Write serializes the index (graph + navigating node + degree cap, plus
-// the id-remap table and SQ8 grid/codes when present — storing codes and
-// scales lets a load skip retraining and re-encoding). The base vectors are
-// not serialized — like the paper's index files, vectors live in their own
-// dataset file and are re-attached on load, in public id order.
+// Write serializes the index (graph + navigating node + degree cap + the
+// id-remap table, plus the SQ8 grid/codes when present — storing codes and
+// scales lets a load skip retraining and re-encoding) from its flat rows,
+// heap or mapped. The base vectors are not serialized — like the paper's
+// index files, vectors live in their own dataset file and are re-attached
+// on load, in public id order.
 func (x *NSG) Write(w io.Writer) error {
-	if x.Graph == nil {
-		// A mapped index has no adjacency-list form to stream; its native
-		// serialization is the aligned record it was opened from.
-		return fmt.Errorf("core: stream-serializing a mapped index (use WriteMapped): %w", ErrReadOnly)
-	}
 	bw := bufio.NewWriter(w)
-	flags := uint32(0)
-	if x.PubIDs != nil {
-		flags |= nsgFlagRemap
-	}
+	flags := uint32(nsgFlagRemap)
 	if x.Quant != nil {
 		flags |= nsgFlagQuant
 	}
 	if x.Meta != nil {
 		flags |= nsgFlagMeta
-	}
-	if flags == 0 {
-		hdr := make([]byte, 12)
-		binary.LittleEndian.PutUint32(hdr[0:], nsgFileMagic)
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(x.Navigating))
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(x.M))
-		if _, err := bw.Write(hdr); err != nil {
-			return fmt.Errorf("core: write header: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
-			return fmt.Errorf("core: flush header: %w", err)
-		}
-		if _, err := x.Graph.WriteTo(w); err != nil {
-			return err
-		}
-		return nil
 	}
 	hdr := make([]byte, 16)
 	binary.LittleEndian.PutUint32(hdr[0:], nsgQuantMagic)
@@ -563,13 +496,11 @@ func (x *NSG) Write(w io.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("core: flush header: %w", err)
 	}
-	if _, err := x.Graph.WriteTo(w); err != nil {
+	if _, err := x.flat.WriteTo(w); err != nil {
 		return err
 	}
-	if x.PubIDs != nil {
-		if err := writeRemap(bw, x.PubIDs); err != nil {
-			return err
-		}
+	if err := writeRemap(bw, x.PubIDs); err != nil {
+		return err
 	}
 	if x.Quant != nil {
 		if err := quant.WriteQuantizer(bw, &x.Quant.Q); err != nil {
@@ -696,7 +627,10 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 		return nil, fmt.Errorf("core: bad NSG file magic")
 	}
 	nav := int32(binary.LittleEndian.Uint32(hdr[4:]))
-	m := int(binary.LittleEndian.Uint32(hdr[8:]))
+	m := binary.LittleEndian.Uint32(hdr[8:])
+	if m > maxDegreeCap {
+		return nil, fmt.Errorf("core: implausible degree cap %d", m)
+	}
 	// The node count must match base (checked inside ReadFromN, before the
 	// adjacency allocation, so a corrupt count cannot demand gigabytes).
 	g, err := graphutil.ReadFromN(br, base.Rows)
@@ -706,18 +640,17 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 	if int(nav) >= g.N() || nav < 0 {
 		return nil, fmt.Errorf("core: navigating node %d out of range", nav)
 	}
-	x := &NSG{Graph: g, Navigating: nav, Base: base, M: m}
+	// A record without a remap section was never relaid: identity ids.
+	x := newNSG(graphutil.Flatten(g), nav, base, int(m))
 	if flags&nsgFlagRemap != 0 {
 		pub, err := readRemap(br, g.N())
 		if err != nil {
 			return nil, err
 		}
 		x.PubIDs = pub
-		inv := make([]int32, len(pub))
 		for internal, p := range pub {
-			inv[p] = int32(internal)
+			x.toInternal[p] = int32(internal)
 		}
-		x.toInternal = inv
 		// The caller supplied rows in public order; restore the internal
 		// (relayouted) order the graph was persisted in. The permutation is
 		// applied in place (cycle following), so loading a relayouted index
@@ -751,8 +684,6 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 		}
 		x.Meta = m
 	}
-	// Freeze the serving layout once at load.
-	x.flat.Store(graphutil.Flatten(g))
 	return x, nil
 }
 

@@ -42,7 +42,7 @@ func TestNSGBuildBasicInvariants(t *testing.T) {
 	if st.AvgDegree <= 0 {
 		t.Error("average degree must be positive")
 	}
-	for i, adj := range idx.Graph.Adj {
+	for i, adj := range idx.flat.ToGraph().Adj {
 		seen := map[int32]struct{}{}
 		for _, v := range adj {
 			if v == int32(i) {
@@ -63,7 +63,7 @@ func TestNSGFullyReachable(t *testing.T) {
 	// The paper's connectivity guarantee (Table 4: SCC=1 for NSG): every
 	// node must be reachable from the navigating node after tree repair.
 	idx, _ := buildTestNSG(t, 600, 16, 2)
-	if got := idx.Graph.ReachableFrom(idx.Navigating); got != 600 {
+	if got := idx.flat.ReachableFrom(idx.Navigating); got != 600 {
 		t.Errorf("reachable = %d, want 600", got)
 	}
 }
@@ -152,8 +152,8 @@ func TestNSGSerializationRoundTrip(t *testing.T) {
 	if got.Navigating != idx.Navigating || got.M != idx.M {
 		t.Errorf("metadata mismatch: nav %d/%d m %d/%d", got.Navigating, idx.Navigating, got.M, idx.M)
 	}
-	if got.Graph.Edges() != idx.Graph.Edges() {
-		t.Errorf("edges %d, want %d", got.Graph.Edges(), idx.Graph.Edges())
+	if ge, ie := got.flat.ToGraph().Edges(), idx.flat.ToGraph().Edges(); ge != ie {
+		t.Errorf("edges %d, want %d", ge, ie)
 	}
 	// Search results must be identical after a round trip.
 	q := ds.Queries.Row(0)
@@ -226,12 +226,13 @@ func TestNSGDeterministicBuild(t *testing.T) {
 	if a.Navigating != b.Navigating {
 		t.Errorf("navigating node differs: %d vs %d", a.Navigating, b.Navigating)
 	}
-	for i := range a.Graph.Adj {
-		if len(a.Graph.Adj[i]) != len(b.Graph.Adj[i]) {
+	ga, gb := a.flat.ToGraph(), b.flat.ToGraph()
+	for i := range ga.Adj {
+		if len(ga.Adj[i]) != len(gb.Adj[i]) {
 			t.Fatalf("node %d degree differs between identical builds", i)
 		}
-		for j := range a.Graph.Adj[i] {
-			if a.Graph.Adj[i][j] != b.Graph.Adj[i][j] {
+		for j := range ga.Adj[i] {
+			if ga.Adj[i][j] != gb.Adj[i][j] {
 				t.Fatalf("node %d adjacency differs between identical builds", i)
 			}
 		}
@@ -275,7 +276,7 @@ func TestNSGNNGPreservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	nn := graphutil.ExactNearest(ds.Base)
-	if pct := idx.Graph.NNPercent(nn); pct < 99 {
+	if pct := idx.flat.ToGraph().NNPercent(nn); pct < 99 {
 		t.Errorf("NN%% = %.1f, want >= 99 with exact kNN input", pct)
 	}
 }
@@ -294,7 +295,7 @@ func TestNSGBuildWithNNDescentInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.Graph.ReachableFrom(idx.Navigating); got != 900 {
+	if got := idx.flat.ReachableFrom(idx.Navigating); got != 900 {
 		t.Errorf("reachable = %d, want 900", got)
 	}
 	got := make([][]int32, ds.Queries.Rows)

@@ -74,12 +74,7 @@ func (x *NSG) EnableQuantization(q *quant.Quantizer) error {
 func (x *NSG) IsQuantized() bool { return x.Quant != nil }
 
 // InternalID maps a public id to the internal (post-relayout) node id.
-func (x *NSG) InternalID(id int32) int32 {
-	if x.toInternal == nil {
-		return id
-	}
-	return x.toInternal[id]
-}
+func (x *NSG) InternalID(id int32) int32 { return x.toInternal[id] }
 
 // VectorByID returns the stored vector with the given public id.
 func (x *NSG) VectorByID(id int32) []float32 {

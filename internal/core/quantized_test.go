@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -91,7 +92,7 @@ func TestRelayoutImprovesBFSLocality(t *testing.T) {
 	idx := buildQuantTestNSG(t, base)
 	span := func(g *NSG) float64 {
 		var total, edges float64
-		for i, adj := range g.Graph.Adj {
+		for i, adj := range g.flat.ToGraph().Adj {
 			for _, nb := range adj {
 				d := float64(int32(i) - nb)
 				if d < 0 {
@@ -231,26 +232,33 @@ func TestQuantizedPersistByteIdentical(t *testing.T) {
 	}
 }
 
-// TestVersionGateOldFilesLoad: a record written without quantization uses
-// the original NSGF magic and must keep loading (the v2 sharded files on
-// disk embed exactly these records).
+// TestVersionGateOldFilesLoad: a graph-only record under the original NSGF
+// magic, the layout written before quantization existed (the v2 sharded
+// files on disk embed exactly these records), must keep loading — with
+// identity ids, as it was never relaid.
 func TestVersionGateOldFilesLoad(t *testing.T) {
 	base := testBase(t, 300, 16, 9)
 	idx := buildQuantTestNSG(t, base)
 	var buf bytes.Buffer
-	if err := idx.Write(&buf); err != nil {
+	hdr := make([]byte, 12)
+	binary.LittleEndian.PutUint32(hdr[0:], nsgFileMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(idx.Navigating))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(idx.M))
+	buf.Write(hdr)
+	if _, err := idx.flat.WriteTo(&buf); err != nil {
 		t.Fatal(err)
-	}
-	head := buf.Bytes()[:4]
-	if got := uint32(head[0]) | uint32(head[1])<<8 | uint32(head[2])<<16 | uint32(head[3])<<24; got != nsgFileMagic {
-		t.Fatalf("unquantized index wrote magic %#x, want legacy NSGF %#x", got, nsgFileMagic)
 	}
 	loaded, err := ReadNSG(bytes.NewReader(buf.Bytes()), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.IsQuantized() || loaded.PubIDs != nil {
-		t.Fatal("legacy record loaded with quant/remap state")
+	if loaded.IsQuantized() {
+		t.Fatal("legacy record loaded with quant state")
+	}
+	for i := range base.Rows {
+		if loaded.PubIDs[i] != int32(i) || loaded.InternalID(int32(i)) != int32(i) {
+			t.Fatalf("legacy record: id %d maps to public %d, internal %d", i, loaded.PubIDs[i], loaded.InternalID(int32(i)))
+		}
 	}
 	ctx := NewSearchContext()
 	if res := loaded.Query(ctx, base.Row(5), Query{K: 5, L: 20}); res.Neighbors[0].ID != 5 {
@@ -413,7 +421,7 @@ func TestQuantBoundNearTies(t *testing.T) {
 				}
 			}
 		}
-		s := &Snapshot{base: base, quant: &Quantized{Q: qz, Codes: qz.Encode(base)}}
+		s := &Snapshot{base: base, quant: &Quantized{Q: qz, Codes: qz.Encode(base)}, toInt: identity(base.Rows)}
 		s.quant.measureRho(base)
 		query := make([]float32, dim)
 		ctx := NewSearchContext()

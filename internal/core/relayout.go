@@ -28,24 +28,24 @@ func permuteRows[T any](data []T, dim int, p []int32) {
 }
 
 // Relayout renumbers the index's nodes into BFS order from the navigating
-// node and permutes every per-node array (adjacency lists, float vectors,
-// SQ8 codes) to match, so the neighborhoods a greedy search expands early
-// sit on adjacent cache lines — nodes reached within few hops of the entry
-// point land near the front of the base and code matrices, and each node's
-// out-neighbors (visited together) were enqueued together. Unreached nodes
-// (none, after Algorithm 2's connectivity repair) keep their relative order
-// at the tail.
+// node and permutes every per-node array (flat adjacency rows, float
+// vectors, SQ8 codes) to match, so the neighborhoods a greedy search expands
+// early sit on adjacent cache lines — nodes reached within few hops of the
+// entry point land near the front of the base and code matrices, and each
+// node's out-neighbors (visited together) were enqueued together. Unreached
+// nodes (none, after Algorithm 2's connectivity repair) keep their relative
+// order at the tail.
 //
-// Caller-visible ids do not change: the permutation is recorded in an
+// Caller-visible ids do not change: the permutation is composed into the
 // id-remap table and every emitted result is translated back, so Relayout
 // is invisible except through memory behavior. Repeated calls compose.
 // Not safe for concurrent use with Search.
 func (x *NSG) Relayout() {
-	n := x.Graph.N()
+	n := x.flat.Nodes
 	if n == 0 {
 		return
 	}
-	// BFS order from the navigating node; adjacency lists are in ascending
+	// BFS order from the navigating node; adjacency rows are in ascending
 	// distance order (the MRNG selection emits them sorted), so a node's
 	// closest neighbors are also its closest in the new layout.
 	order := make([]int32, 0, n)
@@ -53,7 +53,7 @@ func (x *NSG) Relayout() {
 	order = append(order, x.Navigating)
 	seen[x.Navigating] = true
 	for head := 0; head < len(order); head++ {
-		for _, nb := range x.Graph.Adj[order[head]] {
+		for _, nb := range x.flat.Neighbors(order[head]) {
 			if !seen[nb] {
 				seen[nb] = true
 				order = append(order, nb)
@@ -71,42 +71,29 @@ func (x *NSG) Relayout() {
 		toNew[old] = int32(newID)
 	}
 
-	// Permute the float vectors, and the codes when quantization was
-	// enabled first — in place, so the relayout never holds two copies of
-	// the vectors.
+	// Permute the adjacency rows, the float vectors, and the codes when
+	// quantization was enabled first — in place, so the relayout never holds
+	// two copies of any of them — then relabel the edges.
+	x.own()
+	permuteRows(x.flat.Data, x.flat.Stride, order)
 	permuteRows(x.Base.Data, x.Base.Dim, order)
 	if x.Quant != nil {
 		permuteRows(x.Quant.Codes.Codes, x.Quant.Codes.Dim, order)
 	}
-
-	// Relabel and reorder the adjacency lists, reusing the per-node slices.
-	newAdj := make([][]int32, n)
-	for newID, old := range order {
-		adj := x.Graph.Adj[old]
-		for j, nb := range adj {
-			adj[j] = toNew[nb]
-		}
-		newAdj[newID] = adj
-	}
-	x.Graph.Adj = newAdj
-
-	// Compose the public mapping: new internal -> (old internal ->) public.
-	newPub := make([]int32, n)
-	for newID, old := range order {
-		if x.PubIDs != nil {
-			newPub[newID] = x.PubIDs[old]
-		} else {
-			newPub[newID] = old
+	for i := int32(0); int(i) < n; i++ {
+		nbs := x.flat.Neighbors(i)
+		for j, nb := range nbs {
+			nbs[j] = toNew[nb]
 		}
 	}
-	x.PubIDs = newPub
-	inv := make([]int32, n)
-	for internal, pub := range newPub {
-		inv[pub] = int32(internal)
-	}
-	x.toInternal = inv
 
+	// Compose the public mapping: new internal -> (old internal ->) public,
+	// into fresh tables (a Snapshot may hold the old ones).
+	pub, inv := make([]int32, n), make([]int32, n)
+	for newID, old := range order {
+		pub[newID] = x.PubIDs[old]
+		inv[pub[newID]] = int32(newID)
+	}
+	x.PubIDs, x.toInternal = pub, inv
 	x.Navigating = toNew[x.Navigating]
-	x.invalidateDerived()
-	x.FlatView() // refreeze the serving layout in the new order
 }

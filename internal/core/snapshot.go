@@ -17,26 +17,28 @@ import (
 // lives in internal/live; this file only defines what a frozen view is and
 // how Algorithm 1 searches one.
 //
-// Immutability is structural, not copied: a Snapshot captures the flat
-// adjacency pointer and the slice headers of the base matrix, code matrix
-// and id-remap table at a moment when all of them describe the same n rows.
-// Later mutations through NSG.Insert only append rows (indexes >= n), swap
-// the NSG's own headers, or rebuild the flat layout into a fresh array —
-// the rows a snapshot can reach are never rewritten, so any number of
-// readers may traverse a snapshot while the maintainer grows the index.
+// Immutability is copy-on-write: a Snapshot captures the flat adjacency
+// pointer and the slice headers of the base matrix, code matrix and
+// id-remap tables at a moment when all of them describe the same n rows,
+// and marks the flat graph shared. Later mutations through NSG.Insert only
+// append vector, code and id rows (indexes >= n) or swap the NSG's own
+// headers, and the first in-place write to an adjacency row copies the
+// shared graph into a fresh array — the rows a snapshot can reach are never
+// rewritten, so any number of readers may traverse a snapshot while the
+// maintainer grows the index.
 
 // Snapshot is an immutable, lock-free serving view of an NSG: the frozen
 // fixed-stride adjacency, the first n rows of the base (and, when
-// quantized, code) matrix, and the id-remap table if a relayout permuted
-// the graph. Create one with NSG.Snapshot; search it from any number of
-// goroutines with per-goroutine contexts.
+// quantized, code) matrix, and the id-remap tables. Create one with
+// NSG.Snapshot; search it from any number of goroutines with per-goroutine
+// contexts.
 type Snapshot struct {
 	flat   *graphutil.FlatGraph
 	nav    int32
 	base   vecmath.Matrix
 	quant  *Quantized // value copy; nil when the index is not quantized
-	pubIDs []int32    // internal -> public translation; nil = identity
-	toInt  []int32    // public -> internal; nil = identity
+	pubIDs []int32    // internal -> public translation
+	toInt  []int32    // public -> internal
 }
 
 // view is the index's current state as a transient Snapshot value: what
@@ -44,7 +46,7 @@ type Snapshot struct {
 // copying it. Valid only until the next mutation.
 func (x *NSG) view() Snapshot {
 	return Snapshot{
-		flat:   x.FlatView(),
+		flat:   x.flat,
 		nav:    x.Navigating,
 		base:   x.Base,
 		quant:  x.Quant,
@@ -54,10 +56,14 @@ func (x *NSG) view() Snapshot {
 }
 
 // Snapshot freezes the index's current state into an immutable serving
-// view. Must not be called concurrently with mutations (the live maintainer
-// is the only caller while a handle is running); the returned snapshot
-// itself is then safe to search concurrently with further mutations.
+// view, sharing the flat graph (narrowed to the maximum degree first; see
+// FlatGraph.Fit) until the next write copies it. Must not be called
+// concurrently with mutations (the live maintainer is the only caller while
+// a handle is running); the returned snapshot itself is then safe to search
+// concurrently with further mutations.
 func (x *NSG) Snapshot() *Snapshot {
+	x.flat.Fit()
+	x.shared = true
 	s := x.view()
 	if s.quant != nil {
 		q := *s.quant
@@ -71,39 +77,18 @@ func (s *Snapshot) Rows() int { return s.base.Rows }
 
 // Vector returns the stored vector with the given public id.
 func (s *Snapshot) Vector(id int32) []float32 {
-	if s.toInt != nil {
-		id = s.toInt[id]
-	}
-	return s.base.Row(int(id))
+	return s.base.Row(int(s.toInt[id]))
 }
 
 // Stats computes degree and memory statistics from the frozen flat layout,
-// so a live index can report them without touching the maintainer-private
-// ragged graph. Reachable equals N: snapshots are published only for
-// graphs whose construction (Algorithm 2 repair) or insertion path
-// (forced reverse link) guarantees reachability from the navigating node.
+// so a live index can report them without touching the maintainer's graph.
+// Reachable equals N: snapshots are published only for graphs whose
+// construction (Algorithm 2 repair) or insertion path (forced reverse link)
+// guarantees reachability from the navigating node.
 func (s *Snapshot) Stats() IndexStats {
-	f := s.flat
-	var sum int64
-	maxd := 0
-	for i := 0; i < f.Nodes; i++ {
-		d := f.Degree(int32(i))
-		sum += int64(d)
-		if d > maxd {
-			maxd = d
-		}
-	}
-	avg := 0.0
-	if f.Nodes > 0 {
-		avg = float64(sum) / float64(f.Nodes)
-	}
-	return IndexStats{
-		N:          f.Nodes,
-		AvgDegree:  avg,
-		MaxDegree:  maxd,
-		IndexBytes: int64(f.Nodes) * int64(f.Stride-1) * 4,
-		Reachable:  f.Nodes,
-	}
+	st := flatStats(s.flat)
+	st.Reachable = st.N
+	return st
 }
 
 // DeltaChunk is one contiguous run of not-yet-drained inserts: float rows
@@ -248,9 +233,7 @@ func (s *Snapshot) Query(ctx *SearchContext, vec []float32, q Query) SearchResul
 			nb.ID = q.Delta.id(int(nb.ID - n))
 			continue
 		}
-		if s.pubIDs != nil {
-			nb.ID = s.pubIDs[nb.ID]
-		}
+		nb.ID = s.pubIDs[nb.ID]
 		if q.Translate != nil {
 			nb.ID = q.Translate[nb.ID]
 		}

@@ -342,8 +342,8 @@ func TestQuantizedSharding(t *testing.T) {
 }
 
 // TestEveryShardIsRelaid: every shard, float or SQ8, leaves buildShard in
-// BFS order with an id remap, and the shard's public row j is still global
-// row localID[s][j] of the base.
+// BFS order (its navigating node, the BFS root, is internal row 0), and the
+// shard's public row j is still global row localID[s][j] of the base.
 func TestEveryShardIsRelaid(t *testing.T) {
 	ds, err := dataset.ECommerceLike(dataset.Config{N: 1200, Queries: 1, GTK: 1, Dim: 16, Seed: 25})
 	if err != nil {
@@ -357,8 +357,8 @@ func TestEveryShardIsRelaid(t *testing.T) {
 			t.Fatal(err)
 		}
 		for sh, shard := range s.shards {
-			if shard.PubIDs == nil {
-				t.Fatalf("quantize=%v shard %d carries no id remap: it was not relaid", quantize, sh)
+			if shard.Navigating != 0 {
+				t.Fatalf("quantize=%v shard %d: navigating node is internal row %d, not 0: it was not relaid", quantize, sh, shard.Navigating)
 			}
 			if shard.IsQuantized() != quantize {
 				t.Fatalf("quantize=%v shard %d: IsQuantized %v", quantize, sh, shard.IsQuantized())

@@ -38,8 +38,12 @@ const (
 )
 
 // Write serializes the sharded index (id maps + per-shard NSGs, no base
-// vectors) to w.
+// vectors) to w. A mapped container has no global base for the caller to
+// write beside it, so it refuses with core.ErrReadOnly.
 func (s *Sharded) Write(w io.Writer) error {
+	if s.ro {
+		return fmt.Errorf("distsearch: stream-serializing a mapped container (use WriteMapped): %w", core.ErrReadOnly)
+	}
 	bw := bufio.NewWriter(w)
 	version := uint32(shardedVersion)
 	if s.Meta != nil {

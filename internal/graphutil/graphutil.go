@@ -60,22 +60,23 @@ type DegreeStats struct {
 
 // Degrees computes out-degree statistics.
 func (g *Graph) Degrees() DegreeStats {
-	if g.N() == 0 {
+	return degreeStats(g.N(), func(i int) int { return len(g.Adj[i]) })
+}
+
+// degreeStats summarizes the out-degrees deg(0..n-1).
+func degreeStats(n int, deg func(int) int) DegreeStats {
+	if n == 0 {
 		return DegreeStats{}
 	}
-	st := DegreeStats{Min: len(g.Adj[0])}
+	st := DegreeStats{Min: deg(0)}
 	total := 0
-	for _, a := range g.Adj {
-		d := len(a)
+	for i := range n {
+		d := deg(i)
 		total += d
-		if d > st.Max {
-			st.Max = d
-		}
-		if d < st.Min {
-			st.Min = d
-		}
+		st.Max = max(st.Max, d)
+		st.Min = min(st.Min, d)
 	}
-	st.Avg = float64(total) / float64(g.N())
+	st.Avg = float64(total) / float64(n)
 	return st
 }
 
@@ -179,39 +180,17 @@ func (g *Graph) SCCCount() int {
 // when every node is reachable from the fixed entry point; this is the
 // primitive behind that check and behind NSG's DFS spanning repair.
 func (g *Graph) ReachableFrom(root int32) int {
-	visited := make([]bool, g.N())
-	return g.reach(root, visited)
+	var r Reacher
+	r.Reset(g.N())
+	return r.Mark(g, root)
 }
 
 // Unreachable returns the ids not reachable from root, in ascending order.
 func (g *Graph) Unreachable(root int32) []int32 {
-	visited := make([]bool, g.N())
-	g.reach(root, visited)
-	var out []int32
-	for i, v := range visited {
-		if !v {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
-func (g *Graph) reach(root int32, visited []bool) int {
-	stack := []int32{root}
-	visited[root] = true
-	count := 0
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		for _, w := range g.Adj[v] {
-			if !visited[w] {
-				visited[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return count
+	var r Reacher
+	r.Reset(g.N())
+	r.Mark(g, root)
+	return r.AppendUnreached(nil)
 }
 
 // NNPercent returns the fraction (0..100) of nodes whose edge list contains
@@ -256,46 +235,9 @@ func ExactNearest(base vecmath.Matrix) []int32 {
 	return nn
 }
 
-// WriteTo serializes the graph: a header (magic, node count) followed by
-// per-node edge lists, all little-endian int32/uint32.
-func (g *Graph) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	put := func(v uint32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		n, err := bw.Write(b[:])
-		written += int64(n)
-		return err
-	}
-	if err := put(graphMagic); err != nil {
-		return written, fmt.Errorf("graphutil: write magic: %w", err)
-	}
-	if err := put(uint32(g.N())); err != nil {
-		return written, fmt.Errorf("graphutil: write count: %w", err)
-	}
-	for _, adj := range g.Adj {
-		if err := put(uint32(len(adj))); err != nil {
-			return written, fmt.Errorf("graphutil: write degree: %w", err)
-		}
-		for _, v := range adj {
-			if err := put(uint32(v)); err != nil {
-				return written, fmt.Errorf("graphutil: write edge: %w", err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return written, fmt.Errorf("graphutil: flush: %w", err)
-	}
-	return written, nil
-}
-
 const graphMagic = 0x4e534731 // "NSG1"
 
-// ReadFrom deserializes a graph written by WriteTo.
-func ReadFrom(r io.Reader) (*Graph, error) { return ReadFromN(r, -1) }
-
-// ReadFromN deserializes a graph written by WriteTo, rejecting any node
+// ReadFromN deserializes a graph written by FlatGraph.WriteTo, rejecting any node
 // count other than wantNodes before allocating — callers that know the
 // expected size from surrounding context (an index header already bounded
 // against the file) must pass it so a corrupt count cannot turn into a

@@ -3,6 +3,7 @@ package graphutil
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -120,9 +121,10 @@ func bruteSCC(g *Graph) int {
 	n := g.N()
 	reach := make([][]bool, n)
 	for i := range reach {
-		visited := make([]bool, n)
-		g.reach(int32(i), visited)
-		reach[i] = visited
+		var r Reacher
+		r.Reset(n)
+		r.Mark(g, int32(i))
+		reach[i] = r.visited
 	}
 	comp := make([]int, n)
 	for i := range comp {
@@ -182,10 +184,10 @@ func TestGraphSerializationRoundTrip(t *testing.T) {
 	g.AddEdge(0, 3)
 	g.AddEdge(2, 0)
 	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
+	if _, err := Flatten(g).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrom(&buf)
+	got, err := ReadFromN(&buf, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +203,10 @@ func TestGraphSerializationProperty(t *testing.T) {
 			g.AddEdge(int32(e.From), int32(e.To))
 		}
 		var buf bytes.Buffer
-		if _, err := g.WriteTo(&buf); err != nil {
+		if _, err := Flatten(g).WriteTo(&buf); err != nil {
 			return false
 		}
-		got, err := ReadFrom(&buf)
+		got, err := ReadFromN(&buf, -1)
 		if err != nil {
 			return false
 		}
@@ -226,17 +228,17 @@ func TestGraphSerializationProperty(t *testing.T) {
 }
 
 func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
+	if _, err := ReadFromN(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8}), -1); err == nil {
 		t.Error("expected error on bad magic")
 	}
 	// Valid magic, edge target out of range.
 	g := New(2)
 	g.AddEdge(0, 1)
 	var buf bytes.Buffer
-	g.WriteTo(&buf)
+	Flatten(g).WriteTo(&buf)
 	b := buf.Bytes()
 	b[len(b)-4] = 99 // corrupt edge target
-	if _, err := ReadFrom(bytes.NewReader(b)); err == nil {
+	if _, err := ReadFromN(bytes.NewReader(b), -1); err == nil {
 		t.Error("expected error on out-of-range edge target")
 	}
 }
@@ -250,8 +252,8 @@ func TestFlattenRoundTrip(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if f.N() != 4 || f.Stride != 3 {
-		t.Fatalf("N=%d stride=%d, want 4/3", f.N(), f.Stride)
+	if f.Nodes != 4 || f.Stride != 3 {
+		t.Fatalf("N=%d stride=%d, want 4/3", f.Nodes, f.Stride)
 	}
 	if f.Degree(0) != 2 || f.Degree(1) != 0 {
 		t.Errorf("degrees wrong: %d %d", f.Degree(0), f.Degree(1))
@@ -263,9 +265,6 @@ func TestFlattenRoundTrip(t *testing.T) {
 	back := f.ToGraph()
 	if back.Edges() != g.Edges() || !back.HasEdge(2, 0) {
 		t.Errorf("round trip lost edges")
-	}
-	if f.Bytes() != int64(4*3*4) {
-		t.Errorf("Bytes = %d", f.Bytes())
 	}
 }
 
@@ -309,5 +308,62 @@ func TestFlatGraphValidateCatchesCorruption(t *testing.T) {
 	f.Data[1] = 77 // edge target out of range
 	if err := f.Validate(); err == nil {
 		t.Error("expected out-of-range edge error")
+	}
+}
+
+// TestFlatGraphEditsMatchLists applies random edits — AppendNode,
+// SetNeighbors (longer and shorter) and AddEdge — to a flat graph and to
+// ragged lists side by side. The rows must agree after every edit, the
+// stride must widen only as far as a row needs, and after Fit the graph
+// must be exactly what Flatten lays out for the lists.
+func TestFlatGraphEditsMatchLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		ref := New(1 + rng.Intn(6))
+		for i := range ref.Adj {
+			for range rng.Intn(4) {
+				ref.AddEdge(int32(i), int32(rng.Intn(ref.N())))
+			}
+		}
+		f := Flatten(ref)
+		for op := 0; op < 40; op++ {
+			i := int32(rng.Intn(ref.N()))
+			switch rng.Intn(4) {
+			case 0:
+				ref.Adj = append(ref.Adj, nil)
+				f.AppendNode()
+			case 1:
+				ids := make([]int32, rng.Intn(8))
+				for j := range ids {
+					ids[j] = int32(rng.Intn(ref.N()))
+				}
+				ref.Adj[i] = ids
+				f.SetNeighbors(i, ids)
+			case 2:
+				ids := slices.Clone(ref.Adj[i][:rng.Intn(len(ref.Adj[i])+1)])
+				ref.Adj[i] = ids
+				f.SetNeighbors(i, ids)
+			default:
+				to := int32(rng.Intn(ref.N()))
+				ref.AddEdge(i, to)
+				f.AddEdge(i, to)
+			}
+			if err := f.Validate(); err != nil {
+				t.Fatalf("trial %d op %d: %v", trial, op, err)
+			}
+			if !slices.EqualFunc(f.ToGraph().Adj, ref.Adj, slices.Equal[[]int32]) {
+				t.Fatalf("trial %d op %d: flat rows diverge from the lists", trial, op)
+			}
+			if f.Stride-1 < ref.Degrees().Max {
+				t.Fatalf("trial %d op %d: stride %d under max degree %d", trial, op, f.Stride, ref.Degrees().Max)
+			}
+		}
+		want := Flatten(ref)
+		if f.Fit(); f.Stride != want.Stride || !slices.Equal(f.Data, want.Data) {
+			t.Fatalf("trial %d: Fit gives stride %d, Flatten %d", trial, f.Stride, want.Stride)
+		}
+		if d, w := f.Degrees(), ref.Degrees(); d != w {
+			t.Fatalf("trial %d: Degrees %+v, lists %+v", trial, d, w)
+		}
 	}
 }

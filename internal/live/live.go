@@ -15,10 +15,11 @@
 //     candidate pool, so a point is searchable the moment Append returns,
 //     with exact distances.
 //   - A background maintainer drains the delta through the existing
-//     Algorithm 2 incremental-insert path (core.NSG.Insert) into the
-//     maintainer-private ragged graph, re-freezes the flat layout once per
-//     batch, and atomically publishes a fresh snapshot that includes the
-//     drained points — at which point they leave the scan path. It runs
+//     Algorithm 2 incremental-insert path (core.NSG.Insert), which edits the
+//     index's flat rows in place, and atomically publishes a fresh snapshot
+//     that includes the drained points — at which point they leave the scan
+//     path. The graph is copy-on-write: a published snapshot shares the
+//     flat rows, and the batch's first insert copies them once. It runs
 //     only while rows wait to drain, so a handle that is never written runs
 //     no goroutine and costs its queries one atomic load.
 //
@@ -56,7 +57,7 @@ type Options struct {
 	ChunkRows int
 	// MaxPending is the delta depth that triggers an immediate drain
 	// (default 512). Until it is hit, the maintainer waits up to Interval,
-	// batching insertions so the per-batch flatten amortizes.
+	// batching insertions so the per-batch copy of the graph amortizes.
 	MaxPending int
 	// Interval bounds how long an appended point may wait before the
 	// maintainer drains it into a published snapshot (default 100ms). The
@@ -399,7 +400,10 @@ func (h *Handle) IndexStats() core.IndexStats {
 func (h *Handle) Vector(id int32) (vec []float32, ok bool) {
 	v := h.view.Load()
 	n := int32(v.snap.Rows())
-	if id >= 0 && id < n {
+	if id < 0 {
+		return nil, false
+	}
+	if id < n {
 		return v.snap.Vector(id), true
 	}
 	// Pending rows carry sequential ids in append order (identity mode).
@@ -549,8 +553,7 @@ func (h *Handle) run(stop, done chan struct{}) {
 }
 
 // drainOnce drains every delta row visible at the cut through the
-// incremental-insert path, re-freezes the flat layout once, and publishes
-// a snapshot that covers them. Appends landing during the drain stay in
+// incremental-insert path and publishes a snapshot that covers them. Appends landing during the drain stay in
 // the delta for the next cycle.
 func (h *Handle) drainOnce() {
 	h.drainMu.Lock()
@@ -577,9 +580,9 @@ func (h *Handle) drainOnce() {
 		return
 	}
 
-	// Graph work, outside every lock: the ragged graph is
-	// maintainer-private, and published readers only traverse frozen flat
-	// layouts and write-once rows.
+	// Graph work, outside every lock: the first insert copies the flat
+	// graph the published snapshot shares, and published readers only
+	// traverse frozen flat layouts and write-once rows.
 	for i, ch := range cut {
 		lo := 0
 		if i == 0 {
@@ -601,7 +604,6 @@ func (h *Handle) drainOnce() {
 			}
 		}
 	}
-	h.idx.FlatView() // one amortized re-freeze for the whole batch
 	snap := h.idx.Snapshot()
 
 	h.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -190,6 +191,82 @@ func TestSnapshotIsolation(t *testing.T) {
 					qi, i, nb.ID, nb.Dist, before[qi].ids[i], before[qi].dists[i])
 			}
 		}
+	}
+}
+
+// TestSnapshotCopyOnWrite: a drain batch re-prunes adjacency rows the
+// published snapshot shares. The batch's first insert must copy the flat
+// graph, so the old snapshot's rows and Stats stay bit-identical, and its
+// answers unchanged while a reader searches it through the drain.
+func TestSnapshotCopyOnWrite(t *testing.T) {
+	const n0, extra, dim = 300, 200, 12
+	all := testVectors(n0+extra, dim, 9)
+	idx := buildNSG(t, all.Slice(0, n0).Clone())
+	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	defer h.Close()
+	old := h.view.Load().snap
+	shared := idx.FlatView() // the graph old was published with
+	rows, stride, stats := slices.Clone(shared.Data), shared.Stride, old.Stats()
+	queries := testVectors(20, dim, 10)
+	ask := func(ctx *core.SearchContext, qi int) string {
+		return fmt.Sprint(old.Query(ctx, queries.Row(qi), core.Query{K: 10, L: 30}).Neighbors)
+	}
+	want := make([]string, queries.Rows)
+	for qi := range want {
+		want[qi] = ask(core.NewSearchContext(), qi)
+	}
+
+	stop, errc := make(chan struct{}), make(chan error, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ctx := core.NewSearchContext()
+		for {
+			for qi := range want {
+				if got := ask(ctx, qi); got != want[qi] {
+					errc <- errf("query %d on the old snapshot changed during the drain: %s, was %s", qi, got, want[qi])
+					return
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	for i := n0; i < all.Rows; i++ {
+		if _, err := h.Append(all.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Flush()
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+
+	if !slices.Equal(shared.Data, rows) || shared.Stride != stride {
+		t.Fatal("the drain rewrote the flat rows a published snapshot holds")
+	}
+	if got := old.Stats(); got != stats {
+		t.Fatalf("old snapshot's Stats changed: %+v, was %+v", got, stats)
+	}
+	// The batch must have re-pruned (not only appended to) shared rows, or
+	// the test exercises nothing.
+	now, repruned := idx.FlatView(), 0
+	for i := range int32(n0) {
+		nb, o := now.Neighbors(i), shared.Neighbors(i)
+		if len(nb) < len(o) || !slices.Equal(nb[:len(o)], o) {
+			repruned++
+		}
+	}
+	if repruned == 0 {
+		t.Fatal("the drain re-pruned no row of the old snapshot")
 	}
 }
 

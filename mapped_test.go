@@ -196,11 +196,11 @@ func TestMappedReadOnlyContract(t *testing.T) {
 	if _, err := mapped.Compact(); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Compact: got %v, want ErrReadOnly", err)
 	}
-	// The stream Save serializes through the core writer, which refuses on a
-	// mapped index; the atomic writer must leave no file behind.
+	// With a Delete pending, Save refuses and the atomic writer leaves no
+	// file behind.
 	streamPath := filepath.Join(t.TempDir(), "stream.nsg")
-	if err := mapped.Save(streamPath); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Save: got %v, want ErrReadOnly", err)
+	if err := mapped.Save(streamPath); !errors.Is(err, ErrUncompactedDeletes) {
+		t.Fatalf("Save after Delete: got %v, want ErrUncompactedDeletes", err)
 	}
 	if _, err := os.Stat(streamPath); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed Save left a file behind: %v", err)
@@ -209,6 +209,40 @@ func TestMappedReadOnlyContract(t *testing.T) {
 	ids, _ := mapped.SearchWithPool(ds.Queries.Row(0), 5, 60)
 	if len(ids) != 5 {
 		t.Fatal("mapped index stopped serving after rejected mutations")
+	}
+}
+
+// TestMappedSaveMatchesHeap: Save of a mapped index streams its mapped
+// slabs and writes the bytes Save of the heap index it was saved from
+// writes, float and SQ8.
+func TestMappedSaveMatchesHeap(t *testing.T) {
+	ds := shardedTestData(t, 600, 12)
+	for _, quantize := range []QuantMode{QuantNone, QuantSQ8} {
+		heap := buildMappedPublicIndex(t, ds, quantize)
+		dir := t.TempDir()
+		mappedPath := filepath.Join(dir, "idx.nsgm")
+		if err := heap.SaveMapped(mappedPath); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := OpenMapped(mappedPath, MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		save := func(x *Index, name string) []byte {
+			path := filepath.Join(dir, name)
+			if err := x.Save(path); err != nil {
+				t.Fatalf("%v %s: %v", quantize, name, err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		if hb, mb := save(heap, "heap.nsg"), save(mapped, "mapped.nsg"); !bytes.Equal(hb, mb) {
+			t.Fatalf("%v: mapped Save wrote %d bytes unlike the heap index's %d", quantize, len(mb), len(hb))
+		}
 	}
 }
 
@@ -334,6 +368,10 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 				}
 				if err := mapped.EnableLiveUpdates(LiveOptions{}); !errors.Is(err, ErrReadOnly) {
 					t.Fatalf("sharded EnableLiveUpdates: got %v, want ErrReadOnly", err)
+				}
+				// The container holds no global vector matrix to stream.
+				if err := mapped.Save(filepath.Join(t.TempDir(), "s.nsgd")); !errors.Is(err, ErrReadOnly) {
+					t.Fatalf("sharded Save: got %v, want ErrReadOnly", err)
 				}
 			})
 		})

@@ -316,9 +316,13 @@ func (x *Index) Len() int { return x.h.Len() }
 // Dim returns the vector dimension.
 func (x *Index) Dim() int { return x.inner.Base.Dim }
 
-// Vector returns the stored vector with the given id. The returned slice
-// aliases the index's storage; do not modify it.
+// Vector returns the stored vector with the given id, or nil for an id
+// outside [0, Len()). The returned slice aliases the index's storage; do
+// not modify it.
 func (x *Index) Vector(id int) []float32 {
+	if id < 0 || id >= x.Len() {
+		return nil
+	}
 	vec, _ := x.h.Vector(int32(id))
 	return vec
 }
@@ -404,12 +408,10 @@ var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file ca
 // place, so an interrupted save leaves the previous file intact rather
 // than a truncated bundle. Stop issuing Adds and Deletes first: Save
 // flushes the delta so the file captures every point; concurrent searches
-// are fine. A mapped index returns ErrReadOnly (use SaveMapped), and an
-// index with deleted points ErrUncompactedDeletes (Compact first).
+// are fine. A mapped index writes the bytes the index it was mapped from
+// would; an index with deleted points returns ErrUncompactedDeletes
+// (Compact first).
 func (x *Index) Save(path string) error {
-	if x.inner.ReadOnly() {
-		return fmt.Errorf("nsg: stream-saving a mapped index (use SaveMapped): %w", ErrReadOnly)
-	}
 	if x.DeletedCount() > 0 {
 		return ErrUncompactedDeletes
 	}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 )
 
 func randomVectors(n, dim int, seed int64) [][]float32 {
@@ -277,9 +278,9 @@ func TestOptionsDefaultsFilled(t *testing.T) {
 
 // TestEveryIndexIsRelaid: every build path ends in the BFS relayout —
 // Build and BuildFromFlat, float and SQ8, and the output of Compact — so
-// each index carries an id remap, and Vector(id) still returns the caller's
-// row id. For BuildSharded this checks Vector(id); distsearch's
-// TestEveryShardIsRelaid checks each shard's remap.
+// each index's navigating node, the BFS root, is internal row 0, and
+// Vector(id) still returns the caller's row id. For BuildSharded this
+// checks Vector(id); distsearch's TestEveryShardIsRelaid checks each shard.
 func TestEveryIndexIsRelaid(t *testing.T) {
 	const n, dim = 600, 12
 	vecs := randomVectors(n, dim, 40)
@@ -332,8 +333,8 @@ func TestEveryIndexIsRelaid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if idx.inner.PubIDs == nil {
-					t.Fatal("index carries no id remap: it was not relaid")
+				if idx.inner.Navigating != 0 {
+					t.Fatalf("navigating node is internal row %d, not 0: the index was not relaid", idx.inner.Navigating)
 				}
 				if idx.QuantMode() != quant {
 					t.Fatalf("QuantMode %v, want %v", idx.QuantMode(), quant)
@@ -351,5 +352,52 @@ func TestEveryIndexIsRelaid(t *testing.T) {
 			defer idx.Close()
 			checkRows(t, idx.Vector, vecs)
 		})
+	}
+}
+
+// TestVectorOutOfRange: Vector answers nil for any id outside [0, Len()) —
+// negative, at Len, and past int32 — on a single index with rows pending
+// in its delta and on a sharded one, and still returns the rows inside.
+func TestVectorOutOfRange(t *testing.T) {
+	vecs := randomVectors(300, 8, 41)
+	opts := DefaultOptions()
+	opts.GraphK, opts.BuildL, opts.MaxDegree = 10, 30, 12
+	idx, err := Build(vecs[:250], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 1 << 20, PublishInterval: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vecs[250:] {
+		if _, err := idx.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if idx.MaintenanceStats().Pending == 0 {
+		t.Fatal("no rows pending: the delta path is not exercised")
+	}
+	so := DefaultShardedOptions(2)
+	so.Shard = opts
+	sharded, err := BuildSharded(vecs, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	for name, x := range map[string]interface {
+		Len() int
+		Vector(int) []float32
+	}{"Index": idx, "ShardedIndex": sharded} {
+		for _, id := range []int{-1, -1 << 40, x.Len(), 1 << 32, 1<<32 + 5} {
+			if v := x.Vector(id); v != nil {
+				t.Fatalf("%s.Vector(%d) = %v, want nil", name, id, v)
+			}
+		}
+		for _, id := range []int{0, 5, x.Len() - 1} {
+			if !slices.Equal(x.Vector(id), vecs[id]) {
+				t.Fatalf("%s.Vector(%d) is not row %d", name, id, id)
+			}
+		}
 	}
 }

@@ -165,10 +165,15 @@ func (x *ShardedIndex) Quantized() bool { return x.s.Quantized() }
 // state).
 func (x *ShardedIndex) QuantMode() QuantMode { return quantModeOf(x.s.Quantized()) }
 
-// Vector returns the stored vector with the given global id. The returned
-// slice aliases the index's storage; do not modify it. Safe to call
-// concurrently with Add.
-func (x *ShardedIndex) Vector(id int) []float32 { return x.s.VectorByID(id) }
+// Vector returns the stored vector with the given global id, or nil for an
+// id outside [0, Len()). The returned slice aliases the index's storage; do
+// not modify it. Safe to call concurrently with Add.
+func (x *ShardedIndex) Vector(id int) []float32 {
+	if id < 0 || id >= x.Len() {
+		return nil
+	}
+	return x.s.VectorByID(id)
+}
 
 // Close flushes pending Adds and releases the index's shard-worker and
 // maintainer goroutines. The index must not be used after Close. Long-lived serving processes never need it;
@@ -328,8 +333,11 @@ func decodeQuantFlags(optFlags uint32) (QuantMode, error) {
 // keeps its Add/Search parameters), the base matrix, then the shard id
 // maps and per-shard graphs. Stop issuing Adds first; Save
 // flushes the maintainers so the file captures every point (concurrent
-// searches are fine).
+// searches are fine). A mapped sharded index returns ErrReadOnly.
 func (x *ShardedIndex) Save(path string) error {
+	if x.ReadOnly() {
+		return fmt.Errorf("nsg: stream-saving a mapped sharded index (use SaveMapped): %w", ErrReadOnly)
+	}
 	x.Flush()
 	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
 		bw := bufio.NewWriter(w)
