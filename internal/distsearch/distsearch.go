@@ -38,19 +38,23 @@ import (
 
 // Sharded is a collection of per-partition NSG indexes over one logical
 // base set, plus the worker pool that fans queries across them.
+//
+// The shards hold the only copy of each vector. A global id reaches its row
+// through loc, and a shard row reaches its global id through its handle's
+// translate table.
 type Sharded struct {
-	Base    vecmath.Matrix
-	shards  []*core.NSG
-	localID [][]int32 // localID[s][j] = global id of shard s's row j; refreshed by Flush
+	dim    int
+	shards []*core.NSG
 
 	// Every shard is served and grown through its live handle (see live.go):
 	// searches read its published snapshot plus pending delta, and Insert
 	// routes a vector to one shard's delta by the frozen navigating-node
-	// vectors. mu serializes global id allocation and base growth; n is the
+	// vectors. mu serializes global id allocation and guards loc; n is the
 	// global row count, readable without it.
 	handles []*live.Handle
 	navVec  [][]float32
 	mu      sync.Mutex
+	loc     []slot
 	n       atomic.Int64
 
 	// Meta is the optional metadata column store, keyed by GLOBAL id (row g
@@ -67,15 +71,13 @@ type Sharded struct {
 	closeOnce sync.Once
 	scratch   sync.Pool // *fanScratch
 
-	// Mapped-mode state (see mapped.go): a read-only index opened from an
-	// aligned container. Base.Data is nil — each shard's vectors live in
-	// its embedded record — and vector lookups go through the lazily built
-	// id-map inverse.
-	ro      bool
-	mapped  *mstore.File
-	locOnce sync.Once
-	loc     *shardLocator
+	// mapped is the container a read-only index serves from (see mapped.go),
+	// released by Close.
+	mapped *mstore.File
 }
+
+// slot locates one global id: its shard and its local public id there.
+type slot struct{ shard, local int32 }
 
 // Params configures BuildSharded.
 type Params struct {
@@ -180,43 +182,70 @@ func BuildSharded(base vecmath.Matrix, p Params) (*Sharded, error) {
 	}
 
 	shards := make([]*core.NSG, len(spans))
-	localID := make([][]int32, len(spans))
+	ids := make([][]int32, len(spans))
 	errs := make([]error, len(spans))
 	graphutil.ParallelFor(len(spans), func(sh int) {
-		shards[sh], localID[sh], errs[sh] = buildShard(base, perm, spans[sh].lo, spans[sh].hi, p, sh, qz)
+		shards[sh], ids[sh], errs[sh] = buildShard(base, perm, spans[sh].lo, spans[sh].hi, p, sh, qz)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	s := &Sharded{Base: base, shards: shards, localID: localID}
-	s.start()
+	s := &Sharded{dim: base.Dim, shards: shards}
+	if err := s.start(ids, base.Rows); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
-// start attaches one live handle per shard, freezes the routing vectors
-// and spawns the persistent fan-out pool, each worker owning one
-// SearchContext. The pool holds at least one worker per shard (the paper's
+// start builds the locator from the shards' id maps (ids[sh][j] is the
+// global id of shard sh's row j), attaches one live handle per shard, which
+// takes its id map as its translate table, freezes the routing vectors and
+// spawns the persistent fan-out pool, each worker owning one SearchContext.
+//
+// The locator build is the partition check: every global id in [0, rows)
+// must appear in exactly one id map, so a build, a stream load and a mapped
+// open all reject maps that do not partition the rows, before any goroutine
+// starts.
+//
+// The pool holds at least one worker per shard (the paper's
 // one-machine-per-partition deployment, so a single query always fans out
 // fully) and at least GOMAXPROCS workers, so concurrent queries on an
 // index with few shards still use every core instead of being capped at
 // r in-flight shard searches. Workers live until Close.
-func (s *Sharded) start() {
+func (s *Sharded) start(ids [][]int32, rows int) error {
+	s.loc = make([]slot, rows)
+	seen := make([]bool, rows)
+	covered := 0
+	for sh, m := range ids {
+		for j, g := range m {
+			if g < 0 || int(g) >= rows || seen[g] {
+				return fmt.Errorf("global id %d of shard %d row %d is out of range [0,%d) or repeated", g, sh, j, rows)
+			}
+			seen[g] = true
+			s.loc[g] = slot{int32(sh), int32(j)}
+		}
+		covered += len(m)
+	}
+	if covered != rows {
+		return fmt.Errorf("shards cover %d of %d rows", covered, rows)
+	}
 	s.handles = make([]*live.Handle, len(s.shards))
 	s.navVec = make([][]float32, len(s.shards))
 	for sh, idx := range s.shards {
 		// Navigating nodes never change under inserts, and rows are
 		// write-once, so these slices stay valid while the shards grow.
 		s.navVec[sh] = idx.Base.Row(int(idx.Navigating))
-		s.handles[sh] = live.New(idx, s.localID[sh], nil, live.Options{})
+		s.handles[sh] = live.New(idx, ids[sh], nil, live.Options{})
 	}
-	s.n.Store(int64(s.Base.Rows))
+	s.n.Store(int64(rows))
 	workers := max(len(s.shards), runtime.GOMAXPROCS(0))
 	s.tasks = make(chan shardTask, 2*workers)
 	for w := 0; w < workers; w++ {
 		go s.worker()
 	}
+	return nil
 }
 
 // Close terminates the worker pool and flushes and stops the per-shard
@@ -241,6 +270,9 @@ func (s *Sharded) Close() {
 
 // Shards returns the number of partitions.
 func (s *Sharded) Shards() int { return len(s.shards) }
+
+// Dim returns the vector dimension.
+func (s *Sharded) Dim() int { return s.dim }
 
 // Quantized reports whether the shards serve through a quantized path (all
 // shards share one quantization state, so the first speaks for all).
@@ -380,8 +412,8 @@ func MergeInto(dst, scratch []vecmath.Neighbor, k int, lists [][]vecmath.Neighbo
 // worker, where no caller could recover it. k <= 0 answers nothing, and
 // so does a query with a NaN or infinite coordinate.
 func (s *Sharded) Search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *ShardedFilter, st *SearchStats) []vecmath.Neighbor {
-	if len(vec) != s.Base.Dim {
-		panic(fmt.Sprintf("distsearch: query dim %d != index dim %d", len(vec), s.Base.Dim))
+	if len(vec) != s.dim {
+		panic(fmt.Sprintf("distsearch: query dim %d != index dim %d", len(vec), s.dim))
 	}
 	if st != nil {
 		*st = SearchStats{}

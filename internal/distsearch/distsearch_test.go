@@ -1,8 +1,9 @@
 package distsearch
 
 import (
+	"bytes"
 	"encoding/binary"
-	"os"
+	"io"
 	"slices"
 	"testing"
 
@@ -63,8 +64,8 @@ func TestGlobalIDsValid(t *testing.T) {
 func TestEveryPointInExactlyOneShard(t *testing.T) {
 	s, _ := buildSharded(t, 1000, 4)
 	seen := make(map[int32]struct{})
-	for _, ids := range s.localID {
-		for _, id := range ids {
+	for _, h := range s.handles {
+		for _, id := range h.Translate() {
 			if _, dup := seen[id]; dup {
 				t.Fatalf("id %d in two shards", id)
 			}
@@ -86,19 +87,31 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestShardedSaveLoad(t *testing.T) {
-	s, ds := buildSharded(t, 800, 3)
-	path := t.TempDir() + "/sharded.nsgs"
-	if err := s.Save(path); err != nil {
+// roundTrip writes s as a bundle and reads it back, checking the options
+// blob comes back verbatim.
+func roundTrip(t *testing.T, s *Sharded) *Sharded {
+	t.Helper()
+	opts := []byte("options-blob-0123456")
+	var buf bytes.Buffer
+	if err := s.Write(&buf, opts); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path, ds.Base)
+	got, gotOpts, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer got.Close()
-	if got.Shards() != s.Shards() {
-		t.Fatalf("shards = %d, want %d", got.Shards(), s.Shards())
+	t.Cleanup(got.Close)
+	if !bytes.Equal(gotOpts, opts) {
+		t.Fatalf("options blob %q did not round-trip", gotOpts)
+	}
+	return got
+}
+
+func TestShardedSaveLoad(t *testing.T) {
+	s, ds := buildSharded(t, 800, 3)
+	got := roundTrip(t, s)
+	if got.Shards() != s.Shards() || got.Len() != s.Len() || got.Dim() != s.Dim() {
+		t.Fatalf("shape %d/%d/%d, want %d/%d/%d", got.Shards(), got.Len(), got.Dim(), s.Shards(), s.Len(), s.Dim())
 	}
 	q := ds.Queries.Row(0)
 	a := s.Search(nil, q, 5, 40, nil, nil)
@@ -111,24 +124,23 @@ func TestShardedSaveLoad(t *testing.T) {
 			t.Fatalf("search differs after reload: %+v vs %+v", a, b)
 		}
 	}
+	for _, id := range []int{0, 99, ds.Base.Rows - 1} {
+		if !slices.Equal(got.VectorByID(id), ds.Base.Row(id)) {
+			t.Fatalf("vector %d did not round-trip", id)
+		}
+	}
 }
 
 func TestLoadErrors(t *testing.T) {
-	base := vecmath.NewMatrix(10, 4)
-	if _, err := Load(t.TempDir()+"/missing", base); err == nil {
-		t.Error("expected error for missing file")
+	if _, _, err := Read(bytes.NewReader(nil)); err == nil {
+		t.Error("expected error for an empty stream")
 	}
-	bad := t.TempDir() + "/bad"
-	if err := writeBytes(bad, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad, base); err == nil {
+	if _, _, err := Read(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})); err == nil {
 		t.Error("expected error for bad magic")
 	}
-}
-
-func writeBytes(path string, b []byte) error {
-	return os.WriteFile(path, b, 0o644)
+	if err := (&Sharded{}).Write(io.Discard, nil); err == nil {
+		t.Error("expected error for a short options blob")
+	}
 }
 
 func TestRoutedInsert(t *testing.T) {
@@ -146,8 +158,11 @@ func TestRoutedInsert(t *testing.T) {
 	if sh < 0 || sh >= s.Shards() {
 		t.Fatalf("shard %d out of range", sh)
 	}
-	if s.Base.Rows != n0+1 {
-		t.Fatalf("base rows = %d, want %d", s.Base.Rows, n0+1)
+	if s.Len() != n0+1 {
+		t.Fatalf("Len = %d, want %d", s.Len(), n0+1)
+	}
+	if !slices.Equal(s.VectorByID(int(gid)), vec) {
+		t.Fatalf("VectorByID(%d) = %v, want the inserted row", gid, s.VectorByID(int(gid)))
 	}
 	// The new point must be discoverable through the fan-out path.
 	res := s.Search(nil, vec, 2, 40, nil, nil)
@@ -164,8 +179,8 @@ func TestRoutedInsert(t *testing.T) {
 	s.Flush()
 	seen := make(map[int32]struct{})
 	total := 0
-	for _, ids := range s.localID {
-		for _, id := range ids {
+	for _, h := range s.handles {
+		for _, id := range h.Translate() {
 			if _, dup := seen[id]; dup {
 				t.Fatalf("id %d in two shards after insert", id)
 			}
@@ -209,35 +224,43 @@ func TestSearchStatsMerged(t *testing.T) {
 	}
 }
 
+// bundleWith is a valid bundle head (NSGD header, zero options, rows x dim
+// zero vectors) followed by tail in place of the shard section.
+func bundleWith(rows, dim int, tail []byte) []byte {
+	b := make([]byte, 16+OptionsSize+rows*dim*4)
+	binary.LittleEndian.PutUint32(b[0:], bundleMagic)
+	binary.LittleEndian.PutUint32(b[4:], bundleVersion)
+	binary.LittleEndian.PutUint32(b[8:], uint32(rows))
+	binary.LittleEndian.PutUint32(b[12:], uint32(dim))
+	return append(b, tail...)
+}
+
 func TestVersionedFormatRejectsV1(t *testing.T) {
-	// A v1 header (PR 2 layout, magic "NSGS") is magic + shard count with
-	// no version field; the v2 reader must reject every v1 file at the
-	// magic check — including shard counts that would alias as a valid
+	// A v1 shard header (the first layout, magic "NSGS") is magic + shard count
+	// with no version field; the v2 reader must reject every v1 section at
+	// the magic check — including shard counts that would alias as a valid
 	// version number in the v2 layout.
-	base := vecmath.NewMatrix(10, 4)
 	for _, v1Shards := range []uint32{2, 4} {
-		path := t.TempDir() + "/v1"
 		hdr := make([]byte, 12)
 		binary.LittleEndian.PutUint32(hdr[0:], 0x4e534753) // v1 magic "NSGS"
 		binary.LittleEndian.PutUint32(hdr[4:], v1Shards)
-		if err := os.WriteFile(path, hdr, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(path, base); err == nil {
-			t.Fatalf("expected error for v1 file with %d shards", v1Shards)
+		if _, _, err := Read(bytes.NewReader(bundleWith(10, 4, hdr))); err == nil {
+			t.Fatalf("expected error for v1 section with %d shards", v1Shards)
 		}
 	}
-	// A v2 magic with a wrong version must hit the version gate.
-	path := t.TempDir() + "/v9"
+	// A v2 shard magic with a wrong version must hit the version gate.
 	hdr := make([]byte, 12)
 	binary.LittleEndian.PutUint32(hdr[0:], 0x4e534754)
 	binary.LittleEndian.PutUint32(hdr[4:], 9)
 	binary.LittleEndian.PutUint32(hdr[8:], 1)
-	if err := os.WriteFile(path, hdr, 0o644); err != nil {
-		t.Fatal(err)
+	if _, _, err := Read(bytes.NewReader(bundleWith(10, 4, hdr))); err == nil {
+		t.Fatal("expected version error for v9 section")
 	}
-	if _, err := Load(path, base); err == nil {
-		t.Fatal("expected version error for v9 file")
+	// So must a bundle header with a wrong version.
+	b := bundleWith(10, 4, nil)
+	binary.LittleEndian.PutUint32(b[4:], 9)
+	if _, _, err := Read(bytes.NewReader(b)); err == nil {
+		t.Fatal("expected version error for v9 bundle")
 	}
 }
 
@@ -294,15 +317,7 @@ func TestQuantizedSharding(t *testing.T) {
 		t.Errorf("quantized sharded recall@10 = %.3f, want >= 0.92", recall)
 	}
 
-	path := t.TempDir() + "/quant.shards"
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path, ds.Base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
+	loaded := roundTrip(t, s)
 	if !loaded.Quantized() {
 		t.Fatal("reloaded index lost quantization")
 	}
@@ -343,7 +358,7 @@ func TestQuantizedSharding(t *testing.T) {
 
 // TestEveryShardIsRelaid: every shard, float or SQ8, leaves buildShard in
 // BFS order (its navigating node, the BFS root, is internal row 0), and the
-// shard's public row j is still global row localID[s][j] of the base.
+// shard's public row j is still global row Translate()[j] of the base.
 func TestEveryShardIsRelaid(t *testing.T) {
 	ds, err := dataset.ECommerceLike(dataset.Config{N: 1200, Queries: 1, GTK: 1, Dim: 16, Seed: 25})
 	if err != nil {
@@ -363,7 +378,7 @@ func TestEveryShardIsRelaid(t *testing.T) {
 			if shard.IsQuantized() != quantize {
 				t.Fatalf("quantize=%v shard %d: IsQuantized %v", quantize, sh, shard.IsQuantized())
 			}
-			for j, g := range s.localID[sh] {
+			for j, g := range s.handles[sh].Translate() {
 				if !slices.Equal(shard.VectorByID(int32(j)), ds.Base.Row(int(g))) {
 					t.Fatalf("quantize=%v shard %d row %d is not global row %d", quantize, sh, j, g)
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/vecmath"
 )
@@ -44,44 +43,40 @@ func (s *Sharded) Route(vec []float32) int {
 // call concurrently with searches and with other Inserts. Returns the new
 // global id and the shard it landed in.
 func (s *Sharded) Insert(vec []float32) (int32, int, error) {
-	if s.ro {
-		return -1, -1, core.ErrReadOnly
-	}
-	if len(vec) != s.Base.Dim {
-		return -1, -1, fmt.Errorf("distsearch: insert dim %d != index dim %d", len(vec), s.Base.Dim)
+	if len(vec) != s.dim {
+		return -1, -1, fmt.Errorf("distsearch: insert dim %d != index dim %d", len(vec), s.dim)
 	}
 	sh := s.Route(vec)
-	// Global id allocation and the global base append serialize on one
-	// mutex; rows below the published count are write-once, so concurrent
-	// readers of earlier rows are unaffected.
+	// Global id allocation, the shard append and the locator entry serialize
+	// on one mutex, so a global id below Len always locates its row.
 	s.mu.Lock()
-	gid := int32(s.n.Load())
-	s.Base.Data = append(s.Base.Data, vec...)
-	s.Base.Rows++
-	s.n.Add(1)
-	s.mu.Unlock()
-	if err := s.handles[sh].AppendWithID(vec, gid); err != nil {
+	defer s.mu.Unlock()
+	gid := int32(len(s.loc))
+	local, err := s.handles[sh].AppendWithID(vec, gid)
+	if err != nil {
 		return -1, -1, err
 	}
+	s.loc = append(s.loc, slot{int32(sh), local})
+	s.n.Store(int64(len(s.loc)))
 	return gid, sh, nil
 }
 
 // Len returns the number of indexed vectors; safe concurrently with Insert.
 func (s *Sharded) Len() int { return int(s.n.Load()) }
 
-// VectorByID returns the stored vector with the given global id. The read
-// takes the writer mutex so it cannot observe the base matrix header
-// mid-append; the returned row is write-once and stays valid after the
-// lock drops. Panics on an out-of-range id, matching Matrix.Row.
+// VectorByID returns the stored vector with the given global id, read from
+// its shard through the locator: the shard's published snapshot once the
+// row has drained, its delta buffer before. The returned row is write-once
+// shared storage. Safe concurrently with Insert; panics on an out-of-range
+// id.
 func (s *Sharded) VectorByID(id int) []float32 {
-	if s.ro {
-		// Mapped container: the global base matrix has no storage; resolve
-		// through the owning shard's record.
-		return s.mappedVector(id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Base.Row(id)
+	l := func() slot {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.loc[id]
+	}()
+	vec, _ := s.handles[l.shard].Vector(l.local) // a located row is always visible
+	return vec
 }
 
 // LiveStats aggregates the per-shard maintenance state: pending depths and
@@ -103,16 +98,10 @@ func (s *Sharded) LiveStats() live.Stats {
 }
 
 // Flush blocks until every insert issued before the call is folded into a
-// published shard snapshot, then refreshes the index's id maps from the
-// handles (their translate tables grew during drains) so persistence sees
-// the complete mapping.
+// published shard snapshot, so the handles' translate tables cover every
+// row.
 func (s *Sharded) Flush() {
 	for _, h := range s.handles {
 		h.Flush()
 	}
-	s.mu.Lock()
-	for sh, h := range s.handles {
-		s.localID[sh] = h.Translate()
-	}
-	s.mu.Unlock()
 }

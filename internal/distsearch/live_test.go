@@ -2,6 +2,7 @@ package distsearch
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,6 +159,110 @@ func TestLiveShardedStress(t *testing.T) {
 		res := s.Search(nil, ledger.Row(i), 1, 30, nil, nil)
 		if len(res) != 1 || res[0].Dist != 0 {
 			t.Fatalf("drained point %d not findable: %+v", i, res)
+		}
+	}
+}
+
+// TestLiveShardedLocator races Insert against VectorByID and Search while
+// tiny drain thresholds keep the maintainers publishing: every inserted id
+// must resolve to its own row both while it is pending and after it
+// drained, and once flushed, the locator and the shard's translate table
+// must agree on it. Row i of the ledger carries i in its first coordinate,
+// so any resolved row names the ledger row it must equal.
+func TestLiveShardedLocator(t *testing.T) {
+	const n0, extra, dim = 300, 300, 8
+	ledger := vecmath.NewMatrix(n0+extra, dim)
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < ledger.Rows; i++ {
+		row := ledger.Row(i)
+		row[0] = float32(i)
+		for j := 1; j < dim; j++ {
+			row[j] = rng.Float32()
+		}
+	}
+	isLedgerRow := func(v []float32) bool {
+		i := int(v[0])
+		return len(v) == dim && i >= 0 && i < ledger.Rows && slices.Equal(v, ledger.Row(i))
+	}
+
+	p := DefaultParams(3)
+	p.UseNNDescent = false
+	s, err := BuildSharded(ledger.Slice(0, n0).Clone(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SetLiveOptions(live.Options{MaxPending: 4, Interval: time.Millisecond, ChunkRows: 8})
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(600 + r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v := s.VectorByID(rng.Intn(s.Len())); !isLedgerRow(v) {
+					t.Errorf("VectorByID returned %v, not a ledger row", v)
+					return
+				}
+				q := ledger.Row(rng.Intn(ledger.Rows))
+				for _, nb := range s.Search(nil, q, 5, 20, nil, nil) {
+					if v := s.VectorByID(int(nb.ID)); !isLedgerRow(v) || vecmath.L2(q, v) != nb.Dist {
+						t.Errorf("result id %d resolves to %v at a distance other than %v", nb.ID, v, nb.Dist)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+
+	type insert struct{ row, gid, shard int }
+	inserts := make([][]insert, 2)
+	var wwg sync.WaitGroup
+	for w := range inserts {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			for i := n0 + w; i < ledger.Rows; i += len(inserts) {
+				gid, sh, err := s.Insert(ledger.Row(i))
+				if err != nil {
+					t.Errorf("insert %d: %v", i, err)
+					return
+				}
+				if !slices.Equal(s.VectorByID(int(gid)), ledger.Row(i)) {
+					t.Errorf("gid %d of row %d does not resolve to its row while pending", gid, i)
+					return
+				}
+				inserts[w] = append(inserts[w], insert{i, int(gid), sh})
+			}
+		}(w)
+	}
+	wwg.Wait()
+	s.Flush()
+	close(stop)
+	wg.Wait()
+
+	if s.Len() != ledger.Rows {
+		t.Fatalf("Len %d, want %d", s.Len(), ledger.Rows)
+	}
+	for _, ins := range inserts {
+		for _, in := range ins {
+			if !slices.Equal(s.VectorByID(in.gid), ledger.Row(in.row)) {
+				t.Fatalf("gid %d of row %d does not resolve to its row after the drain", in.gid, in.row)
+			}
+			l := s.loc[in.gid]
+			if int(l.shard) != in.shard {
+				t.Fatalf("gid %d located in shard %d, inserted into %d", in.gid, l.shard, in.shard)
+			}
+			if g := s.handles[l.shard].Translate()[l.local]; g != int32(in.gid) {
+				t.Fatalf("shard %d Translate()[%d] = %d, want gid %d", l.shard, l.local, g, in.gid)
+			}
 		}
 	}
 }

@@ -5,19 +5,18 @@ import (
 	"hash/crc32"
 	"io"
 
+	"repro/internal/chunkio"
 	"repro/internal/core"
 	"repro/internal/mstore"
-	"repro/internal/vecmath"
 )
 
 // This file is the sharded twin of core's NSGM record: one aligned
 // container holding, per shard, its global-id map and a complete embedded
 // NSGM record (adjacency + vectors + remap + codes). OpenMappedSharded
 // serves every shard zero-copy out of a single mapping, so a multi-shard
-// restart costs one file open instead of one decode per shard. Unlike the
-// stream format, the global base matrix is never materialized: each
-// shard's vectors live inside its record, and cross-shard id translation
-// runs through the id maps (plus a lazily built inverse for VectorByID).
+// restart costs one file open instead of one decode per shard. As on the
+// heap, each shard's vectors live only in its record, and the id maps
+// become the handles' translate tables and the locator.
 
 const (
 	// shardedMappedMagic is "NSMS" — distinct from every stream magic so
@@ -38,8 +37,8 @@ func smAlignUp(n int64) int64 { return (n + smAlign - 1) &^ (smAlign - 1) }
 // MappedSize returns the exact container size WriteMapped will produce.
 func (s *Sharded) MappedSize() int64 {
 	off := smAlignUp(int64(smHeaderSize + len(s.shards)*smShardEntrySize + 4))
-	for sh := range s.shards {
-		off = smAlignUp(off + int64(len(s.localID[sh]))*4)
+	for sh, h := range s.handles {
+		off = smAlignUp(off + int64(len(h.Translate()))*4)
 		off += s.shards[sh].MappedSize()
 	}
 	return off
@@ -56,25 +55,22 @@ func (s *Sharded) WriteMapped(w io.Writer, meta []byte) error {
 		return fmt.Errorf("distsearch: cannot persist an empty sharded index")
 	}
 	nShards := len(s.shards)
-	rows := 0
-	for sh := range s.shards {
-		rows += len(s.localID[sh])
-	}
+	ids, rows := s.idMaps()
 
 	// Lay out: header, shard table, table checksum, then per shard the
 	// aligned id map and the aligned embedded record.
-	type slot struct {
+	type entry struct {
 		idmapOff, idmapLen int64
 		recOff, recLen     int64
 		idmapCRC           uint32
 	}
-	slots := make([]slot, nShards)
+	slots := make([]entry, nShards)
 	off := smAlignUp(int64(smHeaderSize + nShards*smShardEntrySize + 4))
 	for sh := range s.shards {
 		slots[sh].idmapOff = off
-		slots[sh].idmapLen = int64(len(s.localID[sh])) * 4
+		slots[sh].idmapLen = int64(len(ids[sh])) * 4
 		h := crc32.NewIEEE()
-		writeInt32sRaw(h, s.localID[sh])
+		chunkio.WriteInt32s(h, ids[sh]) // a hash's Write never fails
 		slots[sh].idmapCRC = h.Sum32()
 		off = smAlignUp(off + slots[sh].idmapLen)
 		slots[sh].recOff = off
@@ -95,7 +91,7 @@ func (s *Sharded) WriteMapped(w io.Writer, meta []byte) error {
 	le32(4, shardedMappedVersion)
 	le32(8, uint32(nShards))
 	le32(12, uint32(rows))
-	le32(16, uint32(s.Base.Dim))
+	le32(16, uint32(s.dim))
 	le64(24, uint64(fileSize))
 	copy(head[32:smHeaderSize], meta)
 	for sh, sl := range slots {
@@ -118,7 +114,7 @@ func (s *Sharded) WriteMapped(w io.Writer, meta []byte) error {
 		if _, err := w.Write(pad[:sl.idmapOff-pos]); err != nil {
 			return fmt.Errorf("distsearch: write padding: %w", err)
 		}
-		if err := writeInt32sRaw(w, s.localID[sh]); err != nil {
+		if err := chunkio.WriteInt32s(w, ids[sh]); err != nil {
 			return fmt.Errorf("distsearch: write shard %d id map: %w", sh, err)
 		}
 		pos = sl.idmapOff + sl.idmapLen
@@ -129,22 +125,6 @@ func (s *Sharded) WriteMapped(w io.Writer, meta []byte) error {
 			return fmt.Errorf("distsearch: write shard %d record: %w", sh, err)
 		}
 		pos = sl.recOff + sl.recLen
-	}
-	return nil
-}
-
-// writeInt32sRaw streams v as little-endian int32s without any chunk
-// framing (container lengths are carried by the shard table).
-func writeInt32sRaw(w io.Writer, v []int32) error {
-	buf := make([]byte, 0, 4096)
-	for i, x := range v {
-		buf = append(buf, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
-		if len(buf) == cap(buf) || i == len(v)-1 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
 	}
 	return nil
 }
@@ -161,10 +141,10 @@ func smCorrupt(format string, args ...any) error {
 }
 
 // OpenMappedSharded opens a container written by SaveMapped and serves all
-// shards from the mapping. The returned index is read-only: Insert and
-// Save-by-stream report the condition, searches and the
-// worker pool behave exactly as on a loaded index. Close releases the
-// mapping; meta is the blob passed to SaveMapped.
+// shards from the mapping. The returned index is read-only: Insert reports
+// the condition, while searches, the worker pool and Write behave exactly
+// as on a loaded index. Close releases the mapping; meta is the blob passed
+// to SaveMapped.
 func OpenMappedSharded(path string, opts core.MapOptions) (*Sharded, []byte, error) {
 	f, err := mstore.Open(path)
 	if err != nil {
@@ -223,8 +203,8 @@ func openMappedSharded(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, 
 		return nil, nil, smCorrupt("shard table checksum %#08x != %#08x", got, crcHere.Sum32())
 	}
 
-	s := &Sharded{Base: vecmath.Matrix{Rows: rows, Dim: dim}, ro: true}
-	covered := 0
+	s := &Sharded{dim: dim}
+	var maps [][]int32
 	for sh := 0; sh < nShards; sh++ {
 		base := sh * smShardEntrySize
 		idmapOff := int64(u64(table, base))
@@ -240,19 +220,14 @@ func openMappedSharded(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, 
 		if err != nil {
 			return nil, nil, smCorrupt("shard %d id map: %v", sh, err)
 		}
-		// Id maps are always fully validated (checksum, range, coverage):
-		// they are tiny next to the vector slabs and a bad entry would
-		// surface as a wrong result id, not a crash — the worst failure
-		// mode to ship silently.
+		// Id maps are always fully validated (checksum here, the partition
+		// in start): they are tiny next to the vector slabs and a bad entry
+		// would surface as a wrong result id, not a crash — the worst
+		// failure mode to ship silently.
 		if got := crc32.ChecksumIEEE(idmapBytes); got != idmapCRC {
 			return nil, nil, smCorrupt("shard %d id map checksum %#08x != %#08x", sh, got, idmapCRC)
 		}
 		ids := mstore.Int32s(idmapBytes)
-		for j, id := range ids {
-			if id < 0 || int(id) >= rows {
-				return nil, nil, smCorrupt("shard %d id map entry %d (%d) out of range [0,%d)", sh, j, id, rows)
-			}
-		}
 		idx, consumed, err := core.OpenMappedAt(f, recOff, recLen, opts, true)
 		if err != nil {
 			return nil, nil, fmt.Errorf("distsearch: shard %d: %w", sh, err)
@@ -265,58 +240,14 @@ func openMappedSharded(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, 
 				sh, idx.Base.Rows, idx.Base.Dim, len(ids), dim)
 		}
 		s.shards = append(s.shards, idx)
-		s.localID = append(s.localID, ids)
-		covered += len(ids)
+		maps = append(maps, ids)
 	}
-	if covered != rows {
-		return nil, nil, smCorrupt("shards cover %d of %d rows", covered, rows)
-	}
-	// Coverage without duplicates: shard sizes sum to rows and every entry
-	// is in range, so the maps partition [0,rows) iff no id repeats.
-	seen := make([]bool, rows)
-	for sh := range s.localID {
-		for _, id := range s.localID[sh] {
-			if seen[id] {
-				return nil, nil, smCorrupt("global id %d appears in more than one shard", id)
-			}
-			seen[id] = true
-		}
+	if err := s.start(maps, rows); err != nil {
+		return nil, nil, smCorrupt("%v", err)
 	}
 	s.mapped = f
-	s.start()
 	return s, meta, nil
 }
 
 // ReadOnly reports whether the index serves from a mapped container.
-func (s *Sharded) ReadOnly() bool { return s.ro }
-
-// shardLocator is the lazily built inverse of the id maps, for vector
-// lookups on a mapped index whose global base matrix has no storage.
-type shardLocator struct {
-	gShard []int32 // global id -> shard
-	gLocal []int32 // global id -> local public id within that shard
-}
-
-func (s *Sharded) locator() *shardLocator {
-	s.locOnce.Do(func() {
-		loc := &shardLocator{
-			gShard: make([]int32, s.Base.Rows),
-			gLocal: make([]int32, s.Base.Rows),
-		}
-		for sh := range s.localID {
-			for j, id := range s.localID[sh] {
-				loc.gShard[id] = int32(sh)
-				loc.gLocal[id] = int32(j)
-			}
-		}
-		s.loc = loc
-	})
-	return s.loc
-}
-
-// mappedVector resolves a global id to its vector through the owning
-// shard's record (the shard translates public-local to internal order).
-func (s *Sharded) mappedVector(id int) []float32 {
-	loc := s.locator()
-	return s.shards[loc.gShard[id]].VectorByID(loc.gLocal[id])
-}
+func (s *Sharded) ReadOnly() bool { return s.shards[0].ReadOnly() }

@@ -74,8 +74,8 @@ func TestShardedMappedParity(t *testing.T) {
 					}
 				}
 			}
-			// Vector lookup resolves through the id-map inverse on the
-			// mapped side and must agree with the original base rows.
+			// Vector lookup resolves through the locator on the mapped side
+			// and must agree with the original base rows.
 			for _, id := range []int{0, 7, ds.Base.Rows - 1} {
 				want := ds.Base.Row(id)
 				got := mapped.VectorByID(id)
@@ -84,9 +84,9 @@ func TestShardedMappedParity(t *testing.T) {
 						t.Fatalf("VectorByID(%d)[%d]: %v vs %v", id, d, got[d], want[d])
 					}
 				}
-				loc := mapped.locator()
-				if sh, j := loc.gShard[id], loc.gLocal[id]; mapped.localID[sh][j] != int32(id) {
-					t.Fatalf("locator sends %d to shard %d row %d, which holds %d", id, sh, j, mapped.localID[sh][j])
+				l := mapped.loc[id]
+				if g := mapped.handles[l.shard].Translate()[l.local]; g != int32(id) {
+					t.Fatalf("locator sends %d to shard %d row %d, which holds %d", id, l.shard, l.local, g)
 				}
 			}
 			if hb, mb := heap.IndexBytes(), mapped.IndexBytes(); hb != mb {
@@ -97,7 +97,8 @@ func TestShardedMappedParity(t *testing.T) {
 }
 
 // TestShardedMappedReadOnlyGuards: mutators on a mapped container must
-// fail with ErrReadOnly and leave it searchable.
+// fail with ErrReadOnly and leave it searchable, and the stream Write of
+// the container must equal the heap index's.
 func TestShardedMappedReadOnlyGuards(t *testing.T) {
 	heap, ds := buildSharded(t, 1000, 2)
 	mapped, _, err := OpenMappedSharded(saveShardedMapped(t, heap, nil), core.MapOptions{})
@@ -109,8 +110,19 @@ func TestShardedMappedReadOnlyGuards(t *testing.T) {
 	if _, _, err := mapped.Insert(vec); !errors.Is(err, core.ErrReadOnly) {
 		t.Fatalf("Insert: %v", err)
 	}
-	if err := mapped.Write(&bytes.Buffer{}); !errors.Is(err, core.ErrReadOnly) {
-		t.Fatalf("stream Write: %v", err)
+	if mapped.Len() != heap.Len() {
+		t.Fatalf("rejected Insert changed Len to %d, want %d", mapped.Len(), heap.Len())
+	}
+	opts := make([]byte, OptionsSize)
+	var hb, mb bytes.Buffer
+	if err := heap.Write(&hb, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.Write(&mb, opts); err != nil {
+		t.Fatalf("stream Write of a mapped container: %v", err)
+	}
+	if !bytes.Equal(hb.Bytes(), mb.Bytes()) {
+		t.Fatal("stream Write of the mapped container differs from the heap index's")
 	}
 	if res := mapped.Search(nil, ds.Queries.Row(0), 5, 30, nil, nil); len(res) != 5 {
 		t.Fatalf("search after rejected mutations: %d results", len(res))

@@ -5,22 +5,34 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 
 	"repro/internal/chunkio"
 	"repro/internal/core"
 	"repro/internal/meta"
-	"repro/internal/mstore"
 	"repro/internal/vecmath"
 )
 
-// This file persists a sharded index: a versioned header with the shard
-// count, then per shard the id mapping and the shard's NSG. Base vectors
-// are not stored (they live in the dataset file, as with core.NSG, or in
-// the surrounding nsg.ShardedIndex bundle); Read re-attaches them and
-// reconstructs each shard's sub-matrix from the id map.
+// This file persists a sharded index as one stream bundle ("NSGD"): a
+// versioned header with the shape and the caller's options blob, the
+// vectors in global-id order, then the shard section ("NSGT") — its own
+// versioned header with the shard count and the optional global metadata
+// blob, then per shard the id map and the shard's NSG. Read copies each
+// shard's rows out of the vector section by its id map, so the loaded
+// index, like a built one, keeps every vector in its shards only.
 
 const (
+	// bundleMagic is "NSGD". Version 2 appends the options flags word to
+	// the four option words of version 1, which predates quantization; Read
+	// accepts both.
+	bundleMagic     = 0x4e534744
+	bundleVersion   = 2
+	bundleVersionV1 = 1
+	// OptionsSize is the size of the options blob a bundle carries verbatim
+	// (the public layer's per-shard build options). A version-1 blob is
+	// four bytes shorter; Read pads it with a zero flags word.
+	OptionsSize = 20
+
 	// shardedMagic is "NSGT", deliberately distinct from the v1 magic
 	// ("NSGS", PR <= 2): v1 headers had the shard count where v2 keeps the
 	// version field, so reusing the magic would let a 2-shard v1 file
@@ -37,24 +49,38 @@ const (
 	maxShardedMetaBlob = 1 << 30
 )
 
-// Write serializes the sharded index (id maps + per-shard NSGs, no base
-// vectors) to w. A mapped container has no global base for the caller to
-// write beside it, so it refuses with core.ErrReadOnly.
-func (s *Sharded) Write(w io.Writer) error {
-	if s.ro {
-		return fmt.Errorf("distsearch: stream-serializing a mapped container (use WriteMapped): %w", core.ErrReadOnly)
+// Write serializes the sharded index as one bundle, heap or mapped alike.
+// opts is the options blob (OptionsSize bytes) Read hands back. Stop
+// issuing Inserts and Flush first, so the shards' id maps cover every row.
+func (s *Sharded) Write(w io.Writer, opts []byte) error {
+	if len(opts) != OptionsSize {
+		return fmt.Errorf("distsearch: options blob of %d bytes, want %d", len(opts), OptionsSize)
 	}
+	ids, rows := s.idMaps()
 	bw := bufio.NewWriter(w)
+	hdr := make([]byte, 16, 16+OptionsSize)
+	binary.LittleEndian.PutUint32(hdr[0:], bundleMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], bundleVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(rows))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(s.dim))
+	if _, err := bw.Write(append(hdr, opts...)); err != nil {
+		return fmt.Errorf("distsearch: write header: %w", err)
+	}
+	// The vectors, in global-id order, gathered row by row from the shards.
+	if err := chunkio.WriteRows(bw, rows, s.VectorByID); err != nil {
+		return fmt.Errorf("distsearch: write vectors: %w", err)
+	}
+
 	version := uint32(shardedVersion)
 	if s.Meta != nil {
 		version = shardedVersionMeta
 	}
-	hdr := make([]byte, 12)
+	hdr = hdr[:12]
 	binary.LittleEndian.PutUint32(hdr[0:], shardedMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], version)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(s.shards)))
 	if _, err := bw.Write(hdr); err != nil {
-		return fmt.Errorf("distsearch: write header: %w", err)
+		return fmt.Errorf("distsearch: write shard header: %w", err)
 	}
 	if s.Meta != nil {
 		// One global blob (the store is global-id keyed); the per-shard NSG
@@ -71,15 +97,14 @@ func (s *Sharded) Write(w io.Writer) error {
 		}
 	}
 	// Id maps go through the shared chunked codec (not a 4-byte write per
-	// id), same discipline as the nsg vector codec.
+	// id), same discipline as the vector codec.
 	for sh := range s.shards {
-		ids := s.localID[sh]
 		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(ids)))
+		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(ids[sh])))
 		if _, err := bw.Write(lenBuf[:]); err != nil {
 			return fmt.Errorf("distsearch: write shard size: %w", err)
 		}
-		if err := chunkio.WriteInt32s(bw, ids); err != nil {
+		if err := chunkio.WriteInt32s(bw, ids[sh]); err != nil {
 			return fmt.Errorf("distsearch: write id map: %w", err)
 		}
 		if err := bw.Flush(); err != nil {
@@ -92,103 +117,144 @@ func (s *Sharded) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Save writes the sharded index to path, crash-safely (temp file + fsync +
-// rename).
-func (s *Sharded) Save(path string) error {
-	return mstore.WriteFileAtomic(path, s.Write)
+// idMaps returns every shard's id map (its handle's translate table) and
+// the rows they cover.
+func (s *Sharded) idMaps() ([][]int32, int) {
+	ids := make([][]int32, len(s.handles))
+	rows := 0
+	for sh, h := range s.handles {
+		ids[sh] = h.Translate()
+		rows += len(ids[sh])
+	}
+	return ids, rows
 }
 
-// Read deserializes a sharded index written by Write and re-attaches the
-// base vectors it was built over. The returned index has a running worker
-// pool and is ready to serve.
-func Read(r io.Reader, base vecmath.Matrix) (*Sharded, error) {
+// Read deserializes a bundle written by Write and returns the index with a
+// running worker pool, ready to serve, plus the options blob (OptionsSize
+// bytes). Id maps that do not partition the rows are an error. When r has a
+// Stat method (an *os.File), the header's shape is bounded by the file size
+// before the vectors are allocated.
+func Read(r io.Reader) (*Sharded, []byte, error) {
 	br := bufio.NewReader(r)
+	hdr := make([]byte, 16+OptionsSize)
+	if _, err := io.ReadFull(br, hdr[:16]); err != nil {
+		return nil, nil, fmt.Errorf("distsearch: read header: %w", err)
+	}
+	if binary.LittleEndian.Uint32(hdr[0:]) != bundleMagic {
+		return nil, nil, fmt.Errorf("distsearch: not a sharded NSG bundle")
+	}
+	optsLen := OptionsSize
+	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
+	case bundleVersionV1:
+		optsLen -= 4 // no flags word; it reads as zero
+	case bundleVersion:
+	default:
+		return nil, nil, fmt.Errorf("distsearch: unsupported sharded bundle version %d (want <= %d)", v, bundleVersion)
+	}
+	if _, err := io.ReadFull(br, hdr[16:16+optsLen]); err != nil {
+		return nil, nil, fmt.Errorf("distsearch: read options: %w", err)
+	}
+	rows := int(binary.LittleEndian.Uint32(hdr[8:]))
+	dim := int(binary.LittleEndian.Uint32(hdr[12:]))
+	if rows <= 0 || dim <= 0 || rows > 1<<30 || dim > 1<<20 {
+		return nil, nil, fmt.Errorf("distsearch: implausible shape %dx%d", rows, dim)
+	}
+	// A corrupt header must not turn into a giant allocation.
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Size() < int64(rows)*int64(dim)*4 {
+			return nil, nil, fmt.Errorf("distsearch: file holds %d bytes, too small for claimed %dx%d vectors", fi.Size(), rows, dim)
+		}
+	}
+	// The vectors in global-id order: copied into the shards below, then
+	// dropped.
+	base := vecmath.NewMatrix(rows, dim)
+	if err := chunkio.ReadFloat32s(br, base.Data); err != nil {
+		return nil, nil, fmt.Errorf("distsearch: truncated vectors: %w", err)
+	}
+	s, ids, err := readShards(br, base)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := s.start(ids, rows); err != nil {
+		return nil, nil, fmt.Errorf("distsearch: %w", err)
+	}
+	return s, hdr[16:], nil
+}
+
+// readShards reads the shard section of a bundle whose vectors are base:
+// the metadata blob and, per shard, its id map and NSG over the rows the
+// map names. It returns the index, not yet started, and its id maps.
+func readShards(br *bufio.Reader, base vecmath.Matrix) (*Sharded, [][]int32, error) {
 	hdr := make([]byte, 12)
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("distsearch: read header: %w", err)
+		return nil, nil, fmt.Errorf("distsearch: read shard header: %w", err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != shardedMagic {
-		return nil, fmt.Errorf("distsearch: not a sharded NSG file")
+		return nil, nil, fmt.Errorf("distsearch: not a sharded NSG file")
 	}
 	version := binary.LittleEndian.Uint32(hdr[4:])
 	if version != shardedVersion && version != shardedVersionMeta {
-		return nil, fmt.Errorf("distsearch: unsupported sharded format version %d (want %d or %d)", version, shardedVersion, shardedVersionMeta)
+		return nil, nil, fmt.Errorf("distsearch: unsupported sharded format version %d (want %d or %d)", version, shardedVersion, shardedVersionMeta)
 	}
 	nShards := int(binary.LittleEndian.Uint32(hdr[8:]))
 	if nShards <= 0 || nShards > 1<<16 {
-		return nil, fmt.Errorf("distsearch: implausible shard count %d", nShards)
+		return nil, nil, fmt.Errorf("distsearch: implausible shard count %d", nShards)
 	}
-	s := &Sharded{Base: base}
+	s := &Sharded{dim: base.Dim}
 	if version == shardedVersionMeta {
 		var flagBuf [8]byte
 		if _, err := io.ReadFull(br, flagBuf[:]); err != nil {
-			return nil, fmt.Errorf("distsearch: read flags: %w", err)
+			return nil, nil, fmt.Errorf("distsearch: read flags: %w", err)
 		}
 		flags := binary.LittleEndian.Uint32(flagBuf[0:])
 		if flags&^uint32(shardedFlagMeta) != 0 {
-			return nil, fmt.Errorf("distsearch: unsupported sharded flags %#x", flags)
+			return nil, nil, fmt.Errorf("distsearch: unsupported sharded flags %#x", flags)
 		}
 		size := int(binary.LittleEndian.Uint32(flagBuf[4:]))
 		if flags&shardedFlagMeta != 0 {
 			if size <= 0 || size > maxShardedMetaBlob {
-				return nil, fmt.Errorf("distsearch: implausible metadata blob size %d", size)
+				return nil, nil, fmt.Errorf("distsearch: implausible metadata blob size %d", size)
 			}
 			blob := make([]byte, size)
 			if _, err := io.ReadFull(br, blob); err != nil {
-				return nil, fmt.Errorf("distsearch: read metadata: %w", err)
+				return nil, nil, fmt.Errorf("distsearch: read metadata: %w", err)
 			}
 			st, err := meta.Decode(blob, base.Rows)
 			if err != nil {
-				return nil, fmt.Errorf("distsearch: metadata: %w", err)
+				return nil, nil, fmt.Errorf("distsearch: metadata: %w", err)
 			}
 			s.Meta = st
 		} else if size != 0 {
-			return nil, fmt.Errorf("distsearch: metadata size %d with flag unset", size)
+			return nil, nil, fmt.Errorf("distsearch: metadata size %d with flag unset", size)
 		}
 	}
-	covered := 0
+	var maps [][]int32
 	for sh := 0; sh < nShards; sh++ {
 		var buf [4]byte
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("distsearch: read shard %d size: %w", sh, err)
+			return nil, nil, fmt.Errorf("distsearch: read shard %d size: %w", sh, err)
 		}
 		size := int(binary.LittleEndian.Uint32(buf[:]))
 		if size <= 0 || size > base.Rows {
-			return nil, fmt.Errorf("distsearch: shard %d has implausible size %d", sh, size)
+			return nil, nil, fmt.Errorf("distsearch: shard %d has implausible size %d", sh, size)
 		}
 		ids := make([]int32, size)
 		if err := chunkio.ReadInt32s(br, ids); err != nil {
-			return nil, fmt.Errorf("distsearch: read shard %d ids: %w", sh, err)
+			return nil, nil, fmt.Errorf("distsearch: read shard %d ids: %w", sh, err)
 		}
 		sub := vecmath.NewMatrix(size, base.Dim)
 		for j, id := range ids {
 			if id < 0 || int(id) >= base.Rows {
-				return nil, fmt.Errorf("distsearch: shard %d id %d out of range", sh, id)
+				return nil, nil, fmt.Errorf("distsearch: shard %d id %d out of range", sh, id)
 			}
 			copy(sub.Row(j), base.Row(int(id)))
 		}
 		idx, err := core.ReadNSG(br, sub)
 		if err != nil {
-			return nil, fmt.Errorf("distsearch: shard %d: %w", sh, err)
+			return nil, nil, fmt.Errorf("distsearch: shard %d: %w", sh, err)
 		}
 		s.shards = append(s.shards, idx)
-		s.localID = append(s.localID, ids)
-		covered += size
+		maps = append(maps, ids)
 	}
-	if covered != base.Rows {
-		return nil, fmt.Errorf("distsearch: shards cover %d of %d base vectors", covered, base.Rows)
-	}
-	s.start()
-	return s, nil
-}
-
-// Load reads a sharded index from path and re-attaches the base vectors it
-// was built over.
-func Load(path string, base vecmath.Matrix) (*Sharded, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("distsearch: %w", err)
-	}
-	defer f.Close()
-	return Read(f, base)
+	return s, maps, nil
 }

@@ -272,11 +272,18 @@ func (h *Handle) Append(vec []float32) (int32, error) {
 }
 
 // AppendWithID is Append with a caller-assigned final id — the sharded
-// path, where global ids are allocated above the per-shard handles.
-func (h *Handle) AppendWithID(vec []float32, id int32) error {
+// path, where global ids are allocated above the per-shard handles. It
+// returns the row's local id: published snapshot rows plus the row's
+// offset in the delta, the position Vector resolves and the local id the
+// row keeps once it drains.
+func (h *Handle) AppendWithID(vec []float32, id int32) (int32, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.appendLocked(vec, id)
+	local := int32(h.view.Load().snap.Rows()) + int32(h.pending.Load())
+	if err := h.appendLocked(vec, id); err != nil {
+		return -1, err
+	}
+	return local, nil
 }
 
 // appendLocked writes one row into the delta, starts the maintainer if none
@@ -393,10 +400,12 @@ func (h *Handle) IndexStats() core.IndexStats {
 	return h.view.Load().snap.Stats()
 }
 
-// Vector returns the stored vector for id on an identity-mapped handle:
-// from the published snapshot when the point has been drained, from the
-// delta buffer otherwise. The returned slice is write-once shared storage;
-// do not modify it. ok is false when id is not (yet) visible.
+// Vector returns the stored vector for the local id: from the published
+// snapshot when the point has been drained, from the delta buffer, by
+// append order, otherwise. On an identity-mapped handle the local id is the
+// id; on a translate-mode handle it is the one AppendWithID returned. The
+// returned slice is write-once shared storage; do not modify it. ok is
+// false when id is not (yet) visible.
 func (h *Handle) Vector(id int32) (vec []float32, ok bool) {
 	v := h.view.Load()
 	n := int32(v.snap.Rows())
@@ -406,7 +415,7 @@ func (h *Handle) Vector(id int32) (vec []float32, ok bool) {
 	if id < n {
 		return v.snap.Vector(id), true
 	}
-	// Pending rows carry sequential ids in append order (identity mode).
+	// Pending rows take sequential local ids in append order.
 	off := int(id - n)
 	for i, ch := range v.chunks {
 		lo := 0

@@ -333,7 +333,7 @@ func TestDeleteTranslatedHandle(t *testing.T) {
 	}
 	h := New(idx, translate, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
-	if err := h.AppendWithID(all.Row(n0), 5000); err != nil {
+	if _, err := h.AppendWithID(all.Row(n0), 5000); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []int32{7, 1007, 5000, -1, 1 << 30} {

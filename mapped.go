@@ -1,7 +1,6 @@
 package nsg
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -109,41 +108,6 @@ func (x *Index) PromoteToHeap() error {
 	return nil
 }
 
-// shardedMetaSize must fit distsearch.MappedMetaSize; the blob persists
-// the per-shard options the same way the stream bundle's header does.
-const shardedMetaLen = 20
-
-func (x *ShardedIndex) encodeMappedMeta() []byte {
-	meta := make([]byte, shardedMetaLen)
-	binary.LittleEndian.PutUint32(meta[0:], uint32(x.opts.Shard.GraphK))
-	binary.LittleEndian.PutUint32(meta[4:], uint32(x.opts.Shard.BuildL))
-	binary.LittleEndian.PutUint32(meta[8:], uint32(x.opts.Shard.MaxDegree))
-	binary.LittleEndian.PutUint32(meta[12:], uint32(x.opts.Shard.SearchL))
-	binary.LittleEndian.PutUint32(meta[16:], encodeQuantFlags(x.opts.Shard.Quantize))
-	return meta
-}
-
-// decodeMappedMeta is the inverse of encodeMappedMeta. An option word with
-// unknown bits makes the container corrupt (see IsCorrupt).
-func decodeMappedMeta(meta []byte, shards int) (ShardedOptions, error) {
-	opts := ShardedOptions{Shards: shards}
-	if len(meta) >= shardedMetaLen {
-		quantize, err := decodeQuantFlags(binary.LittleEndian.Uint32(meta[16:]))
-		if err != nil {
-			return opts, &core.FormatError{Section: core.SectionHeader, Reason: err.Error()}
-		}
-		opts.Shard = Options{
-			GraphK:    int(binary.LittleEndian.Uint32(meta[0:])),
-			BuildL:    int(binary.LittleEndian.Uint32(meta[4:])),
-			MaxDegree: int(binary.LittleEndian.Uint32(meta[8:])),
-			SearchL:   int(binary.LittleEndian.Uint32(meta[12:])),
-			Quantize:  quantize,
-		}
-	}
-	opts.Shard.fillDefaults()
-	return opts, nil
-}
-
 // SaveMapped writes the sharded index as one disk-resident container: per
 // shard, an id map plus a complete aligned record (adjacency, vectors,
 // codes), all behind checksummed tables, written crash-safely. The build
@@ -151,7 +115,7 @@ func decodeMappedMeta(meta []byte, shards int) (ShardedOptions, error) {
 // flushes the maintainers so the file captures every point.
 func (x *ShardedIndex) SaveMapped(path string) error {
 	x.Flush()
-	return x.s.SaveMapped(path, x.encodeMappedMeta())
+	return x.s.SaveMapped(path, x.encodeOptions())
 }
 
 // OpenMappedSharded opens a container written by ShardedIndex.SaveMapped
@@ -164,10 +128,11 @@ func OpenMappedSharded(path string, opts MapOptions) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
-	shardOpts, err := decodeMappedMeta(meta, s.Shards())
+	shardOpts, err := decodeOptions(meta, s.Shards())
 	if err != nil {
 		s.Close()
-		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
+		return nil, fmt.Errorf("nsg: open mapped %s: %w", path,
+			&core.FormatError{Section: core.SectionHeader, Reason: err.Error()})
 	}
 	return newShardedIndex(s, shardOpts), nil
 }

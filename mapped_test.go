@@ -305,7 +305,8 @@ func TestMappedPromoteToHeapPublic(t *testing.T) {
 
 // TestShardedMappedRoundTrip: the sharded container must round-trip the
 // build options and serve byte-identical fan-out searches, for plain and
-// quantized shards. A container from before int4 was removed sets the
+// quantized shards, and Save of the mapped index must write the heap
+// index's bytes. A container from before int4 was removed sets the
 // reserved int4 option bit; it must be refused as corrupt, not misread.
 func TestShardedMappedRoundTrip(t *testing.T) {
 	ds := shardedTestData(t, 2000, 25)
@@ -369,9 +370,25 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 				if err := mapped.EnableLiveUpdates(LiveOptions{}); !errors.Is(err, ErrReadOnly) {
 					t.Fatalf("sharded EnableLiveUpdates: got %v, want ErrReadOnly", err)
 				}
-				// The container holds no global vector matrix to stream.
-				if err := mapped.Save(filepath.Join(t.TempDir(), "s.nsgd")); !errors.Is(err, ErrReadOnly) {
-					t.Fatalf("sharded Save: got %v, want ErrReadOnly", err)
+				// Save of the mapped index writes the heap index's bytes.
+				heapPath := filepath.Join(t.TempDir(), "heap.nsgd")
+				mappedPath := filepath.Join(t.TempDir(), "mapped.nsgd")
+				if err := heap.Save(heapPath); err != nil {
+					t.Fatal(err)
+				}
+				if err := mapped.Save(mappedPath); err != nil {
+					t.Fatalf("sharded Save of a mapped index: %v", err)
+				}
+				hb, err := os.ReadFile(heapPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mb, err := os.ReadFile(mappedPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(hb, mb) {
+					t.Fatal("Save of the mapped sharded index differs from Save of the heap index")
 				}
 			})
 		})
@@ -514,7 +531,8 @@ func TestSaveAtomicCrash(t *testing.T) {
 }
 
 // FuzzLoadSharded feeds arbitrary bytes to the sharded bundle loader: it
-// must either return an error or an index whose searches do not panic.
+// must either return an error or an index whose searches do not panic and
+// return distinct ids in range.
 func FuzzLoadSharded(f *testing.F) {
 	ds, err := dataset.SIFTLike(dataset.Config{N: 300, Queries: 2, GTK: 5, Dim: 8, Seed: 3})
 	if err != nil {
@@ -551,9 +569,18 @@ func FuzzLoadSharded(f *testing.F) {
 			return
 		}
 		defer got.Close()
+		// A loaded index's id maps partition its rows, so every answer
+		// holds distinct ids in [0, Len()).
 		if got.Len() > 0 && got.Dim() > 0 && got.Dim() <= 1024 {
 			q := make([]float32, got.Dim())
-			got.SearchWithPool(q, 3, 16)
+			ids, _ := got.SearchWithPool(q, 3, 16)
+			seen := make(map[int32]bool, len(ids))
+			for _, id := range ids {
+				if id < 0 || int(id) >= got.Len() || seen[id] {
+					t.Fatalf("search of a loaded index returned %v: id %d repeated or outside [0,%d)", ids, id, got.Len())
+				}
+				seen[id] = true
+			}
 		}
 	})
 }

@@ -67,6 +67,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chunkio"
 	"repro/internal/core"
 	"repro/internal/knngraph"
 	"repro/internal/live"
@@ -428,10 +429,10 @@ func (x *Index) Save(path string) error {
 		// Vectors are stored in public id order, row-streamed through the
 		// remap without copying the matrix; the core section carries the
 		// remap table and restores the internal order on load.
-		if err := writeMatrixRows(bw, x.inner.Base, func(r int) int32 {
-			return x.inner.InternalID(int32(r))
+		if err := chunkio.WriteRows(bw, x.inner.Base.Rows, func(r int) []float32 {
+			return x.inner.VectorByID(int32(r))
 		}); err != nil {
-			return err
+			return fmt.Errorf("nsg: write vectors: %w", err)
 		}
 		if err := bw.Flush(); err != nil {
 			return fmt.Errorf("nsg: %w", err)
@@ -468,9 +469,9 @@ func Load(path string) (*Index, error) {
 	if fi, err := f.Stat(); err == nil && fi.Size() < int64(rows)*int64(dim)*4 {
 		return nil, fmt.Errorf("nsg: file holds %d bytes, too small for claimed %dx%d vectors", fi.Size(), rows, dim)
 	}
-	base, err := readMatrix(br, rows, dim)
-	if err != nil {
-		return nil, err
+	base := vecmath.NewMatrix(rows, dim)
+	if err := chunkio.ReadFloat32s(br, base.Data); err != nil {
+		return nil, fmt.Errorf("nsg: truncated vectors: %w", err)
 	}
 	inner, err := core.ReadNSG(br, base)
 	if err != nil {

@@ -1,7 +1,6 @@
 package nsg
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -71,7 +70,8 @@ func BuildSharded(vectors [][]float32, opts ShardedOptions) (*ShardedIndex, erro
 }
 
 // BuildShardedFromFlat is BuildSharded over row-major flat data: data holds
-// n*dim values and the index takes ownership of the slice.
+// n*dim values. The index copies the rows into its shards and keeps no
+// reference to data.
 func BuildShardedFromFlat(data []float32, dim int, opts ShardedOptions) (*ShardedIndex, error) {
 	if dim <= 0 || len(data)%dim != 0 {
 		return nil, fmt.Errorf("nsg: data length %d not a multiple of dim %d", len(data), dim)
@@ -151,7 +151,7 @@ func (x *ShardedIndex) Flush() { x.s.Flush() }
 func (x *ShardedIndex) Len() int { return x.s.Len() }
 
 // Dim returns the vector dimension.
-func (x *ShardedIndex) Dim() int { return x.s.Base.Dim }
+func (x *ShardedIndex) Dim() int { return x.s.Dim() }
 
 // Shards returns the number of partitions.
 func (x *ShardedIndex) Shards() int { return x.s.Shards() }
@@ -292,75 +292,18 @@ func (x *ShardedIndex) Stats() ShardedStats {
 	}
 }
 
-const shardedFileMagic = 0x4e534744 // "NSGD" — sharded bundle (vectors + shards)
-
-// shardedFileVersion tracks the public bundle layout; readers reject other
-// versions instead of misparsing. Version 2 appends an options-flags word
-// to the header (the Quantize mode bits); version 1 files — which predate
-// quantization — still load, with the flags defaulting to zero.
-const (
-	shardedFileVersion   = 2
-	shardedFileVersionV1 = 1
-
-	shardedOptQuantize = 1 << 0
-	// shardedOptInt4 is reserved. Set beside shardedOptQuantize it marked
-	// the int4 path, which was removed; decodeQuantFlags rejects it as an
-	// unknown bit, and it must not be reused, so an old int4 bundle is
-	// never misread.
-	shardedOptInt4 = 1 << 1
-)
-
-// encodeQuantFlags maps the Quantize mode to the bundle's option bits.
-func encodeQuantFlags(m QuantMode) uint32 {
-	if m == QuantSQ8 {
-		return shardedOptQuantize
-	}
-	return 0
-}
-
-// decodeQuantFlags is the inverse of encodeQuantFlags. Any bit it does not
-// know, the reserved shardedOptInt4 among them, is an error.
-func decodeQuantFlags(optFlags uint32) (QuantMode, error) {
-	if optFlags&^shardedOptQuantize != 0 {
-		return QuantNone, fmt.Errorf("nsg: unsupported sharded option flags %#x", optFlags)
-	}
-	return quantModeOf(optFlags&shardedOptQuantize != 0), nil
-}
-
 // Save writes the sharded index, including its vectors and build options,
-// to path. The format shares the chunked vector codec with Index.Save: a
-// versioned header (shape + the per-shard Options, so a reloaded index
-// keeps its Add/Search parameters), the base matrix, then the shard id
-// maps and per-shard graphs. Stop issuing Adds first; Save
+// to path, crash-safely. The bundle (see distsearch.Sharded.Write) holds
+// the shape and the per-shard Options, so a reloaded index keeps its
+// Add/Search parameters, then the vectors in global-id order, then the
+// shard id maps and per-shard graphs. Stop issuing Adds first; Save
 // flushes the maintainers so the file captures every point (concurrent
-// searches are fine). A mapped sharded index returns ErrReadOnly.
+// searches are fine). A mapped sharded index writes the bytes of the heap
+// index it was mapped from.
 func (x *ShardedIndex) Save(path string) error {
-	if x.ReadOnly() {
-		return fmt.Errorf("nsg: stream-saving a mapped sharded index (use SaveMapped): %w", ErrReadOnly)
-	}
 	x.Flush()
 	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		hdr := make([]byte, 36)
-		binary.LittleEndian.PutUint32(hdr[0:], shardedFileMagic)
-		binary.LittleEndian.PutUint32(hdr[4:], shardedFileVersion)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(x.s.Base.Rows))
-		binary.LittleEndian.PutUint32(hdr[12:], uint32(x.s.Base.Dim))
-		binary.LittleEndian.PutUint32(hdr[16:], uint32(x.opts.Shard.GraphK))
-		binary.LittleEndian.PutUint32(hdr[20:], uint32(x.opts.Shard.BuildL))
-		binary.LittleEndian.PutUint32(hdr[24:], uint32(x.opts.Shard.MaxDegree))
-		binary.LittleEndian.PutUint32(hdr[28:], uint32(x.opts.Shard.SearchL))
-		binary.LittleEndian.PutUint32(hdr[32:], encodeQuantFlags(x.opts.Shard.Quantize))
-		if _, err := bw.Write(hdr); err != nil {
-			return fmt.Errorf("nsg: write header: %w", err)
-		}
-		if err := writeMatrixRows(bw, x.s.Base, func(r int) int32 { return int32(r) }); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return fmt.Errorf("nsg: %w", err)
-		}
-		return x.s.Write(w)
+		return x.s.Write(w, x.encodeOptions())
 	})
 }
 
@@ -374,56 +317,57 @@ func LoadSharded(path string) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("nsg: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	hdr := make([]byte, 32)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("nsg: read header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != shardedFileMagic {
-		return nil, fmt.Errorf("nsg: %s is not a sharded NSG bundle", path)
-	}
-	var optFlags uint32
-	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
-	case shardedFileVersionV1:
-		// Pre-quantization layout: no flags word; all options flags zero.
-	case shardedFileVersion:
-		var fb [4]byte
-		if _, err := io.ReadFull(br, fb[:]); err != nil {
-			return nil, fmt.Errorf("nsg: read options flags: %w", err)
-		}
-		optFlags = binary.LittleEndian.Uint32(fb[:])
-	default:
-		return nil, fmt.Errorf("nsg: unsupported sharded bundle version %d (want <= %d)", v, shardedFileVersion)
-	}
-	quantize, err := decodeQuantFlags(optFlags)
+	s, blob, err := distsearch.Read(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("nsg: load %s: %w", path, err)
 	}
-	rows := int(binary.LittleEndian.Uint32(hdr[8:]))
-	dim := int(binary.LittleEndian.Uint32(hdr[12:]))
-	if rows <= 0 || dim <= 0 || rows > 1<<30 || dim > 1<<20 {
-		return nil, fmt.Errorf("nsg: implausible shape %dx%d", rows, dim)
-	}
-	// Bound the header's claim against the file before allocating rows*dim
-	// floats: a corrupt header must not turn into a giant allocation.
-	if fi, err := f.Stat(); err == nil && fi.Size() < int64(rows)*int64(dim)*4 {
-		return nil, fmt.Errorf("nsg: file holds %d bytes, too small for claimed %dx%d vectors", fi.Size(), rows, dim)
-	}
-	base, err := readMatrix(br, rows, dim)
+	opts, err := decodeOptions(blob, s.Shards())
 	if err != nil {
-		return nil, err
+		s.Close()
+		return nil, fmt.Errorf("nsg: load %s: %w", path, err)
 	}
-	s, err := distsearch.Read(br, base)
-	if err != nil {
-		return nil, err
-	}
-	opts := ShardedOptions{Shards: s.Shards(), Shard: Options{
-		GraphK:    int(binary.LittleEndian.Uint32(hdr[16:])),
-		BuildL:    int(binary.LittleEndian.Uint32(hdr[20:])),
-		MaxDegree: int(binary.LittleEndian.Uint32(hdr[24:])),
-		SearchL:   int(binary.LittleEndian.Uint32(hdr[28:])),
-		Quantize:  quantize,
-	}}
-	opts.Shard.fillDefaults() // guard against zeroed fields in hand-built files
 	return newShardedIndex(s, opts), nil
+}
+
+// The options blob both sharded formats carry (distsearch.OptionsSize
+// bytes): GraphK, BuildL, MaxDegree and SearchL, then the flags word.
+const (
+	shardedOptQuantize = 1 << 0
+	// shardedOptInt4 is reserved. Set beside shardedOptQuantize it marked
+	// the int4 path, which was removed; decodeOptions rejects it as an
+	// unknown bit, and it must not be reused, so an old int4 bundle is
+	// never misread.
+	shardedOptInt4 = 1 << 1
+)
+
+func (x *ShardedIndex) encodeOptions() []byte {
+	blob := make([]byte, distsearch.OptionsSize)
+	binary.LittleEndian.PutUint32(blob[0:], uint32(x.opts.Shard.GraphK))
+	binary.LittleEndian.PutUint32(blob[4:], uint32(x.opts.Shard.BuildL))
+	binary.LittleEndian.PutUint32(blob[8:], uint32(x.opts.Shard.MaxDegree))
+	binary.LittleEndian.PutUint32(blob[12:], uint32(x.opts.Shard.SearchL))
+	if x.opts.Shard.Quantize == QuantSQ8 {
+		binary.LittleEndian.PutUint32(blob[16:], shardedOptQuantize)
+	}
+	return blob
+}
+
+// decodeOptions is the inverse of encodeOptions; zeroed fields take their
+// defaults. A flags word with any bit it does not know, the reserved
+// shardedOptInt4 among them, is an error.
+func decodeOptions(blob []byte, shards int) (ShardedOptions, error) {
+	opts := ShardedOptions{Shards: shards}
+	flags := binary.LittleEndian.Uint32(blob[16:])
+	if flags&^shardedOptQuantize != 0 {
+		return opts, fmt.Errorf("unsupported sharded option flags %#x", flags)
+	}
+	opts.Shard = Options{
+		GraphK:    int(binary.LittleEndian.Uint32(blob[0:])),
+		BuildL:    int(binary.LittleEndian.Uint32(blob[4:])),
+		MaxDegree: int(binary.LittleEndian.Uint32(blob[8:])),
+		SearchL:   int(binary.LittleEndian.Uint32(blob[12:])),
+		Quantize:  quantModeOf(flags&shardedOptQuantize != 0),
+	}
+	opts.Shard.fillDefaults()
+	return opts, nil
 }

@@ -1,6 +1,7 @@
 package nsg
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -134,6 +135,39 @@ func TestShardedSaveLoadKeepsOptions(t *testing.T) {
 	got := loaded.opts.Shard
 	if got.GraphK != 17 || got.BuildL != 33 || got.MaxDegree != 19 || got.SearchL != 71 {
 		t.Fatalf("options not restored: %+v", got)
+	}
+}
+
+// TestLoadShardedRejectsBadPartition: a bundle whose shard id maps do not
+// partition the rows must be refused, not served. Here shard 0's id map
+// names its first global id twice, so one row would answer for two ids and
+// another would never be returned. A missing file is an error too.
+func TestLoadShardedRejectsBadPartition(t *testing.T) {
+	ds := shardedTestData(t, 400, 1)
+	idx := buildShardedIndex(t, ds, 2)
+	defer idx.Close()
+	path := filepath.Join(t.TempDir(), "ok.nsgd")
+	if err := idx.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bundle header (36 bytes), the vectors, the shard section's header (12
+	// bytes) and shard 0's size word (4 bytes), then shard 0's id map.
+	at := 36 + idx.Len()*idx.Dim()*4 + 12 + 4
+	copy(blob[at+4:at+8], blob[at:at+4])
+	bad := filepath.Join(t.TempDir(), "dup.nsgd")
+	if err := os.WriteFile(bad, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadSharded(bad); err == nil {
+		got.Close()
+		t.Fatal("LoadSharded accepted id maps that repeat a global id")
+	}
+	if _, err := LoadSharded(filepath.Join(t.TempDir(), "missing.nsgd")); err == nil {
+		t.Fatal("LoadSharded of a missing file succeeded")
 	}
 }
 
