@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/core"
 	"repro/internal/graphutil"
 )
 
@@ -15,22 +14,22 @@ type BatchResult struct {
 }
 
 // SearchBatch answers many queries concurrently on workers goroutines
-// (GOMAXPROCS when workers <= 0), each worker running the same Algorithm 1
-// as SearchWithPool with one search context for its whole share of the
-// batch. Every query's answer is byte-identical to its serial
-// SearchWithPool call. The index is read-only during search, so concurrent
-// queries are safe. Panics if any query's dimension does not match the
-// index.
-func (x *Index) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
-	return x.SearchBatchFiltered(queries, k, l, workers, nil)
+// (GOMAXPROCS when workers <= 0), each issuing the same search as
+// SearchWithPool with one merge buffer for its whole share of the batch.
+// Every query's answer is byte-identical to its serial SearchWithPool call.
+// Searches are safe concurrently with each other and with Add. Panics if
+// any query's dimension does not match the index.
+func (e *engine) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
+	return e.SearchBatchFiltered(queries, k, l, workers, nil)
 }
 
-// SearchBatch answers many queries concurrently, like Index.SearchBatch but
-// reporting scores in the index's metric (see MetricIndex.Search for the
-// score conventions).
-func (x *MetricIndex) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
-	return searchBatch(queries, x.dim, workers, x.idx.getCtx, x.idx.putCtx, func(ctx *core.SearchContext, q []float32) ([]int32, []float32) {
-		return x.searchWithPoolCtx(ctx, q, k, l)
+// SearchBatchFiltered answers many queries under one shared filter on
+// workers goroutines, exactly like SearchBatch: every query's answer is
+// byte-identical to its serial SearchFilteredWithPool call. A nil filter is
+// an unfiltered SearchBatch.
+func (e *engine) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *Filter) []BatchResult {
+	return searchBatch(queries, e.Dim(), workers, e.getBuf, e.putBuf, func(b *neighborBuf, q []float32) ([]int32, []float32) {
+		return e.search(b, q, k, l, f, nil)
 	})
 }
 

@@ -59,19 +59,20 @@ var ErrNoMetadata = core.ErrNoMetadata
 
 // SetMetadata attaches a metadata store to the index. The store must have
 // exactly one row per indexed vector (row i describes the vector with id
-// i); it is persisted inside Save bundles and restored by Load. Points
-// added after attachment without a metadata row (plain Add) fail every
-// filter; AddWithMetadata writes each row under its vector's id.
-func (x *Index) SetMetadata(m *Metadata) error {
-	if m != nil && m.Rows() != x.Len() {
-		return fmt.Errorf("nsg: metadata has %d rows, index has %d vectors", m.Rows(), x.Len())
+// i); it is persisted inside Save bundles and restored by Load or
+// LoadSharded. Points added after attachment without a metadata row (plain
+// Add) fail every filter; AddWithMetadata writes each row under its
+// vector's id.
+func (e *engine) SetMetadata(m *Metadata) error {
+	if m != nil && m.Rows() != e.Len() {
+		return fmt.Errorf("nsg: metadata has %d rows, index has %d vectors", m.Rows(), e.Len())
 	}
-	x.inner.Meta = m
+	e.s.Meta = m
 	return nil
 }
 
 // Metadata returns the attached metadata store, or nil.
-func (x *Index) Metadata() *Metadata { return x.inner.Meta }
+func (e *engine) Metadata() *Metadata { return e.s.Meta }
 
 // AddWithMetadata is Add plus one metadata row: the vector and its
 // attributes land under the same id. row maps column name → value (integer
@@ -80,8 +81,8 @@ func (x *Index) Metadata() *Metadata { return x.inner.Meta }
 // the store would reject is an error before the vector is added, and rows
 // of ids added without one (plain Add) are filled with missing values.
 // Safe from any goroutine, like Add.
-func (x *Index) AddWithMetadata(vec []float32, row map[string]any) (int32, error) {
-	m := x.inner.Meta
+func (e *engine) AddWithMetadata(vec []float32, row map[string]any) (int32, error) {
+	m := e.s.Meta
 	if m == nil {
 		return -1, ErrNoMetadata
 	}
@@ -90,9 +91,9 @@ func (x *Index) AddWithMetadata(vec []float32, row map[string]any) (int32, error
 	}
 	// One writer at a time from id to row: ids are handed out in order, so
 	// every row lands past the store's end.
-	x.metaMu.Lock()
-	defer x.metaMu.Unlock()
-	id, err := x.Add(vec)
+	e.metaMu.Lock()
+	defer e.metaMu.Unlock()
+	id, err := e.Add(vec)
 	if err != nil {
 		return id, err
 	}
@@ -102,71 +103,18 @@ func (x *Index) AddWithMetadata(vec []float32, row map[string]any) (int32, error
 	return id, nil
 }
 
-// Filter is one compiled predicate, ready for any number of searches. The
-// bitmap is fixed at compile time: points added later fail it (compile a
-// fresh filter to include them), deletes are honored at search time either
-// way. Compile once per predicate and reuse — compilation is O(rows), a
-// filtered search is not.
-type Filter struct {
-	bits  []uint64
-	count int
-	inner core.Filter
-}
+// Filter is one compiled predicate, ready for any number of searches on the
+// index that compiled it. Index and ShardedIndex compile the same type: the
+// global bitmap, scattered into each shard's own ids with a passing count
+// per shard (a shard with no passing rows is never searched; the only shard
+// of an Index uses the global bitmap as it is). The bitmap is fixed at
+// compile time: points added later fail it (compile a fresh filter to
+// include them), while deletes are honored at search time either way.
+// Compile once per predicate and reuse — compilation is O(rows), a filtered
+// search is not.
+type Filter = ShardedFilter
 
-// Count returns the number of points passing the filter (at compile time).
-func (f *Filter) Count() int { return f.count }
-
-// CompileFilter compiles a predicate against the index's metadata store
-// into a reusable Filter. Returns ErrNoMetadata when no store is attached;
-// unknown columns and mistyped operands are errors.
-func (x *Index) CompileFilter(p Predicate) (*Filter, error) {
-	m := x.inner.Meta
-	if m == nil {
-		return nil, ErrNoMetadata
-	}
-	bits, count, err := m.CompileAlloc(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Filter{bits: bits, count: count, inner: core.Filter{Bits: bits, Count: count}}, nil
-}
-
-// SearchFiltered returns the k nearest neighbors of query that pass the
-// filter, using the index's default search pool size. A nil filter is an
-// unfiltered Search.
-func (x *Index) SearchFiltered(query []float32, k int, f *Filter) ([]int32, []float32) {
-	return x.SearchFilteredWithPool(query, k, x.opts.SearchL, f)
-}
-
-// SearchFilteredWithPool is SearchFiltered with an explicit pool size l.
-// While the filter passes no more than about sqrt(l · n · MaxDegree/2)
-// points the answer is an exact scan of them: recall 1 by construction, at
-// a cost that follows the passing set. Past that crossover the traversal
-// navigates through non-passing points but only passing points occupy pool
-// slots, so recall at equal l tracks the unfiltered search (see the
-// README's "Filtered search" section for the l and selectivity guidance).
-// Tombstoned and filtered-out ids never appear in results; fewer than k
-// results mean fewer than k passing points exist.
-func (x *Index) SearchFilteredWithPool(query []float32, k, l int, f *Filter) ([]int32, []float32) {
-	ctx := x.getCtx()
-	ids, dists := x.searchIntoFresh(ctx, query, k, l, f)
-	x.putCtx(ctx)
-	return ids, dists
-}
-
-// SearchBatchFiltered answers many queries under one shared filter on
-// workers goroutines, exactly like SearchBatch: every query's answer is
-// byte-identical to its serial SearchFilteredWithPool call. A nil filter is
-// an unfiltered SearchBatch.
-func (x *Index) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *Filter) []BatchResult {
-	return searchBatch(queries, x.Dim(), workers, x.getCtx, x.putCtx, func(ctx *core.SearchContext, q []float32) ([]int32, []float32) {
-		return x.searchIntoFresh(ctx, q, k, l, f)
-	})
-}
-
-// ShardedFilter is one compiled predicate prepared for sharded fan-out:
-// the global bitmap plus a passing count per shard (shards with no passing
-// rows are skipped entirely).
+// ShardedFilter is the name Filter had on a ShardedIndex; see Filter.
 type ShardedFilter struct {
 	inner *distsearch.ShardedFilter
 }
@@ -174,60 +122,15 @@ type ShardedFilter struct {
 // Count returns the number of points passing the filter (at compile time).
 func (f *ShardedFilter) Count() int { return f.inner.Count }
 
-// SetMetadata attaches a metadata store to the sharded index, keyed by
-// global id (row g describes the vector Search returns as id g). Persisted
-// inside Save bundles and restored by LoadSharded.
-func (x *ShardedIndex) SetMetadata(m *Metadata) error {
-	if m != nil && m.Rows() != x.Len() {
-		return fmt.Errorf("nsg: metadata has %d rows, index has %d vectors", m.Rows(), x.Len())
-	}
-	x.s.Meta = m
-	return nil
-}
-
-// Metadata returns the attached metadata store, or nil.
-func (x *ShardedIndex) Metadata() *Metadata { return x.s.Meta }
-
-// CompileFilter compiles a predicate against the sharded index's global
-// metadata store into a reusable fan-out filter.
-func (x *ShardedIndex) CompileFilter(p Predicate) (*ShardedFilter, error) {
-	sf, err := x.s.CompileFilter(p)
+// CompileFilter compiles a predicate against the index's metadata store
+// into a reusable Filter. Returns ErrNoMetadata when no store is attached;
+// unknown columns and mistyped operands are errors.
+func (e *engine) CompileFilter(p Predicate) (*Filter, error) {
+	sf, err := e.s.CompileFilter(p)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedFilter{inner: sf}, nil
-}
-
-// SearchFiltered returns the k nearest passing neighbors of query with the
-// default pool size, fanning out only to shards holding passing rows. A
-// nil filter is an unfiltered Search.
-func (x *ShardedIndex) SearchFiltered(query []float32, k int, f *ShardedFilter) ([]int32, []float32) {
-	return x.SearchFilteredWithPool(query, k, x.opts.Shard.SearchL, f)
-}
-
-// SearchFilteredWithPool is SearchFiltered with an explicit per-shard pool
-// size l. Each shard tests its rows against the global bitmap and picks its
-// own plan (exact scan or traversal) from its own passing count; per-shard
-// answers merge by distance exactly like the unfiltered fan-out.
-func (x *ShardedIndex) SearchFilteredWithPool(query []float32, k, l int, f *ShardedFilter) ([]int32, []float32) {
-	return x.searchOne(query, k, l, f, nil)
-}
-
-// SearchFilteredWithStats is SearchFilteredWithPool plus aggregate
-// traversal counters across the shard fan-out.
-func (x *ShardedIndex) SearchFilteredWithStats(query []float32, k, l int, f *ShardedFilter) (ids []int32, dists []float32, st SearchStats) {
-	ids, dists = x.searchOne(query, k, l, f, &st)
-	return ids, dists, st
-}
-
-// SearchBatchFiltered answers many queries under one shared filter on
-// workers concurrent callers, exactly like SearchBatch: every query's
-// answer is byte-identical to its serial SearchFilteredWithPool call. A nil
-// filter is an unfiltered SearchBatch.
-func (x *ShardedIndex) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *ShardedFilter) []BatchResult {
-	return searchBatch(queries, x.Dim(), workers, x.getBuf, x.putBuf, func(b *neighborBuf, q []float32) ([]int32, []float32) {
-		return x.search(b, q, k, l, f, nil)
-	})
+	return &Filter{inner: sf}, nil
 }
 
 // predClause is the JSON wire form of one predicate node. Exactly one

@@ -35,9 +35,11 @@ func TestFilteredSearchZeroAlloc(t *testing.T) {
 		l    int
 		scan bool
 	}{{"scan", 60, true}, {"walk", 10, false}} {
+		// The only shard's filter is the global bitmap as it is.
+		flt := core.Filter{Bits: f.inner.Bits, Count: f.inner.Count}
 		search := func() core.SearchResult {
 			qi++
-			return idx.inner.Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: plan.l, Filter: &f.inner})
+			return idx.s.Record().Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: plan.l, Filter: &flt})
 		}
 		for i := 0; i < 8; i++ { // warm every context buffer
 			search()

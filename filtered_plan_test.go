@@ -7,8 +7,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // planShape is one serving shape of the plan parity table: how to search it
@@ -40,7 +38,6 @@ func planMetadata(n int) *Metadata {
 
 // indexShape wraps an Index (heap, mapped or live).
 func indexShape(name string, idx *Index, vecs [][]float32) planShape {
-	ctx := core.NewSearchContext()
 	return planShape{
 		name: name,
 		ids:  len(vecs),
@@ -49,9 +46,8 @@ func indexShape(name string, idx *Index, vecs [][]float32) planShape {
 			if err != nil {
 				panic(err)
 			}
-			res := idx.searchCtx(ctx, q, k, l, f, nil)
-			ids, dists := extractResults(res.Neighbors)
-			return ids, dists, res.Hops
+			ids, dists, st := idx.SearchFilteredWithStats(q, k, l, f)
+			return ids, dists, st.Hops
 		},
 		vec: func(id int) []float32 {
 			if idx.Deleted(int32(id)) {
@@ -303,23 +299,21 @@ func TestFilteredStaleBitmapFailsClosed(t *testing.T) {
 	}
 	s := indexShape("stale bitmap", idx, vecs[:n])
 	pass := func(id int) bool { return planSel(id) < 50 }
-	ctx := core.NewSearchContext()
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		q := ds.Queries.Row(qi)
-		res := idx.searchCtx(ctx, q, k, 60, few, nil)
-		if res.Hops != 0 {
+		ids, dists, st := idx.SearchFilteredWithStats(q, k, 60, few)
+		if st.Hops != 0 {
 			t.Fatal("5% of 704 rows should be scanned")
 		}
-		ids, dists := extractResults(res.Neighbors)
 		checkExact(t, s, "scan", q, ids, dists, exactFiltered(s, q, k, pass), pass)
 
-		res = idx.searchCtx(ctx, q, k, k, all, nil)
-		if res.Hops == 0 || len(res.Neighbors) != k {
-			t.Fatalf("every old row passing at l = k should be walked to k results: %d hops, %d results", res.Hops, len(res.Neighbors))
+		ids, _, st = idx.SearchFilteredWithStats(q, k, k, all)
+		if st.Hops == 0 || len(ids) != k {
+			t.Fatalf("every old row passing at l = k should be walked to k results: %d hops, %d results", st.Hops, len(ids))
 		}
-		for _, nb := range res.Neighbors {
-			if int(nb.ID) >= n {
-				t.Fatalf("walk: id %d lies past the filter's bitmap", nb.ID)
+		for _, id := range ids {
+			if int(id) >= n {
+				t.Fatalf("walk: id %d lies past the filter's bitmap", id)
 			}
 		}
 	}

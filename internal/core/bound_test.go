@@ -249,7 +249,7 @@ func TestQuantBoundLive(t *testing.T) {
 		defer h.Close()
 		for i := 0; i < adds/2; i++ {
 			for _, v := range [][]float32{far.Row(i), near.Row(i)} {
-				if _, err := h.Append(v); err != nil {
+				if _, err := h.Append(v, int32(h.Len())); err != nil {
 					t.Fatal(err)
 				}
 			}

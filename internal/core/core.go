@@ -204,7 +204,8 @@ type passTest interface {
 	// node is asked once for every graph node whose distance d to the query
 	// was just computed, in evaluation order.
 	node(internal int32, d float32) bool
-	// deltaRow is the same question for a pending insert, by its final id.
+	// deltaRow is the same question for a pending insert, by the public id
+	// it drains to (n + its delta offset).
 	deltaRow(id int32) bool
 }
 
@@ -359,10 +360,11 @@ func offerDelta[D distSource, P passTest](ctx *SearchContext, n int, dist D, del
 		dists := ctx.distScratch(rows)
 		dist.deltaRows(counter, ch, dists)
 		for j := 0; j < rows; j++ {
-			if !pf.deltaRow(ch.IDs[j]) {
+			id := int32(n + ch.Off + j)
+			if !pf.deltaRow(id) {
 				continue
 			}
-			if pos := p.insert(int32(n+ch.Off+j), dists[j]); pos >= 0 {
+			if pos := p.insert(id, dists[j]); pos >= 0 {
 				p.check(pos)
 			}
 		}

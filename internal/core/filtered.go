@@ -55,9 +55,8 @@ var ErrNoMetadata = errors.New("core: index has no metadata store")
 // queries and goroutines — a Filter is immutable once built.
 type Filter struct {
 	// Bits is the pass bitmap — bit id&63 of word id>>6 — indexed by the
-	// id the search emits: the index's public id, or under a
-	// Query.Translate table the translated (final) one, which is also
-	// the space pending delta rows live in. Ids at or past the bitmap's
+	// snapshot's public id, before any Query.Translate; a pending delta row
+	// is tested by the public id it drains to. Ids at or past the bitmap's
 	// range fail closed.
 	Bits []uint64
 	// Count is the number of set bits over the id range this index serves;
@@ -76,33 +75,22 @@ func bitTest(bits []uint64, id int32) bool {
 }
 
 // passFilter is the pass test of predicate and/or tombstone searches:
-// internal id → public id (pubIDs) → liveness (dead) → final id (remap) →
-// bitmap. Built once per search and passed by value, so the hot path costs
-// one or two array reads per node.
+// internal id → public id (pubIDs) → liveness (dead) → bitmap, all in the
+// snapshot's public ids. Built once per search and passed by value, so the
+// hot path costs one or two array reads per node.
 type passFilter struct {
 	all    bool     // no predicate: every live row passes, bits unused
-	bits   []uint64 // indexed by final id
+	bits   []uint64 // indexed by public id
 	pubIDs []int32  // internal → public
-	remap  []int32  // public → final (Query.Translate); nil = identity
 	dead   *Tombstones
 }
 
 func (f passFilter) node(internal int32, _ float32) bool {
 	id := f.pubIDs[internal]
-	if f.dead.Deleted(id) {
-		return false
-	}
-	if f.all {
-		return true
-	}
-	if f.remap != nil {
-		id = f.remap[id]
-	}
-	return bitTest(f.bits, id)
+	return !f.dead.Deleted(id) && (f.all || bitTest(f.bits, id))
 }
 
-// deltaRow tests a pending row: delta ids are final ids, so the tombstone
-// set and the bitmap index directly — no remap.
+// deltaRow tests a public id: a pending row's is the one it drains to.
 func (f passFilter) deltaRow(id int32) bool {
 	return !f.dead.Deleted(id) && (f.all || bitTest(f.bits, id))
 }
@@ -137,18 +125,8 @@ func planFiltered(n, l, deg, count, dead int) (scan bool, lnav int) {
 // n, in public-id order. The bitmap is walked by word — tombstones masked
 // off a word at a time, set bits pulled out with TrailingZeros64 and mapped
 // through toInt (public → internal) — so the cost follows the passing set,
-// not n. Only under a remap, where the bitmap lives in an id space the rows
-// must be translated into one by one, does it fall back to asking node
-// about every row.
+// not n.
 func (f passFilter) rows(dst []int32, n int, toInt []int32) []int32 {
-	if f.remap != nil {
-		for i := int32(0); int(i) < n; i++ {
-			if f.node(i, 0) {
-				dst = append(dst, i)
-			}
-		}
-		return dst
-	}
 	var dead []uint64
 	if f.dead != nil {
 		dead = f.dead.bits

@@ -96,7 +96,8 @@ func (s *Snapshot) Stats() IndexStats {
 // id of every row, and the identity sequence 0..Rows() the batched gather
 // kernels scan with.
 // Off is the chunk's starting offset in the query's delta id space: row j
-// is offered to the pool as candidate n + Off + j.
+// is offered to the pool as candidate n + Off + j, which is also the public
+// id it takes once drained and the id the pass test checks it by.
 type DeltaChunk struct {
 	Vecs  vecmath.Matrix
 	Codes quant.CodeMatrix
@@ -155,11 +156,9 @@ type Query struct {
 	// infinite coordinate; L < K is raised to K.
 	K, L int
 	// Dead is the tombstone set, a term of the pass test: a deleted row
-	// still routes but never holds a result slot. It is keyed by the
-	// snapshot's public ids (after the relayout remap, before Translate)
-	// for snapshot rows and by final id for delta rows. The two spaces
-	// coincide only when Translate is nil, so a translating caller must
-	// leave Dead nil (live.Handle.Delete enforces it).
+	// still routes but never holds a result slot. Like Filter.Bits it is
+	// keyed by the snapshot's public ids (after the relayout remap, before
+	// Translate), and a pending delta row by the public id it drains to.
 	Dead *Tombstones
 	// Filter, when non-nil, admits only rows whose bit is set; see Filter
 	// for the id space its bitmap is keyed by.
@@ -169,8 +168,8 @@ type Query struct {
 	Delta *Delta
 	// Translate maps snapshot-local result ids into the caller's id space
 	// (a sharded index's global ids); nil is identity. Delta chunk ids are
-	// already final and pass through untranslated. Under a filter it is
-	// also the remap into Filter.Bits' id space.
+	// already final and pass through untranslated. It is applied only when
+	// results are emitted: the pass test never sees a final id.
 	Translate []int32
 	// Counter, when non-nil, counts every distance evaluation.
 	Counter *vecmath.Counter
@@ -217,7 +216,7 @@ func (s *Snapshot) Query(ctx *SearchContext, vec []float32, q Query) SearchResul
 	case q.Filter.Count == 0:
 		return emptyResult(ctx)
 	default:
-		pf.bits, pf.remap = q.Filter.Bits, q.Translate
+		pf.bits = q.Filter.Bits
 		scan, lnav := planFiltered(s.base.Rows, q.L, s.flat.Stride-1, q.Filter.Count, q.Dead.Len())
 		if scan {
 			res = scanFiltered(ctx, s, vec, q.K, q.Counter, q.Delta, pf)

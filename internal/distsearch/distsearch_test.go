@@ -207,7 +207,7 @@ func TestSearchStatsMerged(t *testing.T) {
 	if len(res) != 10 {
 		t.Fatalf("got %d results, want 10", len(res))
 	}
-	if st.Hops <= 0 || st.DistComps == 0 {
+	if st.Hops <= 0 || st.DistanceComputations == 0 {
 		t.Fatalf("stats not merged: %+v", st)
 	}
 	// The merged tallies must cover all shards: at least one hop and k

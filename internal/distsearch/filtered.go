@@ -1,52 +1,63 @@
 package distsearch
 
 import (
+	"math/bits"
+
 	"repro/internal/core"
 	"repro/internal/meta"
 )
 
 // Filtered fan-out: one predicate compiles into one GLOBAL-id-keyed bitmap,
-// and every shard tests its rows against it through its handle's translate
-// table — the same plan choice and the same word-at-a-time scan as an
-// unsharded index. The per-shard filtered search is the single-index one,
-// so the sharded filtered answer is the merge of per-shard filtered answers
-// — the same contract the unfiltered fan-out has, through the same Search.
-// Shards with zero passing rows are skipped entirely; their workers are
-// never scheduled.
+// which NewFilter scatters into one bitmap per shard keyed by the shard's
+// own ids — the id space a shard's pass test works in — so every shard runs
+// the same plan choice and the same word-at-a-time scan as an unsharded
+// index. The per-shard filtered search is the single-index one, so the
+// sharded filtered answer is the merge of per-shard filtered answers — the
+// same contract the unfiltered fan-out has, through the same Search. Shards
+// with zero passing rows are skipped entirely; their workers are never
+// scheduled.
 
 // ShardedFilter is one compiled predicate prepared for fan-out: the global
-// bitmap plus each shard's passing count, which drives that shard's plan
-// independently. Compile once per predicate and reuse across queries; the
-// struct is read-only after NewFilter.
+// bitmap, and per shard its bitmap in the shard's ids with its passing
+// count, which drives that shard's plan independently. Compile once per
+// predicate and reuse across queries; the struct is read-only after
+// NewFilter.
 type ShardedFilter struct {
 	Bits   []uint64 // global-id-keyed passing bitmap (fail-closed past its end)
 	Count  int      // total passing rows across all shards
-	counts []int
-}
-
-// globalBit tests a global id against the bitmap, failing closed out of
-// range — the same contract core's bitTest has.
-func globalBit(bits []uint64, id int32) bool {
-	if id < 0 {
-		return false
-	}
-	w := int(id >> 6)
-	if w >= len(bits) {
-		return false
-	}
-	return bits[w]>>(uint(id)&63)&1 != 0
+	shards []core.Filter
 }
 
 // NewFilter prepares a compiled bitmap (global-id keyed, with its total
-// passing count) for fan-out serving: one walk over every shard's id map
-// counts the shard's passing rows.
-func (s *Sharded) NewFilter(bits []uint64, count int) *ShardedFilter {
-	sf := &ShardedFilter{Bits: bits, Count: count, counts: make([]int, len(s.handles))}
+// passing count) for fan-out serving: its set bits are scattered through
+// the locator into one bitmap per shard, and the per-shard counts fall out
+// of the scatter, so the cost follows the passing rows. A shard that keeps
+// no translate table (the only shard of a one-shard index) shares the
+// global bitmap as it is.
+func (s *Sharded) NewFilter(set []uint64, count int) *ShardedFilter {
+	sf := &ShardedFilter{Bits: set, Count: count, shards: make([]core.Filter, len(s.handles))}
+	if len(s.handles) == 1 && s.handles[0].Translate() == nil {
+		sf.shards[0] = core.Filter{Bits: set, Count: count}
+		return sf
+	}
+	// Located rows never move, so the locator read under mu stays valid;
+	// every local id it holds is below its shard's Len read with it.
+	s.mu.Lock()
+	loc := s.loc
 	for sh, h := range s.handles {
-		for _, gid := range h.Translate() {
-			if globalBit(bits, gid) {
-				sf.counts[sh]++
+		sf.shards[sh].Bits = make([]uint64, (h.Len()+63)>>6)
+	}
+	s.mu.Unlock()
+	for wi, w := range set[:min(len(set), (len(loc)+63)>>6)] {
+		for ; w != 0; w &= w - 1 {
+			g := wi<<6 + bits.TrailingZeros64(w)
+			if g >= len(loc) {
+				break
 			}
+			l := loc[g]
+			f := &sf.shards[l.shard]
+			f.Bits[l.local>>6] |= 1 << uint(l.local&63)
+			f.Count++
 		}
 	}
 	return sf
@@ -61,9 +72,9 @@ func (s *Sharded) CompileFilter(p meta.Predicate) (*ShardedFilter, error) {
 	if s.Meta == nil {
 		return nil, core.ErrNoMetadata
 	}
-	bits, count, err := s.Meta.CompileAlloc(p)
+	set, count, err := s.Meta.CompileAlloc(p)
 	if err != nil {
 		return nil, err
 	}
-	return s.NewFilter(bits, count), nil
+	return s.NewFilter(set, count), nil
 }

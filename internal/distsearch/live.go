@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/vecmath"
 )
@@ -52,7 +53,7 @@ func (s *Sharded) Insert(vec []float32) (int32, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	gid := int32(len(s.loc))
-	local, err := s.handles[sh].AppendWithID(vec, gid)
+	local, err := s.handles[sh].Append(vec, gid)
 	if err != nil {
 		return -1, -1, err
 	}
@@ -64,19 +65,101 @@ func (s *Sharded) Insert(vec []float32) (int32, int, error) {
 // Len returns the number of indexed vectors; safe concurrently with Insert.
 func (s *Sharded) Len() int { return int(s.n.Load()) }
 
+// locate returns the shard and local id of global id, or false when id is
+// out of range. Safe concurrently with Insert.
+func (s *Sharded) locate(id int) (slot, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if id < 0 || id >= len(s.loc) {
+		return slot{}, false
+	}
+	return s.loc[id], true
+}
+
 // VectorByID returns the stored vector with the given global id, read from
 // its shard through the locator: the shard's published snapshot once the
 // row has drained, its delta buffer before. The returned row is write-once
 // shared storage. Safe concurrently with Insert; panics on an out-of-range
 // id.
 func (s *Sharded) VectorByID(id int) []float32 {
-	l := func() slot {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.loc[id]
-	}()
+	l, ok := s.locate(id)
+	if !ok {
+		panic(fmt.Sprintf("distsearch: id %d out of range [0,%d)", id, s.Len()))
+	}
 	vec, _ := s.handles[l.shard].Vector(l.local) // a located row is always visible
 	return vec
+}
+
+// Delete tombstones a global id in its shard, under the shard's own id for
+// it: the row stops appearing in results at once and keeps routing until
+// Compact. Deleting an out-of-range or already-deleted id is an error. Safe
+// concurrently with searches, Inserts and other Deletes.
+func (s *Sharded) Delete(id int32) error {
+	l, ok := s.locate(int(id))
+	if !ok {
+		return fmt.Errorf("distsearch: id %d out of range [0,%d)", id, s.Len())
+	}
+	if err := s.handles[l.shard].Delete(l.local); err != nil {
+		return fmt.Errorf("distsearch: delete %d: %w", id, err)
+	}
+	return nil
+}
+
+// Deleted reports whether global id is tombstoned.
+func (s *Sharded) Deleted(id int32) bool {
+	l, ok := s.locate(int(id))
+	return ok && s.handles[l.shard].Deleted(l.local)
+}
+
+// DeadCount returns the number of tombstoned ids across the shards.
+func (s *Sharded) DeadCount() int {
+	n := 0
+	for _, h := range s.handles {
+		n += h.DeadCount()
+	}
+	return n
+}
+
+// Compact rebuilds the index without its tombstoned rows: BuildSharded over
+// the survivors in global-id order with p (give it the shard count and
+// build parameters the index was built with), metadata rows carried over
+// by Select, and the shards' cadence kept. It returns the fresh index and
+// the old -> new id map (-1 for deleted; survivors keep their order). s is
+// flushed and otherwise left as it was: the caller swaps in the fresh index
+// and closes s. With nothing deleted it returns s itself and the identity;
+// a mapped index with deleted rows returns core.ErrReadOnly.
+func (s *Sharded) Compact(p Params) (*Sharded, []int32, error) {
+	s.Flush()
+	rows := s.Len()
+	remap := make([]int32, rows)
+	if s.DeadCount() == 0 {
+		for i := range remap {
+			remap[i] = int32(i)
+		}
+		return s, remap, nil
+	}
+	if s.ReadOnly() {
+		return nil, nil, core.ErrReadOnly
+	}
+	data := make([]float32, 0, (rows-s.DeadCount())*s.dim)
+	for id := range remap {
+		if s.Deleted(int32(id)) {
+			remap[id] = -1
+			continue
+		}
+		remap[id] = int32(len(data) / s.dim)
+		data = append(data, s.VectorByID(id)...)
+	}
+	fresh, err := BuildSharded(vecmath.Matrix{Data: data, Rows: len(data) / s.dim, Dim: s.dim}, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	if m := s.Meta; m != nil {
+		// Rows the store never got (plain Inserts) keep failing filters.
+		fresh.Meta = m.Select(remap[:min(len(remap), m.Rows())], fresh.Len())
+	}
+	fresh.SetLiveOptions(s.handles[0].Options())
+	return fresh, remap, nil
 }
 
 // LiveStats aggregates the per-shard maintenance state: pending depths and

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"repro/internal/chunkio"
 	"repro/internal/core"
+	"repro/internal/live"
 	"repro/internal/mstore"
 )
 
@@ -37,8 +39,9 @@ func smAlignUp(n int64) int64 { return (n + smAlign - 1) &^ (smAlign - 1) }
 // MappedSize returns the exact container size WriteMapped will produce.
 func (s *Sharded) MappedSize() int64 {
 	off := smAlignUp(int64(smHeaderSize + len(s.shards)*smShardEntrySize + 4))
-	for sh, h := range s.handles {
-		off = smAlignUp(off + int64(len(h.Translate()))*4)
+	ids, _ := s.idMaps()
+	for sh, m := range ids {
+		off = smAlignUp(off + int64(len(m))*4)
 		off += s.shards[sh].MappedSize()
 	}
 	return off
@@ -249,5 +252,28 @@ func openMappedSharded(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, 
 	return s, meta, nil
 }
 
-// ReadOnly reports whether the index serves from a mapped container.
+// ReadOnly reports whether the index serves from a mapping.
 func (s *Sharded) ReadOnly() bool { return s.shards[0].ReadOnly() }
+
+// PromoteToHeap turns a mapped index into an ordinary mutable one: each
+// shard's slabs are copied to the heap, fresh handles take over with the
+// old ones' tombstones, cadence and id maps (copied out of the mapping),
+// and then the mapping is released. Search results are unchanged. A no-op
+// on a heap index; must not run concurrently with other calls.
+func (s *Sharded) PromoteToHeap() error {
+	if !s.ReadOnly() {
+		return nil
+	}
+	for sh, idx := range s.shards {
+		old := s.handles[sh]
+		if err := idx.PromoteToHeap(); err != nil {
+			return err
+		}
+		s.handles[sh] = live.New(idx, slices.Clone(old.Translate()), old.Dead(), old.Options())
+	}
+	if s.mapped != nil {
+		s.mapped.Close()
+		s.mapped = nil
+	}
+	return nil
+}

@@ -117,13 +117,19 @@ func (s *Sharded) Write(w io.Writer, opts []byte) error {
 	return bw.Flush()
 }
 
-// idMaps returns every shard's id map (its handle's translate table) and
-// the rows they cover.
+// idMaps returns every shard's id map (its handle's translate table, or
+// the identity over its published rows when it keeps none) and the rows
+// they cover.
 func (s *Sharded) idMaps() ([][]int32, int) {
 	ids := make([][]int32, len(s.handles))
 	rows := 0
 	for sh, h := range s.handles {
-		ids[sh] = h.Translate()
+		if ids[sh] = h.Translate(); ids[sh] == nil {
+			ids[sh] = make([]int32, h.Stats().SnapshotRows)
+			for j := range ids[sh] {
+				ids[sh][j] = int32(j)
+			}
+		}
 		rows += len(ids[sh])
 	}
 	return ids, rows

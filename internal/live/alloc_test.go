@@ -35,7 +35,7 @@ func TestSearchCtxZeroAlloc(t *testing.T) {
 			// Leave a multi-chunk delta pending so the scan-and-merge path is
 			// exercised, not just the snapshot traversal.
 			for i := n0; i < all.Rows; i++ {
-				if _, err := h.Append(all.Row(i)); err != nil {
+				if _, err := appendNext(h, all.Row(i)); err != nil {
 					t.Fatal(err)
 				}
 			}

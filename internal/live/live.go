@@ -37,7 +37,6 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -150,7 +149,6 @@ type Handle struct {
 	chunks []*chunk   // undrained chunks, oldest first; only the last has spare capacity
 	skip   int        // rows of chunks[0] already drained
 	seq    []int32    // identity sequence shared by chunk scans, grown to the largest chunk
-	nextID int32      // next self-assigned id (identity mode)
 	trans  []int32    // local -> final id table; nil = identity (single index)
 	dead   *core.Tombstones
 	stop   chan struct{} // non-nil while a maintainer runs
@@ -173,20 +171,18 @@ type Handle struct {
 //
 // translate, when non-nil, maps the index's local public ids to the ids
 // results should carry (a sharded index's global ids); the handle takes
-// ownership and extends it as inserts drain. dead seeds the tombstone set
-// (it is cloned) and, like Delete, belongs to identity mode only: pass nil
-// with a translate table. The handle assumes exclusive mutation rights over
-// idx from this call on.
+// ownership and extends it as inserts drain. dead seeds the tombstone set,
+// keyed like Delete by local id (it is cloned). The handle assumes
+// exclusive mutation rights over idx from this call on.
 func New(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options) *Handle {
 	opts.fillDefaults()
 	h := &Handle{
-		opts:   opts,
-		idx:    idx,
-		ro:     idx.ReadOnly(),
-		dim:    idx.Base.Dim,
-		nextID: int32(idx.Base.Rows),
-		trans:  translate,
-		wake:   make(chan struct{}, 1),
+		opts:  opts,
+		idx:   idx,
+		ro:    idx.ReadOnly(),
+		dim:   idx.Base.Dim,
+		trans: translate,
+		wake:  make(chan struct{}, 1),
 	}
 	if idx.Quant != nil {
 		h.q = &idx.Quant.Q
@@ -252,34 +248,21 @@ func (h *Handle) signal() {
 	}
 }
 
-// Append inserts vec (copied) under the next self-assigned id and returns
-// that id. The point is searchable as soon as Append returns — first
-// through the delta scan, then, once the maintainer drains it, through the
-// graph. Append never waits for graph work and never blocks searches.
-func (h *Handle) Append(vec []float32) (int32, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.trans != nil {
-		// Translate-mode handles get their ids from the embedder
-		// (AppendWithID); self-assigned ids would collide with them.
-		return -1, fmt.Errorf("live: handle uses caller-assigned ids; use AppendWithID")
-	}
-	if err := h.appendLocked(vec, h.nextID); err != nil {
-		return -1, err
-	}
-	h.nextID++
-	return h.nextID - 1, nil
-}
-
-// AppendWithID is Append with a caller-assigned final id — the sharded
-// path, where global ids are allocated above the per-shard handles. It
-// returns the row's local id: published snapshot rows plus the row's
-// offset in the delta, the position Vector resolves and the local id the
-// row keeps once it drains.
-func (h *Handle) AppendWithID(vec []float32, id int32) (int32, error) {
+// Append inserts vec (copied) under final id id and returns its local id:
+// published snapshot rows plus the row's offset in the delta, the id
+// Vector, Delete and the pass test take and the public id the row keeps
+// once it drains. A handle without a translate table has one id space, so
+// there id must be that local id (Len). The point is searchable as soon as
+// Append returns — first through the delta scan, then, once the maintainer
+// drains it, through the graph. Append never waits for graph work and
+// never blocks searches.
+func (h *Handle) Append(vec []float32, id int32) (int32, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	local := int32(h.view.Load().snap.Rows()) + int32(h.pending.Load())
+	if h.trans == nil && id != local {
+		return -1, fmt.Errorf("live: id %d on a handle without a translate table, want its local id %d", id, local)
+	}
 	if err := h.appendLocked(vec, id); err != nil {
 		return -1, err
 	}
@@ -329,26 +312,17 @@ func (h *Handle) appendLocked(vec []float32, id int32) error {
 	return nil
 }
 
-// errTranslatedDelete is what Delete returns on a translate-mode handle.
-var errTranslatedDelete = errors.New("live: Delete is not supported on a handle with caller-assigned ids")
-
-// Delete tombstones an id: it stops appearing in results immediately. The
-// tombstone set is published copy-on-write, so in-flight searches keep
+// Delete tombstones a local id (the id Vector takes): the row stops
+// appearing in results immediately. A pending row's local id is the public
+// id it drains to, and the pass test checks snapshot and pending rows in
+// that one id space, so a tombstone keeps its meaning across the drain.
+// The tombstone set is published copy-on-write, so in-flight searches keep
 // their frozen set and never synchronize with deletes. Range and duplicate
 // checks run under the writer mutex, so concurrent Deletes of one id
 // cannot both report success.
-//
-// Only identity-mode handles delete. With a translate table a snapshot row
-// is tested by its shard-local id and a pending row by its final id, so one
-// tombstone would change meaning the moment its row drains — and the final
-// id space has no bound here to range-check against.
 func (h *Handle) Delete(id int32) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.trans != nil {
-		return errTranslatedDelete
-	}
-	// Identity mode: ids are dense, so the range is known exactly.
 	if rows := h.view.Load().snap.Rows() + int(h.pending.Load()); id < 0 || int(id) >= rows {
 		return fmt.Errorf("live: id %d out of range [0,%d)", id, rows)
 	}
@@ -362,7 +336,7 @@ func (h *Handle) Delete(id int32) error {
 	return nil
 }
 
-// Deleted reports whether id is tombstoned in the current view.
+// Deleted reports whether local id is tombstoned in the current view.
 func (h *Handle) Deleted(id int32) bool { return h.view.Load().dead.Deleted(id) }
 
 // Dead returns the current tombstone set (nil when nothing was deleted).
@@ -403,7 +377,7 @@ func (h *Handle) IndexStats() core.IndexStats {
 // Vector returns the stored vector for the local id: from the published
 // snapshot when the point has been drained, from the delta buffer, by
 // append order, otherwise. On an identity-mapped handle the local id is the
-// id; on a translate-mode handle it is the one AppendWithID returned. The
+// id; on a translate-mode handle it is the one Append returned. The
 // returned slice is write-once shared storage; do not modify it. ok is
 // false when id is not (yet) visible.
 func (h *Handle) Vector(id int32) (vec []float32, ok bool) {
@@ -445,11 +419,10 @@ func (h *Handle) Translate() []int32 {
 // Query answers one query from the current view: Snapshot.Query over the
 // published snapshot with q's Delta, Dead and Translate filled from the
 // view — the pending delta offered to the candidate pool, tombstones in the
-// pass test, ids in final (translated) space — and distances exact. Under a
-// q.Filter only rows passing it occupy result slots; the filter is keyed by
-// final id — exactly the id space this handle returns — so delta rows and
-// snapshot rows test against the same bitmap, and the view's translate
-// table doubles as the filter remap. The view is loaded once, so the query
+// pass test, ids emitted in final (translated) space — and distances exact.
+// Under a q.Filter only rows passing it occupy result slots; like the
+// tombstones, the filter is keyed by local id, so delta rows and snapshot
+// rows test against one bitmap. The view is loaded once, so the query
 // sees one epoch in full — a publish landing mid-query affects only later
 // queries. The returned slice aliases ctx; with a reused per-goroutine
 // context the steady state allocates nothing.
@@ -606,10 +579,14 @@ func (h *Handle) drainOnce() {
 				// would be worse than stopping the process.
 				panic(fmt.Sprintf("live: drain insert: %v", err))
 			}
+			// A row drains to the local id it was appended under.
+			local := ch.ids[j]
 			if trans != nil {
+				local = int32(len(trans))
 				trans = append(trans, ch.ids[j])
-			} else if id != ch.ids[j] {
-				panic(fmt.Sprintf("live: drain id %d != assigned id %d", id, ch.ids[j]))
+			}
+			if id != local {
+				panic(fmt.Sprintf("live: drain id %d != local id %d", id, local))
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -27,6 +26,10 @@ func testVectors(n, dim int, seed int64) vecmath.Matrix {
 
 // buildNSG builds a small exact-kNN NSG over base (which it takes
 // ownership of).
+// appendNext appends v to a handle without a translate table, under the
+// next id: there final and local ids coincide.
+func appendNext(h *Handle, v []float32) (int32, error) { return h.Append(v, int32(h.Len())) }
+
 func buildNSG(t *testing.T, base vecmath.Matrix) *core.NSG {
 	t.Helper()
 	k := 10
@@ -78,10 +81,14 @@ func TestAppendSearchableImmediately(t *testing.T) {
 	// appended points are served purely by the delta scan.
 	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
+	// Without a translate table the final id is the local id.
+	if _, err := h.Append(all.Row(n0), n0+1); err == nil {
+		t.Fatal("Append accepted a final id other than the local one on a handle without a translate table")
+	}
 
 	ctx := core.NewSearchContext()
 	for i := n0; i < all.Rows; i++ {
-		id, err := h.Append(all.Row(i))
+		id, err := appendNext(h, all.Row(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +117,7 @@ func TestFlushDrainsAndMatchesSynchronousInserts(t *testing.T) {
 	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20, ChunkRows: 32})
 	defer h.Close()
 	for i := n0; i < all.Rows; i++ {
-		if _, err := h.Append(all.Row(i)); err != nil {
+		if _, err := appendNext(h, all.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +180,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	// the frozen snapshot: byte-identical answers, or isolation is broken.
 	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 16})
 	for i := n0; i < all.Rows; i++ {
-		if _, err := h.Append(all.Row(i)); err != nil {
+		if _, err := appendNext(h, all.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +244,7 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 		}
 	}()
 	for i := n0; i < all.Rows; i++ {
-		if _, err := h.Append(all.Row(i)); err != nil {
+		if _, err := appendNext(h, all.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,7 +303,7 @@ func TestDeleteLive(t *testing.T) {
 	}
 
 	// Delete a pending delta point before it drains.
-	id, err := h.Append(all.Row(n0))
+	id, err := appendNext(h, all.Row(n0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +327,9 @@ func TestDeleteLive(t *testing.T) {
 }
 
 // TestDeleteTranslatedHandle: a translate-mode handle (the sharded path)
-// tests snapshot rows by shard-local id and pending rows by final id, so it
-// refuses tombstones with a typed error instead of storing one whose
-// meaning would change when its row drains.
+// deletes by local id, the id space its pass test checks snapshot and
+// pending rows in, range-checked against its own rows; results still carry
+// the translated ids, and a pending row's tombstone survives its drain.
 func TestDeleteTranslatedHandle(t *testing.T) {
 	const n0, dim = 200, 12
 	all := testVectors(n0+1, dim, 8)
@@ -333,21 +340,52 @@ func TestDeleteTranslatedHandle(t *testing.T) {
 	}
 	h := New(idx, translate, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
-	if _, err := h.AppendWithID(all.Row(n0), 5000); err != nil {
+	local, err := h.Append(all.Row(n0), 5000)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []int32{7, 1007, 5000, -1, 1 << 30} {
-		if err := h.Delete(id); !errors.Is(err, errTranslatedDelete) {
-			t.Errorf("Delete(%d) on a translate-mode handle = %v, want errTranslatedDelete", id, err)
+	if local != n0 {
+		t.Fatalf("Append returned local id %d, want %d", local, n0)
+	}
+	for _, id := range []int32{7, local} {
+		if err := h.Delete(id); err != nil {
+			t.Fatalf("Delete(%d) on a translate-mode handle: %v", id, err)
 		}
 	}
-	if h.DeadCount() != 0 || h.Dead() != nil {
-		t.Fatal("a refused Delete left a tombstone behind")
+	// Final ids and ids past the handle's rows are out of its range.
+	for _, id := range []int32{7, 1007, 5000, -1, n0 + 1, 1 << 30} {
+		if err := h.Delete(id); err == nil {
+			t.Errorf("Delete(%d) succeeded on a handle serving local ids [0,%d] with 7 already deleted", id, n0)
+		}
 	}
-	res := h.Query(core.NewSearchContext(), all.Row(7), core.Query{K: 1, L: 20})
-	if len(res.Neighbors) != 1 || res.Neighbors[0].ID != 1007 {
-		t.Fatalf("self query after refused deletes = %+v, want id 1007", res.Neighbors)
+	if h.DeadCount() != 2 || !h.Deleted(7) || !h.Deleted(local) {
+		t.Fatalf("DeadCount = %d after deleting local ids 7 and %d", h.DeadCount(), local)
 	}
+	check := func(when string) {
+		t.Helper()
+		ctx := core.NewSearchContext()
+		for _, q := range []int{7, n0} {
+			res := h.Query(ctx, all.Row(q), core.Query{K: 5, L: 20})
+			if len(res.Neighbors) != 5 {
+				t.Fatalf("%s: query %d answered %d results", when, q, len(res.Neighbors))
+			}
+			for _, nb := range res.Neighbors {
+				if nb.ID == 1007 || nb.ID == 5000 || nb.ID < 1000 {
+					t.Fatalf("%s: query %d returned id %d (deleted, or untranslated)", when, q, nb.ID)
+				}
+			}
+		}
+		res := h.Query(ctx, all.Row(8), core.Query{K: 1, L: 20})
+		if len(res.Neighbors) != 1 || res.Neighbors[0].ID != 1008 {
+			t.Fatalf("%s: self query of local id 8 = %+v, want final id 1008", when, res.Neighbors)
+		}
+	}
+	check("pending")
+	h.Flush()
+	if !h.Deleted(local) {
+		t.Fatal("the pending row's tombstone was lost when it drained")
+	}
+	check("drained")
 }
 
 func TestQuantizedRelaidLive(t *testing.T) {
@@ -363,7 +401,7 @@ func TestQuantizedRelaidLive(t *testing.T) {
 
 	ctx := core.NewSearchContext()
 	for i := n0; i < all.Rows; i++ {
-		id, err := h.Append(all.Row(i))
+		id, err := appendNext(h, all.Row(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +494,7 @@ func TestStraddlePublishConsistency(t *testing.T) {
 		// Append publishes row i before it returns, so the ceiling admits
 		// it first; ids past i still fail the check.
 		visible.Store(int64(i + 1))
-		if _, err := h.Append(all.Row(i)); err != nil {
+		if _, err := appendNext(h, all.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 		if i%50 == 0 {
@@ -494,6 +532,9 @@ func TestMaintainerRestarts(t *testing.T) {
 	var next atomic.Int64
 	next.Store(n0)
 	got := make([]int32, all.Rows) // ledger row -> id Append returned
+	// Writers agree on the next id under this lock; the handle's own writer
+	// mutex, its maintainer and the racing Flush/Close are what is tested.
+	var idMu sync.Mutex
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
@@ -503,7 +544,9 @@ func TestMaintainerRestarts(t *testing.T) {
 				if i >= all.Rows {
 					return
 				}
-				id, err := h.Append(all.Row(i))
+				idMu.Lock()
+				id, err := appendNext(h, all.Row(i))
+				idMu.Unlock()
 				if err != nil {
 					t.Error(err)
 					return

@@ -29,20 +29,13 @@ type LiveOptions struct {
 	ChunkRows int
 }
 
-// MaintenanceStats reports the state of live-update maintenance.
-type MaintenanceStats struct {
-	// Pending is the current delta depth: points added but not yet drained
-	// into the published snapshot (still served by the scan path).
-	Pending int
-	// SnapshotRows is the number of points the published snapshot serves.
-	SnapshotRows int
-	// Publishes counts snapshots published since live updates were enabled.
-	Publishes uint64
-	// Drained counts points folded into the graph by the maintainer.
-	Drained uint64
-	// LastPublish is when the current snapshot was published.
-	LastPublish time.Time
-}
+// MaintenanceStats reports the state of live-update maintenance: Pending
+// is the delta depth (points added but not yet drained into the published
+// snapshot, still served by the scan path), SnapshotRows the points the
+// published snapshot serves, Publishes and Drained count snapshots
+// published and points folded into the graph, and LastPublish is when the
+// current snapshot was published (on a sharded index, the oldest shard's).
+type MaintenanceStats = live.Stats
 
 func (o LiveOptions) internal(insert core.InsertParams) live.Options {
 	return live.Options{
@@ -53,44 +46,27 @@ func (o LiveOptions) internal(insert core.InsertParams) live.Options {
 	}
 }
 
-func maintenanceStats(s live.Stats) MaintenanceStats {
-	return MaintenanceStats{
-		Pending:      s.Pending,
-		SnapshotRows: s.SnapshotRows,
-		Publishes:    s.Publishes,
-		Drained:      s.Drained,
-		LastPublish:  s.LastPublish,
-	}
-}
-
-// EnableLiveUpdates sets the maintainer's cadence. Every mutable index
+// EnableLiveUpdates sets the maintainers' cadence. Every mutable index
 // already accepts Add and Delete concurrently with Search (and with each
 // other): new points are searchable the moment Add returns, served with
-// exact distances from the delta buffer until the background maintainer
-// folds them into the graph. It may be called any number of times, also
-// while searches and Adds are in flight; it returns ErrReadOnly on a
-// mapped index.
-func (x *Index) EnableLiveUpdates(opts LiveOptions) error {
-	if x.inner.ReadOnly() {
+// exact distances from the delta buffer until the background maintainer of
+// the shard they landed in folds them into the graph. It may be called any
+// number of times, also while searches and Adds are in flight; it returns
+// ErrReadOnly on a mapped index.
+func (e *engine) EnableLiveUpdates(opts LiveOptions) error {
+	if e.ReadOnly() {
 		return ErrReadOnly
 	}
-	x.h.SetOptions(opts.internal(x.insertParams()))
+	e.s.SetLiveOptions(opts.internal(e.insertParams()))
 	return nil
 }
 
-// MaintenanceStats reports live-update maintenance state.
-func (x *Index) MaintenanceStats() MaintenanceStats { return maintenanceStats(x.h.Stats()) }
+// MaintenanceStats reports live-update maintenance state, aggregated over
+// the shards: pending depths and drain counters are summed, and LastPublish
+// is the oldest shard's publish time (the staleness bound).
+func (e *engine) MaintenanceStats() MaintenanceStats { return e.s.LiveStats() }
 
-// Flush blocks until every point added before the call is folded into the
+// Flush blocks until every point added before the call is folded into a
 // published snapshot. Useful in tests; Save flushes by itself, and serving
 // never needs it.
-func (x *Index) Flush() { x.h.Flush() }
-
-// Close flushes the delta (so no point is lost) and stops the maintainer
-// goroutine; a later Add starts it again. On a mapped index (OpenMapped) it
-// also releases the file mapping, and the index must not be searched
-// afterwards. Do not call while other goroutines are still using the index.
-func (x *Index) Close() {
-	x.h.Close()
-	x.inner.Close()
-}
+func (e *engine) Flush() { e.s.Flush() }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distsearch"
-	"repro/internal/live"
 )
 
 // This file is the public face of disk-resident serving: SaveMapped writes
@@ -22,7 +21,7 @@ import (
 // with byte-identical results; Add, Compact (once anything is deleted) and
 // EnableLiveUpdates return ErrReadOnly. Call PromoteToHeap to copy the
 // index out of the mapping and regain the full mutation API, or rebuild
-// from vectors.
+// from vectors. All of this holds for OpenMappedSharded's containers too.
 
 // ErrReadOnly is returned by mutating operations on an index opened with
 // OpenMapped or OpenMappedSharded. Use errors.Is to detect it.
@@ -63,7 +62,7 @@ func (x *Index) SaveMapped(path string) error {
 		return ErrUncompactedDeletes
 	}
 	x.Flush()
-	return x.inner.SaveMapped(path)
+	return x.s.Record().SaveMapped(path)
 }
 
 // OpenMapped opens a file written by SaveMapped and serves it in place
@@ -82,38 +81,27 @@ func OpenMapped(path string, opts MapOptions) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
-	return newIndex(inner, loadedOptions(inner), BuildStats{}), nil
+	return single(inner), nil
 }
-
-// ReadOnly reports whether the index is a mapped, read-only view (opened
-// with OpenMapped). Mutating operations on such an index return
-// ErrReadOnly.
-func (x *Index) ReadOnly() bool { return x.inner.ReadOnly() }
 
 // PromoteToHeap converts a mapped index into an ordinary mutable index:
 // every slab is copied to the heap, the file mapping is released, and the
-// full mutation API (Add, Compact, EnableLiveUpdates, quantization)
-// becomes available. Tombstones carry over and search results are
+// full mutation API (Add, Compact, EnableLiveUpdates) becomes available.
+// Tombstones and the live-update cadence carry over and search results are
 // unchanged. A no-op on an index that is already heap-resident. Must not
 // run concurrently with other calls on the index.
-func (x *Index) PromoteToHeap() error {
-	if !x.inner.ReadOnly() {
-		return nil
-	}
-	if err := x.inner.PromoteToHeap(); err != nil {
-		return err
-	}
-	// The old handle's snapshot points into the released mapping.
-	x.h = live.New(x.inner, nil, x.h.Dead(), x.h.Options())
-	return nil
-}
+func (e *engine) PromoteToHeap() error { return e.s.PromoteToHeap() }
 
 // SaveMapped writes the sharded index as one disk-resident container: per
 // shard, an id map plus a complete aligned record (adjacency, vectors,
 // codes), all behind checksummed tables, written crash-safely. The build
 // options ride along, as with Save. Stop issuing Adds first; SaveMapped
-// flushes the maintainers so the file captures every point.
+// flushes the maintainers so the file captures every point. An index with
+// deleted points returns ErrUncompactedDeletes: Compact first.
 func (x *ShardedIndex) SaveMapped(path string) error {
+	if x.DeletedCount() > 0 {
+		return ErrUncompactedDeletes
+	}
 	x.Flush()
 	return x.s.SaveMapped(path, x.encodeOptions())
 }
@@ -128,14 +116,13 @@ func OpenMappedSharded(path string, opts MapOptions) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
-	shardOpts, err := decodeOptions(meta, s.Shards())
+	shardOpts, err := decodeOptions(meta)
 	if err != nil {
 		s.Close()
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path,
 			&core.FormatError{Section: core.SectionHeader, Reason: err.Error()})
 	}
-	return newShardedIndex(s, shardOpts), nil
+	x := &ShardedIndex{}
+	x.init(s, shardOpts)
+	return x, nil
 }
-
-// ReadOnly reports whether the sharded index is a mapped read-only view.
-func (x *ShardedIndex) ReadOnly() bool { return x.s.ReadOnly() }

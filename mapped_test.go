@@ -340,10 +340,10 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 					mapped.Dim() != heap.Dim() || mapped.QuantMode() != heap.QuantMode() {
 					t.Fatal("shape or options did not round-trip")
 				}
-				if mapped.opts.Shard.GraphK != heap.opts.Shard.GraphK ||
-					mapped.opts.Shard.MaxDegree != heap.opts.Shard.MaxDegree ||
-					mapped.opts.Shard.SearchL != heap.opts.Shard.SearchL {
-					t.Fatalf("build options did not round-trip: %+v vs %+v", mapped.opts.Shard, heap.opts.Shard)
+				if mapped.opts.GraphK != heap.opts.GraphK ||
+					mapped.opts.MaxDegree != heap.opts.MaxDegree ||
+					mapped.opts.SearchL != heap.opts.SearchL {
+					t.Fatalf("build options did not round-trip: %+v vs %+v", mapped.opts, heap.opts)
 				}
 				for qi := 0; qi < ds.Queries.Rows; qi++ {
 					q := ds.Queries.Row(qi)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/vecmath"
 )
 
@@ -47,15 +46,13 @@ func (m Metric) String() string {
 }
 
 // MetricIndex wraps an Index to answer Cosine or InnerProduct queries via
-// the reductions above. Construct with BuildMetric.
+// the reductions above. Construct with BuildMetric. It keeps no copy of the
+// vectors: scores are computed from the index's own rows.
 type MetricIndex struct {
 	idx     *Index
 	metric  Metric
 	dim     int     // original (pre-augmentation) dimension
 	maxNorm float32 // MIPS only: augmentation radius
-	// originals holds the untransformed vectors so scores can be reported
-	// in the caller's metric.
-	originals vecmath.Matrix
 }
 
 // BuildMetric indexes vectors under the given metric. For L2 it is
@@ -65,55 +62,52 @@ func BuildMetric(vectors [][]float32, metric Metric, opts Options) (*MetricIndex
 		return nil, fmt.Errorf("nsg: need at least 2 vectors, have %d", len(vectors))
 	}
 	dim := len(vectors[0])
-	originals := vecmath.MatrixFromSlices(vectors)
-
-	var transformed vecmath.Matrix
+	base := vecmath.MatrixFromSlices(vectors)
 	var maxNorm float32
 	switch metric {
 	case L2:
-		transformed = originals.Clone()
 	case Cosine:
-		transformed = originals.Clone()
-		for i := 0; i < transformed.Rows; i++ {
-			vecmath.Normalize(transformed.Row(i))
+		for i := 0; i < base.Rows; i++ {
+			vecmath.Normalize(base.Row(i))
 		}
 	case InnerProduct:
-		for i := 0; i < originals.Rows; i++ {
-			if n := vecmath.Norm(originals.Row(i)); n > maxNorm {
+		for i := 0; i < base.Rows; i++ {
+			if n := vecmath.Norm(base.Row(i)); n > maxNorm {
 				maxNorm = n
 			}
 		}
 		if maxNorm == 0 {
 			maxNorm = 1
 		}
-		transformed = vecmath.NewMatrix(originals.Rows, dim+1)
-		for i := 0; i < originals.Rows; i++ {
-			row := originals.Row(i)
-			out := transformed.Row(i)
+		aug := vecmath.NewMatrix(base.Rows, dim+1)
+		for i := 0; i < base.Rows; i++ {
+			row := base.Row(i)
+			out := aug.Row(i)
 			copy(out, row)
 			norm2 := float64(vecmath.Dot(row, row))
-			aug := float64(maxNorm)*float64(maxNorm) - norm2
-			if aug < 0 {
-				aug = 0
+			extra := float64(maxNorm)*float64(maxNorm) - norm2
+			if extra < 0 {
+				extra = 0
 			}
-			out[dim] = float32(math.Sqrt(aug))
+			out[dim] = float32(math.Sqrt(extra))
 		}
+		base = aug
 	default:
 		return nil, fmt.Errorf("nsg: unknown metric %v", metric)
 	}
 
-	idx, err := BuildFromFlat(transformed.Data, transformed.Dim, opts)
+	idx, err := BuildFromFlat(base.Data, base.Dim, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &MetricIndex{idx: idx, metric: metric, dim: dim, maxNorm: maxNorm, originals: originals}, nil
+	return &MetricIndex{idx: idx, metric: metric, dim: dim, maxNorm: maxNorm}, nil
 }
 
 // Metric returns the metric the index answers under.
 func (x *MetricIndex) Metric() Metric { return x.metric }
 
 // Len returns the number of indexed vectors.
-func (x *MetricIndex) Len() int { return x.originals.Rows }
+func (x *MetricIndex) Len() int { return x.idx.Len() }
 
 // Dim returns the original vector dimension.
 func (x *MetricIndex) Dim() int { return x.dim }
@@ -125,34 +119,37 @@ func (x *MetricIndex) Search(query []float32, k int) ([]int32, []float32) {
 	return x.SearchWithPool(query, k, x.idx.opts.SearchL)
 }
 
-// SearchWithPool is Search with an explicit pool size.
+// SearchWithPool is Search with an explicit pool size: the metric's query
+// transform, Index.SearchWithPool, and the results re-scored in the
+// caller's metric.
 func (x *MetricIndex) SearchWithPool(query []float32, k, l int) ([]int32, []float32) {
-	ctx := x.idx.getCtx()
-	ids, scores := x.searchWithPoolCtx(ctx, query, k, l)
-	x.idx.putCtx(ctx)
-	return ids, scores
+	ids, _ := x.idx.SearchWithPool(x.transformQuery(query), k, l)
+	return ids, x.scores(query, ids)
 }
 
-// searchWithPoolCtx applies the metric's query transform, runs the ctx
-// search on the underlying L2 index, and re-scores results in the caller's
-// metric. SearchBatch threads one context per worker through here.
-func (x *MetricIndex) searchWithPoolCtx(ctx *core.SearchContext, query []float32, k, l int) ([]int32, []float32) {
-	if len(query) != x.dim {
-		panic(fmt.Sprintf("nsg: query dim %d != index dim %d", len(query), x.dim))
+// SearchBatch answers many queries concurrently, like Index.SearchBatch but
+// reporting scores in the index's metric (see Search for the score
+// conventions). Panics if any query's dimension does not match the index.
+func (x *MetricIndex) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
+	transformed := make([][]float32, len(queries))
+	for i, q := range queries {
+		transformed[i] = x.transformQuery(q)
 	}
-	ids, _ := x.idx.searchIntoFresh(ctx, x.transformQuery(query), k, l, nil)
-	scores := make([]float32, len(ids))
-	for i, id := range ids {
-		scores[i] = x.score(query, id)
+	out := x.idx.SearchBatch(transformed, k, l, workers)
+	for i := range out {
+		out[i].Dists = x.scores(queries[i], out[i].IDs)
 	}
-	return ids, scores
+	return out
 }
 
 // transformQuery maps a caller query into the underlying L2 index's
 // coordinate space: identity for L2 (no copy), normalized copy for Cosine,
 // zero-augmented copy for InnerProduct (the augmented coordinate is 0, so
-// MIPS order is preserved).
+// MIPS order is preserved). A wrong-dimension query panics.
 func (x *MetricIndex) transformQuery(query []float32) []float32 {
+	if len(query) != x.dim {
+		panic(fmt.Sprintf("nsg: query dim %d != index dim %d", len(query), x.dim))
+	}
 	switch x.metric {
 	case Cosine:
 		q := append([]float32{}, query...)
@@ -167,20 +164,25 @@ func (x *MetricIndex) transformQuery(query []float32) []float32 {
 	}
 }
 
-// score reports the match quality in the caller's metric using the original
-// (untransformed) vectors.
-func (x *MetricIndex) score(query []float32, id int32) float32 {
-	row := x.originals.Row(int(id))
-	switch x.metric {
-	case Cosine:
-		qn, rn := vecmath.Norm(query), vecmath.Norm(row)
-		if qn == 0 || rn == 0 {
-			return 0
+// scores reports the match quality of each id in the caller's metric from
+// the index's rows: an L2 row is the original vector and an InnerProduct
+// row starts with it, so those scores are exact; a Cosine row is the unit
+// vector, so the cosine is its dot product with the query over |query|.
+func (x *MetricIndex) scores(query []float32, ids []int32) []float32 {
+	out := make([]float32, len(ids))
+	qn := vecmath.Norm(query)
+	for i, id := range ids {
+		row := x.idx.Vector(int(id))
+		switch x.metric {
+		case Cosine:
+			if qn != 0 {
+				out[i] = vecmath.Dot(query, row) / qn
+			}
+		case InnerProduct:
+			out[i] = vecmath.Dot(query, row[:x.dim])
+		default:
+			out[i] = vecmath.L2(query, row)
 		}
-		return vecmath.Dot(query, row) / (qn * rn)
-	case InnerProduct:
-		return vecmath.Dot(query, row)
-	default:
-		return vecmath.L2(query, row)
 	}
+	return out
 }

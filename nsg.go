@@ -52,8 +52,9 @@
 // deployments do (DEEP100M's 16 parallel subset NSGs, Taobao's 12/32
 // partitions): the base set is partitioned, one NSG is built per shard in
 // parallel, and every query fans out across a pool of persistent shard
-// workers with results merged by distance. The sharded search path keeps
-// the zero-allocation steady state, and cmd/nsgserve wraps it in an HTTP
+// workers with results merged by distance. Index is its one-shard case:
+// one implementation serves both. The search path keeps the
+// zero-allocation steady state, and cmd/nsgserve wraps it in an HTTP
 // server. See ShardedIndex and EXPERIMENTS.md's "sharded" experiment.
 package nsg
 
@@ -64,13 +65,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"time"
 
 	"repro/internal/chunkio"
 	"repro/internal/core"
-	"repro/internal/knngraph"
-	"repro/internal/live"
+	"repro/internal/distsearch"
 	"repro/internal/mstore"
 	"repro/internal/vecmath"
 )
@@ -174,66 +172,16 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// Index is a built NSG over a copy of the caller's vectors.
-type Index struct {
-	inner *core.NSG
-	opts  Options
-	build BuildStats
-	// h owns all mutation and serving state: queries read its published
-	// snapshot and delta, Add appends to its buffer, Delete publishes its
-	// tombstones. Replaced only by Compact and PromoteToHeap.
-	h *live.Handle
-	// metaMu serializes AddWithMetadata's id assignment with its row write.
-	metaMu sync.Mutex
-	// ctxPool recycles per-goroutine search scratch so the simple API is
-	// allocation-free on the steady state while staying safe to call from
-	// any number of goroutines.
-	ctxPool sync.Pool
-}
+// Index is a built NSG over a copy of the caller's vectors. It is the
+// one-shard case of ShardedIndex — the same implementation, with one shard
+// whose ids are the index's ids — and adds only its own builders, its
+// single-NSG file formats (Save/Load, SaveMapped/OpenMapped) and Stats.
+type Index struct{ engine }
 
-// newIndex wraps a built, loaded, mapped or compacted NSG with its handle.
-func newIndex(inner *core.NSG, opts Options, build BuildStats) *Index {
-	x := &Index{inner: inner, opts: opts, build: build}
-	x.h = live.New(inner, nil, nil, LiveOptions{}.internal(x.insertParams()))
-	return x
-}
-
-// insertParams is what the maintainer inserts with: the build's degree cap
-// and pool.
-func (x *Index) insertParams() core.InsertParams {
-	return core.InsertParams{M: x.opts.MaxDegree, L: x.opts.BuildL}
-}
-
-// BuildStats reports where construction time went, phase by phase: the
-// intermediate kNN graph (NN-Descent or exact), then the four Algorithm 2
-// phases. It is the instrumented view behind the paper's Table 2 indexing
-// times; cmd/bench -exp build serializes it to BENCH_build.json so the
-// build-performance trajectory is tracked across changes.
-type BuildStats struct {
-	KNNGraph        time.Duration // intermediate kNN-graph construction
-	Navigate        time.Duration // medoid location (Algorithm 2 step ii)
-	Collect         time.Duration // per-node search-collect-select (step iii)
-	InterInsert     time.Duration // reverse-edge insertion
-	Repair          time.Duration // DFS connectivity repair (step iv)
-	Flatten         time.Duration // freezing the fixed-stride serving layout
-	Total           time.Duration // whole Build call
-	TreeRepairEdges int           // edges added by the DFS spanning repair
-	TreePasses      int           // DFS passes until fully connected
-}
-
-// BuildStats returns the timing breakdown recorded when the index was
-// built, or, after a Compact that dropped points, of that Compact's
-// rebuild. Loaded and mapped indexes report a zero value.
-func (x *Index) BuildStats() BuildStats { return x.build }
-
-func (x *Index) getCtx() *core.SearchContext {
-	if c, _ := x.ctxPool.Get().(*core.SearchContext); c != nil {
-		return c
-	}
-	return core.NewSearchContext()
-}
-
-func (x *Index) putCtx(c *core.SearchContext) { x.ctxPool.Put(c) }
+// BuildStats reports where construction time went, phase by phase (the
+// kNN graph, then Algorithm 2's four phases, summed over the shards), and
+// the build's wall time. See BuildStats methods of Index and ShardedIndex.
+type BuildStats = distsearch.BuildStats
 
 // ErrNonFinite is returned by Build, BuildFromFlat, the sharded builders
 // and every Add when a vector has a NaN or infinite coordinate: distances to
@@ -251,10 +199,9 @@ func Build(vectors [][]float32, opts Options) (*Index, error) {
 	return BuildFromFlat(base.Data, base.Dim, opts)
 }
 
-// BuildFromFlat indexes row-major flat data without copying per-row slices:
-// data holds n*dim values. The index takes ownership of data and reorders
-// its rows in place (see buildFromMatrix); ids stay the caller's row
-// numbers, and Vector(id) returns row id.
+// BuildFromFlat indexes row-major flat data without per-row slices: data
+// holds n*dim values. The index copies the rows and keeps no reference to
+// data; ids are the caller's row numbers, and Vector(id) returns row id.
 func BuildFromFlat(data []float32, dim int, opts Options) (*Index, error) {
 	if dim <= 0 || len(data)%dim != 0 {
 		return nil, fmt.Errorf("nsg: data length %d not a multiple of dim %d", len(data), dim)
@@ -263,122 +210,13 @@ func BuildFromFlat(data []float32, dim int, opts Options) (*Index, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("nsg: need at least 2 vectors, have %d", n)
 	}
-	opts.fillDefaults()
-	return buildFromMatrix(vecmath.Matrix{Data: data, Rows: n, Dim: dim}, opts)
-}
-
-// buildFromMatrix is the one build pipeline of a single index (Build,
-// BuildFromFlat and Compact): the kNN graph, Algorithm 2, a BFS relayout
-// into cache order, then the SQ8 encode when opts asks for it. The
-// relayout permutes base's rows in place and records the id remap, so
-// callers keep seeing their own row numbers as ids.
-func buildFromMatrix(base vecmath.Matrix, opts Options) (*Index, error) {
-	if err := opts.Quantize.check(); err != nil {
+	s, opts, err := build(vecmath.Matrix{Data: data, Rows: n, Dim: dim}, opts, 1)
+	if err != nil {
 		return nil, err
 	}
-	if !vecmath.Finite(base.Data) {
-		return nil, ErrNonFinite
-	}
-	start := time.Now()
-	kg, err := knngraph.BuildForNSG(base, opts.GraphK, opts.ExactKNN, opts.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("nsg: kNN graph: %w", err)
-	}
-	knnTime := time.Since(start)
-	g, cs, err := core.NSGBuild(kg, base, core.BuildParams{L: opts.BuildL, M: opts.MaxDegree, Seed: opts.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("nsg: build: %w", err)
-	}
-	// Relayout before the encode, so codes are written directly in the
-	// serving order; a nil quantizer trains the grid on the index's own base.
-	g.Relayout()
-	if opts.Quantize == QuantSQ8 {
-		if err := g.EnableQuantization(nil); err != nil {
-			return nil, fmt.Errorf("nsg: quantize: %w", err)
-		}
-	}
-	return newIndex(g, opts, BuildStats{
-		KNNGraph:        knnTime,
-		Navigate:        cs.Phases.Navigate,
-		Collect:         cs.Phases.Collect,
-		InterInsert:     cs.Phases.InterInsert,
-		Repair:          cs.Phases.Repair,
-		Flatten:         cs.Phases.Flatten,
-		Total:           time.Since(start),
-		TreeRepairEdges: cs.TreeRepairEdges,
-		TreePasses:      cs.TreePasses,
-	}), nil
-}
-
-// Len returns the number of indexed vectors, pending ones included. Safe
-// to call concurrently with Add.
-func (x *Index) Len() int { return x.h.Len() }
-
-// Dim returns the vector dimension.
-func (x *Index) Dim() int { return x.inner.Base.Dim }
-
-// Vector returns the stored vector with the given id, or nil for an id
-// outside [0, Len()). The returned slice aliases the index's storage; do
-// not modify it.
-func (x *Index) Vector(id int) []float32 {
-	if id < 0 || id >= x.Len() {
-		return nil
-	}
-	vec, _ := x.h.Vector(int32(id))
-	return vec
-}
-
-// Quantized reports whether the index serves through a quantized search
-// path (built with Options.Quantize or loaded from a quantized bundle).
-func (x *Index) Quantized() bool { return x.inner.IsQuantized() }
-
-// QuantMode returns the index's compressed serving mode (QuantNone when it
-// serves full float32 vectors).
-func (x *Index) QuantMode() QuantMode { return quantModeOf(x.inner.IsQuantized()) }
-
-// Search returns the ids and squared L2 distances of the k approximate
-// nearest neighbors of query, using the index's default search pool size.
-func (x *Index) Search(query []float32, k int) ([]int32, []float32) {
-	return x.SearchWithPool(query, k, x.opts.SearchL)
-}
-
-// SearchWithPool is Search with an explicit pool size l (the paper's search
-// parameter): higher l gives higher recall and more work. l < k is promoted
-// to k. Tombstoned ids (see Delete) are filtered from results.
-//
-// The only allocations on the steady state are the two returned slices;
-// all traversal scratch is drawn from the index's context pool.
-func (x *Index) SearchWithPool(query []float32, k, l int) ([]int32, []float32) {
-	return x.SearchFilteredWithPool(query, k, l, nil)
-}
-
-// searchCtx is the one search every public entry point runs: through the
-// handle's published snapshot and delta scan, under f when it is non-nil,
-// tombstones in the pass test either way. The result aliases ctx.
-func (x *Index) searchCtx(ctx *core.SearchContext, query []float32, k, l int, f *Filter, counter *vecmath.Counter) core.SearchResult {
-	q := core.Query{K: k, L: l, Counter: counter}
-	if f != nil {
-		q.Filter = &f.inner
-	}
-	return x.h.Query(ctx, query, q)
-}
-
-// searchIntoFresh runs searchCtx and copies the context-owned result into
-// fresh caller-owned slices.
-func (x *Index) searchIntoFresh(ctx *core.SearchContext, query []float32, k, l int, f *Filter) ([]int32, []float32) {
-	return extractResults(x.searchCtx(ctx, query, k, l, f, nil).Neighbors)
-}
-
-// extractResults copies a context-owned neighbor list into the two fresh
-// caller-owned slices every public search returns.
-func extractResults(res []vecmath.Neighbor) ([]int32, []float32) {
-	ids := make([]int32, len(res))
-	dists := make([]float32, len(res))
-	for i, n := range res {
-		ids[i] = n.ID
-		dists[i] = n.Dist
-	}
-	return ids, dists
+	x := &Index{}
+	x.init(s, opts)
+	return x, nil
 }
 
 // Stats describes the built graph.
@@ -393,15 +231,16 @@ type Stats struct {
 // (pending delta points join once drained) and are safe to read
 // concurrently with serving.
 func (x *Index) Stats() Stats {
-	s := x.h.IndexStats()
+	s := x.s.IndexStats(0)
 	return Stats{N: s.N, AvgDegree: s.AvgDegree, MaxDegree: s.MaxDegree, IndexBytes: s.IndexBytes}
 }
 
 const fileMagic = 0x4e534742 // "NSGB" — bundled index+vectors format
 
-// ErrUncompactedDeletes is returned by Save and SaveMapped on an index with
-// deleted points. No file format stores tombstones, so the saved file would
-// bring the deleted points back; call Compact first. No file is written.
+// ErrUncompactedDeletes is returned by Save and SaveMapped, of an Index or
+// a ShardedIndex, while it has deleted points. No file format stores
+// tombstones, so the saved file would bring the deleted points back; call
+// Compact first. No file is written.
 var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file can keep; Compact before saving")
 
 // Save writes the index, including its vectors, to path — crash-safely:
@@ -417,27 +256,28 @@ func (x *Index) Save(path string) error {
 		return ErrUncompactedDeletes
 	}
 	x.Flush()
+	rec := x.s.Record()
 	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
 		bw := bufio.NewWriter(w)
 		hdr := make([]byte, 12)
 		binary.LittleEndian.PutUint32(hdr[0:], fileMagic)
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(x.inner.Base.Rows))
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(x.inner.Base.Dim))
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(rec.Base.Rows))
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(rec.Base.Dim))
 		if _, err := bw.Write(hdr); err != nil {
 			return fmt.Errorf("nsg: write header: %w", err)
 		}
 		// Vectors are stored in public id order, row-streamed through the
 		// remap without copying the matrix; the core section carries the
 		// remap table and restores the internal order on load.
-		if err := chunkio.WriteRows(bw, x.inner.Base.Rows, func(r int) []float32 {
-			return x.inner.VectorByID(int32(r))
+		if err := chunkio.WriteRows(bw, rec.Base.Rows, func(r int) []float32 {
+			return rec.VectorByID(int32(r))
 		}); err != nil {
 			return fmt.Errorf("nsg: write vectors: %w", err)
 		}
 		if err := bw.Flush(); err != nil {
 			return fmt.Errorf("nsg: %w", err)
 		}
-		return x.inner.Write(w)
+		return rec.Write(w)
 	})
 }
 
@@ -477,7 +317,15 @@ func Load(path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(inner, loadedOptions(inner), BuildStats{}), nil
+	return single(inner), nil
+}
+
+// single wraps a loaded or mapped NSG as a one-shard Index with its
+// loadedOptions.
+func single(inner *core.NSG) *Index {
+	x := &Index{}
+	x.init(distsearch.Single(inner), loadedOptions(inner))
+	return x
 }
 
 // loadedOptions are the options of an index read from a file: the stored

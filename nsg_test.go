@@ -333,8 +333,8 @@ func TestEveryIndexIsRelaid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if idx.inner.Navigating != 0 {
-					t.Fatalf("navigating node is internal row %d, not 0: the index was not relaid", idx.inner.Navigating)
+				if idx.s.Record().Navigating != 0 {
+					t.Fatalf("navigating node is internal row %d, not 0: the index was not relaid", idx.s.Record().Navigating)
 				}
 				if idx.QuantMode() != quant {
 					t.Fatalf("QuantMode %v, want %v", idx.QuantMode(), quant)

@@ -1,8 +1,11 @@
 package nsg
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -40,61 +43,83 @@ func oracleTopK(rows [][]float32, q []float32, k int, live func(id int32) bool) 
 	return out
 }
 
-// countedSearch is the search every public entry point runs, with a
-// distance counter threaded through it.
-func countedSearch(x *Index, q []float32, k, l int, f *Filter) (ids []int32, dists []float32, hops int, evals uint64) {
-	var counter vecmath.Counter
-	ctx := x.getCtx()
-	res := x.searchCtx(ctx, q, k, l, f, &counter)
-	ids, dists = extractResults(res.Neighbors)
-	x.putCtx(ctx)
-	return ids, dists, res.Hops, counter.Count()
+// oracleIndex is the surface TestTombstoneOracle drives: what Index and
+// ShardedIndex share, plus Save.
+type oracleIndex interface {
+	Add(vec []float32) (int32, error)
+	AddWithMetadata(vec []float32, row map[string]any) (int32, error)
+	Delete(id int32) error
+	Flush()
+	Compact() ([]int32, error)
+	CompileFilter(p Predicate) (*Filter, error)
+	SearchFilteredWithStats(q []float32, k, l int, f *Filter) ([]int32, []float32, SearchStats)
+	Save(path string) error
 }
 
-// TestTombstoneOracle interleaves Add, Delete and Search from one seeded
-// script over every serving shape and checks each answer against the
-// float64 brute force over the rows that are live at that moment: never a
-// deleted (or filtered-out) id, exact float32 distances, min(k, live)
-// results, recall@10 >= 0.97 — and that deletes cost no pool slots, i.e. the
-// evaluations per query stay within 1.5x of the same index before any
-// delete.
+// TestTombstoneOracle interleaves Add, Delete, Compact, filter compiles,
+// Save and Search from one seeded script over every serving shape — Index
+// heap, relaid SQ8, live with a pending delta, mapped, filtered, and
+// ShardedIndex with one and three shards — and checks each answer against
+// the float64 brute force over the rows that are live at that moment:
+// never a deleted (or filtered-out) id, exact float32 distances, min(k,
+// live) results, recall@10 >= 0.97 — and that deletes cost no pool slots,
+// i.e. the evaluations per query stay within 1.5x of the same index before
+// any delete. A filter passes the tagged rows the index held when it was
+// compiled: deletes after it are honored, rows added after it fail. Save
+// must refuse with ErrUncompactedDeletes while a delete awaits Compact, and
+// Compact's id map renumbers the script's model.
 func TestTombstoneOracle(t *testing.T) {
 	const n0, extra, k, l, ops = 1500, 120, 10, 60, 700
 	ds := shardedTestData(t, n0+extra, 40)
 	dim := ds.Base.Dim
+	opts := DefaultOptions()
+	opts.ExactKNN = true
+	opts.Seed = 11
 	build := func(t *testing.T, q QuantMode) *Index {
 		t.Helper()
-		opts := DefaultOptions()
-		opts.ExactKNN = true
-		opts.Seed = 11
-		opts.Quantize = q
-		idx, err := BuildFromFlat(append([]float32(nil), ds.Base.Data[:n0*dim]...), dim, opts)
+		o := opts
+		o.Quantize = q
+		idx, err := BuildFromFlat(ds.Base.Data[:n0*dim], dim, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(idx.Close)
 		return idx
 	}
+	// pending holds every Add in the delta until a Flush or Compact.
+	pending := LiveOptions{MaxPending: 1 << 20, PublishInterval: time.Hour, ChunkRows: 16}
+	sharded := func(t *testing.T, shards int) oracleIndex {
+		t.Helper()
+		idx, err := BuildShardedFromFlat(ds.Base.Data[:n0*dim], dim, ShardedOptions{Shards: shards, Shard: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(idx.Close)
+		attachTestMetadata(t, idx.SetMetadata, n0)
+		if err := idx.EnableLiveUpdates(pending); err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
 	even := func(id int32) bool { return id%2 == 0 }
 
 	for _, c := range []struct {
-		name string
-		open func(t *testing.T) *Index
-		adds bool                // the shape accepts Add
-		pass func(id int32) bool // the predicate's truth, nil = unfiltered
+		name    string
+		open    func(t *testing.T) oracleIndex
+		mutable bool                // the shape accepts Add and Compact
+		holds   bool                // Adds stay pending until Flush or Compact
+		pass    func(id int32) bool // the predicate's truth on the first n0 rows, nil = unfiltered
 	}{
-		{"heap-float32", func(t *testing.T) *Index { return build(t, QuantNone) }, true, nil},
-		{"heap-sq8-relaid", func(t *testing.T) *Index { return build(t, QuantSQ8) }, true, nil},
-		{"live-pending-delta", func(t *testing.T) *Index {
+		{"heap-float32", func(t *testing.T) oracleIndex { return build(t, QuantNone) }, true, false, nil},
+		{"heap-sq8-relaid", func(t *testing.T) oracleIndex { return build(t, QuantSQ8) }, true, false, nil},
+		{"live-pending-delta", func(t *testing.T) oracleIndex {
 			idx := build(t, QuantNone)
-			// Nothing drains on its own: every Add stays in the scanned delta
-			// until the script's one Flush.
-			if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 1 << 20, PublishInterval: time.Hour, ChunkRows: 16}); err != nil {
+			if err := idx.EnableLiveUpdates(pending); err != nil {
 				t.Fatal(err)
 			}
 			return idx
-		}, true, nil},
-		{"mapped", func(t *testing.T) *Index {
+		}, true, true, nil},
+		{"mapped", func(t *testing.T) oracleIndex {
 			path := filepath.Join(t.TempDir(), "idx.nsgm")
 			if err := build(t, QuantNone).SaveMapped(path); err != nil {
 				t.Fatal(err)
@@ -105,73 +130,145 @@ func TestTombstoneOracle(t *testing.T) {
 			}
 			t.Cleanup(idx.Close)
 			return idx
-		}, false, nil},
-		{"filter-and-tombstones", func(t *testing.T) *Index {
+		}, false, false, nil},
+		{"filter-and-tombstones", func(t *testing.T) oracleIndex {
 			idx := build(t, QuantNone)
 			attachTestMetadata(t, idx.SetMetadata, n0)
 			return idx
-		}, false, even},
+		}, true, false, even},
+		{"sharded-1", func(t *testing.T) oracleIndex { return sharded(t, 1) }, true, true, even},
+		{"sharded-3", func(t *testing.T) oracleIndex { return sharded(t, 3) }, true, true, even},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			idx := c.open(t)
-			var flt *Filter
-			if c.pass != nil {
-				var err error
-				if flt, err = idx.CompileFilter(HasTag("tags", "even")); err != nil {
-					t.Fatal(err)
-				}
-			}
+			// The script's model: rows and tags by current id, tombstones,
+			// and the id count the current filter was compiled over.
 			rows := make([][]float32, n0, n0+extra)
+			tagged := make([]bool, n0, n0+extra)
 			for i := range rows {
-				rows[i] = ds.Base.Row(i)
+				rows[i], tagged[i] = ds.Base.Row(i), c.pass != nil && c.pass(int32(i))
 			}
 			dead := map[int32]bool{}
-			live := func(id int32) bool { return !dead[id] && (c.pass == nil || c.pass(id)) }
+			var flt *Filter
+			covered := 0
+			compile := func(op int) {
+				if c.pass == nil {
+					return
+				}
+				var err error
+				if flt, err = idx.CompileFilter(HasTag("tags", "even")); err != nil {
+					t.Fatalf("op %d: CompileFilter: %v", op, err)
+				}
+				covered = len(rows)
+			}
+			compile(-1)
+			live := func(id int32) bool {
+				return !dead[id] && (c.pass == nil || (int(id) < covered && tagged[id]))
+			}
 
 			var cleanEvals uint64
 			for qi := 0; qi < ds.Queries.Rows; qi++ {
-				_, _, _, ev := countedSearch(idx, ds.Queries.Row(qi), k, l, flt)
-				cleanEvals += ev
+				_, _, st := idx.SearchFilteredWithStats(ds.Queries.Row(qi), k, l, flt)
+				cleanEvals += st.DistanceComputations
 			}
 			cleanMean := float64(cleanEvals) / float64(ds.Queries.Rows)
 
 			rng := rand.New(rand.NewSource(42))
-			var searches, hits, wanted int
+			var searches, hits, wanted, deletes, compacts int
 			var evals uint64
 			var lastTop []int32
+			next := n0 // the next base row an Add inserts
+			// Rows from pendingFrom on wait in the delta, whose scan is
+			// exact: each one in the true top k must be answered.
+			pendingFrom := math.MaxInt
+			drained := func() {
+				if c.holds {
+					pendingFrom = len(rows)
+				}
+			}
+			drained()
+			recent := func() int32 { return int32(len(rows) - 1 - rng.Intn(min(len(rows), 20))) }
 			for op := 0; op < ops; op++ {
 				if op == ops/2 {
-					idx.Flush() // live: the first half's Adds move from the delta into the graph
+					idx.Flush() // live shapes: the first half's Adds move from the delta into the graph
+					drained()
 				}
 				switch r := rng.Intn(100); {
-				case r < 8 && c.adds && len(rows) < n0+extra:
-					vec := ds.Base.Row(len(rows))
-					id, err := idx.Add(vec)
+				case c.mutable && (op == ops/3 || op == 2*ops/3):
+					remap, err := idx.Compact()
+					if err != nil {
+						t.Fatalf("op %d: Compact: %v", op, err)
+					}
+					if len(remap) != len(rows) {
+						t.Fatalf("op %d: Compact remapped %d ids, the index held %d", op, len(remap), len(rows))
+					}
+					keptRows, keptTags := rows[:0:0], tagged[:0:0]
+					for old, id := range remap {
+						if dead[int32(old)] != (id < 0) || (id >= 0 && int(id) != len(keptRows)) {
+							t.Fatalf("op %d: Compact sent id %d (deleted %v) to %d", op, old, dead[int32(old)], id)
+						}
+						if id >= 0 {
+							keptRows, keptTags = append(keptRows, rows[old]), append(keptTags, tagged[old])
+						}
+					}
+					rows, tagged, dead, lastTop = keptRows, keptTags, map[int32]bool{}, nil
+					compacts++
+					drained()
+					compile(op) // the old filter's ids are gone
+				case r < 8 && c.mutable && next < n0+extra:
+					vec := ds.Base.Row(next)
+					var id int32
+					var err error
+					if c.pass != nil {
+						id, err = idx.AddWithMetadata(vec, map[string]any{"tags": []string{"even"}})
+					} else {
+						id, err = idx.Add(vec)
+					}
 					if err != nil {
 						t.Fatalf("op %d: Add: %v", op, err)
 					}
 					if int(id) != len(rows) {
 						t.Fatalf("op %d: Add returned id %d, want %d", op, id, len(rows))
 					}
-					rows = append(rows, vec)
+					rows, tagged = append(rows, vec), append(tagged, c.pass != nil)
+					next++
 				case r < 25:
 					// Half the deletes hit a recent answer, so tombstones pile
-					// up exactly where later queries look.
+					// up exactly where later queries look, and some a recent
+					// Add, which on the live shapes is still pending.
 					id := int32(rng.Intn(len(rows)))
 					if len(lastTop) > 0 && rng.Intn(2) == 0 {
 						id = lastTop[rng.Intn(len(lastTop))]
+					} else if rng.Intn(3) == 0 {
+						id = recent()
 					}
 					err := idx.Delete(id)
 					if dead[id] != (err != nil) {
 						t.Fatalf("op %d: Delete(%d) = %v with deleted = %v", op, id, err, dead[id])
 					}
 					dead[id] = true
+					deletes++
+				case r < 28:
+					compile(op)
+				case r < 30:
+					err := idx.Save(filepath.Join(t.TempDir(), "save"))
+					if want := len(dead) > 0; errors.Is(err, ErrUncompactedDeletes) != want || (!want && err != nil) {
+						t.Fatalf("op %d: Save with %d uncompacted deletes = %v", op, len(dead), err)
+					}
 				default:
 					q := ds.Queries.Row(rng.Intn(ds.Queries.Rows))
-					ids, dists, _, ev := countedSearch(idx, q, k, l, flt)
+					if rng.Intn(4) == 0 {
+						q = rows[recent()] // its row answers at distance 0 unless deleted or filtered out
+					}
+					ids, dists, st := idx.SearchFilteredWithStats(q, k, l, flt)
 					want := oracleTopK(rows, q, k, live)
 					if len(ids) != len(want) {
 						t.Fatalf("op %d: %d results, want min(k, live) = %d", op, len(ids), len(want))
+					}
+					for _, id := range want {
+						if int(id) >= pendingFrom && !slices.Contains(ids, id) {
+							t.Fatalf("op %d: pending row %d is among the %d nearest but missing from %v", op, id, k, ids)
+						}
 					}
 					for i, id := range ids {
 						if !live(id) {
@@ -183,17 +280,17 @@ func TestTombstoneOracle(t *testing.T) {
 					}
 					hits += int(recallAgainst(ids, want)*float64(len(want)) + 0.5)
 					wanted += len(want)
-					evals += ev
+					evals += st.DistanceComputations
 					searches++
 					lastTop = ids
 				}
 			}
-			if len(dead) < ops/20 {
-				t.Fatalf("script deleted only %d ids", len(dead))
+			if deletes < ops/20 {
+				t.Fatalf("script deleted only %d ids", deletes)
 			}
 			recall, mean := float64(hits)/float64(wanted), float64(evals)/float64(searches)
-			t.Logf("%d searches, %d rows, %d tombstones: recall@%d %.4f, %.0f evaluations per query (%.0f before any delete)",
-				searches, len(rows), len(dead), k, recall, mean, cleanMean)
+			t.Logf("%d searches, %d rows, %d deletes, %d compactions: recall@%d %.4f, %.0f evaluations per query (%.0f before any delete)",
+				searches, len(rows), deletes, compacts, k, recall, mean, cleanMean)
 			if recall < 0.97 {
 				t.Errorf("recall@%d = %.4f, want >= 0.97", k, recall)
 			}

@@ -307,9 +307,9 @@ func TestQuantizedShardedSaveLoad(t *testing.T) {
 		if !loaded.Quantized() {
 			t.Fatal("loaded sharded index lost quantization")
 		}
-		if loaded.opts.Shard.Quantize != mode {
+		if loaded.opts.Quantize != mode {
 			t.Fatalf("Quantize option %v restored from the bundle header, want %v",
-				loaded.opts.Shard.Quantize, mode)
+				loaded.opts.Quantize, mode)
 		}
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
 			q := ds.Queries.Row(qi)
@@ -404,7 +404,7 @@ func TestShardedBundleV1StillLoads(t *testing.T) {
 		t.Fatalf("v1 bundle failed to load: %v", err)
 	}
 	defer loaded.Close()
-	if loaded.Quantized() || loaded.opts.Shard.Quantize != QuantNone {
+	if loaded.Quantized() || loaded.opts.Quantize != QuantNone {
 		t.Fatal("v1 bundle loaded with quantization on")
 	}
 	q := ds.Queries.Row(0)

@@ -132,7 +132,7 @@ func TestShardedSaveLoadKeepsOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	got := loaded.opts.Shard
+	got := loaded.opts
 	if got.GraphK != 17 || got.BuildL != 33 || got.MaxDegree != 19 || got.SearchL != 71 {
 		t.Fatalf("options not restored: %+v", got)
 	}
