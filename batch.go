@@ -19,17 +19,17 @@ type BatchResult struct {
 // Every query's answer is byte-identical to its serial SearchWithPool call.
 // Searches are safe concurrently with each other and with Add. Panics if
 // any query's dimension does not match the index.
-func (e *engine) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
-	return e.SearchBatchFiltered(queries, k, l, workers, nil)
+func (x *Index) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
+	return x.SearchBatchFiltered(queries, k, l, workers, nil)
 }
 
 // SearchBatchFiltered answers many queries under one shared filter on
 // workers goroutines, exactly like SearchBatch: every query's answer is
 // byte-identical to its serial SearchFilteredWithPool call. A nil filter is
 // an unfiltered SearchBatch.
-func (e *engine) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *Filter) []BatchResult {
-	return searchBatch(queries, e.Dim(), workers, e.getBuf, e.putBuf, func(b *neighborBuf, q []float32) ([]int32, []float32) {
-		return e.search(b, q, k, l, f, nil)
+func (x *Index) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *Filter) []BatchResult {
+	return searchBatch(queries, x.Dim(), workers, x.getBuf, x.putBuf, func(b *neighborBuf, q []float32) ([]int32, []float32) {
+		return x.search(b, q, k, l, f, nil)
 	})
 }
 

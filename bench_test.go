@@ -646,11 +646,11 @@ func BenchmarkQuantizedSearch(b *testing.B) {
 func BenchmarkQuantizedQuery(b *testing.B) {
 	ds, _, qt := loadQuantBenchData(b)
 	ctx := core.NewSearchContext()
-	qt.s.Record().Query(ctx, ds.Queries.Row(0), core.Query{K: 10, L: 60}) // warm buffers
+	qt.s.Shard(0).Query(ctx, ds.Queries.Row(0), core.Query{K: 10, L: 60}) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := qt.s.Record().Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors; len(res) == 0 {
+		if res := qt.s.Shard(0).Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors; len(res) == 0 {
 			b.Fatal("empty result")
 		}
 	}

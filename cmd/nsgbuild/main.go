@@ -4,6 +4,9 @@
 // Usage:
 //
 //	nsgbuild -base data/sift10k_base.fvecs -out sift10k.nsg -k 40 -l 50 -m 30
+//
+// The output is an Index.Save file, the one stream format every index
+// writes: nsgsearch -index and nsgserve -index both read it.
 package main
 
 import (

@@ -1,10 +1,13 @@
-// Command nsgsearch queries an NSG index built by nsgbuild against a query
-// file, reporting recall (when ground truth is supplied) and throughput.
+// Command nsgsearch queries a saved NSG index against a query file,
+// reporting recall (when ground truth is supplied) and throughput.
 //
 // Usage:
 //
 //	nsgsearch -index sift10k.nsg -query data/sift10k_query.fvecs \
 //	          -gt data/sift10k_groundtruth.ivecs -k 10 -l 60
+//
+// -index takes a file written by any index's Save, whatever its shard
+// count: nsgbuild -out, nsgserve -save, or nsg.Index.Save.
 package main
 
 import (
@@ -27,7 +30,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("nsgsearch", flag.ContinueOnError)
-	indexPath := fs.String("index", "", "index file from nsgbuild")
+	indexPath := fs.String("index", "", "saved index (nsgbuild -out, nsgserve -save, or any Save file)")
 	queryPath := fs.String("query", "", "query vectors (.fvecs)")
 	gtPath := fs.String("gt", "", "optional ground truth (.ivecs)")
 	k := fs.Int("k", 10, "neighbors to retrieve")

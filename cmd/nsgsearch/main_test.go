@@ -78,3 +78,32 @@ func TestSearchErrors(t *testing.T) {
 		t.Error("expected error for missing queries")
 	}
 }
+
+// TestSearchReadsServeBundle: -index reads a multi-shard bundle as written
+// by nsgserve -save (Save of a BuildShardedFromFlat index) and answers with
+// the same recall as the one-NSG fixture.
+func TestSearchReadsServeBundle(t *testing.T) {
+	_, queryPath, gtPath := fixture(t)
+	ds, err := dataset.Uniform(dataset.Config{N: 600, Queries: 20, GTK: 10, Dim: 8, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := nsg.DefaultShardedOptions(2)
+	opts.Shard.ExactKNN = true
+	idx, err := nsg.BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	bundle := filepath.Join(t.TempDir(), "idx.nsgd")
+	if err := idx.Save(bundle); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-index", bundle, "-query", queryPath, "-gt", gtPath, "-k", "10", "-l", "80"}, &out); err != nil {
+		t.Fatalf("nsgsearch over an nsgserve bundle: %v", err)
+	}
+	if s := out.String(); !strings.Contains(s, "recall@10") || strings.Contains(s, "recall@10 = 0.0") || strings.Contains(s, "recall@10 = 0.1") {
+		t.Fatalf("missing or implausible recall: %s", s)
+	}
+}

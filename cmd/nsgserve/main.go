@@ -15,7 +15,9 @@
 //	nsgserve -index idx.nsgd                       # load a saved bundle
 //	nsgserve -index idx.nsms -mmap                 # serve a mapped container
 //
-// With -mmap the index file (written by -save-mapped or SaveMapped) is
+// -index takes a file written by any index's Save (nsgbuild -out, -save,
+// nsg.Index.Save), or with -mmap by any index's SaveMapped, whatever its
+// shard count. With -mmap the index file is
 // served in place through a memory mapping: startup is O(file open) — pages
 // fault in as queries touch them — and the server is read-only: /insert
 // returns 403, searches are byte-identical to heap serving, and /stats
@@ -111,10 +113,10 @@ func parseQuantMode(s string) (nsg.QuantMode, error) {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("nsgserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	indexPath := fs.String("index", "", "saved sharded bundle (.nsgd) to load")
+	indexPath := fs.String("index", "", "saved index (any Save file, or with -mmap any SaveMapped file) to load")
 	dataPath := fs.String("data", "", "base vectors (.fvecs) to build from")
 	savePath := fs.String("save", "", "write the built bundle here before serving")
-	mmapIndex := fs.Bool("mmap", false, "serve -index as a disk-resident mapped container (read-only; requires a SaveMapped file)")
+	mmapIndex := fs.Bool("mmap", false, "serve -index in place through a memory mapping (read-only; requires a SaveMapped file)")
 	mmapNoVerify := fs.Bool("mmap-noverify", false, "with -mmap, skip the open-time checksum pass (trusted storage only)")
 	saveMapped := fs.String("save-mapped", "", "write the built index as a disk-resident mapped container here before serving")
 	shards := fs.Int("shards", 4, "number of shards when building")
@@ -251,7 +253,7 @@ type openConfig struct {
 
 // openIndex loads a bundle (decoded to the heap, or mapped in place with
 // -mmap) or builds one from an fvecs file, whichever the flags selected.
-func openIndex(cfg openConfig, stdout io.Writer) (*nsg.ShardedIndex, error) {
+func openIndex(cfg openConfig, stdout io.Writer) (*nsg.Index, error) {
 	indexPath, dataPath, savePath, opts := cfg.indexPath, cfg.dataPath, cfg.savePath, cfg.opts
 	switch {
 	case indexPath != "" && dataPath != "":
@@ -260,12 +262,12 @@ func openIndex(cfg openConfig, stdout io.Writer) (*nsg.ShardedIndex, error) {
 		return nil, fmt.Errorf("-mmap requires -index naming a mapped container")
 	case indexPath != "":
 		start := time.Now()
-		var idx *nsg.ShardedIndex
+		var idx *nsg.Index
 		var err error
 		if cfg.mmap {
-			idx, err = nsg.OpenMappedSharded(indexPath, nsg.MapOptions{NoVerify: cfg.mmapNoVerify})
+			idx, err = nsg.OpenMapped(indexPath, nsg.MapOptions{NoVerify: cfg.mmapNoVerify})
 		} else {
-			idx, err = nsg.LoadSharded(indexPath)
+			idx, err = nsg.Load(indexPath)
 		}
 		if err != nil {
 			return nil, err
@@ -312,7 +314,7 @@ func openIndex(cfg openConfig, stdout io.Writer) (*nsg.ShardedIndex, error) {
 // searches read published snapshots, inserts append to a delta buffer, and
 // the maintenance lag between them is surfaced through /stats.
 type server struct {
-	idx      *nsg.ShardedIndex
+	idx      *nsg.Index
 	defaultK int
 	defaultL int
 	// maxL bounds the client-supplied k and l: search scratch is sized by
@@ -341,7 +343,7 @@ type server struct {
 // newServer wraps idx. Every index serves lock-free searches beside
 // non-blocking inserts, and a mapped one refuses inserts, so the handlers
 // need nothing enabled.
-func newServer(idx *nsg.ShardedIndex, defaultK, defaultL, maxL int) *server {
+func newServer(idx *nsg.Index, defaultK, defaultL, maxL int) *server {
 	return &server{idx: idx, defaultK: defaultK, defaultL: defaultL, maxL: maxL, readyMaxPending: 4 * 512}
 }
 
@@ -704,7 +706,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ps := mstore.ReadProcStats()
 	q := s.queries.Load()
 	resp := statsResponse{
-		N: st.N, Dim: s.idx.Dim(), Shards: st.Shards, Quantization: s.idx.QuantMode().String(),
+		N: s.idx.Len(), Dim: s.idx.Dim(), Shards: st.Shards, Quantization: s.idx.QuantMode().String(),
 		ReadOnly:   s.idx.ReadOnly(),
 		ShardSizes: st.ShardSizes,
 		MetaCols:   metaCols(s.idx.Metadata()),

@@ -21,7 +21,7 @@ import (
 	"repro/internal/dataset"
 )
 
-func testIndex(t *testing.T) *nsg.ShardedIndex {
+func testIndex(t *testing.T) *nsg.Index {
 	t.Helper()
 	ds, err := dataset.SIFTLike(dataset.Config{N: 600, Queries: 4, GTK: 10, Dim: 16, Seed: 3})
 	if err != nil {
@@ -286,6 +286,57 @@ func TestOpenIndexModes(t *testing.T) {
 	}
 	if _, err := openIndex(openConfig{dataPath: fvecs, mmap: true, opts: opts}, &out); err == nil {
 		t.Error("expected error for -mmap without -index")
+	}
+}
+
+// TestServesEveryIndexFile: -index serves a one-NSG file as it serves a
+// sharded bundle — an nsgbuild -out file (Index.Save of a BuildFromFlat
+// index, as nsgbuild writes it) loaded, and its Index.SaveMapped twin
+// mapped with -mmap — answering /search as the index that wrote them.
+func TestServesEveryIndexFile(t *testing.T) {
+	ds, err := dataset.SIFTLike(dataset.Config{N: 500, Queries: 3, GTK: 1, Dim: 12, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := nsg.DefaultOptions()
+	opts.ExactKNN = true
+	built, err := nsg.BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	stream, mapped := filepath.Join(dir, "idx.nsg"), filepath.Join(dir, "idx.nsgm")
+	if err := built.Save(stream); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.SaveMapped(mapped); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []openConfig{{indexPath: stream}, {indexPath: mapped, mmap: true}} {
+		var out bytes.Buffer
+		idx, err := openIndex(cfg, &out)
+		if err != nil {
+			t.Fatalf("-index %s (mmap %v): %v", cfg.indexPath, cfg.mmap, err)
+		}
+		t.Cleanup(idx.Close)
+		ts := httptest.NewServer(newServer(idx, 10, 60, 4096).mux())
+		defer ts.Close()
+		for qi := 0; qi < ds.Queries.Rows; qi++ {
+			q := ds.Queries.Row(qi)
+			resp, body := postJSON(t, ts.URL+"/search", searchRequest{Query: q, K: 5, L: 60})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("search status %d: %s", resp.StatusCode, body)
+			}
+			var sr searchResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			wantIDs, wantDists := built.SearchWithPool(q, 5, 60)
+			if !slices.Equal(sr.IDs, wantIDs) || !slices.Equal(sr.Dists, wantDists) {
+				t.Fatalf("-index %s (mmap %v), query %d: served %v %v, want %v %v",
+					cfg.indexPath, cfg.mmap, qi, sr.IDs, sr.Dists, wantIDs, wantDists)
+			}
+		}
 	}
 }
 

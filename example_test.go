@@ -184,7 +184,7 @@ func ExampleOpenMapped() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "index.nsgm")
+	path := filepath.Join(dir, "index.nsms")
 	if err := index.SaveMapped(path); err != nil {
 		log.Fatal(err)
 	}

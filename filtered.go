@@ -31,7 +31,7 @@ type Metadata = meta.Store
 
 // NewMetadata returns an empty metadata store expecting rows rows in every
 // column added. Build columns with AddInt64, AddEnum and AddTags, then
-// attach the store with Index.SetMetadata (or ShardedIndex.SetMetadata).
+// attach the store with Index.SetMetadata.
 func NewMetadata(rows int) *Metadata { return meta.New(rows) }
 
 // Eq matches rows whose column equals value: an integer kind for int64
@@ -59,20 +59,20 @@ var ErrNoMetadata = core.ErrNoMetadata
 
 // SetMetadata attaches a metadata store to the index. The store must have
 // exactly one row per indexed vector (row i describes the vector with id
-// i); it is persisted inside Save bundles and restored by Load or
-// LoadSharded. Points added after attachment without a metadata row (plain
-// Add) fail every filter; AddWithMetadata writes each row under its
-// vector's id.
-func (e *engine) SetMetadata(m *Metadata) error {
-	if m != nil && m.Rows() != e.Len() {
-		return fmt.Errorf("nsg: metadata has %d rows, index has %d vectors", m.Rows(), e.Len())
+// i); Save and SaveMapped persist it, and Load and OpenMapped restore it.
+// Points added after attachment without a metadata row (plain Add) fail
+// every filter, and the files store missing rows for them;
+// AddWithMetadata writes each row under its vector's id.
+func (x *Index) SetMetadata(m *Metadata) error {
+	if m != nil && m.Rows() != x.Len() {
+		return fmt.Errorf("nsg: metadata has %d rows, index has %d vectors", m.Rows(), x.Len())
 	}
-	e.s.Meta = m
+	x.s.Meta = m
 	return nil
 }
 
 // Metadata returns the attached metadata store, or nil.
-func (e *engine) Metadata() *Metadata { return e.s.Meta }
+func (x *Index) Metadata() *Metadata { return x.s.Meta }
 
 // AddWithMetadata is Add plus one metadata row: the vector and its
 // attributes land under the same id. row maps column name → value (integer
@@ -81,8 +81,8 @@ func (e *engine) Metadata() *Metadata { return e.s.Meta }
 // the store would reject is an error before the vector is added, and rows
 // of ids added without one (plain Add) are filled with missing values.
 // Safe from any goroutine, like Add.
-func (e *engine) AddWithMetadata(vec []float32, row map[string]any) (int32, error) {
-	m := e.s.Meta
+func (x *Index) AddWithMetadata(vec []float32, row map[string]any) (int32, error) {
+	m := x.s.Meta
 	if m == nil {
 		return -1, ErrNoMetadata
 	}
@@ -91,9 +91,9 @@ func (e *engine) AddWithMetadata(vec []float32, row map[string]any) (int32, erro
 	}
 	// One writer at a time from id to row: ids are handed out in order, so
 	// every row lands past the store's end.
-	e.metaMu.Lock()
-	defer e.metaMu.Unlock()
-	id, err := e.Add(vec)
+	x.metaMu.Lock()
+	defer x.metaMu.Unlock()
+	id, err := x.Add(vec)
 	if err != nil {
 		return id, err
 	}
@@ -104,17 +104,17 @@ func (e *engine) AddWithMetadata(vec []float32, row map[string]any) (int32, erro
 }
 
 // Filter is one compiled predicate, ready for any number of searches on the
-// index that compiled it. Index and ShardedIndex compile the same type: the
-// global bitmap, scattered into each shard's own ids with a passing count
-// per shard (a shard with no passing rows is never searched; the only shard
-// of an Index uses the global bitmap as it is). The bitmap is fixed at
+// index that compiled it: the global bitmap, scattered into each shard's
+// own ids with a passing count per shard (a shard with no passing rows is
+// never searched; the only shard of a one-shard index uses the global
+// bitmap as it is). The bitmap is fixed at
 // compile time: points added later fail it (compile a fresh filter to
 // include them), while deletes are honored at search time either way.
 // Compile once per predicate and reuse — compilation is O(rows), a filtered
 // search is not.
 type Filter = ShardedFilter
 
-// ShardedFilter is the name Filter had on a ShardedIndex; see Filter.
+// ShardedFilter is the name Filter had on a sharded index; see Filter.
 type ShardedFilter struct {
 	inner *distsearch.ShardedFilter
 }
@@ -125,8 +125,8 @@ func (f *ShardedFilter) Count() int { return f.inner.Count }
 // CompileFilter compiles a predicate against the index's metadata store
 // into a reusable Filter. Returns ErrNoMetadata when no store is attached;
 // unknown columns and mistyped operands are errors.
-func (e *engine) CompileFilter(p Predicate) (*Filter, error) {
-	sf, err := e.s.CompileFilter(p)
+func (x *Index) CompileFilter(p Predicate) (*Filter, error) {
+	sf, err := x.s.CompileFilter(p)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func TestFilteredSearchZeroAlloc(t *testing.T) {
 		flt := core.Filter{Bits: f.inner.Bits, Count: f.inner.Count}
 		search := func() core.SearchResult {
 			qi++
-			return idx.s.Record().Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: plan.l, Filter: &flt})
+			return idx.s.Shard(0).Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: plan.l, Filter: &flt})
 		}
 		for i := 0; i < 8; i++ { // warm every context buffer
 			search()

@@ -17,14 +17,14 @@ import (
 // buffer, the point is searchable (with exact distances) the moment Add
 // returns, and the shard's background maintainer folds it into the graph
 // off the query path.
-func (e *engine) Add(vec []float32) (int32, error) {
-	if len(vec) != e.Dim() {
-		return -1, fmt.Errorf("nsg: vector dim %d != index dim %d", len(vec), e.Dim())
+func (x *Index) Add(vec []float32) (int32, error) {
+	if len(vec) != x.Dim() {
+		return -1, fmt.Errorf("nsg: vector dim %d != index dim %d", len(vec), x.Dim())
 	}
 	if !vecmath.Finite(vec) {
 		return -1, ErrNonFinite
 	}
-	id, _, err := e.s.Insert(vec)
+	id, _, err := x.s.Insert(vec)
 	return id, err
 }
 
@@ -33,13 +33,13 @@ func (e *engine) Add(vec []float32) (int32, error) {
 // so searches over a tombstoned index do the work of a search over a clean
 // one. Deleting an already-deleted or out-of-range id is an error. Safe
 // from any goroutine, concurrently with Search and Add.
-func (e *engine) Delete(id int32) error { return e.s.Delete(id) }
+func (x *Index) Delete(id int32) error { return x.s.Delete(id) }
 
 // Deleted reports whether id has been tombstoned.
-func (e *engine) Deleted(id int32) bool { return e.s.Deleted(id) }
+func (x *Index) Deleted(id int32) bool { return x.s.Deleted(id) }
 
 // DeletedCount returns the number of tombstoned ids awaiting Compact.
-func (e *engine) DeletedCount() int { return e.s.DeadCount() }
+func (x *Index) DeletedCount() int { return x.s.DeadCount() }
 
 // Compact rebuilds the index without its tombstoned points. It returns the
 // mapping from old ids to new ids (-1 for deleted); survivors keep their
@@ -50,13 +50,13 @@ func (e *engine) DeletedCount() int { return e.s.DeadCount() }
 // concurrently with other calls on the index. With nothing deleted it
 // returns the identity and keeps the index; a mapped index with deleted
 // points returns ErrReadOnly.
-func (e *engine) Compact() ([]int32, error) {
-	fresh, remap, err := e.s.Compact(params(e.opts, e.s.Shards()))
+func (x *Index) Compact() ([]int32, error) {
+	fresh, remap, err := x.s.Compact(params(x.opts, x.s.Shards()))
 	if err != nil {
 		return nil, err
 	}
-	if old := e.s; fresh != old {
-		e.s = fresh
+	if old := x.s; fresh != old {
+		x.s = fresh
 		old.Close()
 	}
 	return remap, nil

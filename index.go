@@ -1,40 +1,22 @@
 package nsg
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/distsearch"
 	"repro/internal/vecmath"
 )
 
-// engine is the one index implementation behind Index and ShardedIndex: a
-// distsearch.Sharded (one shard for an Index), the per-shard options its
-// builds, inserts and default searches use, and the pool of merge buffers
-// its searches draw from. Both types embed it, so every method they share
-// is defined once: here and in the files beside it.
-type engine struct {
-	s    *distsearch.Sharded
-	opts Options
-	// metaMu serializes AddWithMetadata's id assignment with its row write.
-	metaMu sync.Mutex
-	// bufs recycles merge destination buffers, so a steady-state search
-	// allocates nothing beyond the two slices it returns.
-	bufs sync.Pool
-}
-
 // init attaches a built, loaded or mapped index, handing its shard
 // maintainers the insert parameters of opts.
-func (e *engine) init(s *distsearch.Sharded, opts Options) {
-	e.s, e.opts = s, opts
-	s.SetLiveOptions(LiveOptions{}.internal(e.insertParams()))
+func (x *Index) init(s *distsearch.Sharded, opts Options) {
+	x.s, x.opts = s, opts
+	s.SetLiveOptions(LiveOptions{}.internal(x.insertParams()))
 }
 
 // insertParams is what the maintainers insert with: the build's degree cap
 // and pool.
-func (e *engine) insertParams() core.InsertParams {
-	return core.InsertParams{M: e.opts.MaxDegree, L: e.opts.BuildL}
+func (x *Index) insertParams() core.InsertParams {
+	return core.InsertParams{M: x.opts.MaxDegree, L: x.opts.BuildL}
 }
 
 // params are the build parameters of a shards-shard index under opts,
@@ -50,88 +32,68 @@ func params(opts Options, shards int) distsearch.Params {
 	}
 }
 
-// build is the one build pipeline (every builder, and Compact through
-// distsearch): per shard, the kNN graph, Algorithm 2, a BFS relayout into
-// cache order, then the SQ8 encode when opts asks for it. base is copied
-// into the shards; ids stay the caller's row numbers. It returns the index
-// and opts with its defaults filled.
-func build(base vecmath.Matrix, opts Options, shards int) (*distsearch.Sharded, Options, error) {
-	if err := opts.Quantize.check(); err != nil {
-		return nil, opts, err
-	}
-	if !vecmath.Finite(base.Data) {
-		return nil, opts, ErrNonFinite
-	}
-	opts.fillDefaults()
-	s, err := distsearch.BuildSharded(base, params(opts, max(shards, 1)))
-	if err != nil {
-		return nil, opts, fmt.Errorf("nsg: build: %w", err)
-	}
-	return s, opts, nil
-}
-
 // BuildStats returns the timing breakdown recorded when the index was
 // built, or, after a Compact that dropped points, of that Compact's
 // rebuild. Phases are summed over the shards, and Total is the wall time.
 // Loaded and mapped indexes report a zero value.
-func (e *engine) BuildStats() BuildStats { return e.s.BuildStats() }
+func (x *Index) BuildStats() BuildStats { return x.s.BuildStats() }
 
 // Len returns the number of indexed vectors, pending ones included. Safe
 // to call concurrently with Add.
-func (e *engine) Len() int { return e.s.Len() }
+func (x *Index) Len() int { return x.s.Len() }
 
 // Dim returns the vector dimension.
-func (e *engine) Dim() int { return e.s.Dim() }
+func (x *Index) Dim() int { return x.s.Dim() }
 
 // Vector returns the stored vector with the given id, or nil for an id
 // outside [0, Len()). The returned slice aliases the index's storage; do
 // not modify it. Safe to call concurrently with Add.
-func (e *engine) Vector(id int) []float32 {
-	if id < 0 || id >= e.Len() {
+func (x *Index) Vector(id int) []float32 {
+	if id < 0 || id >= x.Len() {
 		return nil
 	}
-	return e.s.VectorByID(id)
+	return x.s.VectorByID(id)
 }
 
 // Quantized reports whether the index serves through a quantized search
 // path (built with Options.Quantize or loaded from a quantized file).
-func (e *engine) Quantized() bool { return e.s.Quantized() }
+func (x *Index) Quantized() bool { return x.s.Quantized() }
 
 // QuantMode returns the index's compressed serving mode (QuantNone when it
 // serves full float32 vectors; all shards share one quantization state).
-func (e *engine) QuantMode() QuantMode { return quantModeOf(e.s.Quantized()) }
+func (x *Index) QuantMode() QuantMode { return quantModeOf(x.s.Quantized()) }
 
 // ReadOnly reports whether the index is a mapped, read-only view (opened
-// with OpenMapped or OpenMappedSharded). Mutating operations on such an
-// index return ErrReadOnly.
-func (e *engine) ReadOnly() bool { return e.s.ReadOnly() }
+// with OpenMapped). Mutating operations on such an index return
+// ErrReadOnly.
+func (x *Index) ReadOnly() bool { return x.s.ReadOnly() }
 
 // Close flushes pending Adds, so no point is lost, and stops the
-// maintainer goroutines. An Index runs no other goroutine: a heap one stays
-// usable after Close (a later Add starts its maintainer again), while a
-// mapped one releases its file mapping and must not be searched
-// afterwards. A ShardedIndex of more than one shard also releases its
-// shard workers and must not be used after Close; long-lived serving
-// processes never need it, but code that builds and discards many indexes
-// in one process should call it. Do not call while other goroutines are
-// still using the index.
-func (e *engine) Close() { e.s.Close() }
+// maintainer goroutines. A one-shard index runs no other goroutine: a heap
+// one stays usable after Close (a later Add starts its maintainer again),
+// while a mapped one releases its file mapping and must not be searched
+// afterwards. An index of more than one shard also releases its shard
+// workers and must not be used after Close; long-lived serving processes
+// never need it, but code that builds and discards many indexes in one
+// process should call it. Do not call while other goroutines are still
+// using the index.
+func (x *Index) Close() { x.s.Close() }
 
 type neighborBuf struct{ ns []vecmath.Neighbor }
 
-func (e *engine) getBuf() *neighborBuf {
-	if b, _ := e.bufs.Get().(*neighborBuf); b != nil {
+func (x *Index) getBuf() *neighborBuf {
+	if b, _ := x.bufs.Get().(*neighborBuf); b != nil {
 		return b
 	}
 	return &neighborBuf{}
 }
 
-func (e *engine) putBuf(b *neighborBuf) { e.bufs.Put(b) }
+func (x *Index) putBuf(b *neighborBuf) { x.bufs.Put(b) }
 
 // Search returns the ids and squared L2 distances of the k approximate
 // nearest neighbors of query, using the index's default search pool size.
-func (e *engine) Search(query []float32, k int) ([]int32, []float32) {
-	return e.SearchWithPool(query, k, e.opts.SearchL)
+func (x *Index) Search(query []float32, k int) ([]int32, []float32) {
+	return x.SearchWithPool(query, k, x.opts.SearchL)
 }
 
 // SearchWithPool is Search with an explicit pool size l (the paper's
@@ -143,23 +105,23 @@ func (e *engine) Search(query []float32, k int) ([]int32, []float32) {
 //
 // The only allocations on the steady state are the two returned slices;
 // all traversal scratch is drawn from the index's pools.
-func (e *engine) SearchWithPool(query []float32, k, l int) ([]int32, []float32) {
-	return e.searchOne(query, k, l, nil, nil)
+func (x *Index) SearchWithPool(query []float32, k, l int) ([]int32, []float32) {
+	return x.searchOne(query, k, l, nil, nil)
 }
 
 // SearchWithStats is SearchWithPool plus per-query work accounting: hops
 // and distance computations, summed across the shard searches on a
 // sharded index.
-func (e *engine) SearchWithStats(query []float32, k, l int) (ids []int32, dists []float32, st SearchStats) {
-	ids, dists = e.searchOne(query, k, l, nil, &st)
+func (x *Index) SearchWithStats(query []float32, k, l int) (ids []int32, dists []float32, st SearchStats) {
+	ids, dists = x.searchOne(query, k, l, nil, &st)
 	return ids, dists, st
 }
 
 // SearchFiltered returns the k nearest neighbors of query that pass the
 // filter, using the index's default search pool size. A nil filter is an
 // unfiltered Search.
-func (e *engine) SearchFiltered(query []float32, k int, f *Filter) ([]int32, []float32) {
-	return e.SearchFilteredWithPool(query, k, e.opts.SearchL, f)
+func (x *Index) SearchFiltered(query []float32, k int, f *Filter) ([]int32, []float32) {
+	return x.SearchFilteredWithPool(query, k, x.opts.SearchL, f)
 }
 
 // SearchFilteredWithPool is SearchFiltered with an explicit (per-shard)
@@ -172,22 +134,22 @@ func (e *engine) SearchFiltered(query []float32, k int, f *Filter) ([]int32, []f
 // with no passing rows are skipped. Tombstoned and filtered-out ids never
 // appear in results; fewer than k results mean fewer than k passing points
 // exist.
-func (e *engine) SearchFilteredWithPool(query []float32, k, l int, f *Filter) ([]int32, []float32) {
-	return e.searchOne(query, k, l, f, nil)
+func (x *Index) SearchFilteredWithPool(query []float32, k, l int, f *Filter) ([]int32, []float32) {
+	return x.searchOne(query, k, l, f, nil)
 }
 
 // SearchFilteredWithStats is SearchFilteredWithPool plus the work
 // accounting of SearchWithStats; an exact scan reports 0 hops.
-func (e *engine) SearchFilteredWithStats(query []float32, k, l int, f *Filter) (ids []int32, dists []float32, st SearchStats) {
-	ids, dists = e.searchOne(query, k, l, f, &st)
+func (x *Index) SearchFilteredWithStats(query []float32, k, l int, f *Filter) (ids []int32, dists []float32, st SearchStats) {
+	ids, dists = x.searchOne(query, k, l, f, &st)
 	return ids, dists, st
 }
 
 // searchOne is search with a merge buffer drawn from the index's pool.
-func (e *engine) searchOne(query []float32, k, l int, f *Filter, st *SearchStats) ([]int32, []float32) {
-	b := e.getBuf()
-	ids, dists := e.search(b, query, k, l, f, st)
-	e.putBuf(b)
+func (x *Index) searchOne(query []float32, k, l int, f *Filter, st *SearchStats) ([]int32, []float32) {
+	b := x.getBuf()
+	ids, dists := x.search(b, query, k, l, f, st)
+	x.putBuf(b)
 	return ids, dists
 }
 
@@ -196,12 +158,12 @@ func (e *engine) searchOne(query []float32, k, l int, f *Filter, st *SearchStats
 // it is non-nil, merging into b's reused buffer and copying the answer into
 // the two fresh caller-owned slices. A wrong-dimension query panics on the
 // caller's goroutine (see distsearch.Sharded.Search).
-func (e *engine) search(b *neighborBuf, query []float32, k, l int, f *Filter, st *SearchStats) ([]int32, []float32) {
+func (x *Index) search(b *neighborBuf, query []float32, k, l int, f *Filter, st *SearchStats) ([]int32, []float32) {
 	var flt *distsearch.ShardedFilter
 	if f != nil {
 		flt = f.inner
 	}
-	b.ns = e.s.Search(b.ns[:0], query, k, l, flt, st)
+	b.ns = x.s.Search(b.ns[:0], query, k, l, flt, st)
 	return extractResults(b.ns)
 }
 

@@ -91,7 +91,7 @@ func TestIntegrationNSGBeatsScanWork(t *testing.T) {
 		ids, _ := idx.SearchWithPool(ds.Queries.Row(qi), 10, 60)
 		got[qi] = ids
 		// count the same search's work
-		idx.s.Record().Search(ds.Queries.Row(qi), 10, 60, &counter)
+		idx.s.Shard(0).Search(ds.Queries.Row(qi), 10, 60, &counter)
 	}
 	recall := dataset.MeanRecall(got, ds.GT, 10)
 	if recall < 0.90 {

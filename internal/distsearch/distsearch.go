@@ -8,9 +8,8 @@
 // measured quantity — single-query response time at a target precision —
 // is preserved.
 //
-// A single index is the r = 1 case: nsg.Index and nsg.ShardedIndex are both
-// a Sharded, and a one-shard Sharded (Single, or BuildSharded with one
-// shard) behaves exactly as the lone NSG it holds.
+// A single index is the r = 1 case: every nsg.Index is a Sharded, and a
+// one-shard Sharded behaves exactly as the lone NSG it holds.
 //
 // The serving path follows the repository's zero-allocation discipline:
 // the caller of a fan-out searches one shard itself, with the
@@ -245,10 +244,11 @@ func BuildSharded(base vecmath.Matrix, p Params) (*Sharded, error) {
 	return s, nil
 }
 
-// Single wraps one loaded or mapped NSG as the only shard of an index. Its
-// public ids are the global ids, so the shard keeps no translate table, and
-// its metadata store becomes the index's (see Record).
-func Single(idx *core.NSG) *Sharded {
+// single wraps the NSG of a legacy one-index file (an NSGB bundle or a
+// top-level NSGM record) as the only shard of an index. Its public ids are
+// the global ids, so the shard keeps no translate table, and its metadata
+// store becomes the index's.
+func single(idx *core.NSG) *Sharded {
 	s := &Sharded{dim: idx.Base.Dim, shards: []*core.NSG{idx}, Meta: idx.Meta}
 	idx.Meta = nil
 	if err := s.start([][]int32{nil}, idx.Base.Rows); err != nil {
@@ -257,15 +257,8 @@ func Single(idx *core.NSG) *Sharded {
 	return s
 }
 
-// Record returns the only shard of a one-shard index with the index's
-// metadata store attached: what the single-index file formats write.
-func (s *Sharded) Record() *core.NSG {
-	if len(s.shards) != 1 {
-		panic(fmt.Sprintf("distsearch: Record of a %d-shard index", len(s.shards)))
-	}
-	s.shards[0].Meta = s.Meta
-	return s.shards[0]
-}
+// Shard returns shard sh's NSG, the graph its handle serves as published.
+func (s *Sharded) Shard(sh int) *core.NSG { return s.shards[sh] }
 
 // BuildStats returns the build's timing breakdown: BuildSharded's, or that
 // of the rebuild a Compact returned. A loaded or mapped index reports zero.

@@ -1,6 +1,7 @@
 package distsearch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -9,25 +10,34 @@ import (
 	"repro/internal/chunkio"
 	"repro/internal/core"
 	"repro/internal/live"
+	"repro/internal/meta"
 	"repro/internal/mstore"
 )
 
 // This file is the sharded twin of core's NSGM record: one aligned
 // container holding, per shard, its global-id map and a complete embedded
-// NSGM record (adjacency + vectors + remap + codes). OpenMappedSharded
-// serves every shard zero-copy out of a single mapping, so a multi-shard
-// restart costs one file open instead of one decode per shard. As on the
-// heap, each shard's vectors live only in its record, and the id maps
-// become the handles' translate tables and the locator.
+// NSGM record (adjacency + vectors + remap + codes), plus one optional
+// global metadata section. OpenMapped serves every shard zero-copy out of a
+// single mapping, so a multi-shard restart costs one file open instead of
+// one decode per shard. As on the heap, each shard's vectors live only in
+// its record, and the id maps become the handles' translate tables and the
+// locator. The only shard of a one-shard index stores an empty id map,
+// which means the identity.
 
 const (
 	// shardedMappedMagic is "NSMS" — distinct from every stream magic so
 	// each reader rejects the other family at the first word.
-	shardedMappedMagic   = 0x4e534d53
-	shardedMappedVersion = 1
+	shardedMappedMagic = 0x4e534d53
+	// Version 2 adds the metadata entry after the shard table and the
+	// metadata blob after the last record. Containers without metadata are
+	// still written as version 1, so version 1 readers only reject files
+	// that actually carry the new section.
+	shardedMappedVersion     = 1
+	shardedMappedVersionMeta = 2
 
 	smHeaderSize     = 64
 	smShardEntrySize = 40
+	smMetaEntrySize  = 24
 	// MappedMetaSize is the capacity of the container's opaque metadata
 	// blob, which the public layer uses to persist its build options.
 	MappedMetaSize = 32
@@ -36,39 +46,33 @@ const (
 
 func smAlignUp(n int64) int64 { return (n + smAlign - 1) &^ (smAlign - 1) }
 
-// MappedSize returns the exact container size WriteMapped will produce.
-func (s *Sharded) MappedSize() int64 {
-	off := smAlignUp(int64(smHeaderSize + len(s.shards)*smShardEntrySize + 4))
-	ids, _ := s.idMaps()
-	for sh, m := range ids {
-		off = smAlignUp(off + int64(len(m))*4)
-		off += s.shards[sh].MappedSize()
-	}
-	return off
-}
-
-// WriteMapped serializes the sharded index as one aligned container. meta
-// is an opaque blob (at most MappedMetaSize bytes, zero-padded) returned
-// verbatim by Meta after open; the public layer stores its options there.
-func (s *Sharded) WriteMapped(w io.Writer, meta []byte) error {
-	if len(meta) > MappedMetaSize {
-		return fmt.Errorf("distsearch: mapped meta %d bytes exceeds %d", len(meta), MappedMetaSize)
-	}
-	if len(s.shards) == 0 {
-		return fmt.Errorf("distsearch: cannot persist an empty sharded index")
+// WriteMapped serializes the sharded index as one aligned container. blob
+// is an opaque options blob (at most MappedMetaSize bytes, zero-padded)
+// returned verbatim by OpenMapped; the public layer stores its options
+// there.
+func (s *Sharded) WriteMapped(w io.Writer, blob []byte) error {
+	if len(blob) > MappedMetaSize {
+		return fmt.Errorf("distsearch: mapped options blob %d bytes exceeds %d", len(blob), MappedMetaSize)
 	}
 	nShards := len(s.shards)
 	ids, rows := s.idMaps()
+	version, tableLen := uint32(shardedMappedVersion), nShards*smShardEntrySize
+	var metaBlob []byte
+	if s.Meta != nil {
+		version, tableLen = shardedMappedVersionMeta, tableLen+smMetaEntrySize
+		metaBlob = s.Meta.AppendEncode(nil)
+	}
 
-	// Lay out: header, shard table, table checksum, then per shard the
-	// aligned id map and the aligned embedded record.
+	// Lay out: header, shard table (and metadata entry), table checksum,
+	// then per shard the aligned id map and the aligned embedded record,
+	// then the metadata blob.
 	type entry struct {
 		idmapOff, idmapLen int64
 		recOff, recLen     int64
 		idmapCRC           uint32
 	}
 	slots := make([]entry, nShards)
-	off := smAlignUp(int64(smHeaderSize + nShards*smShardEntrySize + 4))
+	off := smAlignUp(int64(smHeaderSize + tableLen + 4))
 	for sh := range s.shards {
 		slots[sh].idmapOff = off
 		slots[sh].idmapLen = int64(len(ids[sh])) * 4
@@ -80,9 +84,10 @@ func (s *Sharded) WriteMapped(w io.Writer, meta []byte) error {
 		slots[sh].recLen = s.shards[sh].MappedSize()
 		off += slots[sh].recLen
 	}
-	fileSize := off
+	metaOff := off
+	fileSize := off + int64(len(metaBlob))
 
-	head := make([]byte, smHeaderSize+nShards*smShardEntrySize+4)
+	head := make([]byte, smHeaderSize+tableLen+4)
 	le32 := func(o int, v uint32) {
 		head[o] = byte(v)
 		head[o+1] = byte(v >> 8)
@@ -91,12 +96,12 @@ func (s *Sharded) WriteMapped(w io.Writer, meta []byte) error {
 	}
 	le64 := func(o int, v uint64) { le32(o, uint32(v)); le32(o+4, uint32(v>>32)) }
 	le32(0, shardedMappedMagic)
-	le32(4, shardedMappedVersion)
+	le32(4, version)
 	le32(8, uint32(nShards))
 	le32(12, uint32(rows))
 	le32(16, uint32(s.dim))
 	le64(24, uint64(fileSize))
-	copy(head[32:smHeaderSize], meta)
+	copy(head[32:smHeaderSize], blob)
 	for sh, sl := range slots {
 		base := smHeaderSize + sh*smShardEntrySize
 		le64(base, uint64(sl.idmapOff))
@@ -105,7 +110,13 @@ func (s *Sharded) WriteMapped(w io.Writer, meta []byte) error {
 		le64(base+24, uint64(sl.recLen))
 		le32(base+32, sl.idmapCRC)
 	}
-	crcAt := smHeaderSize + nShards*smShardEntrySize
+	if metaBlob != nil {
+		base := smHeaderSize + nShards*smShardEntrySize
+		le64(base, uint64(metaOff))
+		le64(base+8, uint64(len(metaBlob)))
+		le32(base+16, crc32.ChecksumIEEE(metaBlob))
+	}
+	crcAt := smHeaderSize + tableLen
 	le32(crcAt, crc32.ChecksumIEEE(head[:crcAt]))
 	if _, err := w.Write(head); err != nil {
 		return fmt.Errorf("distsearch: write mapped header: %w", err)
@@ -129,13 +140,16 @@ func (s *Sharded) WriteMapped(w io.Writer, meta []byte) error {
 		}
 		pos = sl.recOff + sl.recLen
 	}
+	if _, err := w.Write(metaBlob); err != nil {
+		return fmt.Errorf("distsearch: write metadata: %w", err)
+	}
 	return nil
 }
 
 // SaveMapped writes the aligned container to path, crash-safely.
-func (s *Sharded) SaveMapped(path string, meta []byte) error {
+func (s *Sharded) SaveMapped(path string, blob []byte) error {
 	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
-		return s.WriteMapped(w, meta)
+		return s.WriteMapped(w, blob)
 	})
 }
 
@@ -143,41 +157,49 @@ func smCorrupt(format string, args ...any) error {
 	return &core.FormatError{Section: core.SectionHeader, Reason: fmt.Sprintf(format, args...)}
 }
 
-// OpenMappedSharded opens a container written by SaveMapped and serves all
-// shards from the mapping. The returned index is read-only: Insert reports
-// the condition, while searches, the worker pool and Write behave exactly
-// as on a loaded index. Close releases the mapping; meta is the blob passed
-// to SaveMapped.
-func OpenMappedSharded(path string, opts core.MapOptions) (*Sharded, []byte, error) {
+// OpenMapped opens a container written by SaveMapped and serves all shards
+// from the mapping. A file that does not start with the container's magic
+// is opened as a top-level NSGM record, the one-index layout written
+// before every index saved containers: the index's only shard, with the
+// record's metadata store as the index's, and a nil options blob. The
+// returned index is read-only: Insert reports the condition, while
+// searches, the worker pool and Write behave exactly as on a loaded index.
+// Close releases the mapping; blob is the one passed to SaveMapped.
+func OpenMapped(path string, opts core.MapOptions) (s *Sharded, blob []byte, err error) {
 	f, err := mstore.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	s, meta, err := openMappedSharded(f, opts)
-	if err != nil {
+	if s, blob, err = openMapped(f, opts); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	return s, meta, nil
+	s.mapped = f
+	return s, blob, nil
 }
 
-func openMappedSharded(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, error) {
-	if f.Size() < smHeaderSize+smShardEntrySize+4 {
-		return nil, nil, smCorrupt("file of %d bytes is smaller than any container", f.Size())
-	}
-	hdr, err := f.Bytes(0, smHeaderSize)
-	if err != nil {
-		return nil, nil, smCorrupt("%v", err)
-	}
+func openMapped(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, error) {
 	u32 := func(b []byte, o int) uint32 {
 		return uint32(b[o]) | uint32(b[o+1])<<8 | uint32(b[o+2])<<16 | uint32(b[o+3])<<24
 	}
 	u64 := func(b []byte, o int) uint64 { return uint64(u32(b, o)) | uint64(u32(b, o+4))<<32 }
-	if u32(hdr, 0) != shardedMappedMagic {
-		return nil, nil, smCorrupt("bad container magic %#08x", u32(hdr, 0))
+	hdr, err := f.Bytes(0, min(f.Size(), smHeaderSize))
+	if err != nil {
+		return nil, nil, smCorrupt("%v", err)
 	}
-	if v := u32(hdr, 4); v != shardedMappedVersion {
-		return nil, nil, smCorrupt("unsupported container version %d", v)
+	if len(hdr) < 4 || u32(hdr, 0) != shardedMappedMagic {
+		idx, _, err := core.OpenMappedAt(f, 0, f.Size(), opts, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		return single(idx), nil, nil
+	}
+	if len(hdr) < smHeaderSize {
+		return nil, nil, smCorrupt("file of %d bytes is smaller than any container", f.Size())
+	}
+	version := u32(hdr, 4)
+	if version != shardedMappedVersion && version != shardedMappedVersionMeta {
+		return nil, nil, smCorrupt("unsupported container version %d", version)
 	}
 	nShards := int(u32(hdr, 8))
 	rows := int(u32(hdr, 12))
@@ -192,9 +214,12 @@ func openMappedSharded(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, 
 	if fileSize != f.Size() {
 		return nil, nil, smCorrupt("header says %d bytes, file has %d (truncated or trailing garbage)", fileSize, f.Size())
 	}
-	meta := append([]byte(nil), hdr[32:smHeaderSize]...)
+	blob := append([]byte(nil), hdr[32:smHeaderSize]...)
 
 	tableLen := int64(nShards*smShardEntrySize) + 4
+	if version == shardedMappedVersionMeta {
+		tableLen += smMetaEntrySize
+	}
 	table, err := f.Bytes(smHeaderSize, tableLen)
 	if err != nil {
 		return nil, nil, smCorrupt("shard table: %v", err)
@@ -215,7 +240,9 @@ func openMappedSharded(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, 
 		recOff := int64(u64(table, base+16))
 		recLen := int64(u64(table, base+24))
 		idmapCRC := u32(table, base+32)
-		if idmapLen <= 0 || idmapLen%4 != 0 || idmapOff%smAlign != 0 ||
+		// An empty id map is the identity, which only the only shard of an
+		// index can hold.
+		if idmapLen < 0 || (idmapLen == 0 && nShards != 1) || idmapLen%4 != 0 || idmapOff%smAlign != 0 ||
 			idmapOff < smHeaderSize+tableLen || idmapOff+idmapLen > fileSize {
 			return nil, nil, smCorrupt("shard %d id map [%d,%d) invalid", sh, idmapOff, idmapOff+idmapLen)
 		}
@@ -238,18 +265,50 @@ func openMappedSharded(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, 
 		if consumed != recLen {
 			return nil, nil, smCorrupt("shard %d record consumed %d of %d bytes", sh, consumed, recLen)
 		}
-		if idx.Base.Rows != len(ids) || idx.Base.Dim != dim {
+		want := len(ids)
+		if idmapLen == 0 {
+			want = rows // the identity map covers every row
+		}
+		if idx.Base.Rows != want || idx.Base.Dim != dim {
 			return nil, nil, smCorrupt("shard %d record is %dx%d, id map and container imply %dx%d",
-				sh, idx.Base.Rows, idx.Base.Dim, len(ids), dim)
+				sh, idx.Base.Rows, idx.Base.Dim, want, dim)
 		}
 		s.shards = append(s.shards, idx)
 		maps = append(maps, ids)
 	}
+	if version == shardedMappedVersionMeta {
+		if err := s.openMeta(f, table[nShards*smShardEntrySize:], smHeaderSize+tableLen, rows); err != nil {
+			return nil, nil, err
+		}
+	}
 	if err := s.start(maps, rows); err != nil {
 		return nil, nil, smCorrupt("%v", err)
 	}
-	s.mapped = f
-	return s, meta, nil
+	return s, blob, nil
+}
+
+// openMeta decodes the metadata section that entry (the table's metadata
+// entry: offset, length, checksum) locates past the table's end, onto the
+// heap: the columns are small, and the store never aliases read-only pages.
+func (s *Sharded) openMeta(f *mstore.File, entry []byte, tableEnd int64, rows int) error {
+	off := int64(binary.LittleEndian.Uint64(entry[0:]))
+	size := int64(binary.LittleEndian.Uint64(entry[8:]))
+	if size <= 0 || size > maxShardedMetaBlob || off%smAlign != 0 || off < tableEnd || off+size > f.Size() {
+		return &core.FormatError{Section: core.SectionMeta, Reason: fmt.Sprintf("metadata [%d,%d) invalid", off, off+size)}
+	}
+	b, err := f.Bytes(off, size)
+	if err != nil {
+		return &core.FormatError{Section: core.SectionMeta, Reason: err.Error()}
+	}
+	if got, want := crc32.ChecksumIEEE(b), binary.LittleEndian.Uint32(entry[16:]); got != want {
+		return &core.FormatError{Section: core.SectionMeta, Reason: fmt.Sprintf("checksum %#08x != %#08x", got, want)}
+	}
+	st, err := meta.Decode(append([]byte(nil), b...), rows)
+	if err != nil {
+		return &core.FormatError{Section: core.SectionMeta, Reason: err.Error()}
+	}
+	s.Meta = st
+	return nil
 }
 
 // ReadOnly reports whether the index serves from a mapping.

@@ -46,7 +46,7 @@ func TestShardedMappedParity(t *testing.T) {
 
 			meta := []byte("opts-blob-v1")
 			path := saveShardedMapped(t, heap, meta)
-			mapped, gotMeta, err := OpenMappedSharded(path, core.MapOptions{})
+			mapped, gotMeta, err := OpenMapped(path, core.MapOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestShardedMappedParity(t *testing.T) {
 // the container must equal the heap index's.
 func TestShardedMappedReadOnlyGuards(t *testing.T) {
 	heap, ds := buildSharded(t, 1000, 2)
-	mapped, _, err := OpenMappedSharded(saveShardedMapped(t, heap, nil), core.MapOptions{})
+	mapped, _, err := OpenMapped(saveShardedMapped(t, heap, nil), core.MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestShardedMappedCorruption(t *testing.T) {
 			if err := os.WriteFile(path, mutated, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			s, _, err := OpenMappedSharded(path, core.MapOptions{})
+			s, _, err := OpenMapped(path, core.MapOptions{})
 			if err == nil {
 				s.Close()
 				t.Fatal("corrupt container opened without error")

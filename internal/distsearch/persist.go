@@ -17,11 +17,18 @@ import (
 // versioned header with the shape and the caller's options blob, the
 // vectors in global-id order, then the shard section ("NSGT") — its own
 // versioned header with the shard count and the optional global metadata
-// blob, then per shard the id map and the shard's NSG. Read copies each
-// shard's rows out of the vector section by its id map, so the loaded
-// index, like a built one, keeps every vector in its shards only.
+// blob, then per shard the id map and the shard's NSG. The only shard of a
+// one-shard index stores an empty id map, which means the identity. Read
+// copies each shard's rows out of the vector section by its id map (a
+// one-shard index keeps the section as its rows), so the loaded index,
+// like a built one, keeps every vector in its shards only.
 
 const (
+	// legacyMagic is "NSGB", the one-index bundle written before every
+	// index saved NSGD: its shape, the vectors in public id order, then one
+	// NSG record carrying the metadata store. Read still accepts it.
+	legacyMagic = 0x4e534742
+
 	// bundleMagic is "NSGD". Version 2 appends the options flags word to
 	// the four option words of version 1, which predates quantization; Read
 	// accepts both.
@@ -117,51 +124,54 @@ func (s *Sharded) Write(w io.Writer, opts []byte) error {
 	return bw.Flush()
 }
 
-// idMaps returns every shard's id map (its handle's translate table, or
-// the identity over its published rows when it keeps none) and the rows
-// they cover.
+// idMaps returns every shard's id map (its handle's translate table: nil,
+// the identity, for the only shard of a one-shard index) and the rows they
+// cover.
 func (s *Sharded) idMaps() ([][]int32, int) {
 	ids := make([][]int32, len(s.handles))
 	rows := 0
 	for sh, h := range s.handles {
 		if ids[sh] = h.Translate(); ids[sh] == nil {
-			ids[sh] = make([]int32, h.Stats().SnapshotRows)
-			for j := range ids[sh] {
-				ids[sh][j] = int32(j)
-			}
+			rows += h.Stats().SnapshotRows
 		}
 		rows += len(ids[sh])
 	}
 	return ids, rows
 }
 
-// Read deserializes a bundle written by Write and returns the index with a
-// running worker pool, ready to serve, plus the options blob (OptionsSize
-// bytes). Id maps that do not partition the rows are an error. When r has a
+// Read deserializes a bundle written by Write, or a legacy NSGB bundle, and
+// returns the index with a running worker pool, ready to serve, plus the
+// options blob (OptionsSize bytes; nil for an NSGB bundle, which keeps
+// none). Id maps that do not partition the rows are an error. When r has a
 // Stat method (an *os.File), the header's shape is bounded by the file size
 // before the vectors are allocated.
 func Read(r io.Reader) (*Sharded, []byte, error) {
 	br := bufio.NewReader(r)
 	hdr := make([]byte, 16+OptionsSize)
-	if _, err := io.ReadFull(br, hdr[:16]); err != nil {
+	if _, err := io.ReadFull(br, hdr[:12]); err != nil {
 		return nil, nil, fmt.Errorf("distsearch: read header: %w", err)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != bundleMagic {
-		return nil, nil, fmt.Errorf("distsearch: not a sharded NSG bundle")
-	}
-	optsLen := OptionsSize
-	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
-	case bundleVersionV1:
-		optsLen -= 4 // no flags word; it reads as zero
-	case bundleVersion:
+	shape, opts := hdr[4:12], []byte(nil)
+	switch binary.LittleEndian.Uint32(hdr[0:]) {
+	case legacyMagic:
+	case bundleMagic:
+		optsLen := OptionsSize
+		switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
+		case bundleVersionV1:
+			optsLen -= 4 // no flags word; it reads as zero
+		case bundleVersion:
+		default:
+			return nil, nil, fmt.Errorf("distsearch: unsupported sharded bundle version %d (want <= %d)", v, bundleVersion)
+		}
+		if _, err := io.ReadFull(br, hdr[12:16+optsLen]); err != nil {
+			return nil, nil, fmt.Errorf("distsearch: read options: %w", err)
+		}
+		shape, opts = hdr[8:16], hdr[16:]
 	default:
-		return nil, nil, fmt.Errorf("distsearch: unsupported sharded bundle version %d (want <= %d)", v, bundleVersion)
+		return nil, nil, fmt.Errorf("distsearch: not an NSG bundle")
 	}
-	if _, err := io.ReadFull(br, hdr[16:16+optsLen]); err != nil {
-		return nil, nil, fmt.Errorf("distsearch: read options: %w", err)
-	}
-	rows := int(binary.LittleEndian.Uint32(hdr[8:]))
-	dim := int(binary.LittleEndian.Uint32(hdr[12:]))
+	rows := int(binary.LittleEndian.Uint32(shape[0:]))
+	dim := int(binary.LittleEndian.Uint32(shape[4:]))
 	if rows <= 0 || dim <= 0 || rows > 1<<30 || dim > 1<<20 {
 		return nil, nil, fmt.Errorf("distsearch: implausible shape %dx%d", rows, dim)
 	}
@@ -177,6 +187,13 @@ func Read(r io.Reader) (*Sharded, []byte, error) {
 	if err := chunkio.ReadFloat32s(br, base.Data); err != nil {
 		return nil, nil, fmt.Errorf("distsearch: truncated vectors: %w", err)
 	}
+	if opts == nil {
+		idx, err := core.ReadNSG(br, base)
+		if err != nil {
+			return nil, nil, err
+		}
+		return single(idx), nil, nil
+	}
 	s, ids, err := readShards(br, base)
 	if err != nil {
 		return nil, nil, err
@@ -184,7 +201,7 @@ func Read(r io.Reader) (*Sharded, []byte, error) {
 	if err := s.start(ids, rows); err != nil {
 		return nil, nil, fmt.Errorf("distsearch: %w", err)
 	}
-	return s, hdr[16:], nil
+	return s, opts, nil
 }
 
 // readShards reads the shard section of a bundle whose vectors are base:
@@ -240,20 +257,25 @@ func readShards(br *bufio.Reader, base vecmath.Matrix) (*Sharded, [][]int32, err
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, nil, fmt.Errorf("distsearch: read shard %d size: %w", sh, err)
 		}
+		// An empty id map is the identity, which only the only shard of an
+		// index can hold: its rows are the vector section as it stands.
 		size := int(binary.LittleEndian.Uint32(buf[:]))
-		if size <= 0 || size > base.Rows {
-			return nil, nil, fmt.Errorf("distsearch: shard %d has implausible size %d", sh, size)
-		}
-		ids := make([]int32, size)
-		if err := chunkio.ReadInt32s(br, ids); err != nil {
-			return nil, nil, fmt.Errorf("distsearch: read shard %d ids: %w", sh, err)
-		}
-		sub := vecmath.NewMatrix(size, base.Dim)
-		for j, id := range ids {
-			if id < 0 || int(id) >= base.Rows {
-				return nil, nil, fmt.Errorf("distsearch: shard %d id %d out of range", sh, id)
+		sub, ids := base, []int32(nil)
+		if size != 0 || nShards != 1 {
+			if size <= 0 || size > base.Rows {
+				return nil, nil, fmt.Errorf("distsearch: shard %d has implausible size %d", sh, size)
 			}
-			copy(sub.Row(j), base.Row(int(id)))
+			ids = make([]int32, size)
+			if err := chunkio.ReadInt32s(br, ids); err != nil {
+				return nil, nil, fmt.Errorf("distsearch: read shard %d ids: %w", sh, err)
+			}
+			sub = vecmath.NewMatrix(size, base.Dim)
+			for j, id := range ids {
+				if id < 0 || int(id) >= base.Rows {
+					return nil, nil, fmt.Errorf("distsearch: shard %d id %d out of range", sh, id)
+				}
+				copy(sub.Row(j), base.Row(int(id)))
+			}
 		}
 		idx, err := core.ReadNSG(br, sub)
 		if err != nil {

@@ -53,20 +53,20 @@ func (o LiveOptions) internal(insert core.InsertParams) live.Options {
 // the shard they landed in folds them into the graph. It may be called any
 // number of times, also while searches and Adds are in flight; it returns
 // ErrReadOnly on a mapped index.
-func (e *engine) EnableLiveUpdates(opts LiveOptions) error {
-	if e.ReadOnly() {
+func (x *Index) EnableLiveUpdates(opts LiveOptions) error {
+	if x.ReadOnly() {
 		return ErrReadOnly
 	}
-	e.s.SetLiveOptions(opts.internal(e.insertParams()))
+	x.s.SetLiveOptions(opts.internal(x.insertParams()))
 	return nil
 }
 
 // MaintenanceStats reports live-update maintenance state, aggregated over
 // the shards: pending depths and drain counters are summed, and LastPublish
 // is the oldest shard's publish time (the staleness bound).
-func (e *engine) MaintenanceStats() MaintenanceStats { return e.s.LiveStats() }
+func (x *Index) MaintenanceStats() MaintenanceStats { return x.s.LiveStats() }
 
 // Flush blocks until every point added before the call is folded into a
 // published snapshot. Useful in tests; Save flushes by itself, and serving
 // never needs it.
-func (e *engine) Flush() { e.s.Flush() }
+func (x *Index) Flush() { x.s.Flush() }

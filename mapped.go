@@ -21,21 +21,20 @@ import (
 // with byte-identical results; Add, Compact (once anything is deleted) and
 // EnableLiveUpdates return ErrReadOnly. Call PromoteToHeap to copy the
 // index out of the mapping and regain the full mutation API, or rebuild
-// from vectors. All of this holds for OpenMappedSharded's containers too.
+// from vectors.
 
 // ErrReadOnly is returned by mutating operations on an index opened with
-// OpenMapped or OpenMappedSharded. Use errors.Is to detect it.
+// OpenMapped. Use errors.Is to detect it.
 var ErrReadOnly = core.ErrReadOnly
 
-// IsCorrupt reports whether err (from OpenMapped or OpenMappedSharded)
-// describes a damaged or truncated index file, as opposed to an I/O
+// IsCorrupt reports whether err (from OpenMapped) describes a damaged or truncated index file, as opposed to an I/O
 // failure. The error text names the section that failed validation.
 func IsCorrupt(err error) bool {
 	var fe *core.FormatError
 	return errors.As(err, &fe)
 }
 
-// MapOptions configures OpenMapped and OpenMappedSharded.
+// MapOptions configures OpenMapped.
 type MapOptions struct {
 	// NoVerify skips the whole-file content verification pass (per-section
 	// CRC32 checks and a graph structure scan), making open O(1) in index
@@ -51,25 +50,30 @@ func (o MapOptions) internal() core.MapOptions {
 	return core.MapOptions{NoVerify: o.NoVerify}
 }
 
-// SaveMapped writes the index in the disk-resident serving layout —
-// alignment-padded slabs behind a checksummed header — crash-safely (temp
-// file + fsync + rename). The file is self-contained (vectors included)
-// and is the format OpenMapped serves without decoding. Stop issuing Adds
-// first; like Save, it flushes the delta. An index with deleted points
-// returns ErrUncompactedDeletes and writes nothing: Compact first.
+// SaveMapped writes the index in the disk-resident serving layout, one
+// container crash-safely written (temp file + fsync + rename): per shard,
+// an id map plus a complete aligned record (adjacency, vectors, codes),
+// all behind checksummed tables, then the metadata store when one is
+// attached. The file is self-contained, keeps the build options as Save
+// does, and is the format OpenMapped serves without decoding. Stop issuing
+// Adds first; like Save, it flushes the delta. An index with deleted
+// points returns ErrUncompactedDeletes and writes nothing: Compact first.
 func (x *Index) SaveMapped(path string) error {
-	if x.DeletedCount() > 0 {
-		return ErrUncompactedDeletes
+	blob, err := x.prepareSave()
+	if err != nil {
+		return err
 	}
-	x.Flush()
-	return x.s.Record().SaveMapped(path)
+	return x.s.SaveMapped(path, blob)
 }
 
-// OpenMapped opens a file written by SaveMapped and serves it in place
-// through a memory mapping (or, where mmap is unavailable, one heap copy of
-// each slab read at open). The returned index is read-only — see
-// ErrReadOnly — and holds the file open until Close. Searches are
-// byte-identical to the heap-resident index that was saved.
+// OpenMapped opens a file written by SaveMapped — by any index, of any
+// shard count, or a one-NSG "NSGM" file from before every index wrote
+// containers — and serves every shard in place through one memory mapping
+// (or, where mmap is unavailable, one heap copy of each slab read at open),
+// restoring the build options and metadata store as Load does. The
+// returned index is read-only — see ErrReadOnly — and holds the file open
+// until Close. Searches are byte-identical to the heap-resident index that
+// was saved.
 //
 // By default the whole file is verified against its checksums before
 // serving (open reads the file once); MapOptions.NoVerify skips that pass
@@ -77,11 +81,16 @@ func (x *Index) SaveMapped(path string) error {
 // rejected as a whole — never partially served — with an error naming the
 // damaged section (see IsCorrupt).
 func OpenMapped(path string, opts MapOptions) (*Index, error) {
-	inner, err := core.OpenMapped(path, opts.internal())
+	s, blob, err := distsearch.OpenMapped(path, opts.internal())
 	if err != nil {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
-	return single(inner), nil
+	x, err := open(s, blob)
+	if err != nil {
+		return nil, fmt.Errorf("nsg: open mapped %s: %w", path,
+			&core.FormatError{Section: core.SectionHeader, Reason: err.Error()})
+	}
+	return x, nil
 }
 
 // PromoteToHeap converts a mapped index into an ordinary mutable index:
@@ -90,39 +99,4 @@ func OpenMapped(path string, opts MapOptions) (*Index, error) {
 // Tombstones and the live-update cadence carry over and search results are
 // unchanged. A no-op on an index that is already heap-resident. Must not
 // run concurrently with other calls on the index.
-func (e *engine) PromoteToHeap() error { return e.s.PromoteToHeap() }
-
-// SaveMapped writes the sharded index as one disk-resident container: per
-// shard, an id map plus a complete aligned record (adjacency, vectors,
-// codes), all behind checksummed tables, written crash-safely. The build
-// options ride along, as with Save. Stop issuing Adds first; SaveMapped
-// flushes the maintainers so the file captures every point. An index with
-// deleted points returns ErrUncompactedDeletes: Compact first.
-func (x *ShardedIndex) SaveMapped(path string) error {
-	if x.DeletedCount() > 0 {
-		return ErrUncompactedDeletes
-	}
-	x.Flush()
-	return x.s.SaveMapped(path, x.encodeOptions())
-}
-
-// OpenMappedSharded opens a container written by ShardedIndex.SaveMapped
-// and serves every shard from one mapping, restoring the options the index
-// was built with. The returned index is read-only (Add and
-// EnableLiveUpdates return ErrReadOnly); searches behave exactly as on the
-// saved index. Close releases the mapping.
-func OpenMappedSharded(path string, opts MapOptions) (*ShardedIndex, error) {
-	s, meta, err := distsearch.OpenMappedSharded(path, opts.internal())
-	if err != nil {
-		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
-	}
-	shardOpts, err := decodeOptions(meta)
-	if err != nil {
-		s.Close()
-		return nil, fmt.Errorf("nsg: open mapped %s: %w", path,
-			&core.FormatError{Section: core.SectionHeader, Reason: err.Error()})
-	}
-	x := &ShardedIndex{}
-	x.init(s, shardOpts)
-	return x, nil
-}
+func (x *Index) PromoteToHeap() error { return x.s.PromoteToHeap() }

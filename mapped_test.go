@@ -3,7 +3,8 @@ package nsg
 // Public-API tests for disk-resident serving: mapped/heap search parity
 // across index shapes (float32, SQ8+rerank, tombstoned, sharded), the
 // read-only mutation contract, PromoteToHeap, the crash-safety of the
-// atomic save path, and a fuzz target over the sharded bundle loader.
+// atomic save path, and fuzz targets over the bundle loader and the mapped
+// open.
 
 import (
 	"bytes"
@@ -101,9 +102,7 @@ func TestMappedParityPublic(t *testing.T) {
 	t.Run("int4", func(t *testing.T) {
 		heap := buildMappedPublicIndex(t, ds, QuantSQ8)
 		path := filepath.Join(t.TempDir(), "idx.nsgm")
-		if err := heap.SaveMapped(path); err != nil {
-			t.Fatal(err)
-		}
+		writeLegacyMapped(t, heap, path) // int4 files were top-level NSGM records
 		// The flags word is header bytes 8..11; the header checksum over the
 		// first 188 bytes is recomputed so the flags check itself is reached.
 		blob := mutateWord(t, path, 8, swapSQ8ForInt4(t))
@@ -328,7 +327,7 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Run("mmap", func(t *testing.T) {
-				mapped, err := OpenMappedSharded(path, MapOptions{})
+				mapped, err := OpenMapped(path, MapOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -419,13 +418,13 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run("mmap", func(t *testing.T) {
-			mapped, err := OpenMappedSharded(path, MapOptions{})
+			mapped, err := OpenMapped(path, MapOptions{})
 			if err == nil {
 				mapped.Close()
-				t.Fatal("OpenMappedSharded accepted the int4 bit")
+				t.Fatal("OpenMapped accepted the int4 bit")
 			}
 			if !IsCorrupt(err) || !strings.Contains(err.Error(), "option flags") {
-				t.Fatalf("OpenMappedSharded with the int4 bit: got %v, want a corrupt option flags error", err)
+				t.Fatalf("OpenMapped with the int4 bit: got %v, want a corrupt option flags error", err)
 			}
 		})
 	})
@@ -558,6 +557,22 @@ func FuzzLoadSharded(f *testing.F) {
 	f.Add(seed[:len(seed)/3])
 	f.Add(seed[:40])
 	f.Add([]byte{})
+	// A one-shard bundle (its empty id map) and a legacy NSGB bundle.
+	one, err := BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts.Shard)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := one.Save(seedPath); err != nil {
+		f.Fatal(err)
+	}
+	writeLegacyBundle(f, one, seedPath+".nsgb")
+	for _, p := range []string{seedPath, seedPath + ".nsgb"} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 
 	scratch := filepath.Join(f.TempDir(), "fuzz.nsg")
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -569,18 +584,83 @@ func FuzzLoadSharded(f *testing.F) {
 			return
 		}
 		defer got.Close()
-		// A loaded index's id maps partition its rows, so every answer
-		// holds distinct ids in [0, Len()).
-		if got.Len() > 0 && got.Dim() > 0 && got.Dim() <= 1024 {
-			q := make([]float32, got.Dim())
-			ids, _ := got.SearchWithPool(q, 3, 16)
-			seen := make(map[int32]bool, len(ids))
-			for _, id := range ids {
-				if id < 0 || int(id) >= got.Len() || seen[id] {
-					t.Fatalf("search of a loaded index returned %v: id %d repeated or outside [0,%d)", ids, id, got.Len())
-				}
-				seen[id] = true
+		checkFuzzedIndex(t, got)
+	})
+}
+
+// checkFuzzedIndex holds an index read from fuzzed bytes to what every
+// accepted file promises: its id maps partition its rows, so an answer
+// holds distinct ids in [0, Len()), and a metadata store covers every row.
+func checkFuzzedIndex(t *testing.T, got *Index) {
+	if m := got.Metadata(); m != nil && m.Rows() != got.Len() {
+		t.Fatalf("metadata store of %d rows on an index of %d", m.Rows(), got.Len())
+	}
+	if got.Len() > 0 && got.Dim() > 0 && got.Dim() <= 1024 {
+		q := make([]float32, got.Dim())
+		ids, _ := got.SearchWithPool(q, 3, 16)
+		seen := make(map[int32]bool, len(ids))
+		for _, id := range ids {
+			if id < 0 || int(id) >= got.Len() || seen[id] {
+				t.Fatalf("search of an opened index returned %v: id %d repeated or outside [0,%d)", ids, id, got.Len())
 			}
+			seen[id] = true
 		}
+	}
+}
+
+// FuzzOpenMapped feeds arbitrary bytes to OpenMapped: the NSMS container
+// (its shard table, id maps, embedded records and metadata section) and
+// the legacy top-level NSGM record behind it. It must either return an
+// error or an index that keeps checkFuzzedIndex's promises.
+func FuzzOpenMapped(f *testing.F) {
+	ds, err := dataset.SIFTLike(dataset.Config{N: 300, Queries: 2, GTK: 5, Dim: 8, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.ExactKNN = true
+	opts.Seed = 3
+	one, err := BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	two, err := BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, ShardedOptions{Shards: 2, Shard: opts})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer two.Close()
+	if err := two.SetMetadata(parityMetadata(two.Len())); err != nil {
+		f.Fatal(err)
+	}
+	dir := f.TempDir()
+	paths := []string{filepath.Join(dir, "one.nsms"), filepath.Join(dir, "two.nsms"), filepath.Join(dir, "one.nsgm")}
+	if err := one.SaveMapped(paths[0]); err != nil {
+		f.Fatal(err)
+	}
+	if err := two.SaveMapped(paths[1]); err != nil {
+		f.Fatal(err)
+	}
+	writeLegacyMapped(f, one, paths[2])
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+	}
+	f.Add([]byte{})
+
+	scratch := filepath.Join(f.TempDir(), "fuzz.nsms")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(scratch, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := OpenMapped(scratch, MapOptions{})
+		if err != nil {
+			return
+		}
+		defer got.Close()
+		checkFuzzedIndex(t, got)
 	})
 }

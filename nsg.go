@@ -16,8 +16,10 @@
 // Algorithm 1 greedy best-first search from the navigating node; the
 // SearchL knob (or the per-call SearchWithPool) trades time for recall.
 //
-// Indexes can be persisted with Save and re-opened with Load; vectors are
-// stored alongside the graph so a loaded index is self-contained.
+// Indexes can be persisted with Save and re-opened with Load, or written
+// with SaveMapped and served in place with OpenMapped. Every index, of any
+// shard count, writes these two formats, with its vectors, build options
+// and metadata store, so a reopened index is self-contained.
 //
 // # Search contexts and the zero-allocation hot path
 //
@@ -48,29 +50,28 @@
 //
 // # Sharded serving
 //
-// ShardedIndex scales the same machinery out the way the paper's largest
+// BuildSharded scales the same Index out the way the paper's largest
 // deployments do (DEEP100M's 16 parallel subset NSGs, Taobao's 12/32
 // partitions): the base set is partitioned, one NSG is built per shard in
 // parallel, and every query fans out across a pool of persistent shard
-// workers with results merged by distance. Index is its one-shard case:
-// one implementation serves both. The search path keeps the
-// zero-allocation steady state, and cmd/nsgserve wraps it in an HTTP
-// server. See ShardedIndex and EXPERIMENTS.md's "sharded" experiment.
+// workers with results merged by distance. Build's index is its one-shard
+// case: one type and one implementation serve both (ShardedIndex is an
+// alias of Index). The search path keeps the zero-allocation steady
+// state, and cmd/nsgserve wraps it in an HTTP server. See Index and
+// EXPERIMENTS.md's "sharded" experiment.
 package nsg
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"sync"
 
-	"repro/internal/chunkio"
-	"repro/internal/core"
 	"repro/internal/distsearch"
 	"repro/internal/mstore"
-	"repro/internal/vecmath"
 )
 
 // QuantMode selects the compressed serving path an index traverses with.
@@ -172,15 +173,45 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// Index is a built NSG over a copy of the caller's vectors. It is the
-// one-shard case of ShardedIndex — the same implementation, with one shard
-// whose ids are the index's ids — and adds only its own builders, its
-// single-NSG file formats (Save/Load, SaveMapped/OpenMapped) and Stats.
-type Index struct{ engine }
+// Index is a built NSG index over a copy of the caller's vectors: r
+// independent NSGs over a random partition of the base set (r = 1 for Build
+// and BuildFromFlat), every query fanned out to all of them with results
+// merged by distance. This is how the paper serves its largest workloads —
+// DEEP100M as 16 subset NSGs searched simultaneously (Figure 7) and the
+// Taobao production deployment's 12- and 32-partition distributed search
+// (Table 5) — with goroutines standing in for the paper's machines, and a
+// single NSG is its one-shard case.
+//
+// Sharding trades a little per-query work (every shard is searched) for
+// three things: build time (r small NSGs build faster than one big one, in
+// parallel), tail latency (each shard's graph is shallower, and shard
+// searches overlap on separate cores), and operational ceiling (shards are
+// the unit you would distribute across processes or hosts).
+//
+// Any number of goroutines may query concurrently, and Add and Delete are
+// safe concurrently with searches and with each other. The caller of a
+// search runs one shard itself, and on more than one shard a pool of
+// persistent shard-worker goroutines, one warm SearchContext per worker,
+// takes the others, so a steady-state Search allocates nothing beyond the
+// two returned result slices. Call Close when discarding an index before
+// process exit so those workers and the shard maintainers are released.
+type Index struct {
+	s    *distsearch.Sharded
+	opts Options // per shard: builds, inserts and default searches
+	// metaMu serializes AddWithMetadata's id assignment with its row write.
+	metaMu sync.Mutex
+	// bufs recycles merge destination buffers, so a steady-state search
+	// allocates nothing beyond the two slices it returns.
+	bufs sync.Pool
+}
+
+// ShardedIndex is the name Index had when it was built by BuildSharded;
+// see Index.
+type ShardedIndex = Index
 
 // BuildStats reports where construction time went, phase by phase (the
 // kNN graph, then Algorithm 2's four phases, summed over the shards), and
-// the build's wall time. See BuildStats methods of Index and ShardedIndex.
+// the build's wall time. See Index.BuildStats.
 type BuildStats = distsearch.BuildStats
 
 // ErrNonFinite is returned by Build, BuildFromFlat, the sharded builders
@@ -189,29 +220,124 @@ type BuildStats = distsearch.BuildStats
 // search for such a query answers empty, like one with k <= 0.
 var ErrNonFinite = errors.New("nsg: vector has a NaN or infinite coordinate")
 
-// Build indexes the given vectors. All vectors must share one dimension and
-// there must be at least two of them.
+// Build indexes the given vectors as one NSG. All vectors must share one
+// dimension and there must be at least two of them.
 func Build(vectors [][]float32, opts Options) (*Index, error) {
-	if len(vectors) < 2 {
-		return nil, fmt.Errorf("nsg: need at least 2 vectors, have %d", len(vectors))
-	}
-	base := vecmath.MatrixFromSlices(vectors)
-	return BuildFromFlat(base.Data, base.Dim, opts)
+	return BuildSharded(vectors, ShardedOptions{Shards: 1, Shard: opts})
 }
 
 // BuildFromFlat indexes row-major flat data without per-row slices: data
 // holds n*dim values. The index copies the rows and keeps no reference to
 // data; ids are the caller's row numbers, and Vector(id) returns row id.
 func BuildFromFlat(data []float32, dim int, opts Options) (*Index, error) {
-	if dim <= 0 || len(data)%dim != 0 {
-		return nil, fmt.Errorf("nsg: data length %d not a multiple of dim %d", len(data), dim)
+	return BuildShardedFromFlat(data, dim, ShardedOptions{Shards: 1, Shard: opts})
+}
+
+// Stats describes the built graphs.
+type Stats struct {
+	N          int     // vectors in the published snapshots
+	AvgDegree  float64 // average out-degree over every shard's rows
+	MaxDegree  int     // maximum out-degree
+	IndexBytes int64   // summed graph footprints with fixed-stride rows
+	Shards     int     // partition count
+	ShardSizes []int   // vectors per shard, pending ones included
+}
+
+// Stats reports graph statistics, aggregated over the shards. The graph
+// figures describe the published snapshots (pending delta points join once
+// drained) and are safe to read concurrently with serving.
+func (x *Index) Stats() Stats {
+	st := Stats{Shards: x.s.Shards(), ShardSizes: x.s.ShardSizes()}
+	edges := 0.0
+	for sh := range st.Shards {
+		s := x.s.IndexStats(sh)
+		st.N += s.N
+		edges += math.Round(s.AvgDegree * float64(s.N)) // the shard's edge count
+		st.MaxDegree = max(st.MaxDegree, s.MaxDegree)
+		st.IndexBytes += s.IndexBytes
 	}
-	n := len(data) / dim
-	if n < 2 {
-		return nil, fmt.Errorf("nsg: need at least 2 vectors, have %d", n)
+	if st.N > 0 {
+		st.AvgDegree = edges / float64(st.N)
 	}
-	s, opts, err := build(vecmath.Matrix{Data: data, Rows: n, Dim: dim}, opts, 1)
+	return st
+}
+
+// ErrUncompactedDeletes is returned by Save and SaveMapped while the index
+// has deleted points. No file format stores tombstones, so the saved file
+// would bring the deleted points back; call Compact first. No file is
+// written.
+var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file can keep; Compact before saving")
+
+// Save writes the index, including its vectors, build options and metadata
+// store, to path — crash-safely: the bundle streams into a temp file that
+// is fsynced and renamed into place, so an interrupted save leaves the
+// previous file intact rather than a truncated bundle. The bundle (see
+// distsearch.Sharded.Write) holds the shape and the per-shard Options,
+// then the vectors in id order, then the shard id maps and per-shard
+// graphs. Stop issuing Adds and Deletes first: Save flushes the delta so
+// the file captures every point; concurrent searches are fine. A mapped
+// index writes the bytes the index it was mapped from would; an index with
+// deleted points returns ErrUncompactedDeletes (Compact first).
+func (x *Index) Save(path string) error {
+	blob, err := x.prepareSave()
 	if err != nil {
+		return err
+	}
+	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
+		return x.s.Write(w, blob)
+	})
+}
+
+// prepareSave is what both file writers do first: refuse tombstones, flush
+// the delta, pad the metadata store with missing rows for points added
+// without one (plain Add), so it covers every row, and encode the options.
+func (x *Index) prepareSave() ([]byte, error) {
+	if x.DeletedCount() > 0 {
+		return nil, ErrUncompactedDeletes
+	}
+	x.Flush()
+	x.metaMu.Lock()
+	defer x.metaMu.Unlock()
+	if m := x.s.Meta; m != nil && m.Rows() < x.Len() {
+		if err := m.SetRow(x.Len()-1, nil); err != nil {
+			return nil, fmt.Errorf("nsg: pad metadata: %w", err)
+		}
+	}
+	return x.encodeOptions(), nil
+}
+
+// Load reopens an index written by Save — by any index, of any shard count
+// — restoring the options it was built with, so Add, Compact and default
+// searches behave as on the original index, and its metadata store. A
+// bundle from before every index wrote this format (a one-NSG "NSGB" file)
+// keeps only the degree cap and quantization mode; GraphK, BuildL and
+// SearchL take DefaultOptions' values. The loaded index serves immediately.
+func Load(path string) (*Index, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("nsg: %w", err)
+	}
+	defer f.Close()
+	s, blob, err := distsearch.Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("nsg: load %s: %w", path, err)
+	}
+	x, err := open(s, blob)
+	if err != nil {
+		return nil, fmt.Errorf("nsg: load %s: %w", path, err)
+	}
+	return x, nil
+}
+
+// LoadSharded is Load; see Load.
+func LoadSharded(path string) (*ShardedIndex, error) { return Load(path) }
+
+// open attaches a loaded or mapped index with the options its file's blob
+// encodes (nil for a legacy one-NSG file).
+func open(s *distsearch.Sharded, blob []byte) (*Index, error) {
+	opts, err := decodeOptions(blob, s)
+	if err != nil {
+		s.Close()
 		return nil, err
 	}
 	x := &Index{}
@@ -219,125 +345,52 @@ func BuildFromFlat(data []float32, dim int, opts Options) (*Index, error) {
 	return x, nil
 }
 
-// Stats describes the built graph.
-type Stats struct {
-	N          int     // indexed vectors
-	AvgDegree  float64 // average out-degree
-	MaxDegree  int     // maximum out-degree
-	IndexBytes int64   // graph footprint with fixed-stride rows
-}
+// The options blob both formats carry (distsearch.OptionsSize bytes):
+// GraphK, BuildL, MaxDegree and SearchL, then the flags word.
+const (
+	optQuantize = 1 << 0
+	// optInt4 is reserved. Set beside optQuantize it marked the int4 path,
+	// which was removed; decodeOptions rejects it as an unknown bit, and it
+	// must not be reused, so an old int4 bundle is never misread.
+	optInt4 = 1 << 1
+)
 
-// Stats reports graph statistics. They describe the published snapshot
-// (pending delta points join once drained) and are safe to read
-// concurrently with serving.
-func (x *Index) Stats() Stats {
-	s := x.s.IndexStats(0)
-	return Stats{N: s.N, AvgDegree: s.AvgDegree, MaxDegree: s.MaxDegree, IndexBytes: s.IndexBytes}
-}
-
-const fileMagic = 0x4e534742 // "NSGB" — bundled index+vectors format
-
-// ErrUncompactedDeletes is returned by Save and SaveMapped, of an Index or
-// a ShardedIndex, while it has deleted points. No file format stores
-// tombstones, so the saved file would bring the deleted points back; call
-// Compact first. No file is written.
-var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file can keep; Compact before saving")
-
-// Save writes the index, including its vectors, to path — crash-safely:
-// the bundle streams into a temp file that is fsynced and renamed into
-// place, so an interrupted save leaves the previous file intact rather
-// than a truncated bundle. Stop issuing Adds and Deletes first: Save
-// flushes the delta so the file captures every point; concurrent searches
-// are fine. A mapped index writes the bytes the index it was mapped from
-// would; an index with deleted points returns ErrUncompactedDeletes
-// (Compact first).
-func (x *Index) Save(path string) error {
-	if x.DeletedCount() > 0 {
-		return ErrUncompactedDeletes
+func (x *Index) encodeOptions() []byte {
+	blob := make([]byte, distsearch.OptionsSize)
+	binary.LittleEndian.PutUint32(blob[0:], uint32(x.opts.GraphK))
+	binary.LittleEndian.PutUint32(blob[4:], uint32(x.opts.BuildL))
+	binary.LittleEndian.PutUint32(blob[8:], uint32(x.opts.MaxDegree))
+	binary.LittleEndian.PutUint32(blob[12:], uint32(x.opts.SearchL))
+	if x.opts.Quantize == QuantSQ8 {
+		binary.LittleEndian.PutUint32(blob[16:], optQuantize)
 	}
-	x.Flush()
-	rec := x.s.Record()
-	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		hdr := make([]byte, 12)
-		binary.LittleEndian.PutUint32(hdr[0:], fileMagic)
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(rec.Base.Rows))
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(rec.Base.Dim))
-		if _, err := bw.Write(hdr); err != nil {
-			return fmt.Errorf("nsg: write header: %w", err)
+	return blob
+}
+
+// decodeOptions is the inverse of encodeOptions; zeroed fields take their
+// defaults. A flags word with any bit it does not know, the reserved
+// optInt4 among them, is an error. A legacy one-NSG file has no blob: its
+// options are its record's degree cap and quantization mode over
+// DefaultOptions.
+func decodeOptions(blob []byte, s *distsearch.Sharded) (Options, error) {
+	if blob == nil {
+		blob = make([]byte, distsearch.OptionsSize)
+		binary.LittleEndian.PutUint32(blob[8:], uint32(s.Shard(0).M))
+		if s.Quantized() {
+			binary.LittleEndian.PutUint32(blob[16:], optQuantize)
 		}
-		// Vectors are stored in public id order, row-streamed through the
-		// remap without copying the matrix; the core section carries the
-		// remap table and restores the internal order on load.
-		if err := chunkio.WriteRows(bw, rec.Base.Rows, func(r int) []float32 {
-			return rec.VectorByID(int32(r))
-		}); err != nil {
-			return fmt.Errorf("nsg: write vectors: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
-			return fmt.Errorf("nsg: %w", err)
-		}
-		return rec.Write(w)
-	})
-}
-
-// Load reopens an index written by Save. The file keeps the degree cap
-// (Options.MaxDegree), which later Adds and Compact build with, and the
-// quantization mode; it does not keep GraphK, BuildL or SearchL, which take
-// DefaultOptions' values.
-func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("nsg: %w", err)
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("nsg: read header: %w", err)
+	flags := binary.LittleEndian.Uint32(blob[16:])
+	if flags&^optQuantize != 0 {
+		return Options{}, fmt.Errorf("unsupported option flags %#x", flags)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != fileMagic {
-		return nil, fmt.Errorf("nsg: %s is not an NSG bundle", path)
+	opts := Options{
+		GraphK:    int(binary.LittleEndian.Uint32(blob[0:])),
+		BuildL:    int(binary.LittleEndian.Uint32(blob[4:])),
+		MaxDegree: int(binary.LittleEndian.Uint32(blob[8:])),
+		SearchL:   int(binary.LittleEndian.Uint32(blob[12:])),
+		Quantize:  quantModeOf(flags&optQuantize != 0),
 	}
-	rows := int(binary.LittleEndian.Uint32(hdr[4:]))
-	dim := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if rows <= 0 || dim <= 0 || rows > 1<<30 || dim > 1<<20 {
-		return nil, fmt.Errorf("nsg: implausible shape %dx%d", rows, dim)
-	}
-	// Bound the header's claim against the file before allocating rows*dim
-	// floats: a corrupt header must not turn into a giant allocation.
-	if fi, err := f.Stat(); err == nil && fi.Size() < int64(rows)*int64(dim)*4 {
-		return nil, fmt.Errorf("nsg: file holds %d bytes, too small for claimed %dx%d vectors", fi.Size(), rows, dim)
-	}
-	base := vecmath.NewMatrix(rows, dim)
-	if err := chunkio.ReadFloat32s(br, base.Data); err != nil {
-		return nil, fmt.Errorf("nsg: truncated vectors: %w", err)
-	}
-	inner, err := core.ReadNSG(br, base)
-	if err != nil {
-		return nil, err
-	}
-	return single(inner), nil
-}
-
-// single wraps a loaded or mapped NSG as a one-shard Index with its
-// loadedOptions.
-func single(inner *core.NSG) *Index {
-	x := &Index{}
-	x.init(distsearch.Single(inner), loadedOptions(inner))
-	return x
-}
-
-// loadedOptions are the options of an index read from a file: the stored
-// degree cap and quantization mode over DefaultOptions. A quantized file
-// carries its codes and scales, so the index serves through its quantized
-// path immediately — no retraining — and keeps Quantize set so a later
-// Compact rebuilds the quantized state.
-func loadedOptions(inner *core.NSG) Options {
-	opts := DefaultOptions()
-	if inner.M > 0 {
-		opts.MaxDegree = inner.M
-	}
-	opts.Quantize = quantModeOf(inner.IsQuantized())
-	return opts
+	opts.fillDefaults()
+	return opts, nil
 }

@@ -3,6 +3,7 @@ package nsg
 import (
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -231,7 +232,7 @@ func TestReopenedIndexKeepsDegreeCap(t *testing.T) {
 		t.Fatalf("built index grew to degree %d under cap %d", want.MaxDegree, opts.MaxDegree)
 	}
 	for name, x := range map[string]*Index{"Load": loaded, "OpenMapped": mapped} {
-		if got := x.Stats(); got != want {
+		if got := x.Stats(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: after the same Adds, stats %+v, want the saved index's %+v", name, got, want)
 		}
 	}
@@ -333,8 +334,8 @@ func TestEveryIndexIsRelaid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if idx.s.Record().Navigating != 0 {
-					t.Fatalf("navigating node is internal row %d, not 0: the index was not relaid", idx.s.Record().Navigating)
+				if idx.s.Shard(0).Navigating != 0 {
+					t.Fatalf("navigating node is internal row %d, not 0: the index was not relaid", idx.s.Shard(0).Navigating)
 				}
 				if idx.QuantMode() != quant {
 					t.Fatalf("QuantMode %v, want %v", idx.QuantMode(), quant)

@@ -217,10 +217,13 @@ func TestQuantizedSaveLoadParity(t *testing.T) {
 		}
 	})
 	t.Run("int4", func(t *testing.T) {
-		// The core record's flags word follows the 12-byte bundle header,
-		// the vectors, and the record's own magic, navigating node and M.
+		// int4 bundles were NSGB files. The core record's flags word follows
+		// the 12-byte bundle header, the vectors, and the record's own
+		// magic, navigating node and M.
+		legacy := filepath.Join(t.TempDir(), "quant.nsgb")
+		writeLegacyBundle(t, idx, legacy)
 		at := 12 + 4*idx.Len()*idx.Dim() + 12
-		blob := mutateWord(t, path, at, swapSQ8ForInt4(t))
+		blob := mutateWord(t, legacy, at, swapSQ8ForInt4(t))
 		old := filepath.Join(t.TempDir(), "int4.nsg")
 		if err := os.WriteFile(old, blob, 0o644); err != nil {
 			t.Fatal(err)
@@ -257,10 +260,10 @@ func swapSQ8ForInt4(t *testing.T) func(uint32) uint32 {
 // sharded options word, failing the test if the quantize bit is not set.
 func addInt4Option(t *testing.T) func(uint32) uint32 {
 	return func(f uint32) uint32 {
-		if f != shardedOptQuantize {
+		if f != optQuantize {
 			t.Fatalf("options word %#x is not the SQ8 option", f)
 		}
-		return f | shardedOptInt4
+		return f | optInt4
 	}
 }
 

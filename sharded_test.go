@@ -101,9 +101,14 @@ func TestShardedSaveLoadParity(t *testing.T) {
 			}
 		}
 	}
-	// A corrupted magic must be rejected.
-	if _, err := Load(path); err == nil {
-		t.Error("nsg.Load accepted a sharded bundle")
+	// Load and LoadSharded are one reader: Load serves the sharded bundle.
+	again, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load of a sharded bundle: %v", err)
+	}
+	defer again.Close()
+	if again.Shards() != idx.Shards() || again.Len() != idx.Len() {
+		t.Fatalf("Load: %d shards, %d rows; want %d, %d", again.Shards(), again.Len(), idx.Shards(), idx.Len())
 	}
 }
 
