@@ -20,7 +20,7 @@ const nShards = 3
 
 // testCluster boots 3 fake shards x 2 replicas with interleaved distances
 // (shard si's j-th neighbor has dist j*3+si) and IDOffset si*100.
-func testCluster(t *testing.T) (cluster.Topology, [][]*clustertest.Backend) {
+func testCluster(t testing.TB) (cluster.Topology, [][]*clustertest.Backend) {
 	t.Helper()
 	var topo cluster.Topology
 	backends := make([][]*clustertest.Backend, nShards)
@@ -72,7 +72,7 @@ func wantIDs(k int, missing ...int) []int32 {
 	return out
 }
 
-func newTestRouterServer(t *testing.T, topo cluster.Topology, policy cluster.PartialPolicy) (*routerServer, *httptest.Server) {
+func newTestRouterServer(t testing.TB, topo cluster.Topology, policy cluster.PartialPolicy) (*routerServer, *httptest.Server) {
 	t.Helper()
 	tr := cluster.NewHTTPTransport()
 	t.Cleanup(tr.CloseIdleConnections)

@@ -371,21 +371,42 @@ type searchRequest struct {
 	Filter json.RawMessage `json:"filter,omitempty"`
 }
 
-// compileFilter turns a request's raw filter clause into a compiled filter,
-// or (nil, nil) when the request has none. Compilation is O(rows) per
-// request; clients issuing many searches under one predicate should prefer
-// /search/batch, which compiles once for the whole batch.
-func (s *server) compileFilter(raw json.RawMessage) (*nsg.ShardedFilter, error) {
+// check is the one request check POST /search, /wire and POST
+// /search/batch run: every query's dimension (a batch names a wrong one by
+// its position), k and l against the server limit once zero ones take the
+// server's defaults, and the raw filter clause compiled into a filter (nil
+// when the request has none). Compilation is O(rows) per request; clients
+// issuing many searches under one predicate should prefer /search/batch,
+// which compiles once for the whole batch.
+func (s *server) check(queries [][]float32, batch bool, k, l *int, raw json.RawMessage) (*nsg.ShardedFilter, *cluster.ReplicaError) {
+	for i, q := range queries {
+		if len(q) == s.idx.Dim() {
+			continue
+		}
+		if batch {
+			return nil, cluster.BadRequest("query %d dim %d != index dim %d", i, len(q), s.idx.Dim())
+		}
+		return nil, cluster.BadRequest("query dim %d != index dim %d", len(q), s.idx.Dim())
+	}
+	if *k <= 0 {
+		*k = s.defaultK
+	}
+	if *l <= 0 {
+		*l = s.defaultL
+	}
+	if *k > s.maxL || *l > s.maxL {
+		return nil, cluster.BadRequest("k %d / l %d exceed the server limit %d", *k, *l, s.maxL)
+	}
 	if len(raw) == 0 {
 		return nil, nil
 	}
 	p, err := nsg.UnmarshalPredicate(raw)
 	if err != nil {
-		return nil, err
+		return nil, cluster.BadRequest("%v", err)
 	}
 	f, err := s.idx.CompileFilter(p)
 	if err != nil {
-		return nil, fmt.Errorf("filter: %w", err)
+		return nil, cluster.BadRequest("filter: %v", err)
 	}
 	return f, nil
 }
@@ -418,25 +439,12 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 // search validates and answers one query. It is the whole of a search
 // request behind its decoding, shared by POST /search and the /wire frame
-// loop, so both edges check, count and time a query identically. Zero k or l
-// take the server's defaults.
+// loop, so both edges check, count and time a query identically.
 func (s *server) search(req *searchRequest) (searchResponse, *cluster.ReplicaError) {
-	if len(req.Query) != s.idx.Dim() {
-		return searchResponse{}, cluster.BadRequest("query dim %d != index dim %d", len(req.Query), s.idx.Dim())
-	}
 	k, l := req.K, req.L
-	if k <= 0 {
-		k = s.defaultK
-	}
-	if l <= 0 {
-		l = s.defaultL
-	}
-	if k > s.maxL || l > s.maxL {
-		return searchResponse{}, cluster.BadRequest("k %d / l %d exceed the server limit %d", k, l, s.maxL)
-	}
-	flt, err := s.compileFilter(req.Filter)
+	flt, err := s.check([][]float32{req.Query}, false, &k, &l, req.Filter)
 	if err != nil {
-		return searchResponse{}, cluster.BadRequest("%v", err)
+		return searchResponse{}, err
 	}
 	start := time.Now()
 	var resp searchResponse
@@ -585,25 +593,9 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%d queries exceed the batch limit %d", len(req.Queries), maxBatchQueries)
 		return
 	}
-	for i, q := range req.Queries {
-		if len(q) != s.idx.Dim() {
-			httpError(w, http.StatusBadRequest, "query %d dim %d != index dim %d", i, len(q), s.idx.Dim())
-			return
-		}
-	}
-	if req.K <= 0 {
-		req.K = s.defaultK
-	}
-	if req.L <= 0 {
-		req.L = s.defaultL
-	}
-	if req.K > s.maxL || req.L > s.maxL {
-		httpError(w, http.StatusBadRequest, "k %d / l %d exceed the server limit %d", req.K, req.L, s.maxL)
-		return
-	}
-	flt, err := s.compileFilter(req.Filter)
+	flt, err := s.check(req.Queries, true, &req.K, &req.L, req.Filter)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, err.Status, "%s", err.Msg)
 		return
 	}
 	start := time.Now()

@@ -1,119 +1,257 @@
 package nsg
 
 // File-format compatibility: every index writes the NSGD stream bundle and
-// the NSMS mapped container, and the two one-index layouts written before
-// that (the NSGB bundle and the top-level NSGM record) still load and open.
-// No writer of the old layouts remains, so the helpers below rebuild them
-// from a one-shard index out of the pieces they were made of.
+// the NSMS mapped container, byte for byte as pinned below, and the files
+// older builds wrote (the NSGB bundle and the top-level NSGM record, the
+// version-1 containers) still load and open.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/chunkio"
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
-// writeLegacyBundle writes x, a one-shard index, as an NSGB bundle: the
-// magic, row count and dimension, the vectors in id order, then the
-// shard's NSG record carrying the metadata store.
-func writeLegacyBundle(t testing.TB, x *Index, path string) {
-	t.Helper()
-	rec := x.s.Shard(0)
-	rec.Meta = x.s.Meta
-	defer func() { rec.Meta = nil }()
-	var buf bytes.Buffer
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:], 0x4e534742) // "NSGB"
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(x.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(x.Dim()))
-	buf.Write(hdr)
-	if err := chunkio.WriteRows(&buf, x.Len(), x.Vector); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// The files under testdata/legacy were written by the tree of commit
+// f02bd49 (testdata/legacy/gen.go), the last whose Index wrote the
+// one-index layouts: an NSGB bundle and a top-level NSGM record, each with
+// a metadata store, float32 and SQ8, and a 3-shard SQ8 index's NSGD bundle
+// and version-1 NSMS container. No writer of these bytes remains, so they
+// are what holds the readers to files an older build really wrote.
+func legacyPath(name string) string { return filepath.Join("testdata", "legacy", name) }
+
+// The fixtures' shape: 240 rows of 16 dimensions.
+const legacyRows, legacyDim = 240, 16
+
+// legacyFixtures lists each fixture pair with the options a reader must
+// restore and the digest of the writing index's answers (see
+// legacyAnswers). A one-index file kept only its degree cap and
+// quantization mode; the sharded files keep every persisted option.
+var legacyFixtures = []struct {
+	name           string
+	stream, mapped string
+	shards         int
+	opts           Options
+	filtered       bool // the file carries the metadata store
+	answers        uint64
+}{
+	{"float32", "one_f32.nsgb", "one_f32.nsgm", 1, Options{GraphK: 20, BuildL: 50, MaxDegree: 12, SearchL: 60}, true, 0x613aa49e93d9ed53},
+	{"sq8", "one_sq8.nsgb", "one_sq8.nsgm", 1, Options{GraphK: 20, BuildL: 50, MaxDegree: 12, SearchL: 60, Quantize: QuantSQ8}, true, 0x613aa49e93d9ed53},
+	{"sharded", "three.nsgd", "three.nsms", 3, Options{GraphK: 10, BuildL: 30, MaxDegree: 12, SearchL: 40, Quantize: QuantSQ8}, false, 0xa58afc9200459117},
 }
 
-// writeLegacyMapped writes x, a one-shard index, as a top-level NSGM
-// record: the shard's aligned record carrying the metadata store.
-func writeLegacyMapped(t testing.TB, x *Index, path string) {
+// legacyAnswers digests x's answers to the fixture queries at k = 10,
+// l = 40, plain and (when filtered) under Eq("category", "c3"): FNV-64a
+// over each answer's length, then every id and distance bit pattern,
+// little-endian, as gen.go prints it.
+func legacyAnswers(t *testing.T, x *Index, filtered bool) uint64 {
 	t.Helper()
-	rec := x.s.Shard(0)
-	rec.Meta = x.s.Meta
-	defer func() { rec.Meta = nil }()
-	if err := rec.SaveMapped(path); err != nil {
+	qs, err := dataset.LoadFvecsFile(legacyPath("queries.fvecs"))
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// legacyPair builds a one-shard index with metadata (float32 or SQ8) and
-// writes it in both legacy layouts, returning the index and the two paths.
-func legacyPair(t *testing.T, ds dataset.Dataset, q QuantMode) (x *Index, bundle, record string) {
-	t.Helper()
-	x = buildMappedPublicIndex(t, ds, q)
-	if err := x.SetMetadata(parityMetadata(x.Len())); err != nil {
-		t.Fatal(err)
+	var f *Filter
+	if filtered {
+		if f, err = x.CompileFilter(Eq("category", "c3")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	dir := t.TempDir()
-	bundle, record = filepath.Join(dir, "idx.nsgb"), filepath.Join(dir, "idx.nsgm")
-	writeLegacyBundle(t, x, bundle)
-	writeLegacyMapped(t, x, record)
-	return x, bundle, record
+	h := fnv.New64a()
+	put := func(ids []int32, dists []float32) {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(ids)))
+		for i := range ids {
+			b = binary.LittleEndian.AppendUint32(b, uint32(ids[i]))
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(dists[i]))
+		}
+		h.Write(b)
+	}
+	for i := 0; i < qs.Rows; i++ {
+		put(x.SearchWithPool(qs.Row(i), 10, 40))
+		if f != nil {
+			put(x.SearchFilteredWithPool(qs.Row(i), 10, 40, f))
+		}
+	}
+	return h.Sum64()
 }
 
-// TestLegacyFilesStillOpen: an NSGB bundle loads and a top-level NSGM
-// record opens as a one-shard index with its metadata store, its degree
-// cap and quantization mode (the only options those files kept), and the
-// answers of the index that wrote them, plain and filtered, distance bits
-// included. The formats that replaced them cost at most 256 bytes more.
+// TestLegacyFilesStillOpen: every fixture loads (the stream files) or
+// opens (the mapped ones) with its shard count, the options it kept, its
+// metadata store and the answers of the index that wrote it, plain and
+// filtered, distance bits included; an opened one answers alike once
+// promoted to the heap. Today's formats of the same index cost at most 256
+// bytes more than the one-index layouts.
 func TestLegacyFilesStillOpen(t *testing.T) {
-	ds := shardedTestData(t, 800, 20)
-	for _, q := range []QuantMode{QuantNone, QuantSQ8} {
-		t.Run(q.String(), func(t *testing.T) {
-			x, bundle, record := legacyPair(t, ds, q)
-			defer x.Close()
-			loaded, err := Load(bundle)
+	for _, fx := range legacyFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			loaded, err := Load(legacyPath(fx.stream))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", fx.stream, err)
 			}
 			defer loaded.Close()
-			mapped, err := OpenMapped(record, MapOptions{})
+			opened, err := OpenMapped(legacyPath(fx.mapped), MapOptions{})
 			if err != nil {
+				t.Fatalf("%s: %v", fx.mapped, err)
+			}
+			defer opened.Close()
+			for name, x := range map[string]*Index{fx.stream: loaded, fx.mapped: opened} {
+				if x.Shards() != fx.shards || x.opts != fx.opts || x.Len() != legacyRows || x.Dim() != legacyDim {
+					t.Fatalf("%s: %d shards, %dx%d, options %+v; want %d, %dx%d, %+v",
+						name, x.Shards(), x.Len(), x.Dim(), x.opts, fx.shards, legacyRows, legacyDim, fx.opts)
+				}
+				if m := x.Metadata(); (m != nil) != fx.filtered || (m != nil && m.Rows() != legacyRows) {
+					t.Fatalf("%s: metadata store %v, want one of %d rows: %v", name, m, legacyRows, fx.filtered)
+				}
+				if got := legacyAnswers(t, x, fx.filtered); got != fx.answers {
+					t.Fatalf("%s: answers digest %#016x, want %#016x", name, got, fx.answers)
+				}
+			}
+			if err := opened.PromoteToHeap(); err != nil {
 				t.Fatal(err)
 			}
-			defer mapped.Close()
-			want := DefaultOptions()
-			want.Quantize, want.Seed = q, 0
-			for name, got := range map[string]*Index{"NSGB": loaded, "NSGM": mapped} {
-				if got.Shards() != 1 || got.opts != want {
-					t.Fatalf("%s: %d shards, options %+v; want 1, %+v", name, got.Shards(), got.opts, want)
-				}
-				assertSameAnswers(t, ds, name, x, got)
+			if got := legacyAnswers(t, opened, fx.filtered); got != fx.answers {
+				t.Fatalf("%s promoted: answers digest %#016x, want %#016x", fx.mapped, got, fx.answers)
 			}
-			dir := t.TempDir()
+			if fx.shards != 1 {
+				return
+			}
 			for _, f := range []struct {
 				save   func(string) error
 				legacy string
-			}{{x.Save, bundle}, {x.SaveMapped, record}} {
-				path := filepath.Join(dir, "now")
+			}{{loaded.Save, fx.stream}, {loaded.SaveMapped, fx.mapped}} {
+				path := filepath.Join(t.TempDir(), "now")
 				if err := f.save(path); err != nil {
 					t.Fatal(err)
 				}
-				now, old := fileSize(t, path), fileSize(t, f.legacy)
+				now, old := fileSize(t, path), fileSize(t, legacyPath(f.legacy))
 				if now > old+256 {
-					t.Errorf("one-shard file of %d bytes, %d more than its legacy layout's %d", now, now-old, old)
+					t.Errorf("%s: one-shard file of %d bytes, %d more than its legacy layout's %d", f.legacy, now, now-old, old)
 				}
 			}
 		})
+	}
+}
+
+// TestLegacyMetadataCorruption: a flipped byte inside the metadata store of
+// a one-index file fails the load, and the open of the mapped record as
+// corrupt in the metadata section, with and without the verification pass
+// (the section checksum, then the store's own).
+func TestLegacyMetadataCorruption(t *testing.T) {
+	b, err := os.ReadFile(legacyPath("one_f32.nsgb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-3] ^= 0xff // inside the record's trailing metadata blob
+	path := filepath.Join(t.TempDir(), "bad.nsgb")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if x, err := Load(path); err == nil {
+		x.Close()
+		t.Fatal("Load accepted an NSGB bundle with a corrupt metadata blob")
+	}
+	if b, err = os.ReadFile(legacyPath("one_f32.nsgm")); err != nil {
+		t.Fatal(err)
+	}
+	// The metadata entry is the sixth of the header's 24-byte section slots
+	// starting at byte 40: offset, then length.
+	off := binary.LittleEndian.Uint64(b[40+5*24:])
+	size := binary.LittleEndian.Uint64(b[40+5*24+8:])
+	if size == 0 {
+		t.Fatal("fixture record carries no metadata section")
+	}
+	b[off+size/2] ^= 0xff
+	path = filepath.Join(t.TempDir(), "bad.nsgm")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []MapOptions{{}, {NoVerify: true}} {
+		x, err := OpenMapped(path, opts)
+		var fe *core.FormatError
+		if !errors.As(err, &fe) || fe.Section != core.SectionMeta {
+			if x != nil {
+				x.Close()
+			}
+			t.Fatalf("%+v: got %v, want a metadata-section corruption error", opts, err)
+		}
+	}
+}
+
+// TestShardRecordWithMetadataIsRejected: a bundle or container keeps its
+// metadata store in its own section, and no writer ever put one in a shard
+// record. A one-shard NSGD or NSMS whose record is the NSGB bundle's or
+// NSGM file's metadata-carrying one is refused, as corrupt for the
+// container, not served with the store dropped.
+func TestShardRecordWithMetadataIsRejected(t *testing.T) {
+	x, err := Load(legacyPath("one_f32.nsgb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	if err := x.SetMetadata(nil); err != nil { // its own section would move the record
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	stream, mapped := filepath.Join(dir, "idx.nsgd"), filepath.Join(dir, "idx.nsms")
+	if err := x.Save(stream); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.SaveMapped(mapped); err != nil {
+		t.Fatal(err)
+	}
+	// Stream: both files hold the same vectors, so the bundle's record
+	// starts past the 36-byte header, the vectors, the 12-byte shard header
+	// and the empty id map's size word, and the NSGB's past its 12-byte
+	// header and the vectors.
+	vecs := 4 * legacyRows * legacyDim
+	now, err := os.ReadFile(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(legacyPath("one_f32.nsgb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 36 + vecs + 12 + 4
+	if err := os.WriteFile(stream, append(now[:at:at], old[12+vecs:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Load(stream); err == nil {
+		got.Close()
+		t.Fatal("Load served a bundle whose shard record carries metadata")
+	}
+	// Container: the one shard's table entry (64 bytes in) holds its id
+	// map's offset and length, then its record's; the record is the file's
+	// tail. Swap in the NSGM record and fix its length, the file size and
+	// the table checksum after the entry.
+	if now, err = os.ReadFile(mapped); err != nil {
+		t.Fatal(err)
+	}
+	if old, err = os.ReadFile(legacyPath("one_f32.nsgm")); err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	recOff := le.Uint64(now[64+16:])
+	now = append(now[:recOff:recOff], old...)
+	le.PutUint64(now[64+24:], uint64(len(old)))
+	le.PutUint64(now[24:], uint64(len(now)))
+	le.PutUint32(now[64+40:], crc32.ChecksumIEEE(now[:64+40]))
+	if err := os.WriteFile(mapped, now, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := OpenMapped(mapped, MapOptions{}); err == nil || !IsCorrupt(err) {
+		if got != nil {
+			got.Close()
+		}
+		t.Fatalf("OpenMapped of a container whose shard record carries metadata: got %v, want a corruption error", err)
 	}
 }
 
@@ -347,5 +485,76 @@ func TestShardedMappedKeepsMetadata(t *testing.T) {
 	mb, _ := os.ReadFile(mp)
 	if !bytes.Equal(hb, mb) {
 		t.Fatal("Save of the mapped index differs from Save of the heap index")
+	}
+}
+
+// saveGolden holds FNV-64a digests of the bytes Save and SaveMapped write
+// for one fixed build per {1, 3 shards} x {float32, SQ8} x {no metadata,
+// metadata}. The build uses the exact kNN graph, so the bytes depend on
+// neither scheduling nor the kernel dispatch; a writer change that moves
+// one byte of any layout moves a digest.
+var saveGolden = map[string]uint64{
+	"1/float32/meta/mapped":  0x78f0cbb3bfa9ff22,
+	"1/float32/meta/save":    0x3b251307474ce844,
+	"1/float32/plain/mapped": 0xe5c54ded63b82964,
+	"1/float32/plain/save":   0x8e4e334625e0a8c5,
+	"1/sq8/meta/mapped":      0x30ca803f61dbe6f8,
+	"1/sq8/meta/save":        0x65119d841a571bfc,
+	"1/sq8/plain/mapped":     0xfd9e6fde1d367deb,
+	"1/sq8/plain/save":       0x8ca90583f330c401,
+	"3/float32/meta/mapped":  0x1a9b210ec05aecf7,
+	"3/float32/meta/save":    0xc36ad324e7bcd9c0,
+	"3/float32/plain/mapped": 0x700f7c4bf7a57647,
+	"3/float32/plain/save":   0x6de99f771c77b9c1,
+	"3/sq8/meta/mapped":      0x7f725541e70aeb0f,
+	"3/sq8/meta/save":        0x709dd75ec4cad7f2,
+	"3/sq8/plain/mapped":     0x40b68093dc1064c6,
+	"3/sq8/plain/save":       0x1425e3cf9ee240eb,
+}
+
+func TestSaveBytesGolden(t *testing.T) {
+	ds := shardedTestData(t, 600, 1)
+	path := filepath.Join(t.TempDir(), "idx")
+	got := map[string]uint64{}
+	for _, shards := range []int{1, 3} {
+		for _, q := range []QuantMode{QuantNone, QuantSQ8} {
+			opts := DefaultShardedOptions(shards)
+			opts.Shard.ExactKNN, opts.Shard.Seed, opts.Shard.Quantize = true, 3, q
+			x, err := BuildShardedFromFlat(append([]float32(nil), ds.Base.Data...), ds.Base.Dim, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, md := range []string{"plain", "meta"} {
+				if md == "meta" {
+					if err := x.SetMetadata(parityMetadata(x.Len())); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, w := range []struct {
+					name string
+					save func(string) error
+				}{{"save", x.Save}, {"mapped", x.SaveMapped}} {
+					if err := w.save(path); err != nil {
+						t.Fatal(err)
+					}
+					b, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h := fnv.New64a()
+					h.Write(b)
+					got[fmt.Sprintf("%d/%s/%s/%s", shards, q, md, w.name)] = h.Sum64()
+				}
+			}
+			x.Close()
+		}
+	}
+	for name, sum := range got {
+		if want, ok := saveGolden[name]; !ok || sum != want {
+			t.Errorf("%q: %#016x, want %#016x", name, sum, want)
+		}
+	}
+	if len(got) != len(saveGolden) {
+		t.Errorf("%d digests computed, %d recorded", len(got), len(saveGolden))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/distsearch"
 	"repro/internal/meta"
 )
@@ -55,7 +54,7 @@ func Or(ps ...Predicate) Predicate { return meta.Or(ps...) }
 
 // ErrNoMetadata is returned by CompileFilter on an index with no attached
 // metadata store.
-var ErrNoMetadata = core.ErrNoMetadata
+var ErrNoMetadata = distsearch.ErrNoMetadata
 
 // SetMetadata attaches a metadata store to the index. The store must have
 // exactly one row per indexed vector (row i describes the vector with id

@@ -141,7 +141,6 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 				return nil, err
 			}
 		}
-		idx.Meta = st
 		return idx, nil
 	}
 	variants := []struct {

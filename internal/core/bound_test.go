@@ -165,19 +165,15 @@ func TestQuantBoundHeapAndMapped(t *testing.T) {
 		t.Logf("%d evaluations with the bound, %d without", on.Count(), off.Count())
 
 		path := filepath.Join(t.TempDir(), "bound.nsgm")
-		if err := x.SaveMapped(path); err != nil {
-			t.Fatal(err)
-		}
-		verified, err := core.OpenMapped(path, core.MapOptions{})
+		core.SaveMappedFile(t, x, path)
+		verified, err := core.OpenMappedFile(t, path, core.MapOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer verified.Close()
-		trusted, err := core.OpenMapped(path, core.MapOptions{NoVerify: true})
+		trusted, err := core.OpenMappedFile(t, path, core.MapOptions{NoVerify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer trusted.Close()
 		requireBoundInvisible(t, "mapped", queryAnswer(verified, nil), queries, n, rand.New(rand.NewSource(63)))
 		requireBoundInvisible(t, "NoVerify mapped", queryAnswer(trusted, nil), queries, n, rand.New(rand.NewSource(63)))
 		a, b := queryAnswer(verified, nil), queryAnswer(trusted, nil)

@@ -1,17 +1,12 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 	"slices"
 
 	"repro/internal/vecmath"
 )
-
-// ErrNoMetadata is returned when a predicate is compiled against an index
-// that carries no metadata column store.
-var ErrNoMetadata = errors.New("core: index has no metadata store")
 
 // This file is the predicate-aware ("filtered") Search-on-Graph: Algorithm 1
 // constrained to points passing a caller-compiled bitmap, generalizing the

@@ -57,7 +57,7 @@ func FuzzReadNSG(f *testing.F) {
 	le.PutUint32(hugeM[8:], 0xFFFFFFF0)
 	f.Add(hugeM)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := ReadNSG(bytes.NewReader(data), base)
+		idx, _, err := ReadNSG(bytes.NewReader(data), base)
 		if err != nil {
 			return
 		}

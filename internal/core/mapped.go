@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -8,7 +9,6 @@ import (
 
 	"repro/internal/chunkio"
 	"repro/internal/graphutil"
-	"repro/internal/meta"
 	"repro/internal/mstore"
 	"repro/internal/vecmath"
 	"repro/internal/vecmath/quant"
@@ -18,8 +18,9 @@ import (
 // the index's serving slabs — fixed-stride adjacency, vectors in internal
 // (post-relayout) order, the id-remap table, SQ8 bounds and codes — at
 // 64-byte-aligned offsets in exactly the in-memory representation the
-// search engine consumes, so OpenMapped can point FlatGraph/Matrix/
-// CodeMatrix headers straight into a memory-mapped file. Restart cost is
+// search engine consumes, so OpenMappedAt can point FlatGraph/Matrix/
+// CodeMatrix headers straight into a memory-mapped file that the container
+// holding the record opened and owns. Restart cost is
 // O(file open) instead of O(decode), capacity is bounded by the page
 // cache rather than the heap, and the BFS Relayout's locality transfers
 // directly to page locality.
@@ -45,10 +46,8 @@ const (
 
 	// Section table layout inside the header: six fixed slots of
 	// {offset u64, length u64, crc32 u32, reserved u32}. The sixth (meta)
-	// slot occupies bytes the v1 format reserved as zero, so v1 files —
-	// whose entry reads as all-zero — parse as "no metadata" without a
-	// version bump; files that do carry it also set nsgFlagMeta, which
-	// pre-metadata readers reject as an unknown flag.
+	// slot holds the metadata blob of the one-index NSGM files older builds
+	// wrote, flagged by nsgFlagMeta; writers leave it zero.
 	mappedSections    = 6
 	sectionEntrySize  = 24
 	sectionTableStart = 40
@@ -79,8 +78,9 @@ func (s Section) String() string {
 }
 
 // FormatError reports a corrupt, truncated or structurally invalid mapped
-// index file, naming the section where validation failed. Match with
-// errors.As to inspect the section programmatically.
+// index file, naming the section where validation failed (containers use
+// SectionHeader for their own tables). Match with errors.As to inspect the
+// section programmatically.
 type FormatError struct {
 	Section Section
 	Reason  string
@@ -94,16 +94,20 @@ func corruptf(s Section, format string, args ...any) error {
 	return &FormatError{Section: s, Reason: fmt.Sprintf(format, args...)}
 }
 
-// MapOptions configures OpenMapped.
+// MapOptions configures OpenMappedAt.
 type MapOptions struct {
-	// NoVerify skips the deep content validation pass (per-section CRC32,
-	// adjacency structure scan) so opening costs O(1) page faults instead
-	// of one read of the file — the trusted-storage fast-restart path.
-	// Header geometry, the header checksum and the remap permutation are
-	// always checked; but with NoVerify a file whose adjacency slab was
-	// corrupted in place can make searches panic or return garbage.
+	// NoVerify skips the whole-file content verification pass (per-section
+	// CRC32 checks and a graph structure scan), making open O(1) in index
+	// size — the trusted-storage fast-restart path. Header geometry,
+	// checksummed headers and the id-remap permutation are still validated.
+	// Only set this when the file comes from storage you trust end to end:
+	// with NoVerify, in-place corruption of a slab can crash searches or
+	// silently return wrong results.
 	NoVerify bool
 }
+
+// le is the byte order of every mapped slab and header field.
+var le = binary.LittleEndian
 
 // align64 rounds n up to the next multiple of the slab alignment.
 func align64(n int64) int64 {
@@ -118,10 +122,8 @@ type mappedSection struct {
 	encode func(io.Writer) error
 }
 
-// mappedLayout computes the six section slots for this index. All slab
-// sizes are implied by the header geometry except the metadata blob, whose
-// table length is authoritative (the blob self-describes and carries its
-// own checksum).
+// mappedLayout computes the section slots for this index, all sized by the
+// header geometry; the sixth (meta) stays empty.
 func (x *NSG) mappedLayout() ([mappedSections]mappedSection, int64) {
 	x.flat.Fit()
 	f := x.flat
@@ -150,16 +152,6 @@ func (x *NSG) mappedLayout() ([mappedSections]mappedSection, int64) {
 			return err
 		}
 	}
-	if x.Meta != nil {
-		// Materialize the blob once so the CRC pass and the write pass see
-		// identical bytes even if the store is replaced concurrently.
-		blob := x.Meta.AppendEncode(nil)
-		secs[5].size = int64(len(blob))
-		secs[5].encode = func(w io.Writer) error {
-			_, err := w.Write(blob)
-			return err
-		}
-	}
 	off := int64(mappedHeaderSize)
 	for i := range secs {
 		if secs[i].encode == nil {
@@ -182,8 +174,8 @@ func (x *NSG) MappedSize() int64 {
 // Write, the record is self-contained: the base vectors (in internal
 // order), remap table and quantization state are all inside, so a single
 // mmap serves the whole index. The record must start at a 64-byte-aligned
-// file offset for OpenMapped's zero-copy views to hold; SaveMapped and
-// the sharded container guarantee that.
+// file offset for OpenMappedAt's zero-copy views to hold; the container
+// guarantees that.
 //
 // Works on both heap and mapped indexes (the slabs stream out either
 // way), so re-saving a mapped index is a plain copy.
@@ -206,27 +198,23 @@ func (x *NSG) WriteMapped(w io.Writer) error {
 	if x.Quant != nil {
 		flags |= nsgFlagQuant
 	}
-	if x.Meta != nil {
-		flags |= nsgFlagMeta
-	}
 	hdr := make([]byte, mappedHeaderSize)
-	le := func(off int, v uint32) { putU32(hdr, off, v) }
-	le(0, nsgMappedMagic)
-	le(4, nsgMappedVersion)
-	le(8, flags)
-	le(12, uint32(x.Base.Rows))
-	le(16, uint32(x.Base.Dim))
-	le(20, uint32(x.flat.Stride))
-	le(24, uint32(x.Navigating))
-	le(28, uint32(x.M))
-	putU64(hdr, 32, uint64(recordSize))
+	le.PutUint32(hdr[0:], nsgMappedMagic)
+	le.PutUint32(hdr[4:], nsgMappedVersion)
+	le.PutUint32(hdr[8:], flags)
+	le.PutUint32(hdr[12:], uint32(x.Base.Rows))
+	le.PutUint32(hdr[16:], uint32(x.Base.Dim))
+	le.PutUint32(hdr[20:], uint32(x.flat.Stride))
+	le.PutUint32(hdr[24:], uint32(x.Navigating))
+	le.PutUint32(hdr[28:], uint32(x.M))
+	le.PutUint64(hdr[32:], uint64(recordSize))
 	for i, s := range secs {
 		base := sectionTableStart + i*sectionEntrySize
-		putU64(hdr, base, uint64(s.off))
-		putU64(hdr, base+8, uint64(s.size))
-		le(base+16, s.crc)
+		le.PutUint64(hdr[base:], uint64(s.off))
+		le.PutUint64(hdr[base+8:], uint64(s.size))
+		le.PutUint32(hdr[base+16:], s.crc)
 	}
-	le(headerCRCOffset, crc32.ChecksumIEEE(hdr[:headerCRCOffset]))
+	le.PutUint32(hdr[headerCRCOffset:], crc32.ChecksumIEEE(hdr[:headerCRCOffset]))
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("core: write mapped header: %w", err)
 	}
@@ -253,111 +241,65 @@ func (x *NSG) WriteMapped(w io.Writer) error {
 	return nil
 }
 
-func putU32(b []byte, off int, v uint32) {
-	b[off] = byte(v)
-	b[off+1] = byte(v >> 8)
-	b[off+2] = byte(v >> 16)
-	b[off+3] = byte(v >> 24)
-}
-
-func putU64(b []byte, off int, v uint64) {
-	putU32(b, off, uint32(v))
-	putU32(b, off+4, uint32(v>>32))
-}
-
-func getU32(b []byte, off int) uint32 {
-	return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
-}
-
-func getU64(b []byte, off int) uint64 {
-	return uint64(getU32(b, off)) | uint64(getU32(b, off+4))<<32
-}
-
-// SaveMapped writes the aligned mapped record to path, crash-safely
-// (temp file + fsync + rename).
-func (x *NSG) SaveMapped(path string) error {
-	return mstore.WriteFileAtomic(path, x.WriteMapped)
-}
-
-// OpenMapped opens an NSGM file written by SaveMapped and serves it in
-// place: the adjacency, vector, remap and code slabs are zero-copy views
-// of the mapping (or heap copies where mmap is unavailable). The
-// returned index is read-only — see ErrReadOnly and PromoteToHeap — and
-// holds the mapping until Close.
-func OpenMapped(path string, opts MapOptions) (*NSG, error) {
-	f, err := mstore.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	x, _, err := OpenMappedAt(f, 0, f.Size(), opts, true)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	x.mapped = f
-	return x, nil
-}
-
-// OpenMappedAt parses an NSGM record embedded at offset off of f, with
-// avail bytes available to it; exact requires the record to consume all
-// of avail (top-level files and sized container slots). It returns the
-// read-only index and the record's size. The caller keeps ownership of f
-// — the index does not close it — so containers can open many records
-// out of one mapping. off must be 64-byte aligned.
-func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool) (*NSG, int64, error) {
+// OpenMappedAt serves the NSGM record of exactly size bytes at offset off
+// of f in place: the adjacency, vector, remap and code slabs are zero-copy
+// views of the mapping (or heap copies where mmap is unavailable). The
+// returned index is read-only — see ErrReadOnly and PromoteToHeap. The
+// caller keeps ownership of f, so a container opens many records out of
+// one mapping, and must keep it open while the index serves. off must be
+// 64-byte aligned. The second result is a heap copy of the metadata
+// section of an older one-index record, nil when the record has none.
+func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byte, error) {
 	if !mstore.HostLittleEndian() {
-		return nil, 0, fmt.Errorf("core: mapped serving requires a little-endian host; use the decoding Load path")
+		return nil, nil, fmt.Errorf("core: mapped serving requires a little-endian host; use the decoding Load path")
 	}
 	if off%mappedAlign != 0 {
-		return nil, 0, corruptf(SectionHeader, "record offset %d is not %d-byte aligned", off, mappedAlign)
+		return nil, nil, corruptf(SectionHeader, "record offset %d is not %d-byte aligned", off, mappedAlign)
 	}
-	if avail < mappedHeaderSize {
-		return nil, 0, corruptf(SectionHeader, "%d bytes available, header needs %d", avail, mappedHeaderSize)
+	if size < mappedHeaderSize {
+		return nil, nil, corruptf(SectionHeader, "%d bytes available, header needs %d", size, mappedHeaderSize)
 	}
 	hdr, err := f.Bytes(off, mappedHeaderSize)
 	if err != nil {
-		return nil, 0, corruptf(SectionHeader, "%v", err)
+		return nil, nil, corruptf(SectionHeader, "%v", err)
 	}
-	if getU32(hdr, 0) != nsgMappedMagic {
-		return nil, 0, corruptf(SectionHeader, "bad magic %#08x", getU32(hdr, 0))
+	if le.Uint32(hdr[0:]) != nsgMappedMagic {
+		return nil, nil, corruptf(SectionHeader, "bad magic %#08x", le.Uint32(hdr[0:]))
 	}
-	if v := getU32(hdr, 4); v != nsgMappedVersion {
-		return nil, 0, corruptf(SectionHeader, "unsupported version %d (want %d)", v, nsgMappedVersion)
+	if v := le.Uint32(hdr[4:]); v != nsgMappedVersion {
+		return nil, nil, corruptf(SectionHeader, "unsupported version %d (want %d)", v, nsgMappedVersion)
 	}
-	if got, want := getU32(hdr, headerCRCOffset), crc32.ChecksumIEEE(hdr[:headerCRCOffset]); got != want {
-		return nil, 0, corruptf(SectionHeader, "header checksum %#08x != %#08x", got, want)
+	if got, want := le.Uint32(hdr[headerCRCOffset:]), crc32.ChecksumIEEE(hdr[:headerCRCOffset]); got != want {
+		return nil, nil, corruptf(SectionHeader, "header checksum %#08x != %#08x", got, want)
 	}
-	flags := getU32(hdr, 8)
+	flags := le.Uint32(hdr[8:])
 	// Unknown bits, the reserved nsgFlagQuant4 among them, are rejected.
 	if flags&^uint32(nsgFlagRemap|nsgFlagQuant|nsgFlagMeta) != 0 {
-		return nil, 0, corruptf(SectionHeader, "unsupported flags %#x", flags)
+		return nil, nil, corruptf(SectionHeader, "unsupported flags %#x", flags)
 	}
-	rows := int64(getU32(hdr, 12))
-	dim := int64(getU32(hdr, 16))
-	stride := int64(getU32(hdr, 20))
-	nav := int32(getU32(hdr, 24))
-	m := int64(getU32(hdr, 28))
-	recordSize := int64(getU64(hdr, 32))
+	rows := int64(le.Uint32(hdr[12:]))
+	dim := int64(le.Uint32(hdr[16:]))
+	stride := int64(le.Uint32(hdr[20:]))
+	nav := int32(le.Uint32(hdr[24:]))
+	m := int64(le.Uint32(hdr[28:]))
+	recordSize := int64(le.Uint64(hdr[32:]))
 	if rows <= 0 || rows > 1<<30 {
-		return nil, 0, corruptf(SectionHeader, "implausible row count %d", rows)
+		return nil, nil, corruptf(SectionHeader, "implausible row count %d", rows)
 	}
 	if dim <= 0 || dim > 1<<20 {
-		return nil, 0, corruptf(SectionHeader, "implausible dimension %d", dim)
+		return nil, nil, corruptf(SectionHeader, "implausible dimension %d", dim)
 	}
 	if stride <= 0 || stride > rows {
-		return nil, 0, corruptf(SectionHeader, "stride %d outside [1,%d]", stride, rows)
+		return nil, nil, corruptf(SectionHeader, "stride %d outside [1,%d]", stride, rows)
 	}
 	if nav < 0 || int64(nav) >= rows {
-		return nil, 0, corruptf(SectionHeader, "navigating node %d outside [0,%d)", nav, rows)
+		return nil, nil, corruptf(SectionHeader, "navigating node %d outside [0,%d)", nav, rows)
 	}
 	if m < 0 || m > maxDegreeCap {
-		return nil, 0, corruptf(SectionHeader, "implausible degree cap %d", m)
+		return nil, nil, corruptf(SectionHeader, "implausible degree cap %d", m)
 	}
-	if recordSize < mappedHeaderSize || recordSize%mappedAlign != 0 || recordSize > avail {
-		return nil, 0, corruptf(SectionHeader, "record size %d invalid for %d available bytes", recordSize, avail)
-	}
-	if exact && recordSize != avail {
-		return nil, 0, corruptf(SectionHeader, "record size %d != %d available bytes (truncated or trailing garbage)", recordSize, avail)
+	if recordSize%mappedAlign != 0 || recordSize != size {
+		return nil, nil, corruptf(SectionHeader, "record size %d invalid for %d available bytes (truncated or trailing garbage)", recordSize, size)
 	}
 
 	// Section geometry: presence and size are dictated by the header
@@ -377,33 +319,33 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 	prevEnd := int64(mappedHeaderSize)
 	for i := 0; i < mappedSections; i++ {
 		base := sectionTableStart + i*sectionEntrySize
-		offs[i] = int64(getU64(hdr, base))
-		lens[i] = int64(getU64(hdr, base+8))
-		crcs[i] = getU32(hdr, base+16)
+		offs[i] = int64(le.Uint64(hdr[base:]))
+		lens[i] = int64(le.Uint64(hdr[base+8:]))
+		crcs[i] = le.Uint32(hdr[base+16:])
 		sec := Section(i + 1)
 		if sec == SectionMeta && flags&nsgFlagMeta != 0 {
 			if lens[i] <= 0 || lens[i] > maxMetaBlob {
-				return nil, 0, corruptf(sec, "implausible metadata length %d", lens[i])
+				return nil, nil, corruptf(sec, "implausible metadata length %d", lens[i])
 			}
 			want[i] = lens[i]
 		}
 		if want[i] == 0 {
 			if offs[i] != 0 || lens[i] != 0 {
-				return nil, 0, corruptf(sec, "section present but flags say absent")
+				return nil, nil, corruptf(sec, "section present but flags say absent")
 			}
 			continue
 		}
 		if lens[i] != want[i] {
-			return nil, 0, corruptf(sec, "section length %d, header geometry implies %d", lens[i], want[i])
+			return nil, nil, corruptf(sec, "section length %d, header geometry implies %d", lens[i], want[i])
 		}
 		if offs[i]%mappedAlign != 0 {
-			return nil, 0, corruptf(sec, "offset %d is not %d-byte aligned", offs[i], mappedAlign)
+			return nil, nil, corruptf(sec, "offset %d is not %d-byte aligned", offs[i], mappedAlign)
 		}
 		if offs[i] < prevEnd {
-			return nil, 0, corruptf(sec, "offset %d overlaps previous section ending at %d", offs[i], prevEnd)
+			return nil, nil, corruptf(sec, "offset %d overlaps previous section ending at %d", offs[i], prevEnd)
 		}
 		if offs[i]+lens[i] > recordSize || offs[i]+lens[i] < offs[i] {
-			return nil, 0, corruptf(sec, "section [%d,%d) exceeds record size %d", offs[i], offs[i]+lens[i], recordSize)
+			return nil, nil, corruptf(sec, "section [%d,%d) exceeds record size %d", offs[i], offs[i]+lens[i], recordSize)
 		}
 		prevEnd = offs[i] + lens[i]
 	}
@@ -417,11 +359,11 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 	}
 	adjBytes, err := view(0)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	vecBytes, err := view(1)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	if !opts.NoVerify {
 		for i := 0; i < mappedSections; i++ {
@@ -430,10 +372,10 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 			}
 			b, err := view(i)
 			if err != nil {
-				return nil, 0, err
+				return nil, nil, err
 			}
 			if got := crc32.ChecksumIEEE(b); got != crcs[i] {
-				return nil, 0, corruptf(Section(i+1), "checksum %#08x != %#08x (bit rot or torn write)", got, crcs[i])
+				return nil, nil, corruptf(Section(i+1), "checksum %#08x != %#08x (bit rot or torn write)", got, crcs[i])
 			}
 		}
 	}
@@ -441,7 +383,7 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 	flat := &graphutil.FlatGraph{Data: mstore.Int32s(adjBytes), Stride: int(stride), Nodes: int(rows)}
 	if !opts.NoVerify {
 		if err := flat.Validate(); err != nil {
-			return nil, 0, corruptf(SectionAdjacency, "%v", err)
+			return nil, nil, corruptf(SectionAdjacency, "%v", err)
 		}
 	}
 	// A record without a remap section was never relaid: identity ids.
@@ -450,7 +392,7 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 	if flags&nsgFlagRemap != 0 {
 		remapBytes, err := view(2)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		pub := mstore.Int32s(remapBytes)
 		// Building the inverse table doubles as the permutation check, so
@@ -463,39 +405,33 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 		}
 		for internal, p := range pub {
 			if p < 0 || int64(p) >= rows || inv[p] != -1 {
-				return nil, 0, corruptf(SectionRemap, "entry %d (value %d) is not a permutation of [0,%d)", internal, p, rows)
+				return nil, nil, corruptf(SectionRemap, "entry %d (value %d) is not a permutation of [0,%d)", internal, p, rows)
 			}
 			inv[p] = int32(internal)
 		}
 		x.PubIDs = pub
 	}
+	var metaBlob []byte
 	if flags&nsgFlagMeta != 0 {
-		metaBytes, err := view(5)
+		b, err := view(5)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
-		// The metadata columns are decoded onto the heap (they are small and
-		// dictionary-compressed, and filter compilation wants them mutable-
-		// friendly); the blob's embedded checksum makes the decode
-		// self-validating even under NoVerify. Copy out of the mapping first
-		// so the store never aliases PROT_READ pages.
-		st, err := meta.Decode(append([]byte(nil), metaBytes...), int(rows))
-		if err != nil {
-			return nil, 0, corruptf(SectionMeta, "%v", err)
-		}
-		x.Meta = st
+		// A heap copy: the container decodes it, and the store must never
+		// alias PROT_READ pages.
+		metaBlob = append([]byte(nil), b...)
 	}
 	if flags&nsgFlagQuant != 0 {
 		if dim > quant.MaxDim {
-			return nil, 0, corruptf(SectionQuantBounds, "dimension %d exceeds the quantizer limit %d", dim, quant.MaxDim)
+			return nil, nil, corruptf(SectionQuantBounds, "dimension %d exceeds the quantizer limit %d", dim, quant.MaxDim)
 		}
 		boundsBytes, err := view(3)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		codeBytes, err := view(4)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		// The bounds are two dim-sized vectors; copy them to the heap (they
 		// are tiny) so the derived scale fields live beside them as usual.
@@ -513,33 +449,21 @@ func OpenMappedAt(f *mstore.File, off, avail int64, opts MapOptions, exact bool)
 			x.Quant.measureRho(x.Base)
 		}
 	}
-	return x, recordSize, nil
+	return x, metaBlob, nil
 }
 
 // ReadOnly reports whether the index is a mapped, read-only view. Mutating
 // operations on a read-only index return ErrReadOnly.
 func (x *NSG) ReadOnly() bool { return x.ro }
 
-// Close releases the index's file mapping, if it owns one (indexes opened
-// through a container are closed by the container). The index must not be
-// used after Close: its slabs point into the released mapping.
-func (x *NSG) Close() error {
-	if x.mapped == nil {
-		return nil
-	}
-	f := x.mapped
-	x.mapped = nil
-	return f.Close()
-}
-
 // PromoteToHeap converts a mapped index into an ordinary mutable
-// heap-resident index: every slab is copied out of the mapping, and the
-// mapping (when owned) is released. The copy reads every row, so an
-// unknown ρ (an open with NoVerify) is measured on the way. A no-op on an
-// index that is already heap-resident.
-func (x *NSG) PromoteToHeap() error {
+// heap-resident index: every slab is copied out of the mapping, which its
+// container may then release. The copy reads every row, so an unknown ρ
+// (an open with NoVerify) is measured on the way. A no-op on an index that
+// is already heap-resident.
+func (x *NSG) PromoteToHeap() {
 	if !x.ro {
-		return nil
+		return
 	}
 	x.flat, x.shared = x.flat.Restride(x.flat.Stride), false
 	x.Base = vecmath.Matrix{
@@ -557,5 +481,4 @@ func (x *NSG) PromoteToHeap() error {
 		x.Quant = &qz
 	}
 	x.ro = false
-	return x.Close()
 }

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/meta"
 	"repro/internal/vecmath"
 )
 
@@ -27,43 +26,13 @@ func buildMappedTestNSG(t testing.TB, base vecmath.Matrix, relayout, quantize bo
 			t.Fatal(err)
 		}
 	}
-	idx.Meta = testMetaStore(t, base.Rows)
 	return idx
-}
-
-// testMetaStore builds a small metadata store (one column per type) so the
-// mapped record carries all six sections and roundtrips exercise the codec.
-func testMetaStore(t testing.TB, rows int) *meta.Store {
-	t.Helper()
-	prices := make([]int64, rows)
-	cats := make([]string, rows)
-	tags := make([][]string, rows)
-	for i := range prices {
-		prices[i] = int64(i * 3)
-		cats[i] = fmt.Sprintf("cat%d", i%5)
-		if i%2 == 0 {
-			tags[i] = []string{"even"}
-		}
-	}
-	s := meta.New(rows)
-	if err := s.AddInt64("price", prices); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddEnum("category", cats); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddTags("tags", tags); err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 func saveMappedTemp(t testing.TB, x *NSG) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "index.nsgm")
-	if err := x.SaveMapped(path); err != nil {
-		t.Fatal(err)
-	}
+	SaveMappedFile(t, x, path)
 	return path
 }
 
@@ -95,11 +64,10 @@ func TestMappedHeapParity(t *testing.T) {
 				{"mmap-noverify", MapOptions{NoVerify: true}},
 			} {
 				t.Run(mode.name, func(t *testing.T) {
-					mapped, err := OpenMapped(path, mode.opts)
+					mapped, err := OpenMappedFile(t, path, mode.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer mapped.Close()
 					if !mapped.ReadOnly() {
 						t.Fatal("mapped index not marked read-only")
 					}
@@ -140,11 +108,10 @@ func TestMappedHeapParity(t *testing.T) {
 func TestMappedReadOnlyGuards(t *testing.T) {
 	base := testBase(t, 300, 16, 9)
 	heap := buildMappedTestNSG(t, base, true, false)
-	mapped, err := OpenMapped(saveMappedTemp(t, heap), MapOptions{})
+	mapped, err := OpenMappedFile(t, saveMappedTemp(t, heap), MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mapped.Close()
 
 	if _, err := mapped.Insert(make([]float32, 16), InsertParams{}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Insert: %v, want ErrReadOnly", err)
@@ -174,15 +141,13 @@ func TestMappedReadOnlyGuards(t *testing.T) {
 func TestPromoteToHeap(t *testing.T) {
 	base := testBase(t, 300, 16, 10)
 	heap := buildMappedTestNSG(t, base.Clone(), true, true)
-	mapped, err := OpenMapped(saveMappedTemp(t, heap), MapOptions{})
+	mapped, err := OpenMappedFile(t, saveMappedTemp(t, heap), MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := base.Row(7)
 	before := mapped.Query(NewSearchContext(), q, Query{K: 10, L: 40})
-	if err := mapped.PromoteToHeap(); err != nil {
-		t.Fatal(err)
-	}
+	mapped.PromoteToHeap()
 	if mapped.ReadOnly() {
 		t.Fatal("still read-only after promotion")
 	}
@@ -190,18 +155,21 @@ func TestPromoteToHeap(t *testing.T) {
 	if fmt.Sprint(before) != fmt.Sprint(after) {
 		t.Fatalf("results changed across promotion: %v vs %v", before, after)
 	}
-	// The mapping is released by promotion; mutations must now succeed.
+	// Nothing points into the mapping any more; mutations must now succeed.
 	if _, err := mapped.Insert(make([]float32, 16), InsertParams{}); err != nil {
 		t.Fatalf("Insert after promotion: %v", err)
 	}
-	if err := mapped.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Second promotion is a no-op.
-	if err := mapped.PromoteToHeap(); err != nil {
-		t.Fatal(err)
+	mapped.PromoteToHeap() // a second promotion is a no-op
+	if mapped.ReadOnly() {
+		t.Fatal("read-only again after a second promotion")
 	}
 }
+
+// Header field accessors for the corruption tests.
+func putU32(b []byte, off int, v uint32) { le.PutUint32(b[off:], v) }
+func putU64(b []byte, off int, v uint64) { le.PutUint64(b[off:], v) }
+func getU32(b []byte, off int) uint32    { return le.Uint32(b[off:]) }
+func getU64(b []byte, off int) uint64    { return le.Uint64(b[off:]) }
 
 // rewriteHeaderCRC recomputes the header checksum after a deliberate header
 // mutation, so corruption tests exercise the field validation rather than
@@ -210,13 +178,25 @@ func rewriteHeaderCRC(b []byte) {
 	putU32(b, headerCRCOffset, crc32.ChecksumIEEE(b[:headerCRCOffset]))
 }
 
+// legacyRecord reads the top-level SQ8 NSGM file an older build wrote
+// (see testdata/legacy in the repository root): it fills all six
+// sections, the metadata one included, which no writer fills any more.
+func legacyRecord(t testing.TB) []byte {
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", "one_sq8.nsgm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestMappedCorruptionTable flips every header field, truncates at every
 // section boundary, misaligns slab offsets and rots section bytes of an SQ8
-// record; every mutation must yield a FormatError naming the right section,
-// and OpenMapped must never serve a partially valid index. The int4 case is
-// a record from before int4 was removed: its header carries the retired
-// int4 marker in place of the SQ8 flag, and it must be refused at the
-// header, not misread as SQ8 or float32.
+// record, as written today (five sections) and as an older build wrote it
+// with a metadata section (six); every mutation must yield a FormatError
+// naming the right section, and OpenMappedAt must never serve a partially
+// valid index. The int4 case is a record from before int4 was removed: its
+// header carries the retired int4 marker in place of the SQ8 flag, and it
+// must be refused at the header, not misread as SQ8 or float32.
 func TestMappedCorruptionTable(t *testing.T) {
 	base := testBase(t, 200, 12, 11)
 	heap := buildMappedTestNSG(t, base, true, true)
@@ -225,7 +205,8 @@ func TestMappedCorruptionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	t.Run("sq8", func(t *testing.T) { testMappedCorruptionTable(t, valid) })
+	t.Run("sq8", func(t *testing.T) { testMappedCorruptionTable(t, valid, mappedSections-1) })
+	t.Run("legacy-meta", func(t *testing.T) { testMappedCorruptionTable(t, legacyRecord(t), mappedSections) })
 	t.Run("int4", func(t *testing.T) {
 		b := bytes.Clone(valid)
 		putU32(b, 8, getU32(b, 8)&^nsgFlagQuant|nsgFlagQuant4)
@@ -235,9 +216,8 @@ func TestMappedCorruptionTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opts := range []MapOptions{{}, {NoVerify: true}} {
-			idx, err := OpenMapped(path, opts)
+			_, err := OpenMappedFile(t, path, opts)
 			if err == nil {
-				idx.Close()
 				t.Fatalf("%+v: int4 record opened without error", opts)
 			}
 			var fe *FormatError
@@ -248,7 +228,7 @@ func TestMappedCorruptionTable(t *testing.T) {
 	})
 }
 
-func testMappedCorruptionTable(t *testing.T, valid []byte) {
+func testMappedCorruptionTable(t *testing.T, valid []byte, sections int) {
 
 	// Section table as written, for boundary-aware corruption.
 	type sec struct {
@@ -264,8 +244,8 @@ func testMappedCorruptionTable(t *testing.T, valid []byte) {
 			secs = append(secs, sec{Section(i + 1).String(), o, l})
 		}
 	}
-	if len(secs) != mappedSections {
-		t.Fatalf("relaid+quantized index should populate all %d sections: got %d", mappedSections, len(secs))
+	if len(secs) != sections {
+		t.Fatalf("record populates %d sections, want %d", len(secs), sections)
 	}
 
 	cases := []struct {
@@ -346,9 +326,8 @@ func testMappedCorruptionTable(t *testing.T, valid []byte) {
 			if err := os.WriteFile(path, mutated, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			idx, err := OpenMapped(path, MapOptions{})
+			_, err := OpenMappedFile(t, path, MapOptions{})
 			if err == nil {
-				idx.Close()
 				t.Fatal("corrupt file opened without error")
 			}
 			var fe *FormatError
@@ -383,7 +362,7 @@ func TestMappedRemapValidatedUnderNoVerify(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenMapped(path, MapOptions{NoVerify: true})
+	_, err := OpenMappedFile(t, path, MapOptions{NoVerify: true})
 	var fe *FormatError
 	if !errors.As(err, &fe) || fe.Section != SectionRemap {
 		t.Fatalf("NoVerify open of broken remap: %v, want remap FormatError", err)
@@ -435,6 +414,9 @@ func FuzzOpenMapped(f *testing.F) {
 		f.Add(b)
 		f.Add(b[:mappedHeaderSize])
 	}
+	legacy := legacyRecord(f)
+	f.Add(legacy)
+	f.Add(legacy[:len(legacy)-mappedAlign])
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0}, mappedHeaderSize))
 	// One scratch file per worker process; each exec overwrites it (cheaper
@@ -445,7 +427,7 @@ func FuzzOpenMapped(f *testing.F) {
 			t.Skip()
 		}
 		for _, opts := range []MapOptions{{}, {NoVerify: true}} {
-			idx, err := OpenMapped(path, opts)
+			idx, err := OpenMappedFile(t, path, opts)
 			if err != nil {
 				continue
 			}
@@ -460,7 +442,6 @@ func FuzzOpenMapped(f *testing.F) {
 				q := make([]float32, idx.Base.Dim)
 				idx.Search(q, 3, 10, nil)
 			}
-			idx.Close()
 		}
 	})
 }
@@ -471,17 +452,14 @@ func FuzzOpenMapped(f *testing.F) {
 func TestPromoteMeasuresRho(t *testing.T) {
 	base := testBase(t, 300, 16, 11)
 	heap := buildMappedTestNSG(t, base, true, true)
-	mapped, err := OpenMapped(saveMappedTemp(t, heap), MapOptions{NoVerify: true})
+	mapped, err := OpenMappedFile(t, saveMappedTemp(t, heap), MapOptions{NoVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mapped.Close()
 	if mapped.Quant.hasRho {
 		t.Fatal("a NoVerify open measured ρ")
 	}
-	if err := mapped.PromoteToHeap(); err != nil {
-		t.Fatal(err)
-	}
+	mapped.PromoteToHeap()
 	if got, want := mapped.Quant, heap.Quant; !got.hasRho || got.rho != want.rho {
 		t.Fatalf("promoted ρ %v (known %v), built index's %v", got.rho, got.hasRho, want.rho)
 	}

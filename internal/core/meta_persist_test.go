@@ -1,137 +1,136 @@
 package core
 
+// The metadata section of a record: only the one-index files of older
+// builds carry one (no writer does any more), and the readers hand it,
+// undecoded, to the container that decodes it. These tests read the files
+// such a build wrote, under testdata/legacy in the repository root.
+
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/meta"
+	"repro/internal/mstore"
+	"repro/internal/vecmath"
 )
 
-// metaFingerprint compiles a fixed mixed predicate against a store and
-// returns the bitmap, so two stores can be compared by observable behavior
-// rather than internal layout.
-func metaFingerprint(t *testing.T, s *meta.Store) []uint64 {
+func legacyFile(name string) string { return filepath.Join("..", "..", "testdata", "legacy", name) }
+
+// legacyBundleRecord splits an NSGB fixture into its vectors (rows x dim
+// after the 12-byte header of magic, rows and dim) and the NSG record that
+// follows them.
+func legacyBundleRecord(t *testing.T, name string) ([]byte, vecmath.Matrix) {
 	t.Helper()
-	p := meta.Or(
-		meta.And(meta.Range("price", 30, 300), meta.Eq("category", "cat2")),
-		meta.HasTag("tags", "even"),
-	)
-	bits := make([]uint64, meta.BitsLen(s.Rows()))
-	if _, err := s.Compile(p, bits); err != nil {
+	b, err := os.ReadFile(legacyFile(name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return bits
+	rows, dim := int(le.Uint32(b[4:])), int(le.Uint32(b[8:]))
+	base := vecmath.NewMatrix(rows, dim)
+	for i := range base.Data {
+		base.Data[i] = math.Float32frombits(le.Uint32(b[12+4*i:]))
+	}
+	return b[12+4*len(base.Data):], base
 }
 
-// TestMetaRoundtripStream: a store attached to the index survives the NSGQ
-// stream format byte-exactly, for plain and quantized shapes.
+// TestMetaRoundtripStream: ReadNSG hands back an older record's metadata
+// section, the record's tail byte for byte, which decodes to the store the
+// fixture was written with (Eq("category", "c3") passes 24 of 240 rows),
+// for float32 and SQ8 records; a record cut short inside the section fails
+// the read.
 func TestMetaRoundtripStream(t *testing.T) {
-	base := testBase(t, 250, 12, 3)
-	for _, tc := range []struct {
-		name     string
-		quantize bool
-	}{{"float32", false}, {"sq8", true}} {
+	for _, tc := range []struct{ name, file string }{{"float32", "one_f32.nsgb"}, {"sq8", "one_sq8.nsgb"}} {
 		t.Run(tc.name, func(t *testing.T) {
-			idx := buildMappedTestNSG(t, base.Clone(), true, tc.quantize)
-			var buf bytes.Buffer
-			if err := idx.Write(&buf); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadNSG(bytes.NewReader(buf.Bytes()), base.Clone())
+			rec, base := legacyBundleRecord(t, tc.file)
+			x, blob, err := ReadNSG(bytes.NewReader(rec), base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Meta == nil {
-				t.Fatal("metadata dropped by stream roundtrip")
+			if x.IsQuantized() != (tc.name == "sq8") || blob == nil || !bytes.HasSuffix(rec, blob) {
+				t.Fatalf("quantized %v, metadata blob of %d bytes (record tail: %v)", x.IsQuantized(), len(blob), bytes.HasSuffix(rec, blob))
 			}
-			if got.Meta.Rows() != idx.Meta.Rows() {
-				t.Fatalf("rows %d != %d", got.Meta.Rows(), idx.Meta.Rows())
+			st, err := meta.Decode(blob, base.Rows)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := metaFingerprint(t, idx.Meta)
-			have := metaFingerprint(t, got.Meta)
-			for i := range want {
-				if want[i] != have[i] {
-					t.Fatalf("predicate bitmap diverges at word %d: %#x vs %#x", i, want[i], have[i])
-				}
+			bits := make([]uint64, meta.BitsLen(st.Rows()))
+			if n, err := st.Compile(meta.Eq("category", "c3"), bits); err != nil || n != 24 {
+				t.Fatalf("the decoded store passes %d rows (%v), want 24", n, err)
+			}
+			_, base = legacyBundleRecord(t, tc.file)
+			if _, _, err := ReadNSG(bytes.NewReader(rec[:len(rec)-3]), base); err == nil {
+				t.Fatal("a record cut inside its metadata section was read")
 			}
 		})
 	}
 }
 
-// TestMetaRoundtripMapped: the NSGM meta section roundtrips under both
-// verification modes, and PromoteToHeap keeps the store.
+// TestMetaRoundtripMapped: OpenMappedAt hands back the metadata section of
+// an older top-level NSGM record, under both verification modes, as the
+// bytes its NSGB twin carries (both were written from one store), and the
+// record promotes to the heap.
 func TestMetaRoundtripMapped(t *testing.T) {
-	base := testBase(t, 250, 12, 4)
-	idx := buildMappedTestNSG(t, base.Clone(), true, true)
-	path := saveMappedTemp(t, idx)
+	rec, base := legacyBundleRecord(t, "one_sq8.nsgb")
+	_, want, err := ReadNSG(bytes.NewReader(rec), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := mstore.Open(legacyFile("one_sq8.nsgm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 	for _, opts := range []MapOptions{{}, {NoVerify: true}} {
-		mapped, err := OpenMapped(path, opts)
+		x, blob, err := OpenMappedAt(f, 0, f.Size(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mapped.Meta == nil {
-			t.Fatal("metadata dropped by mapped open")
+		if !bytes.Equal(blob, want) {
+			t.Fatalf("%+v: metadata section of %d bytes, the stream record's has %d", opts, len(blob), len(want))
 		}
-		want := metaFingerprint(t, idx.Meta)
-		have := metaFingerprint(t, mapped.Meta)
-		for i := range want {
-			if want[i] != have[i] {
-				t.Fatalf("predicate bitmap diverges at word %d", i)
-			}
-		}
-		if err := mapped.PromoteToHeap(); err != nil {
-			t.Fatal(err)
-		}
-		if mapped.Meta == nil {
-			t.Fatal("metadata dropped by promotion")
+		x.PromoteToHeap()
+		if x.ReadOnly() || len(x.Search(base.Row(0), 5, 20, nil)) != 5 {
+			t.Fatalf("%+v: the promoted record does not serve", opts)
 		}
 	}
 }
 
-// TestMetaBlobCorruption: a flipped byte inside the metadata blob must fail
-// the open on every path — the stream reader, the verifying mapped open
-// (section CRC) and the NoVerify mapped open (the blob's own checksum).
+// TestMetaBlobCorruption: an older record whose metadata size word is past
+// any real store fails the stream read, and one with a flipped byte inside
+// its mapped metadata section fails the verified open as corrupt there (a
+// NoVerify open hands the bytes on; the container's decode rejects them).
 func TestMetaBlobCorruption(t *testing.T) {
-	base := testBase(t, 200, 12, 5)
-	idx := buildMappedTestNSG(t, base.Clone(), true, false)
-
 	t.Run("stream", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := idx.Write(&buf); err != nil {
+		rec, base := legacyBundleRecord(t, "one_f32.nsgb")
+		_, blob, err := ReadNSG(bytes.NewReader(rec), base)
+		if err != nil {
 			t.Fatal(err)
 		}
-		b := buf.Bytes()
-		b[len(b)-3] ^= 0xff // inside the trailing meta blob
-		if _, err := ReadNSG(bytes.NewReader(b), base.Clone()); err == nil {
-			t.Fatal("corrupt meta blob accepted by stream reader")
+		_, base = legacyBundleRecord(t, "one_f32.nsgb")
+		le.PutUint32(rec[len(rec)-len(blob)-4:], maxMetaBlob+1)
+		if _, _, err := ReadNSG(bytes.NewReader(rec), base); err == nil {
+			t.Fatal("a metadata size past any real store was read")
 		}
 	})
-
 	t.Run("mapped", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := idx.WriteMapped(&buf); err != nil {
+		b, err := os.ReadFile(legacyFile("one_f32.nsgm"))
+		if err != nil {
 			t.Fatal(err)
 		}
-		b := buf.Bytes()
-		mOff := int64(getU64(b, sectionTableStart+5*sectionEntrySize))
-		mLen := int64(getU64(b, sectionTableStart+5*sectionEntrySize+8))
-		if mLen == 0 {
-			t.Fatal("meta section missing from record")
-		}
-		b[mOff+mLen/2] ^= 0xff
+		off, size := le.Uint64(b[sectionTableStart+5*sectionEntrySize:]), le.Uint64(b[sectionTableStart+5*sectionEntrySize+8:])
+		b[off+size/2] ^= 0xff
 		path := filepath.Join(t.TempDir(), "badmeta.nsgm")
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []MapOptions{{}, {NoVerify: true}} {
-			_, err := OpenMapped(path, opts)
-			var fe *FormatError
-			if !errors.As(err, &fe) || fe.Section != SectionMeta {
-				t.Fatalf("NoVerify=%v: got %v, want FormatError in meta section", opts.NoVerify, err)
-			}
+		_, err = OpenMappedFile(t, path, MapOptions{})
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Section != SectionMeta {
+			t.Fatalf("got %v, want a FormatError in the meta section", err)
 		}
 	})
 }

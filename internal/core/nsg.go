@@ -13,8 +13,6 @@ import (
 
 	"repro/internal/chunkio"
 	"repro/internal/graphutil"
-	"repro/internal/meta"
-	"repro/internal/mstore"
 	"repro/internal/vecmath"
 	"repro/internal/vecmath/quant"
 )
@@ -38,8 +36,9 @@ func DefaultBuildParams() BuildParams {
 	return BuildParams{L: 40, M: 30, C: 500, Seed: 1}
 }
 
-// NSG is the built index: the pruned graph, its fixed entry point, and the
-// base vectors it indexes.
+// NSG is one shard's index: the pruned graph, its fixed entry point, the
+// base vectors it indexes, its id remap and, when quantized, its codes.
+// Metadata and files belong to the container that holds it.
 //
 // The graph has one form, heap or mapped: the fixed-stride flat adjacency
 // (graphutil.FlatGraph) the paper's Table 2 describes, which searches
@@ -62,22 +61,12 @@ type NSG struct {
 	PubIDs     []int32
 	toInternal []int32
 
-	// Meta, when non-nil, is the metadata column store filtered search
-	// compiles predicates against, keyed by public id (row r describes the
-	// point with public id r, independent of any relayout). Persisted as an
-	// optional section in the NSGQ stream and NSGM mapped layouts.
-	Meta *meta.Store
-
 	flat   *graphutil.FlatGraph
 	shared bool         // a published Snapshot holds flat: copy before writing
 	reach  atomic.Int64 // cached ReachableFrom(Navigating)+1; 0 = unknown
-
-	// Mapped-mode state (see mapped.go): ro makes mutators return
-	// ErrReadOnly; mapped holds the backing file when this index owns it
-	// (nil for records opened inside a container, whose mapping the
-	// container owns).
-	ro     bool
-	mapped *mstore.File
+	// ro marks slabs that point into a read-only mapping (see mapped.go):
+	// mutators return ErrReadOnly.
+	ro bool
 }
 
 // newNSG wraps a graph with identity id tables.
@@ -461,7 +450,10 @@ const (
 	// codes, a scheme that was removed; readers reject it as an unknown bit,
 	// and it must not be reused, so an old int4 file is never misread.
 	nsgFlagQuant4 = 1 << 2
-	nsgFlagMeta   = 1 << 3 // metadata column-store blob follows (after quant)
+	// nsgFlagMeta marks a metadata blob after the quant sections. Only the
+	// one-index files of older builds carry one; readers hand it to their
+	// container, and no writer sets it.
+	nsgFlagMeta = 1 << 3
 
 	// maxMetaBlob bounds the metadata section a reader will allocate for —
 	// far above any real column store, far below a corrupt length's reach.
@@ -482,21 +474,13 @@ func (x *NSG) Write(w io.Writer) error {
 	if x.Quant != nil {
 		flags |= nsgFlagQuant
 	}
-	if x.Meta != nil {
-		flags |= nsgFlagMeta
-	}
 	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint32(hdr[0:], nsgQuantMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(x.Navigating))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(x.M))
-	binary.LittleEndian.PutUint32(hdr[12:], flags)
-	if _, err := bw.Write(hdr); err != nil {
-		return fmt.Errorf("core: write header: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: flush header: %w", err)
-	}
-	if _, err := x.flat.WriteTo(w); err != nil {
+	le.PutUint32(hdr[0:], nsgQuantMagic)
+	le.PutUint32(hdr[4:], uint32(x.Navigating))
+	le.PutUint32(hdr[8:], uint32(x.M))
+	le.PutUint32(hdr[12:], flags)
+	bw.Write(hdr) // a failed write sticks in bw, and the graph's flush reports it
+	if _, err := x.flat.WriteTo(bw); err != nil {
 		return err
 	}
 	if err := writeRemap(bw, x.PubIDs); err != nil {
@@ -510,49 +494,7 @@ func (x *NSG) Write(w io.Writer) error {
 			return err
 		}
 	}
-	if x.Meta != nil {
-		if err := writeMetaBlob(bw, x.Meta); err != nil {
-			return err
-		}
-	}
 	return bw.Flush()
-}
-
-// writeMetaBlob writes the metadata column store as one length-prefixed,
-// self-checksummed blob (the shared NSMD encoding every container embeds).
-func writeMetaBlob(bw *bufio.Writer, s *meta.Store) error {
-	blob := s.AppendEncode(nil)
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(blob)))
-	if _, err := bw.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("core: write meta size: %w", err)
-	}
-	if _, err := bw.Write(blob); err != nil {
-		return fmt.Errorf("core: write meta: %w", err)
-	}
-	return nil
-}
-
-// readMetaBlob reads a length-prefixed NSMD blob and decodes it against the
-// expected row count.
-func readMetaBlob(r io.Reader, wantRows int) (*meta.Store, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, fmt.Errorf("core: read meta size: %w", err)
-	}
-	size := int(binary.LittleEndian.Uint32(lenBuf[:]))
-	if size < 0 || size > maxMetaBlob {
-		return nil, fmt.Errorf("core: meta section size %d out of range", size)
-	}
-	blob := make([]byte, size)
-	if _, err := io.ReadFull(r, blob); err != nil {
-		return nil, fmt.Errorf("core: read meta: %w", err)
-	}
-	s, err := meta.Decode(blob, wantRows)
-	if err != nil {
-		return nil, fmt.Errorf("core: meta section: %w", err)
-	}
-	return s, nil
 }
 
 // writeRemap encodes the internal→public id table through the shared
@@ -597,14 +539,16 @@ func readRemap(r io.Reader, n int) ([]int32, error) {
 // rows must be in public id order (the order persistence containers store).
 // The index takes ownership of base; for relayouted indexes the remap
 // section restores the internal order by permuting base's rows in place.
-func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
+// The second result is the undecoded metadata section of an older
+// one-index record, nil when the record has none.
+func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, []byte, error) {
 	// Normalize to one buffered reader shared with graphutil.ReadFrom (a
 	// bufio.Reader passes through bufio.NewReader unchanged), so trailing
 	// sections are never swallowed by a second layer of read-ahead.
 	br := bufio.NewReader(r)
 	hdr := make([]byte, 12)
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("core: read header: %w", err)
+		return nil, nil, fmt.Errorf("core: read header: %w", err)
 	}
 	flags := uint32(0)
 	switch binary.LittleEndian.Uint32(hdr[0:]) {
@@ -612,7 +556,7 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 	case nsgQuantMagic:
 		var fb [4]byte
 		if _, err := io.ReadFull(br, fb[:]); err != nil {
-			return nil, fmt.Errorf("core: read flags: %w", err)
+			return nil, nil, fmt.Errorf("core: read flags: %w", err)
 		}
 		flags = binary.LittleEndian.Uint32(fb[:])
 		// Unknown bits mean sections this reader cannot consume: reject
@@ -621,31 +565,31 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 		// corrupt the next record of an embedding stream.
 		// The reserved nsgFlagQuant4 bit is one of them.
 		if flags&^uint32(nsgFlagRemap|nsgFlagQuant|nsgFlagMeta) != 0 {
-			return nil, fmt.Errorf("core: unsupported NSG record flags %#x", flags)
+			return nil, nil, fmt.Errorf("core: unsupported NSG record flags %#x", flags)
 		}
 	default:
-		return nil, fmt.Errorf("core: bad NSG file magic")
+		return nil, nil, fmt.Errorf("core: bad NSG file magic")
 	}
 	nav := int32(binary.LittleEndian.Uint32(hdr[4:]))
 	m := binary.LittleEndian.Uint32(hdr[8:])
 	if m > maxDegreeCap {
-		return nil, fmt.Errorf("core: implausible degree cap %d", m)
+		return nil, nil, fmt.Errorf("core: implausible degree cap %d", m)
 	}
 	// The node count must match base (checked inside ReadFromN, before the
 	// adjacency allocation, so a corrupt count cannot demand gigabytes).
 	g, err := graphutil.ReadFromN(br, base.Rows)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if int(nav) >= g.N() || nav < 0 {
-		return nil, fmt.Errorf("core: navigating node %d out of range", nav)
+		return nil, nil, fmt.Errorf("core: navigating node %d out of range", nav)
 	}
 	// A record without a remap section was never relaid: identity ids.
 	x := newNSG(graphutil.Flatten(g), nav, base, int(m))
 	if flags&nsgFlagRemap != 0 {
 		pub, err := readRemap(br, g.N())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		x.PubIDs = pub
 		for internal, p := range pub {
@@ -662,29 +606,37 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, error) {
 	if flags&nsgFlagQuant != 0 {
 		qz, err := quant.ReadQuantizer(br)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Shape-checked before allocation: a corrupt codes header must not
 		// demand rows*dim bytes the record cannot hold.
 		codes, err := quant.ReadCodesShape(br, base.Rows, base.Dim)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if qz.Dim() != base.Dim || codes.Dim != base.Dim || codes.Rows != base.Rows {
-			return nil, fmt.Errorf("core: quant section shape %dx%d (dim %d) does not match base %dx%d",
+			return nil, nil, fmt.Errorf("core: quant section shape %dx%d (dim %d) does not match base %dx%d",
 				codes.Rows, codes.Dim, qz.Dim(), base.Rows, base.Dim)
 		}
 		x.Quant = &Quantized{Q: qz, Codes: codes}
 		x.Quant.measureRho(base)
 	}
 	if flags&nsgFlagMeta != 0 {
-		m, err := readMetaBlob(br, base.Rows)
-		if err != nil {
-			return nil, err
+		var size [4]byte
+		if _, err := io.ReadFull(br, size[:]); err != nil {
+			return nil, nil, fmt.Errorf("core: read meta size: %w", err)
 		}
-		x.Meta = m
+		n := binary.LittleEndian.Uint32(size[:])
+		if n > maxMetaBlob {
+			return nil, nil, fmt.Errorf("core: meta section size %d out of range", n)
+		}
+		blob := make([]byte, n)
+		if _, err := io.ReadFull(br, blob); err != nil {
+			return nil, nil, fmt.Errorf("core: read meta: %w", err)
+		}
+		return x, blob, nil
 	}
-	return x, nil
+	return x, nil, nil
 }
 
 // dedupeSortedCtx sorts candidates ascending by (dist,id) in place and

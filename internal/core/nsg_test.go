@@ -145,7 +145,7 @@ func TestNSGSerializationRoundTrip(t *testing.T) {
 	if err := idx.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadNSG(&buf, ds.Base)
+	got, _, err := ReadNSG(&buf, ds.Base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +173,13 @@ func TestNSGSerializationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrongBase := vecmath.NewMatrix(5, 8)
-	if _, err := ReadNSG(bytes.NewReader(buf.Bytes()), wrongBase); err == nil {
+	if _, _, err := ReadNSG(bytes.NewReader(buf.Bytes()), wrongBase); err == nil {
 		t.Error("expected error for mismatched base size")
 	}
-	if _, err := ReadNSG(bytes.NewReader([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}), ds.Base); err == nil {
+	if _, _, err := ReadNSG(bytes.NewReader([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}), ds.Base); err == nil {
 		t.Error("expected error for bad magic")
 	}
-	if _, err := ReadNSG(bytes.NewReader(nil), ds.Base); err == nil {
+	if _, _, err := ReadNSG(bytes.NewReader(nil), ds.Base); err == nil {
 		t.Error("expected error for empty stream")
 	}
 }
@@ -195,7 +195,7 @@ func TestNSGFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, err := ReadNSG(f, ds.Base)
+	got, _, err := ReadNSG(f, ds.Base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,7 +184,7 @@ func TestQuantizedPersistByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ReadNSG expects rows in public order.
-	loaded, err := ReadNSG(bytes.NewReader(buf.Bytes()), base.Clone())
+	loaded, _, err := ReadNSG(bytes.NewReader(buf.Bytes()), base.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestVersionGateOldFilesLoad(t *testing.T) {
 	if _, err := idx.flat.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadNSG(bytes.NewReader(buf.Bytes()), base)
+	loaded, _, err := ReadNSG(bytes.NewReader(buf.Bytes()), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestReadNSGRejectsUnknownFlags(t *testing.T) {
 	} {
 		blob := bytes.Clone(buf.Bytes())
 		blob[12] = tc.flag(blob[12])
-		if _, err := ReadNSG(bytes.NewReader(blob), base); err == nil {
+		if _, _, err := ReadNSG(bytes.NewReader(blob), base); err == nil {
 			t.Fatalf("%s: ReadNSG accepted a record with unknown flags", tc.name)
 		}
 	}
@@ -513,24 +513,20 @@ func TestRhoMeasuredEverywhere(t *testing.T) {
 		if err := x.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadNSG(&buf, base.Clone())
+		loaded, _, err := ReadNSG(&buf, base.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "rho.nsgm")
-		if err := x.SaveMapped(path); err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := OpenMapped(path, MapOptions{})
+		SaveMappedFile(t, x, path)
+		mapped, err := OpenMappedFile(t, path, MapOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer mapped.Close()
-		trusted, err := OpenMapped(path, MapOptions{NoVerify: true})
+		trusted, err := OpenMappedFile(t, path, MapOptions{NoVerify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer trusted.Close()
 		for name, q := range map[string]*Quantized{"Load": loaded.Quant, "OpenMapped": mapped.Quant} {
 			if !q.hasRho || q.rho != rho {
 				t.Fatalf("%s: rho %g (known %v), encode measured %g", name, q.rho, q.hasRho, rho)
@@ -539,9 +535,7 @@ func TestRhoMeasuredEverywhere(t *testing.T) {
 		if trusted.Quant.hasRho {
 			t.Fatal("NoVerify open claims a known rho")
 		}
-		if err := mapped.PromoteToHeap(); err != nil {
-			t.Fatal(err)
-		}
+		mapped.PromoteToHeap()
 		if !mapped.Quant.hasRho || mapped.Quant.rho != rho {
 			t.Fatalf("PromoteToHeap: rho %g (known %v), want %g", mapped.Quant.rho, mapped.Quant.hasRho, rho)
 		}

@@ -246,15 +246,23 @@ func BuildSharded(base vecmath.Matrix, p Params) (*Sharded, error) {
 
 // single wraps the NSG of a legacy one-index file (an NSGB bundle or a
 // top-level NSGM record) as the only shard of an index. Its public ids are
-// the global ids, so the shard keeps no translate table, and its metadata
-// store becomes the index's.
-func single(idx *core.NSG) *Sharded {
-	s := &Sharded{dim: idx.Base.Dim, shards: []*core.NSG{idx}, Meta: idx.Meta}
-	idx.Meta = nil
+// the global ids, so the shard keeps no translate table; the metadata
+// section the record carried (metaBlob, nil for none) becomes the index's
+// store, and the options are the only ones such a file kept: the record's
+// degree cap and quantization mode. The error is the store's decode error.
+func single(idx *core.NSG, metaBlob []byte) (*Sharded, FileOptions, error) {
+	s := &Sharded{dim: idx.Base.Dim, shards: []*core.NSG{idx}}
+	if metaBlob != nil {
+		st, err := meta.Decode(metaBlob, idx.Base.Rows)
+		if err != nil {
+			return nil, FileOptions{}, err
+		}
+		s.Meta = st
+	}
 	if err := s.start([][]int32{nil}, idx.Base.Rows); err != nil {
 		panic(err) // unreachable: the identity partitions the shard's rows
 	}
-	return s
+	return s, FileOptions{MaxDegree: idx.M, Quantize: idx.IsQuantized()}, nil
 }
 
 // Shard returns shard sh's NSG, the graph its handle serves as published.
@@ -356,9 +364,6 @@ func (s *Sharded) Close() {
 	s.closeOnce.Do(func() {
 		if s.tasks != nil {
 			close(s.tasks)
-		}
-		for _, idx := range s.shards {
-			idx.Close()
 		}
 		if s.mapped != nil {
 			s.mapped.Close()

@@ -1,9 +1,9 @@
 package distsearch
 
 import (
-	"bytes"
 	"encoding/binary"
-	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -87,22 +87,22 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// roundTrip writes s as a bundle and reads it back, checking the options
-// blob comes back verbatim.
+// roundTrip saves s as a bundle and loads it back, checking the options
+// come back as written.
 func roundTrip(t *testing.T, s *Sharded) *Sharded {
 	t.Helper()
-	opts := []byte("options-blob-0123456")
-	var buf bytes.Buffer
-	if err := s.Write(&buf, opts); err != nil {
+	opts := FileOptions{GraphK: 11, BuildL: 22, MaxDegree: 33, SearchL: 44, Quantize: true}
+	path := filepath.Join(t.TempDir(), "idx.nsgd")
+	if err := s.Save(path, opts); err != nil {
 		t.Fatal(err)
 	}
-	got, gotOpts, err := Read(&buf)
+	got, gotOpts, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(got.Close)
-	if !bytes.Equal(gotOpts, opts) {
-		t.Fatalf("options blob %q did not round-trip", gotOpts)
+	if gotOpts != opts {
+		t.Fatalf("options %+v did not round-trip: %+v", opts, gotOpts)
 	}
 	return got
 }
@@ -131,15 +131,29 @@ func TestShardedSaveLoad(t *testing.T) {
 	}
 }
 
-func TestLoadErrors(t *testing.T) {
-	if _, _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Error("expected error for an empty stream")
+// loadBytes loads b as a bundle file.
+func loadBytes(t *testing.T, b []byte) error {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "idx.nsgd")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := Read(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})); err == nil {
+	s, _, err := Load(path)
+	if err == nil {
+		s.Close()
+	}
+	return err
+}
+
+func TestLoadErrors(t *testing.T) {
+	if err := loadBytes(t, nil); err == nil {
+		t.Error("expected error for an empty file")
+	}
+	if err := loadBytes(t, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}); err == nil {
 		t.Error("expected error for bad magic")
 	}
-	if err := (&Sharded{}).Write(io.Discard, nil); err == nil {
-		t.Error("expected error for a short options blob")
+	if _, _, err := Load(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Error("expected error for a missing file")
 	}
 }
 
@@ -227,7 +241,7 @@ func TestSearchStatsMerged(t *testing.T) {
 // bundleWith is a valid bundle head (NSGD header, zero options, rows x dim
 // zero vectors) followed by tail in place of the shard section.
 func bundleWith(rows, dim int, tail []byte) []byte {
-	b := make([]byte, 16+OptionsSize+rows*dim*4)
+	b := make([]byte, 16+optionsSize+rows*dim*4)
 	binary.LittleEndian.PutUint32(b[0:], bundleMagic)
 	binary.LittleEndian.PutUint32(b[4:], bundleVersion)
 	binary.LittleEndian.PutUint32(b[8:], uint32(rows))
@@ -244,7 +258,7 @@ func TestVersionedFormatRejectsV1(t *testing.T) {
 		hdr := make([]byte, 12)
 		binary.LittleEndian.PutUint32(hdr[0:], 0x4e534753) // v1 magic "NSGS"
 		binary.LittleEndian.PutUint32(hdr[4:], v1Shards)
-		if _, _, err := Read(bytes.NewReader(bundleWith(10, 4, hdr))); err == nil {
+		if err := loadBytes(t, bundleWith(10, 4, hdr)); err == nil {
 			t.Fatalf("expected error for v1 section with %d shards", v1Shards)
 		}
 	}
@@ -253,13 +267,13 @@ func TestVersionedFormatRejectsV1(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[0:], 0x4e534754)
 	binary.LittleEndian.PutUint32(hdr[4:], 9)
 	binary.LittleEndian.PutUint32(hdr[8:], 1)
-	if _, _, err := Read(bytes.NewReader(bundleWith(10, 4, hdr))); err == nil {
+	if err := loadBytes(t, bundleWith(10, 4, hdr)); err == nil {
 		t.Fatal("expected version error for v9 section")
 	}
 	// So must a bundle header with a wrong version.
 	b := bundleWith(10, 4, nil)
 	binary.LittleEndian.PutUint32(b[4:], 9)
-	if _, _, err := Read(bytes.NewReader(b)); err == nil {
+	if err := loadBytes(t, b); err == nil {
 		t.Fatal("expected version error for v9 bundle")
 	}
 }

@@ -1,6 +1,7 @@
 package distsearch
 
 import (
+	"errors"
 	"math/bits"
 
 	"repro/internal/core"
@@ -16,6 +17,10 @@ import (
 // same contract the unfiltered fan-out has, through the same Search. Shards
 // with zero passing rows are skipped entirely; their workers are never
 // scheduled.
+
+// ErrNoMetadata is returned when a predicate is compiled against an index
+// that carries no metadata column store.
+var ErrNoMetadata = errors.New("core: index has no metadata store")
 
 // ShardedFilter is one compiled predicate prepared for fan-out: the global
 // bitmap, and per shard its bitmap in the shard's ids with its passing
@@ -70,7 +75,7 @@ func (s *Sharded) NewFilter(set []uint64, count int) *ShardedFilter {
 // predicate scratch is reused.
 func (s *Sharded) CompileFilter(p meta.Predicate) (*ShardedFilter, error) {
 	if s.Meta == nil {
-		return nil, core.ErrNoMetadata
+		return nil, ErrNoMetadata
 	}
 	set, count, err := s.Meta.CompileAlloc(p)
 	if err != nil {

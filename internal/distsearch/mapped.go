@@ -35,25 +35,18 @@ const (
 	shardedMappedVersion     = 1
 	shardedMappedVersionMeta = 2
 
+	// The header's last 32 bytes hold the options blob, zero-padded.
 	smHeaderSize     = 64
 	smShardEntrySize = 40
 	smMetaEntrySize  = 24
-	// MappedMetaSize is the capacity of the container's opaque metadata
-	// blob, which the public layer uses to persist its build options.
-	MappedMetaSize = 32
-	smAlign        = 64
+	smAlign          = 64
 )
 
 func smAlignUp(n int64) int64 { return (n + smAlign - 1) &^ (smAlign - 1) }
 
-// WriteMapped serializes the sharded index as one aligned container. blob
-// is an opaque options blob (at most MappedMetaSize bytes, zero-padded)
-// returned verbatim by OpenMapped; the public layer stores its options
-// there.
-func (s *Sharded) WriteMapped(w io.Writer, blob []byte) error {
-	if len(blob) > MappedMetaSize {
-		return fmt.Errorf("distsearch: mapped options blob %d bytes exceeds %d", len(blob), MappedMetaSize)
-	}
+// WriteMapped serializes the sharded index as one aligned container, with
+// opts, which OpenMapped hands back.
+func (s *Sharded) WriteMapped(w io.Writer, opts FileOptions) error {
 	nShards := len(s.shards)
 	ids, rows := s.idMaps()
 	version, tableLen := uint32(shardedMappedVersion), nShards*smShardEntrySize
@@ -88,36 +81,30 @@ func (s *Sharded) WriteMapped(w io.Writer, blob []byte) error {
 	fileSize := off + int64(len(metaBlob))
 
 	head := make([]byte, smHeaderSize+tableLen+4)
-	le32 := func(o int, v uint32) {
-		head[o] = byte(v)
-		head[o+1] = byte(v >> 8)
-		head[o+2] = byte(v >> 16)
-		head[o+3] = byte(v >> 24)
-	}
-	le64 := func(o int, v uint64) { le32(o, uint32(v)); le32(o+4, uint32(v>>32)) }
-	le32(0, shardedMappedMagic)
-	le32(4, version)
-	le32(8, uint32(nShards))
-	le32(12, uint32(rows))
-	le32(16, uint32(s.dim))
-	le64(24, uint64(fileSize))
-	copy(head[32:smHeaderSize], blob)
+	le := binary.LittleEndian
+	le.PutUint32(head[0:], shardedMappedMagic)
+	le.PutUint32(head[4:], version)
+	le.PutUint32(head[8:], uint32(nShards))
+	le.PutUint32(head[12:], uint32(rows))
+	le.PutUint32(head[16:], uint32(s.dim))
+	le.PutUint64(head[24:], uint64(fileSize))
+	copy(head[32:smHeaderSize], opts.encode())
 	for sh, sl := range slots {
 		base := smHeaderSize + sh*smShardEntrySize
-		le64(base, uint64(sl.idmapOff))
-		le64(base+8, uint64(sl.idmapLen))
-		le64(base+16, uint64(sl.recOff))
-		le64(base+24, uint64(sl.recLen))
-		le32(base+32, sl.idmapCRC)
+		le.PutUint64(head[base:], uint64(sl.idmapOff))
+		le.PutUint64(head[base+8:], uint64(sl.idmapLen))
+		le.PutUint64(head[base+16:], uint64(sl.recOff))
+		le.PutUint64(head[base+24:], uint64(sl.recLen))
+		le.PutUint32(head[base+32:], sl.idmapCRC)
 	}
 	if metaBlob != nil {
 		base := smHeaderSize + nShards*smShardEntrySize
-		le64(base, uint64(metaOff))
-		le64(base+8, uint64(len(metaBlob)))
-		le32(base+16, crc32.ChecksumIEEE(metaBlob))
+		le.PutUint64(head[base:], uint64(metaOff))
+		le.PutUint64(head[base+8:], uint64(len(metaBlob)))
+		le.PutUint32(head[base+16:], crc32.ChecksumIEEE(metaBlob))
 	}
 	crcAt := smHeaderSize + tableLen
-	le32(crcAt, crc32.ChecksumIEEE(head[:crcAt]))
+	le.PutUint32(head[crcAt:], crc32.ChecksumIEEE(head[:crcAt]))
 	if _, err := w.Write(head); err != nil {
 		return fmt.Errorf("distsearch: write mapped header: %w", err)
 	}
@@ -147,9 +134,9 @@ func (s *Sharded) WriteMapped(w io.Writer, blob []byte) error {
 }
 
 // SaveMapped writes the aligned container to path, crash-safely.
-func (s *Sharded) SaveMapped(path string, blob []byte) error {
+func (s *Sharded) SaveMapped(path string, opts FileOptions) error {
 	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
-		return s.WriteMapped(w, blob)
+		return s.WriteMapped(w, opts)
 	})
 }
 
@@ -158,63 +145,68 @@ func smCorrupt(format string, args ...any) error {
 }
 
 // OpenMapped opens a container written by SaveMapped and serves all shards
-// from the mapping. A file that does not start with the container's magic
-// is opened as a top-level NSGM record, the one-index layout written
-// before every index saved containers: the index's only shard, with the
-// record's metadata store as the index's, and a nil options blob. The
-// returned index is read-only: Insert reports the condition, while
-// searches, the worker pool and Write behave exactly as on a loaded index.
-// Close releases the mapping; blob is the one passed to SaveMapped.
-func OpenMapped(path string, opts core.MapOptions) (s *Sharded, blob []byte, err error) {
+// from the mapping, with the options SaveMapped stored. A file that does
+// not start with the container's magic is opened as a top-level NSGM
+// record, the one-index layout written before every index saved
+// containers, through single. The returned index is read-only: Insert
+// reports the condition, while searches, the worker pool and Write behave
+// exactly as on a loaded index. Close releases the mapping.
+func OpenMapped(path string, mopts core.MapOptions) (*Sharded, FileOptions, error) {
 	f, err := mstore.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, FileOptions{}, err
 	}
-	if s, blob, err = openMapped(f, opts); err != nil {
+	s, opts, err := openMapped(f, mopts)
+	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, FileOptions{}, err
 	}
 	s.mapped = f
-	return s, blob, nil
+	return s, opts, nil
 }
 
-func openMapped(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, error) {
-	u32 := func(b []byte, o int) uint32 {
-		return uint32(b[o]) | uint32(b[o+1])<<8 | uint32(b[o+2])<<16 | uint32(b[o+3])<<24
-	}
-	u64 := func(b []byte, o int) uint64 { return uint64(u32(b, o)) | uint64(u32(b, o+4))<<32 }
+func openMapped(f *mstore.File, mopts core.MapOptions) (*Sharded, FileOptions, error) {
+	var none FileOptions
+	le := binary.LittleEndian
 	hdr, err := f.Bytes(0, min(f.Size(), smHeaderSize))
 	if err != nil {
-		return nil, nil, smCorrupt("%v", err)
+		return nil, none, smCorrupt("%v", err)
 	}
-	if len(hdr) < 4 || u32(hdr, 0) != shardedMappedMagic {
-		idx, _, err := core.OpenMappedAt(f, 0, f.Size(), opts, true)
+	if len(hdr) < 4 || le.Uint32(hdr[0:]) != shardedMappedMagic {
+		idx, metaBlob, err := core.OpenMappedAt(f, 0, f.Size(), mopts)
 		if err != nil {
-			return nil, nil, err
+			return nil, none, err
 		}
-		return single(idx), nil, nil
+		s, opts, err := single(idx, metaBlob)
+		if err != nil {
+			return nil, none, &core.FormatError{Section: core.SectionMeta, Reason: err.Error()}
+		}
+		return s, opts, nil
 	}
 	if len(hdr) < smHeaderSize {
-		return nil, nil, smCorrupt("file of %d bytes is smaller than any container", f.Size())
+		return nil, none, smCorrupt("file of %d bytes is smaller than any container", f.Size())
 	}
-	version := u32(hdr, 4)
+	version := le.Uint32(hdr[4:])
 	if version != shardedMappedVersion && version != shardedMappedVersionMeta {
-		return nil, nil, smCorrupt("unsupported container version %d", version)
+		return nil, none, smCorrupt("unsupported container version %d", version)
 	}
-	nShards := int(u32(hdr, 8))
-	rows := int(u32(hdr, 12))
-	dim := int(u32(hdr, 16))
-	fileSize := int64(u64(hdr, 24))
+	nShards := int(le.Uint32(hdr[8:]))
+	rows := int(le.Uint32(hdr[12:]))
+	dim := int(le.Uint32(hdr[16:]))
+	fileSize := int64(le.Uint64(hdr[24:]))
 	if nShards <= 0 || nShards > 1<<16 {
-		return nil, nil, smCorrupt("implausible shard count %d", nShards)
+		return nil, none, smCorrupt("implausible shard count %d", nShards)
 	}
 	if rows <= 0 || dim <= 0 {
-		return nil, nil, smCorrupt("implausible geometry %d rows x %d dims", rows, dim)
+		return nil, none, smCorrupt("implausible geometry %d rows x %d dims", rows, dim)
 	}
 	if fileSize != f.Size() {
-		return nil, nil, smCorrupt("header says %d bytes, file has %d (truncated or trailing garbage)", fileSize, f.Size())
+		return nil, none, smCorrupt("header says %d bytes, file has %d (truncated or trailing garbage)", fileSize, f.Size())
 	}
-	blob := append([]byte(nil), hdr[32:smHeaderSize]...)
+	opts, err := decodeOptions(hdr[32:])
+	if err != nil {
+		return nil, none, smCorrupt("%v", err)
+	}
 
 	tableLen := int64(nShards*smShardEntrySize) + 4
 	if version == shardedMappedVersionMeta {
@@ -222,55 +214,55 @@ func openMapped(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, error) 
 	}
 	table, err := f.Bytes(smHeaderSize, tableLen)
 	if err != nil {
-		return nil, nil, smCorrupt("shard table: %v", err)
+		return nil, none, smCorrupt("shard table: %v", err)
 	}
 	crcHere := crc32.NewIEEE()
 	crcHere.Write(hdr)
 	crcHere.Write(table[:len(table)-4])
-	if got := u32(table, len(table)-4); got != crcHere.Sum32() {
-		return nil, nil, smCorrupt("shard table checksum %#08x != %#08x", got, crcHere.Sum32())
+	if got := le.Uint32(table[len(table)-4:]); got != crcHere.Sum32() {
+		return nil, none, smCorrupt("shard table checksum %#08x != %#08x", got, crcHere.Sum32())
 	}
 
 	s := &Sharded{dim: dim}
 	var maps [][]int32
 	for sh := 0; sh < nShards; sh++ {
 		base := sh * smShardEntrySize
-		idmapOff := int64(u64(table, base))
-		idmapLen := int64(u64(table, base+8))
-		recOff := int64(u64(table, base+16))
-		recLen := int64(u64(table, base+24))
-		idmapCRC := u32(table, base+32)
+		idmapOff := int64(le.Uint64(table[base:]))
+		idmapLen := int64(le.Uint64(table[base+8:]))
+		recOff := int64(le.Uint64(table[base+16:]))
+		recLen := int64(le.Uint64(table[base+24:]))
+		idmapCRC := le.Uint32(table[base+32:])
 		// An empty id map is the identity, which only the only shard of an
 		// index can hold.
 		if idmapLen < 0 || (idmapLen == 0 && nShards != 1) || idmapLen%4 != 0 || idmapOff%smAlign != 0 ||
 			idmapOff < smHeaderSize+tableLen || idmapOff+idmapLen > fileSize {
-			return nil, nil, smCorrupt("shard %d id map [%d,%d) invalid", sh, idmapOff, idmapOff+idmapLen)
+			return nil, none, smCorrupt("shard %d id map [%d,%d) invalid", sh, idmapOff, idmapOff+idmapLen)
 		}
 		idmapBytes, err := f.Bytes(idmapOff, idmapLen)
 		if err != nil {
-			return nil, nil, smCorrupt("shard %d id map: %v", sh, err)
+			return nil, none, smCorrupt("shard %d id map: %v", sh, err)
 		}
 		// Id maps are always fully validated (checksum here, the partition
 		// in start): they are tiny next to the vector slabs and a bad entry
 		// would surface as a wrong result id, not a crash — the worst
 		// failure mode to ship silently.
 		if got := crc32.ChecksumIEEE(idmapBytes); got != idmapCRC {
-			return nil, nil, smCorrupt("shard %d id map checksum %#08x != %#08x", sh, got, idmapCRC)
+			return nil, none, smCorrupt("shard %d id map checksum %#08x != %#08x", sh, got, idmapCRC)
 		}
 		ids := mstore.Int32s(idmapBytes)
-		idx, consumed, err := core.OpenMappedAt(f, recOff, recLen, opts, true)
+		idx, metaBlob, err := core.OpenMappedAt(f, recOff, recLen, mopts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("distsearch: shard %d: %w", sh, err)
+			return nil, none, fmt.Errorf("distsearch: shard %d: %w", sh, err)
 		}
-		if consumed != recLen {
-			return nil, nil, smCorrupt("shard %d record consumed %d of %d bytes", sh, consumed, recLen)
+		if metaBlob != nil {
+			return nil, none, smCorrupt("shard %d record carries a metadata section", sh)
 		}
 		want := len(ids)
 		if idmapLen == 0 {
 			want = rows // the identity map covers every row
 		}
 		if idx.Base.Rows != want || idx.Base.Dim != dim {
-			return nil, nil, smCorrupt("shard %d record is %dx%d, id map and container imply %dx%d",
+			return nil, none, smCorrupt("shard %d record is %dx%d, id map and container imply %dx%d",
 				sh, idx.Base.Rows, idx.Base.Dim, want, dim)
 		}
 		s.shards = append(s.shards, idx)
@@ -278,13 +270,13 @@ func openMapped(f *mstore.File, opts core.MapOptions) (*Sharded, []byte, error) 
 	}
 	if version == shardedMappedVersionMeta {
 		if err := s.openMeta(f, table[nShards*smShardEntrySize:], smHeaderSize+tableLen, rows); err != nil {
-			return nil, nil, err
+			return nil, none, err
 		}
 	}
 	if err := s.start(maps, rows); err != nil {
-		return nil, nil, smCorrupt("%v", err)
+		return nil, none, smCorrupt("%v", err)
 	}
-	return s, blob, nil
+	return s, opts, nil
 }
 
 // openMeta decodes the metadata section that entry (the table's metadata
@@ -319,20 +311,17 @@ func (s *Sharded) ReadOnly() bool { return s.shards[0].ReadOnly() }
 // old ones' tombstones, cadence and id maps (copied out of the mapping),
 // and then the mapping is released. Search results are unchanged. A no-op
 // on a heap index; must not run concurrently with other calls.
-func (s *Sharded) PromoteToHeap() error {
+func (s *Sharded) PromoteToHeap() {
 	if !s.ReadOnly() {
-		return nil
+		return
 	}
 	for sh, idx := range s.shards {
 		old := s.handles[sh]
-		if err := idx.PromoteToHeap(); err != nil {
-			return err
-		}
+		idx.PromoteToHeap()
 		s.handles[sh] = live.New(idx, slices.Clone(old.Translate()), old.Dead(), old.Options())
 	}
 	if s.mapped != nil {
 		s.mapped.Close()
 		s.mapped = nil
 	}
-	return nil
 }

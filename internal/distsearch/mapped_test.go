@@ -12,10 +12,10 @@ import (
 	"repro/internal/dataset"
 )
 
-func saveShardedMapped(t *testing.T, s *Sharded, meta []byte) string {
+func saveShardedMapped(t *testing.T, s *Sharded, opts FileOptions) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "sharded.nsms")
-	if err := s.SaveMapped(path, meta); err != nil {
+	if err := s.SaveMapped(path, opts); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -44,15 +44,15 @@ func TestShardedMappedParity(t *testing.T) {
 			}
 			t.Cleanup(heap.Close)
 
-			meta := []byte("opts-blob-v1")
-			path := saveShardedMapped(t, heap, meta)
-			mapped, gotMeta, err := OpenMapped(path, core.MapOptions{})
+			opts := FileOptions{GraphK: 12, SearchL: 7, Quantize: quantize}
+			path := saveShardedMapped(t, heap, opts)
+			mapped, gotOpts, err := OpenMapped(path, core.MapOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(mapped.Close)
-			if !bytes.Equal(gotMeta[:len(meta)], meta) {
-				t.Fatalf("meta round trip: %q vs %q", gotMeta[:len(meta)], meta)
+			if gotOpts != opts {
+				t.Fatalf("options round trip: %+v vs %+v", gotOpts, opts)
 			}
 			if !mapped.ReadOnly() || mapped.Shards() != heap.Shards() || mapped.Len() != heap.Len() {
 				t.Fatalf("mapped shape: ro=%v shards=%d len=%d", mapped.ReadOnly(), mapped.Shards(), mapped.Len())
@@ -101,7 +101,7 @@ func TestShardedMappedParity(t *testing.T) {
 // the container must equal the heap index's.
 func TestShardedMappedReadOnlyGuards(t *testing.T) {
 	heap, ds := buildSharded(t, 1000, 2)
-	mapped, _, err := OpenMapped(saveShardedMapped(t, heap, nil), core.MapOptions{})
+	mapped, _, err := OpenMapped(saveShardedMapped(t, heap, FileOptions{}), core.MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestShardedMappedReadOnlyGuards(t *testing.T) {
 	if mapped.Len() != heap.Len() {
 		t.Fatalf("rejected Insert changed Len to %d, want %d", mapped.Len(), heap.Len())
 	}
-	opts := make([]byte, OptionsSize)
+	var opts FileOptions
 	var hb, mb bytes.Buffer
 	if err := heap.Write(&hb, opts); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestShardedMappedReadOnlyGuards(t *testing.T) {
 func TestShardedMappedCorruption(t *testing.T) {
 	heap, _ := buildSharded(t, 800, 2)
 	var buf bytes.Buffer
-	if err := heap.WriteMapped(&buf, nil); err != nil {
+	if err := heap.WriteMapped(&buf, FileOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()

@@ -5,40 +5,80 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"io/fs"
+	"os"
 
 	"repro/internal/chunkio"
 	"repro/internal/core"
 	"repro/internal/meta"
+	"repro/internal/mstore"
 	"repro/internal/vecmath"
 )
 
 // This file persists a sharded index as one stream bundle ("NSGD"): a
-// versioned header with the shape and the caller's options blob, the
+// versioned header with the shape and the index's FileOptions, the
 // vectors in global-id order, then the shard section ("NSGT") — its own
 // versioned header with the shard count and the optional global metadata
 // blob, then per shard the id map and the shard's NSG. The only shard of a
-// one-shard index stores an empty id map, which means the identity. Read
+// one-shard index stores an empty id map, which means the identity. Load
 // copies each shard's rows out of the vector section by its id map (a
 // one-shard index keeps the section as its rows), so the loaded index,
-// like a built one, keeps every vector in its shards only.
+// like a built one, keeps every vector in its shards only. It also holds
+// the options codec both formats share.
+
+// FileOptions are the build options a file keeps beside its index: the
+// public layer's per-shard GraphK, BuildL, MaxDegree and SearchL, and
+// whether the shards serve SQ8 codes. A zero field means the caller's
+// default.
+type FileOptions struct {
+	GraphK, BuildL, MaxDegree, SearchL int
+	Quantize                           bool
+}
+
+// The options blob both formats carry: the four option words, then the
+// flags word.
+const (
+	optionsSize = 20
+	optQuantize = 1 << 0
+	// optInt4 is reserved. Set beside optQuantize it marked the int4 path,
+	// which was removed; decodeOptions rejects it as an unknown bit, and it
+	// must not be reused, so an old int4 bundle is never misread.
+	optInt4 = 1 << 1
+)
+
+func (o FileOptions) encode() []byte {
+	blob := make([]byte, optionsSize)
+	for i, v := range []int{o.GraphK, o.BuildL, o.MaxDegree, o.SearchL} {
+		binary.LittleEndian.PutUint32(blob[4*i:], uint32(v))
+	}
+	if o.Quantize {
+		binary.LittleEndian.PutUint32(blob[16:], optQuantize)
+	}
+	return blob
+}
+
+// decodeOptions is the inverse of encode. A flags word with any bit it
+// does not know, the reserved optInt4 among them, is an error.
+func decodeOptions(blob []byte) (FileOptions, error) {
+	u := func(i int) int { return int(binary.LittleEndian.Uint32(blob[4*i:])) }
+	flags := uint32(u(4))
+	if flags&^optQuantize != 0 {
+		return FileOptions{}, fmt.Errorf("unsupported option flags %#x", flags)
+	}
+	return FileOptions{GraphK: u(0), BuildL: u(1), MaxDegree: u(2), SearchL: u(3), Quantize: flags&optQuantize != 0}, nil
+}
 
 const (
 	// legacyMagic is "NSGB", the one-index bundle written before every
 	// index saved NSGD: its shape, the vectors in public id order, then one
-	// NSG record carrying the metadata store. Read still accepts it.
+	// NSG record carrying the metadata store. Load still accepts it.
 	legacyMagic = 0x4e534742
 
 	// bundleMagic is "NSGD". Version 2 appends the options flags word to
-	// the four option words of version 1, which predates quantization; Read
-	// accepts both.
+	// the four option words of version 1, which predates quantization; Load
+	// accepts both, reading a missing flags word as zero.
 	bundleMagic     = 0x4e534744
 	bundleVersion   = 2
 	bundleVersionV1 = 1
-	// OptionsSize is the size of the options blob a bundle carries verbatim
-	// (the public layer's per-shard build options). A version-1 blob is
-	// four bytes shorter; Read pads it with a zero flags word.
-	OptionsSize = 20
 
 	// shardedMagic is "NSGT", deliberately distinct from the v1 magic
 	// ("NSGS", PR <= 2): v1 headers had the shard count where v2 keeps the
@@ -56,21 +96,23 @@ const (
 	maxShardedMetaBlob = 1 << 30
 )
 
-// Write serializes the sharded index as one bundle, heap or mapped alike.
-// opts is the options blob (OptionsSize bytes) Read hands back. Stop
-// issuing Inserts and Flush first, so the shards' id maps cover every row.
-func (s *Sharded) Write(w io.Writer, opts []byte) error {
-	if len(opts) != OptionsSize {
-		return fmt.Errorf("distsearch: options blob of %d bytes, want %d", len(opts), OptionsSize)
-	}
+// Save writes the bundle to path crash-safely (temp file, fsync, rename),
+// with opts, which Load hands back. Stop issuing Inserts and Flush first,
+// so the shards' id maps cover every row.
+func (s *Sharded) Save(path string, opts FileOptions) error {
+	return mstore.WriteFileAtomic(path, func(w io.Writer) error { return s.Write(w, opts) })
+}
+
+// Write streams the bundle Save writes, heap or mapped alike.
+func (s *Sharded) Write(w io.Writer, opts FileOptions) error {
 	ids, rows := s.idMaps()
 	bw := bufio.NewWriter(w)
-	hdr := make([]byte, 16, 16+OptionsSize)
+	hdr := make([]byte, 16, 16+optionsSize)
 	binary.LittleEndian.PutUint32(hdr[0:], bundleMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], bundleVersion)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(rows))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(s.dim))
-	if _, err := bw.Write(append(hdr, opts...)); err != nil {
+	if _, err := bw.Write(append(hdr, opts.encode()...)); err != nil {
 		return fmt.Errorf("distsearch: write header: %w", err)
 	}
 	// The vectors, in global-id order, gathered row by row from the shards.
@@ -139,67 +181,79 @@ func (s *Sharded) idMaps() ([][]int32, int) {
 	return ids, rows
 }
 
-// Read deserializes a bundle written by Write, or a legacy NSGB bundle, and
-// returns the index with a running worker pool, ready to serve, plus the
-// options blob (OptionsSize bytes; nil for an NSGB bundle, which keeps
-// none). Id maps that do not partition the rows are an error. When r has a
-// Stat method (an *os.File), the header's shape is bounded by the file size
-// before the vectors are allocated.
-func Read(r io.Reader) (*Sharded, []byte, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 16+OptionsSize)
-	if _, err := io.ReadFull(br, hdr[:12]); err != nil {
-		return nil, nil, fmt.Errorf("distsearch: read header: %w", err)
+// Load reads the bundle Save wrote to path, or a legacy NSGB bundle, and
+// returns the index with a running worker pool, ready to serve, plus its
+// options (for an NSGB bundle, which kept none, those single derives).
+// Id maps that do not partition the rows are an error, and the header's
+// shape is bounded by the file size before the vectors are allocated.
+func Load(path string) (*Sharded, FileOptions, error) {
+	var none FileOptions
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, none, err
 	}
-	shape, opts := hdr[4:12], []byte(nil)
+	defer f.Close()
+	br := bufio.NewReader(f)
+	hdr := make([]byte, 16+optionsSize)
+	if _, err := io.ReadFull(br, hdr[:12]); err != nil {
+		return nil, none, fmt.Errorf("distsearch: read header: %w", err)
+	}
+	shape, legacy := hdr[4:12], true
+	var opts FileOptions
 	switch binary.LittleEndian.Uint32(hdr[0:]) {
 	case legacyMagic:
 	case bundleMagic:
-		optsLen := OptionsSize
+		optsLen := optionsSize
 		switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
 		case bundleVersionV1:
 			optsLen -= 4 // no flags word; it reads as zero
 		case bundleVersion:
 		default:
-			return nil, nil, fmt.Errorf("distsearch: unsupported sharded bundle version %d (want <= %d)", v, bundleVersion)
+			return nil, none, fmt.Errorf("distsearch: unsupported sharded bundle version %d (want <= %d)", v, bundleVersion)
 		}
 		if _, err := io.ReadFull(br, hdr[12:16+optsLen]); err != nil {
-			return nil, nil, fmt.Errorf("distsearch: read options: %w", err)
+			return nil, none, fmt.Errorf("distsearch: read options: %w", err)
 		}
-		shape, opts = hdr[8:16], hdr[16:]
+		var err error
+		if opts, err = decodeOptions(hdr[16:]); err != nil {
+			return nil, none, fmt.Errorf("distsearch: %w", err)
+		}
+		shape, legacy = hdr[8:16], false
 	default:
-		return nil, nil, fmt.Errorf("distsearch: not an NSG bundle")
+		return nil, none, fmt.Errorf("distsearch: not an NSG bundle")
 	}
 	rows := int(binary.LittleEndian.Uint32(shape[0:]))
 	dim := int(binary.LittleEndian.Uint32(shape[4:]))
 	if rows <= 0 || dim <= 0 || rows > 1<<30 || dim > 1<<20 {
-		return nil, nil, fmt.Errorf("distsearch: implausible shape %dx%d", rows, dim)
+		return nil, none, fmt.Errorf("distsearch: implausible shape %dx%d", rows, dim)
 	}
 	// A corrupt header must not turn into a giant allocation.
-	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
-		if fi, err := f.Stat(); err == nil && fi.Size() < int64(rows)*int64(dim)*4 {
-			return nil, nil, fmt.Errorf("distsearch: file holds %d bytes, too small for claimed %dx%d vectors", fi.Size(), rows, dim)
-		}
+	if fi, err := f.Stat(); err == nil && fi.Size() < int64(rows)*int64(dim)*4 {
+		return nil, none, fmt.Errorf("distsearch: file holds %d bytes, too small for claimed %dx%d vectors", fi.Size(), rows, dim)
 	}
 	// The vectors in global-id order: copied into the shards below, then
 	// dropped.
 	base := vecmath.NewMatrix(rows, dim)
 	if err := chunkio.ReadFloat32s(br, base.Data); err != nil {
-		return nil, nil, fmt.Errorf("distsearch: truncated vectors: %w", err)
+		return nil, none, fmt.Errorf("distsearch: truncated vectors: %w", err)
 	}
-	if opts == nil {
-		idx, err := core.ReadNSG(br, base)
+	if legacy {
+		idx, metaBlob, err := core.ReadNSG(br, base)
 		if err != nil {
-			return nil, nil, err
+			return nil, none, err
 		}
-		return single(idx), nil, nil
+		s, opts, err := single(idx, metaBlob)
+		if err != nil {
+			return nil, none, fmt.Errorf("distsearch: metadata: %w", err)
+		}
+		return s, opts, nil
 	}
 	s, ids, err := readShards(br, base)
 	if err != nil {
-		return nil, nil, err
+		return nil, none, err
 	}
 	if err := s.start(ids, rows); err != nil {
-		return nil, nil, fmt.Errorf("distsearch: %w", err)
+		return nil, none, fmt.Errorf("distsearch: %w", err)
 	}
 	return s, opts, nil
 }
@@ -277,9 +331,12 @@ func readShards(br *bufio.Reader, base vecmath.Matrix) (*Sharded, [][]int32, err
 				copy(sub.Row(j), base.Row(int(id)))
 			}
 		}
-		idx, err := core.ReadNSG(br, sub)
+		idx, metaBlob, err := core.ReadNSG(br, sub)
 		if err != nil {
 			return nil, nil, fmt.Errorf("distsearch: shard %d: %w", sh, err)
+		}
+		if metaBlob != nil {
+			return nil, nil, fmt.Errorf("distsearch: shard %d record carries a metadata section", sh)
 		}
 		s.shards = append(s.shards, idx)
 		maps = append(maps, ids)

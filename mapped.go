@@ -27,28 +27,17 @@ import (
 // OpenMapped. Use errors.Is to detect it.
 var ErrReadOnly = core.ErrReadOnly
 
-// IsCorrupt reports whether err (from OpenMapped) describes a damaged or truncated index file, as opposed to an I/O
-// failure. The error text names the section that failed validation.
+// IsCorrupt reports whether err (from OpenMapped) describes a damaged or
+// truncated index file, as opposed to an I/O failure. The error text names
+// the section that failed validation.
 func IsCorrupt(err error) bool {
 	var fe *core.FormatError
 	return errors.As(err, &fe)
 }
 
-// MapOptions configures OpenMapped.
-type MapOptions struct {
-	// NoVerify skips the whole-file content verification pass (per-section
-	// CRC32 checks and a graph structure scan), making open O(1) in index
-	// size — the trusted-storage fast-restart path. Header geometry,
-	// checksummed headers and the id-remap permutation are still validated.
-	// Only set this when the file comes from storage you trust end to end:
-	// with NoVerify, in-place corruption of a slab can crash searches or
-	// silently return wrong results.
-	NoVerify bool
-}
-
-func (o MapOptions) internal() core.MapOptions {
-	return core.MapOptions{NoVerify: o.NoVerify}
-}
+// MapOptions configures OpenMapped: NoVerify skips the verification pass
+// for O(1) restarts on trusted storage.
+type MapOptions = core.MapOptions
 
 // SaveMapped writes the index in the disk-resident serving layout, one
 // container crash-safely written (temp file + fsync + rename): per shard,
@@ -59,11 +48,11 @@ func (o MapOptions) internal() core.MapOptions {
 // Adds first; like Save, it flushes the delta. An index with deleted
 // points returns ErrUncompactedDeletes and writes nothing: Compact first.
 func (x *Index) SaveMapped(path string) error {
-	blob, err := x.prepareSave()
+	opts, err := x.prepareSave()
 	if err != nil {
 		return err
 	}
-	return x.s.SaveMapped(path, blob)
+	return x.s.SaveMapped(path, opts)
 }
 
 // OpenMapped opens a file written by SaveMapped — by any index, of any
@@ -81,16 +70,11 @@ func (x *Index) SaveMapped(path string) error {
 // rejected as a whole — never partially served — with an error naming the
 // damaged section (see IsCorrupt).
 func OpenMapped(path string, opts MapOptions) (*Index, error) {
-	s, blob, err := distsearch.OpenMapped(path, opts.internal())
+	s, fo, err := distsearch.OpenMapped(path, opts)
 	if err != nil {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
-	x, err := open(s, blob)
-	if err != nil {
-		return nil, fmt.Errorf("nsg: open mapped %s: %w", path,
-			&core.FormatError{Section: core.SectionHeader, Reason: err.Error()})
-	}
-	return x, nil
+	return open(s, fo), nil
 }
 
 // PromoteToHeap converts a mapped index into an ordinary mutable index:
@@ -99,4 +83,7 @@ func OpenMapped(path string, opts MapOptions) (*Index, error) {
 // Tombstones and the live-update cadence carry over and search results are
 // unchanged. A no-op on an index that is already heap-resident. Must not
 // run concurrently with other calls on the index.
-func (x *Index) PromoteToHeap() error { return x.s.PromoteToHeap() }
+func (x *Index) PromoteToHeap() error {
+	x.s.PromoteToHeap()
+	return nil
+}

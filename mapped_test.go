@@ -100,12 +100,11 @@ func TestMappedParityPublic(t *testing.T) {
 		})
 	}
 	t.Run("int4", func(t *testing.T) {
-		heap := buildMappedPublicIndex(t, ds, QuantSQ8)
+		// int4 files were top-level NSGM records. The flags word is header
+		// bytes 8..11; the header checksum over the first 188 bytes is
+		// recomputed so the flags check itself is reached.
 		path := filepath.Join(t.TempDir(), "idx.nsgm")
-		writeLegacyMapped(t, heap, path) // int4 files were top-level NSGM records
-		// The flags word is header bytes 8..11; the header checksum over the
-		// first 188 bytes is recomputed so the flags check itself is reached.
-		blob := mutateWord(t, path, 8, swapSQ8ForInt4(t))
+		blob := mutateWord(t, legacyPath("one_sq8.nsgm"), 8, swapSQ8ForInt4(t))
 		binary.LittleEndian.PutUint32(blob[188:], crc32.ChecksumIEEE(blob[:188]))
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
@@ -557,7 +556,8 @@ func FuzzLoadSharded(f *testing.F) {
 	f.Add(seed[:len(seed)/3])
 	f.Add(seed[:40])
 	f.Add([]byte{})
-	// A one-shard bundle (its empty id map) and a legacy NSGB bundle.
+	// A one-shard bundle (its empty id map), and the legacy NSGB bundle and
+	// NSGD bundle of an older build.
 	one, err := BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts.Shard)
 	if err != nil {
 		f.Fatal(err)
@@ -565,8 +565,7 @@ func FuzzLoadSharded(f *testing.F) {
 	if err := one.Save(seedPath); err != nil {
 		f.Fatal(err)
 	}
-	writeLegacyBundle(f, one, seedPath+".nsgb")
-	for _, p := range []string{seedPath, seedPath + ".nsgb"} {
+	for _, p := range []string{seedPath, legacyPath("one_sq8.nsgb"), legacyPath("three.nsgd")} {
 		b, err := os.ReadFile(p)
 		if err != nil {
 			f.Fatal(err)
@@ -633,14 +632,15 @@ func FuzzOpenMapped(f *testing.F) {
 		f.Fatal(err)
 	}
 	dir := f.TempDir()
-	paths := []string{filepath.Join(dir, "one.nsms"), filepath.Join(dir, "two.nsms"), filepath.Join(dir, "one.nsgm")}
+	// Beside today's containers, an older build's top-level NSGM record and
+	// version-1 container.
+	paths := []string{filepath.Join(dir, "one.nsms"), filepath.Join(dir, "two.nsms"), legacyPath("one_sq8.nsgm"), legacyPath("three.nsms")}
 	if err := one.SaveMapped(paths[0]); err != nil {
 		f.Fatal(err)
 	}
 	if err := two.SaveMapped(paths[1]); err != nil {
 		f.Fatal(err)
 	}
-	writeLegacyMapped(f, one, paths[2])
 	for _, p := range paths {
 		b, err := os.ReadFile(p)
 		if err != nil {

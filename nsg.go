@@ -62,16 +62,12 @@
 package nsg
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sync"
 
 	"repro/internal/distsearch"
-	"repro/internal/mstore"
 )
 
 // QuantMode selects the compressed serving path an index traverses with.
@@ -272,38 +268,39 @@ var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file ca
 // store, to path — crash-safely: the bundle streams into a temp file that
 // is fsynced and renamed into place, so an interrupted save leaves the
 // previous file intact rather than a truncated bundle. The bundle (see
-// distsearch.Sharded.Write) holds the shape and the per-shard Options,
+// distsearch.Sharded.Save) holds the shape and the per-shard Options,
 // then the vectors in id order, then the shard id maps and per-shard
 // graphs. Stop issuing Adds and Deletes first: Save flushes the delta so
 // the file captures every point; concurrent searches are fine. A mapped
 // index writes the bytes the index it was mapped from would; an index with
 // deleted points returns ErrUncompactedDeletes (Compact first).
 func (x *Index) Save(path string) error {
-	blob, err := x.prepareSave()
+	opts, err := x.prepareSave()
 	if err != nil {
 		return err
 	}
-	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
-		return x.s.Write(w, blob)
-	})
+	return x.s.Save(path, opts)
 }
 
 // prepareSave is what both file writers do first: refuse tombstones, flush
 // the delta, pad the metadata store with missing rows for points added
-// without one (plain Add), so it covers every row, and encode the options.
-func (x *Index) prepareSave() ([]byte, error) {
+// without one (plain Add), so it covers every row, and return the options
+// the file keeps.
+func (x *Index) prepareSave() (distsearch.FileOptions, error) {
+	o := x.opts
+	opts := distsearch.FileOptions{GraphK: o.GraphK, BuildL: o.BuildL, MaxDegree: o.MaxDegree, SearchL: o.SearchL, Quantize: o.Quantize == QuantSQ8}
 	if x.DeletedCount() > 0 {
-		return nil, ErrUncompactedDeletes
+		return opts, ErrUncompactedDeletes
 	}
 	x.Flush()
 	x.metaMu.Lock()
 	defer x.metaMu.Unlock()
 	if m := x.s.Meta; m != nil && m.Rows() < x.Len() {
 		if err := m.SetRow(x.Len()-1, nil); err != nil {
-			return nil, fmt.Errorf("nsg: pad metadata: %w", err)
+			return opts, fmt.Errorf("nsg: pad metadata: %w", err)
 		}
 	}
-	return x.encodeOptions(), nil
+	return opts, nil
 }
 
 // Load reopens an index written by Save — by any index, of any shard count
@@ -313,84 +310,22 @@ func (x *Index) prepareSave() ([]byte, error) {
 // keeps only the degree cap and quantization mode; GraphK, BuildL and
 // SearchL take DefaultOptions' values. The loaded index serves immediately.
 func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("nsg: %w", err)
-	}
-	defer f.Close()
-	s, blob, err := distsearch.Read(f)
+	s, opts, err := distsearch.Load(path)
 	if err != nil {
 		return nil, fmt.Errorf("nsg: load %s: %w", path, err)
 	}
-	x, err := open(s, blob)
-	if err != nil {
-		return nil, fmt.Errorf("nsg: load %s: %w", path, err)
-	}
-	return x, nil
+	return open(s, opts), nil
 }
 
 // LoadSharded is Load; see Load.
 func LoadSharded(path string) (*ShardedIndex, error) { return Load(path) }
 
-// open attaches a loaded or mapped index with the options its file's blob
-// encodes (nil for a legacy one-NSG file).
-func open(s *distsearch.Sharded, blob []byte) (*Index, error) {
-	opts, err := decodeOptions(blob, s)
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
+// open attaches a loaded or mapped index with the options its file kept;
+// zero fields take DefaultOptions' values.
+func open(s *distsearch.Sharded, fo distsearch.FileOptions) *Index {
+	opts := Options{GraphK: fo.GraphK, BuildL: fo.BuildL, MaxDegree: fo.MaxDegree, SearchL: fo.SearchL, Quantize: quantModeOf(fo.Quantize)}
+	opts.fillDefaults()
 	x := &Index{}
 	x.init(s, opts)
-	return x, nil
-}
-
-// The options blob both formats carry (distsearch.OptionsSize bytes):
-// GraphK, BuildL, MaxDegree and SearchL, then the flags word.
-const (
-	optQuantize = 1 << 0
-	// optInt4 is reserved. Set beside optQuantize it marked the int4 path,
-	// which was removed; decodeOptions rejects it as an unknown bit, and it
-	// must not be reused, so an old int4 bundle is never misread.
-	optInt4 = 1 << 1
-)
-
-func (x *Index) encodeOptions() []byte {
-	blob := make([]byte, distsearch.OptionsSize)
-	binary.LittleEndian.PutUint32(blob[0:], uint32(x.opts.GraphK))
-	binary.LittleEndian.PutUint32(blob[4:], uint32(x.opts.BuildL))
-	binary.LittleEndian.PutUint32(blob[8:], uint32(x.opts.MaxDegree))
-	binary.LittleEndian.PutUint32(blob[12:], uint32(x.opts.SearchL))
-	if x.opts.Quantize == QuantSQ8 {
-		binary.LittleEndian.PutUint32(blob[16:], optQuantize)
-	}
-	return blob
-}
-
-// decodeOptions is the inverse of encodeOptions; zeroed fields take their
-// defaults. A flags word with any bit it does not know, the reserved
-// optInt4 among them, is an error. A legacy one-NSG file has no blob: its
-// options are its record's degree cap and quantization mode over
-// DefaultOptions.
-func decodeOptions(blob []byte, s *distsearch.Sharded) (Options, error) {
-	if blob == nil {
-		blob = make([]byte, distsearch.OptionsSize)
-		binary.LittleEndian.PutUint32(blob[8:], uint32(s.Shard(0).M))
-		if s.Quantized() {
-			binary.LittleEndian.PutUint32(blob[16:], optQuantize)
-		}
-	}
-	flags := binary.LittleEndian.Uint32(blob[16:])
-	if flags&^optQuantize != 0 {
-		return Options{}, fmt.Errorf("unsupported option flags %#x", flags)
-	}
-	opts := Options{
-		GraphK:    int(binary.LittleEndian.Uint32(blob[0:])),
-		BuildL:    int(binary.LittleEndian.Uint32(blob[4:])),
-		MaxDegree: int(binary.LittleEndian.Uint32(blob[8:])),
-		SearchL:   int(binary.LittleEndian.Uint32(blob[12:])),
-		Quantize:  quantModeOf(flags&optQuantize != 0),
-	}
-	opts.fillDefaults()
-	return opts, nil
+	return x
 }

@@ -220,10 +220,8 @@ func TestQuantizedSaveLoadParity(t *testing.T) {
 		// int4 bundles were NSGB files. The core record's flags word follows
 		// the 12-byte bundle header, the vectors, and the record's own
 		// magic, navigating node and M.
-		legacy := filepath.Join(t.TempDir(), "quant.nsgb")
-		writeLegacyBundle(t, idx, legacy)
-		at := 12 + 4*idx.Len()*idx.Dim() + 12
-		blob := mutateWord(t, legacy, at, swapSQ8ForInt4(t))
+		at := 12 + 4*legacyRows*legacyDim + 12
+		blob := mutateWord(t, legacyPath("one_sq8.nsgb"), at, swapSQ8ForInt4(t))
 		old := filepath.Join(t.TempDir(), "int4.nsg")
 		if err := os.WriteFile(old, blob, 0o644); err != nil {
 			t.Fatal(err)
@@ -237,12 +235,15 @@ func TestQuantizedSaveLoadParity(t *testing.T) {
 	})
 }
 
-// The NSG record's quantization flags, as internal/core writes them:
-// nsgFlagQuant marks SQ8, and nsgFlagQuant4 is the reserved bit that marked
-// the removed int4 scheme.
+// The NSG record's quantization flags, as internal/core writes them, and
+// the options flags word, as internal/distsearch writes it: nsgFlagQuant
+// and optQuantize mark SQ8, and nsgFlagQuant4 and optInt4 are the reserved
+// bits that marked the removed int4 scheme.
 const (
 	nsgFlagQuant  = 1 << 1
 	nsgFlagQuant4 = 1 << 2
+	optQuantize   = 1 << 0
+	optInt4       = 1 << 1
 )
 
 // swapSQ8ForInt4 turns an SQ8 record's flags word into an int4 record's,
