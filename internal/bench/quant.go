@@ -14,17 +14,16 @@ import (
 )
 
 // This file measures the quantized serving path against the float32 path
-// on one graph: recall, QPS and bytes touched per hop for every combination
-// of {float32, SQ8} x {with, without rerank} x {with, without the BFS cache
-// relayout}. The comparison prices the independent levers — the 4x SQ8
-// code shrink and the locality permutation — and the rerank's recall
-// repair, the measured counterpart of the paper's
-// memory-bandwidth serving argument (Section 6). cmd/bench -exp quant
-// prints the sweep and records it to BENCH_quant.json.
+// on one BFS-relaid graph, as every public build lays it out: recall, QPS
+// and bytes touched per hop for float32, SQ8 and SQ8 with its exact rerank.
+// The comparison prices the 4x SQ8 code shrink and the rerank's recall
+// repair, the measured counterpart of the paper's memory-bandwidth serving
+// argument (Section 6). cmd/bench -exp quant prints the sweep and records
+// it to BENCH_quant.json.
 
 // QuantPoint is one (variant, effort) measurement.
 type QuantPoint struct {
-	Variant     string  `json:"variant"`       // float32 | sq8 | sq8+rerank, each ±relayout
+	Variant     string  `json:"variant"`       // float32 | sq8 | sq8+rerank
 	Effort      int     `json:"effort"`        // search pool L
 	Recall      float64 `json:"recall"`        // mean recall@k vs exact ground truth
 	QPS         float64 `json:"qps"`           // single-client queries/second
@@ -62,19 +61,15 @@ var quantEfforts = []int{10, 20, 30, 40, 60, 100, 160}
 // quantVariant names one search configuration over a prepared index.
 type quantVariant struct {
 	name   string
-	relaid bool // serve the relayouted twin
 	sq8    bool // the expansion gathers SQ8 codes instead of float rows
 	rerank bool // exact rerank of the final pool (quantized variants)
 }
 
 func quantVariants() []quantVariant {
 	return []quantVariant{
-		{name: "float32", relaid: false},
-		{name: "float32+relayout", relaid: true},
+		{name: "float32"},
 		{name: "sq8", sq8: true},
-		{name: "sq8+relayout", sq8: true, relaid: true},
 		{name: "sq8+rerank", sq8: true, rerank: true},
-		{name: "sq8+rerank+relayout", sq8: true, rerank: true, relaid: true},
 	}
 }
 
@@ -93,39 +88,30 @@ func Quantized(w io.Writer, c ExpConfig) error {
 	fmt.Fprintf(w, "%-20s %8s %9s %9s %12s %8s %12s %11s %10s\n",
 		"variant", "effort", "recall", "QPS", "ms/query", "hops", "dist/query", "bytes/hop", "allocs/q")
 
-	// One build per relayout cell. Its float32 rows are measured before any
-	// code matrix exists; the same graph is then quantized for the SQ8 rows,
-	// so every variant in a cell searches one graph.
+	// One build. Its float32 rows are measured before any code matrix
+	// exists; the same graph is then quantized for the SQ8 rows, so every
+	// variant searches one graph.
+	base := ds.Base.Clone()
+	kp := knngraph.DefaultParams(20)
+	kp.Seed = c.Seed
+	knn, err := knngraph.BuildNNDescent(base, kp)
+	if err != nil {
+		return err
+	}
+	idx, _, err := core.NSGBuild(knn, base, core.BuildParams{L: 50, M: 30, Seed: c.Seed})
+	if err != nil {
+		return err
+	}
+	idx.Relayout()
 	points := map[string][]QuantPoint{}
-	for _, relaid := range []bool{false, true} {
-		base := ds.Base.Clone()
-		kp := knngraph.DefaultParams(20)
-		kp.Seed = c.Seed
-		knn, err := knngraph.BuildNNDescent(base, kp)
-		if err != nil {
-			return err
-		}
-		idx, _, err := core.NSGBuild(knn, base, core.BuildParams{L: 50, M: 30, Seed: c.Seed})
-		if err != nil {
-			return err
-		}
-		if relaid {
-			idx.Relayout()
-		}
-		for _, sq8 := range []bool{false, true} {
-			if sq8 {
-				if err := idx.EnableQuantization(nil); err != nil {
-					return err
-				}
+	for _, v := range quantVariants() {
+		if v.sq8 && idx.Quant == nil {
+			if err := idx.EnableQuantization(nil); err != nil {
+				return err
 			}
-			for _, v := range quantVariants() {
-				if v.relaid != relaid || v.sq8 != sq8 {
-					continue
-				}
-				for _, effort := range quantEfforts {
-					points[v.name] = append(points[v.name], measureQuantPoint(idx, ds, v, k, effort))
-				}
-			}
+		}
+		for _, effort := range quantEfforts {
+			points[v.name] = append(points[v.name], measureQuantPoint(idx, ds, v, k, effort))
 		}
 	}
 
@@ -227,12 +213,12 @@ func measureQuantPoint(idx *core.NSG, ds dataset.Dataset, v quantVariant, k, eff
 
 	// Bytes gathered per expansion: every counted evaluation touches one
 	// vector row (1 byte/dim for SQ8 codes, 4 bytes/dim for floats; a
-	// rerank re-touches its pool in float), plus the expanded node's
-	// fixed-stride adjacency row. This is the quantity the code shrink and
-	// the relayout both attack.
+	// rerank re-touches its pool in float), plus the expanded node's CSR
+	// row: its offset and, at the mean degree, its ids. This is the quantity
+	// the code shrink attacks.
 	dim := float64(ds.Base.Dim)
 	codeBytes := dim // SQ8: one byte per dimension
-	adjBytes := float64(idx.FlatView().Stride) * 4
+	adjBytes := (1 + idx.Stats().AvgDegree) * 4
 	perQuery := adjBytes * (hops / q)
 	switch {
 	case !v.sq8:

@@ -130,8 +130,8 @@ type SearchResult struct {
 }
 
 // adjacencySource abstracts the two graph layouts Algorithm 1 traverses:
-// ragged adjacency lists (mutable graphs, build time) and the fixed-stride
-// flat array (immutable serving layout). The search body is instantiated
+// ragged adjacency lists (mutable graphs, build time) and the CSR rows
+// every index serves from. The search body is instantiated
 // once per concrete layout so both compile to direct calls; having a single
 // body guarantees the two layouts produce byte-identical results.
 type adjacencySource interface {
@@ -142,7 +142,7 @@ type listAdj struct{ adj [][]int32 }
 
 func (a listAdj) neighbors(id int32) []int32 { return a.adj[id] }
 
-type flatAdj struct{ g *graphutil.FlatGraph }
+type flatAdj struct{ g *graphutil.CSR }
 
 func (a flatAdj) neighbors(id int32) []int32 { return a.g.Neighbors(id) }
 
@@ -384,14 +384,14 @@ func emit(ctx *SearchContext, k int) []vecmath.Neighbor {
 	return out
 }
 
-// SearchOnGraphCtx is Algorithm 1 over the fixed-stride flat layout with
+// SearchOnGraphCtx is Algorithm 1 over CSR rows with
 // caller-owned scratch: pass the same ctx on every query from a goroutine
 // and the steady state performs zero heap allocations. The returned
 // Neighbors slice aliases the context and is valid only until the context's
 // next search — copy it to retain. visited, when non-nil, receives every
 // node whose distance to the query was computed. counter may be nil.
-func SearchOnGraphCtx(ctx *SearchContext, g *graphutil.FlatGraph, base vecmath.Matrix, query []float32, starts []int32, k, l int, counter *vecmath.Counter, visited *[]vecmath.Neighbor) SearchResult {
-	return searchOnGraph(ctx, flatAdj{g: g}, g.Nodes, base, query, starts, k, l, counter, visited)
+func SearchOnGraphCtx(ctx *SearchContext, g *graphutil.CSR, base vecmath.Matrix, query []float32, starts []int32, k, l int, counter *vecmath.Counter, visited *[]vecmath.Neighbor) SearchResult {
+	return searchOnGraph(ctx, flatAdj{g: g}, g.N(), base, query, starts, k, l, counter, visited)
 }
 
 // SearchOnGraphListCtx is SearchOnGraphCtx over ragged adjacency lists; it

@@ -322,7 +322,7 @@ func TestPlanCrossover(t *testing.T) {
 	}
 	for _, idx := range []*NSG{plain, relay} {
 		for _, dd := range []*Tombstones{nil, dead} {
-			deg := idx.FlatView().Stride - 1
+			deg := idx.FlatView().MaxDegree()
 			cross := 0
 			for count := 1; count <= n; count++ {
 				if scan, _ := planFiltered(n, l, deg, count, dd.Len()); !scan {

@@ -37,8 +37,8 @@ func TestInsertBasic(t *testing.T) {
 	if id != 400 {
 		t.Fatalf("id = %d, want 400", id)
 	}
-	if idx.Base.Rows != 401 || idx.flat.Nodes != 401 {
-		t.Fatalf("size after insert: base %d graph %d", idx.Base.Rows, idx.flat.Nodes)
+	if idx.Base.Rows != 401 || idx.flat.N() != 401 {
+		t.Fatalf("size after insert: base %d graph %d", idx.Base.Rows, idx.flat.N())
 	}
 	// The new node must be reachable and findable.
 	if got := idx.flat.ReachableFrom(idx.Navigating); got != 401 {

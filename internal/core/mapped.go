@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"slices"
 
 	"repro/internal/chunkio"
 	"repro/internal/graphutil"
@@ -15,12 +17,14 @@ import (
 )
 
 // This file is the disk-resident serving layout: the NSGM record stores
-// the index's serving slabs — fixed-stride adjacency, vectors in internal
+// the index's serving slabs — CSR offsets and edges, vectors in internal
 // (post-relayout) order, the id-remap table, SQ8 bounds and codes — at
 // 64-byte-aligned offsets in exactly the in-memory representation the
-// search engine consumes, so OpenMappedAt can point FlatGraph/Matrix/
-// CodeMatrix headers straight into a memory-mapped file that the container
-// holding the record opened and owns. Restart cost is
+// search engine consumes, so OpenMappedAt can point CSR/Matrix/CodeMatrix
+// headers straight into a memory-mapped file that the container holding
+// the record opened and owns. Version 1 records, which older builds wrote,
+// hold fixed-stride adjacency rows instead; those open with their rows
+// converted to CSR on the heap. Restart cost is
 // O(file open) instead of O(decode), capacity is bounded by the page
 // cache rather than the heap, and the BFS Relayout's locality transfers
 // directly to page locality.
@@ -39,15 +43,16 @@ const (
 	// a distinct magic means stream-format readers reject mapped files at
 	// the first check instead of misparsing them.
 	nsgMappedMagic   = 0x4e53474d // "NSGM"
-	nsgMappedVersion = 1
+	nsgMappedVersion = 2
 
 	mappedAlign      = 64
 	mappedHeaderSize = 192 // 3 * mappedAlign
 
 	// Section table layout inside the header: six fixed slots of
-	// {offset u64, length u64, crc32 u32, reserved u32}. The sixth (meta)
-	// slot holds the metadata blob of the one-index NSGM files older builds
-	// wrote, flagged by nsgFlagMeta; writers leave it zero.
+	// {offset u64, length u64, crc32 u32, reserved u32}, holding the
+	// sections mappedSlots lists for the record's version. Version 1's
+	// sixth (meta) slot holds the metadata blob of the one-index NSGM files
+	// older builds wrote, flagged by nsgFlagMeta.
 	mappedSections    = 6
 	sectionEntrySize  = 24
 	sectionTableStart = 40
@@ -66,9 +71,18 @@ const (
 	SectionQuantBounds
 	SectionCodes
 	SectionMeta
+	SectionOffsets
 )
 
-var sectionNames = [...]string{"header", "adjacency", "vectors", "remap", "quant-bounds", "codes", "meta"}
+var sectionNames = [...]string{"header", "adjacency", "vectors", "remap", "quant-bounds", "codes", "meta", "offsets"}
+
+// mappedSlots names the section each table slot holds, per record version:
+// version 2 stores CSR offsets and edges (the adjacency section), version 1
+// fixed-stride adjacency rows and an optional metadata blob.
+var mappedSlots = [...][mappedSections]Section{
+	1: {SectionAdjacency, SectionVectors, SectionRemap, SectionQuantBounds, SectionCodes, SectionMeta},
+	2: {SectionOffsets, SectionAdjacency, SectionVectors, SectionRemap, SectionQuantBounds, SectionCodes},
+}
 
 func (s Section) String() string {
 	if s < 0 || int(s) >= len(sectionNames) {
@@ -122,32 +136,36 @@ type mappedSection struct {
 	encode func(io.Writer) error
 }
 
-// mappedLayout computes the section slots for this index, all sized by the
-// header geometry; the sixth (meta) stays empty.
+// mappedLayout computes the section slots for this index in version 2's
+// order, all sized by the header geometry. The graph is compacted first,
+// so the record holds no garbage.
 func (x *NSG) mappedLayout() ([mappedSections]mappedSection, int64) {
-	x.flat.Fit()
-	f := x.flat
+	offsets, edges := x.flat.Slabs()
 	rows := int64(x.Base.Rows)
 	dim := int64(x.Base.Dim)
 	var secs [mappedSections]mappedSection
-	secs[0].size = rows * int64(f.Stride) * 4
-	secs[0].encode = func(w io.Writer) error { return chunkio.WriteInt32s(w, f.Data) }
-	secs[1].size = rows * dim * 4
-	secs[1].encode = func(w io.Writer) error { return chunkio.WriteFloat32s(w, x.Base.Data) }
-	secs[2].size = rows * 4
-	secs[2].encode = func(w io.Writer) error { return chunkio.WriteInt32s(w, x.PubIDs) }
+	secs[0].size = (rows + 1) * 4
+	secs[0].encode = func(w io.Writer) error { return chunkio.WriteInt32s(w, offsets) }
+	if len(edges) > 0 {
+		secs[1].size = int64(len(edges)) * 4
+		secs[1].encode = func(w io.Writer) error { return chunkio.WriteInt32s(w, edges) }
+	}
+	secs[2].size = rows * dim * 4
+	secs[2].encode = func(w io.Writer) error { return chunkio.WriteFloat32s(w, x.Base.Data) }
+	secs[3].size = rows * 4
+	secs[3].encode = func(w io.Writer) error { return chunkio.WriteInt32s(w, x.PubIDs) }
 	if x.Quant != nil {
 		// The bounds section is two dim-sized float vectors; the code slab
 		// is rows*dim bytes.
-		secs[3].size = 2 * dim * 4
-		secs[3].encode = func(w io.Writer) error {
+		secs[4].size = 2 * dim * 4
+		secs[4].encode = func(w io.Writer) error {
 			if err := chunkio.WriteFloat32s(w, x.Quant.Q.Min); err != nil {
 				return err
 			}
 			return chunkio.WriteFloat32s(w, x.Quant.Q.Max)
 		}
-		secs[4].size = rows * dim
-		secs[4].encode = func(w io.Writer) error {
+		secs[5].size = rows * dim
+		secs[5].encode = func(w io.Writer) error {
 			_, err := w.Write(x.Quant.Codes.Codes)
 			return err
 		}
@@ -189,7 +207,7 @@ func (x *NSG) WriteMapped(w io.Writer) error {
 		}
 		h := crc32.NewIEEE()
 		if err := secs[i].encode(h); err != nil {
-			return fmt.Errorf("core: checksum %s section: %w", Section(i+1), err)
+			return fmt.Errorf("core: checksum %s section: %w", mappedSlots[nsgMappedVersion][i], err)
 		}
 		secs[i].crc = h.Sum32()
 	}
@@ -204,7 +222,7 @@ func (x *NSG) WriteMapped(w io.Writer) error {
 	le.PutUint32(hdr[8:], flags)
 	le.PutUint32(hdr[12:], uint32(x.Base.Rows))
 	le.PutUint32(hdr[16:], uint32(x.Base.Dim))
-	le.PutUint32(hdr[20:], uint32(x.flat.Stride))
+	le.PutUint32(hdr[20:], uint32(x.flat.Edges()))
 	le.PutUint32(hdr[24:], uint32(x.Navigating))
 	le.PutUint32(hdr[28:], uint32(x.M))
 	le.PutUint64(hdr[32:], uint64(recordSize))
@@ -231,7 +249,7 @@ func (x *NSG) WriteMapped(w io.Writer) error {
 			return fmt.Errorf("core: write mapped padding: %w", err)
 		}
 		if err := s.encode(w); err != nil {
-			return fmt.Errorf("core: write %s section: %w", Section(i+1), err)
+			return fmt.Errorf("core: write %s section: %w", mappedSlots[nsgMappedVersion][i], err)
 		}
 		pos = s.off + s.size
 	}
@@ -266,20 +284,22 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 	if le.Uint32(hdr[0:]) != nsgMappedMagic {
 		return nil, nil, corruptf(SectionHeader, "bad magic %#08x", le.Uint32(hdr[0:]))
 	}
-	if v := le.Uint32(hdr[4:]); v != nsgMappedVersion {
-		return nil, nil, corruptf(SectionHeader, "unsupported version %d (want %d)", v, nsgMappedVersion)
+	version := le.Uint32(hdr[4:])
+	if version != 1 && version != nsgMappedVersion {
+		return nil, nil, corruptf(SectionHeader, "unsupported version %d (want 1 or %d)", version, nsgMappedVersion)
 	}
 	if got, want := le.Uint32(hdr[headerCRCOffset:]), crc32.ChecksumIEEE(hdr[:headerCRCOffset]); got != want {
 		return nil, nil, corruptf(SectionHeader, "header checksum %#08x != %#08x", got, want)
 	}
 	flags := le.Uint32(hdr[8:])
-	// Unknown bits, the reserved nsgFlagQuant4 among them, are rejected.
-	if flags&^uint32(nsgFlagRemap|nsgFlagQuant|nsgFlagMeta) != 0 {
+	// Unknown bits, the reserved nsgFlagQuant4 among them, are rejected, and
+	// so is a metadata section in a version that has no slot for it.
+	if flags&^uint32(nsgFlagRemap|nsgFlagQuant|nsgFlagMeta) != 0 || version > 1 && flags&nsgFlagMeta != 0 {
 		return nil, nil, corruptf(SectionHeader, "unsupported flags %#x", flags)
 	}
 	rows := int64(le.Uint32(hdr[12:]))
 	dim := int64(le.Uint32(hdr[16:]))
-	stride := int64(le.Uint32(hdr[20:]))
+	width := int64(le.Uint32(hdr[20:])) // version 1: row stride; version 2: edge count
 	nav := int32(le.Uint32(hdr[24:]))
 	m := int64(le.Uint32(hdr[28:]))
 	recordSize := int64(le.Uint64(hdr[32:]))
@@ -289,8 +309,11 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 	if dim <= 0 || dim > 1<<20 {
 		return nil, nil, corruptf(SectionHeader, "implausible dimension %d", dim)
 	}
-	if stride <= 0 || stride > rows {
-		return nil, nil, corruptf(SectionHeader, "stride %d outside [1,%d]", stride, rows)
+	if version == 1 && (width <= 0 || width > rows) {
+		return nil, nil, corruptf(SectionHeader, "stride %d outside [1,%d]", width, rows)
+	}
+	if version > 1 && width > math.MaxInt32 {
+		return nil, nil, corruptf(SectionHeader, "implausible edge count %d", width)
 	}
 	if nav < 0 || int64(nav) >= rows {
 		return nil, nil, corruptf(SectionHeader, "navigating node %d outside [0,%d)", nav, rows)
@@ -306,23 +329,38 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 	// fields, placement must be aligned, in order and inside the record.
 	// The metadata blob is the one variable-length section — its table
 	// length is authoritative and the blob validates itself on decode.
-	want := [mappedSections]int64{rows * stride * 4, rows * dim * 4, 0, 0, 0, 0}
-	if flags&nsgFlagRemap != 0 {
-		want[2] = rows * 4
-	}
-	if flags&nsgFlagQuant != 0 {
-		want[3] = 2 * dim * 4
-		want[4] = rows * dim
-	}
-	var offs, lens [mappedSections]int64
+	slots := mappedSlots[version]
+	var want, offs, lens [mappedSections]int64
 	var crcs [mappedSections]uint32
 	prevEnd := int64(mappedHeaderSize)
-	for i := 0; i < mappedSections; i++ {
+	for i, sec := range slots {
+		switch sec {
+		case SectionOffsets:
+			want[i] = (rows + 1) * 4
+		case SectionAdjacency:
+			want[i] = width * 4
+			if version == 1 {
+				want[i] *= rows
+			}
+		case SectionVectors:
+			want[i] = rows * dim * 4
+		case SectionRemap:
+			if flags&nsgFlagRemap != 0 {
+				want[i] = rows * 4
+			}
+		case SectionQuantBounds:
+			if flags&nsgFlagQuant != 0 {
+				want[i] = 2 * dim * 4
+			}
+		case SectionCodes:
+			if flags&nsgFlagQuant != 0 {
+				want[i] = rows * dim
+			}
+		}
 		base := sectionTableStart + i*sectionEntrySize
 		offs[i] = int64(le.Uint64(hdr[base:]))
 		lens[i] = int64(le.Uint64(hdr[base+8:]))
 		crcs[i] = le.Uint32(hdr[base+16:])
-		sec := Section(i + 1)
 		if sec == SectionMeta && flags&nsgFlagMeta != 0 {
 			if lens[i] <= 0 || lens[i] > maxMetaBlob {
 				return nil, nil, corruptf(sec, "implausible metadata length %d", lens[i])
@@ -350,47 +388,61 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 		prevEnd = offs[i] + lens[i]
 	}
 
-	view := func(i int) ([]byte, error) {
+	// view returns section sec's bytes, nil when the record has none.
+	view := func(sec Section) ([]byte, error) {
+		i := slices.Index(slots[:], sec)
+		if i < 0 || want[i] == 0 {
+			return nil, nil
+		}
 		b, err := f.Bytes(off+offs[i], lens[i])
 		if err != nil {
-			return nil, corruptf(Section(i+1), "%v", err)
+			return nil, corruptf(sec, "%v", err)
 		}
 		return b, nil
 	}
-	adjBytes, err := view(0)
+	adjBytes, err := view(SectionAdjacency)
 	if err != nil {
 		return nil, nil, err
 	}
-	vecBytes, err := view(1)
+	vecBytes, err := view(SectionVectors)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !opts.NoVerify {
-		for i := 0; i < mappedSections; i++ {
-			if want[i] == 0 {
-				continue
-			}
-			b, err := view(i)
+		for i, sec := range slots {
+			b, err := view(sec)
 			if err != nil {
 				return nil, nil, err
 			}
-			if got := crc32.ChecksumIEEE(b); got != crcs[i] {
-				return nil, nil, corruptf(Section(i+1), "checksum %#08x != %#08x (bit rot or torn write)", got, crcs[i])
+			if got := crc32.ChecksumIEEE(b); b != nil && got != crcs[i] {
+				return nil, nil, corruptf(sec, "checksum %#08x != %#08x (bit rot or torn write)", got, crcs[i])
 			}
 		}
 	}
 
-	flat := &graphutil.FlatGraph{Data: mstore.Int32s(adjBytes), Stride: int(stride), Nodes: int(rows)}
-	if !opts.NoVerify {
-		if err := flat.Validate(); err != nil {
-			return nil, nil, corruptf(SectionAdjacency, "%v", err)
+	var flat *graphutil.CSR
+	if version == 1 {
+		flat, err = stridedToCSR(mstore.Int32s(adjBytes), int(width), int(rows))
+	} else {
+		var offBytes []byte
+		if offBytes, err = view(SectionOffsets); err != nil {
+			return nil, nil, err
 		}
+		if flat, err = graphutil.FromOffsets(mstore.Int32s(offBytes), mstore.Int32s(adjBytes)); err != nil {
+			return nil, nil, corruptf(SectionOffsets, "%v", err)
+		}
+	}
+	if err == nil && !opts.NoVerify {
+		err = flat.Validate()
+	}
+	if err != nil {
+		return nil, nil, corruptf(SectionAdjacency, "%v", err)
 	}
 	// A record without a remap section was never relaid: identity ids.
 	x := newNSG(flat, nav, vecmath.Matrix{Data: mstore.Float32s(vecBytes), Rows: int(rows), Dim: int(dim)}, int(m))
 	x.ro = true
 	if flags&nsgFlagRemap != 0 {
-		remapBytes, err := view(2)
+		remapBytes, err := view(SectionRemap)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -413,7 +465,7 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 	}
 	var metaBlob []byte
 	if flags&nsgFlagMeta != 0 {
-		b, err := view(5)
+		b, err := view(SectionMeta)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -425,11 +477,11 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 		if dim > quant.MaxDim {
 			return nil, nil, corruptf(SectionQuantBounds, "dimension %d exceeds the quantizer limit %d", dim, quant.MaxDim)
 		}
-		boundsBytes, err := view(3)
+		boundsBytes, err := view(SectionQuantBounds)
 		if err != nil {
 			return nil, nil, err
 		}
-		codeBytes, err := view(4)
+		codeBytes, err := view(SectionCodes)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -452,6 +504,21 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 	return x, metaBlob, nil
 }
 
+// stridedToCSR converts a version 1 record's fixed-stride rows — each a
+// degree followed by that many ids, padded to stride slots — to CSR on the
+// heap. Every degree is checked on the way; the ids are Validate's.
+func stridedToCSR(data []int32, stride, rows int) (*graphutil.CSR, error) {
+	g := graphutil.New(rows)
+	for i := range g.Adj {
+		row := data[i*stride : (i+1)*stride]
+		if d := row[0]; d < 0 || int(d) >= stride {
+			return nil, fmt.Errorf("node %d degree %d exceeds stride %d", i, d, stride)
+		}
+		g.Adj[i] = row[1 : 1+row[0]]
+	}
+	return graphutil.Flatten(g), nil
+}
+
 // ReadOnly reports whether the index is a mapped, read-only view. Mutating
 // operations on a read-only index return ErrReadOnly.
 func (x *NSG) ReadOnly() bool { return x.ro }
@@ -465,7 +532,7 @@ func (x *NSG) PromoteToHeap() {
 	if !x.ro {
 		return
 	}
-	x.flat, x.shared = x.flat.Restride(x.flat.Stride), false
+	x.flat, x.shared = x.flat.Clone(), false
 	x.Base = vecmath.Matrix{
 		Data: append([]float32(nil), x.Base.Data...),
 		Rows: x.Base.Rows,

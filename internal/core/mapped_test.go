@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/vecmath"
@@ -171,6 +172,9 @@ func putU64(b []byte, off int, v uint64) { le.PutUint64(b[off:], v) }
 func getU32(b []byte, off int) uint32    { return le.Uint32(b[off:]) }
 func getU64(b []byte, off int) uint64    { return le.Uint64(b[off:]) }
 
+// slotSection names the section table slot i of record b holds.
+func slotSection(b []byte, i int) Section { return mappedSlots[getU32(b, 4)][i] }
+
 // rewriteHeaderCRC recomputes the header checksum after a deliberate header
 // mutation, so corruption tests exercise the field validation rather than
 // tripping on the checksum first.
@@ -191,8 +195,9 @@ func legacyRecord(t testing.TB) []byte {
 
 // TestMappedCorruptionTable flips every header field, truncates at every
 // section boundary, misaligns slab offsets and rots section bytes of an SQ8
-// record, as written today (five sections) and as an older build wrote it
-// with a metadata section (six); every mutation must yield a FormatError
+// record, as written today (version 2: six sections, CSR offsets and edges
+// among them) and as an older build wrote it (version 1, fixed-stride
+// adjacency and a metadata section: six too); every mutation must yield a FormatError
 // naming the right section, and OpenMappedAt must never serve a partially
 // valid index. The int4 case is a record from before int4 was removed: its
 // header carries the retired int4 marker in place of the SQ8 flag, and it
@@ -205,7 +210,7 @@ func TestMappedCorruptionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	t.Run("sq8", func(t *testing.T) { testMappedCorruptionTable(t, valid, mappedSections-1) })
+	t.Run("sq8", func(t *testing.T) { testMappedCorruptionTable(t, valid, mappedSections) })
 	t.Run("legacy-meta", func(t *testing.T) { testMappedCorruptionTable(t, legacyRecord(t), mappedSections) })
 	t.Run("int4", func(t *testing.T) {
 		b := bytes.Clone(valid)
@@ -241,7 +246,7 @@ func testMappedCorruptionTable(t *testing.T, valid []byte, sections int) {
 		o := int64(getU64(valid, sectionTableStart+i*sectionEntrySize))
 		l := int64(getU64(valid, sectionTableStart+i*sectionEntrySize+8))
 		if l > 0 {
-			secs = append(secs, sec{Section(i + 1).String(), o, l})
+			secs = append(secs, sec{slotSection(valid, i).String(), o, l})
 		}
 	}
 	if len(secs) != sections {
@@ -265,13 +270,29 @@ func testMappedCorruptionTable(t *testing.T, valid []byte, sections int) {
 		{"huge-rows", func(b []byte) []byte { putU32(b, 12, 1<<31-1); rewriteHeaderCRC(b); return b }, SectionHeader},
 		{"zero-dim", func(b []byte) []byte { putU32(b, 16, 0); rewriteHeaderCRC(b); return b }, SectionHeader},
 		{"huge-dim", func(b []byte) []byte { putU32(b, 16, 1<<24); rewriteHeaderCRC(b); return b }, SectionHeader},
-		{"zero-stride", func(b []byte) []byte { putU32(b, 20, 0); rewriteHeaderCRC(b); return b }, SectionHeader},
 		{"nav-out-of-range", func(b []byte) []byte { putU32(b, 24, getU32(b, 12)); rewriteHeaderCRC(b); return b }, SectionHeader},
 		{"huge-m", func(b []byte) []byte { putU32(b, 28, 1<<24); rewriteHeaderCRC(b); return b }, SectionHeader},
 		{"record-size-misaligned", func(b []byte) []byte { putU64(b, 32, getU64(b, 32)-4); rewriteHeaderCRC(b); return b }, SectionHeader},
 		{"record-size-too-big", func(b []byte) []byte { putU64(b, 32, getU64(b, 32)+64); rewriteHeaderCRC(b); return b }, SectionHeader},
 		{"header-crc-flip", func(b []byte) []byte { b[headerCRCOffset] ^= 0xff; return b }, SectionHeader},
 		{"header-field-flip-no-crc-fix", func(b []byte) []byte { b[12] ^= 0x01; return b }, SectionHeader},
+	}
+	// Header field 20 is version 1's row stride, a header check, and
+	// version 2's edge count, which sizes the adjacency section.
+	if getU32(valid, 4) == 1 {
+		cases = append(cases, struct {
+			name    string
+			mutate  func([]byte) []byte
+			section Section
+		}{"zero-stride", func(b []byte) []byte { putU32(b, 20, 0); rewriteHeaderCRC(b); return b }, SectionHeader})
+	} else {
+		for name, edges := range map[string]uint32{"zero-edges": 0, "edges-plus-one": getU32(valid, 20) + 1, "huge-edges": 1 << 31} {
+			cases = append(cases, struct {
+				name    string
+				mutate  func([]byte) []byte
+				section Section
+			}{name, func(b []byte) []byte { putU32(b, 20, edges); rewriteHeaderCRC(b); return b }, -1})
+		}
 	}
 	// Truncation at and around every section boundary: a file cut anywhere
 	// must be rejected, never partially served.
@@ -301,12 +322,12 @@ func testMappedCorruptionTable(t *testing.T, valid []byte, sections int) {
 			name    string
 			mutate  func([]byte) []byte
 			section Section
-		}{fmt.Sprintf("misalign-%s", Section(i+1)), func(b []byte) []byte {
+		}{fmt.Sprintf("misalign-%s", slotSection(valid, i)), func(b []byte) []byte {
 			base := sectionTableStart + i*sectionEntrySize
 			putU64(b, base, getU64(b, base)+4)
 			rewriteHeaderCRC(b)
 			return b
-		}, Section(i + 1)})
+		}, slotSection(valid, i)})
 	}
 	// Rot one byte in the middle of each section body (deep verify catches
 	// it via the per-section CRC).
@@ -352,7 +373,7 @@ func TestMappedRemapValidatedUnderNoVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	remapOff := int64(getU64(b, sectionTableStart+2*sectionEntrySize))
+	remapOff := int64(getU64(b, sectionTableStart+slices.Index(mappedSlots[nsgMappedVersion][:], SectionRemap)*sectionEntrySize))
 	if remapOff == 0 {
 		t.Fatal("relaid index should carry a remap section")
 	}
@@ -366,6 +387,42 @@ func TestMappedRemapValidatedUnderNoVerify(t *testing.T) {
 	var fe *FormatError
 	if !errors.As(err, &fe) || fe.Section != SectionRemap {
 		t.Fatalf("NoVerify open of broken remap: %v, want remap FormatError", err)
+	}
+}
+
+// TestMappedOffsetsValidatedUnderNoVerify: the CSR offsets are checked on
+// every open, NoVerify too, because a row bound outside the edge slab turns
+// into an out-of-bounds access on the first search that expands it. The
+// check reads the offsets once, which the open's maximum degree needs
+// anyway.
+func TestMappedOffsetsValidatedUnderNoVerify(t *testing.T) {
+	base := testBase(t, 200, 12, 12)
+	heap := buildMappedTestNSG(t, base, true, false)
+	var buf bytes.Buffer
+	if err := heap.WriteMapped(&buf); err != nil {
+		t.Fatal(err)
+	}
+	offsetsAt := int64(getU64(buf.Bytes(), sectionTableStart+slices.Index(mappedSlots[nsgMappedVersion][:], SectionOffsets)*sectionEntrySize))
+	// Each row bound is moved past the next one (the last past the slab).
+	for name, entry := range map[string]int{"first": 0, "middle": 100, "last": 200} {
+		t.Run(name, func(t *testing.T) {
+			b := bytes.Clone(buf.Bytes())
+			at := int(offsetsAt) + 4*entry
+			next := getU32(b, at)
+			if entry < 200 {
+				next = getU32(b, at+4)
+			}
+			putU32(b, at, next+1)
+			path := filepath.Join(t.TempDir(), "badoffsets.nsgm")
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenMappedFile(t, path, MapOptions{NoVerify: true})
+			var fe *FormatError
+			if !errors.As(err, &fe) || fe.Section != SectionOffsets {
+				t.Fatalf("NoVerify open of a moved row bound: %v, want an offsets FormatError", err)
+			}
+		})
 	}
 }
 

@@ -40,11 +40,11 @@ func DefaultBuildParams() BuildParams {
 // base vectors it indexes, its id remap and, when quantized, its codes.
 // Metadata and files belong to the container that holds it.
 //
-// The graph has one form, heap or mapped: the fixed-stride flat adjacency
-// (graphutil.FlatGraph) the paper's Table 2 describes, which searches
-// traverse and Insert edits in place. A heap index owns its slabs; a mapped
-// one points them into a file and sets ro. Snapshot shares the flat graph
-// with the views it publishes, and the next in-place write copies it first.
+// The graph has one form, heap or mapped: CSR rows (graphutil.CSR), an
+// offsets array and one edge slab, which searches traverse and Insert
+// edits. A heap index owns its slabs; a mapped one points them into a file
+// and sets ro. Snapshot shares the graph with the views it publishes, and
+// the next write forks it first, so a published row never changes.
 type NSG struct {
 	Navigating int32 // the navigating node: search always starts here
 	Base       vecmath.Matrix
@@ -61,8 +61,8 @@ type NSG struct {
 	PubIDs     []int32
 	toInternal []int32
 
-	flat   *graphutil.FlatGraph
-	shared bool         // a published Snapshot holds flat: copy before writing
+	flat   *graphutil.CSR
+	shared bool         // a published Snapshot holds flat: fork before writing
 	reach  atomic.Int64 // cached ReachableFrom(Navigating)+1; 0 = unknown
 	// ro marks slabs that point into a read-only mapping (see mapped.go):
 	// mutators return ErrReadOnly.
@@ -70,8 +70,8 @@ type NSG struct {
 }
 
 // newNSG wraps a graph with identity id tables.
-func newNSG(flat *graphutil.FlatGraph, nav int32, base vecmath.Matrix, m int) *NSG {
-	return &NSG{flat: flat, Navigating: nav, Base: base, M: m, PubIDs: identity(flat.Nodes), toInternal: identity(flat.Nodes)}
+func newNSG(flat *graphutil.CSR, nav int32, base vecmath.Matrix, m int) *NSG {
+	return &NSG{flat: flat, Navigating: nav, Base: base, M: m, PubIDs: identity(flat.N()), toInternal: identity(flat.N())}
 }
 
 // identity returns the ids 0..n-1.
@@ -83,15 +83,15 @@ func identity(n int) []int32 {
 	return ids
 }
 
-// FlatView returns the fixed-stride adjacency the searcher traverses. It
-// is valid until the next mutation; do not modify it.
-func (x *NSG) FlatView() *graphutil.FlatGraph { return x.flat }
+// FlatView returns the CSR adjacency the searcher traverses. It is valid
+// until the next mutation; do not modify it.
+func (x *NSG) FlatView() *graphutil.CSR { return x.flat }
 
-// own makes the flat graph safe to write in place: a copy, if a published
-// Snapshot shares it.
+// own makes the graph safe to edit: a fork, if a published Snapshot shares
+// it.
 func (x *NSG) own() {
 	if x.shared {
-		x.flat, x.shared = x.flat.Restride(x.flat.Stride), false
+		x.flat, x.shared = x.flat.Fork(), false
 	}
 	x.reach.Store(0)
 }
@@ -104,7 +104,7 @@ type PhaseTimings struct {
 	Collect     time.Duration // per-node search-collect-select (step iii)
 	InterInsert time.Duration // reverse-edge insertion and overflow re-prunes
 	Repair      time.Duration // DFS spanning repair (step iv)
-	Flatten     time.Duration // laying the graph out in fixed-stride rows
+	Flatten     time.Duration // laying the graph out in CSR rows
 }
 
 // Total sums the phase timings.
@@ -428,10 +428,11 @@ func (x *NSG) Stats() IndexStats {
 }
 
 // flatStats is Stats without the reachability count, under the paper's
-// Table 2 accounting (N * maxDegree * 4 bytes).
-func flatStats(f *graphutil.FlatGraph) IndexStats {
+// Table 2 accounting (N * maxDegree * 4 bytes, the fixed-stride rows its
+// implementations allot; the CSR graph itself holds 4(N+1) + 4*edges).
+func flatStats(f *graphutil.CSR) IndexStats {
 	d := f.Degrees()
-	return IndexStats{N: f.Nodes, AvgDegree: d.Avg, MaxDegree: d.Max, IndexBytes: int64(f.Nodes) * int64(d.Max) * 4}
+	return IndexStats{N: f.N(), AvgDegree: d.Avg, MaxDegree: d.Max, IndexBytes: int64(f.N()) * int64(d.Max) * 4}
 }
 
 const (
@@ -542,7 +543,7 @@ func readRemap(r io.Reader, n int) ([]int32, error) {
 // The second result is the undecoded metadata section of an older
 // one-index record, nil when the record has none.
 func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, []byte, error) {
-	// Normalize to one buffered reader shared with graphutil.ReadFrom (a
+	// Normalize to one buffered reader shared with graphutil.ReadCSR (a
 	// bufio.Reader passes through bufio.NewReader unchanged), so trailing
 	// sections are never swallowed by a second layer of read-ahead.
 	br := bufio.NewReader(r)
@@ -575,9 +576,10 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, []byte, error) {
 	if m > maxDegreeCap {
 		return nil, nil, fmt.Errorf("core: implausible degree cap %d", m)
 	}
-	// The node count must match base (checked inside ReadFromN, before the
-	// adjacency allocation, so a corrupt count cannot demand gigabytes).
-	g, err := graphutil.ReadFromN(br, base.Rows)
+	// The node count must match base (checked inside ReadCSR, before the
+	// adjacency allocation, so a corrupt count cannot demand gigabytes), and
+	// the edge slab is sized by the edges the record holds.
+	g, err := graphutil.ReadCSR(br, base.Rows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -585,7 +587,7 @@ func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, []byte, error) {
 		return nil, nil, fmt.Errorf("core: navigating node %d out of range", nav)
 	}
 	// A record without a remap section was never relaid: identity ids.
-	x := newNSG(graphutil.Flatten(g), nav, base, int(m))
+	x := newNSG(g, nav, base, int(m))
 	if flags&nsgFlagRemap != 0 {
 		pub, err := readRemap(br, g.N())
 		if err != nil {

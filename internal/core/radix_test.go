@@ -78,7 +78,7 @@ func TestNSGBuildScheduleIndependent(t *testing.T) {
 	if a.Navigating != b.Navigating {
 		t.Fatalf("navigating node %d at GOMAXPROCS=1, %d at 4", a.Navigating, b.Navigating)
 	}
-	for i := range int32(a.flat.Nodes) {
+	for i := range int32(a.flat.N()) {
 		if !slices.Equal(a.flat.Neighbors(i), b.flat.Neighbors(i)) {
 			t.Fatalf("node %d: adjacency %v at GOMAXPROCS=1, %v at 4", i, a.flat.Neighbors(i), b.flat.Neighbors(i))
 		}

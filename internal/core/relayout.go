@@ -1,6 +1,6 @@
 package core
 
-// permuteRows rearranges fixed-stride rows in place so that row i ends up
+// permuteRows rearranges dim-wide rows in place so that row i ends up
 // holding what was row p[i] — a gather by the permutation p, executed by
 // cycle following with one row-sized temporary. Used wherever a relayout
 // permutation meets a matrix (float vectors, SQ8 codes, load-time restore),
@@ -28,8 +28,8 @@ func permuteRows[T any](data []T, dim int, p []int32) {
 }
 
 // Relayout renumbers the index's nodes into BFS order from the navigating
-// node and permutes every per-node array (flat adjacency rows, float
-// vectors, SQ8 codes) to match, so the neighborhoods a greedy search expands
+// node and permutes every per-node array (adjacency rows, float vectors,
+// SQ8 codes) to match, so the neighborhoods a greedy search expands
 // early sit on adjacent cache lines — nodes reached within few hops of the
 // entry point land near the front of the base and code matrices, and each
 // node's out-neighbors (visited together) were enqueued together. Unreached
@@ -41,7 +41,7 @@ func permuteRows[T any](data []T, dim int, p []int32) {
 // is invisible except through memory behavior. Repeated calls compose.
 // Not safe for concurrent use with Search.
 func (x *NSG) Relayout() {
-	n := x.flat.Nodes
+	n := x.flat.N()
 	if n == 0 {
 		return
 	}
@@ -71,20 +71,14 @@ func (x *NSG) Relayout() {
 		toNew[old] = int32(newID)
 	}
 
-	// Permute the adjacency rows, the float vectors, and the codes when
-	// quantization was enabled first — in place, so the relayout never holds
-	// two copies of any of them — then relabel the edges.
-	x.own()
-	permuteRows(x.flat.Data, x.flat.Stride, order)
+	// Lay the relabelled rows out afresh (a published Snapshot keeps the old
+	// graph), and permute the float vectors, and the codes when quantization
+	// was enabled first, in place, so the relayout never holds two copies of
+	// either.
+	x.flat, x.shared = x.flat.Permute(order, toNew), false
 	permuteRows(x.Base.Data, x.Base.Dim, order)
 	if x.Quant != nil {
 		permuteRows(x.Quant.Codes.Codes, x.Quant.Codes.Dim, order)
-	}
-	for i := int32(0); int(i) < n; i++ {
-		nbs := x.flat.Neighbors(i)
-		for j, nb := range nbs {
-			nbs[j] = toNew[nb]
-		}
 	}
 
 	// Compose the public mapping: new internal -> (old internal ->) public,

@@ -17,23 +17,24 @@ import (
 // lives in internal/live; this file only defines what a frozen view is and
 // how Algorithm 1 searches one.
 //
-// Immutability is copy-on-write: a Snapshot captures the flat adjacency
-// pointer and the slice headers of the base matrix, code matrix and
-// id-remap tables at a moment when all of them describe the same n rows,
-// and marks the flat graph shared. Later mutations through NSG.Insert only
-// append vector, code and id rows (indexes >= n) or swap the NSG's own
-// headers, and the first in-place write to an adjacency row copies the
-// shared graph into a fresh array — the rows a snapshot can reach are never
-// rewritten, so any number of readers may traverse a snapshot while the
-// maintainer grows the index.
+// Immutability is copy-on-write: a Snapshot captures the CSR graph pointer
+// and the slice headers of the base matrix, code matrix and id-remap tables
+// at a moment when all of them describe the same n rows, and marks the
+// graph shared. Later mutations through NSG.Insert only append vector, code
+// and id rows (indexes >= n) or swap the NSG's own headers, and the first
+// edit forks the shared graph: the fork copies the row bounds and writes
+// every changed row past the end of the edge slab the snapshot reads (see
+// graphutil.CSR.Fork). The rows a snapshot can reach are never rewritten,
+// so any number of readers may traverse a snapshot while the maintainer
+// grows the index.
 
 // Snapshot is an immutable, lock-free serving view of an NSG: the frozen
-// fixed-stride adjacency, the first n rows of the base (and, when
+// CSR adjacency, the first n rows of the base (and, when
 // quantized, code) matrix, and the id-remap tables. Create one with
 // NSG.Snapshot; search it from any number of goroutines with per-goroutine
 // contexts.
 type Snapshot struct {
-	flat   *graphutil.FlatGraph
+	flat   *graphutil.CSR
 	nav    int32
 	base   vecmath.Matrix
 	quant  *Quantized // value copy; nil when the index is not quantized
@@ -56,13 +57,14 @@ func (x *NSG) view() Snapshot {
 }
 
 // Snapshot freezes the index's current state into an immutable serving
-// view, sharing the flat graph (narrowed to the maximum degree first; see
-// FlatGraph.Fit) until the next write copies it. Must not be called
+// view, sharing the graph (compacted first, which reclaims the spans edits
+// since the last publish left behind) until the next write forks it. Must
+// not be called
 // concurrently with mutations (the live maintainer is the only caller while
 // a handle is running); the returned snapshot itself is then safe to search
 // concurrently with further mutations.
 func (x *NSG) Snapshot() *Snapshot {
-	x.flat.Fit()
+	x.flat.Compact()
 	x.shared = true
 	s := x.view()
 	if s.quant != nil {
@@ -80,7 +82,7 @@ func (s *Snapshot) Vector(id int32) []float32 {
 	return s.base.Row(int(s.toInt[id]))
 }
 
-// Stats computes degree and memory statistics from the frozen flat layout,
+// Stats computes degree and memory statistics from the frozen graph,
 // so a live index can report them without touching the maintainer's graph.
 // Reachable equals N: snapshots are published only for graphs whose
 // construction (Algorithm 2 repair) or insertion path (forced reverse link)
@@ -217,7 +219,7 @@ func (s *Snapshot) Query(ctx *SearchContext, vec []float32, q Query) SearchResul
 		return emptyResult(ctx)
 	default:
 		pf.bits = q.Filter.Bits
-		scan, lnav := planFiltered(s.base.Rows, q.L, s.flat.Stride-1, q.Filter.Count, q.Dead.Len())
+		scan, lnav := planFiltered(s.base.Rows, q.L, s.flat.MaxDegree(), q.Filter.Count, q.Dead.Len())
 		if scan {
 			res = scanFiltered(ctx, s, vec, q.K, q.Counter, q.Delta, pf)
 		} else {

@@ -5,136 +5,240 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 )
 
-// FlatGraph is the fixed-stride adjacency layout the paper's implementations
-// use at search time: every node owns Stride int32 slots in one contiguous
-// array, the first holding its out-degree and the rest its neighbor ids.
-// Table 2's memory accounting ("each node is allocated the same memory based
-// on the maximum out-degree of the graphs to enable the continuous memory
-// access") describes exactly this structure; it removes a pointer
-// indirection per node during greedy traversal and keeps neighbor lists on
-// one cache line each for typical degrees.
+// CSR is the compressed-sparse-row adjacency every index searches, heap or
+// mapped: one edge slab holding the nodes' out-neighbors and, per node, the
+// bounds of its row in it, so node i's neighbors are edges[lo[i]:hi[i]],
+// in the order they were written. A compact graph (every built, loaded or
+// mapped one, and every published snapshot) keeps its rows in node order
+// with nothing between them. Its bounds are then one offsets array of n+1
+// entries, lo = off[:n] and hi = off[1:], and the graph takes
+// 4(n+1) + 4·edges bytes: a row costs its mean degree, not the maximum
+// degree the paper's fixed-stride layout allots every row (Table 2's
+// "memory" column, which IndexStats.IndexBytes still reports).
 //
-// A graph that is edited in place (AppendNode, SetNeighbors, AddEdge)
-// widens its stride on demand, when a row must hold more than Stride-1 ids,
-// and narrows it back on Fit once shortened rows have left the last slot
-// empty everywhere.
-type FlatGraph struct {
-	Data   []int32 // length N*Stride; node i occupies Data[i*Stride:(i+1)*Stride]
-	Stride int     // 1 + max out-degree
-	Nodes  int
-	// loose is set when a row that filled the stride was rewritten shorter:
-	// Stride-1 may then exceed the maximum degree until Fit measures it.
-	loose bool
+// Edits (AppendNode, SetNeighbors, AddEdge) rewrite a row in its own span
+// when it fits. A row that outgrows its span moves to the tail of the slab,
+// and the span it leaves is counted garbage, which Compact reclaims; an
+// edit that leaves a gap first splits the bounds into two arrays. Fork hands
+// a writer a graph that never rewrites a row the original can read.
+type CSR struct {
+	edges   []int32
+	lo, hi  []int32
+	maxDeg  int  // an upper bound on every degree, exact while compact
+	garbage int  // slab slots no row holds
+	frozen  int  // slab length at the Fork: the slots below it are never written
+	split   bool // lo and hi are separate arrays, not views of one offsets array
 }
 
-// Flatten converts an adjacency-list graph to the fixed-stride layout.
-func Flatten(g *Graph) *FlatGraph {
-	stride := g.Degrees().Max + 1
-	f := &FlatGraph{Data: make([]int32, g.N()*stride), Stride: stride, Nodes: g.N()}
-	for i, adj := range g.Adj {
-		f.SetNeighbors(int32(i), adj)
+// gather lays out n rows compactly in fresh arrays: row i is row(i).
+func gather(n, edges int, row func(i int) []int32) *CSR {
+	off := make([]int32, n+1)
+	g := &CSR{edges: make([]int32, 0, edges)}
+	for i := range n {
+		r := row(i)
+		g.edges = append(g.edges, r...)
+		off[i+1] = int32(len(g.edges))
+		g.maxDeg = max(g.maxDeg, len(r))
 	}
-	return f
-}
-
-// Restride returns a copy of f in a fresh array at the given stride, which
-// must exceed every degree, with room for as many rows as f has.
-func (f *FlatGraph) Restride(stride int) *FlatGraph {
-	g := &FlatGraph{Data: make([]int32, f.Nodes*stride, cap(f.Data)/f.Stride*stride), Stride: stride, Nodes: f.Nodes}
-	for i := 0; i < f.Nodes; i++ {
-		row := f.Data[i*f.Stride:]
-		copy(g.Data[i*stride:], row[:1+row[0]])
-	}
+	g.lo, g.hi = off[:n], off[1:]
 	return g
 }
 
-// Fit brings Stride-1 back to the maximum degree, copying the graph into a
-// narrower array when shortened rows left the last slot of every row unused.
-func (f *FlatGraph) Fit() {
-	if f.loose {
-		f.loose = false
-		if d := f.Degrees().Max; d+1 < f.Stride {
-			*f = *f.Restride(d + 1)
+// Flatten lays an adjacency-list graph out as a compact CSR.
+func Flatten(g *Graph) *CSR {
+	return gather(g.N(), g.Edges(), func(i int) []int32 { return g.Adj[i] })
+}
+
+// FromOffsets wraps an offsets array of n+1 entries and the edge slab it
+// indexes (a mapped record's two sections) without copying either. The
+// offsets must start at 0, never decrease and end at len(edges); the edge
+// ids are checked by Validate.
+func FromOffsets(off, edges []int32) (*CSR, error) {
+	n := len(off) - 1
+	if n < 0 || off[0] != 0 || int(off[n]) != len(edges) {
+		return nil, fmt.Errorf("graphutil: %d offsets do not span a %d-edge slab", len(off), len(edges))
+	}
+	g := &CSR{edges: edges, lo: off[:n], hi: off[1:]}
+	for i := range n {
+		d := int(off[i+1]) - int(off[i])
+		if d < 0 {
+			return nil, fmt.Errorf("graphutil: node %d row ends at %d before it starts at %d", i, off[i+1], off[i])
 		}
+		g.maxDeg = max(g.maxDeg, d)
+	}
+	return g, nil
+}
+
+// Clone returns a compact copy of g in fresh arrays.
+func (g *CSR) Clone() *CSR {
+	return gather(g.N(), g.Edges(), func(i int) []int32 { return g.Neighbors(int32(i)) })
+}
+
+// Permute returns g renumbered in fresh compact arrays: node j of the
+// result is node order[j] of g, and every edge target v becomes toNew[v].
+func (g *CSR) Permute(order, toNew []int32) *CSR {
+	p := gather(len(order), g.Edges(), func(j int) []int32 { return g.Neighbors(order[j]) })
+	for k, v := range p.edges {
+		p.edges[k] = toNew[v]
+	}
+	return p
+}
+
+// Compact reclaims the garbage edits left: it rebuilds g in fresh compact
+// arrays unless g is compact already.
+func (g *CSR) Compact() {
+	if g.split {
+		*g = *g.Clone()
+	}
+}
+
+// Slabs compacts g and returns its offsets array (n+1 entries) and edge
+// slab, the two sections a mapped record stores.
+func (g *CSR) Slabs() (off, edges []int32) {
+	g.Compact()
+	return g.lo[:len(g.lo)+1], g.edges
+}
+
+// Fork returns a graph that reads as g does and can be edited without
+// changing any row g reads: it copies the bounds and shares the edge slab,
+// which it writes only past g's length. g itself must not be edited after.
+func (g *CSR) Fork() *CSR {
+	f := *g
+	f.frozen = len(g.edges)
+	if g.split {
+		f.lo, f.hi = slices.Clone(g.lo), slices.Clone(g.hi)
+	} else {
+		off := slices.Clone(g.lo[:len(g.lo)+1])
+		f.lo, f.hi = off[:len(off)-1], off[1:]
+	}
+	return &f
+}
+
+// unpack gives hi an array of its own, so a row's end can move apart from
+// the next row's start.
+func (g *CSR) unpack() {
+	if !g.split {
+		g.hi, g.split = slices.Clone(g.hi), true
+	}
+}
+
+// atTail reports whether row i, spanning [lo, hi), may grow in place: it
+// ends the slab above the frozen prefix, and on compact bounds it is the
+// last row.
+func (g *CSR) atTail(i int32, lo, hi int) bool {
+	return lo >= g.frozen && hi == len(g.edges) && (g.split || int(i) == len(g.lo)-1)
+}
+
+// moveToTail starts row i afresh at the end of the slab, leaving its old
+// span [lo, hi) as garbage, and returns the new start.
+func (g *CSR) moveToTail(i int32, lo, hi int) int {
+	g.unpack()
+	g.garbage += hi - lo
+	g.lo[i] = int32(len(g.edges))
+	return len(g.edges)
+}
+
+// reclaim compacts once garbage outweighs the live edges, so edits between
+// compactions cost amortized O(1) space per written id.
+func (g *CSR) reclaim() {
+	if g.garbage > len(g.edges)-g.garbage {
+		g.Compact()
 	}
 }
 
 // AppendNode adds a node with no out-edges.
-func (f *FlatGraph) AppendNode() {
-	f.Data = append(f.Data, make([]int32, f.Stride)...)
-	f.Nodes++
+func (g *CSR) AppendNode() {
+	e := int32(len(g.edges))
+	if g.split {
+		g.lo, g.hi = append(g.lo, e), append(g.hi, e)
+		return
+	}
+	off := append(g.lo[:len(g.lo)+1], e)
+	g.lo, g.hi = off[:len(off)-1], off[1:]
 }
 
-// SetNeighbors replaces node i's out-edges with ids, widening the stride
-// (a copy of the graph) first when they do not fit. Slots past the degree
-// are zero, as Flatten leaves them, so the rows serialize the same.
-func (f *FlatGraph) SetNeighbors(i int32, ids []int32) {
-	if len(ids) >= f.Stride {
-		*f = *f.Restride(len(ids) + 1)
+// SetNeighbors replaces node i's out-edges with ids, which must not alias
+// the graph.
+func (g *CSR) SetNeighbors(i int32, ids []int32) {
+	lo, hi := int(g.lo[i]), int(g.hi[i])
+	switch {
+	case lo >= g.frozen && len(ids) <= hi-lo:
+		if len(ids) < hi-lo {
+			g.unpack()
+			g.garbage += hi - lo - len(ids)
+		}
+		copy(g.edges[lo:], ids)
+	case g.atTail(i, lo, hi):
+		g.edges = append(g.edges[:lo], ids...)
+	default:
+		lo = g.moveToTail(i, lo, hi)
+		g.edges = append(g.edges, ids...)
 	}
-	row := f.Data[int(i)*f.Stride:]
-	old := int(row[0])
-	if old == f.Stride-1 && len(ids) < old {
-		f.loose = true
-	}
-	row[0] = int32(copy(row[1:], ids))
-	clear(row[1+len(ids) : 1+max(old, len(ids))]) // unused slots stay zero
+	g.hi[i] = int32(lo + len(ids))
+	g.maxDeg = max(g.maxDeg, len(ids))
+	g.reclaim()
 }
 
-// AddEdge appends the edge i→to without checking duplicates, widening the
-// stride first when node i's row is full.
-func (f *FlatGraph) AddEdge(i, to int32) {
-	d := f.Degree(i)
-	if d+1 >= f.Stride {
-		*f = *f.Restride(d + 2)
+// AddEdge appends the edge i→to without checking duplicates.
+func (g *CSR) AddEdge(i, to int32) {
+	lo, hi := int(g.lo[i]), int(g.hi[i])
+	if !g.atTail(i, lo, hi) {
+		g.moveToTail(i, lo, hi)
+		g.edges = append(g.edges, g.edges[lo:hi]...)
 	}
-	row := f.Data[int(i)*f.Stride:]
-	row[1+d] = to
-	row[0]++
+	g.edges = append(g.edges, to)
+	g.hi[i] = int32(len(g.edges))
+	g.maxDeg = max(g.maxDeg, g.Degree(i))
+	g.reclaim()
 }
 
-// Neighbors returns node i's adjacency as a subslice of the flat array.
-func (f *FlatGraph) Neighbors(i int32) []int32 {
-	row := f.Data[int(i)*f.Stride:]
-	deg := int(row[0])
-	return row[1 : 1+deg]
-}
+// N returns the number of nodes.
+func (g *CSR) N() int { return len(g.lo) }
+
+// Edges returns the number of directed edges.
+func (g *CSR) Edges() int { return len(g.edges) - g.garbage }
+
+// Neighbors returns node i's adjacency as a subslice of the edge slab.
+func (g *CSR) Neighbors(i int32) []int32 { return g.edges[g.lo[i]:g.hi[i]] }
 
 // Degree returns node i's out-degree.
-func (f *FlatGraph) Degree(i int32) int {
-	return int(f.Data[int(i)*f.Stride])
-}
+func (g *CSR) Degree(i int32) int { return int(g.hi[i] - g.lo[i]) }
+
+// MaxDegree returns the maximum out-degree of a compact graph; after edits
+// that shortened rows it is an upper bound until Compact.
+func (g *CSR) MaxDegree() int { return g.maxDeg }
 
 // Degrees computes out-degree statistics, as Graph.Degrees does.
-func (f *FlatGraph) Degrees() DegreeStats {
-	return degreeStats(f.Nodes, func(i int) int { return f.Degree(int32(i)) })
+func (g *CSR) Degrees() DegreeStats {
+	return degreeStats(g.N(), func(i int) int { return g.Degree(int32(i)) })
 }
 
 // ToGraph converts back to the adjacency-list representation.
-func (f *FlatGraph) ToGraph() *Graph {
-	g := New(f.Nodes)
-	for i := 0; i < f.Nodes; i++ {
-		nb := f.Neighbors(int32(i))
-		g.Adj[i] = append([]int32{}, nb...)
+func (g *CSR) ToGraph() *Graph {
+	a := New(g.N())
+	for i := range a.Adj {
+		a.Adj[i] = slices.Clone(g.Neighbors(int32(i)))
 	}
-	return g
+	return a
 }
 
 // ReachableFrom counts nodes reachable from root (root included) by BFS
-// over the flat layout — the adjacency-list-free twin of
-// Graph.ReachableFrom.
-func (f *FlatGraph) ReachableFrom(root int32) int {
-	if f.Nodes == 0 || root < 0 || int(root) >= f.Nodes {
+// over the CSR rows — the adjacency-list-free twin of Graph.ReachableFrom.
+func (g *CSR) ReachableFrom(root int32) int {
+	n := g.N()
+	if n == 0 || root < 0 || int(root) >= n {
 		return 0
 	}
-	seen := make([]bool, f.Nodes)
-	queue := make([]int32, 0, f.Nodes)
+	seen := make([]bool, n)
+	queue := make([]int32, 0, n)
 	seen[root] = true
 	queue = append(queue, root)
 	for head := 0; head < len(queue); head++ {
-		for _, nb := range f.Neighbors(queue[head]) {
+		for _, nb := range g.Neighbors(queue[head]) {
 			if !seen[nb] {
 				seen[nb] = true
 				queue = append(queue, nb)
@@ -144,18 +248,20 @@ func (f *FlatGraph) ReachableFrom(root int32) int {
 	return len(queue)
 }
 
-// Validate checks structural sanity: degrees within stride, ids in range.
-func (f *FlatGraph) Validate() error {
-	if f.Stride <= 0 || len(f.Data) != f.Nodes*f.Stride {
-		return fmt.Errorf("graphutil: flat graph shape invalid: %d nodes, stride %d, %d slots", f.Nodes, f.Stride, len(f.Data))
+// Validate checks structural sanity: every row inside the slab, every id
+// in range.
+func (g *CSR) Validate() error {
+	n := g.N()
+	if len(g.hi) != n {
+		return fmt.Errorf("graphutil: csr shape invalid: %d row starts, %d row ends", n, len(g.hi))
 	}
-	for i := 0; i < f.Nodes; i++ {
-		deg := f.Data[i*f.Stride]
-		if deg < 0 || int(deg) >= f.Stride {
-			return fmt.Errorf("graphutil: node %d degree %d exceeds stride %d", i, deg, f.Stride)
+	for i := range n {
+		lo, hi := g.lo[i], g.hi[i]
+		if lo < 0 || hi < lo || int(hi) > len(g.edges) {
+			return fmt.Errorf("graphutil: node %d row [%d,%d) outside the %d-slot edge slab", i, lo, hi, len(g.edges))
 		}
-		for _, v := range f.Neighbors(int32(i)) {
-			if v < 0 || int(v) >= f.Nodes {
+		for _, v := range g.edges[lo:hi] {
+			if v < 0 || int(v) >= n {
 				return fmt.Errorf("graphutil: node %d has out-of-range edge %d", i, v)
 			}
 		}
@@ -163,19 +269,19 @@ func (f *FlatGraph) Validate() error {
 	return nil
 }
 
-// WriteTo serializes the graph in the NSG1 stream layout ReadFromN reads:
-// magic, node count, then each node's degree and neighbor ids — the live
-// prefix of its row — all little-endian uint32.
-func (f *FlatGraph) WriteTo(w io.Writer) (int64, error) {
+// WriteTo serializes the graph in the NSG1 stream layout ReadCSR reads:
+// magic, node count, then each node's degree and neighbor ids, all
+// little-endian uint32.
+func (g *CSR) WriteTo(w io.Writer) (int64, error) {
 	le := binary.LittleEndian
 	bw := bufio.NewWriter(w)
-	buf := le.AppendUint32(le.AppendUint32(nil, graphMagic), uint32(f.Nodes))
+	buf := le.AppendUint32(le.AppendUint32(nil, graphMagic), uint32(g.N()))
 	written := int64(len(buf))
 	bw.Write(buf) // a failed write sticks in bw, and Flush reports it
-	for i := 0; i < f.Nodes; i++ {
-		row := f.Data[i*f.Stride:]
-		buf = buf[:0]
-		for _, v := range row[:1+row[0]] {
+	for i := range int32(g.N()) {
+		row := g.Neighbors(i)
+		buf = le.AppendUint32(buf[:0], uint32(len(row)))
+		for _, v := range row {
 			buf = le.AppendUint32(buf, uint32(v))
 		}
 		bw.Write(buf)
@@ -185,4 +291,64 @@ func (f *FlatGraph) WriteTo(w io.Writer) (int64, error) {
 		return 0, fmt.Errorf("graphutil: write graph: %w", err)
 	}
 	return written, nil
+}
+
+const graphMagic = 0x4e534731 // "NSG1"
+
+// ReadCSR deserializes a graph written by CSR.WriteTo, rejecting any node
+// count other than wantNodes before allocating — callers that know the
+// expected size from surrounding context (an index header already bounded
+// against the file) must pass it so a corrupt count cannot turn into a
+// multi-gigabyte allocation. wantNodes < 0 accepts any plausible count.
+// The edge slab grows as ids are read, so what it allocates is bounded by
+// the bytes the stream holds, whatever degree a row claims.
+func ReadCSR(r io.Reader, wantNodes int) (*CSR, error) {
+	br := bufio.NewReader(r)
+	get := func() (uint32, error) {
+		var b [4]byte
+		if _, err := io.ReadFull(br, b[:]); err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint32(b[:]), nil
+	}
+	magic, err := get()
+	if err != nil {
+		return nil, fmt.Errorf("graphutil: read magic: %w", err)
+	}
+	if magic != graphMagic {
+		return nil, fmt.Errorf("graphutil: bad magic %#x", magic)
+	}
+	n, err := get()
+	if err != nil {
+		return nil, fmt.Errorf("graphutil: read count: %w", err)
+	}
+	if n > 1<<30 {
+		return nil, fmt.Errorf("graphutil: implausible node count %d", n)
+	}
+	if wantNodes >= 0 && n != uint32(wantNodes) {
+		return nil, fmt.Errorf("graphutil: graph has %d nodes, want %d", n, wantNodes)
+	}
+	off := make([]int32, n+1)
+	var edges []int32
+	for i := range int(n) {
+		deg, err := get()
+		if err != nil {
+			return nil, fmt.Errorf("graphutil: read degree of node %d: %w", i, err)
+		}
+		if deg > n || uint64(len(edges))+uint64(deg) > math.MaxInt32 {
+			return nil, fmt.Errorf("graphutil: node %d degree %d exceeds node count", i, deg)
+		}
+		for range deg {
+			v, err := get()
+			if err != nil {
+				return nil, fmt.Errorf("graphutil: read edge: %w", err)
+			}
+			if v >= n {
+				return nil, fmt.Errorf("graphutil: edge target %d out of range", v)
+			}
+			edges = append(edges, int32(v))
+		}
+		off[i+1] = int32(len(edges))
+	}
+	return FromOffsets(off, edges)
 }

@@ -4,14 +4,7 @@
 // quantities the paper reports in Table 2 (AOD/MOD/NN%) and Table 4 (SCC).
 package graphutil
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-
-	"repro/internal/vecmath"
-)
+import "repro/internal/vecmath"
 
 // Graph is a directed adjacency list over nodes 0..N-1.
 type Graph struct {
@@ -233,62 +226,4 @@ func ExactNearest(base vecmath.Matrix) []int32 {
 		nn[i] = bestID
 	}
 	return nn
-}
-
-const graphMagic = 0x4e534731 // "NSG1"
-
-// ReadFromN deserializes a graph written by FlatGraph.WriteTo, rejecting any node
-// count other than wantNodes before allocating — callers that know the
-// expected size from surrounding context (an index header already bounded
-// against the file) must pass it so a corrupt count cannot turn into a
-// multi-gigabyte allocation. wantNodes < 0 accepts any plausible count.
-func ReadFromN(r io.Reader, wantNodes int) (*Graph, error) {
-	br := bufio.NewReader(r)
-	get := func() (uint32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
-	magic, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("graphutil: read magic: %w", err)
-	}
-	if magic != graphMagic {
-		return nil, fmt.Errorf("graphutil: bad magic %#x", magic)
-	}
-	n, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("graphutil: read count: %w", err)
-	}
-	if n > 1<<30 {
-		return nil, fmt.Errorf("graphutil: implausible node count %d", n)
-	}
-	if wantNodes >= 0 && n != uint32(wantNodes) {
-		return nil, fmt.Errorf("graphutil: graph has %d nodes, want %d", n, wantNodes)
-	}
-	g := New(int(n))
-	for i := 0; i < int(n); i++ {
-		deg, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("graphutil: read degree of node %d: %w", i, err)
-		}
-		if deg > n {
-			return nil, fmt.Errorf("graphutil: node %d degree %d exceeds node count", i, deg)
-		}
-		adj := make([]int32, deg)
-		for j := range adj {
-			v, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("graphutil: read edge: %w", err)
-			}
-			if v >= n {
-				return nil, fmt.Errorf("graphutil: edge target %d out of range", v)
-			}
-			adj[j] = int32(v)
-		}
-		g.Adj[i] = adj
-	}
-	return g, nil
 }

@@ -187,10 +187,11 @@ func TestGraphSerializationRoundTrip(t *testing.T) {
 	if _, err := Flatten(g).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFromN(&buf, -1)
+	c, err := ReadCSR(&buf, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := c.ToGraph()
 	if got.N() != 4 || !got.HasEdge(0, 3) || !got.HasEdge(2, 0) || got.HasEdge(1, 0) {
 		t.Errorf("round-trip mismatch: %+v", got.Adj)
 	}
@@ -206,21 +207,11 @@ func TestGraphSerializationProperty(t *testing.T) {
 		if _, err := Flatten(g).WriteTo(&buf); err != nil {
 			return false
 		}
-		got, err := ReadFromN(&buf, -1)
-		if err != nil {
+		c, err := ReadCSR(&buf, -1)
+		if err != nil || c.Edges() != g.Edges() {
 			return false
 		}
-		if got.N() != g.N() || got.Edges() != g.Edges() {
-			return false
-		}
-		for i := range g.Adj {
-			for j := range g.Adj[i] {
-				if got.Adj[i][j] != g.Adj[i][j] {
-					return false
-				}
-			}
-		}
-		return true
+		return slices.EqualFunc(c.ToGraph().Adj, g.Adj, func(a, b []int32) bool { return slices.Equal(a, b) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -228,7 +219,7 @@ func TestGraphSerializationProperty(t *testing.T) {
 }
 
 func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFromN(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8}), -1); err == nil {
+	if _, err := ReadCSR(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8}), -1); err == nil {
 		t.Error("expected error on bad magic")
 	}
 	// Valid magic, edge target out of range.
@@ -237,8 +228,8 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	Flatten(g).WriteTo(&buf)
 	b := buf.Bytes()
-	b[len(b)-4] = 99 // corrupt edge target
-	if _, err := ReadFromN(bytes.NewReader(b), -1); err == nil {
+	b[len(b)-8] = 99 // node 0's only edge target (node 1's degree follows)
+	if _, err := ReadCSR(bytes.NewReader(b), -1); err == nil {
 		t.Error("expected error on out-of-range edge target")
 	}
 }
@@ -252,8 +243,9 @@ func TestFlattenRoundTrip(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Nodes != 4 || f.Stride != 3 {
-		t.Fatalf("N=%d stride=%d, want 4/3", f.Nodes, f.Stride)
+	off, edges := f.Slabs()
+	if f.N() != 4 || f.MaxDegree() != 2 || !slices.Equal(off, []int32{0, 2, 2, 3, 3}) || !slices.Equal(edges, []int32{1, 3, 0}) {
+		t.Fatalf("N=%d max degree %d offsets %v edges %v", f.N(), f.MaxDegree(), off, edges)
 	}
 	if f.Degree(0) != 2 || f.Degree(1) != 0 {
 		t.Errorf("degrees wrong: %d %d", f.Degree(0), f.Degree(1))
@@ -275,21 +267,10 @@ func TestFlattenPropertyRoundTrip(t *testing.T) {
 			g.AddEdge(int32(e.From), int32(e.To))
 		}
 		fg := Flatten(g)
-		if fg.Validate() != nil {
+		if fg.Validate() != nil || fg.Edges() != g.Edges() || fg.MaxDegree() != g.Degrees().Max {
 			return false
 		}
-		back := fg.ToGraph()
-		if back.Edges() != g.Edges() {
-			return false
-		}
-		for i := range g.Adj {
-			for j := range g.Adj[i] {
-				if back.Adj[i][j] != g.Adj[i][j] {
-					return false
-				}
-			}
-		}
-		return true
+		return slices.EqualFunc(fg.ToGraph().Adj, g.Adj, func(a, b []int32) bool { return slices.Equal(a, b) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -297,27 +278,30 @@ func TestFlattenPropertyRoundTrip(t *testing.T) {
 }
 
 func TestFlatGraphValidateCatchesCorruption(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	f := Flatten(g)
-	f.Data[0] = 99 // degree beyond stride
-	if err := f.Validate(); err == nil {
-		t.Error("expected degree-overflow error")
+	for _, off := range [][]int32{{1, 1, 1, 1}, {0, 2, 1, 1}, {0, 1, 1, 2}, {}} {
+		if _, err := FromOffsets(off, []int32{1}); err == nil {
+			t.Errorf("offsets %v over a 1-edge slab accepted", off)
+		}
 	}
-	f.Data[0] = 1
-	f.Data[1] = 77 // edge target out of range
+	f, err := FromOffsets([]int32{0, 1, 1, 1}, []int32{77}) // edge target out of range
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := f.Validate(); err == nil {
 		t.Error("expected out-of-range edge error")
 	}
 }
 
 // TestFlatGraphEditsMatchLists applies random edits — AppendNode,
-// SetNeighbors (longer and shorter) and AddEdge — to a flat graph and to
-// ragged lists side by side. The rows must agree after every edit, the
-// stride must widen only as far as a row needs, and after Fit the graph
-// must be exactly what Flatten lays out for the lists.
+// SetNeighbors (longer and shorter) and AddEdge — to a CSR graph and to
+// ragged lists side by side, forking the graph now and then the way a
+// publish does. The rows must agree after every edit, a fork's edits must
+// leave every row of the graph it forked unchanged, MaxDegree must bound
+// every degree, and after Compact the graph must be exactly what Flatten
+// lays out for the lists.
 func TestFlatGraphEditsMatchLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	same := func(a, b []int32) bool { return slices.Equal(a, b) }
 	for trial := 0; trial < 50; trial++ {
 		ref := New(1 + rng.Intn(6))
 		for i := range ref.Adj {
@@ -326,7 +310,14 @@ func TestFlatGraphEditsMatchLists(t *testing.T) {
 			}
 		}
 		f := Flatten(ref)
+		var published *CSR
+		var publishedRows [][]int32
 		for op := 0; op < 40; op++ {
+			if rng.Intn(8) == 0 {
+				f.Compact()
+				published, publishedRows = f, f.ToGraph().Adj
+				f = f.Fork()
+			}
 			i := int32(rng.Intn(ref.N()))
 			switch rng.Intn(4) {
 			case 0:
@@ -351,16 +342,21 @@ func TestFlatGraphEditsMatchLists(t *testing.T) {
 			if err := f.Validate(); err != nil {
 				t.Fatalf("trial %d op %d: %v", trial, op, err)
 			}
-			if !slices.EqualFunc(f.ToGraph().Adj, ref.Adj, slices.Equal[[]int32]) {
-				t.Fatalf("trial %d op %d: flat rows diverge from the lists", trial, op)
+			if !slices.EqualFunc(f.ToGraph().Adj, ref.Adj, same) {
+				t.Fatalf("trial %d op %d: CSR rows diverge from the lists", trial, op)
 			}
-			if f.Stride-1 < ref.Degrees().Max {
-				t.Fatalf("trial %d op %d: stride %d under max degree %d", trial, op, f.Stride, ref.Degrees().Max)
+			if f.Edges() != ref.Edges() || f.MaxDegree() < ref.Degrees().Max {
+				t.Fatalf("trial %d op %d: %d edges, max degree %d; lists %d, %d", trial, op, f.Edges(), f.MaxDegree(), ref.Edges(), ref.Degrees().Max)
+			}
+			if published != nil && !slices.EqualFunc(published.ToGraph().Adj, publishedRows, same) {
+				t.Fatalf("trial %d op %d: an edit changed a row of the published graph", trial, op)
 			}
 		}
-		want := Flatten(ref)
-		if f.Fit(); f.Stride != want.Stride || !slices.Equal(f.Data, want.Data) {
-			t.Fatalf("trial %d: Fit gives stride %d, Flatten %d", trial, f.Stride, want.Stride)
+		f.Compact()
+		gotOff, gotEdges := f.Slabs()
+		wantOff, wantEdges := Flatten(ref).Slabs()
+		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotEdges, wantEdges) || f.MaxDegree() != ref.Degrees().Max {
+			t.Fatalf("trial %d: Compact gives %v %v (max %d), Flatten %v %v", trial, gotOff, gotEdges, f.MaxDegree(), wantOff, wantEdges)
 		}
 		if d, w := f.Degrees(), ref.Degrees(); d != w {
 			t.Fatalf("trial %d: Degrees %+v, lists %+v", trial, d, w)

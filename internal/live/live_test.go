@@ -202,9 +202,9 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestSnapshotCopyOnWrite: a drain batch re-prunes adjacency rows the
-// published snapshot shares. The batch's first insert must copy the flat
-// graph, so the old snapshot's rows and Stats stay bit-identical, and its
-// answers unchanged while a reader searches it through the drain.
+// published snapshot shares. The batch's first insert must fork the graph,
+// so the old snapshot's rows and Stats stay bit-identical, and its answers
+// unchanged while a reader searches it through the drain.
 func TestSnapshotCopyOnWrite(t *testing.T) {
 	const n0, extra, dim = 300, 200, 12
 	all := testVectors(n0+extra, dim, 9)
@@ -213,7 +213,7 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	defer h.Close()
 	old := h.view.Load().snap
 	shared := idx.FlatView() // the graph old was published with
-	rows, stride, stats := slices.Clone(shared.Data), shared.Stride, old.Stats()
+	rows, stats := shared.ToGraph().Adj, old.Stats()
 	queries := testVectors(20, dim, 10)
 	ask := func(ctx *core.SearchContext, qi int) string {
 		return fmt.Sprint(old.Query(ctx, queries.Row(qi), core.Query{K: 10, L: 30}).Neighbors)
@@ -257,8 +257,8 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	default:
 	}
 
-	if !slices.Equal(shared.Data, rows) || shared.Stride != stride {
-		t.Fatal("the drain rewrote the flat rows a published snapshot holds")
+	if !slices.EqualFunc(shared.ToGraph().Adj, rows, slices.Equal) {
+		t.Fatal("the drain rewrote the rows a published snapshot holds")
 	}
 	if got := old.Stats(); got != stats {
 		t.Fatalf("old snapshot's Stats changed: %+v, was %+v", got, stats)

@@ -3,7 +3,6 @@ package nsg
 import (
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -398,35 +397,29 @@ func TestMaintainerStartsWithFirstAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// settles reports whether the count reaches want once exiting
-	// goroutines (the build's workers, a stopped maintainer) are gone.
-	settles := func(want func(n int) bool) bool {
-		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
-			time.Sleep(5 * time.Millisecond)
-			if want(runtime.NumGoroutine()) {
-				return true
-			}
-		}
-		return false
-	}
-	base := runtime.NumGoroutine()
-	settles(func(n int) bool { ok := n == base; base = n; return ok })
+	// Only maintainers are counted: other goroutines (the build's parallel
+	// loops) come and go on their own schedule.
+	base := settledCount(maintainers)
 	for i := 0; i < 20; i++ {
 		idx.Search(all[i], 5)
 	}
 	idx.SearchBatch(all[:20], 5, 40, 1)
-	if n := runtime.NumGoroutine(); n != base {
-		t.Fatalf("%d goroutines after searches, %d before: a never-written index started one", n, base)
+	if n := maintainers(); n != base {
+		t.Fatalf("%d maintainers after searches, %d before: a never-written index started one", n, base)
 	}
 	if _, err := idx.Add(all[300]); err != nil {
 		t.Fatal(err)
 	}
-	if n := runtime.NumGoroutine(); n != base+1 {
-		t.Fatalf("%d goroutines after the first Add, want %d", n, base+1)
+	if n := maintainers(); n != base+1 {
+		t.Fatalf("%d maintainers after the first Add, want %d", n, base+1)
 	}
 	idx.Close()
-	if !settles(func(n int) bool { return n == base }) {
-		t.Fatalf("%d goroutines after Close, want %d", runtime.NumGoroutine(), base)
+	// A stopped maintainer may take a moment to exit.
+	for deadline := time.Now().Add(2 * time.Second); maintainers() != base && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := maintainers(); n != base {
+		t.Fatalf("%d maintainers after Close, want %d", n, base)
 	}
 	if ids, _ := idx.SearchWithPool(all[300], 1, 40); len(ids) != 1 || ids[0] != 300 {
 		t.Fatalf("row added before Close not served: %v", ids)

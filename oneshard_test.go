@@ -1,6 +1,7 @@
 package nsg
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -10,6 +11,66 @@ import (
 
 	"repro/internal/dataset"
 )
+
+// goroutinesIn counts the goroutines whose stack holds a call of fn, a
+// function as runtime.Stack names it.
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("\n"+fn+"(")) {
+			count++
+		}
+	}
+	return count
+}
+
+// shardWorkers counts the running distsearch shard workers.
+func shardWorkers() int { return goroutinesIn("repro/internal/distsearch.(*Sharded).worker") }
+
+// maintainers counts the running live maintainer goroutines.
+func maintainers() int { return goroutinesIn("repro/internal/live.(*Handle).run") }
+
+// settledCount returns count() once two readings 5 ms apart agree (or
+// after a second), so goroutines an earlier test stopped have exited.
+func settledCount(count func() int) int {
+	n := count()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		m := count()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestShardWorkersCounted: the frame shardWorkers looks for is the one a
+// multi-shard index's workers run, so a zero count means no worker.
+func TestShardWorkersCounted(t *testing.T) {
+	ds, err := dataset.SIFTLike(dataset.Config{N: 200, Queries: 1, GTK: 1, Dim: 8, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := settledCount(shardWorkers)
+	x, err := BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, DefaultShardedOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	if now := shardWorkers(); now <= before {
+		t.Fatalf("a two-shard index runs %d shard workers, %d ran before it", now, before)
+	}
+}
 
 // oneShardPair is an Index and a one-shard ShardedIndex built from the same
 // rows with the same options.
@@ -61,7 +122,7 @@ func TestIndexIsOneShardSharded(t *testing.T) {
 			opts.Quantize = q
 			rows := ds.Base.Data[:n*ds.Base.Dim]
 
-			goroutines := runtime.NumGoroutine()
+			workers := settledCount(shardWorkers)
 			idx, err := BuildFromFlat(slices.Clone(rows), ds.Base.Dim, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -79,13 +140,11 @@ func TestIndexIsOneShardSharded(t *testing.T) {
 				}
 			}
 			p.check(t, "plain", ds)
-			// The build's parallel loops have returned, but their goroutines
-			// may take a moment to exit; a shard worker never would.
-			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() != goroutines && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-			if now := runtime.NumGoroutine(); now != goroutines {
-				t.Errorf("building and searching one-shard indexes took the goroutine count from %d to %d", goroutines, now)
+			// Only shard workers are counted: other goroutines (the build's
+			// parallel loops, an earlier test's stopping maintainer) come
+			// and go on their own schedule.
+			if now := shardWorkers(); now != workers {
+				t.Errorf("building and searching one-shard indexes took the shard worker count from %d to %d", workers, now)
 			}
 
 			for id := int32(3); id < n; id += 10 {
