@@ -114,9 +114,13 @@ func (t PhaseTimings) Total() time.Duration {
 
 // BuildStats reports what Algorithm 2 did, feeding Tables 2-4.
 type BuildStats struct {
-	TreeRepairEdges int          // edges added by the DFS spanning repair
-	TreePasses      int          // DFS passes until fully connected
-	Phases          PhaseTimings // wall clock per build phase
+	TreeRepairEdges int // edges added by the DFS spanning repair
+	TreePasses      int // DFS passes until fully connected
+	// RepairOverCap counts the repair edges that took a row past M: no
+	// reachable node of the search's result list was under the cap, so the
+	// edge went to the nearest one regardless.
+	RepairOverCap int
+	Phases        PhaseTimings // wall clock per build phase
 }
 
 // NSGBuild runs Algorithm 2 on a prebuilt (approximate) kNN graph.
@@ -198,7 +202,7 @@ func NSGBuild(knn *graphutil.Graph, base vecmath.Matrix, p BuildParams) (*NSG, B
 
 	// Step iv: DFS spanning repair from the navigating node.
 	phase = time.Now()
-	stats.TreeRepairEdges, stats.TreePasses = repairConnectivity(g, base, nav, p)
+	stats.TreeRepairEdges, stats.TreePasses, stats.RepairOverCap = repairConnectivity(g, base, nav, p)
 	stats.Phases.Repair = time.Since(phase)
 
 	phase = time.Now()
@@ -338,15 +342,21 @@ func interInsert(adj [][]int32, base vecmath.Matrix, m int, ctxs []*SearchContex
 // repairConnectivity implements Algorithm 2 lines 24-32: repeatedly DFS from
 // the navigating node and, while unreached nodes remain, attach each to its
 // approximate nearest reachable neighbor found by Algorithm 1 on the current
-// graph. Returns (edges added, passes run).
+// graph. Returns (edges added, passes run, edges added past the cap).
+//
+// The paper attaches u to the nearest reachable node whatever its degree,
+// so one node could take several repair edges and pass M. Here u goes to
+// the nearest node of Algorithm 1's result list that is under M, and to
+// the nearest one only when every listed node is full; those edges are
+// counted, so MaxDegree is a cap apart from them.
 //
 // Every unreached node is attached within one pass: after each attachment
 // the newly reachable component is marked incrementally (graphutil.Reacher),
 // so nodes it absorbed are skipped instead of re-running a full DFS per
 // added edge the way the seed implementation did. A second pass only
 // verifies the fixpoint.
-func repairConnectivity(g *graphutil.Graph, base vecmath.Matrix, nav int32, p BuildParams) (int, int) {
-	added, passes := 0, 0
+func repairConnectivity(g *graphutil.Graph, base vecmath.Matrix, nav int32, p BuildParams) (int, int, int) {
+	added, passes, overCap := 0, 0, 0
 	ctx := NewSearchContext() // the graph mutates between passes; reuse one context over the list layout
 	n := g.N()
 	var reach graphutil.Reacher
@@ -357,24 +367,32 @@ func repairConnectivity(g *graphutil.Graph, base vecmath.Matrix, nav int32, p Bu
 		reach.Mark(g, nav)
 		unreached = reach.AppendUnreached(unreached[:0])
 		if len(unreached) == 0 {
-			return added, passes
+			return added, passes, overCap
 		}
 		for _, u := range unreached {
 			if reach.Visited(u) {
 				// Already absorbed by an earlier attachment this pass.
 				continue
 			}
-			// Search for u from the navigating node; the result is the
-			// nearest *reachable* node because search can only visit the
-			// reachable component.
+			// Search for u from the navigating node; the results are
+			// *reachable* nodes because search can only visit the reachable
+			// component, nearest first.
 			ctx.startBuf[0] = nav
-			res := SearchOnGraphListCtx(ctx, g.Adj, base, base.Row(int(u)), ctx.startBuf[:], 1, p.L, nil, nil)
+			res := SearchOnGraphListCtx(ctx, g.Adj, base, base.Row(int(u)), ctx.startBuf[:], p.L, p.L, nil, nil)
 			if len(res.Neighbors) == 0 {
 				continue
 			}
 			anchor := res.Neighbors[0].ID
 			if anchor == u || !reach.Visited(anchor) {
 				continue
+			}
+			under := slices.IndexFunc(res.Neighbors, func(c vecmath.Neighbor) bool {
+				return c.ID != u && reach.Visited(c.ID) && len(g.Adj[c.ID]) < p.M
+			})
+			if under >= 0 {
+				anchor = res.Neighbors[under].ID
+			} else {
+				overCap++
 			}
 			g.Adj[anchor] = append(g.Adj[anchor], u)
 			added++

@@ -134,10 +134,13 @@ type BuildStats struct {
 	Collect         time.Duration // per-node search-collect-select (step iii)
 	InterInsert     time.Duration // reverse-edge insertion
 	Repair          time.Duration // DFS connectivity repair (step iv)
-	Flatten         time.Duration // freezing the fixed-stride serving layout
+	Flatten         time.Duration // laying the graph out in CSR rows
 	Total           time.Duration // the whole build
 	TreeRepairEdges int           // edges added by the DFS spanning repair
 	TreePasses      int           // DFS passes until fully connected
+	// RepairOverCap counts repair edges that took a row past MaxDegree,
+	// because no reachable candidate the repair's search found was under it.
+	RepairOverCap int
 }
 
 // add accumulates one shard's build: its kNN graph time and Algorithm 2's.
@@ -150,6 +153,7 @@ func (b *BuildStats) add(knn time.Duration, cs core.BuildStats) {
 	b.Flatten += cs.Phases.Flatten
 	b.TreeRepairEdges += cs.TreeRepairEdges
 	b.TreePasses += cs.TreePasses
+	b.RepairOverCap += cs.RepairOverCap
 }
 
 // buildShard copies out the rows ids names (ascending global ids) and

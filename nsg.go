@@ -124,7 +124,9 @@ type Options struct {
 	// BuildL is the candidate pool size for Algorithm 2's per-node search
 	// (the paper's l).
 	BuildL int
-	// MaxDegree caps every node's out-degree (the paper's m).
+	// MaxDegree caps every node's out-degree (the paper's m). The one
+	// exception is a connectivity-repair edge that no reachable candidate
+	// under the cap could take; BuildStats().RepairOverCap counts those.
 	MaxDegree int
 	// SearchL is the default search pool size used by Search. Raise it for
 	// higher recall, lower it for speed. Must be >= the k passed to Search
