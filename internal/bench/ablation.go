@@ -57,7 +57,7 @@ func Ablation(w io.Writer, c ExpConfig) error {
 			float64(counter.Count())/float64(ds.Queries.Rows), avgDeg, qps)
 	}
 
-	// 1. Full NSG (reference): flat fixed-stride layout, reused context.
+	// 1. Full NSG (reference): CSR layout, reused context.
 	ctx := core.NewSearchContext()
 	g := idx.FlatView().ToGraph()
 	score("NSG (full Algorithm 2)", g, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {

@@ -113,7 +113,8 @@ type MapOptions struct {
 	// NoVerify skips the whole-file content verification pass (per-section
 	// CRC32 checks and a graph structure scan), making open O(1) in index
 	// size — the trusted-storage fast-restart path. Header geometry,
-	// checksummed headers and the id-remap permutation are still validated.
+	// checksummed headers, the CSR offsets and the id-remap permutation are
+	// still validated.
 	// Only set this when the file comes from storage you trust end to end:
 	// with NoVerify, in-place corruption of a slab can crash searches or
 	// silently return wrong results.
@@ -332,31 +333,19 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 	slots := mappedSlots[version]
 	var want, offs, lens [mappedSections]int64
 	var crcs [mappedSections]uint32
+	sizes := map[Section]int64{SectionOffsets: (rows + 1) * 4, SectionAdjacency: width * 4, SectionVectors: rows * dim * 4}
+	if version == 1 {
+		sizes[SectionAdjacency] *= rows
+	}
+	if flags&nsgFlagRemap != 0 {
+		sizes[SectionRemap] = rows * 4
+	}
+	if flags&nsgFlagQuant != 0 {
+		sizes[SectionQuantBounds], sizes[SectionCodes] = 2*dim*4, rows*dim
+	}
 	prevEnd := int64(mappedHeaderSize)
 	for i, sec := range slots {
-		switch sec {
-		case SectionOffsets:
-			want[i] = (rows + 1) * 4
-		case SectionAdjacency:
-			want[i] = width * 4
-			if version == 1 {
-				want[i] *= rows
-			}
-		case SectionVectors:
-			want[i] = rows * dim * 4
-		case SectionRemap:
-			if flags&nsgFlagRemap != 0 {
-				want[i] = rows * 4
-			}
-		case SectionQuantBounds:
-			if flags&nsgFlagQuant != 0 {
-				want[i] = 2 * dim * 4
-			}
-		case SectionCodes:
-			if flags&nsgFlagQuant != 0 {
-				want[i] = rows * dim
-			}
-		}
+		want[i] = sizes[sec]
 		base := sectionTableStart + i*sectionEntrySize
 		offs[i] = int64(le.Uint64(hdr[base:]))
 		lens[i] = int64(le.Uint64(hdr[base+8:]))

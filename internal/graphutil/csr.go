@@ -142,14 +142,6 @@ func (g *CSR) moveToTail(i int32, lo, hi int) int {
 	return len(g.edges)
 }
 
-// reclaim compacts once garbage outweighs the live edges, so edits between
-// compactions cost amortized O(1) space per written id.
-func (g *CSR) reclaim() {
-	if g.garbage > len(g.edges)-g.garbage {
-		g.Compact()
-	}
-}
-
 // AppendNode adds a node with no out-edges.
 func (g *CSR) AppendNode() {
 	e := int32(len(g.edges))
@@ -181,6 +173,14 @@ func (g *CSR) SetNeighbors(i int32, ids []int32) {
 	g.hi[i] = int32(lo + len(ids))
 	g.maxDeg = max(g.maxDeg, len(ids))
 	g.reclaim()
+}
+
+// reclaim compacts once garbage outweighs the live edges, so edits cost
+// amortized O(1) space per written id.
+func (g *CSR) reclaim() {
+	if g.garbage > len(g.edges)-g.garbage {
+		g.Compact()
+	}
 }
 
 // AddEdge appends the edge i→to without checking duplicates.
@@ -226,35 +226,13 @@ func (g *CSR) ToGraph() *Graph {
 	return a
 }
 
-// ReachableFrom counts nodes reachable from root (root included) by BFS
-// over the CSR rows — the adjacency-list-free twin of Graph.ReachableFrom.
-func (g *CSR) ReachableFrom(root int32) int {
-	n := g.N()
-	if n == 0 || root < 0 || int(root) >= n {
-		return 0
-	}
-	seen := make([]bool, n)
-	queue := make([]int32, 0, n)
-	seen[root] = true
-	queue = append(queue, root)
-	for head := 0; head < len(queue); head++ {
-		for _, nb := range g.Neighbors(queue[head]) {
-			if !seen[nb] {
-				seen[nb] = true
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return len(queue)
-}
+// ReachableFrom counts the nodes reachable from root, root included.
+func (g *CSR) ReachableFrom(root int32) int { return reachableFrom(g, root) }
 
 // Validate checks structural sanity: every row inside the slab, every id
 // in range.
 func (g *CSR) Validate() error {
 	n := g.N()
-	if len(g.hi) != n {
-		return fmt.Errorf("graphutil: csr shape invalid: %d row starts, %d row ends", n, len(g.hi))
-	}
 	for i := range n {
 		lo, hi := g.lo[i], g.hi[i]
 		if lo < 0 || hi < lo || int(hi) > len(g.edges) {

@@ -19,6 +19,9 @@ func New(n int) *Graph {
 // N returns the number of nodes.
 func (g *Graph) N() int { return len(g.Adj) }
 
+// Neighbors returns node i's out-list.
+func (g *Graph) Neighbors(i int32) []int32 { return g.Adj[i] }
+
 // AddEdge appends the directed edge from→to without checking duplicates.
 func (g *Graph) AddEdge(from, to int32) {
 	g.Adj[from] = append(g.Adj[from], to)
@@ -172,11 +175,7 @@ func (g *Graph) SCCCount() int {
 // edges (including root). The paper counts NSG/HNSW connectivity as "1 SCC"
 // when every node is reachable from the fixed entry point; this is the
 // primitive behind that check and behind NSG's DFS spanning repair.
-func (g *Graph) ReachableFrom(root int32) int {
-	var r Reacher
-	r.Reset(g.N())
-	return r.Mark(g, root)
-}
+func (g *Graph) ReachableFrom(root int32) int { return reachableFrom(g, root) }
 
 // Unreachable returns the ids not reachable from root, in ascending order.
 func (g *Graph) Unreachable(root int32) []int32 {

@@ -1,5 +1,19 @@
 package graphutil
 
+// Adjacency is a directed graph's out-lists, the one view of Graph and
+// CSR that reachability needs.
+type Adjacency interface {
+	N() int
+	Neighbors(i int32) []int32
+}
+
+// reachableFrom counts the nodes reachable from root (root included).
+func reachableFrom(g Adjacency, root int32) int {
+	var r Reacher
+	r.Reset(g.N())
+	return r.Mark(g, root)
+}
+
 // Reacher computes reachability over a mutating graph with reusable
 // buffers: the visited marks and DFS stack are allocated once and shared
 // across passes, so loops that interleave traversal and edge insertion
@@ -30,7 +44,7 @@ func (r *Reacher) Reset(n int) {
 // already marked, and returns the number of newly marked nodes. Calling it
 // again after adding an edge anchor→u with Mark(g, u) extends the reachable
 // set by exactly u's newly reachable out-component.
-func (r *Reacher) Mark(g *Graph, root int32) int {
+func (r *Reacher) Mark(g Adjacency, root int32) int {
 	if r.visited[root] {
 		return 0
 	}
@@ -41,7 +55,7 @@ func (r *Reacher) Mark(g *Graph, root int32) int {
 		v := r.stack[len(r.stack)-1]
 		r.stack = r.stack[:len(r.stack)-1]
 		count++
-		for _, w := range g.Adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if !r.visited[w] {
 				r.visited[w] = true
 				r.stack = append(r.stack, w)

@@ -5,7 +5,7 @@
 //
 // The moving parts:
 //
-//   - Queries serve from an immutable published core.Snapshot — flat
+//   - Queries serve from an immutable published core.Snapshot — CSR
 //     adjacency, base vectors, quantization codes — reached through one atomic
 //     pointer load. The read path takes no lock and keeps the repository's
 //     zero-allocation SearchContext discipline.
@@ -16,10 +16,12 @@
 //     with exact distances.
 //   - A background maintainer drains the delta through the existing
 //     Algorithm 2 incremental-insert path (core.NSG.Insert), which edits the
-//     index's flat rows in place, and atomically publishes a fresh snapshot
-//     that includes the drained points — at which point they leave the scan
+//     index's CSR rows, and atomically publishes a fresh snapshot that
+//     includes the drained points — at which point they leave the scan
 //     path. The graph is copy-on-write: a published snapshot shares the
-//     flat rows, and the batch's first insert copies them once. It runs
+//     rows, the batch's first insert forks the graph (a copy of its row
+//     offsets), and every row the batch rewrites lands past the end of the
+//     edge slab the snapshot reads; the publish compacts it. It runs
 //     only while rows wait to drain, so a handle that is never written runs
 //     no goroutine and costs its queries one atomic load.
 //
@@ -56,7 +58,8 @@ type Options struct {
 	ChunkRows int
 	// MaxPending is the delta depth that triggers an immediate drain
 	// (default 512). Until it is hit, the maintainer waits up to Interval,
-	// batching insertions so the per-batch copy of the graph amortizes.
+	// batching insertions so the per-batch fork and compaction of the graph
+	// amortize.
 	MaxPending int
 	// Interval bounds how long an appended point may wait before the
 	// maintainer drains it into a published snapshot (default 100ms). The
@@ -369,7 +372,7 @@ func (h *Handle) Stats() Stats {
 }
 
 // IndexStats reports graph statistics computed from the published
-// snapshot's frozen flat layout — safe concurrently with everything.
+// snapshot's frozen graph — safe concurrently with everything.
 func (h *Handle) IndexStats() core.IndexStats {
 	return h.view.Load().snap.Stats()
 }
@@ -562,9 +565,9 @@ func (h *Handle) drainOnce() {
 		return
 	}
 
-	// Graph work, outside every lock: the first insert copies the flat
-	// graph the published snapshot shares, and published readers only
-	// traverse frozen flat layouts and write-once rows.
+	// Graph work, outside every lock: the first insert forks the graph the
+	// published snapshot shares, and published readers only traverse frozen
+	// rows and write-once vectors.
 	for i, ch := range cut {
 		lo := 0
 		if i == 0 {

@@ -236,7 +236,7 @@ type Stats struct {
 	N          int     // vectors in the published snapshots
 	AvgDegree  float64 // average out-degree over every shard's rows
 	MaxDegree  int     // maximum out-degree
-	IndexBytes int64   // summed graph footprints with fixed-stride rows
+	IndexBytes int64   // summed graph footprints, Table 2's N·maxDeg·4 (the CSR graphs take 4(n+1) + 4·edges)
 	Shards     int     // partition count
 	ShardSizes []int   // vectors per shard, pending ones included
 }

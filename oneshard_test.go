@@ -12,9 +12,9 @@ import (
 	"repro/internal/dataset"
 )
 
-// goroutinesIn counts the goroutines whose stack holds a call of fn, a
-// function as runtime.Stack names it.
-func goroutinesIn(fn string) int {
+// goroutinesMatching counts the goroutines whose stack dump holds any of
+// marks.
+func goroutinesMatching(marks ...string) int {
 	buf := make([]byte, 1<<16)
 	for {
 		n := runtime.Stack(buf, true)
@@ -26,18 +26,27 @@ func goroutinesIn(fn string) int {
 	}
 	count := 0
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte("\n"+fn+"(")) {
+		if slices.ContainsFunc(marks, func(m string) bool { return bytes.Contains(g, []byte(m)) }) {
 			count++
 		}
 	}
 	return count
 }
 
-// shardWorkers counts the running distsearch shard workers.
-func shardWorkers() int { return goroutinesIn("repro/internal/distsearch.(*Sharded).worker") }
+// shardWorkers counts the distsearch shard workers: by their
+// (*Sharded).worker frame or, for one not yet scheduled, whose stack shows
+// only its go statement's wrapper, by its creator in distsearch, which
+// starts no other goroutine.
+func shardWorkers() int {
+	return goroutinesMatching("\nrepro/internal/distsearch.(*Sharded).worker(", "\ncreated by repro/internal/distsearch.")
+}
 
-// maintainers counts the running live maintainer goroutines.
-func maintainers() int { return goroutinesIn("repro/internal/live.(*Handle).run") }
+// maintainers counts the live maintainer goroutines the same way: by their
+// (*Handle).run frame, or their creator in internal/live, which starts no
+// other goroutine.
+func maintainers() int {
+	return goroutinesMatching("\nrepro/internal/live.(*Handle).run(", "\ncreated by repro/internal/live.")
+}
 
 // settledCount returns count() once two readings 5 ms apart agree (or
 // after a second), so goroutines an earlier test stopped have exited.
