@@ -193,11 +193,55 @@ func legacyRecord(t testing.TB) []byte {
 	return b
 }
 
+// version1Record reads testdata/nsgm_v1_sq8.nsgm: the version 1 record
+// (fixed-stride adjacency rows, five sections) that the build before CSR
+// (commit 2dc1af9) wrote for buildMappedTestNSG(testBase(t, 200, 12, 11),
+// relaid, SQ8).
+func version1Record(t testing.TB) []byte {
+	b, err := os.ReadFile(filepath.Join("testdata", "nsgm_v1_sq8.nsgm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestMappedVersion1Opens: a version 1 record opens, its rows converted to
+// CSR, and answers as the same index built today does, ids, distance bits
+// and hops alike, under both verify modes and after PromoteToHeap.
+func TestMappedVersion1Opens(t *testing.T) {
+	base := testBase(t, 200, 12, 11)
+	heap := buildMappedTestNSG(t, base.Clone(), true, true)
+	path := filepath.Join(t.TempDir(), "v1.nsgm")
+	if err := os.WriteFile(path, version1Record(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	queries := testBase(t, 20, 12, 12)
+	for _, opts := range []MapOptions{{}, {NoVerify: true}} {
+		old, err := OpenMappedFile(t, path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stage := range []string{"mapped", "promoted"} {
+			if stage == "promoted" {
+				old.PromoteToHeap()
+			}
+			for qi := range queries.Rows {
+				q := Query{K: 10, L: 40}
+				want := fmt.Sprint(heap.Query(NewSearchContext(), queries.Row(qi), q))
+				if got := fmt.Sprint(old.Query(NewSearchContext(), queries.Row(qi), q)); got != want {
+					t.Fatalf("%+v %s query %d: %s, built index %s", opts, stage, qi, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestMappedCorruptionTable flips every header field, truncates at every
 // section boundary, misaligns slab offsets and rots section bytes of an SQ8
-// record, as written today (version 2: six sections, CSR offsets and edges
-// among them) and as an older build wrote it (version 1, fixed-stride
-// adjacency and a metadata section: six too); every mutation must yield a FormatError
+// record as the build before CSR wrote it (version 1: fixed-stride
+// adjacency, five sections), as written today (csr-sq8, version 2: six
+// sections, CSR offsets and edges among them) and as an older build wrote
+// it with a metadata section (version 1, six); every mutation must yield a FormatError
 // naming the right section, and OpenMappedAt must never serve a partially
 // valid index. The int4 case is a record from before int4 was removed: its
 // header carries the retired int4 marker in place of the SQ8 flag, and it
@@ -210,7 +254,8 @@ func TestMappedCorruptionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	t.Run("sq8", func(t *testing.T) { testMappedCorruptionTable(t, valid, mappedSections) })
+	t.Run("sq8", func(t *testing.T) { testMappedCorruptionTable(t, version1Record(t), mappedSections-1) })
+	t.Run("csr-sq8", func(t *testing.T) { testMappedCorruptionTable(t, valid, mappedSections) })
 	t.Run("legacy-meta", func(t *testing.T) { testMappedCorruptionTable(t, legacyRecord(t), mappedSections) })
 	t.Run("int4", func(t *testing.T) {
 		b := bytes.Clone(valid)
