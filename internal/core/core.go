@@ -131,9 +131,9 @@ type SearchResult struct {
 
 // adjacencySource abstracts the two graph layouts Algorithm 1 traverses:
 // ragged adjacency lists (mutable graphs, build time) and the CSR rows
-// every index serves from. The search body is instantiated
-// once per concrete layout so both compile to direct calls; having a single
-// body guarantees the two layouts produce byte-identical results.
+// every index serves from. The search body is instantiated once per
+// concrete layout so both compile to direct calls; having a single body
+// guarantees the two layouts produce byte-identical results.
 type adjacencySource interface {
 	neighbors(id int32) []int32
 }
@@ -384,9 +384,9 @@ func emit(ctx *SearchContext, k int) []vecmath.Neighbor {
 	return out
 }
 
-// SearchOnGraphCtx is Algorithm 1 over CSR rows with
-// caller-owned scratch: pass the same ctx on every query from a goroutine
-// and the steady state performs zero heap allocations. The returned
+// SearchOnGraphCtx is Algorithm 1 over CSR rows with caller-owned
+// scratch: pass the same ctx on every query from a goroutine and the
+// steady state performs zero heap allocations. The returned
 // Neighbors slice aliases the context and is valid only until the context's
 // next search — copy it to retain. visited, when non-nil, receives every
 // node whose distance to the query was computed. counter may be nil.

@@ -24,10 +24,9 @@ import (
 // headers straight into a memory-mapped file that the container holding
 // the record opened and owns. Version 1 records, which older builds wrote,
 // hold fixed-stride adjacency rows instead; those open with their rows
-// converted to CSR on the heap. Restart cost is
-// O(file open) instead of O(decode), capacity is bounded by the page
-// cache rather than the heap, and the BFS Relayout's locality transfers
-// directly to page locality.
+// converted to CSR on the heap. Restart cost is O(file open) instead of
+// O(decode), capacity is bounded by the page cache rather than the heap,
+// and the BFS Relayout's locality transfers directly to page locality.
 //
 // A mapped index is read-only: mutators return ErrReadOnly (or panic on
 // the internal no-error paths) and PromoteToHeap materializes a mutable

@@ -23,8 +23,8 @@ import (
 // graph shared. Later mutations through NSG.Insert only append vector, code
 // and id rows (indexes >= n) or swap the NSG's own headers, and the first
 // edit forks the shared graph: the fork copies the row bounds and writes
-// every changed row past the end of the edge slab the snapshot reads (see
-// graphutil.CSR.Fork). The rows a snapshot can reach are never rewritten,
+// every row it changes past the end of the edge slab the snapshot reads
+// (see graphutil.CSR.Fork). The rows a snapshot can reach are never rewritten,
 // so any number of readers may traverse a snapshot while the maintainer
 // grows the index.
 
@@ -59,10 +59,9 @@ func (x *NSG) view() Snapshot {
 // Snapshot freezes the index's current state into an immutable serving
 // view, sharing the graph (compacted first, which reclaims the spans edits
 // since the last publish left behind) until the next write forks it. Must
-// not be called
-// concurrently with mutations (the live maintainer is the only caller while
-// a handle is running); the returned snapshot itself is then safe to search
-// concurrently with further mutations.
+// not be called concurrently with mutations (the live maintainer is the
+// only caller while a handle is running); the returned snapshot itself is
+// then safe to search concurrently with further mutations.
 func (x *NSG) Snapshot() *Snapshot {
 	x.flat.Compact()
 	x.shared = true

@@ -313,8 +313,11 @@ func ReadCSR(r io.Reader, wantNodes int) (*CSR, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graphutil: read degree of node %d: %w", i, err)
 		}
-		if deg > n || uint64(len(edges))+uint64(deg) > math.MaxInt32 {
+		if deg > n {
 			return nil, fmt.Errorf("graphutil: node %d degree %d exceeds node count", i, deg)
+		}
+		if uint64(len(edges))+uint64(deg) > math.MaxInt32 {
+			return nil, fmt.Errorf("graphutil: node %d takes the edge count past int32", i)
 		}
 		for range deg {
 			v, err := get()
