@@ -13,7 +13,7 @@
 //	                             # to BENCH_build.json in the working dir
 //	bench -exp quant             # SQ8 quantized search vs float32
 //	                             # at matched recall, with and without
-//	                             # rerank/relayout, recorded to
+//	                             # the exact rerank, recorded to
 //	                             # BENCH_quant.json in the working dir
 //	bench -exp filter            # predicate-aware filtered search: recall
 //	                             # vs brute-force-with-filter, QPS and the

@@ -1,12 +1,12 @@
 // Command nsgbuild builds an NSG index from a base-vector file in .fvecs
-// format and writes the bundled index (vectors + graph) to disk.
+// format and writes the index (vectors + graph) to disk.
 //
 // Usage:
 //
 //	nsgbuild -base data/sift10k_base.fvecs -out sift10k.nsg -k 40 -l 50 -m 30
 //
-// The output is an Index.Save file, the one stream format every index
-// writes: nsgsearch -index and nsgserve -index both read it.
+// The output is an Index.Save file, the one format every index writes:
+// nsgsearch -index and nsgserve -index (with or without -mmap) read it.
 package main
 
 import (

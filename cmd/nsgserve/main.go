@@ -2,23 +2,23 @@
 // production-shaped front end for the paper's distributed deployments
 // (DEEP100M's 16 parallel subset NSGs, Taobao's 12/32-partition search).
 //
-// At startup the server either loads a saved sharded bundle or builds one
-// from an .fvecs base file, then answers queries by fanning each one out
+// At startup the server either loads a saved index or builds one from an
+// .fvecs base file, then answers queries by fanning each one out
 // across the index's shard-worker pool (one warm search context per
 // worker, so steady-state queries do not allocate beyond the response).
 //
 // Usage:
 //
 //	nsgserve -data base.fvecs -shards 4            # build at startup
-//	nsgserve -data base.fvecs -shards 4 -save idx.nsgd
+//	nsgserve -data base.fvecs -shards 4 -save idx.nsg
 //	nsgserve -data base.fvecs -shards 4 -quantize  # SQ8 serving path
-//	nsgserve -index idx.nsgd                       # load a saved bundle
-//	nsgserve -index idx.nsms -mmap                 # serve a mapped container
+//	nsgserve -index idx.nsg                        # load a saved index
+//	nsgserve -index idx.nsg -mmap                  # serve it in place
 //
 // -index takes a file written by any index's Save (nsgbuild -out, -save,
-// nsg.Index.Save), or with -mmap by any index's SaveMapped, whatever its
-// shard count. With -mmap the index file is
-// served in place through a memory mapping: startup is O(file open) — pages
+// nsg.Index.Save), whatever its shard count, and loads it onto the heap;
+// the stream bundles older builds wrote load too. With -mmap the same file
+// is served in place through a memory mapping: startup is O(file open) — pages
 // fault in as queries touch them — and the server is read-only: /insert
 // returns 403, searches are byte-identical to heap serving, and /stats
 // reports RSS and page-fault counters so the paging behavior is observable.
@@ -54,8 +54,8 @@
 // On SIGINT/SIGTERM the server drains gracefully: /readyz flips to 503,
 // in-flight requests and frames get up to -drain to finish, idle router
 // streams are closed, pending live inserts are
-// flushed into the shard graphs, and — when -save or -index names a bundle
-// path — the bundle is re-saved so acknowledged inserts survive the restart.
+// flushed into the shard graphs, and — when -save or -index names a file —
+// the index is re-saved there so acknowledged inserts survive the restart.
 //
 // The server runs the index in live-update mode (no lock anywhere on the
 // request path): searches read the per-shard published snapshots, inserts
@@ -113,12 +113,11 @@ func parseQuantMode(s string) (nsg.QuantMode, error) {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("nsgserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	indexPath := fs.String("index", "", "saved index (any Save file, or with -mmap any SaveMapped file) to load")
+	indexPath := fs.String("index", "", "saved index (any Save file) to load onto the heap, or with -mmap to serve in place")
 	dataPath := fs.String("data", "", "base vectors (.fvecs) to build from")
-	savePath := fs.String("save", "", "write the built bundle here before serving")
-	mmapIndex := fs.Bool("mmap", false, "serve -index in place through a memory mapping (read-only; requires a SaveMapped file)")
+	savePath := fs.String("save", "", "write the built index here before serving")
+	mmapIndex := fs.Bool("mmap", false, "serve -index in place through a memory mapping (read-only; any Save file but an older build's stream bundle)")
 	mmapNoVerify := fs.Bool("mmap-noverify", false, "with -mmap, skip the open-time checksum pass (trusted storage only)")
-	saveMapped := fs.String("save-mapped", "", "write the built index as a disk-resident mapped container here before serving")
 	shards := fs.Int("shards", 4, "number of shards when building")
 	graphK := fs.Int("graphk", 20, "kNN graph neighbors per shard (paper's k)")
 	buildL := fs.Int("buildl", 50, "build pool size (paper's l)")
@@ -146,7 +145,7 @@ func run(args []string, stdout io.Writer) error {
 
 	idx, err := openIndex(openConfig{
 		indexPath: *indexPath, dataPath: *dataPath, savePath: *savePath,
-		saveMapped: *saveMapped, mmap: *mmapIndex, mmapNoVerify: *mmapNoVerify,
+		mmap: *mmapIndex, mmapNoVerify: *mmapNoVerify,
 		opts: nsg.ShardedOptions{
 			Shards: *shards,
 			Shard: nsg.Options{
@@ -190,7 +189,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// Re-save target for acknowledged inserts: an explicit -save wins, else
-	// the loaded bundle is refreshed in place.
+	// the loaded file is refreshed in place.
 	persistPath := *savePath
 	if persistPath == "" {
 		persistPath = *indexPath
@@ -205,7 +204,7 @@ func run(args []string, stdout io.Writer) error {
 // traffic, in-flight requests and router frames get up to drain to finish
 // (idle router streams close at once), the live handle is flushed so every
 // acknowledged insert is folded into the shard graphs, and
-// when persistPath is set and inserts happened the bundle is re-saved so
+// when persistPath is set and inserts happened the index is re-saved so
 // those inserts survive the restart.
 func serve(ctx context.Context, hs *http.Server, ln net.Listener, srv *server, drain time.Duration, persistPath string, stdout io.Writer) error {
 	errCh := make(chan error, 1)
@@ -245,13 +244,12 @@ func serve(ctx context.Context, hs *http.Server, ln net.Listener, srv *server, d
 
 // openConfig gathers the startup flags that pick and prepare the index.
 type openConfig struct {
-	indexPath, dataPath  string
-	savePath, saveMapped string
-	mmap, mmapNoVerify   bool
-	opts                 nsg.ShardedOptions
+	indexPath, dataPath, savePath string
+	mmap, mmapNoVerify            bool
+	opts                          nsg.ShardedOptions
 }
 
-// openIndex loads a bundle (decoded to the heap, or mapped in place with
+// openIndex loads a saved index (onto the heap, or mapped in place with
 // -mmap) or builds one from an fvecs file, whichever the flags selected.
 func openIndex(cfg openConfig, stdout io.Writer) (*nsg.Index, error) {
 	indexPath, dataPath, savePath, opts := cfg.indexPath, cfg.dataPath, cfg.savePath, cfg.opts
@@ -259,7 +257,7 @@ func openIndex(cfg openConfig, stdout io.Writer) (*nsg.Index, error) {
 	case indexPath != "" && dataPath != "":
 		return nil, fmt.Errorf("pass either -index or -data, not both")
 	case cfg.mmap && indexPath == "":
-		return nil, fmt.Errorf("-mmap requires -index naming a mapped container")
+		return nil, fmt.Errorf("-mmap requires -index naming a saved index")
 	case indexPath != "":
 		start := time.Now()
 		var idx *nsg.Index
@@ -295,13 +293,7 @@ func openIndex(cfg openConfig, stdout io.Writer) (*nsg.Index, error) {
 			if err := idx.Save(savePath); err != nil {
 				return nil, err
 			}
-			fmt.Fprintf(stdout, "saved bundle to %s\n", savePath)
-		}
-		if cfg.saveMapped != "" {
-			if err := idx.SaveMapped(cfg.saveMapped); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(stdout, "saved mapped container to %s\n", cfg.saveMapped)
+			fmt.Fprintf(stdout, "saved index to %s\n", savePath)
 		}
 		return idx, nil
 	default:

@@ -246,7 +246,7 @@ func TestOpenIndexModes(t *testing.T) {
 	if err := dataset.SaveFvecsFile(fvecs, ds.Base); err != nil {
 		t.Fatal(err)
 	}
-	bundle := filepath.Join(dir, "idx.nsgd")
+	bundle := filepath.Join(dir, "idx.nsg")
 	opts := nsg.DefaultShardedOptions(2)
 	opts.Shard.ExactKNN = true
 
@@ -290,9 +290,9 @@ func TestOpenIndexModes(t *testing.T) {
 }
 
 // TestServesEveryIndexFile: -index serves a one-NSG file as it serves a
-// sharded bundle — an nsgbuild -out file (Index.Save of a BuildFromFlat
-// index, as nsgbuild writes it) loaded, and its Index.SaveMapped twin
-// mapped with -mmap — answering /search as the index that wrote them.
+// sharded one — an nsgbuild -out file (Index.Save of a BuildFromFlat
+// index, as nsgbuild writes it), loaded and mapped with -mmap — answering
+// /search as the index that wrote it.
 func TestServesEveryIndexFile(t *testing.T) {
 	ds, err := dataset.SIFTLike(dataset.Config{N: 500, Queries: 3, GTK: 1, Dim: 12, Seed: 8})
 	if err != nil {
@@ -305,14 +305,11 @@ func TestServesEveryIndexFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	stream, mapped := filepath.Join(dir, "idx.nsg"), filepath.Join(dir, "idx.nsgm")
-	if err := built.Save(stream); err != nil {
+	path := filepath.Join(dir, "idx.nsg")
+	if err := built.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := built.SaveMapped(mapped); err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []openConfig{{indexPath: stream}, {indexPath: mapped, mmap: true}} {
+	for _, cfg := range []openConfig{{indexPath: path}, {indexPath: path, mmap: true}} {
 		var out bytes.Buffer
 		idx, err := openIndex(cfg, &out)
 		if err != nil {

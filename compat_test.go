@@ -1,9 +1,9 @@
 package nsg
 
-// File-format compatibility: every index writes the NSGD stream bundle and
-// the NSMS mapped container, byte for byte as pinned below, and the files
-// older builds wrote (the NSGB bundle and the top-level NSGM record, the
-// version-1 containers) still load and open.
+// File-format compatibility: every index writes the NSMS container, byte
+// for byte as pinned below, and the files older builds wrote (the NSGD and
+// NSGB stream bundles, the top-level NSGM record, the version-1
+// containers) still load and open.
 
 import (
 	"bytes"
@@ -87,8 +87,10 @@ func legacyAnswers(t *testing.T, x *Index, filtered bool) uint64 {
 // opens (the mapped ones) with its shard count, the options it kept, its
 // metadata store and the answers of the index that wrote it, plain and
 // filtered, distance bits included; an opened one answers alike once
-// promoted to the heap. Today's formats of the same index cost at most 256
-// bytes more than the one-index layouts.
+// promoted to the heap. Today's file of the same index costs at most 256
+// bytes more than the one-index mapped layout. (It is about 450 bytes more
+// than the NSGB stream: the container's header and its records' 64-byte
+// section alignment, a fixed cost whatever the row count.)
 func TestLegacyFilesStillOpen(t *testing.T) {
 	for _, fx := range legacyFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -123,18 +125,13 @@ func TestLegacyFilesStillOpen(t *testing.T) {
 			if fx.shards != 1 {
 				return
 			}
-			for _, f := range []struct {
-				save   func(string) error
-				legacy string
-			}{{loaded.Save, fx.stream}, {loaded.SaveMapped, fx.mapped}} {
-				path := filepath.Join(t.TempDir(), "now")
-				if err := f.save(path); err != nil {
-					t.Fatal(err)
-				}
-				now, old := fileSize(t, path), fileSize(t, legacyPath(f.legacy))
-				if now > old+256 {
-					t.Errorf("%s: one-shard file of %d bytes, %d more than its legacy layout's %d", f.legacy, now, now-old, old)
-				}
+			path := filepath.Join(t.TempDir(), "now")
+			if err := loaded.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			now, old := fileSize(t, path), fileSize(t, legacyPath(fx.mapped))
+			if now > old+256 {
+				t.Errorf("%s: one-shard file of %d bytes, %d more than its legacy layout's %d", fx.mapped, now, now-old, old)
 			}
 		})
 	}
@@ -185,6 +182,11 @@ func TestLegacyMetadataCorruption(t *testing.T) {
 	}
 }
 
+// streamPath names a file under testdata/stream, which commit f33b21c (the
+// last tree with a stream writer) wrote: one_f32.nsgd is the one-shard NSGD
+// bundle of one_f32.nsgb's index with its metadata store dropped.
+func streamPath(name string) string { return filepath.Join("testdata", "stream", name) }
+
 // TestShardRecordWithMetadataIsRejected: a bundle or container keeps its
 // metadata store in its own section, and no writer ever put one in a shard
 // record. A one-shard NSGD or NSMS whose record is the NSGB bundle's or
@@ -201,10 +203,7 @@ func TestShardRecordWithMetadataIsRejected(t *testing.T) {
 	}
 	dir := t.TempDir()
 	stream, mapped := filepath.Join(dir, "idx.nsgd"), filepath.Join(dir, "idx.nsms")
-	if err := x.Save(stream); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.SaveMapped(mapped); err != nil {
+	if err := x.Save(mapped); err != nil {
 		t.Fatal(err)
 	}
 	// Stream: both files hold the same vectors, so the bundle's record
@@ -212,7 +211,7 @@ func TestShardRecordWithMetadataIsRejected(t *testing.T) {
 	// and the empty id map's size word, and the NSGB's past its 12-byte
 	// header and the vectors.
 	vecs := 4 * legacyRows * legacyDim
-	now, err := os.ReadFile(stream)
+	now, err := os.ReadFile(streamPath("one_f32.nsgd"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,27 +296,28 @@ func TestEmptyIDMapNeedsOneShard(t *testing.T) {
 	defer idx.Close()
 	dir := t.TempDir()
 	stream, mapped := filepath.Join(dir, "idx.nsgd"), filepath.Join(dir, "idx.nsms")
-	if err := idx.Save(stream); err != nil {
+	if err := idx.Save(mapped); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.SaveMapped(mapped); err != nil {
-		t.Fatal(err)
-	}
-	// Stream: shard 0's size word follows the 36-byte header, the vectors
-	// and the 12-byte shard header; drop its ids and store size 0.
-	b, err := os.ReadFile(stream)
+	// Stream: in the three-shard bundle, shard 0's size word follows the
+	// 36-byte header, the vectors and the 12-byte shard header; drop its
+	// ids and store size 0.
+	b, err := os.ReadFile(legacyPath("three.nsgd"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := 36 + 4*idx.Len()*idx.Dim() + 12
+	at := 36 + 4*legacyRows*legacyDim + 12
 	size := int(binary.LittleEndian.Uint32(b[at:]))
+	if size <= 0 || size >= legacyRows {
+		t.Fatalf("shard 0 of the three-shard bundle claims %d rows", size)
+	}
 	b = append(append(b[:at:at], 0, 0, 0, 0), b[at+4+4*size:]...)
 	if err := os.WriteFile(stream, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := Load(stream); err == nil {
 		got.Close()
-		t.Fatal("Load served a two-shard bundle with an empty id map")
+		t.Fatal("Load served a three-shard bundle with an empty id map")
 	}
 	// Container: shard 0's id map length is table bytes 8..15; the table
 	// checksum after both 40-byte entries is recomputed to reach the check.
@@ -339,9 +339,9 @@ func TestEmptyIDMapNeedsOneShard(t *testing.T) {
 }
 
 // TestSavePadsMetadata: points added with plain Add after SetMetadata have
-// no metadata row, and both writers pad the store with missing rows up to
-// Len(), so the file reopens, the store covers every row, and the added
-// points fail every filter — on one shard and two, stream and mapped.
+// no metadata row, and Save pads the store with missing rows up to Len(),
+// so the file reopens, the store covers every row, and the added points
+// fail every filter — on one shard and two, loaded and mapped.
 func TestSavePadsMetadata(t *testing.T) {
 	ds := shardedTestData(t, 505, 1)
 	const n = 500
@@ -361,20 +361,16 @@ func TestSavePadsMetadata(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		dir := t.TempDir()
-		stream, mapped := filepath.Join(dir, "idx.nsgd"), filepath.Join(dir, "idx.nsms")
-		if err := idx.Save(stream); err != nil {
+		path := filepath.Join(t.TempDir(), "idx.nsg")
+		if err := idx.Save(path); err != nil {
 			t.Fatal(err)
 		}
-		if err := idx.SaveMapped(mapped); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(stream)
+		loaded, err := Load(path)
 		if err != nil {
 			t.Fatalf("%d shards: Load: %v", shards, err)
 		}
 		defer loaded.Close()
-		opened, err := OpenMapped(mapped, MapOptions{})
+		opened, err := OpenMapped(path, MapOptions{})
 		if err != nil {
 			t.Fatalf("%d shards: OpenMapped: %v", shards, err)
 		}
@@ -406,20 +402,16 @@ func TestOptionsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer orig.Close()
-	dir := t.TempDir()
-	stream, mapped := filepath.Join(dir, "idx.nsgd"), filepath.Join(dir, "idx.nsms")
-	if err := orig.Save(stream); err != nil {
+	path := filepath.Join(t.TempDir(), "idx.nsg")
+	if err := orig.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := orig.SaveMapped(mapped); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(stream)
+	loaded, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	opened, err := OpenMapped(mapped, MapOptions{})
+	opened, err := OpenMapped(path, MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,9 +445,9 @@ func TestOptionsSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestShardedMappedKeepsMetadata: a two-shard SaveMapped carries its
-// metadata store, so the opened index compiles filters and answers them as
-// the heap index does, and its Save writes the heap index's bytes.
+// TestShardedMappedKeepsMetadata: a two-shard Save carries its metadata
+// store, so the opened index compiles filters and answers them as the heap
+// index does, and its Save writes the file it was opened from.
 func TestShardedMappedKeepsMetadata(t *testing.T) {
 	ds := shardedTestData(t, 1000, 15)
 	heap := buildShardedIndex(t, ds, 2)
@@ -464,8 +456,8 @@ func TestShardedMappedKeepsMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	path := filepath.Join(dir, "idx.nsms")
-	if err := heap.SaveMapped(path); err != nil {
+	path := filepath.Join(dir, "idx.nsg")
+	if err := heap.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := OpenMapped(path, MapOptions{})
@@ -474,47 +466,37 @@ func TestShardedMappedKeepsMetadata(t *testing.T) {
 	}
 	defer mapped.Close()
 	assertSameAnswers(t, ds, "OpenMapped", heap, mapped)
-	hp, mp := filepath.Join(dir, "heap.nsgd"), filepath.Join(dir, "mapped.nsgd")
-	if err := heap.Save(hp); err != nil {
-		t.Fatal(err)
-	}
+	mp := filepath.Join(dir, "mapped.nsg")
 	if err := mapped.Save(mp); err != nil {
 		t.Fatal(err)
 	}
-	hb, _ := os.ReadFile(hp)
+	hb, _ := os.ReadFile(path)
 	mb, _ := os.ReadFile(mp)
 	if !bytes.Equal(hb, mb) {
 		t.Fatal("Save of the mapped index differs from Save of the heap index")
 	}
 }
 
-// saveGolden holds FNV-64a digests of the bytes Save and SaveMapped write
-// for one fixed build per {1, 3 shards} x {float32, SQ8} x {no metadata,
-// metadata}. The build uses the exact kNN graph, so the bytes depend on
-// neither scheduling nor the kernel dispatch; a writer change that moves
-// one byte of any layout moves a digest.
+// saveGolden holds FNV-64a digests of the bytes Save writes for one fixed
+// build per {1, 3 shards} x {float32, SQ8} x {no metadata, metadata};
+// SaveMapped, the older name, writes the same bytes. The build uses the
+// exact kNN graph, so the bytes depend on neither scheduling nor the kernel
+// dispatch; a writer change that moves one byte of the layout moves a
+// digest.
 var saveGolden = map[string]uint64{
-	"1/float32/meta/mapped":  0x417092d2521674c2,
-	"1/float32/meta/save":    0x3b251307474ce844,
-	"1/float32/plain/mapped": 0xf4d4437eafc2710d,
-	"1/float32/plain/save":   0x8e4e334625e0a8c5,
-	"1/sq8/meta/mapped":      0x62796045bd9fe12a,
-	"1/sq8/meta/save":        0x65119d841a571bfc,
-	"1/sq8/plain/mapped":     0x68216d2f3d133035,
-	"1/sq8/plain/save":       0x8ca90583f330c401,
-	"3/float32/meta/mapped":  0xaeef47ad8e5a0e9c,
-	"3/float32/meta/save":    0xc36ad324e7bcd9c0,
-	"3/float32/plain/mapped": 0x48f04149711ac1bb,
-	"3/float32/plain/save":   0x6de99f771c77b9c1,
-	"3/sq8/meta/mapped":      0x20869251c2f62d27,
-	"3/sq8/meta/save":        0x709dd75ec4cad7f2,
-	"3/sq8/plain/mapped":     0x049e581967434975,
-	"3/sq8/plain/save":       0x1425e3cf9ee240eb,
+	"1/float32/meta":  0x417092d2521674c2,
+	"1/float32/plain": 0xf4d4437eafc2710d,
+	"1/sq8/meta":      0x62796045bd9fe12a,
+	"1/sq8/plain":     0x68216d2f3d133035,
+	"3/float32/meta":  0xaeef47ad8e5a0e9c,
+	"3/float32/plain": 0x48f04149711ac1bb,
+	"3/sq8/meta":      0x20869251c2f62d27,
+	"3/sq8/plain":     0x049e581967434975,
 }
 
 func TestSaveBytesGolden(t *testing.T) {
 	ds := shardedTestData(t, 600, 1)
-	path := filepath.Join(t.TempDir(), "idx")
+	dir := t.TempDir()
 	got := map[string]uint64{}
 	for _, shards := range []int{1, 3} {
 		for _, q := range []QuantMode{QuantNone, QuantSQ8} {
@@ -530,21 +512,23 @@ func TestSaveBytesGolden(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				for _, w := range []struct {
-					name string
-					save func(string) error
-				}{{"save", x.Save}, {"mapped", x.SaveMapped}} {
-					if err := w.save(path); err != nil {
+				name := fmt.Sprintf("%d/%s/%s", shards, q, md)
+				var files [2][]byte
+				for i, save := range []func(string) error{x.Save, x.SaveMapped} {
+					path := filepath.Join(dir, fmt.Sprint(i))
+					if err := save(path); err != nil {
 						t.Fatal(err)
 					}
-					b, err := os.ReadFile(path)
-					if err != nil {
+					if files[i], err = os.ReadFile(path); err != nil {
 						t.Fatal(err)
 					}
-					h := fnv.New64a()
-					h.Write(b)
-					got[fmt.Sprintf("%d/%s/%s/%s", shards, q, md, w.name)] = h.Sum64()
 				}
+				if !bytes.Equal(files[0], files[1]) {
+					t.Errorf("%q: Save wrote %d bytes, SaveMapped %d different ones", name, len(files[0]), len(files[1]))
+				}
+				h := fnv.New64a()
+				h.Write(files[0])
+				got[name] = h.Sum64()
 			}
 			x.Close()
 		}

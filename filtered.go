@@ -58,7 +58,7 @@ var ErrNoMetadata = distsearch.ErrNoMetadata
 
 // SetMetadata attaches a metadata store to the index. The store must have
 // exactly one row per indexed vector (row i describes the vector with id
-// i); Save and SaveMapped persist it, and Load and OpenMapped restore it.
+// i); Save persists it, and Load and OpenMapped restore it.
 // Points added after attachment without a metadata row (plain Add) fail
 // every filter, and the files store missing rows for them;
 // AddWithMetadata writes each row under its vector's id.

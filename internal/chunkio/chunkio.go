@@ -1,9 +1,9 @@
 // Package chunkio is the one chunked little-endian scalar codec every
-// persistence path shares: float32 matrices (index bundles, streamed row by
-// row through WriteRows), int32 id maps
-// (shard partitions, relayout remap tables) and quantizer bounds all encode
-// through a reused 64 KiB buffer, so writing a million values costs a
-// handful of buffer-boundary crossings instead of one Write per scalar.
+// persistence path shares: float32 matrices, int32 id maps (shard
+// partitions, relayout remap tables, CSR offsets and edges) and quantizer
+// bounds all encode through a reused 64 KiB buffer, so writing a million
+// values costs a handful of buffer-boundary crossings instead of one Write
+// per scalar.
 // Readers consume exactly the bytes their writer produced, so sections
 // embed in larger files; nothing here adds its own buffering.
 package chunkio
@@ -69,21 +69,4 @@ func WriteInt32s(w io.Writer, vals []int32) error {
 // ReadInt32s fills dst with int32s written by WriteInt32s.
 func ReadInt32s(r io.Reader, dst []int32) error {
 	return read32(r, dst, func(u uint32) int32 { return int32(u) })
-}
-
-// WriteRows encodes n rows of float32s, output row r taken from row(r), one
-// Write per row: a bundle streams a permuted or gathered matrix this way
-// without materializing it. ReadFloat32s reads the result back.
-func WriteRows(w io.Writer, n int, row func(int) []float32) error {
-	var buf []byte
-	for r := 0; r < n; r++ {
-		buf = buf[:0]
-		for _, v := range row(r) {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("chunkio: write: %w", err)
-		}
-	}
-	return nil
 }

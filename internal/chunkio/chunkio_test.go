@@ -31,17 +31,6 @@ func TestRoundTrip(t *testing.T) {
 		if buf.Len() != 8*n {
 			t.Fatalf("n=%d: encoded %d bytes, want %d", n, buf.Len(), 8*n)
 		}
-		// WriteRows, gathering the same floats one row at a time in reverse
-		// order, writes the same bytes in that order.
-		var rows bytes.Buffer
-		if err := WriteRows(&rows, n, func(r int) []float32 { return fs[n-1-r : n-r] }); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < n; r++ {
-			if !bytes.Equal(rows.Bytes()[4*r:4*r+4], buf.Bytes()[4*(n-1-r):4*(n-r)]) {
-				t.Fatalf("n=%d: WriteRows row %d differs from WriteFloat32s", n, r)
-			}
-		}
 		gotF := make([]float32, n)
 		gotI := make([]int32, n)
 		if err := ReadFloat32s(&buf, gotF); err != nil {

@@ -188,12 +188,12 @@ func (x *NSG) MappedSize() int64 {
 	return size
 }
 
-// WriteMapped serializes the index in the aligned NSGM layout. Unlike
-// Write, the record is self-contained: the base vectors (in internal
-// order), remap table and quantization state are all inside, so a single
-// mmap serves the whole index. The record must start at a 64-byte-aligned
-// file offset for OpenMappedAt's zero-copy views to hold; the container
-// guarantees that.
+// WriteMapped serializes the index in the aligned NSGM layout, the only
+// record any index writes. It is self-contained: the base vectors (in
+// internal order), remap table and quantization state are all inside, so a
+// single mmap serves the whole index. The record must start at a
+// 64-byte-aligned file offset for OpenMappedAt's zero-copy views to hold;
+// the container guarantees that.
 //
 // Works on both heap and mapped indexes (the slabs stream out either
 // way), so re-saving a mapped index is a plain copy.

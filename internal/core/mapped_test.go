@@ -103,9 +103,9 @@ func TestMappedHeapParity(t *testing.T) {
 }
 
 // TestMappedReadOnlyGuards: every mutator on a mapped index must fail with
-// ErrReadOnly, and none may corrupt it for subsequent searches. Write is
-// not a mutator: it streams the bytes the heap index it was mapped from
-// writes.
+// ErrReadOnly, and none may corrupt it for subsequent searches.
+// WriteMapped is not a mutator: it streams the bytes the heap index it was
+// mapped from writes.
 func TestMappedReadOnlyGuards(t *testing.T) {
 	base := testBase(t, 300, 16, 9)
 	heap := buildMappedTestNSG(t, base, true, false)
@@ -121,14 +121,14 @@ func TestMappedReadOnlyGuards(t *testing.T) {
 		t.Fatalf("EnableQuantization: %v, want ErrReadOnly", err)
 	}
 	var hb, mb bytes.Buffer
-	if err := heap.Write(&hb); err != nil {
+	if err := heap.WriteMapped(&hb); err != nil {
 		t.Fatal(err)
 	}
-	if err := mapped.Write(&mb); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := mapped.WriteMapped(&mb); err != nil {
+		t.Fatalf("WriteMapped: %v", err)
 	}
 	if !bytes.Equal(hb.Bytes(), mb.Bytes()) {
-		t.Fatalf("mapped Write: %d bytes differ from the heap index's %d", mb.Len(), hb.Len())
+		t.Fatalf("mapped WriteMapped: %d bytes differ from the heap index's %d", mb.Len(), hb.Len())
 	}
 	// Still searchable after every rejected mutation.
 	res := mapped.Search(base.Row(0), 5, 20, nil)

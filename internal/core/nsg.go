@@ -424,7 +424,8 @@ func (x *NSG) Query(ctx *SearchContext, vec []float32, q Query) SearchResult {
 	return v.Query(ctx, vec, q)
 }
 
-// Stats summarizes the index the way Table 2 reports it.
+// IndexStats summarizes the index: Table 2's degree columns and the bytes
+// its graph holds.
 type IndexStats struct {
 	N          int
 	AvgDegree  float64
@@ -445,12 +446,12 @@ func (x *NSG) Stats() IndexStats {
 	return st
 }
 
-// flatStats is Stats without the reachability count, under the paper's
-// Table 2 accounting (N * maxDegree * 4 bytes, the fixed-stride rows its
-// implementations allot; the CSR graph itself holds 4(N+1) + 4*edges).
+// flatStats is Stats without the reachability count. IndexBytes is what
+// the CSR graph holds, 4(N+1) + 4*edges bytes; graphutil.Graph.IndexBytes
+// keeps the paper's Table 2 accounting (N * maxDegree * 4).
 func flatStats(f *graphutil.CSR) IndexStats {
 	d := f.Degrees()
-	return IndexStats{N: f.N(), AvgDegree: d.Avg, MaxDegree: d.Max, IndexBytes: int64(f.N()) * int64(d.Max) * 4}
+	return IndexStats{N: f.N(), AvgDegree: d.Avg, MaxDegree: d.Max, IndexBytes: 4 * int64(f.N()+1+f.Edges())}
 }
 
 const (
@@ -481,55 +482,6 @@ const (
 	maxDegreeCap = 1 << 20
 )
 
-// Write serializes the index (graph + navigating node + degree cap + the
-// id-remap table, plus the SQ8 grid/codes when present — storing codes and
-// scales lets a load skip retraining and re-encoding) from its flat rows,
-// heap or mapped. The base vectors are not serialized — like the paper's
-// index files, vectors live in their own dataset file and are re-attached
-// on load, in public id order.
-func (x *NSG) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	flags := uint32(nsgFlagRemap)
-	if x.Quant != nil {
-		flags |= nsgFlagQuant
-	}
-	hdr := make([]byte, 16)
-	le.PutUint32(hdr[0:], nsgQuantMagic)
-	le.PutUint32(hdr[4:], uint32(x.Navigating))
-	le.PutUint32(hdr[8:], uint32(x.M))
-	le.PutUint32(hdr[12:], flags)
-	bw.Write(hdr) // a failed write sticks in bw, and the graph's flush reports it
-	if _, err := x.flat.WriteTo(bw); err != nil {
-		return err
-	}
-	if err := writeRemap(bw, x.PubIDs); err != nil {
-		return err
-	}
-	if x.Quant != nil {
-		if err := quant.WriteQuantizer(bw, &x.Quant.Q); err != nil {
-			return err
-		}
-		if err := quant.WriteCodes(bw, x.Quant.Codes); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// writeRemap encodes the internal→public id table through the shared
-// chunked codec, the same discipline as the vector codec.
-func writeRemap(bw *bufio.Writer, ids []int32) error {
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(ids)))
-	if _, err := bw.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("core: write remap size: %w", err)
-	}
-	if err := chunkio.WriteInt32s(bw, ids); err != nil {
-		return fmt.Errorf("core: write remap: %w", err)
-	}
-	return nil
-}
-
 // readRemap decodes a remap table of exactly n ids and verifies it is a
 // permutation of [0,n).
 func readRemap(r io.Reader, n int) ([]int32, error) {
@@ -554,8 +506,9 @@ func readRemap(r io.Reader, n int) ([]int32, error) {
 	return ids, nil
 }
 
-// ReadNSG deserializes an index written by Write and attaches base, whose
-// rows must be in public id order (the order persistence containers store).
+// ReadNSG deserializes an NSG record of an older build's stream bundle (no
+// writer of the layout remains) and attaches base, whose rows must be in
+// public id order (the order persistence containers store).
 // The index takes ownership of base; for relayouted indexes the remap
 // section restores the internal order by permuting base's rows in place.
 // The second result is the undecoded metadata section of an older

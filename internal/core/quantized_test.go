@@ -2,10 +2,10 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/knngraph"
@@ -168,27 +168,12 @@ func TestQuantizedNoRerankReportsApprox(t *testing.T) {
 	}
 }
 
-// TestQuantizedPersistByteIdentical: Write/ReadNSG must round-trip codes,
-// scales, the permutation and the remap table byte-for-byte, and the loaded
-// index must return byte-identical search results.
+// TestQuantizedPersistByteIdentical: a stream record reads codes, scales,
+// the permutation and the remap table back byte-for-byte as its mapped twin
+// holds them (one relaid SQ8 index wrote both), and the loaded index
+// returns byte-identical search results.
 func TestQuantizedPersistByteIdentical(t *testing.T) {
-	base := testBase(t, 600, 24, 7)
-	idx := buildQuantTestNSG(t, base.Clone())
-	idx.Relayout()
-	if err := idx.EnableQuantization(nil); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := idx.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// ReadNSG expects rows in public order.
-	loaded, _, err := ReadNSG(bytes.NewReader(buf.Bytes()), base.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	loaded, idx := legacyTwins(t, "one_sq8")
 	if !bytes.Equal(loaded.Quant.Codes.Codes, idx.Quant.Codes.Codes) {
 		t.Fatal("codes not byte-identical across persist")
 	}
@@ -200,25 +185,20 @@ func TestQuantizedPersistByteIdentical(t *testing.T) {
 	if loaded.Quant.Q.Scale() != idx.Quant.Q.Scale() {
 		t.Fatal("scale differs across persist")
 	}
-	if len(loaded.PubIDs) != len(idx.PubIDs) {
-		t.Fatal("remap table length differs")
+	if slices.Equal(idx.PubIDs, identity(len(idx.PubIDs))) {
+		t.Fatal("the fixture index was not relaid")
 	}
-	for i := range idx.PubIDs {
-		if loaded.PubIDs[i] != idx.PubIDs[i] {
-			t.Fatalf("remap table differs at %d", i)
-		}
+	if !slices.Equal(loaded.PubIDs, idx.PubIDs) {
+		t.Fatal("remap table differs")
 	}
 	// The permuted base must have been restored to internal order.
-	for i := range idx.Base.Data {
-		if loaded.Base.Data[i] != idx.Base.Data[i] {
-			t.Fatal("internal base order not restored on load")
-		}
+	if !slices.Equal(loaded.Base.Data, idx.Base.Data) {
+		t.Fatal("internal base order not restored on load")
 	}
 
 	ctxA, ctxB := NewSearchContext(), NewSearchContext()
-	queries := testBase(t, 30, 24, 8)
-	for qi := 0; qi < queries.Rows; qi++ {
-		q := queries.Row(qi)
+	for qi := 0; qi < 30; qi++ {
+		q := idx.Base.Row(qi * 7)
 		a := idx.Query(ctxA, q, Query{K: 10, L: 40})
 		b := loaded.Query(ctxB, q, Query{K: 10, L: 40})
 		if a.Hops != b.Hops || len(a.Neighbors) != len(b.Neighbors) {
@@ -237,18 +217,8 @@ func TestQuantizedPersistByteIdentical(t *testing.T) {
 // files on disk embed exactly these records), must keep loading — with
 // identity ids, as it was never relaid.
 func TestVersionGateOldFilesLoad(t *testing.T) {
-	base := testBase(t, 300, 16, 9)
-	idx := buildQuantTestNSG(t, base)
-	var buf bytes.Buffer
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:], nsgFileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(idx.Navigating))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(idx.M))
-	buf.Write(hdr)
-	if _, err := idx.flat.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, _, err := ReadNSG(bytes.NewReader(buf.Bytes()), base)
+	base := pathBase()
+	loaded, _, err := ReadNSG(bytes.NewReader(recordFile(t, "path4.nsgf")), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +231,10 @@ func TestVersionGateOldFilesLoad(t *testing.T) {
 		}
 	}
 	ctx := NewSearchContext()
-	if res := loaded.Query(ctx, base.Row(5), Query{K: 5, L: 20}); res.Neighbors[0].ID != 5 {
-		t.Fatalf("legacy reload broken: self search returned %d", res.Neighbors[0].ID)
+	for i := range base.Rows {
+		if res := loaded.Query(ctx, base.Row(i), Query{K: 2, L: 4}); res.Neighbors[0].ID != int32(i) {
+			t.Fatalf("legacy reload broken: self search of %d returned %d", i, res.Neighbors[0].ID)
+		}
 	}
 }
 
@@ -272,14 +244,10 @@ func TestVersionGateOldFilesLoad(t *testing.T) {
 // beside the SQ8 flag or in its place (an int4 record from before int4 was
 // removed).
 func TestReadNSGRejectsUnknownFlags(t *testing.T) {
-	base := testBase(t, 200, 8, 13)
-	idx := buildQuantTestNSG(t, base)
-	if err := idx.EnableQuantization(nil); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := idx.Write(&buf); err != nil {
-		t.Fatal(err)
+	base := pathBase()
+	rec := recordFile(t, "path4_sq8.nsgq")
+	if _, _, err := ReadNSG(bytes.NewReader(rec), base); err != nil {
+		t.Fatalf("the unedited record: %v", err)
 	}
 	for _, tc := range []struct {
 		name string
@@ -289,7 +257,7 @@ func TestReadNSGRejectsUnknownFlags(t *testing.T) {
 		{"int4 beside sq8", func(f uint8) uint8 { return f | nsgFlagQuant4 }},
 		{"int4 in place of sq8", func(f uint8) uint8 { return f&^nsgFlagQuant | nsgFlagQuant4 }},
 	} {
-		blob := bytes.Clone(buf.Bytes())
+		blob := bytes.Clone(rec)
 		blob[12] = tc.flag(blob[12])
 		if _, _, err := ReadNSG(bytes.NewReader(blob), base); err == nil {
 			t.Fatalf("%s: ReadNSG accepted a record with unknown flags", tc.name)
@@ -479,8 +447,8 @@ func TestQuantBoundNearTies(t *testing.T) {
 }
 
 // TestRhoMeasuredEverywhere: ρ is the same whichever way the rows reached
-// memory — encode, a stream Load, a verified OpenMapped, a PromoteToHeap of
-// it — and matches an independent float64 measurement from above within
+// memory — encode, a verified OpenMapped, a PromoteToHeap of it, a stream
+// record's read against its mapped twin — and matches an independent float64 measurement from above within
 // 1e-9; a NoVerify open leaves it unknown, and an Insert far outside the
 // trained range raises it.
 func TestRhoMeasuredEverywhere(t *testing.T) {
@@ -509,14 +477,6 @@ func TestRhoMeasuredEverywhere(t *testing.T) {
 		}
 		rho := x.Quant.rho
 
-		var buf bytes.Buffer
-		if err := x.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, _, err := ReadNSG(&buf, base.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
 		path := filepath.Join(t.TempDir(), "rho.nsgm")
 		SaveMappedFile(t, x, path)
 		mapped, err := OpenMappedFile(t, path, MapOptions{})
@@ -527,10 +487,13 @@ func TestRhoMeasuredEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, q := range map[string]*Quantized{"Load": loaded.Quant, "OpenMapped": mapped.Quant} {
-			if !q.hasRho || q.rho != rho {
-				t.Fatalf("%s: rho %g (known %v), encode measured %g", name, q.rho, q.hasRho, rho)
-			}
+		if q := mapped.Quant; !q.hasRho || q.rho != rho {
+			t.Fatalf("OpenMapped: rho %g (known %v), encode measured %g", q.rho, q.hasRho, rho)
+		}
+		// A stream record's reader measures what its mapped twin's verified
+		// open does.
+		if stream, twin := legacyTwins(t, "one_sq8"); !stream.Quant.hasRho || stream.Quant.rho != twin.Quant.rho {
+			t.Fatalf("stream Load: rho %g (known %v), its mapped twin %g", stream.Quant.rho, stream.Quant.hasRho, twin.Quant.rho)
 		}
 		if trusted.Quant.hasRho {
 			t.Fatal("NoVerify open claims a known rho")

@@ -2,11 +2,13 @@ package distsearch
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/vecmath"
 )
@@ -87,12 +89,13 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// roundTrip saves s as a bundle and loads it back, checking the options
-// come back as written.
+// roundTrip saves s and loads it back, checking the options come back as
+// written and the loaded index is a heap one: mutable, with no mapping
+// left open.
 func roundTrip(t *testing.T, s *Sharded) *Sharded {
 	t.Helper()
 	opts := FileOptions{GraphK: 11, BuildL: 22, MaxDegree: 33, SearchL: 44, Quantize: true}
-	path := filepath.Join(t.TempDir(), "idx.nsgd")
+	path := filepath.Join(t.TempDir(), "idx.nsg")
 	if err := s.Save(path, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +106,14 @@ func roundTrip(t *testing.T, s *Sharded) *Sharded {
 	t.Cleanup(got.Close)
 	if gotOpts != opts {
 		t.Fatalf("options %+v did not round-trip: %+v", opts, gotOpts)
+	}
+	if got.mapped != nil || got.ReadOnly() {
+		t.Fatalf("Load kept its mapping (%v) or a read-only shard (%v)", got.mapped != nil, got.ReadOnly())
+	}
+	for sh := range got.shards {
+		if got.shards[sh].ReadOnly() {
+			t.Fatalf("shard %d is read-only after Load", sh)
+		}
 	}
 	return got
 }
@@ -145,12 +156,29 @@ func loadBytes(t *testing.T, b []byte) error {
 	return err
 }
 
+// TestLoadErrors: a file Load cannot read fails with an error; one that is
+// not a stream bundle goes to the container parser, whose damage reports
+// are *core.FormatError.
 func TestLoadErrors(t *testing.T) {
-	if err := loadBytes(t, nil); err == nil {
-		t.Error("expected error for an empty file")
+	var fe *core.FormatError
+	if err := loadBytes(t, nil); !errors.As(err, &fe) {
+		t.Errorf("an empty file: got %v, want a format error", err)
 	}
-	if err := loadBytes(t, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}); err == nil {
-		t.Error("expected error for bad magic")
+	if err := loadBytes(t, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}); !errors.As(err, &fe) {
+		t.Errorf("bad magic: got %v, want a format error", err)
+	}
+	s, _ := buildSharded(t, 400, 2)
+	path := filepath.Join(t.TempDir(), "idx.nsg")
+	if err := s.Save(path, FileOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff // inside shard 1's record
+	if err := loadBytes(t, b); !errors.As(err, &fe) {
+		t.Errorf("a flipped byte: got %v, want a format error", err)
 	}
 	if _, _, err := Load(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("expected error for a missing file")

@@ -14,19 +14,20 @@ import (
 	"repro/internal/mstore"
 )
 
-// This file is the sharded twin of core's NSGM record: one aligned
-// container holding, per shard, its global-id map and a complete embedded
-// NSGM record (adjacency + vectors + remap + codes), plus one optional
-// global metadata section. OpenMapped serves every shard zero-copy out of a
-// single mapping, so a multi-shard restart costs one file open instead of
-// one decode per shard. As on the heap, each shard's vectors live only in
+// This file is the one written format, the sharded twin of core's NSGM
+// record: one aligned container holding, per shard, its global-id map and
+// a complete embedded NSGM record (adjacency + vectors + remap + codes),
+// plus one optional global metadata section. OpenMapped serves every shard
+// zero-copy out of a single mapping, so a multi-shard restart costs one
+// file open instead of one decode per shard. As on the heap, each shard's vectors live only in
 // its record, and the id maps become the handles' translate tables and the
 // locator. The only shard of a one-shard index stores an empty id map,
-// which means the identity.
+// which means the identity. Load (persist.go) opens the same file and
+// promotes it to the heap.
 
 const (
-	// shardedMappedMagic is "NSMS" — distinct from every stream magic so
-	// each reader rejects the other family at the first word.
+	// shardedMappedMagic is "NSMS" — distinct from every stream magic, so
+	// Load tells the layouts apart by the first word.
 	shardedMappedMagic = 0x4e534d53
 	// Version 2 adds the metadata entry after the shard table and the
 	// metadata blob after the last record. Containers without metadata are
@@ -44,9 +45,24 @@ const (
 
 func smAlignUp(n int64) int64 { return (n + smAlign - 1) &^ (smAlign - 1) }
 
-// WriteMapped serializes the sharded index as one aligned container, with
-// opts, which OpenMapped hands back.
-func (s *Sharded) WriteMapped(w io.Writer, opts FileOptions) error {
+// idMaps returns every shard's id map (its handle's translate table: nil,
+// the identity, for the only shard of a one-shard index) and the rows they
+// cover.
+func (s *Sharded) idMaps() ([][]int32, int) {
+	ids := make([][]int32, len(s.handles))
+	rows := 0
+	for sh, h := range s.handles {
+		if ids[sh] = h.Translate(); ids[sh] == nil {
+			rows += h.Stats().SnapshotRows
+		}
+		rows += len(ids[sh])
+	}
+	return ids, rows
+}
+
+// Write serializes the sharded index, heap or mapped alike, as one aligned
+// container, with opts, which Load and OpenMapped hand back.
+func (s *Sharded) Write(w io.Writer, opts FileOptions) error {
 	nShards := len(s.shards)
 	ids, rows := s.idMaps()
 	version, tableLen := uint32(shardedMappedVersion), nShards*smShardEntrySize
@@ -133,24 +149,24 @@ func (s *Sharded) WriteMapped(w io.Writer, opts FileOptions) error {
 	return nil
 }
 
-// SaveMapped writes the aligned container to path, crash-safely.
-func (s *Sharded) SaveMapped(path string, opts FileOptions) error {
-	return mstore.WriteFileAtomic(path, func(w io.Writer) error {
-		return s.WriteMapped(w, opts)
-	})
+// Save writes the container to path crash-safely (temp file, fsync,
+// rename). Stop issuing Inserts and Flush first, so the shards' id maps
+// cover every row.
+func (s *Sharded) Save(path string, opts FileOptions) error {
+	return mstore.WriteFileAtomic(path, func(w io.Writer) error { return s.Write(w, opts) })
 }
 
 func smCorrupt(format string, args ...any) error {
 	return &core.FormatError{Section: core.SectionHeader, Reason: fmt.Sprintf(format, args...)}
 }
 
-// OpenMapped opens a container written by SaveMapped and serves all shards
-// from the mapping, with the options SaveMapped stored. A file that does
-// not start with the container's magic is opened as a top-level NSGM
-// record, the one-index layout written before every index saved
-// containers, through single. The returned index is read-only: Insert
-// reports the condition, while searches, the worker pool and Write behave
-// exactly as on a loaded index. Close releases the mapping.
+// OpenMapped opens a container written by Save and serves all shards from
+// the mapping, with the options Save stored. A file that does not start
+// with the container's magic is opened as a top-level NSGM record, the
+// one-index layout written before every index saved containers, through
+// single. The returned index is read-only: Insert reports the condition,
+// while searches, the worker pool and Write behave exactly as on a heap
+// index. Close releases the mapping.
 func OpenMapped(path string, mopts core.MapOptions) (*Sharded, FileOptions, error) {
 	f, err := mstore.Open(path)
 	if err != nil {

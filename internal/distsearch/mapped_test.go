@@ -15,7 +15,7 @@ import (
 func saveShardedMapped(t *testing.T, s *Sharded, opts FileOptions) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "sharded.nsms")
-	if err := s.SaveMapped(path, opts); err != nil {
+	if err := s.Save(path, opts); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -97,8 +97,8 @@ func TestShardedMappedParity(t *testing.T) {
 }
 
 // TestShardedMappedReadOnlyGuards: mutators on a mapped container must
-// fail with ErrReadOnly and leave it searchable, and the stream Write of
-// the container must equal the heap index's.
+// fail with ErrReadOnly and leave it searchable, and its Write must equal
+// the heap index's.
 func TestShardedMappedReadOnlyGuards(t *testing.T) {
 	heap, ds := buildSharded(t, 1000, 2)
 	mapped, _, err := OpenMapped(saveShardedMapped(t, heap, FileOptions{}), core.MapOptions{})
@@ -119,10 +119,10 @@ func TestShardedMappedReadOnlyGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := mapped.Write(&mb, opts); err != nil {
-		t.Fatalf("stream Write of a mapped container: %v", err)
+		t.Fatalf("Write of a mapped container: %v", err)
 	}
 	if !bytes.Equal(hb.Bytes(), mb.Bytes()) {
-		t.Fatal("stream Write of the mapped container differs from the heap index's")
+		t.Fatal("Write of the mapped container differs from the heap index's")
 	}
 	if res := mapped.Search(nil, ds.Queries.Row(0), 5, 30, nil, nil); len(res) != 5 {
 		t.Fatalf("search after rejected mutations: %d results", len(res))
@@ -134,7 +134,7 @@ func TestShardedMappedReadOnlyGuards(t *testing.T) {
 func TestShardedMappedCorruption(t *testing.T) {
 	heap, _ := buildSharded(t, 800, 2)
 	var buf bytes.Buffer
-	if err := heap.WriteMapped(&buf, FileOptions{}); err != nil {
+	if err := heap.Write(&buf, FileOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()

@@ -10,20 +10,21 @@ import (
 	"repro/internal/chunkio"
 	"repro/internal/core"
 	"repro/internal/meta"
-	"repro/internal/mstore"
 	"repro/internal/vecmath"
 )
 
-// This file persists a sharded index as one stream bundle ("NSGD"): a
-// versioned header with the shape and the index's FileOptions, the
-// vectors in global-id order, then the shard section ("NSGT") — its own
-// versioned header with the shard count and the optional global metadata
-// blob, then per shard the id map and the shard's NSG. The only shard of a
-// one-shard index stores an empty id map, which means the identity. Load
-// copies each shard's rows out of the vector section by its id map (a
-// one-shard index keeps the section as its rows), so the loaded index,
-// like a built one, keeps every vector in its shards only. It also holds
-// the options codec both formats share.
+// This file loads an index file. Save writes the mapped container (see
+// mapped.go), and Load opens it as OpenMapped does and promotes it to the
+// heap. Older builds wrote a stream bundle ("NSGD"), which Load still
+// decodes: a versioned header with the shape and the index's FileOptions,
+// the vectors in global-id order, then the shard section ("NSGT") — its
+// own versioned header with the shard count and the optional global
+// metadata blob, then per shard the id map and the shard's NSG. The only
+// shard of a one-shard index stores an empty id map, which means the
+// identity. The stream load copies each shard's rows out of the vector
+// section by its id map (a one-shard index keeps the section as its rows),
+// so the loaded index, like a built one, keeps every vector in its shards
+// only. The file also holds the options codec both layouts share.
 
 // FileOptions are the build options a file keeps beside its index: the
 // public layer's per-shard GraphK, BuildL, MaxDegree and SearchL, and
@@ -69,8 +70,9 @@ func decodeOptions(blob []byte) (FileOptions, error) {
 
 const (
 	// legacyMagic is "NSGB", the one-index bundle written before every
-	// index saved NSGD: its shape, the vectors in public id order, then one
-	// NSG record carrying the metadata store. Load still accepts it.
+	// index saved the sharded layouts: its shape, the vectors in public id
+	// order, then one NSG record carrying the metadata store. Load still
+	// accepts it.
 	legacyMagic = 0x4e534742
 
 	// bundleMagic is "NSGD". Version 2 appends the options flags word to
@@ -89,111 +91,46 @@ const (
 	shardedVersion = 2
 	// shardedVersionMeta extends v2 with a flags word and an optional
 	// global metadata blob between the header and the shard sections.
-	// Files without metadata are still written as plain v2, so older
-	// readers only reject files that actually carry the new section.
+	// Files without metadata were written as plain v2, so older readers
+	// only rejected files that actually carried the new section.
 	shardedVersionMeta = 3
 	shardedFlagMeta    = 1 << 0
 	maxShardedMetaBlob = 1 << 30
 )
 
-// Save writes the bundle to path crash-safely (temp file, fsync, rename),
-// with opts, which Load hands back. Stop issuing Inserts and Flush first,
-// so the shards' id maps cover every row.
-func (s *Sharded) Save(path string, opts FileOptions) error {
-	return mstore.WriteFileAtomic(path, func(w io.Writer) error { return s.Write(w, opts) })
-}
-
-// Write streams the bundle Save writes, heap or mapped alike.
-func (s *Sharded) Write(w io.Writer, opts FileOptions) error {
-	ids, rows := s.idMaps()
-	bw := bufio.NewWriter(w)
-	hdr := make([]byte, 16, 16+optionsSize)
-	binary.LittleEndian.PutUint32(hdr[0:], bundleMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], bundleVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(rows))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(s.dim))
-	if _, err := bw.Write(append(hdr, opts.encode()...)); err != nil {
-		return fmt.Errorf("distsearch: write header: %w", err)
-	}
-	// The vectors, in global-id order, gathered row by row from the shards.
-	if err := chunkio.WriteRows(bw, rows, s.VectorByID); err != nil {
-		return fmt.Errorf("distsearch: write vectors: %w", err)
-	}
-
-	version := uint32(shardedVersion)
-	if s.Meta != nil {
-		version = shardedVersionMeta
-	}
-	hdr = hdr[:12]
-	binary.LittleEndian.PutUint32(hdr[0:], shardedMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(s.shards)))
-	if _, err := bw.Write(hdr); err != nil {
-		return fmt.Errorf("distsearch: write shard header: %w", err)
-	}
-	if s.Meta != nil {
-		// One global blob (the store is global-id keyed); the per-shard NSG
-		// records below stay metadata-free.
-		var flagBuf [8]byte
-		blob := s.Meta.AppendEncode(nil)
-		binary.LittleEndian.PutUint32(flagBuf[0:], shardedFlagMeta)
-		binary.LittleEndian.PutUint32(flagBuf[4:], uint32(len(blob)))
-		if _, err := bw.Write(flagBuf[:]); err != nil {
-			return fmt.Errorf("distsearch: write flags: %w", err)
-		}
-		if _, err := bw.Write(blob); err != nil {
-			return fmt.Errorf("distsearch: write metadata: %w", err)
-		}
-	}
-	// Id maps go through the shared chunked codec (not a 4-byte write per
-	// id), same discipline as the vector codec.
-	for sh := range s.shards {
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(ids[sh])))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			return fmt.Errorf("distsearch: write shard size: %w", err)
-		}
-		if err := chunkio.WriteInt32s(bw, ids[sh]); err != nil {
-			return fmt.Errorf("distsearch: write id map: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
-			return fmt.Errorf("distsearch: %w", err)
-		}
-		if err := s.shards[sh].Write(w); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// idMaps returns every shard's id map (its handle's translate table: nil,
-// the identity, for the only shard of a one-shard index) and the rows they
-// cover.
-func (s *Sharded) idMaps() ([][]int32, int) {
-	ids := make([][]int32, len(s.handles))
-	rows := 0
-	for sh, h := range s.handles {
-		if ids[sh] = h.Translate(); ids[sh] == nil {
-			rows += h.Stats().SnapshotRows
-		}
-		rows += len(ids[sh])
-	}
-	return ids, rows
-}
-
-// Load reads the bundle Save wrote to path, or a legacy NSGB bundle, and
-// returns the index with a running worker pool, ready to serve, plus its
-// options (for an NSGB bundle, which kept none, those single derives).
-// Id maps that do not partition the rows are an error, and the header's
-// shape is bounded by the file size before the vectors are allocated.
+// Load reads the file Save wrote to path and returns the index on the heap,
+// mutable, with a running worker pool, plus its options. The container is
+// opened with its checksums verified, so a damaged file fails with a
+// *core.FormatError, and then promoted: the index keeps no mapping. A
+// stream bundle from an older build (NSGD, or a one-index NSGB) is decoded
+// by loadStream.
 func Load(path string) (*Sharded, FileOptions, error) {
-	var none FileOptions
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, none, err
+		return nil, FileOptions{}, err
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
+	if magic, err := br.Peek(4); err == nil {
+		switch binary.LittleEndian.Uint32(magic) {
+		case bundleMagic, legacyMagic:
+			return loadStream(f, br)
+		}
+	}
+	s, opts, err := OpenMapped(path, core.MapOptions{})
+	if err != nil {
+		return nil, FileOptions{}, err
+	}
+	s.PromoteToHeap()
+	return s, opts, nil
+}
+
+// loadStream decodes the stream bundle br reads from f, or a legacy NSGB
+// bundle (whose options, which it kept none of, single derives). Id maps
+// that do not partition the rows are an error, and the header's shape is
+// bounded by the file size before the vectors are allocated.
+func loadStream(f *os.File, br *bufio.Reader) (*Sharded, FileOptions, error) {
+	var none FileOptions
 	hdr := make([]byte, 16+optionsSize)
 	if _, err := io.ReadFull(br, hdr[:12]); err != nil {
 		return nil, none, fmt.Errorf("distsearch: read header: %w", err)

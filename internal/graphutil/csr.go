@@ -18,7 +18,8 @@ import (
 // entries, lo = off[:n] and hi = off[1:], and the graph takes
 // 4(n+1) + 4·edges bytes: a row costs its mean degree, not the maximum
 // degree the paper's fixed-stride layout allots every row (Table 2's
-// "memory" column, which IndexStats.IndexBytes still reports).
+// "memory" column, which Graph.IndexBytes keeps). IndexStats.IndexBytes
+// reports the CSR's own bytes.
 //
 // Edits (AppendNode, SetNeighbors, AddEdge) rewrite a row in its own span
 // when it fits. A row that outgrows its span moves to the tail of the slab,
@@ -247,33 +248,11 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// WriteTo serializes the graph in the NSG1 stream layout ReadCSR reads:
-// magic, node count, then each node's degree and neighbor ids, all
-// little-endian uint32.
-func (g *CSR) WriteTo(w io.Writer) (int64, error) {
-	le := binary.LittleEndian
-	bw := bufio.NewWriter(w)
-	buf := le.AppendUint32(le.AppendUint32(nil, graphMagic), uint32(g.N()))
-	written := int64(len(buf))
-	bw.Write(buf) // a failed write sticks in bw, and Flush reports it
-	for i := range int32(g.N()) {
-		row := g.Neighbors(i)
-		buf = le.AppendUint32(buf[:0], uint32(len(row)))
-		for _, v := range row {
-			buf = le.AppendUint32(buf, uint32(v))
-		}
-		bw.Write(buf)
-		written += int64(len(buf))
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, fmt.Errorf("graphutil: write graph: %w", err)
-	}
-	return written, nil
-}
-
 const graphMagic = 0x4e534731 // "NSG1"
 
-// ReadCSR deserializes a graph written by CSR.WriteTo, rejecting any node
+// ReadCSR deserializes a graph in the NSG1 stream layout older builds
+// wrote inside their NSG records (magic, node count, then each node's
+// degree and neighbor ids, all little-endian uint32), rejecting any node
 // count other than wantNodes before allocating — callers that know the
 // expected size from surrounding context (an index header already bounded
 // against the file) must pass it so a corrupt count cannot turn into a

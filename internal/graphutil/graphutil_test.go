@@ -1,8 +1,12 @@
 package graphutil
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -178,43 +182,61 @@ func TestExactNearest(t *testing.T) {
 	}
 }
 
-func TestGraphSerializationRoundTrip(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 3)
-	g.AddEdge(2, 0)
-	var buf bytes.Buffer
-	if _, err := Flatten(g).WriteTo(&buf); err != nil {
+// The NSG1 graphs under testdata were written by CSR.WriteTo at commit
+// f33b21c, the last tree with a stream writer: four.nsg1 is the graph
+// TestGraphSerializationRoundTrip describes, and random.nsg1 holds
+// randomGraph(1) to randomGraph(5) back to back.
+func readGraphFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ReadCSR(&buf, -1)
+	return b
+}
+
+// randomGraph is a 256-node graph of up to 400 random edges, a function of
+// seed alone.
+func randomGraph(seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := New(256)
+	for range rng.Intn(400) {
+		g.AddEdge(int32(rng.Intn(256)), int32(rng.Intn(256)))
+	}
+	return g
+}
+
+func TestGraphSerializationRoundTrip(t *testing.T) {
+	c, err := ReadCSR(bytes.NewReader(readGraphFixture(t, "four.nsg1")), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := c.ToGraph()
-	if got.N() != 4 || !got.HasEdge(0, 3) || !got.HasEdge(2, 0) || got.HasEdge(1, 0) {
-		t.Errorf("round-trip mismatch: %+v", got.Adj)
+	if got.N() != 4 || got.Edges() != 3 || !got.HasEdge(0, 1) || !got.HasEdge(0, 3) || !got.HasEdge(2, 0) {
+		t.Errorf("read mismatch: %+v", got.Adj)
+	}
+	if _, err := ReadCSR(bytes.NewReader(readGraphFixture(t, "four.nsg1")), 5); err == nil {
+		t.Error("a 4-node graph was read where 5 nodes were expected")
 	}
 }
 
+// TestGraphSerializationProperty: each graph of a stream reads back as
+// the graph that was written, and the reader consumes exactly its own
+// bytes, so the next graph starts where it stops.
 func TestGraphSerializationProperty(t *testing.T) {
-	f := func(edges []struct{ From, To uint8 }) bool {
-		g := New(256)
-		for _, e := range edges {
-			g.AddEdge(int32(e.From), int32(e.To))
+	br := bufio.NewReader(bytes.NewReader(readGraphFixture(t, "random.nsg1")))
+	for seed := int64(1); seed <= 5; seed++ {
+		g := randomGraph(seed)
+		c, err := ReadCSR(br, g.N())
+		if err != nil {
+			t.Fatalf("graph %d: %v", seed, err)
 		}
-		var buf bytes.Buffer
-		if _, err := Flatten(g).WriteTo(&buf); err != nil {
-			return false
+		if c.Edges() != g.Edges() || !slices.EqualFunc(c.ToGraph().Adj, g.Adj, func(a, b []int32) bool { return slices.Equal(a, b) }) {
+			t.Fatalf("graph %d read back differently", seed)
 		}
-		c, err := ReadCSR(&buf, -1)
-		if err != nil || c.Edges() != g.Edges() {
-			return false
-		}
-		return slices.EqualFunc(c.ToGraph().Adj, g.Adj, func(a, b []int32) bool { return slices.Equal(a, b) })
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("bytes left after the last graph: %v", err)
 	}
 }
 
@@ -223,14 +245,15 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 		t.Error("expected error on bad magic")
 	}
 	// Valid magic, edge target out of range.
-	g := New(2)
-	g.AddEdge(0, 1)
-	var buf bytes.Buffer
-	Flatten(g).WriteTo(&buf)
-	b := buf.Bytes()
-	b[len(b)-8] = 99 // node 0's only edge target (node 1's degree follows)
+	b := readGraphFixture(t, "four.nsg1")
+	b[len(b)-8] = 99 // node 2's only edge target (node 3's degree follows)
 	if _, err := ReadCSR(bytes.NewReader(b), -1); err == nil {
 		t.Error("expected error on out-of-range edge target")
+	}
+	// Cut inside the last row.
+	b = readGraphFixture(t, "four.nsg1")
+	if _, err := ReadCSR(bytes.NewReader(b[:len(b)-2]), -1); err == nil {
+		t.Error("expected error on a truncated graph")
 	}
 }
 

@@ -7,9 +7,10 @@ import (
 )
 
 // The metadata blob is one self-contained little-endian byte string,
-// embedded verbatim wherever an index format carries metadata (the NSGQ
-// stream's meta section, the NSGM mapped layout's sixth section, the NSGD
-// sharded bundle's trailer):
+// embedded verbatim wherever an index format carries metadata (the NSMS
+// container's metadata section, and in older builds' files the NSGQ
+// stream's meta section, the NSGM mapped layout's sixth section and the
+// NSGD sharded bundle's trailer):
 //
 //	u32 magic "NSMD"   u32 version=1   u32 rows   u32 ncols
 //	per column:

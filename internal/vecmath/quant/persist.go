@@ -8,13 +8,15 @@ import (
 	"repro/internal/chunkio"
 )
 
-// Persistence for the trained grid and the code matrix. Storing both with
-// the index lets a load skip retraining and re-encoding entirely: the scale
-// is re-derived from the persisted bounds (deriveScale is the single
-// definition), so a reloaded quantizer is bit-identical to the original.
+// Readers of the trained grid and the code matrix in the stream records
+// older builds wrote ("SQ8Q" bounds, then "SQ8C" codes); today's mapped
+// record stores both as plain sections. Storing both with the index lets a
+// load skip retraining and re-encoding entirely: the scale is re-derived
+// from the persisted bounds (deriveScale is the single definition), so a
+// reloaded quantizer is bit-identical to the original.
 //
-// Readers consume exactly the bytes their writer produced — sections embed
-// in larger index files, so nothing here wraps the stream in its own
+// Readers consume exactly the bytes of their section — sections embed in
+// larger index files, so nothing here wraps the stream in its own
 // buffering.
 
 const (
@@ -22,22 +24,8 @@ const (
 	codesMagic     = 0x53513843 // "SQ8C"
 )
 
-// WriteQuantizer serializes the trained grid bounds.
-func WriteQuantizer(w io.Writer, q *Quantizer) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], quantizerMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(q.Dim()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("quant: write quantizer header: %w", err)
-	}
-	if err := writeFloats(w, q.Min); err != nil {
-		return err
-	}
-	return writeFloats(w, q.Max)
-}
-
-// ReadQuantizer deserializes a grid written by WriteQuantizer and re-derives
-// its shared step.
+// ReadQuantizer deserializes an "SQ8Q" grid record and re-derives its
+// shared step.
 func ReadQuantizer(r io.Reader) (Quantizer, error) {
 	var q Quantizer
 	var hdr [8]byte
@@ -62,24 +50,8 @@ func ReadQuantizer(r io.Reader) (Quantizer, error) {
 	return q, nil
 }
 
-// WriteCodes serializes a code matrix; the payload is the raw byte slab, so
-// encoding costs one pass over memory.
-func WriteCodes(w io.Writer, c CodeMatrix) error {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], codesMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(c.Rows))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(c.Dim))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("quant: write codes header: %w", err)
-	}
-	if _, err := w.Write(c.Codes); err != nil {
-		return fmt.Errorf("quant: write codes: %w", err)
-	}
-	return nil
-}
-
-// ReadCodesShape deserializes a code matrix written by WriteCodes,
-// rejecting any shape other than wantRows×wantDim before allocating —
+// ReadCodesShape deserializes an "SQ8C" code matrix record (a 12-byte
+// header of magic, rows and dim, then the raw byte slab), rejecting any shape other than wantRows×wantDim before allocating —
 // callers that know the expected shape from surrounding context must pass
 // it so a corrupt header cannot turn into a giant allocation. Negative
 // bounds accept any plausible value.
@@ -104,13 +76,6 @@ func ReadCodesShape(r io.Reader, wantRows, wantDim int) (CodeMatrix, error) {
 		return CodeMatrix{}, fmt.Errorf("quant: truncated codes: %w", err)
 	}
 	return c, nil
-}
-
-func writeFloats(w io.Writer, vals []float32) error {
-	if err := chunkio.WriteFloat32s(w, vals); err != nil {
-		return fmt.Errorf("quant: write floats: %w", err)
-	}
-	return nil
 }
 
 func readFloats(r io.Reader, n int) ([]float32, error) {

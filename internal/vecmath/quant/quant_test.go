@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cpu"
@@ -223,24 +225,32 @@ func TestDegenerateTraining(t *testing.T) {
 	}
 }
 
-// TestPersistRoundTrip: quantizer and codes must survive Write/Read
-// byte-identically, including the re-derived scale.
-func TestPersistRoundTrip(t *testing.T) {
-	m := randMatrix(137, 50, 9)
-	q := Train(m)
-	c := q.Encode(m)
-	var buf bytes.Buffer
-	if err := WriteQuantizer(&buf, &q); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCodes(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	q2, err := ReadQuantizer(&buf)
+// persistFixture returns testdata/sq8_37x20.rec, the quantizer record then
+// the codes record of randMatrix(37, 20, 9), as WriteQuantizer and
+// WriteCodes wrote them at commit f33b21c, the last tree with a stream
+// writer.
+func persistFixture(t *testing.T) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "sq8_37x20.rec"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := ReadCodesShape(&buf, c.Rows, c.Dim)
+	return b
+}
+
+// TestPersistRoundTrip: the stored quantizer and codes read back
+// byte-identically to a fresh training on the same rows, including the
+// re-derived scale, and the readers consume exactly their records.
+func TestPersistRoundTrip(t *testing.T) {
+	m := randMatrix(37, 20, 9)
+	q := Train(m)
+	c := q.Encode(m)
+	buf := bytes.NewReader(persistFixture(t))
+	q2, err := ReadQuantizer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := ReadCodesShape(buf, c.Rows, c.Dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,21 +286,13 @@ func TestPersistRejectsGarbage(t *testing.T) {
 // not misread as SQ8, whatever shape the caller expects.
 func TestPersist4RejectsGarbage(t *testing.T) {
 	const rows, dim = 6, 8
-	q := Train(randMatrix(rows, dim, 12))
-	var hdr [12]byte
-	var qrec bytes.Buffer
-	binary.LittleEndian.PutUint32(hdr[0:], 0x53513451) // "SQ4Q"
-	binary.LittleEndian.PutUint32(hdr[4:], dim)
-	qrec.Write(hdr[:8])
-	if err := writeFloats(&qrec, q.Min); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFloats(&qrec, q.Max); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadQuantizer(bytes.NewReader(qrec.Bytes())); err == nil {
+	// The SQ8 quantizer record under the int4 magic.
+	qrec := persistFixture(t)[:8+2*4*20]
+	binary.LittleEndian.PutUint32(qrec[0:], 0x53513451) // "SQ4Q"
+	if _, err := ReadQuantizer(bytes.NewReader(qrec)); err == nil {
 		t.Fatal("SQ8 reader accepted an int4 quantizer record")
 	}
+	var hdr [12]byte
 	var crec bytes.Buffer
 	binary.LittleEndian.PutUint32(hdr[0:], 0x53513443) // "SQ4C"
 	binary.LittleEndian.PutUint32(hdr[4:], rows)

@@ -8,11 +8,10 @@ import (
 	"repro/internal/distsearch"
 )
 
-// This file is the public face of disk-resident serving: SaveMapped writes
-// an index as one alignment-padded file whose slabs (fixed-stride
+// This file is the public face of disk-resident serving: OpenMapped serves
+// the file Save writes zero-copy through a memory mapping. Its slabs (CSR
 // adjacency, vectors, id remap, SQ8 codes) are exactly the in-memory
-// serving representation, and OpenMapped serves that file zero-copy
-// through a memory mapping. Restart cost becomes O(file open) instead of
+// serving representation, so restart cost becomes O(file open) instead of
 // O(decode): pages fault in on demand as searches touch them, and capacity
 // is bounded by the page cache rather than the Go heap.
 //
@@ -20,16 +19,16 @@ import (
 // heap-side tombstone set) and Stats work exactly as on a built index,
 // with byte-identical results; Add, Compact (once anything is deleted) and
 // EnableLiveUpdates return ErrReadOnly. Call PromoteToHeap to copy the
-// index out of the mapping and regain the full mutation API, or rebuild
-// from vectors.
+// index out of the mapping and regain the full mutation API (Load does
+// both in one call), or rebuild from vectors.
 
 // ErrReadOnly is returned by mutating operations on an index opened with
 // OpenMapped. Use errors.Is to detect it.
 var ErrReadOnly = core.ErrReadOnly
 
-// IsCorrupt reports whether err (from OpenMapped) describes a damaged or
-// truncated index file, as opposed to an I/O failure. The error text names
-// the section that failed validation.
+// IsCorrupt reports whether err (from Load or OpenMapped) describes a
+// damaged or truncated index file, as opposed to an I/O failure. The error
+// text names the section that failed validation.
 func IsCorrupt(err error) bool {
 	var fe *core.FormatError
 	return errors.As(err, &fe)
@@ -39,24 +38,11 @@ func IsCorrupt(err error) bool {
 // for O(1) restarts on trusted storage.
 type MapOptions = core.MapOptions
 
-// SaveMapped writes the index in the disk-resident serving layout, one
-// container crash-safely written (temp file + fsync + rename): per shard,
-// an id map plus a complete aligned record (adjacency, vectors, codes),
-// all behind checksummed tables, then the metadata store when one is
-// attached. The file is self-contained, keeps the build options as Save
-// does, and is the format OpenMapped serves without decoding. Stop issuing
-// Adds first; like Save, it flushes the delta. An index with deleted
-// points returns ErrUncompactedDeletes and writes nothing: Compact first.
-func (x *Index) SaveMapped(path string) error {
-	opts, err := x.prepareSave()
-	if err != nil {
-		return err
-	}
-	return x.s.SaveMapped(path, opts)
-}
+// SaveMapped is Save: every index writes the one format OpenMapped serves.
+func (x *Index) SaveMapped(path string) error { return x.Save(path) }
 
-// OpenMapped opens a file written by SaveMapped — by any index, of any
-// shard count, or a one-NSG "NSGM" file from before every index wrote
+// OpenMapped opens a file written by Save — by any index, of any shard
+// count, or a one-NSG "NSGM" file from before every index wrote
 // containers — and serves every shard in place through one memory mapping
 // (or, where mmap is unavailable, one heap copy of each slab read at open),
 // restoring the build options and metadata store as Load does. The

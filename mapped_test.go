@@ -429,8 +429,9 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 	})
 }
 
-// TestMappedCorruptionIsCorrupt: a damaged mapped file must be rejected
-// with an error IsCorrupt recognizes, never partially served.
+// TestMappedCorruptionIsCorrupt: a damaged file must be rejected by
+// OpenMapped and by Load with an error IsCorrupt recognizes, never
+// partially served.
 func TestMappedCorruptionIsCorrupt(t *testing.T) {
 	ds := shardedTestData(t, 400, 5)
 	heap := buildMappedPublicIndex(t, ds, QuantNone)
@@ -444,7 +445,14 @@ func TestMappedCorruptionIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a byte in the middle of a slab and truncate: both must surface as
-	// corruption, and neither may yield a usable index.
+	// corruption, and neither may yield a usable index, mapped or loaded.
+	openers := []struct {
+		name string
+		open func(string) (*Index, error)
+	}{
+		{"OpenMapped", func(p string) (*Index, error) { return OpenMapped(p, MapOptions{}) }},
+		{"Load", Load},
+	}
 	for _, tc := range []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -460,18 +468,22 @@ func TestMappedCorruptionIsCorrupt(t *testing.T) {
 		if err := os.WriteFile(bad, tc.mutate(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		idx, err := OpenMapped(bad, MapOptions{})
-		if err == nil {
-			idx.Close()
-			t.Fatalf("%s: corrupt file served", tc.name)
-		}
-		if !IsCorrupt(err) {
-			t.Fatalf("%s: IsCorrupt=false for %v", tc.name, err)
+		for _, open := range openers {
+			idx, err := open.open(bad)
+			if err == nil {
+				idx.Close()
+				t.Fatalf("%s, %s: corrupt file served", open.name, tc.name)
+			}
+			if !IsCorrupt(err) {
+				t.Fatalf("%s, %s: IsCorrupt=false for %v", open.name, tc.name, err)
+			}
 		}
 	}
 	// An I/O failure (missing file) is not corruption.
-	if _, err := OpenMapped(filepath.Join(dir, "absent"), MapOptions{}); err == nil || IsCorrupt(err) {
-		t.Fatalf("missing file: got %v, want non-corrupt error", err)
+	for _, open := range openers {
+		if _, err := open.open(filepath.Join(dir, "absent")); err == nil || IsCorrupt(err) {
+			t.Fatalf("%s of a missing file: got %v, want non-corrupt error", open.name, err)
+		}
 	}
 }
 
@@ -528,15 +540,16 @@ func TestSaveAtomicCrash(t *testing.T) {
 	}
 }
 
-// FuzzLoadSharded feeds arbitrary bytes to the sharded bundle loader: it
-// must either return an error or an index whose searches do not panic and
-// return distinct ids in range.
+// FuzzLoadSharded feeds arbitrary bytes to Load: the container parser
+// (through its promotion to the heap) and the stream bundle readers behind
+// it. It must either return an error or an index whose searches do not
+// panic and return distinct ids in range.
 func FuzzLoadSharded(f *testing.F) {
 	ds, err := dataset.SIFTLike(dataset.Config{N: 300, Queries: 2, GTK: 5, Dim: 8, Seed: 3})
 	if err != nil {
 		f.Fatal(err)
 	}
-	opts := DefaultShardedOptions(2)
+	opts := DefaultShardedOptions(3)
 	opts.Shard.ExactKNN = true
 	opts.Shard.Seed = 3
 	idx, err := BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, opts)
@@ -556,10 +569,14 @@ func FuzzLoadSharded(f *testing.F) {
 	f.Add(seed[:len(seed)/3])
 	f.Add(seed[:40])
 	f.Add([]byte{})
-	// A one-shard bundle (its empty id map), and the legacy NSGB bundle and
-	// NSGD bundle of an older build.
+	// A one-shard file with a metadata store (its empty id map and the
+	// metadata section), and the legacy NSGB bundle and NSGD bundle of an
+	// older build.
 	one, err := BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts.Shard)
 	if err != nil {
+		f.Fatal(err)
+	}
+	if err := one.SetMetadata(parityMetadata(one.Len())); err != nil {
 		f.Fatal(err)
 	}
 	if err := one.Save(seedPath); err != nil {

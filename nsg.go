@@ -16,15 +16,16 @@
 // Algorithm 1 greedy best-first search from the navigating node; the
 // SearchL knob (or the per-call SearchWithPool) trades time for recall.
 //
-// Indexes can be persisted with Save and re-opened with Load, or written
-// with SaveMapped and served in place with OpenMapped. Every index, of any
-// shard count, writes these two formats, with its vectors, build options
-// and metadata store, so a reopened index is self-contained.
+// Indexes are persisted with Save, in one format whatever their shard
+// count, with their vectors, build options and metadata store, so a
+// reopened index is self-contained. Load reopens the file on the heap, and
+// OpenMapped serves it in place through a memory mapping.
 //
 // # Search contexts and the zero-allocation hot path
 //
-// Queries traverse a fixed-stride flat copy of the graph (the contiguous
-// layout the paper credits for its query throughput) and draw their scratch
+// Queries traverse the graph's compact CSR rows, one contiguous edge slab
+// (the contiguous layout the paper credits for its query throughput), and
+// draw their scratch
 // state — candidate pool, epoch-stamped visited array, result buffer — from
 // a reused SearchContext instead of allocating per query. The simple API
 // (Search, SearchWithPool, SearchBatch) manages contexts transparently
@@ -236,7 +237,7 @@ type Stats struct {
 	N          int     // vectors in the published snapshots
 	AvgDegree  float64 // average out-degree over every shard's rows
 	MaxDegree  int     // maximum out-degree
-	IndexBytes int64   // summed graph footprints, Table 2's N·maxDeg·4 (the CSR graphs take 4(n+1) + 4·edges)
+	IndexBytes int64   // bytes the shards' graphs hold: per shard 4(n+1) + 4·edges (offsets and edge slab)
 	Shards     int     // partition count
 	ShardSizes []int   // vectors per shard, pending ones included
 }
@@ -260,22 +261,24 @@ func (x *Index) Stats() Stats {
 	return st
 }
 
-// ErrUncompactedDeletes is returned by Save and SaveMapped while the index
-// has deleted points. No file format stores tombstones, so the saved file
-// would bring the deleted points back; call Compact first. No file is
-// written.
+// ErrUncompactedDeletes is returned by Save while the index has deleted
+// points. No file format stores tombstones, so the saved file would bring
+// the deleted points back; call Compact first. No file is written.
 var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file can keep; Compact before saving")
 
 // Save writes the index, including its vectors, build options and metadata
-// store, to path — crash-safely: the bundle streams into a temp file that
-// is fsynced and renamed into place, so an interrupted save leaves the
-// previous file intact rather than a truncated bundle. The bundle (see
-// distsearch.Sharded.Save) holds the shape and the per-shard Options,
-// then the vectors in id order, then the shard id maps and per-shard
-// graphs. Stop issuing Adds and Deletes first: Save flushes the delta so
-// the file captures every point; concurrent searches are fine. A mapped
-// index writes the bytes the index it was mapped from would; an index with
-// deleted points returns ErrUncompactedDeletes (Compact first).
+// store, to path — crash-safely: the file streams into a temp file that is
+// fsynced and renamed into place, so an interrupted save leaves the
+// previous file intact rather than a truncated one. The file is the one
+// layout every index writes (see distsearch.Sharded.Write): per shard, an
+// id map plus a complete aligned record (adjacency, vectors, codes), all
+// behind checksummed tables, then the metadata store when one is attached.
+// Load reads it back onto the heap, and OpenMapped serves it in place
+// without decoding. Stop issuing Adds and Deletes first: Save flushes the
+// delta so the file captures every point; concurrent searches are fine. A
+// mapped index writes the bytes the index it was mapped from would; an
+// index with deleted points returns ErrUncompactedDeletes and writes
+// nothing (Compact first).
 func (x *Index) Save(path string) error {
 	opts, err := x.prepareSave()
 	if err != nil {
@@ -284,7 +287,7 @@ func (x *Index) Save(path string) error {
 	return x.s.Save(path, opts)
 }
 
-// prepareSave is what both file writers do first: refuse tombstones, flush
+// prepareSave is what Save does first: refuse tombstones, flush
 // the delta, pad the metadata store with missing rows for points added
 // without one (plain Add), so it covers every row, and return the options
 // the file keeps.
@@ -306,11 +309,15 @@ func (x *Index) prepareSave() (distsearch.FileOptions, error) {
 }
 
 // Load reopens an index written by Save — by any index, of any shard count
-// — restoring the options it was built with, so Add, Compact and default
-// searches behave as on the original index, and its metadata store. A
-// bundle from before every index wrote this format (a one-NSG "NSGB" file)
-// keeps only the degree cap and quantization mode; GraphK, BuildL and
-// SearchL take DefaultOptions' values. The loaded index serves immediately.
+// — on the heap, restoring the options it was built with, so Add, Compact
+// and default searches behave as on the original index, and its metadata
+// store. The file is opened as OpenMapped opens it, its checksums verified
+// (a damaged file fails with an error IsCorrupt recognises), and promoted
+// to the heap: the loaded index keeps no mapping and is mutable. The
+// stream bundles older builds wrote still load: a sharded "NSGD" bundle
+// keeps every option, and a one-NSG "NSGB" bundle only the degree cap and
+// quantization mode (GraphK, BuildL and SearchL take DefaultOptions'
+// values). The loaded index serves immediately.
 func Load(path string) (*Index, error) {
 	s, opts, err := distsearch.Load(path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package nsg
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -158,31 +159,98 @@ func TestSearchWithPoolTradesAccuracy(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: Load(Save(x)), for {1, 3 shards} x {float32,
+// SQ8} x {no metadata, metadata}, is a heap index that answers as x does —
+// ids, distance bits, hops and evaluations, plain and filtered — and takes
+// every mutation: live updates, Add, Delete and Compact, and a second Save
+// that loads again.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	vecs := randomVectors(800, 12, 6)
-	opts := DefaultOptions()
-	opts.ExactKNN = true
-	idx, err := Build(vecs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "index.nsg")
-	if err := idx.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != idx.Len() || got.Dim() != idx.Dim() {
-		t.Fatalf("shape changed: %dx%d", got.Len(), got.Dim())
-	}
-	q := vecs[3]
-	aIDs, aD := idx.SearchWithPool(q, 5, 40)
-	bIDs, bD := got.SearchWithPool(q, 5, 40)
-	for i := range aIDs {
-		if aIDs[i] != bIDs[i] || aD[i] != bD[i] {
-			t.Fatalf("search differs after reload: %v/%v vs %v/%v", aIDs, aD, bIDs, bD)
+	ds := shardedTestData(t, 600, 10)
+	dir := t.TempDir()
+	for _, shards := range []int{1, 3} {
+		for _, q := range []QuantMode{QuantNone, QuantSQ8} {
+			opts := DefaultShardedOptions(shards)
+			opts.Shard.ExactKNN, opts.Shard.Seed, opts.Shard.Quantize = true, 3, q
+			x, err := BuildShardedFromFlat(append([]float32(nil), ds.Base.Data...), ds.Base.Dim, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer x.Close()
+			for _, md := range []string{"plain", "meta"} {
+				name := fmt.Sprintf("%d/%s/%s", shards, q, md)
+				var f *Filter
+				if md == "meta" {
+					if err := x.SetMetadata(parityMetadata(x.Len())); err != nil {
+						t.Fatal(err)
+					}
+					if f, err = x.CompileFilter(Eq("category", "c3")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				path := filepath.Join(dir, "index.nsg")
+				if err := x.Save(path); err != nil {
+					t.Fatal(err)
+				}
+				got, err := Load(path)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				defer got.Close()
+				if got.ReadOnly() || got.Len() != x.Len() || got.Dim() != x.Dim() || got.Shards() != shards {
+					t.Fatalf("%s: read-only %v, %d shards of %dx%d", name, got.ReadOnly(), got.Shards(), got.Len(), got.Dim())
+				}
+				var fg *Filter
+				if f != nil {
+					if fg, err = got.CompileFilter(Eq("category", "c3")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for qi := 0; qi < ds.Queries.Rows; qi++ {
+					qv := ds.Queries.Row(qi)
+					aIDs, aD, aSt := x.SearchWithStats(qv, 10, 60)
+					bIDs, bD, bSt := got.SearchWithStats(qv, 10, 60)
+					if searchSig(aIDs, aD) != searchSig(bIDs, bD) || aSt != bSt {
+						t.Fatalf("%s: query %d answers %s %+v, want %s %+v", name, qi, searchSig(bIDs, bD), bSt, searchSig(aIDs, aD), aSt)
+					}
+					if f == nil {
+						continue
+					}
+					aIDs, aD, aSt = x.SearchFilteredWithStats(qv, 10, 60, f)
+					bIDs, bD, bSt = got.SearchFilteredWithStats(qv, 10, 60, fg)
+					if searchSig(aIDs, aD) != searchSig(bIDs, bD) || aSt != bSt {
+						t.Fatalf("%s: filtered query %d answers %s %+v, want %s %+v", name, qi, searchSig(bIDs, bD), bSt, searchSig(aIDs, aD), aSt)
+					}
+				}
+				if err := got.EnableLiveUpdates(LiveOptions{}); err != nil {
+					t.Fatalf("%s: EnableLiveUpdates: %v", name, err)
+				}
+				id, err := got.Add(ds.Queries.Row(0))
+				if err != nil {
+					t.Fatalf("%s: Add: %v", name, err)
+				}
+				got.Flush()
+				if ids, _ := got.SearchWithPool(ds.Queries.Row(0), 1, 60); len(ids) != 1 || ids[0] != id {
+					t.Fatalf("%s: the added row %d is not its own nearest neighbor: %v", name, id, ids)
+				}
+				if err := got.Delete(5); err != nil {
+					t.Fatalf("%s: Delete: %v", name, err)
+				}
+				if _, err := got.Compact(); err != nil {
+					t.Fatalf("%s: Compact: %v", name, err)
+				}
+				again := filepath.Join(dir, "again.nsg")
+				if err := got.Save(again); err != nil {
+					t.Fatalf("%s: second Save: %v", name, err)
+				}
+				re, err := Load(again)
+				if err != nil {
+					t.Fatalf("%s: Load of the second Save: %v", name, err)
+				}
+				if re.Len() != x.Len() {
+					t.Fatalf("%s: the second Save holds %d rows, want %d", name, re.Len(), x.Len())
+				}
+				re.Close()
+			}
 		}
 	}
 }
@@ -262,6 +330,41 @@ func TestStats(t *testing.T) {
 	}
 	if st.IndexBytes <= 0 {
 		t.Error("IndexBytes must be positive")
+	}
+}
+
+// TestIndexBytesIsTheGraph: Stats().IndexBytes is what the CSR graphs
+// hold, 4(n+1) + 4·edges bytes per shard (offsets and edge slab), and a
+// loaded or mapped copy of the index reports what the built one does.
+func TestIndexBytesIsTheGraph(t *testing.T) {
+	ds := shardedTestData(t, 600, 1)
+	for _, shards := range []int{1, 3} {
+		x := buildShardedIndex(t, ds, shards)
+		defer x.Close()
+		var want int64
+		for sh := range shards {
+			g := x.s.Shard(sh).FlatView()
+			want += 4 * int64(g.N()+1+g.Edges())
+		}
+		path := filepath.Join(t.TempDir(), "index.nsg")
+		if err := x.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer loaded.Close()
+		mapped, err := OpenMapped(path, MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		for name, y := range map[string]*Index{"built": x, "loaded": loaded, "mapped": mapped} {
+			if got := y.Stats().IndexBytes; got != want {
+				t.Errorf("%d shards, %s: IndexBytes %d, want 4(n+1) + 4·edges = %d", shards, name, got, want)
+			}
+		}
 	}
 }
 

@@ -280,10 +280,10 @@ func mutateWord(t *testing.T, path string, at int, f func(uint32) uint32) []byte
 	return blob
 }
 
-// TestQuantizedShardedSaveLoad: the sharded bundle round-trips the
-// quantized state and the Quantize option (v2 header flags word). A bundle
-// from before int4 was removed sets the reserved int4 option bit beside the
-// quantize bit; it must be refused, not misread.
+// TestQuantizedShardedSaveLoad: the saved file round-trips the quantized
+// state and the Quantize option. A stream bundle from before int4 was
+// removed sets the reserved int4 option bit beside the quantize bit (v2
+// header flags word); it must be refused, not misread.
 func TestQuantizedShardedSaveLoad(t *testing.T) {
 	ds := shardedTestData(t, 1000, 20)
 	mode := QuantSQ8
@@ -298,7 +298,7 @@ func TestQuantizedShardedSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	path := filepath.Join(t.TempDir(), "quant.nsgd")
+	path := filepath.Join(t.TempDir(), "quant.nsg")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestQuantizedShardedSaveLoad(t *testing.T) {
 			t.Fatal("loaded sharded index lost quantization")
 		}
 		if loaded.opts.Quantize != mode {
-			t.Fatalf("Quantize option %v restored from the bundle header, want %v",
+			t.Fatalf("Quantize option %v restored from the file header, want %v",
 				loaded.opts.Quantize, mode)
 		}
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
@@ -327,8 +327,8 @@ func TestQuantizedShardedSaveLoad(t *testing.T) {
 		}
 	})
 	t.Run("int4", func(t *testing.T) {
-		// The options word is header bytes 32..35.
-		blob := mutateWord(t, path, 32, addInt4Option(t))
+		// The SQ8 bundle's options word is header bytes 32..35.
+		blob := mutateWord(t, legacyPath("three.nsgd"), 32, addInt4Option(t))
 		old := filepath.Join(t.TempDir(), "int4.nsgd")
 		if err := os.WriteFile(old, blob, 0o644); err != nil {
 			t.Fatal(err)
@@ -376,18 +376,18 @@ func TestBuildRejectsUnknownQuantMode(t *testing.T) {
 	}
 }
 
-// TestShardedBundleV1StillLoads is the version gate for the public sharded
+// TestShardedBundleV1StillLoads is the version gate for the stream
 // bundle: a version-1 file (the pre-quantization layout, no flags word)
 // must load with quantization off. The v1 bytes are synthesized from a
-// current non-quantized index by rewriting the header the way PR 3 wrote it.
+// committed float32 version-2 bundle by rewriting its header into the
+// version-1 layout.
 func TestShardedBundleV1StillLoads(t *testing.T) {
-	ds := shardedTestData(t, 800, 10)
-	idx := buildShardedIndex(t, ds, 2)
-	defer idx.Close()
-	v2 := filepath.Join(t.TempDir(), "v2.nsgd")
-	if err := idx.Save(v2); err != nil {
+	v2 := streamPath("one_f32.nsgd")
+	idx, err := Load(v2)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer idx.Close()
 	blob, err := os.ReadFile(v2)
 	if err != nil {
 		t.Fatal(err)
@@ -411,13 +411,8 @@ func TestShardedBundleV1StillLoads(t *testing.T) {
 	if loaded.Quantized() || loaded.opts.Quantize != QuantNone {
 		t.Fatal("v1 bundle loaded with quantization on")
 	}
-	q := ds.Queries.Row(0)
-	ai, _ := idx.SearchWithPool(q, 10, 50)
-	bi, _ := loaded.SearchWithPool(q, 10, 50)
-	for i := range ai {
-		if ai[i] != bi[i] {
-			t.Fatalf("rank %d: v1 reload changed results", i)
-		}
+	if a, b := legacyAnswers(t, idx, false), legacyAnswers(t, loaded, false); a != b {
+		t.Fatalf("v1 reload answers %#016x, the v2 bundle %#016x", b, a)
 	}
 }
 

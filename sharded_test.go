@@ -1,8 +1,11 @@
 package nsg
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -143,15 +146,17 @@ func TestShardedSaveLoadKeepsOptions(t *testing.T) {
 	}
 }
 
-// TestLoadShardedRejectsBadPartition: a bundle whose shard id maps do not
+// TestLoadShardedRejectsBadPartition: a file whose shard id maps do not
 // partition the rows must be refused, not served. Here shard 0's id map
 // names its first global id twice, so one row would answer for two ids and
-// another would never be returned. A missing file is an error too.
+// another would never be returned: in a saved container (checksums fixed
+// up, so the partition check is what refuses it, as corrupt) and in an
+// older build's stream bundle. A missing file is an error too.
 func TestLoadShardedRejectsBadPartition(t *testing.T) {
 	ds := shardedTestData(t, 400, 1)
 	idx := buildShardedIndex(t, ds, 2)
 	defer idx.Close()
-	path := filepath.Join(t.TempDir(), "ok.nsgd")
+	path := filepath.Join(t.TempDir(), "ok.nsg")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -159,19 +164,43 @@ func TestLoadShardedRejectsBadPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bundle header (36 bytes), the vectors, the shard section's header (12
-	// bytes) and shard 0's size word (4 bytes), then shard 0's id map.
-	at := 36 + idx.Len()*idx.Dim()*4 + 12 + 4
-	copy(blob[at+4:at+8], blob[at:at+4])
-	bad := filepath.Join(t.TempDir(), "dup.nsgd")
+	// Shard 0's table entry, 64 bytes in, holds its id map's offset and
+	// length and, 32 bytes in, the map's checksum; the table checksum
+	// follows the two 40-byte entries.
+	le := binary.LittleEndian
+	off, n := le.Uint64(blob[64:]), le.Uint64(blob[64+8:])
+	ids := blob[off : off+n]
+	copy(ids[4:8], ids[0:4])
+	le.PutUint32(blob[64+32:], crc32.ChecksumIEEE(ids))
+	le.PutUint32(blob[64+80:], crc32.ChecksumIEEE(blob[:64+80]))
+	bad := filepath.Join(t.TempDir(), "dup.nsg")
 	if err := os.WriteFile(bad, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := LoadSharded(bad); err == nil {
-		got.Close()
-		t.Fatal("LoadSharded accepted id maps that repeat a global id")
+	if got, err := LoadSharded(bad); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), "repeated") {
+		if got != nil {
+			got.Close()
+		}
+		t.Fatalf("LoadSharded of id maps that repeat a global id: got %v, want a corruption error naming the repeat", err)
 	}
-	if _, err := LoadSharded(filepath.Join(t.TempDir(), "missing.nsgd")); err == nil {
+	// The three-shard bundle: its header (36 bytes), the vectors, the
+	// shard section's header (12 bytes) and shard 0's size word (4 bytes),
+	// then shard 0's id map.
+	if blob, err = os.ReadFile(legacyPath("three.nsgd")); err != nil {
+		t.Fatal(err)
+	}
+	at := 36 + legacyRows*legacyDim*4 + 12 + 4
+	copy(blob[at+4:at+8], blob[at:at+4])
+	if err := os.WriteFile(bad, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadSharded(bad); err == nil || !strings.Contains(err.Error(), "repeated") {
+		if got != nil {
+			got.Close()
+		}
+		t.Fatalf("LoadSharded of a bundle whose id maps repeat a global id: got %v", err)
+	}
+	if _, err := LoadSharded(filepath.Join(t.TempDir(), "missing.nsg")); err == nil {
 		t.Fatal("LoadSharded of a missing file succeeded")
 	}
 }
