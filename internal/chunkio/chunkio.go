@@ -1,9 +1,10 @@
 // Package chunkio is the one chunked little-endian scalar codec every
 // persistence path shares: float32 matrices, int32 id maps (shard
 // partitions, relayout remap tables, CSR offsets and edges) and quantizer
-// bounds all encode through a reused 64 KiB buffer, so writing a million
-// values costs a handful of buffer-boundary crossings instead of one Write
-// per scalar.
+// bounds. A little-endian host writes each slab as one byte view of its
+// memory; a big-endian one encodes through a reused 64 KiB buffer, so
+// writing a million values costs a handful of buffer-boundary crossings
+// instead of one Write per scalar.
 // Readers consume exactly the bytes their writer produced, so sections
 // embed in larger files; nothing here adds its own buffering.
 package chunkio
@@ -13,13 +14,29 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
+
+	"repro/internal/mstore"
 )
 
 // chunk is the number of 4-byte scalars encoded per I/O operation (64 KiB).
 const chunk = 16384
 
-// write32 encodes vals through one reused chunk buffer.
-func write32[T any](w io.Writer, vals []T, bits func(T) uint32) error {
+// write32 writes vals little-endian. On a little-endian host the values'
+// memory already is their encoding, so it goes out as one Write of a byte
+// view; a big-endian host encodes it with encode32.
+func write32[T int32 | float32](w io.Writer, vals []T, bits func(T) uint32) error {
+	if !mstore.HostLittleEndian() {
+		return encode32(w, vals, bits)
+	}
+	if _, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 4*len(vals))); err != nil {
+		return fmt.Errorf("chunkio: write: %w", err)
+	}
+	return nil
+}
+
+// encode32 encodes vals through one reused chunk buffer.
+func encode32[T int32 | float32](w io.Writer, vals []T, bits func(T) uint32) error {
 	buf := make([]byte, chunk*4)
 	for off := 0; off < len(vals); off += chunk {
 		end := min(off+chunk, len(vals))

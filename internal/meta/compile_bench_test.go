@@ -10,6 +10,10 @@ import (
 // form the serving tier compiles per request — an enum Eq (10% of rows
 // pass), an int64 Range (0.5%), an int64 In and an enum In — at the
 // repository benchmark's 8 000 rows and at 1 M rows, into a reused bitmap.
+// "dispatch" is what callers get (the AVX2 kernels unless NSG_NO_AVX2 or
+// the CPU says otherwise); "scalar" is the same Compile with the scalar
+// loops whatever the CPU. In has no kernel, so its two lines time the same
+// loop.
 func BenchmarkCompile(b *testing.B) {
 	for _, rows := range []int{8000, 1 << 20} {
 		rng := rand.New(rand.NewSource(11))
@@ -42,15 +46,22 @@ func BenchmarkCompile(b *testing.B) {
 		}
 		bits := make([]uint64, BitsLen(rows))
 		for _, tc := range preds {
-			b.Run(fmt.Sprintf("%s/rows=%d", tc.name, rows), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Compile(tc.p(i), bits); err != nil {
-						b.Fatal(err)
+			for _, k := range []struct {
+				name string
+				simd bool
+			}{{"dispatch", avx2}, {"scalar", false}} {
+				b.Run(fmt.Sprintf("%s/rows=%d/%s", tc.name, rows, k.name), func(b *testing.B) {
+					defer func(was bool) { avx2 = was }(avx2)
+					avx2 = k.simd
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := s.Compile(tc.p(i), bits); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+				})
+			}
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+
+	"repro/internal/cpu"
 )
 
 // predOp enumerates predicate node kinds.
@@ -127,30 +129,28 @@ func compileBits(v *view, p Predicate, bits []uint64) (int, error) {
 	if len(bits) < words {
 		return 0, fmt.Errorf("meta: bitmap too short: %d words, need %d", len(bits), words)
 	}
-	bits = bits[:len(bits):len(bits)]
-	for i := range bits {
-		bits[i] = 0
-	}
+	clear(bits[words:])
 	if err := compileInto(v, p, bits[:words]); err != nil {
 		return 0, err
-	}
-	// Mask the tail so the count (and any downstream popcount) ignores
-	// bits past the row count.
-	if tail := v.rows % 64; tail != 0 && words > 0 {
-		bits[words-1] &= 1<<uint(tail) - 1
 	}
 	return CountBits(bits[:words], v.rows), nil
 }
 
-// compileInto evaluates p into dst (len = word count over v.rows).
+// compileInto evaluates p into dst (len = word count over v.rows),
+// overwriting every word and leaving the bits past v.rows clear: the leaf
+// passes store whole words, and the paths that OR bits in or set none clear
+// dst first.
 func compileInto(v *view, p Predicate, dst []uint64) error {
 	switch p.op {
 	case opNone:
-		return nil // zero predicate: no rows
+		clear(dst) // zero predicate: no rows
+		return nil
 	case opAnd, opOr:
 		if len(p.kids) == 0 {
 			if p.op == opAnd {
 				setAll(dst, v.rows)
+			} else {
+				clear(dst)
 			}
 			return nil
 		}
@@ -162,9 +162,6 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 		}
 		tmp := make([]uint64, len(dst))
 		for _, kid := range p.kids[1:] {
-			for i := range tmp {
-				tmp[i] = 0
-			}
 			if err := compileInto(v, kid, tmp); err != nil {
 				return err
 			}
@@ -194,14 +191,15 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 			if p.isStr {
 				return fmt.Errorf("meta: column %q is int64, Eq got a string", p.col)
 			}
-			eqBits(dst, c.ints[:v.rows], p.num)
+			rangeBits(dst, c.ints[:v.rows], p.num, p.num)
 		case TypeEnum:
 			if !p.isStr {
 				return fmt.Errorf("meta: column %q is enum, Eq got an integer", p.col)
 			}
 			code := c.code(p.str)
 			if code == missingCode {
-				return nil // value absent from the dictionary: empty result
+				clear(dst) // value absent from the dictionary: empty result
+				return nil
 			}
 			eqBits(dst, c.codes[:v.rows], code)
 		default:
@@ -231,6 +229,7 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 		if c.typ != TypeTags {
 			return fmt.Errorf("meta: HasTag on %s column %q", c.typ, p.col)
 		}
+		clear(dst)
 		code := c.code(p.str)
 		if code == missingCode {
 			return nil
@@ -248,18 +247,37 @@ func compileInto(v *view, p Predicate, dst []uint64) error {
 	return nil
 }
 
-// The leaf kernels below build each 64-row result word in a register and
-// store it once: no read-modify-write of dst per row and no branch on a
-// row's value, so a pass costs the same whatever fraction of rows it admits
-// and however the admitted rows are ordered. A row's bit is shifted in at the
-// top of the word, so after a full block bit j is row j and a short last
-// block is shifted down the rest of the way. Each kernel overwrites all of
-// dst, whose length is BitsLen(len(vals)).
+// The leaf passes below overwrite all of dst, whose length is
+// BitsLen(len(vals)). Eq and Range hand their whole 64-row words to the
+// AVX2 kernels (kernels_amd64.s) when avx2 holds, and leave the short last
+// word, and every word without AVX2, to the scalar loops, which are also
+// the reference the kernels match bit for bit.
+//
+// The scalar loops build each 64-row result word in a register and store it
+// once: no read-modify-write of dst per row and no branch on a row's value,
+// so a pass costs the same whatever fraction of rows it admits and however
+// the admitted rows are ordered. A row's bit is shifted in at the top of the
+// word, so after a full block bit j is row j and a short last block is
+// shifted down the rest of the way.
 
-// eqBits sets bit i for every row with vals[i] == x: the kernel of the
-// commonest predicate, over int64 values and enum codes alike. Four rows a
-// step — the shift-or chain is the loop's only serial dependency.
-func eqBits[T int32 | int64](dst []uint64, vals []T, x T) {
+// avx2 is cpu.AVX2; it is a variable only so that BenchmarkCompile can time
+// the scalar loops through the same Compile call.
+var avx2 = cpu.AVX2
+
+// eqBits sets bit i for every enum code with codes[i] == x. Eq on an int64
+// column is rangeBits over [x, x].
+func eqBits(dst []uint64, codes []int32, x int32) {
+	if full := len(codes) >> 6; avx2 && full > 0 {
+		eqBitsAVX2(&dst[0], &codes[0], x, full)
+		dst, codes = dst[full:], codes[full<<6:]
+	}
+	eqBitsGeneric(dst, codes, x)
+}
+
+// eqBitsGeneric is the scalar Eq loop over enum codes and int64 values
+// alike, four rows a step: the shift-or chain is the loop's only serial
+// dependency.
+func eqBitsGeneric[T int32 | int64](dst []uint64, vals []T, x T) {
 	for w := range dst {
 		blk := vals[w<<6 : min(len(vals), w<<6+64)]
 		shift := uint(64 - len(blk))
@@ -291,13 +309,28 @@ func eqBits[T int32 | int64](dst []uint64, vals []T, x T) {
 	}
 }
 
-// rangeBits sets bit i for every row with lo <= vals[i] <= hi. The test is
-// the one unsigned compare (v - lo) <= (hi - lo), which holds exactly for v
-// in [lo, hi] whenever lo <= hi.
+// rangeBits sets bit i for every row with lo <= vals[i] <= hi.
 func rangeBits(dst []uint64, vals []int64, lo, hi int64) {
 	if lo > hi {
+		clear(dst)
 		return
 	}
+	if full := len(vals) >> 6; avx2 && full > 0 {
+		const sign = 1 << 63
+		rangeBitsAVX2(&dst[0], &vals[0], int64(sign-uint64(lo)), int64((uint64(hi)-uint64(lo))^sign), full)
+		dst, vals = dst[full:], vals[full<<6:]
+	}
+	if lo == hi {
+		eqBitsGeneric(dst, vals, lo) // an int64 Eq: the unrolled loop
+		return
+	}
+	rangeBitsGeneric(dst, vals, lo, hi)
+}
+
+// rangeBitsGeneric is rangeBits's scalar loop, lo <= hi, one row a step.
+// The test is the one unsigned compare (v - lo) <= (hi - lo), which holds
+// exactly for v in [lo, hi].
+func rangeBitsGeneric(dst []uint64, vals []int64, lo, hi int64) {
 	span := uint64(hi) - uint64(lo)
 	for w := range dst {
 		blk := vals[w<<6 : min(len(vals), w<<6+64)]
