@@ -95,7 +95,7 @@ func TestSearchReadsServeBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	bundle := filepath.Join(t.TempDir(), "idx.nsgd")
+	bundle := filepath.Join(t.TempDir(), "idx.nsg")
 	if err := idx.Save(bundle); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 //
 // -index takes a file written by any index's Save (nsgbuild -out, -save,
 // nsg.Index.Save), whatever its shard count, and loads it onto the heap;
-// the stream bundles older builds wrote load too. With -mmap the same file
+// a stream file older builds wrote is refused. With -mmap the same file
 // is served in place through a memory mapping: startup is O(file open) — pages
 // fault in as queries touch them — and the server is read-only: /insert
 // returns 403, searches are byte-identical to heap serving, and /stats
@@ -116,7 +116,7 @@ func run(args []string, stdout io.Writer) error {
 	indexPath := fs.String("index", "", "saved index (any Save file) to load onto the heap, or with -mmap to serve in place")
 	dataPath := fs.String("data", "", "base vectors (.fvecs) to build from")
 	savePath := fs.String("save", "", "write the built index here before serving")
-	mmapIndex := fs.Bool("mmap", false, "serve -index in place through a memory mapping (read-only; any Save file but an older build's stream bundle)")
+	mmapIndex := fs.Bool("mmap", false, "serve -index in place through a memory mapping (read-only; any Save file)")
 	mmapNoVerify := fs.Bool("mmap-noverify", false, "with -mmap, skip the open-time checksum pass (trusted storage only)")
 	shards := fs.Int("shards", 4, "number of shards when building")
 	graphK := fs.Int("graphk", 20, "kNN graph neighbors per shard (paper's k)")

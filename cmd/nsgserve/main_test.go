@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -286,6 +287,17 @@ func TestOpenIndexModes(t *testing.T) {
 	}
 	if _, err := openIndex(openConfig{dataPath: fvecs, mmap: true, opts: opts}, &out); err == nil {
 		t.Error("expected error for -mmap without -index")
+	}
+	// An older build's stream bundle is refused, loaded or mapped, as a
+	// format error that names its layout.
+	old := filepath.Join(dir, "old.nsg")
+	if err := os.WriteFile(old, append([]byte("DGSN"), make([]byte, 60)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		if _, err := openIndex(openConfig{indexPath: old, mmap: mmap, opts: opts}, &out); !nsg.IsCorrupt(err) || !strings.Contains(err.Error(), "NSGD") {
+			t.Errorf("-mmap=%v of an NSGD bundle: got %v, want a format error naming NSGD", mmap, err)
+		}
 	}
 }
 
@@ -672,7 +684,7 @@ func TestReadyzTracksBacklogAndDraining(t *testing.T) {
 // bundle on disk contains the acknowledged insert.
 func TestGracefulShutdownSavesInserts(t *testing.T) {
 	idx := testIndex(t)
-	path := filepath.Join(t.TempDir(), "idx.nsgd")
+	path := filepath.Join(t.TempDir(), "idx.nsg")
 	srv := newServer(idx, 10, 60, 4096)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -157,7 +157,7 @@ func TestWireMatchesJSONSearch(t *testing.T) {
 // still pointed at the server fails fast instead of hanging.
 func TestWireDrain(t *testing.T) {
 	idx := testIndex(t)
-	path := filepath.Join(t.TempDir(), "idx.nsgd")
+	path := filepath.Join(t.TempDir(), "idx.nsg")
 	srv := newServer(idx, 10, 60, 4096)
 
 	// The real mux, with /wire's handler made to block on demand.

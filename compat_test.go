@@ -1,9 +1,8 @@
 package nsg
 
 // File-format compatibility: every index writes the NSMS container, byte
-// for byte as pinned below, and the files older builds wrote (the NSGD and
-// NSGB stream bundles, the top-level NSGM record, the version-1
-// containers) still load and open.
+// for byte as pinned below, and the mapped files older builds wrote (the
+// top-level NSGM record, the version-1 containers) still load and open.
 
 import (
 	"bytes"
@@ -23,30 +22,29 @@ import (
 
 // The files under testdata/legacy were written by the tree of commit
 // f02bd49 (testdata/legacy/gen.go), the last whose Index wrote the
-// one-index layouts: an NSGB bundle and a top-level NSGM record, each with
-// a metadata store, float32 and SQ8, and a 3-shard SQ8 index's NSGD bundle
-// and version-1 NSMS container. No writer of these bytes remains, so they
-// are what holds the readers to files an older build really wrote.
+// one-index layout: a top-level NSGM record with a metadata store,
+// float32 and SQ8, and a 3-shard SQ8 index's version-1 NSMS container. No
+// writer of these bytes remains, so they are what holds the reader to
+// files an older build really wrote.
 func legacyPath(name string) string { return filepath.Join("testdata", "legacy", name) }
 
 // The fixtures' shape: 240 rows of 16 dimensions.
 const legacyRows, legacyDim = 240, 16
 
-// legacyFixtures lists each fixture pair with the options a reader must
+// legacyFixtures lists each fixture with the options a reader must
 // restore and the digest of the writing index's answers (see
 // legacyAnswers). A one-index file kept only its degree cap and
 // quantization mode; the sharded files keep every persisted option.
 var legacyFixtures = []struct {
-	name           string
-	stream, mapped string
-	shards         int
-	opts           Options
-	filtered       bool // the file carries the metadata store
-	answers        uint64
+	name, file string
+	shards     int
+	opts       Options
+	filtered   bool // the file carries the metadata store
+	answers    uint64
 }{
-	{"float32", "one_f32.nsgb", "one_f32.nsgm", 1, Options{GraphK: 20, BuildL: 50, MaxDegree: 12, SearchL: 60}, true, 0x613aa49e93d9ed53},
-	{"sq8", "one_sq8.nsgb", "one_sq8.nsgm", 1, Options{GraphK: 20, BuildL: 50, MaxDegree: 12, SearchL: 60, Quantize: QuantSQ8}, true, 0x613aa49e93d9ed53},
-	{"sharded", "three.nsgd", "three.nsms", 3, Options{GraphK: 10, BuildL: 30, MaxDegree: 12, SearchL: 40, Quantize: QuantSQ8}, false, 0xa58afc9200459117},
+	{"float32", "one_f32.nsgm", 1, Options{GraphK: 20, BuildL: 50, MaxDegree: 12, SearchL: 60}, true, 0x613aa49e93d9ed53},
+	{"sq8", "one_sq8.nsgm", 1, Options{GraphK: 20, BuildL: 50, MaxDegree: 12, SearchL: 60, Quantize: QuantSQ8}, true, 0x613aa49e93d9ed53},
+	{"sharded", "three.nsms", 3, Options{GraphK: 10, BuildL: 30, MaxDegree: 12, SearchL: 40, Quantize: QuantSQ8}, false, 0xa58afc9200459117},
 }
 
 // legacyAnswers digests x's answers to the fixture queries at k = 10,
@@ -83,28 +81,26 @@ func legacyAnswers(t *testing.T, x *Index, filtered bool) uint64 {
 	return h.Sum64()
 }
 
-// TestLegacyFilesStillOpen: every fixture loads (the stream files) or
-// opens (the mapped ones) with its shard count, the options it kept, its
-// metadata store and the answers of the index that wrote it, plain and
-// filtered, distance bits included; an opened one answers alike once
-// promoted to the heap. Today's file of the same index costs at most 256
-// bytes more than the one-index mapped layout. (It is about 450 bytes more
-// than the NSGB stream: the container's header and its records' 64-byte
-// section alignment, a fixed cost whatever the row count.)
+// TestLegacyFilesStillOpen: every fixture loads and opens with its shard
+// count, the options it kept, its metadata store and the answers of the
+// index that wrote it, plain and filtered, distance bits included; an
+// opened one answers alike once promoted to the heap. Today's file of the
+// same index costs at most 256 bytes more than the one-index mapped
+// layout.
 func TestLegacyFilesStillOpen(t *testing.T) {
 	for _, fx := range legacyFixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			loaded, err := Load(legacyPath(fx.stream))
+			loaded, err := Load(legacyPath(fx.file))
 			if err != nil {
-				t.Fatalf("%s: %v", fx.stream, err)
+				t.Fatalf("Load %s: %v", fx.file, err)
 			}
 			defer loaded.Close()
-			opened, err := OpenMapped(legacyPath(fx.mapped), MapOptions{})
+			opened, err := OpenMapped(legacyPath(fx.file), MapOptions{})
 			if err != nil {
-				t.Fatalf("%s: %v", fx.mapped, err)
+				t.Fatalf("OpenMapped %s: %v", fx.file, err)
 			}
 			defer opened.Close()
-			for name, x := range map[string]*Index{fx.stream: loaded, fx.mapped: opened} {
+			for name, x := range map[string]*Index{"Load": loaded, "OpenMapped": opened} {
 				if x.Shards() != fx.shards || x.opts != fx.opts || x.Len() != legacyRows || x.Dim() != legacyDim {
 					t.Fatalf("%s: %d shards, %dx%d, options %+v; want %d, %dx%d, %+v",
 						name, x.Shards(), x.Len(), x.Dim(), x.opts, fx.shards, legacyRows, legacyDim, fx.opts)
@@ -120,7 +116,7 @@ func TestLegacyFilesStillOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := legacyAnswers(t, opened, fx.filtered); got != fx.answers {
-				t.Fatalf("%s promoted: answers digest %#016x, want %#016x", fx.mapped, got, fx.answers)
+				t.Fatalf("%s promoted: answers digest %#016x, want %#016x", fx.file, got, fx.answers)
 			}
 			if fx.shards != 1 {
 				return
@@ -129,33 +125,21 @@ func TestLegacyFilesStillOpen(t *testing.T) {
 			if err := loaded.Save(path); err != nil {
 				t.Fatal(err)
 			}
-			now, old := fileSize(t, path), fileSize(t, legacyPath(fx.mapped))
+			now, old := fileSize(t, path), fileSize(t, legacyPath(fx.file))
 			if now > old+256 {
-				t.Errorf("%s: one-shard file of %d bytes, %d more than its legacy layout's %d", fx.mapped, now, now-old, old)
+				t.Errorf("%s: one-shard file of %d bytes, %d more than its legacy layout's %d", fx.file, now, now-old, old)
 			}
 		})
 	}
 }
 
 // TestLegacyMetadataCorruption: a flipped byte inside the metadata store of
-// a one-index file fails the load, and the open of the mapped record as
-// corrupt in the metadata section, with and without the verification pass
-// (the section checksum, then the store's own).
+// a one-index file fails its open as corrupt in the metadata section, with
+// and without the verification pass (the section checksum, then the
+// store's own).
 func TestLegacyMetadataCorruption(t *testing.T) {
-	b, err := os.ReadFile(legacyPath("one_f32.nsgb"))
+	b, err := os.ReadFile(legacyPath("one_f32.nsgm"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-3] ^= 0xff // inside the record's trailing metadata blob
-	path := filepath.Join(t.TempDir(), "bad.nsgb")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if x, err := Load(path); err == nil {
-		x.Close()
-		t.Fatal("Load accepted an NSGB bundle with a corrupt metadata blob")
-	}
-	if b, err = os.ReadFile(legacyPath("one_f32.nsgm")); err != nil {
 		t.Fatal(err)
 	}
 	// The metadata entry is the sixth of the header's 24-byte section slots
@@ -166,7 +150,7 @@ func TestLegacyMetadataCorruption(t *testing.T) {
 		t.Fatal("fixture record carries no metadata section")
 	}
 	b[off+size/2] ^= 0xff
-	path = filepath.Join(t.TempDir(), "bad.nsgm")
+	path := filepath.Join(t.TempDir(), "bad.nsgm")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -182,18 +166,12 @@ func TestLegacyMetadataCorruption(t *testing.T) {
 	}
 }
 
-// streamPath names a file under testdata/stream, which commit f33b21c (the
-// last tree with a stream writer) wrote: one_f32.nsgd is the one-shard NSGD
-// bundle of one_f32.nsgb's index with its metadata store dropped.
-func streamPath(name string) string { return filepath.Join("testdata", "stream", name) }
-
-// TestShardRecordWithMetadataIsRejected: a bundle or container keeps its
-// metadata store in its own section, and no writer ever put one in a shard
-// record. A one-shard NSGD or NSMS whose record is the NSGB bundle's or
-// NSGM file's metadata-carrying one is refused, as corrupt for the
-// container, not served with the store dropped.
+// TestShardRecordWithMetadataIsRejected: a container keeps its metadata
+// store in its own section, and no writer ever put one in a shard record.
+// A one-shard NSMS whose record is the NSGM file's metadata-carrying one is
+// refused as corrupt, not served with the store dropped.
 func TestShardRecordWithMetadataIsRejected(t *testing.T) {
-	x, err := Load(legacyPath("one_f32.nsgb"))
+	x, err := Load(legacyPath("one_f32.nsgm"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,40 +179,20 @@ func TestShardRecordWithMetadataIsRejected(t *testing.T) {
 	if err := x.SetMetadata(nil); err != nil { // its own section would move the record
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	stream, mapped := filepath.Join(dir, "idx.nsgd"), filepath.Join(dir, "idx.nsms")
+	mapped := filepath.Join(t.TempDir(), "idx.nsms")
 	if err := x.Save(mapped); err != nil {
 		t.Fatal(err)
 	}
-	// Stream: both files hold the same vectors, so the bundle's record
-	// starts past the 36-byte header, the vectors, the 12-byte shard header
-	// and the empty id map's size word, and the NSGB's past its 12-byte
-	// header and the vectors.
-	vecs := 4 * legacyRows * legacyDim
-	now, err := os.ReadFile(streamPath("one_f32.nsgd"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := os.ReadFile(legacyPath("one_f32.nsgb"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := 36 + vecs + 12 + 4
-	if err := os.WriteFile(stream, append(now[:at:at], old[12+vecs:]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := Load(stream); err == nil {
-		got.Close()
-		t.Fatal("Load served a bundle whose shard record carries metadata")
-	}
-	// Container: the one shard's table entry (64 bytes in) holds its id
+	// The one shard's table entry (64 bytes in) holds its id
 	// map's offset and length, then its record's; the record is the file's
 	// tail. Swap in the NSGM record and fix its length, the file size and
 	// the table checksum after the entry.
-	if now, err = os.ReadFile(mapped); err != nil {
+	now, err := os.ReadFile(mapped)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if old, err = os.ReadFile(legacyPath("one_f32.nsgm")); err != nil {
+	old, err := os.ReadFile(legacyPath("one_f32.nsgm"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	le := binary.LittleEndian
@@ -287,41 +245,21 @@ func fileSize(t *testing.T, path string) int64 {
 }
 
 // TestEmptyIDMapNeedsOneShard: an empty id map means the identity, which
-// only the only shard of an index can hold. A multi-shard bundle or
-// container whose first shard stores one is refused (as corrupt, for the
-// container), not served over a wrong partition.
+// only the only shard of an index can hold. A multi-shard container whose
+// first shard stores one is refused as corrupt, not served over a wrong
+// partition.
 func TestEmptyIDMapNeedsOneShard(t *testing.T) {
 	ds := shardedTestData(t, 600, 1)
 	idx := buildShardedIndex(t, ds, 2)
 	defer idx.Close()
-	dir := t.TempDir()
-	stream, mapped := filepath.Join(dir, "idx.nsgd"), filepath.Join(dir, "idx.nsms")
+	mapped := filepath.Join(t.TempDir(), "idx.nsms")
 	if err := idx.Save(mapped); err != nil {
 		t.Fatal(err)
 	}
-	// Stream: in the three-shard bundle, shard 0's size word follows the
-	// 36-byte header, the vectors and the 12-byte shard header; drop its
-	// ids and store size 0.
-	b, err := os.ReadFile(legacyPath("three.nsgd"))
+	// Shard 0's id map length is table bytes 8..15; the table checksum
+	// after both 40-byte entries is recomputed to reach the check.
+	b, err := os.ReadFile(mapped)
 	if err != nil {
-		t.Fatal(err)
-	}
-	at := 36 + 4*legacyRows*legacyDim + 12
-	size := int(binary.LittleEndian.Uint32(b[at:]))
-	if size <= 0 || size >= legacyRows {
-		t.Fatalf("shard 0 of the three-shard bundle claims %d rows", size)
-	}
-	b = append(append(b[:at:at], 0, 0, 0, 0), b[at+4+4*size:]...)
-	if err := os.WriteFile(stream, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := Load(stream); err == nil {
-		got.Close()
-		t.Fatal("Load served a three-shard bundle with an empty id map")
-	}
-	// Container: shard 0's id map length is table bytes 8..15; the table
-	// checksum after both 40-byte entries is recomputed to reach the check.
-	if b, err = os.ReadFile(mapped); err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint64(b[64+8:], 0)

@@ -94,7 +94,7 @@ func buildShardBundles(dir string, ds dataset.Dataset, shards int, seed int64) (
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: build shard %d: %w", si, err)
 		}
-		paths[si] = filepath.Join(dir, fmt.Sprintf("shard%d.nsgd", si))
+		paths[si] = filepath.Join(dir, fmt.Sprintf("shard%d.nsg", si))
 		err = idx.Save(paths[si])
 		idx.Close()
 		if err != nil {

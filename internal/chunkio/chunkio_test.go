@@ -43,33 +43,5 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(enc.Bytes(), buf.Bytes()) {
 			t.Fatalf("n=%d: the chunked encoder's bytes differ from the writer's", n)
 		}
-		gotF := make([]float32, n)
-		gotI := make([]int32, n)
-		if err := ReadFloat32s(&buf, gotF); err != nil {
-			t.Fatal(err)
-		}
-		if err := ReadInt32s(&buf, gotI); err != nil {
-			t.Fatal(err)
-		}
-		for i := range fs {
-			if math.Float32bits(gotF[i]) != math.Float32bits(fs[i]) || gotI[i] != is[i] {
-				t.Fatalf("n=%d index %d: round trip changed values", n, i)
-			}
-		}
-	}
-}
-
-// TestTruncated: a short stream must error, not return partial data.
-func TestTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteInt32s(&buf, []int32{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	short := buf.Bytes()[:buf.Len()-2]
-	if err := ReadInt32s(bytes.NewReader(short), make([]int32, 3)); err == nil {
-		t.Fatal("ReadInt32s accepted a truncated stream")
-	}
-	if err := ReadFloat32s(bytes.NewReader(nil), make([]float32, 1)); err == nil {
-		t.Fatal("ReadFloat32s accepted an empty stream")
 	}
 }

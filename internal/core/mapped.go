@@ -38,9 +38,7 @@ import (
 var ErrReadOnly = errors.New("core: index is mapped read-only; promote to heap to mutate")
 
 const (
-	// nsgMappedMagic marks the aligned mapped record. Like NSGQ vs NSGF,
-	// a distinct magic means stream-format readers reject mapped files at
-	// the first check instead of misparsing them.
+	// nsgMappedMagic marks the aligned mapped record.
 	nsgMappedMagic   = 0x4e53474d // "NSGM"
 	nsgMappedVersion = 2
 

@@ -1,20 +1,15 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chunkio"
 	"repro/internal/graphutil"
 	"repro/internal/vecmath"
-	"repro/internal/vecmath/quant"
 )
 
 // BuildParams configures NSGBuild (Algorithm 2). The three parameters match
@@ -454,163 +449,25 @@ func flatStats(f *graphutil.CSR) IndexStats {
 	return IndexStats{N: f.N(), AvgDegree: d.Avg, MaxDegree: d.Max, IndexBytes: 4 * int64(f.N()+1+f.Edges())}
 }
 
+// The flags word of an NSGM record's header (see mapped.go).
 const (
-	// nsgFileMagic marks the original graph-only record; files carrying it
-	// predate quantization and remain loadable unchanged.
-	nsgFileMagic = 0x4e534746 // "NSGF"
-	// nsgQuantMagic marks the extended record: the same header plus a flags
-	// word, followed by optional id-remap and SQ8 sections. A distinct
-	// magic (rather than a version field appended to NSGF) means old
-	// readers reject new files at the first check instead of misparsing.
-	nsgQuantMagic = 0x4e534751 // "NSGQ"
-
-	nsgFlagRemap = 1 << 0 // id-remap table follows the graph
-	nsgFlagQuant = 1 << 1 // SQ8 quantizer + code matrix follow
+	nsgFlagRemap = 1 << 0 // id-remap section present
+	nsgFlagQuant = 1 << 1 // SQ8 bounds and code sections present
 	// nsgFlagQuant4 is reserved. It marked the int4 quantizer and packed
 	// codes, a scheme that was removed; readers reject it as an unknown bit,
 	// and it must not be reused, so an old int4 file is never misread.
 	nsgFlagQuant4 = 1 << 2
-	// nsgFlagMeta marks a metadata blob after the quant sections. Only the
-	// one-index files of older builds carry one; readers hand it to their
-	// container, and no writer sets it.
+	// nsgFlagMeta marks a metadata section. Only the one-index files of
+	// older builds carry one; the reader hands it to their container, and
+	// no writer sets it.
 	nsgFlagMeta = 1 << 3
 
-	// maxMetaBlob bounds the metadata section a reader will allocate for —
-	// far above any real column store, far below a corrupt length's reach.
+	// maxMetaBlob bounds the metadata section a reader will accept — far
+	// above any real column store, far below a corrupt length's reach.
 	maxMetaBlob = 1 << 30
 	// maxDegreeCap bounds the degree cap M a record may claim.
 	maxDegreeCap = 1 << 20
 )
-
-// readRemap decodes a remap table of exactly n ids and verifies it is a
-// permutation of [0,n).
-func readRemap(r io.Reader, n int) ([]int32, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, fmt.Errorf("core: read remap size: %w", err)
-	}
-	if got := int(binary.LittleEndian.Uint32(lenBuf[:])); got != n {
-		return nil, fmt.Errorf("core: remap table has %d entries for %d nodes", got, n)
-	}
-	ids := make([]int32, n)
-	if err := chunkio.ReadInt32s(r, ids); err != nil {
-		return nil, fmt.Errorf("core: read remap: %w", err)
-	}
-	seen := make([]bool, n)
-	for _, id := range ids {
-		if id < 0 || int(id) >= n || seen[id] {
-			return nil, fmt.Errorf("core: remap entry %d is not a permutation of [0,%d)", id, n)
-		}
-		seen[id] = true
-	}
-	return ids, nil
-}
-
-// ReadNSG deserializes an NSG record of an older build's stream bundle (no
-// writer of the layout remains) and attaches base, whose rows must be in
-// public id order (the order persistence containers store).
-// The index takes ownership of base; for relayouted indexes the remap
-// section restores the internal order by permuting base's rows in place.
-// The second result is the undecoded metadata section of an older
-// one-index record, nil when the record has none.
-func ReadNSG(r io.Reader, base vecmath.Matrix) (*NSG, []byte, error) {
-	// Normalize to one buffered reader shared with graphutil.ReadCSR (a
-	// bufio.Reader passes through bufio.NewReader unchanged), so trailing
-	// sections are never swallowed by a second layer of read-ahead.
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, nil, fmt.Errorf("core: read header: %w", err)
-	}
-	flags := uint32(0)
-	switch binary.LittleEndian.Uint32(hdr[0:]) {
-	case nsgFileMagic:
-	case nsgQuantMagic:
-		var fb [4]byte
-		if _, err := io.ReadFull(br, fb[:]); err != nil {
-			return nil, nil, fmt.Errorf("core: read flags: %w", err)
-		}
-		flags = binary.LittleEndian.Uint32(fb[:])
-		// Unknown bits mean sections this reader cannot consume: reject
-		// up front (the reject-don't-misparse discipline the distinct
-		// magic exists for) instead of leaving orphaned bytes that would
-		// corrupt the next record of an embedding stream.
-		// The reserved nsgFlagQuant4 bit is one of them.
-		if flags&^uint32(nsgFlagRemap|nsgFlagQuant|nsgFlagMeta) != 0 {
-			return nil, nil, fmt.Errorf("core: unsupported NSG record flags %#x", flags)
-		}
-	default:
-		return nil, nil, fmt.Errorf("core: bad NSG file magic")
-	}
-	nav := int32(binary.LittleEndian.Uint32(hdr[4:]))
-	m := binary.LittleEndian.Uint32(hdr[8:])
-	if m > maxDegreeCap {
-		return nil, nil, fmt.Errorf("core: implausible degree cap %d", m)
-	}
-	// The node count must match base (checked inside ReadCSR, before the
-	// adjacency allocation, so a corrupt count cannot demand gigabytes), and
-	// the edge slab is sized by the edges the record holds.
-	g, err := graphutil.ReadCSR(br, base.Rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	if int(nav) >= g.N() || nav < 0 {
-		return nil, nil, fmt.Errorf("core: navigating node %d out of range", nav)
-	}
-	// A record without a remap section was never relaid: identity ids.
-	x := newNSG(g, nav, base, int(m))
-	if flags&nsgFlagRemap != 0 {
-		pub, err := readRemap(br, g.N())
-		if err != nil {
-			return nil, nil, err
-		}
-		x.PubIDs = pub
-		for internal, p := range pub {
-			x.toInternal[p] = int32(internal)
-		}
-		// The caller supplied rows in public order; restore the internal
-		// (relayouted) order the graph was persisted in. The permutation is
-		// applied in place (cycle following), so loading a relayouted index
-		// never holds two copies of the vectors — at the serving scales
-		// this feature targets, a transient second matrix would double
-		// peak memory.
-		permuteRows(base.Data, base.Dim, pub)
-	}
-	if flags&nsgFlagQuant != 0 {
-		qz, err := quant.ReadQuantizer(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Shape-checked before allocation: a corrupt codes header must not
-		// demand rows*dim bytes the record cannot hold.
-		codes, err := quant.ReadCodesShape(br, base.Rows, base.Dim)
-		if err != nil {
-			return nil, nil, err
-		}
-		if qz.Dim() != base.Dim || codes.Dim != base.Dim || codes.Rows != base.Rows {
-			return nil, nil, fmt.Errorf("core: quant section shape %dx%d (dim %d) does not match base %dx%d",
-				codes.Rows, codes.Dim, qz.Dim(), base.Rows, base.Dim)
-		}
-		x.Quant = &Quantized{Q: qz, Codes: codes}
-		x.Quant.measureRho(base)
-	}
-	if flags&nsgFlagMeta != 0 {
-		var size [4]byte
-		if _, err := io.ReadFull(br, size[:]); err != nil {
-			return nil, nil, fmt.Errorf("core: read meta size: %w", err)
-		}
-		n := binary.LittleEndian.Uint32(size[:])
-		if n > maxMetaBlob {
-			return nil, nil, fmt.Errorf("core: meta section size %d out of range", n)
-		}
-		blob := make([]byte, n)
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return nil, nil, fmt.Errorf("core: read meta: %w", err)
-		}
-		return x, blob, nil
-	}
-	return x, nil, nil
-}
 
 // dedupeSortedCtx sorts candidates ascending by (dist,id) in place and
 // removes duplicate ids (keeping each id's nearest occurrence) and the node

@@ -1,11 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"io"
-	"os"
-	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -138,111 +133,6 @@ func TestNSGBuildValidation(t *testing.T) {
 	}
 	if _, _, err := NSGBuild(graphutil.New(0), vecmath.Matrix{Dim: 4}, DefaultBuildParams()); err == nil {
 		t.Error("expected error for empty base")
-	}
-}
-
-// recordFile returns testdata/records/name: NSG stream records over
-// pathBase, written by commit f33b21c, the last tree with a stream writer.
-// path4.nsgq is the path graph 0-1-2-3 (navigating node 0, degree cap 2)
-// with its remap section, path4.nsgf the same graph in the graph-only NSGF
-// layout, and path4_sq8.nsgq the record with SQ8 codes. path4_int4_flag.nsgq
-// is the SQ8 record with its SQ8 flag swapped for the retired int4 one, and
-// path4_huge_m.nsgq the first with a degree cap far past any real one.
-func recordFile(t testing.TB, name string) []byte {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", "records", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// pathBase is the base the records under testdata/records index: four 2-d
-// rows, row i at (i, 0).
-func pathBase() vecmath.Matrix {
-	base := vecmath.NewMatrix(4, 2)
-	for i := 0; i < 4; i++ {
-		base.Row(i)[0] = float32(i)
-	}
-	return base
-}
-
-// legacyTwins reads the NSG record of testdata/legacy/<name>.nsgb and opens
-// its <name>.nsgm twin; one index wrote both, so the stream reader must
-// build what the mapped open serves.
-func legacyTwins(t *testing.T, name string) (stream, mapped *NSG) {
-	t.Helper()
-	rec, base := legacyBundleRecord(t, name+".nsgb")
-	stream, _, err := ReadNSG(bytes.NewReader(rec), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapped, err = OpenMappedFile(t, legacyFile(name+".nsgm"), MapOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	return stream, mapped
-}
-
-// TestNSGSerializationRoundTrip: a stream record reads back as the index
-// that wrote it — graph, navigating node, degree cap, remap and rows in
-// internal order — and searches alike.
-func TestNSGSerializationRoundTrip(t *testing.T) {
-	got, want := legacyTwins(t, "one_f32")
-	if got.Navigating != want.Navigating || got.M != want.M {
-		t.Errorf("metadata mismatch: nav %d/%d m %d/%d", got.Navigating, want.Navigating, got.M, want.M)
-	}
-	if got.flat.N() != want.flat.N() || got.flat.Edges() != want.flat.Edges() {
-		t.Fatalf("%d nodes, %d edges; want %d, %d", got.flat.N(), got.flat.Edges(), want.flat.N(), want.flat.Edges())
-	}
-	for i := range int32(got.flat.N()) {
-		if !slices.Equal(got.flat.Neighbors(i), want.flat.Neighbors(i)) {
-			t.Fatalf("row %d: %v, want %v", i, got.flat.Neighbors(i), want.flat.Neighbors(i))
-		}
-	}
-	if !slices.Equal(got.PubIDs, want.PubIDs) || !slices.Equal(got.Base.Data, want.Base.Data) {
-		t.Fatal("remap or internal row order differs")
-	}
-	for i := 0; i < 20; i++ {
-		q := want.Base.Row(i)
-		if a, b := want.Search(q, 5, 20, nil), got.Search(q, 5, 20, nil); !slices.Equal(a, b) {
-			t.Fatalf("search differs after round trip: %+v vs %+v", a, b)
-		}
-	}
-}
-
-func TestNSGSerializationErrors(t *testing.T) {
-	rec, base := legacyBundleRecord(t, "one_f32.nsgb")
-	wrongBase := vecmath.NewMatrix(5, base.Dim)
-	if _, _, err := ReadNSG(bytes.NewReader(rec), wrongBase); err == nil {
-		t.Error("expected error for mismatched base size")
-	}
-	if _, _, err := ReadNSG(bytes.NewReader([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}), base); err == nil {
-		t.Error("expected error for bad magic")
-	}
-	if _, _, err := ReadNSG(bytes.NewReader(nil), base); err == nil {
-		t.Error("expected error for empty stream")
-	}
-}
-
-// TestNSGFileRoundTrip: ReadNSG reads a record straight from a file, past
-// an NSGB bundle's 12-byte header and vectors, as the bundle loader does.
-func TestNSGFileRoundTrip(t *testing.T) {
-	_, want := legacyTwins(t, "one_f32")
-	_, base := legacyBundleRecord(t, "one_f32.nsgb")
-	f, err := os.Open(legacyFile("one_f32.nsgb"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(int64(12+4*len(base.Data)), io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	got, blob, err := ReadNSG(f, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Navigating != want.Navigating || blob == nil {
-		t.Errorf("navigating node %d (want %d), metadata section %v", got.Navigating, want.Navigating, blob != nil)
 	}
 }
 

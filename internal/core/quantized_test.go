@@ -168,12 +168,16 @@ func TestQuantizedNoRerankReportsApprox(t *testing.T) {
 	}
 }
 
-// TestQuantizedPersistByteIdentical: a stream record reads codes, scales,
-// the permutation and the remap table back byte-for-byte as its mapped twin
-// holds them (one relaid SQ8 index wrote both), and the loaded index
-// returns byte-identical search results.
+// TestQuantizedPersistByteIdentical: a mapped record holds codes, bounds,
+// the remap table and the rows in internal order byte-for-byte as the
+// relaid SQ8 index that wrote it, re-derives the same scale, and returns
+// byte-identical search results.
 func TestQuantizedPersistByteIdentical(t *testing.T) {
-	loaded, idx := legacyTwins(t, "one_sq8")
+	idx := buildMappedTestNSG(t, testBase(t, 300, 16, 11), true, true)
+	loaded, err := OpenMappedFile(t, saveMappedTemp(t, idx), MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(loaded.Quant.Codes.Codes, idx.Quant.Codes.Codes) {
 		t.Fatal("codes not byte-identical across persist")
 	}
@@ -212,55 +216,25 @@ func TestQuantizedPersistByteIdentical(t *testing.T) {
 	}
 }
 
-// TestVersionGateOldFilesLoad: a graph-only record under the original NSGF
-// magic, the layout written before quantization existed (the v2 sharded
-// files on disk embed exactly these records), must keep loading — with
-// identity ids, as it was never relaid.
+// TestVersionGateOldFilesLoad: a float32 record in the version 1 layout,
+// the top-level NSGM an older build wrote (testdata/legacy in the
+// repository root), opens with no quant state and its remap inverted, and
+// every row finds itself.
 func TestVersionGateOldFilesLoad(t *testing.T) {
-	base := pathBase()
-	loaded, _, err := ReadNSG(bytes.NewReader(recordFile(t, "path4.nsgf")), base)
+	loaded, err := OpenMappedFile(t, legacyFile("one_f32.nsgm"), MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.IsQuantized() {
 		t.Fatal("legacy record loaded with quant state")
 	}
-	for i := range base.Rows {
-		if loaded.PubIDs[i] != int32(i) || loaded.InternalID(int32(i)) != int32(i) {
-			t.Fatalf("legacy record: id %d maps to public %d, internal %d", i, loaded.PubIDs[i], loaded.InternalID(int32(i)))
-		}
-	}
 	ctx := NewSearchContext()
-	for i := range base.Rows {
-		if res := loaded.Query(ctx, base.Row(i), Query{K: 2, L: 4}); res.Neighbors[0].ID != int32(i) {
-			t.Fatalf("legacy reload broken: self search of %d returned %d", i, res.Neighbors[0].ID)
+	for i, pub := range loaded.PubIDs {
+		if loaded.InternalID(pub) != int32(i) {
+			t.Fatalf("legacy record: internal id %d maps to public %d, which maps back to %d", i, pub, loaded.InternalID(pub))
 		}
-	}
-}
-
-// TestReadNSGRejectsUnknownFlags: a record carrying flag bits this reader
-// does not know (i.e. sections it cannot consume) must be rejected at the
-// header, not silently half-parsed. The retired int4 marker is one of them,
-// beside the SQ8 flag or in its place (an int4 record from before int4 was
-// removed).
-func TestReadNSGRejectsUnknownFlags(t *testing.T) {
-	base := pathBase()
-	rec := recordFile(t, "path4_sq8.nsgq")
-	if _, _, err := ReadNSG(bytes.NewReader(rec), base); err != nil {
-		t.Fatalf("the unedited record: %v", err)
-	}
-	for _, tc := range []struct {
-		name string
-		flag func(uint8) uint8
-	}{
-		{"undefined bit", func(f uint8) uint8 { return f | 1<<7 }},
-		{"int4 beside sq8", func(f uint8) uint8 { return f | nsgFlagQuant4 }},
-		{"int4 in place of sq8", func(f uint8) uint8 { return f&^nsgFlagQuant | nsgFlagQuant4 }},
-	} {
-		blob := bytes.Clone(rec)
-		blob[12] = tc.flag(blob[12])
-		if _, _, err := ReadNSG(bytes.NewReader(blob), base); err == nil {
-			t.Fatalf("%s: ReadNSG accepted a record with unknown flags", tc.name)
+		if res := loaded.Query(ctx, loaded.Base.Row(i), Query{K: 1, L: 40}); res.Neighbors[0].ID != pub {
+			t.Fatalf("legacy record: self search of %d returned %d", pub, res.Neighbors[0].ID)
 		}
 	}
 }
@@ -447,9 +421,8 @@ func TestQuantBoundNearTies(t *testing.T) {
 }
 
 // TestRhoMeasuredEverywhere: ρ is the same whichever way the rows reached
-// memory — encode, a verified OpenMapped, a PromoteToHeap of it, a stream
-// record's read against its mapped twin — and matches an independent float64 measurement from above within
-// 1e-9; a NoVerify open leaves it unknown, and an Insert far outside the
+// memory — encode, a verified OpenMapped, a PromoteToHeap of it — and
+// matches an independent float64 measurement from above within 1e-9; a NoVerify open leaves it unknown, and an Insert far outside the
 // trained range raises it.
 func TestRhoMeasuredEverywhere(t *testing.T) {
 	t.Run("sq8", func(t *testing.T) {
@@ -489,11 +462,6 @@ func TestRhoMeasuredEverywhere(t *testing.T) {
 		}
 		if q := mapped.Quant; !q.hasRho || q.rho != rho {
 			t.Fatalf("OpenMapped: rho %g (known %v), encode measured %g", q.rho, q.hasRho, rho)
-		}
-		// A stream record's reader measures what its mapped twin's verified
-		// open does.
-		if stream, twin := legacyTwins(t, "one_sq8"); !stream.Quant.hasRho || stream.Quant.rho != twin.Quant.rho {
-			t.Fatalf("stream Load: rho %g (known %v), its mapped twin %g", stream.Quant.rho, stream.Quant.hasRho, twin.Quant.rho)
 		}
 		if trusted.Quant.hasRho {
 			t.Fatal("NoVerify open claims a known rho")

@@ -248,8 +248,8 @@ func BuildSharded(base vecmath.Matrix, p Params) (*Sharded, error) {
 	return s, nil
 }
 
-// single wraps the NSG of a legacy one-index file (an NSGB bundle or a
-// top-level NSGM record) as the only shard of an index. Its public ids are
+// single wraps the NSG of a legacy one-index file (a top-level NSGM
+// record) as the only shard of an index. Its public ids are
 // the global ids, so the shard keeps no translate table; the metadata
 // section the record carried (metaBlob, nil for none) becomes the index's
 // store, and the options are the only ones such a file kept: the record's
@@ -285,9 +285,8 @@ func (s *Sharded) BuildStats() BuildStats { return s.stats }
 // ids coincide, filters included.
 //
 // The locator build is the partition check: every global id in [0, rows)
-// must appear in exactly one id map, so a build, a stream load and a mapped
-// open all reject maps that do not partition the rows, before any goroutine
-// starts.
+// must appear in exactly one id map, so a build and an open both reject
+// maps that do not partition the rows, before any goroutine starts.
 //
 // The caller of a fan-out searches one shard itself, so the pool holds at
 // least one worker per other shard (the paper's one-machine-per-partition

@@ -1,11 +1,11 @@
 package distsearch
 
 import (
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -142,10 +142,10 @@ func TestShardedSaveLoad(t *testing.T) {
 	}
 }
 
-// loadBytes loads b as a bundle file.
+// loadBytes loads b as an index file.
 func loadBytes(t *testing.T, b []byte) error {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "idx.nsgd")
+	path := filepath.Join(t.TempDir(), "idx.nsg")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +156,8 @@ func loadBytes(t *testing.T, b []byte) error {
 	return err
 }
 
-// TestLoadErrors: a file Load cannot read fails with an error; one that is
-// not a stream bundle goes to the container parser, whose damage reports
-// are *core.FormatError.
+// TestLoadErrors: a file Load cannot read fails with an error, and the
+// container parser's damage reports are *core.FormatError.
 func TestLoadErrors(t *testing.T) {
 	var fe *core.FormatError
 	if err := loadBytes(t, nil); !errors.As(err, &fe) {
@@ -266,43 +265,26 @@ func TestSearchStatsMerged(t *testing.T) {
 	}
 }
 
-// bundleWith is a valid bundle head (NSGD header, zero options, rows x dim
-// zero vectors) followed by tail in place of the shard section.
-func bundleWith(rows, dim int, tail []byte) []byte {
-	b := make([]byte, 16+optionsSize+rows*dim*4)
-	binary.LittleEndian.PutUint32(b[0:], bundleMagic)
-	binary.LittleEndian.PutUint32(b[4:], bundleVersion)
-	binary.LittleEndian.PutUint32(b[8:], uint32(rows))
-	binary.LittleEndian.PutUint32(b[12:], uint32(dim))
-	return append(b, tail...)
-}
-
-func TestVersionedFormatRejectsV1(t *testing.T) {
-	// A v1 shard header (the first layout, magic "NSGS") is magic + shard count
-	// with no version field; the v2 reader must reject every v1 section at
-	// the magic check — including shard counts that would alias as a valid
-	// version number in the v2 layout.
-	for _, v1Shards := range []uint32{2, 4} {
-		hdr := make([]byte, 12)
-		binary.LittleEndian.PutUint32(hdr[0:], 0x4e534753) // v1 magic "NSGS"
-		binary.LittleEndian.PutUint32(hdr[4:], v1Shards)
-		if err := loadBytes(t, bundleWith(10, 4, hdr)); err == nil {
-			t.Fatalf("expected error for v1 section with %d shards", v1Shards)
+// TestLoadRejectsStreamLayouts: a file in one of the stream layouts older
+// builds wrote fails Load and OpenMapped, verified or not, with a
+// *core.FormatError that names the layout and the last build that reads it.
+func TestLoadRejectsStreamLayouts(t *testing.T) {
+	for _, layout := range []string{"NSGD", "NSGB", "NSGF", "NSGQ"} {
+		b := append([]byte{layout[3], layout[2], layout[1], layout[0]}, make([]byte, 60)...)
+		path := filepath.Join(t.TempDir(), "old")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// A v2 shard magic with a wrong version must hit the version gate.
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:], 0x4e534754)
-	binary.LittleEndian.PutUint32(hdr[4:], 9)
-	binary.LittleEndian.PutUint32(hdr[8:], 1)
-	if err := loadBytes(t, bundleWith(10, 4, hdr)); err == nil {
-		t.Fatal("expected version error for v9 section")
-	}
-	// So must a bundle header with a wrong version.
-	b := bundleWith(10, 4, nil)
-	binary.LittleEndian.PutUint32(b[4:], 9)
-	if err := loadBytes(t, b); err == nil {
-		t.Fatal("expected version error for v9 bundle")
+		for name, open := range map[string]func() error{
+			"Load":               func() error { _, _, err := Load(path); return err },
+			"OpenMapped":         func() error { _, _, err := OpenMapped(path, core.MapOptions{}); return err },
+			"OpenMapped/trusted": func() error { _, _, err := OpenMapped(path, core.MapOptions{NoVerify: true}); return err },
+		} {
+			var fe *core.FormatError
+			if err := open(); !errors.As(err, &fe) || !strings.Contains(fe.Reason, layout) || !strings.Contains(fe.Reason, "ad169cf") {
+				t.Errorf("%s of an %s file: got %v, want a format error naming the layout and commit ad169cf", name, layout, err)
+			}
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 
 const (
 	// shardedMappedMagic is "NSMS" — distinct from every stream magic, so
-	// Load tells the layouts apart by the first word.
+	// openMapped tells the layouts apart by the first word.
 	shardedMappedMagic = 0x4e534d53
 	// Version 2 adds the metadata entry after the shard table and the
 	// metadata blob after the last record. Containers without metadata are
@@ -41,6 +41,9 @@ const (
 	smShardEntrySize = 40
 	smMetaEntrySize  = 24
 	smAlign          = 64
+
+	// maxShardedMetaBlob bounds the metadata section a reader will accept.
+	maxShardedMetaBlob = 1 << 30
 )
 
 func smAlignUp(n int64) int64 { return (n + smAlign - 1) &^ (smAlign - 1) }
@@ -164,9 +167,10 @@ func smCorrupt(format string, args ...any) error {
 // the mapping, with the options Save stored. A file that does not start
 // with the container's magic is opened as a top-level NSGM record, the
 // one-index layout written before every index saved containers, through
-// single. The returned index is read-only: Insert reports the condition,
-// while searches, the worker pool and Write behave exactly as on a heap
-// index. Close releases the mapping.
+// single; a stream file older builds wrote is refused. The returned index
+// is read-only: Insert reports the condition, while searches, the worker
+// pool and Write behave exactly as on a heap index. Close releases the
+// mapping.
 func OpenMapped(path string, mopts core.MapOptions) (*Sharded, FileOptions, error) {
 	f, err := mstore.Open(path)
 	if err != nil {
@@ -188,7 +192,16 @@ func openMapped(f *mstore.File, mopts core.MapOptions) (*Sharded, FileOptions, e
 	if err != nil {
 		return nil, none, smCorrupt("%v", err)
 	}
-	if len(hdr) < 4 || le.Uint32(hdr[0:]) != shardedMappedMagic {
+	var magic uint32
+	if len(hdr) >= 4 {
+		magic = le.Uint32(hdr)
+	}
+	switch magic {
+	case shardedMappedMagic:
+	case 0x4e534744, 0x4e534742, 0x4e534746, 0x4e534751: // NSGD, NSGB, NSGF, NSGQ
+		return nil, none, smCorrupt("%s is a stream layout this build does not read; re-save the file with Load and Save of a build at or before commit ad169cf",
+			[]byte{hdr[3], hdr[2], hdr[1], hdr[0]})
+	default:
 		idx, metaBlob, err := core.OpenMappedAt(f, 0, f.Size(), mopts)
 		if err != nil {
 			return nil, none, err

@@ -1,11 +1,7 @@
 package graphutil
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"slices"
 )
 
@@ -246,69 +242,4 @@ func (g *CSR) Validate() error {
 		}
 	}
 	return nil
-}
-
-const graphMagic = 0x4e534731 // "NSG1"
-
-// ReadCSR deserializes a graph in the NSG1 stream layout older builds
-// wrote inside their NSG records (magic, node count, then each node's
-// degree and neighbor ids, all little-endian uint32), rejecting any node
-// count other than wantNodes before allocating — callers that know the
-// expected size from surrounding context (an index header already bounded
-// against the file) must pass it so a corrupt count cannot turn into a
-// multi-gigabyte allocation. wantNodes < 0 accepts any plausible count.
-// The edge slab grows as ids are read, so what it allocates is bounded by
-// the bytes the stream holds, whatever degree a row claims.
-func ReadCSR(r io.Reader, wantNodes int) (*CSR, error) {
-	br := bufio.NewReader(r)
-	get := func() (uint32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
-	magic, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("graphutil: read magic: %w", err)
-	}
-	if magic != graphMagic {
-		return nil, fmt.Errorf("graphutil: bad magic %#x", magic)
-	}
-	n, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("graphutil: read count: %w", err)
-	}
-	if n > 1<<30 {
-		return nil, fmt.Errorf("graphutil: implausible node count %d", n)
-	}
-	if wantNodes >= 0 && n != uint32(wantNodes) {
-		return nil, fmt.Errorf("graphutil: graph has %d nodes, want %d", n, wantNodes)
-	}
-	off := make([]int32, n+1)
-	var edges []int32
-	for i := range int(n) {
-		deg, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("graphutil: read degree of node %d: %w", i, err)
-		}
-		if deg > n {
-			return nil, fmt.Errorf("graphutil: node %d degree %d exceeds node count", i, deg)
-		}
-		if uint64(len(edges))+uint64(deg) > math.MaxInt32 {
-			return nil, fmt.Errorf("graphutil: node %d takes the edge count past int32", i)
-		}
-		for range deg {
-			v, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("graphutil: read edge: %w", err)
-			}
-			if v >= n {
-				return nil, fmt.Errorf("graphutil: edge target %d out of range", v)
-			}
-			edges = append(edges, int32(v))
-		}
-		off[i+1] = int32(len(edges))
-	}
-	return FromOffsets(off, edges)
 }

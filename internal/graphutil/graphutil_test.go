@@ -1,12 +1,7 @@
 package graphutil
 
 import (
-	"bufio"
-	"bytes"
-	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -179,81 +174,6 @@ func TestExactNearest(t *testing.T) {
 	nn := ExactNearest(base)
 	if nn[0] != 1 || nn[1] != 0 || nn[2] != 1 {
 		t.Errorf("ExactNearest = %v, want [1 0 1]", nn)
-	}
-}
-
-// The NSG1 graphs under testdata were written by CSR.WriteTo at commit
-// f33b21c, the last tree with a stream writer: four.nsg1 is the graph
-// TestGraphSerializationRoundTrip describes, and random.nsg1 holds
-// randomGraph(1) to randomGraph(5) back to back.
-func readGraphFixture(t *testing.T, name string) []byte {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// randomGraph is a 256-node graph of up to 400 random edges, a function of
-// seed alone.
-func randomGraph(seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := New(256)
-	for range rng.Intn(400) {
-		g.AddEdge(int32(rng.Intn(256)), int32(rng.Intn(256)))
-	}
-	return g
-}
-
-func TestGraphSerializationRoundTrip(t *testing.T) {
-	c, err := ReadCSR(bytes.NewReader(readGraphFixture(t, "four.nsg1")), -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := c.ToGraph()
-	if got.N() != 4 || got.Edges() != 3 || !got.HasEdge(0, 1) || !got.HasEdge(0, 3) || !got.HasEdge(2, 0) {
-		t.Errorf("read mismatch: %+v", got.Adj)
-	}
-	if _, err := ReadCSR(bytes.NewReader(readGraphFixture(t, "four.nsg1")), 5); err == nil {
-		t.Error("a 4-node graph was read where 5 nodes were expected")
-	}
-}
-
-// TestGraphSerializationProperty: each graph of a stream reads back as
-// the graph that was written, and the reader consumes exactly its own
-// bytes, so the next graph starts where it stops.
-func TestGraphSerializationProperty(t *testing.T) {
-	br := bufio.NewReader(bytes.NewReader(readGraphFixture(t, "random.nsg1")))
-	for seed := int64(1); seed <= 5; seed++ {
-		g := randomGraph(seed)
-		c, err := ReadCSR(br, g.N())
-		if err != nil {
-			t.Fatalf("graph %d: %v", seed, err)
-		}
-		if c.Edges() != g.Edges() || !slices.EqualFunc(c.ToGraph().Adj, g.Adj, func(a, b []int32) bool { return slices.Equal(a, b) }) {
-			t.Fatalf("graph %d read back differently", seed)
-		}
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		t.Fatalf("bytes left after the last graph: %v", err)
-	}
-}
-
-func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadCSR(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8}), -1); err == nil {
-		t.Error("expected error on bad magic")
-	}
-	// Valid magic, edge target out of range.
-	b := readGraphFixture(t, "four.nsg1")
-	b[len(b)-8] = 99 // node 2's only edge target (node 3's degree follows)
-	if _, err := ReadCSR(bytes.NewReader(b), -1); err == nil {
-		t.Error("expected error on out-of-range edge target")
-	}
-	// Cut inside the last row.
-	b = readGraphFixture(t, "four.nsg1")
-	if _, err := ReadCSR(bytes.NewReader(b[:len(b)-2]), -1); err == nil {
-		t.Error("expected error on a truncated graph")
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 
 // The metadata blob is one self-contained little-endian byte string,
 // embedded verbatim wherever an index format carries metadata (the NSMS
-// container's metadata section, and in older builds' files the NSGQ
-// stream's meta section, the NSGM mapped layout's sixth section and the
-// NSGD sharded bundle's trailer):
+// container's metadata section, and in older builds' one-index files the
+// NSGM record's sixth section):
 //
 //	u32 magic "NSMD"   u32 version=1   u32 rows   u32 ncols
 //	per column:

@@ -43,7 +43,7 @@ const MaxDim = (1<<31 - 1) / ((255 + queryPad) * (255 + queryPad))
 
 // Quantizer holds a trained SQ8 grid: per-dimension bounds and the shared
 // step derived from the widest dimension. The zero value is not usable;
-// obtain one from Train or ReadQuantizer.
+// obtain one from Train or FromBounds.
 type Quantizer struct {
 	Min []float32 // per-dimension lower bound (grid offset)
 	Max []float32 // per-dimension upper bound (training only; step derives from the widest span)

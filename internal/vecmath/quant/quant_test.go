@@ -2,11 +2,8 @@ package quant
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/cpu"
@@ -222,86 +219,5 @@ func TestDegenerateTraining(t *testing.T) {
 	levels := q.PrepareInto(nil, m.Row(0))
 	if d := q.L2(levels, c, 0); d != 0 {
 		t.Fatalf("self distance %g != 0 on constant data", d)
-	}
-}
-
-// persistFixture returns testdata/sq8_37x20.rec, the quantizer record then
-// the codes record of randMatrix(37, 20, 9), as WriteQuantizer and
-// WriteCodes wrote them at commit f33b21c, the last tree with a stream
-// writer.
-func persistFixture(t *testing.T) []byte {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", "sq8_37x20.rec"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestPersistRoundTrip: the stored quantizer and codes read back
-// byte-identically to a fresh training on the same rows, including the
-// re-derived scale, and the readers consume exactly their records.
-func TestPersistRoundTrip(t *testing.T) {
-	m := randMatrix(37, 20, 9)
-	q := Train(m)
-	c := q.Encode(m)
-	buf := bytes.NewReader(persistFixture(t))
-	q2, err := ReadQuantizer(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ReadCodesShape(buf, c.Rows, c.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := range q.Min {
-		if q.Min[d] != q2.Min[d] || q.Max[d] != q2.Max[d] {
-			t.Fatalf("dim %d: bounds changed across persist", d)
-		}
-	}
-	if q.Scale() != q2.Scale() || q.DistMul() != q2.DistMul() {
-		t.Fatalf("scale changed across persist: %g vs %g", q.Scale(), q2.Scale())
-	}
-	if !bytes.Equal(c.Codes, c2.Codes) || c.Rows != c2.Rows || c.Dim != c2.Dim {
-		t.Fatal("codes changed across persist")
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("%d unread bytes after round trip", buf.Len())
-	}
-}
-
-// TestPersistRejectsGarbage: wrong magics must error, not misparse.
-func TestPersistRejectsGarbage(t *testing.T) {
-	if _, err := ReadQuantizer(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("ReadQuantizer accepted zero bytes")
-	}
-	if _, err := ReadCodesShape(bytes.NewReader(make([]byte, 64)), -1, -1); err == nil {
-		t.Fatal("ReadCodesShape accepted zero bytes")
-	}
-}
-
-// TestPersist4RejectsGarbage: the records the removed int4 grid was
-// persisted as — "SQ4Q" bounds and "SQ4C" packed codes, laid out like their
-// SQ8 twins under their own magics — must be refused by the SQ8 readers,
-// not misread as SQ8, whatever shape the caller expects.
-func TestPersist4RejectsGarbage(t *testing.T) {
-	const rows, dim = 6, 8
-	// The SQ8 quantizer record under the int4 magic.
-	qrec := persistFixture(t)[:8+2*4*20]
-	binary.LittleEndian.PutUint32(qrec[0:], 0x53513451) // "SQ4Q"
-	if _, err := ReadQuantizer(bytes.NewReader(qrec)); err == nil {
-		t.Fatal("SQ8 reader accepted an int4 quantizer record")
-	}
-	var hdr [12]byte
-	var crec bytes.Buffer
-	binary.LittleEndian.PutUint32(hdr[0:], 0x53513443) // "SQ4C"
-	binary.LittleEndian.PutUint32(hdr[4:], rows)
-	binary.LittleEndian.PutUint32(hdr[8:], dim)
-	crec.Write(hdr[:])
-	crec.Write(make([]byte, rows*Stride4(dim)))
-	for _, want := range [][2]int{{-1, -1}, {rows, dim}} {
-		if _, err := ReadCodesShape(bytes.NewReader(crec.Bytes()), want[0], want[1]); err == nil {
-			t.Fatalf("SQ8 reader accepted an int4 codes record (want shape %v)", want)
-		}
 	}
 }

@@ -227,7 +227,7 @@ func TestLiveIndexSaveLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "live.nsgb")
+	path := filepath.Join(t.TempDir(), "live.nsg")
 	if err := idx.Save(path); err != nil { // Save flushes internally
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestLiveShardedConcurrentAddSearch(t *testing.T) {
 
 	// Save/Load after flush keeps every point (the id maps grown during
 	// drains must persist).
-	path := filepath.Join(t.TempDir(), "live.nsgd")
+	path := filepath.Join(t.TempDir(), "live.nsg")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}

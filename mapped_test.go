@@ -8,10 +8,8 @@ package nsg
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -101,12 +99,9 @@ func TestMappedParityPublic(t *testing.T) {
 	}
 	t.Run("int4", func(t *testing.T) {
 		// int4 files were top-level NSGM records. The flags word is header
-		// bytes 8..11; the header checksum over the first 188 bytes is
-		// recomputed so the flags check itself is reached.
+		// bytes 8..11, and the header checksum covers the first 188 bytes.
 		path := filepath.Join(t.TempDir(), "idx.nsgm")
-		blob := mutateWord(t, legacyPath("one_sq8.nsgm"), 8, swapSQ8ForInt4(t))
-		binary.LittleEndian.PutUint32(blob[188:], crc32.ChecksumIEEE(blob[:188]))
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
+		if err := os.WriteFile(path, mutateWord(t, legacyPath("one_sq8.nsgm"), 8, 188, swapSQ8ForInt4(t)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Run("mmap", func(t *testing.T) {
@@ -196,11 +191,11 @@ func TestMappedReadOnlyContract(t *testing.T) {
 	}
 	// With a Delete pending, Save refuses and the atomic writer leaves no
 	// file behind.
-	streamPath := filepath.Join(t.TempDir(), "stream.nsg")
-	if err := mapped.Save(streamPath); !errors.Is(err, ErrUncompactedDeletes) {
+	resaved := filepath.Join(t.TempDir(), "resaved.nsg")
+	if err := mapped.Save(resaved); !errors.Is(err, ErrUncompactedDeletes) {
 		t.Fatalf("Save after Delete: got %v, want ErrUncompactedDeletes", err)
 	}
-	if _, err := os.Stat(streamPath); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(resaved); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed Save left a file behind: %v", err)
 	}
 
@@ -369,8 +364,8 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 					t.Fatalf("sharded EnableLiveUpdates: got %v, want ErrReadOnly", err)
 				}
 				// Save of the mapped index writes the heap index's bytes.
-				heapPath := filepath.Join(t.TempDir(), "heap.nsgd")
-				mappedPath := filepath.Join(t.TempDir(), "mapped.nsgd")
+				heapPath := filepath.Join(t.TempDir(), "heap.nsg")
+				mappedPath := filepath.Join(t.TempDir(), "mapped.nsg")
 				if err := heap.Save(heapPath); err != nil {
 					t.Fatal(err)
 				}
@@ -409,11 +404,8 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 		}
 		// The options word is bytes 16..19 of the meta blob at header offset
 		// 32. The checksum after the 64-byte header and the 40-byte shard
-		// entries covers it, so it is recomputed to reach the options check.
-		blob := mutateWord(t, path, 32+16, addInt4Option(t))
-		crcAt := 64 + heap.Shards()*40
-		binary.LittleEndian.PutUint32(blob[crcAt:], crc32.ChecksumIEEE(blob[:crcAt]))
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
+		// entries covers it.
+		if err := os.WriteFile(path, mutateWord(t, path, 32+16, 64+heap.Shards()*40, addInt4Option(t)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Run("mmap", func(t *testing.T) {
@@ -540,10 +532,11 @@ func TestSaveAtomicCrash(t *testing.T) {
 	}
 }
 
-// FuzzLoadSharded feeds arbitrary bytes to Load: the container parser
-// (through its promotion to the heap) and the stream bundle readers behind
-// it. It must either return an error or an index whose searches do not
-// panic and return distinct ids in range.
+// FuzzLoadSharded feeds arbitrary bytes to Load: the container parser,
+// the top-level NSGM record behind it and the promotion to the heap (a
+// stream file older builds wrote, like the committed corpus entry, is
+// refused at its first word). It must either return an error or an index
+// whose searches do not panic and return distinct ids in range.
 func FuzzLoadSharded(f *testing.F) {
 	ds, err := dataset.SIFTLike(dataset.Config{N: 300, Queries: 2, GTK: 5, Dim: 8, Seed: 3})
 	if err != nil {
@@ -570,8 +563,8 @@ func FuzzLoadSharded(f *testing.F) {
 	f.Add(seed[:40])
 	f.Add([]byte{})
 	// A one-shard file with a metadata store (its empty id map and the
-	// metadata section), and the legacy NSGB bundle and NSGD bundle of an
-	// older build.
+	// metadata section), and an older build's top-level NSGM record and
+	// version-1 container.
 	one, err := BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts.Shard)
 	if err != nil {
 		f.Fatal(err)
@@ -582,7 +575,7 @@ func FuzzLoadSharded(f *testing.F) {
 	if err := one.Save(seedPath); err != nil {
 		f.Fatal(err)
 	}
-	for _, p := range []string{seedPath, legacyPath("one_sq8.nsgb"), legacyPath("three.nsgd")} {
+	for _, p := range []string{seedPath, legacyPath("one_sq8.nsgm"), legacyPath("three.nsms")} {
 		b, err := os.ReadFile(p)
 		if err != nil {
 			f.Fatal(err)

@@ -313,11 +313,12 @@ func (x *Index) prepareSave() (distsearch.FileOptions, error) {
 // and default searches behave as on the original index, and its metadata
 // store. The file is opened as OpenMapped opens it, its checksums verified
 // (a damaged file fails with an error IsCorrupt recognises), and promoted
-// to the heap: the loaded index keeps no mapping and is mutable. The
-// stream bundles older builds wrote still load: a sharded "NSGD" bundle
-// keeps every option, and a one-NSG "NSGB" bundle only the degree cap and
-// quantization mode (GraphK, BuildL and SearchL take DefaultOptions'
-// values). The loaded index serves immediately.
+// to the heap: the loaded index keeps no mapping and is mutable. A
+// one-NSG "NSGM" file from before every index wrote containers still
+// loads, keeping only the degree cap and quantization mode (GraphK, BuildL
+// and SearchL take DefaultOptions' values); a stream file older builds
+// wrote ("NSGD", "NSGB") is refused with an error naming its layout. The
+// loaded index serves immediately.
 func Load(path string) (*Index, error) {
 	s, opts, err := distsearch.Load(path)
 	if err != nil {

@@ -2,11 +2,12 @@ package nsg
 
 // Public-API tests for the SQ8 quantized serving path:
 // the recall gates the acceptance criteria name, sharded/single parity,
-// persistence round trips (including the pre-quantization bundle versions),
+// persistence round trips (and the refusal of the retired int4 files),
 // and incremental maintenance on a quantized index.
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,9 +161,9 @@ func TestQuantizedShardedParity(t *testing.T) {
 	})
 }
 
-// TestQuantizedSaveLoadParity: a quantized bundle must reload (codes,
+// TestQuantizedSaveLoadParity: a quantized index must reload (codes,
 // scales, permutation and remap intact) and return byte-identical results,
-// with the Quantize option restored. A bundle from before int4 was removed
+// with the Quantize option restored. A file from before int4 was removed
 // carries the retired int4 marker in place of the SQ8 flag; it must be
 // refused, not misread.
 func TestQuantizedSaveLoadParity(t *testing.T) {
@@ -217,20 +218,17 @@ func TestQuantizedSaveLoadParity(t *testing.T) {
 		}
 	})
 	t.Run("int4", func(t *testing.T) {
-		// int4 bundles were NSGB files. The core record's flags word follows
-		// the 12-byte bundle header, the vectors, and the record's own
-		// magic, navigating node and M.
-		at := 12 + 4*legacyRows*legacyDim + 12
-		blob := mutateWord(t, legacyPath("one_sq8.nsgb"), at, swapSQ8ForInt4(t))
+		// int4 files were top-level NSGM records. The flags word is header
+		// bytes 8..11, and the header checksum covers the first 188 bytes.
 		old := filepath.Join(t.TempDir(), "int4.nsg")
-		if err := os.WriteFile(old, blob, 0o644); err != nil {
+		if err := os.WriteFile(old, mutateWord(t, legacyPath("one_sq8.nsgm"), 8, 188, swapSQ8ForInt4(t)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := Load(old); err == nil || !strings.Contains(err.Error(), "flags") {
+		if got, err := Load(old); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), "flags") {
 			if got != nil {
 				got.Close()
 			}
-			t.Fatalf("Load of an int4 bundle: got %v, want a record flags error", err)
+			t.Fatalf("Load of an int4 file: got %v, want a corrupt record flags error", err)
 		}
 	})
 }
@@ -269,21 +267,25 @@ func addInt4Option(t *testing.T) func(uint32) uint32 {
 }
 
 // mutateWord reads the file at path and returns its bytes with f applied to
-// the little-endian uint32 at offset at.
-func mutateWord(t *testing.T, path string, at int, f func(uint32) uint32) []byte {
+// the little-endian uint32 at offset at, and the header checksum at crcAt
+// recomputed over the bytes before it, so the check the word fails is the
+// one reached.
+func mutateWord(t *testing.T, path string, at, crcAt int, f func(uint32) uint32) []byte {
 	t.Helper()
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(blob[at:], f(binary.LittleEndian.Uint32(blob[at:])))
+	le := binary.LittleEndian
+	le.PutUint32(blob[at:], f(le.Uint32(blob[at:])))
+	le.PutUint32(blob[crcAt:], crc32.ChecksumIEEE(blob[:crcAt]))
 	return blob
 }
 
 // TestQuantizedShardedSaveLoad: the saved file round-trips the quantized
-// state and the Quantize option. A stream bundle from before int4 was
-// removed sets the reserved int4 option bit beside the quantize bit (v2
-// header flags word); it must be refused, not misread.
+// state and the Quantize option. A file that sets the reserved int4
+// option bit beside the quantize bit (the options flags word) must be
+// refused, not misread.
 func TestQuantizedShardedSaveLoad(t *testing.T) {
 	ds := shardedTestData(t, 1000, 20)
 	mode := QuantSQ8
@@ -327,13 +329,13 @@ func TestQuantizedShardedSaveLoad(t *testing.T) {
 		}
 	})
 	t.Run("int4", func(t *testing.T) {
-		// The SQ8 bundle's options word is header bytes 32..35.
-		blob := mutateWord(t, legacyPath("three.nsgd"), 32, addInt4Option(t))
-		old := filepath.Join(t.TempDir(), "int4.nsgd")
-		if err := os.WriteFile(old, blob, 0o644); err != nil {
+		// The three-shard container's options flags word is header bytes
+		// 48..51; its table checksum follows the three 40-byte entries.
+		old := filepath.Join(t.TempDir(), "int4.nsg")
+		if err := os.WriteFile(old, mutateWord(t, legacyPath("three.nsms"), 48, 64+3*40, addInt4Option(t)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := LoadSharded(old); err == nil || !strings.Contains(err.Error(), "option flags") {
+		if got, err := LoadSharded(old); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), "option flags") {
 			if got != nil {
 				got.Close()
 			}
@@ -373,46 +375,6 @@ func TestBuildRejectsUnknownQuantMode(t *testing.T) {
 				t.Errorf("%s with Quantize %d: got %v, want an unknown-mode error", name, int(mode), err)
 			}
 		}
-	}
-}
-
-// TestShardedBundleV1StillLoads is the version gate for the stream
-// bundle: a version-1 file (the pre-quantization layout, no flags word)
-// must load with quantization off. The v1 bytes are synthesized from a
-// committed float32 version-2 bundle by rewriting its header into the
-// version-1 layout.
-func TestShardedBundleV1StillLoads(t *testing.T) {
-	v2 := streamPath("one_f32.nsgd")
-	idx, err := Load(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	blob, err := os.ReadFile(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v2 layout: 36-byte header (v1's 32 bytes + trailing flags word). Drop
-	// the flags word and stamp version 1 to reconstruct the old layout.
-	if got := binary.LittleEndian.Uint32(blob[4:]); got != 2 {
-		t.Fatalf("expected version 2 bundle, got %d", got)
-	}
-	v1blob := append(append([]byte{}, blob[:32]...), blob[36:]...)
-	binary.LittleEndian.PutUint32(v1blob[4:], 1)
-	v1 := filepath.Join(t.TempDir(), "v1.nsgd")
-	if err := os.WriteFile(v1, v1blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSharded(v1)
-	if err != nil {
-		t.Fatalf("v1 bundle failed to load: %v", err)
-	}
-	defer loaded.Close()
-	if loaded.Quantized() || loaded.opts.Quantize != QuantNone {
-		t.Fatal("v1 bundle loaded with quantization on")
-	}
-	if a, b := legacyAnswers(t, idx, false), legacyAnswers(t, loaded, false); a != b {
-		t.Fatalf("v1 reload answers %#016x, the v2 bundle %#016x", b, a)
 	}
 }
 

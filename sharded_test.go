@@ -77,7 +77,7 @@ func TestShardedSaveLoadParity(t *testing.T) {
 	ds := shardedTestData(t, 1200, 20)
 	idx := buildShardedIndex(t, ds, 3)
 	defer idx.Close()
-	path := filepath.Join(t.TempDir(), "sharded.nsgd")
+	path := filepath.Join(t.TempDir(), "sharded.nsg")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +104,10 @@ func TestShardedSaveLoadParity(t *testing.T) {
 			}
 		}
 	}
-	// Load and LoadSharded are one reader: Load serves the sharded bundle.
+	// Load and LoadSharded are one reader: Load serves the sharded file.
 	again, err := Load(path)
 	if err != nil {
-		t.Fatalf("Load of a sharded bundle: %v", err)
+		t.Fatalf("Load of a sharded file: %v", err)
 	}
 	defer again.Close()
 	if again.Shards() != idx.Shards() || again.Len() != idx.Len() {
@@ -131,7 +131,7 @@ func TestShardedSaveLoadKeepsOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	path := filepath.Join(t.TempDir(), "opts.nsgd")
+	path := filepath.Join(t.TempDir(), "opts.nsg")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +149,9 @@ func TestShardedSaveLoadKeepsOptions(t *testing.T) {
 // TestLoadShardedRejectsBadPartition: a file whose shard id maps do not
 // partition the rows must be refused, not served. Here shard 0's id map
 // names its first global id twice, so one row would answer for two ids and
-// another would never be returned: in a saved container (checksums fixed
-// up, so the partition check is what refuses it, as corrupt) and in an
-// older build's stream bundle. A missing file is an error too.
+// another would never be returned. The checksums are fixed up, so the
+// partition check is what refuses it, as corrupt. A missing file is an
+// error too.
 func TestLoadShardedRejectsBadPartition(t *testing.T) {
 	ds := shardedTestData(t, 400, 1)
 	idx := buildShardedIndex(t, ds, 2)
@@ -182,23 +182,6 @@ func TestLoadShardedRejectsBadPartition(t *testing.T) {
 			got.Close()
 		}
 		t.Fatalf("LoadSharded of id maps that repeat a global id: got %v, want a corruption error naming the repeat", err)
-	}
-	// The three-shard bundle: its header (36 bytes), the vectors, the
-	// shard section's header (12 bytes) and shard 0's size word (4 bytes),
-	// then shard 0's id map.
-	if blob, err = os.ReadFile(legacyPath("three.nsgd")); err != nil {
-		t.Fatal(err)
-	}
-	at := 36 + legacyRows*legacyDim*4 + 12 + 4
-	copy(blob[at+4:at+8], blob[at:at+4])
-	if err := os.WriteFile(bad, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := LoadSharded(bad); err == nil || !strings.Contains(err.Error(), "repeated") {
-		if got != nil {
-			got.Close()
-		}
-		t.Fatalf("LoadSharded of a bundle whose id maps repeat a global id: got %v", err)
 	}
 	if _, err := LoadSharded(filepath.Join(t.TempDir(), "missing.nsg")); err == nil {
 		t.Fatal("LoadSharded of a missing file succeeded")

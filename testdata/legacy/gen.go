@@ -1,15 +1,17 @@
 //go:build ignore
 
-// Command gen writes the fixtures in this directory, in layouts no writer
-// produces any more: one_{f32,sq8}.nsgb and .nsgm, an Index's Save (NSGB)
-// and SaveMapped (top-level NSGM) with a metadata store; three.nsgd and
-// three.nsms, a 3-shard SQ8 ShardedIndex's Save and SaveMapped (a version-1
-// container); and queries.fvecs. Run it from the repository root of commit
-// f02bd49, the last tree whose Index wrote NSGB and NSGM files:
+// Command gen wrote the fixtures in this directory, in layouts no writer
+// produces any more: one_{f32,sq8}.nsgm, an Index's SaveMapped (a
+// top-level NSGM record) with a metadata store; three.nsms, a 3-shard SQ8
+// ShardedIndex's SaveMapped (a version-1 container); and queries.fvecs.
+// Run it from the repository root of commit f02bd49, the last tree whose
+// Index wrote NSGM files:
 //
 //	go run testdata/legacy/gen.go
 //
-// It prints the digest of each writing index's answers, which
+// There it also writes each index's Save, the NSGB and NSGD stream files,
+// which no build after commit ad169cf reads and this directory no longer
+// keeps. It prints the digest of each writing index's answers, which
 // legacyFixtures in compat_test.go records (see legacyAnswers there).
 package main
 
