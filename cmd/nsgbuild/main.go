@@ -6,7 +6,7 @@
 //	nsgbuild -base data/sift10k_base.fvecs -out sift10k.nsg -k 40 -l 50 -m 30
 //
 // The output is an Index.Save file, the one format every index writes:
-// nsgsearch -index and nsgserve -index (with or without -mmap) read it.
+// nsgsearch -index and nsgserve -index read it.
 package main
 
 import (

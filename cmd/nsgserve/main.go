@@ -17,12 +17,14 @@
 //
 // -index takes a file written by any index's Save (nsgbuild -out, -save,
 // nsg.Index.Save), whatever its shard count, and loads it onto the heap;
-// a stream file older builds wrote is refused. With -mmap the same file
-// is served in place through a memory mapping: startup is O(file open) — pages
-// fault in as queries touch them — and the server is read-only: /insert
-// returns 403, searches are byte-identical to heap serving, and /stats
-// reports RSS and page-fault counters so the paging behavior is observable.
-// -mmap-noverify skips the open-time checksum pass on trusted storage.
+// a file in a layout older builds wrote is refused. With -mmap the same
+// file is served in place through a memory mapping: startup is O(file
+// open) — pages fault in as queries touch them — searches are
+// byte-identical to heap serving, and /stats reports RSS and page-fault
+// counters so the paging behavior is observable. Either way the server
+// accepts /insert; a mapped shard copies what it grows out of the mapping
+// on its first insert. -mmap-noverify skips the open-time checksum pass
+// on trusted storage.
 //
 // Endpoints:
 //
@@ -56,6 +58,8 @@
 // streams are closed, pending live inserts are
 // flushed into the shard graphs, and — when -save or -index names a file —
 // the index is re-saved there so acknowledged inserts survive the restart.
+// Saving over the -index file is safe under -mmap: the save writes a temp
+// file and renames it over the path, which leaves the mapped file intact.
 //
 // The server runs the index in live-update mode (no lock anywhere on the
 // request path): searches read the per-shard published snapshots, inserts
@@ -116,7 +120,7 @@ func run(args []string, stdout io.Writer) error {
 	indexPath := fs.String("index", "", "saved index (any Save file) to load onto the heap, or with -mmap to serve in place")
 	dataPath := fs.String("data", "", "base vectors (.fvecs) to build from")
 	savePath := fs.String("save", "", "write the built index here before serving")
-	mmapIndex := fs.Bool("mmap", false, "serve -index in place through a memory mapping (read-only; any Save file)")
+	mmapIndex := fs.Bool("mmap", false, "serve -index in place through a memory mapping (writes copy out of it)")
 	mmapNoVerify := fs.Bool("mmap-noverify", false, "with -mmap, skip the open-time checksum pass (trusted storage only)")
 	shards := fs.Int("shards", 4, "number of shards when building")
 	graphK := fs.Int("graphk", 20, "kNN graph neighbors per shard (paper's k)")
@@ -158,12 +162,9 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// The maintainers' cadence. A mapped index is read-only — no delta
-	// buffer, no maintainer; snapshot reads only.
-	if !idx.ReadOnly() {
-		if err := idx.EnableLiveUpdates(nsg.LiveOptions{MaxPending: *maxPending, PublishInterval: *publishEvery}); err != nil {
-			return err
-		}
+	// The maintainers' cadence.
+	if err := idx.EnableLiveUpdates(nsg.LiveOptions{MaxPending: *maxPending, PublishInterval: *publishEvery}); err != nil {
+		return err
 	}
 	srv := newServer(idx, *defaultK, *searchL, *maxL)
 	srv.readyMaxPending = *readyMaxPending
@@ -622,10 +623,6 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "vector dim %d != index dim %d", len(req.Vector), s.idx.Dim())
 		return
 	}
-	if s.idx.ReadOnly() {
-		httpError(w, http.StatusForbidden, "index is mapped read-only; restart without -mmap to accept inserts")
-		return
-	}
 	// Non-blocking: Add appends to the routed shard's delta buffer; the
 	// point is searchable when the response is written, and the graph work
 	// happens on the maintainer goroutine, never stalling /search.
@@ -646,7 +643,6 @@ type statsResponse struct {
 	// Quantization names the serving representation: "float32" or "sq8"
 	// (the compressed mode reranks with exact float32 distances).
 	Quantization string `json:"quantization"`
-	ReadOnly     bool   `json:"read_only"`
 	// MetaCols lists the metadata columns available to "filter" clauses
 	// (absent when the bundle carries no metadata store).
 	MetaCols        []string `json:"meta_cols,omitempty"`
@@ -691,17 +687,14 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	q := s.queries.Load()
 	resp := statsResponse{
 		N: s.idx.Len(), Dim: s.idx.Dim(), Shards: st.Shards, Quantization: s.idx.QuantMode().String(),
-		ReadOnly:   s.idx.ReadOnly(),
 		ShardSizes: st.ShardSizes,
 		MetaCols:   metaCols(s.idx.Metadata()),
 		IndexBytes: st.IndexBytes, Queries: q, Inserts: s.inserts.Load(),
 		RSSBytes: ps.RSSBytes, MinorFaults: ps.MinorFaults, MajorFaults: ps.MajorFaults,
-		DeltaDepth: ms.Pending,
-		Publishes:  ms.Publishes,
-		Drained:    ms.Drained,
-	}
-	if !resp.ReadOnly { // zero on a read-only index: nothing is ever published
-		resp.LastPublishAgeMs = float64(time.Since(ms.LastPublish).Microseconds()) / 1000
+		DeltaDepth:       ms.Pending,
+		Publishes:        ms.Publishes,
+		Drained:          ms.Drained,
+		LastPublishAgeMs: float64(time.Since(ms.LastPublish).Microseconds()) / 1000,
 	}
 	if q > 0 {
 		resp.MeanSearchMicro = float64(s.searchMicros.Load()) / float64(q)

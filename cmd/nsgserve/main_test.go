@@ -288,15 +288,19 @@ func TestOpenIndexModes(t *testing.T) {
 	if _, err := openIndex(openConfig{dataPath: fvecs, mmap: true, opts: opts}, &out); err == nil {
 		t.Error("expected error for -mmap without -index")
 	}
-	// An older build's stream bundle is refused, loaded or mapped, as a
-	// format error that names its layout.
-	old := filepath.Join(dir, "old.nsg")
-	if err := os.WriteFile(old, append([]byte("DGSN"), make([]byte, 60)...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, mmap := range []bool{false, true} {
-		if _, err := openIndex(openConfig{indexPath: old, mmap: mmap, opts: opts}, &out); !nsg.IsCorrupt(err) || !strings.Contains(err.Error(), "NSGD") {
-			t.Errorf("-mmap=%v of an NSGD bundle: got %v, want a format error naming NSGD", mmap, err)
+	// The layouts older builds wrote, a stream bundle and a one-index
+	// record, are refused, loaded or mapped, as format errors that name
+	// their layout.
+	for _, magic := range []string{"NSGD", "NSGM"} {
+		old := filepath.Join(dir, magic+".nsg")
+		word := []byte{magic[3], magic[2], magic[1], magic[0]}
+		if err := os.WriteFile(old, append(word, make([]byte, 60)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mmap := range []bool{false, true} {
+			if _, err := openIndex(openConfig{indexPath: old, mmap: mmap, opts: opts}, &out); !nsg.IsCorrupt(err) || !strings.Contains(err.Error(), magic) {
+				t.Errorf("-mmap=%v of an %s file: got %v, want a format error naming %s", mmap, magic, err, magic)
+			}
 		}
 	}
 }
@@ -679,12 +683,21 @@ func TestReadyzTracksBacklogAndDraining(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownSavesInserts runs the real serve loop, inserts a
-// point, cancels the context (the SIGTERM path), and checks the drained
-// bundle on disk contains the acknowledged insert.
+// TestGracefulShutdownSavesInserts runs the real serve loop over an -index
+// file mapped with -mmap, inserts a point, cancels the context (the SIGTERM
+// path), and checks the bundle saved over the file it had mapped holds the
+// acknowledged insert: a server restarted on the same file finds the row.
 func TestGracefulShutdownSavesInserts(t *testing.T) {
-	idx := testIndex(t)
 	path := filepath.Join(t.TempDir(), "idx.nsg")
+	if err := testIndex(t).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	idx, err := openIndex(openConfig{indexPath: path, mmap: true}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(idx.Close)
 	srv := newServer(idx, 10, 60, 4096)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -693,7 +706,6 @@ func TestGracefulShutdownSavesInserts(t *testing.T) {
 	hs := &http.Server{Handler: srv.mux()}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var out bytes.Buffer
 	done := make(chan error, 1)
 	go func() { done <- serve(ctx, hs, ln, srv, 5*time.Second, path, &out) }()
 
@@ -713,8 +725,14 @@ func TestGracefulShutdownSavesInserts(t *testing.T) {
 
 	n0 := idx.Len()
 	vec := append([]float32(nil), idx.Vector(0)...)
-	if resp, body := postJSON(t, url+"/insert", insertRequest{Vector: vec}); resp.StatusCode != http.StatusOK {
+	vec[0] += 0.5
+	resp, body := postJSON(t, url+"/insert", insertRequest{Vector: vec})
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert status %d: %s", resp.StatusCode, body)
+	}
+	var ir insertResponse
+	if err := json.Unmarshal(body, &ir); err != nil {
+		t.Fatal(err)
 	}
 
 	cancel()
@@ -729,28 +747,33 @@ func TestGracefulShutdownSavesInserts(t *testing.T) {
 	if !srv.draining.Load() {
 		t.Fatal("draining flag never set")
 	}
-	if s := out.String(); !strings.Contains(s, "saved 1 live inserts") {
+	if s := out.String(); !strings.Contains(s, "saved 1 live inserts to "+path) {
 		t.Fatalf("shutdown log missing save line:\n%s", s)
 	}
 
-	loaded, err := nsg.LoadSharded(path)
+	restarted, err := openIndex(openConfig{indexPath: path}, &out)
 	if err != nil {
 		t.Fatalf("re-saved bundle unreadable: %v", err)
 	}
-	defer loaded.Close()
-	if loaded.Len() != n0+1 {
-		t.Fatalf("re-saved bundle has %d vectors, want %d (insert lost)", loaded.Len(), n0+1)
+	t.Cleanup(restarted.Close)
+	ids, dists := restarted.SearchWithPool(vec, 1, 60)
+	if restarted.Len() != n0+1 || len(ids) != 1 || ids[0] != ir.ID || dists[0] != 0 {
+		t.Fatalf("restarted on %d vectors (want %d), the inserted row %d answers %v %v", restarted.Len(), n0+1, ir.ID, ids, dists)
 	}
 }
 
 // TestMappedServing: a server over a -mmap container must answer searches
-// identically to heap serving, reject /insert with 403, report read_only
-// and the process paging counters in /stats, and stay ready (no maintainer,
-// no backlog).
+// identically to heap serving, accept /insert without changing the file,
+// report the process paging counters and the publish age in /stats, and
+// stay ready.
 func TestMappedServing(t *testing.T) {
 	idx := testIndex(t)
 	path := filepath.Join(t.TempDir(), "idx.nsms")
 	if err := idx.SaveMapped(path); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
@@ -788,14 +811,18 @@ func TestMappedServing(t *testing.T) {
 		}
 	}
 
-	// Inserts are refused: the index is a read-only mapping.
-	vec := make([]float32, mapped.Dim())
+	// Inserts are accepted, and the file is untouched.
+	vec := append([]float32(nil), idx.Vector(0)...)
+	vec[0] += 0.5
 	resp, body := postJSON(t, ts.URL+"/insert", insertRequest{Vector: vec})
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("insert on mapped index: status %d (%s), want 403", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert on mapped index: status %d (%s), want 200", resp.StatusCode, body)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, file) {
+		t.Fatalf("an insert changed the mapped file (%v)", err)
 	}
 
-	// Stats surface the read-only flag and the paging counters.
+	// Stats surface the paging counters and the publish age.
 	hresp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -805,20 +832,16 @@ func TestMappedServing(t *testing.T) {
 	if err := json.NewDecoder(hresp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if !st.ReadOnly {
-		t.Fatal("/stats read_only = false on a mapped index")
-	}
-	if st.N != idx.Len() || st.Shards != idx.Shards() {
-		t.Fatalf("/stats shape %d/%d, want %d/%d", st.N, st.Shards, idx.Len(), idx.Shards())
+	if st.N != idx.Len()+1 || st.Shards != idx.Shards() || st.Inserts != 1 {
+		t.Fatalf("/stats shape %d/%d, %d inserts; want %d/%d, 1", st.N, st.Shards, st.Inserts, idx.Len()+1, idx.Shards())
 	}
 	if st.RSSBytes == 0 { // Linux CI: /proc is always there
 		t.Fatal("/stats rss_bytes = 0")
 	}
-	if st.LastPublishAgeMs != 0 {
-		t.Fatalf("/stats last_publish_age_ms = %v on a read-only index, want 0", st.LastPublishAgeMs)
+	if st.LastPublishAgeMs <= 0 {
+		t.Fatalf("/stats last_publish_age_ms = %v, want the age of the last publish", st.LastPublishAgeMs)
 	}
 
-	// No maintainer and no backlog: the replica is ready.
 	rresp, err := http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)

@@ -1,22 +1,22 @@
 package nsg
 
 // File-format compatibility: every index writes the NSMS container, byte
-// for byte as pinned below, and the mapped files older builds wrote (the
-// top-level NSGM record, the version-1 containers) still load and open.
+// for byte as pinned below; the version-1 containers older builds wrote
+// still load and open, and their top-level NSGM records are refused with
+// an error that names the layout.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -31,37 +31,43 @@ func legacyPath(name string) string { return filepath.Join("testdata", "legacy",
 // The fixtures' shape: 240 rows of 16 dimensions.
 const legacyRows, legacyDim = 240, 16
 
-// legacyFixtures lists each fixture with the options a reader must
-// restore and the digest of the writing index's answers (see
-// legacyAnswers). A one-index file kept only its degree cap and
-// quantization mode; the sharded files keep every persisted option.
+// legacyFixtures lists each fixture. One that opens comes with the options
+// a reader must restore and the digest of the writing index's answers (see
+// legacyAnswers); a refused one, a one-index file, is a rejection row.
 var legacyFixtures = []struct {
 	name, file string
+	refused    bool
 	shards     int
 	opts       Options
-	filtered   bool // the file carries the metadata store
 	answers    uint64
 }{
-	{"float32", "one_f32.nsgm", 1, Options{GraphK: 20, BuildL: 50, MaxDegree: 12, SearchL: 60}, true, 0x613aa49e93d9ed53},
-	{"sq8", "one_sq8.nsgm", 1, Options{GraphK: 20, BuildL: 50, MaxDegree: 12, SearchL: 60, Quantize: QuantSQ8}, true, 0x613aa49e93d9ed53},
-	{"sharded", "three.nsms", 3, Options{GraphK: 10, BuildL: 30, MaxDegree: 12, SearchL: 40, Quantize: QuantSQ8}, false, 0xa58afc9200459117},
+	{name: "float32", file: "one_f32.nsgm", refused: true},
+	{name: "sq8", file: "one_sq8.nsgm", refused: true},
+	{"sharded", "three.nsms", false, 3, Options{GraphK: 10, BuildL: 30, MaxDegree: 12, SearchL: 40, Quantize: QuantSQ8}, 0xa58afc9200459117},
+}
+
+// requireOneIndexRefused fails t unless err is the FormatError that
+// refuses a top-level NSGM record, naming the layout and the last commit
+// that reads it.
+func requireOneIndexRefused(t *testing.T, what string, x *Index, err error) {
+	t.Helper()
+	if x != nil {
+		x.Close()
+	}
+	if !IsCorrupt(err) || !strings.Contains(err.Error(), "NSGM is a one-index layout") || !strings.Contains(err.Error(), "179f053") {
+		t.Fatalf("%s: got %v, want the FormatError that refuses a one-index NSGM file", what, err)
+	}
 }
 
 // legacyAnswers digests x's answers to the fixture queries at k = 10,
-// l = 40, plain and (when filtered) under Eq("category", "c3"): FNV-64a
-// over each answer's length, then every id and distance bit pattern,
-// little-endian, as gen.go prints it.
-func legacyAnswers(t *testing.T, x *Index, filtered bool) uint64 {
+// l = 40: FNV-64a over each answer's length, then every id and distance
+// bit pattern, little-endian, as gen.go prints it for an index without
+// metadata.
+func legacyAnswers(t *testing.T, x *Index) uint64 {
 	t.Helper()
 	qs, err := dataset.LoadFvecsFile(legacyPath("queries.fvecs"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	var f *Filter
-	if filtered {
-		if f, err = x.CompileFilter(Eq("category", "c3")); err != nil {
-			t.Fatal(err)
-		}
 	}
 	h := fnv.New64a()
 	put := func(ids []int32, dists []float32) {
@@ -74,69 +80,63 @@ func legacyAnswers(t *testing.T, x *Index, filtered bool) uint64 {
 	}
 	for i := 0; i < qs.Rows; i++ {
 		put(x.SearchWithPool(qs.Row(i), 10, 40))
-		if f != nil {
-			put(x.SearchFilteredWithPool(qs.Row(i), 10, 40, f))
-		}
 	}
 	return h.Sum64()
 }
 
-// TestLegacyFilesStillOpen: every fixture loads and opens with its shard
-// count, the options it kept, its metadata store and the answers of the
-// index that wrote it, plain and filtered, distance bits included; an
-// opened one answers alike once promoted to the heap. Today's file of the
-// same index costs at most 256 bytes more than the one-index mapped
-// layout.
+// TestLegacyFilesStillOpen: every fixture this build reads loads and
+// opens with its shard count, the options it kept and the answers of the
+// index that wrote it, distance bits included, and takes an Add without
+// changing the fixture's bytes. The one-index fixtures are
+// rejection rows: Load and OpenMapped refuse them with an error that names
+// the layout.
 func TestLegacyFilesStillOpen(t *testing.T) {
 	for _, fx := range legacyFixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			loaded, err := Load(legacyPath(fx.file))
-			if err != nil {
-				t.Fatalf("Load %s: %v", fx.file, err)
-			}
-			defer loaded.Close()
-			opened, err := OpenMapped(legacyPath(fx.file), MapOptions{})
-			if err != nil {
-				t.Fatalf("OpenMapped %s: %v", fx.file, err)
-			}
-			defer opened.Close()
-			for name, x := range map[string]*Index{"Load": loaded, "OpenMapped": opened} {
-				if x.Shards() != fx.shards || x.opts != fx.opts || x.Len() != legacyRows || x.Dim() != legacyDim {
-					t.Fatalf("%s: %d shards, %dx%d, options %+v; want %d, %dx%d, %+v",
-						name, x.Shards(), x.Len(), x.Dim(), x.opts, fx.shards, legacyRows, legacyDim, fx.opts)
-				}
-				if m := x.Metadata(); (m != nil) != fx.filtered || (m != nil && m.Rows() != legacyRows) {
-					t.Fatalf("%s: metadata store %v, want one of %d rows: %v", name, m, legacyRows, fx.filtered)
-				}
-				if got := legacyAnswers(t, x, fx.filtered); got != fx.answers {
-					t.Fatalf("%s: answers digest %#016x, want %#016x", name, got, fx.answers)
-				}
-			}
-			if err := opened.PromoteToHeap(); err != nil {
-				t.Fatal(err)
-			}
-			if got := legacyAnswers(t, opened, fx.filtered); got != fx.answers {
-				t.Fatalf("%s promoted: answers digest %#016x, want %#016x", fx.file, got, fx.answers)
-			}
-			if fx.shards != 1 {
+			if fx.refused {
+				x, err := Load(legacyPath(fx.file))
+				requireOneIndexRefused(t, "Load", x, err)
+				x, err = OpenMapped(legacyPath(fx.file), MapOptions{NoVerify: true})
+				requireOneIndexRefused(t, "OpenMapped", x, err)
 				return
 			}
-			path := filepath.Join(t.TempDir(), "now")
-			if err := loaded.Save(path); err != nil {
+			file, err := os.ReadFile(legacyPath(fx.file))
+			if err != nil {
 				t.Fatal(err)
 			}
-			now, old := fileSize(t, path), fileSize(t, legacyPath(fx.file))
-			if now > old+256 {
-				t.Errorf("%s: one-shard file of %d bytes, %d more than its legacy layout's %d", fx.file, now, now-old, old)
+			for _, open := range reopeners {
+				x, err := open.open(legacyPath(fx.file))
+				if err != nil {
+					t.Fatalf("%s %s: %v", open.name, fx.file, err)
+				}
+				defer x.Close()
+				if x.Shards() != fx.shards || x.opts != fx.opts || x.Len() != legacyRows || x.Dim() != legacyDim || x.Metadata() != nil {
+					t.Fatalf("%s: %d shards, %dx%d, options %+v, metadata %v; want %d, %dx%d, %+v, none",
+						open.name, x.Shards(), x.Len(), x.Dim(), x.opts, x.Metadata(), fx.shards, legacyRows, legacyDim, fx.opts)
+				}
+				if got := legacyAnswers(t, x); got != fx.answers {
+					t.Fatalf("%s: answers digest %#016x, want %#016x", open.name, got, fx.answers)
+				}
+				vec := make([]float32, legacyDim)
+				id, err := x.Add(vec)
+				if err != nil {
+					t.Fatalf("%s: Add: %v", open.name, err)
+				}
+				if ids, dists := x.SearchWithPool(vec, 1, 40); len(ids) != 1 || ids[0] != id || dists[0] != 0 {
+					t.Fatalf("%s: the added row %d does not find itself: %v %v", open.name, id, ids, dists)
+				}
+			}
+			if now, err := os.ReadFile(legacyPath(fx.file)); err != nil || !bytes.Equal(now, file) {
+				t.Fatalf("an Add changed the fixture %s (%v)", fx.file, err)
 			}
 		})
 	}
 }
 
-// TestLegacyMetadataCorruption: a flipped byte inside the metadata store of
-// a one-index file fails its open as corrupt in the metadata section, with
-// and without the verification pass (the section checksum, then the
-// store's own).
+// TestLegacyMetadataCorruption: a one-index file is refused whole, with a
+// flipped byte inside its metadata store as intact: Load and OpenMapped,
+// with and without the verification pass, fail with the error that names
+// the layout, before any section is read.
 func TestLegacyMetadataCorruption(t *testing.T) {
 	b, err := os.ReadFile(legacyPath("one_f32.nsgm"))
 	if err != nil {
@@ -154,31 +154,20 @@ func TestLegacyMetadataCorruption(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	x, err := Load(path)
+	requireOneIndexRefused(t, "Load", x, err)
 	for _, opts := range []MapOptions{{}, {NoVerify: true}} {
 		x, err := OpenMapped(path, opts)
-		var fe *core.FormatError
-		if !errors.As(err, &fe) || fe.Section != core.SectionMeta {
-			if x != nil {
-				x.Close()
-			}
-			t.Fatalf("%+v: got %v, want a metadata-section corruption error", opts, err)
-		}
+		requireOneIndexRefused(t, fmt.Sprintf("OpenMapped %+v", opts), x, err)
 	}
 }
 
 // TestShardRecordWithMetadataIsRejected: a container keeps its metadata
 // store in its own section, and no writer ever put one in a shard record.
 // A one-shard NSMS whose record is the NSGM file's metadata-carrying one is
-// refused as corrupt, not served with the store dropped.
+// refused at that record's flags, not served with the store dropped.
 func TestShardRecordWithMetadataIsRejected(t *testing.T) {
-	x, err := Load(legacyPath("one_f32.nsgm"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	if err := x.SetMetadata(nil); err != nil { // its own section would move the record
-		t.Fatal(err)
-	}
+	x := buildMappedPublicIndex(t, shardedTestData(t, 300, 1), QuantNone)
 	mapped := filepath.Join(t.TempDir(), "idx.nsms")
 	if err := x.Save(mapped); err != nil {
 		t.Fatal(err)
@@ -204,11 +193,11 @@ func TestShardRecordWithMetadataIsRejected(t *testing.T) {
 	if err := os.WriteFile(mapped, now, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := OpenMapped(mapped, MapOptions{}); err == nil || !IsCorrupt(err) {
+	if got, err := OpenMapped(mapped, MapOptions{}); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), "flags") {
 		if got != nil {
 			got.Close()
 		}
-		t.Fatalf("OpenMapped of a container whose shard record carries metadata: got %v, want a corruption error", err)
+		t.Fatalf("OpenMapped of a container whose shard record carries metadata: got %v, want a corrupt record flags error", err)
 	}
 }
 
@@ -233,15 +222,6 @@ func assertSameAnswers(t *testing.T, ds dataset.Dataset, name string, want, got 
 			t.Fatalf("%s: filtered query %d answers %s, want %s", name, qi, b, a)
 		}
 	}
-}
-
-func fileSize(t *testing.T, path string) int64 {
-	t.Helper()
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fi.Size()
 }
 
 // TestEmptyIDMapNeedsOneShard: an empty id map means the identity, which
@@ -303,35 +283,30 @@ func TestSavePadsMetadata(t *testing.T) {
 		if err := idx.Save(path); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load(path)
-		if err != nil {
-			t.Fatalf("%d shards: Load: %v", shards, err)
-		}
-		defer loaded.Close()
-		opened, err := OpenMapped(path, MapOptions{})
-		if err != nil {
-			t.Fatalf("%d shards: OpenMapped: %v", shards, err)
-		}
-		defer opened.Close()
-		for name, x := range map[string]*Index{"Load": loaded, "OpenMapped": opened} {
+		for _, open := range reopeners {
+			x, err := open.open(path)
+			if err != nil {
+				t.Fatalf("%d shards: %s: %v", shards, open.name, err)
+			}
+			defer x.Close()
 			if rows := x.Metadata().Rows(); rows != x.Len() || rows != ds.Base.Rows {
-				t.Fatalf("%d shards, %s: store of %d rows, index of %d", shards, name, rows, x.Len())
+				t.Fatalf("%d shards, %s: store of %d rows, index of %d", shards, open.name, rows, x.Len())
 			}
 			f, err := x.CompileFilter(In("category", "c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if f.Count() != n {
-				t.Fatalf("%d shards, %s: %d rows pass a filter every described row passes, want %d", shards, name, f.Count(), n)
+				t.Fatalf("%d shards, %s: %d rows pass a filter every described row passes, want %d", shards, open.name, f.Count(), n)
 			}
 		}
 	}
 }
 
 // TestOptionsSurviveRestart: every file keeps GraphK, BuildL, MaxDegree
-// and SearchL, so a loaded index, and an opened one promoted to the heap,
-// Compact exactly as the index that was saved does — the rebuild runs with
-// the saved options — and search at the saved SearchL.
+// and SearchL, so a loaded index and an opened one Compact exactly as the
+// index that was saved does — the rebuild runs with the saved options —
+// and search at the saved SearchL.
 func TestOptionsSurviveRestart(t *testing.T) {
 	ds := shardedTestData(t, 800, 10)
 	opts := Options{GraphK: 13, BuildL: 37, MaxDegree: 21, SearchL: 47} // Seed 0, NN-Descent
@@ -344,20 +319,16 @@ func TestOptionsSurviveRestart(t *testing.T) {
 	if err := orig.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
+	reopened := map[string]*Index{}
+	for _, open := range reopeners {
+		x, err := open.open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer x.Close()
+		reopened[open.name] = x
 	}
-	defer loaded.Close()
-	opened, err := OpenMapped(path, MapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opened.Close()
-	if err := opened.PromoteToHeap(); err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []*Index{orig, loaded, opened} {
+	for _, x := range []*Index{orig, reopened["Load"], reopened["OpenMapped"]} {
 		for id := int32(0); id < 80; id += 3 {
 			if err := x.Delete(id); err != nil {
 				t.Fatal(err)
@@ -367,7 +338,7 @@ func TestOptionsSurviveRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, x := range map[string]*Index{"Load": loaded, "OpenMapped": opened} {
+	for name, x := range reopened {
 		if x.opts != orig.opts {
 			t.Fatalf("%s: options %+v, want %+v", name, x.opts, orig.opts)
 		}

@@ -6,12 +6,12 @@ package nsg_test
 // stable and `go test` verifies it.
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro"
 )
@@ -164,12 +164,12 @@ func ExampleIndex_EnableLiveUpdates() {
 	// pending=0 drained=1 snapshot=401
 }
 
-// ExampleOpenMapped persists an index in the mapped NSGM layout and serves
-// it straight from the file: OpenMapped parses a fixed-size header and
-// points the search kernels at the mapped slabs, so restart cost is
-// O(file open) rather than O(decode), and results are byte-identical to
-// the heap index. The mapped index is read-only — mutation returns
-// ErrReadOnly — until PromoteToHeap copies the slabs off the mapping.
+// ExampleOpenMapped persists an index and serves it straight from the
+// file: OpenMapped parses a fixed-size header and points the search
+// kernels at the mapped slabs, so restart cost is O(file open) rather than
+// O(decode), and results are byte-identical to the heap index. The mapped
+// index takes writes: the first Add copies what it grows off the mapping,
+// so the file stays as it was until a Save, which may write over it.
 func ExampleOpenMapped() {
 	vectors := exampleVectors(400, 16)
 	opts := nsg.DefaultOptions()
@@ -185,7 +185,7 @@ func ExampleOpenMapped() {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "index.nsms")
-	if err := index.SaveMapped(path); err != nil {
+	if err := index.Save(path); err != nil {
 		log.Fatal(err)
 	}
 
@@ -197,28 +197,32 @@ func ExampleOpenMapped() {
 
 	a, _ := index.SearchWithPool(vectors[7], 5, 60)
 	b, _ := mapped.SearchWithPool(vectors[7], 5, 60)
-	same := len(a) == len(b)
-	for i := range a {
-		same = same && a[i] == b[i]
-	}
-	fmt.Println("read-only:", mapped.ReadOnly(), "identical results:", same)
+	fmt.Println("identical results:", slices.Equal(a, b))
 
-	// The read-only contract: mutation is rejected while mapped...
-	_, err = mapped.Add(vectors[0])
-	fmt.Println("add while mapped:", errors.Is(err, nsg.ErrReadOnly))
-
-	// ...and allowed again after promoting the slabs onto the heap.
-	if err := mapped.PromoteToHeap(); err != nil {
+	// Add works on the open file; the new point finds itself at once.
+	added := append([]float32(nil), vectors[0]...)
+	added[0] += 0.5
+	id, err := mapped.Add(added)
+	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := mapped.Add(vectors[0]); err != nil {
+	nearest, _ := mapped.SearchWithPool(added, 1, 60)
+	fmt.Println("added:", id, "found:", nearest[0] == id, "vectors:", mapped.Len())
+
+	// Saving over the open file keeps the point for the next open.
+	if err := mapped.Save(path); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("after promote:", mapped.Len(), "vectors, read-only:", mapped.ReadOnly())
+	reopened, err := nsg.Load(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer reopened.Close()
+	fmt.Println("reopened:", reopened.Len(), "vectors")
 	// Output:
-	// read-only: true identical results: true
-	// add while mapped: true
-	// after promote: 401 vectors, read-only: false
+	// identical results: true
+	// added: 400 found: true vectors: 401
+	// reopened: 401 vectors
 }
 
 // ExampleIndex_filteredSearch attaches typed metadata to an index and

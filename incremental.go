@@ -48,8 +48,8 @@ func (x *Index) DeletedCount() int { return x.s.DeadCount() }
 // BuildStats then describe it; metadata rows and the live-update cadence
 // carry over. Compact flushes pending Adds first and must not run
 // concurrently with other calls on the index. With nothing deleted it
-// returns the identity and keeps the index; a mapped index with deleted
-// points returns ErrReadOnly.
+// returns the identity and keeps the index. The replaced index is closed,
+// which releases the mapping of one opened with OpenMapped.
 func (x *Index) Compact() ([]int32, error) {
 	fresh, remap, err := x.s.Compact(params(x.opts, x.s.Shards()))
 	if err != nil {

@@ -46,8 +46,10 @@ func (x *Index) Len() int { return x.s.Len() }
 func (x *Index) Dim() int { return x.s.Dim() }
 
 // Vector returns the stored vector with the given id, or nil for an id
-// outside [0, Len()). The returned slice aliases the index's storage; do
-// not modify it. Safe to call concurrently with Add.
+// outside [0, Len()). The returned slice aliases the index's storage — on
+// an index opened with OpenMapped, the file mapping, which Close and
+// Compact release — so do not modify it or keep it past those calls. Safe
+// to call concurrently with Add.
 func (x *Index) Vector(id int) []float32 {
 	if id < 0 || id >= x.Len() {
 		return nil
@@ -63,15 +65,10 @@ func (x *Index) Quantized() bool { return x.s.Quantized() }
 // serves full float32 vectors; all shards share one quantization state).
 func (x *Index) QuantMode() QuantMode { return quantModeOf(x.s.Quantized()) }
 
-// ReadOnly reports whether the index is a mapped, read-only view (opened
-// with OpenMapped). Mutating operations on such an index return
-// ErrReadOnly.
-func (x *Index) ReadOnly() bool { return x.s.ReadOnly() }
-
 // Close flushes pending Adds, so no point is lost, and stops the
 // maintainer goroutines. A one-shard index runs no other goroutine: a heap
 // one stays usable after Close (a later Add starts its maintainer again),
-// while a mapped one releases its file mapping and must not be searched
+// while a mapped one releases its file mapping and must not be used
 // afterwards. An index of more than one shard also releases its shard
 // workers and must not be used after Close; long-lived serving processes
 // never need it, but code that builds and discards many indexes in one

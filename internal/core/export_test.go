@@ -20,8 +20,7 @@ func OpenMappedFile(tb testing.TB, path string, opts MapOptions) (*NSG, error) {
 		return nil, err
 	}
 	tb.Cleanup(func() { f.Close() })
-	x, _, err := OpenMappedAt(f, 0, f.Size(), opts)
-	return x, err
+	return OpenMappedAt(f, 0, f.Size(), opts)
 }
 
 // SaveMappedFile writes x as one NSGM record to path.

@@ -37,9 +37,6 @@ type InsertParams struct {
 // (after a copy, if a published Snapshot shares them), the way HNSW
 // rewrites capped neighbor lists. Not safe for concurrent use with Search.
 func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
-	if x.ro {
-		return -1, ErrReadOnly
-	}
 	if len(vec) != x.Base.Dim {
 		return -1, fmt.Errorf("core: insert dim %d != index dim %d", len(vec), x.Base.Dim)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -28,14 +27,13 @@ import (
 // O(decode), capacity is bounded by the page cache rather than the heap,
 // and the BFS Relayout's locality transfers directly to page locality.
 //
-// A mapped index is read-only: mutators return ErrReadOnly (or panic on
-// the internal no-error paths) and PromoteToHeap materializes a mutable
-// heap copy explicitly. Mapped memory is PROT_READ, so the contract is
-// also enforced by hardware.
-
-// ErrReadOnly is returned by mutating operations on a mapped (read-only)
-// index. Call PromoteToHeap to obtain a mutable heap-resident index.
-var ErrReadOnly = errors.New("core: index is mapped read-only; promote to heap to mutate")
+// A mapped index takes writes by copying out of the mapping first: the
+// graph is marked shared, so the first edit forks it (the offsets are
+// cloned and edges are written only past the mapped slab), and vectors,
+// codes and ids grow by append onto views whose capacity equals their
+// length, so the first append copies the slab to the heap. Mapped memory
+// is PROT_READ, so a stray write into it faults. CopyToHeap copies every
+// slab at once, for a container that releases the mapping.
 
 const (
 	// nsgMappedMagic marks the aligned mapped record.
@@ -48,8 +46,8 @@ const (
 	// Section table layout inside the header: six fixed slots of
 	// {offset u64, length u64, crc32 u32, reserved u32}, holding the
 	// sections mappedSlots lists for the record's version. Version 1's
-	// sixth (meta) slot holds the metadata blob of the one-index NSGM files
-	// older builds wrote, flagged by nsgFlagMeta.
+	// sixth (meta) slot held the metadata blob of the one-index NSGM files
+	// older builds wrote; the reader refuses it (see nsgFlagMeta).
 	mappedSections    = 6
 	sectionEntrySize  = 24
 	sectionTableStart = 40
@@ -75,7 +73,7 @@ var sectionNames = [...]string{"header", "adjacency", "vectors", "remap", "quant
 
 // mappedSlots names the section each table slot holds, per record version:
 // version 2 stores CSR offsets and edges (the adjacency section), version 1
-// fixed-stride adjacency rows and an optional metadata blob.
+// fixed-stride adjacency rows and a metadata slot that must be empty.
 var mappedSlots = [...][mappedSections]Section{
 	1: {SectionAdjacency, SectionVectors, SectionRemap, SectionQuantBounds, SectionCodes, SectionMeta},
 	2: {SectionOffsets, SectionAdjacency, SectionVectors, SectionRemap, SectionQuantBounds, SectionCodes},
@@ -260,40 +258,39 @@ func (x *NSG) WriteMapped(w io.Writer) error {
 // OpenMappedAt serves the NSGM record of exactly size bytes at offset off
 // of f in place: the adjacency, vector, remap and code slabs are zero-copy
 // views of the mapping (or heap copies where mmap is unavailable). The
-// returned index is read-only — see ErrReadOnly and PromoteToHeap. The
-// caller keeps ownership of f, so a container opens many records out of
-// one mapping, and must keep it open while the index serves. off must be
-// 64-byte aligned. The second result is a heap copy of the metadata
-// section of an older one-index record, nil when the record has none.
-func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byte, error) {
+// returned index copies a slab out of the mapping before its first write
+// to it (see the top of this file). The caller keeps ownership of f, so a
+// container opens many records out of one mapping, and must keep it open
+// while the index serves. off must be 64-byte aligned.
+func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, error) {
 	if !mstore.HostLittleEndian() {
-		return nil, nil, fmt.Errorf("core: mapped serving requires a little-endian host; use the decoding Load path")
+		return nil, fmt.Errorf("core: index files are little-endian slabs served in place; a big-endian host cannot open them")
 	}
 	if off%mappedAlign != 0 {
-		return nil, nil, corruptf(SectionHeader, "record offset %d is not %d-byte aligned", off, mappedAlign)
+		return nil, corruptf(SectionHeader, "record offset %d is not %d-byte aligned", off, mappedAlign)
 	}
 	if size < mappedHeaderSize {
-		return nil, nil, corruptf(SectionHeader, "%d bytes available, header needs %d", size, mappedHeaderSize)
+		return nil, corruptf(SectionHeader, "%d bytes available, header needs %d", size, mappedHeaderSize)
 	}
 	hdr, err := f.Bytes(off, mappedHeaderSize)
 	if err != nil {
-		return nil, nil, corruptf(SectionHeader, "%v", err)
+		return nil, corruptf(SectionHeader, "%v", err)
 	}
 	if le.Uint32(hdr[0:]) != nsgMappedMagic {
-		return nil, nil, corruptf(SectionHeader, "bad magic %#08x", le.Uint32(hdr[0:]))
+		return nil, corruptf(SectionHeader, "bad magic %#08x", le.Uint32(hdr[0:]))
 	}
 	version := le.Uint32(hdr[4:])
 	if version != 1 && version != nsgMappedVersion {
-		return nil, nil, corruptf(SectionHeader, "unsupported version %d (want 1 or %d)", version, nsgMappedVersion)
+		return nil, corruptf(SectionHeader, "unsupported version %d (want 1 or %d)", version, nsgMappedVersion)
 	}
 	if got, want := le.Uint32(hdr[headerCRCOffset:]), crc32.ChecksumIEEE(hdr[:headerCRCOffset]); got != want {
-		return nil, nil, corruptf(SectionHeader, "header checksum %#08x != %#08x", got, want)
+		return nil, corruptf(SectionHeader, "header checksum %#08x != %#08x", got, want)
 	}
 	flags := le.Uint32(hdr[8:])
-	// Unknown bits, the reserved nsgFlagQuant4 among them, are rejected, and
-	// so is a metadata section in a version that has no slot for it.
-	if flags&^uint32(nsgFlagRemap|nsgFlagQuant|nsgFlagMeta) != 0 || version > 1 && flags&nsgFlagMeta != 0 {
-		return nil, nil, corruptf(SectionHeader, "unsupported flags %#x", flags)
+	// Unknown bits, the reserved nsgFlagQuant4 and nsgFlagMeta among them,
+	// are rejected.
+	if flags&^uint32(nsgFlagRemap|nsgFlagQuant) != 0 {
+		return nil, corruptf(SectionHeader, "unsupported flags %#x", flags)
 	}
 	rows := int64(le.Uint32(hdr[12:]))
 	dim := int64(le.Uint32(hdr[16:]))
@@ -302,31 +299,29 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 	m := int64(le.Uint32(hdr[28:]))
 	recordSize := int64(le.Uint64(hdr[32:]))
 	if rows <= 0 || rows > 1<<30 {
-		return nil, nil, corruptf(SectionHeader, "implausible row count %d", rows)
+		return nil, corruptf(SectionHeader, "implausible row count %d", rows)
 	}
 	if dim <= 0 || dim > 1<<20 {
-		return nil, nil, corruptf(SectionHeader, "implausible dimension %d", dim)
+		return nil, corruptf(SectionHeader, "implausible dimension %d", dim)
 	}
 	if version == 1 && (width <= 0 || width > rows) {
-		return nil, nil, corruptf(SectionHeader, "stride %d outside [1,%d]", width, rows)
+		return nil, corruptf(SectionHeader, "stride %d outside [1,%d]", width, rows)
 	}
 	if version > 1 && width > math.MaxInt32 {
-		return nil, nil, corruptf(SectionHeader, "implausible edge count %d", width)
+		return nil, corruptf(SectionHeader, "implausible edge count %d", width)
 	}
 	if nav < 0 || int64(nav) >= rows {
-		return nil, nil, corruptf(SectionHeader, "navigating node %d outside [0,%d)", nav, rows)
+		return nil, corruptf(SectionHeader, "navigating node %d outside [0,%d)", nav, rows)
 	}
 	if m < 0 || m > maxDegreeCap {
-		return nil, nil, corruptf(SectionHeader, "implausible degree cap %d", m)
+		return nil, corruptf(SectionHeader, "implausible degree cap %d", m)
 	}
 	if recordSize%mappedAlign != 0 || recordSize != size {
-		return nil, nil, corruptf(SectionHeader, "record size %d invalid for %d available bytes (truncated or trailing garbage)", recordSize, size)
+		return nil, corruptf(SectionHeader, "record size %d invalid for %d available bytes (truncated or trailing garbage)", recordSize, size)
 	}
 
 	// Section geometry: presence and size are dictated by the header
 	// fields, placement must be aligned, in order and inside the record.
-	// The metadata blob is the one variable-length section — its table
-	// length is authoritative and the blob validates itself on decode.
 	slots := mappedSlots[version]
 	var want, offs, lens [mappedSections]int64
 	var crcs [mappedSections]uint32
@@ -347,29 +342,23 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 		offs[i] = int64(le.Uint64(hdr[base:]))
 		lens[i] = int64(le.Uint64(hdr[base+8:]))
 		crcs[i] = le.Uint32(hdr[base+16:])
-		if sec == SectionMeta && flags&nsgFlagMeta != 0 {
-			if lens[i] <= 0 || lens[i] > maxMetaBlob {
-				return nil, nil, corruptf(sec, "implausible metadata length %d", lens[i])
-			}
-			want[i] = lens[i]
-		}
 		if want[i] == 0 {
 			if offs[i] != 0 || lens[i] != 0 {
-				return nil, nil, corruptf(sec, "section present but flags say absent")
+				return nil, corruptf(sec, "section present but flags say absent")
 			}
 			continue
 		}
 		if lens[i] != want[i] {
-			return nil, nil, corruptf(sec, "section length %d, header geometry implies %d", lens[i], want[i])
+			return nil, corruptf(sec, "section length %d, header geometry implies %d", lens[i], want[i])
 		}
 		if offs[i]%mappedAlign != 0 {
-			return nil, nil, corruptf(sec, "offset %d is not %d-byte aligned", offs[i], mappedAlign)
+			return nil, corruptf(sec, "offset %d is not %d-byte aligned", offs[i], mappedAlign)
 		}
 		if offs[i] < prevEnd {
-			return nil, nil, corruptf(sec, "offset %d overlaps previous section ending at %d", offs[i], prevEnd)
+			return nil, corruptf(sec, "offset %d overlaps previous section ending at %d", offs[i], prevEnd)
 		}
 		if offs[i]+lens[i] > recordSize || offs[i]+lens[i] < offs[i] {
-			return nil, nil, corruptf(sec, "section [%d,%d) exceeds record size %d", offs[i], offs[i]+lens[i], recordSize)
+			return nil, corruptf(sec, "section [%d,%d) exceeds record size %d", offs[i], offs[i]+lens[i], recordSize)
 		}
 		prevEnd = offs[i] + lens[i]
 	}
@@ -388,20 +377,20 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 	}
 	adjBytes, err := view(SectionAdjacency)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	vecBytes, err := view(SectionVectors)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !opts.NoVerify {
 		for i, sec := range slots {
 			b, err := view(sec)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if got := crc32.ChecksumIEEE(b); b != nil && got != crcs[i] {
-				return nil, nil, corruptf(sec, "checksum %#08x != %#08x (bit rot or torn write)", got, crcs[i])
+				return nil, corruptf(sec, "checksum %#08x != %#08x (bit rot or torn write)", got, crcs[i])
 			}
 		}
 	}
@@ -412,25 +401,25 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 	} else {
 		var offBytes []byte
 		if offBytes, err = view(SectionOffsets); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if flat, err = graphutil.FromOffsets(mstore.Int32s(offBytes), mstore.Int32s(adjBytes)); err != nil {
-			return nil, nil, corruptf(SectionOffsets, "%v", err)
+			return nil, corruptf(SectionOffsets, "%v", err)
 		}
 	}
 	if err == nil && !opts.NoVerify {
 		err = flat.Validate()
 	}
 	if err != nil {
-		return nil, nil, corruptf(SectionAdjacency, "%v", err)
+		return nil, corruptf(SectionAdjacency, "%v", err)
 	}
 	// A record without a remap section was never relaid: identity ids.
 	x := newNSG(flat, nav, vecmath.Matrix{Data: mstore.Float32s(vecBytes), Rows: int(rows), Dim: int(dim)}, int(m))
-	x.ro = true
+	x.shared = true // the first write copies out of the mapping
 	if flags&nsgFlagRemap != 0 {
 		remapBytes, err := view(SectionRemap)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pub := mstore.Int32s(remapBytes)
 		// Building the inverse table doubles as the permutation check, so
@@ -443,33 +432,23 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 		}
 		for internal, p := range pub {
 			if p < 0 || int64(p) >= rows || inv[p] != -1 {
-				return nil, nil, corruptf(SectionRemap, "entry %d (value %d) is not a permutation of [0,%d)", internal, p, rows)
+				return nil, corruptf(SectionRemap, "entry %d (value %d) is not a permutation of [0,%d)", internal, p, rows)
 			}
 			inv[p] = int32(internal)
 		}
 		x.PubIDs = pub
 	}
-	var metaBlob []byte
-	if flags&nsgFlagMeta != 0 {
-		b, err := view(SectionMeta)
-		if err != nil {
-			return nil, nil, err
-		}
-		// A heap copy: the container decodes it, and the store must never
-		// alias PROT_READ pages.
-		metaBlob = append([]byte(nil), b...)
-	}
 	if flags&nsgFlagQuant != 0 {
 		if dim > quant.MaxDim {
-			return nil, nil, corruptf(SectionQuantBounds, "dimension %d exceeds the quantizer limit %d", dim, quant.MaxDim)
+			return nil, corruptf(SectionQuantBounds, "dimension %d exceeds the quantizer limit %d", dim, quant.MaxDim)
 		}
 		boundsBytes, err := view(SectionQuantBounds)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		codeBytes, err := view(SectionCodes)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// The bounds are two dim-sized vectors; copy them to the heap (they
 		// are tiny) so the derived scale fields live beside them as usual.
@@ -487,7 +466,7 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, []byt
 			x.Quant.measureRho(x.Base)
 		}
 	}
-	return x, metaBlob, nil
+	return x, nil
 }
 
 // stridedToCSR converts a version 1 record's fixed-stride rows — each a
@@ -505,33 +484,16 @@ func stridedToCSR(data []int32, stride, rows int) (*graphutil.CSR, error) {
 	return graphutil.Flatten(g), nil
 }
 
-// ReadOnly reports whether the index is a mapped, read-only view. Mutating
-// operations on a read-only index return ErrReadOnly.
-func (x *NSG) ReadOnly() bool { return x.ro }
-
-// PromoteToHeap converts a mapped index into an ordinary mutable
-// heap-resident index: every slab is copied out of the mapping, which its
-// container may then release. The copy reads every row, so an unknown ρ
-// (an open with NoVerify) is measured on the way. A no-op on an index that
-// is already heap-resident.
-func (x *NSG) PromoteToHeap() {
-	if !x.ro {
-		return
-	}
+// CopyToHeap copies every slab of an index opened with OpenMappedAt onto
+// the heap, so its container may release the mapping. The answers are
+// unchanged, and so is ρ, which the open measured unless it ran NoVerify.
+func (x *NSG) CopyToHeap() {
 	x.flat, x.shared = x.flat.Clone(), false
-	x.Base = vecmath.Matrix{
-		Data: append([]float32(nil), x.Base.Data...),
-		Rows: x.Base.Rows,
-		Dim:  x.Base.Dim,
-	}
-	x.PubIDs = append([]int32(nil), x.PubIDs...)
+	x.Base.Data = slices.Clone(x.Base.Data)
+	x.PubIDs = slices.Clone(x.PubIDs)
 	if x.Quant != nil {
 		qz := *x.Quant
-		qz.Codes.Codes = append([]uint8(nil), qz.Codes.Codes...)
-		if !qz.hasRho {
-			qz.measureRho(x.Base)
-		}
+		qz.Codes.Codes = slices.Clone(qz.Codes.Codes)
 		x.Quant = &qz
 	}
-	x.ro = false
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/vecmath"
@@ -69,8 +70,8 @@ func TestMappedHeapParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !mapped.ReadOnly() {
-						t.Fatal("mapped index not marked read-only")
+					if !mapped.shared {
+						t.Fatal("mapped graph not marked shared: its first edit would write into the mapping")
 					}
 					hctx, mctx := NewSearchContext(), NewSearchContext()
 					for qi := 0; qi < queries.Rows; qi++ {
@@ -102,67 +103,64 @@ func TestMappedHeapParity(t *testing.T) {
 	}
 }
 
-// TestMappedReadOnlyGuards: every mutator on a mapped index must fail with
-// ErrReadOnly, and none may corrupt it for subsequent searches.
-// WriteMapped is not a mutator: it streams the bytes the heap index it was
-// mapped from writes.
-func TestMappedReadOnlyGuards(t *testing.T) {
+// TestMappedWritesCopyOut: Insert succeeds on a mapped index, float or
+// SQ8, by copying out of the mapping first. The index then writes the
+// bytes the heap index it was saved from writes after the same Inserts, a
+// snapshot taken before them answers as it did, and the file is
+// unchanged.
+func TestMappedWritesCopyOut(t *testing.T) {
 	base := testBase(t, 300, 16, 9)
-	heap := buildMappedTestNSG(t, base, true, false)
-	mapped, err := OpenMappedFile(t, saveMappedTemp(t, heap), MapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := mapped.Insert(make([]float32, 16), InsertParams{}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Insert: %v, want ErrReadOnly", err)
-	}
-	if err := mapped.EnableQuantization(nil); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("EnableQuantization: %v, want ErrReadOnly", err)
-	}
-	var hb, mb bytes.Buffer
-	if err := heap.WriteMapped(&hb); err != nil {
-		t.Fatal(err)
-	}
-	if err := mapped.WriteMapped(&mb); err != nil {
-		t.Fatalf("WriteMapped: %v", err)
-	}
-	if !bytes.Equal(hb.Bytes(), mb.Bytes()) {
-		t.Fatalf("mapped WriteMapped: %d bytes differ from the heap index's %d", mb.Len(), hb.Len())
-	}
-	// Still searchable after every rejected mutation.
-	res := mapped.Search(base.Row(0), 5, 20, nil)
-	if len(res) != 5 {
-		t.Fatalf("search after rejected mutations returned %d results", len(res))
-	}
-}
-
-// TestPromoteToHeap: promotion yields a fully mutable index whose slabs no
-// longer alias the mapping, with results identical to before.
-func TestPromoteToHeap(t *testing.T) {
-	base := testBase(t, 300, 16, 10)
-	heap := buildMappedTestNSG(t, base.Clone(), true, true)
-	mapped, err := OpenMappedFile(t, saveMappedTemp(t, heap), MapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := base.Row(7)
-	before := mapped.Query(NewSearchContext(), q, Query{K: 10, L: 40})
-	mapped.PromoteToHeap()
-	if mapped.ReadOnly() {
-		t.Fatal("still read-only after promotion")
-	}
-	after := mapped.Query(NewSearchContext(), q, Query{K: 10, L: 40})
-	if fmt.Sprint(before) != fmt.Sprint(after) {
-		t.Fatalf("results changed across promotion: %v vs %v", before, after)
-	}
-	// Nothing points into the mapping any more; mutations must now succeed.
-	if _, err := mapped.Insert(make([]float32, 16), InsertParams{}); err != nil {
-		t.Fatalf("Insert after promotion: %v", err)
-	}
-	mapped.PromoteToHeap() // a second promotion is a no-op
-	if mapped.ReadOnly() {
-		t.Fatal("read-only again after a second promotion")
+	queries := testBase(t, 20, 16, 10)
+	extra := testBase(t, 5, 16, 11)
+	for _, quantize := range []bool{false, true} {
+		t.Run(fmt.Sprint("quantize=", quantize), func(t *testing.T) {
+			heap := buildMappedTestNSG(t, base.Clone(), true, quantize)
+			path := saveMappedTemp(t, heap)
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped, err := OpenMappedFile(t, path, MapOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := mapped.Snapshot()
+			answers := func(s *Snapshot) string {
+				ctx := NewSearchContext()
+				var sb strings.Builder
+				for qi := range queries.Rows {
+					fmt.Fprint(&sb, s.Query(ctx, queries.Row(qi), Query{K: 10, L: 40}))
+				}
+				return sb.String()
+			}
+			before := answers(snap)
+			for i := range extra.Rows {
+				hid, herr := heap.Insert(extra.Row(i), InsertParams{})
+				mid, merr := mapped.Insert(extra.Row(i), InsertParams{})
+				if herr != nil || merr != nil || hid != mid {
+					t.Fatalf("Insert %d: heap (%d, %v), mapped (%d, %v)", i, hid, herr, mid, merr)
+				}
+			}
+			var hb, mb bytes.Buffer
+			if err := heap.WriteMapped(&hb); err != nil {
+				t.Fatal(err)
+			}
+			if err := mapped.WriteMapped(&mb); err != nil {
+				t.Fatalf("WriteMapped: %v", err)
+			}
+			if !bytes.Equal(hb.Bytes(), mb.Bytes()) {
+				t.Fatalf("mapped WriteMapped after the writes: %d bytes differ from the heap index's %d", mb.Len(), hb.Len())
+			}
+			if got := answers(snap); got != before {
+				t.Fatal("a snapshot taken before the writes changed its answers")
+			}
+			if got := answers(mapped.Snapshot()); got != answers(heap.Snapshot()) {
+				t.Fatal("mapped and heap indexes answer differently after the same writes")
+			}
+			if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, file) {
+				t.Fatalf("the writes changed the mapped file (%v)", err)
+			}
+		})
 	}
 }
 
@@ -184,7 +182,8 @@ func rewriteHeaderCRC(b []byte) {
 
 // legacyRecord reads the top-level SQ8 NSGM file an older build wrote
 // (see testdata/legacy in the repository root): it fills all six
-// sections, the metadata one included, which no writer fills any more.
+// sections, the metadata one included, which no writer fills any more and
+// the reader refuses at the header flags.
 func legacyRecord(t testing.TB) []byte {
 	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", "one_sq8.nsgm"))
 	if err != nil {
@@ -207,23 +206,27 @@ func version1Record(t testing.TB) []byte {
 
 // TestMappedVersion1Opens: a version 1 record opens, its rows converted to
 // CSR, and answers as the same index built today does, ids, distance bits
-// and hops alike, under both verify modes and after PromoteToHeap.
+// and hops alike, under both verify modes and after the same Insert.
 func TestMappedVersion1Opens(t *testing.T) {
 	base := testBase(t, 200, 12, 11)
-	heap := buildMappedTestNSG(t, base.Clone(), true, true)
 	path := filepath.Join(t.TempDir(), "v1.nsgm")
 	if err := os.WriteFile(path, version1Record(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	queries := testBase(t, 20, 12, 12)
 	for _, opts := range []MapOptions{{}, {NoVerify: true}} {
+		heap := buildMappedTestNSG(t, base.Clone(), true, true)
 		old, err := OpenMappedFile(t, path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, stage := range []string{"mapped", "promoted"} {
-			if stage == "promoted" {
-				old.PromoteToHeap()
+		for _, stage := range []string{"mapped", "inserted"} {
+			if stage == "inserted" {
+				for _, x := range []*NSG{heap, old} {
+					if _, err := x.Insert(queries.Row(0), InsertParams{}); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			for qi := range queries.Rows {
 				q := Query{K: 10, L: 40}
@@ -240,10 +243,11 @@ func TestMappedVersion1Opens(t *testing.T) {
 // section boundary, misaligns slab offsets and rots section bytes of an SQ8
 // record as the build before CSR wrote it (version 1: fixed-stride
 // adjacency, five sections), as written today (csr-sq8, version 2: six
-// sections, CSR offsets and edges among them) and as an older build wrote
-// it with a metadata section (version 1, six); every mutation must yield a FormatError
-// naming the right section, and OpenMappedAt must never serve a partially
-// valid index. The int4 case is a record from before int4 was removed: its
+// sections, CSR offsets and edges among them); every mutation must yield a
+// FormatError naming the right section, and OpenMappedAt must never serve a
+// partially valid index. The legacy-meta case is the record an older build
+// wrote with a metadata section (version 1, six sections), which is refused
+// at its header flags: it and every mutation of it fail there. The int4 case is a record from before int4 was removed: its
 // header carries the retired int4 marker in place of the SQ8 flag, and it
 // must be refused at the header, not misread as SQ8 or float32.
 func TestMappedCorruptionTable(t *testing.T) {
@@ -254,9 +258,9 @@ func TestMappedCorruptionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	t.Run("sq8", func(t *testing.T) { testMappedCorruptionTable(t, version1Record(t), mappedSections-1) })
-	t.Run("csr-sq8", func(t *testing.T) { testMappedCorruptionTable(t, valid, mappedSections) })
-	t.Run("legacy-meta", func(t *testing.T) { testMappedCorruptionTable(t, legacyRecord(t), mappedSections) })
+	t.Run("sq8", func(t *testing.T) { testMappedCorruptionTable(t, version1Record(t), mappedSections-1, false) })
+	t.Run("csr-sq8", func(t *testing.T) { testMappedCorruptionTable(t, valid, mappedSections, false) })
+	t.Run("legacy-meta", func(t *testing.T) { testMappedCorruptionTable(t, legacyRecord(t), mappedSections, true) })
 	t.Run("int4", func(t *testing.T) {
 		b := bytes.Clone(valid)
 		putU32(b, 8, getU32(b, 8)&^nsgFlagQuant|nsgFlagQuant4)
@@ -278,7 +282,20 @@ func TestMappedCorruptionTable(t *testing.T) {
 	})
 }
 
-func testMappedCorruptionTable(t *testing.T, valid []byte, sections int) {
+// testMappedCorruptionTable runs the table on the record valid, which
+// populates sections sections. A refused record fails at its header
+// unmutated, and so does every mutation of it.
+func testMappedCorruptionTable(t *testing.T, valid []byte, sections int, refused bool) {
+	if refused {
+		path := filepath.Join(t.TempDir(), "refused.nsgm")
+		if err := os.WriteFile(path, valid, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var fe *FormatError
+		if _, err := OpenMappedFile(t, path, MapOptions{}); !errors.As(err, &fe) || fe.Section != SectionHeader {
+			t.Fatalf("the unmutated record: got %v, want a header FormatError", err)
+		}
+	}
 
 	// Section table as written, for boundary-aware corruption.
 	type sec struct {
@@ -400,6 +417,9 @@ func testMappedCorruptionTable(t *testing.T, valid []byte, sections int) {
 			if !errors.As(err, &fe) {
 				t.Fatalf("error %v is not a FormatError", err)
 			}
+			if refused {
+				tc.section = SectionHeader
+			}
 			if tc.section >= 0 && fe.Section != tc.section {
 				t.Fatalf("error names section %s, want %s (%v)", fe.Section, tc.section, err)
 			}
@@ -519,6 +539,7 @@ func FuzzOpenMapped(f *testing.F) {
 	legacy := legacyRecord(f)
 	f.Add(legacy)
 	f.Add(legacy[:len(legacy)-mappedAlign])
+	f.Add(version1Record(f))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0}, mappedHeaderSize))
 	// One scratch file per worker process; each exec overwrites it (cheaper
@@ -546,23 +567,4 @@ func FuzzOpenMapped(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestPromoteMeasuresRho: an open under NoVerify leaves ρ unknown, so the
-// rerank would read every float row; the promote reads every row anyway and
-// must come back with the built index's ρ.
-func TestPromoteMeasuresRho(t *testing.T) {
-	base := testBase(t, 300, 16, 11)
-	heap := buildMappedTestNSG(t, base, true, true)
-	mapped, err := OpenMappedFile(t, saveMappedTemp(t, heap), MapOptions{NoVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapped.Quant.hasRho {
-		t.Fatal("a NoVerify open measured ρ")
-	}
-	mapped.PromoteToHeap()
-	if got, want := mapped.Quant, heap.Quant; !got.hasRho || got.rho != want.rho {
-		t.Fatalf("promoted ρ %v (known %v), built index's %v", got.rho, got.hasRho, want.rho)
-	}
 }

@@ -38,8 +38,9 @@ func DefaultBuildParams() BuildParams {
 // The graph has one form, heap or mapped: CSR rows (graphutil.CSR), an
 // offsets array and one edge slab, which searches traverse and Insert
 // edits. A heap index owns its slabs; a mapped one points them into a file
-// and sets ro. Snapshot shares the graph with the views it publishes, and
-// the next write forks it first, so a published row never changes.
+// and copies each out before writing to it (see mapped.go). Snapshot shares
+// the graph with the views it publishes, and the next write forks it first,
+// so a published row never changes.
 type NSG struct {
 	Navigating int32 // the navigating node: search always starts here
 	Base       vecmath.Matrix
@@ -57,11 +58,8 @@ type NSG struct {
 	toInternal []int32
 
 	flat   *graphutil.CSR
-	shared bool         // a published Snapshot holds flat: fork before writing
+	shared bool         // a published Snapshot or a mapping holds flat: fork before writing
 	reach  atomic.Int64 // cached ReachableFrom(Navigating)+1; 0 = unknown
-	// ro marks slabs that point into a read-only mapping (see mapped.go):
-	// mutators return ErrReadOnly.
-	ro bool
 }
 
 // newNSG wraps a graph with identity id tables.
@@ -457,14 +455,11 @@ const (
 	// codes, a scheme that was removed; readers reject it as an unknown bit,
 	// and it must not be reused, so an old int4 file is never misread.
 	nsgFlagQuant4 = 1 << 2
-	// nsgFlagMeta marks a metadata section. Only the one-index files of
-	// older builds carry one; the reader hands it to their container, and
-	// no writer sets it.
+	// nsgFlagMeta is reserved. It marked the metadata section of the
+	// one-index files older builds wrote, which are no longer read; readers
+	// reject it as an unknown bit, and it must not be reused.
 	nsgFlagMeta = 1 << 3
 
-	// maxMetaBlob bounds the metadata section a reader will accept — far
-	// above any real column store, far below a corrupt length's reach.
-	maxMetaBlob = 1 << 30
 	// maxDegreeCap bounds the degree cap M a record may claim.
 	maxDegreeCap = 1 << 20
 )

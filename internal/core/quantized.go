@@ -45,9 +45,6 @@ type Quantized struct {
 // are encoded directly in the serving order. Not safe for concurrent use
 // with Search.
 func (x *NSG) EnableQuantization(q *quant.Quantizer) error {
-	if x.ro {
-		return ErrReadOnly
-	}
 	// Validate here so the error-returning public builders never reach the
 	// panics quant.Train reserves for violated internal contracts.
 	if x.Base.Dim > quant.MaxDim {

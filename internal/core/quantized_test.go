@@ -216,17 +216,18 @@ func TestQuantizedPersistByteIdentical(t *testing.T) {
 	}
 }
 
-// TestVersionGateOldFilesLoad: a float32 record in the version 1 layout,
-// the top-level NSGM an older build wrote (testdata/legacy in the
-// repository root), opens with no quant state and its remap inverted, and
-// every row finds itself.
+// TestVersionGateOldFilesLoad: an SQ8 record in the version 1 layout an
+// older build wrote (testdata/nsgm_v1_sq8.nsgm; the records inside
+// testdata/legacy/three.nsms in the repository root are version 1 too)
+// opens with its quant state and its remap inverted, and every row finds
+// itself.
 func TestVersionGateOldFilesLoad(t *testing.T) {
-	loaded, err := OpenMappedFile(t, legacyFile("one_f32.nsgm"), MapOptions{})
+	loaded, err := OpenMappedFile(t, filepath.Join("testdata", "nsgm_v1_sq8.nsgm"), MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.IsQuantized() {
-		t.Fatal("legacy record loaded with quant state")
+	if !loaded.IsQuantized() {
+		t.Fatal("legacy SQ8 record loaded without quant state")
 	}
 	ctx := NewSearchContext()
 	for i, pub := range loaded.PubIDs {
@@ -421,9 +422,10 @@ func TestQuantBoundNearTies(t *testing.T) {
 }
 
 // TestRhoMeasuredEverywhere: ρ is the same whichever way the rows reached
-// memory — encode, a verified OpenMapped, a PromoteToHeap of it — and
-// matches an independent float64 measurement from above within 1e-9; a NoVerify open leaves it unknown, and an Insert far outside the
-// trained range raises it.
+// memory — encode or a verified OpenMapped — and matches an independent
+// float64 measurement from above within 1e-9; a NoVerify open leaves it
+// unknown, and an Insert far outside the trained range raises it, on the
+// heap index and on the mapped one.
 func TestRhoMeasuredEverywhere(t *testing.T) {
 	t.Run("sq8", func(t *testing.T) {
 		base := testBase(t, 600, 37, 81)
@@ -466,18 +468,16 @@ func TestRhoMeasuredEverywhere(t *testing.T) {
 		if trusted.Quant.hasRho {
 			t.Fatal("NoVerify open claims a known rho")
 		}
-		mapped.PromoteToHeap()
-		if !mapped.Quant.hasRho || mapped.Quant.rho != rho {
-			t.Fatalf("PromoteToHeap: rho %g (known %v), want %g", mapped.Quant.rho, mapped.Quant.hasRho, rho)
-		}
 
 		far := append([]float32(nil), base.Row(0)...)
 		far[3] = 1000
-		if _, err := x.Insert(far, InsertParams{}); err != nil {
-			t.Fatal(err)
-		}
-		if x.Quant.rho < 900 {
-			t.Fatalf("Insert of a row ~995 outside the grid left rho at %g", x.Quant.rho)
+		for name, idx := range map[string]*NSG{"heap": x, "mapped": mapped} {
+			if _, err := idx.Insert(far, InsertParams{}); err != nil {
+				t.Fatal(err)
+			}
+			if idx.Quant.rho < 900 {
+				t.Fatalf("%s: Insert of a row ~995 outside the grid left rho at %g", name, idx.Quant.rho)
+			}
 		}
 	})
 }

@@ -82,7 +82,7 @@ type Sharded struct {
 	closeOnce sync.Once
 	scratch   sync.Pool // *fanScratch
 
-	// mapped is the container a read-only index serves from (see mapped.go),
+	// mapped is the container a mapped index serves from (see mapped.go),
 	// released by Close.
 	mapped *mstore.File
 }
@@ -246,27 +246,6 @@ func BuildSharded(base vecmath.Matrix, p Params) (*Sharded, error) {
 	}
 	s.stats.Total = time.Since(start)
 	return s, nil
-}
-
-// single wraps the NSG of a legacy one-index file (a top-level NSGM
-// record) as the only shard of an index. Its public ids are
-// the global ids, so the shard keeps no translate table; the metadata
-// section the record carried (metaBlob, nil for none) becomes the index's
-// store, and the options are the only ones such a file kept: the record's
-// degree cap and quantization mode. The error is the store's decode error.
-func single(idx *core.NSG, metaBlob []byte) (*Sharded, FileOptions, error) {
-	s := &Sharded{dim: idx.Base.Dim, shards: []*core.NSG{idx}}
-	if metaBlob != nil {
-		st, err := meta.Decode(metaBlob, idx.Base.Rows)
-		if err != nil {
-			return nil, FileOptions{}, err
-		}
-		s.Meta = st
-	}
-	if err := s.start([][]int32{nil}, idx.Base.Rows); err != nil {
-		panic(err) // unreachable: the identity partitions the shard's rows
-	}
-	return s, FileOptions{MaxDegree: idx.M, Quantize: idx.IsQuantized()}, nil
 }
 
 // Shard returns shard sh's NSG, the graph its handle serves as published.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/vecmath"
 )
@@ -126,8 +125,8 @@ func (s *Sharded) DeadCount() int {
 // by Select, and the shards' cadence kept. It returns the fresh index and
 // the old -> new id map (-1 for deleted; survivors keep their order). s is
 // flushed and otherwise left as it was: the caller swaps in the fresh index
-// and closes s. With nothing deleted it returns s itself and the identity;
-// a mapped index with deleted rows returns core.ErrReadOnly.
+// and closes s, which releases a mapping s served from. With nothing
+// deleted it returns s itself and the identity.
 func (s *Sharded) Compact(p Params) (*Sharded, []int32, error) {
 	s.Flush()
 	rows := s.Len()
@@ -137,9 +136,6 @@ func (s *Sharded) Compact(p Params) (*Sharded, []int32, error) {
 			remap[i] = int32(i)
 		}
 		return s, remap, nil
-	}
-	if s.ReadOnly() {
-		return nil, nil, core.ErrReadOnly
 	}
 	data := make([]float32, 0, (rows-s.DeadCount())*s.dim)
 	for id := range remap {

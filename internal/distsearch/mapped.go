@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"repro/internal/chunkio"
 	"repro/internal/core"
-	"repro/internal/live"
 	"repro/internal/meta"
 	"repro/internal/mstore"
 )
@@ -23,11 +21,11 @@ import (
 // its record, and the id maps become the handles' translate tables and the
 // locator. The only shard of a one-shard index stores an empty id map,
 // which means the identity. Load (persist.go) opens the same file and
-// promotes it to the heap.
+// copies it to the heap.
 
 const (
-	// shardedMappedMagic is "NSMS" — distinct from every stream magic, so
-	// openMapped tells the layouts apart by the first word.
+	// shardedMappedMagic is "NSMS" — distinct from every magic older
+	// builds wrote, so openMapped tells the layouts apart by the first word.
 	shardedMappedMagic = 0x4e534d53
 	// Version 2 adds the metadata entry after the shard table and the
 	// metadata blob after the last record. Containers without metadata are
@@ -164,13 +162,11 @@ func smCorrupt(format string, args ...any) error {
 }
 
 // OpenMapped opens a container written by Save and serves all shards from
-// the mapping, with the options Save stored. A file that does not start
-// with the container's magic is opened as a top-level NSGM record, the
-// one-index layout written before every index saved containers, through
-// single; a stream file older builds wrote is refused. The returned index
-// is read-only: Insert reports the condition, while searches, the worker
-// pool and Write behave exactly as on a heap index. Close releases the
-// mapping.
+// the mapping, with the options Save stored. A file in a layout older
+// builds wrote (a stream, or a top-level NSGM record) is refused. Searches,
+// the worker pool and Write behave exactly as on a heap index, and Insert
+// and Compact work too: each shard copies a slab out of the mapping before
+// its first write to it. The mapping lives until Close, which releases it.
 func OpenMapped(path string, mopts core.MapOptions) (*Sharded, FileOptions, error) {
 	f, err := mstore.Open(path)
 	if err != nil {
@@ -201,16 +197,10 @@ func openMapped(f *mstore.File, mopts core.MapOptions) (*Sharded, FileOptions, e
 	case 0x4e534744, 0x4e534742, 0x4e534746, 0x4e534751: // NSGD, NSGB, NSGF, NSGQ
 		return nil, none, smCorrupt("%s is a stream layout this build does not read; re-save the file with Load and Save of a build at or before commit ad169cf",
 			[]byte{hdr[3], hdr[2], hdr[1], hdr[0]})
+	case 0x4e53474d: // NSGM
+		return nil, none, smCorrupt("NSGM is a one-index layout this build does not read; re-save the file with Load and Save of a build at or before commit 179f053")
 	default:
-		idx, metaBlob, err := core.OpenMappedAt(f, 0, f.Size(), mopts)
-		if err != nil {
-			return nil, none, err
-		}
-		s, opts, err := single(idx, metaBlob)
-		if err != nil {
-			return nil, none, &core.FormatError{Section: core.SectionMeta, Reason: err.Error()}
-		}
-		return s, opts, nil
+		return nil, none, smCorrupt("bad magic %#08x", magic)
 	}
 	if len(hdr) < smHeaderSize {
 		return nil, none, smCorrupt("file of %d bytes is smaller than any container", f.Size())
@@ -279,12 +269,9 @@ func openMapped(f *mstore.File, mopts core.MapOptions) (*Sharded, FileOptions, e
 			return nil, none, smCorrupt("shard %d id map checksum %#08x != %#08x", sh, got, idmapCRC)
 		}
 		ids := mstore.Int32s(idmapBytes)
-		idx, metaBlob, err := core.OpenMappedAt(f, recOff, recLen, mopts)
+		idx, err := core.OpenMappedAt(f, recOff, recLen, mopts)
 		if err != nil {
 			return nil, none, fmt.Errorf("distsearch: shard %d: %w", sh, err)
-		}
-		if metaBlob != nil {
-			return nil, none, smCorrupt("shard %d record carries a metadata section", sh)
 		}
 		want := len(ids)
 		if idmapLen == 0 {
@@ -310,7 +297,7 @@ func openMapped(f *mstore.File, mopts core.MapOptions) (*Sharded, FileOptions, e
 
 // openMeta decodes the metadata section that entry (the table's metadata
 // entry: offset, length, checksum) locates past the table's end, onto the
-// heap: the columns are small, and the store never aliases read-only pages.
+// heap: the columns are small, and the store never aliases the mapping.
 func (s *Sharded) openMeta(f *mstore.File, entry []byte, tableEnd int64, rows int) error {
 	off := int64(binary.LittleEndian.Uint64(entry[0:]))
 	size := int64(binary.LittleEndian.Uint64(entry[8:]))
@@ -330,27 +317,4 @@ func (s *Sharded) openMeta(f *mstore.File, entry []byte, tableEnd int64, rows in
 	}
 	s.Meta = st
 	return nil
-}
-
-// ReadOnly reports whether the index serves from a mapping.
-func (s *Sharded) ReadOnly() bool { return s.shards[0].ReadOnly() }
-
-// PromoteToHeap turns a mapped index into an ordinary mutable one: each
-// shard's slabs are copied to the heap, fresh handles take over with the
-// old ones' tombstones, cadence and id maps (copied out of the mapping),
-// and then the mapping is released. Search results are unchanged. A no-op
-// on a heap index; must not run concurrently with other calls.
-func (s *Sharded) PromoteToHeap() {
-	if !s.ReadOnly() {
-		return
-	}
-	for sh, idx := range s.shards {
-		old := s.handles[sh]
-		idx.PromoteToHeap()
-		s.handles[sh] = live.New(idx, slices.Clone(old.Translate()), old.Dead(), old.Options())
-	}
-	if s.mapped != nil {
-		s.mapped.Close()
-		s.mapped = nil
-	}
 }

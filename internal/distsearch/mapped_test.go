@@ -54,8 +54,8 @@ func TestShardedMappedParity(t *testing.T) {
 			if gotOpts != opts {
 				t.Fatalf("options round trip: %+v vs %+v", gotOpts, opts)
 			}
-			if !mapped.ReadOnly() || mapped.Shards() != heap.Shards() || mapped.Len() != heap.Len() {
-				t.Fatalf("mapped shape: ro=%v shards=%d len=%d", mapped.ReadOnly(), mapped.Shards(), mapped.Len())
+			if mapped.Shards() != heap.Shards() || mapped.Len() != heap.Len() {
+				t.Fatalf("mapped shape: shards=%d len=%d", mapped.Shards(), mapped.Len())
 			}
 			if mapped.Quantized() != quantize {
 				t.Fatalf("Quantized() = %v, want %v", mapped.Quantized(), quantize)
@@ -93,39 +93,6 @@ func TestShardedMappedParity(t *testing.T) {
 				t.Fatalf("IndexBytes %d vs %d", hb, mb)
 			}
 		})
-	}
-}
-
-// TestShardedMappedReadOnlyGuards: mutators on a mapped container must
-// fail with ErrReadOnly and leave it searchable, and its Write must equal
-// the heap index's.
-func TestShardedMappedReadOnlyGuards(t *testing.T) {
-	heap, ds := buildSharded(t, 1000, 2)
-	mapped, _, err := OpenMapped(saveShardedMapped(t, heap, FileOptions{}), core.MapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(mapped.Close)
-	vec := make([]float32, ds.Base.Dim)
-	if _, _, err := mapped.Insert(vec); !errors.Is(err, core.ErrReadOnly) {
-		t.Fatalf("Insert: %v", err)
-	}
-	if mapped.Len() != heap.Len() {
-		t.Fatalf("rejected Insert changed Len to %d, want %d", mapped.Len(), heap.Len())
-	}
-	var opts FileOptions
-	var hb, mb bytes.Buffer
-	if err := heap.Write(&hb, opts); err != nil {
-		t.Fatal(err)
-	}
-	if err := mapped.Write(&mb, opts); err != nil {
-		t.Fatalf("Write of a mapped container: %v", err)
-	}
-	if !bytes.Equal(hb.Bytes(), mb.Bytes()) {
-		t.Fatal("Write of the mapped container differs from the heap index's")
-	}
-	if res := mapped.Search(nil, ds.Queries.Row(0), 5, 30, nil, nil); len(res) != 5 {
-		t.Fatalf("search after rejected mutations: %d results", len(res))
 	}
 }
 

@@ -3,14 +3,16 @@ package distsearch
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/live"
 )
 
 // This file loads an index file and holds the options codec the file
 // carries. Save writes the mapped container (see mapped.go), and Load opens
-// it as OpenMapped does and promotes it to the heap. The stream layouts
-// older builds wrote are refused at their first word (see openMapped).
+// it as OpenMapped does and copies it to the heap. The layouts older
+// builds wrote are refused at their first word (see openMapped).
 
 // FileOptions are the build options a file keeps beside its index: the
 // public layer's per-shard GraphK, BuildL, MaxDegree and SearchL, and
@@ -55,15 +57,20 @@ func decodeOptions(blob []byte) (FileOptions, error) {
 }
 
 // Load reads the file Save wrote to path and returns the index on the heap,
-// mutable, with a running worker pool, plus its options. The file is
-// opened as OpenMapped opens it, its checksums verified, so a damaged file
-// fails with a *core.FormatError, and then promoted: the index keeps no
-// mapping.
+// with a running worker pool, plus its options. The file is opened as
+// OpenMapped opens it, its checksums verified, so a damaged file fails with
+// a *core.FormatError, and then copied: the index keeps no mapping.
 func Load(path string) (*Sharded, FileOptions, error) {
 	s, opts, err := OpenMapped(path, core.MapOptions{})
 	if err != nil {
 		return nil, FileOptions{}, err
 	}
-	s.PromoteToHeap()
+	for sh, idx := range s.shards {
+		idx.CopyToHeap()
+		// A fresh handle serves the copy, with the id map copied too.
+		s.handles[sh] = live.New(idx, slices.Clone(s.handles[sh].Translate()), nil, live.Options{})
+	}
+	s.mapped.Close()
+	s.mapped = nil
 	return s, opts, nil
 }

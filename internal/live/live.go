@@ -142,7 +142,6 @@ type view struct {
 // starts another.
 type Handle struct {
 	idx *core.NSG
-	ro  bool             // the NSG is a read-only mapping: Append is refused
 	q   *quant.Quantizer // non-nil iff SQ8-quantized
 	dim int
 
@@ -182,7 +181,6 @@ func New(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options) 
 	h := &Handle{
 		opts:  opts,
 		idx:   idx,
-		ro:    idx.ReadOnly(),
 		dim:   idx.Base.Dim,
 		trans: translate,
 		wake:  make(chan struct{}, 1),
@@ -275,9 +273,6 @@ func (h *Handle) Append(vec []float32, id int32) (int32, error) {
 // appendLocked writes one row into the delta, starts the maintainer if none
 // runs, and nudges it once MaxPending rows wait. Callers hold h.mu.
 func (h *Handle) appendLocked(vec []float32, id int32) error {
-	if h.ro {
-		return core.ErrReadOnly
-	}
 	if len(vec) != h.dim {
 		return fmt.Errorf("live: vector dim %d != index dim %d", len(vec), h.dim)
 	}

@@ -13,8 +13,9 @@
 // record format on top.
 //
 // Mapped memory is PROT_READ: an accidental write through a mapped slab
-// faults instead of silently corrupting the file, which backs the
-// read-only contract the mapped index types expose.
+// faults instead of silently corrupting the file, which backs the copy on
+// write of the mapped index types (every write copies out of the mapping
+// first, so none may land in it).
 package mstore
 
 import (
@@ -116,8 +117,8 @@ func alignedBytes(n int) []byte {
 
 // HostLittleEndian reports whether the host stores integers little-endian.
 // The typed views below reinterpret on-disk little-endian slabs in place,
-// so mapped serving is only available on little-endian hosts; callers on
-// big-endian machines must use the decoding load paths instead.
+// and every index file is read through them, so a big-endian host cannot
+// open index files.
 func HostLittleEndian() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the public face of live updates, the one write path every
-// mutable index has: queries read an immutable published snapshot through
+// index has: queries read an immutable published snapshot through
 // one atomic pointer, Add appends to a delta buffer that queries scan and
 // merge, and a background maintainer drains the delta through the
 // incremental-insert path before atomically publishing a fresh snapshot.
@@ -46,17 +46,14 @@ func (o LiveOptions) internal(insert core.InsertParams) live.Options {
 	}
 }
 
-// EnableLiveUpdates sets the maintainers' cadence. Every mutable index
+// EnableLiveUpdates sets the maintainers' cadence. Every index
 // already accepts Add and Delete concurrently with Search (and with each
 // other): new points are searchable the moment Add returns, served with
 // exact distances from the delta buffer until the background maintainer of
 // the shard they landed in folds them into the graph. It may be called any
-// number of times, also while searches and Adds are in flight; it returns
-// ErrReadOnly on a mapped index.
+// number of times, also while searches and Adds are in flight. The error
+// is always nil.
 func (x *Index) EnableLiveUpdates(opts LiveOptions) error {
-	if x.ReadOnly() {
-		return ErrReadOnly
-	}
 	x.s.SetLiveOptions(opts.internal(x.insertParams()))
 	return nil
 }

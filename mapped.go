@@ -15,16 +15,13 @@ import (
 // O(decode): pages fault in on demand as searches touch them, and capacity
 // is bounded by the page cache rather than the Go heap.
 //
-// A mapped index is read-only. Searches, batch searches, Delete (a
-// heap-side tombstone set) and Stats work exactly as on a built index,
-// with byte-identical results; Add, Compact (once anything is deleted) and
-// EnableLiveUpdates return ErrReadOnly. Call PromoteToHeap to copy the
-// index out of the mapping and regain the full mutation API (Load does
-// both in one call), or rebuild from vectors.
-
-// ErrReadOnly is returned by mutating operations on an index opened with
-// OpenMapped. Use errors.Is to detect it.
-var ErrReadOnly = core.ErrReadOnly
+// A mapped index takes every call a built one does, with byte-identical
+// results. A write never touches the file: the first Add to a shard copies
+// the slabs it grows out of the mapping onto the heap (the graph's offsets
+// and edges, vectors, codes and ids), and Compact builds its replacement
+// on the heap. The mapping lives until
+// Close, or until Compact swaps the index and closes the old one. Load
+// opens the same file verified and copies it to the heap at once.
 
 // IsCorrupt reports whether err (from Load or OpenMapped) describes a
 // damaged or truncated index file, as opposed to an I/O failure. The error
@@ -42,13 +39,14 @@ type MapOptions = core.MapOptions
 func (x *Index) SaveMapped(path string) error { return x.Save(path) }
 
 // OpenMapped opens a file written by Save — by any index, of any shard
-// count, or a one-NSG "NSGM" file from before every index wrote
-// containers — and serves every shard in place through one memory mapping
-// (or, where mmap is unavailable, one heap copy of each slab read at open),
+// count — and serves every shard in place through one memory mapping (or,
+// where mmap is unavailable, one heap copy of each slab read at open),
 // restoring the build options and metadata store as Load does. The
-// returned index is read-only — see ErrReadOnly — and holds the file open
-// until Close. Searches are byte-identical to the heap-resident index that
-// was saved.
+// returned index takes Add, Delete, Compact and EnableLiveUpdates like a
+// built one (see the top of this file) and holds the file open until
+// Close. Searches are byte-identical to the heap-resident index that was
+// saved. A file in a layout older builds wrote (a stream, or a one-NSG
+// "NSGM" record) is refused with an error naming its layout.
 //
 // By default the whole file is verified against its checksums before
 // serving (open reads the file once); MapOptions.NoVerify skips that pass
@@ -61,15 +59,4 @@ func OpenMapped(path string, opts MapOptions) (*Index, error) {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
 	return open(s, fo), nil
-}
-
-// PromoteToHeap converts a mapped index into an ordinary mutable index:
-// every slab is copied to the heap, the file mapping is released, and the
-// full mutation API (Add, Compact, EnableLiveUpdates) becomes available.
-// Tombstones and the live-update cadence carry over and search results are
-// unchanged. A no-op on an index that is already heap-resident. Must not
-// run concurrently with other calls on the index.
-func (x *Index) PromoteToHeap() error {
-	x.s.PromoteToHeap()
-	return nil
 }

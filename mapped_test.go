@@ -1,10 +1,10 @@
 package nsg
 
 // Public-API tests for disk-resident serving: mapped/heap search parity
-// across index shapes (float32, SQ8+rerank, tombstoned, sharded), the
-// read-only mutation contract, PromoteToHeap, the crash-safety of the
-// atomic save path, and fuzz targets over the bundle loader and the mapped
-// open.
+// across index shapes (float32, SQ8+rerank, tombstoned, sharded), writes
+// that copy out of the mapping and leave the file as it was, the
+// crash-safety of the atomic save path, and fuzz targets over the bundle
+// loader and the mapped open.
 
 import (
 	"bytes"
@@ -16,9 +16,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/mstore"
+	"repro/internal/vecmath"
 )
 
 func buildMappedPublicIndex(t *testing.T, ds dataset.Dataset, quantize QuantMode) *Index {
@@ -49,16 +51,20 @@ func searchSig(ids []int32, dists []float32) string {
 // TestMappedParityPublic: OpenMapped must serve byte-identical results to
 // the heap index it was saved from — ids, distance bits, and traversal hop
 // counts — for the float32 and SQ8+rerank shapes. A file from before int4
-// was removed carries the retired int4 marker in place of the SQ8 flag; it
-// must be refused as corrupt, not misread.
+// was removed carries the retired int4 marker in place of the SQ8 flag in
+// its records; it must be refused as corrupt, not misread.
 func TestMappedParityPublic(t *testing.T) {
 	ds := shardedTestData(t, 2000, 30)
+	dir, sq8Path := t.TempDir(), ""
 	for _, quantize := range []QuantMode{QuantNone, QuantSQ8} {
 		t.Run(quantize.String(), func(t *testing.T) {
 			heap := buildMappedPublicIndex(t, ds, quantize)
-			path := filepath.Join(t.TempDir(), "idx.nsgm")
+			path := filepath.Join(dir, quantize.String()+".nsgm")
 			if err := heap.SaveMapped(path); err != nil {
 				t.Fatal(err)
+			}
+			if quantize == QuantSQ8 {
+				sq8Path = path
 			}
 			t.Run("mmap", func(t *testing.T) {
 				mapped, err := OpenMapped(path, MapOptions{})
@@ -66,9 +72,6 @@ func TestMappedParityPublic(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer mapped.Close()
-				if !mapped.ReadOnly() {
-					t.Fatal("mapped index not read-only")
-				}
 				if mapped.Len() != heap.Len() || mapped.Dim() != heap.Dim() || mapped.QuantMode() != heap.QuantMode() {
 					t.Fatalf("shape mismatch: len %d/%d dim %d/%d quant %v/%v",
 						mapped.Len(), heap.Len(), mapped.Dim(), heap.Dim(), mapped.QuantMode(), heap.QuantMode())
@@ -98,10 +101,8 @@ func TestMappedParityPublic(t *testing.T) {
 		})
 	}
 	t.Run("int4", func(t *testing.T) {
-		// int4 files were top-level NSGM records. The flags word is header
-		// bytes 8..11, and the header checksum covers the first 188 bytes.
 		path := filepath.Join(t.TempDir(), "idx.nsgm")
-		if err := os.WriteFile(path, mutateWord(t, legacyPath("one_sq8.nsgm"), 8, 188, swapSQ8ForInt4(t)), 0o644); err != nil {
+		if err := os.WriteFile(path, int4Record(t, sq8Path), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Run("mmap", func(t *testing.T) {
@@ -118,8 +119,8 @@ func TestMappedParityPublic(t *testing.T) {
 }
 
 // TestMappedTombstoneParity: Delete is a heap-side tombstone set, so it
-// works on a read-only mapped index; filtered results must match a heap
-// index with the same tombstones.
+// leaves the mapped slabs alone; filtered results must match a heap index
+// with the same tombstones.
 func TestMappedTombstoneParity(t *testing.T) {
 	ds := shardedTestData(t, 1200, 20)
 	heap := buildMappedPublicIndex(t, ds, QuantNone)
@@ -161,50 +162,6 @@ func TestMappedTombstoneParity(t *testing.T) {
 	}
 }
 
-// TestMappedReadOnlyContract: every mutating operation on a mapped index
-// must return ErrReadOnly (detectable with errors.Is) and leave the index
-// serving.
-func TestMappedReadOnlyContract(t *testing.T) {
-	ds := shardedTestData(t, 600, 10)
-	heap := buildMappedPublicIndex(t, ds, QuantNone)
-	path := filepath.Join(t.TempDir(), "idx.nsgm")
-	if err := heap.SaveMapped(path); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := OpenMapped(path, MapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-
-	if _, err := mapped.Add(make([]float32, mapped.Dim())); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Add: got %v, want ErrReadOnly", err)
-	}
-	if err := mapped.EnableLiveUpdates(LiveOptions{}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("EnableLiveUpdates: got %v, want ErrReadOnly", err)
-	}
-	if err := mapped.Delete(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mapped.Compact(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Compact: got %v, want ErrReadOnly", err)
-	}
-	// With a Delete pending, Save refuses and the atomic writer leaves no
-	// file behind.
-	resaved := filepath.Join(t.TempDir(), "resaved.nsg")
-	if err := mapped.Save(resaved); !errors.Is(err, ErrUncompactedDeletes) {
-		t.Fatalf("Save after Delete: got %v, want ErrUncompactedDeletes", err)
-	}
-	if _, err := os.Stat(resaved); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("failed Save left a file behind: %v", err)
-	}
-
-	ids, _ := mapped.SearchWithPool(ds.Queries.Row(0), 5, 60)
-	if len(ids) != 5 {
-		t.Fatal("mapped index stopped serving after rejected mutations")
-	}
-}
-
 // TestMappedSaveMatchesHeap: Save of a mapped index streams its mapped
 // slabs and writes the bytes Save of the heap index it was saved from
 // writes, float and SQ8.
@@ -239,67 +196,11 @@ func TestMappedSaveMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestMappedPromoteToHeapPublic: PromoteToHeap must hand back a fully
-// mutable index with unchanged search results and tombstones, whose Adds
-// drain into the heap graph.
-func TestMappedPromoteToHeapPublic(t *testing.T) {
-	ds := shardedTestData(t, 800, 10)
-	heap := buildMappedPublicIndex(t, ds, QuantSQ8)
-	path := filepath.Join(t.TempDir(), "idx.nsgm")
-	if err := heap.SaveMapped(path); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := OpenMapped(path, MapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if err := mapped.Delete(5); err != nil {
-		t.Fatal(err)
-	}
-
-	before := make([]string, ds.Queries.Rows)
-	for qi := range before {
-		ids, dists := mapped.SearchWithPool(ds.Queries.Row(qi), 10, 60)
-		before[qi] = searchSig(ids, dists)
-	}
-	if err := mapped.PromoteToHeap(); err != nil {
-		t.Fatal(err)
-	}
-	if mapped.ReadOnly() {
-		t.Fatal("still read-only after PromoteToHeap")
-	}
-	if !mapped.Deleted(5) {
-		t.Fatal("tombstone lost across PromoteToHeap")
-	}
-	for qi := range before {
-		ids, dists := mapped.SearchWithPool(ds.Queries.Row(qi), 10, 60)
-		if searchSig(ids, dists) != before[qi] {
-			t.Fatalf("query %d: results changed across PromoteToHeap", qi)
-		}
-	}
-	vec := append([]float32(nil), ds.Base.Row(0)...)
-	vec[0] += 0.5
-	id, err := mapped.Add(vec)
-	if err != nil {
-		t.Fatalf("Add after PromoteToHeap: %v", err)
-	}
-	if mapped.Len() != heap.Len()+1 {
-		t.Fatalf("Len after Add = %d, want %d", mapped.Len(), heap.Len()+1)
-	}
-	mapped.Flush()
-	if st := mapped.MaintenanceStats(); st.Pending != 0 || st.SnapshotRows != mapped.Len() {
-		t.Fatalf("Add did not drain into the heap graph: %+v", st)
-	}
-	if ids, dists := mapped.SearchWithPool(vec, 1, 60); len(ids) != 1 || ids[0] != id || dists[0] != 0 {
-		t.Fatalf("added row %d not found after Flush: %v %v", id, ids, dists)
-	}
-}
-
 // TestShardedMappedRoundTrip: the sharded container must round-trip the
 // build options and serve byte-identical fan-out searches, for plain and
-// quantized shards, and Save of the mapped index must write the heap
-// index's bytes. A container from before int4 was removed sets the
+// quantized shards; Save of the mapped index must write the heap index's
+// bytes, and the mapped index then takes an Add. A container from before
+// int4 was removed sets the
 // reserved int4 option bit; it must be refused as corrupt, not misread.
 func TestShardedMappedRoundTrip(t *testing.T) {
 	ds := shardedTestData(t, 2000, 25)
@@ -326,9 +227,6 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer mapped.Close()
-				if !mapped.ReadOnly() {
-					t.Fatal("mapped sharded index not read-only")
-				}
 				if mapped.Shards() != heap.Shards() || mapped.Len() != heap.Len() ||
 					mapped.Dim() != heap.Dim() || mapped.QuantMode() != heap.QuantMode() {
 					t.Fatal("shape or options did not round-trip")
@@ -357,12 +255,6 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 						}
 					}
 				}
-				if _, err := mapped.Add(make([]float32, mapped.Dim())); !errors.Is(err, ErrReadOnly) {
-					t.Fatalf("sharded Add: got %v, want ErrReadOnly", err)
-				}
-				if err := mapped.EnableLiveUpdates(LiveOptions{}); !errors.Is(err, ErrReadOnly) {
-					t.Fatalf("sharded EnableLiveUpdates: got %v, want ErrReadOnly", err)
-				}
 				// Save of the mapped index writes the heap index's bytes.
 				heapPath := filepath.Join(t.TempDir(), "heap.nsg")
 				mappedPath := filepath.Join(t.TempDir(), "mapped.nsg")
@@ -382,6 +274,16 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 				}
 				if !bytes.Equal(hb, mb) {
 					t.Fatal("Save of the mapped sharded index differs from Save of the heap index")
+				}
+				if err := mapped.EnableLiveUpdates(LiveOptions{}); err != nil {
+					t.Fatalf("sharded EnableLiveUpdates: %v", err)
+				}
+				id, err := mapped.Add(ds.Queries.Row(0))
+				if err != nil {
+					t.Fatalf("sharded Add: %v", err)
+				}
+				if ids, _ := mapped.SearchWithPool(ds.Queries.Row(0), 1, 60); len(ids) != 1 || ids[0] != id {
+					t.Fatalf("the added row %d is not its own nearest neighbor: %v", id, ids)
 				}
 			})
 		})
@@ -419,6 +321,141 @@ func TestShardedMappedRoundTrip(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestSaveOverOpenFile: OpenMapped(F), Add, Save(F). Save writes a temp
+// file and renames it over F, so the first index, still mapping the old
+// file, keeps answering as it did until Close, and Load(F) finds the added
+// rows.
+func TestSaveOverOpenFile(t *testing.T) {
+	ds := shardedTestData(t, 900, 10)
+	heap := buildShardedIndex(t, ds, 3)
+	defer heap.Close()
+	path := filepath.Join(t.TempDir(), "idx.nsg")
+	if err := heap.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	first, err := OpenMapped(path, MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	added := make([]int32, 5)
+	for i := range added {
+		vec := append([]float32(nil), ds.Base.Row(i)...)
+		vec[0] += 0.5
+		if added[i], err = first.Add(vec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answers := func(x *Index) string {
+		var sb strings.Builder
+		for qi := 0; qi < ds.Queries.Rows; qi++ {
+			sb.WriteString(searchSig(x.SearchWithPool(ds.Queries.Row(qi), 10, 60)))
+		}
+		for i := range added {
+			sb.WriteString(searchSig(x.SearchWithPool(x.Vector(int(added[i])), 1, 60)))
+		}
+		return sb.String()
+	}
+	first.Flush()
+	before := answers(first)
+	if err := first.Save(path); err != nil {
+		t.Fatalf("Save over the file the index maps: %v", err)
+	}
+	if got := answers(first); got != before {
+		t.Fatal("saving over its own file changed the first index's answers")
+	}
+	second, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if second.Len() != heap.Len()+len(added) {
+		t.Fatalf("the saved file holds %d rows, want %d", second.Len(), heap.Len()+len(added))
+	}
+	if got := answers(second); got != before { // the added rows find themselves
+		t.Fatal("the reloaded index answers differently from the index that saved it")
+	}
+}
+
+// TestMappedIndexConcurrentFirstAdds: searches from two goroutines on a
+// mapped 3-shard SQ8 index while its first Adds drain, which copies each
+// shard's graph, vectors, codes and ids out of the mapping. Every
+// answer holds k rows at their exact distances, read from the rows Vector
+// returns at that moment; run under -race, the detector watches the copy.
+func TestMappedIndexConcurrentFirstAdds(t *testing.T) {
+	ds := shardedTestData(t, 1200, 16)
+	opts := DefaultShardedOptions(3)
+	opts.Shard.ExactKNN, opts.Shard.Seed, opts.Shard.Quantize = true, 7, QuantSQ8
+	heap, err := BuildShardedFromFlat(append([]float32(nil), ds.Base.Data...), ds.Base.Dim, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer heap.Close()
+	path := filepath.Join(t.TempDir(), "idx.nsg")
+	if err := heap.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	x, err := OpenMapped(path, MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	if err := x.EnableLiveUpdates(LiveOptions{MaxPending: 4, PublishInterval: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	for w := range 2 {
+		go func() {
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				q := ds.Queries.Row(i % ds.Queries.Rows)
+				ids, dists := x.SearchWithPool(q, 10, 60)
+				if len(ids) != 10 {
+					errs <- fmt.Errorf("query %d: %d results", i, len(ids))
+					return
+				}
+				for r, id := range ids {
+					if want := vecmath.L2(q, x.Vector(int(id))); math.Float32bits(dists[r]) != math.Float32bits(want) {
+						errs <- fmt.Errorf("query %d rank %d: id %d at %v, its row is at %v", i, r, id, dists[r], want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	added := make([]int32, 60)
+	for i := range added {
+		vec := append([]float32(nil), ds.Base.Row(i)...)
+		vec[1] += 0.25
+		if added[i], err = x.Add(vec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x.Flush()
+	close(stop)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := x.MaintenanceStats(); st.Pending != 0 || st.SnapshotRows != heap.Len()+len(added) {
+		t.Fatalf("the Adds did not drain: %+v", st)
+	}
+	for _, id := range added {
+		v := x.Vector(int(id))
+		if ids, dists := x.SearchWithPool(v, 1, 60); len(ids) != 1 || ids[0] != id || dists[0] != 0 {
+			t.Fatalf("added row %d does not find itself: %v %v", id, ids, dists)
+		}
+	}
 }
 
 // TestMappedCorruptionIsCorrupt: a damaged file must be rejected by
@@ -533,9 +570,9 @@ func TestSaveAtomicCrash(t *testing.T) {
 }
 
 // FuzzLoadSharded feeds arbitrary bytes to Load: the container parser,
-// the top-level NSGM record behind it and the promotion to the heap (a
-// stream file older builds wrote, like the committed corpus entry, is
-// refused at its first word). It must either return an error or an index
+// the records behind it, verified, and the copy to the heap (a layout
+// older builds wrote, a stream file like the committed corpus entry or a
+// top-level NSGM record, is refused at its first word). It must either return an error or an index
 // whose searches do not panic and return distinct ids in range.
 func FuzzLoadSharded(f *testing.F) {
 	ds, err := dataset.SIFTLike(dataset.Config{N: 300, Queries: 2, GTK: 5, Dim: 8, Seed: 3})
@@ -563,8 +600,8 @@ func FuzzLoadSharded(f *testing.F) {
 	f.Add(seed[:40])
 	f.Add([]byte{})
 	// A one-shard file with a metadata store (its empty id map and the
-	// metadata section), and an older build's top-level NSGM record and
-	// version-1 container.
+	// metadata section), and an older build's top-level NSGM record (which
+	// is refused) and version-1 container.
 	one, err := BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts.Shard)
 	if err != nil {
 		f.Fatal(err)
@@ -618,9 +655,10 @@ func checkFuzzedIndex(t *testing.T, got *Index) {
 }
 
 // FuzzOpenMapped feeds arbitrary bytes to OpenMapped: the NSMS container
-// (its shard table, id maps, embedded records and metadata section) and
-// the legacy top-level NSGM record behind it. It must either return an
-// error or an index that keeps checkFuzzedIndex's promises.
+// (its shard table, id maps, embedded records and metadata section), with
+// the legacy top-level NSGM record among the seeds for the refusal. It
+// must either return an error or an index that keeps checkFuzzedIndex's
+// promises.
 func FuzzOpenMapped(f *testing.F) {
 	ds, err := dataset.SIFTLike(dataset.Config{N: 300, Queries: 2, GTK: 5, Dim: 8, Seed: 3})
 	if err != nil {
@@ -642,8 +680,8 @@ func FuzzOpenMapped(f *testing.F) {
 		f.Fatal(err)
 	}
 	dir := f.TempDir()
-	// Beside today's containers, an older build's top-level NSGM record and
-	// version-1 container.
+	// Beside today's containers, an older build's top-level NSGM record
+	// (which is refused) and version-1 container.
 	paths := []string{filepath.Join(dir, "one.nsms"), filepath.Join(dir, "two.nsms"), legacyPath("one_sq8.nsgm"), legacyPath("three.nsms")}
 	if err := one.SaveMapped(paths[0]); err != nil {
 		f.Fatal(err)

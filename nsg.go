@@ -19,7 +19,8 @@
 // Indexes are persisted with Save, in one format whatever their shard
 // count, with their vectors, build options and metadata store, so a
 // reopened index is self-contained. Load reopens the file on the heap, and
-// OpenMapped serves it in place through a memory mapping.
+// OpenMapped serves it in place through a memory mapping; either takes
+// writes like a built index.
 //
 // # Search contexts and the zero-allocation hot path
 //
@@ -35,15 +36,15 @@
 // The concurrency contract is: the index may be queried from any number of
 // goroutines concurrently; each context is owned by one goroutine at a time
 // (the pool enforces this for the simple API, and SearchBatch keeps one
-// context per worker). Every mutable index accepts Add and Delete from any
+// context per worker). Every index accepts Add and Delete from any
 // goroutine, concurrently with searches: queries read an immutable
 // published snapshot plus a scanned delta buffer, and a background
 // maintainer folds pending inserts into the graph off the query path. It
 // runs only while added points wait to drain, so an index that is only
 // searched runs no goroutine. EnableLiveUpdates only tunes its cadence.
-// Close flushes the delta and stops the maintainer (a later Add starts it
-// again). Compact, PromoteToHeap and Close replace or release
-// serving state and must not run concurrently with other calls.
+// Close flushes the delta and stops the maintainer (see Close for what
+// stays usable after it). Compact and Close replace or release serving
+// state and must not run concurrently with other calls.
 //
 // For throughput-bound workloads prefer SearchBatch, which fans queries out
 // across worker goroutines, each reusing one context for its whole share of
@@ -276,9 +277,10 @@ var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file ca
 // Load reads it back onto the heap, and OpenMapped serves it in place
 // without decoding. Stop issuing Adds and Deletes first: Save flushes the
 // delta so the file captures every point; concurrent searches are fine. A
-// mapped index writes the bytes the index it was mapped from would; an
-// index with deleted points returns ErrUncompactedDeletes and writes
-// nothing (Compact first).
+// mapped index writes the bytes the index it was mapped from would, and may
+// save over its own file: the rename leaves the mapped file intact, so the
+// index keeps answering from it until Close. An index with deleted points
+// returns ErrUncompactedDeletes and writes nothing (Compact first).
 func (x *Index) Save(path string) error {
 	opts, err := x.prepareSave()
 	if err != nil {
@@ -312,13 +314,10 @@ func (x *Index) prepareSave() (distsearch.FileOptions, error) {
 // — on the heap, restoring the options it was built with, so Add, Compact
 // and default searches behave as on the original index, and its metadata
 // store. The file is opened as OpenMapped opens it, its checksums verified
-// (a damaged file fails with an error IsCorrupt recognises), and promoted
-// to the heap: the loaded index keeps no mapping and is mutable. A
-// one-NSG "NSGM" file from before every index wrote containers still
-// loads, keeping only the degree cap and quantization mode (GraphK, BuildL
-// and SearchL take DefaultOptions' values); a stream file older builds
-// wrote ("NSGD", "NSGB") is refused with an error naming its layout. The
-// loaded index serves immediately.
+// (a damaged file fails with an error IsCorrupt recognises), and copied to
+// the heap: the loaded index keeps no mapping. A file in a layout older
+// builds wrote (a stream, or a one-NSG "NSGM" record) is refused with an
+// error naming its layout. The loaded index serves immediately.
 func Load(path string) (*Index, error) {
 	s, opts, err := distsearch.Load(path)
 	if err != nil {

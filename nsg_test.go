@@ -1,8 +1,11 @@
 package nsg
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -159,11 +162,22 @@ func TestSearchWithPoolTradesAccuracy(t *testing.T) {
 	}
 }
 
-// TestSaveLoadRoundTrip: Load(Save(x)), for {1, 3 shards} x {float32,
-// SQ8} x {no metadata, metadata}, is a heap index that answers as x does —
-// ids, distance bits, hops and evaluations, plain and filtered — and takes
-// every mutation: live updates, Add, Delete and Compact, and a second Save
-// that loads again.
+// reopeners are the two ways to reopen a saved file: Load, onto the heap,
+// and OpenMapped, in place.
+var reopeners = []struct {
+	name string
+	open func(string) (*Index, error)
+}{
+	{"Load", Load},
+	{"OpenMapped", func(path string) (*Index, error) { return OpenMapped(path, MapOptions{}) }},
+}
+
+// TestSaveLoadRoundTrip: Load(Save(x)) and OpenMapped(Save(x)), for {1, 3
+// shards} x {float32, SQ8} x {no metadata, metadata}, answer as x does
+// — ids, distance bits, hops and evaluations, plain and filtered — and
+// take every mutation: live updates, Add, Delete (Save refuses while it is
+// pending, and writes nothing) and Compact, and a second Save that loads
+// again. None of them changes the file they were opened from.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ds := shardedTestData(t, 600, 10)
 	dir := t.TempDir()
@@ -191,73 +205,89 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				if err := x.Save(path); err != nil {
 					t.Fatal(err)
 				}
-				got, err := Load(path)
+				file, err := os.ReadFile(path)
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatal(err)
 				}
-				defer got.Close()
-				if got.ReadOnly() || got.Len() != x.Len() || got.Dim() != x.Dim() || got.Shards() != shards {
-					t.Fatalf("%s: read-only %v, %d shards of %dx%d", name, got.ReadOnly(), got.Shards(), got.Len(), got.Dim())
-				}
-				var fg *Filter
-				if f != nil {
-					if fg, err = got.CompileFilter(Eq("category", "c3")); err != nil {
-						t.Fatal(err)
+				for _, open := range reopeners {
+					name := name + "/" + open.name
+					got, err := open.open(path)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					defer got.Close()
+					if got.Len() != x.Len() || got.Dim() != x.Dim() || got.Shards() != shards {
+						t.Fatalf("%s: %d shards of %dx%d", name, got.Shards(), got.Len(), got.Dim())
+					}
+					var fg *Filter
+					if f != nil {
+						if fg, err = got.CompileFilter(Eq("category", "c3")); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for qi := 0; qi < ds.Queries.Rows; qi++ {
+						qv := ds.Queries.Row(qi)
+						aIDs, aD, aSt := x.SearchWithStats(qv, 10, 60)
+						bIDs, bD, bSt := got.SearchWithStats(qv, 10, 60)
+						if searchSig(aIDs, aD) != searchSig(bIDs, bD) || aSt != bSt {
+							t.Fatalf("%s: query %d answers %s %+v, want %s %+v", name, qi, searchSig(bIDs, bD), bSt, searchSig(aIDs, aD), aSt)
+						}
+						if f == nil {
+							continue
+						}
+						aIDs, aD, aSt = x.SearchFilteredWithStats(qv, 10, 60, f)
+						bIDs, bD, bSt = got.SearchFilteredWithStats(qv, 10, 60, fg)
+						if searchSig(aIDs, aD) != searchSig(bIDs, bD) || aSt != bSt {
+							t.Fatalf("%s: filtered query %d answers %s %+v, want %s %+v", name, qi, searchSig(bIDs, bD), bSt, searchSig(aIDs, aD), aSt)
+						}
+					}
+					if err := got.EnableLiveUpdates(LiveOptions{}); err != nil {
+						t.Fatalf("%s: EnableLiveUpdates: %v", name, err)
+					}
+					id, err := got.Add(ds.Queries.Row(0))
+					if err != nil {
+						t.Fatalf("%s: Add: %v", name, err)
+					}
+					got.Flush()
+					if ids, _ := got.SearchWithPool(ds.Queries.Row(0), 1, 60); len(ids) != 1 || ids[0] != id {
+						t.Fatalf("%s: the added row %d is not its own nearest neighbor: %v", name, id, ids)
+					}
+					if err := got.Delete(5); err != nil {
+						t.Fatalf("%s: Delete: %v", name, err)
+					}
+					again := filepath.Join(t.TempDir(), "again.nsg")
+					if err := got.Save(again); !errors.Is(err, ErrUncompactedDeletes) {
+						t.Fatalf("%s: Save with a Delete pending: got %v, want ErrUncompactedDeletes", name, err)
+					}
+					if _, err := os.Stat(again); !errors.Is(err, os.ErrNotExist) {
+						t.Fatalf("%s: the refused Save left a file behind: %v", name, err)
+					}
+					if _, err := got.Compact(); err != nil {
+						t.Fatalf("%s: Compact: %v", name, err)
+					}
+					if err := got.Save(again); err != nil {
+						t.Fatalf("%s: second Save: %v", name, err)
+					}
+					re, err := Load(again)
+					if err != nil {
+						t.Fatalf("%s: Load of the second Save: %v", name, err)
+					}
+					if re.Len() != x.Len() {
+						t.Fatalf("%s: the second Save holds %d rows, want %d", name, re.Len(), x.Len())
+					}
+					re.Close()
+					if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, file) {
+						t.Fatalf("%s: the writes on the reopened index changed its file (%v)", name, err)
 					}
 				}
-				for qi := 0; qi < ds.Queries.Rows; qi++ {
-					qv := ds.Queries.Row(qi)
-					aIDs, aD, aSt := x.SearchWithStats(qv, 10, 60)
-					bIDs, bD, bSt := got.SearchWithStats(qv, 10, 60)
-					if searchSig(aIDs, aD) != searchSig(bIDs, bD) || aSt != bSt {
-						t.Fatalf("%s: query %d answers %s %+v, want %s %+v", name, qi, searchSig(bIDs, bD), bSt, searchSig(aIDs, aD), aSt)
-					}
-					if f == nil {
-						continue
-					}
-					aIDs, aD, aSt = x.SearchFilteredWithStats(qv, 10, 60, f)
-					bIDs, bD, bSt = got.SearchFilteredWithStats(qv, 10, 60, fg)
-					if searchSig(aIDs, aD) != searchSig(bIDs, bD) || aSt != bSt {
-						t.Fatalf("%s: filtered query %d answers %s %+v, want %s %+v", name, qi, searchSig(bIDs, bD), bSt, searchSig(aIDs, aD), aSt)
-					}
-				}
-				if err := got.EnableLiveUpdates(LiveOptions{}); err != nil {
-					t.Fatalf("%s: EnableLiveUpdates: %v", name, err)
-				}
-				id, err := got.Add(ds.Queries.Row(0))
-				if err != nil {
-					t.Fatalf("%s: Add: %v", name, err)
-				}
-				got.Flush()
-				if ids, _ := got.SearchWithPool(ds.Queries.Row(0), 1, 60); len(ids) != 1 || ids[0] != id {
-					t.Fatalf("%s: the added row %d is not its own nearest neighbor: %v", name, id, ids)
-				}
-				if err := got.Delete(5); err != nil {
-					t.Fatalf("%s: Delete: %v", name, err)
-				}
-				if _, err := got.Compact(); err != nil {
-					t.Fatalf("%s: Compact: %v", name, err)
-				}
-				again := filepath.Join(dir, "again.nsg")
-				if err := got.Save(again); err != nil {
-					t.Fatalf("%s: second Save: %v", name, err)
-				}
-				re, err := Load(again)
-				if err != nil {
-					t.Fatalf("%s: Load of the second Save: %v", name, err)
-				}
-				if re.Len() != x.Len() {
-					t.Fatalf("%s: the second Save holds %d rows, want %d", name, re.Len(), x.Len())
-				}
-				re.Close()
 			}
 		}
 	}
 }
 
 // TestReopenedIndexKeepsDegreeCap: the file stores the degree cap, so an
-// index reopened by Load, or by OpenMapped and PromoteToHeap, inserts under
-// the cap it was built with, exactly as the index that was saved does.
+// index reopened by Load or OpenMapped inserts under the cap it was built
+// with, exactly as the index that was saved does.
 func TestReopenedIndexKeepsDegreeCap(t *testing.T) {
 	vecs := randomVectors(2300, 32, 41)
 	opts := DefaultOptions()
@@ -266,27 +296,20 @@ func TestReopenedIndexKeepsDegreeCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path, mpath := filepath.Join(dir, "cap.nsg"), filepath.Join(dir, "cap.nsgm")
+	path := filepath.Join(t.TempDir(), "cap.nsg")
 	if err := orig.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := orig.SaveMapped(mpath); err != nil {
-		t.Fatal(err)
+	indexes := []*Index{orig}
+	for _, open := range reopeners {
+		x, err := open.open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer x.Close()
+		indexes = append(indexes, x)
 	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := OpenMapped(mpath, MapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if err := mapped.PromoteToHeap(); err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []*Index{orig, loaded, mapped} {
+	for _, x := range indexes {
 		for _, v := range vecs[2000:] {
 			if _, err := x.Add(v); err != nil {
 				t.Fatal(err)
@@ -299,9 +322,9 @@ func TestReopenedIndexKeepsDegreeCap(t *testing.T) {
 	if want.MaxDegree > opts.MaxDegree+1 {
 		t.Fatalf("built index grew to degree %d under cap %d", want.MaxDegree, opts.MaxDegree)
 	}
-	for name, x := range map[string]*Index{"Load": loaded, "OpenMapped": mapped} {
-		if got := x.Stats(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: after the same Adds, stats %+v, want the saved index's %+v", name, got, want)
+	for i, open := range reopeners {
+		if got := indexes[i+1].Stats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: after the same Adds, stats %+v, want the saved index's %+v", open.name, got, want)
 		}
 	}
 }

@@ -218,10 +218,8 @@ func TestQuantizedSaveLoadParity(t *testing.T) {
 		}
 	})
 	t.Run("int4", func(t *testing.T) {
-		// int4 files were top-level NSGM records. The flags word is header
-		// bytes 8..11, and the header checksum covers the first 188 bytes.
 		old := filepath.Join(t.TempDir(), "int4.nsg")
-		if err := os.WriteFile(old, mutateWord(t, legacyPath("one_sq8.nsgm"), 8, 188, swapSQ8ForInt4(t)), 0o644); err != nil {
+		if err := os.WriteFile(old, int4Record(t, path), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := Load(old); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), "flags") {
@@ -244,15 +242,25 @@ const (
 	optInt4       = 1 << 1
 )
 
-// swapSQ8ForInt4 turns an SQ8 record's flags word into an int4 record's,
-// failing the test if the word it is given does not carry the SQ8 flag.
-func swapSQ8ForInt4(t *testing.T) func(uint32) uint32 {
-	return func(f uint32) uint32 {
-		if f&nsgFlagQuant == 0 {
-			t.Fatalf("flags word %#x does not carry the SQ8 flag", f)
-		}
-		return f&^nsgFlagQuant | nsgFlagQuant4
+// int4Record reads the SQ8 container at path and returns its bytes with
+// the first shard's record turned into an int4 one, its SQ8 flag swapped
+// for the int4 marker: the table entry 64 bytes in locates the record (its
+// offset is entry bytes 16..23), whose flags word is record bytes 8..11
+// and whose header checksum, recomputed, covers its first 188 bytes.
+func int4Record(t *testing.T, path string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	le := binary.LittleEndian
+	rec := blob[le.Uint64(blob[64+16:]):]
+	if f := le.Uint32(rec[8:]); f&nsgFlagQuant == 0 {
+		t.Fatalf("flags word %#x does not carry the SQ8 flag", f)
+	}
+	le.PutUint32(rec[8:], le.Uint32(rec[8:])&^nsgFlagQuant|nsgFlagQuant4)
+	le.PutUint32(rec[188:], crc32.ChecksumIEEE(rec[:188]))
+	return blob
 }
 
 // addInt4Option sets the reserved int4 bit beside the quantize bit of a
