@@ -12,19 +12,18 @@
 //	nsgserve -data base.fvecs -shards 4            # build at startup
 //	nsgserve -data base.fvecs -shards 4 -save idx.nsg
 //	nsgserve -data base.fvecs -shards 4 -quantize  # SQ8 serving path
-//	nsgserve -index idx.nsg                        # load a saved index
-//	nsgserve -index idx.nsg -mmap                  # serve it in place
+//	nsgserve -index idx.nsg                        # serve a saved index
 //
 // -index takes a file written by any index's Save (nsgbuild -out, -save,
-// nsg.Index.Save), whatever its shard count, and loads it onto the heap;
-// a file in a layout older builds wrote is refused. With -mmap the same
-// file is served in place through a memory mapping: startup is O(file
-// open) — pages fault in as queries touch them — searches are
-// byte-identical to heap serving, and /stats reports RSS and page-fault
-// counters so the paging behavior is observable. Either way the server
-// accepts /insert; a mapped shard copies what it grows out of the mapping
-// on its first insert. -mmap-noverify skips the open-time checksum pass
-// on trusted storage.
+// nsg.Index.Save), whatever its shard count, and serves it in place
+// through a memory mapping (nsg.Load); a file in a layout older builds
+// wrote is refused. Startup verifies the file's checksums and is then
+// O(file open): pages fault in as queries touch them, searches are
+// byte-identical to the index that saved the file, and /stats reports RSS
+// and page-fault counters so the paging behavior is observable. The server
+// accepts /insert: a shard's first insert copies its record out of the
+// mapping and hands the record's pages back. -mmap-noverify skips the
+// open-time checksum pass on trusted storage.
 //
 // Endpoints:
 //
@@ -58,8 +57,8 @@
 // streams are closed, pending live inserts are
 // flushed into the shard graphs, and — when -save or -index names a file —
 // the index is re-saved there so acknowledged inserts survive the restart.
-// Saving over the -index file is safe under -mmap: the save writes a temp
-// file and renames it over the path, which leaves the mapped file intact.
+// Saving over the -index file is safe: the save writes a temp file and
+// renames it over the path, which leaves the mapped file intact.
 //
 // The server runs the index in live-update mode (no lock anywhere on the
 // request path): searches read the per-shard published snapshots, inserts
@@ -117,11 +116,10 @@ func parseQuantMode(s string) (nsg.QuantMode, error) {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("nsgserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	indexPath := fs.String("index", "", "saved index (any Save file) to load onto the heap, or with -mmap to serve in place")
+	indexPath := fs.String("index", "", "saved index (any Save file) to serve in place through a memory mapping")
 	dataPath := fs.String("data", "", "base vectors (.fvecs) to build from")
 	savePath := fs.String("save", "", "write the built index here before serving")
-	mmapIndex := fs.Bool("mmap", false, "serve -index in place through a memory mapping (writes copy out of it)")
-	mmapNoVerify := fs.Bool("mmap-noverify", false, "with -mmap, skip the open-time checksum pass (trusted storage only)")
+	mmapNoVerify := fs.Bool("mmap-noverify", false, "with -index, skip the open-time checksum pass (trusted storage only)")
 	shards := fs.Int("shards", 4, "number of shards when building")
 	graphK := fs.Int("graphk", 20, "kNN graph neighbors per shard (paper's k)")
 	buildL := fs.Int("buildl", 50, "build pool size (paper's l)")
@@ -149,7 +147,7 @@ func run(args []string, stdout io.Writer) error {
 
 	idx, err := openIndex(openConfig{
 		indexPath: *indexPath, dataPath: *dataPath, savePath: *savePath,
-		mmap: *mmapIndex, mmapNoVerify: *mmapNoVerify,
+		mmapNoVerify: *mmapNoVerify,
 		opts: nsg.ShardedOptions{
 			Shards: *shards,
 			Shard: nsg.Options{
@@ -246,36 +244,26 @@ func serve(ctx context.Context, hs *http.Server, ln net.Listener, srv *server, d
 // openConfig gathers the startup flags that pick and prepare the index.
 type openConfig struct {
 	indexPath, dataPath, savePath string
-	mmap, mmapNoVerify            bool
+	mmapNoVerify                  bool
 	opts                          nsg.ShardedOptions
 }
 
-// openIndex loads a saved index (onto the heap, or mapped in place with
-// -mmap) or builds one from an fvecs file, whichever the flags selected.
+// openIndex serves a saved index in place or builds one from an fvecs
+// file, whichever the flags selected.
 func openIndex(cfg openConfig, stdout io.Writer) (*nsg.Index, error) {
 	indexPath, dataPath, savePath, opts := cfg.indexPath, cfg.dataPath, cfg.savePath, cfg.opts
 	switch {
 	case indexPath != "" && dataPath != "":
 		return nil, fmt.Errorf("pass either -index or -data, not both")
-	case cfg.mmap && indexPath == "":
-		return nil, fmt.Errorf("-mmap requires -index naming a saved index")
+	case cfg.mmapNoVerify && indexPath == "":
+		return nil, fmt.Errorf("-mmap-noverify requires -index naming a saved index")
 	case indexPath != "":
 		start := time.Now()
-		var idx *nsg.Index
-		var err error
-		if cfg.mmap {
-			idx, err = nsg.OpenMapped(indexPath, nsg.MapOptions{NoVerify: cfg.mmapNoVerify})
-		} else {
-			idx, err = nsg.Load(indexPath)
-		}
+		idx, err := nsg.OpenMapped(indexPath, nsg.MapOptions{NoVerify: cfg.mmapNoVerify})
 		if err != nil {
 			return nil, err
 		}
-		how := "loaded"
-		if cfg.mmap {
-			how = "mapped"
-		}
-		fmt.Fprintf(stdout, "%s %s in %v\n", how, indexPath, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "mapped %s in %v\n", indexPath, time.Since(start).Round(time.Millisecond))
 		return idx, nil
 	case dataPath != "":
 		base, err := dataset.LoadFvecsFile(dataPath)
@@ -651,7 +639,7 @@ type statsResponse struct {
 	Queries         uint64   `json:"queries"`
 	Inserts         uint64   `json:"inserts"`
 	MeanSearchMicro float64  `json:"mean_search_micros"`
-	// Process memory counters (zero off Linux): with -mmap these are the
+	// Process memory counters (zero off Linux): with -index these are the
 	// observable cost of disk-resident serving — RSS grows as queries fault
 	// index pages in, and major faults count reads that actually hit disk.
 	RSSBytes    int64  `json:"rss_bytes"`

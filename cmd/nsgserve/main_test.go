@@ -285,11 +285,16 @@ func TestOpenIndexModes(t *testing.T) {
 	if _, err := openIndex(openConfig{indexPath: filepath.Join(dir, "missing"), opts: opts}, &out); err == nil {
 		t.Error("expected error for missing bundle")
 	}
-	if _, err := openIndex(openConfig{dataPath: fvecs, mmap: true, opts: opts}, &out); err == nil {
-		t.Error("expected error for -mmap without -index")
+	if _, err := openIndex(openConfig{dataPath: fvecs, mmapNoVerify: true, opts: opts}, &out); err == nil {
+		t.Error("expected error for -mmap-noverify with -data")
 	}
+	trusted, err := openIndex(openConfig{indexPath: bundle, mmapNoVerify: true, opts: opts}, &out)
+	if err != nil {
+		t.Fatalf("-index with -mmap-noverify: %v", err)
+	}
+	trusted.Close()
 	// The layouts older builds wrote, a stream bundle and a one-index
-	// record, are refused, loaded or mapped, as format errors that name
+	// record, are refused, verified or not, as format errors that name
 	// their layout.
 	for _, magic := range []string{"NSGD", "NSGM"} {
 		old := filepath.Join(dir, magic+".nsg")
@@ -297,9 +302,9 @@ func TestOpenIndexModes(t *testing.T) {
 		if err := os.WriteFile(old, append(word, make([]byte, 60)...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, mmap := range []bool{false, true} {
-			if _, err := openIndex(openConfig{indexPath: old, mmap: mmap, opts: opts}, &out); !nsg.IsCorrupt(err) || !strings.Contains(err.Error(), magic) {
-				t.Errorf("-mmap=%v of an %s file: got %v, want a format error naming %s", mmap, magic, err, magic)
+		for _, noVerify := range []bool{false, true} {
+			if _, err := openIndex(openConfig{indexPath: old, mmapNoVerify: noVerify, opts: opts}, &out); !nsg.IsCorrupt(err) || !strings.Contains(err.Error(), magic) {
+				t.Errorf("-mmap-noverify=%v of an %s file: got %v, want a format error naming %s", noVerify, magic, err, magic)
 			}
 		}
 	}
@@ -307,7 +312,7 @@ func TestOpenIndexModes(t *testing.T) {
 
 // TestServesEveryIndexFile: -index serves a one-NSG file as it serves a
 // sharded one — an nsgbuild -out file (Index.Save of a BuildFromFlat
-// index, as nsgbuild writes it), loaded and mapped with -mmap — answering
+// index, as nsgbuild writes it), verified or with -mmap-noverify — answering
 // /search as the index that wrote it.
 func TestServesEveryIndexFile(t *testing.T) {
 	ds, err := dataset.SIFTLike(dataset.Config{N: 500, Queries: 3, GTK: 1, Dim: 12, Seed: 8})
@@ -325,11 +330,11 @@ func TestServesEveryIndexFile(t *testing.T) {
 	if err := built.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []openConfig{{indexPath: path}, {indexPath: path, mmap: true}} {
+	for _, cfg := range []openConfig{{indexPath: path}, {indexPath: path, mmapNoVerify: true}} {
 		var out bytes.Buffer
 		idx, err := openIndex(cfg, &out)
 		if err != nil {
-			t.Fatalf("-index %s (mmap %v): %v", cfg.indexPath, cfg.mmap, err)
+			t.Fatalf("-index %s (noverify %v): %v", cfg.indexPath, cfg.mmapNoVerify, err)
 		}
 		t.Cleanup(idx.Close)
 		ts := httptest.NewServer(newServer(idx, 10, 60, 4096).mux())
@@ -346,8 +351,8 @@ func TestServesEveryIndexFile(t *testing.T) {
 			}
 			wantIDs, wantDists := built.SearchWithPool(q, 5, 60)
 			if !slices.Equal(sr.IDs, wantIDs) || !slices.Equal(sr.Dists, wantDists) {
-				t.Fatalf("-index %s (mmap %v), query %d: served %v %v, want %v %v",
-					cfg.indexPath, cfg.mmap, qi, sr.IDs, sr.Dists, wantIDs, wantDists)
+				t.Fatalf("-index %s (noverify %v), query %d: served %v %v, want %v %v",
+					cfg.indexPath, cfg.mmapNoVerify, qi, sr.IDs, sr.Dists, wantIDs, wantDists)
 			}
 		}
 	}
@@ -684,7 +689,7 @@ func TestReadyzTracksBacklogAndDraining(t *testing.T) {
 }
 
 // TestGracefulShutdownSavesInserts runs the real serve loop over an -index
-// file mapped with -mmap, inserts a point, cancels the context (the SIGTERM
+// file, which it maps, inserts a point, cancels the context (the SIGTERM
 // path), and checks the bundle saved over the file it had mapped holds the
 // acknowledged insert: a server restarted on the same file finds the row.
 func TestGracefulShutdownSavesInserts(t *testing.T) {
@@ -693,7 +698,7 @@ func TestGracefulShutdownSavesInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	idx, err := openIndex(openConfig{indexPath: path, mmap: true}, &out)
+	idx, err := openIndex(openConfig{indexPath: path}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -762,10 +767,10 @@ func TestGracefulShutdownSavesInserts(t *testing.T) {
 	}
 }
 
-// TestMappedServing: a server over a -mmap container must answer searches
-// identically to heap serving, accept /insert without changing the file,
-// report the process paging counters and the publish age in /stats, and
-// stay ready.
+// TestMappedServing: a server over an -index container must answer
+// searches identically to the heap index that saved it, accept /insert
+// without changing the file, report the process paging counters and the
+// publish age in /stats, and stay ready.
 func TestMappedServing(t *testing.T) {
 	idx := testIndex(t)
 	path := filepath.Join(t.TempDir(), "idx.nsms")
@@ -777,7 +782,7 @@ func TestMappedServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	mapped, err := openIndex(openConfig{indexPath: path, mmap: true}, &out)
+	mapped, err := openIndex(openConfig{indexPath: path}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

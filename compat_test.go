@@ -320,6 +320,7 @@ func TestOptionsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopened := map[string]*Index{}
+	all := []*Index{orig}
 	for _, open := range reopeners {
 		x, err := open.open(path)
 		if err != nil {
@@ -327,8 +328,9 @@ func TestOptionsSurviveRestart(t *testing.T) {
 		}
 		defer x.Close()
 		reopened[open.name] = x
+		all = append(all, x)
 	}
-	for _, x := range []*Index{orig, reopened["Load"], reopened["OpenMapped"]} {
+	for _, x := range all {
 		for id := int32(0); id < 80; id += 3 {
 			if err := x.Delete(id); err != nil {
 				t.Fatal(err)

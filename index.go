@@ -6,7 +6,7 @@ import (
 	"repro/internal/vecmath"
 )
 
-// init attaches a built, loaded or mapped index, handing its shard
+// init attaches a built or reopened index, handing its shard
 // maintainers the insert parameters of opts.
 func (x *Index) init(s *distsearch.Sharded, opts Options) {
 	x.s, x.opts = s, opts
@@ -47,9 +47,9 @@ func (x *Index) Dim() int { return x.s.Dim() }
 
 // Vector returns the stored vector with the given id, or nil for an id
 // outside [0, Len()). The returned slice aliases the index's storage — on
-// an index opened with OpenMapped, the file mapping, which Close and
-// Compact release — so do not modify it or keep it past those calls. Safe
-// to call concurrently with Add.
+// an index opened with Load or OpenMapped, the file mapping, which Close
+// and Compact release — so do not modify it or keep it past those calls.
+// Safe to call concurrently with Add.
 func (x *Index) Vector(id int) []float32 {
 	if id < 0 || id >= x.Len() {
 		return nil
@@ -66,10 +66,10 @@ func (x *Index) Quantized() bool { return x.s.Quantized() }
 func (x *Index) QuantMode() QuantMode { return quantModeOf(x.s.Quantized()) }
 
 // Close flushes pending Adds, so no point is lost, and stops the
-// maintainer goroutines. A one-shard index runs no other goroutine: a heap
-// one stays usable after Close (a later Add starts its maintainer again),
-// while a mapped one releases its file mapping and must not be used
-// afterwards. An index of more than one shard also releases its shard
+// maintainer goroutines. A one-shard index runs no other goroutine: a
+// built one stays usable after Close (a later Add starts its maintainer
+// again), while a reopened one releases its file mapping and must not be
+// used afterwards. An index of more than one shard also releases its shard
 // workers and must not be used after Close; long-lived serving processes
 // never need it, but code that builds and discards many indexes in one
 // process should call it. Do not call while other goroutines are still

@@ -108,6 +108,11 @@ func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 			x.flat.AddEdge(nb, id)
 		}
 	}
+	if x.release != nil {
+		// Every mapped slab is a heap copy now (see mapped.go).
+		x.release()
+		x.release = nil
+	}
 	return id, nil
 }
 

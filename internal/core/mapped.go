@@ -32,8 +32,12 @@ import (
 // cloned and edges are written only past the mapped slab), and vectors,
 // codes and ids grow by append onto views whose capacity equals their
 // length, so the first append copies the slab to the heap. Mapped memory
-// is PROT_READ, so a stray write into it faults. CopyToHeap copies every
-// slab at once, for a container that releases the mapping.
+// is PROT_READ, so a stray write into it faults. By the end of the first
+// Insert every slab is a heap copy, and Insert hands the record's pages
+// back to the kernel (mstore.File.Release), so a written index does not
+// hold its data twice. A published Snapshot that still reads the old
+// views faults the pages back in from the file, which holds the same
+// bytes.
 
 const (
 	// nsgMappedMagic marks the aligned mapped record.
@@ -416,6 +420,7 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, error
 	// A record without a remap section was never relaid: identity ids.
 	x := newNSG(flat, nav, vecmath.Matrix{Data: mstore.Float32s(vecBytes), Rows: int(rows), Dim: int(dim)}, int(m))
 	x.shared = true // the first write copies out of the mapping
+	x.release = func() { f.Release(off, size) }
 	if flags&nsgFlagRemap != 0 {
 		remapBytes, err := view(SectionRemap)
 		if err != nil {
@@ -482,18 +487,4 @@ func stridedToCSR(data []int32, stride, rows int) (*graphutil.CSR, error) {
 		g.Adj[i] = row[1 : 1+row[0]]
 	}
 	return graphutil.Flatten(g), nil
-}
-
-// CopyToHeap copies every slab of an index opened with OpenMappedAt onto
-// the heap, so its container may release the mapping. The answers are
-// unchanged, and so is ρ, which the open measured unless it ran NoVerify.
-func (x *NSG) CopyToHeap() {
-	x.flat, x.shared = x.flat.Clone(), false
-	x.Base.Data = slices.Clone(x.Base.Data)
-	x.PubIDs = slices.Clone(x.PubIDs)
-	if x.Quant != nil {
-		qz := *x.Quant
-		qz.Codes.Codes = slices.Clone(qz.Codes.Codes)
-		x.Quant = &qz
-	}
 }

@@ -125,11 +125,17 @@ func TestMappedWritesCopyOut(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := mapped.Snapshot()
+			// answers lists every result's id and distance bits and every
+			// query's hops.
 			answers := func(s *Snapshot) string {
 				ctx := NewSearchContext()
 				var sb strings.Builder
 				for qi := range queries.Rows {
-					fmt.Fprint(&sb, s.Query(ctx, queries.Row(qi), Query{K: 10, L: 40}))
+					res := s.Query(ctx, queries.Row(qi), Query{K: 10, L: 40})
+					for _, n := range res.Neighbors {
+						fmt.Fprintf(&sb, "%d:%08x ", n.ID, math.Float32bits(n.Dist))
+					}
+					fmt.Fprintf(&sb, "hops %d\n", res.Hops)
 				}
 				return sb.String()
 			}
@@ -139,6 +145,15 @@ func TestMappedWritesCopyOut(t *testing.T) {
 				mid, merr := mapped.Insert(extra.Row(i), InsertParams{})
 				if herr != nil || merr != nil || hid != mid {
 					t.Fatalf("Insert %d: heap (%d, %v), mapped (%d, %v)", i, hid, herr, mid, merr)
+				}
+				// The first insert has copied every slab out and released
+				// the record's pages; the snapshot taken before it reads
+				// them back from the file.
+				if mapped.release != nil {
+					t.Fatalf("Insert %d kept the mapped pages", i)
+				}
+				if got := answers(snap); got != before {
+					t.Fatalf("after Insert %d, a snapshot taken before the writes changed its answers", i)
 				}
 			}
 			var hb, mb bytes.Buffer

@@ -57,9 +57,10 @@ type NSG struct {
 	PubIDs     []int32
 	toInternal []int32
 
-	flat   *graphutil.CSR
-	shared bool         // a published Snapshot or a mapping holds flat: fork before writing
-	reach  atomic.Int64 // cached ReachableFrom(Navigating)+1; 0 = unknown
+	flat    *graphutil.CSR
+	shared  bool         // a published Snapshot or a mapping holds flat: fork before writing
+	reach   atomic.Int64 // cached ReachableFrom(Navigating)+1; 0 = unknown
+	release func()       // drops the mapped record's pages once Insert has copied them out
 }
 
 // newNSG wraps a graph with identity id tables.

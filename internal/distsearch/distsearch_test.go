@@ -89,8 +89,8 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// roundTrip saves s and loads it back, checking the options come back as
-// written and the loaded index is a heap one, with no mapping left open.
+// roundTrip saves s and reopens it verified, checking the options come
+// back as written and the reopened index serves the file it holds open.
 func roundTrip(t *testing.T, s *Sharded) *Sharded {
 	t.Helper()
 	opts := FileOptions{GraphK: 11, BuildL: 22, MaxDegree: 33, SearchL: 44, Quantize: true}
@@ -98,7 +98,7 @@ func roundTrip(t *testing.T, s *Sharded) *Sharded {
 	if err := s.Save(path, opts); err != nil {
 		t.Fatal(err)
 	}
-	got, gotOpts, err := Load(path)
+	got, gotOpts, err := OpenMapped(path, core.MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func roundTrip(t *testing.T, s *Sharded) *Sharded {
 	if gotOpts != opts {
 		t.Fatalf("options %+v did not round-trip: %+v", opts, gotOpts)
 	}
-	if got.mapped != nil {
-		t.Fatal("Load kept its mapping")
+	if got.mapped == nil {
+		t.Fatal("the verified open holds no file")
 	}
 	return got
 }
@@ -136,22 +136,22 @@ func TestShardedSaveLoad(t *testing.T) {
 	}
 }
 
-// loadBytes loads b as an index file.
+// loadBytes opens b as an index file, verified.
 func loadBytes(t *testing.T, b []byte) error {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "idx.nsg")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := Load(path)
+	s, _, err := OpenMapped(path, core.MapOptions{})
 	if err == nil {
 		s.Close()
 	}
 	return err
 }
 
-// TestLoadErrors: a file Load cannot read fails with an error, and the
-// container parser's damage reports are *core.FormatError.
+// TestLoadErrors: a file a verified open cannot read fails with an error,
+// and the container parser's damage reports are *core.FormatError.
 func TestLoadErrors(t *testing.T) {
 	var fe *core.FormatError
 	if err := loadBytes(t, nil); !errors.As(err, &fe) {
@@ -173,7 +173,7 @@ func TestLoadErrors(t *testing.T) {
 	if err := loadBytes(t, b); !errors.As(err, &fe) {
 		t.Errorf("a flipped byte: got %v, want a format error", err)
 	}
-	if _, _, err := Load(filepath.Join(t.TempDir(), "missing")); err == nil {
+	if _, _, err := OpenMapped(filepath.Join(t.TempDir(), "missing"), core.MapOptions{}); err == nil {
 		t.Error("expected error for a missing file")
 	}
 }
@@ -260,7 +260,7 @@ func TestSearchStatsMerged(t *testing.T) {
 }
 
 // TestLoadRejectsStreamLayouts: a file in one of the stream layouts older
-// builds wrote fails Load and OpenMapped, verified or not, with a
+// builds wrote fails OpenMapped, verified or not, with a
 // *core.FormatError that names the layout and the last build that reads it.
 func TestLoadRejectsStreamLayouts(t *testing.T) {
 	for _, layout := range []string{"NSGD", "NSGB", "NSGF", "NSGQ"} {
@@ -270,7 +270,6 @@ func TestLoadRejectsStreamLayouts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, open := range map[string]func() error{
-			"Load":               func() error { _, _, err := Load(path); return err },
 			"OpenMapped":         func() error { _, _, err := OpenMapped(path, core.MapOptions{}); return err },
 			"OpenMapped/trusted": func() error { _, _, err := OpenMapped(path, core.MapOptions{NoVerify: true}); return err },
 		} {

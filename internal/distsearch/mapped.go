@@ -17,11 +17,11 @@ import (
 // a complete embedded NSGM record (adjacency + vectors + remap + codes),
 // plus one optional global metadata section. OpenMapped serves every shard
 // zero-copy out of a single mapping, so a multi-shard restart costs one
-// file open instead of one decode per shard. As on the heap, each shard's vectors live only in
-// its record, and the id maps become the handles' translate tables and the
-// locator. The only shard of a one-shard index stores an empty id map,
-// which means the identity. Load (persist.go) opens the same file and
-// copies it to the heap.
+// file open instead of one decode per shard. As on the heap, each shard's
+// vectors live only in its record, and the id maps become the handles'
+// translate tables and the locator. The only shard of a one-shard index
+// stores an empty id map, which means the identity. OpenMapped is the one
+// way to open the file.
 
 const (
 	// shardedMappedMagic is "NSMS" — distinct from every magic older
@@ -62,7 +62,7 @@ func (s *Sharded) idMaps() ([][]int32, int) {
 }
 
 // Write serializes the sharded index, heap or mapped alike, as one aligned
-// container, with opts, which Load and OpenMapped hand back.
+// container, with opts, which OpenMapped hands back.
 func (s *Sharded) Write(w io.Writer, opts FileOptions) error {
 	nShards := len(s.shards)
 	ids, rows := s.idMaps()
@@ -165,8 +165,9 @@ func smCorrupt(format string, args ...any) error {
 // the mapping, with the options Save stored. A file in a layout older
 // builds wrote (a stream, or a top-level NSGM record) is refused. Searches,
 // the worker pool and Write behave exactly as on a heap index, and Insert
-// and Compact work too: each shard copies a slab out of the mapping before
-// its first write to it. The mapping lives until Close, which releases it.
+// and Compact work too: a shard's first insert copies its record out of
+// the mapping and releases the record's pages. The mapping lives until
+// Close. A damaged file fails with a *core.FormatError.
 func OpenMapped(path string, mopts core.MapOptions) (*Sharded, FileOptions, error) {
 	f, err := mstore.Open(path)
 	if err != nil {

@@ -3,16 +3,11 @@ package distsearch
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
-
-	"repro/internal/core"
-	"repro/internal/live"
 )
 
-// This file loads an index file and holds the options codec the file
-// carries. Save writes the mapped container (see mapped.go), and Load opens
-// it as OpenMapped does and copies it to the heap. The layouts older
-// builds wrote are refused at their first word (see openMapped).
+// This file holds the options codec an index file carries beside its
+// shards. Save writes them into the container's header (see mapped.go),
+// and OpenMapped hands them back.
 
 // FileOptions are the build options a file keeps beside its index: the
 // public layer's per-shard GraphK, BuildL, MaxDegree and SearchL, and
@@ -54,23 +49,4 @@ func decodeOptions(blob []byte) (FileOptions, error) {
 		return FileOptions{}, fmt.Errorf("unsupported option flags %#x", flags)
 	}
 	return FileOptions{GraphK: u(0), BuildL: u(1), MaxDegree: u(2), SearchL: u(3), Quantize: flags&optQuantize != 0}, nil
-}
-
-// Load reads the file Save wrote to path and returns the index on the heap,
-// with a running worker pool, plus its options. The file is opened as
-// OpenMapped opens it, its checksums verified, so a damaged file fails with
-// a *core.FormatError, and then copied: the index keeps no mapping.
-func Load(path string) (*Sharded, FileOptions, error) {
-	s, opts, err := OpenMapped(path, core.MapOptions{})
-	if err != nil {
-		return nil, FileOptions{}, err
-	}
-	for sh, idx := range s.shards {
-		idx.CopyToHeap()
-		// A fresh handle serves the copy, with the id map copied too.
-		s.handles[sh] = live.New(idx, slices.Clone(s.handles[sh].Translate()), nil, live.Options{})
-	}
-	s.mapped.Close()
-	s.mapped = nil
-	return s, opts, nil
 }

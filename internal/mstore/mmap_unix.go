@@ -7,7 +7,7 @@ import (
 	"syscall"
 )
 
-// mmapFile maps the whole file read-only and privately: the mapping is a
+// mmapFile maps the whole file read-only and shared: the mapping is a
 // view of the page cache, so opens are O(1) and cold pages fault in on
 // first touch.
 func mmapFile(f *os.File, size int64) ([]byte, error) {

@@ -1,5 +1,5 @@
 // Package mstore owns file-backed index storage: it memory-maps index
-// files so fixed-stride slabs (adjacency rows, vector matrices, SQ8 code
+// files so slabs (CSR offsets and edges, vector matrices, SQ8 code
 // matrices, remap tables) are served zero-copy straight from the page
 // cache. Where mmap is unavailable (platforms without it, or a mapping the
 // kernel refuses) each requested range is read with one pread into an
@@ -15,7 +15,9 @@
 // Mapped memory is PROT_READ: an accidental write through a mapped slab
 // faults instead of silently corrupting the file, which backs the copy on
 // write of the mapped index types (every write copies out of the mapping
-// first, so none may land in it).
+// first, so none may land in it). Once a writer has copied a range out,
+// [File.Release] hands its resident pages back (on Linux; elsewhere they
+// stay until Close), so the copies do not sit beside them.
 package mstore
 
 import (
@@ -84,6 +86,20 @@ func (m *File) Bytes(off, n int64) ([]byte, error) {
 		return nil, fmt.Errorf("mstore: pread [%d,%d): %w", off, off+n, err)
 	}
 	return buf, nil
+}
+
+// Release drops the resident pages wholly inside the n bytes at off, once
+// the caller has copied them out; a later read faults them back in from
+// the file. A no-op in fallback mode, off Linux, or outside the file.
+func (m *File) Release(off, n int64) {
+	if m.data == nil || off < 0 || n < 0 || off+n > m.size {
+		return
+	}
+	page := int64(os.Getpagesize())
+	lo, hi := (off+page-1)/page*page, (off+n)/page*page
+	if lo < hi {
+		dropPages(m.data[lo:hi])
+	}
 }
 
 // Close releases the mapping or the descriptor. Byte ranges returned by

@@ -165,3 +165,35 @@ func TestProcStats(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%+v", ps)
 }
+
+// TestReleaseKeepsBytes: Release only drops resident pages. Ranges read
+// before and after it serve the file's bytes in both modes, and in the
+// pread mode, where Bytes hands out heap copies, it touches nothing.
+func TestReleaseKeepsBytes(t *testing.T) {
+	data := randomBytes(1<<20+333, 2)
+	path := writeTemp(t, data)
+	for _, pread := range []bool{false, true} {
+		forcePread = pread
+		f, err := Open(path)
+		forcePread = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := f.Bytes(0, f.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release(100, f.Size()-200) // unaligned ends: the whole pages inside
+		f.Release(0, f.Size())
+		f.Release(-1, 10) // outside the file: ignored
+		f.Release(0, f.Size()+1)
+		after, err := f.Bytes(77, 300000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, data) || !bytes.Equal(after, data[77:77+300000]) {
+			t.Fatalf("pread=%v: bytes changed across Release", pread)
+		}
+		f.Close()
+	}
+}

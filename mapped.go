@@ -16,12 +16,12 @@ import (
 // is bounded by the page cache rather than the Go heap.
 //
 // A mapped index takes every call a built one does, with byte-identical
-// results. A write never touches the file: the first Add to a shard copies
-// the slabs it grows out of the mapping onto the heap (the graph's offsets
-// and edges, vectors, codes and ids), and Compact builds its replacement
-// on the heap. The mapping lives until
-// Close, or until Compact swaps the index and closes the old one. Load
-// opens the same file verified and copies it to the heap at once.
+// results. A write never touches the file: the first Add a shard drains
+// copies its slabs (graph, vectors, codes, ids) onto the heap and, on
+// Linux, hands the shard's mapped pages back, and Compact builds its
+// replacement on the heap. The mapping lives until Close, or until
+// Compact swaps the index and closes the old one. Load is OpenMapped with
+// the default, verified MapOptions.
 
 // IsCorrupt reports whether err (from Load or OpenMapped) describes a
 // damaged or truncated index file, as opposed to an I/O failure. The error
@@ -41,7 +41,7 @@ func (x *Index) SaveMapped(path string) error { return x.Save(path) }
 // OpenMapped opens a file written by Save — by any index, of any shard
 // count — and serves every shard in place through one memory mapping (or,
 // where mmap is unavailable, one heap copy of each slab read at open),
-// restoring the build options and metadata store as Load does. The
+// restoring the build options and metadata store. The
 // returned index takes Add, Delete, Compact and EnableLiveUpdates like a
 // built one (see the top of this file) and holds the file open until
 // Close. Searches are byte-identical to the heap-resident index that was

@@ -18,9 +18,8 @@
 //
 // Indexes are persisted with Save, in one format whatever their shard
 // count, with their vectors, build options and metadata store, so a
-// reopened index is self-contained. Load reopens the file on the heap, and
-// OpenMapped serves it in place through a memory mapping; either takes
-// writes like a built index.
+// reopened index is self-contained. Load and OpenMapped serve the file in
+// place through a memory mapping, and take writes like a built index.
 //
 // # Search contexts and the zero-allocation hot path
 //
@@ -274,9 +273,9 @@ var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file ca
 // layout every index writes (see distsearch.Sharded.Write): per shard, an
 // id map plus a complete aligned record (adjacency, vectors, codes), all
 // behind checksummed tables, then the metadata store when one is attached.
-// Load reads it back onto the heap, and OpenMapped serves it in place
-// without decoding. Stop issuing Adds and Deletes first: Save flushes the
-// delta so the file captures every point; concurrent searches are fine. A
+// Load and OpenMapped serve it in place without decoding. Stop issuing
+// Adds and Deletes first: Save flushes the delta so the file captures
+// every point; concurrent searches are fine. A
 // mapped index writes the bytes the index it was mapped from would, and may
 // save over its own file: the rename leaves the mapped file intact, so the
 // index keeps answering from it until Close. An index with deleted points
@@ -311,15 +310,15 @@ func (x *Index) prepareSave() (distsearch.FileOptions, error) {
 }
 
 // Load reopens an index written by Save — by any index, of any shard count
-// — on the heap, restoring the options it was built with, so Add, Compact
-// and default searches behave as on the original index, and its metadata
-// store. The file is opened as OpenMapped opens it, its checksums verified
-// (a damaged file fails with an error IsCorrupt recognises), and copied to
-// the heap: the loaded index keeps no mapping. A file in a layout older
-// builds wrote (a stream, or a one-NSG "NSGM" record) is refused with an
-// error naming its layout. The loaded index serves immediately.
+// — restoring the options it was built with, so Add, Compact and default
+// searches behave as on the original index, and its metadata store. It is
+// OpenMapped with the default MapOptions: the checksums are verified (a
+// damaged file fails with an error IsCorrupt recognises), and the index
+// serves the file in place until Close. A file in a layout older builds
+// wrote (a stream, or a one-NSG "NSGM" record) is refused with an error
+// naming its layout.
 func Load(path string) (*Index, error) {
-	s, opts, err := distsearch.Load(path)
+	s, opts, err := distsearch.OpenMapped(path, MapOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("nsg: load %s: %w", path, err)
 	}
@@ -329,7 +328,7 @@ func Load(path string) (*Index, error) {
 // LoadSharded is Load; see Load.
 func LoadSharded(path string) (*ShardedIndex, error) { return Load(path) }
 
-// open attaches a loaded or mapped index with the options its file kept;
+// open attaches a reopened index to the options its file kept;
 // zero fields take DefaultOptions' values.
 func open(s *distsearch.Sharded, fo distsearch.FileOptions) *Index {
 	opts := Options{GraphK: fo.GraphK, BuildL: fo.BuildL, MaxDegree: fo.MaxDegree, SearchL: fo.SearchL, Quantize: quantModeOf(fo.Quantize)}
