@@ -321,9 +321,9 @@ type server struct {
 	streams streamSet
 }
 
-// newServer wraps idx. Every index serves lock-free searches beside
-// non-blocking inserts, and a mapped one refuses inserts, so the handlers
-// need nothing enabled.
+// newServer wraps idx. Every index, mapped or not, serves lock-free
+// searches beside non-blocking inserts, so the handlers need nothing
+// enabled.
 func newServer(idx *nsg.Index, defaultK, defaultL, maxL int) *server {
 	return &server{idx: idx, defaultK: defaultK, defaultL: defaultL, maxL: maxL, readyMaxPending: 4 * 512}
 }

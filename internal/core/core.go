@@ -156,10 +156,10 @@ func (a flatAdj) neighbors(id int32) []int32 { return a.g.Neighbors(id) }
 type distSource interface {
 	// toRows is the batched gather: distance to every id, one counter update.
 	toRows(counter *vecmath.Counter, ids []int32, out []float32)
-	// deltaRows is the batched scan over one delta chunk's rows, in the same
-	// distance space as one/toRows: exact float rows on the float path, SQ8
-	// code rows on the quantized path. out must hold ch.Rows() values.
-	deltaRows(counter *vecmath.Counter, ch *DeltaChunk, out []float32)
+	// deltaRows is the batched scan over the delta's rows, in the same
+	// distance space as toRows: exact float rows on the float path, SQ8
+	// code rows on the quantized path. out must hold d.Rows() values.
+	deltaRows(counter *vecmath.Counter, d *Delta, out []float32)
 }
 
 // floatDist scores candidates with exact squared L2 over the base matrix.
@@ -172,8 +172,8 @@ func (d floatDist) toRows(counter *vecmath.Counter, ids []int32, out []float32) 
 	counter.L2ToRows(d.base, d.query, ids, out)
 }
 
-func (d floatDist) deltaRows(counter *vecmath.Counter, ch *DeltaChunk, out []float32) {
-	counter.L2ToRows(ch.Vecs, d.query, ch.Seq, out)
+func (d floatDist) deltaRows(counter *vecmath.Counter, delta *Delta, out []float32) {
+	counter.L2ToRows(delta.Vecs, d.query, delta.Seq, out)
 }
 
 // codeDist scores candidates with the asymmetric SQ8 kernel over the code
@@ -190,8 +190,8 @@ func (d codeDist) toRows(counter *vecmath.Counter, ids []int32, out []float32) {
 	d.q.L2ToRowsCount(counter, d.codes, d.levels, ids, out)
 }
 
-func (d codeDist) deltaRows(counter *vecmath.Counter, ch *DeltaChunk, out []float32) {
-	d.q.L2ToRowsCount(counter, ch.Codes, d.levels, ch.Seq, out)
+func (d codeDist) deltaRows(counter *vecmath.Counter, delta *Delta, out []float32) {
+	d.q.L2ToRowsCount(counter, delta.Codes, d.levels, delta.Seq, out)
 }
 
 // passTest is the one thing that varies between the searches sharing
@@ -344,29 +344,22 @@ func walk[A adjacencySource, D distSource, P passTest](ctx *SearchContext, a A, 
 }
 
 // offerDelta offers every admitted pending delta row to the main pool under
-// id n+offset, so the final pool is the best l of (graph candidates ∪ delta
-// rows). Every row is scored — one batched deltaRows scan per chunk, in the
-// same distance space the graph expansion used — and the pass test runs on
-// the insert side. Delta elements are born checked: they have no out-edges
-// to expand.
+// id n+j, so the final pool is the best l of (graph candidates ∪ delta
+// rows). Every row is scored — one batched deltaRows scan, in the same
+// distance space the graph expansion used — and the pass test runs on the
+// insert side. Delta elements are born checked: they have no out-edges to
+// expand.
 func offerDelta[D distSource, P passTest](ctx *SearchContext, n int, dist D, delta *Delta, counter *vecmath.Counter, pf P) {
 	p := &ctx.pool
-	for ci := range delta.Chunks {
-		ch := &delta.Chunks[ci]
-		rows := ch.Rows()
-		if rows == 0 {
+	dists := ctx.distScratch(delta.Rows())
+	dist.deltaRows(counter, delta, dists)
+	for j, d := range dists {
+		id := int32(n + j)
+		if !pf.deltaRow(id) {
 			continue
 		}
-		dists := ctx.distScratch(rows)
-		dist.deltaRows(counter, ch, dists)
-		for j := 0; j < rows; j++ {
-			id := int32(n + ch.Off + j)
-			if !pf.deltaRow(id) {
-				continue
-			}
-			if pos := p.insert(id, dists[j]); pos >= 0 {
-				p.check(pos)
-			}
+		if pos := p.insert(id, d); pos >= 0 {
+			p.check(pos)
 		}
 	}
 }

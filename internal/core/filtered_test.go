@@ -213,7 +213,7 @@ func TestLiveFilteredSnapshotDelta(t *testing.T) {
 	dvecs := testBase(t, 6, 16, 14)
 	ids := []int32{900, 901, 902, 903, 904, 905}
 	seq := []int32{0, 1, 2, 3, 4, 5}
-	delta := &Delta{Chunks: []DeltaChunk{{Vecs: dvecs, IDs: ids, Seq: seq, Off: 0}}, Total: 6}
+	delta := &Delta{Vecs: dvecs, IDs: ids, Seq: seq}
 
 	flt := makeBits(n+6, func(id int32) bool { return id%2 == 0 })
 	dead := NewTombstones()

@@ -137,17 +137,12 @@ func searchStreams(t *testing.T, all, queries vecmath.Matrix, n, k, l int) map[s
 	}
 	sums["graph"].adjacency(idx.flat.ToGraph().Adj)
 
-	// Two pending chunks, so the second is offered at a non-zero Off.
+	// Every remaining row pending, as one region.
 	rest := all.Slice(n, all.Rows).Clone()
-	delta := &Delta{Total: rest.Rows}
-	for off := 0; off < rest.Rows; off += rest.Rows / 2 {
-		rows := rest.Slice(off, min(off+rest.Rows/2, rest.Rows))
-		ch := DeltaChunk{Vecs: rows, Off: off}
-		for j := 0; j < rows.Rows; j++ {
-			ch.IDs = append(ch.IDs, int32(n+off+j))
-			ch.Seq = append(ch.Seq, int32(j))
-		}
-		delta.Chunks = append(delta.Chunks, ch)
+	delta := &Delta{Vecs: rest}
+	for j := 0; j < rest.Rows; j++ {
+		delta.IDs = append(delta.IDs, int32(n+j))
+		delta.Seq = append(delta.Seq, int32(j))
 	}
 	// Two rows in three pass: far above the scan plan's crossover, so the
 	// filtered query runs the two-pool walk.

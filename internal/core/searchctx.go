@@ -53,12 +53,9 @@ type SearchContext struct {
 	delta Delta
 }
 
-// Delta returns the context's reset Delta, which a live index fills with
-// its pending rows before each query; its chunk slice is reused.
-func (c *SearchContext) Delta() *Delta {
-	c.delta.Reset()
-	return &c.delta
-}
+// Delta returns the context's Delta, which a live index overwrites with
+// its pending rows before each query, so that the query allocates none.
+func (c *SearchContext) Delta() *Delta { return &c.delta }
 
 // distScratch returns a distance buffer of at least n entries, growing the
 // context's buffer when needed and reusing it otherwise.

@@ -92,60 +92,22 @@ func (s *Snapshot) Stats() IndexStats {
 	return st
 }
 
-// DeltaChunk is one contiguous run of not-yet-drained inserts: float rows
-// (always), SQ8 code rows (on a quantized index; zero otherwise), the final
-// id of every row, and the identity sequence 0..Rows() the batched gather
-// kernels scan with.
-// Off is the chunk's starting offset in the query's delta id space: row j
-// is offered to the pool as candidate n + Off + j, which is also the public
-// id it takes once drained and the id the pass test checks it by.
-type DeltaChunk struct {
+// Delta is the set of pending inserts one query scans, one contiguous
+// region: float rows (always), SQ8 code rows (on a quantized index; zero
+// otherwise), the final id of every row, and the identity sequence
+// 0..Rows() the batched gather kernels scan with. Row j is offered to the
+// pool as candidate n + j, which is also the public id it takes once
+// drained and the id the pass test checks it by. The zero value means
+// nothing is pending.
+type Delta struct {
 	Vecs  vecmath.Matrix
 	Codes quant.CodeMatrix
 	IDs   []int32
 	Seq   []int32
-	Off   int
 }
 
-// Rows returns the number of pending rows in the chunk.
-func (ch *DeltaChunk) Rows() int { return len(ch.IDs) }
-
-// Delta is the set of pending inserts one query scans: chunks in ascending
-// Off order with Total = sum of their rows. The zero value means nothing is
-// pending. Callers reuse one Delta across queries (see Reset).
-type Delta struct {
-	Chunks []DeltaChunk
-	Total  int
-}
-
-// Reset empties the delta for reuse, keeping the chunk slice's capacity.
-func (d *Delta) Reset() {
-	d.Chunks = d.Chunks[:0]
-	d.Total = 0
-}
-
-// chunkAt locates the chunk holding delta offset off (0 <= off < Total).
-func (d *Delta) chunkAt(off int) (*DeltaChunk, int) {
-	for ci := range d.Chunks {
-		ch := &d.Chunks[ci]
-		if off < ch.Off+ch.Rows() {
-			return ch, off - ch.Off
-		}
-	}
-	panic("core: delta offset out of range")
-}
-
-// vec returns the float row at delta offset off.
-func (d *Delta) vec(off int) []float32 {
-	ch, j := d.chunkAt(off)
-	return ch.Vecs.Row(j)
-}
-
-// id returns the final id of the row at delta offset off.
-func (d *Delta) id(off int) int32 {
-	ch, j := d.chunkAt(off)
-	return ch.IDs[j]
-}
+// Rows returns the number of pending rows.
+func (d *Delta) Rows() int { return len(d.IDs) }
 
 // Query is one search's plan: everything that varies between the heap,
 // mapped, live, filtered, sharded and quantized paths, passed by value to
@@ -168,7 +130,7 @@ type Query struct {
 	// the query serves from the snapshot alone.
 	Delta *Delta
 	// Translate maps snapshot-local result ids into the caller's id space
-	// (a sharded index's global ids); nil is identity. Delta chunk ids are
+	// (a sharded index's global ids); nil is identity. Delta ids are
 	// already final and pass through untranslated. It is applied only when
 	// results are emitted: the pass test never sees a final id.
 	Translate []int32
@@ -184,7 +146,7 @@ type Query struct {
 // heap, mapped and live. It picks the pass test and the plan, runs the one
 // walk, and returns the nearest q.K passing live rows in final ids —
 // snapshot rows through the relayout remap and then q.Translate, delta rows
-// from their chunks — with exact float32 distances (unless q.NoRerank).
+// from Delta.IDs — with exact float32 distances (unless q.NoRerank).
 //
 //   - Nothing deleted, no predicate: passAll, no navigation pool — the
 //     paper's Algorithm 1.
@@ -204,7 +166,7 @@ func (s *Snapshot) Query(ctx *SearchContext, vec []float32, q Query) SearchResul
 		return emptyResult(ctx)
 	}
 	q.L = max(q.L, q.K)
-	if q.Delta != nil && q.Delta.Total == 0 {
+	if q.Delta != nil && q.Delta.Rows() == 0 {
 		q.Delta = nil
 	}
 	pf := passFilter{all: q.Filter == nil, pubIDs: s.pubIDs, dead: q.Dead}
@@ -230,7 +192,7 @@ func (s *Snapshot) Query(ctx *SearchContext, vec []float32, q Query) SearchResul
 	for i := range res.Neighbors {
 		nb := &res.Neighbors[i]
 		if nb.ID >= n {
-			nb.ID = q.Delta.id(int(nb.ID - n))
+			nb.ID = q.Delta.IDs[nb.ID-n]
 			continue
 		}
 		nb.ID = s.pubIDs[nb.ID]
@@ -288,7 +250,7 @@ func rerankThreshold(b codeBound, pool []vecmath.Neighbor, n int32, k int) float
 
 // rerankPool rescores the pool's survivors with exact float32 distances —
 // snapshot rows whose code distance is at most thr through one batched
-// gather, every delta row from its chunk's float rows — then re-sorts and
+// gather, every delta row from the delta's float rows — then re-sorts and
 // truncates to fetch. The rows thr drops cannot reach the top fetch (see
 // codeBound), so the result is that of rescoring the whole pool. in must
 // alias ctx.out (an emit result): the output is rebuilt in place, entry i
@@ -310,7 +272,7 @@ func rerankPool(ctx *SearchContext, base vecmath.Matrix, query []float32, fetch 
 		nb := in[i]
 		switch {
 		case nb.ID >= n:
-			nb.Dist = counter.L2(query, d.vec(int(nb.ID-n)))
+			nb.Dist = counter.L2(query, d.Vecs.Row(int(nb.ID-n)))
 		case float64(nb.Dist) <= thr:
 			nb.Dist = dists[bi]
 			bi++

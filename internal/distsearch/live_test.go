@@ -34,7 +34,7 @@ func TestLiveShardedStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SetLiveOptions(live.Options{MaxPending: 8, Interval: time.Millisecond, ChunkRows: 16})
+	s.SetLiveOptions(live.Options{MaxPending: 8, Interval: time.Millisecond})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -192,7 +192,7 @@ func TestLiveShardedLocator(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SetLiveOptions(live.Options{MaxPending: 4, Interval: time.Millisecond, ChunkRows: 8})
+	s.SetLiveOptions(live.Options{MaxPending: 4, Interval: time.Millisecond})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

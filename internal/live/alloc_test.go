@@ -30,9 +30,9 @@ func TestSearchCtxZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20, ChunkRows: 16})
+			h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 			defer h.Close()
-			// Leave a multi-chunk delta pending so the scan-and-merge path is
+			// Leave a delta pending so the scan-and-merge path is
 			// exercised, not just the snapshot traversal.
 			for i := n0; i < all.Rows; i++ {
 				if _, err := appendNext(h, all.Row(i)); err != nil {

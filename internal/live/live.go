@@ -27,7 +27,7 @@
 //
 // Epochs and retirement: every publish installs a new immutable view;
 // in-flight queries keep whatever view they loaded, and a retired view
-// (its snapshot, chunk list and tombstone set) is reclaimed by the garbage
+// (its snapshot, delta slab and tombstone set) is reclaimed by the garbage
 // collector once the last straddling query drops it. A query therefore
 // sees either the old or the new snapshot in full — never a torn mix —
 // and publication requires no reader coordination at all.
@@ -49,13 +49,8 @@ import (
 	"repro/internal/vecmath/quant"
 )
 
-// Options tunes the delta buffer and the maintainer's publish cadence.
+// Options tunes the maintainer's drain and publish cadence.
 type Options struct {
-	// ChunkRows is the capacity of one delta chunk (default 256). Chunks
-	// are the unit of buffer growth: appends within a chunk publish nothing
-	// (readers see new rows through one atomic row count), a full chunk
-	// adds one pointer to the next published view.
-	ChunkRows int
 	// MaxPending is the delta depth that triggers an immediate drain
 	// (default 512). Until it is hit, the maintainer waits up to Interval,
 	// batching insertions so the per-batch fork and compaction of the graph
@@ -72,9 +67,6 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
-	if o.ChunkRows <= 0 {
-		o.ChunkRows = 256
-	}
 	if o.MaxPending <= 0 {
 		o.MaxPending = 512
 	}
@@ -92,42 +84,45 @@ type Stats struct {
 	LastPublish  time.Time // when the current snapshot was published
 }
 
-// chunk is one fixed-capacity run of the append-only delta buffer. Rows
-// [0, n) are frozen — written before n was advanced, never touched again —
-// so readers that load n once may scan them without a lock. codes is
-// non-nil iff the index is SQ8-quantized.
-type chunk struct {
+// slabRows is the capacity of a fresh delta slab, and the least capacity
+// of a replacement.
+const slabRows = 256
+
+// slab is the append-only delta buffer. Rows [0, n) are frozen — written
+// before n was advanced, never touched again — so readers that load n once
+// may scan them without a lock. A full slab is never grown: Append replaces
+// it by a fresh one holding only its undrained rows. codes is non-nil iff
+// the index is SQ8-quantized.
+type slab struct {
 	vecs  []float32
 	codes []uint8
 	ids   []int32
-	seq   []int32 // identity sequence 0..cap, for the batched gather kernels
+	seq   []int32 // identity sequence 0..len(ids), for the batched gather kernels
 	dim   int
-	cap   int
 	n     atomic.Int32
 }
 
-func newChunk(rows, dim int, quantized bool, seq []int32) *chunk {
-	ch := &chunk{
-		vecs: make([]float32, rows*dim),
-		ids:  make([]int32, rows),
-		seq:  seq,
-		dim:  dim,
-		cap:  rows,
+// rows returns rows [lo, hi) as the query-side Delta.
+func (s *slab) rows(lo, hi int) core.Delta {
+	d := core.Delta{
+		Vecs: vecmath.Matrix{Data: s.vecs[lo*s.dim : hi*s.dim], Rows: hi - lo, Dim: s.dim},
+		IDs:  s.ids[lo:hi],
+		Seq:  s.seq[:hi-lo],
 	}
-	if quantized {
-		ch.codes = make([]uint8, rows*dim)
+	if s.codes != nil {
+		d.Codes = quant.CodeMatrix{Codes: s.codes[lo*s.dim : hi*s.dim], Rows: hi - lo, Dim: s.dim}
 	}
-	return ch
+	return d
 }
 
 // view is one published epoch: everything a query needs, reachable from a
 // single atomic pointer. Views are immutable; every mutation that changes
-// the set of reachable state (snapshot publish, chunk addition, tombstone
+// the set of reachable state (snapshot publish, slab replacement, tombstone
 // update) installs a fresh one.
 type view struct {
 	snap      *core.Snapshot
-	chunks    []*chunk
-	skip      int     // rows of chunks[0] already drained into snap
+	slab      *slab   // nil until the first Append
+	skip      int     // rows of slab already drained into snap
 	translate []int32 // snapshot-local -> final ids; nil = identity
 	dead      *core.Tombstones
 	gen       uint64
@@ -145,16 +140,16 @@ type Handle struct {
 	q   *quant.Quantizer // non-nil iff SQ8-quantized
 	dim int
 
-	mu     sync.Mutex
-	opts   Options    // cadence, replaced by SetOptions; read under mu
-	cond   *sync.Cond // broadcast after every publish and maintainer exit, for Flush
-	chunks []*chunk   // undrained chunks, oldest first; only the last has spare capacity
-	skip   int        // rows of chunks[0] already drained
-	seq    []int32    // identity sequence shared by chunk scans, grown to the largest chunk
-	trans  []int32    // local -> final id table; nil = identity (single index)
-	dead   *core.Tombstones
-	stop   chan struct{} // non-nil while a maintainer runs
-	done   chan struct{} // closed when that maintainer exits
+	mu    sync.Mutex
+	opts  Options    // cadence, replaced by SetOptions; read under mu
+	cond  *sync.Cond // broadcast after every publish and maintainer exit, for Flush
+	slab  *slab      // the delta buffer; nil until the first Append
+	skip  int        // rows of slab already drained
+	seq   []int32    // identity sequence shared by slab scans, grown to the largest slab
+	trans []int32    // local -> final id table; nil = identity (single index)
+	dead  *core.Tombstones
+	stop  chan struct{} // non-nil while a maintainer runs
+	done  chan struct{} // closed when that maintainer exits
 
 	// drainMu keeps drains one at a time: a maintainer that Close stopped
 	// may still finish its last drain while an Append starts the next.
@@ -197,8 +192,8 @@ func New(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options) 
 	return h
 }
 
-// SetOptions replaces the handle's cadence. Chunks already allocated keep
-// their capacity; the maintainer picks up the rest on its next cycle.
+// SetOptions replaces the handle's cadence; the maintainer picks it up on
+// its next cycle.
 func (h *Handle) SetOptions(opts Options) {
 	opts.fillDefaults()
 	h.mu.Lock()
@@ -233,7 +228,7 @@ func (h *Handle) publishLocked(snap *core.Snapshot) {
 	}
 	h.view.Store(&view{
 		snap:      snap,
-		chunks:    append([]*chunk(nil), h.chunks...),
+		slab:      h.slab,
 		skip:      h.skip,
 		translate: h.trans,
 		dead:      h.dead,
@@ -276,31 +271,21 @@ func (h *Handle) appendLocked(vec []float32, id int32) error {
 	if len(vec) != h.dim {
 		return fmt.Errorf("live: vector dim %d != index dim %d", len(vec), h.dim)
 	}
-	var ch *chunk
-	if n := len(h.chunks); n > 0 {
-		if last := h.chunks[n-1]; int(last.n.Load()) < last.cap {
-			ch = last
-		}
+	s := h.slab
+	full := s == nil || int(s.n.Load()) == len(s.ids)
+	if full {
+		s = h.replaceLocked()
 	}
-	fresh := ch == nil
-	if fresh {
-		rows := h.opts.ChunkRows
-		for len(h.seq) < rows {
-			h.seq = append(h.seq, int32(len(h.seq)))
-		}
-		ch = newChunk(rows, h.dim, h.q != nil, h.seq[:rows])
-		h.chunks = append(h.chunks, ch)
-	}
-	i := int(ch.n.Load())
-	copy(ch.vecs[i*h.dim:(i+1)*h.dim], vec)
+	i := int(s.n.Load())
+	copy(s.vecs[i*h.dim:(i+1)*h.dim], vec)
 	if h.q != nil {
-		h.q.EncodeInto(ch.codes[i*h.dim:(i+1)*h.dim], vec)
+		h.q.EncodeInto(s.codes[i*h.dim:(i+1)*h.dim], vec)
 	}
-	ch.ids[i] = id
+	s.ids[i] = id
 	// The atomic store is the release barrier: a reader that observes the
 	// new count also observes the row it guards.
-	ch.n.Store(int32(i + 1))
-	if fresh {
+	s.n.Store(int32(i + 1))
+	if full {
 		h.publishLocked(nil)
 	}
 	h.startLocked()
@@ -308,6 +293,36 @@ func (h *Handle) appendLocked(vec []float32, id int32) error {
 		h.signal()
 	}
 	return nil
+}
+
+// replaceLocked installs a fresh slab of max(slabRows, 2 × undrained) rows
+// holding the current slab's undrained rows, and returns it. The old slab
+// is left as it was: views and a running drain that hold it keep reading
+// it. Callers hold h.mu and publish.
+func (h *Handle) replaceLocked() *slab {
+	var old core.Delta
+	if h.slab != nil {
+		old = h.slab.rows(h.skip, int(h.slab.n.Load()))
+	}
+	rows := max(slabRows, 2*old.Rows())
+	for len(h.seq) < rows {
+		h.seq = append(h.seq, int32(len(h.seq)))
+	}
+	s := &slab{
+		vecs: make([]float32, rows*h.dim),
+		ids:  make([]int32, rows),
+		seq:  h.seq[:rows],
+		dim:  h.dim,
+	}
+	copy(s.vecs, old.Vecs.Data)
+	copy(s.ids, old.IDs)
+	if h.q != nil {
+		s.codes = make([]uint8, rows*h.dim)
+		copy(s.codes, old.Codes.Codes)
+	}
+	s.n.Store(int32(old.Rows()))
+	h.slab, h.skip = s, 0
+	return s
 }
 
 // Delete tombstones a local id (the id Vector takes): the row stops
@@ -388,20 +403,15 @@ func (h *Handle) Vector(id int32) (vec []float32, ok bool) {
 		return v.snap.Vector(id), true
 	}
 	// Pending rows take sequential local ids in append order.
-	off := int(id - n)
-	for i, ch := range v.chunks {
-		lo := 0
-		if i == 0 {
-			lo = v.skip
-		}
-		rows := int(ch.n.Load()) - lo
-		if off < rows {
-			j := lo + off
-			return ch.vecs[j*ch.dim : (j+1)*ch.dim], true
-		}
-		off -= rows
+	s := v.slab
+	if s == nil {
+		return nil, false
 	}
-	return nil, false
+	j := v.skip + int(id-n)
+	if j >= int(s.n.Load()) {
+		return nil, false
+	}
+	return s.vecs[j*s.dim : (j+1)*s.dim], true
 }
 
 // Translate returns the local→final id table of the published snapshot's
@@ -422,41 +432,17 @@ func (h *Handle) Translate() []int32 {
 // tombstones, the filter is keyed by local id, so delta rows and snapshot
 // rows test against one bitmap. The view is loaded once, so the query
 // sees one epoch in full — a publish landing mid-query affects only later
-// queries. The returned slice aliases ctx; with a reused per-goroutine
-// context the steady state allocates nothing.
+// queries. The slab's row count is loaded once too, so the scanned rows
+// are frozen for the whole query. The returned slice aliases ctx; with a
+// reused per-goroutine context the steady state allocates nothing.
 func (h *Handle) Query(ctx *core.SearchContext, vec []float32, q core.Query) core.SearchResult {
 	v := h.view.Load()
-	q.Delta, q.Dead, q.Translate = v.fill(ctx.Delta()), v.dead, v.translate
-	return v.snap.Query(ctx, vec, q)
-}
-
-// fill describes the view's pending rows in d, the query's reset Delta.
-// Each chunk's row count is loaded once, so the scanned prefix is frozen
-// for the whole query.
-func (v *view) fill(d *core.Delta) *core.Delta {
-	for i, ch := range v.chunks {
-		lo := 0
-		if i == 0 {
-			lo = v.skip
-		}
-		cnt := int(ch.n.Load())
-		rows := cnt - lo
-		if rows <= 0 {
-			continue
-		}
-		dc := core.DeltaChunk{
-			Vecs: vecmath.Matrix{Data: ch.vecs[lo*ch.dim : cnt*ch.dim], Rows: rows, Dim: ch.dim},
-			IDs:  ch.ids[lo:cnt],
-			Seq:  ch.seq[:rows],
-			Off:  d.Total,
-		}
-		if ch.codes != nil {
-			dc.Codes = quant.CodeMatrix{Codes: ch.codes[lo*ch.dim : cnt*ch.dim], Rows: rows, Dim: ch.dim}
-		}
-		d.Chunks = append(d.Chunks, dc)
-		d.Total += rows
+	q.Delta, q.Dead, q.Translate = nil, v.dead, v.translate
+	if s := v.slab; s != nil {
+		q.Delta = ctx.Delta()
+		*q.Delta = s.rows(v.skip, int(s.n.Load()))
 	}
-	return d
+	return v.snap.Query(ctx, vec, q)
 }
 
 // Flush blocks until every row appended before the call has been drained
@@ -533,82 +519,79 @@ func (h *Handle) run(stop, done chan struct{}) {
 }
 
 // drainOnce drains every delta row visible at the cut through the
-// incremental-insert path and publishes a snapshot that covers them. Appends landing during the drain stay in
-// the delta for the next cycle.
+// incremental-insert path and publishes a snapshot that covers them.
+// Appends landing during the drain stay in the delta for the next cycle.
 func (h *Handle) drainOnce() {
 	h.drainMu.Lock()
 	defer h.drainMu.Unlock()
-	// The cut: chunk list and per-chunk row counts as of now. Rows below
-	// the cut are frozen; the chunk list only grows at its tail, so the cut
-	// chunks stay a prefix of h.chunks.
-	h.mu.Lock()
-	cut := append([]*chunk(nil), h.chunks...)
-	skip := h.skip
-	trans := h.trans
-	insert := h.opts.Insert
-	h.mu.Unlock()
-	if len(cut) == 0 {
-		return
+	if c := h.cut(); c.hi > c.lo {
+		h.drain(c)
 	}
-	counts := make([]int, len(cut))
-	total := -skip
-	for i, ch := range cut {
-		counts[i] = int(ch.n.Load())
-		total += counts[i]
-	}
-	if total <= 0 {
-		return
-	}
+}
 
+// drainCut is one drain's work: rows [lo, hi) of slab s, frozen when it
+// was taken, and the state their inserts start from.
+type drainCut struct {
+	s      *slab
+	lo, hi int
+	trans  []int32
+	insert core.InsertParams
+}
+
+// cut takes the delta's rows as of now. Callers hold h.drainMu.
+func (h *Handle) cut() drainCut {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	c := drainCut{s: h.slab, lo: h.skip, hi: h.skip, trans: h.trans, insert: h.opts.Insert}
+	if c.s != nil {
+		c.hi = int(c.s.n.Load())
+	}
+	return c
+}
+
+// drain inserts c's rows and publishes. Callers hold h.drainMu.
+func (h *Handle) drain(c drainCut) {
 	// Graph work, outside every lock: the first insert forks the graph the
 	// published snapshot shares, and published readers only traverse frozen
 	// rows and write-once vectors.
-	for i, ch := range cut {
-		lo := 0
-		if i == 0 {
-			lo = skip
+	trans := c.trans
+	for j := c.lo; j < c.hi; j++ {
+		id, err := h.idx.Insert(c.s.vecs[j*c.s.dim:(j+1)*c.s.dim], c.insert)
+		if err != nil {
+			// Unreachable: dimensions are validated at append time and
+			// Insert has no other failure mode. Losing a row silently
+			// would be worse than stopping the process.
+			panic(fmt.Sprintf("live: drain insert: %v", err))
 		}
-		for j := lo; j < counts[i]; j++ {
-			vec := ch.vecs[j*ch.dim : (j+1)*ch.dim]
-			id, err := h.idx.Insert(vec, insert)
-			if err != nil {
-				// Unreachable: dimensions are validated at append time and
-				// Insert has no other failure mode. Losing a row silently
-				// would be worse than stopping the process.
-				panic(fmt.Sprintf("live: drain insert: %v", err))
-			}
-			// A row drains to the local id it was appended under.
-			local := ch.ids[j]
-			if trans != nil {
-				local = int32(len(trans))
-				trans = append(trans, ch.ids[j])
-			}
-			if id != local {
-				panic(fmt.Sprintf("live: drain id %d != local id %d", id, local))
-			}
+		// A row drains to the local id it was appended under.
+		local := c.s.ids[j]
+		if trans != nil {
+			local = int32(len(trans))
+			trans = append(trans, c.s.ids[j])
+		}
+		if id != local {
+			panic(fmt.Sprintf("live: drain id %d != local id %d", id, local))
 		}
 	}
 	snap := h.idx.Snapshot()
+	rows := c.hi - c.lo
 
 	h.mu.Lock()
-	// Advance the cut: every cut chunk except possibly the last was full
-	// and is fully drained; the last survives as the skip prefix unless it
-	// was full too.
-	m := len(cut)
-	if counts[m-1] == cut[m-1].cap {
-		h.chunks = append(h.chunks[:0], h.chunks[m:]...)
-		h.skip = 0
+	// Advance the skip past the cut. A replacement since the cut copied the
+	// slab's rows from c.lo (drains run one at a time, so that was still the
+	// skip), and so did any replacement of it: the cut is its first rows.
+	if h.slab == c.s {
+		h.skip = c.hi
 	} else {
-		h.chunks = append(h.chunks[:0], h.chunks[m-1:]...)
-		h.skip = counts[m-1]
+		h.skip = rows
 	}
 	h.trans = trans
 	// Counters move before the mutex drops so a Flush caller that sees
 	// Pending == 0 also sees Drained/Publishes accounting for this batch.
-	h.drained.Add(uint64(total))
+	h.drained.Add(uint64(rows))
 	h.publishes.Add(1)
 	h.lastPub.Store(time.Now().UnixNano())
-	h.pending.Add(-int64(total))
+	h.pending.Add(-int64(rows))
 	h.publishLocked(snap)
 	h.mu.Unlock()
 	h.cond.Broadcast()

@@ -114,7 +114,7 @@ func TestFlushDrainsAndMatchesSynchronousInserts(t *testing.T) {
 	all := testVectors(n0+extra, dim, 2)
 
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
-	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20, ChunkRows: 32})
+	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 	for i := n0; i < all.Rows; i++ {
 		if _, err := appendNext(h, all.Row(i)); err != nil {
@@ -152,6 +152,152 @@ func TestFlushDrainsAndMatchesSynchronousInserts(t *testing.T) {
 		}
 		checkExact(t, q, got.Neighbors, &all, func() int { return all.Rows })
 	}
+}
+
+// buildLive builds the NSG over base, relaid out and SQ8-quantized when
+// quantized is set; two calls with equal arguments build equal indexes.
+func buildLive(t *testing.T, base vecmath.Matrix, quantized bool) *core.NSG {
+	t.Helper()
+	idx := buildNSG(t, base)
+	if quantized {
+		idx.Relayout()
+		if err := idx.EnableQuantization(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return idx
+}
+
+// checkRows verifies that every ledger row in [lo, hi), snapshot or
+// pending, is its own nearest neighbour at distance 0 with exact distances
+// throughout, and that Vector returns it.
+func checkRows(t *testing.T, h *Handle, all *vecmath.Matrix, lo, hi int) {
+	t.Helper()
+	ctx := core.NewSearchContext()
+	for i := lo; i < hi; i++ {
+		res := h.Query(ctx, all.Row(i), core.Query{K: 3, L: 40})
+		if len(res.Neighbors) == 0 || res.Neighbors[0].ID != int32(i) || res.Neighbors[0].Dist != 0 {
+			t.Fatalf("row %d not nearest to itself: %+v", i, res.Neighbors)
+		}
+		checkExact(t, all.Row(i), res.Neighbors, all, func() int { return hi })
+		if v, ok := h.Vector(int32(i)); !ok || !slices.Equal(v, all.Row(i)) {
+			t.Fatalf("Vector(%d) = %v, %v; want row %d", i, v, ok, i)
+		}
+	}
+}
+
+// checkMatchesSync asks h and ref, an index that took the same inserts
+// synchronously, the same queries: the drain is FIFO, so every answer must
+// match exactly.
+func checkMatchesSync(t *testing.T, h *Handle, ref *core.NSG, all *vecmath.Matrix) {
+	t.Helper()
+	ctx, refCtx := core.NewSearchContext(), core.NewSearchContext()
+	queries := testVectors(30, all.Dim, 3)
+	for qi := 0; qi < queries.Rows; qi++ {
+		q := queries.Row(qi)
+		got := h.Query(ctx, q, core.Query{K: 10, L: 30}).Neighbors
+		if want := ref.Query(refCtx, q, core.Query{K: 10, L: 30}).Neighbors; !slices.Equal(got, want) {
+			t.Fatalf("query %d: %+v, synchronous inserts give %+v", qi, got, want)
+		}
+		checkExact(t, q, got, all, func() int { return all.Rows })
+	}
+}
+
+// TestHeldRowsAcrossReplacements holds more than two fresh slabs' worth of
+// rows pending, so the slab is replaced twice, each time copying every
+// undrained row (256, then 512) into its successor. Every held row must be
+// served exactly from the delta, and again from the graph after Flush,
+// which must match synchronous inserts.
+func TestHeldRowsAcrossReplacements(t *testing.T) {
+	const n0, extra, dim = 300, 2*slabRows + 100, 12
+	all := testVectors(n0+extra, dim, 21)
+	for _, quantized := range []bool{false, true} {
+		t.Run(fmt.Sprintf("quantized=%v", quantized), func(t *testing.T) {
+			h := New(buildLive(t, all.Slice(0, n0).Clone(), quantized), nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+			defer h.Close()
+			for i := n0; i < all.Rows; i++ {
+				if _, err := appendNext(h, all.Row(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := len(h.view.Load().slab.ids); got != 4*slabRows {
+				t.Fatalf("slab capacity %d after %d held rows, want %d (two replacements)", got, extra, 4*slabRows)
+			}
+			if st := h.Stats(); st.Pending != extra || st.SnapshotRows != n0 {
+				t.Fatalf("stats while held: %+v", st)
+			}
+			checkRows(t, h, &all, 0, all.Rows)
+			h.Flush()
+			if st := h.Stats(); st.Pending != 0 || st.SnapshotRows != all.Rows || st.Drained != extra {
+				t.Fatalf("stats after flush: %+v", st)
+			}
+			checkRows(t, h, &all, 0, all.Rows)
+			ref := buildLive(t, all.Slice(0, n0).Clone(), quantized)
+			for i := n0; i < all.Rows; i++ {
+				if _, err := ref.Insert(all.Row(i), core.InsertParams{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkMatchesSync(t, h, ref, &all)
+		})
+	}
+}
+
+// TestDrainOverlapsReplacement stages a drain by hand: the cut takes rows
+// [100, 200) of the first slab, then Appends replace the slab twice before
+// the drain advances. The replacements copied the slab from row 100, so
+// the drained rows are the current slab's first 100, and the skip must
+// land there rather than at the cut's end.
+func TestDrainOverlapsReplacement(t *testing.T) {
+	const n0, extra, dim = 300, 600, 12
+	all := testVectors(n0+extra, dim, 22)
+	idx := buildNSG(t, all.Slice(0, n0).Clone())
+	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	defer h.Close()
+	appendRows := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if _, err := appendNext(h, all.Row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendRows(n0, n0+100)
+	h.Flush() // the skip is now 100
+	appendRows(n0+100, n0+200)
+
+	h.drainMu.Lock()
+	c := h.cut()
+	if c.lo != 100 || c.hi != 200 {
+		t.Fatalf("cut [%d, %d), want [100, 200)", c.lo, c.hi)
+	}
+	first := c.s
+	appendRows(n0+200, all.Rows)
+	if h.slab == first {
+		t.Fatal("the appends did not replace the slab")
+	}
+	checkRows(t, h, &all, 0, all.Rows)
+	h.drain(c)
+	h.drainMu.Unlock()
+
+	h.mu.Lock()
+	skip, n := h.skip, int(h.slab.n.Load())
+	h.mu.Unlock()
+	if skip != 100 || n != extra-100 {
+		t.Fatalf("after the drain: skip %d of %d slab rows, want 100 of %d", skip, n, extra-100)
+	}
+	if st := h.Stats(); st.Pending != extra-200 || st.SnapshotRows != n0+200 || st.Drained != 200 {
+		t.Fatalf("stats after the staged drain: %+v", st)
+	}
+	checkRows(t, h, &all, 0, all.Rows)
+	h.Flush()
+	checkRows(t, h, &all, 0, all.Rows)
+	ref := buildNSG(t, all.Slice(0, n0).Clone())
+	for i := n0; i < all.Rows; i++ {
+		if _, err := ref.Insert(all.Row(i), core.InsertParams{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkMatchesSync(t, h, ref, &all)
 }
 
 func TestSnapshotIsolation(t *testing.T) {
@@ -396,7 +542,7 @@ func TestQuantizedRelaidLive(t *testing.T) {
 	if err := idx.EnableQuantization(nil); err != nil {
 		t.Fatal(err)
 	}
-	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20, ChunkRows: 32})
+	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 
 	ctx := core.NewSearchContext()
@@ -430,12 +576,14 @@ func TestQuantizedRelaidLive(t *testing.T) {
 // or an out-of-range id. Run with -race this doubles as the lock-free read
 // path's race gate.
 func TestStraddlePublishConsistency(t *testing.T) {
-	const n0, extra, dim, readers = 400, 400, 12, 4
+	const n0, extra, dim, readers = 400, 4 * slabRows, 12, 4
 	all := testVectors(n0+extra, dim, 9)
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
-	// Tiny thresholds force constant drains and chunk rollovers while the
-	// readers run.
-	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 8, ChunkRows: 16})
+	// Tiny thresholds force constant drains, and the rows fill the slab
+	// often enough to replace it several times while the readers run: a
+	// Flush every half slab keeps at most that many rows undrained, so each
+	// replacement has room for at least half a slab of new rows.
+	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 8})
 	defer h.Close()
 
 	var visible atomic.Int64 // ids < visible are safe to validate against
@@ -490,15 +638,27 @@ func TestStraddlePublishConsistency(t *testing.T) {
 		}(r)
 	}
 
-	for i := n0; i < all.Rows; i++ {
+	replacements := 0
+	for i, s := n0, (*slab)(nil); i < all.Rows; i++ {
 		// Append publishes row i before it returns, so the ceiling admits
 		// it first; ids past i still fail the check.
 		visible.Store(int64(i + 1))
 		if _, err := appendNext(h, all.Row(i)); err != nil {
 			t.Fatal(err)
 		}
+		h.mu.Lock()
+		if h.slab != s {
+			if s != nil {
+				replacements++
+			}
+			s = h.slab
+		}
+		h.mu.Unlock()
 		if i%50 == 0 {
 			time.Sleep(time.Millisecond) // let drains interleave
+		}
+		if i%(slabRows/2) == 0 {
+			h.Flush()
 		}
 	}
 	h.Flush()
@@ -513,6 +673,9 @@ func TestStraddlePublishConsistency(t *testing.T) {
 	if st := h.Stats(); st.Pending != 0 || st.SnapshotRows != all.Rows {
 		t.Fatalf("final stats: %+v", st)
 	}
+	if replacements < 3 {
+		t.Fatalf("the readers ran across %d slab replacements, want at least 3", replacements)
+	}
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
@@ -526,7 +689,7 @@ func TestMaintainerRestarts(t *testing.T) {
 	const n0, per, writers, dim = 200, 150, 2, 8
 	all := testVectors(n0+writers*per, dim, 13)
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
-	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 4, ChunkRows: 8})
+	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 4})
 
 	var wg sync.WaitGroup
 	var next atomic.Int64

@@ -16,7 +16,7 @@ import (
 // section for the contract.
 
 // LiveOptions tunes live-update serving. Zero values pick defaults
-// (chunk 256, drain threshold 512, publish interval 100ms).
+// (drain threshold 512, publish interval 100ms).
 type LiveOptions struct {
 	// MaxPending is the delta depth that triggers an immediate drain.
 	// Larger values batch more graph work per publish; smaller values keep
@@ -25,8 +25,6 @@ type LiveOptions struct {
 	// PublishInterval bounds how long an added point is served by the
 	// delta scan before the maintainer folds it into the graph snapshot.
 	PublishInterval time.Duration
-	// ChunkRows is the delta buffer's chunk capacity.
-	ChunkRows int
 }
 
 // MaintenanceStats reports the state of live-update maintenance: Pending
@@ -39,7 +37,6 @@ type MaintenanceStats = live.Stats
 
 func (o LiveOptions) internal(insert core.InsertParams) live.Options {
 	return live.Options{
-		ChunkRows:  o.ChunkRows,
 		MaxPending: o.MaxPending,
 		Interval:   o.PublishInterval,
 		Insert:     insert,

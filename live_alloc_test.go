@@ -25,11 +25,11 @@ func TestLiveSearchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 1 << 20, PublishInterval: time.Hour, ChunkRows: 16}); err != nil {
+	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 1 << 20, PublishInterval: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	// Leave a multi-chunk delta pending so the gate covers the scan path,
+	// Leave a delta pending so the gate covers the scan path,
 	// not just the snapshot.
 	for i := n0; i < len(all); i++ {
 		if _, err := idx.Add(all[i]); err != nil {

@@ -38,12 +38,12 @@ func TestLiveIndexConcurrentAddSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 32, PublishInterval: time.Millisecond, ChunkRows: 16}); err != nil {
+	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 32, PublishInterval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	defer idx.Close()
 	// Enabling again only replaces the cadence.
-	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 32, PublishInterval: time.Millisecond, ChunkRows: 16}); err != nil {
+	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 32, PublishInterval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -305,7 +305,7 @@ func TestLiveShardedConcurrentAddSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 32, PublishInterval: time.Millisecond, ChunkRows: 16}); err != nil {
+	if err := idx.EnableLiveUpdates(LiveOptions{MaxPending: 32, PublishInterval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -87,7 +87,7 @@ func TestTombstoneOracle(t *testing.T) {
 		return idx
 	}
 	// pending holds every Add in the delta until a Flush or Compact.
-	pending := LiveOptions{MaxPending: 1 << 20, PublishInterval: time.Hour, ChunkRows: 16}
+	pending := LiveOptions{MaxPending: 1 << 20, PublishInterval: time.Hour}
 	sharded := func(t *testing.T, shards int) oracleIndex {
 		t.Helper()
 		idx, err := BuildShardedFromFlat(ds.Base.Data[:n0*dim], dim, ShardedOptions{Shards: shards, Shard: opts})
