@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -35,50 +34,36 @@ func Ablation(w io.Writer, c ExpConfig) error {
 	fmt.Fprintf(w, "Ablations on SIFT-like (n=%d), recall@10 and distance computations at l=60\n", n)
 	fmt.Fprintf(w, "%-34s %9s %12s %10s %10s\n", "variant", "recall", "dist/query", "avg deg", "QPS")
 
-	score := func(name string, g *graphutil.Graph, search func(q []float32, counter *vecmath.Counter) []vecmath.Neighbor) {
-		var counter vecmath.Counter
-		got := make([][]int32, ds.Queries.Rows)
-		start := time.Now()
-		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			res := search(ds.Queries.Row(qi), &counter)
-			ids := make([]int32, len(res))
-			for i, nb := range res {
-				ids[i] = nb.ID
-			}
-			got[qi] = ids
-		}
-		qps := float64(ds.Queries.Rows) / time.Since(start).Seconds()
-		avgDeg := 0.0
-		if g != nil {
-			avgDeg = g.Degrees().Avg
-		}
-		fmt.Fprintf(w, "%-34s %9.4f %12.0f %10.1f %10.0f\n", name,
-			dataset.MeanRecall(got, ds.GT, 10),
-			float64(counter.Count())/float64(ds.Queries.Rows), avgDeg, qps)
+	score := func(name string, g *graphutil.Graph, search SearchFunc) {
+		pt := RecallSweep(Method{Search: search, Efforts: []int{60}}, ds.Queries, ds.GT, 10)[0]
+		fmt.Fprintf(w, "%-34s %9.4f %12.0f %10.1f %10.0f\n", name, pt.Recall, pt.DistComps, g.Degrees().Avg, pt.QPS)
 	}
 
 	// 1. Full NSG (reference): CSR layout, reused context.
-	ctx := core.NewSearchContext()
 	g := idx.FlatView().ToGraph()
-	score("NSG (full Algorithm 2)", g, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
-		return idx.Query(ctx, q, core.Query{K: 10, L: 60, Counter: cnt}).Neighbors
-	})
+	score("NSG (full Algorithm 2)", g, nsgSearch(idx))
 
 	// 1b. Layout/allocation ablation: same graph and entry point through
 	// the ragged adjacency lists with a freshly allocated context per query
 	// (the seed's allocation behavior). Recall and distance counts are
 	// identical by construction; only QPS moves.
-	score("NSG + ragged lists, fresh scratch", g, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
+	score("NSG + ragged lists, fresh scratch", g, func(q []float32, k, l int, cnt *vecmath.Counter) []vecmath.Neighbor {
 		fresh := core.NewSearchContext()
-		return core.SearchOnGraphListCtx(fresh, g.Adj, ds.Base, q, []int32{idx.Navigating}, 10, 60, cnt, nil).Neighbors
+		return core.SearchOnGraphListCtx(fresh, g.Adj, ds.Base, q, []int32{idx.Navigating}, k, l, cnt, nil).Neighbors
 	})
 
 	// 2. Entry point: random instead of the navigating node, same graph.
-	rngState := int64(12345)
-	score("NSG + random entry", g, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
-		rngState = rngState*6364136223846793005 + 1442695040888963407
-		start := int32(uint64(rngState) % uint64(n))
-		return core.SearchOnGraph(g.Adj, ds.Base, q, []int32{start}, 10, 60, cnt, nil).Neighbors
+	// Like countedOnly, the counted pass draws from one stream and the
+	// uncounted passes from a twin.
+	rngStates := [2]int64{12345, 12345}
+	score("NSG + random entry", g, func(q []float32, k, l int, cnt *vecmath.Counter) []vecmath.Neighbor {
+		st := &rngStates[0]
+		if cnt == nil {
+			st = &rngStates[1]
+		}
+		*st = *st*6364136223846793005 + 1442695040888963407
+		start := int32(uint64(*st) % uint64(n))
+		return core.SearchOnGraph(g.Adj, ds.Base, q, []int32{start}, k, l, cnt, nil).Neighbors
 	})
 
 	// 3. Candidates: kNN-only (NSG-Naive), same edge rule and cap.
@@ -86,22 +71,14 @@ func Ablation(w io.Writer, c ExpConfig) error {
 	if err != nil {
 		return err
 	}
-	naiveSearch := &core.RandomStart{Graph: naive, Base: ds.Base, Starts: 1, Rng: rand.New(rand.NewSource(c.Seed))}
-	score("kNN-only candidates (NSG-Naive)", naive, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
-		return naiveSearch.Search(q, 10, 60, cnt)
-	})
+	score("kNN-only candidates (NSG-Naive)", naive, countedOnly(&core.RandomStart{
+		Graph: naive, Base: ds.Base, Starts: 1, Rng: rand.New(rand.NewSource(c.Seed)),
+	}, c.Seed))
 
 	// 4. Edge rule: plain truncation of the kNN lists at the same cap.
-	trunc := graphutil.New(knn.N())
-	for i := range knn.Adj {
-		lim := 30
-		if lim > len(knn.Adj[i]) {
-			lim = len(knn.Adj[i])
-		}
-		trunc.Adj[i] = knn.Adj[i][:lim]
-	}
-	score("kNN truncation (no MRNG rule)", trunc, func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
-		return core.SearchOnGraph(trunc.Adj, ds.Base, q, []int32{idx.Navigating}, 10, 60, cnt, nil).Neighbors
+	trunc := sliceKNN(knn, 30)
+	score("kNN truncation (no MRNG rule)", trunc, func(q []float32, k, l int, cnt *vecmath.Counter) []vecmath.Neighbor {
+		return core.SearchOnGraph(trunc.Adj, ds.Base, q, []int32{idx.Navigating}, k, l, cnt, nil).Neighbors
 	})
 
 	// 5. Degree cap sweep.
@@ -110,9 +87,7 @@ func Ablation(w io.Writer, c ExpConfig) error {
 		if err != nil {
 			return err
 		}
-		score(fmt.Sprintf("NSG with degree cap m=%d", m), v.FlatView().ToGraph(), func(q []float32, cnt *vecmath.Counter) []vecmath.Neighbor {
-			return v.Search(q, 10, 60, cnt)
-		})
+		score(fmt.Sprintf("NSG with degree cap m=%d", m), v.FlatView().ToGraph(), v.Search)
 	}
 	return nil
 }

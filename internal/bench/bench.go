@@ -6,17 +6,24 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"sort"
-	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/vecmath"
 )
 
 // SearchFunc answers one query: k neighbors under a method-specific effort
 // parameter (graph pool size, LSH probes, IVF nprobe, tree checks...).
+// counter is nil on the passes that only warm or time (see measure); a
+// searcher that draws random starts from a shared stream draws them only
+// when counter is non-nil (countedOnly), so a cell's recorded numbers do not
+// depend on how many passes the clock asked for.
 type SearchFunc func(q []float32, k, effort int, counter *vecmath.Counter) []vecmath.Neighbor
 
 // Method is a named searcher with the effort values to sweep.
@@ -26,13 +33,16 @@ type Method struct {
 	Efforts []int
 }
 
-// SweepPoint is one point on a recall/QPS curve.
+// SweepPoint is one point on a recall/QPS curve: one cell measured by
+// measure. The averages are per query.
 type SweepPoint struct {
-	Effort    int
-	Recall    float64
-	QPS       float64
-	DistComps float64 // average distance computations per query
-	AvgTimeMS float64
+	Effort     int
+	Recall     float64
+	QPS        float64
+	DistComps  float64 // distance computations
+	AvgTimeMS  float64
+	Hops       float64 // Algorithm 1 expansions (searchers that report them)
+	AllocsPerQ float64 // heap allocations in the counted pass
 }
 
 // RecallSweep runs the method over all its effort values on the query set,
@@ -41,65 +51,29 @@ type SweepPoint struct {
 func RecallSweep(m Method, queries vecmath.Matrix, gt [][]int32, k int) []SweepPoint {
 	points := make([]SweepPoint, 0, len(m.Efforts))
 	for _, effort := range m.Efforts {
-		var counter vecmath.Counter
-		got := make([][]int32, queries.Rows)
-		start := time.Now()
-		for qi := 0; qi < queries.Rows; qi++ {
-			res := m.Search(queries.Row(qi), k, effort, &counter)
-			ids := make([]int32, len(res))
-			for i, n := range res {
-				ids[i] = n.ID
-			}
-			got[qi] = ids
-		}
-		elapsed := time.Since(start)
-		nq := float64(queries.Rows)
-		points = append(points, SweepPoint{
-			Effort:    effort,
-			Recall:    dataset.MeanRecall(got, gt, k),
-			QPS:       nq / elapsed.Seconds(),
-			DistComps: float64(counter.Count()) / nq,
-			AvgTimeMS: elapsed.Seconds() * 1000 / nq,
+		ids, pt := measure(queries.Rows, k, func(qi int, c *vecmath.Counter) core.SearchResult {
+			return core.SearchResult{Neighbors: m.Search(queries.Row(qi), k, effort, c)}
 		})
+		pt.Effort, pt.Recall = effort, dataset.MeanRecall(ids, gt, k)
+		points = append(points, pt)
 	}
 	return points
 }
 
-// QPSAtRecall interpolates the sweep to report QPS at a target recall, the
-// paper's headline comparison. Returns ok=false if the method never reaches
-// the target.
-func QPSAtRecall(points []SweepPoint, target float64) (float64, bool) {
-	sorted := append([]SweepPoint{}, points...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Recall < sorted[j].Recall })
-	for i, p := range sorted {
-		if p.Recall >= target {
-			if i == 0 {
-				return p.QPS, true
-			}
-			prev := sorted[i-1]
-			if p.Recall == prev.Recall {
-				return p.QPS, true
-			}
-			frac := (target - prev.Recall) / (p.Recall - prev.Recall)
-			return prev.QPS + frac*(p.QPS-prev.QPS), true
-		}
-	}
-	return 0, false
-}
-
-// DistCompsAtRecall interpolates the sweep to report distance computations
-// per query at a target recall (the Figure 8 metric).
-func DistCompsAtRecall(points []SweepPoint, target float64) (float64, bool) {
+// AtRecall interpolates metric along the sweep at a target recall: QPS for
+// the paper's headline comparison, distance computations per query for
+// Figure 8. Returns ok=false if the method never reaches the target.
+func AtRecall(points []SweepPoint, target float64, metric func(SweepPoint) float64) (float64, bool) {
 	sorted := append([]SweepPoint{}, points...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Recall < sorted[j].Recall })
 	for i, p := range sorted {
 		if p.Recall >= target {
 			if i == 0 || p.Recall == sorted[i-1].Recall {
-				return p.DistComps, true
+				return metric(p), true
 			}
 			prev := sorted[i-1]
 			frac := (target - prev.Recall) / (p.Recall - prev.Recall)
-			return prev.DistComps + frac*(p.DistComps-prev.DistComps), true
+			return metric(prev) + frac*(metric(p)-metric(prev)), true
 		}
 	}
 	return 0, false
@@ -160,4 +134,18 @@ func FormatBytes(b int64) string {
 		return fmt.Sprintf("%.1fe3 MB", mb/1000)
 	}
 	return fmt.Sprintf("%.1f MB", mb)
+}
+
+// writeRecord writes v as indented JSON to name in the working directory,
+// the BENCH_*.json record of one experiment, and says so on w.
+func writeRecord(w io.Writer, name string, v any) error {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(name, append(blob, '\n'), 0o644); err != nil {
+		return fmt.Errorf("bench: write %s: %w", name, err)
+	}
+	fmt.Fprintln(w, "wrote", name)
+	return nil
 }

@@ -3,11 +3,15 @@ package bench
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graphutil"
+	"repro/internal/knngraph"
 	"repro/internal/vecmath"
 )
 
@@ -47,14 +51,17 @@ func TestQPSAtRecall(t *testing.T) {
 		{Effort: 20, Recall: 0.9, QPS: 500},
 		{Effort: 40, Recall: 1.0, QPS: 200},
 	}
-	if qps, ok := QPSAtRecall(points, 0.9); !ok || qps != 500 {
+	qpsAt := func(points []SweepPoint, target float64) (float64, bool) {
+		return AtRecall(points, target, func(p SweepPoint) float64 { return p.QPS })
+	}
+	if qps, ok := qpsAt(points, 0.9); !ok || qps != 500 {
 		t.Errorf("QPS@0.9 = %v,%v want 500,true", qps, ok)
 	}
 	// Interpolated halfway between 0.9 and 1.0.
-	if qps, ok := QPSAtRecall(points, 0.95); !ok || math.Abs(qps-350) > 1e-9 {
+	if qps, ok := qpsAt(points, 0.95); !ok || math.Abs(qps-350) > 1e-9 {
 		t.Errorf("QPS@0.95 = %v,%v want 350,true", qps, ok)
 	}
-	if _, ok := QPSAtRecall(points[:1], 0.9); ok {
+	if _, ok := qpsAt(points[:1], 0.9); ok {
 		t.Error("unreachable target must report ok=false")
 	}
 }
@@ -64,7 +71,7 @@ func TestDistCompsAtRecall(t *testing.T) {
 		{Effort: 1, Recall: 0.4, DistComps: 100},
 		{Effort: 2, Recall: 0.8, DistComps: 200},
 	}
-	if dc, ok := DistCompsAtRecall(points, 0.6); !ok || math.Abs(dc-150) > 1e-9 {
+	if dc, ok := AtRecall(points, 0.6, func(p SweepPoint) float64 { return p.DistComps }); !ok || math.Abs(dc-150) > 1e-9 {
 		t.Errorf("DC@0.6 = %v,%v want 150,true", dc, ok)
 	}
 }
@@ -75,7 +82,7 @@ func TestRecallSweepOnScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Suite{Data: ds}
-	points := RecallSweep(s.ScanMethod(), ds.Queries, ds.GT, 10)
+	points := RecallSweep(s.Method("Serial-Scan", []int{1}), ds.Queries, ds.GT, 10)
 	if len(points) != 1 {
 		t.Fatalf("points = %d, want 1", len(points))
 	}
@@ -84,6 +91,34 @@ func TestRecallSweepOnScan(t *testing.T) {
 	}
 	if points[0].DistComps != float64(ds.Base.Rows) {
 		t.Errorf("scan dist comps = %v, want %d", points[0].DistComps, ds.Base.Rows)
+	}
+}
+
+// TestCountedOnlyKeepsTheStream: a random-start searcher's counted calls
+// draw the starts a lone sweep would, however many uncounted (warm-up and
+// timing) calls come between them.
+func TestCountedOnlyKeepsTheStream(t *testing.T) {
+	ds, err := dataset.Uniform(dataset.Config{N: 300, Queries: 8, GTK: 10, Dim: 8, Seed: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	knn, err := knngraph.BuildExact(ds.Base, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	searcher := func() SearchFunc {
+		return countedOnly(&core.RandomStart{Graph: knn, Base: ds.Base, Starts: 1, Rng: rand.New(rand.NewSource(1))}, 1)
+	}
+	alone, timed := searcher(), searcher()
+	// A pool of 2 ends where the walk from the random start does, and the
+	// walk's evaluations are counted, so a shifted stream shows.
+	var ca, ct vecmath.Counter
+	for qi := range ds.Queries.Rows {
+		q := ds.Queries.Row(qi)
+		timed(q, 2, 2, nil)
+		if want, got := alone(q, 2, 2, &ca), timed(q, 2, 2, &ct); !slices.Equal(want, got) || ca.Count() != ct.Count() {
+			t.Fatalf("query %d: counted answer %v (%d evaluations) after an uncounted call, want %v (%d)", qi, got, ct.Count(), want, ca.Count())
+		}
 	}
 }
 

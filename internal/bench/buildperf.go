@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -137,13 +135,5 @@ func BuildPerf(w io.Writer, c ExpConfig) error {
 	fmt.Fprintf(w, "NSG average out-degree: %.1f; repair edges %d in %d passes\n",
 		res.NSGDegrees, res.TreeRepairEdges, res.TreePasses)
 
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_build.json", append(blob, '\n'), 0o644); err != nil {
-		return fmt.Errorf("bench: write BENCH_build.json: %w", err)
-	}
-	fmt.Fprintln(w, "wrote BENCH_build.json")
-	return nil
+	return writeRecord(w, "BENCH_build.json", res)
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -378,14 +377,9 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 	fmt.Fprintf(w, "degraded phase: %d/%d answered degraded (missing shard %d), recall %.4f over survivors; fail policy errored: %v\n",
 		dp.Degraded, dp.Queries, dp.MissingShard, dp.Recall, dp.FailPolicyErr)
 
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
+	if err := writeRecord(w, "BENCH_cluster.json", res); err != nil {
 		return err
 	}
-	if err := os.WriteFile("BENCH_cluster.json", append(blob, '\n'), 0o644); err != nil {
-		return fmt.Errorf("bench: write BENCH_cluster.json: %w", err)
-	}
-	fmt.Fprintln(w, "wrote BENCH_cluster.json")
 	if chaos.Errors > 0 || chaos.Degraded > 0 {
 		return fmt.Errorf("bench: replica SIGKILL cost %d failed and %d degraded queries, want 0 and 0", chaos.Errors, chaos.Degraded)
 	}

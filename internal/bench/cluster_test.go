@@ -14,12 +14,18 @@ import (
 
 func TestBestOf(t *testing.T) {
 	calls := 0
-	d := bestOf(3, func() { calls++; time.Sleep(time.Millisecond) })
-	if calls != 3 {
-		t.Fatalf("bestOf ran f %d times, want 3", calls)
+	d := bestOf(0, func() { calls++; time.Sleep(time.Millisecond) })
+	if calls != 2 {
+		t.Fatalf("bestOf with no budget ran f %d times, want 2", calls)
 	}
 	if d < time.Millisecond {
 		t.Fatalf("bestOf returned %v, below the per-pass floor", d)
+	}
+	calls = 0
+	start := time.Now()
+	bestOf(5*time.Millisecond, func() { calls++; time.Sleep(time.Millisecond) })
+	if el := time.Since(start); el < 5*time.Millisecond || calls > 5 {
+		t.Fatalf("bestOf with a 5 ms budget ran a 1 ms f %d times in %v, want the budget filled and at most 5 runs", calls, el)
 	}
 }
 

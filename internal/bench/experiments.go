@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/distsearch"
@@ -200,7 +200,7 @@ func Fig6(w io.Writer, suites map[string]*Suite, k int) {
 		for _, g := range s.Graph {
 			methods = append(methods, g.Method)
 		}
-		methods = append(methods, s.ScanMethod())
+		methods = append(methods, s.Method("Serial-Scan", []int{1}))
 		sweeps := make(map[string][]SweepPoint, len(methods))
 		for _, m := range methods {
 			points := RecallSweep(m, s.Data.Queries, s.Data.GT, k)
@@ -213,7 +213,7 @@ func Fig6(w io.Writer, suites map[string]*Suite, k int) {
 		for _, target := range []float64{0.95, 0.99} {
 			fmt.Fprintf(w, "QPS at recall>=%.2f:\n", target)
 			for _, m := range methods {
-				if qps, ok := QPSAtRecall(sweeps[m.Name], target); ok {
+				if qps, ok := AtRecall(sweeps[m.Name], target, func(p SweepPoint) float64 { return p.QPS }); ok {
 					fmt.Fprintf(w, "  %-10s %9.0f\n", m.Name, qps)
 				} else {
 					fmt.Fprintf(w, "  %-10s     (recall<%.2f at all efforts)\n", m.Name, target)
@@ -236,7 +236,7 @@ func Fig7(w io.Writer, c ExpConfig) error {
 	fmt.Fprintf(w, "Figure 7: NSG vs Faiss(IVFPQ) on DEEP-like subset (n=%d)\n", n)
 
 	// One NSG over the whole set.
-	one, _, err := buildPlainNSG(ds.Base, c.Seed)
+	one, _, err := buildPlainNSG(ds.Base, 40, 60, c.Seed)
 	if err != nil {
 		return err
 	}
@@ -255,44 +255,28 @@ func Fig7(w io.Writer, c ExpConfig) error {
 		return err
 	}
 
-	k := 10
 	fmt.Fprintf(w, "%-14s %8s %9s %9s\n", "method", "effort", "recall", "QPS")
-	report := func(name string, efforts []int, search func(q []float32, effort int) []vecmath.Neighbor) {
-		for _, effort := range efforts {
-			got := make([][]int32, ds.Queries.Rows)
-			start := time.Now()
-			for qi := 0; qi < ds.Queries.Rows; qi++ {
-				res := search(ds.Queries.Row(qi), effort)
-				ids := make([]int32, len(res))
-				for i, nb := range res {
-					ids[i] = nb.ID
-				}
-				got[qi] = ids
-			}
-			el := time.Since(start)
-			fmt.Fprintf(w, "%-14s %8d %9.4f %9.0f\n", name, effort,
-				dataset.MeanRecall(got, ds.GT, k), float64(ds.Queries.Rows)/el.Seconds())
+	graphEfforts := []int{10, 20, 40, 80, 160}
+	pqEfforts := []int{1, 2, 4, 8, 16, 32, 64}
+	for _, m := range []Method{
+		{"NSG-1core", nsgSearch(one), graphEfforts},
+		{"NSG-16core", func(q []float32, k, l int, _ *vecmath.Counter) []vecmath.Neighbor {
+			return sharded16.Search(nil, q, k, l, nil, nil)
+		}, graphEfforts},
+		{"Faiss-1core", func(q []float32, k, e int, c *vecmath.Counter) []vecmath.Neighbor {
+			return pq.Search(q, k, e, 4*k, c)
+		}, pqEfforts},
+		{"Faiss-16core", func(q []float32, k, e int, _ *vecmath.Counter) []vecmath.Neighbor {
+			return searchIVFPQParallel(pq, q, k, e)
+		}, pqEfforts},
+		{"Serial-16core", func(q []float32, k, _ int, _ *vecmath.Counter) []vecmath.Neighbor {
+			return scan.SearchParallel(ds.Base, q, k, 16)
+		}, []int{1}},
+	} {
+		for _, pt := range RecallSweep(m, ds.Queries, ds.GT, 10) {
+			fmt.Fprintf(w, "%-14s %8d %9.4f %9.0f\n", m.Name, pt.Effort, pt.Recall, pt.QPS)
 		}
 	}
-
-	graphEfforts := []int{10, 20, 40, 80, 160}
-	oneSearch := nsgSearch(one)
-	report("NSG-1core", graphEfforts, func(q []float32, e int) []vecmath.Neighbor {
-		return oneSearch(q, k, e)
-	})
-	report("NSG-16core", graphEfforts, func(q []float32, e int) []vecmath.Neighbor {
-		return sharded16.Search(nil, q, k, e, nil, nil)
-	})
-	pqEfforts := []int{1, 2, 4, 8, 16, 32, 64}
-	report("Faiss-1core", pqEfforts, func(q []float32, e int) []vecmath.Neighbor {
-		return pq.Search(q, k, e, 4*k, nil)
-	})
-	report("Faiss-16core", pqEfforts, func(q []float32, e int) []vecmath.Neighbor {
-		return searchIVFPQParallel(pq, q, k, e)
-	})
-	report("Serial-16core", []int{1}, func(q []float32, _ int) []vecmath.Neighbor {
-		return scan.SearchParallel(ds.Base, q, k, 16)
-	})
 	return nil
 }
 
@@ -342,9 +326,9 @@ func Fig8(w io.Writer, suites map[string]*Suite, k int) {
 		fmt.Fprintf(w, "-- %s --\n", name)
 		methods := []Method{
 			s.NSGMethod(),
-			s.LSHMethod([]int{1, 2, 4, 8, 16, 32, 64}),
-			s.KDTreeMethod([]int{100, 200, 400, 800, 1600, 3200}),
-			s.IVFPQMethod([]int{1, 2, 4, 8, 16, 32, 64}),
+			s.Method("LSH", []int{1, 2, 4, 8, 16, 32, 64}),
+			s.Method("KD-tree", []int{100, 200, 400, 800, 1600, 3200}),
+			s.Method("IVFPQ", []int{1, 2, 4, 8, 16, 32, 64}),
 		}
 		fmt.Fprintf(w, "%-10s %8s %9s %12s\n", "algorithm", "effort", "recall", "dist/query")
 		sweeps := make(map[string][]SweepPoint)
@@ -358,7 +342,7 @@ func Fig8(w io.Writer, suites map[string]*Suite, k int) {
 		for _, target := range []float64{0.80, 0.90, 0.95} {
 			fmt.Fprintf(w, "distance computations at recall>=%.2f:\n", target)
 			for _, m := range methods {
-				if dc, ok := DistCompsAtRecall(sweeps[m.Name], target); ok {
+				if dc, ok := AtRecall(sweeps[m.Name], target, func(p SweepPoint) float64 { return p.DistComps }); ok {
 					fmt.Fprintf(w, "  %-10s %12.0f\n", m.Name, dc)
 				} else {
 					fmt.Fprintf(w, "  %-10s      (not reached)\n", m.Name)
@@ -378,30 +362,21 @@ func scalingSubsets(c ExpConfig) []int {
 	return out
 }
 
-// searchTimeAtPrecision finds the smallest effort reaching the target
-// recall and returns the per-query time there (ms), or ok=false.
-func searchTimeAtPrecision(search func(q []float32, k, effort int) []vecmath.Neighbor,
-	ds dataset.Dataset, k int, target float64) (float64, bool) {
-	for _, effort := range []int{k, 2 * k, 10, 20, 40, 80, 160, 320, 640} {
-		if effort < k {
-			continue
-		}
-		got := make([][]int32, ds.Queries.Rows)
-		start := time.Now()
-		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			res := search(ds.Queries.Row(qi), k, effort)
-			ids := make([]int32, len(res))
-			for i, nb := range res {
-				ids[i] = nb.ID
-			}
-			got[qi] = ids
-		}
-		el := time.Since(start)
-		if dataset.MeanRecall(got, ds.GT, k) >= target {
-			return el.Seconds() * 1000 / float64(ds.Queries.Rows), true
+// searchTimeAtPrecision walks efforts in order and returns the per-query
+// time (ms) at the first whose recall reaches target, or ok=false.
+func searchTimeAtPrecision(search SearchFunc, efforts []int, ds dataset.Dataset, k int, target float64) (float64, bool) {
+	for _, effort := range efforts {
+		if pt := RecallSweep(Method{Search: search, Efforts: []int{effort}}, ds.Queries, ds.GT, k)[0]; pt.Recall >= target {
+			return pt.AvgTimeMS, true
 		}
 	}
 	return 0, false
+}
+
+// nsgEfforts are the pool sizes searchTimeAtPrecision tries for a k-NN
+// search on an NSG, in order.
+func nsgEfforts(k int) []int {
+	return slices.DeleteFunc([]int{k, 2 * k, 10, 20, 40, 80, 160, 320, 640}, func(l int) bool { return l < k })
 }
 
 // figScaling is the shared engine of Figures 9 and 10: search time vs N at
@@ -415,7 +390,7 @@ func figScaling(w io.Writer, c ExpConfig, k int, target float64, title string) e
 		if err != nil {
 			return err
 		}
-		ms, ok := searchTimeAtPrecision(nsgSearch(idx), ds, k, target)
+		ms, ok := searchTimeAtPrecision(nsgSearch(idx), nsgEfforts(k), ds, k, target)
 		if !ok {
 			fmt.Fprintf(w, "%10d       (target precision unreachable)\n", n)
 			continue
@@ -464,7 +439,7 @@ func Fig11(w io.Writer, c ExpConfig) error {
 		if k > c.GTK {
 			break
 		}
-		ms, ok := searchTimeAtPrecision(search, ds, k, 0.99)
+		ms, ok := searchTimeAtPrecision(search, nsgEfforts(k), ds, k, 0.99)
 		if !ok {
 			fmt.Fprintf(w, "%6d       (target precision unreachable)\n", k)
 			continue
@@ -528,15 +503,19 @@ func Table5(w io.Writer, c ExpConfig) error {
 		if err != nil {
 			return err
 		}
+		report := func(alg string, ms float64, ok bool) {
+			if ok {
+				fmt.Fprintf(w, "%-8s %-10s %4d %12.3f\n", row.name, alg, row.shards, ms)
+			} else {
+				fmt.Fprintf(w, "%-8s %-10s %4d     (98%% unreachable)\n", row.name, alg, row.shards)
+			}
+		}
 		search, done, err := table5NSG(ds, row.shards, c.Seed)
 		if err != nil {
 			return err
 		}
-		if ms, ok := searchTimeAtPrecision(search, ds, k, 0.98); ok {
-			fmt.Fprintf(w, "%-8s %-10s %4d %12.3f\n", row.name, "NSG", row.shards, ms)
-		} else {
-			fmt.Fprintf(w, "%-8s %-10s %4d     (98%% unreachable)\n", row.name, "NSG", row.shards)
-		}
+		ms, ok := searchTimeAtPrecision(search, nsgEfforts(k), ds, k, 0.98)
+		report("NSG", ms, ok)
 		done()
 		if row.withPQ {
 			pqp := ivfpq.DefaultParams()
@@ -545,11 +524,10 @@ func Table5(w io.Writer, c ExpConfig) error {
 			if err != nil {
 				return err
 			}
-			if ms, ok := searchTimeAtPrecisionPQ(pq, ds, k, 0.98); ok {
-				fmt.Fprintf(w, "%-8s %-10s %4d %12.3f\n", row.name, "IVFPQ", row.shards, ms)
-			} else {
-				fmt.Fprintf(w, "%-8s %-10s %4d     (98%% unreachable)\n", row.name, "IVFPQ", row.shards)
-			}
+			ms, ok := searchTimeAtPrecision(func(q []float32, k, nprobe int, c *vecmath.Counter) []vecmath.Neighbor {
+				return pq.Search(q, k, nprobe, 8*k, c)
+			}, []int{1, 2, 4, 8, 16, 32, 64, 128}, ds, k, 0.98)
+			report("IVFPQ", ms, ok)
 		}
 	}
 	return nil
@@ -558,9 +536,9 @@ func Table5(w io.Writer, c ExpConfig) error {
 // table5NSG builds one Table 5 row's NSG: a single core.NSG for the 1-shard
 // row, otherwise that many shards searched in parallel. The returned func
 // releases the index.
-func table5NSG(ds dataset.Dataset, shards int, seed int64) (func(q []float32, k, l int) []vecmath.Neighbor, func(), error) {
+func table5NSG(ds dataset.Dataset, shards int, seed int64) (SearchFunc, func(), error) {
 	if shards == 1 {
-		idx, _, err := buildPlainNSG(ds.Base, seed)
+		idx, _, err := buildPlainNSG(ds.Base, 40, 60, seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -573,27 +551,9 @@ func table5NSG(ds dataset.Dataset, shards int, seed int64) (func(q []float32, k,
 	if err != nil {
 		return nil, nil, err
 	}
-	return func(q []float32, k, l int) []vecmath.Neighbor { return sh.Search(nil, q, k, l, nil, nil) }, sh.Close, nil
-}
-
-func searchTimeAtPrecisionPQ(pq *ivfpq.Index, ds dataset.Dataset, k int, target float64) (float64, bool) {
-	for _, nprobe := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		got := make([][]int32, ds.Queries.Rows)
-		start := time.Now()
-		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			res := pq.Search(ds.Queries.Row(qi), k, nprobe, 8*k, nil)
-			ids := make([]int32, len(res))
-			for i, nb := range res {
-				ids[i] = nb.ID
-			}
-			got[qi] = ids
-		}
-		el := time.Since(start)
-		if dataset.MeanRecall(got, ds.GT, k) >= target {
-			return el.Seconds() * 1000 / float64(ds.Queries.Rows), true
-		}
-	}
-	return 0, false
+	return func(q []float32, k, l int, _ *vecmath.Counter) []vecmath.Neighbor {
+		return sh.Search(nil, q, k, l, nil, nil)
+	}, sh.Close, nil
 }
 
 // RunAll executes every experiment in order, matching the paper's layout.
@@ -616,26 +576,12 @@ func RunAll(w io.Writer, c ExpConfig) error {
 	fmt.Fprintln(w)
 	Fig8(w, suites, 10)
 	fmt.Fprintln(w)
-	if err := Fig7(w, c); err != nil {
-		return err
+	for _, exp := range []func(io.Writer, ExpConfig) error{Fig7, Fig9, Fig10, Fig11, Fig12} {
+		if err := exp(w, c); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
-	if err := Fig9(w, c); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := Fig10(w, c); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := Fig11(w, c); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := Fig12(w, c); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
 	return Table5(w, c)
 }
 

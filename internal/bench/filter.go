@@ -1,17 +1,14 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/knngraph"
 	"repro/internal/meta"
+	"repro/internal/vecmath"
 )
 
 // This file measures predicate-aware filtered search: recall against
@@ -124,39 +121,19 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 	}
 
 	// One graph per serving representation, all from identical seeds.
-	buildOne := func(sq8 bool) (*core.NSG, error) {
-		base := ds.Base.Clone()
-		kp := knngraph.DefaultParams(20)
-		kp.Seed = c.Seed
-		knn, err := knngraph.BuildNNDescent(base, kp)
-		if err != nil {
-			return nil, err
-		}
-		idx, _, err := core.NSGBuild(knn, base, core.BuildParams{L: 50, M: 30, Seed: c.Seed})
-		if err != nil {
-			return nil, err
-		}
-		if sq8 {
-			if err := idx.EnableQuantization(nil); err != nil {
-				return nil, err
-			}
-		}
-		return idx, nil
-	}
-	variants := []struct {
-		name string
-		sq8  bool
-	}{
-		{"float32", false},
-		{"sq8", true},
-	}
+	variants := []string{"float32", "sq8"}
 	indexes := make(map[string]*core.NSG, len(variants))
 	for _, v := range variants {
-		idx, err := buildOne(v.sq8)
+		idx, _, err := buildPlainNSG(ds.Base, 20, 50, c.Seed)
 		if err != nil {
 			return err
 		}
-		indexes[v.name] = idx
+		if v == "sq8" {
+			if err := idx.EnableQuantization(nil); err != nil {
+				return err
+			}
+		}
+		indexes[v] = idx
 	}
 
 	fmt.Fprintf(w, "filtered search vs brute-force-with-filter on SIFT-like subset (n=%d, dim=%d, k=%d)\n", ds.Base.Rows, ds.Base.Dim, k)
@@ -176,20 +153,21 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 		gt := filteredGT(ds, bits, k)
 		sel := float64(selPct) / 100
 		for _, v := range variants {
-			idx := indexes[v.name]
+			idx := indexes[v]
 			var bestRecall float64
 			for _, effort := range filterEfforts {
-				pt := measureFilterPoint(idx, ds, gt, flt, v.name, sel, k, effort)
+				pt := measureFilterPoint(idx, ds.Queries, gt, func(int) *core.Filter { return flt }, k, effort)
+				pt.Variant, pt.Selectivity = v, sel
 				res.Points = append(res.Points, pt)
 				if pt.Recall > bestRecall {
 					bestRecall = pt.Recall
 				}
 				fmt.Fprintf(w, "%-10s %12.2f %8d %6s %9.4f %9.0f %12.4f %8.1f %10.2f\n",
-					v.name, sel, effort, pt.Plan, pt.Recall, pt.QPS, pt.MsPerQ, pt.Hops, pt.AllocsPerQ)
+					v, sel, effort, pt.Plan, pt.Recall, pt.QPS, pt.MsPerQ, pt.Hops, pt.AllocsPerQ)
 			}
 			if bestRecall < 0.99 {
 				gateOK = false
-				fmt.Fprintf(w, "  GATE MISS: %s at %.0f%% selectivity peaks at recall %.4f (< 0.99)\n", v.name, sel*100, bestRecall)
+				fmt.Fprintf(w, "  GATE MISS: %s at %.0f%% selectivity peaks at recall %.4f (< 0.99)\n", v, sel*100, bestRecall)
 			}
 		}
 	}
@@ -207,6 +185,7 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 		per := ds.Base.Rows / tenants
 		flts := make([]*core.Filter, tenants)
 		gts := make([][][]int32, tenants)
+		gt := make([][]int32, ds.Queries.Rows) // query qi's answer under its tenant's filter
 		for tn := 0; tn < tenants; tn++ {
 			bits := make([]uint64, meta.BitsLen(st.Rows()))
 			lo, hi := int64(tn*per), int64((tn+1)*per-1)
@@ -220,22 +199,17 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 			flts[tn] = &core.Filter{Bits: bits, Count: count}
 			gts[tn] = filteredGT(ds, bits, k)
 		}
-		pt := measureTenantPoint(idx, ds, gts, flts, k, 60)
-		pt.Tenants = tenants
+		for qi := range gt {
+			gt[qi] = gts[qi%tenants][qi]
+		}
+		pt := measureFilterPoint(idx, ds.Queries, gt, func(qi int) *core.Filter { return flts[qi%tenants] }, k, 60)
+		pt.Variant, pt.Tenants = "tenant", tenants
 		pt.Selectivity = float64(per) / float64(ds.Base.Rows)
 		res.Points = append(res.Points, pt)
 		fmt.Fprintf(w, "%8d %12.4f %9.4f %9.0f %10.2f\n", tenants, pt.Selectivity, pt.Recall, pt.QPS, pt.AllocsPerQ)
 	}
 
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_filter.json", append(blob, '\n'), 0o644); err != nil {
-		return fmt.Errorf("bench: write BENCH_filter.json: %w", err)
-	}
-	fmt.Fprintln(w, "wrote BENCH_filter.json")
-	return nil
+	return writeRecord(w, "BENCH_filter.json", res)
 }
 
 // recallVsGT scores got against the exact filtered answer, treating a
@@ -264,89 +238,20 @@ func recallVsGT(got [][]int32, gt [][]int32) float64 {
 	return total / float64(len(got))
 }
 
-// measureFilterPoint scores one (index, filter, effort) cell with a reused
-// context: recall vs the filtered ground truth, latency/QPS and allocs.
-func measureFilterPoint(idx *core.NSG, ds dataset.Dataset, gt [][]int32, flt *core.Filter, variant string, sel float64, k, effort int) FilterPoint {
-	pt := FilterPoint{Variant: variant, Selectivity: sel, Effort: effort}
+// measureFilterPoint scores one cell on a reused context: query qi runs
+// under flt(qi) at pool size effort, scored against gt, the exact filtered
+// answers. The plan is the scan where no query expanded a node.
+func measureFilterPoint(idx *core.NSG, queries vecmath.Matrix, gt [][]int32, flt func(qi int) *core.Filter, k, effort int) FilterPoint {
 	ctx := core.NewSearchContext()
-	for i := 0; i < 4 && i < ds.Queries.Rows; i++ { // warm the context
-		idx.Query(ctx, ds.Queries.Row(i), core.Query{K: k, L: effort, Filter: flt})
+	ids, pt := measure(queries.Rows, k, func(qi int, _ *vecmath.Counter) core.SearchResult {
+		return idx.Query(ctx, queries.Row(qi), core.Query{K: k, L: effort, Filter: flt(qi)})
+	})
+	plan := "walk"
+	if pt.Hops == 0 {
+		plan = "scan"
 	}
-	got := make([][]int32, ds.Queries.Rows)
-	for qi := range got {
-		got[qi] = make([]int32, 0, k)
+	return FilterPoint{
+		Effort: effort, Recall: recallVsGT(ids, gt), QPS: pt.QPS, MsPerQ: pt.AvgTimeMS,
+		Hops: pt.Hops, Plan: plan, AllocsPerQ: pt.AllocsPerQ,
 	}
-	var hops float64
-	allocStart := heapAllocs()
-	start := time.Now()
-	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		r := idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: k, L: effort, Filter: flt})
-		ids := got[qi][:0]
-		for _, nb := range r.Neighbors {
-			ids = append(ids, nb.ID)
-		}
-		got[qi] = ids
-		hops += float64(r.Hops)
-	}
-	elapsed := time.Since(start)
-	allocs := heapAllocs() - allocStart
-	// A scanned cell's pass lasts a fraction of a millisecond, too short to
-	// time twice and trust: keep the best of about 20 ms of passes.
-	reps := min(64, 2+int(20*time.Millisecond/max(elapsed, time.Microsecond)))
-	if el := bestOf(reps, func() {
-		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: k, L: effort, Filter: flt})
-		}
-	}); el < elapsed {
-		elapsed = el
-	}
-	q := float64(ds.Queries.Rows)
-	pt.Recall = recallVsGT(got, gt)
-	pt.QPS = q / elapsed.Seconds()
-	pt.MsPerQ = elapsed.Seconds() * 1000 / q
-	pt.Hops = hops / q
-	pt.Plan = "walk"
-	if hops == 0 {
-		pt.Plan = "scan"
-	}
-	pt.AllocsPerQ = float64(allocs) / q
-	return pt
-}
-
-// measureTenantPoint interleaves tenants across the query stream — query qi
-// runs under tenant qi%T's filter — the access pattern of one shared index
-// serving many isolated tenants.
-func measureTenantPoint(idx *core.NSG, ds dataset.Dataset, gts [][][]int32, flts []*core.Filter, k, effort int) FilterPoint {
-	pt := FilterPoint{Variant: "tenant", Effort: effort}
-	tenants := len(flts)
-	ctx := core.NewSearchContext()
-	for i := 0; i < 4 && i < ds.Queries.Rows; i++ {
-		idx.Query(ctx, ds.Queries.Row(i), core.Query{K: k, L: effort, Filter: flts[i%tenants]})
-	}
-	got := make([][]int32, ds.Queries.Rows)
-	for qi := range got {
-		got[qi] = make([]int32, 0, k)
-	}
-	allocStart := heapAllocs()
-	start := time.Now()
-	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		r := idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: k, L: effort, Filter: flts[qi%tenants]})
-		ids := got[qi][:0]
-		for _, nb := range r.Neighbors {
-			ids = append(ids, nb.ID)
-		}
-		got[qi] = ids
-	}
-	elapsed := time.Since(start)
-	allocs := heapAllocs() - allocStart
-	q := float64(ds.Queries.Rows)
-	total := 0.0
-	for qi := range got {
-		total += recallVsGT(got[qi:qi+1], gts[qi%tenants][qi:qi+1])
-	}
-	pt.Recall = total / q
-	pt.QPS = q / elapsed.Seconds()
-	pt.MsPerQ = elapsed.Seconds() * 1000 / q
-	pt.AllocsPerQ = float64(allocs) / q
-	return pt
 }

@@ -1,15 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/knngraph"
 	"repro/internal/vecmath"
 )
 
@@ -91,14 +87,7 @@ func Quantized(w io.Writer, c ExpConfig) error {
 	// One build. Its float32 rows are measured before any code matrix
 	// exists; the same graph is then quantized for the SQ8 rows, so every
 	// variant searches one graph.
-	base := ds.Base.Clone()
-	kp := knngraph.DefaultParams(20)
-	kp.Seed = c.Seed
-	knn, err := knngraph.BuildNNDescent(base, kp)
-	if err != nil {
-		return err
-	}
-	idx, _, err := core.NSGBuild(knn, base, core.BuildParams{L: 50, M: 30, Seed: c.Seed})
+	idx, _, err := buildPlainNSG(ds.Base, 20, 50, c.Seed)
 	if err != nil {
 		return err
 	}
@@ -146,70 +135,21 @@ func Quantized(w io.Writer, c ExpConfig) error {
 		fmt.Fprintln(w)
 	}
 
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_quant.json", append(blob, '\n'), 0o644); err != nil {
-		return fmt.Errorf("bench: write BENCH_quant.json: %w", err)
-	}
-	fmt.Fprintln(w, "wrote BENCH_quant.json")
-	return nil
+	return writeRecord(w, "BENCH_quant.json", res)
 }
 
-// measureQuantPoint scores one (index, variant, effort) cell with a reused
+// measureQuantPoint scores one (index, variant, effort) cell on a reused
 // context: recall over the query set, latency/QPS, work stats, and the
 // bytes-per-hop accounting.
 func measureQuantPoint(idx *core.NSG, ds dataset.Dataset, v quantVariant, k, effort int) QuantPoint {
-	pt := QuantPoint{Variant: v.name, Effort: effort}
 	ctx := core.NewSearchContext()
-	var counter vecmath.Counter
-	plan := core.Query{K: k, L: effort, Counter: &counter, NoRerank: !v.rerank}
-	search := func(q []float32) core.SearchResult { return idx.Query(ctx, q, plan) }
-	for i := 0; i < 4 && i < ds.Queries.Rows; i++ { // warm the context
-		search(ds.Queries.Row(i))
+	ids, sp := measure(ds.Queries.Rows, k, func(qi int, c *vecmath.Counter) core.SearchResult {
+		return idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: k, L: effort, Counter: c, NoRerank: !v.rerank})
+	})
+	pt := QuantPoint{
+		Variant: v.name, Effort: effort, Recall: dataset.MeanRecall(ids, ds.GT, k), QPS: sp.QPS,
+		MsPerQ: sp.AvgTimeMS, Hops: sp.Hops, DistComps: sp.DistComps, AllocsPerQ: sp.AllocsPerQ,
 	}
-
-	// Result rows are preallocated so the timed/counted loop contains only
-	// the search itself — otherwise the harness's own slice allocations
-	// would show up in the allocs-per-query column.
-	got := make([][]int32, ds.Queries.Rows)
-	for qi := range got {
-		got[qi] = make([]int32, 0, k)
-	}
-	var hops float64
-	counter.Reset()
-	allocStart := heapAllocs()
-	start := time.Now()
-	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		r := search(ds.Queries.Row(qi))
-		ids := got[qi][:0]
-		for _, nb := range r.Neighbors {
-			ids = append(ids, nb.ID)
-		}
-		got[qi] = ids
-		hops += float64(r.Hops)
-	}
-	elapsed := time.Since(start)
-	allocs := heapAllocs() - allocStart
-	// Two more timed passes, keeping the fastest, so one scheduling hiccup
-	// does not misprice a cell of the comparison table.
-	if el := bestOf(2, func() {
-		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			search(ds.Queries.Row(qi))
-		}
-	}); el < elapsed {
-		elapsed = el
-	}
-
-	q := float64(ds.Queries.Rows)
-	dists := float64(counter.Count()) / q / 3 // counted across all three passes
-	pt.Recall = dataset.MeanRecall(got, ds.GT, k)
-	pt.QPS = q / elapsed.Seconds()
-	pt.MsPerQ = elapsed.Seconds() * 1000 / q
-	pt.Hops = hops / q
-	pt.DistComps = dists
-	pt.AllocsPerQ = float64(allocs) / q
 
 	// Bytes gathered per expansion: every counted evaluation touches one
 	// vector row (1 byte/dim for SQ8 codes, 4 bytes/dim for floats; a
@@ -219,18 +159,18 @@ func measureQuantPoint(idx *core.NSG, ds dataset.Dataset, v quantVariant, k, eff
 	dim := float64(ds.Base.Dim)
 	codeBytes := dim // SQ8: one byte per dimension
 	adjBytes := (1 + idx.Stats().AvgDegree) * 4
-	perQuery := adjBytes * (hops / q)
+	perQuery := adjBytes * pt.Hops
 	switch {
 	case !v.sq8:
-		perQuery += dists * dim * 4
+		perQuery += pt.DistComps * dim * 4
 	case v.rerank:
 		exact := float64(min(effort, ds.Base.Rows)) // the reranked pool
-		perQuery += (dists-exact)*codeBytes + exact*dim*4
+		perQuery += (pt.DistComps-exact)*codeBytes + exact*dim*4
 	default:
-		perQuery += dists * codeBytes
+		perQuery += pt.DistComps * codeBytes
 	}
-	if h := hops / q; h > 0 {
-		pt.BytesPerHop = perQuery / h
+	if pt.Hops > 0 {
+		pt.BytesPerHop = perQuery / pt.Hops
 	}
 	return pt
 }

@@ -119,8 +119,8 @@ func BuildSuite(ds dataset.Dataset, p SuiteParams) (*Suite, error) {
 			Method: Method{Name: name, Efforts: p.Efforts, Search: search},
 		})
 	}
-	randomStart := func(g *graphutil.Graph, starts int) *core.RandomStart {
-		return &core.RandomStart{Graph: g, Base: ds.Base, Starts: starts, Rng: rand.New(rand.NewSource(p.Seed))}
+	randomStart := func(g *graphutil.Graph, starts int) SearchFunc {
+		return countedOnly(&core.RandomStart{Graph: g, Base: ds.Base, Starts: starts, Rng: rand.New(rand.NewSource(p.Seed))}, p.Seed)
 	}
 
 	start = time.Now()
@@ -137,7 +137,7 @@ func BuildSuite(ds dataset.Dataset, p SuiteParams) (*Suite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: NSG-Naive: %w", err)
 	}
-	add("NSG-Naive", naive, -1, naive.IndexBytes(), s.KNNTime, time.Since(start), randomStart(naive, 1).Search)
+	add("NSG-Naive", naive, -1, naive.IndexBytes(), s.KNNTime, time.Since(start), randomStart(naive, 1))
 
 	start = time.Now()
 	hnswIdx, err := hnsw.Build(ds.Base, hnsw.Params{M: p.HNSWM, EfConstruction: 100, Seed: p.Seed})
@@ -151,7 +151,7 @@ func BuildSuite(ds dataset.Dataset, p SuiteParams) (*Suite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: FANNG: %w", err)
 	}
-	add("FANNG", fanngIdx.Graph, -1, fanngIdx.Graph.IndexBytes(), s.KNNTime, time.Since(start), fanngIdx.Search)
+	add("FANNG", fanngIdx.Graph, -1, fanngIdx.Graph.IndexBytes(), s.KNNTime, time.Since(start), countedOnly(fanngIdx, p.Seed))
 
 	// Efanna: the kNN graph entered through a KD-forest.
 	start = time.Now()
@@ -166,14 +166,14 @@ func BuildSuite(ds dataset.Dataset, p SuiteParams) (*Suite, error) {
 	add("Efanna", s.KNN, -1, efannaIdx.IndexBytes(), s.KNNTime, time.Since(start), efannaIdx.Search)
 
 	// KGraph: the kNN graph itself, searched from three random starts.
-	add("KGraph", s.KNN, -1, s.KNN.IndexBytes(), 0, s.KNNTime, randomStart(s.KNN, 3).Search)
+	add("KGraph", s.KNN, -1, s.KNN.IndexBytes(), 0, s.KNNTime, randomStart(s.KNN, 3))
 
 	start = time.Now()
 	dpgIdx, err := dpg.Build(sliceKNN(s.KNN, 2*p.DPGKeep), ds.Base, dpg.Params{Keep: p.DPGKeep, Seed: p.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("bench: DPG: %w", err)
 	}
-	add("DPG", dpgIdx.Graph, -1, dpgIdx.Graph.IndexBytesRagged(), s.KNNTime, time.Since(start), dpgIdx.Search)
+	add("DPG", dpgIdx.Graph, -1, dpgIdx.Graph.IndexBytesRagged(), s.KNNTime, time.Since(start), countedOnly(dpgIdx, p.Seed))
 
 	if p.WithExtra {
 		s.LSH, err = lsh.Build(ds.Base, lsh.Params{Tables: 10, Bits: 12, Seed: p.Seed})
@@ -210,52 +210,42 @@ func sccFixedEntry(g *graphutil.Graph, entry int32) int {
 // NSGMethod extracts the NSG sweep adapter from the suite.
 func (s *Suite) NSGMethod() Method { return s.Graph[0].Method }
 
-// ScanMethod returns the serial-scan reference as a sweepable method
-// (effort ignored; recall is always 1).
-func (s *Suite) ScanMethod() Method {
-	base := s.Data.Base
-	return Method{
-		Name:    "Serial-Scan",
-		Efforts: []int{1},
-		Search: func(q []float32, k, _ int, c *vecmath.Counter) []vecmath.Neighbor {
-			return scan.Search(base, q, k, c)
-		},
+// Method returns one of the suite's other searchers as a sweepable method:
+// "Serial-Scan" (effort ignored; recall is always 1), "LSH" (effort =
+// probes per table), "IVFPQ" (effort = nprobe; rerank 4k) or "KD-tree"
+// (effort = distance checks; the randomized forest, Figure 8's Flann
+// stand-in).
+func (s *Suite) Method(name string, efforts []int) Method {
+	m := Method{Name: name, Efforts: efforts}
+	switch name {
+	case "Serial-Scan":
+		m.Search = func(q []float32, k, _ int, c *vecmath.Counter) []vecmath.Neighbor {
+			return scan.Search(s.Data.Base, q, k, c)
+		}
+	case "LSH":
+		m.Search = s.LSH.Search
+	case "IVFPQ":
+		m.Search = func(q []float32, k, effort int, c *vecmath.Counter) []vecmath.Neighbor {
+			return s.IVFPQ.Search(q, k, effort, 4*k, c)
+		}
+	case "KD-tree":
+		m.Search = s.Forest.SearchForest
+	default:
+		panic("bench: no suite method " + name)
 	}
+	return m
 }
 
-// LSHMethod returns the multi-probe LSH adapter (effort = probes/table).
-func (s *Suite) LSHMethod(efforts []int) Method {
-	idx := s.LSH
-	return Method{
-		Name:    "LSH",
-		Efforts: efforts,
-		Search: func(q []float32, k, effort int, c *vecmath.Counter) []vecmath.Neighbor {
-			return idx.Search(q, k, effort, c)
-		},
-	}
-}
-
-// IVFPQMethod returns the IVFPQ adapter (effort = nprobe; rerank 4k).
-func (s *Suite) IVFPQMethod(efforts []int) Method {
-	idx := s.IVFPQ
-	return Method{
-		Name:    "IVFPQ",
-		Efforts: efforts,
-		Search: func(q []float32, k, effort int, c *vecmath.Counter) []vecmath.Neighbor {
-			return idx.Search(q, k, effort, 4*k, c)
-		},
-	}
-}
-
-// KDTreeMethod returns the randomized KD-tree forest adapter (effort =
-// distance checks), the Flann stand-in of Figure 8.
-func (s *Suite) KDTreeMethod(efforts []int) Method {
-	idx := s.Forest
-	return Method{
-		Name:    "KD-tree",
-		Efforts: efforts,
-		Search: func(q []float32, k, effort int, c *vecmath.Counter) []vecmath.Neighbor {
-			return idx.SearchForest(q, k, effort, c)
-		},
+// countedOnly adapts a random-start searcher: the counted pass (non-nil
+// counter) draws its starts from x's stream, as a lone sweep would, and the
+// warm-up and timing passes draw from a twin seeded with seed.
+func countedOnly(x *core.RandomStart, seed int64) SearchFunc {
+	twin := *x
+	twin.Rng = rand.New(rand.NewSource(seed))
+	return func(q []float32, k, l int, c *vecmath.Counter) []vecmath.Neighbor {
+		if c == nil {
+			return twin.Search(q, k, l, nil)
+		}
+		return x.Search(q, k, l, c)
 	}
 }

@@ -90,13 +90,11 @@ func HopScaling(w io.Writer, c ExpConfig) error {
 		if err != nil {
 			return err
 		}
-		totalHops := 0
 		ctx := core.NewSearchContext()
-		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			res := idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: 10, L: 40})
-			totalHops += res.Hops
-		}
-		avg := float64(totalHops) / float64(ds.Queries.Rows)
+		_, pt := measure(ds.Queries.Rows, 10, func(qi int, c *vecmath.Counter) core.SearchResult {
+			return idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: 10, L: 40, Counter: c})
+		})
+		avg := pt.Hops
 		fmt.Fprintf(w, "%10d %12.1f %14.2f\n", n, avg, avg/math.Log2(float64(n)))
 		xs = append(xs, float64(n))
 		ys = append(ys, avg)
@@ -108,18 +106,20 @@ func HopScaling(w io.Writer, c ExpConfig) error {
 	return nil
 }
 
-// buildPlainNSG builds one NSG over base with the default parameters: an
-// NN-Descent kNN graph at every size, so a scaling fit compares one
-// pipeline, then Algorithm 2. The returned stats' Phases time
-// core.NSGBuild alone, excluding the kNN graph.
-func buildPlainNSG(base vecmath.Matrix, seed int64) (*core.NSG, core.BuildStats, error) {
-	p := knngraph.DefaultParams(min(40, base.Rows-1))
+// buildPlainNSG builds one NSG over a copy of base (the index owns its
+// rows, so a later Relayout leaves the caller's untouched): an NN-Descent
+// kNN graph with knnK neighbors at every size, so a scaling fit compares
+// one pipeline, then Algorithm 2 with pool l and degree cap 30. The
+// returned stats' Phases time core.NSGBuild alone, excluding the kNN graph.
+func buildPlainNSG(base vecmath.Matrix, knnK, l int, seed int64) (*core.NSG, core.BuildStats, error) {
+	base = base.Clone()
+	p := knngraph.DefaultParams(min(knnK, base.Rows-1))
 	p.Seed = seed
 	knn, err := knngraph.BuildNNDescent(base, p)
 	if err != nil {
 		return nil, core.BuildStats{}, err
 	}
-	return core.NSGBuild(knn, base, core.BuildParams{L: 60, M: 30, Seed: seed})
+	return core.NSGBuild(knn, base, core.BuildParams{L: l, M: 30, Seed: seed})
 }
 
 // siftNSG builds one NSG over a fresh SIFT-like dataset of n points.
@@ -128,15 +128,15 @@ func siftNSG(n int, c ExpConfig) (*core.NSG, dataset.Dataset, core.BuildStats, e
 	if err != nil {
 		return nil, ds, core.BuildStats{}, err
 	}
-	idx, st, err := buildPlainNSG(ds.Base, c.Seed)
+	idx, st, err := buildPlainNSG(ds.Base, 40, 60, c.Seed)
 	return idx, ds, st, err
 }
 
-// nsgSearch adapts idx to the sweeps' search signature: Algorithm 1 through
-// core.Query on the calling goroutine, one context reused across queries.
-func nsgSearch(idx *core.NSG) func(q []float32, k, l int) []vecmath.Neighbor {
+// nsgSearch adapts idx to a SearchFunc: Algorithm 1 through core.Query on
+// the calling goroutine, one context reused across queries.
+func nsgSearch(idx *core.NSG) SearchFunc {
 	ctx := core.NewSearchContext()
-	return func(q []float32, k, l int) []vecmath.Neighbor {
-		return idx.Query(ctx, q, core.Query{K: k, L: l}).Neighbors
+	return func(q []float32, k, l int, c *vecmath.Counter) []vecmath.Neighbor {
+		return idx.Query(ctx, q, core.Query{K: k, L: l, Counter: c}).Neighbors
 	}
 }

@@ -108,12 +108,19 @@ func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 			x.flat.AddEdge(nb, id)
 		}
 	}
+	return id, nil
+}
+
+// ReleaseMapped hands a mapped record's pages back to the kernel. Call it
+// after an Insert, which leaves every slab a heap copy (see mapped.go), and
+// once the snapshot that reads the copies is published: a search that
+// loaded an older snapshot faults back only the pages it still reads. It
+// is a no-op on a heap index and after the first call.
+func (x *NSG) ReleaseMapped() {
 	if x.release != nil {
-		// Every mapped slab is a heap copy now (see mapped.go).
 		x.release()
 		x.release = nil
 	}
-	return id, nil
 }
 
 // offerReverse adds the edge from→to if absent: appended while from's row

@@ -33,11 +33,11 @@ import (
 // codes and ids grow by append onto views whose capacity equals their
 // length, so the first append copies the slab to the heap. Mapped memory
 // is PROT_READ, so a stray write into it faults. By the end of the first
-// Insert every slab is a heap copy, and Insert hands the record's pages
-// back to the kernel (mstore.File.Release), so a written index does not
-// hold its data twice. A published Snapshot that still reads the old
-// views faults the pages back in from the file, which holds the same
-// bytes.
+// Insert every slab is a heap copy, and once the snapshot that reads the
+// copies is published, ReleaseMapped hands the record's pages back to the
+// kernel (mstore.File.Release), so a written index does not hold its data
+// twice. A search still reading an older snapshot faults the pages it
+// touches back in from the file, which holds the same bytes.
 
 const (
 	// nsgMappedMagic marks the aligned mapped record.

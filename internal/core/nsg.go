@@ -60,7 +60,7 @@ type NSG struct {
 	flat    *graphutil.CSR
 	shared  bool         // a published Snapshot or a mapping holds flat: fork before writing
 	reach   atomic.Int64 // cached ReachableFrom(Navigating)+1; 0 = unknown
-	release func()       // drops the mapped record's pages once Insert has copied them out
+	release func()       // drops the mapped record's pages (ReleaseMapped)
 }
 
 // newNSG wraps a graph with identity id tables.

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -50,13 +52,10 @@ func mappingRss(t *testing.T, path string) (int64, bool) {
 	return rss, found
 }
 
-// TestWrittenShardsReleaseMappedPages: a verified open reads every page
-// of the file. Once each shard has taken a write, which copies its record
-// out of the mapping, every whole page of every record has left the
-// process's resident set, and searches of the snapshots published since
-// do not fault them back; only the header, the id maps and the pages
-// records share with their neighbours may stay.
-func TestWrittenShardsReleaseMappedPages(t *testing.T) {
+// savedShards builds and saves the 3-shard index the release tests map,
+// and returns its dataset, the file's resolved path and its bytes.
+func savedShards(t *testing.T) (dataset.Dataset, string, []byte) {
+	t.Helper()
 	ds, err := dataset.SIFTLike(dataset.Config{N: 2400, Queries: 1, GTK: 1, Dim: 128, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -82,22 +81,52 @@ func TestWrittenShardsReleaseMappedPages(t *testing.T) {
 	if len(file) < 1<<20 {
 		t.Fatalf("the file is %d bytes, want at least 1 MiB", len(file))
 	}
-	s, _, err := OpenMapped(path, core.MapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	return ds, path, file
+}
 
-	// The bytes that may stay resident: the file's pages less each record's
-	// whole pages.
+// releasedBound is the bytes of file's mapping that may stay resident once
+// every shard has released its record: the file's pages less each record's
+// whole pages (the header, the id maps and the pages records share with
+// their neighbours stay).
+func releasedBound(file []byte, shards int) int64 {
 	page := int64(os.Getpagesize())
 	allowed := (int64(len(file)) + page - 1) / page * page
-	for sh := range s.Shards() {
+	for sh := range shards {
 		entry := file[smHeaderSize+sh*smShardEntrySize:]
 		off := int64(binary.LittleEndian.Uint64(entry[16:]))
 		end := off + int64(binary.LittleEndian.Uint64(entry[24:]))
 		allowed -= max(0, end/page*page-(off+page-1)/page*page)
 	}
+	return allowed
+}
+
+// writeOnePerShard inserts a copy of each shard's navigating vector, which
+// routes to that shard, so every shard takes exactly one write.
+func writeOnePerShard(t *testing.T, s *Sharded) {
+	t.Helper()
+	for sh := range s.Shards() {
+		x := s.Shard(sh)
+		vec := slices.Clone(x.Base.Row(int(x.Navigating)))
+		if _, got, err := s.Insert(vec); err != nil || got != sh {
+			t.Fatalf("insert into shard %d landed in shard %d (%v)", sh, got, err)
+		}
+	}
+}
+
+// TestWrittenShardsReleaseMappedPages: a verified open reads every page
+// of the file. Once each shard has taken a write, which copies its record
+// out of the mapping, every whole page of every record has left the
+// process's resident set, and searches of the snapshots published since
+// do not fault them back; only the header, the id maps and the pages
+// records share with their neighbours may stay.
+func TestWrittenShardsReleaseMappedPages(t *testing.T) {
+	ds, path, file := savedShards(t)
+	s, _, err := OpenMapped(path, core.MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	allowed := releasedBound(file, s.Shards())
 	rss, found := mappingRss(t, path)
 	if !found {
 		t.Fatal("the verified open holds no mapping of the file")
@@ -106,14 +135,7 @@ func TestWrittenShardsReleaseMappedPages(t *testing.T) {
 		t.Fatalf("after the verified open %d bytes are resident, want the records' pages too (> %d)", rss, allowed)
 	}
 
-	for sh := range s.Shards() {
-		// A copy of a shard's navigating vector routes to that shard.
-		x := s.Shard(sh)
-		vec := slices.Clone(x.Base.Row(int(x.Navigating)))
-		if _, got, err := s.Insert(vec); err != nil || got != sh {
-			t.Fatalf("insert into shard %d landed in shard %d (%v)", sh, got, err)
-		}
-	}
+	writeOnePerShard(t, s)
 	s.Flush()
 	// The snapshots published since read only the copies.
 	for i := 0; i < ds.Base.Rows; i += 97 {
@@ -121,5 +143,86 @@ func TestWrittenShardsReleaseMappedPages(t *testing.T) {
 	}
 	if rss, _ = mappingRss(t, path); rss > allowed {
 		t.Fatalf("after one write per shard and searches %d bytes of the mapping are resident, want at most %d", rss, allowed)
+	}
+}
+
+// TestReleasedPagesStayOutUnderSearches: one goroutine searches in a loop
+// from before the first write until after Flush. A shard releases its
+// record when its first drain publishes, and a search loads its snapshot
+// when it starts, so only the one search in flight at that instant can
+// still read the shard's mapping and fault pages back. The resident bytes
+// afterwards may exceed TestWrittenShardsReleaseMappedPages's bound by
+// that slack: per shard, the most pages one of the loop's queries faults
+// into a released mapping of that shard, measured on a copy of the file.
+func TestReleasedPagesStayOutUnderSearches(t *testing.T) {
+	ds, path, file := savedShards(t)
+	var queries [][]float32
+	for i := 0; i < ds.Base.Rows; i += 97 {
+		queries = append(queries, ds.Base.Row(i))
+	}
+
+	probe := filepath.Join(filepath.Dir(path), "probe.nsg")
+	if err := os.WriteFile(probe, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var slack int64
+	perShard := make([]int64, 3)
+	for _, q := range queries {
+		p, _, err := OpenMapped(probe, core.MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sh := range p.Shards() {
+			p.Shard(sh).ReleaseMapped()
+		}
+		prev, _ := mappingRss(t, probe)
+		ctx := core.NewSearchContext()
+		for sh := range p.Shards() {
+			p.Shard(sh).Query(ctx, q, core.Query{K: 10, L: 60})
+			rss, _ := mappingRss(t, probe)
+			perShard[sh] = max(perShard[sh], rss-prev)
+			prev = rss
+		}
+		p.Close()
+	}
+	for _, b := range perShard {
+		slack += b
+	}
+
+	s, _, err := OpenMapped(path, core.MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	allowed := releasedBound(file, s.Shards())
+	var searched atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Search(nil, queries[i%len(queries)], 10, 60, nil, nil)
+			searched.Add(1)
+		}
+	}()
+	waitSearches := func(n int64) {
+		for searched.Load() < n {
+			runtime.Gosched()
+		}
+	}
+	waitSearches(1)
+	writeOnePerShard(t, s)
+	s.Flush()
+	waitSearches(searched.Load() + 2) // a search that started after Flush has finished
+	close(stop)
+	<-done
+	rss, _ := mappingRss(t, path)
+	t.Logf("%d bytes resident; bound %d + slack %d (per shard %v); %d searches", rss, allowed, slack, perShard, searched.Load())
+	if rss > allowed+slack {
+		t.Fatalf("after one write per shard under searches %d bytes of the mapping are resident, want at most %d + %d", rss, allowed, slack)
 	}
 }

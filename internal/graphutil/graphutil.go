@@ -177,14 +177,6 @@ func (g *Graph) SCCCount() int {
 // primitive behind that check and behind NSG's DFS spanning repair.
 func (g *Graph) ReachableFrom(root int32) int { return reachableFrom(g, root) }
 
-// Unreachable returns the ids not reachable from root, in ascending order.
-func (g *Graph) Unreachable(root int32) []int32 {
-	var r Reacher
-	r.Reset(g.N())
-	r.Mark(g, root)
-	return r.AppendUnreached(nil)
-}
-
 // NNPercent returns the fraction (0..100) of nodes whose edge list contains
 // their exact nearest neighbor — Table 2's NN(%) column. nn[i] must hold the
 // id of node i's exact nearest neighbor.

@@ -152,9 +152,11 @@ func TestReachableAndUnreachable(t *testing.T) {
 	if n := g.ReachableFrom(0); n != 3 {
 		t.Errorf("ReachableFrom(0) = %d, want 3", n)
 	}
-	un := g.Unreachable(0)
-	if len(un) != 2 || un[0] != 3 || un[1] != 4 {
-		t.Errorf("Unreachable = %v, want [3 4]", un)
+	var r Reacher
+	r.Reset(g.N())
+	r.Mark(g, 0)
+	if un := r.AppendUnreached(nil); len(un) != 2 || un[0] != 3 || un[1] != 4 {
+		t.Errorf("unreached from 0 = %v, want [3 4]", un)
 	}
 }
 

@@ -72,6 +72,3 @@ func (v *EpochVisited) Stage(dst, ids []int32) []int32 {
 func (v *EpochVisited) Visited(id int32) bool {
 	return v.stamp[id] == v.epoch
 }
-
-// Cap returns the number of node slots currently allocated.
-func (v *EpochVisited) Cap() int { return len(v.stamp) }

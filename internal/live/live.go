@@ -593,6 +593,11 @@ func (h *Handle) drain(c drainCut) {
 	h.lastPub.Store(time.Now().UnixNano())
 	h.pending.Add(-int64(rows))
 	h.publishLocked(snap)
+	// A mapped index's first drain copied its slabs out, and from now on
+	// only a search already in flight reads the mapping: hand its pages
+	// back. This runs before the mutex drops, so a Flush that returns has
+	// seen it.
+	h.idx.ReleaseMapped()
 	h.mu.Unlock()
 	h.cond.Broadcast()
 }

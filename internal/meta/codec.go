@@ -73,34 +73,6 @@ func (s *Store) AppendEncode(dst []byte) []byte {
 	return le32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
-// EncodedLen returns the exact byte length AppendEncode would produce for
-// the current view.
-func (s *Store) EncodedLen() int {
-	v := s.v.Load()
-	n := 16 + 4 // header + trailing crc
-	for i := range v.cols {
-		c := &v.cols[i]
-		n += 2 + len(c.name) + 1
-		switch c.typ {
-		case TypeInt64:
-			n += 8 * v.rows
-		case TypeEnum:
-			n += dictLen(c.dict) + 4*v.rows
-		case TypeTags:
-			n += dictLen(c.dict) + 4*(v.rows+1) + 4 + 4*int(c.offs[v.rows])
-		}
-	}
-	return n
-}
-
-func dictLen(dict []string) int {
-	n := 4
-	for _, d := range dict {
-		n += 2 + len(d)
-	}
-	return n
-}
-
 func appendDict(dst []byte, dict []string) []byte {
 	dst = le32(dst, uint32(len(dict)))
 	for _, d := range dict {

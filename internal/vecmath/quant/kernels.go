@@ -18,8 +18,9 @@ import (
 // following the style of vecmath.L2.
 
 // L2Levels returns the int32 accumulated squared level distance between a
-// prepared query and one code row. Multiply by Quantizer.DistMul to convert
-// to a squared-L2 approximation. Panics if the lengths differ.
+// prepared query and one code row. The row kernels below multiply it by the
+// grid step squared (the quantizer's distMul) to get a squared-L2
+// approximation. Panics if the lengths differ.
 func L2Levels(levels []int16, code []uint8) int32 {
 	if len(levels) != len(code) {
 		panic("quant: level/code length mismatch")

@@ -121,10 +121,6 @@ func (q *Quantizer) Dim() int { return len(q.Min) }
 // Scale returns the shared grid step.
 func (q *Quantizer) Scale() float32 { return q.scale }
 
-// DistMul returns the factor (scale²) that converts an int32 accumulated
-// level distance into a squared-L2 approximation.
-func (q *Quantizer) DistMul() float32 { return q.distMul }
-
 // EncodeInto quantizes v onto the grid, writing one code byte per dimension
 // into dst. dst must have length q.Dim().
 func (q *Quantizer) EncodeInto(dst []uint8, v []float32) {

@@ -80,15 +80,6 @@ func (t *TopK) Push(id int32, dist float32) {
 	t.down(0)
 }
 
-// Worst returns the largest distance currently held, or +Inf semantics via
-// ok=false when fewer than k candidates are held.
-func (t *TopK) Worst() (float32, bool) {
-	if len(t.heap) < t.k {
-		return 0, false
-	}
-	return t.heap[0].Dist, true
-}
-
 // Len returns the number of candidates currently held.
 func (t *TopK) Len() int { return len(t.heap) }
 

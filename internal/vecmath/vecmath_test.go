@@ -193,19 +193,17 @@ func TestTopKBasic(t *testing.T) {
 	}
 }
 
+// TestTopKWorst checks that a full collector evicts its worst candidate
+// for a closer one and ignores a farther one.
 func TestTopKWorst(t *testing.T) {
 	top := NewTopK(2)
-	if _, ok := top.Worst(); ok {
-		t.Error("Worst should report not-full on empty collector")
-	}
 	top.Push(0, 10)
 	top.Push(1, 20)
-	if w, ok := top.Worst(); !ok || w != 20 {
-		t.Errorf("Worst = %v,%v want 20,true", w, ok)
-	}
-	top.Push(2, 5)
-	if w, _ := top.Worst(); w != 10 {
-		t.Errorf("Worst after eviction = %v, want 10", w)
+	top.Push(2, 5)  // evicts id 1 (20)
+	top.Push(3, 15) // farther than the worst held (10): ignored
+	got := top.Result()
+	if len(got) != 2 || got[0] != (Neighbor{ID: 2, Dist: 5}) || got[1] != (Neighbor{ID: 0, Dist: 10}) {
+		t.Errorf("Result = %v, want [{2 5} {0 10}]", got)
 	}
 }
 
