@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/distsearch"
 	"repro/internal/dpg"
 	"repro/internal/efanna"
 	"repro/internal/fanng"
@@ -250,15 +249,19 @@ func BenchmarkFig6SearchSerialScan(b *testing.B) {
 
 // --- Figure 7: sharded vs single NSG, IVFPQ ---
 
+// fig7Options are the per-shard options cmd/bench's fig7 and table5 build
+// their sharded indexes with.
+var fig7Options = Options{GraphK: 20, BuildL: 40, MaxDegree: 30, Seed: 1}
+
 func BenchmarkFig7ShardedNSG16(b *testing.B) {
 	ds, _, _ := loadBenchData(b)
-	sh, err := distsearch.BuildSharded(ds.Base, distsearch.DefaultParams(16))
+	sh, err := BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, ShardedOptions{Shards: 16, Shard: fig7Options})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer sh.Close()
 	benchSearch(b, func(q []float32) []vecmath.Neighbor {
-		return sh.Search(nil, q, 10, 40, nil, nil)
+		return sh.s.search(nil, q, 10, 40, nil, nil)
 	})
 }
 
@@ -324,14 +327,14 @@ func BenchmarkTable5ECommerceSharded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh, err := distsearch.BuildSharded(ds.Base, distsearch.DefaultParams(12))
+	sh, err := BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, ShardedOptions{Shards: 12, Shard: fig7Options})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer sh.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.Search(nil, ds.Queries.Row(i%ds.Queries.Rows), 10, 40, nil, nil)
+		sh.s.search(nil, ds.Queries.Row(i%ds.Queries.Rows), 10, 40, nil, nil)
 	}
 }
 
@@ -646,11 +649,11 @@ func BenchmarkQuantizedSearch(b *testing.B) {
 func BenchmarkQuantizedQuery(b *testing.B) {
 	ds, _, qt := loadQuantBenchData(b)
 	ctx := core.NewSearchContext()
-	qt.s.Shard(0).Query(ctx, ds.Queries.Row(0), core.Query{K: 10, L: 60}) // warm buffers
+	qt.s.shards[0].Query(ctx, ds.Queries.Row(0), core.Query{K: 10, L: 60}) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := qt.s.Shard(0).Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors; len(res) == 0 {
+		if res := qt.s.shards[0].Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors; len(res) == 0 {
 			b.Fatal("empty result")
 		}
 	}

@@ -31,11 +31,12 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("nsgbuild", flag.ContinueOnError)
 	basePath := fs.String("base", "", "base vectors (.fvecs)")
 	out := fs.String("out", "index.nsg", "output index path")
-	k := fs.Int("k", 40, "kNN graph neighbors (paper's k)")
-	l := fs.Int("l", 50, "build pool size (paper's l)")
-	m := fs.Int("m", 30, "max out-degree (paper's m)")
-	exact := fs.Bool("exact", false, "use the exact kNN graph builder")
-	seed := fs.Int64("seed", 1, "RNG seed")
+	opts := nsg.DefaultOptions()
+	fs.IntVar(&opts.GraphK, "k", opts.GraphK, "kNN graph neighbors (paper's k)")
+	fs.IntVar(&opts.BuildL, "l", opts.BuildL, "build pool size (paper's l)")
+	fs.IntVar(&opts.MaxDegree, "m", opts.MaxDegree, "max out-degree (paper's m)")
+	fs.BoolVar(&opts.ExactKNN, "exact", false, "use the exact kNN graph builder")
+	fs.Int64Var(&opts.Seed, "seed", opts.Seed, "RNG seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -47,13 +48,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "loaded %d vectors of dimension %d\n", base.Rows, base.Dim)
-
-	opts := nsg.DefaultOptions()
-	opts.GraphK = *k
-	opts.BuildL = *l
-	opts.MaxDegree = *m
-	opts.ExactKNN = *exact
-	opts.Seed = *seed
 
 	start := time.Now()
 	idx, err := nsg.BuildFromFlat(base.Data, base.Dim, opts)

@@ -121,17 +121,18 @@ func run(args []string, stdout io.Writer) error {
 	savePath := fs.String("save", "", "write the built index here before serving")
 	mmapNoVerify := fs.Bool("mmap-noverify", false, "with -index, skip the open-time checksum pass (trusted storage only)")
 	shards := fs.Int("shards", 4, "number of shards when building")
-	graphK := fs.Int("graphk", 20, "kNN graph neighbors per shard (paper's k)")
-	buildL := fs.Int("buildl", 50, "build pool size (paper's l)")
-	maxDegree := fs.Int("m", 30, "max out-degree (paper's m)")
-	searchL := fs.Int("l", 60, "default search pool size")
+	def := nsg.DefaultOptions()
+	graphK := fs.Int("graphk", def.GraphK, "kNN graph neighbors per shard (paper's k)")
+	buildL := fs.Int("buildl", def.BuildL, "build pool size (paper's l)")
+	maxDegree := fs.Int("m", def.MaxDegree, "max out-degree (paper's m)")
+	searchL := fs.Int("l", def.SearchL, "default search pool size")
 	defaultK := fs.Int("k", 10, "default number of neighbors")
 	maxL := fs.Int("maxl", 4096, "largest per-request pool size (and k) accepted")
 	exact := fs.Bool("exact", false, "use the exact kNN graph builder")
 	quantize := fs.String("quantize", "none", "compressed serving path: none or sq8 (4x fewer bytes per hop, with exact rerank)")
 	maxPending := fs.Int("maxpending", 512, "delta depth that forces an immediate maintenance drain")
 	publishEvery := fs.Duration("publish-interval", 100*time.Millisecond, "max delay before pending inserts are folded into a published snapshot")
-	seed := fs.Int64("seed", 1, "RNG seed")
+	seed := fs.Int64("seed", def.Seed, "RNG seed")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	readyMaxPending := fs.Int("ready-max-pending", 0, "delta depth above which /readyz reports not ready (0 = 4x -maxpending)")
 	if err := fs.Parse(args); err != nil {

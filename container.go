@@ -1,4 +1,4 @@
-package distsearch
+package nsg
 
 import (
 	"encoding/binary"
@@ -13,15 +13,15 @@ import (
 )
 
 // This file is the one written format, the sharded twin of core's NSGM
-// record: one aligned container holding, per shard, its global-id map and
-// a complete embedded NSGM record (adjacency + vectors + remap + codes),
-// plus one optional global metadata section. OpenMapped serves every shard
-// zero-copy out of a single mapping, so a multi-shard restart costs one
-// file open instead of one decode per shard. As on the heap, each shard's
-// vectors live only in its record, and the id maps become the handles'
-// translate tables and the locator. The only shard of a one-shard index
-// stores an empty id map, which means the identity. OpenMapped is the one
-// way to open the file.
+// record: one aligned container holding the options blob (see
+// Options.encode), per shard its global-id map and a complete embedded
+// NSGM record (adjacency + vectors + remap + codes), plus one optional
+// global metadata section. OpenMapped serves every shard zero-copy out of a
+// single mapping, so a multi-shard restart costs one file open instead of
+// one decode per shard. As on the heap, each shard's vectors live only in
+// its record, and the id maps become the handles' translate tables and the
+// locator. The only shard of a one-shard index stores an empty id map,
+// which means the identity. open is the one way to open the file.
 
 const (
 	// shardedMappedMagic is "NSMS" — distinct from every magic older
@@ -44,12 +44,46 @@ const (
 	maxShardedMetaBlob = 1 << 30
 )
 
+// The options blob a file's header carries: GraphK, BuildL, MaxDegree and
+// SearchL, then the flags word. A zero option word means the default.
+const (
+	optionsSize = 20
+	optQuantize = 1 << 0
+	// optInt4 is reserved. Set beside optQuantize it marked the int4 path,
+	// which was removed; decodeOptions rejects it as an unknown bit, and it
+	// must not be reused, so an old int4 file is never misread.
+	optInt4 = 1 << 1
+)
+
+// encode returns the options blob of the fields a file keeps.
+func (o Options) encode() []byte {
+	blob := make([]byte, optionsSize)
+	for i, v := range []int{o.GraphK, o.BuildL, o.MaxDegree, o.SearchL} {
+		binary.LittleEndian.PutUint32(blob[4*i:], uint32(v))
+	}
+	if o.Quantize == QuantSQ8 {
+		binary.LittleEndian.PutUint32(blob[16:], optQuantize)
+	}
+	return blob
+}
+
+// decodeOptions is the inverse of encode. A flags word with any bit it
+// does not know, the reserved optInt4 among them, is an error.
+func decodeOptions(blob []byte) (Options, error) {
+	u := func(i int) int { return int(binary.LittleEndian.Uint32(blob[4*i:])) }
+	flags := uint32(u(4))
+	if flags&^optQuantize != 0 {
+		return Options{}, fmt.Errorf("unsupported option flags %#x", flags)
+	}
+	return Options{GraphK: u(0), BuildL: u(1), MaxDegree: u(2), SearchL: u(3), Quantize: quantModeOf(flags&optQuantize != 0)}, nil
+}
+
 func smAlignUp(n int64) int64 { return (n + smAlign - 1) &^ (smAlign - 1) }
 
 // idMaps returns every shard's id map (its handle's translate table: nil,
 // the identity, for the only shard of a one-shard index) and the rows they
 // cover.
-func (s *Sharded) idMaps() ([][]int32, int) {
+func (s *sharded) idMaps() ([][]int32, int) {
 	ids := make([][]int32, len(s.handles))
 	rows := 0
 	for sh, h := range s.handles {
@@ -61,16 +95,17 @@ func (s *Sharded) idMaps() ([][]int32, int) {
 	return ids, rows
 }
 
-// Write serializes the sharded index, heap or mapped alike, as one aligned
-// container, with opts, which OpenMapped hands back.
-func (s *Sharded) Write(w io.Writer, opts FileOptions) error {
+// write serializes the index, heap or mapped alike, as one aligned
+// container, with the options open hands back.
+func (x *Index) write(w io.Writer) error {
+	s := x.s
 	nShards := len(s.shards)
 	ids, rows := s.idMaps()
 	version, tableLen := uint32(shardedMappedVersion), nShards*smShardEntrySize
 	var metaBlob []byte
-	if s.Meta != nil {
+	if s.meta != nil {
 		version, tableLen = shardedMappedVersionMeta, tableLen+smMetaEntrySize
-		metaBlob = s.Meta.AppendEncode(nil)
+		metaBlob = s.meta.AppendEncode(nil)
 	}
 
 	// Lay out: header, shard table (and metadata entry), table checksum,
@@ -105,7 +140,7 @@ func (s *Sharded) Write(w io.Writer, opts FileOptions) error {
 	le.PutUint32(head[12:], uint32(rows))
 	le.PutUint32(head[16:], uint32(s.dim))
 	le.PutUint64(head[24:], uint64(fileSize))
-	copy(head[32:smHeaderSize], opts.encode())
+	copy(head[32:smHeaderSize], x.opts.encode())
 	for sh, sl := range slots {
 		base := smHeaderSize + sh*smShardEntrySize
 		le.PutUint64(head[base:], uint64(sl.idmapOff))
@@ -123,67 +158,62 @@ func (s *Sharded) Write(w io.Writer, opts FileOptions) error {
 	crcAt := smHeaderSize + tableLen
 	le.PutUint32(head[crcAt:], crc32.ChecksumIEEE(head[:crcAt]))
 	if _, err := w.Write(head); err != nil {
-		return fmt.Errorf("distsearch: write mapped header: %w", err)
+		return fmt.Errorf("write mapped header: %w", err)
 	}
 
 	pos := int64(len(head))
 	var pad [smAlign]byte
 	for sh, sl := range slots {
 		if _, err := w.Write(pad[:sl.idmapOff-pos]); err != nil {
-			return fmt.Errorf("distsearch: write padding: %w", err)
+			return fmt.Errorf("write padding: %w", err)
 		}
 		if err := chunkio.WriteInt32s(w, ids[sh]); err != nil {
-			return fmt.Errorf("distsearch: write shard %d id map: %w", sh, err)
+			return fmt.Errorf("write shard %d id map: %w", sh, err)
 		}
 		pos = sl.idmapOff + sl.idmapLen
 		if _, err := w.Write(pad[:sl.recOff-pos]); err != nil {
-			return fmt.Errorf("distsearch: write padding: %w", err)
+			return fmt.Errorf("write padding: %w", err)
 		}
 		if err := s.shards[sh].WriteMapped(w); err != nil {
-			return fmt.Errorf("distsearch: write shard %d record: %w", sh, err)
+			return fmt.Errorf("write shard %d record: %w", sh, err)
 		}
 		pos = sl.recOff + sl.recLen
 	}
 	if _, err := w.Write(metaBlob); err != nil {
-		return fmt.Errorf("distsearch: write metadata: %w", err)
+		return fmt.Errorf("write metadata: %w", err)
 	}
 	return nil
-}
-
-// Save writes the container to path crash-safely (temp file, fsync,
-// rename). Stop issuing Inserts and Flush first, so the shards' id maps
-// cover every row.
-func (s *Sharded) Save(path string, opts FileOptions) error {
-	return mstore.WriteFileAtomic(path, func(w io.Writer) error { return s.Write(w, opts) })
 }
 
 func smCorrupt(format string, args ...any) error {
 	return &core.FormatError{Section: core.SectionHeader, Reason: fmt.Sprintf(format, args...)}
 }
 
-// OpenMapped opens a container written by Save and serves all shards from
-// the mapping, with the options Save stored. A file in a layout older
-// builds wrote (a stream, or a top-level NSGM record) is refused. Searches,
-// the worker pool and Write behave exactly as on a heap index, and Insert
-// and Compact work too: a shard's first insert copies its record out of
-// the mapping and releases the record's pages. The mapping lives until
-// Close. A damaged file fails with a *core.FormatError.
-func OpenMapped(path string, mopts core.MapOptions) (*Sharded, FileOptions, error) {
+// open opens a container written by Save and serves all shards from the
+// mapping, with the options Save stored (zero fields take DefaultOptions'
+// values). A file in a layout older builds wrote (a stream, or a top-level
+// NSGM record) is refused. Searches, the worker pool and write behave
+// exactly as on a heap index, and Add and Compact work too: a shard's first
+// drain copies its record out of the mapping and releases the record's
+// pages. The mapping lives until Close. A damaged file fails with a
+// *core.FormatError.
+func open(path string, mopts MapOptions) (*Index, error) {
 	f, err := mstore.Open(path)
 	if err != nil {
-		return nil, FileOptions{}, err
+		return nil, err
 	}
 	s, opts, err := openMapped(f, mopts)
 	if err != nil {
 		f.Close()
-		return nil, FileOptions{}, err
+		return nil, err
 	}
 	s.mapped = f
-	return s, opts, nil
+	opts.fillDefaults()
+	return newIndex(s, opts), nil
 }
 
-func openMapped(f *mstore.File, mopts core.MapOptions) (*Sharded, FileOptions, error) {
-	var none FileOptions
+func openMapped(f *mstore.File, mopts MapOptions) (*sharded, Options, error) {
+	var none Options
 	le := binary.LittleEndian
 	hdr, err := f.Bytes(0, min(f.Size(), smHeaderSize))
 	if err != nil {
@@ -243,7 +273,7 @@ func openMapped(f *mstore.File, mopts core.MapOptions) (*Sharded, FileOptions, e
 		return nil, none, smCorrupt("shard table checksum %#08x != %#08x", got, crcHere.Sum32())
 	}
 
-	s := &Sharded{dim: dim}
+	s := &sharded{dim: dim}
 	var maps [][]int32
 	for sh := 0; sh < nShards; sh++ {
 		base := sh * smShardEntrySize
@@ -272,7 +302,7 @@ func openMapped(f *mstore.File, mopts core.MapOptions) (*Sharded, FileOptions, e
 		ids := mstore.Int32s(idmapBytes)
 		idx, err := core.OpenMappedAt(f, recOff, recLen, mopts)
 		if err != nil {
-			return nil, none, fmt.Errorf("distsearch: shard %d: %w", sh, err)
+			return nil, none, fmt.Errorf("shard %d: %w", sh, err)
 		}
 		want := len(ids)
 		if idmapLen == 0 {
@@ -299,7 +329,7 @@ func openMapped(f *mstore.File, mopts core.MapOptions) (*Sharded, FileOptions, e
 // openMeta decodes the metadata section that entry (the table's metadata
 // entry: offset, length, checksum) locates past the table's end, onto the
 // heap: the columns are small, and the store never aliases the mapping.
-func (s *Sharded) openMeta(f *mstore.File, entry []byte, tableEnd int64, rows int) error {
+func (s *sharded) openMeta(f *mstore.File, entry []byte, tableEnd int64, rows int) error {
 	off := int64(binary.LittleEndian.Uint64(entry[0:]))
 	size := int64(binary.LittleEndian.Uint64(entry[8:]))
 	if size <= 0 || size > maxShardedMetaBlob || off%smAlign != 0 || off < tableEnd || off+size > f.Size() {
@@ -316,6 +346,6 @@ func (s *Sharded) openMeta(f *mstore.File, entry []byte, tableEnd int64, rows in
 	if err != nil {
 		return &core.FormatError{Section: core.SectionMeta, Reason: err.Error()}
 	}
-	s.Meta = st
+	s.meta = st
 	return nil
 }

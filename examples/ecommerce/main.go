@@ -3,11 +3,10 @@
 // queries fanned out in parallel and merged, with a response-time target at
 // high precision (Section 4.3 / Table 5).
 //
-// This uses the internal distsearch package directly because sharding is a
-// deployment concern layered on top of the public single-index API. The
-// filtered-search section at the end switches to the public API: a catalog
-// with category/price metadata served over HTTP with per-request predicate
-// filters, the same "filter" clause cmd/nsgserve accepts.
+// The sharded index is the public one, built by nsg.BuildShardedFromFlat
+// with the default options. The filtered-search section at the end serves
+// a catalog with category/price metadata over HTTP with per-request
+// predicate filters, the same "filter" clause cmd/nsgserve accepts.
 package main
 
 import (
@@ -21,7 +20,6 @@ import (
 
 	nsg "repro"
 	"repro/internal/dataset"
-	"repro/internal/distsearch"
 )
 
 func main() {
@@ -34,15 +32,14 @@ func main() {
 	fmt.Printf("corpus: %d embeddings, %d dims\n", ds.Base.Rows, ds.Base.Dim)
 
 	const shards = 12
-	params := distsearch.DefaultParams(shards)
 	start := time.Now()
-	index, err := distsearch.BuildSharded(ds.Base, params)
+	index, err := nsg.BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, nsg.DefaultShardedOptions(shards))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer index.Close()
 	fmt.Printf("built %d shard NSGs in %.1fs (total index %.1f MB)\n",
-		index.Shards(), time.Since(start).Seconds(), float64(index.IndexBytes())/(1<<20))
+		index.Shards(), time.Since(start).Seconds(), float64(index.Stats().IndexBytes)/(1<<20))
 
 	// The production requirement: high precision within a latency budget.
 	// Sweep the search pool until 98% precision and report the response
@@ -52,12 +49,7 @@ func main() {
 		got := make([][]int32, ds.Queries.Rows)
 		start := time.Now()
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			res := index.Search(nil, ds.Queries.Row(qi), k, poolL, nil, nil)
-			ids := make([]int32, len(res))
-			for i, n := range res {
-				ids[i] = n.ID
-			}
-			got[qi] = ids
+			got[qi], _ = index.SearchWithPool(ds.Queries.Row(qi), k, poolL)
 		}
 		elapsed := time.Since(start)
 		recall := dataset.MeanRecall(got, ds.GT, k)
@@ -78,7 +70,7 @@ func main() {
 	// shard-sized slice vs what the full build took.
 	slice := ds.Base.Slice(0, ds.Base.Rows/shards)
 	start = time.Now()
-	oneShard, err := distsearch.BuildSharded(slice.Clone(), distsearch.DefaultParams(1))
+	oneShard, err := nsg.BuildFromFlat(slice.Data, slice.Dim, nsg.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

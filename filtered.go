@@ -3,9 +3,11 @@ package nsg
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/bits"
 
-	"repro/internal/distsearch"
+	"repro/internal/core"
 	"repro/internal/meta"
 )
 
@@ -16,6 +18,13 @@ import (
 // traversal that never post-filters (see the README's "Filtered search"
 // section and ARCHITECTURE.md, "Filtered plan", for the cost model and its
 // crossover).
+//
+// One predicate compiles into one GLOBAL-id-keyed bitmap, which
+// CompileFilter scatters into one bitmap per shard keyed by the shard's own
+// ids — the id space a shard's pass test works in — so every shard runs the
+// same plan choice and the same word-at-a-time scan as an unsharded index,
+// and the sharded filtered answer is the merge of per-shard filtered
+// answers.
 
 // Predicate is a metadata predicate tree: Eq / Range / In / HasTag leaves
 // combined with And / Or. The zero value matches every row.
@@ -54,7 +63,7 @@ func Or(ps ...Predicate) Predicate { return meta.Or(ps...) }
 
 // ErrNoMetadata is returned by CompileFilter on an index with no attached
 // metadata store.
-var ErrNoMetadata = distsearch.ErrNoMetadata
+var ErrNoMetadata = errors.New("core: index has no metadata store")
 
 // SetMetadata attaches a metadata store to the index. The store must have
 // exactly one row per indexed vector (row i describes the vector with id
@@ -66,12 +75,12 @@ func (x *Index) SetMetadata(m *Metadata) error {
 	if m != nil && m.Rows() != x.Len() {
 		return fmt.Errorf("nsg: metadata has %d rows, index has %d vectors", m.Rows(), x.Len())
 	}
-	x.s.Meta = m
+	x.s.meta = m
 	return nil
 }
 
 // Metadata returns the attached metadata store, or nil.
-func (x *Index) Metadata() *Metadata { return x.s.Meta }
+func (x *Index) Metadata() *Metadata { return x.s.meta }
 
 // AddWithMetadata is Add plus one metadata row: the vector and its
 // attributes land under the same id. row maps column name → value (integer
@@ -81,7 +90,7 @@ func (x *Index) Metadata() *Metadata { return x.s.Meta }
 // of ids added without one (plain Add) are filled with missing values.
 // Safe from any goroutine, like Add.
 func (x *Index) AddWithMetadata(vec []float32, row map[string]any) (int32, error) {
-	m := x.s.Meta
+	m := x.s.meta
 	if m == nil {
 		return -1, ErrNoMetadata
 	}
@@ -110,26 +119,61 @@ func (x *Index) AddWithMetadata(vec []float32, row map[string]any) (int32, error
 // compile time: points added later fail it (compile a fresh filter to
 // include them), while deletes are honored at search time either way.
 // Compile once per predicate and reuse — compilation is O(rows), a filtered
-// search is not.
+// search is not. A Filter is read-only after CompileFilter.
 type Filter = ShardedFilter
 
 // ShardedFilter is the name Filter had on a sharded index; see Filter.
 type ShardedFilter struct {
-	inner *distsearch.ShardedFilter
+	count  int           // total passing rows across all shards
+	shards []core.Filter // per shard: its bitmap in its own ids and its count
 }
 
 // Count returns the number of points passing the filter (at compile time).
-func (f *ShardedFilter) Count() int { return f.inner.Count }
+func (f *ShardedFilter) Count() int { return f.count }
 
 // CompileFilter compiles a predicate against the index's metadata store
 // into a reusable Filter. Returns ErrNoMetadata when no store is attached;
-// unknown columns and mistyped operands are errors.
+// unknown columns and mistyped operands are errors. The bitmap is freshly
+// allocated (sized and compiled against one consistent store view, so
+// concurrent appends cannot fail the compilation), and its set bits are
+// scattered through the locator into one bitmap per shard, so the cost
+// follows the passing rows. A shard that keeps no translate table (the only
+// shard of a one-shard index) shares the global bitmap as it is.
 func (x *Index) CompileFilter(p Predicate) (*Filter, error) {
-	sf, err := x.s.CompileFilter(p)
+	s := x.s
+	if s.meta == nil {
+		return nil, ErrNoMetadata
+	}
+	set, count, err := s.meta.CompileAlloc(p)
 	if err != nil {
 		return nil, err
 	}
-	return &Filter{inner: sf}, nil
+	f := &Filter{count: count, shards: make([]core.Filter, len(s.handles))}
+	if len(s.handles) == 1 && s.handles[0].Translate() == nil {
+		f.shards[0] = core.Filter{Bits: set, Count: count}
+		return f, nil
+	}
+	// Located rows never move, so the locator read under mu stays valid;
+	// every local id it holds is below its shard's Len read with it.
+	s.mu.Lock()
+	loc := s.loc
+	for sh, h := range s.handles {
+		f.shards[sh].Bits = make([]uint64, (h.Len()+63)>>6)
+	}
+	s.mu.Unlock()
+	for wi, w := range set[:min(len(set), (len(loc)+63)>>6)] {
+		for ; w != 0; w &= w - 1 {
+			g := wi<<6 + bits.TrailingZeros64(w)
+			if g >= len(loc) {
+				break
+			}
+			l := loc[g]
+			sf := &f.shards[l.shard]
+			sf.Bits[l.local>>6] |= 1 << uint(l.local&63)
+			sf.Count++
+		}
+	}
+	return f, nil
 }
 
 // predClause is the JSON wire form of one predicate node. Exactly one

@@ -36,10 +36,10 @@ func TestFilteredSearchZeroAlloc(t *testing.T) {
 		scan bool
 	}{{"scan", 60, true}, {"walk", 10, false}} {
 		// The only shard's filter is the global bitmap as it is.
-		flt := core.Filter{Bits: f.inner.Bits, Count: f.inner.Count}
+		flt := f.shards[0]
 		search := func() core.SearchResult {
 			qi++
-			return idx.s.Shard(0).Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: plan.l, Filter: &flt})
+			return idx.s.shards[0].Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: plan.l, Filter: &flt})
 		}
 		for i := 0; i < 8; i++ { // warm every context buffer
 			search()
@@ -66,5 +66,27 @@ func TestFilteredSearchZeroAlloc(t *testing.T) {
 	})
 	if allocs > 2.5 {
 		t.Fatalf("public filtered SearchFilteredWithPool allocated %.2f times per query, want 2 (result slices only)", allocs)
+	}
+}
+
+// TestCompileFilterAllocs pins what one CompileFilter call allocates on a
+// one-shard index with metadata: the compiled bitmap, the Filter and its
+// one-entry slice of per-shard filters, which shares the bitmap.
+func TestCompileFilterAllocs(t *testing.T) {
+	ds := shardedTestData(t, 2000, 1)
+	x := buildShardedIndex(t, ds, 1)
+	defer x.Close()
+	if err := x.SetMetadata(parityMetadata(x.Len())); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Predicate{Eq("category", "c3"), Eq("tenant", 7)} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := x.CompileFilter(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 3 {
+			t.Errorf("CompileFilter(%v) allocated %.1f times, want 3", p, allocs)
+		}
 	}
 }

@@ -105,7 +105,7 @@ func TestCompactPublic(t *testing.T) {
 	if idx.DeletedCount() != 0 {
 		t.Error("tombstones survive compaction")
 	}
-	if got := idx.s.Shard(0).FlatView().ReachableFrom(idx.s.Shard(0).Navigating); got != 350 {
+	if got := idx.s.shards[0].FlatView().ReachableFrom(idx.s.shards[0].Navigating); got != 350 {
 		t.Errorf("compacted graph reaches %d nodes, want 350", got)
 	}
 	for old, nw := range remap {

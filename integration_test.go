@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/distsearch"
 	"repro/internal/scan"
 	"repro/internal/vecmath"
 )
@@ -91,7 +90,7 @@ func TestIntegrationNSGBeatsScanWork(t *testing.T) {
 		ids, _ := idx.SearchWithPool(ds.Queries.Row(qi), 10, 60)
 		got[qi] = ids
 		// count the same search's work
-		idx.s.Shard(0).Search(ds.Queries.Row(qi), 10, 60, &counter)
+		idx.s.shards[0].Search(ds.Queries.Row(qi), 10, 60, &counter)
 	}
 	recall := dataset.MeanRecall(got, ds.GT, 10)
 	if recall < 0.90 {
@@ -114,25 +113,21 @@ func TestIntegrationShardedMatchesMonolithicQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := distsearch.BuildSharded(ds.Base, shardParams(1))
+	opts := Options{GraphK: 30, BuildL: 40, MaxDegree: 30, ExactKNN: true, Seed: 1}
+	mono, err := BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mono.Close()
-	sharded, err := distsearch.BuildSharded(ds.Base, shardParams(4))
+	sharded, err := BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, ShardedOptions{Shards: 4, Shard: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sharded.Close()
-	recallOf := func(s *distsearch.Sharded) float64 {
+	recallOf := func(x *Index) float64 {
 		got := make([][]int32, ds.Queries.Rows)
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			res := s.Search(nil, ds.Queries.Row(qi), 10, 60, nil, nil)
-			ids := make([]int32, len(res))
-			for i, n := range res {
-				ids[i] = n.ID
-			}
-			got[qi] = ids
+			got[qi], _ = x.SearchWithPool(ds.Queries.Row(qi), 10, 60)
 		}
 		return dataset.MeanRecall(got, ds.GT, 10)
 	}
@@ -143,13 +138,6 @@ func TestIntegrationShardedMatchesMonolithicQuality(t *testing.T) {
 	if rs < 0.90 {
 		t.Errorf("sharded recall %.3f too low", rs)
 	}
-}
-
-func shardParams(shards int) distsearch.Params {
-	p := distsearch.DefaultParams(shards)
-	p.UseNNDescent = false
-	p.KNNK = 30
-	return p
 }
 
 // TestIntegrationExactMatchesScan cross-checks ground truth machinery: the

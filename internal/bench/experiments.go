@@ -8,8 +8,8 @@ import (
 	"sort"
 	"sync"
 
+	nsg "repro"
 	"repro/internal/dataset"
-	"repro/internal/distsearch"
 	"repro/internal/ivfpq"
 	"repro/internal/scan"
 	"repro/internal/vecmath"
@@ -241,13 +241,11 @@ func Fig7(w io.Writer, c ExpConfig) error {
 		return err
 	}
 	// Sixteen shard NSGs searched in parallel.
-	sharded16, err := distsearch.BuildSharded(ds.Base, distsearch.Params{
-		Shards: 16, KNNK: 20, Build: distsearch.DefaultParams(16).Build, UseNNDescent: true, Seed: c.Seed,
-	})
+	sharded16, closeSharded, err := shardedNSG(ds.Base, 16, false, c.Seed)
 	if err != nil {
 		return err
 	}
-	defer sharded16.Close()
+	defer closeSharded()
 	pqp := ivfpq.DefaultParams()
 	pqp.NList = 256
 	pq, err := ivfpq.Build(ds.Base, pqp)
@@ -260,9 +258,7 @@ func Fig7(w io.Writer, c ExpConfig) error {
 	pqEfforts := []int{1, 2, 4, 8, 16, 32, 64}
 	for _, m := range []Method{
 		{"NSG-1core", nsgSearch(one), graphEfforts},
-		{"NSG-16core", func(q []float32, k, l int, _ *vecmath.Counter) []vecmath.Neighbor {
-			return sharded16.Search(nil, q, k, l, nil, nil)
-		}, graphEfforts},
+		{"NSG-16core", sharded16, graphEfforts},
 		{"Faiss-1core", func(q []float32, k, e int, c *vecmath.Counter) []vecmath.Neighbor {
 			return pq.Search(q, k, e, 4*k, c)
 		}, pqEfforts},
@@ -352,14 +348,16 @@ func Fig8(w io.Writer, suites map[string]*Suite, k int) {
 	}
 }
 
-// scalingSubsets are the base-set sizes for the complexity experiments.
+// scalingSubsets are the base-set sizes for the complexity experiments,
+// each measured once: below the 256-row floor of ExpConfig.n several sizes
+// clamp to the same N, which is kept only the first time.
 func scalingSubsets(c ExpConfig) []int {
 	sizes := []int{1500, 3000, 6000, 12000}
 	out := make([]int, 0, len(sizes))
 	for _, s := range sizes {
 		out = append(out, c.n(s))
 	}
-	return out
+	return slices.Compact(out)
 }
 
 // searchTimeAtPrecision walks efforts in order and returns the per-query
@@ -544,16 +542,28 @@ func table5NSG(ds dataset.Dataset, shards int, seed int64) (SearchFunc, func(), 
 		}
 		return nsgSearch(idx), func() {}, nil
 	}
-	sh, err := distsearch.BuildSharded(ds.Base, distsearch.Params{
-		Shards: shards, KNNK: 20, Build: distsearch.DefaultParams(shards).Build,
-		UseNNDescent: ds.Base.Rows > 6000, Seed: seed,
-	})
+	return shardedNSG(ds.Base, shards, ds.Base.Rows <= 6000, seed)
+}
+
+// shardedNSG builds the public index fig7 and table5 fan out over: base
+// split into shards NSGs by nsg.BuildShardedFromFlat, the pipeline a
+// shipped index runs, with kNN K 20, pool L 40 and degree cap 30 (exact
+// selects the exact kNN builder). The search runs SearchWithPool, and the
+// returned func closes the index.
+func shardedNSG(base vecmath.Matrix, shards int, exact bool, seed int64) (SearchFunc, func(), error) {
+	opts := nsg.Options{GraphK: 20, BuildL: 40, MaxDegree: 30, ExactKNN: exact, Seed: seed}
+	idx, err := nsg.BuildShardedFromFlat(base.Data, base.Dim, nsg.ShardedOptions{Shards: shards, Shard: opts})
 	if err != nil {
 		return nil, nil, err
 	}
 	return func(q []float32, k, l int, _ *vecmath.Counter) []vecmath.Neighbor {
-		return sh.Search(nil, q, k, l, nil, nil)
-	}, sh.Close, nil
+		ids, dists := idx.SearchWithPool(q, k, l)
+		res := make([]vecmath.Neighbor, len(ids))
+		for i, id := range ids {
+			res[i] = vecmath.Neighbor{ID: id, Dist: dists[i]}
+		}
+		return res
+	}, idx.Close, nil
 }
 
 // RunAll executes every experiment in order, matching the paper's layout.

@@ -20,7 +20,7 @@ var experimentGolden = map[string]uint64{
 	"quant":    0x5e1a4e501992203d,
 	"filter":   0xb69719cf47e83c29,
 	"ablation": 0xe84f61c6b5c68909,
-	"hops":     0x394d2e38dde08c2e,
+	"hops":     0x894dd87d2b7394d7,
 }
 
 // clockFields returns the indexes of the whitespace-separated fields of one

@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/distsearch"
 	"repro/internal/vecmath"
 )
 
@@ -187,7 +186,7 @@ type Router struct {
 
 	// scratch pools fan-out state so the response-side merge reuses the
 	// same zero-alloc concatenate-sort-truncate path as the in-process
-	// fan-out (distsearch.MergeInto).
+	// fan-out (vecmath.MergeInto).
 	scratch sync.Pool
 
 	met metrics
@@ -306,7 +305,7 @@ type Result struct {
 
 // fanState is one query's pooled fan-out scratch: per-shard neighbor
 // buffers (global ids), per-shard errors, the surviving-list view, and the
-// merge buffer distsearch.MergeInto recycles.
+// merge buffer vecmath.MergeInto recycles.
 type fanState struct {
 	bufs   [][]vecmath.Neighbor
 	errs   []error
@@ -331,7 +330,7 @@ func (r *Router) getFan() *fanState {
 // SearchAppend fans the query out to every shard, merges the per-shard
 // answers by distance and appends the k nearest overall to dst (pass a
 // reused slice truncated to [:0]), with the result's completeness
-// annotation; the merge side reuses pooled buffers via the same distsearch
+// annotation; the merge side reuses pooled buffers via the same vecmath
 // merge hook as the in-process fan-out. filter is an opaque predicate
 // clause forwarded to every shard server (nil means unfiltered): each
 // backend guarantees its results pass it, and merging preserves that.
@@ -389,7 +388,7 @@ func (r *Router) SearchAppend(ctx context.Context, dst []vecmath.Neighbor, vec [
 			r.met.degraded.Add(1)
 		}
 	}
-	dst, f.merged = distsearch.MergeInto(dst, f.merged, k, lists)
+	dst, f.merged = vecmath.MergeInto(dst, f.merged, k, lists)
 	r.scratch.Put(f)
 	return dst, res, nil
 }

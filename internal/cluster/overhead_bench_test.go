@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cluster/clustertest"
-	"repro/internal/distsearch"
 	"repro/internal/vecmath"
 )
 
@@ -100,7 +99,7 @@ func BenchmarkDirectFanoutHTTP(b *testing.B) {
 			}(si)
 		}
 		wg.Wait()
-		out, merged = distsearch.MergeInto(out[:0], merged, 10, lists)
+		out, merged = vecmath.MergeInto(out[:0], merged, 10, lists)
 		for _, err := range errs {
 			if err != nil {
 				return err

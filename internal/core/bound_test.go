@@ -6,8 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	nsg "repro"
 	"repro/internal/core"
-	"repro/internal/distsearch"
 	"repro/internal/knngraph"
 	"repro/internal/live"
 	"repro/internal/vecmath"
@@ -264,44 +264,72 @@ func TestQuantBoundLive(t *testing.T) {
 
 // TestQuantBoundSharded: a 2-shard index (filters reach each shard through
 // its translate table) answers as with the bound off, before and after
-// routed inserts far outside the trained range.
+// routed inserts far outside the trained range. Every row's metadata is its
+// id, so a filter bitmap compiles as the predicate In("id", its ids).
 func TestQuantBoundSharded(t *testing.T) {
 	t.Run("sq8", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(67))
 		const n, adds = 3000, 60
 		base := gaussian(rng, n)
-		p := distsearch.DefaultParams(2)
-		p.UseNNDescent = false
-		p.Build.L, p.Build.M = 30, 16
-		p.Quantize = true
-		s, err := distsearch.BuildSharded(base.Clone(), p)
+		opts := nsg.Options{GraphK: 15, BuildL: 30, MaxDegree: 16, ExactKNN: true, Quantize: nsg.QuantSQ8, Seed: 1}
+		x, err := nsg.BuildShardedFromFlat(base.Data, boundDim, nsg.ShardedOptions{Shards: 2, Shard: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
+		defer x.Close()
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+		m := nsg.NewMetadata(n)
+		if err := m.AddInt64("id", ids); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.SetMetadata(m); err != nil {
+			t.Fatal(err)
+		}
 		// Hold the delta until Flush, as TestQuantBoundLive does: a
 		// maintainer draining the far rows between the bound-on and
 		// bound-off searches would hand the two a different graph.
-		s.SetLiveOptions(live.Options{MaxPending: 1 << 20, Interval: 1 << 40})
+		if err := x.EnableLiveUpdates(nsg.LiveOptions{MaxPending: 1 << 20, PublishInterval: 1 << 40}); err != nil {
+			t.Fatal(err)
+		}
 		far, edge := farRows(rng, base, adds)
 		queries := vecmath.NewMatrix(0, boundDim)
 		queries.Data = append(append(queries.Data, edge.Data...), gaussian(rng, 20).Data...)
 		queries.Rows = edge.Rows + 20
+		filters := map[*uint64]*nsg.Filter{} // by bitmap; the map keeps each bitmap alive
 		search := func(q []float32, bits []uint64, count int) []vecmath.Neighbor {
-			var f *distsearch.ShardedFilter
+			var f *nsg.Filter
 			if bits != nil {
-				f = s.NewFilter(bits, count)
+				if f = filters[&bits[0]]; f == nil {
+					var pass []any
+					for id := range len(bits) * 64 {
+						if bits[id>>6]>>(id&63)&1 != 0 {
+							pass = append(pass, int64(id))
+						}
+					}
+					if f, err = x.CompileFilter(nsg.In("id", pass...)); err != nil || f.Count() != count {
+						t.Fatalf("filter of %d rows compiled to %v passing (%v)", count, f, err)
+					}
+					filters[&bits[0]] = f
+				}
 			}
-			return s.Search(nil, q, boundK, boundL, f, nil)
+			ids, dists := x.SearchFilteredWithPool(q, boundK, boundL, f)
+			res := make([]vecmath.Neighbor, len(ids))
+			for i, id := range ids {
+				res[i] = vecmath.Neighbor{ID: id, Dist: dists[i]}
+			}
+			return res
 		}
 		requireBoundInvisible(t, "sharded", search, queries, n, rand.New(rand.NewSource(68)))
 		for i := 0; i < adds; i++ {
-			if _, _, err := s.Insert(far.Row(i)); err != nil {
+			if _, err := x.AddWithMetadata(far.Row(i), map[string]any{"id": int64(n + i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		requireBoundInvisible(t, "sharded pending", search, queries, n+adds, rand.New(rand.NewSource(69)))
-		s.Flush()
+		x.Flush()
 		requireBoundInvisible(t, "sharded drained", search, queries, n+adds, rand.New(rand.NewSource(70)))
 	})
 }

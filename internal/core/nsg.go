@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graphutil"
@@ -17,18 +16,9 @@ import (
 // candidate pool size for the search-and-collect pass, and M caps the
 // out-degree of every node.
 type BuildParams struct {
-	L int // candidate pool size for search-collect (paper's l); default 40
-	M int // maximum out-degree (paper's m); default 30
-	// C caps how many collected candidates are considered during edge
-	// selection; 0 means no cap beyond what the search visited.
-	C    int
+	L    int // candidate pool size for search-collect (paper's l)
+	M    int // maximum out-degree (paper's m)
 	Seed int64
-}
-
-// DefaultBuildParams returns settings appropriate for the test-scale
-// datasets used in this reproduction.
-func DefaultBuildParams() BuildParams {
-	return BuildParams{L: 40, M: 30, C: 500, Seed: 1}
 }
 
 // NSG is one shard's index: the pruned graph, its fixed entry point, the
@@ -58,9 +48,8 @@ type NSG struct {
 	toInternal []int32
 
 	flat    *graphutil.CSR
-	shared  bool         // a published Snapshot or a mapping holds flat: fork before writing
-	reach   atomic.Int64 // cached ReachableFrom(Navigating)+1; 0 = unknown
-	release func()       // drops the mapped record's pages (ReleaseMapped)
+	shared  bool   // a published Snapshot or a mapping holds flat: fork before writing
+	release func() // drops the mapped record's pages (ReleaseMapped)
 }
 
 // newNSG wraps a graph with identity id tables.
@@ -87,7 +76,6 @@ func (x *NSG) own() {
 	if x.shared {
 		x.flat, x.shared = x.flat.Fork(), false
 	}
-	x.reach.Store(0)
 }
 
 // PhaseTimings records the wall-clock cost of each Algorithm 2 phase, so
@@ -171,9 +159,6 @@ func NSGBuild(knn *graphutil.Graph, base vecmath.Matrix, p BuildParams) (*NSG, B
 		// essential for monotonicity (Section 3.3, Figure 4).
 		visited = ctx.appendScored(base, v, knn.Adj[i], visited)
 		cands := dedupeSortedCtx(ctx, n, visited, int32(i))
-		if p.C > 0 && len(cands) > p.C {
-			cands = cands[:p.C]
-		}
 		sel := SelectMRNGInto(base, v, cands, p.M, ctx, ctx.idBuf[:0])
 		ctx.idBuf = sel[:0]
 		adj[i] = append(make([]int32, 0, len(sel)), sel...)
@@ -428,15 +413,12 @@ type IndexStats struct {
 	Reachable  int // nodes reachable from the navigating node
 }
 
-// Stats computes degree and memory statistics. The reachability count — a
-// full graph traversal — is computed once and cached until the graph
-// mutates, so Stats is cheap enough to call from serving loops.
+// Stats computes degree and memory statistics, and the reachability count
+// by a full graph traversal on each call. Serving reads Snapshot.Stats,
+// which skips the traversal.
 func (x *NSG) Stats() IndexStats {
 	st := flatStats(x.flat)
-	if st.Reachable = int(x.reach.Load() - 1); st.Reachable < 0 {
-		st.Reachable = x.flat.ReachableFrom(x.Navigating)
-		x.reach.Store(int64(st.Reachable) + 1)
-	}
+	st.Reachable = x.flat.ReachableFrom(x.Navigating)
 	return st
 }
 

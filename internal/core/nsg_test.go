@@ -128,10 +128,10 @@ func TestNSGNavigatingNodeNearCentroid(t *testing.T) {
 func TestNSGBuildValidation(t *testing.T) {
 	base := vecmath.NewMatrix(10, 4)
 	knn := graphutil.New(5) // wrong node count
-	if _, _, err := NSGBuild(knn, base, DefaultBuildParams()); err == nil {
+	if _, _, err := NSGBuild(knn, base, BuildParams{L: 40, M: 30, Seed: 1}); err == nil {
 		t.Error("expected error for mismatched kNN graph")
 	}
-	if _, _, err := NSGBuild(graphutil.New(0), vecmath.Matrix{Dim: 4}, DefaultBuildParams()); err == nil {
+	if _, _, err := NSGBuild(graphutil.New(0), vecmath.Matrix{Dim: 4}, BuildParams{L: 40, M: 30, Seed: 1}); err == nil {
 		t.Error("expected error for empty base")
 	}
 }

@@ -149,3 +149,28 @@ func MergeNeighborLists(k int, lists ...[]Neighbor) []Neighbor {
 	}
 	return top.Result()
 }
+
+// MergeInto combines per-shard candidate lists (already carrying global
+// ids) into the k nearest overall and appends them to dst. Shards partition
+// the id space, so ids are unique and a sort suffices — no dedupe
+// structure. The (dist, id) order matches MergeNeighborLists, so both
+// merges answer byte-identically.
+//
+// scratch is a reusable concatenation buffer (nil is fine); the possibly
+// grown buffer is returned alongside the result so callers can pool it.
+// This is the exact merge the in-process fan-out performs, shared so
+// remote serving tiers (internal/cluster's router merging per-shard
+// responses received over the network) produce byte-identical answers to a
+// single process holding the same shards.
+func MergeInto(dst, scratch []Neighbor, k int, lists [][]Neighbor) (res, grown []Neighbor) {
+	m := scratch[:0]
+	for _, b := range lists {
+		m = append(m, b...)
+	}
+	slices.SortFunc(m, CompareNeighbors)
+	if len(m) > k {
+		m = m[:k]
+	}
+	dst = append(dst, m...)
+	return dst, m[:0]
+}

@@ -51,16 +51,40 @@ func (o LiveOptions) internal(insert core.InsertParams) live.Options {
 // number of times, also while searches and Adds are in flight. The error
 // is always nil.
 func (x *Index) EnableLiveUpdates(opts LiveOptions) error {
-	x.s.SetLiveOptions(opts.internal(x.insertParams()))
+	x.s.setLive(opts.internal(x.insertParams()))
 	return nil
+}
+
+// setLive sets every shard handle's insert parameters and cadence.
+func (s *sharded) setLive(opts live.Options) {
+	for _, h := range s.handles {
+		h.SetOptions(opts)
+	}
 }
 
 // MaintenanceStats reports live-update maintenance state, aggregated over
 // the shards: pending depths and drain counters are summed, and LastPublish
 // is the oldest shard's publish time (the staleness bound).
-func (x *Index) MaintenanceStats() MaintenanceStats { return x.s.LiveStats() }
+func (x *Index) MaintenanceStats() MaintenanceStats {
+	var out live.Stats
+	for i, h := range x.s.handles {
+		st := h.Stats()
+		out.Pending += st.Pending
+		out.SnapshotRows += st.SnapshotRows
+		out.Publishes += st.Publishes
+		out.Drained += st.Drained
+		if i == 0 || st.LastPublish.Before(out.LastPublish) {
+			out.LastPublish = st.LastPublish
+		}
+	}
+	return out
+}
 
 // Flush blocks until every point added before the call is folded into a
 // published snapshot. Useful in tests; Save flushes by itself, and serving
 // never needs it.
-func (x *Index) Flush() { x.s.Flush() }
+func (x *Index) Flush() {
+	for _, h := range x.s.handles {
+		h.Flush()
+	}
+}

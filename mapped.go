@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/distsearch"
 )
 
 // This file is the public face of disk-resident serving: OpenMapped serves
@@ -54,9 +53,9 @@ func (x *Index) SaveMapped(path string) error { return x.Save(path) }
 // rejected as a whole — never partially served — with an error naming the
 // damaged section (see IsCorrupt).
 func OpenMapped(path string, opts MapOptions) (*Index, error) {
-	s, fo, err := distsearch.OpenMapped(path, opts)
+	x, err := open(path, opts)
 	if err != nil {
 		return nil, fmt.Errorf("nsg: open mapped %s: %w", path, err)
 	}
-	return open(s, fo), nil
+	return x, nil
 }

@@ -33,11 +33,11 @@ func TestMappedSearchZeroAlloc(t *testing.T) {
 
 	ctx := core.NewSearchContext()
 	for i := 0; i < 8; i++ { // warm every context buffer and fault the pages in
-		mapped.s.Shard(0).Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60})
+		mapped.s.shards[0].Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60})
 	}
 	qi := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		res := mapped.s.Shard(0).Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors
+		res := mapped.s.shards[0].Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors
 		if len(res) != 10 {
 			t.Fatal("short result")
 		}

@@ -65,10 +65,12 @@ package nsg
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
+	"time"
 
-	"repro/internal/distsearch"
+	"repro/internal/mstore"
 )
 
 // QuantMode selects the compressed serving path an index traverses with.
@@ -195,8 +197,8 @@ func (o *Options) fillDefaults() {
 // two returned result slices. Call Close when discarding an index before
 // process exit so those workers and the shard maintainers are released.
 type Index struct {
-	s    *distsearch.Sharded
-	opts Options // per shard: builds, inserts and default searches
+	s    *sharded // the shards and everything that serves them; Compact swaps it
+	opts Options  // per shard: builds, inserts and default searches
 	// metaMu serializes AddWithMetadata's id assignment with its row write.
 	metaMu sync.Mutex
 	// bufs recycles merge destination buffers, so a steady-state search
@@ -208,10 +210,27 @@ type Index struct {
 // see Index.
 type ShardedIndex = Index
 
-// BuildStats reports where construction time went, phase by phase (the
-// kNN graph, then Algorithm 2's four phases, summed over the shards), and
-// the build's wall time. See Index.BuildStats.
-type BuildStats = distsearch.BuildStats
+// BuildStats reports where construction time went, phase by phase: the
+// intermediate kNN graph (NN-Descent or exact), then the four Algorithm 2
+// phases, each summed over the shards. Total is the wall time of the whole
+// build; shards build in parallel, so on more than one shard the sums may
+// exceed it. It is the instrumented view behind the paper's Table 2
+// indexing times; cmd/bench -exp build serializes it to BENCH_build.json.
+// See Index.BuildStats.
+type BuildStats struct {
+	KNNGraph        time.Duration // intermediate kNN-graph construction
+	Navigate        time.Duration // medoid location (Algorithm 2 step ii)
+	Collect         time.Duration // per-node search-collect-select (step iii)
+	InterInsert     time.Duration // reverse-edge insertion
+	Repair          time.Duration // DFS connectivity repair (step iv)
+	Flatten         time.Duration // laying the graph out in CSR rows
+	Total           time.Duration // the whole build
+	TreeRepairEdges int           // edges added by the DFS spanning repair
+	TreePasses      int           // DFS passes until fully connected
+	// RepairOverCap counts repair edges that took a row past MaxDegree,
+	// because no reachable candidate the repair's search found was under it.
+	RepairOverCap int
+}
 
 // ErrNonFinite is returned by Build, BuildFromFlat, the sharded builders
 // and every Add when a vector has a NaN or infinite coordinate: distances to
@@ -246,10 +265,11 @@ type Stats struct {
 // figures describe the published snapshots (pending delta points join once
 // drained) and are safe to read concurrently with serving.
 func (x *Index) Stats() Stats {
-	st := Stats{Shards: x.s.Shards(), ShardSizes: x.s.ShardSizes()}
+	st := Stats{Shards: len(x.s.handles), ShardSizes: make([]int, len(x.s.handles))}
 	edges := 0.0
-	for sh := range st.Shards {
-		s := x.s.IndexStats(sh)
+	for sh, h := range x.s.handles {
+		st.ShardSizes[sh] = h.Len()
+		s := h.IndexStats()
 		st.N += s.N
 		edges += math.Round(s.AvgDegree * float64(s.N)) // the shard's edge count
 		st.MaxDegree = max(st.MaxDegree, s.MaxDegree)
@@ -270,9 +290,9 @@ var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file ca
 // store, to path — crash-safely: the file streams into a temp file that is
 // fsynced and renamed into place, so an interrupted save leaves the
 // previous file intact rather than a truncated one. The file is the one
-// layout every index writes (see distsearch.Sharded.Write): per shard, an
-// id map plus a complete aligned record (adjacency, vectors, codes), all
-// behind checksummed tables, then the metadata store when one is attached.
+// layout every index writes (see container.go): per shard, an id map plus
+// a complete aligned record (adjacency, vectors, codes), all behind
+// checksummed tables, then the metadata store when one is attached.
 // Load and OpenMapped serve it in place without decoding. Stop issuing
 // Adds and Deletes first: Save flushes the delta so the file captures
 // every point; concurrent searches are fine. A
@@ -281,32 +301,28 @@ var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file ca
 // index keeps answering from it until Close. An index with deleted points
 // returns ErrUncompactedDeletes and writes nothing (Compact first).
 func (x *Index) Save(path string) error {
-	opts, err := x.prepareSave()
-	if err != nil {
+	if err := x.prepareSave(); err != nil {
 		return err
 	}
-	return x.s.Save(path, opts)
+	return mstore.WriteFileAtomic(path, func(w io.Writer) error { return x.write(w) })
 }
 
 // prepareSave is what Save does first: refuse tombstones, flush
-// the delta, pad the metadata store with missing rows for points added
-// without one (plain Add), so it covers every row, and return the options
-// the file keeps.
-func (x *Index) prepareSave() (distsearch.FileOptions, error) {
-	o := x.opts
-	opts := distsearch.FileOptions{GraphK: o.GraphK, BuildL: o.BuildL, MaxDegree: o.MaxDegree, SearchL: o.SearchL, Quantize: o.Quantize == QuantSQ8}
+// the delta, and pad the metadata store with missing rows for points added
+// without one (plain Add), so it covers every row.
+func (x *Index) prepareSave() error {
 	if x.DeletedCount() > 0 {
-		return opts, ErrUncompactedDeletes
+		return ErrUncompactedDeletes
 	}
 	x.Flush()
 	x.metaMu.Lock()
 	defer x.metaMu.Unlock()
-	if m := x.s.Meta; m != nil && m.Rows() < x.Len() {
+	if m := x.s.meta; m != nil && m.Rows() < x.Len() {
 		if err := m.SetRow(x.Len()-1, nil); err != nil {
-			return opts, fmt.Errorf("nsg: pad metadata: %w", err)
+			return fmt.Errorf("nsg: pad metadata: %w", err)
 		}
 	}
-	return opts, nil
+	return nil
 }
 
 // Load reopens an index written by Save — by any index, of any shard count
@@ -318,22 +334,12 @@ func (x *Index) prepareSave() (distsearch.FileOptions, error) {
 // wrote (a stream, or a one-NSG "NSGM" record) is refused with an error
 // naming its layout.
 func Load(path string) (*Index, error) {
-	s, opts, err := distsearch.OpenMapped(path, MapOptions{})
+	x, err := open(path, MapOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("nsg: load %s: %w", path, err)
 	}
-	return open(s, opts), nil
+	return x, nil
 }
 
 // LoadSharded is Load; see Load.
 func LoadSharded(path string) (*ShardedIndex, error) { return Load(path) }
-
-// open attaches a reopened index to the options its file kept;
-// zero fields take DefaultOptions' values.
-func open(s *distsearch.Sharded, fo distsearch.FileOptions) *Index {
-	opts := Options{GraphK: fo.GraphK, BuildL: fo.BuildL, MaxDegree: fo.MaxDegree, SearchL: fo.SearchL, Quantize: quantModeOf(fo.Quantize)}
-	opts.fillDefaults()
-	x := &Index{}
-	x.init(s, opts)
-	return x
-}

@@ -375,7 +375,7 @@ func TestIndexBytesIsTheGraph(t *testing.T) {
 		defer x.Close()
 		var want int64
 		for sh := range shards {
-			g := x.s.Shard(sh).FlatView()
+			g := x.s.shards[sh].FlatView()
 			want += 4 * int64(g.N()+1+g.Edges())
 		}
 		path := filepath.Join(t.TempDir(), "index.nsg")
@@ -416,7 +416,7 @@ func TestOptionsDefaultsFilled(t *testing.T) {
 // Build and BuildFromFlat, float and SQ8, and the output of Compact — so
 // each index's navigating node, the BFS root, is internal row 0, and
 // Vector(id) still returns the caller's row id. For BuildSharded this
-// checks Vector(id); distsearch's TestEveryShardIsRelaid checks each shard.
+// checks Vector(id); TestEveryShardIsRelaid checks each shard.
 func TestEveryIndexIsRelaid(t *testing.T) {
 	const n, dim = 600, 12
 	vecs := randomVectors(n, dim, 40)
@@ -469,8 +469,8 @@ func TestEveryIndexIsRelaid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if idx.s.Shard(0).Navigating != 0 {
-					t.Fatalf("navigating node is internal row %d, not 0: the index was not relaid", idx.s.Shard(0).Navigating)
+				if idx.s.shards[0].Navigating != 0 {
+					t.Fatalf("navigating node is internal row %d, not 0: the index was not relaid", idx.s.shards[0].Navigating)
 				}
 				if idx.QuantMode() != quant {
 					t.Fatalf("QuantMode %v, want %v", idx.QuantMode(), quant)

@@ -33,12 +33,12 @@ func goroutinesMatching(marks ...string) int {
 	return count
 }
 
-// shardWorkers counts the distsearch shard workers: by their
-// (*Sharded).worker frame or, for one not yet scheduled, whose stack shows
-// only its go statement's wrapper, by its creator in distsearch, which
+// shardWorkers counts the fan-out shard workers: by their
+// (*sharded).worker frame or, for one not yet scheduled, whose stack shows
+// only its go statement's wrapper, by their creator (*sharded).start, which
 // starts no other goroutine.
 func shardWorkers() int {
-	return goroutinesMatching("\nrepro/internal/distsearch.(*Sharded).worker(", "\ncreated by repro/internal/distsearch.")
+	return goroutinesMatching("\nrepro.(*sharded).worker(", "\ncreated by repro.(*sharded).start in ")
 }
 
 // maintainers counts the live maintainer goroutines the same way: by their

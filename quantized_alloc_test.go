@@ -32,11 +32,11 @@ func TestQuantizedSearchZeroAlloc(t *testing.T) {
 
 	ctx := core.NewSearchContext()
 	for i := 0; i < 8; i++ { // warm every context buffer
-		idx.s.Shard(0).Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60})
+		idx.s.shards[0].Query(ctx, ds.Queries.Row(i%ds.Queries.Rows), core.Query{K: 10, L: 60})
 	}
 	qi := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		res := idx.s.Shard(0).Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors
+		res := idx.s.shards[0].Query(ctx, ds.Queries.Row(qi%ds.Queries.Rows), core.Query{K: 10, L: 60}).Neighbors
 		if len(res) != 10 {
 			t.Fatal("short result")
 		}

@@ -231,15 +231,13 @@ func TestQuantizedSaveLoadParity(t *testing.T) {
 	})
 }
 
-// The NSG record's quantization flags, as internal/core writes them, and
-// the options flags word, as internal/distsearch writes it: nsgFlagQuant
-// and optQuantize mark SQ8, and nsgFlagQuant4 and optInt4 are the reserved
-// bits that marked the removed int4 scheme.
+// The NSG record's quantization flags, as internal/core writes them:
+// nsgFlagQuant marks SQ8, and nsgFlagQuant4 is the reserved bit that marked
+// the removed int4 scheme (the options flags word's optQuantize and optInt4
+// are their twins).
 const (
 	nsgFlagQuant  = 1 << 1
 	nsgFlagQuant4 = 1 << 2
-	optQuantize   = 1 << 0
-	optInt4       = 1 << 1
 )
 
 // int4Record reads the SQ8 container at path and returns its bytes with

@@ -1,4 +1,4 @@
-package distsearch
+package nsg
 
 import (
 	"bufio"
@@ -60,15 +60,13 @@ func savedShards(t *testing.T) (dataset.Dataset, string, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := DefaultParams(3)
-	p.UseNNDescent = false
-	built, err := BuildSharded(ds.Base, p)
+	built, err := BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, ShardedOptions{Shards: 3, Shard: shardTestOptions})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer built.Close()
 	path := filepath.Join(t.TempDir(), "idx.nsg")
-	if err := built.Save(path, FileOptions{}); err != nil {
+	if err := built.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	if path, err = filepath.EvalSymlinks(path); err != nil {
@@ -102,13 +100,15 @@ func releasedBound(file []byte, shards int) int64 {
 
 // writeOnePerShard inserts a copy of each shard's navigating vector, which
 // routes to that shard, so every shard takes exactly one write.
-func writeOnePerShard(t *testing.T, s *Sharded) {
+func writeOnePerShard(t *testing.T, x *Index) {
 	t.Helper()
-	for sh := range s.Shards() {
-		x := s.Shard(sh)
-		vec := slices.Clone(x.Base.Row(int(x.Navigating)))
-		if _, got, err := s.Insert(vec); err != nil || got != sh {
-			t.Fatalf("insert into shard %d landed in shard %d (%v)", sh, got, err)
+	for sh, shard := range x.s.shards {
+		gid, err := x.Add(slices.Clone(shard.Base.Row(int(shard.Navigating))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := x.s.locate(int(gid)); int(got.shard) != sh {
+			t.Fatalf("insert into shard %d landed in shard %d", sh, got.shard)
 		}
 	}
 }
@@ -121,12 +121,12 @@ func writeOnePerShard(t *testing.T, s *Sharded) {
 // records share with their neighbours may stay.
 func TestWrittenShardsReleaseMappedPages(t *testing.T) {
 	ds, path, file := savedShards(t)
-	s, _, err := OpenMapped(path, core.MapOptions{})
+	x, err := OpenMapped(path, MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	allowed := releasedBound(file, s.Shards())
+	defer x.Close()
+	allowed := releasedBound(file, x.Shards())
 	rss, found := mappingRss(t, path)
 	if !found {
 		t.Fatal("the verified open holds no mapping of the file")
@@ -135,11 +135,11 @@ func TestWrittenShardsReleaseMappedPages(t *testing.T) {
 		t.Fatalf("after the verified open %d bytes are resident, want the records' pages too (> %d)", rss, allowed)
 	}
 
-	writeOnePerShard(t, s)
-	s.Flush()
+	writeOnePerShard(t, x)
+	x.Flush()
 	// The snapshots published since read only the copies.
 	for i := 0; i < ds.Base.Rows; i += 97 {
-		s.Search(nil, ds.Base.Row(i), 10, 60, nil, nil)
+		x.SearchWithPool(ds.Base.Row(i), 10, 60)
 	}
 	if rss, _ = mappingRss(t, path); rss > allowed {
 		t.Fatalf("after one write per shard and searches %d bytes of the mapping are resident, want at most %d", rss, allowed)
@@ -168,17 +168,17 @@ func TestReleasedPagesStayOutUnderSearches(t *testing.T) {
 	var slack int64
 	perShard := make([]int64, 3)
 	for _, q := range queries {
-		p, _, err := OpenMapped(probe, core.MapOptions{})
+		p, err := OpenMapped(probe, MapOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for sh := range p.Shards() {
-			p.Shard(sh).ReleaseMapped()
+		for _, shard := range p.s.shards {
+			shard.ReleaseMapped()
 		}
 		prev, _ := mappingRss(t, probe)
 		ctx := core.NewSearchContext()
-		for sh := range p.Shards() {
-			p.Shard(sh).Query(ctx, q, core.Query{K: 10, L: 60})
+		for sh, shard := range p.s.shards {
+			shard.Query(ctx, q, core.Query{K: 10, L: 60})
 			rss, _ := mappingRss(t, probe)
 			perShard[sh] = max(perShard[sh], rss-prev)
 			prev = rss
@@ -189,12 +189,12 @@ func TestReleasedPagesStayOutUnderSearches(t *testing.T) {
 		slack += b
 	}
 
-	s, _, err := OpenMapped(path, core.MapOptions{})
+	x, err := OpenMapped(path, MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	allowed := releasedBound(file, s.Shards())
+	defer x.Close()
+	allowed := releasedBound(file, x.Shards())
 	var searched atomic.Int64
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -205,7 +205,7 @@ func TestReleasedPagesStayOutUnderSearches(t *testing.T) {
 				return
 			default:
 			}
-			s.Search(nil, queries[i%len(queries)], 10, 60, nil, nil)
+			x.SearchWithPool(queries[i%len(queries)], 10, 60)
 			searched.Add(1)
 		}
 	}()
@@ -215,8 +215,8 @@ func TestReleasedPagesStayOutUnderSearches(t *testing.T) {
 		}
 	}
 	waitSearches(1)
-	writeOnePerShard(t, s)
-	s.Flush()
+	writeOnePerShard(t, x)
+	x.Flush()
 	waitSearches(searched.Load() + 2) // a search that started after Flush has finished
 	close(stop)
 	<-done

@@ -7,7 +7,11 @@
 
 package nsg
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/vecmath"
+)
 
 // TestShardedSearchZeroAlloc is the acceptance gate for the serving path:
 // a steady-state ShardedIndex.SearchWithPool must perform no heap
@@ -35,5 +39,27 @@ func TestShardedSearchZeroAlloc(t *testing.T) {
 	// sync.Pool refills when a GC cycle lands mid-measurement.
 	if allocs > 2.5 {
 		t.Fatalf("SearchWithPool allocated %.2f times per query, want 2 (result slices only)", allocs)
+	}
+}
+
+// TestSearchAppendReusesBuffer: the shard fan-out itself, searched into a
+// reused destination buffer, allocates nothing.
+func TestSearchAppendReusesBuffer(t *testing.T) {
+	x, ds := shardedFixture(t, 1000, 4)
+	buf := make([]vecmath.Neighbor, 0, 16)
+	// Warm every pooled scratch path.
+	for i := 0; i < 8; i++ {
+		buf = x.s.search(buf[:0], ds.Queries.Row(i%ds.Queries.Rows), 10, 40, nil, nil)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = x.s.search(buf[:0], ds.Queries.Row(0), 10, 40, nil, nil)
+		if len(buf) != 10 {
+			t.Fatal("short result")
+		}
+	})
+	// The fan-out itself must be allocation-free; a fractional budget covers
+	// rare sync.Pool refills after GC.
+	if allocs > 0.5 {
+		t.Fatalf("search allocated %.2f times per query, want ~0", allocs)
 	}
 }
