@@ -44,7 +44,7 @@ func FuzzRouterRequest(f *testing.F) {
 			}
 			return
 		}
-		var resp searchResponse
+		var resp cluster.SearchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("200 answer is not a search response: %v: %s", err, rec.Body)
 		}

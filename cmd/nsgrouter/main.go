@@ -48,18 +48,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/vecmath"
 )
 
 func main() {
@@ -174,7 +171,6 @@ type routerServer struct {
 
 	queries      atomic.Uint64
 	searchMicros atomic.Uint64
-	bufs         sync.Pool // *[]vecmath.Neighbor merge buffers
 }
 
 func newRouterServer(rt *cluster.Router, defaultK, defaultL, maxL int) *routerServer {
@@ -183,44 +179,23 @@ func newRouterServer(rt *cluster.Router, defaultK, defaultL, maxL int) *routerSe
 
 func (s *routerServer) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /search", s.handleSearch)
+	mux.HandleFunc("POST /search", func(w http.ResponseWriter, r *http.Request) { cluster.ServeSearch(w, r, s.search) })
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	return mux
 }
 
-type searchRequest struct {
-	Query []float32 `json:"query"`
-	K     int       `json:"k"`
-	L     int       `json:"l"`
-	// Filter is forwarded verbatim to every shard server; each backend
-	// compiles it against its own metadata store (nsgserve's "filter" field).
-	Filter json.RawMessage `json:"filter,omitempty"`
-}
-
-// searchResponse is nsgserve's response shape plus the completeness
-// annotation: clients that ignore the extra fields keep working, clients
-// that care can see exactly which shards a degraded answer is missing.
-type searchResponse struct {
-	IDs      []int32   `json:"ids"`
-	Dists    []float32 `json:"dists"`
-	Degraded bool      `json:"degraded,omitempty"`
-	Missing  []int     `json:"missing_shards,omitempty"`
-}
-
-// maxBodyBytes mirrors nsgserve's request-body cap.
-const maxBodyBytes = 8 << 20
-
-func (s *routerServer) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req searchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+// search answers POST /search through cluster.ServeSearch, as nsgserve
+// does: the "filter" clause and l go to every shard server verbatim, and
+// e.Resp is nsgserve's shape plus the completeness annotation, which names
+// the shards a degraded answer is missing. A refusal is answered here and
+// reported as false.
+func (s *routerServer) search(w http.ResponseWriter, r *http.Request, e *cluster.Edge) bool {
+	req := &e.Req
 	if len(req.Query) == 0 {
-		httpError(w, http.StatusBadRequest, "query must be non-empty")
-		return
+		cluster.HTTPError(w, http.StatusBadRequest, "query must be non-empty")
+		return false
 	}
 	if req.K <= 0 {
 		req.K = s.defaultK
@@ -229,18 +204,13 @@ func (s *routerServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 		req.L = s.defaultL
 	}
 	if req.K > s.maxL || req.L > s.maxL {
-		httpError(w, http.StatusBadRequest, "k %d / l %d exceed the router limit %d", req.K, req.L, s.maxL)
-		return
-	}
-	buf, _ := s.bufs.Get().(*[]vecmath.Neighbor)
-	if buf == nil {
-		buf = new([]vecmath.Neighbor)
+		cluster.HTTPError(w, http.StatusBadRequest, "k %d / l %d exceed the router limit %d", req.K, req.L, s.maxL)
+		return false
 	}
 	start := time.Now()
-	ns, res, err := s.rt.SearchAppend(r.Context(), (*buf)[:0], req.Query, req.K, req.L, req.Filter)
-	*buf = ns
+	ns, res, err := s.rt.SearchAppend(r.Context(), e.Neighbors[:0], req.Query, req.K, req.L, req.Filter)
+	e.Neighbors = ns
 	if err != nil {
-		s.bufs.Put(buf)
 		var sde *cluster.ShardsDownError
 		if errors.As(err, &sde) {
 			w.Header().Set("Content-Type", "application/json")
@@ -249,32 +219,26 @@ func (s *routerServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 				"error":          err.Error(),
 				"missing_shards": sde.Shards,
 			})
-			return
+			return false
 		}
 		// A backend's 4xx is the client's mistake (unknown filter column,
 		// wrong dimension): hand it back as the backend worded it.
 		var re *cluster.ReplicaError
 		if errors.As(err, &re) {
-			httpError(w, re.Status, "%s", re.Msg)
-			return
+			cluster.HTTPError(w, re.Status, "%s", re.Msg)
+			return false
 		}
-		httpError(w, http.StatusServiceUnavailable, "search: %v", err)
-		return
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "search: %v", err)
+		return false
 	}
-	resp := searchResponse{
-		IDs:      make([]int32, len(ns)),
-		Dists:    make([]float32, len(ns)),
-		Degraded: res.Degraded,
-		Missing:  res.Missing,
+	for _, n := range ns {
+		e.Resp.IDs = append(e.Resp.IDs, n.ID)
+		e.Resp.Dists = append(e.Resp.Dists, n.Dist)
 	}
-	for i, n := range ns {
-		resp.IDs[i] = n.ID
-		resp.Dists[i] = n.Dist
-	}
-	s.bufs.Put(buf)
+	e.Resp.Result = res
 	s.queries.Add(1)
 	s.searchMicros.Add(uint64(time.Since(start).Microseconds()))
-	writeJSON(w, resp)
+	return true
 }
 
 type statsResponse struct {
@@ -305,13 +269,13 @@ func (s *routerServer) handleStats(w http.ResponseWriter, r *http.Request) {
 	if q > 0 {
 		resp.MeanSearchMicro = float64(s.searchMicros.Load()) / float64(q)
 	}
-	writeJSON(w, resp)
+	cluster.WriteJSON(w, resp)
 }
 
 // handleHealthz is liveness only; a router with every backend down is still
 // a live process that should not be restarted.
 func (s *routerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]string{"status": "ok"})
+	cluster.WriteJSON(w, map[string]string{"status": "ok"})
 }
 
 // handleReadyz reports whether this router can currently answer under its
@@ -319,7 +283,7 @@ func (s *routerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // serve needs at least one shard covered.
 func (s *routerServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	full, partial := s.rt.Ready()
@@ -328,21 +292,8 @@ func (s *routerServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		ok = partial
 	}
 	if !ok {
-		httpError(w, http.StatusServiceUnavailable, "insufficient healthy replicas (full=%v partial=%v)", full, partial)
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "insufficient healthy replicas (full=%v partial=%v)", full, partial)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "ready"})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("nsgrouter: encode response: %v", err)
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	cluster.WriteJSON(w, map[string]string{"status": "ready"})
 }

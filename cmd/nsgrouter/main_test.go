@@ -94,7 +94,7 @@ func newTestRouterServer(t testing.TB, topo cluster.Topology, policy cluster.Par
 	return srv, ts
 }
 
-func postSearch(t *testing.T, url string, body any) (*http.Response, searchResponse, []byte) {
+func postSearch(t *testing.T, url string, body any) (*http.Response, cluster.SearchResponse, []byte) {
 	t.Helper()
 	blob, err := json.Marshal(body)
 	if err != nil {
@@ -109,7 +109,7 @@ func postSearch(t *testing.T, url string, body any) (*http.Response, searchRespo
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr searchResponse
+	var sr cluster.SearchResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(raw, &sr); err != nil {
 			t.Fatalf("bad response %s: %v", raw, err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 )
 
@@ -69,7 +70,7 @@ func FuzzSearchRequest(f *testing.F) {
 			}
 			return
 		}
-		var resp searchResponse
+		var resp cluster.SearchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("200 answer is not a search response: %v: %s", err, rec.Body)
 		}

@@ -77,7 +77,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"os"
@@ -341,18 +340,6 @@ func (s *server) mux() *http.ServeMux {
 	return mux
 }
 
-type searchRequest struct {
-	Query []float32 `json:"query"`
-	K     int       `json:"k"`
-	L     int       `json:"l"`
-	Stats bool      `json:"stats"`
-	// Filter is an optional predicate clause tree (see nsg.UnmarshalPredicate
-	// for the grammar): {"col":"category","eq":"shoes"},
-	// {"col":"price","range":[1000,4999]}, {"and":[...]}, {"or":[...]}.
-	// Requires the served bundle to carry a metadata store.
-	Filter json.RawMessage `json:"filter,omitempty"`
-}
-
 // check is the one request check POST /search, /wire and POST
 // /search/batch run: every query's dimension (a batch names a wrong one by
 // its position), k and l against the server limit once zero ones take the
@@ -393,49 +380,36 @@ func (s *server) check(queries [][]float32, batch bool, k, l *int, raw json.RawM
 	return f, nil
 }
 
-type searchResponse struct {
-	IDs       []int32   `json:"ids"`
-	Dists     []float32 `json:"dists"`
-	Hops      int       `json:"hops,omitempty"`
-	DistComps uint64    `json:"dist_comps,omitempty"`
-}
-
-// maxBodyBytes bounds request bodies before JSON decoding: a vector of the
-// largest supported dimension is far under this, and without the cap a
-// giant JSON array would be allocated in full before any validation runs.
-const maxBodyBytes = 8 << 20
-
+// handleSearch answers POST /search through cluster.ServeSearch. Its
+// optional "filter" is a predicate clause tree (nsg.UnmarshalPredicate has
+// the grammar), which needs the bundle to carry a metadata store.
 func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req searchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	resp, err := s.search(&req)
-	if err != nil {
-		httpError(w, err.Status, "%s", err.Msg)
-		return
-	}
-	writeJSON(w, resp)
+	cluster.ServeSearch(w, r, func(w http.ResponseWriter, _ *http.Request, e *cluster.Edge) bool {
+		var err *cluster.ReplicaError
+		if e.Resp, err = s.search(&e.Req); err != nil {
+			cluster.HTTPError(w, err.Status, "%s", err.Msg)
+			return false
+		}
+		return true
+	})
 }
 
 // search validates and answers one query. It is the whole of a search
 // request behind its decoding, shared by POST /search and the /wire frame
 // loop, so both edges check, count and time a query identically.
-func (s *server) search(req *searchRequest) (searchResponse, *cluster.ReplicaError) {
+func (s *server) search(req *cluster.SearchRequest) (cluster.SearchResponse, *cluster.ReplicaError) {
 	k, l := req.K, req.L
 	flt, err := s.check([][]float32{req.Query}, false, &k, &l, req.Filter)
 	if err != nil {
-		return searchResponse{}, err
+		return cluster.SearchResponse{}, err
 	}
 	start := time.Now()
-	var resp searchResponse
+	var resp cluster.SearchResponse
 	if req.Stats {
 		ids, dists, st := s.idx.SearchFilteredWithStats(req.Query, k, l, flt)
-		resp = searchResponse{IDs: ids, Dists: dists, Hops: st.Hops, DistComps: st.DistanceComputations}
+		resp = cluster.SearchResponse{IDs: ids, Dists: dists, Hops: st.Hops, DistComps: st.DistanceComputations}
 	} else {
-		ids, dists := s.idx.SearchFilteredWithPool(req.Query, k, l, flt)
-		resp = searchResponse{IDs: ids, Dists: dists}
+		resp.IDs, resp.Dists = s.idx.SearchFilteredWithPool(req.Query, k, l, flt)
 	}
 	s.queries.Add(1)
 	s.searchMicros.Add(uint64(time.Since(start).Microseconds()))
@@ -450,7 +424,7 @@ func (s *server) handleWire(w http.ResponseWriter, r *http.Request) {
 
 // frameSearch answers one request frame with the search POST /search runs.
 func (s *server) frameSearch(req *cluster.SearchRequest) ([]int32, []float32, error) {
-	resp, err := s.search(&searchRequest{Query: req.Query, K: req.K, L: req.L, Filter: req.Filter})
+	resp, err := s.search(req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -461,7 +435,7 @@ func (s *server) frameSearch(req *cluster.SearchRequest) ([]int32, []float32, er
 // mid-search): upgrade, register the stream for shutdown, serve.
 func (s *server) serveWire(w http.ResponseWriter, r *http.Request, h cluster.FrameHandler) {
 	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	conn, err := cluster.AcceptWire(w, r)
@@ -549,7 +523,7 @@ type batchSearchRequest struct {
 }
 
 type batchSearchResponse struct {
-	Results []searchResponse `json:"results"`
+	Results []cluster.SearchResponse `json:"results"`
 }
 
 // maxBatchQueries bounds one /search/batch request: the batch is answered
@@ -563,34 +537,34 @@ const maxBatchQueries = 1024
 // byte-identical to issuing the queries one at a time against /search.
 func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchSearchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxFrameBytes)).Decode(&req); err != nil {
+		cluster.HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(req.Queries) == 0 {
-		httpError(w, http.StatusBadRequest, "queries must be non-empty")
+		cluster.HTTPError(w, http.StatusBadRequest, "queries must be non-empty")
 		return
 	}
 	if len(req.Queries) > maxBatchQueries {
-		httpError(w, http.StatusBadRequest, "%d queries exceed the batch limit %d", len(req.Queries), maxBatchQueries)
+		cluster.HTTPError(w, http.StatusBadRequest, "%d queries exceed the batch limit %d", len(req.Queries), maxBatchQueries)
 		return
 	}
 	flt, err := s.check(req.Queries, true, &req.K, &req.L, req.Filter)
 	if err != nil {
-		httpError(w, err.Status, "%s", err.Msg)
+		cluster.HTTPError(w, err.Status, "%s", err.Msg)
 		return
 	}
 	start := time.Now()
 	res := s.idx.SearchBatchFiltered(req.Queries, req.K, req.L, 0, flt)
-	resp := batchSearchResponse{Results: make([]searchResponse, len(res))}
+	resp := batchSearchResponse{Results: make([]cluster.SearchResponse, len(res))}
 	for i, r := range res {
-		resp.Results[i] = searchResponse{IDs: r.IDs, Dists: r.Dists}
+		resp.Results[i] = cluster.SearchResponse{IDs: r.IDs, Dists: r.Dists}
 	}
 	s.queries.Add(uint64(len(req.Queries)))
 	// The whole batch's wall time is attributed once; /stats divides by the
 	// query count, so the mean reflects per-query cost under batching.
 	s.searchMicros.Add(uint64(time.Since(start).Microseconds()))
-	writeJSON(w, resp)
+	cluster.WriteJSON(w, resp)
 }
 
 type insertRequest struct {
@@ -604,12 +578,12 @@ type insertResponse struct {
 
 func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req insertRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxFrameBytes)).Decode(&req); err != nil {
+		cluster.HTTPError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(req.Vector) != s.idx.Dim() {
-		httpError(w, http.StatusBadRequest, "vector dim %d != index dim %d", len(req.Vector), s.idx.Dim())
+		cluster.HTTPError(w, http.StatusBadRequest, "vector dim %d != index dim %d", len(req.Vector), s.idx.Dim())
 		return
 	}
 	// Non-blocking: Add appends to the routed shard's delta buffer; the
@@ -618,11 +592,11 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	id, err := s.idx.Add(req.Vector)
 	n := s.idx.Len()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "insert: %v", err)
+		cluster.HTTPError(w, http.StatusInternalServerError, "insert: %v", err)
 		return
 	}
 	s.inserts.Add(1)
-	writeJSON(w, insertResponse{ID: id, N: n})
+	cluster.WriteJSON(w, insertResponse{ID: id, N: n})
 }
 
 type statsResponse struct {
@@ -688,14 +662,14 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if q > 0 {
 		resp.MeanSearchMicro = float64(s.searchMicros.Load()) / float64(q)
 	}
-	writeJSON(w, resp)
+	cluster.WriteJSON(w, resp)
 }
 
 // handleHealthz is pure liveness: the process is up and answering. It stays
 // 200 even while draining or lagging — restarting the process would not
 // help, so an orchestrator must not kill it over this endpoint.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]string{"status": "ok"})
+	cluster.WriteJSON(w, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is readiness: whether a router should send this replica
@@ -704,26 +678,13 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // enough that the maintainers are falling behind the insert stream.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	if ms := s.idx.MaintenanceStats(); ms.Pending > s.readyMaxPending {
-		httpError(w, http.StatusServiceUnavailable,
+		cluster.HTTPError(w, http.StatusServiceUnavailable,
 			"delta backlog %d exceeds ready threshold %d", ms.Pending, s.readyMaxPending)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "ready"})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("nsgserve: encode response: %v", err)
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	cluster.WriteJSON(w, map[string]string{"status": "ready"})
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 )
 
@@ -86,11 +87,11 @@ func TestServerEndpoints(t *testing.T) {
 	// search: query an indexed vector; it must find itself (dist 0).
 	query := make([]float32, idx.Dim())
 	copy(query, idx.Vector(11))
-	resp, body := postJSON(t, ts.URL+"/search", searchRequest{Query: query, K: 5, Stats: true})
+	resp, body := postJSON(t, ts.URL+"/search", cluster.SearchRequest{Query: query, K: 5, Stats: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr cluster.SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// search without stats omits the work fields.
-	_, body = postJSON(t, ts.URL+"/search", searchRequest{Query: query, K: 3})
+	_, body = postJSON(t, ts.URL+"/search", cluster.SearchRequest{Query: query, K: 3})
 	var plain map[string]any
 	if err := json.Unmarshal(body, &plain); err != nil {
 		t.Fatal(err)
@@ -115,16 +116,16 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// bad searches
-	resp, _ = postJSON(t, ts.URL+"/search", searchRequest{Query: []float32{1, 2}})
+	resp, _ = postJSON(t, ts.URL+"/search", cluster.SearchRequest{Query: []float32{1, 2}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("dim-mismatch search status %d, want 400", resp.StatusCode)
 	}
 	// k/l beyond the server cap must be rejected, not allocated for.
-	resp, _ = postJSON(t, ts.URL+"/search", searchRequest{Query: query, K: 5, L: 1 << 30})
+	resp, _ = postJSON(t, ts.URL+"/search", cluster.SearchRequest{Query: query, K: 5, L: 1 << 30})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized-l search status %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/search", searchRequest{Query: query, K: 1 << 30})
+	resp, _ = postJSON(t, ts.URL+"/search", cluster.SearchRequest{Query: query, K: 1 << 30})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized-k search status %d, want 400", resp.StatusCode)
 	}
@@ -153,7 +154,7 @@ func TestServerEndpoints(t *testing.T) {
 	if ir.ID != int32(n0) || ir.N != n0+1 {
 		t.Fatalf("insert returned %+v, want id %d n %d", ir, n0, n0+1)
 	}
-	_, body = postJSON(t, ts.URL+"/search", searchRequest{Query: vec, K: 2})
+	_, body = postJSON(t, ts.URL+"/search", cluster.SearchRequest{Query: vec, K: 2})
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestConcurrentSearchInsert(t *testing.T) {
 					}
 					continue
 				}
-				resp, body, err := postJSONErr(ts.URL+"/search", searchRequest{Query: queries[(w*20+i)%100], K: 5})
+				resp, body, err := postJSONErr(ts.URL+"/search", cluster.SearchRequest{Query: queries[(w*20+i)%100], K: 5})
 				if err != nil || resp.StatusCode != http.StatusOK {
 					t.Errorf("search failed: %v %s", err, body)
 					return
@@ -341,11 +342,11 @@ func TestServesEveryIndexFile(t *testing.T) {
 		defer ts.Close()
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
 			q := ds.Queries.Row(qi)
-			resp, body := postJSON(t, ts.URL+"/search", searchRequest{Query: q, K: 5, L: 60})
+			resp, body := postJSON(t, ts.URL+"/search", cluster.SearchRequest{Query: q, K: 5, L: 60})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("search status %d: %s", resp.StatusCode, body)
 			}
-			var sr searchResponse
+			var sr cluster.SearchResponse
 			if err := json.Unmarshal(body, &sr); err != nil {
 				t.Fatal(err)
 			}
@@ -399,8 +400,8 @@ func TestQuantizedServing(t *testing.T) {
 
 		q := make([]float32, ds.Base.Dim)
 		copy(q, ds.Base.Row(5))
-		_, body := postJSON(t, srv.URL+"/search", searchRequest{Query: q, K: 3})
-		var sr searchResponse
+		_, body := postJSON(t, srv.URL+"/search", cluster.SearchRequest{Query: q, K: 3})
+		var sr cluster.SearchResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -489,11 +490,11 @@ func TestSearchesNotBlockedBySlowInsertBatch(t *testing.T) {
 			break
 		}
 		q := queries[qi%len(queries)]
-		resp, body, err := postJSONErr(ts.URL+"/search", searchRequest{Query: q, K: 5})
+		resp, body, err := postJSONErr(ts.URL+"/search", cluster.SearchRequest{Query: q, K: 5})
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("search during insert batch failed: %v %s", err, body)
 		}
-		var sr searchResponse
+		var sr cluster.SearchResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -535,8 +536,8 @@ func TestSearchesNotBlockedBySlowInsertBatch(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	_, body := postJSON(t, ts.URL+"/search", searchRequest{Query: inserts[batch-1], K: 1})
-	var sr searchResponse
+	_, body := postJSON(t, ts.URL+"/search", cluster.SearchRequest{Query: inserts[batch-1], K: 1})
+	var sr cluster.SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -601,8 +602,8 @@ func TestBatchSearchEndpoint(t *testing.T) {
 			t.Fatalf("filter %s: got %d results, want %d", filter, len(br.Results), len(queries))
 		}
 		for i, r := range br.Results {
-			_, solo := postJSON(t, ts.URL+"/search", searchRequest{Query: queries[i], K: 5, Filter: filter})
-			var sr searchResponse
+			_, solo := postJSON(t, ts.URL+"/search", cluster.SearchRequest{Query: queries[i], K: 5, Filter: filter})
+			var sr cluster.SearchResponse
 			if err := json.Unmarshal(solo, &sr); err != nil {
 				t.Fatal(err)
 			}
@@ -799,11 +800,11 @@ func TestMappedServing(t *testing.T) {
 	for _, id := range []int{0, 11, 599} {
 		query := make([]float32, idx.Dim())
 		copy(query, idx.Vector(id))
-		resp, body := postJSON(t, ts.URL+"/search", searchRequest{Query: query, K: 5})
+		resp, body := postJSON(t, ts.URL+"/search", cluster.SearchRequest{Query: query, K: 5})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("search status %d: %s", resp.StatusCode, body)
 		}
-		var sr searchResponse
+		var sr cluster.SearchResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -887,14 +888,14 @@ func TestFilteredServing(t *testing.T) {
 	copy(query, idx.Vector(42)) // even id: category "a"
 
 	// Filtered search returns only passing ids; the self-match passes.
-	resp, body := postJSON(t, ts.URL+"/search", searchRequest{
+	resp, body := postJSON(t, ts.URL+"/search", cluster.SearchRequest{
 		Query: query, K: 5, Stats: true,
 		Filter: json.RawMessage(`{"col":"category","eq":"a"}`),
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("filtered search status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr cluster.SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -936,7 +937,7 @@ func TestFilteredServing(t *testing.T) {
 		`{"col":"nope","eq":"a"}`,
 		`{"unknown":1}`,
 	} {
-		resp, body := postJSON(t, ts.URL+"/search", searchRequest{
+		resp, body := postJSON(t, ts.URL+"/search", cluster.SearchRequest{
 			Query: query, K: 3, Filter: json.RawMessage(bad),
 		})
 		if resp.StatusCode != http.StatusBadRequest {

@@ -24,6 +24,15 @@ func wireTransport(t *testing.T) *cluster.HTTPTransport {
 	return tr
 }
 
+// search is one Search with no deadline into a fresh answer.
+func search(tr cluster.Transport, ctx context.Context, addr string, req *cluster.SearchRequest) (*cluster.SearchResponse, error) {
+	resp := new(cluster.SearchResponse)
+	if err := tr.Search(ctx, addr, time.Time{}, req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
 // TestWireMatchesJSONSearch: a frame on /wire is POST /search without the
 // JSON — same answers bit for bit (plain, filtered, defaulted k and l), same
 // refusals (as 400 error frames that leave the stream open), same /stats
@@ -63,7 +72,7 @@ func TestWireMatchesJSONSearch(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := tr.Search(ctx, ts.URL, &cluster.SearchRequest{Query: slices.Clone(idx.Vector(1))}); err != nil {
+	if _, err := search(tr, ctx, ts.URL, &cluster.SearchRequest{Query: slices.Clone(idx.Vector(1))}); err != nil {
 		t.Fatal(err)
 	}
 	first := onlyStream()
@@ -80,14 +89,14 @@ func TestWireMatchesJSONSearch(t *testing.T) {
 	} {
 		for _, row := range []int{0, 42, 599} {
 			query := slices.Clone(idx.Vector(row))
-			jreq := searchRequest{Query: query, K: tc.k, L: tc.l}
+			jreq := cluster.SearchRequest{Query: query, K: tc.k, L: tc.l}
 			wreq := &cluster.SearchRequest{Query: query, K: tc.k, L: tc.l}
 			if tc.filter != "" {
 				jreq.Filter = json.RawMessage(tc.filter)
 				wreq.Filter = []byte(tc.filter)
 			}
 			before := srv.queries.Load()
-			got, err := tr.Search(ctx, ts.URL, wreq)
+			got, err := search(tr, ctx, ts.URL, wreq)
 			if err != nil {
 				t.Fatalf("%s row %d: %v", tc.name, row, err)
 			}
@@ -98,7 +107,7 @@ func TestWireMatchesJSONSearch(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: JSON status %d: %s", tc.name, resp.StatusCode, body)
 			}
-			var want searchResponse
+			var want cluster.SearchResponse
 			if err := json.Unmarshal(body, &want); err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +127,7 @@ func TestWireMatchesJSONSearch(t *testing.T) {
 		"not-json":       {Query: query, K: 5, Filter: []byte(`{`)},
 	} {
 		before := srv.queries.Load()
-		_, err := tr.Search(ctx, ts.URL, req)
+		_, err := search(tr, ctx, ts.URL, req)
 		var re *cluster.ReplicaError
 		if !errors.As(err, &re) || re.Status != http.StatusBadRequest || re.Msg == "" {
 			t.Fatalf("%s: got %v, want a 400 *ReplicaError", name, err)
@@ -144,7 +153,7 @@ func TestWireMatchesJSONSearch(t *testing.T) {
 		t.Fatalf("GET /wire without Upgrade: status %d, want 426", resp.StatusCode)
 	}
 	srv.draining.Store(true)
-	_, err = wireTransport(t).Search(ctx, ts.URL, &cluster.SearchRequest{Query: query, K: 5})
+	_, err = search(wireTransport(t), ctx, ts.URL, &cluster.SearchRequest{Query: query, K: 5})
 	if err == nil || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("upgrade on a draining server: %v, want a 503 refusal", err)
 	}
@@ -194,7 +203,7 @@ func TestWireDrain(t *testing.T) {
 	}
 
 	idle, busy := wireTransport(t), wireTransport(t)
-	if _, err := idle.Search(context.Background(), addr, &cluster.SearchRequest{Query: query, K: 3}); err != nil {
+	if _, err := search(idle, context.Background(), addr, &cluster.SearchRequest{Query: query, K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	type result struct {
@@ -203,7 +212,7 @@ func TestWireDrain(t *testing.T) {
 	}
 	inflight := make(chan result, 1)
 	go func() {
-		resp, err := busy.Search(context.Background(), addr, &cluster.SearchRequest{Query: query, K: 7})
+		resp, err := search(busy, context.Background(), addr, &cluster.SearchRequest{Query: query, K: 7})
 		inflight <- result{resp, err}
 	}()
 	<-entered
@@ -219,7 +228,7 @@ func TestWireDrain(t *testing.T) {
 	defer fastCancel()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		_, err := idle.Search(fastCtx, addr, &cluster.SearchRequest{Query: query, K: 3})
+		_, err := search(idle, fastCtx, addr, &cluster.SearchRequest{Query: query, K: 3})
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("router hung on a draining backend: %v", err)
@@ -263,7 +272,7 @@ func TestWireDrain(t *testing.T) {
 		t.Fatalf("%d streams still registered after serve returned", left)
 	}
 	// The stream that carried the in-flight frame closed after its reply.
-	if _, err := busy.Search(fastCtx, addr, &cluster.SearchRequest{Query: query, K: 3}); err == nil || errors.Is(err, context.DeadlineExceeded) {
+	if _, err := search(busy, fastCtx, addr, &cluster.SearchRequest{Query: query, K: 3}); err == nil || errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("query after shutdown: %v, want a prompt failure", err)
 	}
 }
@@ -295,7 +304,7 @@ func TestWireDrainDeadline(t *testing.T) {
 	failed := make(chan error, 1)
 	tr := wireTransport(t)
 	go func() {
-		_, err := tr.Search(context.Background(), ln.Addr().String(), &cluster.SearchRequest{Query: []float32{1}, K: 1})
+		_, err := search(tr, context.Background(), ln.Addr().String(), &cluster.SearchRequest{Query: []float32{1}, K: 1})
 		failed <- err
 	}()
 	<-entered

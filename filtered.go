@@ -63,7 +63,7 @@ func Or(ps ...Predicate) Predicate { return meta.Or(ps...) }
 
 // ErrNoMetadata is returned by CompileFilter on an index with no attached
 // metadata store.
-var ErrNoMetadata = errors.New("core: index has no metadata store")
+var ErrNoMetadata = errors.New("nsg: index has no metadata store")
 
 // SetMetadata attaches a metadata store to the index. The store must have
 // exactly one row per indexed vector (row i describes the vector with id

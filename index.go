@@ -328,7 +328,8 @@ func (s *sharded) worker() {
 
 // search fans the query out to every shard in parallel, translates local
 // ids to global ids, merges by distance and appends the k nearest to dst
-// (pass a reused buffer truncated to [:0]). The caller's goroutine searches
+// (pass a reused buffer truncated to [:0]), each of r > 1 shards with a
+// pool of max(k, ⌈l/r⌉). The caller's goroutine searches
 // the last scheduled shard itself; workers take the others. Under a
 // non-nil flt each shard tests its rows against its slice of the filter,
 // and shards with no passing rows are never scheduled; a non-nil st
@@ -349,6 +350,9 @@ func (s *sharded) search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *F
 	}
 	if k <= 0 || !vecmath.Finite(vec) || (flt != nil && flt.count == 0) {
 		return dst
+	}
+	if r := len(s.shards); r > 1 {
+		l = max(k, (l+r-1)/r)
 	}
 	f := s.getScratch()
 	f.query, f.k, f.l, f.stats, f.flt = vec, k, l, st != nil, flt
@@ -403,10 +407,10 @@ func (x *Index) Search(query []float32, k int) ([]int32, []float32) {
 
 // SearchWithPool is Search with an explicit pool size l (the paper's
 // search parameter): higher l gives higher recall and more work; l < k is
-// promoted to k. On a sharded index every shard is searched with the same
-// l and the answers merge by distance, so compared to a single NSG at
-// equal l the merged candidate set is r times richer. Tombstoned ids (see
-// Delete) never appear in results.
+// promoted to k. l is the query's whole pool budget: each of r > 1 shards
+// searches with max(k, ⌈l/r⌉) and the answers merge by distance, so a
+// sharded query costs about one search (a larger l buys back the recall
+// the split costs). Tombstoned ids (see Delete) never appear in results.
 //
 // The only allocations on the steady state are the two returned slices;
 // all traversal scratch is drawn from the index's pools.
@@ -429,9 +433,10 @@ func (x *Index) SearchFiltered(query []float32, k int, f *Filter) ([]int32, []fl
 	return x.searchOne(query, k, x.opts.SearchL, f, nil)
 }
 
-// SearchFilteredWithPool is SearchFiltered with an explicit (per-shard)
-// pool size l. While a shard's passing rows number no more than about
-// sqrt(l · n · MaxDegree/2) of its n, its answer is an exact scan of them:
+// SearchFilteredWithPool is SearchFiltered with an explicit pool budget l,
+// which SearchWithPool's rule splits into a shard pool l_s. While a shard's
+// passing rows number no more than about sqrt(l_s · n · MaxDegree/2) of its
+// n, its answer is an exact scan of them:
 // recall 1 by construction, at a cost that follows the passing set. Past
 // that crossover the traversal navigates through non-passing points but
 // only passing points occupy pool slots, so recall at equal l tracks the

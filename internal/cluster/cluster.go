@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -303,10 +304,13 @@ type Result struct {
 	Missing []int `json:"missing_shards,omitempty"`
 }
 
-// fanState is one query's pooled fan-out scratch: per-shard neighbor
-// buffers (global ids), per-shard errors, the surviving-list view, and the
-// merge buffer vecmath.MergeInto recycles.
+// fanState is one query's pooled fan-out scratch: the request, per-shard
+// replies, neighbor buffers (global ids) and errors, the surviving-list
+// view, and the merge buffer vecmath.MergeInto recycles.
 type fanState struct {
+	req    SearchRequest
+	wg     sync.WaitGroup
+	resps  []SearchResponse
 	bufs   [][]vecmath.Neighbor
 	errs   []error
 	lists  [][]vecmath.Neighbor
@@ -320,11 +324,17 @@ func (r *Router) getFan() *fanState {
 	}
 	n := len(r.shards)
 	return &fanState{
+		resps: make([]SearchResponse, n),
 		bufs:  make([][]vecmath.Neighbor, n),
 		errs:  make([]error, n),
 		lists: make([][]vecmath.Neighbor, 0, n),
 		order: make([][]int, n),
 	}
+}
+
+func (r *Router) putFan(f *fanState) {
+	f.req = SearchRequest{}
+	r.scratch.Put(f)
 }
 
 // SearchAppend fans the query out to every shard, merges the per-shard
@@ -334,6 +344,8 @@ func (r *Router) getFan() *fanState {
 // merge hook as the in-process fan-out. filter is an opaque predicate
 // clause forwarded to every shard server (nil means unfiltered): each
 // backend guarantees its results pass it, and merging preserves that.
+// Every shard gets l unchanged, to split across its own shards. The caller
+// searches the last shard itself; a goroutine each takes the others.
 //
 // Under PartialFail a down shard yields a *ShardsDownError; under
 // PartialServe it yields a degraded result — unless no shard at all is
@@ -345,16 +357,17 @@ func (r *Router) SearchAppend(ctx context.Context, dst []vecmath.Neighbor, vec [
 	r.met.queries.Add(1)
 	f := r.getFan()
 	// One request serves every shard (and every retry/hedge within it).
-	req := &SearchRequest{Query: vec, K: k, L: l, Filter: filter}
-	var wg sync.WaitGroup
-	wg.Add(len(r.shards))
-	for si := range r.shards {
+	f.req = SearchRequest{Query: vec, K: k, L: l, Filter: filter}
+	last := len(r.shards) - 1
+	f.wg.Add(last)
+	for si := range last {
 		go func(si int) {
-			defer wg.Done()
-			f.bufs[si], f.errs[si] = r.searchShard(ctx, si, f.bufs[si][:0], f, req)
+			defer f.wg.Done()
+			f.bufs[si], f.errs[si] = r.searchShard(ctx, si, f.bufs[si][:0], f)
 		}(si)
 	}
-	wg.Wait()
+	f.bufs[last], f.errs[last] = r.searchShard(ctx, last, f.bufs[last][:0], f)
+	f.wg.Wait()
 
 	var res Result
 	lists := f.lists[:0]
@@ -362,7 +375,7 @@ func (r *Router) SearchAppend(ctx context.Context, dst []vecmath.Neighbor, vec [
 		if clientFault(f.errs[si]) {
 			r.met.failedQueries.Add(1)
 			err := f.errs[si]
-			r.scratch.Put(f)
+			r.putFan(f)
 			return dst, Result{}, err
 		}
 		if f.errs[si] != nil {
@@ -377,11 +390,11 @@ func (r *Router) SearchAppend(ctx context.Context, dst []vecmath.Neighbor, vec [
 		case len(lists) == 0:
 			// Nothing to serve: an error under either policy.
 			r.met.failedQueries.Add(1)
-			r.scratch.Put(f)
+			r.putFan(f)
 			return dst, Result{}, &ShardsDownError{Shards: res.Missing}
 		case r.opts.Partial == PartialFail:
 			r.met.failedQueries.Add(1)
-			r.scratch.Put(f)
+			r.putFan(f)
 			return dst, Result{}, &ShardsDownError{Shards: res.Missing}
 		default:
 			res.Degraded = true
@@ -389,7 +402,7 @@ func (r *Router) SearchAppend(ctx context.Context, dst []vecmath.Neighbor, vec [
 		}
 	}
 	dst, f.merged = vecmath.MergeInto(dst, f.merged, k, lists)
-	r.scratch.Put(f)
+	r.putFan(f)
 	return dst, res, nil
 }
 
@@ -398,7 +411,7 @@ func (r *Router) SearchAppend(ctx context.Context, dst []vecmath.Neighbor, vec [
 // with exponential jittered backoff between attempts and an optional hedged
 // second request racing the primary. Returns the shard's neighbors with
 // global ids appended to buf.
-func (r *Router) searchShard(ctx context.Context, si int, buf []vecmath.Neighbor, f *fanState, req *SearchRequest) ([]vecmath.Neighbor, error) {
+func (r *Router) searchShard(ctx context.Context, si int, buf []vecmath.Neighbor, f *fanState) ([]vecmath.Neighbor, error) {
 	st := r.shards[si]
 	order := st.order(f.order[si][:0])
 	backoff := r.opts.RetryBackoff
@@ -427,7 +440,7 @@ func (r *Router) searchShard(ctx context.Context, si int, buf []vecmath.Neighbor
 		if r.opts.HedgeAfter > 0 && len(order) > 1 {
 			hedge = order[(attempt+1)%len(order)]
 		}
-		resp, err := r.attempt(ctx, si, primary, hedge, req)
+		resp, err := r.attempt(ctx, si, primary, hedge, &f.req, &f.resps[si])
 		if err == nil {
 			off := r.topo.Shards[si].IDOffset
 			for i := range resp.IDs {
@@ -448,9 +461,11 @@ func (r *Router) searchShard(ctx context.Context, si int, buf []vecmath.Neighbor
 	return buf, fmt.Errorf("cluster: shard %d: attempts exhausted: %w", si, lastErr)
 }
 
-// attempt runs one retry-loop step: the primary replica call, plus — when
-// hedging is configured and the primary is silent past HedgeAfter — a
-// hedged call to the next replica. The first success wins and the loser is
+// attempt runs one retry-loop step: the primary replica call into resp,
+// plus — when hedging is configured and the primary is silent past
+// HedgeAfter — a hedged call to the next replica, with its own copy of the
+// request and its own reply, since a loser may outlive the query. The
+// first success wins (attempt returns its reply) and the loser is
 // canceled through its context; if the primary errors before the hedge
 // timer fires, the step returns immediately so the outer loop backs off.
 //
@@ -459,10 +474,10 @@ func (r *Router) searchShard(ctx context.Context, si int, buf []vecmath.Neighbor
 // HedgeAfter) the hedging machinery costs one stopped timer — no extra
 // goroutine, channel send, or scheduler handoff per call. A hedge that wins
 // cancels the primary's context, which unblocks the inline call.
-func (r *Router) attempt(ctx context.Context, si, primary, hedge int, req *SearchRequest) (*SearchResponse, error) {
+func (r *Router) attempt(ctx context.Context, si, primary, hedge int, req *SearchRequest, resp *SearchResponse) (*SearchResponse, error) {
 	if hedge < 0 {
 		r.met.attempts.Add(1)
-		return r.callReplica(ctx, si, primary, req)
+		return resp, r.callReplica(ctx, si, primary, req, resp)
 	}
 	type outcome struct {
 		resp *SearchResponse
@@ -473,17 +488,19 @@ func (r *Router) attempt(ctx context.Context, si, primary, hedge int, req *Searc
 	hctx, hCancel := context.WithCancel(ctx)
 	defer hCancel()
 	ch := make(chan outcome, 1)
+	hreq := &SearchRequest{Query: slices.Clone(req.Query), K: req.K, L: req.L, Filter: slices.Clone(req.Filter)}
 	timer := time.AfterFunc(r.opts.HedgeAfter, func() {
 		r.met.hedges.Add(1)
 		r.met.attempts.Add(1)
-		resp, herr := r.callReplica(hctx, si, hedge, req)
+		hresp := new(SearchResponse)
+		herr := r.callReplica(hctx, si, hedge, hreq, hresp)
 		if herr == nil {
 			pCancel() // hedge won: reel the blocked primary back in
 		}
-		ch <- outcome{resp, herr}
+		ch <- outcome{hresp, herr}
 	})
 	r.met.attempts.Add(1)
-	resp, err := r.callReplica(pctx, si, primary, req)
+	err := r.callReplica(pctx, si, primary, req, resp)
 	// Stop reports false once the watchdog has started: a hedge is (or was)
 	// in flight and owns the buffered channel slot.
 	hedged := !timer.Stop()
@@ -512,31 +529,29 @@ func (r *Router) attempt(ctx context.Context, si, primary, hedge int, req *Searc
 	}
 }
 
-// callReplica performs one transport call under the per-attempt timeout,
-// feeding the health tracker: a success readmits, a genuine failure
-// (including an attempt timeout) advances the ejection streak. A
-// cancellation from above — the query finished elsewhere or a hedge winner
-// canceled this loser — is not the replica's fault and is not recorded, and
-// neither is a 4xx the replica answered a bad request with.
-func (r *Router) callReplica(ctx context.Context, si, ri int, req *SearchRequest) (*SearchResponse, error) {
+// callReplica performs one transport call into resp under the per-attempt
+// timeout, as a deadline, feeding the health tracker: a success readmits, a
+// genuine failure (including an attempt timeout) advances the ejection
+// streak. A cancellation from above — the query finished elsewhere or a
+// hedge winner canceled this loser — is not the replica's fault and is not
+// recorded, and neither is a 4xx the replica answered a bad request with.
+func (r *Router) callReplica(ctx context.Context, si, ri int, req *SearchRequest, resp *SearchResponse) error {
 	st := r.shards[si]
 	addr := r.topo.Shards[si].Replicas[ri]
-	actx, cancel := context.WithTimeout(ctx, r.opts.AttemptTimeout)
-	defer cancel()
-	resp, err := r.tr.Search(actx, addr, req)
+	err := r.tr.Search(ctx, addr, time.Now().Add(r.opts.AttemptTimeout), req, resp)
 	if err == nil {
 		if st.recordSuccess(ri) {
 			r.met.readmits.Add(1)
 		}
-		return resp, nil
+		return nil
 	}
 	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-		return nil, err
+		return err
 	}
 	if !clientFault(err) && st.recordFailure(ri, r.opts.EjectAfter) {
 		r.met.ejections.Add(1)
 	}
-	return nil, fmt.Errorf("replica %s: %w", addr, err)
+	return fmt.Errorf("replica %s: %w", addr, err)
 }
 
 // jitter spreads a backoff delay over [d/2, d) so concurrent retries do not

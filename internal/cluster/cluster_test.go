@@ -44,19 +44,18 @@ type memTransport struct {
 	shards map[string]memShard
 }
 
-func (m *memTransport) Search(ctx context.Context, a string, req *cluster.SearchRequest) (*cluster.SearchResponse, error) {
+func (m *memTransport) Search(ctx context.Context, a string, _ time.Time, req *cluster.SearchRequest, resp *cluster.SearchResponse) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	sh, ok := m.shards[a]
 	if !ok {
-		return nil, fmt.Errorf("memTransport: unknown replica %s", a)
+		return fmt.Errorf("memTransport: unknown replica %s", a)
 	}
 	n := min(req.K, len(sh.ids))
-	return &cluster.SearchResponse{
-		IDs:   slices.Clone(sh.ids[:n]),
-		Dists: slices.Clone(sh.dists[:n]),
-	}, nil
+	resp.IDs = append(resp.IDs[:0], sh.ids[:n]...)
+	resp.Dists = append(resp.Dists[:0], sh.dists[:n]...)
+	return nil
 }
 
 func (m *memTransport) Ready(ctx context.Context, a string) error {

@@ -21,11 +21,11 @@ type Fault struct {
 	// with an injected error (flaky replica).
 	ErrRate float64
 	// Latency is added before the call proceeds (slow replica); the wait
-	// respects context cancellation.
+	// ends early at the call's deadline or its context's cancellation.
 	Latency time.Duration
-	// Hang blocks the call until its context is canceled or times out
-	// (stuck replica — the case WriteTimeout and attempt timeouts exist
-	// for).
+	// Hang blocks the call until its deadline passes or its context is
+	// canceled (stuck replica — the case WriteTimeout and attempt timeouts
+	// exist for).
 	Hang bool
 }
 
@@ -36,7 +36,7 @@ var ErrInjected = errors.New("injected fault")
 type FaultStats struct {
 	Calls    int // calls that reached this replica (search + ready)
 	Injected int // calls failed by Kill or ErrRate
-	Canceled int // calls that ended on context cancellation (hung/slow losers)
+	Canceled int // calls that ended at their deadline or on cancellation (hung/slow losers)
 	Served   int // calls passed through to the inner transport
 }
 
@@ -98,8 +98,9 @@ func (ft *FaultTransport) Stats(addr string) FaultStats {
 }
 
 // admit applies addr's pre-call faults, returning an error for injected
-// failures. It holds no lock while waiting.
-func (ft *FaultTransport) admit(ctx context.Context, addr string) error {
+// failures and for waits that reach deadline (the zero time sets none) or
+// ctx's end. It holds no lock while waiting.
+func (ft *FaultTransport) admit(ctx context.Context, addr string, deadline time.Time) error {
 	ft.mu.Lock()
 	f := ft.faults[addr]
 	st := ft.stats[addr]
@@ -125,16 +126,17 @@ func (ft *FaultTransport) admit(ctx context.Context, addr string) error {
 		}
 		return fmt.Errorf("%s: %w", addr, ErrInjected)
 	}
-	if f.Latency > 0 {
-		if !sleepCtx(ctx, f.Latency) {
+	if f.Latency > 0 || f.Hang {
+		if !deadline.IsZero() {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, deadline)
+			defer cancel()
+		}
+		if f.Hang || !sleepCtx(ctx, f.Latency) {
+			<-ctx.Done()
 			ft.record(addr, func(st *FaultStats) { st.Canceled++ })
 			return ctx.Err()
 		}
-	}
-	if f.Hang {
-		<-ctx.Done()
-		ft.record(addr, func(st *FaultStats) { st.Canceled++ })
-		return ctx.Err()
 	}
 	ft.record(addr, func(st *FaultStats) { st.Served++ })
 	return nil
@@ -152,16 +154,16 @@ func (ft *FaultTransport) record(addr string, f func(*FaultStats)) {
 }
 
 // Search implements Transport with addr's faults applied first.
-func (ft *FaultTransport) Search(ctx context.Context, addr string, req *SearchRequest) (*SearchResponse, error) {
-	if err := ft.admit(ctx, addr); err != nil {
-		return nil, err
+func (ft *FaultTransport) Search(ctx context.Context, addr string, deadline time.Time, req *SearchRequest, resp *SearchResponse) error {
+	if err := ft.admit(ctx, addr, deadline); err != nil {
+		return err
 	}
-	return ft.inner.Search(ctx, addr, req)
+	return ft.inner.Search(ctx, addr, deadline, req, resp)
 }
 
 // Ready implements Transport with addr's faults applied first.
 func (ft *FaultTransport) Ready(ctx context.Context, addr string) error {
-	if err := ft.admit(ctx, addr); err != nil {
+	if err := ft.admit(ctx, addr, time.Time{}); err != nil {
 		return err
 	}
 	return ft.inner.Ready(ctx, addr)

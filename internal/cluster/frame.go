@@ -24,8 +24,8 @@ const (
 	// WirePath and WireProtocol name the upgrade a backend serves.
 	WirePath     = "/wire"
 	WireProtocol = "nsg-frame/1"
-	// MaxFrameBytes caps a frame's payload: the same 8 MiB the JSON edge
-	// allows a request body.
+	// MaxFrameBytes caps a frame's payload and the servers' JSON request
+	// bodies, which are read in full before any check runs.
 	MaxFrameBytes = 8 << 20
 
 	requestHeaderBytes = 16
@@ -53,6 +53,9 @@ func BadRequest(format string, args ...any) *ReplicaError {
 // clientFault reports whether err is a replica's 4xx: the request's fault,
 // not the replica's.
 func clientFault(err error) bool {
+	if err == nil {
+		return false // before errors.As, whose target would escape
+	}
 	var re *ReplicaError
 	return errors.As(err, &re) && re.Status >= 400 && re.Status < 500
 }
@@ -135,50 +138,37 @@ func appendErrorReply(dst []byte, err error) []byte {
 	return append(dst, msg...)
 }
 
-// answer is a SearchResponse with room for a usual top-k inline, so a reply
-// costs the router one allocation.
-type answer struct {
-	SearchResponse
-	ids   [16]int32
-	dists [16]float32
-}
-
-// parseReply decodes a reply payload: the answer, or the *ReplicaError an
-// error frame carries. A payload whose length disagrees with its count is an
-// error, never a truncated answer.
-func parseReply(payload []byte) (*SearchResponse, error) {
+// parseReply decodes a reply payload into resp's reused ids and distances,
+// or returns the *ReplicaError an error frame carries. A payload whose
+// length disagrees with its count is an error, never a truncated answer.
+func parseReply(payload []byte, resp *SearchResponse) error {
 	if len(payload) == 0 {
-		return nil, errors.New("empty reply frame")
+		return errors.New("empty reply frame")
 	}
 	le := binary.LittleEndian
 	switch payload[0] {
 	case replyOK:
 		if len(payload) < 5 {
-			return nil, fmt.Errorf("reply frame of %d bytes is shorter than its header", len(payload))
+			return fmt.Errorf("reply frame of %d bytes is shorter than its header", len(payload))
 		}
 		n := uint64(le.Uint32(payload[1:]))
 		if want := 5 + 8*n; want != uint64(len(payload)) {
-			return nil, fmt.Errorf("reply frame is %d bytes but %d results need %d", len(payload), n, want)
-		}
-		a := new(answer)
-		if int(n) <= len(a.ids) {
-			a.IDs, a.Dists = a.ids[:n], a.dists[:n]
-		} else {
-			a.IDs, a.Dists = make([]int32, n), make([]float32, n)
+			return fmt.Errorf("reply frame is %d bytes but %d results need %d", len(payload), n, want)
 		}
 		ids, dists := payload[5:5+4*n], payload[5+4*n:]
-		for i := range a.IDs {
-			a.IDs[i] = int32(le.Uint32(ids[4*i:]))
-			a.Dists[i] = math.Float32frombits(le.Uint32(dists[4*i:]))
+		resp.IDs, resp.Dists = resp.IDs[:0], resp.Dists[:0]
+		for i := 0; i < int(n); i++ {
+			resp.IDs = append(resp.IDs, int32(le.Uint32(ids[4*i:])))
+			resp.Dists = append(resp.Dists, math.Float32frombits(le.Uint32(dists[4*i:])))
 		}
-		return &a.SearchResponse, nil
+		return nil
 	case replyError:
 		if len(payload) < 3 {
-			return nil, fmt.Errorf("error frame of %d bytes is shorter than its header", len(payload))
+			return fmt.Errorf("error frame of %d bytes is shorter than its header", len(payload))
 		}
-		return nil, &ReplicaError{Status: int(le.Uint16(payload[1:])), Msg: string(payload[3:])}
+		return &ReplicaError{Status: int(le.Uint16(payload[1:])), Msg: string(payload[3:])}
 	}
-	return nil, fmt.Errorf("reply frame has unknown kind %d", payload[0])
+	return fmt.Errorf("reply frame has unknown kind %d", payload[0])
 }
 
 // frameReader reads length-prefixed frames off a stream into one buffer it

@@ -73,7 +73,7 @@ func TestServeFramesRejectsMalformed(t *testing.T) {
 				t.Fatal(err)
 			}
 			var re *ReplicaError
-			if _, err := parseReply(payload); !errors.As(err, &re) || re.Status != http.StatusBadRequest {
+			if _, err := reply(payload); !errors.As(err, &re) || re.Status != http.StatusBadRequest {
 				t.Fatalf("malformed frame answered %v, want a 400 error frame", err)
 			}
 			if calls != 0 {
@@ -83,7 +83,7 @@ func TestServeFramesRejectsMalformed(t *testing.T) {
 			if payload, err = fr.next(); err != nil {
 				t.Fatalf("stream unusable after the error frame: %v", err)
 			}
-			resp, err := parseReply(payload)
+			resp, err := reply(payload)
 			if err != nil || !slices.Equal(resp.IDs, []int32{7}) || !slices.Equal(resp.Dists, []float32{3}) {
 				t.Fatalf("frame after the malformed one answered %+v, %v", resp, err)
 			}
@@ -120,7 +120,7 @@ func TestServeFramesHandlerErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		var re *ReplicaError
-		if _, err := parseReply(payload); !errors.As(err, &re) || re.Status != want || re.Msg == "" {
+		if _, err := reply(payload); !errors.As(err, &re) || re.Status != want || re.Msg == "" {
 			t.Fatalf("k=%d answered %v, want status %d with a message", k, err, want)
 		}
 	}
@@ -129,7 +129,7 @@ func TestServeFramesHandlerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := parseReply(payload); err != nil || len(resp.IDs) != 0 {
+	if resp, err := reply(payload); err != nil || len(resp.IDs) != 0 {
 		t.Fatalf("empty answer decoded as %+v, %v", resp, err)
 	}
 }
@@ -138,21 +138,21 @@ func TestServeFramesHandlerErrors(t *testing.T) {
 // error, never the results that happened to arrive.
 func TestParseReplyShortPayload(t *testing.T) {
 	whole := appendReply(nil, []int32{1, 2, 3}, []float32{1, 2, 3})[4:]
-	if resp, err := parseReply(whole); err != nil || len(resp.IDs) != 3 {
+	if resp, err := reply(whole); err != nil || len(resp.IDs) != 3 {
 		t.Fatalf("whole reply: %+v, %v", resp, err)
 	}
 	for cut := 1; cut < len(whole); cut++ {
-		if resp, err := parseReply(whole[:len(whole)-cut]); err == nil {
+		if resp, err := reply(whole[:len(whole)-cut]); err == nil {
 			t.Fatalf("reply cut by %d bytes decoded as %+v", cut, resp)
 		}
 	}
 	lying := slices.Clone(whole)
 	binary.LittleEndian.PutUint32(lying[1:], 10) // claims 10 results, carries 3
-	if resp, err := parseReply(lying); err == nil {
+	if resp, err := reply(lying); err == nil {
 		t.Fatalf("reply claiming 10 results with 3 present decoded as %+v", resp)
 	}
 	big := make([]int32, 40) // beyond the inline block
-	if resp, err := parseReply(appendReply(nil, big, make([]float32, 40))[4:]); err != nil || len(resp.IDs) != 40 || len(resp.Dists) != 40 {
+	if resp, err := reply(appendReply(nil, big, make([]float32, 40))[4:]); err != nil || len(resp.IDs) != 40 || len(resp.Dists) != 40 {
 		t.Fatalf("40-result reply: %+v, %v", resp, err)
 	}
 }
@@ -180,7 +180,7 @@ func FuzzFrames(f *testing.F) {
 				}
 			}
 		}
-		resp, err := parseReply(data)
+		resp, err := reply(data)
 		var re *ReplicaError
 		switch {
 		case err == nil:
@@ -213,9 +213,18 @@ func FuzzFrames(f *testing.F) {
 			if err != nil {
 				t.Fatalf("ServeFrames wrote a broken frame: %v", err)
 			}
-			if _, err := parseReply(payload); err != nil && !errors.As(err, &re) {
+			if _, err := reply(payload); err != nil && !errors.As(err, &re) {
 				t.Fatalf("ServeFrames wrote an unparseable reply: %v", err)
 			}
 		}
 	})
+}
+
+// reply is parseReply into a fresh answer.
+func reply(payload []byte) (*SearchResponse, error) {
+	resp := new(SearchResponse)
+	if err := parseReply(payload, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }

@@ -74,6 +74,7 @@ func BenchmarkDirectFanoutHTTP(b *testing.B) {
 	tr := newTransport(b)
 	q := make([]float32, 32)
 	lists := make([][]vecmath.Neighbor, len(topo.Shards))
+	resps := make([]cluster.SearchResponse, len(topo.Shards))
 	errs := make([]error, len(topo.Shards))
 	var out, merged []vecmath.Neighbor
 	pass := func() error {
@@ -83,9 +84,8 @@ func BenchmarkDirectFanoutHTTP(b *testing.B) {
 		for si := range topo.Shards {
 			go func(si int) {
 				defer wg.Done()
-				cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				resp, err := tr.Search(cctx, topo.Shards[si].Replicas[0], req)
+				resp := &resps[si]
+				err := tr.Search(context.Background(), topo.Shards[si].Replicas[0], time.Now().Add(2*time.Second), req, resp)
 				if err != nil {
 					errs[si] = err
 					lists[si] = lists[si][:0]

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -13,35 +14,44 @@ import (
 	"time"
 )
 
-// SearchRequest is one per-shard search call, shared read-only across a
-// query's shard fan-out. Zero K or L ask for the backend's defaults.
+// SearchRequest is one search: a POST /search body and a per-shard call,
+// shared read-only across a query's fan-out. Zero K or L ask for the
+// server's defaults; the router forwards L, the query's pool budget.
 type SearchRequest struct {
-	Query []float32
-	K     int
-	L     int
+	Query []float32 `json:"query"`
+	K     int       `json:"k"`
+	L     int       `json:"l"`
+	// Stats asks nsgserve for hops and evaluations; frames do not carry it.
+	Stats bool `json:"stats,omitempty"`
 	// Filter is an opaque predicate clause forwarded verbatim to each shard
 	// server (the JSON a client put in "filter"). The router never parses it —
 	// each backend compiles the clause against its own metadata store, so a
 	// bad clause comes back as that backend's 400 (*ReplicaError).
-	Filter []byte
+	Filter json.RawMessage `json:"filter,omitempty"`
 }
 
-// SearchResponse is one replica's answer: shard-local ids (the router
-// translates them with the shard's IDOffset) and exact squared L2 distances.
+// SearchResponse is one answer: a replica's shard-local ids (the router
+// translates them with the shard's IDOffset) and exact squared L2
+// distances, and the POST /search answer of either server.
 type SearchResponse struct {
-	IDs   []int32
-	Dists []float32
+	IDs       []int32   `json:"ids"`
+	Dists     []float32 `json:"dists"`
+	Hops      int       `json:"hops,omitempty"`
+	DistComps uint64    `json:"dist_comps,omitempty"`
+	Result
 }
 
 // Transport performs the router's per-replica calls. Implementations must be
 // safe for concurrent use; every call must honor ctx cancellation (the
-// router cancels hedged losers and enforces per-attempt timeouts through
-// it). FaultTransport wraps any Transport with injected failures so every
-// router failure path is unit-testable without real processes.
+// router cancels hedged losers through it) and its deadline (the
+// per-attempt timeout). FaultTransport wraps any Transport with injected
+// failures so every router failure path is unit-testable without real
+// processes.
 type Transport interface {
-	// Search runs one query against the replica at addr. A replica that
-	// answered but refused the request returns a *ReplicaError.
-	Search(ctx context.Context, addr string, req *SearchRequest) (*SearchResponse, error)
+	// Search runs one query against the replica at addr until deadline (the
+	// zero time sets none), into resp's reused ids and distances. A replica
+	// that answered but refused the request returns a *ReplicaError.
+	Search(ctx context.Context, addr string, deadline time.Time, req *SearchRequest, resp *SearchResponse) error
 	// Ready probes the replica's readiness (nsgserve's GET /readyz); a nil
 	// error means the replica is loaded and willing to serve.
 	Ready(ctx context.Context, addr string) error
@@ -93,18 +103,19 @@ func baseURL(addr string) string {
 // on an idle upgraded connection when there is one. A kept connection may
 // have died while idle (the backend restarted); when it fails before any
 // byte of a reply arrives the call redials once, so only a replica that is
-// down now is reported as failed.
-func (t *HTTPTransport) Search(ctx context.Context, addr string, req *SearchRequest) (*SearchResponse, error) {
+// down now is reported as failed. The deadline is the connection's and the
+// dialer's, so bounding an attempt costs no context.
+func (t *HTTPTransport) Search(ctx context.Context, addr string, deadline time.Time, req *SearchRequest, resp *SearchResponse) error {
 	c := t.takeIdle(addr)
 	reused := c != nil
 	for {
 		if c == nil {
 			var err error
-			if c, err = dialWire(ctx, addr); err != nil {
-				return nil, err
+			if c, err = dialWire(ctx, addr, deadline); err != nil {
+				return err
 			}
 		}
-		resp, reusable, err := c.roundTrip(ctx, req)
+		reusable, err := c.roundTrip(ctx, deadline, req, resp)
 		replied := c.fr.started // read before another query can take c
 		if reusable {
 			t.putIdle(addr, c)
@@ -112,10 +123,10 @@ func (t *HTTPTransport) Search(ctx context.Context, addr string, req *SearchRequ
 			c.conn.Close()
 		}
 		if err == nil {
-			return resp, nil
+			return nil
 		}
 		if !reused || replied || ctx.Err() != nil {
-			return nil, fmt.Errorf("%s %s: %w", addr, WirePath, err)
+			return fmt.Errorf("%s %s: %w", addr, WirePath, err)
 		}
 		reused, c = false, nil
 	}
@@ -191,15 +202,17 @@ func (c *wireConn) watch(ctx context.Context) (stop func() bool) {
 }
 
 // dialWire connects to addr and upgrades the connection to the frame
-// protocol. A replica that answers anything but 101 is a failed replica.
-func dialWire(ctx context.Context, addr string) (*wireConn, error) {
+// protocol before deadline. A replica that answers anything but 101 is a
+// failed replica.
+func dialWire(ctx context.Context, addr string, deadline time.Time) (*wireConn, error) {
 	host := strings.TrimPrefix(addr, "http://")
-	var d net.Dialer
+	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, "tcp", host)
 	if err != nil {
 		return nil, err
 	}
 	c := newWireConn(conn)
+	conn.SetDeadline(deadline)
 	stop := c.watch(ctx)
 	err = c.upgrade(host)
 	if !stop() {
@@ -233,39 +246,41 @@ func (c *wireConn) upgrade(host string) error {
 	return nil
 }
 
-// roundTrip sends req and reads its reply. When ctx ends first the blocked
+// roundTrip sends req and reads its reply into resp, or times out at
+// deadline. When ctx ends first the blocked
 // read or write is aborted and ctx's error returned. reusable reports whether
 // the stream is still frame-aligned and may carry another query: an exchange
 // cut short may have left half a frame behind, and such a connection is
 // closed, never pooled.
-func (c *wireConn) roundTrip(ctx context.Context, req *SearchRequest) (resp *SearchResponse, reusable bool, err error) {
+func (c *wireConn) roundTrip(ctx context.Context, deadline time.Time, req *SearchRequest, resp *SearchResponse) (reusable bool, err error) {
 	c.fr.started = false
 	c.out = appendRequest(c.out[:0], req)
+	c.conn.SetDeadline(deadline) // before the watch, whose abort overrides it
 	stop := c.watch(ctx)
-	resp, err = c.exchange()
+	err = c.exchange(resp)
 	if !stop() {
 		// The abort ran (or is running): the deadline it leaves behind makes
 		// this connection useless even if the reply beat it.
 		if err != nil {
 			err = ctx.Err()
 		}
-		return resp, false, err
+		return false, err
 	}
 	// An error frame (parseReply hands its *ReplicaError over unwrapped) is
 	// still a whole frame: the stream stays aligned.
 	_, refused := err.(*ReplicaError)
-	return resp, err == nil || refused, err
+	return err == nil || refused, err
 }
 
-func (c *wireConn) exchange() (*SearchResponse, error) {
+func (c *wireConn) exchange(resp *SearchResponse) error {
 	if _, err := c.conn.Write(c.out); err != nil {
-		return nil, err
+		return err
 	}
 	payload, err := c.fr.next()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return parseReply(payload)
+	return parseReply(payload, resp)
 }
 
 // AcceptWire is the server half of the upgrade: it checks the request asks

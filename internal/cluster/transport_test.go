@@ -23,6 +23,15 @@ func newTransport(tb testing.TB) *cluster.HTTPTransport {
 	return tr
 }
 
+// search is one Search with no deadline into a fresh answer.
+func search(tr cluster.Transport, ctx context.Context, addr string, req *cluster.SearchRequest) (*cluster.SearchResponse, error) {
+	resp := new(cluster.SearchResponse)
+	if err := tr.Search(ctx, addr, time.Time{}, req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
 func TestWireRoundTripReusesConnection(t *testing.T) {
 	saw := make(chan cluster.SearchRequest, 3)
 	fb := clustertest.Start(t, "", func(req *cluster.SearchRequest) ([]int32, []float32, error) {
@@ -33,7 +42,7 @@ func TestWireRoundTripReusesConnection(t *testing.T) {
 	tr := newTransport(t)
 	req := &cluster.SearchRequest{Query: []float32{1, -2, 3.25}, K: 2, L: 40, Filter: []byte(`{"col":"c","eq":1}`)}
 	for i := 0; i < 3; i++ {
-		resp, err := tr.Search(context.Background(), fb.URL, req) // scheme-prefixed address
+		resp, err := search(tr, context.Background(), fb.URL, req) // scheme-prefixed address
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,20 +90,20 @@ func TestWireContextEndsMidFlight(t *testing.T) {
 			})
 			defer close(release)
 			tr := newTransport(t)
-			if _, err := tr.Search(context.Background(), fb.Addr(), &cluster.SearchRequest{Query: []float32{1}, K: 1}); err != nil {
+			if _, err := search(tr, context.Background(), fb.Addr(), &cluster.SearchRequest{Query: []float32{1}, K: 1}); err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := tc.ctx(entered)
 			defer cancel()
 			start := time.Now()
-			_, err := tr.Search(ctx, fb.Addr(), &cluster.SearchRequest{Query: []float32{1}, K: 99})
+			_, err := search(tr, ctx, fb.Addr(), &cluster.SearchRequest{Query: []float32{1}, K: 99})
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("stuck query returned %v, want %v", err, tc.want)
 			}
 			if el := time.Since(start); el > 2*time.Second {
 				t.Fatalf("stuck query took %v to give up", el)
 			}
-			resp, err := tr.Search(context.Background(), fb.Addr(), &cluster.SearchRequest{Query: []float32{1}, K: 2})
+			resp, err := search(tr, context.Background(), fb.Addr(), &cluster.SearchRequest{Query: []float32{1}, K: 2})
 			if err != nil || !slices.Equal(resp.IDs, []int32{2}) {
 				t.Fatalf("query after the abandoned one: %+v, %v (a reused stream would answer 99)", resp, err)
 			}
@@ -184,7 +193,7 @@ func TestWireRejectsBrokenReplies(t *testing.T) {
 			ts := httptest.NewServer(mux)
 			defer ts.Close()
 			tr := newTransport(t)
-			resp, err := tr.Search(context.Background(), ts.URL, &cluster.SearchRequest{Query: []float32{1}, K: 10})
+			resp, err := search(tr, context.Background(), ts.URL, &cluster.SearchRequest{Query: []float32{1}, K: 10})
 			if err == nil {
 				t.Fatalf("broken reply decoded as %+v", resp)
 			}
@@ -202,7 +211,7 @@ func TestWireRejectsBrokenReplies(t *testing.T) {
 func TestWireNeedsAnUpgradingBackend(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
 	defer ts.Close()
-	_, err := newTransport(t).Search(context.Background(), ts.URL, &cluster.SearchRequest{Query: []float32{1}, K: 1})
+	_, err := search(newTransport(t), context.Background(), ts.URL, &cluster.SearchRequest{Query: []float32{1}, K: 1})
 	if err == nil || !strings.Contains(err.Error(), "did not upgrade to "+cluster.WireProtocol) || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("error = %v, want it to name the missing upgrade and the status", err)
 	}
@@ -222,7 +231,7 @@ func TestWireConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := g*1000 + i + 1
-				resp, err := tr.Search(context.Background(), fb.Addr(), &cluster.SearchRequest{Query: []float32{float32(k)}, K: k})
+				resp, err := search(tr, context.Background(), fb.Addr(), &cluster.SearchRequest{Query: []float32{float32(k)}, K: k})
 				if err != nil || len(resp.IDs) != 1 || resp.IDs[0] != int32(k) || resp.Dists[0] != float32(k) {
 					t.Errorf("goroutine %d query %d: %+v, %v", g, i, resp, err)
 					return

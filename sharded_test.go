@@ -43,11 +43,11 @@ func recallAt10(t *testing.T, ds dataset.Dataset, search func(q []float32) []int
 	return dataset.MeanRecall(got, ds.GT, 10)
 }
 
-// TestShardedRecallParity is the acceptance gate: at equal per-shard search
-// pool L, a sharded index's recall@10 must be within 0.01 of a single NSG
-// over the same data. (Each of the r shards is searched with the same L,
-// so the merged candidate set is richer and recall is typically equal or
-// better; the gate bounds the loss in the other direction.)
+// TestShardedRecallParity is the acceptance gate: at equal query pool
+// budget L, a sharded index's recall@10 must be within 0.01 of a single NSG
+// over the same data. (Each of the r shards is searched with max(k, ⌈L/r⌉),
+// so the split spends about the single NSG's work; the gate bounds what
+// recall it loses for that.)
 func TestShardedRecallParity(t *testing.T) {
 	ds := shardedTestData(t, 3000, 50)
 	const l = 60
@@ -70,6 +70,64 @@ func TestShardedRecallParity(t *testing.T) {
 				shards, shardedRecall, singleRecall)
 		}
 		sharded.Close()
+	}
+}
+
+// TestShardedBudgetPrice pins what splitting the query's pool budget costs:
+// at l = 60, r = 2 and r = 4 shards, each searched with max(k, ⌈l/r⌉), keep
+// recall@10 within 0.005 of the one-shard index's over the same rows and
+// spend at most 1.3x (r = 2) and 1.6x (r = 4) its distance evaluations. The
+// uniform and Gaussian rows of ARCHITECTURE.md's table, which no bound
+// covers, run only under -v.
+func TestShardedBudgetPrice(t *testing.T) {
+	const l, queries = 60, 200
+	for _, c := range []struct {
+		name  string
+		gen   func(dataset.Config) (dataset.Dataset, error)
+		dim   int
+		gated bool
+	}{
+		{"sift", dataset.SIFTLike, 128, true},
+		{"deep", dataset.DEEPLike, 96, true},
+		{"uniform", dataset.Uniform, 128, false},
+		{"gaussian", dataset.Gaussian, 128, false},
+	} {
+		if !c.gated && !testing.Verbose() {
+			continue
+		}
+		ds, err := c.gen(dataset.Config{N: 8000, Queries: queries, GTK: 10, Dim: c.dim, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var oneRecall, oneComps float64
+		for _, r := range []int{1, 2, 4} {
+			idx, err := BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, DefaultShardedOptions(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var comps uint64
+			recall := recallAt10(t, ds, func(q []float32) []int32 {
+				ids, _, st := idx.SearchWithStats(q, 10, l)
+				comps += st.DistanceComputations
+				return ids
+			})
+			idx.Close()
+			perQuery := float64(comps) / queries
+			t.Logf("%s-%d r=%d: recall@10 %.4f, %.0f distance evaluations a query", c.name, c.dim, r, recall, perQuery)
+			if r == 1 {
+				oneRecall, oneComps = recall, perQuery
+				continue
+			}
+			if !c.gated {
+				continue
+			}
+			if recall < oneRecall-0.005 {
+				t.Errorf("%s r=%d: recall@10 %.4f, more than 0.005 below one shard's %.4f", c.name, r, recall, oneRecall)
+			}
+			if bound := map[int]float64{2: 1.3, 4: 1.6}[r]; perQuery > bound*oneComps {
+				t.Errorf("%s r=%d: %.0f evaluations a query, over %.1fx one shard's %.0f", c.name, r, perQuery, bound, oneComps)
+			}
+		}
 	}
 }
 
