@@ -44,13 +44,13 @@ func (x *Index) SearchBatchFiltered(queries [][]float32, k, l, workers int, f *F
 	}
 	bufs := make([]*neighborBuf, min(workers, len(queries)))
 	for w := range bufs {
-		bufs[w] = x.getBuf()
+		bufs[w] = x.bufs.Get().(*neighborBuf)
 	}
 	graphutil.ParallelForWorkers(len(bufs), len(queries), func(w, i int) {
-		out[i].IDs, out[i].Dists = x.search(bufs[w], queries[i], k, l, f, nil)
+		out[i].IDs, out[i].Dists = x.search(bufs[w], queries[i], k, l, f, nil, nil, nil)
 	})
 	for _, b := range bufs {
-		x.putBuf(b)
+		x.bufs.Put(b)
 	}
 	return out
 }

@@ -93,7 +93,9 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 			return plain(idx)
 		}},
 		{"metric-cosine", func(t *testing.T) surface {
-			idx, err := BuildMetric(vecs, Cosine, opts)
+			cosine := opts
+			cosine.Metric = Cosine
+			idx, err := Build(vecs, cosine)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +158,8 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 // buildShardedVectors builds a 4-shard index that the test closes on exit.
 func buildShardedVectors(t *testing.T, vecs [][]float32, shard Options) *ShardedIndex {
 	t.Helper()
-	idx, err := BuildSharded(vecs, ShardedOptions{Shards: 4, Shard: shard})
+	shard.Shards = 4
+	idx, err := Build(vecs, shard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +192,8 @@ func TestMetricSearchBatchMatchesSerial(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ExactKNN = true
 	for _, metric := range []Metric{L2, Cosine, InnerProduct} {
-		idx, err := BuildMetric(vecs, metric, opts)
+		opts.Metric = metric
+		idx, err := Build(vecs, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", metric, err)
 		}
@@ -228,9 +232,13 @@ func TestSearchBatchDimMismatchPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	midx, err := BuildMetric(vecs, Cosine, opts)
-	if err != nil {
-		t.Fatal(err)
+	metric := map[Metric]*Index{}
+	for _, m := range []Metric{Cosine, InnerProduct} {
+		o := opts
+		o.Metric = m
+		if metric[m], err = Build(vecs, o); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sidx := buildShardedVectors(t, vecs, opts)
 	attachTestMetadata(t, sidx.SetMetadata, n)
@@ -239,10 +247,13 @@ func TestSearchBatchDimMismatchPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := [][]float32{make([]float32, 8), make([]float32, 3)}
+	// An inner-product index stores 9-dim rows; a 9-dim query is still bad.
+	augmented := [][]float32{make([]float32, 8), make([]float32, 9)}
 	for name, call := range map[string]func(workers int){
 		"Index.SearchBatch":                func(w int) { idx.SearchBatch(bad, 2, 10, w) },
 		"Index.SearchBatchFiltered":        func(w int) { idx.SearchBatchFiltered(bad, 2, 10, w, f) },
-		"MetricIndex.SearchBatch":          func(w int) { midx.SearchBatch(bad, 2, 10, w) },
+		"Cosine SearchBatch":               func(w int) { metric[Cosine].SearchBatch(bad, 2, 10, w) },
+		"InnerProduct SearchBatch":         func(w int) { metric[InnerProduct].SearchBatch(augmented, 2, 10, w) },
 		"ShardedIndex.SearchBatch":         func(w int) { sidx.SearchBatch(bad, 2, 10, w) },
 		"ShardedIndex.SearchBatchFiltered": func(w int) { sidx.SearchBatchFiltered(bad, 2, 10, w, sf) },
 	} {

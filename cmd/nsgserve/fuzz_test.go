@@ -21,9 +21,9 @@ func FuzzSearchRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	opts := nsg.DefaultShardedOptions(2)
-	opts.Shard.ExactKNN = true
-	idx, err := nsg.BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, opts)
+	opts := withShards(2)
+	opts.ExactKNN = true
+	idx, err := nsg.BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts)
 	if err != nil {
 		f.Fatal(err)
 	}

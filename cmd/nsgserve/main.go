@@ -148,12 +148,9 @@ func run(args []string, stdout io.Writer) error {
 	idx, err := openIndex(openConfig{
 		indexPath: *indexPath, dataPath: *dataPath, savePath: *savePath,
 		mmapNoVerify: *mmapNoVerify,
-		opts: nsg.ShardedOptions{
-			Shards: *shards,
-			Shard: nsg.Options{
-				GraphK: *graphK, BuildL: *buildL, MaxDegree: *maxDegree,
-				SearchL: *searchL, ExactKNN: *exact, Quantize: quantMode, Seed: *seed,
-			},
+		opts: nsg.Options{
+			GraphK: *graphK, BuildL: *buildL, MaxDegree: *maxDegree, SearchL: *searchL,
+			ExactKNN: *exact, Quantize: quantMode, Seed: *seed, Shards: *shards,
 		},
 	}, stdout)
 	if err != nil {
@@ -245,7 +242,7 @@ func serve(ctx context.Context, hs *http.Server, ln net.Listener, srv *server, d
 type openConfig struct {
 	indexPath, dataPath, savePath string
 	mmapNoVerify                  bool
-	opts                          nsg.ShardedOptions
+	opts                          nsg.Options
 }
 
 // openIndex serves a saved index in place or builds one from an fvecs
@@ -273,7 +270,7 @@ func openIndex(cfg openConfig, stdout io.Writer) (*nsg.Index, error) {
 		fmt.Fprintf(stdout, "building %d-shard index over %d vectors (dim %d)...\n",
 			opts.Shards, base.Rows, base.Dim)
 		start := time.Now()
-		idx, err := nsg.BuildShardedFromFlat(base.Data, base.Dim, opts)
+		idx, err := nsg.BuildFromFlat(base.Data, base.Dim, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -347,7 +344,7 @@ func (s *server) mux() *http.ServeMux {
 // when the request has none). Compilation is O(rows) per request; clients
 // issuing many searches under one predicate should prefer /search/batch,
 // which compiles once for the whole batch.
-func (s *server) check(queries [][]float32, batch bool, k, l *int, raw json.RawMessage) (*nsg.ShardedFilter, *cluster.ReplicaError) {
+func (s *server) check(queries [][]float32, batch bool, k, l *int, raw json.RawMessage) (*nsg.Filter, *cluster.ReplicaError) {
 	for i, q := range queries {
 		if len(q) == s.idx.Dim() {
 			continue
@@ -404,12 +401,14 @@ func (s *server) search(req *cluster.SearchRequest) (cluster.SearchResponse, *cl
 		return cluster.SearchResponse{}, err
 	}
 	start := time.Now()
-	var resp cluster.SearchResponse
+	p := nsg.SearchParams{L: l, Filter: flt}
 	if req.Stats {
-		ids, dists, st := s.idx.SearchFilteredWithStats(req.Query, k, l, flt)
-		resp = cluster.SearchResponse{IDs: ids, Dists: dists, Hops: st.Hops, DistComps: st.DistanceComputations}
-	} else {
-		resp.IDs, resp.Dists = s.idx.SearchFilteredWithPool(req.Query, k, l, flt)
+		p.Stats = new(nsg.SearchStats) // only a stats request pays for one
+	}
+	var resp cluster.SearchResponse
+	resp.IDs, resp.Dists = s.idx.SearchWith(req.Query, k, p)
+	if p.Stats != nil {
+		resp.Hops, resp.DistComps = p.Stats.Hops, p.Stats.DistanceComputations
 	}
 	s.queries.Add(1)
 	s.searchMicros.Add(uint64(time.Since(start).Microseconds()))

@@ -23,16 +23,23 @@ import (
 	"repro/internal/dataset"
 )
 
+// withShards is nsg.DefaultOptions over r shards.
+func withShards(r int) nsg.Options {
+	o := nsg.DefaultOptions()
+	o.Shards = r
+	return o
+}
+
 func testIndex(t *testing.T) *nsg.Index {
 	t.Helper()
 	ds, err := dataset.SIFTLike(dataset.Config{N: 600, Queries: 4, GTK: 10, Dim: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := nsg.DefaultShardedOptions(3)
-	opts.Shard.ExactKNN = true
-	opts.Shard.Seed = 3
-	idx, err := nsg.BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, opts)
+	opts := withShards(3)
+	opts.ExactKNN = true
+	opts.Seed = 3
+	idx, err := nsg.BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +256,8 @@ func TestOpenIndexModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	bundle := filepath.Join(dir, "idx.nsg")
-	opts := nsg.DefaultShardedOptions(2)
-	opts.Shard.ExactKNN = true
+	opts := withShards(2)
+	opts.ExactKNN = true
 
 	var out bytes.Buffer
 	built, err := openIndex(openConfig{dataPath: fvecs, savePath: bundle, opts: opts}, &out)
@@ -370,13 +377,13 @@ func TestQuantizedServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Run("sq8", func(t *testing.T) {
-		opts := nsg.DefaultShardedOptions(2)
-		opts.Shard.ExactKNN = true
-		opts.Shard.Seed = 3
-		opts.Shard.Quantize = nsg.QuantSQ8
+		opts := withShards(2)
+		opts.ExactKNN = true
+		opts.Seed = 3
+		opts.Quantize = nsg.QuantSQ8
 		data := make([]float32, len(ds.Base.Data))
 		copy(data, ds.Base.Data)
-		idx, err := nsg.BuildShardedFromFlat(data, ds.Base.Dim, opts)
+		idx, err := nsg.BuildFromFlat(data, ds.Base.Dim, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,14 +45,19 @@ const (
 )
 
 // The options blob a file's header carries: GraphK, BuildL, MaxDegree and
-// SearchL, then the flags word. A zero option word means the default.
+// SearchL, then the flags word (quantization and metric). A zero option
+// word means the default.
 const (
 	optionsSize = 20
-	optQuantize = 1 << 0
+	optQuantize = 1 << 0 // QuantMode(1) is QuantSQ8, so the bit is the mode
 	// optInt4 is reserved. Set beside optQuantize it marked the int4 path,
 	// which was removed; decodeOptions rejects it as an unknown bit, and it
 	// must not be reused, so an old int4 file is never misread.
 	optInt4 = 1 << 1
+	// Bits 2-3 hold Options.Metric. L2 is 0, so an L2 index writes the
+	// bytes it wrote before metrics were stored.
+	optMetricShift = 2
+	optMetricMask  = 3 << optMetricShift
 )
 
 // encode returns the options blob of the fields a file keeps.
@@ -61,9 +66,7 @@ func (o Options) encode() []byte {
 	for i, v := range []int{o.GraphK, o.BuildL, o.MaxDegree, o.SearchL} {
 		binary.LittleEndian.PutUint32(blob[4*i:], uint32(v))
 	}
-	if o.Quantize == QuantSQ8 {
-		binary.LittleEndian.PutUint32(blob[16:], optQuantize)
-	}
+	binary.LittleEndian.PutUint32(blob[16:], uint32(o.Metric)<<optMetricShift|uint32(o.Quantize))
 	return blob
 }
 
@@ -72,10 +75,12 @@ func (o Options) encode() []byte {
 func decodeOptions(blob []byte) (Options, error) {
 	u := func(i int) int { return int(binary.LittleEndian.Uint32(blob[4*i:])) }
 	flags := uint32(u(4))
-	if flags&^optQuantize != 0 {
+	metric := Metric(flags & optMetricMask >> optMetricShift)
+	if flags&^(optQuantize|optMetricMask) != 0 || metric.check() != nil {
 		return Options{}, fmt.Errorf("unsupported option flags %#x", flags)
 	}
-	return Options{GraphK: u(0), BuildL: u(1), MaxDegree: u(2), SearchL: u(3), Quantize: quantModeOf(flags&optQuantize != 0)}, nil
+	return Options{GraphK: u(0), BuildL: u(1), MaxDegree: u(2), SearchL: u(3),
+		Quantize: QuantMode(flags & optQuantize), Metric: metric}, nil
 }
 
 func smAlignUp(n int64) int64 { return (n + smAlign - 1) &^ (smAlign - 1) }

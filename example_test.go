@@ -108,14 +108,15 @@ func ExampleBuild_quantized() {
 	// quantized: true
 }
 
-// ExampleBuildSharded partitions the data into shards, builds one NSG per
-// shard in parallel, and serves queries by fanning out to every shard —
+// ExampleOptions_shards partitions the data into shards, builds one NSG
+// per shard in parallel, and serves queries by fanning out to every shard —
 // the paper's DEEP100M / Taobao deployment pattern in one process.
-func ExampleBuildSharded() {
+// SearchWith reports the merged work and writes into reused buffers.
+func ExampleOptions_shards() {
 	vectors := exampleVectors(600, 16)
-	opts := nsg.DefaultShardedOptions(3)
-	opts.Shard.ExactKNN = true
-	index, err := nsg.BuildSharded(vectors, opts)
+	opts := nsg.DefaultOptions()
+	opts.Shards, opts.ExactKNN = 3, true
+	index, err := nsg.Build(vectors, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -124,11 +125,29 @@ func ExampleBuildSharded() {
 	ids, dists := index.Search(vectors[7], 3)
 	fmt.Println("nearest:", ids[0], "dist:", dists[0])
 
-	_, _, stats := index.SearchWithStats(vectors[7], 3, 60)
+	var stats nsg.SearchStats
+	ids, dists = index.SearchWith(vectors[7], 3, nsg.SearchParams{L: 60, Stats: &stats, IDs: ids, Dists: dists})
 	fmt.Println("searched", index.Shards(), "shards; merged hops > 0:", stats.Hops > 0)
 	// Output:
 	// nearest: 7 dist: 0
 	// searched 3 shards; merged hops > 0: true
+}
+
+// ExampleOptions_metric serves maximum inner product search: the index
+// answers with dot products, largest first, and prefers the long aligned
+// vector that the nearest by L2 distance would not be.
+func ExampleOptions_metric() {
+	vectors := [][]float32{{1, 0}, {10, 0}, {0, 1}, {-5, 0}}
+	opts := nsg.DefaultOptions()
+	opts.Metric, opts.ExactKNN = nsg.InnerProduct, true
+	index, err := nsg.Build(vectors, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ids, scores := index.Search([]float32{1, 0}, 2)
+	fmt.Println("best:", ids[0], "dot:", scores[0], "then:", ids[1], "dot:", scores[1])
+	// Output:
+	// best: 1 dot: 10 then: 0 dot: 1
 }
 
 // ExampleIndex_EnableLiveUpdates sets the maintainer's cadence on an index
@@ -274,7 +293,7 @@ func ExampleIndex_filteredSearch() {
 
 	// Vector 42 is an even-id, sub-100-price point, so it passes its
 	// own filter and comes back first at distance 0.
-	ids, dists := index.SearchFiltered(vectors[42], 3, filter)
+	ids, dists := index.SearchWith(vectors[42], 3, nsg.SearchParams{Filter: filter})
 	fmt.Println("nearest passing:", ids[0], "dist:", dists[0])
 	allPass := true
 	for _, id := range ids {

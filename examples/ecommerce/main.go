@@ -3,8 +3,8 @@
 // queries fanned out in parallel and merged, with a response-time target at
 // high precision (Section 4.3 / Table 5).
 //
-// The sharded index is the public one, built by nsg.BuildShardedFromFlat
-// with the default options. The filtered-search section at the end serves
+// The sharded index is the public one, built by nsg.BuildFromFlat with
+// Options.Shards and the default options (zero fields take them). The filtered-search section at the end serves
 // a catalog with category/price metadata over HTTP with per-request
 // predicate filters, the same "filter" clause cmd/nsgserve accepts.
 package main
@@ -33,7 +33,7 @@ func main() {
 
 	const shards = 12
 	start := time.Now()
-	index, err := nsg.BuildShardedFromFlat(ds.Base.Data, ds.Base.Dim, nsg.DefaultShardedOptions(shards))
+	index, err := nsg.BuildFromFlat(ds.Base.Data, ds.Base.Dim, nsg.Options{Shards: shards, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,10 +42,10 @@ func main() {
 		index.Shards(), time.Since(start).Seconds(), float64(index.Stats().IndexBytes)/(1<<20))
 
 	// The production requirement: high precision within a latency budget.
-	// Sweep the search pool until 98% precision and report the response
-	// time there, exactly as Table 5's SQR98 column does.
+	// Sweep the query's pool budget (each shard gets 10 to 160 of it) until
+	// 98% precision and report the response time there, as Table 5's SQR98.
 	const k = 10
-	for _, poolL := range []int{10, 20, 40, 80, 160} {
+	for _, poolL := range []int{10 * shards, 20 * shards, 40 * shards, 80 * shards, 160 * shards} {
 		got := make([][]int32, ds.Queries.Rows)
 		start := time.Now()
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
@@ -136,7 +136,7 @@ func filteredOverHTTP(ds dataset.Dataset) {
 				return
 			}
 		}
-		ids, dists := catalog.SearchFiltered(req.Query, req.K, flt)
+		ids, dists := catalog.SearchWith(req.Query, req.K, nsg.SearchParams{Filter: flt})
 		_ = json.NewEncoder(w).Encode(map[string]any{"ids": ids, "dists": dists})
 	})
 	srv := httptest.NewServer(mux)

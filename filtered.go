@@ -120,16 +120,16 @@ func (x *Index) AddWithMetadata(vec []float32, row map[string]any) (int32, error
 // include them), while deletes are honored at search time either way.
 // Compile once per predicate and reuse — compilation is O(rows), a filtered
 // search is not. A Filter is read-only after CompileFilter.
-type Filter = ShardedFilter
-
-// ShardedFilter is the name Filter had on a sharded index; see Filter.
-type ShardedFilter struct {
+type Filter struct {
 	count  int           // total passing rows across all shards
 	shards []core.Filter // per shard: its bitmap in its own ids and its count
 }
 
+// ShardedFilter is the name Filter had on a sharded index; see Filter.
+type ShardedFilter = Filter
+
 // Count returns the number of points passing the filter (at compile time).
-func (f *ShardedFilter) Count() int { return f.count }
+func (f *Filter) Count() int { return f.count }
 
 // CompileFilter compiles a predicate against the index's metadata store
 // into a reusable Filter. Returns ErrNoMetadata when no store is attached;

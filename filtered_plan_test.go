@@ -46,7 +46,7 @@ func indexShape(name string, idx *Index, vecs [][]float32) planShape {
 			if err != nil {
 				panic(err)
 			}
-			ids, dists, st := idx.SearchFilteredWithStats(q, k, l, f)
+			ids, dists, st := filteredStats(idx, q, k, l, f)
 			return ids, dists, st.Hops
 		},
 		vec: func(id int) []float32 {
@@ -67,7 +67,7 @@ func shardedShape(name string, idx *ShardedIndex, vecs [][]float32) planShape {
 			if err != nil {
 				panic(err)
 			}
-			ids, dists, st := idx.SearchFilteredWithStats(q, k, l, f)
+			ids, dists, st := filteredStats(idx, q, k, l, f)
 			return ids, dists, st.Hops
 		},
 		vec: func(id int) []float32 { return vecs[id] },
@@ -174,7 +174,7 @@ func TestFilteredPlanParity(t *testing.T) {
 	defer mapped.Close()
 	run(indexShape("OpenMapped", mapped, vecs[:n]))
 
-	sharded, err := BuildSharded(vecs[:n], DefaultShardedOptions(2))
+	sharded, err := Build(vecs[:n], withShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,13 +301,13 @@ func TestFilteredStaleBitmapFailsClosed(t *testing.T) {
 	pass := func(id int) bool { return planSel(id) < 50 }
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		q := ds.Queries.Row(qi)
-		ids, dists, st := idx.SearchFilteredWithStats(q, k, 60, few)
+		ids, dists, st := filteredStats(idx, q, k, 60, few)
 		if st.Hops != 0 {
 			t.Fatal("5% of 704 rows should be scanned")
 		}
 		checkExact(t, s, "scan", q, ids, dists, exactFiltered(s, q, k, pass), pass)
 
-		ids, _, st = idx.SearchFilteredWithStats(q, k, k, all)
+		ids, _, st = filteredStats(idx, q, k, k, all)
 		if st.Hops == 0 || len(ids) != k {
 			t.Fatalf("every old row passing at l = k should be walked to k results: %d hops, %d results", st.Hops, len(ids))
 		}

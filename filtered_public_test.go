@@ -124,7 +124,7 @@ func TestFilteredSearchParity(t *testing.T) {
 					total := 0.0
 					for qi := 0; qi < 30; qi++ {
 						q := vecs[(qi*37)%n]
-						ids, dists := idx.SearchFiltered(q, k, f)
+						ids, dists := idx.SearchWith(q, k, SearchParams{Filter: f})
 						for i, id := range ids {
 							if !tc.pass(int(id)) {
 								t.Fatalf("query %d: result %d fails the predicate", qi, id)
@@ -186,8 +186,8 @@ func TestFilteredMappedParity(t *testing.T) {
 	}
 	for qi := 0; qi < 20; qi++ {
 		q := vecs[(qi*41)%n]
-		hIDs, hD := idx.SearchFiltered(q, k, hf)
-		mIDs, mD := mapped.SearchFiltered(q, k, mf)
+		hIDs, hD := idx.SearchWith(q, k, SearchParams{Filter: hf})
+		mIDs, mD := mapped.SearchWith(q, k, SearchParams{Filter: mf})
 		if len(hIDs) != len(mIDs) {
 			t.Fatalf("query %d: %d vs %d results", qi, len(hIDs), len(mIDs))
 		}
@@ -239,7 +239,7 @@ func TestFilteredLive(t *testing.T) {
 	total := 0.0
 	for qi := 0; qi < 20; qi++ {
 		q := vecs[(qi*53)%(n+40)]
-		ids, _ := idx.SearchFiltered(q, k, f)
+		ids, _ := idx.SearchWith(q, k, SearchParams{Filter: f})
 		for _, id := range ids {
 			if !pass(int(id)) {
 				t.Fatalf("query %d: id %d should not appear (deleted or non-passing)", qi, id)
@@ -258,7 +258,7 @@ func TestFilteredLive(t *testing.T) {
 func TestFilteredSharded(t *testing.T) {
 	const n, dim, k = 1500, 16, 10
 	vecs := randomVectors(n, dim, 6)
-	idx, err := BuildSharded(vecs, DefaultShardedOptions(4))
+	idx, err := Build(vecs, withShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +354,8 @@ func TestFilteredPersistence(t *testing.T) {
 		if f1.Count() != f2.Count() {
 			t.Fatalf("counts diverge: %d vs %d", f1.Count(), f2.Count())
 		}
-		a, _ := idx.SearchFiltered(vecs[5], k, f1)
-		b, _ := loaded.SearchFiltered(vecs[5], k, f2)
+		a, _ := idx.SearchWith(vecs[5], k, SearchParams{Filter: f1})
+		b, _ := loaded.SearchWith(vecs[5], k, SearchParams{Filter: f2})
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("result %d: %d vs %d", i, a[i], b[i])
@@ -363,7 +363,7 @@ func TestFilteredPersistence(t *testing.T) {
 		}
 	})
 	t.Run("sharded", func(t *testing.T) {
-		idx, err := BuildSharded(vecs, DefaultShardedOptions(3))
+		idx, err := Build(vecs, withShards(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +432,7 @@ func TestFilteredCompact(t *testing.T) {
 	if want := (n - 20) / 2; f.Count() != want {
 		t.Fatalf("post-compact filter count %d, want %d", f.Count(), want)
 	}
-	ids, _ := idx.SearchFiltered(vecs[22], 5, f)
+	ids, _ := idx.SearchWith(vecs[22], 5, SearchParams{Filter: f})
 	if len(ids) == 0 {
 		t.Fatal("no results after compact")
 	}
@@ -474,7 +474,7 @@ func TestFilteredEdgeCases(t *testing.T) {
 	if f.Count() != 0 {
 		t.Fatalf("count %d for impossible predicate", f.Count())
 	}
-	ids, dists := idx.SearchFiltered(vecs[0], 5, f)
+	ids, dists := idx.SearchWith(vecs[0], 5, SearchParams{Filter: f})
 	if len(ids) != 0 || len(dists) != 0 {
 		t.Fatalf("zero-match filter returned %d results", len(ids))
 	}
@@ -485,7 +485,7 @@ func TestFilteredEdgeCases(t *testing.T) {
 		t.Fatal("mistyped operand accepted")
 	}
 	// nil filter == plain search
-	a, _ := idx.SearchFiltered(vecs[1], 5, nil)
+	a, _ := idx.SearchWith(vecs[1], 5, SearchParams{Filter: nil})
 	b, _ := idx.Search(vecs[1], 5)
 	for i := range a {
 		if a[i] != b[i] {

@@ -11,8 +11,9 @@ import (
 // work — on the public index: Add grows the index one vector at a time,
 // Delete tombstones ids, and Compact rebuilds without the deleted points.
 
-// Add inserts a vector and returns its new id. The vector is copied and,
-// on a sharded index, routed to the shard whose navigating node (its
+// Add inserts a vector and returns its new id. The vector is copied (in
+// the metric's space: see Metric and ErrNormExceedsRadius) and, on a
+// sharded index, routed to the shard whose navigating node (its
 // approximate medoid) is nearest: random partitions give near-identical
 // medoids, so routing by medoid approximates routing by load while keeping
 // locality for clustered data. Add is non-blocking and safe from any
@@ -22,11 +23,15 @@ import (
 // off the query path.
 func (x *Index) Add(vec []float32) (int32, error) {
 	s := x.s
-	if len(vec) != s.dim {
-		return -1, fmt.Errorf("nsg: vector dim %d != index dim %d", len(vec), s.dim)
+	if len(vec) != x.Dim() {
+		return -1, fmt.Errorf("nsg: vector dim %d != index dim %d", len(vec), x.Dim())
 	}
 	if !vecmath.Finite(vec) {
 		return -1, ErrNonFinite
+	}
+	vec, err := s.indexRow(x.opts.Metric, vec)
+	if err != nil {
+		return -1, err
 	}
 	sh, bestD := 0, float32(math.Inf(1))
 	for i, nav := range s.navVec {
@@ -94,16 +99,17 @@ func (x *Index) DeletedCount() int {
 // Compact rebuilds the index without its tombstoned points. It returns the
 // mapping from old ids to new ids (-1 for deleted); survivors keep their
 // order, and the receiving index is replaced in place. The rebuild is a
-// build over the survivors in id order with this index's options and shard
-// count, so BuildStats then describe it; metadata rows (by meta's Select)
-// and the live-update cadence carry over. Compact flushes pending Adds
-// first and must not run concurrently with other calls on the index. With
-// nothing deleted it returns the identity and keeps the index. The
-// replaced shard set is closed, which releases the mapping of an index
-// opened with OpenMapped.
+// build over the survivors' stored rows in id order with this index's
+// options and shard count, so BuildStats then describe it; the rows are
+// already in the metric's space and are not mapped again. Metadata rows
+// (by meta's Select) and the live-update cadence carry over. Compact
+// flushes pending Adds first and must not run concurrently with other
+// calls on the index. With nothing deleted it returns the identity and
+// keeps the index. The replaced shard set is closed, which releases the
+// mapping of an index opened with OpenMapped.
 func (x *Index) Compact() ([]int32, error) {
 	x.Flush()
-	old, rows, dim := x.s, x.Len(), x.Dim()
+	old, rows, dim := x.s, x.Len(), x.s.dim
 	remap := make([]int32, rows)
 	dead := x.DeletedCount()
 	if dead == 0 {
@@ -119,7 +125,7 @@ func (x *Index) Compact() ([]int32, error) {
 			continue
 		}
 		remap[id] = int32(len(data) / dim)
-		data = append(data, x.Vector(id)...)
+		data = append(data, x.row(id)...)
 	}
 	fresh, err := buildShards(vecmath.Matrix{Data: data, Rows: len(data) / dim, Dim: dim}, x.opts, len(old.shards))
 	if err != nil {

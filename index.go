@@ -76,6 +76,7 @@ type slot struct{ shard, local int32 }
 // maintainers the insert parameters of opts.
 func newIndex(s *sharded, opts Options) *Index {
 	x := &Index{s: s, opts: opts}
+	x.bufs.New = func() any { return new(neighborBuf) }
 	s.setLive(LiveOptions{}.internal(x.insertParams()))
 	return x
 }
@@ -171,20 +172,37 @@ func (x *Index) BuildStats() BuildStats { return x.s.stats }
 // to call concurrently with Add.
 func (x *Index) Len() int { return int(x.s.n.Load()) }
 
-// Dim returns the vector dimension.
-func (x *Index) Dim() int { return x.s.dim }
+// Dim returns the dimension of the caller's vectors (an InnerProduct
+// index stores one coordinate more).
+func (x *Index) Dim() int {
+	if x.opts.Metric == InnerProduct {
+		return x.s.dim - 1
+	}
+	return x.s.dim
+}
 
 // Shards returns the number of partitions.
 func (x *Index) Shards() int { return len(x.s.shards) }
 
 // Vector returns the stored vector with the given id, or nil for an id
-// outside [0, Len()). The returned slice aliases the index's storage — on
-// an index opened with Load or OpenMapped, the file mapping, which Close
-// and Compact release — so do not modify it or keep it past those calls.
-// It is read from the id's shard through the locator: the shard's
-// published snapshot once the row has drained, its delta buffer before.
-// Safe to call concurrently with Add.
+// outside [0, Len()): the caller's row, normalized under Cosine. The
+// returned slice aliases the index's storage — on an index opened with
+// Load or OpenMapped, the file mapping, which Close and Compact release —
+// so do not modify it or keep it past those calls. It is read from the
+// id's shard through the locator: the shard's published snapshot once the
+// row has drained, its delta buffer before. Safe to call concurrently with
+// Add.
 func (x *Index) Vector(id int) []float32 {
+	row := x.row(id)
+	if row == nil {
+		return nil
+	}
+	return row[:x.Dim()]
+}
+
+// row is Vector in index space: an InnerProduct row keeps its augmented
+// coordinate.
+func (x *Index) row(id int) []float32 {
 	l, ok := x.s.locate(id)
 	if !ok {
 		return nil
@@ -200,7 +218,12 @@ func (x *Index) Quantized() bool { return x.s.shards[0].IsQuantized() }
 // QuantMode returns the index's compressed serving mode (QuantNone when it
 // serves full float32 vectors; all shards share one quantization state, so
 // the first speaks for all).
-func (x *Index) QuantMode() QuantMode { return quantModeOf(x.s.shards[0].IsQuantized()) }
+func (x *Index) QuantMode() QuantMode {
+	if x.Quantized() {
+		return QuantSQ8
+	}
+	return QuantNone
+}
 
 // Close flushes pending Adds, so no point is lost, and stops the
 // maintainer goroutines. A one-shard index runs no other goroutine: a
@@ -267,9 +290,10 @@ type fanScratch struct {
 	// merged is the concatenate-sort-truncate buffer for combining the
 	// per-shard lists.
 	merged []vecmath.Neighbor
-	// flt non-nil marks this fan as filtered: shard sh searches under its
-	// own slice of it (see Filter).
-	flt     *Filter
+	// flt non-empty marks this fan as filtered: shard sh searches under
+	// flt[sh], a copy of its slice of the Filter (see Index.search on
+	// escapes).
+	flt     []core.Filter
 	ctx     *core.SearchContext
 	counter vecmath.Counter
 }
@@ -288,7 +312,8 @@ func (s *sharded) getScratch() *fanScratch {
 }
 
 func (s *sharded) putScratch(f *fanScratch) {
-	f.query, f.flt = nil, nil
+	clear(f.flt) // drop the bitmaps
+	f.query, f.flt = nil, f.flt[:0]
 	s.scratch.Put(f)
 }
 
@@ -306,8 +331,8 @@ func (f *fanScratch) run(ctx *core.SearchContext, counter *vecmath.Counter, sh i
 		counter.Reset()
 		q.Counter = counter
 	}
-	if f.flt != nil {
-		q.Filter = &f.flt.shards[sh]
+	if len(f.flt) > 0 {
+		q.Filter = &f.flt[sh]
 	}
 	res := f.owner.handles[sh].Query(ctx, f.query, q)
 	f.bufs[sh] = append(f.bufs[sh][:0], res.Neighbors...)
@@ -335,16 +360,9 @@ func (s *sharded) worker() {
 // and shards with no passing rows are never scheduled; a non-nil st
 // receives the hops and distance computations summed across the shard
 // searches. With a warm destination buffer the steady state performs zero
-// heap allocations.
-//
-// A query whose dimension does not match the index panics here, on the
-// caller's goroutine: past this point a mismatch would panic on a shard
-// worker, where no caller could recover it. k <= 0 answers nothing, and
-// so does a query with a NaN or infinite coordinate.
+// heap allocations. k <= 0 answers nothing, and so does a query with a NaN
+// or infinite coordinate; the caller has checked vec's dimension.
 func (s *sharded) search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *Filter, st *SearchStats) []vecmath.Neighbor {
-	if len(vec) != s.dim {
-		panic(fmt.Sprintf("nsg: query dim %d != index dim %d", len(vec), s.dim))
-	}
 	if st != nil {
 		*st = SearchStats{}
 	}
@@ -355,7 +373,10 @@ func (s *sharded) search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *F
 		l = max(k, (l+r-1)/r)
 	}
 	f := s.getScratch()
-	f.query, f.k, f.l, f.stats, f.flt = vec, k, l, st != nil, flt
+	f.query, f.k, f.l, f.stats = vec, k, l, st != nil
+	if flt != nil {
+		f.flt = append(f.flt, flt.shards...)
+	}
 	own := -1 // the shard this goroutine searches itself
 	for sh := range s.shards {
 		// Pooled scratch: drop a skipped shard's stale results and tallies.
@@ -388,99 +409,115 @@ func (s *sharded) search(dst []vecmath.Neighbor, vec []float32, k, l int, flt *F
 	return dst
 }
 
-type neighborBuf struct{ ns []vecmath.Neighbor }
-
-func (x *Index) getBuf() *neighborBuf {
-	if b, _ := x.bufs.Get().(*neighborBuf); b != nil {
-		return b
-	}
-	return &neighborBuf{}
+// neighborBuf is one search's reused scratch: the merge destination and,
+// under a metric other than L2, the query mapped into index space.
+type neighborBuf struct {
+	ns []vecmath.Neighbor
+	q  []float32
 }
 
-func (x *Index) putBuf(b *neighborBuf) { x.bufs.Put(b) }
+// SearchParams are the per-call settings of SearchWith. The zero value is
+// Search's: the index's SearchL, no filter, no work accounting and fresh
+// result slices.
+type SearchParams struct {
+	// L is the query's whole pool budget, the paper's search parameter
+	// (<= 0 takes SearchL; L < k is promoted to k). Each of r > 1 shards
+	// searches with max(k, ⌈L/r⌉), so a sharded query costs about one.
+	L int
+	// Filter, when non-nil, keeps only the points passing it: a shard
+	// scans its passing rows exactly while they are few and walks the
+	// graph with only passing points in its pool past that (see the
+	// README's "Filtered search"). Fewer than k results mean fewer than k
+	// points pass.
+	Filter *Filter
+	// Stats, when non-nil, receives the hops and distance computations
+	// summed across the shard searches (an exact scan makes 0 hops). A
+	// Stats declared per call moves to the heap when the answer outlives
+	// the call; one reused from call to call keeps the search
+	// allocation-free.
+	Stats *SearchStats
+	// IDs and Dists, when they have room for the answer, receive it in
+	// place of fresh slices: a steady-state search into reused buffers
+	// allocates nothing.
+	IDs   []int32
+	Dists []float32
+}
 
-// Search returns the ids and squared L2 distances of the k approximate
-// nearest neighbors of query, using the index's default search pool size.
+// SearchWith returns the ids and distances of the k approximate nearest
+// neighbors of query under p, best first: squared L2 distances, or under
+// Cosine and InnerProduct the cosine or the dot product. Tombstoned ids
+// (see Delete) never appear in results. A query whose dimension is not
+// Dim() panics; k <= 0 answers nothing, and so does a query with a NaN or
+// infinite coordinate.
+func (x *Index) SearchWith(query []float32, k int, p SearchParams) ([]int32, []float32) {
+	return x.searchOne(query, k, p.L, p.Filter, p.Stats, p.IDs, p.Dists)
+}
+
+// Search is SearchWith with the index's default search pool size.
 func (x *Index) Search(query []float32, k int) ([]int32, []float32) {
-	return x.searchOne(query, k, x.opts.SearchL, nil, nil)
+	return x.SearchWith(query, k, SearchParams{})
 }
 
-// SearchWithPool is Search with an explicit pool size l (the paper's
-// search parameter): higher l gives higher recall and more work; l < k is
-// promoted to k. l is the query's whole pool budget: each of r > 1 shards
-// searches with max(k, ⌈l/r⌉) and the answers merge by distance, so a
-// sharded query costs about one search (a larger l buys back the recall
-// the split costs). Tombstoned ids (see Delete) never appear in results.
-//
-// The only allocations on the steady state are the two returned slices;
-// all traversal scratch is drawn from the index's pools.
+// SearchWithPool is SearchWith with pool budget l.
 func (x *Index) SearchWithPool(query []float32, k, l int) ([]int32, []float32) {
-	return x.searchOne(query, k, l, nil, nil)
+	return x.searchOne(query, k, l, nil, nil, nil, nil)
 }
 
-// SearchWithStats is SearchWithPool plus per-query work accounting: hops
-// and distance computations, summed across the shard searches on a
-// sharded index.
+// SearchWithStats is SearchWithPool plus per-query work accounting.
 func (x *Index) SearchWithStats(query []float32, k, l int) (ids []int32, dists []float32, st SearchStats) {
-	ids, dists = x.searchOne(query, k, l, nil, &st)
+	ids, dists = x.searchOne(query, k, l, nil, &st, nil, nil)
 	return ids, dists, st
 }
 
-// SearchFiltered returns the k nearest neighbors of query that pass the
-// filter, using the index's default search pool size. A nil filter is an
-// unfiltered Search.
-func (x *Index) SearchFiltered(query []float32, k int, f *Filter) ([]int32, []float32) {
-	return x.searchOne(query, k, x.opts.SearchL, f, nil)
-}
-
-// SearchFilteredWithPool is SearchFiltered with an explicit pool budget l,
-// which SearchWithPool's rule splits into a shard pool l_s. While a shard's
-// passing rows number no more than about sqrt(l_s · n · MaxDegree/2) of its
-// n, its answer is an exact scan of them:
-// recall 1 by construction, at a cost that follows the passing set. Past
-// that crossover the traversal navigates through non-passing points but
-// only passing points occupy pool slots, so recall at equal l tracks the
-// unfiltered search (see the README's "Filtered search" section). Shards
-// with no passing rows are skipped. Tombstoned and filtered-out ids never
-// appear in results; fewer than k results mean fewer than k passing points
-// exist.
+// SearchFilteredWithPool is SearchWithPool under filter f (nil: none).
 func (x *Index) SearchFilteredWithPool(query []float32, k, l int, f *Filter) ([]int32, []float32) {
-	return x.searchOne(query, k, l, f, nil)
+	return x.searchOne(query, k, l, f, nil, nil, nil)
 }
 
-// SearchFilteredWithStats is SearchFilteredWithPool plus the work
-// accounting of SearchWithStats; an exact scan reports 0 hops.
-func (x *Index) SearchFilteredWithStats(query []float32, k, l int, f *Filter) (ids []int32, dists []float32, st SearchStats) {
-	ids, dists = x.searchOne(query, k, l, f, &st)
-	return ids, dists, st
-}
-
-// searchOne is search with a merge buffer drawn from the index's pool.
-func (x *Index) searchOne(query []float32, k, l int, f *Filter, st *SearchStats) ([]int32, []float32) {
-	b := x.getBuf()
-	ids, dists := x.search(b, query, k, l, f, st)
-	x.putBuf(b)
+// searchOne is search with scratch drawn from the index's pool.
+func (x *Index) searchOne(query []float32, k, l int, f *Filter, st *SearchStats, ids []int32, dists []float32) ([]int32, []float32) {
+	b := x.bufs.Get().(*neighborBuf)
+	ids, dists = x.search(b, query, k, l, f, st, ids, dists)
+	x.bufs.Put(b)
 	return ids, dists
 }
 
-// search is the one search every public entry point runs: the shard
-// fan-out under f when it is non-nil, summing the shards' work into st when
-// it is non-nil, merging into b's reused buffer and copying the answer into
-// the two fresh caller-owned slices. A wrong-dimension query panics on the
-// caller's goroutine (see sharded.search).
-func (x *Index) search(b *neighborBuf, query []float32, k, l int, f *Filter, st *SearchStats) ([]int32, []float32) {
-	b.ns = x.s.search(b.ns[:0], query, k, l, f, st)
-	return extractResults(b.ns)
-}
-
-// extractResults copies a neighbor list into the two fresh caller-owned
-// slices every public search returns.
-func extractResults(res []vecmath.Neighbor) ([]int32, []float32) {
-	ids := make([]int32, len(res))
-	dists := make([]float32, len(res))
-	for i, n := range res {
-		ids[i] = n.ID
-		dists[i] = n.Dist
+// search is the one search every public entry point runs, with b's reused
+// buffers: the query mapped into the metric's space, the shard fan-out,
+// and the answer copied into ids and dists (fresh slices when they are
+// short) and rescored in the caller's metric. It takes SearchParams'
+// fields one by one: escape analysis does not tell a struct's fields
+// apart, so a stats pointer beside the returned buffers would escape. A
+// wrong-dimension query panics here, on the caller's goroutine: past this
+// point it would panic on a shard worker, where no caller could recover
+// it.
+func (x *Index) search(b *neighborBuf, query []float32, k, l int, f *Filter, st *SearchStats, ids []int32, dists []float32) ([]int32, []float32) {
+	if len(query) != x.Dim() {
+		panic(fmt.Sprintf("nsg: query dim %d != index dim %d", len(query), x.Dim()))
+	}
+	if l <= 0 {
+		l = x.opts.SearchL
+	}
+	q, m := query, x.opts.Metric
+	if m != L2 {
+		b.q = m.appendQuery(b.q[:0], query)
+		q = b.q
+	}
+	b.ns = x.s.search(b.ns[:0], q, k, l, f, st)
+	ids, dists = resize(ids, len(b.ns)), resize(dists, len(b.ns))
+	for i, n := range b.ns {
+		ids[i], dists[i] = n.ID, n.Dist
+	}
+	if m != L2 {
+		x.rescore(query, ids, dists)
 	}
 	return ids, dists
+}
+
+// resize returns buf at length n, reusing its storage when it has room.
+func resize[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -86,10 +86,7 @@ func buildShardBundles(dir string, ds dataset.Dataset, shards int, seed int64) (
 	for si := 0; si < shards; si++ {
 		lo, hi := spans[si], spans[si+1]
 		sub := append([]float32(nil), ds.Base.Data[lo*dim:hi*dim]...)
-		opts := nsg.DefaultShardedOptions(1)
-		opts.Shard.GraphK = 20
-		opts.Shard.Seed = seed + int64(si)
-		idx, err := nsg.BuildShardedFromFlat(sub, dim, opts)
+		idx, err := nsg.BuildFromFlat(sub, dim, nsg.Options{GraphK: 20, Seed: seed + int64(si)})
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: build shard %d: %w", si, err)
 		}

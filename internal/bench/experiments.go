@@ -258,7 +258,8 @@ func Fig7(w io.Writer, c ExpConfig) error {
 	pqEfforts := []int{1, 2, 4, 8, 16, 32, 64}
 	for _, m := range []Method{
 		{"NSG-1core", nsgSearch(one), graphEfforts},
-		{"NSG-16core", sharded16, graphEfforts},
+		// Per-shard pools (see shardedNSG), denser near the floor k = 10.
+		{"NSG-16core", sharded16, []int{10, 12, 14, 16, 20, 40, 80, 160}},
 		{"Faiss-1core", func(q []float32, k, e int, c *vecmath.Counter) []vecmath.Neighbor {
 			return pq.Search(q, k, e, 4*k, c)
 		}, pqEfforts},
@@ -546,21 +547,26 @@ func table5NSG(ds dataset.Dataset, shards int, seed int64) (SearchFunc, func(), 
 }
 
 // shardedNSG builds the public index fig7 and table5 fan out over: base
-// split into shards NSGs by nsg.BuildShardedFromFlat, the pipeline a
-// shipped index runs, with kNN K 20, pool L 40 and degree cap 30 (exact
-// selects the exact kNN builder). The search runs SearchWithPool, and the
-// returned func closes the index.
+// split into shards NSGs by Options.Shards, the pipeline a shipped index
+// runs, with kNN K 20, pool L 40 and degree cap 30 (exact selects the exact
+// kNN builder). An effort is each shard's pool, as it is the 1-core rows':
+// the query's budget is shards x effort, which the index splits back. The
+// search writes into buffers the closure reuses, as the 1-core rows'
+// context does, and the returned func closes the index.
 func shardedNSG(base vecmath.Matrix, shards int, exact bool, seed int64) (SearchFunc, func(), error) {
-	opts := nsg.Options{GraphK: 20, BuildL: 40, MaxDegree: 30, ExactKNN: exact, Seed: seed}
-	idx, err := nsg.BuildShardedFromFlat(base.Data, base.Dim, nsg.ShardedOptions{Shards: shards, Shard: opts})
+	opts := nsg.Options{GraphK: 20, BuildL: 40, MaxDegree: 30, ExactKNN: exact, Seed: seed, Shards: shards}
+	idx, err := nsg.BuildFromFlat(base.Data, base.Dim, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return func(q []float32, k, l int, _ *vecmath.Counter) []vecmath.Neighbor {
-		ids, dists := idx.SearchWithPool(q, k, l)
-		res := make([]vecmath.Neighbor, len(ids))
-		for i, id := range ids {
-			res[i] = vecmath.Neighbor{ID: id, Dist: dists[i]}
+	var p nsg.SearchParams
+	var res []vecmath.Neighbor
+	return func(q []float32, k, effort int, _ *vecmath.Counter) []vecmath.Neighbor {
+		p.L = shards * effort
+		p.IDs, p.Dists = idx.SearchWith(q, k, p)
+		res = res[:0]
+		for i, id := range p.IDs {
+			res = append(res, vecmath.Neighbor{ID: id, Dist: p.Dists[i]})
 		}
 		return res
 	}, idx.Close, nil

@@ -300,9 +300,9 @@ func TestLiveDrainedRecallMatchesBatch(t *testing.T) {
 func TestLiveShardedConcurrentAddSearch(t *testing.T) {
 	const n0, extra, dim = 600, 150, 12
 	all := liveTestVectors(n0+extra, dim, 24)
-	opts := DefaultShardedOptions(3)
-	opts.Shard.ExactKNN = true
-	idx, err := BuildSharded(all[:n0], opts)
+	opts := DefaultOptions()
+	opts.Shards, opts.ExactKNN = 3, true
+	idx, err := Build(all[:n0], opts)
 	if err != nil {
 		t.Fatal(err)
 	}

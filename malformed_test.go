@@ -23,8 +23,7 @@ func TestMalformedSearch(t *testing.T) {
 	}
 	half := Range("sel", 0, 499)
 
-	// searcher is one index shape's four methods; a nil method is one the
-	// type does not have (Index has no SearchFilteredWithStats).
+	// searcher is one index shape's four methods.
 	type searcher struct {
 		name    string
 		methods map[string]func(q []float32, k, l int) []int32
@@ -37,22 +36,10 @@ func TestMalformedSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 		return searcher{name, map[string]func([]float32, int, int) []int32{
-			"SearchWithPool":          func(q []float32, k, l int) []int32 { return ids(idx.SearchWithPool(q, k, l)) },
-			"SearchFilteredWithPool":  func(q []float32, k, l int) []int32 { return ids(idx.SearchFilteredWithPool(q, k, l, f)) },
-			"SearchWithStats":         func(q []float32, k, l int) []int32 { return idsStats(idx.SearchWithStats(q, k, l)) },
-			"SearchFilteredWithStats": nil,
-		}}
-	}
-	sharded := func(name string, idx *ShardedIndex) searcher {
-		f, err := idx.CompileFilter(half)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return searcher{name, map[string]func([]float32, int, int) []int32{
-			"SearchWithPool":          func(q []float32, k, l int) []int32 { return ids(idx.SearchWithPool(q, k, l)) },
-			"SearchFilteredWithPool":  func(q []float32, k, l int) []int32 { return ids(idx.SearchFilteredWithPool(q, k, l, f)) },
-			"SearchWithStats":         func(q []float32, k, l int) []int32 { return idsStats(idx.SearchWithStats(q, k, l)) },
-			"SearchFilteredWithStats": func(q []float32, k, l int) []int32 { return idsStats(idx.SearchFilteredWithStats(q, k, l, f)) },
+			"SearchWithPool":         func(q []float32, k, l int) []int32 { return ids(idx.SearchWithPool(q, k, l)) },
+			"SearchFilteredWithPool": func(q []float32, k, l int) []int32 { return ids(idx.SearchFilteredWithPool(q, k, l, f)) },
+			"SearchWithStats":        func(q []float32, k, l int) []int32 { return idsStats(idx.SearchWithStats(q, k, l)) },
+			"SearchWith":             func(q []float32, k, l int) []int32 { return idsStats(filteredStats(idx, q, k, l, f)) },
 		}}
 	}
 	build := func(mode QuantMode) *Index {
@@ -103,7 +90,7 @@ func TestMalformedSearch(t *testing.T) {
 	shapes = append(shapes, index("tombstoned", dead))
 
 	for _, live := range []bool{false, true} {
-		sh, err := BuildSharded(vecs[:n], DefaultShardedOptions(2))
+		sh, err := Build(vecs[:n], withShards(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +113,7 @@ func TestMalformedSearch(t *testing.T) {
 				}
 			}
 		}
-		shapes = append(shapes, sharded(name, sh))
+		shapes = append(shapes, index(name, sh))
 	}
 
 	// call runs one search and reports what it panicked with, if anything.
@@ -136,11 +123,8 @@ func TestMalformedSearch(t *testing.T) {
 	}
 	q := ds.Queries.Row(0)
 	for _, s := range shapes {
-		for _, method := range []string{"SearchWithPool", "SearchFilteredWithPool", "SearchWithStats", "SearchFilteredWithStats"} {
+		for _, method := range []string{"SearchWithPool", "SearchFilteredWithPool", "SearchWithStats", "SearchWith"} {
 			search := s.methods[method]
-			if search == nil {
-				continue
-			}
 			t.Run(s.name+"/"+method, func(t *testing.T) {
 				if got, p := call(search, q, 10, 40); p != nil || len(got) != 10 {
 					t.Fatalf("well-formed query: %d results, panic %v", len(got), p)
@@ -189,8 +173,8 @@ func TestNonFiniteVectorsRejected(t *testing.T) {
 		if _, err := BuildFromFlat(flat, ds.Base.Dim, DefaultOptions()); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("BuildFromFlat with a %v coordinate: err %v, want ErrNonFinite", bad, err)
 		}
-		if _, err := BuildSharded(withBad, DefaultShardedOptions(2)); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("BuildSharded with a %v coordinate: err %v, want ErrNonFinite", bad, err)
+		if _, err := Build(withBad, withShards(2)); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("sharded Build with a %v coordinate: err %v, want ErrNonFinite", bad, err)
 		}
 	}
 
@@ -204,7 +188,7 @@ func TestNonFiniteVectorsRejected(t *testing.T) {
 		if err := idx.SetMetadata(planMetadata(n)); err != nil {
 			t.Fatal(err)
 		}
-		sh, err := BuildSharded(vecs, DefaultShardedOptions(2))
+		sh, err := Build(vecs, withShards(2))
 		if err != nil {
 			t.Fatal(err)
 		}

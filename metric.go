@@ -1,25 +1,29 @@
 package nsg
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/vecmath"
 )
 
-// Metric selects the similarity the index answers queries under. The NSG
-// graph itself is always built in Euclidean space (the paper's setting);
-// Cosine and InnerProduct are supported through standard reductions applied
-// at indexing and query time:
+// Metric selects the similarity the index answers queries under
+// (Options.Metric). The graph is always built in Euclidean space (the
+// paper's setting); Cosine and InnerProduct are standard reductions applied
+// at the index boundary, to the rows at build and Add and to every query:
 //
 //   - Cosine: vectors are L2-normalized, making cosine similarity a
 //     monotone function of Euclidean distance.
-//   - InnerProduct (MIPS): vectors are augmented with one extra coordinate
-//     sqrt(maxNorm² − |x|²) and queries with 0, after which the Euclidean
-//     nearest neighbor of the augmented query is the maximum-inner-product
-//     vector (Bachrach et al.'s reduction). This is the transformation used
-//     in production e-commerce retrieval — the paper's Taobao scenario
-//     serves exactly such embeddings.
+//   - InnerProduct (MIPS): rows gain one coordinate sqrt(R² − |x|²), R the
+//     largest row norm at build, and queries a 0, so the Euclidean nearest
+//     neighbor is the maximum-inner-product row (Bachrach et al.'s
+//     reduction, as production e-commerce retrieval — the paper's Taobao
+//     scenario — serves its embeddings).
+//
+// Under both, a search reports scores, the cosine or the dot product,
+// largest first.
 type Metric int
 
 const (
@@ -33,156 +37,118 @@ const (
 
 // String returns the metric name.
 func (m Metric) String() string {
-	switch m {
-	case L2:
-		return "l2"
-	case Cosine:
-		return "cosine"
-	case InnerProduct:
-		return "inner-product"
-	default:
+	if m.check() != nil {
 		return fmt.Sprintf("metric(%d)", int(m))
 	}
+	return [...]string{"l2", "cosine", "inner-product"}[m]
 }
 
-// MetricIndex wraps an Index to answer Cosine or InnerProduct queries via
-// the reductions above. Construct with BuildMetric. It keeps no copy of the
-// vectors: scores are computed from the index's own rows.
-type MetricIndex struct {
-	idx     *Index
-	metric  Metric
-	dim     int     // original (pre-augmentation) dimension
-	maxNorm float32 // MIPS only: augmentation radius
-}
-
-// BuildMetric indexes vectors under the given metric. For L2 it is
-// equivalent to Build.
-func BuildMetric(vectors [][]float32, metric Metric, opts Options) (*MetricIndex, error) {
-	if len(vectors) < 2 {
-		return nil, fmt.Errorf("nsg: need at least 2 vectors, have %d", len(vectors))
+// check rejects a metric other than the three above.
+func (m Metric) check() error {
+	if m < L2 || m > InnerProduct {
+		return fmt.Errorf("nsg: unknown metric %d", int(m))
 	}
-	dim := len(vectors[0])
-	base := vecmath.MatrixFromSlices(vectors)
-	var maxNorm float32
-	switch metric {
+	return nil
+}
+
+// ErrNormExceedsRadius is returned by Add on an InnerProduct index for a
+// vector longer than the radius R (see Metric), which the reduction cannot
+// rank. Nothing is added.
+var ErrNormExceedsRadius = errors.New("nsg: vector norm exceeds the inner-product augmentation radius")
+
+// radiusSlack is how far, relatively, a squared norm may pass R² and still
+// count as on it: R is read back from float32 rows, with rounding error.
+const radiusSlack = 1e-4
+
+// indexSpace returns base as the index stores it: base itself under L2, a
+// normalized copy under Cosine, and under InnerProduct a copy augmented
+// with the coordinate that puts every row on the radius.
+func (m Metric) indexSpace(base vecmath.Matrix) vecmath.Matrix {
+	switch m {
+	case Cosine:
+		out := vecmath.Matrix{Data: slices.Clone(base.Data), Rows: base.Rows, Dim: base.Dim}
+		for i := range out.Rows {
+			vecmath.Normalize(out.Row(i))
+		}
+		return out
+	case InnerProduct:
+		var radius float32
+		for i := range base.Rows {
+			radius = max(radius, vecmath.Norm(base.Row(i)))
+		}
+		if radius == 0 {
+			radius = 1
+		}
+		r2 := float64(radius) * float64(radius)
+		out := vecmath.NewMatrix(base.Rows, base.Dim+1)
+		for i := range base.Rows {
+			augment(out.Row(i), base.Row(i), r2)
+		}
+		return out
+	}
+	return base
+}
+
+// augment writes v and its extra coordinate sqrt(r2 − |v|²) into dst.
+func augment(dst, v []float32, r2 float64) {
+	copy(dst, v)
+	dst[len(v)] = float32(math.Sqrt(max(r2-float64(vecmath.Dot(v, v)), 0)))
+}
+
+// indexRow returns the row an Add stores for vec: vec under L2, a
+// normalized copy under Cosine, and under InnerProduct a copy augmented
+// onto the radius, or ErrNormExceedsRadius.
+func (s *sharded) indexRow(m Metric, vec []float32) ([]float32, error) {
+	switch m {
 	case L2:
+		return vec, nil
 	case Cosine:
-		for i := 0; i < base.Rows; i++ {
-			vecmath.Normalize(base.Row(i))
-		}
-	case InnerProduct:
-		for i := 0; i < base.Rows; i++ {
-			if n := vecmath.Norm(base.Row(i)); n > maxNorm {
-				maxNorm = n
-			}
-		}
-		if maxNorm == 0 {
-			maxNorm = 1
-		}
-		aug := vecmath.NewMatrix(base.Rows, dim+1)
-		for i := 0; i < base.Rows; i++ {
-			row := base.Row(i)
-			out := aug.Row(i)
-			copy(out, row)
-			norm2 := float64(vecmath.Dot(row, row))
-			extra := float64(maxNorm)*float64(maxNorm) - norm2
-			if extra < 0 {
-				extra = 0
-			}
-			out[dim] = float32(math.Sqrt(extra))
-		}
-		base = aug
-	default:
-		return nil, fmt.Errorf("nsg: unknown metric %v", metric)
+		return m.appendQuery(nil, vec), nil
 	}
-
-	idx, err := BuildFromFlat(base.Data, base.Dim, opts)
-	if err != nil {
-		return nil, err
+	// Every stored row lies on the radius, so the navigating rows, one per
+	// shard, carry it.
+	var r2 float64
+	for _, nav := range s.navVec {
+		r2 = max(r2, float64(vecmath.Dot(nav, nav)))
 	}
-	return &MetricIndex{idx: idx, metric: metric, dim: dim, maxNorm: maxNorm}, nil
+	if n2 := float64(vecmath.Dot(vec, vec)); n2 > r2*(1+radiusSlack) {
+		return nil, fmt.Errorf("%w: norm %g, radius %g", ErrNormExceedsRadius, math.Sqrt(n2), math.Sqrt(r2))
+	}
+	row := make([]float32, len(vec)+1)
+	augment(row, vec, r2)
+	return row, nil
 }
 
-// Metric returns the metric the index answers under.
-func (x *MetricIndex) Metric() Metric { return x.metric }
-
-// Len returns the number of indexed vectors.
-func (x *MetricIndex) Len() int { return x.idx.Len() }
-
-// Dim returns the original vector dimension.
-func (x *MetricIndex) Dim() int { return x.dim }
-
-// Search returns the ids and scores of the k best matches. For L2 the score
-// is squared distance (ascending order); for Cosine it is cosine similarity
-// and for InnerProduct the dot product (both descending order — best first).
-func (x *MetricIndex) Search(query []float32, k int) ([]int32, []float32) {
-	return x.SearchWithPool(query, k, x.idx.opts.SearchL)
-}
-
-// SearchWithPool is Search with an explicit pool size: the metric's query
-// transform, Index.SearchWithPool, and the results re-scored in the
-// caller's metric.
-func (x *MetricIndex) SearchWithPool(query []float32, k, l int) ([]int32, []float32) {
-	ids, _ := x.idx.SearchWithPool(x.transformQuery(query), k, l)
-	return ids, x.scores(query, ids)
-}
-
-// SearchBatch answers many queries concurrently, like Index.SearchBatch but
-// reporting scores in the index's metric (see Search for the score
-// conventions). Panics if any query's dimension does not match the index.
-func (x *MetricIndex) SearchBatch(queries [][]float32, k, l, workers int) []BatchResult {
-	transformed := make([][]float32, len(queries))
-	for i, q := range queries {
-		transformed[i] = x.transformQuery(q)
-	}
-	out := x.idx.SearchBatch(transformed, k, l, workers)
-	for i := range out {
-		out[i].Dists = x.scores(queries[i], out[i].IDs)
-	}
-	return out
-}
-
-// transformQuery maps a caller query into the underlying L2 index's
-// coordinate space: identity for L2 (no copy), normalized copy for Cosine,
-// zero-augmented copy for InnerProduct (the augmented coordinate is 0, so
-// MIPS order is preserved). A wrong-dimension query panics.
-func (x *MetricIndex) transformQuery(query []float32) []float32 {
-	if len(query) != x.dim {
-		panic(fmt.Sprintf("nsg: query dim %d != index dim %d", len(query), x.dim))
-	}
-	switch x.metric {
+// appendQuery appends the query's image in index space to buf: a copy
+// under L2, normalized under Cosine, zero-augmented under InnerProduct (the
+// augmented coordinate is 0, so MIPS order is preserved).
+func (m Metric) appendQuery(buf, query []float32) []float32 {
+	buf = append(buf, query...)
+	switch m {
 	case Cosine:
-		q := append([]float32{}, query...)
-		vecmath.Normalize(q)
-		return q
+		vecmath.Normalize(buf)
 	case InnerProduct:
-		q := make([]float32, x.dim+1)
-		copy(q, query)
-		return q
-	default:
-		return query
+		buf = append(buf, 0)
 	}
+	return buf
 }
 
-// scores reports the match quality of each id in the caller's metric from
-// the index's rows: an L2 row is the original vector and an InnerProduct
-// row starts with it, so those scores are exact; a Cosine row is the unit
-// vector, so the cosine is its dot product with the query over |query|.
-func (x *MetricIndex) scores(query []float32, ids []int32) []float32 {
-	out := make([]float32, len(ids))
+// rescore replaces the index-space distances in dists with the scores of
+// ids in the caller's metric, read from the stored rows: an InnerProduct
+// row starts with the caller's vector, so its score is exact; a Cosine
+// row is the unit vector, so the cosine is its dot product with the query
+// over |query|.
+func (x *Index) rescore(query []float32, ids []int32, dists []float32) {
 	qn := vecmath.Norm(query)
 	for i, id := range ids {
-		row := x.idx.Vector(int(id))
-		switch x.metric {
-		case Cosine:
-			if qn != 0 {
-				out[i] = vecmath.Dot(query, row) / qn
-			}
-		case InnerProduct:
-			out[i] = vecmath.Dot(query, row[:x.dim])
+		row := x.row(int(id))
+		switch {
+		case x.opts.Metric == InnerProduct:
+			dists[i] = vecmath.Dot(query, row[:len(query)])
+		case qn != 0:
+			dists[i] = vecmath.Dot(query, row) / qn
 		default:
-			out[i] = vecmath.L2(query, row)
+			dists[i] = 0
 		}
 	}
-	return out
 }

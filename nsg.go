@@ -14,7 +14,8 @@
 // the paper's Algorithm 2 (navigating node, search-collect-select with the
 // MRNG edge rule, DFS connectivity repair). Search runs the paper's
 // Algorithm 1 greedy best-first search from the navigating node; the
-// SearchL knob (or the per-call SearchWithPool) trades time for recall.
+// SearchL knob (or the per-call SearchParams.L of SearchWith) trades time
+// for recall.
 //
 // Indexes are persisted with Save, in one format whatever their shard
 // count, with their vectors, build options and metadata store, so a
@@ -28,9 +29,10 @@
 // draw their scratch
 // state — candidate pool, epoch-stamped visited array, result buffer — from
 // a reused SearchContext instead of allocating per query. The simple API
-// (Search, SearchWithPool, SearchBatch) manages contexts transparently
+// (Search, SearchWith, SearchBatch) manages contexts transparently
 // through an internal sync.Pool, so on the steady state a query allocates
-// nothing beyond the returned id/distance slices.
+// nothing beyond the returned id/distance slices, and SearchWith into
+// reused destination buffers nothing at all.
 //
 // The concurrency contract is: the index may be queried from any number of
 // goroutines concurrently; each context is owned by one goroutine at a time
@@ -51,15 +53,16 @@
 //
 // # Sharded serving
 //
-// BuildSharded scales the same Index out the way the paper's largest
+// Options.Shards scales the same Index out the way the paper's largest
 // deployments do (DEEP100M's 16 parallel subset NSGs, Taobao's 12/32
 // partitions): the base set is partitioned, one NSG is built per shard in
 // parallel, and every query fans out across a pool of persistent shard
-// workers with results merged by distance. Build's index is its one-shard
+// workers with results merged by distance. One shard is its simplest
 // case: one type and one implementation serve both (ShardedIndex is an
 // alias of Index). The search path keeps the zero-allocation steady
 // state, and cmd/nsgserve wraps it in an HTTP server. See Index and
-// EXPERIMENTS.md's "sharded" experiment.
+// EXPERIMENTS.md's "sharded" experiment. Options.Metric serves cosine
+// and inner-product search from the same Euclidean graph (see Metric).
 package nsg
 
 import (
@@ -71,6 +74,7 @@ import (
 	"time"
 
 	"repro/internal/mstore"
+	"repro/internal/vecmath"
 )
 
 // QuantMode selects the compressed serving path an index traverses with.
@@ -100,22 +104,12 @@ func (m QuantMode) String() string {
 	return fmt.Sprintf("QuantMode(%d)", int(m))
 }
 
-// check rejects a mode other than QuantNone and QuantSQ8. Every builder
-// calls it first, so an unknown value is an error rather than a silent
-// choice of one path.
+// check rejects a mode other than QuantNone and QuantSQ8.
 func (m QuantMode) check() error {
 	if m != QuantNone && m != QuantSQ8 {
 		return fmt.Errorf("nsg: unknown Quantize mode %d (want QuantNone or QuantSQ8)", int(m))
 	}
 	return nil
-}
-
-// quantModeOf is the mode of an index that is, or is not, quantized.
-func quantModeOf(quantized bool) QuantMode {
-	if quantized {
-		return QuantSQ8
-	}
-	return QuantNone
 }
 
 // Options controls index construction and default search behaviour.
@@ -138,18 +132,21 @@ type Options struct {
 	// ExactKNN switches the intermediate kNN graph to the exact O(n²)
 	// builder. Slower but deterministic; useful below ~5k points.
 	ExactKNN bool
-	// Quantize selects the compressed serving path: QuantNone (the zero
-	// value) serves full float32 vectors; QuantSQ8 compresses the vectors,
-	// after the BFS relayout every build ends with, to one code byte per
-	// dimension, cutting the bytes gathered per search hop ~4x. Any other
-	// value makes the builders return an error.
-	// Quantized searches expand over the codes and rerank the final
-	// candidate pool with exact float32 distances, so returned distances
-	// are always exact; the approximation costs a small amount of recall
-	// at equal SearchL (see the README's "Quantized search" section).
+	// Quantize selects the compressed serving path (see QuantMode):
+	// QuantNone, the zero value, or QuantSQ8, which encodes the relaid rows
+	// to one code byte per dimension. Any other value makes the builders
+	// return an error.
 	Quantize QuantMode
 	// Seed makes randomized steps reproducible.
 	Seed int64
+	// Shards is the number of partitions r, one NSG each (0 or 1: one).
+	// The paper uses r = 16 (DEEP100M) and 12/32 (Taobao); at library
+	// scale a few per core is the useful range. Shard s is seeded Seed + s.
+	Shards int
+	// Metric is the similarity searches rank by: L2 (the zero value),
+	// Cosine or InnerProduct (see Metric). Any other value makes the
+	// builders return an error.
+	Metric Metric
 }
 
 // DefaultOptions returns settings that work well from a few thousand up to
@@ -174,14 +171,14 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// Index is a built NSG index over a copy of the caller's vectors: r
-// independent NSGs over a random partition of the base set (r = 1 for Build
-// and BuildFromFlat), every query fanned out to all of them with results
-// merged by distance. This is how the paper serves its largest workloads —
-// DEEP100M as 16 subset NSGs searched simultaneously (Figure 7) and the
-// Taobao production deployment's 12- and 32-partition distributed search
-// (Table 5) — with goroutines standing in for the paper's machines, and a
-// single NSG is its one-shard case.
+// Index is a built NSG index over a copy of the caller's vectors: r =
+// Options.Shards independent NSGs over a random partition of the base set,
+// every query fanned out to all of them with results merged by distance.
+// This is how the paper serves its largest workloads — DEEP100M as 16
+// subset NSGs searched simultaneously (Figure 7) and the Taobao production
+// deployment's 12- and 32-partition distributed search (Table 5) — with
+// goroutines standing in for the paper's machines, and a single NSG is its
+// one-shard case.
 //
 // Sharding trades a little per-query work (every shard is searched) for
 // three things: build time (r small NSGs build faster than one big one, in
@@ -194,20 +191,21 @@ func (o *Options) fillDefaults() {
 // search runs one shard itself, and on more than one shard a pool of
 // persistent shard-worker goroutines, one warm SearchContext per worker,
 // takes the others, so a steady-state Search allocates nothing beyond the
-// two returned result slices. Call Close when discarding an index before
-// process exit so those workers and the shard maintainers are released.
+// two returned result slices, and SearchWith into reused buffers nothing
+// at all. Call Close when discarding an index before process exit so
+// those workers and the shard maintainers are released.
 type Index struct {
 	s    *sharded // the shards and everything that serves them; Compact swaps it
-	opts Options  // per shard: builds, inserts and default searches
+	opts Options  // builds, inserts, default searches and the metric
 	// metaMu serializes AddWithMetadata's id assignment with its row write.
 	metaMu sync.Mutex
-	// bufs recycles merge destination buffers, so a steady-state search
-	// allocates nothing beyond the two slices it returns.
+	// bufs recycles merge destination and query buffers, so a
+	// steady-state search allocates nothing beyond the slices it returns.
 	bufs sync.Pool
 }
 
-// ShardedIndex is the name Index had when it was built by BuildSharded;
-// see Index.
+// ShardedIndex is the name Index had when a sharded index was a type of
+// its own; see Index.
 type ShardedIndex = Index
 
 // BuildStats reports where construction time went, phase by phase: the
@@ -232,23 +230,52 @@ type BuildStats struct {
 	RepairOverCap int
 }
 
-// ErrNonFinite is returned by Build, BuildFromFlat, the sharded builders
-// and every Add when a vector has a NaN or infinite coordinate: distances to
+// ErrNonFinite is returned by the builders and every Add when a vector has a NaN or infinite coordinate: distances to
 // it would be NaN or +Inf, which no nearest-neighbor order can hold. A
 // search for such a query answers empty, like one with k <= 0.
 var ErrNonFinite = errors.New("nsg: vector has a NaN or infinite coordinate")
 
-// Build indexes the given vectors as one NSG. All vectors must share one
-// dimension and there must be at least two of them.
+// Build indexes the given vectors: one NSG, or opts.Shards of them over a
+// random near-equal partition (the paper partitions "randomly and
+// evenly"), built in parallel. All vectors must share one dimension and
+// there must be at least two of them.
 func Build(vectors [][]float32, opts Options) (*Index, error) {
-	return BuildSharded(vectors, ShardedOptions{Shards: 1, Shard: opts})
+	if len(vectors) < 2 {
+		return nil, fmt.Errorf("nsg: need at least 2 vectors, have %d", len(vectors))
+	}
+	return build(vecmath.MatrixFromSlices(vectors), opts)
 }
 
-// BuildFromFlat indexes row-major flat data without per-row slices: data
-// holds n*dim values. The index copies the rows and keeps no reference to
-// data; ids are the caller's row numbers, and Vector(id) returns row id.
+// BuildFromFlat is Build over row-major flat data without per-row slices:
+// data holds n*dim values. The index copies the rows and keeps no
+// reference to data; ids are the caller's row numbers, and Vector(id)
+// returns row id.
 func BuildFromFlat(data []float32, dim int, opts Options) (*Index, error) {
-	return BuildShardedFromFlat(data, dim, ShardedOptions{Shards: 1, Shard: opts})
+	if dim <= 0 || len(data)%dim != 0 {
+		return nil, fmt.Errorf("nsg: data length %d not a multiple of dim %d", len(data), dim)
+	}
+	n := len(data) / dim
+	if n < 2 {
+		return nil, fmt.Errorf("nsg: need at least 2 vectors, have %d", n)
+	}
+	return build(vecmath.Matrix{Data: data, Rows: n, Dim: dim}, opts)
+}
+
+// build checks and completes the options every builder takes, maps base
+// into the metric's space, then runs buildShards, the one build pipeline.
+func build(base vecmath.Matrix, opts Options) (*Index, error) {
+	if err := errors.Join(opts.Quantize.check(), opts.Metric.check()); err != nil {
+		return nil, err
+	}
+	if !vecmath.Finite(base.Data) {
+		return nil, ErrNonFinite
+	}
+	opts.fillDefaults()
+	s, err := buildShards(opts.Metric.indexSpace(base), opts, max(opts.Shards, 1))
+	if err != nil {
+		return nil, fmt.Errorf("nsg: build: %w", err)
+	}
+	return newIndex(s, opts), nil
 }
 
 // Stats describes the built graphs.
@@ -295,39 +322,30 @@ var ErrUncompactedDeletes = errors.New("nsg: index has deleted points no file ca
 // checksummed tables, then the metadata store when one is attached.
 // Load and OpenMapped serve it in place without decoding. Stop issuing
 // Adds and Deletes first: Save flushes the delta so the file captures
-// every point; concurrent searches are fine. A
-// mapped index writes the bytes the index it was mapped from would, and may
-// save over its own file: the rename leaves the mapped file intact, so the
-// index keeps answering from it until Close. An index with deleted points
-// returns ErrUncompactedDeletes and writes nothing (Compact first).
+// every point, and pads the metadata store with missing rows for points
+// added without one (plain Add); concurrent searches are fine. A mapped
+// index writes the bytes the index it was mapped from would, and may save
+// over its own file: the rename leaves the mapped file intact, so the
+// index keeps answering from it until Close.
 func (x *Index) Save(path string) error {
-	if err := x.prepareSave(); err != nil {
-		return err
-	}
-	return mstore.WriteFileAtomic(path, func(w io.Writer) error { return x.write(w) })
-}
-
-// prepareSave is what Save does first: refuse tombstones, flush
-// the delta, and pad the metadata store with missing rows for points added
-// without one (plain Add), so it covers every row.
-func (x *Index) prepareSave() error {
 	if x.DeletedCount() > 0 {
 		return ErrUncompactedDeletes
 	}
 	x.Flush()
-	x.metaMu.Lock()
+	x.metaMu.Lock() // no AddWithMetadata between the padding and the write
 	defer x.metaMu.Unlock()
 	if m := x.s.meta; m != nil && m.Rows() < x.Len() {
 		if err := m.SetRow(x.Len()-1, nil); err != nil {
 			return fmt.Errorf("nsg: pad metadata: %w", err)
 		}
 	}
-	return nil
+	return mstore.WriteFileAtomic(path, func(w io.Writer) error { return x.write(w) })
 }
 
 // Load reopens an index written by Save — by any index, of any shard count
-// — restoring the options it was built with, so Add, Compact and default
-// searches behave as on the original index, and its metadata store. It is
+// — restoring the options it was built with (its metric among them), so
+// Add, Compact and default searches behave as on the original index, and
+// its metadata store. It is
 // OpenMapped with the default MapOptions: the checksums are verified (a
 // damaged file fails with an error IsCorrupt recognises), and the index
 // serves the file in place until Close. A file in a layout older builds

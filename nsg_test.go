@@ -11,6 +11,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/vecmath"
 )
 
 func randomVectors(n, dim int, seed int64) [][]float32 {
@@ -174,26 +176,43 @@ var reopeners = []struct {
 }
 
 // TestSaveLoadRoundTrip: Load(Save(x)) and a NoVerify
-// OpenMapped(Save(x)), for {1, 3 shards} x {float32, SQ8} x {no metadata,
-// metadata}, answer as x does — ids, distance bits, hops and evaluations
-// (a NoVerify SQ8 open's rerank may evaluate more), plain and filtered —
-// and take every mutation: live updates, Add, Delete (Save refuses while it is
-// pending, and writes nothing) and Compact, and a second Save that loads
-// again. None of them changes the file they were opened from.
+// OpenMapped(Save(x)), for {L2, Cosine, InnerProduct} x {1, 3 shards} x
+// {float32, SQ8} x {no metadata, metadata}, answer as x does — ids,
+// distance bits, hops and evaluations (a NoVerify SQ8 open's rerank may
+// evaluate more), plain and filtered — and take every mutation: live
+// updates, Add, Delete (Save refuses while it is pending, and writes
+// nothing) and Compact, and a second Save that loads again. None of them
+// changes the file they were opened from.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ds := shardedTestData(t, 600, 10)
 	dir := t.TempDir()
-	for _, shards := range []int{1, 3} {
+	// The row Add inserts: a query, which is its own nearest neighbor under
+	// L2 and Cosine; under InnerProduct the query scaled onto the radius
+	// (the longest base row), which no other row's dot product can beat.
+	added := map[Metric][]float32{L2: ds.Queries.Row(0), Cosine: ds.Queries.Row(0)}
+	var radius float32
+	for i := range ds.Base.Rows {
+		radius = max(radius, vecmath.Norm(ds.Base.Row(i)))
+	}
+	added[InnerProduct] = slices.Clone(ds.Queries.Row(0))
+	for j, s := 0, radius/vecmath.Norm(ds.Queries.Row(0)); j < ds.Base.Dim; j++ {
+		added[InnerProduct][j] *= s
+	}
+	for _, cfg := range []struct {
+		metric Metric
+		shards int
+	}{{L2, 1}, {L2, 3}, {Cosine, 1}, {Cosine, 3}, {InnerProduct, 1}, {InnerProduct, 3}} {
+		shards, metric := cfg.shards, cfg.metric
 		for _, q := range []QuantMode{QuantNone, QuantSQ8} {
 			opts := DefaultShardedOptions(shards)
-			opts.Shard.ExactKNN, opts.Shard.Seed, opts.Shard.Quantize = true, 3, q
+			opts.Shard.ExactKNN, opts.Shard.Seed, opts.Shard.Quantize, opts.Shard.Metric = true, 3, q, metric
 			x, err := BuildShardedFromFlat(append([]float32(nil), ds.Base.Data...), ds.Base.Dim, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer x.Close()
 			for _, md := range []string{"plain", "meta"} {
-				name := fmt.Sprintf("%d/%s/%s", shards, q, md)
+				name := fmt.Sprintf("%v/%d/%s/%s", metric, shards, q, md)
 				var f *Filter
 				if md == "meta" {
 					if err := x.SetMetadata(parityMetadata(x.Len())); err != nil {
@@ -244,8 +263,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 						if f == nil {
 							continue
 						}
-						aIDs, aD, aSt = x.SearchFilteredWithStats(qv, 10, 60, f)
-						bIDs, bD, bSt = got.SearchFilteredWithStats(qv, 10, 60, fg)
+						aIDs, aD, aSt = filteredStats(x, qv, 10, 60, f)
+						bIDs, bD, bSt = filteredStats(got, qv, 10, 60, fg)
 						if searchSig(aIDs, aD) != searchSig(bIDs, bD) || !sameWork(aSt, bSt) {
 							t.Fatalf("%s: filtered query %d answers %s %+v, want %s %+v", name, qi, searchSig(bIDs, bD), bSt, searchSig(aIDs, aD), aSt)
 						}
@@ -253,13 +272,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 					if err := got.EnableLiveUpdates(LiveOptions{}); err != nil {
 						t.Fatalf("%s: EnableLiveUpdates: %v", name, err)
 					}
-					id, err := got.Add(ds.Queries.Row(0))
+					id, err := got.Add(added[metric])
 					if err != nil {
 						t.Fatalf("%s: Add: %v", name, err)
 					}
 					got.Flush()
 					if ids, _ := got.SearchWithPool(ds.Queries.Row(0), 1, 60); len(ids) != 1 || ids[0] != id {
-						t.Fatalf("%s: the added row %d is not its own nearest neighbor: %v", name, id, ids)
+						t.Fatalf("%s: the added row %d is not the query's best match: %v", name, id, ids)
 					}
 					if err := got.Delete(5); err != nil {
 						t.Fatalf("%s: Delete: %v", name, err)
@@ -415,7 +434,7 @@ func TestOptionsDefaultsFilled(t *testing.T) {
 // TestEveryIndexIsRelaid: every build path ends in the BFS relayout —
 // Build and BuildFromFlat, float and SQ8, and the output of Compact — so
 // each index's navigating node, the BFS root, is internal row 0, and
-// Vector(id) still returns the caller's row id. For BuildSharded this
+// Vector(id) still returns the caller's row id. For a sharded build this
 // checks Vector(id); TestEveryShardIsRelaid checks each shard.
 func TestEveryIndexIsRelaid(t *testing.T) {
 	const n, dim = 600, 12
@@ -478,10 +497,10 @@ func TestEveryIndexIsRelaid(t *testing.T) {
 				checkRows(t, idx.Vector, want)
 			})
 		}
-		t.Run(quant.String()+"/BuildSharded", func(t *testing.T) {
-			so := DefaultShardedOptions(3)
-			so.Shard = opts
-			idx, err := BuildSharded(vecs, so)
+		t.Run(quant.String()+"/Shards", func(t *testing.T) {
+			so := opts
+			so.Shards = 3
+			idx, err := Build(vecs, so)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -514,9 +533,9 @@ func TestVectorOutOfRange(t *testing.T) {
 	if idx.MaintenanceStats().Pending == 0 {
 		t.Fatal("no rows pending: the delta path is not exercised")
 	}
-	so := DefaultShardedOptions(2)
-	so.Shard = opts
-	sharded, err := BuildSharded(vecs, so)
+	so := opts
+	so.Shards = 2
+	sharded, err := Build(vecs, so)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,8 +211,8 @@ func (p oneShardPair) check(t *testing.T, step string, ds dataset.Dataset) {
 		}
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
 			q := ds.Queries.Row(qi)
-			idsA, distsA, stA := p.idx.SearchFilteredWithStats(q, 10, 60, fa)
-			idsB, distsB, stB := p.sh.SearchFilteredWithStats(q, 10, 60, fb)
+			idsA, distsA, stA := filteredStats(p.idx, q, 10, 60, fa)
+			idsB, distsB, stB := filteredStats(p.sh, q, 10, 60, fb)
 			if len(idsA) == 0 || !slices.Equal(idsA, idsB) || stA != stB || !sameBits(distsA, distsB) {
 				t.Fatalf("%s %s query %d: Index answers %v %v %+v, the one-shard ShardedIndex %v %v %+v",
 					step, c.name, qi, idsA, distsA, stA, idsB, distsB, stB)

@@ -43,19 +43,6 @@ func oracleTopK(rows [][]float32, q []float32, k int, live func(id int32) bool) 
 	return out
 }
 
-// oracleIndex is the surface TestTombstoneOracle drives: what Index and
-// ShardedIndex share, plus Save.
-type oracleIndex interface {
-	Add(vec []float32) (int32, error)
-	AddWithMetadata(vec []float32, row map[string]any) (int32, error)
-	Delete(id int32) error
-	Flush()
-	Compact() ([]int32, error)
-	CompileFilter(p Predicate) (*Filter, error)
-	SearchFilteredWithStats(q []float32, k, l int, f *Filter) ([]int32, []float32, SearchStats)
-	Save(path string) error
-}
-
 // TestTombstoneOracle interleaves Add, Delete, Compact, filter compiles,
 // Save and Search from one seeded script over every serving shape — Index
 // heap, relaid SQ8, live with a pending delta, mapped, filtered, and
@@ -88,7 +75,7 @@ func TestTombstoneOracle(t *testing.T) {
 	}
 	// pending holds every Add in the delta until a Flush or Compact.
 	pending := LiveOptions{MaxPending: 1 << 20, PublishInterval: time.Hour}
-	sharded := func(t *testing.T, shards int) oracleIndex {
+	sharded := func(t *testing.T, shards int) *Index {
 		t.Helper()
 		idx, err := BuildShardedFromFlat(ds.Base.Data[:n0*dim], dim, ShardedOptions{Shards: shards, Shard: opts})
 		if err != nil {
@@ -105,21 +92,21 @@ func TestTombstoneOracle(t *testing.T) {
 
 	for _, c := range []struct {
 		name    string
-		open    func(t *testing.T) oracleIndex
+		open    func(t *testing.T) *Index
 		mutable bool                // the shape accepts Add and Compact
 		holds   bool                // Adds stay pending until Flush or Compact
 		pass    func(id int32) bool // the predicate's truth on the first n0 rows, nil = unfiltered
 	}{
-		{"heap-float32", func(t *testing.T) oracleIndex { return build(t, QuantNone) }, true, false, nil},
-		{"heap-sq8-relaid", func(t *testing.T) oracleIndex { return build(t, QuantSQ8) }, true, false, nil},
-		{"live-pending-delta", func(t *testing.T) oracleIndex {
+		{"heap-float32", func(t *testing.T) *Index { return build(t, QuantNone) }, true, false, nil},
+		{"heap-sq8-relaid", func(t *testing.T) *Index { return build(t, QuantSQ8) }, true, false, nil},
+		{"live-pending-delta", func(t *testing.T) *Index {
 			idx := build(t, QuantNone)
 			if err := idx.EnableLiveUpdates(pending); err != nil {
 				t.Fatal(err)
 			}
 			return idx
 		}, true, true, nil},
-		{"mapped", func(t *testing.T) oracleIndex {
+		{"mapped", func(t *testing.T) *Index {
 			path := filepath.Join(t.TempDir(), "idx.nsgm")
 			if err := build(t, QuantNone).SaveMapped(path); err != nil {
 				t.Fatal(err)
@@ -131,13 +118,13 @@ func TestTombstoneOracle(t *testing.T) {
 			t.Cleanup(idx.Close)
 			return idx
 		}, false, false, nil},
-		{"filter-and-tombstones", func(t *testing.T) oracleIndex {
+		{"filter-and-tombstones", func(t *testing.T) *Index {
 			idx := build(t, QuantNone)
 			attachTestMetadata(t, idx.SetMetadata, n0)
 			return idx
 		}, true, false, even},
-		{"sharded-1", func(t *testing.T) oracleIndex { return sharded(t, 1) }, true, true, even},
-		{"sharded-3", func(t *testing.T) oracleIndex { return sharded(t, 3) }, true, true, even},
+		{"sharded-1", func(t *testing.T) *Index { return sharded(t, 1) }, true, true, even},
+		{"sharded-3", func(t *testing.T) *Index { return sharded(t, 3) }, true, true, even},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			idx := c.open(t)
@@ -168,7 +155,7 @@ func TestTombstoneOracle(t *testing.T) {
 
 			var cleanEvals uint64
 			for qi := 0; qi < ds.Queries.Rows; qi++ {
-				_, _, st := idx.SearchFilteredWithStats(ds.Queries.Row(qi), k, l, flt)
+				_, _, st := filteredStats(idx, ds.Queries.Row(qi), k, l, flt)
 				cleanEvals += st.DistanceComputations
 			}
 			cleanMean := float64(cleanEvals) / float64(ds.Queries.Rows)
@@ -260,7 +247,7 @@ func TestTombstoneOracle(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						q = rows[recent()] // its row answers at distance 0 unless deleted or filtered out
 					}
-					ids, dists, st := idx.SearchFilteredWithStats(q, k, l, flt)
+					ids, dists, st := filteredStats(idx, q, k, l, flt)
 					want := oracleTopK(rows, q, k, live)
 					if len(ids) != len(want) {
 						t.Fatalf("op %d: %d results, want min(k, live) = %d", op, len(ids), len(want))

@@ -367,11 +367,13 @@ func TestBuildRejectsUnknownQuantMode(t *testing.T) {
 		opts.Quantize = mode
 		sopts := DefaultShardedOptions(2)
 		sopts.Shard.Quantize = mode
+		cosine, sharded := opts, opts
+		cosine.Metric, sharded.Shards = Cosine, 2
 		for name, build := range map[string]func() error{
 			"Build":         func() error { _, err := Build(vecs, opts); return err },
 			"BuildFromFlat": func() error { _, err := BuildFromFlat(flat(), 4, opts); return err },
-			"BuildMetric":   func() error { _, err := BuildMetric(vecs, Cosine, opts); return err },
-			"BuildSharded":  func() error { _, err := BuildSharded(vecs, sopts); return err },
+			"Build/Cosine":  func() error { _, err := Build(vecs, cosine); return err },
+			"Build/Shards":  func() error { _, err := Build(vecs, sharded); return err },
 			"BuildShardedFromFlat": func() error {
 				_, err := BuildShardedFromFlat(flat(), 4, sopts)
 				return err

@@ -15,63 +15,23 @@ import (
 	"repro/internal/vecmath/quant"
 )
 
-// ShardedOptions configures BuildSharded.
+// ShardedOptions is the option type of BuildShardedFromFlat: Options with
+// the shard count beside it instead of in Options.Shards.
 type ShardedOptions struct {
-	// Shards is the number of partitions r. The paper's deployments use
-	// r = 16 (DEEP100M) and r = 12/32 (Taobao); at library scale, a few
-	// shards per available core is the useful range.
-	Shards int
-	// Shard holds the per-shard construction and search options; shard s
-	// derives its seed from Shard.Seed + s, so builds are reproducible.
-	Shard Options
+	Shards int     // Options.Shards
+	Shard  Options // every other option
 }
 
-// DefaultShardedOptions returns settings that work at test-to-laptop scale
-// for the given shard count.
+// DefaultShardedOptions returns DefaultOptions with the given shard count.
 func DefaultShardedOptions(shards int) ShardedOptions {
 	return ShardedOptions{Shards: shards, Shard: DefaultOptions()}
 }
 
-// BuildSharded partitions vectors into opts.Shards random near-equal
-// subsets (the paper partitions "randomly and evenly") and builds one NSG
-// per shard, in parallel.
-func BuildSharded(vectors [][]float32, opts ShardedOptions) (*Index, error) {
-	if len(vectors) < 2 {
-		return nil, fmt.Errorf("nsg: need at least 2 vectors, have %d", len(vectors))
-	}
-	return buildShardedFromMatrix(vecmath.MatrixFromSlices(vectors), opts)
-}
-
-// BuildShardedFromFlat is BuildSharded over row-major flat data: data holds
-// n*dim values. The index copies the rows into its shards and keeps no
-// reference to data.
+// BuildShardedFromFlat is BuildFromFlat with opts.Shard's Shards set to
+// opts.Shards.
 func BuildShardedFromFlat(data []float32, dim int, opts ShardedOptions) (*Index, error) {
-	if dim <= 0 || len(data)%dim != 0 {
-		return nil, fmt.Errorf("nsg: data length %d not a multiple of dim %d", len(data), dim)
-	}
-	n := len(data) / dim
-	if n < 2 {
-		return nil, fmt.Errorf("nsg: need at least 2 vectors, have %d", n)
-	}
-	return buildShardedFromMatrix(vecmath.Matrix{Data: data, Rows: n, Dim: dim}, opts)
-}
-
-// buildShardedFromMatrix checks and completes the options every builder
-// takes, then runs buildShards, the one build pipeline.
-func buildShardedFromMatrix(base vecmath.Matrix, opts ShardedOptions) (*Index, error) {
-	shard := opts.Shard
-	if err := shard.Quantize.check(); err != nil {
-		return nil, err
-	}
-	if !vecmath.Finite(base.Data) {
-		return nil, ErrNonFinite
-	}
-	shard.fillDefaults()
-	s, err := buildShards(base, shard, max(opts.Shards, 1))
-	if err != nil {
-		return nil, fmt.Errorf("nsg: build: %w", err)
-	}
-	return newIndex(s, shard), nil
+	opts.Shard.Shards = opts.Shards
+	return BuildFromFlat(data, dim, opts.Shard)
 }
 
 // add accumulates one shard's build: its kNN graph time and Algorithm 2's.

@@ -63,3 +63,48 @@ func TestSearchAppendReusesBuffer(t *testing.T) {
 		t.Fatalf("search allocated %.2f times per query, want ~0", allocs)
 	}
 }
+
+// TestSearchWithZeroAlloc: a steady-state SearchWith into the caller's
+// buffers, with work accounting, allocates nothing — on one and four
+// shards, unfiltered and filtered, under every metric (whose query
+// mapping and rescoring draw on the pooled scratch).
+func TestSearchWithZeroAlloc(t *testing.T) {
+	ds := shardedTestData(t, 1000, 8)
+	for _, m := range []Metric{L2, Cosine, InnerProduct} {
+		for _, shards := range []int{1, 4} {
+			opts := withShards(shards)
+			opts.Metric = m
+			x, err := BuildFromFlat(ds.Base.Data, ds.Base.Dim, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer x.Close()
+			if err := x.SetMetadata(parityMetadata(x.Len())); err != nil {
+				t.Fatal(err)
+			}
+			f, err := x.CompileFilter(Eq("category", "c3"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, flt := range []*Filter{nil, f} {
+				var st SearchStats
+				p := SearchParams{L: 50, Filter: flt, Stats: &st, IDs: make([]int32, 0, 10), Dists: make([]float32, 0, 10)}
+				qi := 0
+				search := func() {
+					ids, dists := x.SearchWith(ds.Queries.Row(qi%ds.Queries.Rows), 10, p)
+					if len(ids) != 10 || len(dists) != 10 || st.DistanceComputations == 0 {
+						t.Fatalf("%v, %d shards, filter %v: %d results, %+v", m, shards, flt != nil, len(ids), st)
+					}
+					qi++
+				}
+				for range 16 { // warm every pooled path
+					search()
+				}
+				// A fractional budget covers rare sync.Pool refills after GC.
+				if allocs := testing.AllocsPerRun(200, search); allocs > 0.5 {
+					t.Errorf("%v, %d shards, filter %v: SearchWith allocated %.2f times per query, want 0", m, shards, flt != nil, allocs)
+				}
+			}
+		}
+	}
+}

@@ -20,6 +20,21 @@ func shardedTestData(t *testing.T, n, queries int) dataset.Dataset {
 	return ds
 }
 
+// withShards is DefaultOptions over r shards.
+func withShards(r int) Options {
+	o := DefaultOptions()
+	o.Shards = r
+	return o
+}
+
+// filteredStats is SearchWith under filter f with work accounting, in the
+// three-result form the parity tests compare.
+func filteredStats(x *Index, q []float32, k, l int, f *Filter) ([]int32, []float32, SearchStats) {
+	var st SearchStats
+	ids, dists := x.SearchWith(q, k, SearchParams{L: l, Filter: f, Stats: &st})
+	return ids, dists, st
+}
+
 func buildShardedIndex(t *testing.T, ds dataset.Dataset, shards int) *ShardedIndex {
 	t.Helper()
 	opts := DefaultShardedOptions(shards)

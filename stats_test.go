@@ -81,8 +81,8 @@ func TestSearchWithStatsRespectsTombstones(t *testing.T) {
 				t.Fatalf("query %d returned tombstoned id %d", qi, id)
 			}
 		}
-		if _, _, again := idx.SearchFilteredWithStats(q, k, l, nil); st != again {
-			t.Fatalf("query %d: stats %+v, the unfiltered SearchFilteredWithStats reports %+v", qi, st, again)
+		if _, _, again := filteredStats(idx, q, k, l, nil); st != again {
+			t.Fatalf("query %d: stats %+v, SearchWith with a nil filter reports %+v", qi, st, again)
 		}
 		if b := before[qi]; 2*st.Hops > 3*b.Hops || 2*st.DistanceComputations > 3*b.DistanceComputations {
 			t.Errorf("query %d: %+v with 1%% of the rows deleted, %+v before: more than 1.5x", qi, st, b)
