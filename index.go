@@ -139,7 +139,7 @@ func (s *sharded) start(ids [][]int32, rows int) error {
 		// slice: growth moves the rows, and a slice would keep the old
 		// array (a whole base copy) alive, or point into a mapping.
 		s.navVec[sh] = slices.Clone(idx.Base.Row(int(idx.Navigating)))
-		s.handles[sh] = live.New(idx, ids[sh], nil, live.Options{})
+		s.handles[sh] = live.New(idx, ids[sh], live.Options{})
 	}
 	s.n.Store(int64(rows))
 	if len(s.shards) > 1 {

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/vecmath"
 )
 
@@ -34,15 +33,16 @@ type Method struct {
 }
 
 // SweepPoint is one point on a recall/QPS curve: one cell measured by
-// measure. The averages are per query.
+// measure. The averages are per query, and the JSON names are those of the
+// BENCH_*.json records that embed a point.
 type SweepPoint struct {
-	Effort     int
-	Recall     float64
-	QPS        float64
-	DistComps  float64 // distance computations
-	AvgTimeMS  float64
-	Hops       float64 // Algorithm 1 expansions (searchers that report them)
-	AllocsPerQ float64 // heap allocations in the counted pass
+	Effort     int     `json:"effort"`               // the method's effort (search pool L for an NSG)
+	Recall     float64 `json:"recall"`               // mean recall@k against the exact answer
+	QPS        float64 `json:"qps"`                  // single-client queries/second
+	MsPerQ     float64 `json:"ms_per_query"`         // mean single-query response time
+	Hops       float64 `json:"hops"`                 // Algorithm 1 expansions (searchers that report them)
+	DistComps  float64 `json:"dist_comps,omitempty"` // distance computations (0, and left out, where the search counts none)
+	AllocsPerQ float64 `json:"allocs_per_q"`         // heap allocations in the counted pass
 }
 
 // RecallSweep runs the method over all its effort values on the query set,
@@ -51,11 +51,9 @@ type SweepPoint struct {
 func RecallSweep(m Method, queries vecmath.Matrix, gt [][]int32, k int) []SweepPoint {
 	points := make([]SweepPoint, 0, len(m.Efforts))
 	for _, effort := range m.Efforts {
-		ids, pt := measure(queries.Rows, k, func(qi int, c *vecmath.Counter) core.SearchResult {
+		points = append(points, measure(gt, k, effort, func(qi int, c *vecmath.Counter) core.SearchResult {
 			return core.SearchResult{Neighbors: m.Search(queries.Row(qi), k, effort, c)}
-		})
-		pt.Effort, pt.Recall = effort, dataset.MeanRecall(ids, gt, k)
-		points = append(points, pt)
+		}))
 	}
 	return points
 }
@@ -77,6 +75,37 @@ func AtRecall(points []SweepPoint, target float64, metric func(SweepPoint) float
 		}
 	}
 	return 0, false
+}
+
+// firstReaching returns the first of n points, in order, whose recall
+// reaches target, or ok=false: the matched-recall cell. point(i) looks the
+// i-th point up, or measures it, so a sweep can stop at the first that
+// reaches.
+func firstReaching(n int, target float64, point func(i int) SweepPoint) (pt SweepPoint, ok bool) {
+	for i := range n {
+		if pt = point(i); pt.Recall >= target {
+			return pt, true
+		}
+	}
+	return SweepPoint{}, false
+}
+
+// series collects the points of one scaling table for a power-law fit.
+type series struct{ xs, ys []float64 }
+
+// add prints one row of the table and adds (x, y) to the fit.
+func (s *series) add(w io.Writer, x, y float64, row string, cells ...any) {
+	fmt.Fprintf(w, row, cells...)
+	s.xs, s.ys = append(s.xs, x), append(s.ys, y)
+}
+
+// print prints the fitted exponent, "fitted: <law>^b (R²=...); <claim>",
+// once the table has two points.
+func (s *series) print(w io.Writer, law, claim string) {
+	if len(s.xs) >= 2 {
+		exp, r2 := FitPowerLaw(s.xs, s.ys)
+		fmt.Fprintf(w, "fitted: %s^%.3f (R²=%.3f); %s\n", law, exp, r2, claim)
+	}
 }
 
 // FitPowerLaw fits y = c·x^b by least squares in log-log space and returns
@@ -134,6 +163,16 @@ func FormatBytes(b int64) string {
 		return fmt.Sprintf("%.1fe3 MB", mb/1000)
 	}
 	return fmt.Sprintf("%.1f MB", mb)
+}
+
+// runRecord heads the BENCH_*.json record of a sweep: the corpus and the
+// query set it ran on.
+type runRecord struct {
+	Dataset string `json:"dataset"`
+	N       int    `json:"n"`
+	Dim     int    `json:"dim"`
+	Queries int    `json:"queries"`
+	K       int    `json:"k"`
 }
 
 // writeRecord writes v as indented JSON to name in the working directory,

@@ -237,6 +237,17 @@ func TestMiniExperimentsRun(t *testing.T) {
 	// Smoke-run the cheap experiments end to end at tiny scale; the
 	// expensive ones are exercised by cmd/bench and bench_test.go at the
 	// repo root.
+	// First, the pool sizes table5 and the scaling figures walk to reach a
+	// precision: ascending and each once, so no effort is measured twice and
+	// the first to reach the target is the smallest.
+	for k, want := range map[int][]int{
+		10:  {10, 20, 40, 80, 160, 320, 640},
+		100: {100, 160, 200, 320, 640},
+	} {
+		if got := nsgEfforts(k); !slices.Equal(got, want) {
+			t.Errorf("nsgEfforts(%d) = %v, want %v", k, got, want)
+		}
+	}
 	if testing.Short() {
 		t.Skip("short mode")
 	}

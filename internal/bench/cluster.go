@@ -48,11 +48,7 @@ type ClusterDegradedPhase struct {
 
 // ClusterResult is the serialized record of one -exp cluster run.
 type ClusterResult struct {
-	Dataset       string               `json:"dataset"`
-	N             int                  `json:"n"`
-	Dim           int                  `json:"dim"`
-	Queries       int                  `json:"queries"`
-	K             int                  `json:"k"`
+	runRecord
 	L             int                  `json:"l"`
 	Shards        int                  `json:"shards"`
 	Replicas      int                  `json:"replicas"`
@@ -228,9 +224,7 @@ func (lc *localCluster) stop() {
 	for si := range lc.procs {
 		for ri, p := range lc.procs[si] {
 			if p != nil {
-				p.Process.Kill()
-				p.Wait()
-				lc.procs[si][ri] = nil
+				lc.kill(si, ri)
 			}
 		}
 	}
@@ -255,8 +249,8 @@ func ClusterServing(w io.Writer, c ExpConfig) error {
 	k := 10
 	const shards, replicas = 3, 2
 	res := ClusterResult{
-		Dataset: ds.Name, N: ds.Base.Rows, Dim: ds.Base.Dim,
-		Queries: ds.Queries.Rows, K: k, L: clusterL, Shards: shards, Replicas: replicas,
+		runRecord: runRecord{Dataset: ds.Name, N: ds.Base.Rows, Dim: ds.Base.Dim, Queries: ds.Queries.Rows, K: k},
+		L:         clusterL, Shards: shards, Replicas: replicas,
 	}
 	fmt.Fprintf(w, "Cluster chaos (%d shards x %d replicas of nsgserve) on %s (n=%d, dim=%d, k=%d, L=%d)\n",
 		shards, replicas, ds.Name, n, ds.Base.Dim, k, clusterL)

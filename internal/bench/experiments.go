@@ -3,13 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
+	"maps"
 	"slices"
-	"sort"
-	"sync"
 
 	nsg "repro"
 	"repro/internal/dataset"
+	"repro/internal/graphutil"
 	"repro/internal/ivfpq"
 	"repro/internal/scan"
 	"repro/internal/vecmath"
@@ -115,9 +114,6 @@ func buildAllSuites(c ExpConfig, withExtra bool) (map[string]*Suite, error) {
 			return nil, err
 		}
 		p := spec.Suite
-		if p.KNNK == 0 {
-			p = DefaultSuiteParams()
-		}
 		p.Seed = c.Seed
 		p.WithExtra = withExtra
 		s, err := BuildSuite(ds, p)
@@ -129,10 +125,11 @@ func buildAllSuites(c ExpConfig, withExtra bool) (map[string]*Suite, error) {
 	return out, nil
 }
 
-// tableRows calls row for each row of Tables 2-4: the six main methods of
-// each built suite, in StandardDatasets order. NSG-Naive, the Section 4.1.2
-// ablation, appears only in Figure 6.
-func tableRows(suites map[string]*Suite, row func(dataset string, g GraphIndexInfo)) {
+// graphRows prints one row of Tables 2-4 per main method of each built
+// suite, in StandardDatasets order: the dataset, then the cells row gives
+// for the method, in format. NSG-Naive, the Section 4.1.2 ablation,
+// appears only in Figure 6.
+func graphRows(w io.Writer, suites map[string]*Suite, format string, row func(g GraphIndexInfo) []any) {
 	for _, spec := range StandardDatasets() {
 		s, ok := suites[spec.Name]
 		if !ok {
@@ -140,7 +137,7 @@ func tableRows(suites map[string]*Suite, row func(dataset string, g GraphIndexIn
 		}
 		for _, g := range s.Graph {
 			if g.Name != "NSG-Naive" {
-				row(spec.Name, g)
+				fmt.Fprintf(w, "%-10s "+format, append([]any{spec.Name}, row(g)...)...)
 			}
 		}
 	}
@@ -151,12 +148,12 @@ func tableRows(suites map[string]*Suite, row func(dataset string, g GraphIndexIn
 func Table2(w io.Writer, suites map[string]*Suite) {
 	fmt.Fprintln(w, "Table 2: graph-based index information")
 	fmt.Fprintf(w, "%-10s %-10s %12s %8s %6s %7s\n", "dataset", "algorithm", "memory", "AOD", "MOD", "NN(%)")
-	tableRows(suites, func(ds string, g GraphIndexInfo) {
+	graphRows(w, suites, "%-10s %12s %8.1f %6d %7.1f\n", func(g GraphIndexInfo) []any {
 		name := g.Name
 		if name == "HNSW" {
 			name = "HNSW0"
 		}
-		fmt.Fprintf(w, "%-10s %-10s %12s %8.1f %6d %7.1f\n", ds, name, FormatBytes(g.IndexBytes), g.AOD, g.MOD, g.NNPct)
+		return []any{name, FormatBytes(g.IndexBytes), g.AOD, g.MOD, g.NNPct}
 	})
 }
 
@@ -166,12 +163,12 @@ func Table2(w io.Writer, suites map[string]*Suite) {
 func Table3(w io.Writer, suites map[string]*Suite) {
 	fmt.Fprintln(w, "Table 3: graph indexing time")
 	fmt.Fprintf(w, "%-10s %-10s %16s\n", "dataset", "algorithm", "time")
-	tableRows(suites, func(ds string, g GraphIndexInfo) {
+	graphRows(w, suites, "%-10s %16s\n", func(g GraphIndexInfo) []any {
 		cell := fmt.Sprintf("%.1fs", g.BuildTime.Seconds())
 		if g.KNNTime > 0 {
 			cell = fmt.Sprintf("%.1fs+%s", g.KNNTime.Seconds(), cell)
 		}
-		fmt.Fprintf(w, "%-10s %-10s %16s\n", ds, g.Name, cell)
+		return []any{g.Name, cell}
 	})
 }
 
@@ -179,15 +176,13 @@ func Table3(w io.Writer, suites map[string]*Suite) {
 func Table4(w io.Writer, suites map[string]*Suite) {
 	fmt.Fprintln(w, "Table 4: strongly connected components per graph method")
 	fmt.Fprintf(w, "%-10s %-10s %6s\n", "dataset", "algorithm", "SCC")
-	tableRows(suites, func(ds string, g GraphIndexInfo) {
-		fmt.Fprintf(w, "%-10s %-10s %6d\n", ds, g.Name, g.SCC)
-	})
+	graphRows(w, suites, "%-10s %6d\n", func(g GraphIndexInfo) []any { return []any{g.Name, g.SCC} })
 }
 
 // Fig6 reproduces the headline search-performance figure: recall vs QPS
 // curves for every graph method (plus NSG-Naive and the serial-scan
 // reference) on the four datasets.
-func Fig6(w io.Writer, suites map[string]*Suite, k int) {
+func Fig6(w io.Writer, suites map[string]*Suite) {
 	fmt.Fprintln(w, "Figure 6: ANNS performance of graph-based algorithms (recall@10 vs QPS)")
 	for _, spec := range StandardDatasets() {
 		s, ok := suites[spec.Name]
@@ -203,7 +198,7 @@ func Fig6(w io.Writer, suites map[string]*Suite, k int) {
 		methods = append(methods, s.Method("Serial-Scan", []int{1}))
 		sweeps := make(map[string][]SweepPoint, len(methods))
 		for _, m := range methods {
-			points := RecallSweep(m, s.Data.Queries, s.Data.GT, k)
+			points := RecallSweep(m, s.Data.Queries, s.Data.GT, 10)
 			sweeps[m.Name] = points
 			for _, pt := range points {
 				fmt.Fprintf(w, "%-10s %8d %9.4f %9.0f %12.0f\n", m.Name, pt.Effort, pt.Recall, pt.QPS, pt.DistComps)
@@ -280,31 +275,15 @@ func Fig7(w io.Writer, c ExpConfig) error {
 // searchIVFPQParallel fans one query's probed cells across goroutines — the
 // inner-query parallelism Faiss provides on multi-core CPUs.
 func searchIVFPQParallel(pq *ivfpq.Index, q []float32, k, nprobe int) []vecmath.Neighbor {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nprobe {
-		workers = nprobe
-	}
-	if workers <= 1 {
-		return pq.Search(q, k, nprobe, 4*k, nil)
-	}
 	// Partition the probe budget: each worker probes a contiguous chunk of
 	// the cell ranking by searching with increasing nprobe and removing
 	// overlap at merge time via id dedupe.
+	workers := graphutil.ParallelWorkers(nprobe)
 	per := (nprobe + workers - 1) / workers
 	lists := make([][]vecmath.Neighbor, workers)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			hi := (wkr + 1) * per
-			if hi > nprobe {
-				hi = nprobe
-			}
-			lists[wkr] = pq.Search(q, k, hi, 4*k, nil)
-		}(wkr)
-	}
-	wg.Wait()
+	graphutil.ParallelFor(workers, func(wkr int) {
+		lists[wkr] = pq.Search(q, k, min((wkr+1)*per, nprobe), 4*k, nil)
+	})
 	return vecmath.MergeNeighborLists(k, lists...)
 }
 
@@ -312,7 +291,7 @@ func searchIVFPQParallel(pq *ivfpq.Index, q []float32, k, nprobe int) []vecmath.
 // randomized KD-trees vs IVFPQ, measured as distance evaluations per query
 // needed to reach each precision level, on the SIFT-like and GIST-like
 // datasets.
-func Fig8(w io.Writer, suites map[string]*Suite, k int) {
+func Fig8(w io.Writer, suites map[string]*Suite) {
 	fmt.Fprintln(w, "Figure 8: distance calculations vs precision (graph vs non-graph)")
 	for _, name := range []string{"SIFT1M", "GIST1M"} {
 		s, ok := suites[name]
@@ -330,7 +309,7 @@ func Fig8(w io.Writer, suites map[string]*Suite, k int) {
 		fmt.Fprintf(w, "%-10s %8s %9s %12s\n", "algorithm", "effort", "recall", "dist/query")
 		sweeps := make(map[string][]SweepPoint)
 		for _, m := range methods {
-			pts := RecallSweep(m, s.Data.Queries, s.Data.GT, k)
+			pts := RecallSweep(m, s.Data.Queries, s.Data.GT, 10)
 			sweeps[m.Name] = pts
 			for _, pt := range pts {
 				fmt.Fprintf(w, "%-10s %8d %9.4f %12.0f\n", m.Name, pt.Effort, pt.Recall, pt.DistComps)
@@ -361,21 +340,22 @@ func scalingSubsets(c ExpConfig) []int {
 	return slices.Compact(out)
 }
 
-// searchTimeAtPrecision walks efforts in order and returns the per-query
-// time (ms) at the first whose recall reaches target, or ok=false.
+// searchTimeAtPrecision measures efforts in order and returns the
+// per-query time (ms) at the first whose recall reaches target, or
+// ok=false.
 func searchTimeAtPrecision(search SearchFunc, efforts []int, ds dataset.Dataset, k int, target float64) (float64, bool) {
-	for _, effort := range efforts {
-		if pt := RecallSweep(Method{Search: search, Efforts: []int{effort}}, ds.Queries, ds.GT, k)[0]; pt.Recall >= target {
-			return pt.AvgTimeMS, true
-		}
-	}
-	return 0, false
+	pt, ok := firstReaching(len(efforts), target, func(i int) SweepPoint {
+		return RecallSweep(Method{Search: search, Efforts: efforts[i : i+1]}, ds.Queries, ds.GT, k)[0]
+	})
+	return pt.MsPerQ, ok
 }
 
 // nsgEfforts are the pool sizes searchTimeAtPrecision tries for a k-NN
-// search on an NSG, in order.
+// search on an NSG: ascending, each once, none below k.
 func nsgEfforts(k int) []int {
-	return slices.DeleteFunc([]int{k, 2 * k, 10, 20, 40, 80, 160, 320, 640}, func(l int) bool { return l < k })
+	efforts := []int{k, 2 * k, 10, 20, 40, 80, 160, 320, 640}
+	slices.Sort(efforts)
+	return slices.DeleteFunc(slices.Compact(efforts), func(l int) bool { return l < k })
 }
 
 // figScaling is the shared engine of Figures 9 and 10: search time vs N at
@@ -383,25 +363,19 @@ func nsgEfforts(k int) []int {
 func figScaling(w io.Writer, c ExpConfig, k int, target float64, title string) error {
 	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%10s %14s\n", "N", "ms/query")
-	var xs, ys []float64
+	var fit series
 	for _, n := range scalingSubsets(c) {
 		idx, ds, _, err := siftNSG(n, c)
 		if err != nil {
 			return err
 		}
-		ms, ok := searchTimeAtPrecision(nsgSearch(idx), nsgEfforts(k), ds, k, target)
-		if !ok {
+		if ms, ok := searchTimeAtPrecision(nsgSearch(idx), nsgEfforts(k), ds, k, target); ok {
+			fit.add(w, float64(n), ms, "%10d %14.4f\n", n, ms)
+		} else {
 			fmt.Fprintf(w, "%10d       (target precision unreachable)\n", n)
-			continue
 		}
-		fmt.Fprintf(w, "%10d %14.4f\n", n, ms)
-		xs = append(xs, float64(n))
-		ys = append(ys, ms)
 	}
-	if len(xs) >= 2 {
-		exp, r2 := FitPowerLaw(xs, ys)
-		fmt.Fprintf(w, "fitted: time ~ N^%.3f (R²=%.3f); paper reports near-logarithmic (exponent ≈ 1/d ≈ 0.1)\n", exp, r2)
-	}
+	fit.print(w, "time ~ N", "paper reports near-logarithmic (exponent ≈ 1/d ≈ 0.1)")
 	return nil
 }
 
@@ -432,25 +406,18 @@ func Fig11(w io.Writer, c ExpConfig) error {
 	search := nsgSearch(idx)
 	fmt.Fprintf(w, "Figure 11: K-NN search time vs K at 99%% precision (SIFT-like, n=%d)\n", n)
 	fmt.Fprintf(w, "%6s %14s\n", "K", "ms/query")
-	var xs, ys []float64
-	ks := []int{1, 2, 5, 10, 20, 50, 100}
-	for _, k := range ks {
+	var fit series
+	for _, k := range []int{1, 2, 5, 10, 20, 50, 100} {
 		if k > c.GTK {
 			break
 		}
-		ms, ok := searchTimeAtPrecision(search, nsgEfforts(k), ds, k, 0.99)
-		if !ok {
+		if ms, ok := searchTimeAtPrecision(search, nsgEfforts(k), ds, k, 0.99); ok {
+			fit.add(w, float64(k), ms, "%6d %14.4f\n", k, ms)
+		} else {
 			fmt.Fprintf(w, "%6d       (target precision unreachable)\n", k)
-			continue
 		}
-		fmt.Fprintf(w, "%6d %14.4f\n", k, ms)
-		xs = append(xs, float64(k))
-		ys = append(ys, ms)
 	}
-	if len(xs) >= 2 {
-		exp, r2 := FitPowerLaw(xs, ys)
-		fmt.Fprintf(w, "fitted: time ~ K^%.3f (R²=%.3f); paper reports ≈ K^0.46\n", exp, r2)
-	}
+	fit.print(w, "time ~ K", "paper reports ≈ K^0.46")
 	return nil
 }
 
@@ -461,21 +428,16 @@ func Fig11(w io.Writer, c ExpConfig) error {
 func Fig12(w io.Writer, c ExpConfig) error {
 	fmt.Fprintln(w, "Figure 12: NSG Algorithm-2 indexing time vs N (SIFT-like)")
 	fmt.Fprintf(w, "%10s %14s\n", "N", "seconds")
-	var xs, ys []float64
+	var fit series
 	for _, n := range scalingSubsets(c) {
 		_, _, st, err := siftNSG(n, c)
 		if err != nil {
 			return err
 		}
 		t2 := st.Phases.Total().Seconds()
-		fmt.Fprintf(w, "%10d %14.3f\n", n, t2)
-		xs = append(xs, float64(n))
-		ys = append(ys, t2)
+		fit.add(w, float64(n), t2, "%10d %14.3f\n", n, t2)
 	}
-	if len(xs) >= 2 {
-		exp, r2 := FitPowerLaw(xs, ys)
-		fmt.Fprintf(w, "fitted: time ~ N^%.3f (R²=%.3f); paper reports ≈ N^1.3\n", exp, r2)
-	}
+	fit.print(w, "time ~ N", "paper reports ≈ N^1.3")
 	return nil
 }
 
@@ -582,16 +544,10 @@ func RunAll(w io.Writer, c ExpConfig) error {
 	if err != nil {
 		return err
 	}
-	Table2(w, suites)
-	fmt.Fprintln(w)
-	Table3(w, suites)
-	fmt.Fprintln(w)
-	Table4(w, suites)
-	fmt.Fprintln(w)
-	Fig6(w, suites, 10)
-	fmt.Fprintln(w)
-	Fig8(w, suites, 10)
-	fmt.Fprintln(w)
+	for _, f := range []func(io.Writer, map[string]*Suite){Table2, Table3, Table4, Fig6, Fig8} {
+		f(w, suites)
+		fmt.Fprintln(w)
+	}
 	for _, exp := range []func(io.Writer, ExpConfig) error{Fig7, Fig9, Fig10, Fig11, Fig12} {
 		if err := exp(w, c); err != nil {
 			return err
@@ -620,9 +576,9 @@ func Experiments() map[string]func(io.Writer, ExpConfig) error {
 		"table3":   withSuites(Table3, false),
 		"table4":   withSuites(Table4, false),
 		"table5":   Table5,
-		"fig6":     withSuites(func(w io.Writer, s map[string]*Suite) { Fig6(w, s, 10) }, false),
+		"fig6":     withSuites(Fig6, false),
 		"fig7":     Fig7,
-		"fig8":     withSuites(func(w io.Writer, s map[string]*Suite) { Fig8(w, s, 10) }, true),
+		"fig8":     withSuites(Fig8, true),
 		"fig9":     Fig9,
 		"fig10":    Fig10,
 		"fig11":    Fig11,
@@ -640,10 +596,5 @@ func Experiments() map[string]func(io.Writer, ExpConfig) error {
 
 // ExperimentIDs lists the valid -exp values in a stable order.
 func ExperimentIDs() []string {
-	ids := make([]string, 0)
-	for id := range Experiments() {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return slices.Sorted(maps.Keys(Experiments()))
 }

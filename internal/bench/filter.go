@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -22,28 +21,21 @@ import (
 // cmd/bench -exp filter prints the sweep and records it to
 // BENCH_filter.json.
 
-// FilterPoint is one (variant, selectivity, effort) measurement.
+// FilterPoint is one (variant, selectivity, effort) measurement: Effort is
+// the search pool L, Recall is against brute-force-with-filter, and Hops is
+// 0 where the exact scan answered.
 type FilterPoint struct {
 	Variant     string  `json:"variant"`     // float32 | sq8 | tenant
 	Selectivity float64 `json:"selectivity"` // fraction of the base set passing
 	Tenants     int     `json:"tenants,omitempty"`
-	Effort      int     `json:"effort"`       // search pool L
-	Recall      float64 `json:"recall"`       // mean recall@k vs brute-force-with-filter
-	QPS         float64 `json:"qps"`          // single-client queries/second
-	MsPerQ      float64 `json:"ms_per_query"` // mean single-query response time
-	Hops        float64 `json:"hops"`         // mean expansions (0 where the exact scan answered)
-	Plan        string  `json:"plan"`         // scan | walk: what core.planFiltered chose for the cell
-	AllocsPerQ  float64 `json:"allocs_per_q"` // heap allocations per steady-state query
+	SweepPoint
+	Plan string `json:"plan"` // scan | walk: what core.planFiltered chose for the cell
 }
 
 // FilterResult is the serialized record of one -exp filter run.
 type FilterResult struct {
-	Dataset string        `json:"dataset"`
-	N       int           `json:"n"`
-	Dim     int           `json:"dim"`
-	Queries int           `json:"queries"`
-	K       int           `json:"k"`
-	Points  []FilterPoint `json:"points"`
+	runRecord
+	Points []FilterPoint `json:"points"`
 }
 
 // filterEfforts is the L sweep per (variant, selectivity) cell, and
@@ -52,45 +44,6 @@ var (
 	filterEfforts       = []int{20, 40, 60, 100}
 	filterSelectivities = []int{50, 25, 10, 5, 2, 1}
 )
-
-// filteredGT computes the exact filtered top-k per query: brute force over
-// the rows whose pass bit is set — the reference every filtered traversal
-// is scored against.
-func filteredGT(ds dataset.Dataset, bits []uint64, k int) [][]int32 {
-	type nb struct {
-		id int32
-		d  float32
-	}
-	out := make([][]int32, ds.Queries.Rows)
-	for qi := range out {
-		q := ds.Queries.Row(qi)
-		var best []nb
-		for i := 0; i < ds.Base.Rows; i++ {
-			if bits[i>>6]&(1<<uint(i&63)) == 0 {
-				continue
-			}
-			row := ds.Base.Row(i)
-			var d float32
-			for j := range row {
-				diff := row[j] - q[j]
-				d += diff * diff
-			}
-			best = append(best, nb{int32(i), d})
-		}
-		sort.Slice(best, func(a, b int) bool {
-			return best[a].d < best[b].d || (best[a].d == best[b].d && best[a].id < best[b].id)
-		})
-		if len(best) > k {
-			best = best[:k]
-		}
-		ids := make([]int32, len(best))
-		for i := range best {
-			ids[i] = best[i].id
-		}
-		out[qi] = ids
-	}
-	return out
-}
 
 // FilteredSearch runs the filtered-search experiment on the 6k-point
 // SIFT-like suite (scaled by the config).
@@ -101,7 +54,7 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 		return err
 	}
 	k := 10
-	res := FilterResult{Dataset: "SIFT-like", N: ds.Base.Rows, Dim: ds.Base.Dim, Queries: ds.Queries.Rows, K: k}
+	res := FilterResult{runRecord: runRecord{Dataset: ds.Name, N: ds.Base.Rows, Dim: ds.Base.Dim, Queries: ds.Queries.Rows, K: k}}
 
 	// The metadata: bucket = id % 100 drives the selectivity sweep
 	// (Range(bucket, 0, s-1) passes s% of the rows, spread uniformly), and
@@ -144,13 +97,12 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 	// planner's crossover at every effort.
 	gateOK := true
 	for _, selPct := range filterSelectivities {
-		bits := make([]uint64, meta.BitsLen(st.Rows()))
-		count, err := st.Compile(meta.Range("bucket", 0, int64(selPct-1)), bits)
+		bits, count, err := st.CompileAlloc(meta.Range("bucket", 0, int64(selPct-1)))
 		if err != nil {
 			return err
 		}
 		flt := &core.Filter{Bits: bits, Count: count}
-		gt := filteredGT(ds, bits, k)
+		gt := dataset.GroundTruth(ds.Base, ds.Queries, k, bits)
 		sel := float64(selPct) / 100
 		for _, v := range variants {
 			idx := indexes[v]
@@ -187,17 +139,16 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 		gts := make([][][]int32, tenants)
 		gt := make([][]int32, ds.Queries.Rows) // query qi's answer under its tenant's filter
 		for tn := 0; tn < tenants; tn++ {
-			bits := make([]uint64, meta.BitsLen(st.Rows()))
 			lo, hi := int64(tn*per), int64((tn+1)*per-1)
 			if tn == tenants-1 {
 				hi = int64(ds.Base.Rows - 1) // absorb the remainder
 			}
-			count, err := st.Compile(meta.Range("id", lo, hi), bits)
+			bits, count, err := st.CompileAlloc(meta.Range("id", lo, hi))
 			if err != nil {
 				return err
 			}
 			flts[tn] = &core.Filter{Bits: bits, Count: count}
-			gts[tn] = filteredGT(ds, bits, k)
+			gts[tn] = dataset.GroundTruth(ds.Base, ds.Queries, k, bits)
 		}
 		for qi := range gt {
 			gt[qi] = gts[qi%tenants][qi]
@@ -212,46 +163,16 @@ func FilteredSearch(w io.Writer, c ExpConfig) error {
 	return writeRecord(w, "BENCH_filter.json", res)
 }
 
-// recallVsGT scores got against the exact filtered answer, treating a
-// short exact list (fewer than k passing points) as full credit when every
-// entry is matched.
-func recallVsGT(got [][]int32, gt [][]int32) float64 {
-	total := 0.0
-	for qi := range got {
-		want := gt[qi]
-		if len(want) == 0 {
-			total++
-			continue
-		}
-		set := make(map[int32]bool, len(want))
-		for _, id := range want {
-			set[id] = true
-		}
-		hit := 0
-		for _, id := range got[qi] {
-			if set[id] {
-				hit++
-			}
-		}
-		total += float64(hit) / float64(len(want))
-	}
-	return total / float64(len(got))
-}
-
 // measureFilterPoint scores one cell on a reused context: query qi runs
 // under flt(qi) at pool size effort, scored against gt, the exact filtered
 // answers. The plan is the scan where no query expanded a node.
 func measureFilterPoint(idx *core.NSG, queries vecmath.Matrix, gt [][]int32, flt func(qi int) *core.Filter, k, effort int) FilterPoint {
 	ctx := core.NewSearchContext()
-	ids, pt := measure(queries.Rows, k, func(qi int, _ *vecmath.Counter) core.SearchResult {
+	pt := FilterPoint{SweepPoint: measure(gt, k, effort, func(qi int, _ *vecmath.Counter) core.SearchResult {
 		return idx.Query(ctx, queries.Row(qi), core.Query{K: k, L: effort, Filter: flt(qi)})
-	})
-	plan := "walk"
+	}), Plan: "walk"}
 	if pt.Hops == 0 {
-		plan = "scan"
+		pt.Plan = "scan"
 	}
-	return FilterPoint{
-		Effort: effort, Recall: recallVsGT(ids, gt), QPS: pt.QPS, MsPerQ: pt.AvgTimeMS,
-		Hops: pt.Hops, Plan: plan, AllocsPerQ: pt.AllocsPerQ,
-	}
+	return pt
 }

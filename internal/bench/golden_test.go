@@ -8,11 +8,12 @@ import (
 	"time"
 )
 
-// experimentGolden holds FNV-64a digests of what five experiments print at
+// experimentGolden holds FNV-64a digests of what nine experiments print at
 // Scale 0.05, Queries 10, Seed 1, with every field that reads a clock or
 // counts allocations masked (clockFields). The rest (recall, dist/query,
 // hops, plan, bytes/hop, avg deg, the effort that reaches a target, fitted
-// exponents of non-time series) is a pure function of the seed, and a
+// exponents of non-time series, Tables 2 and 4's graph statistics, Δr) is
+// a pure function of the seed, and a
 // change to how a sweep cell is measured must leave it alone. Regenerate a
 // digest only for a change that means to move these numbers.
 var experimentGolden = map[string]uint64{
@@ -21,13 +22,29 @@ var experimentGolden = map[string]uint64{
 	"filter":   0xb69719cf47e83c29,
 	"ablation": 0xe84f61c6b5c68909,
 	"hops":     0x894dd87d2b7394d7,
+	"fig6":     0x85d728ca8ad85f49,
+	"table2":   0x47bf146a7e3b62a6,
+	"table4":   0x1d043fa137707437,
+	"deltar":   0x76ba37509baedd5f,
 }
 
 // clockFields returns the indexes of the whitespace-separated fields of one
 // printed line that the golden digests skip: QPS, ms/query and allocs/q.
 var clockFields = map[string]func(f []string) []int{
-	"fig8": func([]string) []int { return nil },
-	"hops": func([]string) []int { return nil },
+	"fig8":   func([]string) []int { return nil },
+	"hops":   func([]string) []int { return nil },
+	"table2": func([]string) []int { return nil },
+	"table4": func([]string) []int { return nil },
+	"deltar": func([]string) []int { return nil },
+	"fig6": func(f []string) []int {
+		switch {
+		case len(f) == 5 && !strings.HasPrefix(f[1], "("): // algorithm effort recall QPS dist/query
+			return []int{3}
+		case len(f) == 2: // "NSG <QPS at recall>"
+			return []int{1}
+		}
+		return nil
+	},
 	// Every ablation row ends in its QPS.
 	"ablation": func(f []string) []int { return []int{len(f) - 1} },
 	"quant": func(f []string) []int {

@@ -17,17 +17,12 @@ import (
 // argument (Section 6). cmd/bench -exp quant prints the sweep and records
 // it to BENCH_quant.json.
 
-// QuantPoint is one (variant, effort) measurement.
+// QuantPoint is one (variant, effort) measurement: Effort is the search
+// pool L, and DistComps counts code and exact evaluations together.
 type QuantPoint struct {
-	Variant     string  `json:"variant"`       // float32 | sq8 | sq8+rerank
-	Effort      int     `json:"effort"`        // search pool L
-	Recall      float64 `json:"recall"`        // mean recall@k vs exact ground truth
-	QPS         float64 `json:"qps"`           // single-client queries/second
-	MsPerQ      float64 `json:"ms_per_query"`  // mean single-query response time
-	Hops        float64 `json:"hops"`          // mean greedy expansions
-	DistComps   float64 `json:"dist_comps"`    // mean distance evaluations (code + exact)
+	Variant string `json:"variant"` // float32 | sq8 | sq8+rerank
+	SweepPoint
 	BytesPerHop float64 `json:"bytes_per_hop"` // vector + adjacency bytes gathered per expansion
-	AllocsPerQ  float64 `json:"allocs_per_q"`  // heap allocations per steady-state query
 }
 
 // QuantTarget reports the QPS each variant reaches at the target recall —
@@ -42,11 +37,7 @@ type QuantTarget struct {
 
 // QuantResult is the serialized record of one -exp quant run.
 type QuantResult struct {
-	Dataset string        `json:"dataset"`
-	N       int           `json:"n"`
-	Dim     int           `json:"dim"`
-	Queries int           `json:"queries"`
-	K       int           `json:"k"`
+	runRecord
 	Points  []QuantPoint  `json:"points"`
 	Targets []QuantTarget `json:"targets"`
 }
@@ -78,7 +69,7 @@ func Quantized(w io.Writer, c ExpConfig) error {
 		return err
 	}
 	k := 10
-	res := QuantResult{Dataset: "SIFT-like", N: ds.Base.Rows, Dim: ds.Base.Dim, Queries: ds.Queries.Rows, K: k}
+	res := QuantResult{runRecord: runRecord{Dataset: ds.Name, N: ds.Base.Rows, Dim: ds.Base.Dim, Queries: ds.Queries.Rows, K: k}}
 
 	fmt.Fprintf(w, "quantized search (SQ8) vs float32 on SIFT-like subset (n=%d, dim=%d, k=%d)\n", ds.Base.Rows, ds.Base.Dim, k)
 	fmt.Fprintf(w, "%-20s %8s %9s %9s %12s %8s %12s %11s %10s\n",
@@ -105,18 +96,14 @@ func Quantized(w io.Writer, c ExpConfig) error {
 	}
 
 	for _, v := range quantVariants() {
-		target := QuantTarget{Variant: v.name, Target: 0.99}
-		for _, pt := range points[v.name] {
+		pts := points[v.name]
+		for _, pt := range pts {
 			res.Points = append(res.Points, pt)
 			fmt.Fprintf(w, "%-20s %8d %9.4f %9.0f %12.4f %8.1f %12.0f %11.0f %10.2f\n",
 				v.name, pt.Effort, pt.Recall, pt.QPS, pt.MsPerQ, pt.Hops, pt.DistComps, pt.BytesPerHop, pt.AllocsPerQ)
-			if !target.Reached && pt.Recall >= target.Target {
-				target.Reached = true
-				target.Effort = pt.Effort
-				target.QPS = pt.QPS
-			}
 		}
-		res.Targets = append(res.Targets, target)
+		at, ok := firstReaching(len(pts), 0.99, func(i int) SweepPoint { return pts[i].SweepPoint })
+		res.Targets = append(res.Targets, QuantTarget{Variant: v.name, Target: 0.99, Effort: at.Effort, QPS: at.QPS, Reached: ok})
 	}
 
 	fmt.Fprintf(w, "QPS at recall>=0.99 (the acceptance gate's matched-recall comparison):\n")
@@ -143,13 +130,9 @@ func Quantized(w io.Writer, c ExpConfig) error {
 // bytes-per-hop accounting.
 func measureQuantPoint(idx *core.NSG, ds dataset.Dataset, v quantVariant, k, effort int) QuantPoint {
 	ctx := core.NewSearchContext()
-	ids, sp := measure(ds.Queries.Rows, k, func(qi int, c *vecmath.Counter) core.SearchResult {
+	pt := QuantPoint{Variant: v.name, SweepPoint: measure(ds.GT, k, effort, func(qi int, c *vecmath.Counter) core.SearchResult {
 		return idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: k, L: effort, Counter: c, NoRerank: !v.rerank})
-	})
-	pt := QuantPoint{
-		Variant: v.name, Effort: effort, Recall: dataset.MeanRecall(ids, ds.GT, k), QPS: sp.QPS,
-		MsPerQ: sp.AvgTimeMS, Hops: sp.Hops, DistComps: sp.DistComps, AllocsPerQ: sp.AllocsPerQ,
-	}
+	})}
 
 	// Bytes gathered per expansion: every counted evaluation touches one
 	// vector row (1 byte/dim for SQ8 codes, 4 bytes/dim for floats; a

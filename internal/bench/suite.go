@@ -30,7 +30,6 @@ type GraphIndexInfo struct {
 	MOD        int
 	NNPct      float64
 	SCC        int // strongly connected components; fixed-entry methods report 1 iff all reachable
-	FixedEntry bool
 	Method     Method
 }
 
@@ -115,7 +114,7 @@ func BuildSuite(ds dataset.Dataset, p SuiteParams) (*Suite, error) {
 		deg := g.Degrees()
 		s.Graph = append(s.Graph, GraphIndexInfo{
 			Name: name, BuildTime: buildTime, KNNTime: knnTime, IndexBytes: bytes,
-			AOD: deg.Avg, MOD: deg.Max, NNPct: g.NNPercent(nn), SCC: scc, FixedEntry: entry >= 0,
+			AOD: deg.Avg, MOD: deg.Max, NNPct: g.NNPercent(nn), SCC: scc,
 			Method: Method{Name: name, Efforts: p.Efforts, Search: search},
 		})
 	}

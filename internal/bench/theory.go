@@ -84,25 +84,19 @@ func DeltaR(w io.Writer, c ExpConfig) error {
 func HopScaling(w io.Writer, c ExpConfig) error {
 	fmt.Fprintln(w, "Greedy path length vs N (Theorem 2): hops at fixed pool size")
 	fmt.Fprintf(w, "%10s %12s %14s\n", "N", "avg hops", "hops/log2(N)")
-	var xs, ys []float64
+	var fit series
 	for _, n := range scalingSubsets(c) {
 		idx, ds, _, err := siftNSG(n, c)
 		if err != nil {
 			return err
 		}
 		ctx := core.NewSearchContext()
-		_, pt := measure(ds.Queries.Rows, 10, func(qi int, c *vecmath.Counter) core.SearchResult {
+		hops := measure(ds.GT, 10, 40, func(qi int, c *vecmath.Counter) core.SearchResult {
 			return idx.Query(ctx, ds.Queries.Row(qi), core.Query{K: 10, L: 40, Counter: c})
-		})
-		avg := pt.Hops
-		fmt.Fprintf(w, "%10d %12.1f %14.2f\n", n, avg, avg/math.Log2(float64(n)))
-		xs = append(xs, float64(n))
-		ys = append(ys, avg)
+		}).Hops
+		fit.add(w, float64(n), hops, "%10d %12.1f %14.2f\n", n, hops, hops/math.Log2(float64(n)))
 	}
-	if len(xs) >= 2 {
-		exp, r2 := FitPowerLaw(xs, ys)
-		fmt.Fprintf(w, "fitted: hops ~ N^%.3f (R²=%.3f); Theorem 2 predicts ≈ N^{1/d}·log N — near-flat\n", exp, r2)
-	}
+	fit.print(w, "hops ~ N", "Theorem 2 predicts ≈ N^{1/d}·log N — near-flat")
 	return nil
 }
 

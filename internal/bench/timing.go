@@ -2,10 +2,10 @@ package bench
 
 import (
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/vecmath"
 )
 
@@ -14,18 +14,18 @@ import (
 var passBudget = 20 * time.Millisecond
 
 // measure is the one measured pass behind every experiment: it runs search
-// over queries 0..nq-1 and prices the cell. The protocol:
+// over queries 0..len(gt)-1 and prices the cell. The protocol:
 //
 //   - warm: the first 4 queries, so a reused context has grown its scratch;
 //   - count: one pass with a non-nil counter. It alone supplies each query's
-//     result ids (at most k), the hops, the distance evaluations and the
-//     heap allocations;
+//     result ids (at most k, scored against gt[qi], the exact answer), the
+//     hops, the distance evaluations and the heap allocations;
 //   - time: bestOf's passes with a nil counter, at least two filling about
 //     passBudget; the fastest prices QPS and ms/query.
 //
-// The returned point holds the per-query averages; Effort and Recall are
-// the caller's.
-func measure(nq, k int, search func(qi int, counter *vecmath.Counter) core.SearchResult) ([][]int32, SweepPoint) {
+// effort is recorded as given.
+func measure(gt [][]int32, k, effort int, search func(qi int, counter *vecmath.Counter) core.SearchResult) SweepPoint {
+	nq := len(gt)
 	for qi := range min(4, nq) {
 		search(qi, nil)
 	}
@@ -38,24 +38,27 @@ func measure(nq, k int, search func(qi int, counter *vecmath.Counter) core.Searc
 	}
 	var counter vecmath.Counter
 	hops := 0
-	allocs := heapAllocs()
-	for qi := range ids {
-		r := search(qi, &counter)
-		for _, nb := range r.Neighbors {
-			ids[qi] = append(ids[qi], nb.ID)
+	_, allocs, _, _ := measureAllocs(func() error {
+		for qi := range ids {
+			r := search(qi, &counter)
+			for _, nb := range r.Neighbors {
+				ids[qi] = append(ids[qi], nb.ID)
+			}
+			hops += r.Hops
 		}
-		hops += r.Hops
-	}
-	allocs = heapAllocs() - allocs
+		return nil
+	})
 	elapsed := bestOf(passBudget, func() {
 		for qi := range nq {
 			search(qi, nil)
 		}
 	})
 	q := float64(nq)
-	return ids, SweepPoint{
+	return SweepPoint{
+		Effort:     effort,
+		Recall:     dataset.MeanRecall(ids, gt, k),
 		QPS:        q / elapsed.Seconds(),
-		AvgTimeMS:  elapsed.Seconds() * 1000 / q,
+		MsPerQ:     elapsed.Seconds() * 1000 / q,
 		DistComps:  float64(counter.Count()) / q,
 		Hops:       float64(hops) / q,
 		AllocsPerQ: float64(allocs) / q,
@@ -76,11 +79,4 @@ func bestOf(budget time.Duration, f func()) time.Duration {
 		best = min(best, el)
 	}
 	return best
-}
-
-// heapAllocs reads the process-wide cumulative malloc count.
-func heapAllocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
 }

@@ -241,7 +241,7 @@ func TestQuantBoundLive(t *testing.T) {
 		queries.Data = append(append(queries.Data, edge.Data...), gaussian(rng, 20).Data...)
 		queries.Rows = edge.Rows + 20
 
-		h := live.New(x, nil, nil, live.Options{MaxPending: 1 << 20, Interval: 1 << 40})
+		h := live.New(x, nil, live.Options{MaxPending: 1 << 20, Interval: 1 << 40})
 		defer h.Close()
 		for i := 0; i < adds/2; i++ {
 			for _, v := range [][]float32{far.Row(i), near.Row(i)} {

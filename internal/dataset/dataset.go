@@ -171,7 +171,7 @@ func generateClustered(cfg Config, spec clusterSpec) (Dataset, error) {
 	}
 
 	ds := Dataset{Base: base, Queries: queries, GTK: cfg.GTK}
-	ds.GT = GroundTruth(base, queries, cfg.GTK)
+	ds.GT = GroundTruth(base, queries, cfg.GTK, nil)
 	return ds, nil
 }
 
@@ -277,7 +277,7 @@ func Uniform(cfg Config) (Dataset, error) {
 		queries.Data[i] = rng.Float32()
 	}
 	ds := Dataset{Name: "RAND", Base: base, Queries: queries, GTK: cfg.GTK}
-	ds.GT = GroundTruth(base, queries, cfg.GTK)
+	ds.GT = GroundTruth(base, queries, cfg.GTK, nil)
 	return ds, nil
 }
 
@@ -300,19 +300,24 @@ func Gaussian(cfg Config) (Dataset, error) {
 		queries.Data[i] = float32(rng.NormFloat64() * 3)
 	}
 	ds := Dataset{Name: "GAUSS", Base: base, Queries: queries, GTK: cfg.GTK}
-	ds.GT = GroundTruth(base, queries, cfg.GTK)
+	ds.GT = GroundTruth(base, queries, cfg.GTK, nil)
 	return ds, nil
 }
 
 // GroundTruth computes, for each query, the ids of its k exact nearest base
-// vectors (ascending by distance) by parallel brute force.
-func GroundTruth(base, queries vecmath.Matrix, k int) [][]int32 {
+// vectors (ascending by distance) by parallel brute force. A non-nil pass
+// bitmap (bit i of pass[i/64] set for row i) restricts the answer to the
+// rows it passes, the exact answer a filtered search is scored against;
+// nil passes every row.
+func GroundTruth(base, queries vecmath.Matrix, k int, pass []uint64) [][]int32 {
 	out := make([][]int32, queries.Rows)
 	graphutil.ParallelFor(queries.Rows, func(qi int) {
 		q := queries.Row(qi)
 		top := vecmath.NewTopK(k)
 		for i := 0; i < base.Rows; i++ {
-			top.Push(int32(i), vecmath.L2(q, base.Row(i)))
+			if pass == nil || pass[i>>6]&(1<<uint(i&63)) != 0 {
+				top.Push(int32(i), vecmath.L2(q, base.Row(i)))
+			}
 		}
 		res := top.Result()
 		ids := make([]int32, len(res))

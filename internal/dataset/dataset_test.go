@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,12 +173,16 @@ func TestGroundTruthExactness(t *testing.T) {
 		{0, 0}, {1, 0}, {2, 0}, {10, 10},
 	})
 	queries := vecmath.MatrixFromSlices([][]float32{{0.4, 0}})
-	gt := GroundTruth(base, queries, 3)
-	want := []int32{0, 1, 2}
-	for i, id := range gt[0] {
-		if id != want[i] {
-			t.Errorf("gt[0] = %v, want %v", gt[0], want)
-			break
+	for _, c := range []struct {
+		pass []uint64
+		want []int32
+	}{
+		{nil, []int32{0, 1, 2}},
+		{[]uint64{0b1101}, []int32{0, 2, 3}}, // row 1 filtered out
+		{[]uint64{0b0010}, []int32{1}},       // fewer passing rows than k
+	} {
+		if gt := GroundTruth(base, queries, 3, c.pass); !slices.Equal(gt[0], c.want) {
+			t.Errorf("pass %v: gt[0] = %v, want %v", c.pass, gt[0], c.want)
 		}
 	}
 }
@@ -380,7 +385,7 @@ func TestECommerceClusterSkew(t *testing.T) {
 	if ds.Name != "ECommerce-like" {
 		t.Errorf("name = %q", ds.Name)
 	}
-	gt := GroundTruth(ds.Base, ds.Base.Slice(0, 100), 2)
+	gt := GroundTruth(ds.Base, ds.Base.Slice(0, 100), 2, nil)
 	var min, max float64 = math.Inf(1), 0
 	for i := 0; i < 100; i++ {
 		d := float64(vecmath.L2(ds.Base.Row(i), ds.Base.Row(int(gt[i][1]))))

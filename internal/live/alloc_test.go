@@ -30,7 +30,7 @@ func TestSearchCtxZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+			h := New(idx, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 			defer h.Close()
 			// Leave a delta pending so the scan-and-merge path is
 			// exercised, not just the snapshot traversal.

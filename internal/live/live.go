@@ -168,10 +168,9 @@ type Handle struct {
 //
 // translate, when non-nil, maps the index's local public ids to the ids
 // results should carry (a sharded index's global ids); the handle takes
-// ownership and extends it as inserts drain. dead seeds the tombstone set,
-// keyed like Delete by local id (it is cloned). The handle assumes
-// exclusive mutation rights over idx from this call on.
-func New(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options) *Handle {
+// ownership and extends it as inserts drain. The handle assumes exclusive
+// mutation rights over idx from this call on.
+func New(idx *core.NSG, translate []int32, opts Options) *Handle {
 	opts.fillDefaults()
 	h := &Handle{
 		opts:  opts,
@@ -182,9 +181,6 @@ func New(idx *core.NSG, translate []int32, dead *core.Tombstones, opts Options) 
 	}
 	if idx.Quant != nil {
 		h.q = &idx.Quant.Q
-	}
-	if dead.Len() > 0 {
-		h.dead = dead.Clone()
 	}
 	h.cond = sync.NewCond(&h.mu)
 	h.view.Store(&view{snap: idx.Snapshot(), translate: translate, dead: h.dead})
@@ -351,12 +347,6 @@ func (h *Handle) Delete(id int32) error {
 
 // Deleted reports whether local id is tombstoned in the current view.
 func (h *Handle) Deleted(id int32) bool { return h.view.Load().dead.Deleted(id) }
-
-// Dead returns the current tombstone set (nil when nothing was deleted).
-// The set is immutable; callers that outlive the handle may keep it.
-func (h *Handle) Dead() *core.Tombstones {
-	return h.view.Load().dead
-}
 
 // DeadCount returns the number of tombstoned ids in the current view.
 func (h *Handle) DeadCount() int { return h.view.Load().dead.Len() }

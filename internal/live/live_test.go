@@ -79,7 +79,7 @@ func TestAppendSearchableImmediately(t *testing.T) {
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
 	// A huge interval and threshold so nothing drains during the test: the
 	// appended points are served purely by the delta scan.
-	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	h := New(idx, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 	// Without a translate table the final id is the local id.
 	if _, err := h.Append(all.Row(n0), n0+1); err == nil {
@@ -114,7 +114,7 @@ func TestFlushDrainsAndMatchesSynchronousInserts(t *testing.T) {
 	all := testVectors(n0+extra, dim, 2)
 
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
-	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	h := New(idx, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 	for i := n0; i < all.Rows; i++ {
 		if _, err := appendNext(h, all.Row(i)); err != nil {
@@ -213,7 +213,7 @@ func TestHeldRowsAcrossReplacements(t *testing.T) {
 	all := testVectors(n0+extra, dim, 21)
 	for _, quantized := range []bool{false, true} {
 		t.Run(fmt.Sprintf("quantized=%v", quantized), func(t *testing.T) {
-			h := New(buildLive(t, all.Slice(0, n0).Clone(), quantized), nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+			h := New(buildLive(t, all.Slice(0, n0).Clone(), quantized), nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 			defer h.Close()
 			for i := n0; i < all.Rows; i++ {
 				if _, err := appendNext(h, all.Row(i)); err != nil {
@@ -252,7 +252,7 @@ func TestDrainOverlapsReplacement(t *testing.T) {
 	const n0, extra, dim = 300, 600, 12
 	all := testVectors(n0+extra, dim, 22)
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
-	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	h := New(idx, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 	appendRows := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -327,7 +327,7 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	// Mutate heavily through the live path (forcing drains), then re-ask
 	// the frozen snapshot: byte-identical answers, or isolation is broken.
-	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 16})
+	h := New(idx, nil, Options{Interval: time.Millisecond, MaxPending: 16})
 	for i := n0; i < all.Rows; i++ {
 		if _, err := appendNext(h, all.Row(i)); err != nil {
 			t.Fatal(err)
@@ -358,7 +358,7 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	const n0, extra, dim = 300, 200, 12
 	all := testVectors(n0+extra, dim, 9)
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
-	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	h := New(idx, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 	old := h.view.Load().snap
 	shared := idx.FlatView() // the graph old was published with
@@ -430,7 +430,7 @@ func TestDeleteLive(t *testing.T) {
 	const n0, dim = 300, 12
 	all := testVectors(n0+20, dim, 6)
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
-	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	h := New(idx, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 
 	ctx := core.NewSearchContext()
@@ -487,7 +487,7 @@ func TestDeleteTranslatedHandle(t *testing.T) {
 	for i := range translate {
 		translate[i] = int32(1000 + i)
 	}
-	h := New(idx, translate, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	h := New(idx, translate, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 	local, err := h.Append(all.Row(n0), 5000)
 	if err != nil {
@@ -545,7 +545,7 @@ func TestQuantizedRelaidLive(t *testing.T) {
 	if err := idx.EnableQuantization(nil); err != nil {
 		t.Fatal(err)
 	}
-	h := New(idx, nil, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
+	h := New(idx, nil, Options{Interval: time.Hour, MaxPending: 1 << 20})
 	defer h.Close()
 
 	ctx := core.NewSearchContext()
@@ -586,7 +586,7 @@ func TestStraddlePublishConsistency(t *testing.T) {
 	// often enough to replace it several times while the readers run: a
 	// Flush every half slab keeps at most that many rows undrained, so each
 	// replacement has room for at least half a slab of new rows.
-	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 8})
+	h := New(idx, nil, Options{Interval: time.Millisecond, MaxPending: 8})
 	defer h.Close()
 
 	var visible atomic.Int64 // ids < visible are safe to validate against
@@ -692,7 +692,7 @@ func TestMaintainerRestarts(t *testing.T) {
 	const n0, per, writers, dim = 200, 150, 2, 8
 	all := testVectors(n0+writers*per, dim, 13)
 	idx := buildNSG(t, all.Slice(0, n0).Clone())
-	h := New(idx, nil, nil, Options{Interval: time.Millisecond, MaxPending: 4})
+	h := New(idx, nil, Options{Interval: time.Millisecond, MaxPending: 4})
 
 	var wg sync.WaitGroup
 	var next atomic.Int64
