@@ -275,14 +275,13 @@ func Fig7(w io.Writer, c ExpConfig) error {
 // searchIVFPQParallel fans one query's probed cells across goroutines — the
 // inner-query parallelism Faiss provides on multi-core CPUs.
 func searchIVFPQParallel(pq *ivfpq.Index, q []float32, k, nprobe int) []vecmath.Neighbor {
-	// Partition the probe budget: each worker probes a contiguous chunk of
-	// the cell ranking by searching with increasing nprobe and removing
-	// overlap at merge time via id dedupe.
+	// Partition the probe budget: each worker probes its own contiguous
+	// chunk of the cell ranking, so no cell is scored twice.
 	workers := graphutil.ParallelWorkers(nprobe)
 	per := (nprobe + workers - 1) / workers
 	lists := make([][]vecmath.Neighbor, workers)
 	graphutil.ParallelFor(workers, func(wkr int) {
-		lists[wkr] = pq.Search(q, k, min((wkr+1)*per, nprobe), 4*k, nil)
+		lists[wkr] = pq.SearchCells(q, k, wkr*per, min((wkr+1)*per, nprobe), 4*k, nil)
 	})
 	return vecmath.MergeNeighborLists(k, lists...)
 }

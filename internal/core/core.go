@@ -389,8 +389,8 @@ func SearchOnGraphCtx(ctx *SearchContext, g *graphutil.CSR, base vecmath.Matrix,
 
 // SearchOnGraphListCtx is SearchOnGraphCtx over ragged adjacency lists; it
 // exists for graphs that are still lists (Algorithm 2's connectivity
-// repair, before the build lays the graph out flat, and the list-based
-// baselines).
+// repair, before the build lays the graph out flat, Insert's edited rows,
+// and the list-based baselines).
 func SearchOnGraphListCtx(ctx *SearchContext, adj [][]int32, base vecmath.Matrix, query []float32, starts []int32, k, l int, counter *vecmath.Counter, visited *[]vecmath.Neighbor) SearchResult {
 	return searchOnGraph(ctx, listAdj{adj: adj}, len(adj), base, query, starts, k, l, counter, visited)
 }

@@ -27,7 +27,7 @@ func bruteRef(x *NSG, q []float32, k int, flt *Filter, dead *Tombstones) []vecma
 		if !bitTest(flt.Bits, pub) || (dead != nil && dead.Deleted(pub)) {
 			continue
 		}
-		all = append(all, vecmath.Neighbor{ID: pub, Dist: vecmath.L2(q, x.Base.Row(int(x.InternalID(pub))))})
+		all = append(all, vecmath.Neighbor{ID: pub, Dist: vecmath.L2(q, x.Base.Row(int(x.toInternal[pub])))})
 	}
 	vecmath.SortNeighbors(all)
 	if len(all) > k {
@@ -126,7 +126,7 @@ func TestFilteredQuantParity(t *testing.T) {
 			if !bitTest(flt.Bits, nb.ID) {
 				t.Fatalf("result id %d does not pass the filter", nb.ID)
 			}
-			if exact := vecmath.L2(q, idx.VectorByID(nb.ID)); nb.Dist != exact {
+			if exact := vecmath.L2(q, idx.Base.Row(int(idx.toInternal[nb.ID]))); nb.Dist != exact {
 				t.Fatalf("id %d dist %v != exact %v (rerank missing?)", nb.ID, nb.Dist, exact)
 			}
 		}

@@ -183,7 +183,7 @@ func searchStreams(t *testing.T, all, queries vecmath.Matrix, n, k, l int) map[s
 			t.Fatal(err)
 		}
 	}
-	sums["insert"].adjacency(idx.flat.ToGraph().Adj)
+	sums["insert"].adjacency(idx.FlatView().ToGraph().Adj)
 	out := map[string]uint64{}
 	for p, s := range sums {
 		out[p] = s.h.Sum64()

@@ -33,9 +33,11 @@ type InsertParams struct {
 }
 
 // Insert adds vec to the index and returns its id. The base matrix is
-// grown; the caller's slice is copied. The flat rows are edited in place
-// (after a copy, if a published Snapshot shares them), the way HNSW
-// rewrites capped neighbor lists. Not safe for concurrent use with Search.
+// grown; the caller's slice is copied. The graph's rows are edited as
+// adjacency lists (see NSG.edit), the way HNSW rewrites capped neighbor
+// lists, and laid out as CSR by the next Snapshot or search. Not safe for
+// concurrent use with Search, nor is the first search after it, which does
+// that layout, safe beside another search.
 func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 	if len(vec) != x.Base.Dim {
 		return -1, fmt.Errorf("core: insert dim %d != index dim %d", len(vec), x.Base.Dim)
@@ -66,7 +68,8 @@ func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 	ctx := getCtx()
 	visited := ctx.collect[:0]
 	ctx.startBuf[0] = x.Navigating
-	SearchOnGraphCtx(ctx, x.flat, x.Base, vec, ctx.startBuf[:], 1, p.L, nil, &visited)
+	rows := x.edit()
+	SearchOnGraphListCtx(ctx, rows, x.Base, vec, ctx.startBuf[:], 1, p.L, nil, &visited)
 	cands := dedupeSortedCtx(ctx, int(id)+1, visited, id)
 
 	// Step 2: MRNG-select the new node's out-edges.
@@ -86,9 +89,7 @@ func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 	// can go back to the pool.
 	ctx.collect = visited[:0]
 	putCtx(ctx)
-	x.own()
-	x.flat.AppendNode()
-	x.flat.SetNeighbors(id, selected)
+	x.lists = append(rows, selected)
 
 	// Step 3: reverse offers with overflow re-prune, keeping the new node
 	// reachable.
@@ -104,8 +105,8 @@ func (x *NSG) Insert(vec []float32, p InsertParams) (int32, error) {
 		// node may exceed the cap by one edge, matching the slack the DFS
 		// repair pass is allowed in batch builds.
 		nb := selected[0]
-		if !slices.Contains(x.flat.Neighbors(nb), id) {
-			x.flat.AddEdge(nb, id)
+		if !slices.Contains(x.lists[nb], id) {
+			x.lists[nb] = append(x.lists[nb], id)
 		}
 	}
 	return id, nil
@@ -123,18 +124,19 @@ func (x *NSG) ReleaseMapped() {
 	}
 }
 
-// offerReverse adds the edge from→to if absent: appended while from's row
-// is under the cap m, else from's row plus the new edge is scored in
-// scratch, re-pruned with the MRNG rule and the survivors written back.
+// offerReverse adds the edge from→to to the edited rows if absent:
+// appended while from's row is under the cap m, else from's row plus the
+// new edge is scored in scratch, re-pruned with the MRNG rule and the
+// survivors written over the row.
 // Reports whether from→to survived. All scratch (distance buffer, candidate
 // list, dedupe stamps, selection buffers) is drawn from a pooled context.
 func (x *NSG) offerReverse(from, to int32, m int) bool {
-	row := x.flat.Neighbors(from)
+	row := x.lists[from]
 	if slices.Contains(row, to) {
 		return true
 	}
 	if len(row) < m {
-		x.flat.AddEdge(from, to)
+		x.lists[from] = append(row, to)
 		return true
 	}
 	ctx := getCtx()
@@ -144,7 +146,7 @@ func (x *NSG) offerReverse(from, to int32, m int) bool {
 	cands = dedupeSortedCtx(ctx, x.Base.Rows, cands, from)
 	sel := SelectMRNGInto(x.Base, v, cands, m, ctx, ctx.idBuf[:0])
 	ctx.idBuf = sel[:0]
-	x.flat.SetNeighbors(from, sel)
+	x.lists[from] = append(row[:0], sel...)
 	survived := slices.Contains(sel, to)
 	ctx.collect = cands[:0]
 	putCtx(ctx)

@@ -37,11 +37,11 @@ func TestInsertBasic(t *testing.T) {
 	if id != 400 {
 		t.Fatalf("id = %d, want 400", id)
 	}
-	if idx.Base.Rows != 401 || idx.flat.N() != 401 {
-		t.Fatalf("size after insert: base %d graph %d", idx.Base.Rows, idx.flat.N())
+	if idx.Base.Rows != 401 || idx.FlatView().N() != 401 {
+		t.Fatalf("size after insert: base %d graph %d", idx.Base.Rows, idx.FlatView().N())
 	}
 	// The new node must be reachable and findable.
-	if got := idx.flat.ReachableFrom(idx.Navigating); got != 401 {
+	if got := idx.FlatView().ReachableFrom(idx.Navigating); got != 401 {
 		t.Errorf("reachable = %d, want 401", got)
 	}
 	res := idx.Search(vec, 1, 40, nil)
@@ -81,11 +81,11 @@ func TestInsertManyMaintainsQuality(t *testing.T) {
 	if idx.Base.Rows != 1200 {
 		t.Fatalf("rows = %d", idx.Base.Rows)
 	}
-	if got := idx.flat.ReachableFrom(idx.Navigating); got != 1200 {
+	if got := idx.FlatView().ReachableFrom(idx.Navigating); got != 1200 {
 		t.Fatalf("reachable = %d, want 1200", got)
 	}
 	// Degree cap honored up to the +1 forced-link slack.
-	for i, adj := range idx.flat.ToGraph().Adj {
+	for i, adj := range idx.FlatView().ToGraph().Adj {
 		if len(adj) > 26 {
 			t.Fatalf("node %d degree %d exceeds cap+1", i, len(adj))
 		}
@@ -203,7 +203,7 @@ func TestInsertIntoTinyIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := idx.flat.ReachableFrom(idx.Navigating); got != 40 {
+	if got := idx.FlatView().ReachableFrom(idx.Navigating); got != 40 {
 		t.Errorf("reachable = %d, want 40", got)
 	}
 	res := idx.Search([]float32{35.1, 0.2}, 1, 20, nil)

@@ -28,16 +28,17 @@ import (
 // and the BFS Relayout's locality transfers directly to page locality.
 //
 // A mapped index takes writes by copying out of the mapping first: the
-// graph is marked shared, so the first edit forks it (the offsets are
-// cloned and edges are written only past the mapped slab), and vectors,
-// codes and ids grow by append onto views whose capacity equals their
-// length, so the first append copies the slab to the heap. Mapped memory
-// is PROT_READ, so a stray write into it faults. By the end of the first
-// Insert every slab is a heap copy, and once the snapshot that reads the
-// copies is published, ReleaseMapped hands the record's pages back to the
-// kernel (mstore.File.Release), so a written index does not hold its data
-// twice. A search still reading an older snapshot faults the pages it
-// touches back in from the file, which holds the same bytes.
+// first Insert unpacks the mapped CSR into adjacency lists over a heap copy
+// of its edge slab (a CSR is never written; the next Snapshot lays the
+// lists out afresh), and vectors, codes and ids grow by append onto views
+// whose capacity equals their length, so the first append copies the slab
+// to the heap. Mapped memory is PROT_READ, so a stray write into it
+// faults. By the end of the first Insert every slab is a heap copy, and
+// once the snapshot that reads the copies is published, ReleaseMapped
+// hands the record's pages back to the kernel (mstore.File.Release), so a
+// written index does not hold its data twice. A search still reading an
+// older snapshot faults the pages it touches back in from the file, which
+// holds the same bytes.
 
 const (
 	// nsgMappedMagic marks the aligned mapped record.
@@ -137,10 +138,10 @@ type mappedSection struct {
 }
 
 // mappedLayout computes the section slots for this index in version 2's
-// order, all sized by the header geometry. The graph is compacted first,
-// so the record holds no garbage.
+// order, all sized by the header geometry. The rows Inserts left are laid
+// out first.
 func (x *NSG) mappedLayout() ([mappedSections]mappedSection, int64) {
-	offsets, edges := x.flat.Slabs()
+	offsets, edges := x.FlatView().Slabs()
 	rows := int64(x.Base.Rows)
 	dim := int64(x.Base.Dim)
 	var secs [mappedSections]mappedSection
@@ -419,7 +420,6 @@ func OpenMappedAt(f *mstore.File, off, size int64, opts MapOptions) (*NSG, error
 	}
 	// A record without a remap section was never relaid: identity ids.
 	x := newNSG(flat, nav, vecmath.Matrix{Data: mstore.Float32s(vecBytes), Rows: int(rows), Dim: int(dim)}, int(m))
-	x.shared = true // the first write copies out of the mapping
 	x.release = func() { f.Release(off, size) }
 	if flags&nsgFlagRemap != 0 {
 		remapBytes, err := view(SectionRemap)

@@ -25,12 +25,13 @@ type BuildParams struct {
 // base vectors it indexes, its id remap and, when quantized, its codes.
 // Metadata and files belong to the container that holds it.
 //
-// The graph has one form, heap or mapped: CSR rows (graphutil.CSR), an
-// offsets array and one edge slab, which searches traverse and Insert
-// edits. A heap index owns its slabs; a mapped one points them into a file
-// and copies each out before writing to it (see mapped.go). Snapshot shares
-// the graph with the views it publishes, and the next write forks it first,
-// so a published row never changes.
+// Searches traverse one form of the graph, heap or mapped: CSR rows
+// (graphutil.CSR), an offsets array and one edge slab, which are never
+// written once laid out. A heap index owns its slabs; a mapped one points
+// them into a file (see mapped.go). Insert edits adjacency lists instead:
+// the first Insert after a layout unpacks the CSR into rows over one copied
+// slab, and the next Snapshot or search lays them out afresh, so a
+// published graph never changes.
 type NSG struct {
 	Navigating int32 // the navigating node: search always starts here
 	Base       vecmath.Matrix
@@ -48,8 +49,8 @@ type NSG struct {
 	toInternal []int32
 
 	flat    *graphutil.CSR
-	shared  bool   // a published Snapshot or a mapping holds flat: fork before writing
-	release func() // drops the mapped record's pages (ReleaseMapped)
+	lists   [][]int32 // the rows Inserts edit, until the next layout; nil when none
+	release func()    // drops the mapped record's pages (ReleaseMapped)
 }
 
 // newNSG wraps a graph with identity id tables.
@@ -66,16 +67,29 @@ func identity(n int) []int32 {
 	return ids
 }
 
-// FlatView returns the CSR adjacency the searcher traverses. It is valid
-// until the next mutation; do not modify it.
-func (x *NSG) FlatView() *graphutil.CSR { return x.flat }
-
-// own makes the graph safe to edit: a fork, if a published Snapshot shares
-// it.
-func (x *NSG) own() {
-	if x.shared {
-		x.flat, x.shared = x.flat.Fork(), false
+// FlatView returns the CSR adjacency the searcher traverses, laying out
+// the rows Inserts left first. The CSR is never written; after the next
+// Insert the index's graph is another one.
+func (x *NSG) FlatView() *graphutil.CSR {
+	if x.lists != nil {
+		x.flat, x.lists = graphutil.Flatten(&graphutil.Graph{Adj: x.lists}), nil
 	}
+	return x.flat
+}
+
+// edit returns the rows Insert edits, unpacking the CSR into them over one
+// copied slab the first time after a layout. Each row is capped at its
+// length, so a row that grows copies only itself.
+func (x *NSG) edit() [][]int32 {
+	if x.lists == nil {
+		off, edges := x.flat.Slabs()
+		edges = slices.Clone(edges)
+		x.lists = make([][]int32, x.flat.N())
+		for i := range x.lists {
+			x.lists[i] = edges[off[i]:off[i+1]:off[i+1]]
+		}
+	}
+	return x.lists
 }
 
 // PhaseTimings records the wall-clock cost of each Algorithm 2 phase, so
@@ -417,8 +431,9 @@ type IndexStats struct {
 // by a full graph traversal on each call. Serving reads Snapshot.Stats,
 // which skips the traversal.
 func (x *NSG) Stats() IndexStats {
-	st := flatStats(x.flat)
-	st.Reachable = x.flat.ReachableFrom(x.Navigating)
+	g := x.FlatView()
+	st := flatStats(g)
+	st.Reachable = g.ReachableFrom(x.Navigating)
 	return st
 }
 

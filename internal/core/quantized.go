@@ -70,14 +70,6 @@ func (x *NSG) EnableQuantization(q *quant.Quantizer) error {
 // IsQuantized reports whether the index serves through a quantized path.
 func (x *NSG) IsQuantized() bool { return x.Quant != nil }
 
-// InternalID maps a public id to the internal (post-relayout) node id.
-func (x *NSG) InternalID(id int32) int32 { return x.toInternal[id] }
-
-// VectorByID returns the stored vector with the given public id.
-func (x *NSG) VectorByID(id int32) []float32 {
-	return x.Base.Row(int(x.InternalID(id)))
-}
-
 // The error bound. Let x̂ be a row's grid reconstruction (x̂_d = Min_d +
 // s·code_d, s the grid step) and q̂ the query's (its prepared levels in
 // place of the codes). The code distance is exactly s²·Σ(level − code)² =

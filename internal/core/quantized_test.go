@@ -70,15 +70,15 @@ func TestRelayoutPreservesResults(t *testing.T) {
 	// The remap must be a self-consistent permutation and the permuted base
 	// must hold every public vector at its internal row.
 	for pub := int32(0); int(pub) < base.Rows; pub++ {
-		internal := relay.InternalID(pub)
+		internal := relay.toInternal[pub]
 		if relay.PubIDs[internal] != pub {
 			t.Fatalf("remap not involutive at public id %d", pub)
 		}
-		got := relay.VectorByID(pub)
+		got := relay.Base.Row(int(internal))
 		want := base.Row(int(pub))
 		for d := range want {
 			if got[d] != want[d] {
-				t.Fatalf("VectorByID(%d) differs at dim %d", pub, d)
+				t.Fatalf("public vector %d differs at dim %d", pub, d)
 			}
 		}
 	}
@@ -231,8 +231,8 @@ func TestVersionGateOldFilesLoad(t *testing.T) {
 	}
 	ctx := NewSearchContext()
 	for i, pub := range loaded.PubIDs {
-		if loaded.InternalID(pub) != int32(i) {
-			t.Fatalf("legacy record: internal id %d maps to public %d, which maps back to %d", i, pub, loaded.InternalID(pub))
+		if loaded.toInternal[pub] != int32(i) {
+			t.Fatalf("legacy record: internal id %d maps to public %d, which maps back to %d", i, pub, loaded.toInternal[pub])
 		}
 		if res := loaded.Query(ctx, loaded.Base.Row(i), Query{K: 1, L: 40}); res.Neighbors[0].ID != pub {
 			t.Fatalf("legacy record: self search of %d returned %d", pub, res.Neighbors[0].ID)

@@ -41,7 +41,7 @@ func permuteRows[T any](data []T, dim int, p []int32) {
 // is invisible except through memory behavior. Repeated calls compose.
 // Not safe for concurrent use with Search.
 func (x *NSG) Relayout() {
-	n := x.flat.N()
+	n := x.FlatView().N()
 	if n == 0 {
 		return
 	}
@@ -75,7 +75,7 @@ func (x *NSG) Relayout() {
 	// graph), and permute the float vectors, and the codes when quantization
 	// was enabled first, in place, so the relayout never holds two copies of
 	// either.
-	x.flat, x.shared = x.flat.Permute(order, toNew), false
+	x.flat = x.flat.Permute(order, toNew)
 	permuteRows(x.Base.Data, x.Base.Dim, order)
 	if x.Quant != nil {
 		permuteRows(x.Quant.Codes.Codes, x.Quant.Codes.Dim, order)

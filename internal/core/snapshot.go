@@ -17,16 +17,15 @@ import (
 // lives in internal/live; this file only defines what a frozen view is and
 // how Algorithm 1 searches one.
 //
-// Immutability is copy-on-write: a Snapshot captures the CSR graph pointer
-// and the slice headers of the base matrix, code matrix and id-remap tables
-// at a moment when all of them describe the same n rows, and marks the
-// graph shared. Later mutations through NSG.Insert only append vector, code
-// and id rows (indexes >= n) or swap the NSG's own headers, and the first
-// edit forks the shared graph: the fork copies the row bounds and writes
-// every row it changes past the end of the edge slab the snapshot reads
-// (see graphutil.CSR.Fork). The rows a snapshot can reach are never rewritten,
-// so any number of readers may traverse a snapshot while the maintainer
-// grows the index.
+// A Snapshot captures the CSR graph pointer and the slice headers of the
+// base matrix, code matrix and id-remap tables at a moment when all of them
+// describe the same n rows. A CSR is never written once laid out, and later
+// mutations through NSG.Insert only append vector, code and id rows
+// (indexes >= n), swap the NSG's own headers, or edit adjacency lists
+// unpacked from a copy of the edge slab (see NSG.edit), which the next
+// Snapshot lays out as a fresh CSR. The rows a snapshot can reach are
+// never rewritten, so any number of readers may traverse a snapshot while
+// the maintainer grows the index.
 
 // Snapshot is an immutable, lock-free serving view of an NSG: the frozen
 // CSR adjacency, the first n rows of the base (and, when
@@ -44,10 +43,11 @@ type Snapshot struct {
 
 // view is the index's current state as a transient Snapshot value: what
 // every heap and mapped search reads, sharing the quantizer instead of
-// copying it. Valid only until the next mutation.
+// copying it. Rows Inserts left are laid out first. Valid only until the
+// next mutation.
 func (x *NSG) view() Snapshot {
 	return Snapshot{
-		flat:   x.flat,
+		flat:   x.FlatView(),
 		nav:    x.Navigating,
 		base:   x.Base,
 		quant:  x.Quant,
@@ -57,14 +57,11 @@ func (x *NSG) view() Snapshot {
 }
 
 // Snapshot freezes the index's current state into an immutable serving
-// view, sharing the graph (compacted first, which reclaims the spans edits
-// since the last publish left behind) until the next write forks it. Must
-// not be called concurrently with mutations (the live maintainer is the
-// only caller while a handle is running); the returned snapshot itself is
-// then safe to search concurrently with further mutations.
+// view, laying out the rows Inserts edited since the last one as a fresh
+// CSR. Must not be called concurrently with mutations (the live maintainer
+// is the only caller while a handle is running); the returned snapshot
+// itself is then safe to search concurrently with further mutations.
 func (x *NSG) Snapshot() *Snapshot {
-	x.flat.Compact()
-	x.shared = true
 	s := x.view()
 	if s.quant != nil {
 		q := *s.quant

@@ -236,75 +236,3 @@ func TestFlatGraphValidateCatchesCorruption(t *testing.T) {
 		t.Error("expected out-of-range edge error")
 	}
 }
-
-// TestFlatGraphEditsMatchLists applies random edits — AppendNode,
-// SetNeighbors (longer and shorter) and AddEdge — to a CSR graph and to
-// ragged lists side by side, forking the graph now and then the way a
-// publish does. The rows must agree after every edit, a fork's edits must
-// leave every row of the graph it forked unchanged, MaxDegree must bound
-// every degree, and after Compact the graph must be exactly what Flatten
-// lays out for the lists.
-func TestFlatGraphEditsMatchLists(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	same := func(a, b []int32) bool { return slices.Equal(a, b) }
-	for trial := 0; trial < 50; trial++ {
-		ref := New(1 + rng.Intn(6))
-		for i := range ref.Adj {
-			for range rng.Intn(4) {
-				ref.AddEdge(int32(i), int32(rng.Intn(ref.N())))
-			}
-		}
-		f := Flatten(ref)
-		var published *CSR
-		var publishedRows [][]int32
-		for op := 0; op < 40; op++ {
-			if rng.Intn(8) == 0 {
-				f.Compact()
-				published, publishedRows = f, f.ToGraph().Adj
-				f = f.Fork()
-			}
-			i := int32(rng.Intn(ref.N()))
-			switch rng.Intn(4) {
-			case 0:
-				ref.Adj = append(ref.Adj, nil)
-				f.AppendNode()
-			case 1:
-				ids := make([]int32, rng.Intn(8))
-				for j := range ids {
-					ids[j] = int32(rng.Intn(ref.N()))
-				}
-				ref.Adj[i] = ids
-				f.SetNeighbors(i, ids)
-			case 2:
-				ids := slices.Clone(ref.Adj[i][:rng.Intn(len(ref.Adj[i])+1)])
-				ref.Adj[i] = ids
-				f.SetNeighbors(i, ids)
-			default:
-				to := int32(rng.Intn(ref.N()))
-				ref.AddEdge(i, to)
-				f.AddEdge(i, to)
-			}
-			if err := f.Validate(); err != nil {
-				t.Fatalf("trial %d op %d: %v", trial, op, err)
-			}
-			if !slices.EqualFunc(f.ToGraph().Adj, ref.Adj, same) {
-				t.Fatalf("trial %d op %d: CSR rows diverge from the lists", trial, op)
-			}
-			if f.Edges() != ref.Edges() || f.MaxDegree() < ref.Degrees().Max {
-				t.Fatalf("trial %d op %d: %d edges, max degree %d; lists %d, %d", trial, op, f.Edges(), f.MaxDegree(), ref.Edges(), ref.Degrees().Max)
-			}
-			if published != nil && !slices.EqualFunc(published.ToGraph().Adj, publishedRows, same) {
-				t.Fatalf("trial %d op %d: an edit changed a row of the published graph", trial, op)
-			}
-		}
-		f.Compact()
-		gotOff, gotEdges := f.Slabs()
-		wantOff, wantEdges := Flatten(ref).Slabs()
-		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotEdges, wantEdges) || f.MaxDegree() != ref.Degrees().Max {
-			t.Fatalf("trial %d: Compact gives %v %v (max %d), Flatten %v %v", trial, gotOff, gotEdges, f.MaxDegree(), wantOff, wantEdges)
-		}
-		if d, w := f.Degrees(), ref.Degrees(); d != w {
-			t.Fatalf("trial %d: Degrees %+v, lists %+v", trial, d, w)
-		}
-	}
-}

@@ -173,12 +173,15 @@ func (x *Index) encodeSub(v, cen []float32, sub int) uint8 {
 // exact re-ranking distances — the accounting the paper's Figure 8 uses for
 // Faiss (every candidate whose distance is estimated counts once).
 func (x *Index) Search(q []float32, k, nprobe, rerank int, counter *vecmath.Counter) []vecmath.Neighbor {
-	if nprobe < 1 {
-		nprobe = 1
-	}
-	if nprobe > x.coarse.Rows {
-		nprobe = x.coarse.Rows
-	}
+	return x.SearchCells(q, k, 0, max(nprobe, 1), rerank, counter)
+}
+
+// SearchCells is Search over the cells ranked first..last-1 by distance to
+// q (rank 0 is the nearest), so workers given disjoint ranges split one
+// search's probes without repeating any; merging their results keeps every
+// candidate the one search would rerank.
+func (x *Index) SearchCells(q []float32, k, first, last, rerank int, counter *vecmath.Counter) []vecmath.Neighbor {
+	last = min(last, x.coarse.Rows)
 	if rerank < k {
 		rerank = k
 	}
@@ -193,7 +196,7 @@ func (x *Index) Search(q []float32, k, nprobe, rerank int, counter *vecmath.Coun
 	// ADC scoring over the probed cells.
 	approx := vecmath.NewTopK(rerank)
 	lut := make([]float32, x.m*x.ksub)
-	for pi := 0; pi < nprobe; pi++ {
+	for pi := first; pi < last; pi++ {
 		c := cells[pi].ID
 		cen := x.coarse.Row(int(c))
 		// Build the lookup table for this cell: distance from the query

@@ -109,6 +109,38 @@ func TestMoreProbesMoreRecall(t *testing.T) {
 	}
 }
 
+// TestSearchCellsSplitsProbes: disjoint cell ranges merged answer at least
+// as well as one search over their union, rank by rank: each range keeps
+// its own rerank best, so the union holds every candidate the one search
+// reranks.
+func TestSearchCellsSplitsProbes(t *testing.T) {
+	ds, err := dataset.SIFTLike(dataset.Config{N: 1500, Queries: 30, GTK: 10, Dim: 32, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := Build(ds.Base, Params{NList: 32, M: 8, KSub: 64, TrainIters: 8, TrainSample: 1500, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi := 0; qi < ds.Queries.Rows; qi++ {
+		q := ds.Queries.Row(qi)
+		want := idx.Search(q, 10, 12, 40, nil)
+		var parts [][]vecmath.Neighbor
+		for _, r := range [][2]int{{0, 5}, {5, 10}, {10, 12}} {
+			parts = append(parts, idx.SearchCells(q, 10, r[0], r[1], 40, nil))
+		}
+		got := vecmath.MergeNeighborLists(10, parts...)
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d results split, %d whole", qi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Dist > want[i].Dist {
+				t.Fatalf("query %d rank %d: split %v farther than whole %v", qi, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestCompressedIndexSmallerThanRaw(t *testing.T) {
 	// PQ's selling point: the code footprint is far below the raw vectors.
 	ds, err := dataset.SIFTLike(dataset.Config{N: 1000, Queries: 1, GTK: 1, Dim: 32, Seed: 20})

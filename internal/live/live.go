@@ -15,14 +15,13 @@
 //     candidate pool, so a point is searchable the moment Append returns,
 //     with exact distances.
 //   - A background maintainer drains the delta through the existing
-//     Algorithm 2 incremental-insert path (core.NSG.Insert), which edits the
-//     index's CSR rows, and atomically publishes a fresh snapshot that
-//     includes the drained points — at which point they leave the scan
-//     path. The graph is copy-on-write: a published snapshot shares the
-//     rows, the batch's first insert forks the graph (a copy of its row
-//     offsets), and every row the batch rewrites lands past the end of the
-//     edge slab the snapshot reads; the publish compacts it. It runs
-//     only while rows wait to drain, so a handle that is never written runs
+//     Algorithm 2 incremental-insert path (core.NSG.Insert), and atomically
+//     publishes a fresh snapshot that includes the drained points — at
+//     which point they leave the scan path. A published graph is never
+//     written: the batch's first insert unpacks it into adjacency lists
+//     over a copy of its edge slab, the batch edits those lists, and the
+//     publish lays them out as a fresh CSR. It runs only while rows wait
+//     to drain, so a handle that is never written runs
 //     no goroutine and costs its queries one atomic load.
 //
 // Epochs and retirement: every publish installs a new immutable view;
@@ -53,7 +52,7 @@ import (
 type Options struct {
 	// MaxPending is the delta depth that triggers an immediate drain
 	// (default 512). Until it is hit, the maintainer waits up to Interval,
-	// batching insertions so the per-batch fork and compaction of the graph
+	// batching insertions so the per-batch copy and layout of the graph
 	// amortize.
 	MaxPending int
 	// Interval bounds how long an appended point may wait before the
@@ -541,9 +540,9 @@ func (h *Handle) cut() drainCut {
 
 // drain inserts c's rows and publishes. Callers hold h.drainMu.
 func (h *Handle) drain(c drainCut) {
-	// Graph work, outside every lock: the first insert forks the graph the
-	// published snapshot shares, and published readers only traverse frozen
-	// rows and write-once vectors.
+	// Graph work, outside every lock: the inserts edit adjacency lists
+	// copied from the published graph, and published readers only traverse
+	// write-once CSR rows and vectors.
 	trans := c.trans
 	for j := c.lo; j < c.hi; j++ {
 		id, err := h.idx.Insert(c.s.vecs[j*c.s.dim:(j+1)*c.s.dim], c.insert)

@@ -351,9 +351,10 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestSnapshotCopyOnWrite: a drain batch re-prunes adjacency rows the
-// published snapshot shares. The batch's first insert must fork the graph,
-// so the old snapshot's rows and Stats stay bit-identical, and its answers
-// unchanged while a reader searches it through the drain.
+// published snapshot holds. The batch edits lists copied from the graph and
+// publishes a fresh layout, so the old snapshot's rows and Stats stay
+// bit-identical, and its answers unchanged while a reader searches it
+// through the drain.
 func TestSnapshotCopyOnWrite(t *testing.T) {
 	const n0, extra, dim = 300, 200, 12
 	all := testVectors(n0+extra, dim, 9)

@@ -366,7 +366,7 @@ func TestEveryShardIsRelaid(t *testing.T) {
 				t.Fatalf("%v shard %d: IsQuantized %v", quantize, sh, shard.IsQuantized())
 			}
 			for j, g := range x.s.handles[sh].Translate() {
-				if !slices.Equal(shard.VectorByID(int32(j)), ds.Base.Row(int(g))) {
+				if v, _ := x.s.handles[sh].Vector(int32(j)); !slices.Equal(v, ds.Base.Row(int(g))) {
 					t.Fatalf("%v shard %d row %d is not global row %d", quantize, sh, j, g)
 				}
 			}
